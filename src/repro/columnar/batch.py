@@ -66,10 +66,8 @@ class Vector:
             return list(self.data)
         values = self.data.tolist()
         if self.valid is not None:
-            valid = self.valid
-            return [
-                values[i] if valid[i] else None for i in range(len(values))
-            ]
+            for index in np.flatnonzero(~self.valid).tolist():
+                values[index] = None
         return values
 
     def memory_footprint_bytes(self) -> int:
@@ -227,7 +225,11 @@ class ColumnBatch:
         exit, matching the row path's value conventions exactly."""
         if not self.entries:
             return [()] * self.num_rows
-        columns = [self.vector(i).to_python_list() for i in
-                   range(len(self.entries))]
-        return [tuple(col[r] for col in columns)
-                for r in range(self.num_rows)]
+        return list(
+            zip(
+                *[
+                    self.vector(i).to_python_list()
+                    for i in range(len(self.entries))
+                ]
+            )
+        )

@@ -11,17 +11,18 @@ coordination.
 from __future__ import annotations
 
 import pickle
+from functools import partial
+from itertools import chain, repeat
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.columnar.analysis import ColumnAnalysis, analyze, numpy_dtype_for
 from repro.datatypes import (
     BOOLEAN,
     DataType,
     DateType,
     DoubleType,
-    IntegerType,
-    LongType,
     StringType,
     TimestampType,
 )
@@ -37,16 +38,6 @@ DEFAULT_DICTIONARY_THRESHOLD = 65536
 MIN_AVG_RUN_LENGTH = 4.0
 #: Bit packing applies to integer columns whose range fits in this many bits.
 MAX_PACK_BITS = 16
-
-
-def _numpy_dtype_for(data_type: DataType) -> Optional[np.dtype]:
-    if isinstance(data_type, IntegerType):
-        return np.dtype(np.int32)
-    if isinstance(data_type, LongType):
-        return np.dtype(np.int64)
-    if isinstance(data_type, DoubleType):
-        return np.dtype(np.float64)
-    return None
 
 
 class EncodedColumn:
@@ -85,12 +76,19 @@ class EncodedColumn:
 
 
 class CompressionScheme:
-    """Interface: decide applicability and encode."""
+    """Interface: encode a column.
+
+    ``values`` is a sequence of column values or the loading task's
+    :class:`~repro.columnar.analysis.ColumnAnalysis` of it; encoders read
+    the analysis instead of rescanning the values.
+    """
 
     name = "scheme"
+    #: The :class:`EncodedColumn` this scheme builds from an analysis.
+    column_class: type
 
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        raise NotImplementedError
+    def encode(self, values, data_type: DataType) -> EncodedColumn:
+        return self.column_class(analyze(values, data_type))
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +99,16 @@ class CompressionScheme:
 class _PlainColumn(EncodedColumn):
     scheme_name = "plain"
 
-    def __init__(self, values: list, data_type: DataType):
-        dtype = _numpy_dtype_for(data_type)
-        self._is_array = dtype is not None and all(
-            value is not None for value in values
-        )
-        if self._is_array:
-            self._data = np.asarray(values, dtype=dtype)
+    def __init__(self, column: ColumnAnalysis):
+        if column.array is not None:
+            self._data = column.array
             self._bytes = int(self._data.nbytes)
         else:
-            self._data = list(values)
-            if isinstance(data_type, StringType):
+            self._data = list(column.values)
+            if isinstance(column.data_type, StringType):
                 # Offsets (4B each) plus UTF-8 payload, like a string arena.
-                payload = sum(
-                    len(value.encode("utf-8")) if value is not None else 0
-                    for value in values
-                )
-                self._bytes = payload + 4 * len(values)
+                payload = len("".join(column.present).encode("utf-8"))
+                self._bytes = payload + 4 * len(self._data)
             else:
                 self._bytes = len(pickle.dumps(self._data, protocol=4))
 
@@ -136,9 +127,7 @@ class PlainEncoding(CompressionScheme):
     """No compression: one primitive array (or string arena) per column."""
 
     name = "plain"
-
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        return _PlainColumn(values, data_type)
+    column_class = _PlainColumn
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +138,29 @@ class PlainEncoding(CompressionScheme):
 class _RleColumn(EncodedColumn):
     scheme_name = "rle"
 
-    def __init__(self, values: list, data_type: DataType):
-        runs: list[tuple[Any, int]] = []
-        for value in values:
-            if runs and runs[-1][0] == value:
-                runs[-1] = (value, runs[-1][1] + 1)
-            else:
-                runs.append((value, 1))
-        self._run_values = [value for value, __ in runs]
-        self._run_lengths = np.asarray(
-            [length for __, length in runs], dtype=np.int32
+    def __init__(self, column: ColumnAnalysis):
+        starts = column.run_starts
+        self._length = len(column)
+        self._run_lengths = np.diff(starts, append=self._length).astype(
+            np.int32
         )
-        self._data_type = data_type
-        self._length = len(values)
-        encoded_values = _PlainColumn(self._run_values, data_type)
-        self._bytes = encoded_values.compressed_bytes + int(
+        values = column.values
+        self._run_values = _PlainColumn(
+            analyze([values[i] for i in starts.tolist()], column.data_type)
+        )
+        self._bytes = self._run_values.compressed_bytes + int(
             self._run_lengths.nbytes
         )
 
     def decode(self) -> Sequence[Any]:
-        dtype = _numpy_dtype_for(self._data_type)
-        if dtype is not None and all(v is not None for v in self._run_values):
-            return np.repeat(
-                np.asarray(self._run_values, dtype=dtype), self._run_lengths
+        run_values = self._run_values.decode()
+        if isinstance(run_values, np.ndarray):
+            return np.repeat(run_values, self._run_lengths)
+        return list(
+            chain.from_iterable(
+                map(repeat, run_values, self._run_lengths.tolist())
             )
-        out: list = []
-        for value, length in zip(self._run_values, self._run_lengths):
-            out.extend([value] * int(length))
-        return out
+        )
 
     @property
     def compressed_bytes(self) -> int:
@@ -194,9 +178,7 @@ class RunLengthEncoding(CompressionScheme):
     """(value, run_length) pairs; wins on sorted/clustered columns."""
 
     name = "rle"
-
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        return _RleColumn(values, data_type)
+    column_class = _RleColumn
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +197,30 @@ def _code_dtype(cardinality: int) -> np.dtype:
 class _DictionaryColumn(EncodedColumn):
     scheme_name = "dictionary"
 
-    def __init__(self, values: list, data_type: DataType):
-        dictionary: dict[Any, int] = {}
-        codes = np.empty(len(values), dtype=np.uint32)
-        for index, value in enumerate(values):
-            code = dictionary.setdefault(value, len(dictionary))
-            codes[index] = code
-        self._dictionary = list(dictionary)
-        self._codes = codes.astype(_code_dtype(len(dictionary)))
-        self._data_type = data_type
-        dict_bytes = _PlainColumn(self._dictionary, data_type).compressed_bytes
-        self._bytes = dict_bytes + int(self._codes.nbytes)
+    def __init__(self, column: ColumnAnalysis):
+        distinct = column.distinct
+        if distinct is None:
+            raise CompressionError(
+                "cannot dictionary-encode unhashable values"
+            )
+        # Codes number the distinct values in first-occurrence order.
+        code_of = dict(zip(distinct, range(len(distinct))))
+        self._codes = np.fromiter(
+            map(code_of.__getitem__, column.values),
+            dtype=_code_dtype(len(distinct)),
+            count=len(column),
+        )
+        self._dictionary = list(distinct)
+        entries = _PlainColumn(analyze(self._dictionary, column.data_type))
+        #: The dictionary as decode indexes it: one typed array for
+        #: NULL-free primitives, the list itself otherwise.
+        self._entries = entries.decode()
+        self._bytes = entries.compressed_bytes + int(self._codes.nbytes)
 
     def decode(self) -> Sequence[Any]:
-        dtype = _numpy_dtype_for(self._data_type)
-        if dtype is not None and all(v is not None for v in self._dictionary):
-            return np.asarray(self._dictionary, dtype=dtype)[self._codes]
-        return [self._dictionary[code] for code in self._codes]
+        if isinstance(self._entries, np.ndarray):
+            return self._entries[self._codes]
+        return list(map(self._entries.__getitem__, self._codes.tolist()))
 
     @property
     def compressed_bytes(self) -> int:
@@ -252,9 +241,7 @@ class DictionaryEncoding(CompressionScheme):
     """Distinct values once + small integer codes; wins on enum columns."""
 
     name = "dictionary"
-
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        return _DictionaryColumn(values, data_type)
+    column_class = _DictionaryColumn
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +252,13 @@ class DictionaryEncoding(CompressionScheme):
 class _BitPackedColumn(EncodedColumn):
     scheme_name = "bitpack"
 
-    def __init__(self, values: list, data_type: DataType):
-        if not values:
+    def __init__(self, column: ColumnAnalysis):
+        if not len(column):
             raise CompressionError("cannot bit-pack an empty column")
-        array = np.asarray(values, dtype=np.int64)
+        array = np.asarray(
+            column.values if column.array is None else column.array,
+            dtype=np.int64,
+        )
         self._base = int(array.min())
         deltas = (array - self._base).astype(np.uint64)
         max_delta = int(deltas.max()) if len(deltas) else 0
@@ -277,8 +267,8 @@ class _BitPackedColumn(EncodedColumn):
         shifts = np.arange(self._width, dtype=np.uint64)
         bits = ((deltas[:, None] >> shifts) & 1).astype(np.uint8)
         self._packed = np.packbits(bits.reshape(-1))
-        self._length = len(values)
-        self._data_type = data_type
+        self._length = len(column)
+        self._data_type = column.data_type
 
     def decode(self) -> Sequence[Any]:
         total_bits = self._length * self._width
@@ -286,7 +276,7 @@ class _BitPackedColumn(EncodedColumn):
         bits = bits.reshape(self._length, self._width).astype(np.uint64)
         shifts = np.arange(self._width, dtype=np.uint64)
         deltas = (bits << shifts).sum(axis=1)
-        dtype = _numpy_dtype_for(self._data_type) or np.dtype(np.int64)
+        dtype = numpy_dtype_for(self._data_type) or np.dtype(np.int64)
         return (deltas.astype(np.int64) + self._base).astype(dtype)
 
     @property
@@ -305,9 +295,7 @@ class BitPacking(CompressionScheme):
     """Offset-encode small-range integers into ``bit_length(range)`` bits."""
 
     name = "bitpack"
-
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        return _BitPackedColumn(values, data_type)
+    column_class = _BitPackedColumn
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +306,9 @@ class BitPacking(CompressionScheme):
 class _BitsetColumn(EncodedColumn):
     scheme_name = "bitset"
 
-    def __init__(self, values: list):
-        array = np.asarray(values, dtype=bool)
-        self._packed = np.packbits(array)
-        self._length = len(values)
+    def __init__(self, column: ColumnAnalysis):
+        self._packed = np.packbits(np.asarray(column.values, dtype=bool))
+        self._length = len(column)
 
     def decode(self) -> Sequence[Any]:
         return np.unpackbits(self._packed, count=self._length).astype(bool)
@@ -338,9 +325,7 @@ class BooleanBitset(CompressionScheme):
     """One bit per boolean."""
 
     name = "bitset"
-
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        return _BitsetColumn(values)
+    column_class = _BitsetColumn
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +333,18 @@ class BooleanBitset(CompressionScheme):
 # ---------------------------------------------------------------------------
 
 
+_pickle = partial(pickle.dumps, protocol=4)
+
+
 class _BlobColumn(EncodedColumn):
     scheme_name = "blob"
 
-    def __init__(self, values: list):
+    def __init__(self, column: ColumnAnalysis):
         # "Complex data types ... are serialized and concatenated into a
         # single byte array" (Section 3.2).
-        self._offsets = np.empty(len(values) + 1, dtype=np.int64)
-        parts = []
-        offset = 0
-        for index, value in enumerate(values):
-            self._offsets[index] = offset
-            blob = pickle.dumps(value, protocol=4)
-            parts.append(blob)
-            offset += len(blob)
-        self._offsets[len(values)] = offset
+        parts = list(map(_pickle, column.values))
+        self._offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum(list(map(len, parts)), out=self._offsets[1:])
         self._payload = b"".join(parts)
 
     def decode(self) -> Sequence[Any]:
@@ -384,9 +366,7 @@ class SerializedBlob(CompressionScheme):
     """Serialize complex values into one concatenated byte array."""
 
     name = "blob"
-
-    def encode(self, values: list, data_type: DataType) -> EncodedColumn:
-        return _BlobColumn(values)
+    column_class = _BlobColumn
 
 
 # ---------------------------------------------------------------------------
@@ -401,53 +381,54 @@ BITSET = BooleanBitset()
 BLOB = SerializedBlob()
 
 
+def _few_distinct(column: ColumnAnalysis, dictionary_threshold: int) -> bool:
+    if column.distinct is None:
+        return False
+    distinct = len(column.distinct)
+    return (
+        distinct <= dictionary_threshold
+        and distinct / len(column) <= DICTIONARY_RATIO
+    )
+
+
 def choose_scheme(
-    values: list,
+    values,
     data_type: DataType,
     dictionary_threshold: int = DEFAULT_DICTIONARY_THRESHOLD,
 ) -> CompressionScheme:
     """Pick the best scheme for this partition's column, locally.
 
-    Mirrors the paper's loading tasks: track distinct counts and run
-    lengths while scanning, then choose dictionary encoding when distinct
-    values are few, RLE when runs are long (clustered data), bit packing
-    for narrow integer ranges, bitsets for booleans, and plain otherwise.
+    Mirrors the paper's loading tasks: the column analysis tracks distinct
+    counts and run lengths, then this chooses dictionary encoding when
+    distinct values are few, RLE when runs are long (clustered data), bit
+    packing for narrow integer ranges, bitsets for booleans, and plain
+    otherwise.  ``values`` is a sequence or its ``ColumnAnalysis``.
     """
-    if not values:
+    column = analyze(values, data_type)
+    if not len(column):
         return PLAIN
     if data_type == BOOLEAN:
         return BITSET
     if isinstance(data_type, (DateType, TimestampType)):
         # Dates behave like strings here: dictionary if few distinct,
         # otherwise one pickled vector (compact: the codec is shared).
-        distinct = len(set(values))
-        if distinct <= dictionary_threshold and distinct / len(values) <= DICTIONARY_RATIO:
+        if _few_distinct(column, dictionary_threshold):
             return DICTIONARY
         return PLAIN
 
-    has_none = any(value is None for value in values)
-    numeric = _numpy_dtype_for(data_type) is not None
-    is_string = isinstance(data_type, StringType)
-
-    if not numeric and not is_string:
+    numeric = numpy_dtype_for(data_type) is not None
+    if not numeric and not isinstance(data_type, StringType):
         return BLOB
-    if has_none:
+    if column.has_null:
         # Null-bearing primitive columns fall back to plain list storage.
         return PLAIN
 
-    runs = 1
-    for previous, current in zip(values, values[1:]):
-        if current != previous:
-            runs += 1
-    avg_run = len(values) / runs
-    distinct = len(set(values))
-
-    if avg_run >= MIN_AVG_RUN_LENGTH:
+    if len(column) / len(column.run_starts) >= MIN_AVG_RUN_LENGTH:
         return RLE
-    if distinct <= dictionary_threshold and distinct / len(values) <= DICTIONARY_RATIO:
+    if _few_distinct(column, dictionary_threshold):
         return DICTIONARY
     if numeric and not isinstance(data_type, DoubleType):
-        array = np.asarray(values, dtype=np.int64)
+        array = column.array
         span = int(array.max()) - int(array.min())
         if span.bit_length() <= MAX_PACK_BITS:
             return BITPACK

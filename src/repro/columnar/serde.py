@@ -10,8 +10,10 @@ from __future__ import annotations
 import pickle
 import struct
 from datetime import date, datetime
+from itertools import repeat
 from typing import Any
 
+from repro.columnar.table import transpose_rows
 from repro.datatypes import (
     ArrayType,
     BooleanType,
@@ -26,13 +28,39 @@ from repro.datatypes import (
     StructType,
     TimestampType,
 )
-from repro.errors import StorageError
+from repro.errors import AnalysisError, StorageError
 
 _NULL_TOKEN = "\\N"
 
+#: Text of one non-NULL value, by its Python type.
+_TEXT_FORMATTERS = {
+    int: str,
+    float: str,
+    str: str,
+    bool: ("false", "true").__getitem__,
+    date: date.isoformat,
+    datetime: datetime.isoformat,
+}
+#: Value of one non-NULL text field, by its column type.
+_TEXT_PARSERS = {
+    IntegerType: int,
+    LongType: int,
+    DoubleType: float,
+    BooleanType: "true".__eq__,
+    DateType: date.fromisoformat,
+    TimestampType: datetime.fromisoformat,
+    StringType: str,
+}
+
 
 class TextSerde:
-    """Delimited text rows (Hive's default storage format)."""
+    """Delimited text rows (Hive's default storage format).
+
+    Encoding and decoding work a column at a time: the converter is
+    picked once per column (from the values' Python type when writing,
+    from the schema when reading) and mapped over it; only columns that
+    carry NULLs, mix types or hold ARRAY/MAP values go value by value.
+    """
 
     def __init__(self, schema: Schema, delimiter: str = "\x01"):
         self.schema = schema
@@ -55,21 +83,20 @@ class TextSerde:
             return "{" + inner + "}"
         return str(value)
 
+    def _format_column(self, values: tuple) -> list[str]:
+        kinds = set(map(type, values))
+        if len(kinds) == 1:
+            formatter = _TEXT_FORMATTERS.get(kinds.pop())
+            if formatter is not None:
+                return list(map(formatter, values))
+        return [self._format_value(value) for value in values]
+
     def _parse_value(self, text: str, data_type: DataType) -> Any:
         if text == _NULL_TOKEN:
             return None
-        if isinstance(data_type, (IntegerType, LongType)):
-            return int(text)
-        if isinstance(data_type, DoubleType):
-            return float(text)
-        if isinstance(data_type, BooleanType):
-            return text == "true"
-        if isinstance(data_type, DateType):
-            return date.fromisoformat(text)
-        if isinstance(data_type, TimestampType):
-            return datetime.fromisoformat(text)
-        if isinstance(data_type, StringType):
-            return text
+        parser = _TEXT_PARSERS.get(type(data_type))
+        if parser is not None:
+            return parser(text)
         if isinstance(data_type, ArrayType):
             body = text[1:-1]
             if not body:
@@ -91,36 +118,45 @@ class TextSerde:
             return out
         raise StorageError(f"text serde cannot parse type {data_type}")
 
-    def encode(self, rows: list[tuple]) -> bytes:
-        lines = []
-        for row in rows:
-            lines.append(
-                self.delimiter.join(self._format_value(value) for value in row)
-            )
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    def _parse_column(self, texts: tuple, data_type: DataType) -> list:
+        parser = _TEXT_PARSERS.get(type(data_type))
+        if parser is None or _NULL_TOKEN in texts:
+            return [self._parse_value(text, data_type) for text in texts]
+        return list(map(parser, texts))
 
-    def decode(self, payload: bytes) -> list[tuple]:
-        rows = []
+    def encode(self, rows: list[tuple]) -> bytes:
+        if not rows:
+            return b""
+        columns = transpose_rows(rows, len(self.schema))
+        lines = map(
+            self.delimiter.join, zip(*map(self._format_column, columns))
+        )
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def decode_columns(self, payload: bytes) -> list[list]:
+        """The payload's rows as one list of values per schema field."""
         text = payload.decode("utf-8")
         if text.endswith("\n"):
             text = text[:-1]
         # Split on the record delimiter only; field values may contain
         # characters like \r that str.splitlines would treat as breaks.
         lines = text.split("\n") if text else []
-        for line in lines:
-            parts = line.split(self.delimiter)
-            if len(parts) != len(self.schema):
-                raise StorageError(
-                    f"text row has {len(parts)} fields, schema has "
-                    f"{len(self.schema)}"
-                )
-            rows.append(
-                tuple(
-                    self._parse_value(text, field_.data_type)
-                    for text, field_ in zip(parts, self.schema.fields)
-                )
-            )
-        return rows
+        rows = list(map(str.split, lines, repeat(self.delimiter)))
+        width = len(self.schema)
+        try:
+            columns = transpose_rows(rows, width)
+        except AnalysisError:
+            bad = next(len(row) for row in rows if len(row) != width)
+            raise StorageError(
+                f"text row has {bad} fields, schema has {width}"
+            ) from None
+        return [
+            self._parse_column(texts, field_.data_type)
+            for texts, field_ in zip(columns, self.schema.fields)
+        ]
+
+    def decode(self, payload: bytes) -> list[tuple]:
+        return list(zip(*self.decode_columns(payload)))
 
 
 class BinarySerde:
@@ -208,6 +244,11 @@ class BinarySerde:
                 values.append(value)
             rows.append(tuple(values))
         return rows
+
+    def decode_columns(self, payload: bytes) -> list[tuple]:
+        """The payload's rows as one sequence of values per schema field
+        (the format is row-major: decode, then transpose)."""
+        return transpose_rows(self.decode(payload), len(self.schema))
 
 
 class SpillSerde:

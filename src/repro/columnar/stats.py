@@ -10,18 +10,12 @@ predicates is pruned — no task is launched to scan it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime
 from typing import Any, Optional
+
+from repro.columnar.analysis import analyze, range_comparable
 
 #: Keep exact distinct sets only up to this many values.
 DISTINCT_LIMIT = 64
-
-#: Types whose values can be range-compared for pruning.
-_COMPARABLE = (int, float, str, date, datetime)
-
-
-def _comparable(value: Any) -> bool:
-    return isinstance(value, _COMPARABLE) and not isinstance(value, bool)
 
 
 @dataclass
@@ -35,32 +29,25 @@ class ColumnStats:
     distinct_values: Optional[set] = field(default_factory=set)
     row_count: int = 0
 
-    def observe(self, value: Any) -> None:
-        self.row_count += 1
-        if value is None:
-            self.null_count += 1
-            return
-        if _comparable(value):
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-        if self.distinct_values is not None:
-            try:
-                self.distinct_values.add(value)
-            except TypeError:
-                # Unhashable (complex types): no distinct tracking.
-                self.distinct_values = None
-                return
-            if len(self.distinct_values) > DISTINCT_LIMIT:
-                self.distinct_values = None
-
     @classmethod
-    def from_values(cls, values: list) -> "ColumnStats":
-        stats = cls()
-        for value in values:
-            stats.observe(value)
-        return stats
+    def from_values(cls, values) -> "ColumnStats":
+        """Statistics of one column (a sequence of values, or the loading
+        task's :class:`~repro.columnar.analysis.ColumnAnalysis` of it)."""
+        column = analyze(values)
+        minimum, maximum = column.bounds
+        distinct = column.distinct
+        # Unhashable (complex types) or too many: no distinct tracking.
+        if (
+            distinct is not None
+            and len(distinct) - column.has_null <= DISTINCT_LIMIT
+        ):
+            distinct_values = set(distinct)
+            distinct_values.discard(None)
+        else:
+            distinct_values = None
+        return cls(
+            minimum, maximum, column.null_count, distinct_values, len(column)
+        )
 
     # -- pruning predicates -------------------------------------------------
     def may_contain(self, value: Any) -> bool:
@@ -71,7 +58,7 @@ class ColumnStats:
             return True
         if self.distinct_values is not None:
             return value in self.distinct_values
-        if self.minimum is None or not _comparable(value):
+        if self.minimum is None or not range_comparable(value):
             return True
         try:
             return self.minimum <= value <= self.maximum
@@ -134,7 +121,7 @@ class PartitionStats:
     ) -> "PartitionStats":
         return cls(
             {
-                name: ColumnStats.from_values(list(values))
+                name: ColumnStats.from_values(values)
                 for name, values in zip(names, columns)
             }
         )

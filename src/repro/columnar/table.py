@@ -10,16 +10,37 @@ representing a block of tuples as a single Spark record".
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.columnar.analysis import ColumnAnalysis
 from repro.columnar.compression import (
+    DEFAULT_DICTIONARY_THRESHOLD,
+    PLAIN,
     EncodedColumn,
     choose_scheme,
 )
 from repro.columnar.stats import ColumnStats, PartitionStats
 from repro.datatypes import Schema
+from repro.errors import AnalysisError
+
+
+def check_row_width(rows: Sequence[Sequence], width: int) -> None:
+    """Reject rows narrower or wider than the table: transposing with
+    ``zip(*rows)`` would silently drop the values past the shortest."""
+    widths = set(map(len, rows))
+    widths.discard(width)
+    if widths:
+        raise AnalysisError(
+            f"row width {min(widths)} != table width {width}"
+        )
+
+
+def transpose_rows(rows: Sequence[Sequence], width: int) -> list[tuple]:
+    """The ``width`` columns of ``rows``, each one tuple."""
+    check_row_width(rows, width)
+    return list(zip(*rows)) if rows else [()] * width
 
 
 class ColumnarPartition:
@@ -47,38 +68,54 @@ class ColumnarPartition:
         schema: Schema,
         rows: list[tuple],
         compress: bool = True,
-        dictionary_threshold: int = None,
+        dictionary_threshold: Optional[int] = None,
     ) -> "ColumnarPartition":
-        """Marshal a split of rows into columns, choosing compression and
-        collecting statistics per column (the loading task of Section 3.3)."""
-        num_columns = len(schema)
-        columns: list[list] = [[] for _ in range(num_columns)]
-        for row in rows:
-            for index in range(num_columns):
-                columns[index].append(row[index])
+        """Marshal a split of rows into columns (the loading task of
+        Section 3.3): a width-checked transpose into :meth:`from_columns`."""
+        return cls.from_columns(
+            schema,
+            transpose_rows(rows, len(schema)),
+            compress=compress,
+            dictionary_threshold=dictionary_threshold,
+        )
 
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        columns: Sequence[Sequence[Any]],
+        compress: bool = True,
+        dictionary_threshold: Optional[int] = None,
+    ) -> "ColumnarPartition":
+        """Encode one split given column-wise, choosing compression and
+        collecting statistics per column.  Each column is analysed once;
+        the scheme choice, the encoder and the statistics all read that
+        one :class:`ColumnAnalysis`."""
+        if len(columns) != len(schema) or len(set(map(len, columns))) > 1:
+            raise AnalysisError(
+                f"got {len(columns)} columns of lengths "
+                f"{sorted(set(map(len, columns)))} for a table of width "
+                f"{len(schema)}"
+            )
+        if dictionary_threshold is None:
+            dictionary_threshold = DEFAULT_DICTIONARY_THRESHOLD
         encoded: list[EncodedColumn] = []
         column_stats: dict[str, ColumnStats] = {}
         for field_, values in zip(schema.fields, columns):
+            column = ColumnAnalysis(values, field_.data_type)
+            scheme = PLAIN
             if compress:
-                if dictionary_threshold is None:
-                    scheme = choose_scheme(values, field_.data_type)
-                else:
-                    scheme = choose_scheme(
-                        values, field_.data_type, dictionary_threshold
-                    )
-            else:
-                from repro.columnar.compression import PLAIN
-
-                scheme = PLAIN
-            encoded.append(scheme.encode(values, field_.data_type))
-            column_stats[field_.name] = ColumnStats.from_values(values)
+                scheme = choose_scheme(
+                    column, field_.data_type, dictionary_threshold
+                )
+            encoded.append(scheme.encode(column, field_.data_type))
+            column_stats[field_.name] = ColumnStats.from_values(column)
 
         return cls(
             schema=schema,
             encoded_columns=encoded,
             stats=PartitionStats(column_stats),
-            num_rows=len(rows),
+            num_rows=len(columns[0]) if columns else 0,
         )
 
     # ------------------------------------------------------------------
@@ -105,11 +142,15 @@ class ColumnarPartition:
     # Row access
     # ------------------------------------------------------------------
     def iter_rows(self) -> Iterator[tuple]:
+        """Rows as tuples of plain Python values (arrays unboxed by
+        ``tolist``; list columns hold the loaded values as they are)."""
         columns = [self.column(i) for i in range(len(self.schema))]
-        for row_index in range(self.num_rows):
-            yield tuple(
-                self._to_python(column[row_index]) for column in columns
-            )
+        return zip(
+            *[
+                column.tolist() if isinstance(column, np.ndarray) else column
+                for column in columns
+            ]
+        )
 
     def to_rows(self) -> list[tuple]:
         return list(self.iter_rows())

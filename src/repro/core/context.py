@@ -222,9 +222,15 @@ class SharkContext:
             row_count=0,
             size_bytes=0,
         )
-        if not cached:
-            self.store.write_file(entry.path, [], format="text")
+        # The catalog decides whether the name is taken, before the store
+        # is touched: a duplicate create must not truncate the table's file.
         self.session.catalog.create(entry)
+        if not cached:
+            # overwrite=True like SQL CREATE TABLE (a dropped table's file
+            # may still be pinned by a dependent's lineage).
+            self.store.write_file(
+                entry.path, [], format="text", overwrite=True
+            )
 
     def load_rows(
         self,

@@ -161,6 +161,16 @@ class PlannedQuery:
     distribute_column: Optional[str] = None
 
 
+def _is_identity(node: logical.Project) -> bool:
+    """True when the projection passes every child column through, in
+    order (it may still rename them: names live in the logical schema)."""
+    expressions = node.expressions
+    return len(expressions) == len(node.child.schema) and all(
+        isinstance(expression, BoundColumn) and expression.index == index
+        for index, expression in enumerate(expressions)
+    )
+
+
 class PhysicalPlanner:
     """Plans one optimized logical plan into an RDD dataflow."""
 
@@ -237,6 +247,9 @@ class PhysicalPlanner:
             )
         if isinstance(node, logical.Project):
             child = self._plan(node.child, no_prune=no_prune)
+            if _is_identity(node):
+                # SELECT * and the like: the child's rows are the output.
+                return child
             est, source = self._estimate_rows(node)
             op = self.report.mode("project", "row", est, source)
             return physical.project_rows(

@@ -13,7 +13,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.columnar.table import ColumnarPartition
+from repro.columnar.table import (
+    ColumnarPartition,
+    check_row_width,
+    transpose_rows,
+)
 from repro.columnar.serde import TextSerde
 from repro.datatypes import Field, Schema, type_by_name
 from repro.engine.context import EngineContext
@@ -31,7 +35,8 @@ from repro.sql.planner import (
     PhysicalPlanner,
     PlannerConfig,
 )
-from repro.storage import DistributedFileStore
+from repro.storage import DistributedFileStore, HdfsRDD
+from repro.storage.scan import stored_paths
 
 
 @dataclass
@@ -98,6 +103,9 @@ class SqlSession:
             from repro.sql.journal import MasterJournal
 
             self.journal = MasterJournal(self.store)
+        #: Warehouse files of dropped tables that a dependent cached
+        #: table's lineage still reads; see _reap_dropped_files.
+        self._dropped_paths: set[str] = set()
         #: True while executing a journaled statement, so internal
         #: load_rows calls are not double-journaled.
         self._in_statement = False
@@ -171,10 +179,7 @@ class SqlSession:
             if isinstance(statement, ast.CreateTable):
                 result = self._create_table(statement)
             elif isinstance(statement, ast.DropTable):
-                self.catalog.drop(
-                    statement.name, if_exists=statement.if_exists
-                )
-                result = _status(f"dropped {statement.name}")
+                result = self._drop_table(statement)
             elif isinstance(statement, ast.InsertInto):
                 result = self._insert(statement)
             elif isinstance(statement, ast.CacheTable):
@@ -603,6 +608,36 @@ class SqlSession:
             f"{'cached' if cached else 'external'})"
         )
 
+    def _drop_table(self, statement: ast.DropTable) -> QueryResult:
+        name = statement.name
+        if self.catalog.drop(name, if_exists=statement.if_exists):
+            # The table owns its warehouse file (an external table's
+            # data, or what CACHE TABLE read it from): it goes with it.
+            self._dropped_paths.add(self._table_path(name))
+            self._reap_dropped_files()
+        return _status(f"dropped {name}")
+
+    def _reap_dropped_files(self) -> None:
+        """Delete dropped tables' files, except those a live cached
+        table's lineage still reads (CTAS / CACHE TABLE from the dropped
+        table): recomputing a lost partition needs them, so they go when
+        the last such dependent is dropped."""
+        entries = list(map(self.catalog.get, self.catalog.table_names()))
+        # A name created again since owns its path again.
+        self._dropped_paths.difference_update(
+            entry.path for entry in entries
+        )
+        pinned = set().union(
+            *(
+                stored_paths(entry.cached_rdd)
+                for entry in entries
+                if entry.cached_rdd is not None
+            )
+        )
+        for path in self._dropped_paths - pinned:
+            self.store.delete(path)
+        self._dropped_paths &= pinned
+
     def _cache_table(self, statement: ast.CacheTable) -> QueryResult:
         entry = self.catalog.get(statement.name)
         if statement.uncache:
@@ -685,7 +720,9 @@ class SqlSession:
         tables each partition is encoded into one DFS block.
         """
         entry = self.catalog.get(table_name)
-        rows = [tuple(row) for row in rows]
+        rows = list(map(tuple, rows))
+        # Once, before any task transposes the rows into columns.
+        check_row_width(rows, len(entry.schema))
         if self.journal is not None and not self._in_statement:
             self.journal.log_load(table_name, rows)
         rdd = self.ctx.parallelize(
@@ -731,9 +768,16 @@ class SqlSession:
             not in ("false", "0", "no")
         )
 
+        stored = isinstance(rows_rdd, HdfsRDD)
+        if stored:
+            # A stored file loads block -> columns -> encoded partition,
+            # with no row tuples built and transposed back in between.
+            rows_rdd = rows_rdd.as_columns()
+
         def build(part: list) -> list:
-            return [ColumnarPartition.from_rows(schema, part,
-                                                compress=compress)]
+            columns = part[0] if stored else transpose_rows(part, len(schema))
+            return [ColumnarPartition.from_columns(schema, columns,
+                                                   compress=compress)]
 
         blocks = rows_rdd.map_partitions(build).set_name(
             f"load:{entry.name}"

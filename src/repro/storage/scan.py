@@ -53,12 +53,48 @@ class HdfsRDD(RDD):
         self._serde = serde_for(schema, stored.format)
         self._empty = stored.num_blocks == 0
 
+    def as_columns(self) -> "HdfsRDD":
+        """The same scan with one record per block — its columns, as
+        ``serde.decode_columns`` returns them — instead of its rows: what
+        a loading task feeds straight into
+        ``ColumnarPartition.from_columns``."""
+        return _HdfsColumnsRDD(self.ctx, self._store, self._path, self.schema)
+
+    def _decode(self, payload: bytes) -> tuple[list, int]:
+        """(records, row count) of one block."""
+        rows = self._serde.decode(payload)
+        return rows, len(rows)
+
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         if self._empty:
-            return []
+            # No block to read: what an empty block decodes to.
+            return self._decode(self._serde.encode([]))[0]
         payload = self._store.read_block(self._path, split)
-        rows = self._serde.decode(payload)
+        records, num_rows = self._decode(payload)
         task_ctx.metrics.source = SOURCE_DISK
         task_ctx.metrics.bytes_in += len(payload)
-        task_ctx.metrics.records_in += len(rows)
-        return rows
+        task_ctx.metrics.records_in += num_rows
+        return records
+
+
+class _HdfsColumnsRDD(HdfsRDD):
+    def _decode(self, payload: bytes) -> tuple[list, int]:
+        columns = self._serde.decode_columns(payload)
+        return [columns], len(columns[0])
+
+
+def stored_paths(rdd: RDD) -> set[str]:
+    """Paths of the stored files ``rdd``'s lineage reads (what recomputing
+    a lost partition of it needs to still exist)."""
+    paths: set[str] = set()
+    seen: set[int] = set()
+    stack = [rdd]
+    while stack:
+        node = stack.pop()
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        if isinstance(node, HdfsRDD):
+            paths.add(node._path)
+        stack.extend(dep.rdd for dep in node.dependencies)
+    return paths

@@ -5,6 +5,7 @@ import pytest
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.errors import AnalysisError, CatalogError
+from repro.sql.parser import parse
 
 
 @pytest.fixture
@@ -136,6 +137,261 @@ class TestDrop:
         rdd = shark.table_entry("mem").cached_rdd
         shark.sql("DROP TABLE mem")
         assert not rdd.is_cached
+
+
+    def test_drop_external_deletes_its_file(self, shark):
+        path = shark.table_entry("src").path
+        assert shark.store.exists(path)
+        shark.sql("DROP TABLE src")
+        assert not shark.store.exists(path)
+
+    def test_programmatic_recreate_after_drop_sees_only_second_load(self):
+        # create -> load -> drop -> create -> load -> scan.  The drop used
+        # to leave the DFS file behind and create_table(cached=False) then
+        # died with "file already exists".
+        shark = SharkContext(num_workers=2)
+        schema = Schema.of(("k", INT), ("name", STRING))
+        shark.create_table("ext", schema, cached=False)
+        shark.load_rows("ext", [(1, "old"), (2, "old")])
+        shark.drop_table("ext")
+        shark.create_table("ext", schema, cached=False)
+        shark.load_rows("ext", [(3, "new")])
+        assert shark.sql("SELECT * FROM ext").rows == [(3, "new")]
+
+    def test_duplicate_programmatic_create_leaves_the_rows_intact(self):
+        # The catalog refuses the name before the store is touched: the
+        # failed call must not truncate the existing table's file.
+        shark = SharkContext(num_workers=2)
+        schema = Schema.of(("k", INT), ("name", STRING))
+        shark.create_table("ext", schema, cached=False)
+        shark.load_rows("ext", [(1, "a"), (2, "b")])
+        with pytest.raises(CatalogError, match="already exists"):
+            shark.create_table("ext", schema, cached=False)
+        assert sorted(shark.sql("SELECT * FROM ext").rows) == [
+            (1, "a"), (2, "b")
+        ]
+
+    def test_programmatic_create_overwrites_a_stale_file(self):
+        shark = SharkContext(num_workers=2)
+        shark.store.write_file("/warehouse/ext", [b"9\x01stale\n"])
+        shark.create_table(
+            "ext", Schema.of(("k", INT), ("name", STRING)), cached=False
+        )
+        assert shark.sql("SELECT * FROM ext").rows == []
+
+    def test_recreate_after_drop_replays_from_the_journal(self):
+        from repro.storage import DistributedFileStore
+
+        store = DistributedFileStore()
+        shark = SharkContext(
+            num_workers=2, store=store, enable_master_recovery=True
+        )
+        shark.sql("CREATE TABLE ext (k INT, name STRING)")
+        shark.load_rows("ext", [(1, "old"), (2, "old")])
+        shark.sql("DROP TABLE ext")
+        shark.sql("CREATE TABLE ext (k INT, name STRING)")
+        shark.load_rows("ext", [(3, "new"), (4, "new")])
+        expected = [(3, "new"), (4, "new")]
+        assert sorted(shark.sql("SELECT * FROM ext").rows) == expected
+        recovered = SharkContext.recover(store, num_workers=2)
+        assert sorted(recovered.sql("SELECT * FROM ext").rows) == expected
+
+
+class TestDropKeepsDependentsRecomputable:
+    """A cached table made from an external one recomputes lost partitions
+    from the external table's file: DROP of the source keeps that file
+    until the last such dependent is gone."""
+
+    ROWS = [(i, "n%d" % (i % 7), i * 0.5) for i in range(100)]
+    PATH = "/warehouse/t"
+
+    @pytest.fixture
+    def shark(self):
+        shark = SharkContext(num_workers=4)
+        shark.sql("CREATE TABLE t (k INT, name STRING, v DOUBLE)")
+        shark.load_rows("t", self.ROWS)
+        return shark
+
+    def _lose_partitions(self, shark):
+        for worker in (0, 1, 2):
+            shark.kill_worker(worker)
+
+    @pytest.mark.parametrize(
+        "select", ["SELECT * FROM t", "SELECT k, v FROM t WHERE k >= 0"]
+    )
+    def test_ctas_recomputes_after_its_source_is_dropped(self, shark, select):
+        shark.sql(
+            "CREATE TABLE c TBLPROPERTIES ('shark.cache'='true') AS " + select
+        )
+        shark.sql("DROP TABLE t")
+        self._lose_partitions(shark)
+        assert shark.sql("SELECT COUNT(*) FROM c").scalar() == 100
+        assert shark.sql("SELECT SUM(k) FROM c").scalar() == sum(range(100))
+
+    def test_the_file_goes_with_the_last_dependent(self, shark):
+        for name in ("c1", "c2"):
+            shark.sql(
+                f"CREATE TABLE {name} TBLPROPERTIES ('shark.cache'='true') "
+                "AS SELECT * FROM t"
+            )
+        # c3 reads t's file only through c1's lineage.
+        shark.sql(
+            "CREATE TABLE c3 TBLPROPERTIES ('shark.cache'='true') "
+            "AS SELECT k FROM c1"
+        )
+        shark.sql("DROP TABLE t")
+        assert shark.store.exists(self.PATH)
+        shark.sql("DROP TABLE c1")
+        shark.sql("DROP TABLE c2")
+        assert shark.store.exists(self.PATH)
+        self._lose_partitions(shark)
+        assert shark.sql("SELECT COUNT(*) FROM c3").scalar() == 100
+        shark.sql("DROP TABLE c3")
+        assert not shark.store.exists(self.PATH)
+
+    def test_a_recreated_name_keeps_its_new_file(self, shark):
+        shark.sql(
+            "CREATE TABLE c TBLPROPERTIES ('shark.cache'='true') "
+            "AS SELECT * FROM t"
+        )
+        shark.sql("DROP TABLE t")
+        shark.sql("CREATE TABLE t (k INT, name STRING, v DOUBLE)")
+        shark.load_rows("t", [(7, "new", 7.0)])
+        # Dropping the old t's last dependent must not reap the new t.
+        shark.sql("DROP TABLE c")
+        assert shark.sql("SELECT * FROM t").rows == [(7, "new", 7.0)]
+        shark.sql("DROP TABLE t")
+        assert not shark.store.exists(self.PATH)
+
+    def test_cache_table_then_drop_deletes_the_file(self, shark):
+        shark.sql("CACHE TABLE t")
+        self._lose_partitions(shark)
+        assert shark.sql("SELECT COUNT(*) FROM t").scalar() == 100
+        shark.sql("DROP TABLE t")
+        assert not shark.store.exists(self.PATH)
+
+
+class TestRaggedLoad:
+    """A row of the wrong width is refused up front with the error INSERT
+    raises, never truncated by the transpose or failed inside a task."""
+
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("bad", [(9,), (9, "x", 1.0, "extra")])
+    def test_load_rows_validates_width(self, cached, bad):
+        shark = SharkContext(num_workers=2)
+        shark.create_table(
+            "t",
+            Schema.of(("k", INT), ("name", STRING), ("v", DOUBLE)),
+            cached=cached,
+        )
+        with pytest.raises(AnalysisError, match="table width 3"):
+            shark.load_rows("t", [(1, "a", 1.0), bad])
+        # Nothing was loaded, and the table still takes good rows.
+        assert shark.sql("SELECT COUNT(*) FROM t").scalar() == 0
+        shark.load_rows("t", [(1, "a", 1.0)])
+        assert shark.sql("SELECT * FROM t").rows == [(1, "a", 1.0)]
+
+    def test_insert_width_error_is_the_same_type(self, shark):
+        with pytest.raises(AnalysisError):
+            shark.sql("INSERT INTO src VALUES (1, 'a')")
+
+
+class TestExternalToCachedStaysColumnar:
+    """CTAS / CACHE TABLE straight from an external table decode text into
+    columns and encode those: same rows, schemes and bytes as via rows."""
+
+    def _blocks(self, shark, name):
+        entry = shark.table_entry(name)
+        return shark.engine.run_job(entry.cached_rdd, lambda blks: blks[0])
+
+    def test_verbatim_ctas_matches_a_row_wise_load(self, shark):
+        shark.sql(
+            "CREATE TABLE copy TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT * FROM src"
+        )
+        shark.sql(
+            "CREATE TABLE by_rows (k INT, name STRING, v DOUBLE) "
+            "TBLPROPERTIES ('shark.cache'='true')"
+        )
+        rows = shark.sql("SELECT * FROM src").rows
+        shark.load_rows("by_rows", rows, num_partitions=1)
+        assert sorted(shark.sql("SELECT * FROM copy").rows) == sorted(rows)
+        copied = self._blocks(shark, "copy")
+        loaded = self._blocks(shark, "by_rows")
+        assert sum(block.num_rows for block in copied) == len(rows)
+        assert {tuple(b.compression_schemes()) for b in copied} == {
+            tuple(b.compression_schemes()) for b in loaded
+        }
+        assert shark.table_entry("copy").row_count == 3
+
+    def test_cache_table_from_external(self, shark):
+        before = sorted(shark.sql("SELECT * FROM src").rows)
+        shark.sql("CACHE TABLE src")
+        assert sorted(shark.sql("SELECT * FROM src").rows) == before
+        assert shark.sql(
+            "SELECT name, SUM(v) FROM src GROUP BY name ORDER BY name"
+        ).rows == [("a", 5.0), ("b", 2.5)]
+
+    def test_identity_select_lists_plan_to_the_bare_scan(self, shark):
+        from repro.storage import HdfsRDD
+
+        # Any projection that passes every column through in order is the
+        # scan itself, renamed or not, so its CTAS loads column-wise too.
+        for select in (
+            "SELECT * FROM src",
+            "SELECT k, name, v FROM src",
+            "SELECT k AS key, name AS label, v AS amount FROM src",
+        ):
+            planned = shark.session.plan_select(parse(select))
+            assert isinstance(planned.rdd, HdfsRDD), select
+        for select in ("SELECT v, name, k FROM src", "SELECT k, name FROM src"):
+            planned = shark.session.plan_select(parse(select))
+            assert not isinstance(planned.rdd, HdfsRDD), select
+        shark.sql(
+            "CREATE TABLE renamed TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT k AS key, name AS label, v AS amount FROM src"
+        )
+        assert shark.table_entry("renamed").schema.names == [
+            "key", "label", "amount"
+        ]
+        assert sorted(shark.sql("SELECT key, amount FROM renamed").rows) == [
+            (1, 1.5), (2, 2.5), (3, 3.5)
+        ]
+
+    def test_binary_format_files_load_column_wise_too(self, shark):
+        from repro.columnar.serde import BinarySerde
+
+        rows = [(1, "a", 1.5), (2, None, 2.5), (3, "c", None)]
+        schema = shark.table_entry("src").schema
+        shark.store.write_file(
+            "/warehouse/src", [BinarySerde(schema).encode(rows)],
+            format="binary", overwrite=True,
+        )
+        assert shark.sql("SELECT * FROM src").rows == rows
+        shark.sql(
+            "CREATE TABLE copy TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT * FROM src"
+        )
+        shark.sql("CACHE TABLE src")
+        assert shark.sql("SELECT * FROM copy").rows == rows
+        assert shark.sql("SELECT * FROM src").rows == rows
+
+    def test_projecting_ctas_still_goes_through_rows(self, shark):
+        shark.sql(
+            "CREATE TABLE part TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT name, k FROM src WHERE k > 1"
+        )
+        assert sorted(shark.sql("SELECT * FROM part").rows) == [
+            ("a", 3), ("b", 2)
+        ]
+
+    def test_ctas_from_an_empty_external_table(self, shark):
+        shark.sql("CREATE TABLE hollow (k INT, name STRING)")
+        shark.sql(
+            "CREATE TABLE hollow_mem TBLPROPERTIES ('shark.cache'='true') "
+            "AS SELECT * FROM hollow"
+        )
+        assert shark.sql("SELECT COUNT(*) FROM hollow_mem").scalar() == 0
 
 
 class TestCacheStatements:
