@@ -31,7 +31,7 @@ from repro.sql.catalog import Catalog, TableEntry
 from repro.sql.functions import FunctionRegistry
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
-from repro.sql.physical import SortKey
+from repro.sql.physical import row_sort_keys
 from repro.storage import DistributedFileStore
 
 
@@ -391,12 +391,9 @@ class HiveExecutor:
     def _lower_sort(self, plan: logical.Sort) -> _Staged:
         child = self._consume(self._lower(plan.child), "sort")
         keys = plan.keys
-        ascendings = tuple(asc for __, asc in keys)
-        expressions = [expr for expr, __ in keys]
 
         def to_pair(row: tuple) -> list:
-            values = tuple(expr.eval(row) for expr in expressions)
-            return [(None, (SortKey(values, ascendings), row))]
+            return [(None, (row_sort_keys(keys, [row])[0], row))]
 
         mapper = _compose(to_pair, child.pending)
 

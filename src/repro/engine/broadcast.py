@@ -8,7 +8,7 @@ broadcast registry lets tests assert what got broadcast and how big it was.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.cluster.worker import approximate_size_bytes
 
@@ -21,10 +21,19 @@ class Broadcast:
     broadcast is destroyed or the owning query releases its accounting.
     """
 
-    def __init__(self, broadcast_id: int, value: Any, accountant=None):
+    def __init__(
+        self,
+        broadcast_id: int,
+        value: Any,
+        accountant=None,
+        size_bytes: Optional[int] = None,
+    ):
         self.broadcast_id = broadcast_id
         self._value = value
-        self.size_bytes = approximate_size_bytes(value)
+        #: A caller that already sized ``value`` passes ``size_bytes``.
+        self.size_bytes = (
+            approximate_size_bytes(value) if size_bytes is None else size_bytes
+        )
         self._destroyed = False
         self._accountant = accountant
         if accountant is not None:

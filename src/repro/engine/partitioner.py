@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from functools import partial
 from typing import Any, Callable, Sequence
+
+import numpy as np
+
+_HASH_MASK = 0x7FFFFFFF
 
 
 def stable_hash(key: Any) -> int:
@@ -39,6 +44,40 @@ def stable_hash(key: Any) -> int:
     return zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF
 
 
+def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
+    """:func:`stable_hash` of every key in a batch, as an int64 array.
+
+    Homogeneous batches hash column-wise in C: ints arithmetically,
+    strings and bytes through one ``crc32`` map, tuples of equal width
+    by combining their columns (the multiply/xor recurrence only ever
+    needs the low 31 bits, so it runs in wrapping uint64).  Anything
+    else — floats, None, mixed types, ints beyond int64, ragged tuples —
+    takes :func:`stable_hash` per key, so the two always agree.
+    """
+    kinds = set(map(type, keys))
+    if kinds <= {int, bool}:
+        try:
+            return np.array(keys, dtype=np.int64) & _HASH_MASK
+        except OverflowError:
+            pass
+    elif kinds == {str}:
+        return _crc_column(map(str.encode, keys), len(keys))
+    elif kinds == {bytes}:
+        return _crc_column(keys, len(keys))
+    elif kinds == {tuple} and len(set(map(len, keys))) == 1:
+        value = np.full(len(keys), 0x345678, dtype=np.uint64)
+        for column in zip(*keys):
+            value = (value * np.uint64(1000003)) ^ stable_hash_many(
+                column
+            ).astype(np.uint64)
+        return (value & np.uint64(_HASH_MASK)).astype(np.int64)
+    return np.fromiter(map(stable_hash, keys), np.int64, len(keys))
+
+
+def _crc_column(encoded, count: int) -> np.ndarray:
+    return np.fromiter(map(zlib.crc32, encoded), np.int64, count) & _HASH_MASK
+
+
 class Partitioner:
     """Maps a record key to a partition index in [0, num_partitions)."""
 
@@ -49,6 +88,11 @@ class Partitioner:
 
     def partition(self, key: Any) -> int:
         raise NotImplementedError
+
+    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+        """Partition index of every key of a batch, in key order; always
+        equal to ``[self.partition(key) for key in keys]``."""
+        return [self.partition(key) for key in keys]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -65,6 +109,9 @@ class HashPartitioner(Partitioner):
 
     def partition(self, key: Any) -> int:
         return stable_hash(key) % self.num_partitions
+
+    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+        return (stable_hash_many(keys) % self.num_partitions).tolist()
 
     def __repr__(self) -> str:
         return f"HashPartitioner({self.num_partitions})"
@@ -87,6 +134,13 @@ class RangePartitioner(Partitioner):
         if self._ascending:
             return index
         return self.num_partitions - 1 - index
+
+    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+        indices = map(partial(bisect.bisect_left, self._bounds), keys)
+        if self._ascending:
+            return list(indices)
+        last = self.num_partitions - 1
+        return [last - index for index in indices]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -14,6 +14,7 @@ stable hash.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.engine.dependencies import (
@@ -418,11 +419,31 @@ class RDD:
         ascending: bool = True,
         num_partitions: Optional[int] = None,
     ) -> "RDD":
-        """Total sort: sample for range bounds, shuffle, sort partitions."""
+        """Total sort by a per-record key function."""
+        return self.sort_by_key_column(
+            lambda part: list(map(key_fn, part)), ascending, num_partitions
+        )
+
+    def sort_by_key_column(
+        self,
+        keys_of: Callable[[list], list],
+        ascending: bool = True,
+        num_partitions: Optional[int] = None,
+    ) -> "RDD":
+        """Total sort: sample for range bounds, shuffle, sort partitions.
+
+        ``keys_of(partition)`` returns the sort key of every record of
+        one partition, in order — a partition is keyed as one batch (the
+        SQL sort builds its keys a column at a time).  Keys that compare
+        natively keep the bounds search, the partition sorts and the run
+        merge in C.
+        """
         target = num_partitions or self.ctx.default_parallelism
         # Range bounds come from a sample (as in Spark's RangePartitioner);
         # small inputs fall back to exact keys so bounds stay meaningful.
-        keys_rdd = self.map(key_fn)
+        keys_rdd = MapPartitionsRDD(
+            self, lambda _, part: keys_of(part), name="map"
+        )
         keys = keys_rdd.sample(0.1, seed=29).collect()
         if len(keys) < max(20 * target, 100):
             keys = keys_rdd.collect()
@@ -435,10 +456,12 @@ class RDD:
         else:
             bounds = []
         partitioner = RangePartitioner(bounds, ascending=ascending)
-        paired = self.map(lambda item: (key_fn(item), item))
-        shuffled = ShuffledRDD(paired, partitioner)
+        keyed = MapPartitionsRDD(
+            self, lambda _, part: list(zip(keys_of(part), part)), name="map"
+        )
+        shuffled = ShuffledRDD(keyed, partitioner)
 
-        def sort_partition(_: int, part: Iterable[Any]) -> list:
+        def sort_partition(_: int, part: list) -> list:
             # External sort: the buffer is charged to the task's
             # execution pool and sheds sorted runs under memory
             # pressure; finish() k-way-merges runs + tail into exactly
@@ -446,11 +469,10 @@ class RDD:
             from repro.engine.spill import ExternalSorter
 
             sorter = ExternalSorter(
-                key=lambda pair: pair[0], reverse=not ascending
+                key=itemgetter(0), reverse=not ascending
             )
-            for pair in part:
-                sorter.add(pair)
-            return [value for __, value in sorter.finish()]
+            sorter.extend(part)
+            return list(map(itemgetter(1), sorter.finish()))
 
         return MapPartitionsRDD(shuffled, sort_partition, name="sort")
 

@@ -14,13 +14,17 @@ partition view of the data (Section 3.1) before the reduce stage is planned.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import pickle
 
 from repro.cluster.worker import approximate_size_bytes
 from repro.engine.accumulator import log_decode_size, log_encode_size
+from repro.engine.partitioner import RangePartitioner
 from repro.engine.task import current_task_context
 from repro.errors import FetchFailedError
 from repro.obs import Tracer
@@ -60,15 +64,20 @@ HEAVY_KEYS_TOP_N = 5
 def _key_label(key: Any) -> str:
     """Deterministic string label for a reduce key.
 
-    Plain values (and tuples of them) repr stably; anything else — e.g.
-    sort-shuffle composite key objects — would repr with a memory
-    address, so it collapses to a type placeholder instead (event logs
-    must stay byte-identical across reruns)."""
+    Plain values (and tuples of them) repr stably; anything else would
+    repr with a memory address, so it collapses to a type placeholder
+    instead (event logs must stay byte-identical across reruns)."""
     if key is None or isinstance(key, (bool, int, float, str)):
         return repr(key)
     if isinstance(key, tuple):
         return "(" + ", ".join(_key_label(item) for item in key) + ")"
     return f"<{type(key).__name__}>"
+
+
+#: The one label of every key of a sort (range-partitioned) exchange:
+#: its keys are an order-preserving encoding of the ORDER BY values
+#: (NULL flags, negated numerics), not values a reader would recognise.
+SORT_KEY_LABEL = "<SortKey>"
 
 
 @dataclass
@@ -92,10 +101,11 @@ class MapOutputStats:
     custom_partials: dict[str, dict[int, Any]] = field(default_factory=dict)
     #: collector name -> merge function, recorded at first observe.
     mergers: dict[str, Any] = field(default_factory=dict)
-    #: Per-map-partition skew partials ({"rows": [..], "bytes": [..],
-    #: "keys": [(key, count), ..]}), kept per partition like
-    #: ``custom_partials`` so task re-runs overwrite instead of
-    #: double-merging (exactly-once skew profiling).
+    #: Per-map-partition skew partials ({"rows": [..], "bytes": [..]}),
+    #: kept per partition like ``custom_partials`` so task re-runs
+    #: overwrite instead of double-merging (exactly-once skew
+    #: profiling).  Keys are not kept here: :meth:`skew_record` labels
+    #: them from the map outputs themselves when it is asked.
     skew_partials: dict[int, dict] = field(default_factory=dict)
 
     @property
@@ -119,12 +129,19 @@ class MapOutputStats:
                 merged[name] = result
         return merged
 
-    def skew_record(self, shuffle_id: int) -> dict:
+    def skew_record(
+        self, shuffle_id: int, map_labels: Callable[[int], Iterable[str]]
+    ) -> dict:
         """Merged per-partition row/byte histogram plus heavy keys.
 
-        Partials merge in map-partition order; sums and the sorted
-        top-N are order-independent, so the record is deterministic
-        across task scheduling and re-execution.
+        ``map_labels(map_partition)`` yields the label of every key of
+        that map output, in any order; labelling and counting happen
+        here, on demand, so a query nobody profiles pays nothing per
+        record.  Each map contributes its ``_HEAVY_KEYS_PER_MAP``
+        heaviest labels (ties: label order).  Partials merge in
+        map-partition order; sums and the sorted top-N are
+        order-independent, so the record is deterministic across task
+        scheduling and re-execution.
         """
         rows = [0] * self.num_reduces
         bucket_bytes = [0] * self.num_reduces
@@ -135,8 +152,12 @@ class MapOutputStats:
                 rows[index] += count
             for index, size in enumerate(partial["bytes"]):
                 bucket_bytes[index] += size
-            for key, count in partial["keys"]:
-                key_counts[key] = key_counts.get(key, 0) + count
+            heaviest = sorted(
+                Counter(map_labels(map_partition)).items(),
+                key=lambda item: (-item[1], item[0]),
+            )[:_HEAVY_KEYS_PER_MAP]
+            for label, count in heaviest:
+                key_counts[label] = key_counts.get(label, 0) + count
         heavy = sorted(
             key_counts.items(), key=lambda item: (-item[1], item[0])
         )[:HEAVY_KEYS_TOP_N]
@@ -260,12 +281,15 @@ class ShuffleManager:
                 else:
                     combined[key] = aggregator.create_combiner(value)
             output: list = list(combined.items())
+            keys = list(combined)
         else:
             output = records
+            keys = [pair[0] for pair in output]
 
         buckets: list[list] = [[] for _ in range(num_reduces)]
-        for pair in output:
-            buckets[partitioner.partition(pair[0])].append(pair)
+        appends = [bucket.append for bucket in buckets]
+        for index, pair in zip(partitioner.partition_many(keys), output):
+            appends[index](pair)
 
         worker = self._cluster.worker(worker_id)
         block_id = _shuffle_block_id(dep.shuffle_id, map_partition)
@@ -280,16 +304,9 @@ class ShuffleManager:
             log_encode_size(size) for size in bucket_bytes
         ]
         stats.record_counts[map_partition] = len(output)
-        key_counts: dict[str, int] = {}
-        for pair in output:
-            label = _key_label(pair[0])
-            key_counts[label] = key_counts.get(label, 0) + 1
         stats.skew_partials[map_partition] = {
             "rows": [len(bucket) for bucket in buckets],
             "bytes": bucket_bytes,
-            "keys": sorted(
-                key_counts.items(), key=lambda item: (-item[1], item[0])
-            )[:_HEAVY_KEYS_PER_MAP],
         }
         for collector in dep.stats_collectors:
             partial = collector.observe(output)
@@ -457,9 +474,30 @@ class ShuffleManager:
             if not stats.skew_partials:
                 continue
             out.append(
-                stats.skew_record(shuffle_id - since_shuffle_id)
+                stats.skew_record(
+                    shuffle_id - since_shuffle_id,
+                    functools.partial(self._map_output_labels, shuffle_id),
+                )
             )
         return out
+
+    def _map_output_labels(
+        self, shuffle_id: int, map_partition: int
+    ) -> Iterable[str]:
+        """The label of every key of one map output, read back from its
+        pinned block.  A block lost with its worker and not recomputed
+        has nothing left to label."""
+        worker_id = self._locations[shuffle_id].get(map_partition)
+        if worker_id is None:
+            return ()
+        worker = self._cluster.worker(worker_id)
+        block_id = _shuffle_block_id(shuffle_id, map_partition)
+        if not worker.alive or block_id not in worker.blocks:
+            return ()
+        buckets = worker.blocks.get(block_id)
+        if isinstance(self._deps[shuffle_id].partitioner, RangePartitioner):
+            return repeat(SORT_KEY_LABEL, sum(map(len, buckets)))
+        return (_key_label(pair[0]) for bucket in buckets for pair in bucket)
 
     def map_location(self, shuffle_id: int, map_partition: int) -> int | None:
         return self._locations.get(shuffle_id, {}).get(map_partition)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.worker import approximate_size_bytes
 from repro.columnar.serde import SpillSerde
@@ -314,11 +314,19 @@ class ExternalSorter:
             task_ctx.register_spillable(self)
             self._registered = True
 
-    def add(self, item: Any) -> None:
-        self._buffer.append(item)
-        pending = len(self._buffer) - self._charged_items
-        if pending >= _SORT_CHARGE_EVERY:
-            self._charge_pending()
+    def extend(self, items: Sequence) -> None:
+        """Buffer a batch of items.  The ledger is charged — and a spill
+        can therefore fire — each time :data:`_SORT_CHARGE_EVERY` items
+        are pending, so the charge points depend only on how many items
+        arrived, not on where the batch boundaries fell."""
+        start = 0
+        while start < len(items):
+            pending = len(self._buffer) - self._charged_items
+            stop = start + _SORT_CHARGE_EVERY - pending % _SORT_CHARGE_EVERY
+            self._buffer.extend(items[start:stop])
+            start = stop
+            if len(self._buffer) - self._charged_items >= _SORT_CHARGE_EVERY:
+                self._charge_pending()
 
     def _charge_pending(self) -> None:
         pending = len(self._buffer) - self._charged_items

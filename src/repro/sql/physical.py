@@ -7,7 +7,9 @@ strategies, PDE, map pruning); the helpers only build dataflow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
@@ -15,7 +17,13 @@ import numpy as np
 from repro.cluster.worker import approximate_size_bytes
 from repro.columnar.table import ColumnarPartition
 from repro.costmodel.models import SOURCE_MEMORY
-from repro.datatypes import Schema
+from repro.datatypes import (
+    DataType,
+    DoubleType,
+    IntegerType,
+    LongType,
+    Schema,
+)
 from repro.engine.dependencies import OneToOneDependency, ShuffleDependency
 from repro.engine.memory import DRIVER_WORKER, EXECUTION
 from repro.engine.partitioner import HashPartitioner, Partitioner
@@ -29,7 +37,7 @@ from repro.engine.rdd import (
 from repro.engine.spill import SpillableGroups
 from repro.engine.task import current_task_context
 from repro.obs.planquality import OperatorStamp, record_operator_rows
-from repro.sql.expressions import BoundExpr
+from repro.sql.expressions import BoundColumn, BoundExpr
 from repro.sql.functions import (
     AvgAggregate,
     CountAggregate,
@@ -967,38 +975,66 @@ def distinct_rows(
     return out.set_name("distinct")
 
 
-class SortKey:
-    """Composite sort key honoring per-column direction and SQL NULL order
-    (NULLs first ascending, last descending, as in Hive)."""
+class Descending:
+    """Inverts the order of one DESC sort column whose values cannot be
+    negated (strings, dates, ...); numeric columns negate instead and
+    never meet this class."""
 
-    __slots__ = ("values", "ascendings")
+    __slots__ = ("value",)
 
-    def __init__(self, values: tuple, ascendings: tuple):
-        self.values = values
-        self.ascendings = ascendings
+    def __init__(self, value: Any):
+        self.value = value
 
-    def __lt__(self, other: "SortKey") -> bool:
-        for mine, theirs, ascending in zip(
-            self.values, other.values, self.ascendings
-        ):
-            if mine is None and theirs is None:
-                continue
-            if mine is None:
-                return ascending
-            if theirs is None:
-                return not ascending
-            if mine == theirs:
-                continue
-            if ascending:
-                return mine < theirs
-            return mine > theirs
-        return False
+    def __lt__(self, other: "Descending") -> bool:
+        return other.value < self.value
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SortKey) and self.values == other.values
+        return isinstance(other, Descending) and self.value == other.value
 
-    def __le__(self, other: "SortKey") -> bool:
-        return self == other or self < other
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+
+def _descending(values: list, data_type: DataType) -> list:
+    """A DESC column's values mapped so that ascending order of the
+    result is descending order of the input (NULLs pass through; the
+    key's NULL flag orders them)."""
+    if not isinstance(data_type, (IntegerType, LongType, DoubleType)):
+        return list(map(Descending, values))
+    if None in values:
+        return [None if value is None else -value for value in values]
+    return list(map(operator.neg, values))
+
+
+def _column_values(expr: BoundExpr, rows: list) -> list:
+    if isinstance(expr, BoundColumn):
+        return list(map(operator.itemgetter(expr.index), rows))
+    return [expr.eval(row) for row in rows]
+
+
+def row_sort_keys(
+    keys: list[tuple[BoundExpr, bool]], rows: list
+) -> list[tuple]:
+    """One natively comparable ORDER BY key per row of a partition,
+    built a column at a time.
+
+    Each ORDER BY column contributes ``(flag, value)`` to a flat tuple
+    that sorts *ascending* whatever the column's direction: ascending
+    columns flag non-NULLs (NULLs first), descending columns flag NULLs
+    (NULLs last) and invert their values — so range bounds, sorts,
+    spilled runs and merges compare plain tuples in C, and equal flags
+    mean both values are NULL or neither is, so NULL never meets ``<``.
+    """
+    parts: list = []
+    for expr, ascending in keys:
+        values = _column_values(expr, rows)
+        if ascending:
+            parts.append(map(operator.is_not, values, repeat(None)))
+            parts.append(values)
+        else:
+            parts.append(map(operator.is_, values, repeat(None)))
+            parts.append(_descending(values, expr.data_type))
+    return list(zip(*parts))
 
 
 def sort_rows(
@@ -1007,15 +1043,11 @@ def sort_rows(
     num_partitions: Optional[int] = None,
     op: Optional[OperatorStamp] = None,
 ) -> RDD:
-    ascendings = tuple(asc for __, asc in keys)
-    expressions = [expr for expr, __ in keys]
-
-    def key_of(row: tuple) -> SortKey:
-        return SortKey(
-            tuple(expr.eval(row) for expr in expressions), ascendings
-        )
-
-    out = child.sort_by(key_of, True, num_partitions)
+    """ORDER BY: each partition's key column is built at once and rides
+    beside the rows through a range-partitioned sort."""
+    out = child.sort_by_key_column(
+        lambda part: row_sort_keys(keys, part), True, num_partitions
+    )
     counter = _count_into(op)
     if counter is not None:
         out = out.map_partitions(counter, preserves_partitioning=True)
@@ -1177,6 +1209,23 @@ def _key_function(keys: list[BoundExpr]) -> Callable[[tuple], Any]:
     return lambda row: tuple(key.eval(row) for key in keys)
 
 
+def _key_column(keys: list[BoundExpr], rows: list) -> list:
+    """``_key_function(keys)`` of every row, built a column at a time."""
+    columns = [_column_values(expr, rows) for expr in keys]
+    if len(columns) == 1:
+        return columns[0]
+    return list(zip(*columns)) if columns else [()] * len(rows)
+
+
+def _keyed_rows(child: RDD, keys: list[BoundExpr], name: str = "map") -> RDD:
+    """``(key, row)`` pairs of ``child``, keyed a partition at a time."""
+    return MapPartitionsRDD(
+        child,
+        lambda __, part: list(zip(_key_column(keys, part), part)),
+        name=name,
+    )
+
+
 def _emit_joined(
     join_type: str,
     left_width: int,
@@ -1217,21 +1266,23 @@ def _emit_joined(
     return emit
 
 
-def _counted_emit(
-    emit: Callable[[Any], list], op: Optional[OperatorStamp]
-) -> Callable[[Any], list]:
-    """Wrap a flat-map emit so each call credits its output rows to the
-    join's plan-quality stamp."""
+def _flat_map_counted(
+    rdd: RDD, emit: Callable[[Any], list], op: Optional[OperatorStamp]
+) -> RDD:
+    """``rdd.flat_map(emit)`` that credits each partition's output rows
+    to the join's plan-quality stamp (once per partition; an empty
+    partition ran no emit and credits nothing)."""
     if op is None:
-        return emit
+        return rdd.flat_map(emit)
     key = op.key
 
-    def emit_counted(item) -> list:
-        out = emit(item)
-        record_operator_rows(key, len(out))
+    def run(part: list) -> list:
+        out = [row for item in part for row in emit(item)]
+        if part:
+            record_operator_rows(key, len(out))
         return out
 
-    return emit_counted
+    return rdd.map_partitions(run)
 
 
 def shuffle_join(
@@ -1257,15 +1308,13 @@ def shuffle_join(
     """
     keyed_left = pre_shuffled_left
     if keyed_left is None:
-        keyed_left = left.key_by(_key_function(left_keys))
+        keyed_left = _keyed_rows(left, left_keys)
     keyed_right = pre_shuffled_right
     if keyed_right is None:
-        keyed_right = right.key_by(_key_function(right_keys))
+        keyed_right = _keyed_rows(right, right_keys)
     grouped = CoGroupedRDD(ctx, [keyed_left, keyed_right], partitioner)
-    emit = _counted_emit(
-        _emit_joined(join_type, left_width, right_width, residual), op
-    )
-    return grouped.flat_map(emit).set_name(f"{join_type}_join")
+    emit = _emit_joined(join_type, left_width, right_width, residual)
+    return _flat_map_counted(grouped, emit, op).set_name(f"{join_type}_join")
 
 
 def copartitioned_join(
@@ -1284,27 +1333,13 @@ def copartitioned_join(
     """Join two tables co-partitioned on the join key (Section 3.4): both
     keyed RDDs inherit the stored partitioning, so cogroup is all-narrow
     and no shuffle happens."""
-    keyed_left = MapPartitionsRDD(
-        left,
-        lambda __, part, fn=_key_function(left_keys): [
-            (fn(row), row) for row in part
-        ],
-        name="copartition_key_left",
-    )
+    keyed_left = _keyed_rows(left, left_keys, "copartition_key_left")
     keyed_left.partitioner = partitioner
-    keyed_right = MapPartitionsRDD(
-        right,
-        lambda __, part, fn=_key_function(right_keys): [
-            (fn(row), row) for row in part
-        ],
-        name="copartition_key_right",
-    )
+    keyed_right = _keyed_rows(right, right_keys, "copartition_key_right")
     keyed_right.partitioner = partitioner
     grouped = CoGroupedRDD(ctx, [keyed_left, keyed_right], partitioner)
-    emit = _counted_emit(
-        _emit_joined(join_type, left_width, right_width, residual), op
-    )
-    return grouped.flat_map(emit).set_name("copartitioned_join")
+    emit = _emit_joined(join_type, left_width, right_width, residual)
+    return _flat_map_counted(grouped, emit, op).set_name("copartitioned_join")
 
 
 def _charge_build_side(ctx: "EngineContext", value: Any):
@@ -1313,11 +1348,12 @@ def _charge_build_side(ctx: "EngineContext", value: Any):
     view attributes build-side memory to joins (the live charge then
     rides the broadcast until the query releases its accounting)."""
     accountant = ctx.memory
-    size = accountant.reserve(
-        DRIVER_WORKER, EXECUTION, "join_build", approximate_size_bytes(value)
+    size = approximate_size_bytes(value)
+    reserved = accountant.reserve(
+        DRIVER_WORKER, EXECUTION, "join_build", size
     )
-    broadcast = ctx.broadcast(value)
-    accountant.release(DRIVER_WORKER, EXECUTION, "join_build", size)
+    broadcast = ctx.broadcast(value, size_bytes=size)
+    accountant.release(DRIVER_WORKER, EXECUTION, "join_build", reserved)
     return broadcast
 
 
@@ -1336,10 +1372,9 @@ def broadcast_join(
 ) -> RDD:
     """Map join (Section 3.1.1): hash the small side once, broadcast it,
     and join each partition of the large side with only map tasks."""
-    build_key_fn = _key_function(build_keys)
     table: dict[Any, list[tuple]] = {}
-    for row in build_rows:
-        table.setdefault(build_key_fn(row), []).append(row)
+    for key, row in zip(_key_column(build_keys, build_rows), build_rows):
+        table.setdefault(key, []).append(row)
     broadcast = _charge_build_side(ctx, table)
 
     stream_key_fn = _key_function(stream_keys)
@@ -1366,9 +1401,7 @@ def broadcast_join(
                 out.append(build_nulls + tuple(row))
         return out
 
-    return stream_side.flat_map(_counted_emit(emit, op)).set_name(
-        "broadcast_join"
-    )
+    return _flat_map_counted(stream_side, emit, op).set_name("broadcast_join")
 
 
 def cross_join(
@@ -1389,7 +1422,7 @@ def cross_join(
                 out.append(combined)
         return out
 
-    return left.flat_map(_counted_emit(emit, op)).set_name("cross_join")
+    return _flat_map_counted(left, emit, op).set_name("cross_join")
 
 
 def pre_shuffle_side(
@@ -1405,7 +1438,7 @@ def pre_shuffle_side(
     its dependency, whose statistics the optimizer reads before deciding
     the join strategy.
     """
-    keyed = side.key_by(_key_function(keys))
+    keyed = _keyed_rows(side, keys)
     shuffled = ShuffledRDD(
         keyed, partitioner, stats_collectors=stats_collectors
     )
@@ -1421,9 +1454,7 @@ def repartition_rows(
 ) -> RDD:
     """DISTRIBUTE BY: hash rows to partitions by key expressions, keeping
     rows (not pairs) as output."""
-    key_fn = _key_function(keys)
-    keyed = child.map(lambda row: (key_fn(row), row))
-    shuffled = keyed.partition_by(partitioner)
+    shuffled = _keyed_rows(child, keys).partition_by(partitioner)
     values = shuffled.values()
     counter = _count_into(op)
     if counter is not None:

@@ -207,7 +207,7 @@ class TestExternalSorter:
         items = [(i % 7, f"item{i}") for i in range(500)]
         sorter = ExternalSorter(key=lambda p: p[0], reverse=reverse)
         for i, item in enumerate(items):
-            sorter.add(item)
+            sorter.extend([item])
             if i in (99, 299):
                 sorter.spill(10 ** 9)
         expected = sorted(items, key=lambda p: p[0], reverse=reverse)
@@ -216,13 +216,34 @@ class TestExternalSorter:
 
     def test_no_spill_is_plain_sort(self):
         sorter = ExternalSorter()
-        for value in [5, 3, 9, 1]:
-            sorter.add(value)
+        sorter.extend([5, 3, 9, 1])
         assert sorter.finish() == [1, 3, 5, 9]
 
     def test_spill_empty_buffer_is_noop(self):
         sorter = ExternalSorter()
         assert sorter.spill(100) == (0, 0, 0)
+
+    @pytest.mark.parametrize("chunks", [[200], [1] * 200, [1, 100, 99], [63, 2, 135]])
+    def test_charge_points_ignore_batch_boundaries(self, chunks, monkeypatch):
+        """The ledger is charged at every 64th item however the items
+        are batched (a charge is where a spill can fire)."""
+        charges = []
+
+        class StubTask:
+            def register_spillable(self, consumer):
+                pass
+
+            def reserve_memory(self, owner, nbytes):
+                charges.append(len(sorter._buffer))
+
+        monkeypatch.setattr(
+            "repro.engine.spill.current_task_context", lambda: StubTask()
+        )
+        sorter = ExternalSorter()
+        items = iter(range(200))
+        for size in chunks:
+            sorter.extend([next(items) for __ in range(size)])
+        assert charges == [64, 128, 192]
 
 
 class TestSpillAccounting:
