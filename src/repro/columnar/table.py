@@ -10,6 +10,7 @@ representing a block of tuples as a single Spark record".
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
@@ -141,10 +142,17 @@ class ColumnarPartition:
     # ------------------------------------------------------------------
     # Row access
     # ------------------------------------------------------------------
-    def iter_rows(self) -> Iterator[tuple]:
-        """Rows as tuples of plain Python values (arrays unboxed by
-        ``tolist``; list columns hold the loaded values as they are)."""
-        columns = [self.column(i) for i in range(len(self.schema))]
+    def iter_rows(
+        self, names: Optional[Sequence[str]] = None
+    ) -> Iterator[tuple]:
+        """Rows of the ``names`` columns (None: all, in schema order) as
+        tuples of plain Python values (arrays unboxed by ``tolist``; list
+        columns hold the loaded values as they are)."""
+        if names is None:
+            names = self.schema.names
+        if not names:
+            return repeat((), self.num_rows)
+        columns = [self.column_by_name(name) for name in names]
         return zip(
             *[
                 column.tolist() if isinstance(column, np.ndarray) else column

@@ -15,7 +15,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.datatypes import (
@@ -61,6 +61,7 @@ class ScopeColumn:
     qualifier: Optional[str]
     name: str
     data_type: DataType
+    declared: bool = False  # a stored column's type, see BoundColumn
 
 
 class Scope:
@@ -70,10 +71,12 @@ class Scope:
         self.columns = columns
 
     @classmethod
-    def from_schema(cls, schema: Schema, qualifier: Optional[str]) -> "Scope":
+    def from_schema(
+        cls, schema: Schema, qualifier: Optional[str], declared: bool = False
+    ) -> "Scope":
         return cls(
             [
-                ScopeColumn(qualifier, field.name, field.data_type)
+                ScopeColumn(qualifier, field.name, field.data_type, declared)
                 for field in schema.fields
             ]
         )
@@ -81,7 +84,7 @@ class Scope:
     def concat(self, other: "Scope") -> "Scope":
         return Scope(self.columns + other.columns)
 
-    def resolve(self, name: str, qualifier: Optional[str]) -> tuple[int, DataType]:
+    def resolve(self, name: str, qualifier: Optional[str]) -> tuple[int, ScopeColumn]:
         matches = []
         for index, column in enumerate(self.columns):
             if column.name.lower() != name.lower():
@@ -91,7 +94,7 @@ class Scope:
                 or column.qualifier.lower() != qualifier.lower()
             ):
                 continue
-            matches.append((index, column.data_type))
+            matches.append((index, column))
         if not matches:
             shown = f"{qualifier}.{name}" if qualifier else name
             available = [
@@ -207,8 +210,10 @@ class Analyzer:
                 return BoundLiteral(None, STRING)
             return BoundLiteral(expr.value, infer_type(expr.value))
         if isinstance(expr, ast.ColumnRef):
-            index, data_type = scope.resolve(expr.name, expr.qualifier)
-            return BoundColumn(index, data_type, str(expr))
+            index, column = scope.resolve(expr.name, expr.qualifier)
+            return BoundColumn(
+                index, column.data_type, str(expr), column.declared
+            )
         if isinstance(expr, ast.Star):
             raise AnalysisError("'*' is only valid in SELECT or COUNT(*)")
         if isinstance(expr, ast.BinaryOp):
@@ -346,7 +351,9 @@ class Analyzer:
         for index, group_ast in enumerate(group_asts):
             if expr == group_ast:
                 column = agg_scope.columns[index]
-                return BoundColumn(index, column.data_type, column.name)
+                return BoundColumn(
+                    index, column.data_type, column.name, column.declared
+                )
         if (
             input_scope is not None
             and group_signatures
@@ -362,7 +369,8 @@ class Analyzer:
                     if signature == group_signature:
                         column = agg_scope.columns[index]
                         return BoundColumn(
-                            index, column.data_type, column.name
+                            index, column.data_type, column.name,
+                            column.declared,
                         )
         if isinstance(expr, ast.FunctionCall) and expr.name.lower() in AGGREGATE_NAMES:
             for offset, agg_ast in enumerate(agg_asts):
@@ -455,7 +463,7 @@ class Analyzer:
             entry = self.catalog.get(relation.name)
             plan = logical.Scan(entry)
             qualifier = relation.alias or relation.name
-            return plan, Scope.from_schema(entry.schema, qualifier)
+            return plan, Scope.from_schema(entry.schema, qualifier, declared=True)
         if isinstance(relation, ast.SubqueryRef):
             plan = self.analyze_select(relation.query)
             return plan, Scope.from_schema(plan.schema, relation.alias)
@@ -838,7 +846,14 @@ class Analyzer:
         ]
         agg_schema = Schema(agg_fields)
         plan = logical.Aggregate(plan, group_bound, specs, agg_schema)
+        # A group key that is a stored column keeps its declared type;
+        # aggregate results are estimates.
         agg_scope = Scope.from_schema(agg_schema, None)
+        for index, key in enumerate(group_bound):
+            if isinstance(key, BoundColumn) and key.declared:
+                agg_scope.columns[index] = replace(
+                    agg_scope.columns[index], declared=True
+                )
         group_signatures = [expr_signature(expr) for expr in group_bound]
 
         if having is not None:

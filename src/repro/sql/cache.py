@@ -19,15 +19,15 @@ three caches over the SQL session:
   monotonic per-table version on every journaled DDL/load/insert, so a
   stale entry's key can never be rebuilt — and an invalidation listener
   frees its memory eagerly.
-* **Fragment cache** — scan-side fragments: the post-pruning,
-  selection-applied :class:`~repro.columnar.batch.ColumnBatch` a
-  vectorized scan decodes per block, keyed on
-  ``(table, version, partition, block, columns, vector_filters)``.
-  When the lifecycle manager interleaves N admitted queries over the
-  same cached table, late arrivals attach to the in-flight scan's
-  decoded batches (shared scans) instead of re-decoding per query —
-  ``LazyColumn`` memoization makes the per-column decode happen exactly
-  once.
+* **Fragment cache** — scan-side fragments: the post-pruning
+  :class:`~repro.columnar.batch.ColumnBatch` a vectorized scan decodes
+  per block, before any predicate runs, keyed on
+  ``(table, version, partition, block, columns)`` — so every query over
+  those columns shares it, whatever its literals.  When the lifecycle
+  manager interleaves N admitted queries over the same cached table,
+  late arrivals attach to the in-flight scan's decoded batches (shared
+  scans) instead of re-decoding per query — ``LazyColumn`` memoization
+  makes the per-column decode happen exactly once.
 
 Every cached byte is charged to the ``sql_cache`` owner in the
 :class:`~repro.engine.memory.MemoryAccountant` (storage pool), and a
@@ -81,9 +81,7 @@ class SqlCacheConfig:
     """Knobs for the three cache layers (all sizes driver-side caps;
     fragment bytes are additionally subject to memory arbitration)."""
 
-    enable_plan: bool = True
     enable_result: bool = True
-    enable_fragments: bool = True
     max_plan_entries: int = 128
     max_result_entries: int = 256
     max_result_bytes: int = 16 * 1024 * 1024
@@ -465,8 +463,6 @@ class SqlCache:
     def plan_lookup(self, normalized: NormalizedQuery):
         """The cached (optimized plan, schema) pair, or None."""
         metrics = self._ctx.tracer.metrics
-        if not self.config.enable_plan:
-            return None
         key = (normalized.text, normalized.params, self.catalog.ddl_version)
         entry = self._plans.get(key)
         if entry is None:
@@ -481,8 +477,6 @@ class SqlCache:
     def plan_store(
         self, normalized: NormalizedQuery, plan, schema
     ) -> None:
-        if not self.config.enable_plan:
-            return
         key = (normalized.text, normalized.params, self.catalog.ddl_version)
         tables = frozenset(table for __, table in normalized.tables)
         self._plans[key] = _PlanEntry(plan, schema, tables)
@@ -560,7 +554,6 @@ class SqlCache:
         split: int,
         ordinal: int,
         column_indices,
-        vector_filters,
     ) -> tuple:
         """``scope`` is the scan-time binding from the physical layer:
         ``(table, version, kept_partitions_or_None)``.  The key maps the
@@ -574,11 +567,10 @@ class SqlCache:
             partition,
             ordinal,
             tuple(column_indices),
-            tuple(vector_filters),
         )
 
     def fragment_lookup(self, key: tuple):
-        """The cached post-selection ColumnBatch, or None."""
+        """The cached ColumnBatch of one block, or None."""
         metrics = self._ctx.tracer.metrics
         entry = self._fragments.get(key)
         if entry is None:

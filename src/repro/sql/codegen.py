@@ -432,6 +432,26 @@ _NUMPY_CMP = {
 }
 
 
+def _object_compare(operand, n: int, compare):
+    """``compare(values)`` over the non-NULL values of a list-backed
+    operand (STRING/DATE columns, nullable primitives) as one object-array
+    operation: a boolean Vector that is NULL where the operand is.  None
+    for array-backed operands and for ARRAY columns, whose rows would
+    become a 2-d array; those keep their own paths.
+    """
+    data = operand.data
+    if isinstance(data, np.ndarray):
+        return None
+    array = np.asarray(data, dtype=object)
+    if array.shape != (n,):
+        return None
+    valid = array != None  # noqa: E711 - elementwise, not identity
+    out = np.zeros(n, dtype=bool)
+    with np.errstate(invalid="ignore"):  # a NaN in a nullable DOUBLE
+        out[valid] = compare(array[valid])
+    return Vector(out, valid)
+
+
 def _compare_kernel(op: str, fn, left, right, n: int):
     if isinstance(left, _Const) and isinstance(right, _Const):
         a, b = left.value, right.value
@@ -447,6 +467,18 @@ def _compare_kernel(op: str, fn, left, right, n: int):
     if a is not None and b is not None:
         (ad, av), (bd, bv) = a, b
         return Vector(_NUMPY_CMP[op](ad, bd), _combine_valid(av, bv))
+    compare = _NUMPY_CMP[op]
+    result = None
+    if isinstance(right, _Const):
+        result = _object_compare(
+            left, n, lambda values: compare(values, right.value)
+        )
+    elif isinstance(left, _Const):
+        result = _object_compare(
+            right, n, lambda values: compare(left.value, values)
+        )
+    if result is not None:
+        return result
     out = []
     for x, y in zip(_values_list(left, n), _values_list(right, n)):
         out.append(None if x is None or y is None else fn(x, y))
@@ -472,6 +504,15 @@ def _between_kernel(value, low, high, negated: bool, n: int):
         if negated:
             vals = ~vals
         return Vector(vals, _combine_valid(vv, lov, hiv))
+    if isinstance(low, _Const) and isinstance(high, _Const):
+
+        def within(values: np.ndarray) -> np.ndarray:
+            vals = (low.value <= values) & (values <= high.value)
+            return ~vals if negated else vals
+
+        result = _object_compare(value, n, within)
+        if result is not None:
+            return result
     out = []
     for x, lo_v, hi_v in zip(
         _values_list(value, n), _values_list(low, n), _values_list(high, n)

@@ -15,7 +15,10 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.datatypes import (
     BOOLEAN,
+    DATE,
     DOUBLE,
+    STRING,
+    TIMESTAMP,
     DataType,
     promote,
 )
@@ -64,11 +67,19 @@ class BoundLiteral(BoundExpr):
 
 
 class BoundColumn(BoundExpr):
-    """A reference to ordinal ``index`` of the input row."""
+    """A reference to ordinal ``index`` of the input row.
 
-    def __init__(self, index: int, data_type: DataType, name: str):
+    ``declared`` says ``data_type`` is a stored column's declared type,
+    not the estimated type of a value computed below (an aggregate, a
+    subquery's output, a UDF's defaulted STRING).
+    """
+
+    def __init__(
+        self, index: int, data_type: DataType, name: str, declared: bool = False
+    ):
         super().__init__(data_type, name)
         self.index = index
+        self.declared = declared
 
     def eval(self, row: tuple) -> Any:
         return row[self.index]
@@ -119,6 +130,39 @@ def _is_numeric_like(expr: BoundExpr) -> bool:
     return is_numeric(expr.data_type)
 
 
+def _order_family(expr: BoundExpr) -> Optional[str]:
+    """Which values ``expr`` can be ordered against: numbers and booleans
+    order among themselves, strings, dates and timestamps only with their
+    own kind.  None when the check does not apply — a computed operand
+    (CASE, CAST, a UDF call, a column holding one: its type is only a
+    guess), a NULL literal, a nested type."""
+    if isinstance(expr, BoundColumn):
+        if not expr.declared:
+            return None
+    elif not (isinstance(expr, BoundLiteral) and expr.value is not None):
+        return None
+    if _is_numeric_like(expr) or expr.data_type == BOOLEAN:
+        return "numeric"
+    if expr.data_type in (STRING, DATE, TIMESTAMP):
+        return expr.data_type.name
+    return None
+
+
+def _check_orderable(name: str, *operands: BoundExpr) -> None:
+    """Reject at bind time an ordering whose operands Python cannot
+    order: every task would otherwise die of the same TypeError."""
+    families = {
+        family: operand
+        for operand in operands
+        if (family := _order_family(operand)) is not None
+    }
+    if len(families) > 1:
+        kinds = " with ".join(
+            str(operand.data_type) for operand in families.values()
+        )
+        raise TypeMismatchError(f"cannot order {kinds} in {name}")
+
+
 class BoundComparison(BoundExpr):
     _OPS: dict[str, Callable[[Any, Any], bool]] = {
         "=": lambda a, b: a == b,
@@ -131,6 +175,8 @@ class BoundComparison(BoundExpr):
 
     def __init__(self, op: str, left: BoundExpr, right: BoundExpr):
         super().__init__(BOOLEAN, f"({left.name} {op} {right.name})")
+        if op not in ("=", "<>"):
+            _check_orderable(self.name, left, right)
         self.op = op
         self.left = left
         self.right = right
@@ -224,6 +270,7 @@ class BoundBetween(BoundExpr):
     ):
         name = f"({operand.name} BETWEEN {low.name} AND {high.name})"
         super().__init__(BOOLEAN, name)
+        _check_orderable(name, operand, low, high)
         self.operand = operand
         self.low = low
         self.high = high

@@ -8,7 +8,6 @@ strategies, PDE, map pruning); the helpers only build dataflow.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -22,7 +21,6 @@ from repro.datatypes import (
     DoubleType,
     IntegerType,
     LongType,
-    Schema,
 )
 from repro.engine.dependencies import OneToOneDependency, ShuffleDependency
 from repro.engine.memory import DRIVER_WORKER, EXECUTION
@@ -58,138 +56,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorFilter:
-    """One vectorizable conjunct pushed into the columnar scan.
-
-    ``kind`` is one of 'cmp' (with ``op`` in =, <>, <, <=, >, >=), 'between',
-    'in', 'isnull', 'notnull'.  Evaluated column-at-a-time with numpy over
-    the decoded column — the "better cache behavior" benefit of columnar
-    layout (Section 3.2) — before any row tuple is built.
-    """
-
-    column: str
-    kind: str
-    op: str = ""
-    values: tuple = ()
-
-
-def _row_fallback_value(spec: VectorFilter, value) -> bool:
-    """Row-level re-check of one vector filter, for blocks where the
-    column could not be evaluated vectorized (mixed/object arrays)."""
-    if spec.kind == "cmp":
-        if value is None:
-            return False
-        target = spec.values[0]
-        try:
-            return {
-                "=": value == target,
-                "<>": value != target,
-                "<": value < target,
-                "<=": value <= target,
-                ">": value > target,
-                ">=": value >= target,
-            }[spec.op]
-        except TypeError:
-            return False
-    if spec.kind == "between":
-        if value is None:
-            return False
-        low, high = spec.values
-        try:
-            return low <= value <= high
-        except TypeError:
-            return False
-    if spec.kind == "in":
-        return value is not None and value in spec.values
-    if spec.kind == "isnull":
-        return value is None
-    if spec.kind == "notnull":
-        return value is not None
-    return True
-
-
-def _filter_mask(block: ColumnarPartition, spec: VectorFilter):
-    """Boolean mask for one vector filter over one block, or None when the
-    column cannot be evaluated vectorized (e.g. NULLs in an object array).
-    """
-    values = block.column_by_name(spec.column)
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        array = values
-        notnull = None  # primitive arrays cannot hold NULLs
-    else:
-        array = np.asarray(values, dtype=object)
-        # SQL: a NULL operand makes the predicate non-TRUE, so NULL rows
-        # are excluded from every mask kind except isnull.
-        notnull = np.fromiter(
-            (value is not None for value in values), dtype=bool,
-            count=len(array),
+def _scanned_bytes(
+    block: ColumnarPartition, projected: Optional[list[str]]
+) -> int:
+    """Encoded bytes a scan of ``projected`` columns (None: all) reads
+    from one memstore block; rejects a parent element that is not one."""
+    if not isinstance(block, ColumnarPartition):
+        raise TypeError(
+            f"memstore partition holds {type(block).__name__}, "
+            f"expected ColumnarPartition"
         )
-    try:
-        if spec.kind == "cmp":
-            target = spec.values[0]
-            mask = {
-                "=": lambda: array == target,
-                "<>": lambda: array != target,
-                "<": lambda: array < target,
-                "<=": lambda: array <= target,
-                ">": lambda: array > target,
-                ">=": lambda: array >= target,
-            }[spec.op]()
-        elif spec.kind == "between":
-            low, high = spec.values
-            mask = (array >= low) & (array <= high)
-        elif spec.kind == "in":
-            if array.dtype == object:
-                options = set(spec.values)
-                mask = np.fromiter(
-                    (value in options for value in values), dtype=bool,
-                    count=len(array),
-                )
-            else:
-                mask = np.isin(
-                    array, np.asarray(list(spec.values), dtype=array.dtype)
-                )
-        elif spec.kind == "isnull":
-            return (
-                ~notnull
-                if notnull is not None
-                else np.zeros(len(array), dtype=bool)
-            )
-        elif spec.kind == "notnull":
-            return (
-                notnull
-                if notnull is not None
-                else np.ones(len(array), dtype=bool)
-            )
-        else:
-            return None
-    except TypeError:
-        return None  # incomparable mixed column: fall back to row filter
-    mask = np.asarray(mask, dtype=bool)
-    if notnull is not None:
-        mask = mask & notnull
-    return mask
+    if projected is None:
+        return block.memory_footprint_bytes()
+    return sum(
+        block.encoded_column(block.schema.index_of(name)).compressed_bytes
+        for name in projected
+    )
 
 
 class MemstoreScanRDD(RDD):
     """Scan a cached table's columnar partitions into row tuples.
 
-    Performs late materialization: only the projected columns are decoded
-    (the benefit of the columnar layout, Section 3.2), and vectorizable
-    predicates run column-at-a-time over the arrays so row tuples are only
-    built for surviving rows.  The parent RDD's elements are
-    :class:`ColumnarPartition` blocks, one per partition.
+    Only the projected columns are decoded (the benefit of the columnar
+    layout, Section 3.2).  This is the row-mode reference scan: it applies
+    no predicate — :func:`filter_rows` does, over the tuples built here.
+    The parent RDD's elements are :class:`ColumnarPartition` blocks, one
+    per partition.
     """
 
     def __init__(
         self,
         parent: RDD,
-        table_schema: Schema,
         projected: Optional[list[str]] = None,
-        vector_filters: tuple = (),
         scan_key: Optional[str] = None,
-        filter_key: Optional[str] = None,
     ):
         super().__init__(
             parent.ctx,
@@ -199,86 +98,20 @@ class MemstoreScanRDD(RDD):
         )
         self._parent = parent
         self._projected = projected
-        self._table_schema = table_schema
-        self._vector_filters = tuple(vector_filters)
-        #: Plan-quality stamp keys: the scan is credited with rows read
-        #: (pre-filter); ``filter_key`` is set only when the pushed-down
-        #: vector filters are the whole predicate, so the surviving rows
-        #: are the filter operator's actual output.
+        #: Plan-quality stamp key credited with the rows read.
         self._scan_key = scan_key
-        self._filter_key = filter_key
-        #: Filters that could not be evaluated vectorized on some block
-        #: must still hold: the caller keeps them in the row-level filter,
-        #: so a None mask here is only a lost optimization, never a wrong
-        #: result... unless the caller *removed* them.  We therefore apply
-        #: the row-level fallback ourselves for failed specs.
-
-    def _row_fallback(self, spec: VectorFilter, value) -> bool:
-        return _row_fallback_value(spec, value)
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
-        blocks = self._parent.iterator(split, task_ctx)
         rows: list[tuple] = []
         total_bytes = 0
-        total_records = 0
-        for block in blocks:
-            if not isinstance(block, ColumnarPartition):
-                raise TypeError(
-                    f"memstore partition holds {type(block).__name__}, "
-                    f"expected ColumnarPartition"
-                )
-            total_records += block.num_rows
-
-            # Vectorized predicate pass: one numpy mask per conjunct.
-            mask = None
-            fallback_specs: list[VectorFilter] = []
-            for spec in self._vector_filters:
-                spec_mask = _filter_mask(block, spec)
-                if spec_mask is None:
-                    fallback_specs.append(spec)
-                    continue
-                mask = spec_mask if mask is None else (mask & spec_mask)
-
-            if mask is not None:
-                selected = np.nonzero(np.asarray(mask, dtype=bool))[0]
-            else:
-                selected = range(block.num_rows)
-
-            if self._projected is None:
-                indices = list(range(len(block.schema)))
-                total_bytes += block.memory_footprint_bytes()
-            else:
-                indices = [
-                    block.schema.index_of(name) for name in self._projected
-                ]
-                total_bytes += sum(
-                    block.encoded_column(i).compressed_bytes for i in indices
-                )
-            columns = [block.column(i) for i in indices]
-            if fallback_specs:
-                fallback_columns = [
-                    block.column_by_name(spec.column)
-                    for spec in fallback_specs
-                ]
-            to_python = ColumnarPartition._to_python
-            for row_index in selected:
-                if fallback_specs and not all(
-                    self._row_fallback(spec, column[row_index])
-                    for spec, column in zip(fallback_specs, fallback_columns)
-                ):
-                    continue
-                rows.append(
-                    tuple(
-                        to_python(column[row_index]) for column in columns
-                    )
-                )
+        for block in self._parent.iterator(split, task_ctx):
+            total_bytes += _scanned_bytes(block, self._projected)
+            rows.extend(block.iter_rows(self._projected))
         task_ctx.metrics.source = SOURCE_MEMORY
-        task_ctx.metrics.records_in += total_records
+        task_ctx.metrics.records_in += len(rows)
         task_ctx.metrics.bytes_in += total_bytes
         if self._scan_key is not None:
-            record_operator_rows(self._scan_key, total_records)
-        if self._filter_key is not None:
-            record_operator_rows(self._filter_key, len(rows))
+            record_operator_rows(self._scan_key, len(rows))
         return rows
 
 
@@ -286,12 +119,9 @@ def scan_memstore(
     entry: "TableEntry",
     projected: Optional[list[str]],
     kept_partitions: Optional[list[int]] = None,
-    vector_filters: tuple = (),
     scan_op: Optional[OperatorStamp] = None,
-    filter_op: Optional[OperatorStamp] = None,
 ) -> RDD:
-    """Build the scan dataflow for a cached table, optionally map-pruned
-    and with vectorizable predicates pushed into the columnar scan."""
+    """Build the scan dataflow for a cached table, optionally map-pruned."""
     base = entry.cached_rdd
     if base is None:
         raise ValueError(f"table {entry.name} has no cached data")
@@ -300,9 +130,8 @@ def scan_memstore(
     ):
         base = PrunedRDD(base, kept_partitions)
     return MemstoreScanRDD(
-        base, entry.schema, projected, vector_filters=vector_filters,
+        base, projected,
         scan_key=scan_op.key if scan_op is not None else None,
-        filter_key=filter_op.key if filter_op is not None else None,
     )
 
 
@@ -606,9 +435,9 @@ class BatchAggregator:
 class BatchPipelineRDD(RDD):
     """A fused columnar pipeline over cached blocks.
 
-    scan -> [vector filters] -> [residual predicate kernel] ->
-    chain of filter/project kernels -> late materialization (row tuples)
-    or a :class:`BatchAggregator` (partial ``(key, accs)`` pairs).
+    scan -> chain of filter/project kernels (the scan's predicate is the
+    chain's first filter) -> late materialization (row tuples) or a
+    :class:`BatchAggregator` (partial ``(key, accs)`` pairs).
 
     Columns stay (possibly compressed) arrays throughout; Python row
     tuples only exist past the pipeline's exit.  One compute() call
@@ -618,11 +447,8 @@ class BatchPipelineRDD(RDD):
     def __init__(
         self,
         parent: RDD,
-        table_schema: Schema,
         column_indices: list[int],
         projected: Optional[list[str]],
-        vector_filters: tuple = (),
-        residual_predicate: Optional[Callable] = None,
         chain: tuple = (),
         aggregate_factory: Optional[Callable[[], BatchAggregator]] = None,
         name: str = "batch_scan",
@@ -636,55 +462,20 @@ class BatchPipelineRDD(RDD):
             name=name,
         )
         self._parent = parent
-        self._table_schema = table_schema
         self._column_indices = list(column_indices)
         self._projected = projected
-        self._vector_filters = tuple(vector_filters)
-        self._residual = residual_predicate
         self._chain = tuple(chain)
         self._aggregate_factory = aggregate_factory
         #: Plan-quality stamp keys for the fused operators: "scan",
-        #: "filter" (the whole scan predicate), "chain" (one per chained
-        #: kernel) and "aggregate" — runtime row counts are credited to
-        #: these so batch and row mode report the same operators.
+        #: "chain" (one per chained kernel) and "aggregate" — runtime row
+        #: counts are credited to these so batch and row mode report the
+        #: same operators.
         self._op_keys = dict(op_keys or {})
         #: (table, version, kept_partitions_or_None) when the sql cache's
-        #: fragment layer is on: decoded post-selection batches are
-        #: published there, so concurrent queries over the same table
-        #: decode each block once (shared scans).
+        #: fragment layer is on: each block's batch is published there,
+        #: so every query over the same columns — whatever its predicate,
+        #: concurrent or later — decodes each block once (shared scans).
         self._fragment_scope = fragment_scope
-
-    def _scan_selection(self, block: ColumnarPartition):
-        """Row positions surviving the pushed-down vector filters, or
-        None when every row survives trivially (no filters)."""
-        mask = None
-        fallback_specs: list[VectorFilter] = []
-        for spec in self._vector_filters:
-            spec_mask = _filter_mask(block, spec)
-            if spec_mask is None:
-                fallback_specs.append(spec)
-                continue
-            mask = spec_mask if mask is None else (mask & spec_mask)
-        if mask is None and not fallback_specs:
-            return None
-        if mask is not None:
-            selection = np.nonzero(mask)[0]
-        else:
-            selection = np.arange(block.num_rows)
-        if fallback_specs:
-            columns = [
-                block.column_by_name(spec.column) for spec in fallback_specs
-            ]
-            kept = [
-                index
-                for index in selection
-                if all(
-                    _row_fallback_value(spec, column[index])
-                    for spec, column in zip(fallback_specs, columns)
-                )
-            ]
-            selection = np.asarray(kept, dtype=np.int64)
-        return selection
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         from repro.columnar.batch import ColumnBatch
@@ -697,9 +488,7 @@ class BatchPipelineRDD(RDD):
         total_records = 0
         total_bytes = 0
         num_batches = 0
-        filter_key = self._op_keys.get("filter")
         chain_keys = self._op_keys.get("chain") or (None,) * len(self._chain)
-        filter_rows_out = 0
         chain_rows_out = [0] * len(self._chain)
         cache = (
             getattr(self.ctx, "sql_cache", None)
@@ -709,21 +498,8 @@ class BatchPipelineRDD(RDD):
         for ordinal, block in enumerate(
             self._parent.iterator(split, task_ctx)
         ):
-            if not isinstance(block, ColumnarPartition):
-                raise TypeError(
-                    f"memstore partition holds {type(block).__name__}, "
-                    f"expected ColumnarPartition"
-                )
+            total_bytes += _scanned_bytes(block, self._projected)
             total_records += block.num_rows
-            if self._projected is None:
-                total_bytes += block.memory_footprint_bytes()
-            else:
-                total_bytes += sum(
-                    block.encoded_column(
-                        block.schema.index_of(name)
-                    ).compressed_bytes
-                    for name in self._projected
-                )
             batch = None
             fragment_key = None
             if cache is not None:
@@ -732,28 +508,17 @@ class BatchPipelineRDD(RDD):
                     split,
                     ordinal,
                     self._column_indices,
-                    self._vector_filters,
                 )
                 batch = cache.fragment_lookup(fragment_key)
             if batch is None:
                 # batch.batches counts real decodes only: a fragment hit
                 # (shared scan) reuses another query's decoded batch.
                 num_batches += 1
-                selection = self._scan_selection(block)
-                batch = ColumnBatch.from_block(
-                    block, self._column_indices, selection
-                )
+                batch = ColumnBatch.from_block(block, self._column_indices)
                 if fragment_key is not None:
                     cache.fragment_store(
                         fragment_key, batch, task_ctx.worker.worker_id
                     )
-            if self._residual is not None:
-                keep = self._residual(batch)
-                batch = batch.take(np.nonzero(keep)[0])
-                counters.inc("batch.kernel.filter")
-            # Post-selection (and post-residual) survivors are the
-            # filter operator's actual output for this block.
-            filter_rows_out += batch.num_rows
             for index, (kind, payload) in enumerate(self._chain):
                 if kind == "filter":
                     keep = payload(batch)
@@ -793,8 +558,6 @@ class BatchPipelineRDD(RDD):
         scan_key = self._op_keys.get("scan")
         if scan_key is not None:
             record_operator_rows(scan_key, total_records)
-        if filter_key is not None:
-            record_operator_rows(filter_key, filter_rows_out)
         for key, count in zip(chain_keys, chain_rows_out):
             if key is not None:
                 record_operator_rows(key, count)
@@ -812,8 +575,6 @@ def scan_batch_pipeline(
     projected: Optional[list[str]],
     kept_partitions: Optional[list[int]],
     column_indices: list[int],
-    vector_filters: tuple = (),
-    residual_predicate: Optional[Callable] = None,
     chain: tuple = (),
     aggregate_factory: Optional[Callable[[], BatchAggregator]] = None,
     name: str = "batch_scan",
@@ -826,7 +587,7 @@ def scan_batch_pipeline(
         raise ValueError(f"table {entry.name} has no cached data")
     cache = getattr(base.ctx, "sql_cache", None)
     fragment_scope = None
-    if cache is not None and cache.config.enable_fragments:
+    if cache is not None:
         fragment_scope = (
             entry.name.lower(),
             cache.table_version(entry.name),
@@ -846,11 +607,8 @@ def scan_batch_pipeline(
         base = PrunedRDD(base, kept_partitions)
     return BatchPipelineRDD(
         base,
-        entry.schema,
         column_indices,
         projected,
-        vector_filters=vector_filters,
-        residual_predicate=residual_predicate,
         chain=chain,
         aggregate_factory=aggregate_factory,
         name=name,
@@ -864,11 +622,9 @@ def scan_batch_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _count_into(op: Optional[OperatorStamp]):
+def _count_into(op: OperatorStamp) -> Callable[[list], list]:
     """Per-partition pass-through that credits the partition's rows to
-    ``op``'s plan-quality stamp; None when no stamp was requested."""
-    if op is None:
-        return None
+    ``op``'s plan-quality stamp."""
     key = op.key
 
     def count_partition(part: list) -> list:
@@ -878,11 +634,26 @@ def _count_into(op: Optional[OperatorStamp]):
     return count_partition
 
 
+def _counted_filter(
+    child: RDD, keep: Callable[[tuple], bool], op: OperatorStamp, name: str
+) -> RDD:
+    """``child.filter(keep)`` that also credits surviving rows to ``op``."""
+    count = _count_into(op)
+
+    def run(part: list) -> list:
+        return count([row for row in part if keep(row)])
+
+    return child.map_partitions(
+        run, preserves_partitioning=True
+    ).set_name(name)
+
+
 def filter_rows(
     child: RDD,
     condition: BoundExpr,
     use_codegen: bool = True,
-    op: Optional[OperatorStamp] = None,
+    *,
+    op: OperatorStamp,
 ) -> RDD:
     """Filter rows where the predicate is exactly TRUE.
 
@@ -898,25 +669,15 @@ def filter_rows(
         predicate = compile_predicate(condition)
     if predicate is None:
         predicate = lambda row: condition.eval(row) is True  # noqa: E731
-    if op is None:
-        return child.filter(predicate).set_name("filter")
-    key = op.key
-
-    def run(part: list) -> list:
-        out = [row for row in part if predicate(row)]
-        record_operator_rows(key, len(out))
-        return out
-
-    return child.map_partitions(
-        run, preserves_partitioning=True
-    ).set_name("filter")
+    return _counted_filter(child, predicate, op, "filter")
 
 
 def project_rows(
     child: RDD,
     expressions: list[BoundExpr],
     use_codegen: bool = True,
-    op: Optional[OperatorStamp] = None,
+    *,
+    op: OperatorStamp,
 ) -> RDD:
     """Evaluate the SELECT list per row, compiled when possible."""
     run = None
@@ -928,21 +689,15 @@ def project_rows(
         def run(row: tuple) -> tuple:
             return tuple(expr.eval(row) for expr in expressions)
 
-    if op is None:
-        return child.map(run).set_name("project")
-    key = op.key
+    count = _count_into(op)
 
     def run_partition(part: list) -> list:
-        out = [run(row) for row in part]
-        record_operator_rows(key, len(out))
-        return out
+        return count([run(row) for row in part])
 
     return child.map_partitions(run_partition).set_name("project")
 
 
-def limit_rows(
-    child: RDD, count: int, op: Optional[OperatorStamp] = None
-) -> RDD:
+def limit_rows(child: RDD, count: int, op: OperatorStamp) -> RDD:
     """LIMIT pushed into individual partitions (Section 2.4), then a final
     single-partition pass takes the global first ``count``."""
 
@@ -950,28 +705,22 @@ def limit_rows(
         return part[:count]
 
     local = child.map_partitions(take_local).set_name("limit_local")
-    merged = local.coalesce(1)
-    if op is None:
-        return merged.map_partitions(take_local).set_name("limit")
-    key = op.key
+    count_final = _count_into(op)
 
     def take_final(part: list) -> list:
-        out = part[:count]
-        record_operator_rows(key, len(out))
-        return out
+        return count_final(part[:count])
 
-    return merged.map_partitions(take_final).set_name("limit")
+    return local.coalesce(1).map_partitions(take_final).set_name("limit")
 
 
 def distinct_rows(
     child: RDD,
     num_partitions: Optional[int] = None,
-    op: Optional[OperatorStamp] = None,
+    *,
+    op: OperatorStamp,
 ) -> RDD:
     out = child.distinct(num_partitions)
-    counter = _count_into(op)
-    if counter is not None:
-        out = out.map_partitions(counter, preserves_partitioning=True)
+    out = out.map_partitions(_count_into(op), preserves_partitioning=True)
     return out.set_name("distinct")
 
 
@@ -1041,16 +790,15 @@ def sort_rows(
     child: RDD,
     keys: list[tuple[BoundExpr, bool]],
     num_partitions: Optional[int] = None,
-    op: Optional[OperatorStamp] = None,
+    *,
+    op: OperatorStamp,
 ) -> RDD:
     """ORDER BY: each partition's key column is built at once and rides
     beside the rows through a range-partitioned sort."""
     out = child.sort_by_key_column(
         lambda part: row_sort_keys(keys, part), True, num_partitions
     )
-    counter = _count_into(op)
-    if counter is not None:
-        out = out.map_partitions(counter, preserves_partitioning=True)
+    out = out.map_partitions(_count_into(op), preserves_partitioning=True)
     return out.set_name("sort")
 
 
@@ -1121,47 +869,24 @@ def partial_aggregate_rdd(
     return child.map_partitions(run).set_name("partial_aggregate")
 
 
-def aggregate_rows(
-    child: RDD,
-    group_exprs: list[BoundExpr],
-    specs: list[AggregateSpec],
-    num_partitions: Optional[int] = None,
-    stats_collectors: tuple = (),
-    coalesce_groups: Optional[list[list[int]]] = None,
-    fine_grained_partitions: Optional[int] = None,
-    partials: Optional[RDD] = None,
-    partial_op: Optional[OperatorStamp] = None,
-    final_op: Optional[OperatorStamp] = None,
+def merge_partials(
+    partials: RDD, specs: list[AggregateSpec], num_partitions: Optional[int]
 ) -> RDD:
-    """Two-phase hash aggregation.
-
-    Phase 1 aggregates within each input partition ("task-local
-    aggregations", Section 6.2.2); phase 2 shuffles (group key, partials)
-    and merges.  With ``fine_grained_partitions`` set, the shuffle uses
-    many fine buckets which PDE then coalesces via ``coalesce_groups``
-    (the skew mitigation of Section 3.1.2).  A caller that already built
-    the ``(key, accs)`` partials (the vectorized batch pipeline) passes
-    them via ``partials`` and skips the row-at-a-time phase 1.
-    """
-    if partials is None:
-        partials = partial_aggregate_rdd(
-            child, group_exprs, specs, op=partial_op
-        )
-
+    """Phase 2a: shuffle ``(group key, accs)`` partials by key into
+    ``num_partitions`` reduce partitions and merge them per group."""
     merge = _merge_accumulators(specs)
-    reduce_partitions = fine_grained_partitions or num_partitions
-    merged = partials.combine_by_key(
+    return partials.combine_by_key(
         create_combiner=lambda accs: accs,
         merge_value=merge,
         merge_combiners=merge,
-        num_partitions=reduce_partitions,
-        stats_collectors=stats_collectors,
+        num_partitions=num_partitions,
     ).set_name("merge_aggregate")
 
-    if coalesce_groups is not None:
-        merged = merged.coalesce_grouped(coalesce_groups).set_name(
-            "coalesced_aggregate"
-        )
+
+def finish_aggregate(
+    merged: RDD, specs: list[AggregateSpec], final_op: OperatorStamp
+) -> RDD:
+    """Phase 2b: turn merged ``(group key, accs)`` pairs into output rows."""
 
     def finish(pair: tuple) -> tuple:
         key, accs = pair
@@ -1170,18 +895,41 @@ def aggregate_rows(
         )
         return tuple(key) + finished
 
-    if final_op is None:
-        return merged.map(finish).set_name("final_aggregate")
-    final_key = final_op.key
+    count = _count_into(final_op)
 
     def finish_partition(part: list) -> list:
-        out = [finish(pair) for pair in part]
-        record_operator_rows(final_key, len(out))
-        return out
+        return count([finish(pair) for pair in part])
 
     return merged.map_partitions(finish_partition).set_name(
         "final_aggregate"
     )
+
+
+def aggregate_rows(
+    child: RDD,
+    group_exprs: list[BoundExpr],
+    specs: list[AggregateSpec],
+    num_partitions: Optional[int] = None,
+    partials: Optional[RDD] = None,
+    partial_op: Optional[OperatorStamp] = None,
+    *,
+    final_op: OperatorStamp,
+) -> RDD:
+    """Two-phase hash aggregation.
+
+    Phase 1 aggregates within each input partition ("task-local
+    aggregations", Section 6.2.2); phase 2 shuffles (group key, partials)
+    and merges.  A caller that already built the ``(key, accs)`` partials
+    (the vectorized batch pipeline) passes them via ``partials`` and skips
+    the row-at-a-time phase 1.  (The planner's PDE branch composes the
+    same phases itself, to read bucket sizes between merge and finish.)
+    """
+    if partials is None:
+        partials = partial_aggregate_rdd(
+            child, group_exprs, specs, op=partial_op
+        )
+    merged = merge_partials(partials, specs, num_partitions)
+    return finish_aggregate(merged, specs, final_op)
 
 
 def global_aggregate_rows(
@@ -1189,7 +937,8 @@ def global_aggregate_rows(
     specs: list[AggregateSpec],
     partials: Optional[RDD] = None,
     partial_op: Optional[OperatorStamp] = None,
-    final_op: Optional[OperatorStamp] = None,
+    *,
+    final_op: OperatorStamp,
 ) -> RDD:
     """Aggregation with no GROUP BY: all partials merge on one reducer."""
     return aggregate_rows(child, [], specs, num_partitions=1,
@@ -1456,9 +1205,10 @@ def repartition_rows(
     rows (not pairs) as output."""
     shuffled = _keyed_rows(child, keys).partition_by(partitioner)
     values = shuffled.values()
-    counter = _count_into(op)
-    if counter is not None:
-        values = values.map_partitions(counter, preserves_partitioning=True)
+    if op is not None:  # a load-time DISTRIBUTE BY has no plan node
+        values = values.map_partitions(
+            _count_into(op), preserves_partitioning=True
+        )
     values = values.set_name("distribute_by")
     values.partitioner = partitioner
     return values
@@ -1489,32 +1239,13 @@ def semi_join_probe(
     return keep
 
 
-def _counted_filter(
-    child: RDD, keep: Callable[[tuple], bool], op: Optional[OperatorStamp],
-    name: str,
-) -> RDD:
-    """``child.filter(keep)`` that also credits surviving rows to ``op``."""
-    if op is None:
-        return child.filter(keep).set_name(name)
-    key = op.key
-
-    def run(part: list) -> list:
-        out = [row for row in part if keep(row)]
-        record_operator_rows(key, len(out))
-        return out
-
-    return child.map_partitions(
-        run, preserves_partitioning=True
-    ).set_name(name)
-
-
 def semi_join_filter(
     ctx: "EngineContext",
     child: RDD,
     key: BoundExpr,
     values: list,
     negated: bool,
-    op: Optional[OperatorStamp] = None,
+    op: OperatorStamp,
 ) -> RDD:
     """Filter ``child`` by membership of ``key`` in the collected subquery
     result (broadcast to all tasks)."""
@@ -1549,12 +1280,9 @@ def values_rdd(ctx: "EngineContext", rows: list[tuple]) -> RDD:
 def union_rdds(
     ctx: "EngineContext",
     children: list[RDD],
-    op: Optional[OperatorStamp] = None,
+    op: OperatorStamp,
 ) -> RDD:
-    out = ctx.union(children)
-    counter = _count_into(op)
-    if counter is not None:
-        out = out.map_partitions(counter)
+    out = ctx.union(children).map_partitions(_count_into(op))
     return out.set_name("union_all")
 
 

@@ -39,7 +39,6 @@ from repro.obs.planquality import (
     SOURCE_PRUNING,
     OperatorStamp,
     estimate_filtered_rows,
-    record_operator_rows,
 )
 from repro.pde.decisions import (
     DEFAULT_BROADCAST_THRESHOLD,
@@ -89,15 +88,12 @@ class PlannerConfig:
     #: interpreting the expression tree per row (Section 5's "bytecode
     #: compilation of expression evaluators", implemented).
     enable_codegen: bool = True
-    #: Push simple predicates into the columnar scan and evaluate them
-    #: column-at-a-time over the arrays (the cache-behavior benefit of the
-    #: columnar layout, Section 3.2); rows are only materialized for
-    #: survivors.
-    enable_vectorized_scan: bool = True
     #: Run scan->filter->project->partial-aggregate chains over cached
-    #: tables batch-at-a-time (ColumnBatch kernels, late materialization)
-    #: instead of the row-at-a-time operators.  Results are identical;
-    #: this knob exists as an ablation axis and for differential testing.
+    #: tables batch-at-a-time (ColumnBatch kernels over the column arrays,
+    #: the cache-behavior benefit of Section 3.2's layout; late
+    #: materialization) instead of the row-at-a-time operators.  Results
+    #: are identical; this knob exists as an ablation axis and for
+    #: differential testing — row mode is the reference.
     vectorize: bool = True
 
 
@@ -338,24 +334,14 @@ class PhysicalPlanner:
                     rdd, condition, self.config.enable_codegen, op=op
                 )
             return rdd
-        original = condition
         if entry.is_cached:
-            kept, vector_filters, condition = self._scan_prep(
-                scan, condition, no_prune
-            )
+            kept = self._scan_prep(scan, condition, no_prune)
             base_est, base_source = self._scan_estimate(entry, kept)
             scan_op = self.report.mode(
                 f"scan({entry.name})", "row", base_est, base_source
             )
-            filter_op = self._stamp_filter(original, base_est, "row")
             rdd = physical.scan_memstore(
-                entry, scan.projected_columns, kept,
-                vector_filters=vector_filters,
-                scan_op=scan_op,
-                # Without a residual the pushed-down vector filters are
-                # the whole predicate: the scan credits the filter's
-                # actual rows itself.
-                filter_op=None if condition is not None else filter_op,
+                entry, scan.projected_columns, kept, scan_op=scan_op
             )
         else:
             from repro.storage import HdfsRDD
@@ -368,7 +354,6 @@ class PhysicalPlanner:
             self.report.mode(
                 f"scan({entry.name})", "row", base_est, base_source
             )
-            filter_op = self._stamp_filter(original, base_est, "row")
             rdd = HdfsRDD(self.ctx, self.store, entry.path, entry.schema)
             if scan.projected_columns is not None:
                 indices = [
@@ -379,30 +364,17 @@ class PhysicalPlanner:
                     lambda row, idx=tuple(indices): tuple(row[i] for i in idx)
                 ).set_name("project_scan")
         if condition is not None:
+            est, source = None, SOURCE_NONE
+            if base_est is not None:
+                est = estimate_filtered_rows(base_est, condition)
+                source = SOURCE_GUESS
+            filter_op = self.report.mode(
+                "filter", "row", est, source, detail=condition.name
+            )
             rdd = physical.filter_rows(
                 rdd, condition, self.config.enable_codegen, op=filter_op
             )
         return rdd
-
-    def _stamp_filter(
-        self,
-        condition: Optional[BoundExpr],
-        base_est: Optional[int],
-        mode: str,
-    ) -> Optional[OperatorStamp]:
-        """One filter stamp covering a scan's *entire* predicate (vector
-        and residual conjuncts alike), so both execution modes report the
-        same operator with the same estimate."""
-        if condition is None:
-            return None
-        if base_est is not None:
-            est: Optional[int] = estimate_filtered_rows(base_est, condition)
-            source = SOURCE_GUESS
-        else:
-            est, source = None, SOURCE_NONE
-        return self.report.mode(
-            "filter", mode, est, source, detail=condition.name
-        )
 
     def _scan_estimate(
         self, entry: TableEntry, kept: Optional[list[int]]
@@ -436,12 +408,10 @@ class PhysicalPlanner:
         scan: logical.Scan,
         condition: Optional[BoundExpr],
         no_prune: bool,
-    ) -> tuple[Optional[list[int]], tuple, Optional[BoundExpr]]:
-        """Map pruning + vector-filter extraction for a cached scan.
-
-        Shared by the row scan and the batch pipeline so both modes prune
-        and push down identically.  Returns (kept partitions or None,
-        vector filter specs, residual condition or None).
+    ) -> Optional[list[int]]:
+        """Map pruning for a cached scan, shared by the row scan and the
+        batch pipeline so both modes prune identically.  Returns the kept
+        partitions, or None when every partition is scanned.
         """
         entry = scan.table
         kept = None
@@ -466,18 +436,7 @@ class PhysicalPlanner:
                 )
             if kept == list(range(total)):
                 kept = None
-        vector_filters: tuple = ()
-        if condition is not None and self.config.enable_vectorized_scan:
-            vector_filters, condition = _extract_vector_filters(
-                condition, scan.schema.names
-            )
-            if vector_filters:
-                self.report.note(
-                    f"vectorized scan filters on {entry.name}: "
-                    f"{len(vector_filters)} conjuncts pushed into the "
-                    f"columnar scan"
-                )
-        return kept, vector_filters, condition
+        return kept
 
     # ------------------------------------------------------------------
     # Batch pipeline (vectorize=on)
@@ -485,20 +444,15 @@ class PhysicalPlanner:
     def _match_batch_chain(self, node: logical.LogicalPlan):
         """Match a Project/Filter chain over a cached-table scan.
 
-        Returns (scan, scan-level condition, bottom-up chain ops) when the
-        whole subtree can run as one fused batch pipeline; None otherwise
-        (uncached table, unloaded table, or a non-chain operator).
+        Returns (scan, bottom-up chain ops) when the whole subtree can run
+        as one fused batch pipeline; None otherwise (uncached table,
+        unloaded table, or a non-chain operator).
         """
         ops: list[tuple[str, object]] = []
         current = node
         while True:
             if isinstance(current, logical.Scan):
-                scan, scan_condition = current, None
-                break
-            if isinstance(current, logical.Filter) and isinstance(
-                current.child, logical.Scan
-            ):
-                scan, scan_condition = current.child, current.condition
+                scan = current
                 break
             if isinstance(current, logical.Project):
                 ops.append(("project", current.expressions))
@@ -513,7 +467,7 @@ class PhysicalPlanner:
         if not entry.is_cached or entry.cached_rdd is None:
             return None
         ops.reverse()
-        return scan, scan_condition, ops
+        return scan, ops
 
     def _try_batch_pipeline(
         self, node: logical.LogicalPlan, no_prune: bool
@@ -521,9 +475,9 @@ class PhysicalPlanner:
         match = self._match_batch_chain(node)
         if match is None:
             return None
-        scan, scan_condition, ops = match
+        scan, ops = match
         return self._build_batch_pipeline(
-            scan, scan_condition, ops, no_prune, aggregate=None
+            scan, ops, no_prune, aggregate=None
         )
 
     @staticmethod
@@ -535,13 +489,14 @@ class PhysicalPlanner:
     def _build_batch_pipeline(
         self,
         scan: logical.Scan,
-        scan_condition: Optional[BoundExpr],
         ops: list,
         no_prune: bool,
         aggregate: Optional[tuple] = None,
         aggregate_est: Optional[tuple] = None,
     ) -> RDD:
-        """Lower a matched chain to one :class:`BatchPipelineRDD`."""
+        """Lower a matched chain to one :class:`BatchPipelineRDD`.  A
+        filter directly over the scan is the scan's predicate: it drives
+        map pruning and runs as the chain's first kernel."""
         from repro.sql.codegen import (
             compile_vector_expression,
             compile_vector_predicate,
@@ -549,32 +504,15 @@ class PhysicalPlanner:
         )
 
         entry = scan.table
-        kept, vector_filters, residual = self._scan_prep(
-            scan, scan_condition, no_prune
-        )
+        scan_condition = ops[0][1] if ops and ops[0][0] == "filter" else None
+        kept = self._scan_prep(scan, scan_condition, no_prune)
         width = len(scan.schema)
         base_est, base_source = self._scan_estimate(entry, kept)
         scan_op = self.report.mode(
             f"scan({entry.name})", "vectorized", base_est, base_source
         )
-        residual_kernel = None
-        residual_interpreted = 0
-        if residual is not None:
-            residual_kernel, residual_interpreted = compile_vector_predicate(
-                residual, width
-            )
-        filter_op = self._stamp_filter(
-            scan_condition,
-            base_est,
-            self._mode_detail(residual_interpreted)
-            if residual is not None
-            else "vectorized",
-        )
         # Running estimate through the fused chain, with its source.
-        running = filter_op.est_rows if filter_op is not None else base_est
-        running_source = (
-            filter_op.est_source if filter_op is not None else base_source
-        )
+        running, running_source = base_est, base_source
         chain: list[tuple[str, object]] = []
         chain_ops: list[OperatorStamp] = []
         for kind, payload in ops:
@@ -657,10 +595,10 @@ class PhysicalPlanner:
                 "aggregate.partial", self._mode_detail(interpreted),
                 partial_est, partial_source,
             )
-        op_keys: dict = {"scan": scan_op.key}
-        if filter_op is not None:
-            op_keys["filter"] = filter_op.key
-        op_keys["chain"] = tuple(op.key for op in chain_ops)
+        op_keys: dict = {
+            "scan": scan_op.key,
+            "chain": tuple(op.key for op in chain_ops),
+        }
         if aggregate_op is not None:
             op_keys["aggregate"] = aggregate_op.key
         self.ctx.tracer.metrics.inc("batch.pipelines")
@@ -671,8 +609,6 @@ class PhysicalPlanner:
             column_indices=[
                 entry.schema.index_of(column) for column in scan.schema.names
             ],
-            vector_filters=vector_filters,
-            residual_predicate=residual_kernel,
             chain=chain,
             aggregate_factory=aggregate_factory,
             name=name,
@@ -711,10 +647,9 @@ class PhysicalPlanner:
                 # the scan..project chain and the task-local hash
                 # aggregation run as one vectorized stage emitting
                 # (group key, accumulators) pairs.
-                scan, scan_condition, ops = match
+                scan, ops = match
                 partials = self._build_batch_pipeline(
                     scan,
-                    scan_condition,
                     ops,
                     no_prune=False,
                     aggregate=(node.group_expressions, node.aggregates),
@@ -771,13 +706,7 @@ class PhysicalPlanner:
                 child, node.group_expressions, node.aggregates,
                 op=partial_op,
             )
-        merge = physical._merge_accumulators(node.aggregates)
-        merged = partials.combine_by_key(
-            create_combiner=lambda accs: accs,
-            merge_value=merge,
-            merge_combiners=merge,
-            num_partitions=fine,
-        ).set_name("merge_aggregate")
+        merged = physical.merge_partials(partials, node.aggregates, fine)
 
         if isinstance(merged, ShuffledRDD):
             stats = self.ctx.materialize_dependency(merged.shuffle_dep)
@@ -823,24 +752,7 @@ class PhysicalPlanner:
                     f"({total} observed bytes)"
                 )
 
-        def finish(pair: tuple) -> tuple:
-            key, accs = pair
-            finished = tuple(
-                spec.function.finish(acc)
-                for spec, acc in zip(node.aggregates, accs)
-            )
-            return tuple(key) + finished
-
-        final_key = final_op.key
-
-        def finish_partition(part: list) -> list:
-            out = [finish(pair) for pair in part]
-            record_operator_rows(final_key, len(out))
-            return out
-
-        return merged.map_partitions(finish_partition).set_name(
-            "final_aggregate"
-        )
+        return physical.finish_aggregate(merged, node.aggregates, final_op)
 
     # ------------------------------------------------------------------
     # Joins
@@ -1249,73 +1161,6 @@ class PhysicalPlanner:
 
     def _collect(self, rdd: RDD) -> list:
         return rdd.collect()
-
-
-# ---------------------------------------------------------------------------
-# Vectorized scan-filter extraction
-# ---------------------------------------------------------------------------
-
-
-def _extract_vector_filters(
-    condition: BoundExpr, names: list[str]
-) -> tuple[tuple, Optional[BoundExpr]]:
-    """Split a scan predicate into (vectorizable specs, residual expr).
-
-    Vectorizable conjuncts — column-vs-literal comparisons, BETWEEN, IN,
-    IS [NOT] NULL — are evaluated column-at-a-time inside the scan; the
-    residual (UDFs, ORs, column-vs-column) stays as a row-level filter.
-    """
-    from repro.sql.expressions import BoundIsNull
-    from repro.sql.optimizer import join_conjuncts
-    from repro.sql.physical import VectorFilter
-
-    specs: list[VectorFilter] = []
-    residual: list[BoundExpr] = []
-    for conjunct in split_conjuncts(condition):
-        spec = None
-        if isinstance(conjunct, BoundComparison):
-            column, literal, op = _normalize_comparison(conjunct)
-            if column is not None and op is not None and literal is not None:
-                spec = VectorFilter(
-                    column=names[column], kind="cmp", op=op,
-                    values=(literal,),
-                )
-        elif isinstance(conjunct, BoundBetween) and not conjunct.negated:
-            if (
-                isinstance(conjunct.operand, BoundColumn)
-                and isinstance(conjunct.low, BoundLiteral)
-                and isinstance(conjunct.high, BoundLiteral)
-            ):
-                spec = VectorFilter(
-                    column=names[conjunct.operand.index],
-                    kind="between",
-                    values=(conjunct.low.value, conjunct.high.value),
-                )
-        elif isinstance(conjunct, BoundIn) and not conjunct.negated:
-            if isinstance(conjunct.operand, BoundColumn) and all(
-                isinstance(option, BoundLiteral)
-                for option in conjunct.options
-            ):
-                values = tuple(
-                    option.value for option in conjunct.options
-                )
-                if all(value is not None for value in values):
-                    spec = VectorFilter(
-                        column=names[conjunct.operand.index],
-                        kind="in",
-                        values=values,
-                    )
-        elif isinstance(conjunct, BoundIsNull):
-            if isinstance(conjunct.operand, BoundColumn):
-                spec = VectorFilter(
-                    column=names[conjunct.operand.index],
-                    kind="notnull" if conjunct.negated else "isnull",
-                )
-        if spec is not None:
-            specs.append(spec)
-        else:
-            residual.append(conjunct)
-    return tuple(specs), join_conjuncts(residual)
 
 
 # ---------------------------------------------------------------------------

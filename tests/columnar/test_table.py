@@ -134,6 +134,6 @@ class TestValidation:
         from repro.sql.physical import MemstoreScanRDD
 
         bad = ctx.parallelize([["not a partition"]], 1).glom()
-        scan = MemstoreScanRDD(bad, SCHEMA)
+        scan = MemstoreScanRDD(bad)
         with pytest.raises(Exception):
             scan.collect()

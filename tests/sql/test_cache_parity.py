@@ -163,6 +163,26 @@ class TestSharedScans:
                 handle.result_or_raise().rows, expected
             )
 
+    def test_different_literals_share_decoded_blocks(self):
+        # The fragment key holds no predicate: a second select over the
+        # same columns with another literal decodes nothing.
+        queries = [
+            f"SELECT bucket, value FROM readings WHERE day < {cutoff}"
+            for cutoff in (5, 9)
+        ]
+        reference = self._scan_ctx()
+        shark = self._scan_ctx()
+        cache = shark.enable_sql_cache(SqlCacheConfig(enable_result=False))
+        blocks = 8  # one per partition loaded by _scan_ctx
+        before = shark.metrics.value("batch.batches")
+        for query in queries:
+            assert_byte_identical(
+                shark.sql(query).rows, reference.sql(query).rows
+            )
+        assert shark.metrics.value("batch.batches") - before == blocks
+        assert cache.fragment_hits == blocks
+        assert shark.metrics.value("sqlcache.fragment.hits") > 0
+
     def test_full_stack_concurrent_soak(self):
         # All layers on: whichever mix of result hits and shared scans
         # the interleaving produces, the rows never diverge.

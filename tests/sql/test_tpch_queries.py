@@ -135,5 +135,6 @@ class TestQ6ForecastRevenue:
     def test_q6_prunes_and_vectorizes(self, warehouse):
         shark, __, ___, ____ = warehouse
         result = shark.sql(self.QUERY)
-        notes = " ".join(result.report.notes)
-        assert "vectorized" in notes  # date+discount+quantity conjuncts
+        modes = dict(result.report.operator_modes)
+        # date+discount+quantity conjuncts all run in the vector kernels
+        assert modes["filter"] == "vectorized"
