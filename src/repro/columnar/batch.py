@@ -11,7 +11,11 @@ invariant: rows are only rebuilt as Python tuples at pipeline exits
 
 Values inside a batch follow the same conventions as decoded block
 columns: primitives are numpy arrays (with an optional validity mask for
-NULLs), everything else is a plain Python list with inline ``None``.
+NULLs), everything else is a plain Python list with inline ``None``.  A
+dictionary-encoded block column enters the batch *coded*
+(:class:`CodedVector`: its codes plus the small dictionary), so kernels
+can work on the distinct values and dense values appear only when a
+kernel asks for them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from repro.columnar.table import ColumnarPartition
 
-__all__ = ["Vector", "LazyColumn", "ColumnBatch"]
+__all__ = ["Vector", "CodedVector", "LazyColumn", "ColumnBatch"]
 
 
 class Vector:
@@ -53,8 +57,7 @@ class Vector:
         if isinstance(self.data, np.ndarray):
             valid = self.valid[indices] if self.valid is not None else None
             return Vector(self.data[indices], valid)
-        data = self.data
-        return Vector([data[i] for i in indices])
+        return Vector(list(map(self.data.__getitem__, indices.tolist())))
 
     def to_python_list(self) -> list:
         """Values as Python objects with inline None (row-path parity).
@@ -83,6 +86,50 @@ class Vector:
         )
 
 
+class CodedVector(Vector):
+    """A column as ``dictionary[codes]``: one small dense
+    :class:`Vector` of distinct entries plus a code per row.
+
+    A kernel whose other operands are constants evaluates the
+    ``len(dictionary)`` entries and returns a coded result over the same
+    ``codes`` array; ``gather`` keeps the form.  ``data``/``valid`` — what
+    every dense kernel reads — expand on first touch, once.
+    """
+
+    __slots__ = ("codes", "dictionary", "_dense")
+
+    def __init__(self, codes: np.ndarray, dictionary: Vector):
+        self.codes = codes
+        self.dictionary = dictionary
+        self._dense: Optional[Vector] = None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def _expand(self) -> Vector:
+        if self._dense is None:
+            self._dense = self.dictionary.gather(self.codes)
+        return self._dense
+
+    @property
+    def data(self):
+        return self._expand().data
+
+    @property
+    def valid(self):
+        return self._expand().valid
+
+    def gather(self, indices: np.ndarray) -> "CodedVector":
+        return CodedVector(self.codes[indices], self.dictionary)
+
+    def memory_footprint_bytes(self) -> int:
+        """Codes and dictionary, plus the dense values once expanded."""
+        total = self.codes.nbytes + self.dictionary.memory_footprint_bytes()
+        if self._dense is not None:
+            total += self._dense.memory_footprint_bytes()
+        return total
+
+
 def _as_vector(values: Sequence[Any]) -> Vector:
     """Wrap a decoded block column (ndarray or list) as a Vector."""
     if isinstance(values, np.ndarray):
@@ -93,10 +140,11 @@ def _as_vector(values: Sequence[Any]) -> Vector:
 class LazyColumn:
     """A batch entry that defers decoding an encoded block column.
 
-    Holds (block, column index, selection).  ``vector()`` decodes through
-    the block's column cache and gathers the selection; ``codes()``
-    exposes the underlying dictionary codes (selection applied) without
-    decoding, when the column is dictionary-encoded.
+    Holds (block, column index, selection).  ``vector()`` hands out the
+    column's values with the selection applied: coded when the block
+    column keeps a dictionary shorter than the selection (no row is
+    decoded), otherwise decoded through the block's column cache and
+    gathered.
     """
 
     __slots__ = ("block", "index", "selection", "_vector")
@@ -119,20 +167,15 @@ class LazyColumn:
 
     def vector(self) -> Vector:
         if self._vector is None:
-            full = _as_vector(self.block.column(self.index))
+            view = self.block.encoded_column(self.index).coded_view()
+            if view is not None and len(view[1]) < len(self):
+                full = CodedVector(view[0], _as_vector(view[1]))
+            else:
+                full = _as_vector(self.block.column(self.index))
             if self.selection is not None:
                 full = full.gather(self.selection)
             self._vector = full
         return self._vector
-
-    def codes(self) -> Optional[tuple[np.ndarray, list]]:
-        view = self.block.encoded_column(self.index).dictionary_view()
-        if view is None:
-            return None
-        codes, dictionary = view
-        if self.selection is not None:
-            codes = codes[self.selection]
-        return codes, dictionary
 
     def memory_footprint_bytes(self) -> int:
         """Exact heap bytes this entry pins right now: the decoded
@@ -190,12 +233,6 @@ class ColumnBatch:
         if isinstance(entry, LazyColumn):
             return entry.vector()
         return entry
-
-    def codes(self, ordinal: int) -> Optional[tuple[np.ndarray, list]]:
-        entry = self.entries[ordinal]
-        if isinstance(entry, LazyColumn):
-            return entry.codes()
-        return None
 
     def take(self, indices: np.ndarray) -> "ColumnBatch":
         """Keep only the given row positions (a filter kernel's output)."""

@@ -74,6 +74,14 @@ class EncodedColumn:
         """
         return None
 
+    def coded_view(self) -> Optional[tuple[np.ndarray, Sequence[Any]]]:
+        """(codes, entries) with ``decode()`` equal to ``entries[codes]``:
+        the codes of :meth:`dictionary_view` beside the dictionary as
+        decoding indexes it (one typed array for NULL-free primitives),
+        so a batch kernel can evaluate the entries in place of the rows.
+        """
+        return None
+
 
 class CompressionScheme:
     """Interface: encode a column.
@@ -233,6 +241,9 @@ class _DictionaryColumn(EncodedColumn):
     def dictionary_view(self) -> Optional[tuple[np.ndarray, list]]:
         return self._codes, self._dictionary
 
+    def coded_view(self) -> Optional[tuple[np.ndarray, Sequence[Any]]]:
+        return self._codes, self._entries
+
     def __len__(self) -> int:
         return len(self._codes)
 
@@ -307,6 +318,8 @@ class _BitsetColumn(EncodedColumn):
     scheme_name = "bitset"
 
     def __init__(self, column: ColumnAnalysis):
+        if column.has_null:
+            raise CompressionError("a bitset has no room for NULL")
         self._packed = np.packbits(np.asarray(column.values, dtype=bool))
         self._length = len(column)
 
@@ -401,17 +414,21 @@ def choose_scheme(
     Mirrors the paper's loading tasks: the column analysis tracks distinct
     counts and run lengths, then this chooses dictionary encoding when
     distinct values are few, RLE when runs are long (clustered data), bit
-    packing for narrow integer ranges, bitsets for booleans, and plain
-    otherwise.  ``values`` is a sequence or its ``ColumnAnalysis``.
+    packing for narrow integer ranges, bitsets for NULL-free booleans,
+    and plain otherwise.  ``values`` is a sequence or its ``ColumnAnalysis``.
     """
     column = analyze(values, data_type)
     if not len(column):
         return PLAIN
-    if data_type == BOOLEAN:
+    if data_type == BOOLEAN and not column.has_null:
         return BITSET
-    if isinstance(data_type, (DateType, TimestampType)):
+    if data_type == BOOLEAN or isinstance(
+        data_type, (DateType, TimestampType)
+    ):
         # Dates behave like strings here: dictionary if few distinct,
         # otherwise one pickled vector (compact: the codec is shared).
+        # So does a BOOLEAN column with NULLs, the bitset having no room
+        # for a third value.
         if _few_distinct(column, dictionary_threshold):
             return DICTIONARY
         return PLAIN

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from datetime import date, datetime
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -48,11 +49,12 @@ def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
     """:func:`stable_hash` of every key in a batch, as an int64 array.
 
     Homogeneous batches hash column-wise in C: ints arithmetically,
-    strings and bytes through one ``crc32`` map, tuples of equal width
-    by combining their columns (the multiply/xor recurrence only ever
-    needs the low 31 bits, so it runs in wrapping uint64).  Anything
-    else — floats, None, mixed types, ints beyond int64, ragged tuples —
-    takes :func:`stable_hash` per key, so the two always agree.
+    strings and bytes through one ``crc32`` map, exact floats, dates and
+    datetimes through the same map over their ``repr``, tuples of equal
+    width by combining their columns (the multiply/xor recurrence only
+    ever needs the low 31 bits, so it runs in wrapping uint64).  Anything
+    else — None, mixed types, subclasses, ints beyond int64, ragged
+    tuples — takes :func:`stable_hash` per key, so the two always agree.
     """
     kinds = set(map(type, keys))
     if kinds <= {int, bool}:
@@ -64,6 +66,8 @@ def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
         return _crc_column(map(str.encode, keys), len(keys))
     elif kinds == {bytes}:
         return _crc_column(keys, len(keys))
+    elif len(kinds) == 1 and kinds <= _REPR_HASHED:
+        return _crc_column(map(str.encode, map(repr, keys)), len(keys))
     elif kinds == {tuple} and len(set(map(len, keys))) == 1:
         value = np.full(len(keys), 0x345678, dtype=np.uint64)
         for column in zip(*keys):
@@ -72,6 +76,10 @@ def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
             ).astype(np.uint64)
         return (value & np.uint64(_HASH_MASK)).astype(np.int64)
     return np.fromiter(map(stable_hash, keys), np.int64, len(keys))
+
+
+#: Exact types :func:`stable_hash` hashes by the crc32 of their ``repr``.
+_REPR_HASHED = {float, date, datetime}
 
 
 def _crc_column(encoded, count: int) -> np.ndarray:

@@ -63,6 +63,11 @@ COUNTERS = frozenset(
         "batch.kernel.filter",
         "batch.kernel.project",
         "batch.kernel.aggregate",
+        # dictionary-domain kernel evaluations: how many ran, the distinct
+        # values they evaluated, the rows those stood for
+        "batch.kernel.dictionary",
+        "batch.dictionary.values",
+        "batch.dictionary.rows",
         # query lifecycle
         "queries.executed",
         "queries.submitted",

@@ -287,17 +287,24 @@ def compile_predicate(expr: BoundExpr) -> Optional[Callable[[tuple], bool]]:
 # per *row*; the vector compiler below turns the same tree into one closure
 # per *operator* that maps a ColumnBatch to a Vector.  Numeric columns stay
 # numpy arrays end to end (NULLs as validity masks, three-valued logic as
-# true/false mask pairs); subtrees the compiler cannot vectorize fall back
-# to an elementwise interpreter over the batch, so compilation is total —
-# the caller only learns *how much* of the tree ran interpreted.
+# true/false mask pairs).  Every node is a kernel ``(*operands, n)`` over
+# its children's results, and one rule (:func:`_kernel_node`) runs it on
+# the dictionary of a coded operand instead of on the rows.  Subtrees with
+# no kernel of their own (CASE, correlated IN, dynamic LIKE) are kernels
+# too — ``expr.eval`` mapped over the referenced columns — so compilation
+# is total; the caller only learns *how many* subtrees call Python per row.
 #
 # Parity contract: every kernel reproduces the corresponding BoundExpr.eval
 # semantics exactly (NULL propagation, division by zero -> NULL, Kleene
 # AND/OR, BETWEEN's non-decomposable NULL handling).
 
+from functools import partial  # noqa: E402
+from itertools import repeat  # noqa: E402
+
 import numpy as np  # noqa: E402
 
-from repro.columnar.batch import ColumnBatch, Vector  # noqa: E402
+from repro.columnar.batch import CodedVector, ColumnBatch, Vector  # noqa: E402
+from repro.sql.functions import builtin  # noqa: E402
 
 
 class _Const:
@@ -310,12 +317,15 @@ class _Const:
 
 
 class _VectorCompileState:
-    """Counts subtrees that fell back to the elementwise interpreter."""
+    """What one compilation shares: the count of subtrees that call
+    Python once per row (interpreted subtrees and UDF calls), and the
+    metrics registry the dictionary-domain evaluations are counted in."""
 
-    __slots__ = ("interpreted",)
+    __slots__ = ("interpreted", "metrics")
 
-    def __init__(self) -> None:
+    def __init__(self, metrics=None) -> None:
         self.interpreted = 0
+        self.metrics = metrics
 
 
 def _values_list(operand, n: int) -> list:
@@ -485,7 +495,7 @@ def _compare_kernel(op: str, fn, left, right, n: int):
     return Vector(out)
 
 
-def _between_kernel(value, low, high, negated: bool, n: int):
+def _between_kernel(negated: bool, value, low, high, n: int):
     consts = [value, low, high]
     if all(isinstance(c, _Const) for c in consts):
         v, lo, hi = (c.value for c in consts)
@@ -525,7 +535,7 @@ def _between_kernel(value, low, high, negated: bool, n: int):
     return Vector(out)
 
 
-def _in_kernel(operand, constant_set: frozenset, negated: bool, n: int):
+def _in_kernel(constant_set: frozenset, negated: bool, operand, n: int):
     if isinstance(operand, _Const):
         if operand.value is None:
             return _Const(None)
@@ -553,7 +563,7 @@ def _in_kernel(operand, constant_set: frozenset, negated: bool, n: int):
     return Vector(out)
 
 
-def _is_null_kernel(operand, negated: bool, n: int):
+def _is_null_kernel(negated: bool, operand, n: int):
     if isinstance(operand, _Const):
         result = operand.value is None
         return _Const(not result if negated else result)
@@ -572,151 +582,197 @@ def _is_null_kernel(operand, negated: bool, n: int):
     return Vector(vals)
 
 
-def _interpret_subtree(expr: BoundExpr, width: int, state: _VectorCompileState):
-    """Whole-subtree fallback: evaluate ``expr.eval`` per batch row.
+def _and_kernel(left, right, n: int):
+    lt, lf = _bool_masks(left, n)
+    rt, rf = _bool_masks(right, n)
+    true = lt & rt
+    return Vector(true, true | lf | rf)
 
-    Still batch-granular (columns are materialized once per batch, rows
-    are reused buffers), and exactly the row semantics by construction.
+
+def _or_kernel(left, right, n: int):
+    lt, lf = _bool_masks(left, n)
+    rt, rf = _bool_masks(right, n)
+    true = lt | rt
+    return Vector(true, true | (lf & rf))
+
+
+def _not_kernel(operand, n: int):
+    true, false = _bool_masks(operand, n)
+    return Vector(false, true | false)
+
+
+def _negate_kernel(operand, n: int):
+    if isinstance(operand, _Const):
+        return _Const(None if operand.value is None else -operand.value)
+    numeric = _numeric_operand(operand)
+    if numeric is not None:
+        data, valid = numeric
+        return Vector(-data, valid)
+    return Vector(
+        [None if v is None else -v for v in _values_list(operand, n)]
+    )
+
+
+def _map_kernel(fn, operand, n: int):
+    """``fn`` of every non-NULL value (CAST, a LIKE match)."""
+    if isinstance(operand, _Const):
+        return _Const(None if operand.value is None else fn(operand.value))
+    return Vector(
+        [None if v is None else fn(v) for v in _values_list(operand, n)]
+    )
+
+
+def _call_kernel(fn, null_propagating: bool, *operands):
+    """A scalar function mapped over its argument columns: one call per
+    row of the operands (also when every argument is a constant — a
+    function is called as often as the row path calls it)."""
+    *args, n = operands
+    rows = zip(*[_values_list(arg, n) for arg in args]) if args else repeat(
+        (), n
+    )
+    if null_propagating:
+        return Vector([None if None in row else fn(*row) for row in rows])
+    return Vector([fn(*row) for row in rows])
+
+
+def _is_udf_call(expr: BoundExpr) -> bool:
+    if not isinstance(expr, BoundScalarCall):
+        return False
+    spec = builtin(expr.function_name)
+    return spec is None or spec.fn is not expr._fn
+
+
+def _calls_udf(expr: BoundExpr) -> bool:
+    return _is_udf_call(expr) or any(map(_calls_udf, expr.children()))
+
+
+def _shared_codes(operands) -> Optional[CodedVector]:
+    """The coded operand whose codes every vector operand shares (one
+    column among constants, or several results computed from it)."""
+    source = None
+    for operand in operands:
+        if isinstance(operand, _Const):
+            continue
+        if not isinstance(operand, CodedVector):
+            return None
+        if source is None:
+            source = operand
+        elif operand.codes is not source.codes:
+            return None
+    return source
+
+
+def _kernel_node(
+    kernel, children: list, state: _VectorCompileState, pure: bool
+):
+    """The node ``batch -> kernel(*operands, n)`` over its children's
+    results, in the dictionary domain when it can be: if the vector
+    operands are coded over one codes array and the dictionary is shorter
+    than the batch, the same kernel evaluates the dictionary entries and
+    the result shares the codes.  ``pure`` is False for a UDF, which
+    nothing declares deterministic: it sees every row.
+
+    The dictionary may hold entries no row of the batch has (an earlier
+    filter dropped them) on which a built-in can fail where the rows
+    would not; any failure there hands the batch to the evaluation over
+    the rows, which decides.
+    """
+    metrics = state.metrics
+
+    def run(batch: ColumnBatch):
+        operands = [child(batch) for child in children]
+        n = batch.num_rows
+        source = _shared_codes(operands) if pure else None
+        if source is None or len(source.dictionary) >= n:
+            return kernel(*operands, n)
+        k = len(source.dictionary)
+        entries = [
+            operand if isinstance(operand, _Const) else operand.dictionary
+            for operand in operands
+        ]
+        try:
+            result = kernel(*entries, k)
+        except Exception:  # noqa: BLE001 - see docstring
+            return kernel(*operands, n)
+        if metrics is not None:
+            metrics.inc("batch.kernel.dictionary")
+            metrics.inc("batch.dictionary.values", k)
+            metrics.inc("batch.dictionary.rows", n)
+        return CodedVector(source.codes, result)
+
+    return run
+
+
+def _interpret_subtree(expr: BoundExpr, state: _VectorCompileState):
+    """Whole-subtree fallback: ``expr.eval`` per row of the referenced
+    columns (per dictionary entry when that is one coded column and the
+    subtree calls no UDF) — exactly the row semantics by construction.
     """
     state.interpreted += 1
     references = sorted(expr.references())
     evaluate = expr.eval
 
-    def run(batch: ColumnBatch):
-        columns = [
-            (index, batch.vector(index).to_python_list())
-            for index in references
-        ]
-        row = [None] * width
-        out = []
-        for r in range(batch.num_rows):
-            for index, values in columns:
-                row[index] = values[r]
-            out.append(evaluate(row))
-        return Vector(out)
+    def kernel(*operands):
+        *columns, n = operands
+        if not columns:
+            return Vector(list(map(evaluate, repeat((), n))))
+        # Rows as wide as the highest ordinal read, None elsewhere.
+        slots: list = [repeat(None)] * (references[-1] + 1)
+        for index, column in zip(references, columns):
+            slots[index] = column.to_python_list()
+        return Vector(list(map(evaluate, zip(*slots))))
 
-    return run
+    children = [
+        partial(ColumnBatch.vector, ordinal=index) for index in references
+    ]
+    return _kernel_node(kernel, children, state, not _calls_udf(expr))
 
 
-def _vector_node(expr: BoundExpr, width: int, state: _VectorCompileState):
+def _vector_node(expr: BoundExpr, state: _VectorCompileState):
     """Compile one expression node to a closure ``batch -> Vector|_Const``."""
     if isinstance(expr, BoundLiteral):
         constant = _Const(expr.value)
         return lambda batch: constant
     if isinstance(expr, BoundColumn):
-        index = expr.index
-        return lambda batch: batch.vector(index)
+        return partial(ColumnBatch.vector, ordinal=expr.index)
+    operands, pure = expr.children(), True
     if isinstance(expr, BoundArithmetic):
-        left = _vector_node(expr.left, width, state)
-        right = _vector_node(expr.right, width, state)
-        op, fn = expr.op, expr._fn
-        return lambda batch: _arith_kernel(
-            op, fn, left(batch), right(batch), batch.num_rows
+        kernel = partial(_arith_kernel, expr.op, expr._fn)
+    elif isinstance(expr, BoundComparison):
+        kernel = partial(_compare_kernel, expr.op, expr._fn)
+    elif isinstance(expr, BoundAnd):
+        kernel = _and_kernel
+    elif isinstance(expr, BoundOr):
+        kernel = _or_kernel
+    elif isinstance(expr, BoundNot):
+        kernel = _not_kernel
+    elif isinstance(expr, BoundNegate):
+        kernel = _negate_kernel
+    elif isinstance(expr, BoundBetween):
+        kernel = partial(_between_kernel, expr.negated)
+    elif isinstance(expr, BoundIn) and expr._constant_set is not None:
+        kernel = partial(_in_kernel, expr._constant_set, expr.negated)
+        operands = (expr.operand,)
+    elif isinstance(expr, BoundIsNull):
+        kernel = partial(_is_null_kernel, expr.negated)
+    elif isinstance(expr, BoundLike) and expr._compiled is not None:
+        match, negated = expr._compiled.match, expr.negated
+        kernel = partial(
+            _map_kernel, lambda value: (match(value) is not None) != negated
         )
-    if isinstance(expr, BoundComparison):
-        left = _vector_node(expr.left, width, state)
-        right = _vector_node(expr.right, width, state)
-        op, fn = expr.op, expr._fn
-        return lambda batch: _compare_kernel(
-            op, fn, left(batch), right(batch), batch.num_rows
-        )
-    if isinstance(expr, BoundAnd):
-        left = _vector_node(expr.left, width, state)
-        right = _vector_node(expr.right, width, state)
-
-        def kernel_and(batch: ColumnBatch):
-            n = batch.num_rows
-            lt, lf = _bool_masks(left(batch), n)
-            rt, rf = _bool_masks(right(batch), n)
-            true = lt & rt
-            false = lf | rf
-            return Vector(true, true | false)
-
-        return kernel_and
-    if isinstance(expr, BoundOr):
-        left = _vector_node(expr.left, width, state)
-        right = _vector_node(expr.right, width, state)
-
-        def kernel_or(batch: ColumnBatch):
-            n = batch.num_rows
-            lt, lf = _bool_masks(left(batch), n)
-            rt, rf = _bool_masks(right(batch), n)
-            true = lt | rt
-            false = lf & rf
-            return Vector(true, true | false)
-
-        return kernel_or
-    if isinstance(expr, BoundNot):
-        operand = _vector_node(expr.operand, width, state)
-
-        def kernel_not(batch: ColumnBatch):
-            true, false = _bool_masks(operand(batch), batch.num_rows)
-            return Vector(false, true | false)
-
-        return kernel_not
-    if isinstance(expr, BoundNegate):
-        operand = _vector_node(expr.operand, width, state)
-
-        def kernel_negate(batch: ColumnBatch):
-            value = operand(batch)
-            if isinstance(value, _Const):
-                if value.value is None:
-                    return _Const(None)
-                return _Const(-value.value)
-            numeric = _numeric_operand(value)
-            if numeric is not None:
-                data, valid = numeric
-                return Vector(-data, valid)
-            return Vector([
-                None if v is None else -v
-                for v in _values_list(value, batch.num_rows)
-            ])
-
-        return kernel_negate
-    if isinstance(expr, BoundBetween):
-        value = _vector_node(expr.operand, width, state)
-        low = _vector_node(expr.low, width, state)
-        high = _vector_node(expr.high, width, state)
-        negated = expr.negated
-        return lambda batch: _between_kernel(
-            value(batch), low(batch), high(batch), negated, batch.num_rows
-        )
-    if isinstance(expr, BoundIn) and expr._constant_set is not None:
-        operand = _vector_node(expr.operand, width, state)
-        constant_set, negated = expr._constant_set, expr.negated
-        return lambda batch: _in_kernel(
-            operand(batch), constant_set, negated, batch.num_rows
-        )
-    if isinstance(expr, BoundIsNull):
-        operand = _vector_node(expr.operand, width, state)
-        negated = expr.negated
-        return lambda batch: _is_null_kernel(
-            operand(batch), negated, batch.num_rows
-        )
-    if isinstance(expr, BoundLike) and expr._compiled is not None:
-        operand = _vector_node(expr.operand, width, state)
-        regex, negated = expr._compiled, expr.negated
-
-        def kernel_like(batch: ColumnBatch):
-            value = operand(batch)
-            if isinstance(value, _Const):
-                if value.value is None:
-                    return _Const(None)
-                result = regex.match(value.value) is not None
-                return _Const(not result if negated else result)
-            out = []
-            for v in _values_list(value, batch.num_rows):
-                if v is None:
-                    out.append(None)
-                else:
-                    result = regex.match(v) is not None
-                    out.append(not result if negated else result)
-            return Vector(out)
-
-        return kernel_like
-    # CASE, CAST, scalar calls, correlated IN, dynamic LIKE: interpret the
-    # whole subtree against batch columns.
-    return _interpret_subtree(expr, width, state)
+        operands = (expr.operand,)
+    elif isinstance(expr, BoundCast):
+        kernel = partial(_map_kernel, expr._cast_fn)
+    elif isinstance(expr, BoundScalarCall):
+        kernel = partial(_call_kernel, expr._fn, expr._null_propagating)
+        pure = not _is_udf_call(expr)
+        if not pure:
+            state.interpreted += 1
+    else:
+        # CASE, correlated IN, dynamic LIKE.
+        return _interpret_subtree(expr, state)
+    children = [_vector_node(operand, state) for operand in operands]
+    return _kernel_node(kernel, children, state, pure)
 
 
 def _broadcast(result, n: int) -> Vector:
@@ -726,40 +782,40 @@ def _broadcast(result, n: int) -> Vector:
 
 
 def compile_vector_expression(
-    expr: BoundExpr, width: int
+    expr: BoundExpr, metrics=None
 ) -> tuple[Callable[[ColumnBatch], Vector], int]:
     """Compile ``expr`` to a batch kernel.
 
     Returns ``(kernel, interpreted)``: the kernel maps a ColumnBatch to a
     Vector of ``batch.num_rows`` results; ``interpreted`` counts subtrees
-    that run through the elementwise fallback rather than numpy.
-    Compilation is total — every expression gets a kernel.
+    that call Python once per row (``expr.eval`` fallbacks and UDF calls)
+    rather than running a kernel.  Compilation is total — every
+    expression gets a kernel.  ``metrics`` (a ``MetricsRegistry``) counts
+    the dictionary-domain evaluations.
     """
-    state = _VectorCompileState()
-    node = _vector_node(expr, width, state)
+    state = _VectorCompileState(metrics)
+    node = _vector_node(expr, state)
     return (lambda batch: _broadcast(node(batch), batch.num_rows),
             state.interpreted)
 
 
 def compile_vector_predicate(
-    expr: BoundExpr, width: int
+    expr: BoundExpr, metrics=None
 ) -> tuple[Callable[[ColumnBatch], np.ndarray], int]:
     """Compile a predicate to a kernel producing a keep-mask (TRUE only;
     NULL and FALSE both drop the row, as in the row path)."""
-    state = _VectorCompileState()
-    node = _vector_node(expr, width, state)
+    state = _VectorCompileState(metrics)
+    node = _vector_node(expr, state)
 
     def predicate(batch: ColumnBatch) -> np.ndarray:
-        n = batch.num_rows
-        result = node(batch)
-        true, _ = _bool_masks(result, n)
+        true, _ = _bool_masks(node(batch), batch.num_rows)
         return true
 
     return predicate, state.interpreted
 
 
 def compile_vector_projection(
-    expressions: list[BoundExpr], width: int
+    expressions: list[BoundExpr], metrics=None
 ) -> tuple[list, int]:
     """Compile a SELECT list to per-output plans.
 
@@ -767,13 +823,13 @@ def compile_vector_projection(
     the pipeline moves the (possibly still encoded) entry without
     decoding — or ``("expr", kernel)`` for a computed output.
     """
-    state = _VectorCompileState()
+    state = _VectorCompileState(metrics)
     plans: list = []
     for expr in expressions:
         if isinstance(expr, BoundColumn):
             plans.append(("col", expr.index))
         else:
-            node = _vector_node(expr, width, state)
+            node = _vector_node(expr, state)
             plans.append(
                 ("expr",
                  (lambda kernel: lambda batch: _broadcast(

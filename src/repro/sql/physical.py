@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 import numpy as np
 
 from repro.cluster.worker import approximate_size_bytes
+from repro.columnar.batch import CodedVector, ColumnBatch
 from repro.columnar.table import ColumnarPartition
 from repro.costmodel.models import SOURCE_MEMORY
 from repro.datatypes import (
@@ -148,29 +149,58 @@ def _vector_validity(vector, n: int):
     return np.fromiter((v is not None for v in data), dtype=bool, count=n)
 
 
+def _factorize(vector) -> tuple[np.ndarray, int]:
+    """(id per row, number of ids) with equal ids exactly where a Python
+    dict would find equal keys (``1 == 1.0 == True``; NULL is a key;
+    each NaN object is its own key)."""
+    if isinstance(vector, CodedVector):
+        # Entries of a computed dictionary (SUBSTR results) may repeat.
+        ids, distinct = _factorize(vector.dictionary)
+        return ids[vector.codes], distinct
+    data = vector.data
+    if (
+        isinstance(data, np.ndarray)
+        and data.dtype != object
+        and vector.valid is None
+        and not (
+            np.issubdtype(data.dtype, np.floating) and np.isnan(data).any()
+        )
+    ):
+        return _renumber(data)
+    values = vector.to_python_list()
+    id_of = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    ids = np.fromiter(
+        map(id_of.__getitem__, values), dtype=np.int64, count=len(values)
+    )
+    return ids, len(id_of)
+
+
+def _renumber(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """The same partition of the rows under dense codes ``0..k-1``."""
+    uniq, dense = np.unique(codes, return_inverse=True)
+    return dense, len(uniq)
+
+
 class BatchAggregator:
     """Vectorized task-local hash aggregation over ColumnBatches.
 
     Produces exactly the ``(group_key, accumulators)`` pairs of
     :func:`_partial_aggregate_partition` — downstream merge/finish stages
     are shared with the row path, so the two pipelines differ only in how
-    partials are built.  Group identity is resolved batch-at-a-time:
-    dictionary-encoded group columns aggregate directly on their integer
-    codes (never decoding the column), primitive columns go through
-    ``np.unique``, and everything else falls back to a per-row dict probe.
-    Accumulator updates use per-group numpy reductions whose accumulation
-    order matches the row path's left-to-right updates.
+    partials are built.  Group identity is resolved batch-at-a-time by
+    factorizing each key column to small integers (:func:`_factorize`: a
+    coded column never decodes), combining them into one composite code
+    per row, and numbering the codes by first occurrence.  Accumulator updates use per-group numpy reductions
+    whose accumulation order matches the row path's left-to-right updates.
     """
 
     def __init__(
         self,
         group_kernels: list,
-        group_ordinals: list,
         specs: list[AggregateSpec],
         arg_kernels: list,
     ):
         self.group_kernels = group_kernels
-        self.group_ordinals = group_ordinals
         self.specs = specs
         self.arg_kernels = arg_kernels
         #: Spillable group state, registered with the accountant's
@@ -183,47 +213,36 @@ class BatchAggregator:
 
     # -- group identity -------------------------------------------------
     def _group_ids(self, batch) -> tuple[np.ndarray, list]:
-        """(group id per row, local key list) for one batch."""
+        """(group id per row, local key list) for one batch; groups are
+        numbered, and keyed by the values of, their first row."""
         n = batch.num_rows
         if not self.group_kernels:
             return np.zeros(n, dtype=np.int64), [()]
-        if len(self.group_kernels) == 1 and self.group_ordinals[0] is not None:
-            view = batch.codes(self.group_ordinals[0])
-            if view is not None:
-                codes, dictionary = view
-                uniq, gids = np.unique(codes, return_inverse=True)
-                to_python = ColumnarPartition._to_python
-                keys = [(to_python(dictionary[code]),) for code in uniq]
-                return gids, keys
         vectors = [kernel(batch) for kernel in self.group_kernels]
-        if len(vectors) == 1:
-            vector = vectors[0]
-            data = vector.data
-            if (
-                isinstance(data, np.ndarray)
-                and data.dtype != object
-                and vector.valid is None
-                and not (
-                    np.issubdtype(data.dtype, np.floating)
-                    and np.isnan(data).any()
-                )
-            ):
-                uniq, gids = np.unique(data, return_inverse=True)
-                keys = [(value,) for value in uniq.tolist()]
-                return gids, keys
-        columns = [vector.to_python_list() for vector in vectors]
-        mapping: dict[tuple, int] = {}
-        keys: list[tuple] = []
-        gids = np.empty(n, dtype=np.int64)
-        for r in range(n):
-            key = tuple(column[r] for column in columns)
-            gid = mapping.get(key)
-            if gid is None:
-                gid = len(keys)
-                mapping[key] = gid
-                keys.append(key)
-            gids[r] = gid
-        return gids, keys
+        # One composite code per row, kept small enough to index a table
+        # of first rows: renumbered densely (at most n codes) whenever
+        # the product of the cardinalities outgrows it.
+        limit = max(4 * n, 256)
+        codes, size = _factorize(vectors[0])
+        for vector in vectors[1:]:
+            ids, distinct = _factorize(vector)
+            if size * distinct > limit:
+                codes, size = _renumber(codes)
+            codes = codes * distinct + ids
+            size *= distinct
+        if size > limit:
+            codes, size = _renumber(codes)
+        first = np.full(size, n)
+        np.minimum.at(first, codes, np.arange(n))
+        present = np.flatnonzero(first < n)
+        order = np.argsort(first[present])
+        gid_of = np.empty(size, dtype=np.int64)
+        gid_of[present[order]] = np.arange(len(order))
+        first_rows = first[present[order]]
+        keys = list(
+            zip(*[v.gather(first_rows).to_python_list() for v in vectors])
+        )
+        return gid_of[codes], keys
 
     # -- accumulator updates --------------------------------------------
     @staticmethod
@@ -254,11 +273,9 @@ class BatchAggregator:
                 counts = np.bincount(gids, minlength=k)
             else:
                 counts = np.bincount(gids[valid], minlength=k)
-        for g in range(k):
-            count = counts[g]
+        for accs, count in zip(group_accs, counts.tolist()):
             if count:
-                accs = group_accs[g]
-                accs[j] = accs[j] + int(count)
+                accs[j] = accs[j] + count
 
     def _update_sum(self, j, fn, kernel, batch, gids, group_accs):
         k = len(group_accs)
@@ -280,16 +297,14 @@ class BatchAggregator:
                 return
             sums = np.zeros(k, dtype=np.int64)
             np.add.at(sums, sub_gids, sub_data.astype(np.int64, copy=False))
-            convert = int
         else:
             # np.bincount adds weights in input order: the same
             # left-to-right accumulation sequence as the row path.
             sums = np.bincount(sub_gids, weights=sub_data, minlength=k)
-            convert = float
-        for g in range(k):
-            if counts[g]:
-                accs = group_accs[g]
-                value = convert(sums[g])
+        for accs, count, value in zip(
+            group_accs, counts.tolist(), sums.tolist()
+        ):
+            if count:
                 accs[j] = value if accs[j] is None else accs[j] + value
 
     def _update_avg(self, j, fn, kernel, batch, gids, group_accs):
@@ -309,11 +324,12 @@ class BatchAggregator:
             return
         sums = np.bincount(sub_gids, weights=sub_data, minlength=k)
         counts = np.bincount(sub_gids, minlength=k)
-        for g in range(k):
-            if counts[g]:
-                accs = group_accs[g]
+        for accs, added, value in zip(
+            group_accs, counts.tolist(), sums.tolist()
+        ):
+            if added:
                 total, count = accs[j]
-                accs[j] = (total + float(sums[g]), count + int(counts[g]))
+                accs[j] = (total + value, count + added)
 
     def _update_min_max(self, j, fn, kernel, batch, gids, group_accs):
         k = len(group_accs)
@@ -333,19 +349,18 @@ class BatchAggregator:
         if is_float:
             fill = np.inf if minimum else -np.inf
             extremes = np.full(k, fill, dtype=np.float64)
-            convert = float
         else:
             info = np.iinfo(np.int64)
             fill = info.max if minimum else info.min
             extremes = np.full(k, fill, dtype=np.int64)
-            convert = int
         reducer = np.minimum if minimum else np.maximum
         reducer.at(extremes, sub_gids, sub_data)
         counts = np.bincount(sub_gids, minlength=k)
-        for g in range(k):
-            if counts[g]:
-                accs = group_accs[g]
-                accs[j] = fn.merge(accs[j], convert(extremes[g]))
+        for accs, count, value in zip(
+            group_accs, counts.tolist(), extremes.tolist()
+        ):
+            if count:
+                accs[j] = fn.merge(accs[j], value)
 
     def _update_generic(self, j, fn, vector, batch, gids, group_accs):
         """Row-order fn.update loop: exact semantics for any aggregate."""
@@ -432,6 +447,15 @@ class BatchAggregator:
         return self.state.finish_groups()
 
 
+#: Counters of the kernels' dictionary-domain evaluations: how many ran,
+#: the distinct values they evaluated, the rows those stood for.
+_DICTIONARY = (
+    "batch.kernel.dictionary",
+    "batch.dictionary.values",
+    "batch.dictionary.rows",
+)
+
+
 class BatchPipelineRDD(RDD):
     """A fused columnar pipeline over cached blocks.
 
@@ -478,8 +502,6 @@ class BatchPipelineRDD(RDD):
         self._fragment_scope = fragment_scope
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
-        from repro.columnar.batch import ColumnBatch
-
         counters = self.ctx.tracer.metrics
         aggregator = (
             self._aggregate_factory() if self._aggregate_factory else None
@@ -490,6 +512,7 @@ class BatchPipelineRDD(RDD):
         num_batches = 0
         chain_keys = self._op_keys.get("chain") or (None,) * len(self._chain)
         chain_rows_out = [0] * len(self._chain)
+        dictionary_before = [counters.value(name) for name in _DICTIONARY]
         cache = (
             getattr(self.ctx, "sql_cache", None)
             if self._fragment_scope is not None
@@ -541,6 +564,12 @@ class BatchPipelineRDD(RDD):
                 rows.extend(batch.materialize_rows())
         counters.inc("batch.batches", num_batches)
         counters.inc("batch.rows", total_records)
+        # The kernels count their dictionary-domain evaluations; one task
+        # runs at a time, so the difference is this task's.
+        kernels, values, covered = (
+            int(counters.value(name) - before)
+            for name, before in zip(_DICTIONARY, dictionary_before)
+        )
         self.ctx.tracer.instant(
             "batch.pipeline",
             "task",
@@ -550,6 +579,9 @@ class BatchPipelineRDD(RDD):
             batches=num_batches,
             rows=total_records,
             output_rows=len(rows) if aggregator is None else None,
+            dictionary_kernels=kernels,
+            dictionary_values=values,
+            dictionary_rows=covered,
         )
         task_ctx.metrics.source = SOURCE_MEMORY
         task_ctx.metrics.records_in += total_records

@@ -506,7 +506,7 @@ class PhysicalPlanner:
         entry = scan.table
         scan_condition = ops[0][1] if ops and ops[0][0] == "filter" else None
         kept = self._scan_prep(scan, scan_condition, no_prune)
-        width = len(scan.schema)
+        metrics = self.ctx.tracer.metrics
         base_est, base_source = self._scan_estimate(entry, kept)
         scan_op = self.report.mode(
             f"scan({entry.name})", "vectorized", base_est, base_source
@@ -518,7 +518,7 @@ class PhysicalPlanner:
         for kind, payload in ops:
             if kind == "filter":
                 kernel, interpreted = compile_vector_predicate(
-                    payload, width
+                    payload, metrics
                 )
                 chain.append(("filter", kernel))
                 if running is not None:
@@ -535,10 +535,9 @@ class PhysicalPlanner:
                 )
             else:
                 plans, interpreted = compile_vector_projection(
-                    payload, width
+                    payload, metrics
                 )
                 chain.append(("project", plans))
-                width = len(payload)
                 chain_ops.append(
                     self.report.mode(
                         "project", self._mode_detail(interpreted),
@@ -551,29 +550,25 @@ class PhysicalPlanner:
         if aggregate is not None:
             group_exprs, specs = aggregate
             group_kernels = []
-            group_ordinals = []
             interpreted = 0
             for expr in group_exprs:
-                kernel, count = compile_vector_expression(expr, width)
+                kernel, count = compile_vector_expression(expr, metrics)
                 interpreted += count
                 group_kernels.append(kernel)
-                group_ordinals.append(
-                    expr.index if isinstance(expr, BoundColumn) else None
-                )
             arg_kernels = []
             for spec in specs:
                 if spec.argument is None:
                     arg_kernels.append(None)
                 else:
                     kernel, count = compile_vector_expression(
-                        spec.argument, width
+                        spec.argument, metrics
                     )
                     interpreted += count
                     arg_kernels.append(kernel)
 
             def aggregate_factory() -> physical.BatchAggregator:
                 return physical.BatchAggregator(
-                    group_kernels, group_ordinals, specs, arg_kernels
+                    group_kernels, specs, arg_kernels
                 )
 
             name = "batch_partial_aggregate"

@@ -5,9 +5,10 @@ replaced (one ``observe`` per value, hand-rolled run/dictionary/RLE
 loops).  It lives here, not in ``src/``, as the oracle: for any column
 the new path must give the same statistics field for field, the same
 scheme, the same ``compressed_bytes``, the same decoded values and the
-same dictionary code order.  That includes the old path's one lossy
-corner: a BOOLEAN column always takes the bitset, which has no room for
-NULL and decodes it as False (an open item in ROADMAP.md).
+same dictionary code order.  One corner of the old path is corrected in
+the reference too: a BOOLEAN column with a NULL used to take the bitset,
+which has no room for a third value and decoded it as False; it now
+takes the DATE route (dictionary if few distinct, else a plain list).
 """
 
 import math
@@ -78,9 +79,9 @@ def ref_stats(values):
 def ref_choose(values, data_type, threshold=DEFAULT_DICTIONARY_THRESHOLD):
     if not values:
         return "plain"
-    if data_type == BOOLEAN:
+    if data_type == BOOLEAN and None not in values:
         return "bitset"
-    if data_type in (DATE, TIMESTAMP):
+    if data_type in (DATE, TIMESTAMP, BOOLEAN):
         distinct = len(set(values))
         if distinct <= threshold and distinct / len(values) <= DICTIONARY_RATIO:
             return "dictionary"

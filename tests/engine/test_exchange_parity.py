@@ -32,6 +32,7 @@ from datetime import date
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,7 @@ from repro.engine.partitioner import (  # noqa: E402
     HashPartitioner,
     RangePartitioner,
     stable_hash,
+    stable_hash_many,
 )
 from repro.faults.injector import FaultInjector  # noqa: E402
 from repro.sql.expressions import BoundColumn  # noqa: E402
@@ -87,6 +89,12 @@ def _homogeneous(element):
     return st.lists(element, max_size=30)
 
 
+class _SubclassedDate(date):
+    @classmethod
+    def of(cls, value: date) -> "_SubclassedDate":
+        return cls(value.year, value.month, value.day)
+
+
 #: Batches the column-wise fast paths see (one type per batch, tuples of
 #: one width) beside mixed batches that must take the per-key fallback.
 _BATCHES = st.one_of(
@@ -100,6 +108,17 @@ _BATCHES = st.one_of(
     _homogeneous(
         st.tuples(st.integers(), st.tuples(st.text(max_size=3), _SCALARS))
     ),
+    # Columns hashed through one crc32-of-repr map: exact floats, dates,
+    # datetimes (alone and as Q3's (key, date) tuples) ...
+    _homogeneous(st.floats(allow_nan=True, allow_infinity=True)),
+    _homogeneous(st.dates()),
+    _homogeneous(st.datetimes()),
+    _homogeneous(st.tuples(st.integers(-9, 9), st.dates())),
+    # ... and what must still go key by key: subclasses of those types
+    # and columns mixing them.
+    _homogeneous(st.floats(allow_nan=True).map(np.float64)),
+    _homogeneous(st.dates().map(_SubclassedDate.of)),
+    _homogeneous(st.one_of(st.dates(), st.datetimes(), st.floats())),
 )
 
 
@@ -110,6 +129,14 @@ def test_hash_partition_many_matches_partition(keys, num_partitions):
     got = partitioner.partition_many(keys)
     assert got == [partitioner.partition(key) for key in keys]
     assert all(type(index) is int for index in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=_BATCHES)
+def test_stable_hash_many_matches_stable_hash(keys):
+    # The hash itself, not only its bucket: shuffle bytes and every
+    # simulated-clock number rest on it.
+    assert stable_hash_many(keys).tolist() == list(map(stable_hash, keys))
 
 
 _ORDERED_BATCHES = st.one_of(

@@ -4,7 +4,8 @@ A cached scan's predicate runs in the vector kernels (``vectorize`` on:
 the batch chain's first filter) or in ``filter_rows`` over the row scan
 (``vectorize`` off) — there is no third, scan-private evaluator.  The
 contract checked here: both modes return exactly the rows a plain Python
-evaluation of the predicate keeps (a NULL operand is never TRUE), and an
+evaluation of the predicate keeps (a NULL operand is never TRUE, in a
+BOOLEAN column like in any other), and an
 ordering Python cannot evaluate is rejected at bind time with the same
 ``TypeMismatchError`` whatever the table kind and the mode.  The NULL
 rules of the kernels' keep-masks are also pinned directly, one block at
@@ -12,6 +13,7 @@ a time.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -103,17 +105,6 @@ def _check(context, query, want):
     want = sorted(want, key=repr)
     assert _run(context, query, vectorize=True) == want, query
     assert _run(context, query, vectorize=False) == want, query
-
-
-def _stored_u():
-    """``u`` as the memstore holds it.  Pinned, not blessed: a NULL in a
-    BOOLEAN column is stored in the bitset as FALSE (ROADMAP open item,
-    it moves stored bytes) — the predicate evaluators are not the ones
-    losing it, so the expectation starts from what they are given."""
-    return [
-        (k, s, d, False if f is None else f, tags)
-        for k, s, d, f, tags in _u_rows()
-    ]
 
 
 def _case(name, query, keep, select=lambda row: (row[0],)):
@@ -244,20 +235,40 @@ U_CASES = [
         lambda r: r[2] is not None and r[2] >= _LOW
         and r[1] is not None and r[1] < "w05",
     ),
-    _case("boolean_eq", "SELECT k FROM u WHERE f = TRUE", lambda r: r[3]),
-    _case("boolean_ne", "SELECT k FROM u WHERE f <> TRUE", lambda r: not r[3]),
     _case(
-        "boolean_lt", "SELECT k FROM u WHERE f < TRUE", lambda r: r[3] < True
+        "boolean_eq", "SELECT k FROM u WHERE f = TRUE", lambda r: r[3] is True
+    ),
+    _case(
+        "boolean_ne",
+        "SELECT k FROM u WHERE f <> TRUE",
+        lambda r: r[3] is False,
+    ),
+    _case(
+        "boolean_lt",
+        "SELECT k FROM u WHERE f < TRUE",
+        lambda r: r[3] is not None and r[3] < True,
     ),
     _case(
         "boolean_between",
         "SELECT k FROM u WHERE f BETWEEN FALSE AND FALSE",
-        lambda r: False <= r[3] <= False,
+        lambda r: r[3] is not None and False <= r[3] <= False,
     ),
     _case(
         "boolean_in",
         "SELECT k FROM u WHERE f IN (TRUE)",
         lambda r: r[3] is True,
+    ),
+    _case(
+        "boolean_is_null",
+        "SELECT k, f FROM u WHERE f IS NULL",
+        lambda r: r[3] is None,
+        lambda r: (r[0], r[3]),
+    ),
+    _case(
+        "boolean_is_not_null",
+        "SELECT k, f FROM u WHERE f IS NOT NULL",
+        lambda r: r[3] is not None,
+        lambda r: (r[0], r[3]),
     ),
     _case(
         "array_beside_compared_column",
@@ -280,7 +291,20 @@ class TestModesMatchPython:
 
     @pytest.mark.parametrize("query, keep, select", U_CASES)
     def test_list_backed_columns(self, shark, query, keep, select):
-        _check(shark, query, [select(r) for r in _stored_u() if keep(r)])
+        want = [select(r) for r in _u_rows() if keep(r)]
+        _check(shark, query, want)
+        _check(shark, query.replace(" u ", " u_ext "), want)
+
+    def test_group_by_nullable_boolean(self, shark):
+        # Three groups: a NULL in a BOOLEAN column is its own group, not
+        # FALSE (the bitset used to have no room for it).
+        counts = Counter(r[3] for r in _u_rows())
+        want = [(value, count) for value, count in counts.items()]
+        assert len(want) == 3
+        for table in ("u", "u_ext"):
+            _check(
+                shark, f"SELECT f, COUNT(*) FROM {table} GROUP BY f", want
+            )
 
     def test_predicate_runs_in_the_kernels(self, shark):
         shark.session.config = replace(shark.session.config, vectorize=True)
@@ -310,7 +334,7 @@ class TestKernelMasks:
             BoundColumn(i, field.data_type, field.name)
             for i, field in enumerate(self.schema.fields)
         )
-        kernel, interpreted = compile_vector_predicate(build(n, s), 2)
+        kernel, interpreted = compile_vector_predicate(build(n, s))
         assert interpreted == 0
         return kernel(ColumnBatch.from_block(block, [0, 1])).tolist()
 
