@@ -793,21 +793,14 @@ class ShuffledRDD(RDD):
         aggregator: Optional[Aggregator] = None,
         map_side_combine: bool = False,
         stats_collectors: tuple = (),
-        existing_dep: Optional[ShuffleDependency] = None,
     ):
-        if existing_dep is not None:
-            # PDE reuse: the map side of this shuffle was already
-            # materialized by EngineContext.materialize_shuffle; building
-            # the reduce side on the same dependency skips the map stage.
-            dep = existing_dep
-        else:
-            dep = ShuffleDependency(
-                parent,
-                partitioner,
-                aggregator=aggregator,
-                map_side_combine=map_side_combine,
-                stats_collectors=stats_collectors,
-            )
+        dep = ShuffleDependency(
+            parent,
+            partitioner,
+            aggregator=aggregator,
+            map_side_combine=map_side_combine,
+            stats_collectors=stats_collectors,
+        )
         super().__init__(
             parent.ctx,
             partitioner.num_partitions,

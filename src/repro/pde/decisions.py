@@ -10,6 +10,8 @@ from typing import Optional
 DEFAULT_BROADCAST_THRESHOLD = 4 * 1024 * 1024
 #: Target bytes per reduce task when choosing the degree of parallelism.
 DEFAULT_TARGET_PARTITION_BYTES = 512 * 1024
+#: Fine-grained shuffle buckets = this factor x default parallelism.
+FINE_GRAINED_FACTOR = 4
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,46 @@
-"""Expression compilation: bound expression trees -> Python bytecode.
+"""Expression compilation: bound expression trees -> batch kernels.
 
 Section 5 of the paper: "for certain queries, when data is served out of
 the memory store the majority of the CPU cycles are wasted in interpreting
 these evaluators.  We are working on a compiler to transform these
-expression evaluators into JVM bytecode."  This module implements that
-compiler for the Python engine: a :class:`~repro.sql.expressions.BoundExpr`
-tree is translated to a Python source expression, compiled once with
-``compile()``, and evaluated per row with zero tree-walking.
+expression evaluators into JVM bytecode."  This module is that compiler
+for the Python engine: a :class:`~repro.sql.expressions.BoundExpr` tree
+becomes one closure per *operator* that maps a ColumnBatch to a Vector, so
+the tree is walked once per batch instead of once per row.
 
-Semantics are identical to interpreted evaluation (SQL three-valued logic
-included); the test suite cross-checks compiled against interpreted output
-on every expression shape, and the planner falls back to interpretation
-for any expression the compiler does not cover.
+Numeric columns stay numpy arrays end to end (NULLs as validity masks,
+three-valued logic as true/false mask pairs).  A ``_*_kernel`` below is
+only the *array form* of its node: it answers None where the operands
+have none (Python lists of mixed values, a NULL literal, an ARRAY column)
+and states no scalar semantics of its own.  The scalar rule of every node
+is ``BoundExpr.apply`` in ``repro.sql.expressions`` and nowhere else;
+one function, :func:`_kernel_node`, folds a node over constants through
+it, maps it over the operand values where there is no array form, and
+runs either form on the dictionary of a coded operand instead of on the
+rows.  Subtrees whose value is not a function of their children's values
+(CASE, correlated IN, dynamic LIKE) are kernels too — ``expr.eval``
+mapped over the referenced columns — so compilation is total; the caller
+only learns *how many* subtrees call Python per row.
+
+Parity contract: every kernel reproduces the corresponding BoundExpr.eval
+semantics exactly (NULL propagation, division by zero -> NULL, Kleene
+AND/OR, BETWEEN's non-decomposable NULL handling); ``vectorize`` off runs
+``eval`` itself and is the differential reference.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat, starmap
 from typing import Any, Callable, Optional
 
+import numpy as np
+
+from repro.columnar.batch import CodedVector, ColumnBatch, Vector
 from repro.sql.expressions import (
     BoundAnd,
     BoundArithmetic,
     BoundBetween,
-    BoundCase,
     BoundCast,
     BoundColumn,
     BoundComparison,
@@ -35,285 +53,21 @@ from repro.sql.expressions import (
     BoundNot,
     BoundOr,
     BoundScalarCall,
-    like_to_regex,
 )
-
-
-class _Emitter:
-    """Builds the source expression plus the closure environment."""
-
-    def __init__(self) -> None:
-        self.env: dict[str, Any] = {}
-        self._counter = 0
-
-    def bind_constant(self, value: Any) -> str:
-        """Install a constant in the environment, returning its name."""
-        name = f"_c{self._counter}"
-        self._counter += 1
-        self.env[name] = value
-        return name
-
-    def temp(self) -> str:
-        """A fresh temporary name for walrus-bound sub-results."""
-        name = f"_t{self._counter}"
-        self._counter += 1
-        return name
-
-
-
-
-def _compile_node(expr: BoundExpr, emitter: _Emitter) -> str:
-    if isinstance(expr, BoundLiteral):
-        if expr.value is None or isinstance(expr.value, (int, float, str, bool)):
-            return repr(expr.value)
-        return emitter.bind_constant(expr.value)
-
-    if isinstance(expr, BoundColumn):
-        return f"_row[{expr.index}]"
-
-    if isinstance(expr, BoundArithmetic):
-        left = _compile_node(expr.left, emitter)
-        right = _compile_node(expr.right, emitter)
-        a, b = emitter.temp(), emitter.temp()
-        if expr.op in ("/", "%"):
-            op = "/" if expr.op == "/" else "%"
-            return (
-                f"(None if ({a} := {left}) is None "
-                f"or ({b} := {right}) is None or {b} == 0 "
-                f"else {a} {op} {b})"
-            )
-        return (
-            f"(None if ({a} := {left}) is None "
-            f"or ({b} := {right}) is None else {a} {expr.op} {b})"
-        )
-
-    if isinstance(expr, BoundComparison):
-        left = _compile_node(expr.left, emitter)
-        right = _compile_node(expr.right, emitter)
-        a, b = emitter.temp(), emitter.temp()
-        op = {"=": "==", "<>": "!="}.get(expr.op, expr.op)
-        return (
-            f"(None if ({a} := {left}) is None "
-            f"or ({b} := {right}) is None else {a} {op} {b})"
-        )
-
-    if isinstance(expr, BoundAnd):
-        left = _compile_node(expr.left, emitter)
-        right = _compile_node(expr.right, emitter)
-        a, b = emitter.temp(), emitter.temp()
-        # SQL Kleene AND with short-circuit: the right side is only
-        # evaluated when the left is not False.
-        return (
-            f"(False if ({a} := {left}) is False else "
-            f"(False if ({b} := {right}) is False else "
-            f"(None if ({a} is None or {b} is None) else True)))"
-        )
-
-    if isinstance(expr, BoundOr):
-        left = _compile_node(expr.left, emitter)
-        right = _compile_node(expr.right, emitter)
-        a, b = emitter.temp(), emitter.temp()
-        return (
-            f"(True if ({a} := {left}) is True else "
-            f"(True if ({b} := {right}) is True else "
-            f"(None if ({a} is None or {b} is None) else False)))"
-        )
-
-    if isinstance(expr, BoundNot):
-        operand = _compile_node(expr.operand, emitter)
-        v = emitter.temp()
-        return f"(None if ({v} := {operand}) is None else (not {v}))"
-
-    if isinstance(expr, BoundNegate):
-        operand = _compile_node(expr.operand, emitter)
-        v = emitter.temp()
-        return f"(None if ({v} := {operand}) is None else -{v})"
-
-    if isinstance(expr, BoundBetween):
-        operand = _compile_node(expr.operand, emitter)
-        low = _compile_node(expr.low, emitter)
-        high = _compile_node(expr.high, emitter)
-        v, lo, hi = emitter.temp(), emitter.temp(), emitter.temp()
-        core = (
-            f"(None if ({v} := {operand}) is None "
-            f"or ({lo} := {low}) is None or ({hi} := {high}) is None "
-            f"else {'not ' if expr.negated else ''}({lo} <= {v} <= {hi}))"
-        )
-        return core
-
-    if isinstance(expr, BoundIn):
-        operand = _compile_node(expr.operand, emitter)
-        v = emitter.temp()
-        maybe_not = "not " if expr.negated else ""
-        if expr._constant_set is not None:
-            constants = emitter.bind_constant(expr._constant_set)
-            return (
-                f"(None if ({v} := {operand}) is None "
-                f"else {maybe_not}({v} in {constants}))"
-            )
-        options = [_compile_node(option, emitter) for option in expr.options]
-        options_src = "(" + ", ".join(options) + ("," if options else "") + ")"
-        return (
-            f"(None if ({v} := {operand}) is None "
-            f"else {maybe_not}({v} in {options_src}))"
-        )
-
-    if isinstance(expr, BoundLike):
-        operand = _compile_node(expr.operand, emitter)
-        v = emitter.temp()
-        maybe_not = "not " if expr.negated else ""
-        if expr._compiled is not None:
-            regex = emitter.bind_constant(expr._compiled.match)
-            return (
-                f"(None if ({v} := {operand}) is None "
-                f"else {maybe_not}({regex}({v}) is not None))"
-            )
-        pattern = _compile_node(expr.pattern, emitter)
-        builder = emitter.bind_constant(like_to_regex)
-        p = emitter.temp()
-        return (
-            f"(None if ({v} := {operand}) is None "
-            f"or ({p} := {pattern}) is None "
-            f"else {maybe_not}({builder}({p}).match({v}) is not None))"
-        )
-
-    if isinstance(expr, BoundIsNull):
-        operand = _compile_node(expr.operand, emitter)
-        if expr.negated:
-            return f"({operand} is not None)"
-        return f"({operand} is None)"
-
-    if isinstance(expr, BoundCase):
-        source = "None" if expr.otherwise is None else _compile_node(
-            expr.otherwise, emitter
-        )
-        # Build the chain from the last branch backwards so the first
-        # matching WHEN wins.
-        for condition, value in reversed(expr.branches):
-            condition_src = _compile_node(condition, emitter)
-            value_src = _compile_node(value, emitter)
-            source = (
-                f"({value_src} if ({condition_src}) is True else {source})"
-            )
-        return source
-
-    if isinstance(expr, BoundCast):
-        operand = _compile_node(expr.operand, emitter)
-        cast_fn = emitter.bind_constant(expr._cast_fn)
-        v = emitter.temp()
-        return (
-            f"(None if ({v} := {operand}) is None else {cast_fn}({v}))"
-        )
-
-    if isinstance(expr, BoundScalarCall):
-        args = [_compile_node(arg, emitter) for arg in expr.args]
-        fn = emitter.bind_constant(expr._fn)
-        args_src = ", ".join(args)
-        if expr._null_propagating:
-            helper = emitter.bind_constant(_call_null_propagating)
-            tuple_src = "(" + args_src + ("," if args else "") + ")"
-            return f"{helper}({fn}, {tuple_src})"
-        return f"{fn}({args_src})"
-
-    raise NotImplementedError(
-        f"no codegen for {type(expr).__name__}"
-    )
-
-
-# --- environment helpers (plain functions: picklable, no tree walking) ----
-
-
-
-def _call_null_propagating(fn, args):
-    if any(arg is None for arg in args):
-        return None
-    return fn(*args)
-
-
-def compile_expression(expr: BoundExpr) -> Optional[Callable[[tuple], Any]]:
-    """Compile one bound expression to a Python function of the row.
-
-    Returns None when the tree contains a node the compiler does not
-    handle (the caller falls back to interpreted ``expr.eval``).
-    """
-    emitter = _Emitter()
-    try:
-        source = _compile_node(expr, emitter)
-    except NotImplementedError:
-        return None
-    fn_source = "def _compiled(_row):\n    return " + source
-    namespace: dict[str, Any] = dict(emitter.env)
-    exec(  # noqa: S102 - generated from a fixed, audited template
-        compile(fn_source, "<codegen:expr>", "exec"), namespace
-    )
-    return namespace["_compiled"]
-
-
-def compile_projection(
-    expressions: list[BoundExpr],
-) -> Optional[Callable[[tuple], tuple]]:
-    """Compile a whole SELECT list into one tuple-building function."""
-    emitter = _Emitter()
-    try:
-        parts = [_compile_node(expr, emitter) for expr in expressions]
-    except NotImplementedError:
-        return None
-    inner = ", ".join(parts) + ("," if len(parts) == 1 else "")
-    fn_source = f"def _compiled(_row):\n    return ({inner})"
-    namespace: dict[str, Any] = dict(emitter.env)
-    exec(  # noqa: S102
-        compile(fn_source, "<codegen:projection>", "exec"), namespace
-    )
-    return namespace["_compiled"]
-
-
-def compile_predicate(expr: BoundExpr) -> Optional[Callable[[tuple], bool]]:
-    """Compile a WHERE predicate to a row -> bool function (TRUE only)."""
-    compiled = compile_expression(expr)
-    if compiled is None:
-        return None
-
-    def predicate(row: tuple) -> bool:
-        return compiled(row) is True
-
-    return predicate
-
-
-# ---------------------------------------------------------------------------
-# Vector kernels (batch-at-a-time compilation)
-# ---------------------------------------------------------------------------
-#
-# The row compiler above turns an expression tree into one Python function
-# per *row*; the vector compiler below turns the same tree into one closure
-# per *operator* that maps a ColumnBatch to a Vector.  Numeric columns stay
-# numpy arrays end to end (NULLs as validity masks, three-valued logic as
-# true/false mask pairs).  Every node is a kernel ``(*operands, n)`` over
-# its children's results, and one rule (:func:`_kernel_node`) runs it on
-# the dictionary of a coded operand instead of on the rows.  Subtrees with
-# no kernel of their own (CASE, correlated IN, dynamic LIKE) are kernels
-# too — ``expr.eval`` mapped over the referenced columns — so compilation
-# is total; the caller only learns *how many* subtrees call Python per row.
-#
-# Parity contract: every kernel reproduces the corresponding BoundExpr.eval
-# semantics exactly (NULL propagation, division by zero -> NULL, Kleene
-# AND/OR, BETWEEN's non-decomposable NULL handling).
-
-from functools import partial  # noqa: E402
-from itertools import repeat  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from repro.columnar.batch import CodedVector, ColumnBatch, Vector  # noqa: E402
-from repro.sql.functions import builtin  # noqa: E402
+from repro.sql.functions import builtin
 
 
 class _Const:
-    """A compile-time scalar operand (literal or folded sub-result)."""
+    """A scalar operand known at compile time (a literal or a folded
+    sub-result); as a compiled node it answers itself for every batch."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Any):
         self.value = value
+
+    def __call__(self, batch: ColumnBatch) -> "_Const":
+        return self
 
 
 class _VectorCompileState:
@@ -328,9 +82,9 @@ class _VectorCompileState:
         self.metrics = metrics
 
 
-def _values_list(operand, n: int) -> list:
+def _values_list(operand, n: int):
     if isinstance(operand, _Const):
-        return [operand.value] * n
+        return repeat(operand.value, n)
     return operand.to_python_list()
 
 
@@ -361,10 +115,6 @@ def _combine_valid(*valids) -> Optional[np.ndarray]:
     return out
 
 
-def _all_null(n: int) -> Vector:
-    return Vector(np.zeros(n, dtype=np.float64), np.zeros(n, dtype=bool))
-
-
 def _bool_masks(operand, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Three-valued truth of a boolean operand as (is_true, is_false)."""
     if isinstance(operand, _Const):
@@ -382,58 +132,31 @@ def _bool_masks(operand, n: int) -> tuple[np.ndarray, np.ndarray]:
     return true, false
 
 
-def _arith_kernel(op: str, fn, left, right, n: int):
-    if isinstance(left, _Const) and isinstance(right, _Const):
-        a, b = left.value, right.value
-        if a is None or b is None:
-            return _Const(None)
-        if op in ("/", "%") and b == 0:
-            return _Const(None)
-        return _Const(a / b if op == "/" else fn(a, b))
-    if (isinstance(left, _Const) and left.value is None) or (
-        isinstance(right, _Const) and right.value is None
-    ):
-        return _all_null(n)
-    if (
-        op in ("/", "%")
-        and isinstance(right, _Const)
-        and right.value == 0
-    ):
-        return _all_null(n)
+def _arith_kernel(op: str, left, right, n: int):
     a = _numeric_operand(left)
     b = _numeric_operand(right)
-    if a is not None and b is not None:
-        (ad, av), (bd, bv) = a, b
-        valid = _combine_valid(av, bv)
-        if op in ("/", "%") and isinstance(bd, np.ndarray):
-            zero = bd == 0
-            if np.any(zero):
-                nonzero = ~zero
-                valid = nonzero if valid is None else (valid & nonzero)
-                bd = np.where(zero, 1, bd)
-        with np.errstate(all="ignore"):
-            if op == "/":
-                vals = np.true_divide(ad, bd)
-            elif op == "%":
-                vals = np.mod(ad, bd)
-            elif op == "+":
-                vals = ad + bd
-            elif op == "-":
-                vals = ad - bd
-            else:
-                vals = ad * bd
-        return Vector(vals, valid)
-    out = []
-    for x, y in zip(_values_list(left, n), _values_list(right, n)):
-        if x is None or y is None:
-            out.append(None)
-        elif op in ("/", "%") and y == 0:
-            out.append(None)
-        elif op == "/":
-            out.append(x / y)
+    if a is None or b is None:
+        return None
+    (ad, av), (bd, bv) = a, b
+    valid = _combine_valid(av, bv)
+    if op in ("/", "%") and np.any(zero := bd == 0):
+        if not isinstance(bd, np.ndarray):
+            return None  # a literal zero divisor: NULL in every row
+        nonzero = ~zero
+        valid = nonzero if valid is None else (valid & nonzero)
+        bd = np.where(zero, 1, bd)
+    with np.errstate(all="ignore"):
+        if op == "/":
+            vals = np.true_divide(ad, bd)
+        elif op == "%":
+            vals = np.mod(ad, bd)
+        elif op == "+":
+            vals = ad + bd
+        elif op == "-":
+            vals = ad - bd
         else:
-            out.append(fn(x, y))
-    return Vector(out)
+            vals = ad * bd
+    return Vector(vals, valid)
 
 
 _NUMPY_CMP = {
@@ -462,49 +185,33 @@ def _object_compare(operand, n: int, compare):
     return Vector(out, valid)
 
 
-def _compare_kernel(op: str, fn, left, right, n: int):
-    if isinstance(left, _Const) and isinstance(right, _Const):
-        a, b = left.value, right.value
-        if a is None or b is None:
-            return _Const(None)
-        return _Const(fn(a, b))
-    if (isinstance(left, _Const) and left.value is None) or (
-        isinstance(right, _Const) and right.value is None
-    ):
-        return Vector(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+def _is_scalar(operand) -> bool:
+    """A constant an object array can be compared with elementwise: not
+    NULL, and not an ARRAY value, which numpy would broadcast."""
+    return isinstance(operand, _Const) and not isinstance(
+        operand.value, (list, type(None))
+    )
+
+
+def _compare_kernel(op: str, left, right, n: int):
+    compare = _NUMPY_CMP[op]
     a = _numeric_operand(left)
     b = _numeric_operand(right)
     if a is not None and b is not None:
         (ad, av), (bd, bv) = a, b
-        return Vector(_NUMPY_CMP[op](ad, bd), _combine_valid(av, bv))
-    compare = _NUMPY_CMP[op]
-    result = None
-    if isinstance(right, _Const):
-        result = _object_compare(
+        return Vector(compare(ad, bd), _combine_valid(av, bv))
+    if _is_scalar(right):
+        return _object_compare(
             left, n, lambda values: compare(values, right.value)
         )
-    elif isinstance(left, _Const):
-        result = _object_compare(
+    if _is_scalar(left):
+        return _object_compare(
             right, n, lambda values: compare(left.value, values)
         )
-    if result is not None:
-        return result
-    out = []
-    for x, y in zip(_values_list(left, n), _values_list(right, n)):
-        out.append(None if x is None or y is None else fn(x, y))
-    return Vector(out)
+    return None
 
 
 def _between_kernel(negated: bool, value, low, high, n: int):
-    consts = [value, low, high]
-    if all(isinstance(c, _Const) for c in consts):
-        v, lo, hi = (c.value for c in consts)
-        if v is None or lo is None or hi is None:
-            return _Const(None)
-        result = lo <= v <= hi
-        return _Const(not result if negated else result)
-    if any(isinstance(c, _Const) and c.value is None for c in consts):
-        return Vector(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
     v = _numeric_operand(value)
     lo = _numeric_operand(low)
     hi = _numeric_operand(high)
@@ -514,59 +221,33 @@ def _between_kernel(negated: bool, value, low, high, n: int):
         if negated:
             vals = ~vals
         return Vector(vals, _combine_valid(vv, lov, hiv))
-    if isinstance(low, _Const) and isinstance(high, _Const):
+    if _is_scalar(low) and _is_scalar(high):
 
         def within(values: np.ndarray) -> np.ndarray:
             vals = (low.value <= values) & (values <= high.value)
             return ~vals if negated else vals
 
-        result = _object_compare(value, n, within)
-        if result is not None:
-            return result
-    out = []
-    for x, lo_v, hi_v in zip(
-        _values_list(value, n), _values_list(low, n), _values_list(high, n)
-    ):
-        if x is None or lo_v is None or hi_v is None:
-            out.append(None)
-        else:
-            result = lo_v <= x <= hi_v
-            out.append(not result if negated else result)
-    return Vector(out)
+        return _object_compare(value, n, within)
+    return None
 
 
 def _in_kernel(constant_set: frozenset, negated: bool, operand, n: int):
-    if isinstance(operand, _Const):
-        if operand.value is None:
-            return _Const(None)
-        result = operand.value in constant_set
-        return _Const(not result if negated else result)
     numeric = _numeric_operand(operand)
-    if numeric is not None:
-        data, valid = numeric
-        options = [
-            option for option in constant_set
-            if isinstance(option, (int, float))
-            and not isinstance(option, bool)
-        ]
-        vals = np.isin(data, options)
-        if negated:
-            vals = ~vals
-        return Vector(vals, valid)
-    out = []
-    for v in _values_list(operand, n):
-        if v is None:
-            out.append(None)
-        else:
-            result = v in constant_set
-            out.append(not result if negated else result)
-    return Vector(out)
+    if numeric is None:
+        return None
+    data, valid = numeric
+    options = [
+        option for option in constant_set
+        if isinstance(option, (int, float))
+        and not isinstance(option, bool)
+    ]
+    vals = np.isin(data, options)
+    if negated:
+        vals = ~vals
+    return Vector(vals, valid)
 
 
 def _is_null_kernel(negated: bool, operand, n: int):
-    if isinstance(operand, _Const):
-        result = operand.value is None
-        return _Const(not result if negated else result)
     data = operand.data
     if isinstance(data, np.ndarray):
         if operand.valid is None:
@@ -602,37 +283,11 @@ def _not_kernel(operand, n: int):
 
 
 def _negate_kernel(operand, n: int):
-    if isinstance(operand, _Const):
-        return _Const(None if operand.value is None else -operand.value)
     numeric = _numeric_operand(operand)
-    if numeric is not None:
-        data, valid = numeric
-        return Vector(-data, valid)
-    return Vector(
-        [None if v is None else -v for v in _values_list(operand, n)]
-    )
-
-
-def _map_kernel(fn, operand, n: int):
-    """``fn`` of every non-NULL value (CAST, a LIKE match)."""
-    if isinstance(operand, _Const):
-        return _Const(None if operand.value is None else fn(operand.value))
-    return Vector(
-        [None if v is None else fn(v) for v in _values_list(operand, n)]
-    )
-
-
-def _call_kernel(fn, null_propagating: bool, *operands):
-    """A scalar function mapped over its argument columns: one call per
-    row of the operands (also when every argument is a constant — a
-    function is called as often as the row path calls it)."""
-    *args, n = operands
-    rows = zip(*[_values_list(arg, n) for arg in args]) if args else repeat(
-        (), n
-    )
-    if null_propagating:
-        return Vector([None if None in row else fn(*row) for row in rows])
-    return Vector([fn(*row) for row in rows])
+    if numeric is None:
+        return None
+    data, valid = numeric
+    return Vector(-data, valid)
 
 
 def _is_udf_call(expr: BoundExpr) -> bool:
@@ -663,37 +318,63 @@ def _shared_codes(operands) -> Optional[CodedVector]:
 
 
 def _kernel_node(
-    kernel, children: list, state: _VectorCompileState, pure: bool
+    kernel, apply, children: list, state: _VectorCompileState,
+    pure: bool = True,
 ):
-    """The node ``batch -> kernel(*operands, n)`` over its children's
-    results, in the dictionary domain when it can be: if the vector
-    operands are coded over one codes array and the dictionary is shorter
-    than the batch, the same kernel evaluates the dictionary entries and
-    the result shares the codes.  ``pure`` is False for a UDF, which
-    nothing declares deterministic: it sees every row.
+    """The node over its children's results: ``kernel(*operands, n)``, the
+    array form, and where that answers None (or the node has none) its
+    scalar rule ``apply`` mapped over the operand values — the only place
+    the rule is called outside ``eval``.  ``apply`` is None for a kernel
+    that is total (AND/OR masks, an interpreted subtree).
 
-    The dictionary may hold entries no row of the batch has (an earlier
-    filter dropped them) on which a built-in can fail where the rows
-    would not; any failure there hands the batch to the evaluation over
-    the rows, which decides.
+    A ``pure`` node folds to a constant, here at compile time, when every
+    operand is one, and runs in the dictionary domain when it can: if the
+    vector operands are coded over one codes array and the dictionary is
+    shorter than the batch, the same evaluation takes the dictionary
+    entries and the result shares the codes.  ``pure`` is False for a UDF,
+    which nothing declares deterministic: it sees every row, constant
+    arguments or not.
+
+    A fold evaluates the node though there may be no row to evaluate it
+    for, and the dictionary may hold entries no row of the batch has (an
+    earlier filter dropped them) on which a built-in can fail where the
+    rows would not; any failure there hands the batch to the evaluation
+    over the rows, which decides.
     """
     metrics = state.metrics
+    if apply is not None and all(isinstance(c, _Const) for c in children):
+        kernel = None  # no vector among the operands
+        if pure:
+            try:
+                return _Const(apply(*[child.value for child in children]))
+            except Exception:  # noqa: BLE001 - see docstring
+                pass
+
+    def evaluate(*operands):
+        result = None if kernel is None else kernel(*operands)
+        if result is None:
+            *values, n = operands
+            rows = zip(*[_values_list(value, n) for value in values])
+            if not values:
+                rows = repeat((), n)
+            result = Vector(list(starmap(apply, rows)))
+        return result
 
     def run(batch: ColumnBatch):
         operands = [child(batch) for child in children]
         n = batch.num_rows
         source = _shared_codes(operands) if pure else None
         if source is None or len(source.dictionary) >= n:
-            return kernel(*operands, n)
+            return evaluate(*operands, n)
         k = len(source.dictionary)
         entries = [
             operand if isinstance(operand, _Const) else operand.dictionary
             for operand in operands
         ]
         try:
-            result = kernel(*entries, k)
+            result = evaluate(*entries, k)
         except Exception:  # noqa: BLE001 - see docstring
-            return kernel(*operands, n)
+            return evaluate(*operands, n)
         if metrics is not None:
             metrics.inc("batch.kernel.dictionary")
             metrics.inc("batch.dictionary.values", k)
@@ -725,21 +406,23 @@ def _interpret_subtree(expr: BoundExpr, state: _VectorCompileState):
     children = [
         partial(ColumnBatch.vector, ordinal=index) for index in references
     ]
-    return _kernel_node(kernel, children, state, not _calls_udf(expr))
+    return _kernel_node(kernel, None, children, state, not _calls_udf(expr))
 
 
 def _vector_node(expr: BoundExpr, state: _VectorCompileState):
-    """Compile one expression node to a closure ``batch -> Vector|_Const``."""
+    """Compile one expression node to ``batch -> Vector|_Const`` (a
+    ``_Const`` itself when the node is constant)."""
     if isinstance(expr, BoundLiteral):
-        constant = _Const(expr.value)
-        return lambda batch: constant
+        return _Const(expr.value)
     if isinstance(expr, BoundColumn):
         return partial(ColumnBatch.vector, ordinal=expr.index)
-    operands, pure = expr.children(), True
+    # ``kernel`` stays None where the node has no array form (static LIKE,
+    # CAST, scalar calls): ``apply`` per value.
+    operands, kernel, pure = expr.children(), None, True
     if isinstance(expr, BoundArithmetic):
-        kernel = partial(_arith_kernel, expr.op, expr._fn)
+        kernel = partial(_arith_kernel, expr.op)
     elif isinstance(expr, BoundComparison):
-        kernel = partial(_compare_kernel, expr.op, expr._fn)
+        kernel = partial(_compare_kernel, expr.op)
     elif isinstance(expr, BoundAnd):
         kernel = _and_kernel
     elif isinstance(expr, BoundOr):
@@ -756,23 +439,16 @@ def _vector_node(expr: BoundExpr, state: _VectorCompileState):
     elif isinstance(expr, BoundIsNull):
         kernel = partial(_is_null_kernel, expr.negated)
     elif isinstance(expr, BoundLike) and expr._compiled is not None:
-        match, negated = expr._compiled.match, expr.negated
-        kernel = partial(
-            _map_kernel, lambda value: (match(value) is not None) != negated
-        )
         operands = (expr.operand,)
-    elif isinstance(expr, BoundCast):
-        kernel = partial(_map_kernel, expr._cast_fn)
     elif isinstance(expr, BoundScalarCall):
-        kernel = partial(_call_kernel, expr._fn, expr._null_propagating)
         pure = not _is_udf_call(expr)
         if not pure:
             state.interpreted += 1
-    else:
+    elif not isinstance(expr, BoundCast):
         # CASE, correlated IN, dynamic LIKE.
         return _interpret_subtree(expr, state)
     children = [_vector_node(operand, state) for operand in operands]
-    return _kernel_node(kernel, children, state, pure)
+    return _kernel_node(kernel, expr.apply, children, state, pure)
 
 
 def _broadcast(result, n: int) -> Vector:

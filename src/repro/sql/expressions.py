@@ -32,6 +32,12 @@ class BoundExpr:
         self.data_type = data_type
         self.name = name
 
+    #: The node's scalar rule ``apply(*values)`` over its children's values
+    #: (NULL propagation, division by zero, ...): the one statement of its
+    #: semantics, which ``eval`` and the vector kernels' fallback both call.
+    #: None where ``eval`` short-circuits instead (AND, OR, CASE).
+    apply: Optional[Callable[..., Any]] = None
+
     def eval(self, row: tuple) -> Any:
         raise NotImplementedError
 
@@ -48,10 +54,6 @@ class BoundExpr:
                 refs.add(node.index)
             stack.extend(node.children())
         return refs
-
-    @property
-    def is_deterministic_literal(self) -> bool:
-        return isinstance(self, BoundLiteral)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -109,9 +111,7 @@ class BoundArithmetic(BoundExpr):
         self.right = right
         self._fn = self._OPS.get(op)
 
-    def eval(self, row: tuple) -> Any:
-        left = self.left.eval(row)
-        right = self.right.eval(row)
+    def apply(self, left: Any, right: Any) -> Any:
         if left is None or right is None:
             return None
         if self.op in ("/", "%") and right == 0:
@@ -119,6 +119,9 @@ class BoundArithmetic(BoundExpr):
         if self.op == "/":
             return left / right
         return self._fn(left, right)
+
+    def eval(self, row: tuple) -> Any:
+        return self.apply(self.left.eval(row), self.right.eval(row))
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.left, self.right)
@@ -182,12 +185,13 @@ class BoundComparison(BoundExpr):
         self.right = right
         self._fn = self._OPS[op]
 
-    def eval(self, row: tuple) -> Optional[bool]:
-        left = self.left.eval(row)
-        right = self.right.eval(row)
+    def apply(self, left: Any, right: Any) -> Optional[bool]:
         if left is None or right is None:
             return None
         return self._fn(left, right)
+
+    def eval(self, row: tuple) -> Optional[bool]:
+        return self.apply(self.left.eval(row), self.right.eval(row))
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.left, self.right)
@@ -240,11 +244,13 @@ class BoundNot(BoundExpr):
         super().__init__(BOOLEAN, f"(NOT {operand.name})")
         self.operand = operand
 
-    def eval(self, row: tuple) -> Optional[bool]:
-        value = self.operand.eval(row)
+    def apply(self, value: Any) -> Optional[bool]:
         if value is None:
             return None
         return not value
+
+    def eval(self, row: tuple) -> Optional[bool]:
+        return self.apply(self.operand.eval(row))
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.operand,)
@@ -255,9 +261,11 @@ class BoundNegate(BoundExpr):
         super().__init__(operand.data_type, f"(-{operand.name})")
         self.operand = operand
 
-    def eval(self, row: tuple) -> Any:
-        value = self.operand.eval(row)
+    def apply(self, value: Any) -> Any:
         return None if value is None else -value
+
+    def eval(self, row: tuple) -> Any:
+        return self.apply(self.operand.eval(row))
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.operand,)
@@ -276,14 +284,16 @@ class BoundBetween(BoundExpr):
         self.high = high
         self.negated = negated
 
-    def eval(self, row: tuple) -> Optional[bool]:
-        value = self.operand.eval(row)
-        low = self.low.eval(row)
-        high = self.high.eval(row)
+    def apply(self, value: Any, low: Any, high: Any) -> Optional[bool]:
         if value is None or low is None or high is None:
             return None
         result = low <= value <= high
         return not result if self.negated else result
+
+    def eval(self, row: tuple) -> Optional[bool]:
+        return self.apply(
+            self.operand.eval(row), self.low.eval(row), self.high.eval(row)
+        )
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.operand, self.low, self.high)
@@ -307,14 +317,20 @@ class BoundIn(BoundExpr):
         else:
             self._constant_set = None
 
-    def eval(self, row: tuple) -> Optional[bool]:
-        value = self.operand.eval(row)
+    def apply(self, value: Any) -> Optional[bool]:
+        """The constant-option form, a function of the operand alone."""
         if value is None:
             return None
+        result = value in self._constant_set
+        return not result if self.negated else result
+
+    def eval(self, row: tuple) -> Optional[bool]:
+        value = self.operand.eval(row)
         if self._constant_set is not None:
-            result = value in self._constant_set
-        else:
-            result = any(option.eval(row) == value for option in self.options)
+            return self.apply(value)
+        if value is None:
+            return None
+        result = any(option.eval(row) == value for option in self.options)
         return not result if self.negated else result
 
     def children(self) -> Sequence[BoundExpr]:
@@ -347,18 +363,23 @@ class BoundLike(BoundExpr):
         else:
             self._compiled = None
 
-    def eval(self, row: tuple) -> Optional[bool]:
-        value = self.operand.eval(row)
+    def apply(self, value: Any) -> Optional[bool]:
+        """The constant-pattern form, a function of the operand alone."""
         if value is None:
             return None
+        result = self._compiled.match(value) is not None
+        return not result if self.negated else result
+
+    def eval(self, row: tuple) -> Optional[bool]:
+        value = self.operand.eval(row)
         if self._compiled is not None:
-            regex = self._compiled
-        else:
-            pattern = self.pattern.eval(row)
-            if pattern is None:
-                return None
-            regex = like_to_regex(pattern)
-        result = regex.match(value) is not None
+            return self.apply(value)
+        if value is None:
+            return None
+        pattern = self.pattern.eval(row)
+        if pattern is None:
+            return None
+        result = like_to_regex(pattern).match(value) is not None
         return not result if self.negated else result
 
     def children(self) -> Sequence[BoundExpr]:
@@ -372,9 +393,12 @@ class BoundIsNull(BoundExpr):
         self.operand = operand
         self.negated = negated
 
-    def eval(self, row: tuple) -> bool:
-        result = self.operand.eval(row) is None
+    def apply(self, value: Any) -> bool:
+        result = value is None
         return not result if self.negated else result
+
+    def eval(self, row: tuple) -> bool:
+        return self.apply(self.operand.eval(row))
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.operand,)
@@ -415,11 +439,13 @@ class BoundCast(BoundExpr):
         self.operand = operand
         self._cast_fn = cast_fn
 
-    def eval(self, row: tuple) -> Any:
-        value = self.operand.eval(row)
+    def apply(self, value: Any) -> Any:
         if value is None:
             return None
         return self._cast_fn(value)
+
+    def eval(self, row: tuple) -> Any:
+        return self.apply(self.operand.eval(row))
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.operand,)
@@ -443,11 +469,13 @@ class BoundScalarCall(BoundExpr):
         self.args = list(args)
         self._null_propagating = null_propagating
 
-    def eval(self, row: tuple) -> Any:
-        values = [arg.eval(row) for arg in self.args]
-        if self._null_propagating and any(value is None for value in values):
+    def apply(self, *values: Any) -> Any:
+        if self._null_propagating and None in values:
             return None
         return self._fn(*values)
+
+    def eval(self, row: tuple) -> Any:
+        return self.apply(*[arg.eval(row) for arg in self.args])
 
     def children(self) -> Sequence[BoundExpr]:
         return self.args

@@ -680,53 +680,35 @@ def _counted_filter(
     ).set_name(name)
 
 
-def filter_rows(
-    child: RDD,
-    condition: BoundExpr,
-    use_codegen: bool = True,
-    *,
-    op: OperatorStamp,
-) -> RDD:
-    """Filter rows where the predicate is exactly TRUE.
+def filter_rows(child: RDD, condition: BoundExpr, *, op: OperatorStamp) -> RDD:
+    """Filter rows where the predicate is exactly TRUE."""
+    count = _count_into(op)
 
-    With ``use_codegen`` the predicate is compiled to Python bytecode once
-    (Section 5's expression-evaluator compiler) instead of interpreting
-    the expression tree per row; semantics are identical and unsupported
-    shapes fall back to interpretation.
-    """
-    predicate = None
-    if use_codegen:
-        from repro.sql.codegen import compile_predicate
+    def run(part: list) -> list:
+        values = _column_values(condition, part)
+        return count(
+            [row for row, value in zip(part, values) if value is True]
+        )
 
-        predicate = compile_predicate(condition)
-    if predicate is None:
-        predicate = lambda row: condition.eval(row) is True  # noqa: E731
-    return _counted_filter(child, predicate, op, "filter")
+    return child.map_partitions(
+        run, preserves_partitioning=True
+    ).set_name("filter")
+
+
+def project_columns(expressions: list[BoundExpr], rows: list) -> list:
+    """The SELECT list over one partition's rows, a column at a time."""
+    columns = [_column_values(expr, rows) for expr in expressions]
+    return list(zip(*columns)) if columns else [()] * len(rows)
 
 
 def project_rows(
-    child: RDD,
-    expressions: list[BoundExpr],
-    use_codegen: bool = True,
-    *,
-    op: OperatorStamp,
+    child: RDD, expressions: list[BoundExpr], *, op: OperatorStamp
 ) -> RDD:
-    """Evaluate the SELECT list per row, compiled when possible."""
-    run = None
-    if use_codegen:
-        from repro.sql.codegen import compile_projection
-
-        run = compile_projection(expressions)
-    if run is None:
-        def run(row: tuple) -> tuple:
-            return tuple(expr.eval(row) for expr in expressions)
-
+    """Evaluate the SELECT list over every partition."""
     count = _count_into(op)
-
-    def run_partition(part: list) -> list:
-        return count([run(row) for row in part])
-
-    return child.map_partitions(run_partition).set_name("project")
+    return child.map_partitions(
+        lambda part: count(project_columns(expressions, part))
+    ).set_name("project")
 
 
 def limit_rows(child: RDD, count: int, op: OperatorStamp) -> RDD:
@@ -992,10 +974,9 @@ def _key_function(keys: list[BoundExpr]) -> Callable[[tuple], Any]:
 
 def _key_column(keys: list[BoundExpr], rows: list) -> list:
     """``_key_function(keys)`` of every row, built a column at a time."""
-    columns = [_column_values(expr, rows) for expr in keys]
-    if len(columns) == 1:
-        return columns[0]
-    return list(zip(*columns)) if columns else [()] * len(rows)
+    if len(keys) == 1:
+        return _column_values(keys[0], rows)
+    return project_columns(keys, rows)
 
 
 def _keyed_rows(child: RDD, keys: list[BoundExpr], name: str = "map") -> RDD:

@@ -20,6 +20,7 @@ This is where the paper's Section 3 machinery comes together:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.datatypes import Schema
@@ -43,6 +44,7 @@ from repro.obs.planquality import (
 from repro.pde.decisions import (
     DEFAULT_BROADCAST_THRESHOLD,
     DEFAULT_TARGET_PARTITION_BYTES,
+    FINE_GRAINED_FACTOR,
 )
 from repro.sql import logical
 from repro.sql import physical
@@ -76,18 +78,12 @@ class PlannerConfig:
     target_partition_bytes: int = DEFAULT_TARGET_PARTITION_BYTES
     #: Fixed reducer count (overrides PDE parallelism choice when set).
     num_reducers: Optional[int] = None
-    #: Fine-grained shuffle buckets = this factor x default parallelism.
-    pde_fine_grained_factor: int = 4
     #: Bin-pack fine partitions into balanced coalesced partitions; off =
     #: "just run many reduce tasks" (the Section 3.1.2 comparison).
     pde_skew_binpack: bool = True
     #: Partitioner override for DISTRIBUTE BY (co-partitioning with an
     #: existing table requires using its exact partitioner).
     repartition_override: Optional[Partitioner] = None
-    #: Compile filter/projection expressions to Python bytecode instead of
-    #: interpreting the expression tree per row (Section 5's "bytecode
-    #: compilation of expression evaluators", implemented).
-    enable_codegen: bool = True
     #: Run scan->filter->project->partial-aggregate chains over cached
     #: tables batch-at-a-time (ColumnBatch kernels over the column arrays,
     #: the cache-behavior benefit of Section 3.2's layout; late
@@ -238,9 +234,7 @@ class PhysicalPlanner:
             op = self.report.mode(
                 "filter", "row", est, source, detail=node.condition.name
             )
-            return physical.filter_rows(
-                child, node.condition, self.config.enable_codegen, op=op
-            )
+            return physical.filter_rows(child, node.condition, op=op)
         if isinstance(node, logical.Project):
             child = self._plan(node.child, no_prune=no_prune)
             if _is_identity(node):
@@ -248,9 +242,7 @@ class PhysicalPlanner:
                 return child
             est, source = self._estimate_rows(node)
             op = self.report.mode("project", "row", est, source)
-            return physical.project_rows(
-                child, node.expressions, self.config.enable_codegen, op=op
-            )
+            return physical.project_rows(child, node.expressions, op=op)
         if isinstance(node, logical.Aggregate):
             return self._plan_aggregate(node)
         if isinstance(node, logical.Join):
@@ -330,9 +322,7 @@ class PhysicalPlanner:
                     "filter", "row", 0, SOURCE_CATALOG,
                     detail=condition.name,
                 )
-                rdd = physical.filter_rows(
-                    rdd, condition, self.config.enable_codegen, op=op
-                )
+                rdd = physical.filter_rows(rdd, condition, op=op)
             return rdd
         if entry.is_cached:
             kept = self._scan_prep(scan, condition, no_prune)
@@ -356,12 +346,16 @@ class PhysicalPlanner:
             )
             rdd = HdfsRDD(self.ctx, self.store, entry.path, entry.schema)
             if scan.projected_columns is not None:
-                indices = [
-                    entry.schema.index_of(name)
+                columns = [
+                    BoundColumn(
+                        entry.schema.index_of(name),
+                        entry.schema.field(name).data_type,
+                        name,
+                    )
                     for name in scan.projected_columns
                 ]
-                rdd = rdd.map(
-                    lambda row, idx=tuple(indices): tuple(row[i] for i in idx)
+                rdd = rdd.map_partitions(
+                    partial(physical.project_columns, columns)
                 ).set_name("project_scan")
         if condition is not None:
             est, source = None, SOURCE_NONE
@@ -371,9 +365,7 @@ class PhysicalPlanner:
             filter_op = self.report.mode(
                 "filter", "row", est, source, detail=condition.name
             )
-            rdd = physical.filter_rows(
-                rdd, condition, self.config.enable_codegen, op=filter_op
-            )
+            rdd = physical.filter_rows(rdd, condition, op=filter_op)
         return rdd
 
     def _scan_estimate(
@@ -695,7 +687,7 @@ class PhysicalPlanner:
         # PDE path (Section 3.1.2): shuffle into fine-grained buckets, read
         # observed bucket sizes, then pick the reduce parallelism and
         # optionally bin-pack buckets into balanced coalesced partitions.
-        fine = self.ctx.default_parallelism * self.config.pde_fine_grained_factor
+        fine = self.ctx.default_parallelism * FINE_GRAINED_FACTOR
         if partials is None:
             partials = physical.partial_aggregate_rdd(
                 child, node.group_expressions, node.aggregates,

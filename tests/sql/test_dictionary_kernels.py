@@ -49,6 +49,22 @@ from repro.sql.codegen import (  # noqa: E402
     compile_vector_expression,
     compile_vector_predicate,
 )
+from repro.sql.expressions import (  # noqa: E402
+    BoundAnd,
+    BoundArithmetic,
+    BoundBetween,
+    BoundCase,
+    BoundCast,
+    BoundComparison,
+    BoundIn,
+    BoundIsNull,
+    BoundLike,
+    BoundLiteral,
+    BoundNegate,
+    BoundNot,
+    BoundOr,
+    BoundScalarCall,
+)
 from repro.sql.functions import FunctionRegistry  # noqa: E402
 from repro.sql.parser import parse_expression  # noqa: E402
 from repro.sql.physical import BatchAggregator  # noqa: E402
@@ -169,7 +185,38 @@ EXPRESSIONS = [
     "i > n", "n + j", "s = CAST(n AS STRING)", "COALESCE(s, CAST(i AS STRING))",
     "CASE WHEN i > 2 THEN s ELSE 'z' END", "CONCAT(s, CAST(j AS STRING))",
     "tags IS NOT NULL AND s = 'a'", "i IN (j, 1)", "s LIKE CONCAT(s, '%')",
+    # --- operands with no array form: ``apply`` folds or is mapped ---
+    # a NULL literal on either side
+    "NULL = i", "d > NULL", "i + CAST(NULL AS INT)",
+    "CAST(NULL AS DOUBLE) * x", "i BETWEEN NULL AND 3", "x NOT BETWEEN 0 AND NULL", "NULL BETWEEN i AND j",
+    "NULL IN (1, 2)", "NULL IS NULL", "-NULL", "NOT NULL", "NULL LIKE 'a%'",
+    "UPPER(NULL)",
+    # a literal zero divisor
+    "j % 0", "x / 0.0", "n / 0", "1 / 0",
+    # every operand a literal
+    "1 + 2", "7 / 2", "2 * 3 > 5", "2 NOT BETWEEN 1 AND 3", "1 IN (1, 2)",
+    "'a' NOT IN ('b')", "CAST('7' AS INT) + i", "CONCAT('a', 'b') = s",
+    "'ab' LIKE 'a%'", "-(1 + 1)", "NOT (1 = 1)", "1 IS NULL", "SQRT(4.0) + y",
+    # nullable (list-backed when decoded) numbers on both sides
+    "i + x", "i * i", "x - i", "i < x", "i = i", "i BETWEEN x AND 4", "-x",
+    "i % i", "x / i", "i IN (1, 2.5)",
+    # an array operand beside a list-backed one
+    "i + n", "n * x", "n > x", "n BETWEEN i AND 4", "x / n", "n % i", "n / j",
+    "n < y",
+    # NaN
+    "x = x", "y <> y", "y BETWEEN y AND y", "x IN (0.5, 4.0)", "y + x",
+    "y / y",
+    # an ARRAY column beside a scalar one
+    "tags = tags", "tags IS NULL OR i > n", "tags = SPLIT('t u', ' ')",
+    "SPLIT(s, 'b')", "tags <> SPLIT(s, 'b')",
+    "CASE WHEN tags IS NULL THEN s ELSE 'z' END",
 ]
+
+
+def _nodes(expr):
+    yield expr
+    for child in expr.children():
+        yield from _nodes(child)
 
 
 class TestKernelParity:
@@ -240,6 +287,46 @@ class TestKernelParity:
         assert metrics.value("batch.kernel.dictionary") == 14
         assert metrics.value("batch.dictionary.rows") == 14 * len(rows)
         assert metrics.value("batch.dictionary.values") == values
+
+    @given(rows=ROWS)
+    @settings(max_examples=25, deadline=None)
+    def test_eval_is_apply_over_the_operands(self, rows):
+        # The scalar rule is written once: wherever a node has one, its
+        # ``eval`` is that rule over its operands' values.
+        seen = set()
+        for text in EXPRESSIONS:
+            for node in _nodes(_bind(text)):
+                if node.apply is None:
+                    continue
+                operands = node.children()
+                if isinstance(node, (BoundIn, BoundLike)):
+                    if not all(
+                        isinstance(child, BoundLiteral)
+                        for child in operands[1:]
+                    ):
+                        continue  # correlated IN, dynamic LIKE: own ``eval``
+                    operands = operands[:1]
+                seen.add(type(node))
+                for row in rows:
+                    values = [operand.eval(row) for operand in operands]
+                    assert repr(node.eval(row)) == repr(node.apply(*values))
+        assert seen == {
+            BoundArithmetic, BoundComparison, BoundNot, BoundNegate,
+            BoundBetween, BoundIn, BoundLike, BoundIsNull, BoundCast,
+            BoundScalarCall,
+        }
+        assert BoundAnd.apply is BoundOr.apply is BoundCase.apply is None
+
+    def test_a_fold_that_raises_leaves_it_to_the_rows(self):
+        # SQRT(-1.0) cannot fold; like ``eval`` it fails once there is a
+        # row to evaluate it for, and not before.
+        kernel, __ = compile_vector_expression(
+            _bind("SQRT(-1.0) + n", schema=Schema.of(("n", INT)))
+        )
+        batch = ColumnBatch([Vector(np.asarray([1, 2], dtype=np.int64))], 2)
+        assert kernel(batch.take(np.arange(0))).to_python_list() == []
+        with pytest.raises(ValueError):
+            kernel(batch)
 
     def test_entry_outside_the_batch_may_fail(self):
         # SQRT(-4.0) raises, but no selected row holds -4.0: the
@@ -533,6 +620,76 @@ class TestCallCounts:
         _with(shark, vectorize=False).sql("SELECT UPPER(s) FROM t")
         assert calls["upper"] == len(rows)
 
+    def test_constant_arguments_fold_a_builtin_never_a_udf(self, monkeypatch):
+        calls = {"upper": 0, "udf": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        spec = functions.builtin("upper")
+        monkeypatch.setitem(
+            functions._BUILTINS,
+            "upper",
+            replace(spec, fn=counting("upper", spec.fn)),
+        )
+        registry = FunctionRegistry()
+        registry.register(
+            "shout", counting("udf", lambda v: v + "!"), return_type=STRING
+        )
+        registry.register(
+            "bang", counting("udf", lambda: "!"), return_type=STRING
+        )
+        batch = ColumnBatch([Vector(list("abcde"))], 5)
+        schema = Schema.of(("s", STRING))
+        for text, want in [
+            ("UPPER('a')", "A"),
+            ("CONCAT(UPPER('a'), 'b')", "Ab"),
+            ("shout('a')", "a!"),
+            ("bang()", "!"),
+            ("UPPER(shout('a'))", "A!"),
+        ]:
+            calls.update(upper=0, udf=0)
+            kernel, interpreted = compile_vector_expression(
+                _bind(text, registry, schema)
+            )
+            assert kernel(batch).to_python_list() == [want] * 5
+            udf = "UPPER('a')" not in text
+            assert interpreted == udf
+            assert calls["udf"] == (5 if udf else 0)
+            # Over a UDF's results the built-in has five values to see.
+            assert calls["upper"] == (
+                0 if "UPPER" not in text else 5 if udf else 1
+            )
+
+    def test_and_or_short_circuit_per_row_not_per_batch(self):
+        # ``eval`` skips the right side where the left decides; a batch
+        # has no such order, and a UDF sees every row of it.
+        calls = []
+        registry = FunctionRegistry()
+        registry.register(
+            "flag", lambda v: calls.append(v) or v > 1, return_type=BOOLEAN
+        )
+        rows = [(n,) for n in (0, 1, 2, 3, 0, 3)]
+        batch = ColumnBatch(
+            [Vector(np.asarray([n for n, in rows], dtype=np.int64))], len(rows)
+        )
+        schema = Schema.of(("n", INT))
+        for text, skipped in [
+            ("n > 0 AND flag(n)", 0), ("n > 2 OR flag(n)", 3),
+        ]:
+            expr = _bind(text, registry, schema)
+            del calls[:]
+            want = [expr.eval(row) for row in rows]
+            assert calls == [n for n, in rows if n != skipped]
+            del calls[:]
+            kernel, __ = compile_vector_expression(expr)
+            assert kernel(batch).to_python_list() == want
+            assert calls == [n for n, in rows]
+
     def test_operator_mode_counts_only_per_row_subtrees(self):
         shark = _context()
         shark.register_udf("shout", lambda v: v + "!")
@@ -585,28 +742,15 @@ class TestQueryParity:
     @pytest.mark.parametrize("query", GROUPED)
     def test_modes_agree(self, query):
         shark = _context()
-        want = _with(shark, vectorize=False, enable_codegen=False).sql(
-            query
-        ).rows
-        for vectorize in (True, False):
-            for codegen in (True, False):
-                got = _with(
-                    shark, vectorize=vectorize, enable_codegen=codegen
-                ).sql(query).rows
-                assert_byte_identical(got, want)
+        want = _with(shark, vectorize=False).sql(query).rows
+        got = _with(shark, vectorize=True).sql(query).rows
+        assert_byte_identical(got, want)
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_workload_queries_across_codegen(self, warehouse, name):
-        # (vectorize on/off at enable_codegen's default is the parity
-        # harness next door; this adds the other codegen setting.)
-        want = _with(warehouse, vectorize=False, enable_codegen=True).sql(
-            QUERIES[name]
-        ).rows
-        for vectorize in (True, False):
-            got = _with(
-                warehouse, vectorize=vectorize, enable_codegen=False
-            ).sql(QUERIES[name]).rows
-            assert_byte_identical(got, want)
+        want = _with(warehouse, vectorize=False).sql(QUERIES[name]).rows
+        got = _with(warehouse, vectorize=True).sql(QUERIES[name]).rows
+        assert_byte_identical(got, want)
 
     @pytest.mark.parametrize(
         "name, text",
@@ -614,14 +758,9 @@ class TestQueryParity:
         ids=[name for name, __ in queries.SCAN_AGG + queries.SHUFFLE_JOIN],
     )
     def test_benchmark_statements(self, benchmark_tables, name, text):
-        want = _with(
-            benchmark_tables, vectorize=False, enable_codegen=True
-        ).sql(text).rows
-        for codegen in (True, False):
-            got = _with(
-                benchmark_tables, vectorize=True, enable_codegen=codegen
-            ).sql(text).rows
-            assert_byte_identical(got, want)
+        want = _with(benchmark_tables, vectorize=False).sql(text).rows
+        got = _with(benchmark_tables, vectorize=True).sql(text).rows
+        assert_byte_identical(got, want)
 
 
 @pytest.fixture(scope="module")

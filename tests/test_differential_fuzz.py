@@ -141,7 +141,7 @@ class TestDifferentialFuzz:
         compiled_rows = _normalize(shark.sql(query).rows)
         original = shark.session.config
         try:
-            shark.session.config = replace(original, enable_codegen=False)
+            shark.session.config = replace(original, vectorize=False)
             interpreted_rows = _normalize(shark.sql(query).rows)
         finally:
             shark.session.config = original
