@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Optional
 
 from repro.cluster import VirtualCluster
@@ -9,6 +10,7 @@ from repro.engine.broadcast import Broadcast
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.memory import MemoryAccountant
 from repro.engine.metrics import QueryProfile
+from repro.engine.query import QueryScope
 from repro.engine.rdd import RDD, DataRDD, ShuffledRDD
 from repro.engine.scheduler import DAGScheduler
 from repro.engine.shuffle import MapOutputStats, ShuffleManager
@@ -90,9 +92,11 @@ class EngineContext:
         )
         self._next_rdd_id = 0
         self._next_broadcast_id = 0
-        #: Broadcasts whose execution-pool charge is still live (see
-        #: release_broadcast_accounting).
-        self._live_broadcasts: list[Broadcast] = []
+        #: Scope of everything run outside a statement; never closed.
+        self._root_query = QueryScope(self)
+        #: The scope the engine records on right now: the root, the open
+        #: statement's, or the running lifecycle query's.
+        self.query = self._root_query
 
     # ------------------------------------------------------------------
     # RDD creation
@@ -140,20 +144,37 @@ class EngineContext:
             size_bytes=size_bytes,
         )
         self._next_broadcast_id += 1
-        self._live_broadcasts.append(broadcast)
+        self.query.broadcasts.append(broadcast)
         return broadcast
 
     def release_broadcast_accounting(self) -> int:
-        """Drop the execution-pool charge of every live broadcast (the
-        SQL session calls this at query end: broadcast build tables are
-        query-scoped, and the ledger must balance to zero afterwards).
-        The values themselves stay usable; only the accounting ends.
-        Returns the bytes released."""
-        released = 0
-        for broadcast in self._live_broadcasts:
-            released += broadcast.release_accounting()
-        self._live_broadcasts.clear()
-        return released
+        """Drop the execution-pool charge of every live broadcast of the
+        current scope (a statement's scope does this itself when it
+        closes; code that plans and collects outside a statement calls
+        it so the ledger balances to zero afterwards).  The values
+        themselves stay usable; only the accounting ends.  Returns the
+        bytes released."""
+        return self.query.release_broadcasts()
+
+    # ------------------------------------------------------------------
+    # Query scopes
+    # ------------------------------------------------------------------
+    @contextmanager
+    def query_scope(self):
+        """Open the scope of one statement and close it on any exit.
+
+        Re-entrant: inside an open statement or a lifecycle query
+        (EXPLAIN ANALYZE, CTAS, the SQL a submitted query runs) it
+        yields the scope already open, which its opener closes."""
+        if self.query is not self._root_query:
+            yield self.query
+            return
+        scope = self.query = QueryScope(self)
+        try:
+            yield scope
+        finally:
+            self.query = self._root_query
+            scope.close()
 
     # ------------------------------------------------------------------
     # Job execution
@@ -185,6 +206,7 @@ class EngineContext:
     def reset_profiles(self) -> None:
         """Clear the job-profile history (call before a measured query)."""
         self.scheduler.reset_history()
+        self._root_query.profiles.clear()
 
     @property
     def profiles(self) -> list[QueryProfile]:

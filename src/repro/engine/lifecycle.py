@@ -28,13 +28,11 @@ manageable.  A :class:`QueryLifecycleManager` wraps the engine with:
   ``(tenant, key)``: one tenant's poison query never fails fast another
   tenant running the same SQL.
 
-The serving layer (:mod:`repro.serving`) builds on three hooks here:
+The serving layer (:mod:`repro.serving`) builds on two hooks here:
 ``submit`` accepts ``tenant``/``priority``/``weight`` so admission and
-fairness are tenant-aware, :meth:`QueryLifecycleManager.shed_queued`
-drops a still-queued query with a typed
-:class:`~repro.errors.QueryShedError` (load shedding never touches a
-query that already launched tasks), and retry-after hints derive from
-the observed queue drain rate on the simulated clock.
+fairness are tenant-aware, and retry-after hints derive from the
+observed queue drain rate on the simulated clock.  Load shedding is
+the server's own business: it drops tickets it has not submitted yet.
 
 Execution model
 ---------------
@@ -47,10 +45,14 @@ before every task attempt), and the next query to run is chosen
 deterministically by the fairness policy — so a set of concurrent
 queries produces byte-identical results and traces on every run, and
 composes with the seeded fault injector.  The baton also keeps the
-module-global task-context stack and the tracer's span stack coherent:
-the manager swaps in a per-query span stack at every handoff, so
-concurrent queries' spans nest correctly and cancellation can close
-exactly the spans the dead query left open.
+module-global task-context stack coherent, and makes "which query is
+running" a plain field read (``_baton``), never a question about
+threads.  What a query holds in the engine lives on its
+:class:`~repro.engine.query.QueryScope`: at every handoff the manager
+swaps that scope onto the context (``ctx.query``) and its span stack
+onto the tracer, so concurrent queries' shuffles, broadcasts, profiles
+and spans never mix, and the scope's ``close()`` gives all of it back
+on any exit.
 
 Real wall-clock time is never read; the only real-time construct is a
 generous watchdog on the baton condition variable that turns an
@@ -63,6 +65,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.engine.query import QueryScope
 from repro.errors import (
     AdmissionRejected,
     EngineError,
@@ -70,7 +73,6 @@ from repro.errors import (
     QueryCircuitOpenError,
     QueryDeadlineExceeded,
     QueryLifecycleError,
-    QueryShedError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,10 +85,14 @@ DONE = "done"
 CANCELLED = "cancelled"
 DEADLINE = "deadline"
 FAILED = "failed"
-SHED = "shed"
 
-#: Terminal states.
-_TERMINAL = frozenset({DONE, CANCELLED, DEADLINE, FAILED, SHED})
+#: Terminal state -> the status its spans and event-log record carry.
+_STATUS = {
+    DONE: "ok",
+    CANCELLED: "cancelled",
+    DEADLINE: "deadline",
+    FAILED: "error",
+}
 
 
 @dataclass
@@ -175,34 +181,28 @@ class QueryHandle:
     priority: Optional[str] = None
     #: Fair-share weight under the "weighted" fairness policy.
     weight: int = 1
-    #: Why load shedding dropped this query (None unless state is SHED).
-    shed_reason: Optional[str] = None
     #: Simulated-clock instant this query was admitted or queued.
     submitted_at: float = 0.0
     state: str = QUEUED
     result: Any = None
     error: Optional[BaseException] = None
-    #: Simulated seconds charged to this query (sum of its kept task
-    #: attempts' cost-model durations plus straggler factors).
-    charged_seconds: float = 0.0
     #: Task attempts this query has launched (retries and speculative
     #: copies included) — the fairness currency.
     tasks_launched: int = 0
-    #: Shuffle ids registered while this query held the baton; released
-    #: on cancellation so no pinned map-output blocks leak.
-    shuffle_ids: set = field(default_factory=set)
-    #: cache_lookup records collected by the SQL cache stack while this
-    #: query ran (the lifecycle manager owns its event-log slice).
-    cache_lookups: list = field(default_factory=list)
     token: CancelToken = field(init=False)
+    #: What this query holds in the engine (shuffles, broadcasts, job
+    #: profiles, charged seconds, span stack); ``ctx.query`` while it
+    #: runs, closed on any exit.
+    scope: QueryScope = field(init=False, repr=False)
     _thread: Optional[threading.Thread] = field(default=None, repr=False)
-    #: Per-query tracer span stack, swapped in while this query runs.
-    _trace_stack: list = field(default_factory=list, repr=False)
     _span: Any = field(default=None, repr=False)
     _cancel_after_tasks: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.token = CancelToken(self)
+        self.scope = QueryScope(
+            self.manager._ctx, token=self.token, tenant=self.tenant
+        )
 
     # -- control ------------------------------------------------------
     def cancel(self, reason: str = "cancelled") -> None:
@@ -225,7 +225,13 @@ class QueryHandle:
     # -- inspection ---------------------------------------------------
     @property
     def done(self) -> bool:
-        return self.state in _TERMINAL
+        return self.state in _STATUS
+
+    @property
+    def charged_seconds(self) -> float:
+        """Simulated seconds charged to this query (sum of its task
+        attempts' cost-model durations times straggler factors)."""
+        return self.scope.charged_seconds
 
     def describe(self) -> str:
         parts = [
@@ -238,8 +244,6 @@ class QueryHandle:
         if self.tenant is not None:
             tier = f"/{self.priority}" if self.priority else ""
             parts.append(f"tenant {self.tenant}{tier}")
-        if self.shed_reason is not None:
-            parts.append(f"shed: {self.shed_reason}")
         if self.error is not None:
             parts.append(f"error: {type(self.error).__name__}")
         return ", ".join(parts)
@@ -270,7 +274,6 @@ class QueryLifecycleManager:
         #: The query currently allowed to run (exactly one, or None when
         #: the driver holds control).
         self._baton: Optional[QueryHandle] = None
-        self._current: Optional[QueryHandle] = None
         #: Admitted queries holding a slot, in admission order.
         self._running: list[QueryHandle] = []
         #: Admitted queries waiting for a slot.
@@ -296,7 +299,6 @@ class QueryLifecycleManager:
         #: released a slot or queue position, so their spacing is the
         #: observed queue drain rate behind retry-after hints.
         self._drain_times: list[float] = []
-        self._driver_stack: Optional[list] = None
         # Aggregate counters (engine metrics mirror these, but the
         # manager keeps its own so describe() is self-contained).
         self.submitted = 0
@@ -305,7 +307,6 @@ class QueryLifecycleManager:
         self.deadline_expired = 0
         self.failed = 0
         self.rejected = 0
-        self.shed = 0
         self.circuit_opened = 0
 
     # ------------------------------------------------------------------
@@ -473,9 +474,9 @@ class QueryLifecycleManager:
         return handle.result
 
     def _require_driver(self, op: str) -> None:
-        if self._current is not None and (
-            self._current._thread is threading.current_thread()
-        ):
+        # The driver never runs while a query holds the baton, so a
+        # caller that sees one holding it is that query.
+        if self._baton is not None:
             raise EngineError(
                 f"cannot call {op}() from inside a running query"
             )
@@ -527,7 +528,7 @@ class QueryLifecycleManager:
 
     def _run_slice(self, handle: QueryHandle) -> None:
         """Grant the baton to one query until it yields or finishes."""
-        tracer = self._ctx.tracer
+        ctx = self._ctx
         with self._cond:
             if handle._thread is None:
                 handle._thread = threading.Thread(
@@ -537,11 +538,12 @@ class QueryLifecycleManager:
                     daemon=True,
                 )
                 handle._thread.start()
-            # The query's spans must nest under its own stack, not the
-            # driver's; swap for the duration of the slice.
-            self._driver_stack = tracer.use_stack(handle._trace_stack)
+            # What the engine records during the slice lands on the
+            # query's scope and its spans nest under its own stack, not
+            # the driver's; swap both for the duration of the slice.
+            driver_scope, ctx.query = ctx.query, handle.scope
+            driver_stack = ctx.tracer.use_stack(handle.scope.span_stack)
             self._baton = handle
-            self._current = handle
             self._cond.notify_all()
             while self._baton is not None:
                 if not self._cond.wait(self.config.watchdog_timeout_s):
@@ -550,8 +552,8 @@ class QueryLifecycleManager:
                         f"progress in {self.config.watchdog_timeout_s}s "
                         "(cooperative-scheduling deadlock?)"
                     )
-            tracer.use_stack(self._driver_stack)
-            self._driver_stack = None
+            ctx.tracer.use_stack(driver_stack)
+            ctx.query = driver_scope
 
     def _await_grant(self, handle: QueryHandle) -> None:
         with self._cond:
@@ -565,15 +567,8 @@ class QueryLifecycleManager:
     def _yield_baton(self, handle: QueryHandle) -> None:
         with self._cond:
             self._baton = None
-            self._current = None
             self._cond.notify_all()
-            while self._baton is not handle:
-                if not self._cond.wait(self.config.watchdog_timeout_s):
-                    raise EngineError(
-                        f"lifecycle watchdog: query {handle.name!r} waited "
-                        f"{self.config.watchdog_timeout_s}s for the baton"
-                    )
-            self._current = handle
+            self._await_grant(handle)
 
     # ------------------------------------------------------------------
     # The query thread
@@ -609,41 +604,19 @@ class QueryLifecycleManager:
                     self._running.remove(handle)
                 self._record_completion(handle)
                 self._baton = None
-                self._current = None
                 self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Scheduler-facing hooks (called from the running query's thread)
+    # Scheduler-facing hook (called from the running query's thread)
     # ------------------------------------------------------------------
-    def in_query(self) -> bool:
-        """True when the calling thread is the currently granted query."""
-        current = self._current
-        return (
-            current is not None
-            and current._thread is threading.current_thread()
-        )
-
-    def current_token(self) -> Optional[CancelToken]:
-        return self._current.token if self.in_query() else None
-
-    def current_tenant(self) -> Optional[str]:
-        """Tenant of the running query (worker-failure attribution in
-        the scheduler is scoped by this), or None outside a query."""
-        return self._current.tenant if self.in_query() else None
-
-    def note_cache_lookups(self, records: list) -> None:
-        """Attach the SQL cache stack's lookup records to the running
-        query; they land in its lifecycle event-log record."""
-        if self.in_query():
-            self._current.cache_lookups.extend(records)
-
     def checkpoint(self) -> None:
         """Cooperative scheduling point, called by the scheduler before
         every task attempt: observe cancellation/deadline, then hand the
-        baton back so another query's task can interleave."""
-        if not self.in_query():
+        baton back so another query's task can interleave.  A no-op for
+        work the driver runs itself (no query holds the baton)."""
+        handle = self._baton
+        if handle is None:
             return
-        handle = self._current
         self._observe(handle)
         handle.token.raise_if_cancelled()
         handle.tasks_launched += 1
@@ -666,18 +639,6 @@ class QueryLifecycleManager:
         ):
             handle.token.cancel("deadline")
 
-    def on_task_seconds(self, seconds: float) -> None:
-        """Charge one kept task attempt's simulated duration to the
-        running query (deadline accounting and retry-after hints)."""
-        if self.in_query():
-            self._current.charged_seconds += seconds
-
-    def note_shuffle(self, shuffle_id: int) -> None:
-        """Record that the running query registered a shuffle (its map
-        outputs are released if the query is cancelled or fails)."""
-        if self.in_query():
-            self._current.shuffle_ids.add(shuffle_id)
-
     # ------------------------------------------------------------------
     # Cancellation and cleanup
     # ------------------------------------------------------------------
@@ -695,36 +656,12 @@ class QueryLifecycleManager:
                 return
         handle.token.cancel(reason)
 
-    def shed_queued(self, handle: QueryHandle, reason: str) -> bool:
-        """Load-shed a still-queued query (the serving layer's overload
-        valve: a deadline that became unmeetable while waiting, or a
-        brownout dropping low-priority tiers).
-
-        Only queued queries can be shed — a query that launched tasks is
-        cancelled, never shed — so shedding is always cheap: no cleanup,
-        no wasted work.  Returns False when ``handle`` was not queued
-        (already running or terminal)."""
-        with self._cond:
-            if handle not in self._queued:
-                return False
-            self._queued.remove(handle)
-        handle.token.cancel("shed")
-        handle.state = SHED
-        handle.shed_reason = reason
-        handle.error = QueryShedError(handle.name, shed_reason=reason)
-        self._record_completion(handle)
-        return True
-
     def _cleanup(self, handle: QueryHandle) -> None:
-        """Close the query's spans and, on abnormal exit, release its
-        shuffle outputs — no leaked pinned blocks, no open spans."""
+        """Close the query's spans and its scope — no open spans, no
+        leaked pinned blocks or broadcast charges, whatever the
+        outcome."""
         tracer = self._ctx.tracer
-        status = {
-            DONE: "ok",
-            CANCELLED: "cancelled",
-            DEADLINE: "deadline",
-            FAILED: "error",
-        }[handle.state]
+        status = _STATUS[handle.state]
         if handle._span is not None:
             tracer.end_span(handle._span, status=status)
             handle._span = None
@@ -733,22 +670,20 @@ class QueryLifecycleManager:
         # drain_stack works even when tracing was disabled mid-query
         # (end_span no-ops while disabled, so a loop built on it would
         # spin forever and leak the stack entries) and is idempotent.
-        tracer.drain_stack(handle._trace_stack, status=status)
-        if handle.state in (CANCELLED, DEADLINE, FAILED):
+        tracer.drain_stack(handle.scope.span_stack, status=status)
+        if handle.state != DONE:
             # Post-mortem: dump the flight recorder's recent events (it
             # is live even with tracing off) keyed to this query.
             tracer.flight_dump(
                 status, query=f"lifecycle-{handle.query_id}"
             )
-            released = self._ctx.scheduler.release_query_shuffles(
-                handle.shuffle_ids
+        released = handle.scope.close()
+        if released:
+            tracer.instant(
+                "query.shuffles_released", "query",
+                query_id=handle.query_id,
+                blocks=released,
             )
-            if released:
-                tracer.instant(
-                    "query.shuffles_released", "query",
-                    query_id=handle.query_id,
-                    blocks=released,
-                )
 
     def _record_completion(self, handle: QueryHandle) -> None:
         metrics = self._ctx.tracer.metrics
@@ -762,16 +697,10 @@ class QueryLifecycleManager:
         scoped = (handle.tenant, handle.key)
         log = self._ctx.event_log
         if log is not None:
-            status = {
-                DONE: "ok",
-                CANCELLED: "cancelled",
-                DEADLINE: "deadline",
-                SHED: "shed",
-            }.get(handle.state, "error")
             log.write_query(
                 name=handle.name,
                 kind="lifecycle",
-                status=status,
+                status=_STATUS[handle.state],
                 error=(
                     f"{type(handle.error).__name__}: {handle.error}"
                     if handle.error is not None
@@ -783,8 +712,7 @@ class QueryLifecycleManager:
                 query_id=f"lifecycle-{handle.query_id}",
                 tenant=handle.tenant,
                 priority=handle.priority,
-                shed_reason=handle.shed_reason,
-                cache_lookups=handle.cache_lookups or None,
+                cache_lookups=handle.scope.cache_lookups or None,
             )
             metrics.observe(
                 "query.sim_seconds", handle.charged_seconds
@@ -811,15 +739,6 @@ class QueryLifecycleManager:
                 "query.cancelled", "query",
                 query_id=handle.query_id, query=handle.name,
                 tasks_launched=handle.tasks_launched,
-            )
-        elif handle.state == SHED:
-            self.shed += 1
-            metrics.inc("queries.shed")
-            self._ctx.tracer.instant(
-                "query.shed", "query",
-                query_id=handle.query_id, query=handle.name,
-                tenant=handle.tenant, priority=handle.priority,
-                shed_reason=handle.shed_reason,
             )
         elif handle.state == FAILED:
             self.failed += 1
@@ -849,16 +768,13 @@ class QueryLifecycleManager:
     # Reporting
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        text = (
+        return (
             f"lifecycle: {self.submitted} submitted, "
             f"{self.completed} completed, {self.cancelled} cancelled, "
             f"{self.deadline_expired} deadline-expired, "
             f"{self.failed} failed, {self.rejected} rejected, "
             f"{self.circuit_opened} circuit-opened"
         )
-        if self.shed:
-            text += f", {self.shed} shed"
-        return text
 
     def admission_ledger(self) -> dict:
         """Live admission accounting for ledger-zero assertions: every
@@ -869,7 +785,6 @@ class QueryLifecycleManager:
             + self.cancelled
             + self.deadline_expired
             + self.failed
-            + self.shed
         )
         return {
             "running": len(self._running),

@@ -701,6 +701,14 @@ class UnionRDD(RDD):
         super().__init__(ctx, offset, deps, name="union")
         self._rdds = rdds
 
+    def union(self, other: RDD) -> RDD:
+        """The union of a union is the flat union: appending k times
+        keeps one level of lineage, not k.  A cached union stays a
+        parent — its own blocks are what readers must find."""
+        if self._cached:
+            return super().union(other)
+        return UnionRDD(self.ctx, [*self._rdds, other])
+
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         offset = 0
         for rdd in self._rdds:

@@ -37,6 +37,7 @@ retries, speculation, and recovery never inflate accumulator values.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -65,6 +66,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Upper bound on recovery rounds for one job before giving up.
 MAX_RECOVERY_ROUNDS = 16
+
+#: QueryProfile attribute -> the counter whose growth over the job it is.
+_JOB_COUNTERS = {
+    "evicted_blocks": "blocks.evicted",
+    "evicted_bytes": "blocks.evicted.bytes",
+    "memory_reserved_bytes": "memory.reserved.bytes",
+    "memory_spill_events": "memory.spill.events",
+    "memory_spill_bytes": "memory.spill.bytes",
+}
 
 
 @dataclass
@@ -179,24 +189,10 @@ class DAGScheduler:
         """Compute ``func(partition_data)`` for each requested partition."""
         if partitions is None:
             partitions = list(range(rdd.num_partitions))
-        job_id = self._next_job_id
-        self._next_job_id += 1
-        profile = QueryProfile(job_id=job_id)
         tracer = self._ctx.tracer
-        tracer.metrics.inc("jobs.submitted")
-        evicted_before = tracer.metrics.value("blocks.evicted")
-        evicted_bytes_before = tracer.metrics.value("blocks.evicted.bytes")
-        reserved_before = tracer.metrics.value("memory.reserved.bytes")
-        spill_events_before = tracer.metrics.value("memory.spill.events")
-        spill_bytes_before = tracer.metrics.value("memory.spill.bytes")
-        job_status = "ok"
-        job_span = tracer.begin_span(
-            f"job {job_id}",
-            "job",
-            rdd=rdd.name,
-            partitions=len(partitions),
-        )
-        try:
+        with self._job(
+            result_job=True, rdd=rdd.name, partitions=len(partitions)
+        ) as profile:
             final_stage = Stage(self._new_stage_id(), rdd)
             final_stage.parents = self._parent_stages(rdd)
             self._ensure_parents(final_stage, profile)
@@ -225,102 +221,72 @@ class DAGScheduler:
                 raise
             finally:
                 tracer.end_span(stage_span)
-        except QueryLifecycleError:
-            job_status = "cancelled"
-            raise
-        finally:
-            profile.evicted_blocks = int(
-                tracer.metrics.value("blocks.evicted") - evicted_before
-            )
-            profile.evicted_bytes = int(
-                tracer.metrics.value("blocks.evicted.bytes")
-                - evicted_bytes_before
-            )
-            profile.memory_reserved_bytes = int(
-                tracer.metrics.value("memory.reserved.bytes")
-                - reserved_before
-            )
-            profile.memory_peak_bytes = int(self._ctx.memory.peak_bytes())
-            profile.memory_spill_events = int(
-                tracer.metrics.value("memory.spill.events")
-                - spill_events_before
-            )
-            profile.memory_spill_bytes = int(
-                tracer.metrics.value("memory.spill.bytes")
-                - spill_bytes_before
-            )
-            tracer.end_span(
-                job_span,
-                stages=profile.num_stages,
-                recovered_tasks=profile.recovered_tasks,
-                status=job_status,
-            )
-        self.last_profile = profile
-        self.history.append(profile)
+                # A result stage dies with its job; its speculation
+                # peers have no later reader.
+                self._stage_durations.pop(final_stage.stage_id, None)
         return results
 
     def materialize_shuffle(self, dep: ShuffleDependency) -> "MapOutputStats":
         """PDE hook: run the map side of one shuffle now and return its
         statistics, without planning anything downstream (Section 3.1)."""
+        self._ctx.tracer.metrics.inc("pde.pre_shuffles")
+        with self._job(
+            result_job=False, kind="pde-pre-shuffle", shuffle_id=dep.shuffle_id
+        ) as profile:
+            stage = self._stage_for_shuffle(dep)
+            self._ensure_shuffle_stage(stage, profile)
+        return self._ctx.shuffle_manager.stats(dep.shuffle_id)
+
+    @contextmanager
+    def _job(self, result_job: bool, **span_args):
+        """The frame of one job, of either kind: its id, its span, its
+        profile — yielded to the body, then completed with the job's
+        share of the eviction, reservation and spill counters — and its
+        place in ``last_profile``, the history and the running query's
+        scope.  A result job's span also ends with its recovered-task
+        count and ok/cancelled status; a pre-shuffle's never did."""
         job_id = self._next_job_id
         self._next_job_id += 1
         profile = QueryProfile(job_id=job_id)
         tracer = self._ctx.tracer
+        value = tracer.metrics.value
         tracer.metrics.inc("jobs.submitted")
-        tracer.metrics.inc("pde.pre_shuffles")
-        evicted_before = tracer.metrics.value("blocks.evicted")
-        evicted_bytes_before = tracer.metrics.value("blocks.evicted.bytes")
-        reserved_before = tracer.metrics.value("memory.reserved.bytes")
-        spill_events_before = tracer.metrics.value("memory.spill.events")
-        spill_bytes_before = tracer.metrics.value("memory.spill.bytes")
-        job_span = tracer.begin_span(
-            f"job {job_id}",
-            "job",
-            kind="pde-pre-shuffle",
-            shuffle_id=dep.shuffle_id,
-        )
+        before = {name: value(name) for name in _JOB_COUNTERS.values()}
+        job_span = tracer.begin_span(f"job {job_id}", "job", **span_args)
+        status = "ok"
         try:
-            stage = self._stage_for_shuffle(dep)
-            self._ensure_shuffle_stage(stage, profile)
+            yield profile
+        except QueryLifecycleError:
+            status = "cancelled"
+            raise
         finally:
-            profile.evicted_blocks = int(
-                tracer.metrics.value("blocks.evicted") - evicted_before
-            )
-            profile.evicted_bytes = int(
-                tracer.metrics.value("blocks.evicted.bytes")
-                - evicted_bytes_before
-            )
-            profile.memory_reserved_bytes = int(
-                tracer.metrics.value("memory.reserved.bytes")
-                - reserved_before
-            )
+            for attribute, name in _JOB_COUNTERS.items():
+                setattr(profile, attribute, int(value(name) - before[name]))
             profile.memory_peak_bytes = int(self._ctx.memory.peak_bytes())
-            profile.memory_spill_events = int(
-                tracer.metrics.value("memory.spill.events")
-                - spill_events_before
-            )
-            profile.memory_spill_bytes = int(
-                tracer.metrics.value("memory.spill.bytes")
-                - spill_bytes_before
-            )
-            tracer.end_span(job_span, stages=profile.num_stages)
+            end_args = {"stages": profile.num_stages}
+            if result_job:
+                end_args.update(
+                    recovered_tasks=profile.recovered_tasks, status=status
+                )
+            tracer.end_span(job_span, **end_args)
         self.last_profile = profile
         self.history.append(profile)
-        return self._ctx.shuffle_manager.stats(dep.shuffle_id)
+        self._ctx.query.profiles.append(profile)
 
     def reset_history(self) -> None:
         self.history = []
 
     def release_query_shuffles(self, shuffle_ids) -> int:
-        """Forget a dead query's shuffles entirely; returns blocks freed.
+        """Forget a finished query's shuffles entirely; returns blocks
+        freed.
 
-        Called by the lifecycle manager when a query is cancelled,
-        deadline-expired, or failed: its map outputs are dropped from the
-        workers (they are pinned, so nothing else would ever reclaim
-        them), its stages leave the reusable-stage cache, its speculation
-        peer durations are forgotten, and its exactly-once accumulator
-        guards are cleared so a resubmission of the same computation
-        merges accumulator buffers afresh.
+        Called by :meth:`~repro.engine.query.QueryScope.close` on every
+        exit of a query: its map outputs are dropped from the workers
+        (they are pinned, so nothing else would ever reclaim them), its
+        stages leave the reusable-stage cache, its speculation peer
+        durations are forgotten, and its exactly-once accumulator guards
+        are cleared so a resubmission of the same computation merges
+        accumulator buffers afresh.
         """
         released = 0
         for shuffle_id in sorted(shuffle_ids):
@@ -328,8 +294,10 @@ class DAGScheduler:
             if stage is not None:
                 self._stage_durations.pop(stage.stage_id, None)
             released += self._ctx.shuffle_manager.release_shuffle(shuffle_id)
+        if shuffle_ids:
             self._merged_map_acc = {
-                key for key in self._merged_map_acc if key[0] != shuffle_id
+                key for key in self._merged_map_acc
+                if key[0] not in shuffle_ids
             }
         return released
 
@@ -380,12 +348,10 @@ class DAGScheduler:
         """Make every map output of this shuffle available, recursively."""
         dep = stage.shuffle_dep
         manager = self._ctx.shuffle_manager
-        manager.register(dep, stage.num_partitions)
-        lifecycle = self._ctx.lifecycle
-        if lifecycle is not None:
-            # The owning query claims this shuffle: if it is cancelled or
-            # fails, the lifecycle manager releases the map outputs.
-            lifecycle.note_shuffle(dep.shuffle_id)
+        if manager.register(dep, stage.num_partitions):
+            # The query that registers a shuffle first owns it and
+            # releases its map outputs when its scope closes.
+            self._ctx.query.shuffle_ids.add(dep.shuffle_id)
         stage_profile = self._stage_profile(profile, stage)
         tracer = self._ctx.tracer
         stage_span = None
@@ -422,10 +388,12 @@ class DAGScheduler:
                 self._ensure_parents(stage, profile)
                 for partition in missing:
                     try:
-                        self._run_map_task(
+                        self._run_resilient_task(
                             stage,
                             partition,
                             stage_profile,
+                            func=None,
+                            kind="shuffle-map",
                             recovery=round_number > 0,
                             profile=profile,
                         )
@@ -461,24 +429,6 @@ class DAGScheduler:
                 tracer.end_span(stage_span, status="cancelled")
             else:
                 tracer.end_span(stage_span)
-
-    def _run_map_task(
-        self,
-        stage: Stage,
-        partition: int,
-        stage_profile: StageProfile,
-        recovery: bool = False,
-        profile: Optional[QueryProfile] = None,
-    ) -> None:
-        self._run_resilient_task(
-            stage,
-            partition,
-            stage_profile,
-            func=None,
-            kind="shuffle-map",
-            recovery=recovery,
-            profile=profile,
-        )
 
     def _run_with_recovery(
         self,
@@ -612,14 +562,14 @@ class DAGScheduler:
         """Execute one attempt of a task on a freshly assigned worker."""
         ctx = self._ctx
         tracer = ctx.tracer
-        lifecycle = ctx.lifecycle
-        if lifecycle is not None:
+        if ctx.lifecycle is not None:
             # Cooperative scheduling point: observe cancellation/deadline
             # and hand the baton to another admitted query's task.  A
             # retry or speculative attempt passes through here too, so a
             # cancel issued mid-recovery stops the next attempt from ever
             # launching (the cancellation-races-retry case).
-            lifecycle.checkpoint()
+            ctx.lifecycle.checkpoint()
+        query = ctx.query
         worker = ctx.cluster.assign_worker(
             preferred=stage.rdd.preferred_workers(partition),
             exclude=exclude,
@@ -653,9 +603,7 @@ class DAGScheduler:
             metrics=metrics,
             attempt=attempt,
             speculative=speculative,
-            cancel_token=(
-                lifecycle.current_token() if lifecycle is not None else None
-            ),
+            cancel_token=query.token,
             accountant=ctx.memory,
         )
         push_task_context(task_ctx)
@@ -684,23 +632,23 @@ class DAGScheduler:
         metrics.records_out = len(records)
         vector = metrics.to_cost_vector()
         # Durations are only priced out when something consumes them: the
-        # trace, the fault injector's stragglers, or speculation.
+        # trace, the fault injector's stragglers, speculation, or the
+        # deadline of a lifecycle-managed query.
         seconds: Optional[float] = None
         if (
             tracer.enabled
             or injector is not None
             or self._speculation_enabled()
-            or (lifecycle is not None and lifecycle.in_query())
+            or query.token is not None
         ):
             seconds = tracer.estimate_seconds(vector)
             if injector is not None:
                 seconds *= injector.straggler_factor(
                     stage.stage_id, partition, stage.num_partitions, attempt
                 )
-        if lifecycle is not None and seconds is not None:
             # Deadline accounting: every completed attempt's simulated
             # cost counts against the owning query's deadline.
-            lifecycle.on_task_seconds(seconds)
+            query.charged_seconds += seconds
         span_name = (
             f"map task {stage.stage_id}.{partition}"
             if kind == "shuffle-map"
@@ -794,9 +742,7 @@ class DAGScheduler:
         multi-tenant server never punishes tenant B for tenant A's
         poison query.
         """
-        lifecycle = getattr(self._ctx, "lifecycle", None)
-        tenant = lifecycle.current_tenant() if lifecycle is not None else None
-        scoped = (tenant, worker_id)
+        scoped = (self._ctx.query.tenant, worker_id)
         count = self._worker_failures.get(scoped, 0) + 1
         self._worker_failures[scoped] = count
         if count >= self.config.blacklist_threshold:

@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster import VirtualCluster
     from repro.engine.dependencies import ShuffleDependency
     from repro.engine.metrics import TaskMetrics
+    from repro.engine.query import QueryScope
 
 
 def _shuffle_block_id(shuffle_id: int, map_partition: int) -> str:
@@ -239,10 +240,12 @@ class ShuffleManager:
     # ------------------------------------------------------------------
     # Registration and map-side writes
     # ------------------------------------------------------------------
-    def register(self, dep: "ShuffleDependency", num_maps: int) -> None:
+    def register(self, dep: "ShuffleDependency", num_maps: int) -> bool:
+        """Start tracking ``dep``'s map outputs; False when it already
+        was (a stage reused across jobs registers once)."""
         shuffle_id = dep.shuffle_id
         if shuffle_id in self._locations:
-            return
+            return False
         self._locations[shuffle_id] = {}
         self._stats[shuffle_id] = MapOutputStats(
             num_maps=num_maps,
@@ -252,6 +255,7 @@ class ShuffleManager:
             record_counts=[0] * num_maps,
         )
         self._deps[shuffle_id] = dep
+        return True
 
     def is_registered(self, shuffle_id: int) -> bool:
         return shuffle_id in self._locations
@@ -457,25 +461,23 @@ class ShuffleManager:
     def stats(self, shuffle_id: int) -> MapOutputStats:
         return self._stats[shuffle_id]
 
-    def skew_records(self, since_shuffle_id: int = 0) -> list[dict]:
-        """Skew records for every still-registered shuffle whose id is
-        >= ``since_shuffle_id`` (the caller's watermark), sorted by
+    def skew_records(self, scope: "QueryScope") -> list[dict]:
+        """Skew records of the shuffles ``scope`` owns, sorted by
         shuffle id.  Shuffles with no map output yet are skipped.
 
-        Reported ids are rebased to the watermark (the query's first
-        shuffle is 0): the global counter keeps growing across queries
-        in one process, and logs must be byte-identical across reruns.
+        Reported ids are rebased to the first id the scope could own
+        (the query's first shuffle is 0): the global counter keeps
+        growing across queries in one process, and logs must be
+        byte-identical across reruns.
         """
         out = []
-        for shuffle_id in sorted(self._stats):
-            if shuffle_id < since_shuffle_id:
-                continue
-            stats = self._stats[shuffle_id]
-            if not stats.skew_partials:
+        for shuffle_id in sorted(scope.shuffle_ids):
+            stats = self._stats.get(shuffle_id)
+            if stats is None or not stats.skew_partials:
                 continue
             out.append(
                 stats.skew_record(
-                    shuffle_id - since_shuffle_id,
+                    shuffle_id - scope.first_shuffle_id,
                     functools.partial(self._map_output_labels, shuffle_id),
                 )
             )
@@ -520,27 +522,29 @@ class ShuffleManager:
         """Drop one shuffle's registration and its pinned map-output
         blocks; returns the number of blocks removed.
 
-        The lifecycle manager calls this when a query is cancelled,
-        deadline-expired, or failed: its map outputs can never be
-        fetched again, and because they are pinned they would otherwise
-        occupy worker memory forever (the "no orphaned pinned blocks"
-        invariant).
+        A query's scope calls this when it closes: its map outputs can
+        never be fetched again, and because they are pinned they would
+        otherwise occupy worker memory forever (the "no orphaned pinned
+        blocks" invariant).  Every live worker is asked, not only the
+        recorded location: a speculative copy or a lineage re-run wrote
+        the same block on a second worker, and the pointer names one.
         """
-        locations = self._locations.pop(shuffle_id, None)
-        if locations is None:
+        if self._locations.pop(shuffle_id, None) is None:
             return 0
-        stats = self._stats.pop(shuffle_id, None)
+        stats = self._stats.pop(shuffle_id)
         self._deps.pop(shuffle_id, None)
         released = 0
-        for map_partition, worker_id in locations.items():
-            worker = self._cluster.worker(worker_id)
-            block_id = _shuffle_block_id(shuffle_id, map_partition)
-            if worker.alive and block_id in worker.blocks:
-                worker.blocks.remove(block_id)
-                released += 1
-        if released or stats is not None:
-            self._tracer.metrics.inc("shuffle.released")
-            self._tracer.metrics.inc("shuffle.released.blocks", released)
+        block_ids = [
+            _shuffle_block_id(shuffle_id, map_partition)
+            for map_partition in range(stats.num_maps)
+        ]
+        for worker in self._cluster.live_workers():
+            for block_id in block_ids:
+                if block_id in worker.blocks:
+                    worker.blocks.remove(block_id)
+                    released += 1
+        self._tracer.metrics.inc("shuffle.released")
+        self._tracer.metrics.inc("shuffle.released.blocks", released)
         return released
 
     def registered_block_ids(self) -> set[str]:

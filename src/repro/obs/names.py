@@ -80,7 +80,6 @@ COUNTERS = frozenset(
         "queries.failed",
         "queries.circuit_opened",
         "queries.circuit_rejected",
-        "queries.shed",
         # multi-tenant serving (SqlServer)
         "server.submitted",
         "server.admitted",

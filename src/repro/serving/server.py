@@ -501,7 +501,6 @@ class SqlServer:
             self._inflight.remove(ticket)
             ticket.state = handle.state
             ticket.error = handle.error
-            ticket.shed_reason = handle.shed_reason
             ticket.ended_at = now
             tenant = self.tenants[ticket.tenant]
             tenant.running -= 1
@@ -516,10 +515,6 @@ class SqlServer:
                     tenant.cache_hits += 1
                     self.cache_hits += 1
                     metrics.inc("sqlcache.served.hits")
-            elif handle.state == "shed":
-                tenant.shed += 1
-                self.shed += 1
-                metrics.inc("server.shed")
             else:
                 tenant.failed += 1
             self._drain_times.append(now)

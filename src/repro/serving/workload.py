@@ -330,8 +330,10 @@ def run_soak(
     ledger = server.lifecycle.admission_ledger()
     if ledger["leaked"] != 0 or ledger["running"] or ledger["queued"]:
         failures.append(f"admission-slot leak: {ledger}")
+    # Every query's scope released its shuffles when it closed: nothing
+    # may still be registered and no worker may hold a pinned copy.
     registered = shark.engine.shuffle_manager.registered_block_ids()
-    orphaned = shark.engine.cluster.pinned_block_ids() - registered
+    orphaned = shark.engine.cluster.pinned_block_ids() | registered
     if orphaned:
         failures.append(f"orphaned pinned shuffle blocks: {len(orphaned)}")
     open_spans = [s.name for s in shark.trace.spans if s.end is None]

@@ -580,14 +580,12 @@ class SqlCache:
         self._fragments.move_to_end(key)
         self.fragment_hits += 1
         metrics.inc("sqlcache.fragment.hits")
-        lifecycle = self._ctx.lifecycle
-        if lifecycle is not None and lifecycle.in_query():
-            token = lifecycle.current_token()
-            if token is not entry.producer_token:
-                # A different admitted query attached to this scan's
-                # decoded batches: the shared-scan path.
-                self.shared_attached += 1
-                metrics.inc("sqlcache.shared.attached")
+        token = self._ctx.query.token
+        if token is not None and token is not entry.producer_token:
+            # A different admitted query attached to this scan's
+            # decoded batches: the shared-scan path.
+            self.shared_attached += 1
+            metrics.inc("sqlcache.shared.attached")
         return entry.batch
 
     def fragment_store(self, key: tuple, batch, worker_id: int) -> None:
@@ -596,14 +594,8 @@ class SqlCache:
         nbytes = batch.memory_footprint_bytes()
         self._ctx.memory.reserve(worker_id, STORAGE, CACHE_OWNER, nbytes)
         self._fragment_bytes += nbytes
-        lifecycle = self._ctx.lifecycle
-        token = (
-            lifecycle.current_token()
-            if lifecycle is not None and lifecycle.in_query()
-            else None
-        )
         self._fragments[key] = _FragmentEntry(
-            batch, nbytes, worker_id, producer_token=token
+            batch, nbytes, worker_id, producer_token=self._ctx.query.token
         )
         while self._fragment_bytes > self.config.max_fragment_bytes:
             if len(self._fragments) <= 1:

@@ -131,36 +131,30 @@ class SqlSession:
     # Statement execution
     # ------------------------------------------------------------------
     def execute(self, text: str) -> QueryResult:
-        cache = self.sql_cache
-        if cache is not None:
-            from repro.sql.cache import SqlCache
-
-            memo = cache.memo_for(text)
-            if memo is not None and memo is not SqlCache._MISSING:
-                # Known-cacheable text: the normalized form stands in for
-                # the AST, so parsing is skipped entirely.  A plan- or
-                # result-cache miss below re-parses on demand.
-                self._current_text = text
-                try:
-                    return self._execute_select(None, memo=memo)
-                finally:
-                    self._current_text = None
-                    self.ctx.release_broadcast_accounting()
-        statement = parse(text)
         self._current_text = text
         try:
-            return self.execute_statement(statement)
+            cache = self.sql_cache
+            if cache is not None:
+                from repro.sql.cache import SqlCache
+
+                memo = cache.memo_for(text)
+                if memo is not None and memo is not SqlCache._MISSING:
+                    # Known-cacheable text: the normalized form stands in
+                    # for the AST, so parsing is skipped entirely.  A
+                    # plan- or result-cache miss below re-parses on demand.
+                    with self.ctx.query_scope():
+                        return self._execute_select(None, memo=memo)
+            return self.execute_statement(parse(text))
         finally:
             self._current_text = None
 
     def execute_statement(self, statement: ast.Statement) -> QueryResult:
-        try:
+        # One scope per statement: what it leaves in the engine — map
+        # outputs, broadcast charges — is given back when it closes, on
+        # success, cancellation or failure alike (a statement inside a
+        # lifecycle query joins that query's scope).
+        with self.ctx.query_scope():
             return self._execute_statement(statement)
-        finally:
-            # Broadcast build tables are query-scoped: drop their
-            # execution-pool charge so the ledger balances to zero after
-            # every statement (success, cancellation, or failure).
-            self.ctx.release_broadcast_accounting()
 
     def _execute_statement(self, statement: ast.Statement) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
@@ -210,85 +204,74 @@ class SqlSession:
         tracer.metrics.inc("queries.executed")
         text = self._current_text
         cache = self.sql_cache
-        lookups: list[dict] = []
-        try:
-            with self._logged_query("sql", text) as logged:
-                logged["cache_lookups"] = lookups
-                with tracer.span("query", "query", kind="select"):
-                    if cache is not None and memo is not None:
-                        hit = cache.result_lookup(memo)
-                        if hit is not None:
-                            rows, schema = hit
-                            lookups.append(
-                                {"layer": "result", "outcome": "hit"}
-                            )
-                            report = ExecutionReport()
-                            report.note("served from result cache")
-                            self.last_report = report
-                            logged["report"] = report
-                            logged["rows"] = len(rows)
-                            return QueryResult(
-                                rows, schema, report, cache_hit=True
-                            )
+        lookups = ctx.query.cache_lookups
+        with self._logged_query("sql", text) as logged:
+            with tracer.span("query", "query", kind="select"):
+                if cache is not None and memo is not None:
+                    hit = cache.result_lookup(memo)
+                    if hit is not None:
+                        rows, schema = hit
                         lookups.append(
-                            {"layer": "result", "outcome": "miss"}
+                            {"layer": "result", "outcome": "hit"}
                         )
-                    plan = None
-                    if cache is not None and memo is not None:
-                        cached = cache.plan_lookup(memo)
-                        if cached is not None:
-                            plan = cached[0]
-                            lookups.append(
-                                {"layer": "plan", "outcome": "hit"}
-                            )
-                        else:
-                            lookups.append(
-                                {"layer": "plan", "outcome": "miss"}
-                            )
-                    if plan is None:
-                        if statement is None:
-                            statement = parse(text)
-                        analyzer = Analyzer(self.catalog, self.registry)
-                        plan = optimize(analyzer.analyze_select(statement))
-                    if ctx.event_log is not None:
-                        self._last_plan_text = plan.pretty()
-                    planner = PhysicalPlanner(ctx, self.store, self.config)
-                    planned = planner.plan(plan)
-                    self.last_report = planned.report
-                    fragment_mark = (
-                        (cache.fragment_hits, cache.fragment_misses)
-                        if cache is not None
-                        else (0, 0)
+                        report = ExecutionReport()
+                        report.note("served from result cache")
+                        self.last_report = report
+                        logged["report"] = report
+                        logged["rows"] = len(rows)
+                        return QueryResult(
+                            rows, schema, report, cache_hit=True
+                        )
+                    lookups.append(
+                        {"layer": "result", "outcome": "miss"}
                     )
-                    rows = planned.rdd.collect()
-                    if cache is not None:
-                        hits = cache.fragment_hits - fragment_mark[0]
-                        misses = cache.fragment_misses - fragment_mark[1]
-                        if hits or misses:
-                            lookups.append(
-                                {
-                                    "layer": "fragment",
-                                    "outcome": "hit" if hits else "miss",
-                                    "hits": hits,
-                                    "misses": misses,
-                                }
-                            )
-                    if cache is not None and memo is not None:
-                        cache.plan_store(memo, plan, planned.schema)
-                        cache.result_store(memo, rows, planned.schema)
-                logged["report"] = planned.report
-                logged["rows"] = len(rows)
-                logged["plan_text"] = self._last_plan_text
-            return QueryResult(rows, planned.schema, planned.report)
-        finally:
-            # Inside a lifecycle-managed query the manager owns the
-            # event-log slice; hand it the lookups for its own record.
-            if (
-                lookups
-                and ctx.lifecycle is not None
-                and ctx.lifecycle.in_query()
-            ):
-                ctx.lifecycle.note_cache_lookups(lookups)
+                plan = None
+                if cache is not None and memo is not None:
+                    cached = cache.plan_lookup(memo)
+                    if cached is not None:
+                        plan = cached[0]
+                        lookups.append(
+                            {"layer": "plan", "outcome": "hit"}
+                        )
+                    else:
+                        lookups.append(
+                            {"layer": "plan", "outcome": "miss"}
+                        )
+                if plan is None:
+                    if statement is None:
+                        statement = parse(text)
+                    analyzer = Analyzer(self.catalog, self.registry)
+                    plan = optimize(analyzer.analyze_select(statement))
+                if ctx.event_log is not None:
+                    self._last_plan_text = plan.pretty()
+                planner = PhysicalPlanner(ctx, self.store, self.config)
+                planned = planner.plan(plan)
+                self.last_report = planned.report
+                fragment_mark = (
+                    (cache.fragment_hits, cache.fragment_misses)
+                    if cache is not None
+                    else (0, 0)
+                )
+                rows = planned.rdd.collect()
+                if cache is not None:
+                    hits = cache.fragment_hits - fragment_mark[0]
+                    misses = cache.fragment_misses - fragment_mark[1]
+                    if hits or misses:
+                        lookups.append(
+                            {
+                                "layer": "fragment",
+                                "outcome": "hit" if hits else "miss",
+                                "hits": hits,
+                                "misses": misses,
+                            }
+                        )
+                if cache is not None and memo is not None:
+                    cache.plan_store(memo, plan, planned.schema)
+                    cache.result_store(memo, rows, planned.schema)
+            logged["report"] = planned.report
+            logged["rows"] = len(rows)
+            logged["plan_text"] = self._last_plan_text
+        return QueryResult(rows, planned.schema, planned.report)
 
     def plan_select(self, select: ast.SelectStatement,
                     config: Optional[PlannerConfig] = None):
@@ -314,38 +297,30 @@ class SqlSession:
         """Stream one query's records to the context's event log.
 
         Yields a carrier dict the caller fills with ``report`` /
-        ``rows`` / ``plan_text``.  Watermarks on the scheduler history,
-        the trace buffers, and the counter values isolate this query's
-        slice; on any exit (including cancellation/failure) the records
-        are written and, on abnormal status, the flight recorder dumps.
-        No-op without an event log, or inside a lifecycle-managed query
-        (the lifecycle manager owns those records).
+        ``rows`` / ``plan_text``.  The statement's scope holds its jobs,
+        shuffles and cache lookups; watermarks on the trace buffers and
+        the counter values isolate the rest of its slice.  On any exit
+        (including cancellation/failure) the records are written and,
+        on abnormal status, the flight recorder dumps.  No-op without
+        an event log, or inside a lifecycle-managed query (the scope
+        with a cancel token: the lifecycle manager owns those records).
         """
         ctx = self.ctx
         log = ctx.event_log
+        scope = ctx.query
         carrier: dict[str, Any] = {
             "report": None,
             "rows": None,
             "plan_text": None,
-            "cache_lookups": None,
         }
-        if log is None or (
-            ctx.lifecycle is not None and ctx.lifecycle.in_query()
-        ):
+        if log is None or scope.token is not None:
             yield carrier
             return
         tracer = ctx.tracer
-        history = ctx.scheduler.history
-        history_mark = len(history)
         span_mark = len(tracer.trace.spans)
         event_mark = len(tracer.trace.events)
         counters_before = dict(tracer.metrics.snapshot()["counters"])
         spill_mark = ctx.memory.spill_snapshot()
-        # Shuffle-id watermark: ids are globally monotonic, so every
-        # shuffle this query creates has an id >= the mark.
-        from repro.engine.dependencies import ShuffleDependency
-
-        shuffle_mark = ShuffleDependency._next_shuffle_id
         started = tracer.clock.now()
         query_id = f"q{log.queries_logged:04d}"
         status, error = "ok", None
@@ -357,11 +332,7 @@ class SqlSession:
             raise
         finally:
             ended = tracer.clock.now()
-            if history_mark > len(history):
-                # reset_profiles ran inside the query (EXPLAIN ANALYZE):
-                # everything in the history belongs to it.
-                history_mark = 0
-            profiles = list(history[history_mark:])
+            profiles = scope.profiles
             spans = tracer.trace.spans[span_mark:]
             events = tracer.trace.events[event_mark:]
             counters_after = tracer.metrics.snapshot()["counters"]
@@ -385,7 +356,7 @@ class SqlSession:
                 tracer.flight_dump(status, query=query_id)
             report = carrier.get("report")
             operator_profiles = _operator_profiles(report, profiles)
-            skew_records = ctx.shuffle_manager.skew_records(shuffle_mark)
+            skew_records = ctx.shuffle_manager.skew_records(scope)
             metrics = tracer.metrics
             if operator_profiles:
                 from repro.obs.planquality import (
@@ -444,7 +415,7 @@ class SqlSession:
                 query_id=query_id,
                 memory=ctx.memory.watermarks(),
                 spills=ctx.memory.spill_rows_since(spill_mark),
-                cache_lookups=carrier.get("cache_lookups") or None,
+                cache_lookups=scope.cache_lookups or None,
                 operator_profiles=operator_profiles or None,
                 shuffle_skew=skew_records or None,
             )
@@ -480,13 +451,12 @@ class SqlSession:
         optimized = optimize(plan)
         plan_text = optimized.pretty()
 
-        self.ctx.reset_profiles()
+        # The report covers the jobs and shuffles of the scope this
+        # statement runs in — its own, whatever runs beside it.
+        scope = self.ctx.query
         tracer = self.ctx.tracer
         tracer.metrics.inc("queries.executed")
         spill_mark = self.ctx.memory.spill_snapshot()
-        from repro.engine.dependencies import ShuffleDependency
-
-        shuffle_mark = ShuffleDependency._next_shuffle_id
         with self._logged_query(
             "explain-analyze", self._current_text
         ) as logged:
@@ -506,7 +476,7 @@ class SqlSession:
             notes.append(self.ctx.lifecycle.describe())
         analysis = analyze_profiles(
             plan_text,
-            self.ctx.profiles,
+            scope.profiles,
             num_workers=cluster.num_workers,
             cores_per_worker=cores,
             result_rows=len(rows),
@@ -516,11 +486,9 @@ class SqlSession:
             memory_pressure_events=self.ctx.memory.pressure_events,
             memory_spills=self.ctx.memory.spill_rows_since(spill_mark),
             operator_profiles=_operator_profiles(
-                planned.report, self.ctx.profiles
+                planned.report, scope.profiles
             ),
-            shuffle_skew=self.ctx.shuffle_manager.skew_records(
-                shuffle_mark
-            ),
+            shuffle_skew=self.ctx.shuffle_manager.skew_records(scope),
         )
         serving = getattr(self.ctx, "serving", None)
         if serving is not None:
@@ -795,6 +763,9 @@ class SqlSession:
         stats = [info[0] for info in infos]
         bytes_per_partition = [info[1] for info in infos]
         row_count = sum(info[2] for info in infos)
+        # The table keeps ``blocks`` as its lineage: recomputing a lost
+        # partition reads the shuffles of the scope that built it.
+        self.ctx.query.stored_table = True
 
         if append and entry.cached_rdd is not None:
             entry.cached_rdd = entry.cached_rdd.union(blocks)

@@ -492,7 +492,9 @@ def test_no_key_is_labelled_unless_skew_is_asked_for(monkeypatch, tmp_path):
     monkeypatch.setattr(shuffle, "_key_label", counting)
     shark = _build(True, 4)
     for name in ("tpch_q3", "tpch_agg_max", "pavlo_join"):
-        shark.sql(QUERIES[name].rstrip())
+        # A statement's statistics go with its scope; a sql2rdd plan's
+        # live on the root scope, where they can be inspected.
+        shark.sql2rdd(QUERIES[name].rstrip()).collect()
     assert calls == []
     # The master keeps per-bucket counts only, never the keys themselves.
     manager = shark.engine.shuffle_manager

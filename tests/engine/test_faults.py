@@ -216,6 +216,24 @@ class TestSpeculation:
         # The straggler ran slowdown x 50; the copy at normal speed wins.
         assert winners, "expected at least one speculative winner"
 
+    def test_release_frees_the_losing_copy_too(self):
+        # A speculated map task leaves the same block on two workers and
+        # the location names one; releasing the shuffle must free both.
+        ctx = self._straggler_ctx()
+        _word_counts(ctx)
+        manager = ctx.shuffle_manager
+        copies = sum(
+            len(worker.blocks.pinned_ids())
+            for worker in ctx.cluster.live_workers()
+        )
+        assert copies > len(manager.registered_block_ids())
+        released = ctx.scheduler.release_query_shuffles(
+            ctx.query.shuffle_ids
+        )
+        assert released == copies
+        assert manager.registered_block_ids() == set()
+        assert ctx.cluster.pinned_block_ids() == set()
+
     def test_speculation_off_without_injector(self):
         ctx = EngineContext(num_workers=4, cores_per_worker=2)
         _word_counts(ctx)

@@ -21,10 +21,10 @@ from repro.errors import (
     QueryCancelledError,
     QueryCircuitOpenError,
     QueryDeadlineExceeded,
-    QueryShedError,
     TaskError,
 )
 from repro.faults import FaultInjector
+from tests.engine.test_query_scope import NOTHING, engine_holds
 
 
 def _build_shark(fault_injector=None) -> SharkContext:
@@ -432,7 +432,7 @@ class TestCorruptionIsolation:
         registered = shark.engine.shuffle_manager.registered_block_ids()
         pinned = shark.engine.cluster.pinned_block_ids()
         assert pinned <= registered
-        for shuffle_id in victim.shuffle_ids:
+        for shuffle_id in victim.scope.shuffle_ids:
             assert not shark.engine.shuffle_manager.is_registered(shuffle_id)
 
         # The same survivor query still answers correctly afterwards.
@@ -515,6 +515,111 @@ class TestObservability:
         assert isinstance(handle.error, EngineError)
 
 
+class TestQueryScopeIsolation:
+    """Each query's engine state lives on its own QueryScope: what one
+    query's exit gives back is exactly what that query held."""
+
+    def test_every_outcome_releases_everything(self):
+        shark = _build_shark()
+        lifecycle = shark.enable_lifecycle(
+            LifecycleConfig(max_concurrent=4)
+        )
+        done = shark.submit_sql(QUERIES["agg"], name="done")
+        cancelled = shark.submit_sql(
+            QUERIES["filter"], name="cancelled"
+        ).cancel_after_tasks(9)
+        deadlined = shark.submit_sql(
+            QUERIES["agg"], name="deadlined", deadline_s=1e-9
+        )
+
+        def plan_then_fail():
+            shark.sql2rdd(QUERIES["agg"])  # PDE pre-shuffle runs in plan()
+            raise TaskError(0, 0, ValueError("x"))
+
+        failed = lifecycle.submit(plan_then_fail, name="failed")
+        lifecycle.drain()
+        assert [h.state for h in (done, cancelled, deadlined, failed)] == [
+            "done", "cancelled", "deadline", "failed"
+        ]
+        # Each of them got past its map stage, so each held something.
+        for handle in (done, cancelled, failed):
+            assert handle.scope.shuffle_ids, handle.name
+        assert shark.metrics.value("shuffle.released.blocks") >= 24
+        assert engine_holds(shark) == NOTHING
+
+    def test_exit_of_one_query_keeps_anothers_broadcast_charged(self):
+        shark = _build_shark()
+        shark.create_table(
+            "events", Schema.of(("bucket", STRING), ("day", INT)), cached=True
+        )
+        shark.load_rows(
+            "events", [(f"b{i % 6}", i % 15) for i in range(4000)],
+            num_partitions=24,
+        )
+        shark.create_table(
+            "labels", Schema.of(("bucket", STRING), ("label", STRING)),
+            cached=True,
+        )
+        shark.load_rows(
+            "labels", [(f"b{i}", f"label{i}") for i in range(6)],
+            num_partitions=1,
+        )
+        lifecycle = shark.enable_lifecycle(LifecycleConfig(max_concurrent=2))
+        # A broadcasts its one-task build table, then streams 24 tasks;
+        # B (nine tasks) finishes while A is mid-stream.
+        join = shark.submit_sql(
+            "SELECT e.day, l.label FROM events e "
+            "JOIN labels l ON e.bucket = l.bucket",
+            name="A",
+        )
+        count = shark.submit_sql(QUERIES["count"], name="B")
+        lifecycle.wait(count)
+        assert count.state == "done" and not join.done
+        memory = shark.engine.memory
+        (broadcast,) = join.scope.broadcasts
+        assert count.scope.broadcasts == []
+        assert memory.live_bytes("execution") == broadcast.size_bytes > 0
+        lifecycle.drain()
+        assert join.state == "done" and len(join.result.rows) == 4000
+        assert join.scope.broadcasts == []
+        assert engine_holds(shark) == NOTHING
+
+    def test_explain_analyze_reports_only_its_own_jobs(self):
+        def profile_lines(beside):
+            shark = _build_shark()
+            lifecycle = shark.enable_lifecycle(
+                LifecycleConfig(max_concurrent=2)
+            )
+            shark.engine.reset_profiles()
+            handle = shark.submit_sql(
+                "EXPLAIN ANALYZE " + QUERIES["agg"], name="explained"
+            )
+            if beside:
+                shark.submit_sql(
+                    "SELECT day, value FROM readings "
+                    "ORDER BY value, day LIMIT 5",
+                    name="beside",
+                )
+            lifecycle.drain()
+            text = handle.result.plan_text
+            lines = [
+                # Stage ids come from a context-wide counter.
+                line.split("(", 1)[1] if line.startswith("  stage ") else line
+                for line in text.splitlines()
+                if "stage " in line or "runtime profile" in line
+                or line.startswith("  shuffle ")
+            ]
+            return lines, len(shark.engine.profiles)
+
+        alone, alone_jobs = profile_lines(beside=False)
+        beside, all_jobs = profile_lines(beside=True)
+        assert alone[0].startswith("== runtime profile (2 jobs, ")
+        assert beside == alone
+        # ... and nothing was cleared under the other query's feet: the
+        # context's history still holds every job of both.
+        assert alone_jobs == 2 and all_jobs > alone_jobs
+
+
 class TestTraceDrainOnCancellation:
     """Regression: the cleanup loop used ``end_span``, which no-ops when
     tracing is disabled — a query cancelled after tracing was turned off
@@ -540,7 +645,7 @@ class TestTraceDrainOnCancellation:
 
         assert handle.state == "cancelled"
         # The private stack was drained despite the disabled tracer ...
-        assert handle._trace_stack == []
+        assert handle.scope.span_stack == []
         # ... every recorded span got a close time and terminal status.
         assert shark.trace.spans
         for span in shark.trace.spans:
@@ -548,8 +653,8 @@ class TestTraceDrainOnCancellation:
         query_span = shark.trace.spans_in_category("query")[0]
         assert query_span.args["status"] == "cancelled"
         # Draining again is a no-op (idempotent).
-        shark.tracer.drain_stack(handle._trace_stack, status="cancelled")
-        assert handle._trace_stack == []
+        shark.tracer.drain_stack(handle.scope.span_stack, status="cancelled")
+        assert handle.scope.span_stack == []
 
     def test_cancelled_query_dumps_flight_recorder(self):
         shark = _build_shark()
@@ -728,48 +833,10 @@ class TestRetryAfterDrainRate:
         assert admitted.result.rows == [(3000,)]
 
 
-class TestShedQueued:
-    """Satellite 3: a deadline expiring while queued sheds the query —
-    it never runs — and only queued queries are sheddable."""
-
-    def test_deadline_expiring_while_queued_is_shed_not_run(self):
-        shark = _build_shark()
-        lifecycle = shark.enable_lifecycle(
-            LifecycleConfig(max_concurrent=1, max_queued=1)
-        )
-        running = shark.submit_sql(QUERIES["agg"], name="running")
-        doomed = shark.submit_sql(
-            QUERIES["count"], name="doomed", deadline_s=1e-9
-        )
-        assert doomed.state == "queued"
-        assert lifecycle.shed_queued(doomed, "deadline-unmeetable")
-        assert doomed.state == "shed"
-        assert isinstance(doomed.error, QueryShedError)
-        assert doomed.error.shed_reason == "deadline-unmeetable"
-        # Shed means never launched: zero tasks, no cleanup needed.
-        assert doomed.tasks_launched == 0
-        with pytest.raises(QueryShedError):
-            doomed.result_or_raise()
-        lifecycle.drain()
-        assert running.state == "done"
-        assert lifecycle.shed == 1
-        assert shark.metrics.value("queries.shed") == 1
-        assert "1 shed" in lifecycle.describe()
-
-    def test_running_query_is_not_sheddable(self):
-        shark = _build_shark()
-        lifecycle = shark.enable_lifecycle(LifecycleConfig(max_concurrent=1))
-        running = shark.submit_sql(QUERIES["count"], name="running")
-        assert running.state == "running"
-        assert not lifecycle.shed_queued(running, "brownout")
-        lifecycle.drain()
-        assert running.state == "done"
-
-
 class TestAdmissionLedger:
     """Satellite 3: the slot ledger balances to zero on every terminal
-    path — completed, cancelled, deadline-expired, failed, shed, and
-    rejected — chaos included."""
+    path — completed, cancelled (mid-flight and while queued),
+    deadline-expired, failed, and rejected — chaos included."""
 
     def test_ledger_zero_across_every_terminal_path_under_chaos(self):
         injector = FaultInjector(
@@ -790,10 +857,11 @@ class TestAdmissionLedger:
         deadlined = shark.submit_sql(
             QUERIES["agg"], name="deadlined", deadline_s=1e-9
         )
-        shedded = shark.submit_sql(QUERIES["count"], name="shedded")
+        withdrawn = shark.submit_sql(QUERIES["count"], name="withdrawn")
         with pytest.raises(AdmissionRejected):
             shark.submit_sql(QUERIES["count"], name="rejected")
-        assert lifecycle.shed_queued(shedded, "brownout")
+        assert withdrawn.state == "queued"
+        withdrawn.cancel()
         lifecycle.drain()
 
         failing = lifecycle.submit(
@@ -806,7 +874,8 @@ class TestAdmissionLedger:
         assert survivor.state == "done"
         assert cancelled.state == "cancelled"
         assert deadlined.state == "deadline"
-        assert shedded.state == "shed"
+        assert withdrawn.state == "cancelled"
+        assert withdrawn.tasks_launched == 0
         assert failing.state == "failed"
 
         ledger = lifecycle.admission_ledger()

@@ -1,0 +1,179 @@
+"""QueryScope: one owner, one exit for what a query holds in the engine.
+
+Whatever the entry point and whatever the outcome, a finished SELECT
+leaves no registered or pinned shuffle block, no scheduler stage or
+accumulator guard and a balanced ledger; a table or a ``sql2rdd`` plan
+keeps exactly what its lineage reads.  (The lifecycle outcomes — done,
+cancelled, deadline, failed — and the two concurrent-query probes are in
+``test_lifecycle.py``.)
+"""
+
+import pytest
+
+from repro import SharkContext
+from repro.datatypes import DOUBLE, INT, STRING, Schema
+from repro.errors import ReproError
+from repro.faults import FaultInjector
+from repro.serving import BATCH, INTERACTIVE, SqlServer
+
+AGG = (
+    "SELECT bucket, COUNT(*) AS n, SUM(value) AS total "
+    "FROM readings GROUP BY bucket"
+)
+ORDERED = "SELECT day, value FROM readings ORDER BY value, day LIMIT 7"
+SELF_JOIN = (
+    "SELECT a.day, COUNT(*) FROM readings a JOIN readings b "
+    "ON a.day = b.day WHERE a.value < 3 AND b.value < 3 GROUP BY a.day"
+)
+ROWS = [(f"b{i % 6}", i % 15, float(i % 100)) for i in range(3000)]
+
+
+def _build_shark(**kwargs) -> SharkContext:
+    shark = SharkContext(num_workers=4, **kwargs)
+    shark.create_table(
+        "readings",
+        Schema.of(("bucket", STRING), ("day", INT), ("value", DOUBLE)),
+        cached=True,
+    )
+    shark.load_rows("readings", ROWS, num_partitions=8)
+    return shark
+
+
+def engine_holds(shark: SharkContext) -> dict:
+    """Everything a query can leave in the engine, by name."""
+    engine = shark.engine
+    return {
+        "registered": engine.shuffle_manager.registered_block_ids(),
+        "pinned": engine.cluster.pinned_block_ids(),
+        "stages": set(engine.scheduler._shuffle_stages),
+        "acc_guards": set(engine.scheduler._merged_map_acc),
+        "execution_bytes": engine.memory.live_bytes("execution"),
+        "clamped": engine.memory.clamped_release_bytes,
+    }
+
+
+NOTHING = {
+    "registered": set(),
+    "pinned": set(),
+    "stages": set(),
+    "acc_guards": set(),
+    "execution_bytes": 0,
+    "clamped": 0,
+}
+
+
+class TestEverySelectReleasesEverything:
+    @pytest.mark.parametrize(
+        "text", [AGG, ORDERED, SELF_JOIN], ids=["group_by", "order_by", "join"]
+    )
+    def test_plain_sql(self, text):
+        shark = _build_shark()
+        first = shark.sql(text).rows
+        assert shark.metrics.value("shuffle.released.blocks") > 0
+        assert engine_holds(shark) == NOTHING
+        # Nothing it needed was taken: the same statement answers again.
+        assert shark.sql(text).rows == first
+        assert engine_holds(shark) == NOTHING
+
+    def test_result_cache_hit_path(self):
+        shark = _build_shark()
+        shark.enable_sql_cache()
+        miss = shark.sql(AGG)
+        assert engine_holds(shark) == NOTHING
+        hit = shark.sql(AGG)  # by memoized text: no parse, no jobs
+        assert hit.cache_hit and not miss.cache_hit
+        assert hit.rows == miss.rows
+        assert engine_holds(shark) == NOTHING
+
+    def test_explain_analyze(self):
+        shark = _build_shark()
+        text = shark.explain_analyze(AGG)
+        assert "shuffle 0:" in text  # inspected while it existed
+        assert engine_holds(shark) == NOTHING
+
+    def test_failed_statement(self):
+        shark = _build_shark()
+
+        def explode(value):
+            raise ValueError("boom")
+
+        shark.register_udf("explode", explode, DOUBLE)
+        with pytest.raises(ReproError):
+            # The map side of the GROUP BY ran (in plan()); the UDF only
+            # blows up above the exchange.
+            shark.sql(
+                "SELECT bucket, explode(SUM(value)) FROM readings "
+                "GROUP BY bucket"
+            )
+        assert shark.metrics.value("shuffle.released.blocks") > 0
+        assert engine_holds(shark) == NOTHING
+
+    def test_sql_server(self):
+        shark = _build_shark()
+        server = SqlServer(shark)
+        server.register_tenant("alice", INTERACTIVE)
+        server.register_tenant("bob", BATCH)
+        tickets = [
+            server.submit(tenant, text)
+            for tenant in ("alice", "bob")
+            for text in (AGG, ORDERED, SELF_JOIN)
+        ]
+        server.drain()
+        assert all(ticket.state == "done" for ticket in tickets)
+        assert shark.metrics.value("shuffle.released.blocks") > 0
+        assert engine_holds(shark) == NOTHING
+
+
+class TestLineageKeepsWhatItReads:
+    def test_distributed_table_keeps_its_shuffle_and_recovers(self):
+        # Worker 2 dies a few tasks into the reading query: its cached
+        # partitions of ``spread`` and its map outputs of the CTAS's
+        # DISTRIBUTE BY shuffle are gone, and come back through lineage.
+        reference = sorted(_build_shark().sql(AGG).rows)
+        shark = _build_shark(fault_injector=FaultInjector(seed=3))
+        shark.sql(
+            "CREATE TABLE spread TBLPROPERTIES ('shark.cache'='true') "
+            "AS SELECT * FROM readings DISTRIBUTE BY day"
+        )
+        kept = engine_holds(shark)
+        assert kept["registered"] and kept["registered"] == kept["pinned"]
+        assert len(kept["stages"]) == 1
+
+        text = AGG.replace("readings", "spread")
+        assert sorted(shark.sql(text).rows) == reference
+        # The reader released its own GROUP BY shuffle, not the table's.
+        assert engine_holds(shark) == kept
+
+        shark.engine.inject_failure(worker_id=2, after_tasks=3)
+        assert sorted(shark.sql(text).rows) == reference
+        assert not shark.engine.cluster.worker(2).alive
+        assert shark.metrics.value("tasks.recovered") > 0
+        after = engine_holds(shark)
+        # Same shuffle, same map partitions, re-homed on live workers.
+        assert after["registered"] == kept["registered"] == after["pinned"]
+        assert after["stages"] == kept["stages"]
+        assert after["execution_bytes"] == 0 and after["clamped"] == 0
+
+    def test_sql2rdd_plan_survives_other_statements(self):
+        shark = _build_shark()
+        table_rdd = shark.sql2rdd(AGG)
+        first = sorted(table_rdd.collect())
+        kept = engine_holds(shark)
+        assert kept["registered"]  # lives on the root scope
+        shark.sql(ORDERED)
+        shark.sql(SELF_JOIN)
+        assert engine_holds(shark) == kept
+        stages_run = shark.metrics.value("stages.run")
+        assert sorted(table_rdd.collect()) == first
+        # Its map outputs were still there: only the result stage ran.
+        assert shark.metrics.value("stages.run") == stages_run + 1
+
+
+def test_explain_analyze_leaves_the_profile_history_alone():
+    shark = _build_shark()
+    shark.engine.reset_profiles()
+    shark.sql(AGG)
+    jobs = len(shark.engine.profiles)
+    text = shark.explain_analyze(AGG)
+    assert f"runtime profile ({jobs} jobs" in text
+    assert len(shark.engine.profiles) == 2 * jobs

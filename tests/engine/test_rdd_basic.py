@@ -60,6 +60,26 @@ class TestBasicTransformations:
         assert union.collect() == [1, 2, 3, 4]
         assert union.num_partitions == 4
 
+    def test_union_of_a_union_is_the_flat_union(self, ctx):
+        parts = [ctx.parallelize(range(3 * i, 3 * i + 3), 2) for i in range(4)]
+        nested = ctx.union(
+            [ctx.union([ctx.union(parts[:2]), parts[2]]), parts[3]]
+        )
+        chained = parts[0].union(parts[1]).union(parts[2]).union(parts[3])
+        # One level, every input a direct parent, in append order ...
+        assert [dep.rdd for dep in chained.dependencies] == parts
+        # ... with the partitions and rows of the nested spelling.
+        assert chained.num_partitions == nested.num_partitions == 8
+        assert chained.glom().collect() == nested.glom().collect()
+        assert chained.collect() == list(range(12))
+
+    def test_union_of_a_cached_union_reads_its_blocks(self, ctx):
+        left = ctx.parallelize([1, 2], 2).union(ctx.parallelize([3], 1))
+        left.cache().collect()
+        wider = left.union(ctx.parallelize([4], 1))
+        assert [dep.rdd for dep in wider.dependencies][0] is left
+        assert wider.collect() == [1, 2, 3, 4]
+
     def test_distinct(self, ctx):
         result = ctx.parallelize([1, 2, 2, 3, 3, 3], 3).distinct()
         assert sorted(result.collect()) == [1, 2, 3]

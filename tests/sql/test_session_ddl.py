@@ -111,6 +111,29 @@ class TestInsert:
         assert shark.sql("SELECT COUNT(*) FROM mem").scalar() == 4
         assert shark.table_entry("mem").row_count == 4
 
+    def test_appends_keep_one_level_of_lineage(self, shark):
+        shark.sql(
+            "CREATE TABLE mem TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT * FROM src"
+        )
+        entry = shark.table_entry("mem")
+        blocks = [entry.cached_rdd]
+        rows = shark.sql("SELECT * FROM mem").rows
+        for k in range(10, 16):
+            shark.load_rows("mem", [(k, "n", 0.5), (k, "m", 1.5)])
+            rows += [(k, "n", 0.5), (k, "m", 1.5)]
+            parents = [dep.rdd for dep in entry.cached_rdd.dependencies]
+            # Every load's blocks are direct parents of the table, in
+            # load order: depth one however many appends came before.
+            assert parents[: len(blocks)] == blocks
+            assert all(parent.is_cached for parent in parents)
+            blocks = parents
+            assert entry.cached_rdd.num_partitions == len(
+                entry.partition_stats
+            ) == sum(parent.num_partitions for parent in parents)
+        assert len(blocks) == 7
+        assert shark.sql("SELECT * FROM mem").rows == rows
+
     def test_insert_into_missing_table(self, shark):
         with pytest.raises(CatalogError):
             shark.sql("INSERT INTO ghost VALUES (1)")
