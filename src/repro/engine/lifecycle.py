@@ -74,6 +74,7 @@ from repro.errors import (
     QueryDeadlineExceeded,
     QueryLifecycleError,
 )
+from repro.obs.record import capture
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import EngineContext
@@ -652,6 +653,7 @@ class QueryLifecycleManager:
                 handle.token.cancel(reason)
                 handle.state = CANCELLED
                 handle.error = QueryCancelledError(handle.name, reason=reason)
+                self._log_record(handle)
                 self._record_completion(handle)
                 return
         handle.token.cancel(reason)
@@ -677,6 +679,8 @@ class QueryLifecycleManager:
             tracer.flight_dump(
                 status, query=f"lifecycle-{handle.query_id}"
             )
+        # Before close(): the record reads the scope's map outputs.
+        self._log_record(handle)
         released = handle.scope.close()
         if released:
             tracer.instant(
@@ -684,6 +688,38 @@ class QueryLifecycleManager:
                 query_id=handle.query_id,
                 blocks=released,
             )
+
+    def _log_record(self, handle: QueryHandle) -> None:
+        """Write the query's record, captured off its scope like any
+        statement's, to the open event log.  Its ``sim_seconds`` is the
+        *charged* seconds deadlines and tenant budgets meter, not the
+        makespan its ``stage_sim`` rows add up to; it has no timeline,
+        counters or memory rows, which are slices of context-global
+        buffers that interleaved queries share."""
+        log = self._ctx.event_log
+        if log is None:
+            return
+        record = capture(
+            self._ctx,
+            handle.scope,
+            query_id=f"lifecycle-{handle.query_id}",
+            name=handle.name,
+            kind="lifecycle",
+            status=_STATUS[handle.state],
+            error=(
+                f"{type(handle.error).__name__}: {handle.error}"
+                if handle.error is not None
+                else None
+            ),
+            started=handle.submitted_at,
+            tenant=handle.tenant,
+            priority=handle.priority,
+        )
+        record.sim_seconds = handle.charged_seconds
+        log.write_query(record)
+        self._ctx.tracer.metrics.observe(
+            "query.sim_seconds", handle.charged_seconds
+        )
 
     def _record_completion(self, handle: QueryHandle) -> None:
         metrics = self._ctx.tracer.metrics
@@ -695,28 +731,6 @@ class QueryLifecycleManager:
         if len(self._drain_times) > 4 * self.config.drain_rate_window:
             del self._drain_times[: -self.config.drain_rate_window]
         scoped = (handle.tenant, handle.key)
-        log = self._ctx.event_log
-        if log is not None:
-            log.write_query(
-                name=handle.name,
-                kind="lifecycle",
-                status=_STATUS[handle.state],
-                error=(
-                    f"{type(handle.error).__name__}: {handle.error}"
-                    if handle.error is not None
-                    else None
-                ),
-                sim_seconds=handle.charged_seconds,
-                started=handle.submitted_at,
-                ended=self._ctx.tracer.clock.now(),
-                query_id=f"lifecycle-{handle.query_id}",
-                tenant=handle.tenant,
-                priority=handle.priority,
-                cache_lookups=handle.scope.cache_lookups or None,
-            )
-            metrics.observe(
-                "query.sim_seconds", handle.charged_seconds
-            )
         if handle.state == DONE:
             self.completed += 1
             metrics.inc("queries.completed")

@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import EngineContext
     from repro.engine.lifecycle import CancelToken
     from repro.engine.metrics import QueryProfile
+    from repro.sql.planner import ExecutionReport
 
 
 class QueryScope:
@@ -56,6 +57,13 @@ class QueryScope:
         self.broadcasts: list["Broadcast"] = []
         #: cache_lookup records of the SQL cache stack (event log).
         self.cache_lookups: list[dict] = []
+        #: What the SQL session learned running the statement, for the
+        #: query's record: the planner's ExecutionReport, the optimized
+        #: plan text (kept only while an event log is open) and the
+        #: number of rows returned.
+        self.report: Optional["ExecutionReport"] = None
+        self.plan_text: Optional[str] = None
+        self.result_rows: Optional[int] = None
         #: Simulated seconds of this scope's task attempts (deadlines,
         #: tenant budgets, retry-after hints).
         self.charged_seconds = 0.0

@@ -11,9 +11,18 @@ clock, so traces are deterministic and reproducible.
 
 Consumers:
 
-* ``EXPLAIN ANALYZE <query>`` — runs the query and renders the optimized
-  plan annotated with per-stage task counts, rows, bytes, attempts, and
-  simulated seconds (:mod:`repro.obs.analyze`);
+* :class:`~repro.obs.record.QueryRecord` — the one statement of what a
+  query did, captured off its ``QueryScope`` (:func:`repro.obs.record.
+  capture`), written to and loaded from the event log
+  (:mod:`repro.obs.events`, :mod:`repro.obs.history`) and rendered by
+  :func:`repro.obs.analyze.render_query`;
+* ``EXPLAIN ANALYZE <query>`` and ``history --query`` — both that one
+  rendering: the optimized plan annotated with per-stage task counts,
+  rows, bytes, attempts and simulated seconds, then memory, operator
+  modes, plan quality and shuffle skew;
+* the history reports, the query doctor (:mod:`repro.obs.doctor`) and
+  the perf sentinel (:mod:`repro.obs.sentinel`), which read loaded
+  records and nothing else;
 * :meth:`~repro.obs.tracer.QueryTrace.to_chrome_trace` — exports the
   span timeline as Chrome ``chrome://tracing`` / Perfetto JSON keyed by
   virtual worker;

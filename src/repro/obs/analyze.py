@@ -13,7 +13,7 @@ point is to show where *this* query spent its modelled time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Iterable
 
 from repro.costmodel.constants import (
     DEFAULT_HARDWARE,
@@ -22,212 +22,72 @@ from repro.costmodel.constants import (
 )
 from repro.costmodel.simulator import ClusterSimulator, StageCost
 from repro.engine.metrics import QueryProfile, StageProfile
+from repro.obs.planquality import (
+    DEFAULT_Q_ERROR_THRESHOLD,
+    audit,
+    format_profile_line,
+    heavy_keys_text,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.record import QueryRecord
 
 
 @dataclass
 class StageAnalysis:
-    """One executed stage's annotations."""
+    """One executed stage and the simulated seconds it was charged."""
 
     job_id: int
-    stage_id: int
-    name: str
-    kind: str  # "shuffle-map" | "result"
-    num_tasks: int
-    total_attempts: int
-    records_in: int
-    records_out: int
-    bytes_in: int
-    shuffle_read_bytes: int
-    shuffle_write_bytes: int
+    stage: StageProfile
     sim_seconds: float
 
+    @property
+    def kind(self) -> str:
+        return "shuffle-map" if self.stage.is_shuffle_map else "result"
+
+    def row(self) -> dict:
+        """The stage's ``query_end.stage_sim`` row."""
+        stage = self.stage
+        return {
+            "job_id": self.job_id,
+            "stage_id": stage.stage_id,
+            "name": stage.name,
+            "kind": self.kind,
+            "num_tasks": stage.num_tasks,
+            "sim_seconds": self.sim_seconds,
+            "records_in": stage.records_in,
+            "records_out": stage.records_out,
+            "shuffle_read_bytes": stage.shuffle_read_bytes,
+            "shuffle_write_bytes": stage.shuffle_write_bytes,
+        }
+
     def render(self) -> str:
-        parts = [f"{self.num_tasks} tasks"]
-        if self.total_attempts != self.num_tasks:
-            parts[-1] += f" ({self.total_attempts} attempts)"
-        parts.append(
-            f"rows {self.records_in} -> {self.records_out}"
-        )
-        parts.append(f"input {_bytes(self.bytes_in)}")
-        if self.shuffle_read_bytes:
-            parts.append(f"shuffle read {_bytes(self.shuffle_read_bytes)}")
-        if self.shuffle_write_bytes:
+        stage = self.stage
+        parts = [f"{stage.num_tasks} tasks"]
+        if stage.total_attempts != stage.num_tasks:
+            parts[-1] += f" ({stage.total_attempts} attempts)"
+        parts.append(f"rows {stage.records_in} -> {stage.records_out}")
+        parts.append(f"input {_bytes(stage.bytes_in)}")
+        if stage.shuffle_read_bytes:
+            parts.append(f"shuffle read {_bytes(stage.shuffle_read_bytes)}")
+        if stage.shuffle_write_bytes:
             parts.append(
-                f"shuffle write {_bytes(self.shuffle_write_bytes)}"
+                f"shuffle write {_bytes(stage.shuffle_write_bytes)}"
             )
         parts.append(f"{self.sim_seconds:.3f} sim-s")
         return (
-            f"stage {self.stage_id} ({self.kind}, {self.name}): "
+            f"stage {stage.stage_id} ({self.kind}, {stage.name}): "
             + ", ".join(parts)
         )
 
 
 @dataclass
 class QueryAnalysis:
-    """The full EXPLAIN ANALYZE payload."""
+    """What :func:`analyze_profiles` computes: each executed stage's
+    simulated seconds and the query's makespan."""
 
-    plan_text: str
     stages: list[StageAnalysis] = field(default_factory=list)
     total_sim_seconds: float = 0.0
-    recovered_tasks: int = 0
-    retried_tasks: int = 0
-    speculative_tasks: int = 0
-    blacklisted_workers: int = 0
-    evicted_blocks: int = 0
-    evicted_bytes: int = 0
-    num_jobs: int = 0
-    result_rows: Optional[int] = None
-    #: Unified memory-accounting rollup: bytes reserved across jobs, the
-    #: engine peak watermark, per-(worker, pool) watermark rows from
-    #: MemoryAccountant.watermarks(), and pressure-event count.
-    memory_reserved_bytes: int = 0
-    memory_peak_bytes: int = 0
-    memory_rows: list[dict] = field(default_factory=list)
-    memory_pressure_events: int = 0
-    #: Arbitration spills this query forced: event/byte/run totals plus
-    #: per-owner rows from MemoryAccountant.spill_rows_since().
-    memory_spill_events: int = 0
-    memory_spill_bytes: int = 0
-    memory_spill_rows: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    #: (operator label, mode) pairs from the planner: which operators ran
-    #: vectorized (batch kernels) and which ran row-at-a-time.
-    operator_modes: list[tuple[str, str]] = field(default_factory=list)
-    #: Multi-tenant serving summary lines (SqlServer.summary_lines());
-    #: empty when the session runs outside a server.
-    serving_lines: list[str] = field(default_factory=list)
-    #: Query-cache summary lines (SqlCache.summary_lines()); empty when
-    #: the session runs without the caching stack.
-    sql_cache_lines: list[str] = field(default_factory=list)
-    #: Per-operator est/actual/q-error profile dicts
-    #: (repro.obs.planquality.build_operator_profiles shape).
-    operator_profiles: list[dict] = field(default_factory=list)
-    #: Per-shuffle skew records (ShuffleManager.skew_records shape).
-    shuffle_skew: list[dict] = field(default_factory=list)
-
-    def render(self) -> str:
-        lines = self.plan_text.splitlines()
-        lines.append("")
-        lines.append(
-            f"== runtime profile ({self.num_jobs} job"
-            f"{'s' if self.num_jobs != 1 else ''}, "
-            f"{self.total_sim_seconds:.3f} simulated seconds) =="
-        )
-        for stage in self.stages:
-            lines.append("  " + stage.render())
-        if self.recovered_tasks:
-            lines.append(
-                f"  recovered tasks (lineage re-execution): "
-                f"{self.recovered_tasks}"
-            )
-        if self.retried_tasks:
-            lines.append(
-                f"  retried tasks (transient failures): "
-                f"{self.retried_tasks}"
-            )
-        if self.speculative_tasks:
-            lines.append(
-                f"  speculative tasks (straggler backups): "
-                f"{self.speculative_tasks}"
-            )
-        if self.blacklisted_workers:
-            lines.append(
-                f"  blacklisted workers: {self.blacklisted_workers}"
-            )
-        if self.evicted_blocks:
-            lines.append(
-                f"  evicted cache blocks (memory pressure): "
-                f"{self.evicted_blocks} ({_bytes(self.evicted_bytes)})"
-            )
-        if self.memory_reserved_bytes or self.memory_rows:
-            lines.append("  == memory ==")
-            lines.append(
-                f"  reserved {_bytes(self.memory_reserved_bytes)}, "
-                f"peak watermark {_bytes(self.memory_peak_bytes)}"
-            )
-            for row in self.memory_rows:
-                worker = row["worker"]
-                label = "driver" if worker == -1 else f"worker {worker}"
-                lines.append(
-                    f"  {label} {row['pool']}: "
-                    f"used {_bytes(row.get('used_bytes', 0))}, "
-                    f"peak {_bytes(row['peak_bytes'])}"
-                )
-            if self.memory_pressure_events:
-                lines.append(
-                    f"  pressure events: {self.memory_pressure_events}"
-                )
-            if self.memory_spill_events:
-                lines.append(
-                    f"  spills: {self.memory_spill_events} event(s), "
-                    f"{_bytes(self.memory_spill_bytes)} to disk"
-                )
-                for row in self.memory_spill_rows:
-                    lines.append(
-                        f"  spill {row['owner']}: "
-                        f"{row['events']} event(s), "
-                        f"{_bytes(row['bytes'])} in "
-                        f"{row['runs']} run(s)"
-                    )
-        if self.result_rows is not None:
-            lines.append(f"  result: {self.result_rows} row(s)")
-        if self.operator_modes:
-            lines.append("  == operator modes ==")
-            for operator, mode in self.operator_modes:
-                lines.append(f"  {operator}: {mode}")
-        if self.operator_profiles:
-            from repro.obs.planquality import (
-                DEFAULT_Q_ERROR_THRESHOLD,
-                audit,
-                format_profile_line,
-            )
-
-            lines.append("  == plan quality (est vs actual) ==")
-            for profile in self.operator_profiles:
-                lines.append(
-                    "  "
-                    + format_profile_line(
-                        profile, DEFAULT_Q_ERROR_THRESHOLD
-                    )
-                )
-            flagged = audit(
-                self.operator_profiles, DEFAULT_Q_ERROR_THRESHOLD
-            )
-            if flagged:
-                lines.append(
-                    f"  audit: {len(flagged)} misestimate(s) with "
-                    f"q-error > {DEFAULT_Q_ERROR_THRESHOLD:g} "
-                    f"(worst: {flagged[0]['operator']} "
-                    f"x{flagged[0]['q_error']:.1f})"
-                )
-        if self.shuffle_skew:
-            lines.append("  == shuffle skew ==")
-            for row in self.shuffle_skew:
-                heavy = ", ".join(
-                    f"{key}={count}"
-                    for key, count in (row.get("heavy_keys") or [])[:3]
-                )
-                lines.append(
-                    f"  shuffle {row['shuffle_id']}: "
-                    f"{row['num_reduces']} reduces, "
-                    f"{row.get('total_rows', 0)} rows, "
-                    f"row skew x{row.get('row_skew', 0.0):.2f}, "
-                    f"byte skew x{row.get('byte_skew', 0.0):.2f}, "
-                    f"straggler partition "
-                    f"{row.get('straggler_partition', 0)}"
-                    + (f" [{heavy}]" if heavy else "")
-                )
-        if self.serving_lines:
-            lines.append("  == serving ==")
-            for line in self.serving_lines:
-                lines.append(f"  {line}")
-        if self.sql_cache_lines:
-            lines.append("  == sql cache ==")
-            for line in self.sql_cache_lines:
-                lines.append(f"  {line}")
-        for note in self.notes:
-            lines.append(f"  -- {note}")
-        return "\n".join(lines)
 
 
 def analyze_profiles(
@@ -236,81 +96,166 @@ def analyze_profiles(
     num_workers: int,
     cores_per_worker: int,
     engine: EngineProfile = SHARK_MEM,
-    result_rows: Optional[int] = None,
-    notes: Optional[list[str]] = None,
-    operator_modes: Optional[list[tuple[str, str]]] = None,
-    memory_rows: Optional[list[dict]] = None,
-    memory_pressure_events: int = 0,
-    memory_spills: Optional[list[dict]] = None,
-    operator_profiles: Optional[list[dict]] = None,
-    shuffle_skew: Optional[list[dict]] = None,
 ) -> QueryAnalysis:
-    """Annotate ``plan_text`` with the executed profiles' statistics.
+    """Price the executed profiles on the simulator.
 
     Simulated seconds come from list-scheduling each executed stage's
     measured per-task cost vectors onto the session's own virtual
     cluster geometry (``num_workers`` x ``cores_per_worker``).
+    ``plan_text`` is not read: the plan belongs to the query's record
+    (:func:`render_query` prints it); the parameter stays for callers
+    that pass it by position.
     """
     hardware = replace(DEFAULT_HARDWARE, cores_per_node=cores_per_worker)
     simulator = ClusterSimulator(
         max(num_workers, 1), engine=engine, hardware=hardware
     )
-    analysis = QueryAnalysis(
-        plan_text=plan_text,
-        num_jobs=len(profiles),
-        result_rows=result_rows,
-        notes=list(notes or []),
-        operator_modes=list(operator_modes or []),
-        memory_rows=list(memory_rows or []),
-        memory_pressure_events=memory_pressure_events,
-        memory_spill_rows=list(memory_spills or []),
-        operator_profiles=list(operator_profiles or []),
-        shuffle_skew=list(shuffle_skew or []),
-    )
-    for row in analysis.memory_spill_rows:
-        analysis.memory_spill_events += row["events"]
-        analysis.memory_spill_bytes += row["bytes"]
-    executed: list[tuple[QueryProfile, StageProfile]] = []
-    for profile in profiles:
-        analysis.recovered_tasks += profile.recovered_tasks
-        analysis.retried_tasks += profile.retried_tasks
-        analysis.speculative_tasks += profile.speculative_tasks
-        analysis.blacklisted_workers += profile.blacklisted_workers
-        analysis.evicted_blocks += profile.evicted_blocks
-        analysis.evicted_bytes += profile.evicted_bytes
-        analysis.memory_reserved_bytes += profile.memory_reserved_bytes
-        analysis.memory_peak_bytes = max(
-            analysis.memory_peak_bytes, profile.memory_peak_bytes
-        )
-        for stage in profile.stages:
-            if stage.num_tasks == 0:
-                continue  # skipped: shuffle outputs reused
-            executed.append((profile, stage))
+    executed = [
+        (profile.job_id, stage)
+        for profile in profiles
+        for stage in profile.stages
+        if stage.num_tasks  # none: skipped, shuffle outputs reused
+    ]
     costs = simulator.simulate(
         [
             StageCost(name=stage.name, tasks=stage.cost_vectors())
             for __, stage in executed
         ]
     )
-    analysis.total_sim_seconds = costs.total_seconds
-    for (profile, stage), result in zip(executed, costs.stages):
-        analysis.stages.append(
-            StageAnalysis(
-                job_id=profile.job_id,
-                stage_id=stage.stage_id,
-                name=stage.name,
-                kind="shuffle-map" if stage.is_shuffle_map else "result",
-                num_tasks=stage.num_tasks,
-                total_attempts=stage.total_attempts,
-                records_in=stage.records_in,
-                records_out=stage.records_out,
-                bytes_in=stage.bytes_in,
-                shuffle_read_bytes=stage.shuffle_read_bytes,
-                shuffle_write_bytes=stage.shuffle_write_bytes,
-                sim_seconds=result.seconds,
-            )
+    return QueryAnalysis(
+        stages=[
+            StageAnalysis(job_id, stage, result.seconds)
+            for (job_id, stage), result in zip(executed, costs.stages)
+        ],
+        total_sim_seconds=costs.total_seconds,
+    )
+
+
+#: QueryProfile counters reported as totals over a query's jobs.
+_JOB_TOTALS = (
+    ("recovered_tasks", "recovered tasks (lineage re-execution)"),
+    ("retried_tasks", "retried tasks (transient failures)"),
+    ("speculative_tasks", "speculative tasks (straggler backups)"),
+    ("blacklisted_workers", "blacklisted workers"),
+)
+
+
+def render_query(
+    record: "QueryRecord",
+    pressure_events: int = 0,
+    trailers: Iterable[tuple[str, list[str]]] = (),
+    notes: Iterable[str] = (),
+) -> str:
+    """The text of EXPLAIN ANALYZE and, under its header, of ``history
+    --query``: the plan, then the runtime profile of ``record``'s jobs
+    with its memory, operator-mode, plan-quality and skew sections.
+
+    The other arguments are what only a live session can add, read off
+    the engine rather than the query: the memory accountant's pressure-
+    event count, ``(title, lines)`` trailer sections (serving, sql
+    cache) and the planner's notes.
+    """
+    analysis = record.analyze()
+    profiles = record.profiles
+
+    def total(counter: str) -> int:
+        return sum(getattr(profile, counter) for profile in profiles)
+
+    lines = (record.plan_text or "").splitlines()
+    if lines:
+        lines.append("")
+    lines.append(
+        f"== runtime profile ({len(profiles)} job"
+        f"{'s' if len(profiles) != 1 else ''}, "
+        f"{analysis.total_sim_seconds:.3f} simulated seconds) =="
+    )
+    for stage in analysis.stages:
+        lines.append("  " + stage.render())
+    for counter, label in _JOB_TOTALS:
+        if total(counter):
+            lines.append(f"  {label}: {total(counter)}")
+    if total("evicted_blocks"):
+        lines.append(
+            f"  evicted cache blocks (memory pressure): "
+            f"{total('evicted_blocks')} "
+            f"({_bytes(total('evicted_bytes'))})"
         )
-    return analysis
+    reserved = total("memory_reserved_bytes")
+    if reserved or record.memory:
+        peak = max(
+            (profile.memory_peak_bytes for profile in profiles), default=0
+        )
+        lines.append("  == memory ==")
+        lines.append(
+            f"  reserved {_bytes(reserved)}, "
+            f"peak watermark {_bytes(peak)}"
+        )
+        for row in record.memory:
+            worker = row["worker"]
+            label = "driver" if worker == -1 else f"worker {worker}"
+            lines.append(
+                f"  {label} {row['pool']}: "
+                f"used {_bytes(row.get('used_bytes', 0))}, "
+                f"peak {_bytes(row['peak_bytes'])}"
+            )
+        if pressure_events:
+            lines.append(f"  pressure events: {pressure_events}")
+        spill_events = sum(row["events"] for row in record.spills)
+        if spill_events:
+            spill_bytes = sum(row["bytes"] for row in record.spills)
+            lines.append(
+                f"  spills: {spill_events} event(s), "
+                f"{_bytes(spill_bytes)} to disk"
+            )
+            for row in record.spills:
+                lines.append(
+                    f"  spill {row['owner']}: "
+                    f"{row['events']} event(s), "
+                    f"{_bytes(row['bytes'])} in "
+                    f"{row['runs']} run(s)"
+                )
+    if record.result_rows is not None:
+        lines.append(f"  result: {record.result_rows} row(s)")
+    if record.operator_modes:
+        lines.append("  == operator modes ==")
+        for operator, mode in record.operator_modes:
+            lines.append(f"  {operator}: {mode}")
+    if record.operator_profiles:
+        lines.append("  == plan quality (est vs actual) ==")
+        for profile in record.operator_profiles:
+            lines.append(
+                "  "
+                + format_profile_line(profile, DEFAULT_Q_ERROR_THRESHOLD)
+            )
+        flagged = audit(
+            record.operator_profiles, DEFAULT_Q_ERROR_THRESHOLD
+        )
+        if flagged:
+            lines.append(
+                f"  audit: {len(flagged)} misestimate(s) with "
+                f"q-error > {DEFAULT_Q_ERROR_THRESHOLD:g} "
+                f"(worst: {flagged[0]['operator']} "
+                f"x{flagged[0]['q_error']:.1f})"
+            )
+    if record.skew_records:
+        lines.append("  == shuffle skew ==")
+        for row in record.skew_records:
+            heavy = heavy_keys_text(row)
+            lines.append(
+                f"  shuffle {row['shuffle_id']}: "
+                f"{row['num_reduces']} reduces, "
+                f"{row.get('total_rows', 0)} rows, "
+                f"row skew x{row.get('row_skew', 0.0):.2f}, "
+                f"byte skew x{row.get('byte_skew', 0.0):.2f}, "
+                f"straggler partition "
+                f"{row.get('straggler_partition', 0)}"
+                + (f" [{heavy}]" if heavy else "")
+            )
+    for title, body in trailers:
+        lines.append(f"  == {title} ==")
+        lines.extend(f"  {line}" for line in body)
+    lines.extend(f"  -- {note}" for note in notes)
+    return "\n".join(lines)
 
 
 def _bytes(count: int) -> str:

@@ -38,7 +38,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.history import HistoryStore, QueryRecord
+from repro.obs.history import (
+    HistoryStore,
+    QueryRecord,
+    _short,
+    count_queries,
+)
+from repro.obs.planquality import heavy_keys_text
 
 #: A current run this much slower than baseline (relative) is regressed.
 DEFAULT_REGRESSION_THRESHOLD = 0.25
@@ -143,8 +149,7 @@ class DoctorReport:
         ]
         regressed = self.regressed()
         lines.append(
-            f"{len(self.diagnoses)} paired quer"
-            f"{'y' if len(self.diagnoses) == 1 else 'ies'}, "
+            f"{count_queries(len(self.diagnoses), 'paired ')}, "
             f"{len(regressed)} regressed"
         )
         for diagnosis in self.diagnoses:
@@ -155,7 +160,7 @@ class DoctorReport:
             )
             lines.append("")
             lines.append(
-                f"{_display_name(diagnosis.name)}: "
+                f"{_short(diagnosis.name)}: "
                 f"{diagnosis.baseline_seconds:.3f}s -> "
                 f"{diagnosis.current_seconds:.3f}s "
                 f"({diagnosis.slowdown:+.0%})  [{marker}]"
@@ -174,26 +179,16 @@ class DoctorReport:
             lines.append("")
             lines.append(
                 "unpaired queries (present in only one run): "
-                + ", ".join(
-                    _display_name(name) for name in self.unmatched
-                )
+                + ", ".join(map(_short, self.unmatched))
             )
         top = self.top_cause()
         if top is not None:
             lines.append("")
             lines.append(
                 f"top root cause across corpus: {top[0]} "
-                f"({top[1]} quer{'y' if top[1] == 1 else 'ies'})"
+                f"({count_queries(top[1])})"
             )
         return "\n".join(lines)
-
-
-def _display_name(name: str, limit: int = 60) -> str:
-    """Collapse a query's name (often its full SQL text) to one line."""
-    flat = " ".join(name.split())
-    if len(flat) <= limit:
-        return flat
-    return flat[: limit - 3] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +290,7 @@ def _skew_growth(
         current.skew_records,
         key=lambda row: float(row.get("row_skew", 0.0)),
     )
-    heavy = ", ".join(
-        f"{key}={count}"
-        for key, count in (worst_row.get("heavy_keys") or [])[:3]
-    )
+    heavy = heavy_keys_text(worst_row)
     return Finding(
         category="skew-growth",
         summary=(

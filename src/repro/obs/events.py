@@ -34,6 +34,7 @@ of the same query produce byte-identical logs.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import json
 import os
@@ -41,7 +42,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.metrics import QueryProfile
+    from repro.obs.record import QueryRecord
 
 #: Event-log schema version written into every ``header`` record.
 #: v2 adds the ``memory_watermark`` record type and the job record's
@@ -212,13 +213,7 @@ class FlightRecorder:
                 "reason": reason,
                 "query_id": query,
                 "seq": self._dump_count,
-                "events": [
-                    {
-                        key: _jsonable(value)
-                        for key, value in event.items()
-                    }
-                    for event in self._ring
-                ],
+                "events": _jsonable(list(self._ring)),
             }
         )
         self._dump_count += 1
@@ -267,10 +262,7 @@ class EventLogWriter:
                 "version": SCHEMA_VERSION,
                 "workers": workers,
                 "cores_per_worker": cores_per_worker,
-                **{
-                    key: _jsonable(value)
-                    for key, value in header_extra.items()
-                },
+                **_jsonable(header_extra),
             }
         )
 
@@ -303,310 +295,184 @@ class EventLogWriter:
     # ------------------------------------------------------------------
     # One query, canonical record order
     # ------------------------------------------------------------------
-    def write_query(
-        self,
-        *,
-        name: str,
-        kind: str = "sql",
-        text: Optional[str] = None,
-        status: str = "ok",
-        error: Optional[str] = None,
-        profiles: Optional[list[QueryProfile]] = None,
-        spans: Optional[list] = None,
-        events: Optional[list] = None,
-        counter_deltas: Optional[dict[str, float]] = None,
-        plan_text: Optional[str] = None,
-        operator_modes: Optional[list[tuple[str, str]]] = None,
-        result_rows: Optional[int] = None,
-        sim_seconds: float = 0.0,
-        stage_sim: Optional[list[dict]] = None,
-        started: float = 0.0,
-        ended: float = 0.0,
-        query_id: Optional[str] = None,
-        flight: Optional[dict] = None,
-        memory: Optional[list[dict]] = None,
-        spills: Optional[list[dict]] = None,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
-        shed_reason: Optional[str] = None,
-        cache_lookups: Optional[list[dict]] = None,
-        operator_profiles: Optional[list[dict]] = None,
-        shuffle_skew: Optional[list[dict]] = None,
-    ) -> str:
-        """Write one query's complete record set; returns its id.
+    def write_query(self, record: "QueryRecord") -> str:
+        """Write one query's complete record set; returns its id
+        (stamped on ``record`` as ``qNNNN`` when it had none).
 
-        ``spans``/``events`` are the tracer's
-        :class:`~repro.obs.tracer.Span` / ``TraceEvent`` objects for
-        this query; their timeline is merged deterministically by
-        (simulated timestamp, emission order).  ``profiles`` round-trip
-        every TaskMetrics field so the history store reproduces the
-        live aggregates exactly.
+        Optional parts — serving fields, plan, operator modes, every row
+        list — are written only when set, so a query without them logs
+        exactly what it did before they existed.  Each ``job`` / ``stage``
+        / ``task`` record is its dataclass's own fields
+        (:func:`profile_fields`), so the history store reproduces the
+        live profiles exactly.
         """
-        if query_id is None:
-            query_id = f"q{self.queries_logged:04d}"
+        if record.query_id is None:
+            record.query_id = f"q{self.queries_logged:04d}"
+        query_id = record.query_id
         self.queries_logged += 1
-        begin: dict[str, Any] = {
-            "type": "query_begin",
-            "query_id": query_id,
-            "name": name,
-            "kind": kind,
-            "text": text,
-            "ts": started,
-        }
-        # v4 optional serving fields: written only when set, never in
-        # _REQUIRED — both choices keep v3/v2 logs loadable.
-        if tenant is not None:
-            begin["tenant"] = tenant
-        if priority is not None:
-            begin["priority"] = priority
-        self.write(begin)
-        if plan_text:
-            self.write(
-                {"type": "plan", "query_id": query_id, "text": plan_text}
+
+        def emit(kind: str, fields: dict) -> None:
+            self.write({"type": kind, "query_id": query_id, **fields})
+
+        def scalars(kind: str) -> dict:
+            return {
+                key: getattr(record, attribute)
+                for key, attribute in SCALAR_RECORDS[kind].items()
+                if key not in _WHEN_SET
+                or getattr(record, attribute) is not None
+            }
+
+        emit("query_begin", scalars("query_begin"))
+        if record.plan_text:
+            emit("plan", scalars("plan"))
+        if record.operator_modes:
+            emit(
+                "operator_modes",
+                {"modes": [list(pair) for pair in record.operator_modes]},
             )
-        if operator_modes:
-            self.write(
-                {
-                    "type": "operator_modes",
-                    "query_id": query_id,
-                    "modes": [
-                        [operator, mode]
-                        for operator, mode in operator_modes
-                    ],
-                }
-            )
-        for row in operator_profiles or []:
-            # v6: one record per planner-stamped operator with its
-            # estimated vs. actual rows and q-error (nulls when a side
-            # is unknown); ``detail`` is optional.
-            self.write(
-                {
-                    "type": "operator_profile",
-                    "query_id": query_id,
-                    **{
-                        key: _jsonable(value)
-                        for key, value in row.items()
-                    },
-                }
-            )
-        for record in _timeline_records(query_id, spans, events):
-            self.write(record)
-        for profile in profiles or []:
-            self.write(
-                {
-                    "type": "job",
-                    "query_id": query_id,
-                    "job_id": profile.job_id,
-                    "num_stages": profile.num_stages,
-                    "recovered_tasks": profile.recovered_tasks,
-                    "retried_tasks": profile.retried_tasks,
-                    "speculative_tasks": profile.speculative_tasks,
-                    "blacklisted_workers": profile.blacklisted_workers,
-                    "evicted_blocks": profile.evicted_blocks,
-                    "evicted_bytes": profile.evicted_bytes,
-                    "memory_reserved_bytes": profile.memory_reserved_bytes,
-                    "memory_peak_bytes": profile.memory_peak_bytes,
-                    # v3 optional fields: absent in v2 logs, read with .get.
-                    "memory_spill_events": profile.memory_spill_events,
-                    "memory_spill_bytes": profile.memory_spill_bytes,
-                }
+        for row in record.operator_profiles:
+            emit("operator_profile", _jsonable(row))
+        for entry in record.timeline:
+            emit(entry["type"], entry)
+        for profile in record.profiles:
+            job = {"job_id": profile.job_id}
+            emit(
+                "job",
+                {**profile_fields(profile), "num_stages": profile.num_stages},
             )
             for stage in profile.stages:
-                self.write(
+                emit(
+                    "stage",
                     {
-                        "type": "stage",
-                        "query_id": query_id,
-                        "job_id": profile.job_id,
-                        "stage_id": stage.stage_id,
-                        "name": stage.name,
-                        "is_shuffle_map": stage.is_shuffle_map,
-                        "map_side_combined": stage.map_side_combined,
+                        **job,
+                        **profile_fields(stage),
                         "num_tasks": stage.num_tasks,
-                    }
+                    },
                 )
                 for task in stage.tasks:
-                    self.write(
-                        {
-                            "type": "task",
-                            "query_id": query_id,
-                            "job_id": profile.job_id,
-                            "stage_id": task.stage_id,
-                            "partition": task.partition,
-                            "worker_id": task.worker_id,
-                            "records_in": task.records_in,
-                            "bytes_in": task.bytes_in,
-                            "records_out": task.records_out,
-                            "bytes_out": task.bytes_out,
-                            "shuffle_read_bytes": task.shuffle_read_bytes,
-                            "shuffle_write_bytes": (
-                                task.shuffle_write_bytes
-                            ),
-                            "shuffle_write_records": (
-                                task.shuffle_write_records
-                            ),
-                            "source": task.source,
-                            "attempts": task.attempts,
-                            "speculative": task.speculative,
-                            "batch_rows": task.batch_rows,
-                            # v3 optional fields (never in _REQUIRED —
-                            # that would reject v2 logs at read time).
-                            "spill_bytes_written": (
-                                task.spill_bytes_written
-                            ),
-                            "spill_bytes_read": task.spill_bytes_read,
-                            # v6 optional field, written only when a
-                            # physical operator counted rows in this
-                            # task (keeps v5-shaped tasks unchanged).
-                            **(
-                                {
-                                    "operator_rows": dict(
-                                        sorted(
-                                            task.operator_rows.items()
-                                        )
-                                    )
-                                }
-                                if task.operator_rows
-                                else {}
-                            ),
-                        }
-                    )
-        if counter_deltas:
-            self.write(
+                    emit("task", {**job, **profile_fields(task)})
+        if record.counters:
+            emit(
+                "counters",
                 {
-                    "type": "counters",
-                    "query_id": query_id,
                     "deltas": {
                         key: value
-                        for key, value in sorted(counter_deltas.items())
+                        for key, value in sorted(record.counters.items())
                         if value
-                    },
-                }
+                    }
+                },
             )
-        for row in memory or []:
-            # One record per (worker, pool) from the accountant's
-            # watermarks(); peaks round-trip exactly into the history
-            # store's pressure timeline.
-            self.write(
-                {
-                    "type": "memory_watermark",
-                    "query_id": query_id,
-                    "worker": row["worker"],
-                    "pool": row["pool"],
-                    "used_bytes": row.get("used_bytes", 0),
-                    "peak_bytes": row["peak_bytes"],
-                    "owners": _jsonable(row.get("owners", {})),
-                    "ts": ended,
-                }
-            )
-        for row in spills or []:
-            # One record per spilling owner (batch_aggregate /
-            # hash_aggregate / sort) with this query's deltas from the
-            # accountant's spill_rows_since().
-            self.write(
-                {
-                    "type": "memory_spill",
-                    "query_id": query_id,
-                    "owner": row["owner"],
-                    "events": row["events"],
-                    "bytes": row["bytes"],
-                    "runs": row["runs"],
-                    "ts": ended,
-                }
-            )
-        for row in cache_lookups or []:
-            # v5: one record per cache-layer probe ({"layer", "outcome"}
-            # plus optional fragment hit/miss counts) from the SQL
-            # caching stack.
-            self.write(
-                {
-                    "type": "cache_lookup",
-                    "query_id": query_id,
-                    "ts": ended,
-                    **{
-                        key: _jsonable(value)
-                        for key, value in row.items()
-                    },
-                }
-            )
-        for row in shuffle_skew or []:
-            # v6: one record per shuffle boundary with per-partition
-            # row/byte histograms, skew ratios, and heavy reduce keys
-            # from the shuffle manager's merged map partials.
-            self.write(
-                {
-                    "type": "shuffle_skew",
-                    "query_id": query_id,
-                    "ts": ended,
-                    **{
-                        key: _jsonable(value)
-                        for key, value in row.items()
-                    },
-                }
-            )
-        if flight is not None:
-            self.write({**flight, "query_id": query_id})
-        end: dict[str, Any] = {
-            "type": "query_end",
-            "query_id": query_id,
-            "status": status,
-            "error": error,
-            "ts": ended,
-            "sim_seconds": sim_seconds,
-            "stage_sim": stage_sim or [],
-            "result_rows": result_rows,
-        }
-        if shed_reason is not None:
-            end["shed_reason"] = shed_reason
-        self.write(end)
+        # The row lists taken at query end carry that instant.
+        for kind, attribute in _END_ROWS:
+            for row in getattr(record, attribute):
+                emit(kind, {"ts": record.ended, **_jsonable(row)})
+        emit("query_end", scalars("query_end"))
         if self.metrics is not None:
             self.metrics.set_gauge("eventlog.queries", self.queries_logged)
         return query_id
 
 
-def _timeline_records(
-    query_id: str, spans: Optional[list], events: Optional[list]
-) -> list[dict]:
-    """Span + instant records merged by (simulated time, emit order)."""
-    entries: list[tuple[float, int, dict]] = []
-    order = 0
-    for span in spans or []:
-        end = span.end if span.end is not None else span.start
-        entries.append(
-            (
-                span.start,
-                order,
-                {
-                    "type": "span",
-                    "query_id": query_id,
-                    "name": span.name,
-                    "category": span.category,
-                    "lane": _jsonable(span.lane),
-                    "start": span.start,
-                    "end": end,
-                    "args": _jsonable(span.args),
-                },
-            )
-        )
-        order += 1
-    for event in events or []:
-        entries.append(
-            (
-                event.timestamp,
-                order,
-                {
-                    "type": "instant",
-                    "query_id": query_id,
-                    "name": event.name,
-                    "category": event.category,
-                    "lane": _jsonable(event.lane),
-                    "ts": event.timestamp,
-                    "args": _jsonable(event.args),
-                },
-            )
-        )
-        order += 1
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    return [record for __, __, record in entries]
+#: Scalar record type -> {its field: the QueryRecord attribute carried}.
+#: One table for the writer and the history store's loader.
+SCALAR_RECORDS = {
+    "query_begin": {
+        "name": "name",
+        "kind": "kind",
+        "text": "text",
+        "ts": "started",
+        "tenant": "tenant",
+        "priority": "priority",
+    },
+    "plan": {"text": "plan_text"},
+    "query_end": {
+        "status": "status",
+        "error": "error",
+        "ts": "ended",
+        "sim_seconds": "sim_seconds",
+        "stage_sim": "stage_sim",
+        "result_rows": "result_rows",
+        "shed_reason": "shed_reason",
+    },
+}
+
+#: The v4 serving fields: written only when set and never in
+#: ``_REQUIRED`` — both choices keep v3/v2 logs loadable.
+_WHEN_SET = ("tenant", "priority", "shed_reason")
+
+#: (record type, QueryRecord attribute) of the row lists written after
+#: the profile, in writer order.
+_END_ROWS = (
+    ("memory_watermark", "memory"),
+    ("memory_spill", "spills"),
+    ("cache_lookup", "cache_lookups"),
+    ("shuffle_skew", "skew_records"),
+)
+
+#: Every list-shaped record type -> the QueryRecord attribute it fills.
+RECORD_LISTS = {
+    "operator_profile": "operator_profiles",
+    "span": "timeline",
+    "instant": "timeline",
+    **dict(_END_ROWS),
+}
+
+
+def profile_fields(obj: Any) -> dict:
+    """The fields a ``job`` / ``stage`` / ``task`` record takes from its
+    QueryProfile / StageProfile / TaskMetrics: the dataclass's own.
+
+    This *is* the schema rule for profile records: a field added to one
+    of those dataclasses is logged with no further code, and — read back
+    by :func:`profile_from_record` — a log that predates it takes the
+    field's default.  List fields are the children (written as their own
+    records); a dict field (``operator_rows``) is written only when
+    non-empty, keeping records of tasks without one unchanged.
+    """
+    fields = {}
+    for spec in dataclasses.fields(obj):
+        value = getattr(obj, spec.name)
+        if not isinstance(value, list) and value != {}:
+            fields[spec.name] = value
+    return fields
+
+
+def profile_from_record(cls: type, record: dict) -> Any:
+    """Inverse of :func:`profile_fields`: ``cls`` built from the fields
+    the record has, defaults for those it predates."""
+    names = {spec.name for spec in dataclasses.fields(cls)}
+    return cls(
+        **{key: value for key, value in record.items() if key in names}
+    )
+
+
+def timeline_entries(spans: list, events: list) -> list[dict]:
+    """The tracer's :class:`~repro.obs.tracer.Span` / ``TraceEvent``
+    objects as ``span`` / ``instant`` entries, merged by simulated time
+    (the sort is stable, so emission order breaks ties)."""
+    entries = [
+        {
+            "type": "span",
+            "name": span.name,
+            "category": span.category,
+            "lane": _jsonable(span.lane),
+            "start": span.start,
+            "end": span.end if span.end is not None else span.start,
+            "args": _jsonable(span.args),
+        }
+        for span in spans
+    ] + [
+        {
+            "type": "instant",
+            "name": event.name,
+            "category": event.category,
+            "lane": _jsonable(event.lane),
+            "ts": event.timestamp,
+            "args": _jsonable(event.args),
+        }
+        for event in events
+    ]
+    entries.sort(key=lambda entry: entry.get("start", entry.get("ts")))
+    return entries
 
 
 def read_event_log(path) -> list[dict]:

@@ -4,17 +4,17 @@
 (``*.jsonl`` / ``*.jsonl.gz``, including flight-recorder dump files)
 under a path and renders a report: per-query status and simulated
 seconds, per-worker utilization over the run, shuffle-skew and
-cache-churn summaries, and — per query — the reconstructed timeline.
-The same loader backs the shell's ``.history`` dot-command and the
-perf-regression sentinel's baseline comparisons.
+cache-churn summaries, and — per query — the EXPLAIN ANALYZE text and
+timeline rebuilt from its record.  The same loader backs the shell's
+``.history`` dot-command, the query doctor and the perf-regression
+sentinel.
 
-Reconstruction is exact: ``task`` records carry every
-:class:`~repro.engine.metrics.TaskMetrics` field, so
-:meth:`QueryRecord.rebuild_profiles` returns
-:class:`~repro.engine.metrics.QueryProfile` objects whose stage/task/
-shuffle aggregates equal the live run's, and the ``header``'s cluster
-geometry lets :func:`~repro.obs.analyze.analyze_profiles` recompute the
-same simulated seconds the writer recorded.
+Reconstruction is exact: a loaded :class:`~repro.obs.record.QueryRecord`
+equals the one the writer was given — its ``profiles`` are
+:class:`~repro.engine.metrics.QueryProfile` objects rebuilt field for
+field — and the ``header``'s cluster geometry lets
+:meth:`QueryRecord.analyze` recompute the same simulated seconds the
+writer recorded.
 """
 
 from __future__ import annotations
@@ -23,256 +23,56 @@ import argparse
 import glob as globlib
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.engine.metrics import QueryProfile, StageProfile, TaskMetrics
+from repro.obs.analyze import render_query
 from repro.obs.events import (
     EventLogSchemaError,
+    RECORD_LISTS,
+    SCALAR_RECORDS,
     SCHEMA_VERSION,
+    profile_from_record,
     read_event_log,
 )
 from repro.obs.planquality import (
     DEFAULT_Q_ERROR_THRESHOLD,
     audit,
     format_profile_line,
+    heavy_keys_text,
 )
+from repro.obs.record import QueryRecord
+
+#: Log-envelope keys the loader drops from a list-shaped record; the
+#: timeline mixes spans and instants, so its entries keep ``type``.
+_ENVELOPE = ("seq", "query_id", "type")
+_TIMELINE_ENVELOPE = ("seq", "query_id")
 
 
-@dataclass
-class QueryRecord:
-    """Everything one event log said about one query."""
+class Report:
+    """The lines of one report, in text or markdown — the one place the
+    two forms differ."""
 
-    query_id: str
-    source: str = ""
-    name: str = ""
-    kind: str = "sql"
-    text: Optional[str] = None
-    status: str = "unknown"
-    error: Optional[str] = None
-    started: float = 0.0
-    ended: float = 0.0
-    sim_seconds: float = 0.0
-    result_rows: Optional[int] = None
-    #: v4 optional serving fields (None on v3/v2 logs).
-    tenant: Optional[str] = None
-    priority: Optional[str] = None
-    shed_reason: Optional[str] = None
-    plan_text: Optional[str] = None
-    operator_modes: list[tuple[str, str]] = field(default_factory=list)
-    counters: dict[str, float] = field(default_factory=dict)
-    stage_sim: list[dict] = field(default_factory=list)
-    #: Raw ``job`` / ``stage`` / ``task`` records, writer order.
-    jobs: list[dict] = field(default_factory=list)
-    stages: list[dict] = field(default_factory=list)
-    tasks: list[dict] = field(default_factory=list)
-    #: Timeline entries: ``span`` and ``instant`` records (also the
-    #: events of any flight dump attributed to this query).
-    timeline: list[dict] = field(default_factory=list)
-    #: ``memory_watermark`` records: per-(worker, pool) peak rows the
-    #: accountant snapshotted at query end (schema v2).
-    memory: list[dict] = field(default_factory=list)
-    #: ``memory_spill`` records: per-owner spill deltas this query
-    #: forced through memory arbitration (schema v3).
-    spills: list[dict] = field(default_factory=list)
-    #: ``cache_lookup`` records: per-layer probes the SQL caching stack
-    #: made for this query (schema v5).
-    cache_lookups: list[dict] = field(default_factory=list)
-    #: ``operator_profile`` records: per-operator estimated vs. actual
-    #: row counts with q-error (schema v6).
-    operator_profiles: list[dict] = field(default_factory=list)
-    #: ``shuffle_skew`` records: per-shuffle partition histograms and
-    #: heavy keys (schema v6).  Named ``skew_records`` because
-    #: :meth:`shuffle_skew` (the per-stage byte-skew summary) predates
-    #: them.
-    skew_records: list[dict] = field(default_factory=list)
-    #: True when the only evidence is a flight-recorder dump.
-    flight_only: bool = False
-    header: dict = field(default_factory=dict)
+    def __init__(self, markdown: bool, title: str) -> None:
+        self.markdown = markdown
+        self.lines = [f"# {title}" if markdown else title]
 
-    def rebuild_profiles(self):
-        """The live run's QueryProfile list, reconstructed exactly."""
-        from repro.engine.metrics import (
-            QueryProfile,
-            StageProfile,
-            TaskMetrics,
+    def section(self, title: str) -> None:
+        self.lines.append("")
+        self.lines.append(
+            f"## {title}" if self.markdown else f"== {title} =="
         )
 
-        profiles: dict[int, QueryProfile] = {}
-        for job in self.jobs:
-            profiles[job["job_id"]] = QueryProfile(
-                job_id=job["job_id"],
-                recovered_tasks=job.get("recovered_tasks", 0),
-                retried_tasks=job.get("retried_tasks", 0),
-                speculative_tasks=job.get("speculative_tasks", 0),
-                blacklisted_workers=job.get("blacklisted_workers", 0),
-                evicted_blocks=job.get("evicted_blocks", 0),
-                evicted_bytes=job.get("evicted_bytes", 0),
-                memory_reserved_bytes=job.get("memory_reserved_bytes", 0),
-                memory_peak_bytes=job.get("memory_peak_bytes", 0),
-                memory_spill_events=job.get("memory_spill_events", 0),
-                memory_spill_bytes=job.get("memory_spill_bytes", 0),
-            )
-        stage_index: dict[tuple[int, int], Any] = {}
-        for stage in self.stages:
-            profile = profiles.get(stage["job_id"])
-            if profile is None:  # pragma: no cover - defensive
-                continue
-            rebuilt = StageProfile(
-                stage_id=stage["stage_id"],
-                name=stage["name"],
-                is_shuffle_map=stage["is_shuffle_map"],
-                map_side_combined=stage.get("map_side_combined", False),
-            )
-            profile.stages.append(rebuilt)
-            stage_index[(stage["job_id"], stage["stage_id"])] = rebuilt
-        for task in self.tasks:
-            rebuilt = stage_index.get((task["job_id"], task["stage_id"]))
-            if rebuilt is None:  # pragma: no cover - defensive
-                continue
-            rebuilt.tasks.append(
-                TaskMetrics(
-                    stage_id=task["stage_id"],
-                    partition=task["partition"],
-                    worker_id=task["worker_id"],
-                    records_in=task["records_in"],
-                    bytes_in=task["bytes_in"],
-                    records_out=task["records_out"],
-                    bytes_out=task["bytes_out"],
-                    shuffle_read_bytes=task["shuffle_read_bytes"],
-                    shuffle_write_bytes=task["shuffle_write_bytes"],
-                    shuffle_write_records=task["shuffle_write_records"],
-                    source=task["source"],
-                    attempts=task["attempts"],
-                    speculative=task["speculative"],
-                    batch_rows=task["batch_rows"],
-                    # v3 optional fields: .get so v2 logs still load.
-                    spill_bytes_written=task.get(
-                        "spill_bytes_written", 0
-                    ),
-                    spill_bytes_read=task.get("spill_bytes_read", 0),
-                    # v6 optional field: .get so v2-v5 logs still load.
-                    operator_rows=dict(
-                        task.get("operator_rows") or {}
-                    ),
-                )
-            )
-        return [profiles[job_id] for job_id in sorted(profiles)]
+    def add(self, line: str) -> None:
+        self.lines.append(line)
 
-    def analyze(self):
-        """Recompute the run's QueryAnalysis from the rebuilt profiles
-        on the header's cluster geometry."""
-        from repro.obs.analyze import analyze_profiles
+    def text(self) -> str:
+        return "\n".join(self.lines)
 
-        return analyze_profiles(
-            self.plan_text or "",
-            self.rebuild_profiles(),
-            num_workers=self.header.get("workers", 1),
-            cores_per_worker=self.header.get("cores_per_worker", 1),
-            result_rows=self.result_rows,
-            operator_modes=self.operator_modes,
-            memory_spills=[
-                {
-                    "owner": row["owner"],
-                    "events": row["events"],
-                    "bytes": row["bytes"],
-                    "runs": row["runs"],
-                }
-                for row in self.spills
-            ],
-            operator_profiles=self.operator_profiles,
-            shuffle_skew=self.skew_records,
-        )
 
-    def to_query_trace(self):
-        """Rebuild a QueryTrace from the timeline (Perfetto export)."""
-        from repro.obs.tracer import QueryTrace, Span, TraceEvent
-
-        trace = QueryTrace()
-        span_id = 0
-        for entry in self.timeline:
-            lane = entry.get("lane", "driver")
-            args = dict(entry.get("args") or {})
-            if entry["type"] == "span":
-                trace.spans.append(
-                    Span(
-                        span_id=span_id,
-                        parent_id=None,
-                        name=entry["name"],
-                        category=entry.get("category", ""),
-                        lane=lane,
-                        start=entry["start"],
-                        end=entry["end"],
-                        args=args,
-                    )
-                )
-                span_id += 1
-            else:
-                trace.events.append(
-                    TraceEvent(
-                        name=entry["name"],
-                        category=entry.get("category", ""),
-                        lane=lane,
-                        timestamp=entry.get("ts", 0.0),
-                        args=args,
-                    )
-                )
-        return trace
-
-    # ------------------------------------------------------------------
-    # Per-query summaries
-    # ------------------------------------------------------------------
-    def worker_busy_seconds(self) -> dict[Any, float]:
-        """Per-lane busy simulated seconds from task spans."""
-        busy: dict[Any, float] = {}
-        for entry in self.timeline:
-            if (
-                entry["type"] == "span"
-                and entry.get("category") == "task"
-            ):
-                lane = entry.get("lane", "driver")
-                busy[lane] = busy.get(lane, 0.0) + (
-                    entry["end"] - entry["start"]
-                )
-        return busy
-
-    def makespan(self) -> float:
-        """Simulated span of the query's timeline (0 when empty)."""
-        times: list[float] = []
-        for entry in self.timeline:
-            if entry["type"] == "span":
-                times.extend((entry["start"], entry["end"]))
-            elif "ts" in entry:
-                times.append(entry["ts"])
-        if not times:
-            return max(self.ended - self.started, 0.0)
-        return max(times) - min(times)
-
-    def shuffle_skew(self) -> list[dict]:
-        """Per map stage: max/mean shuffle-write bytes across tasks."""
-        out: list[dict] = []
-        for stage in self.stages:
-            if not stage["is_shuffle_map"]:
-                continue
-            writes = [
-                task["shuffle_write_bytes"]
-                for task in self.tasks
-                if task["job_id"] == stage["job_id"]
-                and task["stage_id"] == stage["stage_id"]
-            ]
-            if not writes or not any(writes):
-                continue
-            mean = sum(writes) / len(writes)
-            out.append(
-                {
-                    "job_id": stage["job_id"],
-                    "stage_id": stage["stage_id"],
-                    "name": stage["name"],
-                    "max_bytes": max(writes),
-                    "mean_bytes": mean,
-                    "skew": (max(writes) / mean) if mean else 0.0,
-                }
-            )
-        return out
+def count_queries(count: int, qualifier: str = "") -> str:
+    """``1 query`` / ``3 paired queries``."""
+    return f"{count} {qualifier}quer{'y' if count == 1 else 'ies'}"
 
 
 class HistoryStore:
@@ -280,7 +80,6 @@ class HistoryStore:
 
     def __init__(self) -> None:
         self.queries: list[QueryRecord] = []
-        self.headers: list[dict] = []
         #: Standalone flight dumps not attributable to a logged query.
         self.flight_dumps: list[dict] = []
         self.files: list[str] = []
@@ -312,17 +111,26 @@ class HistoryStore:
         self.files.append(str(path))
         header: dict = {}
         by_id: dict[str, QueryRecord] = {}
-        order: list[QueryRecord] = []
+        #: (query id, job id[, stage id]) -> the profile object that the
+        #: following stage / task records attach to.
+        parents: dict[tuple, Any] = {}
 
         def query(query_id: str) -> QueryRecord:
             record = by_id.get(query_id)
             if record is None:
-                record = QueryRecord(
+                record = by_id[query_id] = QueryRecord(
                     query_id=query_id, source=str(path)
                 )
-                by_id[query_id] = record
-                order.append(record)
             return record
+
+        def parent(*key):
+            try:
+                return parents[key]
+            except KeyError:
+                raise EventLogSchemaError(
+                    f"{path}: a stage or task record of {key} precedes "
+                    f"the record it belongs to"
+                ) from None
 
         for record in records:
             kind = record["type"]
@@ -347,57 +155,53 @@ class HistoryStore:
                     target.status = record.get("reason", "unknown")
                 target.timeline.extend(record["events"])
                 continue
-            target = query(record["query_id"])
-            if kind == "query_begin":
-                target.name = record["name"]
-                target.kind = record["kind"]
-                target.text = record.get("text")
-                target.started = record["ts"]
-                # v4 optional serving fields: .get keeps v3/v2 loadable.
-                target.tenant = record.get("tenant")
-                target.priority = record.get("priority")
-                target.flight_only = False
-                if target.status in ("unknown",):
-                    target.status = "incomplete"
-            elif kind == "plan":
-                target.plan_text = record["text"]
+            query_id = record["query_id"]
+            target = query(query_id)
+            if kind in RECORD_LISTS:
+                attribute = RECORD_LISTS[kind]
+                dropped = (
+                    _TIMELINE_ENVELOPE
+                    if attribute == "timeline"
+                    else _ENVELOPE
+                )
+                getattr(target, attribute).append(
+                    {
+                        key: value
+                        for key, value in record.items()
+                        if key not in dropped
+                    }
+                )
+            elif kind in SCALAR_RECORDS:
+                if kind == "query_begin":
+                    target.flight_only = False
+                    if target.status == "unknown":
+                        target.status = "incomplete"
+                for key, attribute in SCALAR_RECORDS[kind].items():
+                    if key in record:
+                        setattr(target, attribute, record[key])
             elif kind == "operator_modes":
                 target.operator_modes = [
                     (operator, mode)
                     for operator, mode in record["modes"]
                 ]
-            elif kind in ("span", "instant"):
-                target.timeline.append(record)
             elif kind == "job":
-                target.jobs.append(record)
+                job = profile_from_record(QueryProfile, record)
+                parents[query_id, job.job_id] = job
+                target.profiles.append(job)
             elif kind == "stage":
-                target.stages.append(record)
+                stage = profile_from_record(StageProfile, record)
+                job_key = (query_id, record["job_id"])
+                parents[(*job_key, stage.stage_id)] = stage
+                parent(*job_key).stages.append(stage)
             elif kind == "task":
-                target.tasks.append(record)
+                parent(
+                    query_id, record["job_id"], record["stage_id"]
+                ).tasks.append(profile_from_record(TaskMetrics, record))
             elif kind == "counters":
                 target.counters.update(record["deltas"])
-            elif kind == "memory_watermark":
-                target.memory.append(record)
-            elif kind == "memory_spill":
-                target.spills.append(record)
-            elif kind == "cache_lookup":
-                target.cache_lookups.append(record)
-            elif kind == "operator_profile":
-                target.operator_profiles.append(record)
-            elif kind == "shuffle_skew":
-                target.skew_records.append(record)
-            elif kind == "query_end":
-                target.status = record["status"]
-                target.error = record.get("error")
-                target.ended = record["ts"]
-                target.sim_seconds = record["sim_seconds"]
-                target.stage_sim = list(record.get("stage_sim") or [])
-                target.result_rows = record.get("result_rows")
-                target.shed_reason = record.get("shed_reason")
-        for record in order:
+        for record in by_id.values():
             record.header = header
-        self.queries.extend(order)
-        self.headers.append(header)
+        self.queries.extend(by_id.values())
 
     # ------------------------------------------------------------------
     # Lookup and aggregation
@@ -413,22 +217,34 @@ class HistoryStore:
         raise KeyError(f"no query {key!r} in history")
 
     def worker_utilization(self) -> list[dict]:
-        """Per worker lane, busy seconds vs the whole history's span."""
+        """Per worker lane, busy seconds vs the lane's capacity over the
+        whole history: the span each log file's timelines cover (last
+        end - first start) times that file's cores per worker, summed
+        over files."""
         busy: dict[Any, float] = {}
-        total = 0.0
+        covered: dict[str, tuple[float, float, int]] = {}
         for record in self.queries:
-            total = max(total, record.makespan())
             for lane, seconds in record.worker_busy_seconds().items():
                 busy[lane] = busy.get(lane, 0.0) + seconds
-        span = max(
-            (record.makespan() for record in self.queries), default=0.0
+            bounds = record.time_bounds()
+            if bounds is not None:
+                first, last, __ = covered.get(
+                    record.source, (*bounds, 0)
+                )
+                covered[record.source] = (
+                    min(first, bounds[0]),
+                    max(last, bounds[1]),
+                    record.header.get("cores_per_worker", 1),
+                )
+        capacity = sum(
+            (last - first) * cores
+            for first, last, cores in covered.values()
         )
-        span = max(span, total)
         return [
             {
                 "lane": lane,
                 "busy_seconds": seconds,
-                "utilization": (seconds / span) if span else 0.0,
+                "utilization": (seconds / capacity) if capacity else 0.0,
             }
             for lane, seconds in sorted(
                 busy.items(), key=lambda item: str(item[0])
@@ -463,19 +279,16 @@ class HistoryStore:
     def memory_timeline(self) -> list[dict]:
         """Chronological per-(worker, pool) pressure timeline rebuilt
         from persisted ``memory_watermark`` records."""
-        rows: list[dict] = []
-        for record in self.queries:
-            for row in record.memory:
-                rows.append(
-                    {
-                        "ts": row.get("ts", record.ended),
-                        "query_id": record.query_id,
-                        "worker": row["worker"],
-                        "pool": row["pool"],
-                        "used_bytes": row.get("used_bytes", 0),
-                        "peak_bytes": row["peak_bytes"],
-                    }
-                )
+        rows = [
+            {
+                "query_id": record.query_id,
+                "ts": record.ended,
+                "used_bytes": 0,
+                **row,
+            }
+            for record in self.queries
+            for row in record.memory
+        ]
         rows.sort(
             key=lambda row: (
                 row["ts"],
@@ -542,55 +355,51 @@ class HistoryStore:
 
     def memory_report(self, markdown: bool = False) -> str:
         """Per-worker pressure timeline + top consumers."""
-        h2 = "## " if markdown else "== "
-        h2end = "" if markdown else " =="
         timeline = self.memory_timeline()
-        lines = [
-            f"{'# ' if markdown else ''}memory report: "
-            f"{len(timeline)} watermark row(s) from "
-            f"{len(self.queries)} quer"
-            f"{'y' if len(self.queries) == 1 else 'ies'}"
-        ]
+        report = Report(
+            markdown,
+            f"memory report: {len(timeline)} watermark row(s) from "
+            f"{count_queries(len(self.queries))}",
+        )
         if not timeline:
-            lines.append(
+            report.add(
                 "  (no memory_watermark records — log predates "
                 "schema v2 or no query reserved memory)"
             )
-            return "\n".join(lines)
-        lines.append("")
-        lines.append(f"{h2}per-worker pressure timeline{h2end}")
+            return report.text()
+        report.section("per-worker pressure timeline")
         for row in timeline:
-            lines.append(
+            report.add(
                 f"  {row['ts']:9.3f}s {_lane(row['worker']):<10} "
                 f"{row['pool']:<9} used {row['used_bytes']}B, "
                 f"peak {row['peak_bytes']}B  [{row['query_id']}]"
             )
         pressure = self.memory_pressure_events()
         if pressure:
-            lines.append(f"  pressure events: {pressure}")
+            report.add(f"  pressure events: {pressure}")
         spills = self.memory_spills()
         if spills:
-            lines.append("")
-            lines.append(f"{h2}spill report (per owner){h2end}")
+            report.section("spill report (per owner)")
             for row in spills:
-                lines.append(
+                report.add(
                     f"  {row['owner']}: {row['events']} event(s), "
                     f"{row['bytes']}B to disk in {row['runs']} run(s)"
                 )
         consumers = self.memory_top_consumers()
         if consumers:
-            lines.append("")
-            lines.append(f"{h2}top consumers (peak bytes){h2end}")
+            report.section("top consumers (peak bytes)")
             for owner, pool, peak in consumers:
-                lines.append(f"  {owner} [{pool}]: {peak}B")
-        return "\n".join(lines)
+                report.add(f"  {owner} [{pool}]: {peak}B")
+        return report.text()
 
     # ------------------------------------------------------------------
     # Serving (schema v4)
     # ------------------------------------------------------------------
     def tenant_rows(self) -> list[dict]:
         """Per-tenant utilization from v4 query records: query counts by
-        outcome, charged simulated seconds, and end-to-end latency."""
+        outcome (every query lands in exactly one of ``completed`` /
+        ``shed`` / ``cancelled`` — by the user or by its deadline — /
+        ``failed``), charged simulated seconds, end-to-end latency."""
         merged: dict[str, dict[str, float]] = {}
         for record in self.queries:
             if record.tenant is None:
@@ -601,6 +410,7 @@ class HistoryStore:
                     "queries": 0,
                     "completed": 0,
                     "shed": 0,
+                    "cancelled": 0,
                     "failed": 0,
                     "sim_seconds": 0.0,
                     "latency_seconds": 0.0,
@@ -614,7 +424,9 @@ class HistoryStore:
                 )
             elif record.status == "shed":
                 row["shed"] += 1
-            elif record.status in ("failed", "error"):
+            elif record.status in ("cancelled", "deadline"):
+                row["cancelled"] += 1
+            else:
                 row["failed"] += 1
             row["sim_seconds"] += record.sim_seconds
         return [
@@ -638,42 +450,38 @@ class HistoryStore:
 
     def tenant_report(self, markdown: bool = False) -> str:
         """Per-tenant utilization + per-tier latency percentiles."""
-        h2 = "## " if markdown else "== "
-        h2end = "" if markdown else " =="
         rows = self.tenant_rows()
-        lines = [
-            f"{'# ' if markdown else ''}tenant report: "
-            f"{len(rows)} tenant(s) across "
-            f"{len(self.queries)} quer"
-            f"{'y' if len(self.queries) == 1 else 'ies'}"
-        ]
+        report = Report(
+            markdown,
+            f"tenant report: {len(rows)} tenant(s) across "
+            f"{count_queries(len(self.queries))}",
+        )
         if not rows:
-            lines.append(
+            report.add(
                 "  (no tenant-tagged queries — log predates schema v4 "
                 "or queries ran outside a SqlServer)"
             )
-            return "\n".join(lines)
-        lines.append("")
-        lines.append(f"{h2}per-tenant utilization{h2end}")
+            return report.text()
+        report.section("per-tenant utilization")
         for row in rows:
             mean = (
                 row["latency_seconds"] / row["completed"]
                 if row["completed"]
                 else 0.0
             )
-            lines.append(
+            report.add(
                 f"  {row['tenant']:<12} {row['queries']:4d} queries "
                 f"({row['completed']} ok, {row['shed']} shed, "
+                f"{row['cancelled']} cancelled, "
                 f"{row['failed']} failed), "
                 f"{row['sim_seconds']:8.3f} sim-s charged, "
                 f"mean latency {mean:.3f}s"
             )
         tiers = self.tier_latencies()
         if tiers:
-            lines.append("")
-            lines.append(f"{h2}per-tier latency (completed){h2end}")
+            report.section("per-tier latency (completed)")
             for tier, values in sorted(tiers.items()):
-                lines.append(
+                report.add(
                     f"  {tier:<12} n={len(values):4d}  "
                     f"p50 {percentile(values, 50.0):.3f}s  "
                     f"p95 {percentile(values, 95.0):.3f}s  "
@@ -686,17 +494,14 @@ class HistoryStore:
                     sheds.get(record.shed_reason, 0) + 1
                 )
         if sheds:
-            lines.append("")
-            lines.append(f"{h2}shed reasons{h2end}")
+            report.section("shed reasons")
             for reason, count in sorted(sheds.items()):
-                lines.append(f"  {reason}: {count}")
-        return "\n".join(lines)
+                report.add(f"  {reason}: {count}")
+        return report.text()
 
     def cache_report(self, markdown: bool = False) -> str:
         """Per-layer SQL cache hit/miss totals from v5 ``cache_lookup``
         records, plus the ``sqlcache.*`` counter deltas."""
-        h2 = "## " if markdown else "== "
-        h2end = "" if markdown else " =="
         layers: dict[str, dict[str, int]] = {}
         probed_queries = 0
         for record in self.queries:
@@ -707,27 +512,26 @@ class HistoryStore:
                     row["layer"], {"hit": 0, "miss": 0}
                 )
                 layer[row["outcome"]] = layer.get(row["outcome"], 0) + 1
-        lines = [
-            f"{'# ' if markdown else ''}sql cache report: "
-            f"{probed_queries} probed quer"
-            f"{'y' if probed_queries == 1 else 'ies'} of "
-            f"{len(self.queries)}"
-        ]
+        report = Report(
+            markdown,
+            f"sql cache report: "
+            f"{count_queries(probed_queries, 'probed ')} of "
+            f"{len(self.queries)}",
+        )
         if not layers:
-            lines.append(
+            report.add(
                 "  (no cache_lookup records — log predates schema v5 "
                 "or the caching stack was disabled)"
             )
-            return "\n".join(lines)
-        lines.append("")
-        lines.append(f"{h2}per-layer lookups{h2end}")
+            return report.text()
+        report.section("per-layer lookups")
         for layer in ("plan", "result", "fragment"):
             row = layers.get(layer)
             if row is None:
                 continue
             total = row["hit"] + row["miss"]
             ratio = row["hit"] / total if total else 0.0
-            lines.append(
+            report.add(
                 f"  {layer:<9} {total:5d} lookups, {row['hit']:5d} hits "
                 f"({100.0 * ratio:.0f}%)"
             )
@@ -737,11 +541,10 @@ class HistoryStore:
                 if name.startswith("sqlcache."):
                     totals[name] = totals.get(name, 0.0) + value
         if totals:
-            lines.append("")
-            lines.append(f"{h2}sqlcache counters{h2end}")
+            report.section("sqlcache counters")
             for name, value in sorted(totals.items()):
-                lines.append(f"  {name} = {value:g}")
-        return "\n".join(lines)
+                report.add(f"  {name} = {value:g}")
+        return report.text()
 
     # ------------------------------------------------------------------
     # Plan quality (schema v6)
@@ -801,52 +604,43 @@ class HistoryStore:
     ) -> str:
         """Per-query misestimate audit + shuffle-skew records +
         cross-run cardinality priors (schema v6)."""
-        h2 = "## " if markdown else "== "
-        h2end = "" if markdown else " =="
         profiled = [
             record for record in self.queries if record.operator_profiles
         ]
-        lines = [
-            f"{'# ' if markdown else ''}plan quality report: "
-            f"{len(profiled)} profiled quer"
-            f"{'y' if len(profiled) == 1 else 'ies'} of "
-            f"{len(self.queries)}"
-        ]
+        report = Report(
+            markdown,
+            f"plan quality report: "
+            f"{count_queries(len(profiled), 'profiled ')} of "
+            f"{len(self.queries)}",
+        )
         if not profiled:
-            lines.append(
+            report.add(
                 "  (no operator_profile records — log predates "
                 "schema v6)"
             )
-            return "\n".join(lines)
-        lines.append("")
-        lines.append(
-            f"{h2}misestimates (q-error > {threshold:g}){h2end}"
-        )
+            return report.text()
+        report.section(f"misestimates (q-error > {threshold:g})")
         any_flagged = False
         for record in profiled:
             flagged = audit(record.operator_profiles, threshold)
             for row in flagged:
                 any_flagged = True
-                lines.append(
+                report.add(
                     f"  {record.query_id}: "
                     + format_profile_line(row, threshold)
                 )
         if not any_flagged:
-            lines.append("  (none)")
+            report.add("  (none)")
         skewed = [
             (record, row)
             for record in self.queries
             for row in record.skew_records
         ]
         if skewed:
-            lines.append("")
-            lines.append(f"{h2}shuffle skew records{h2end}")
+            report.section("shuffle skew records")
             for record, row in skewed:
-                heavy = ", ".join(
-                    f"{key}={count}"
-                    for key, count in (row.get("heavy_keys") or [])[:3]
-                )
-                lines.append(
+                heavy = heavy_keys_text(row)
+                report.add(
                     f"  {record.query_id} shuffle {row['shuffle_id']}: "
                     f"{row['num_reduces']} reduces, "
                     f"rows max/mean x{row.get('row_skew', 0.0):.2f}"
@@ -854,18 +648,17 @@ class HistoryStore:
                 )
         priors = self.cardinality_priors()
         if priors:
-            lines.append("")
-            lines.append(f"{h2}cardinality priors (for PDE v2){h2end}")
+            report.section("cardinality priors (for PDE v2)")
             for prior in priors:
                 label = prior["operator"]
                 if prior["detail"]:
                     label += f" {prior['detail']}"
-                lines.append(
+                report.add(
                     f"  {label}: n={prior['observations']} "
                     f"mean {prior['mean_rows']:.1f} rows "
                     f"[{prior['min_rows']}, {prior['max_rows']}]"
                 )
-        return "\n".join(lines)
+        return report.text()
 
     # ------------------------------------------------------------------
     # Reports
@@ -875,47 +668,41 @@ class HistoryStore:
     ) -> str:
         if query is not None:
             return self._query_report(self.query(query), markdown)
-        lines: list[str] = []
-        h1 = "# " if markdown else ""
-        h2 = "## " if markdown else "== "
-        h2end = "" if markdown else " =="
-        lines.append(
-            f"{h1}query history: {len(self.queries)} quer"
-            f"{'y' if len(self.queries) == 1 else 'ies'} from "
-            f"{len(self.files)} log file(s)"
+        report = Report(
+            markdown,
+            f"query history: {count_queries(len(self.queries))} from "
+            f"{len(self.files)} log file(s)",
         )
-        lines.append("")
-        lines.append(f"{h2}queries{h2end}")
+        report.section("queries")
         if markdown:
-            lines.append("| query | kind | status | sim-s | tasks |")
-            lines.append("|---|---|---|---|---|")
+            report.add("| query | kind | status | sim-s | tasks |")
+            report.add("|---|---|---|---|---|")
         for record in self.queries:
             label = record.name or record.query_id
             if markdown:
-                lines.append(
+                report.add(
                     f"| {record.query_id}: {_short(label)} "
                     f"| {record.kind} | {record.status} "
                     f"| {record.sim_seconds:.3f} "
-                    f"| {len(record.tasks)} |"
+                    f"| {record.num_tasks} |"
                 )
             else:
-                lines.append(
+                report.add(
                     f"  {record.query_id} [{record.kind}] "
                     f"{record.status:<9} {record.sim_seconds:8.3f} sim-s"
-                    f"  {len(record.tasks):3d} tasks  {_short(label)}"
+                    f"  {record.num_tasks:3d} tasks  {_short(label)}"
                 )
             if record.flight_only:
-                lines.append(
+                report.add(
                     ("  " if not markdown else "")
                     + f"    (flight-recorder dump only: "
                     f"{len(record.timeline)} events)"
                 )
         utilization = self.worker_utilization()
         if utilization:
-            lines.append("")
-            lines.append(f"{h2}worker utilization{h2end}")
+            report.section("worker utilization")
             for row in utilization:
-                lines.append(
+                report.add(
                     f"  {_lane(row['lane']):<10} "
                     f"busy {row['busy_seconds']:.3f}s "
                     f"({row['utilization'] * 100.0:.0f}%)"
@@ -923,13 +710,12 @@ class HistoryStore:
         skew = [
             (record, entry)
             for record in self.queries
-            for entry in record.shuffle_skew()
+            for entry in record.stage_write_skew()
         ]
         if skew:
-            lines.append("")
-            lines.append(f"{h2}shuffle skew (map stages){h2end}")
+            report.section("shuffle skew (map stages)")
             for record, entry in skew:
-                lines.append(
+                report.add(
                     f"  {record.query_id} job {entry['job_id']} "
                     f"stage {entry['stage_id']} "
                     f"({entry['name']}): max {entry['max_bytes']}B / "
@@ -938,106 +724,78 @@ class HistoryStore:
                 )
         churn = self.cache_churn()
         if churn:
-            lines.append("")
-            lines.append(f"{h2}cache churn{h2end}")
+            report.section("cache churn")
             for name, value in churn.items():
-                lines.append(f"  {name} = {value:g}")
+                report.add(f"  {name} = {value:g}")
         peaks = self.memory_peaks()
         if peaks:
-            lines.append("")
-            lines.append(f"{h2}memory peaks{h2end}")
+            report.section("memory peaks")
             for (worker, pool), peak in sorted(
                 peaks.items(), key=lambda item: (str(item[0][0]), item[0][1])
             ):
-                lines.append(
+                report.add(
                     f"  {_lane(worker):<10} {pool:<9} peak {peak}B"
                 )
-            lines.append(
+            report.add(
                 "  (run `python -m repro.obs.history <path> memory` "
                 "for the full pressure timeline)"
             )
         if self.flight_dumps:
-            lines.append("")
-            lines.append(
-                f"{h2}unattributed flight dumps: "
-                f"{len(self.flight_dumps)}{h2end}"
+            report.section(
+                f"unattributed flight dumps: {len(self.flight_dumps)}"
             )
-        return "\n".join(lines)
+        return report.text()
 
     def _query_report(
         self, record: QueryRecord, markdown: bool
     ) -> str:
-        h2 = "## " if markdown else "== "
-        h2end = "" if markdown else " =="
-        lines = [
-            f"{'# ' if markdown else ''}query {record.query_id} "
-            f"[{record.kind}] {record.status}"
-        ]
+        """One query: a header, the EXPLAIN ANALYZE text of its record
+        (if it ran), its counter deltas and its timeline."""
+        report = Report(
+            markdown,
+            f"query {record.query_id} [{record.kind}] {record.status}",
+        )
         if record.name and record.name != record.query_id:
-            lines.append(f"  name: {_short(record.name, 120)}")
+            report.add(f"  name: {_short(record.name, 120)}")
         if record.error:
-            lines.append(f"  error: {record.error}")
-        lines.append(
+            report.add(f"  error: {record.error}")
+        report.add(
             f"  simulated seconds: {record.sim_seconds:.3f} "
             f"(clock {record.started:.3f} -> {record.ended:.3f})"
         )
-        if record.result_rows is not None:
-            lines.append(f"  result rows: {record.result_rows}")
-        if record.stage_sim:
-            lines.append("")
-            lines.append(f"{h2}stages{h2end}")
-            for stage in record.stage_sim:
-                lines.append(
-                    f"  stage {stage['stage_id']} ({stage['kind']}, "
-                    f"{stage['name']}): {stage['num_tasks']} tasks, "
-                    f"rows {stage['records_in']} -> "
-                    f"{stage['records_out']}, "
-                    f"shuffle write {stage['shuffle_write_bytes']}B, "
-                    f"{stage['sim_seconds']:.3f} sim-s"
-                )
-        if record.operator_modes:
-            lines.append("")
-            lines.append(f"{h2}operator modes{h2end}")
-            for operator, mode in record.operator_modes:
-                lines.append(f"  {operator}: {mode}")
-        if record.operator_profiles:
-            lines.append("")
-            lines.append(f"{h2}plan quality (est vs actual){h2end}")
-            for row in record.operator_profiles:
-                lines.append(
-                    "  "
-                    + format_profile_line(
-                        row, DEFAULT_Q_ERROR_THRESHOLD
-                    )
-                )
+        if record.profiles or record.result_rows is not None:
+            fence = ["```"] if markdown else []
+            report.lines += [
+                "",
+                *fence,
+                *render_query(record).splitlines(),
+                *fence,
+            ]
         if record.counters:
-            lines.append("")
-            lines.append(f"{h2}counter deltas{h2end}")
+            report.section("counter deltas")
             for name, value in sorted(record.counters.items()):
-                lines.append(f"  {name} = {value:g}")
+                report.add(f"  {name} = {value:g}")
         if record.timeline:
-            lines.append("")
-            label = (
+            report.section(
                 "timeline (flight-recorder partial)"
                 if record.flight_only
                 else "timeline"
             )
-            lines.append(f"{h2}{label}{h2end}")
             for entry in _timeline_sorted(record.timeline)[-60:]:
                 if entry["type"] == "span":
-                    lines.append(
+                    report.add(
                         f"  {entry['start']:9.3f}s "
                         f"{_lane(entry.get('lane', '?')):<10} "
                         f"{entry['name']} "
                         f"(+{entry['end'] - entry['start']:.3f}s)"
                     )
                 else:
-                    lines.append(
+                    report.add(
                         f"  {entry.get('ts', 0.0):9.3f}s "
                         f"{_lane(entry.get('lane', '?')):<10} "
                         f"* {entry['name']}"
                     )
-        return "\n".join(lines)
+        return report.text()
 
     def export_perfetto(self, key: str, path) -> None:
         """Write one query's timeline as Chrome-trace JSON."""
@@ -1128,15 +886,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FileNotFoundError, EventLogSchemaError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    sections = {
+        "memory": store.memory_report,
+        "tenants": store.tenant_report,
+        "cache": store.cache_report,
+        "quality": store.plan_quality_report,
+    }
     try:
-        if args.section == "memory":
-            print(store.memory_report(markdown=args.markdown))
-        elif args.section == "tenants":
-            print(store.tenant_report(markdown=args.markdown))
-        elif args.section == "cache":
-            print(store.cache_report(markdown=args.markdown))
-        elif args.section == "quality":
-            print(store.plan_quality_report(markdown=args.markdown))
+        if args.section:
+            print(sections[args.section](markdown=args.markdown))
         else:
             print(store.report(markdown=args.markdown, query=args.query))
     except BrokenPipeError:  # `| head` closed stdout; not an error

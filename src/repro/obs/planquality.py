@@ -229,3 +229,12 @@ def format_profile_line(profile: dict, threshold: float) -> str:
         if error > threshold:
             line += "  ** misestimate"
     return line
+
+
+def heavy_keys_text(skew_row: dict) -> str:
+    """The three heaviest reduce keys of a shuffle-skew row, as
+    ``key=count, ...`` ('' when it labelled none)."""
+    return ", ".join(
+        f"{key}={count}"
+        for key, count in (skew_row.get("heavy_keys") or [])[:3]
+    )

@@ -12,9 +12,11 @@ per-stage attribution line, e.g.::
       stage 1 (partial_aggregate) +0.031 sim-s, rows/task x1.0,
       shuffle write bytes x1.0
 
-When any query regresses, the sentinel also re-runs the suite under the
-default configuration into a scratch event log and hands both logs to
-the query doctor (:mod:`repro.obs.doctor`), so the failure report ends
+Each measurement is read off the query's event-log record (the log is
+``--event-log-out``, or a scratch file).  When any query regresses, the
+sentinel also runs the suite under the default configuration into a
+second scratch log and hands both logs to the query doctor
+(:mod:`repro.obs.doctor`), so the failure report ends
 with ranked root causes — e.g. a ``--vectorize off`` run is attributed
 to ``mode-flip`` rather than just "a stage got slower".
 
@@ -30,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from typing import Optional
 
 BASELINE_VERSION = 1
@@ -96,48 +100,53 @@ def build_warehouse(
     return shark
 
 
-def run_suite(shark) -> dict[str, dict]:
-    """Execute every suite query; returns per-query measurements."""
-    from repro.obs.analyze import analyze_profiles
+def run_passes(shark, log_path, passes: int = 1) -> list[dict[str, dict]]:
+    """Execute the suite ``passes`` times into an event log at
+    ``log_path``; returns each pass's per-query measurements, read off
+    the queries' records in that log."""
+    from repro.obs.history import HistoryStore
 
-    engine = shark.engine
-    metrics = engine.tracer.metrics
-    results: dict[str, dict] = {}
-    for name, text in suite_queries().items():
-        before = {
-            key: metrics.value(key) for key in TRACKED_COUNTERS
+    queries = suite_queries()
+    shark.enable_event_log(
+        log_path,
+        source="sentinel",
+        vectorize="on" if shark.session.config.vectorize else "off",
+    )
+    try:
+        for __ in range(passes):
+            for text in queries.values():
+                shark.sql(text)
+    finally:
+        shark.close_event_log()
+    records = HistoryStore.load(log_path).queries
+    return [
+        {
+            name: {
+                "sim_seconds": record.sim_seconds,
+                "result_rows": record.result_rows,
+                "counters": {
+                    key: record.counters.get(key, 0.0)
+                    for key in TRACKED_COUNTERS
+                },
+                "stages": [
+                    {
+                        key: value
+                        for key, value in stage.items()
+                        if key != "job_id"
+                    }
+                    for stage in record.stage_sim
+                ],
+            }
+            for name, record in zip(queries, records[start:])
         }
-        engine.reset_profiles()
-        result = shark.sql(text)
-        analysis = analyze_profiles(
-            "",
-            engine.profiles,
-            num_workers=WORKERS,
-            cores_per_worker=CORES_PER_WORKER,
-        )
-        results[name] = {
-            "sim_seconds": analysis.total_sim_seconds,
-            "result_rows": len(result.rows),
-            "counters": {
-                key: metrics.value(key) - before[key]
-                for key in TRACKED_COUNTERS
-            },
-            "stages": [
-                {
-                    "stage_id": stage.stage_id,
-                    "name": stage.name,
-                    "kind": stage.kind,
-                    "num_tasks": stage.num_tasks,
-                    "sim_seconds": stage.sim_seconds,
-                    "records_in": stage.records_in,
-                    "records_out": stage.records_out,
-                    "shuffle_read_bytes": stage.shuffle_read_bytes,
-                    "shuffle_write_bytes": stage.shuffle_write_bytes,
-                }
-                for stage in analysis.stages
-            ],
-        }
-    return results
+        for start in range(0, passes * len(queries), len(queries))
+    ]
+
+
+def run_suite(shark) -> dict[str, dict]:
+    """One pass of the suite through a scratch event log."""
+    with tempfile.TemporaryDirectory() as scratch:
+        return run_passes(shark, os.path.join(scratch, "suite.jsonl"))[0]
 
 
 def baseline_document(queries: dict[str, dict]) -> dict:
@@ -190,56 +199,30 @@ def _attribution(base_entry: dict, entry: dict) -> str:
     return ", ".join(details)
 
 
-def doctor_attribution(args, shark) -> list[str]:
-    """Diff a default-config reference run against the current run with
-    the query doctor; returns the report lines to append.
+def doctor_attribution(current_log, threshold, metrics) -> list[str]:
+    """Diff a default-config reference run against this run's event log
+    with the query doctor; returns the report lines to append.
 
     The reference suite is re-run into a scratch event log (cheap: the
-    suite is small and the clock is simulated); the current run's log is
-    either ``--event-log-out`` or a second scratch re-run under the
-    current flags.  Deterministic by construction — both logs are pure
-    functions of engine config.
+    suite is small and the clock is simulated).  Deterministic by
+    construction — both logs are pure functions of engine config.
     """
-    import os
-    import tempfile
-
     from repro.obs import doctor
+    from repro.obs.history import _short, count_queries
 
     with tempfile.TemporaryDirectory() as scratch:
-        current_log = args.event_log_out
-        if current_log is None:
-            current_log = os.path.join(scratch, "current.jsonl")
-            rerun = build_warehouse(
-                vectorize=args.vectorize == "on",
-                memory_per_worker_bytes=args.memory_cap,
-            )
-            rerun.enable_event_log(
-                current_log, source="sentinel", vectorize=args.vectorize
-            )
-            try:
-                run_suite(rerun)
-            finally:
-                rerun.close_event_log()
         reference_log = os.path.join(scratch, "reference.jsonl")
-        reference = build_warehouse()
-        reference.enable_event_log(
-            reference_log, source="sentinel", vectorize="on"
-        )
-        try:
-            run_suite(reference)
-        finally:
-            reference.close_event_log()
-        metrics = shark.engine.tracer.metrics
+        run_passes(build_warehouse(), reference_log)
         report = doctor.diagnose_logs(
             reference_log,
             current_log,
-            regression_threshold=args.threshold,
+            regression_threshold=threshold,
             metrics=metrics,
         )
     lines = ["== query doctor (default-config reference vs this run) =="]
     for diagnosis in report.regressed():
         lines.append(
-            f"{doctor._display_name(diagnosis.name)}: "
+            f"{_short(diagnosis.name)}: "
             f"{diagnosis.baseline_seconds:.3f} -> "
             f"{diagnosis.current_seconds:.3f} sim-s "
             f"({diagnosis.slowdown:+.0%})"
@@ -252,7 +235,7 @@ def doctor_attribution(args, shark) -> list[str]:
     if top is not None:
         lines.append(
             f"top root cause across corpus: {top[0]} "
-            f"({top[1]} quer{'y' if top[1] == 1 else 'ies'})"
+            f"({count_queries(top[1])})"
         )
     return lines
 
@@ -355,28 +338,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        return _gate(
+            args,
+            args.event_log_out or os.path.join(scratch, "current.jsonl"),
+        )
 
+
+def _gate(args, log_path) -> int:
+    """Run the suite into ``log_path`` and compare it with the baseline."""
     shark = build_warehouse(
         vectorize=args.vectorize == "on",
         memory_per_worker_bytes=args.memory_cap,
     )
+    warm = None
     if args.sql_cache == "on":
         shark.enable_sql_cache()
-    if args.event_log_out:
-        shark.enable_event_log(
-            args.event_log_out, source="sentinel",
-            vectorize=args.vectorize,
-        )
-    warm = None
-    try:
-        current = run_suite(shark)
-        if args.sql_cache == "on":
-            # Second pass over an unchanged catalog: the result cache
-            # should short-circuit every suite query.
-            warm = run_suite(shark)
-    finally:
-        if args.event_log_out:
-            shark.close_event_log()
+        # Second pass over an unchanged catalog: the result cache
+        # should short-circuit every suite query.
+        current, warm = run_passes(shark, log_path, passes=2)
+    else:
+        (current,) = run_passes(shark, log_path)
 
     warm_lines: list[str] = []
     if warm is not None:
@@ -470,7 +452,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     lines.extend(f"  {line}" for line in warm_lines)
     if regressions:
         lines.extend(
-            f"  {line}" for line in doctor_attribution(args, shark)
+            f"  {line}"
+            for line in doctor_attribution(
+                log_path, args.threshold, shark.engine.tracer.metrics
+            )
         )
     lines.append(
         f"sentinel: "

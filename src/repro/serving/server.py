@@ -38,6 +38,7 @@ from repro.errors import (
     ReproError,
     TenantQuotaExceeded,
 )
+from repro.obs.record import QueryRecord
 from repro.serving.tenants import (
     PRIORITY_TIERS,
     TIER_RANK,
@@ -446,18 +447,19 @@ class SqlServer:
         )
         log = self._ctx.event_log
         if log is not None:
+            # Never reached the engine: no scope to capture.
             log.write_query(
-                name=ticket.name,
-                kind="sql",
-                text=ticket.text,
-                status="shed",
-                error=str(ticket.error),
-                started=ticket.enqueued_at,
-                ended=now,
-                sim_seconds=0.0,
-                tenant=ticket.tenant,
-                priority=ticket.priority,
-                shed_reason=reason,
+                QueryRecord(
+                    name=ticket.name,
+                    text=ticket.text,
+                    status="shed",
+                    error=str(ticket.error),
+                    started=ticket.enqueued_at,
+                    ended=now,
+                    tenant=ticket.tenant,
+                    priority=ticket.priority,
+                    shed_reason=reason,
+                )
             )
         self._record_latency(ticket)
         self.finished.append(ticket)

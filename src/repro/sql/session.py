@@ -23,7 +23,9 @@ from repro.datatypes import Field, Schema, type_by_name
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
 from repro.errors import AnalysisError, CatalogError, UnsupportedFeatureError
-from repro.obs import analyze_profiles
+from repro.obs.analyze import render_query
+from repro.obs.planquality import DEFAULT_Q_ERROR_THRESHOLD, audit
+from repro.obs.record import Marks, capture
 from repro.sql import ast
 from repro.sql.analyzer import Analyzer, Scope
 from repro.sql.catalog import CACHED, Catalog, EXTERNAL, TableEntry
@@ -111,8 +113,6 @@ class SqlSession:
         self._in_statement = False
         #: Original SQL text of the statement being executed (event log).
         self._current_text: Optional[str] = None
-        #: Optimized-plan text captured by plan_select when logging.
-        self._last_plan_text: Optional[str] = None
         #: Query caching stack (repro.sql.cache); None until enabled.
         self.sql_cache = None
 
@@ -204,8 +204,9 @@ class SqlSession:
         tracer.metrics.inc("queries.executed")
         text = self._current_text
         cache = self.sql_cache
-        lookups = ctx.query.cache_lookups
-        with self._logged_query("sql", text) as logged:
+        scope = ctx.query
+        lookups = scope.cache_lookups
+        with self._logged_query("sql", text):
             with tracer.span("query", "query", kind="select"):
                 if cache is not None and memo is not None:
                     hit = cache.result_lookup(memo)
@@ -216,9 +217,8 @@ class SqlSession:
                         )
                         report = ExecutionReport()
                         report.note("served from result cache")
-                        self.last_report = report
-                        logged["report"] = report
-                        logged["rows"] = len(rows)
+                        self.last_report = scope.report = report
+                        scope.result_rows = len(rows)
                         return QueryResult(
                             rows, schema, report, cache_hit=True
                         )
@@ -242,8 +242,9 @@ class SqlSession:
                         statement = parse(text)
                     analyzer = Analyzer(self.catalog, self.registry)
                     plan = optimize(analyzer.analyze_select(statement))
-                if ctx.event_log is not None:
-                    self._last_plan_text = plan.pretty()
+                plan_text = (
+                    plan.pretty() if ctx.event_log is not None else None
+                )
                 planner = PhysicalPlanner(ctx, self.store, self.config)
                 planned = planner.plan(plan)
                 self.last_report = planned.report
@@ -268,9 +269,9 @@ class SqlSession:
                 if cache is not None and memo is not None:
                     cache.plan_store(memo, plan, planned.schema)
                     cache.result_store(memo, rows, planned.schema)
-            logged["report"] = planned.report
-            logged["rows"] = len(rows)
-            logged["plan_text"] = self._last_plan_text
+            scope.report = planned.report
+            scope.result_rows = len(rows)
+            scope.plan_text = plan_text
         return QueryResult(rows, planned.schema, planned.report)
 
     def plan_select(self, select: ast.SelectStatement,
@@ -280,8 +281,6 @@ class SqlSession:
         analyzer = Analyzer(self.catalog, self.registry)
         plan = analyzer.analyze_select(select)
         plan = optimize(plan)
-        if self.ctx.event_log is not None:
-            self._last_plan_text = plan.pretty()
         planner = PhysicalPlanner(self.ctx, self.store, config or self.config)
         planned = planner.plan(plan)
         self.last_report = planned.report
@@ -291,134 +290,65 @@ class SqlSession:
     # Event logging
     # ------------------------------------------------------------------
     @contextmanager
-    def _logged_query(
-        self, kind: str, text: Optional[str], name: Optional[str] = None
-    ):
-        """Stream one query's records to the context's event log.
+    def _logged_query(self, kind: str, text: Optional[str]):
+        """Stream one statement's record to the context's event log.
 
-        Yields a carrier dict the caller fills with ``report`` /
-        ``rows`` / ``plan_text``.  The statement's scope holds its jobs,
-        shuffles and cache lookups; watermarks on the trace buffers and
-        the counter values isolate the rest of its slice.  On any exit
-        (including cancellation/failure) the records are written and,
+        The statement's scope holds its jobs, shuffles, cache lookups
+        and what the session learned (report, plan text, result rows);
+        :class:`~repro.obs.record.Marks` taken here isolate its slice of
+        the trace buffers and counters.  On any exit (including
+        cancellation/failure) the record is captured and written and,
         on abnormal status, the flight recorder dumps.  No-op without
         an event log, or inside a lifecycle-managed query (the scope
-        with a cancel token: the lifecycle manager owns those records).
+        with a cancel token: the lifecycle manager writes that record).
         """
         ctx = self.ctx
         log = ctx.event_log
         scope = ctx.query
-        carrier: dict[str, Any] = {
-            "report": None,
-            "rows": None,
-            "plan_text": None,
-        }
         if log is None or scope.token is not None:
-            yield carrier
+            yield
             return
         tracer = ctx.tracer
-        span_mark = len(tracer.trace.spans)
-        event_mark = len(tracer.trace.events)
-        counters_before = dict(tracer.metrics.snapshot()["counters"])
-        spill_mark = ctx.memory.spill_snapshot()
-        started = tracer.clock.now()
+        marks = Marks(ctx)
         query_id = f"q{log.queries_logged:04d}"
         status, error = "ok", None
         try:
-            yield carrier
+            yield
         except BaseException as exc:
             status = _terminal_status(exc)
             error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            ended = tracer.clock.now()
-            profiles = scope.profiles
-            spans = tracer.trace.spans[span_mark:]
-            events = tracer.trace.events[event_mark:]
-            counters_after = tracer.metrics.snapshot()["counters"]
-            deltas = {
-                key: value - counters_before.get(key, 0.0)
-                for key, value in counters_after.items()
-                if value != counters_before.get(key, 0.0)
-            }
-            cluster = ctx.cluster
-            cores = cluster.workers[0].cores if cluster.workers else 1
-            analysis = analyze_profiles(
-                "",
-                profiles,
-                num_workers=cluster.num_workers,
-                cores_per_worker=cores,
+            record = capture(
+                ctx,
+                scope,
+                marks,
+                query_id=query_id,
+                name=(text or kind).strip(),
+                kind=kind,
+                text=text,
+                status=status,
+                error=error,
             )
-            tracer.metrics.observe(
-                "query.sim_seconds", analysis.total_sim_seconds
-            )
+            metrics = tracer.metrics
+            metrics.observe("query.sim_seconds", record.sim_seconds)
             if status != "ok":
                 tracer.flight_dump(status, query=query_id)
-            report = carrier.get("report")
-            operator_profiles = _operator_profiles(report, profiles)
-            skew_records = ctx.shuffle_manager.skew_records(scope)
-            metrics = tracer.metrics
-            if operator_profiles:
-                from repro.obs.planquality import (
-                    DEFAULT_Q_ERROR_THRESHOLD,
-                    audit,
-                )
-
+            if record.operator_profiles:
                 metrics.inc(
-                    "plan.operator_profiles", len(operator_profiles)
+                    "plan.operator_profiles", len(record.operator_profiles)
                 )
                 flagged = audit(
-                    operator_profiles, DEFAULT_Q_ERROR_THRESHOLD
+                    record.operator_profiles, DEFAULT_Q_ERROR_THRESHOLD
                 )
                 if flagged:
                     metrics.inc("plan.misestimates", len(flagged))
                     metrics.set_gauge(
                         "plan.q_error_max", flagged[0]["q_error"]
                     )
-            if skew_records:
-                metrics.inc("skew.shuffles", len(skew_records))
-            log.write_query(
-                name=name if name is not None else (text or kind).strip(),
-                kind=kind,
-                text=text,
-                status=status,
-                error=error,
-                profiles=profiles,
-                spans=spans,
-                events=events,
-                counter_deltas=deltas,
-                plan_text=carrier.get("plan_text"),
-                operator_modes=(
-                    list(report.operator_modes)
-                    if report is not None
-                    else []
-                ),
-                result_rows=carrier.get("rows"),
-                sim_seconds=analysis.total_sim_seconds,
-                stage_sim=[
-                    {
-                        "job_id": stage.job_id,
-                        "stage_id": stage.stage_id,
-                        "name": stage.name,
-                        "kind": stage.kind,
-                        "num_tasks": stage.num_tasks,
-                        "sim_seconds": stage.sim_seconds,
-                        "records_in": stage.records_in,
-                        "records_out": stage.records_out,
-                        "shuffle_read_bytes": stage.shuffle_read_bytes,
-                        "shuffle_write_bytes": stage.shuffle_write_bytes,
-                    }
-                    for stage in analysis.stages
-                ],
-                started=started,
-                ended=ended,
-                query_id=query_id,
-                memory=ctx.memory.watermarks(),
-                spills=ctx.memory.spill_rows_since(spill_mark),
-                cache_lookups=scope.cache_lookups or None,
-                operator_profiles=operator_profiles or None,
-                shuffle_skew=skew_records or None,
-            )
+            if record.skew_records:
+                metrics.inc("skew.shuffles", len(record.skew_records))
+            log.write_query(record)
 
     def _explain(self, statement: ast.Statement) -> QueryResult:
         if isinstance(statement, ast.CreateTable) and statement.as_select:
@@ -453,49 +383,36 @@ class SqlSession:
 
         # The report covers the jobs and shuffles of the scope this
         # statement runs in — its own, whatever runs beside it.
-        scope = self.ctx.query
-        tracer = self.ctx.tracer
+        ctx = self.ctx
+        scope = ctx.query
+        tracer = ctx.tracer
         tracer.metrics.inc("queries.executed")
-        spill_mark = self.ctx.memory.spill_snapshot()
-        with self._logged_query(
-            "explain-analyze", self._current_text
-        ) as logged:
+        marks = Marks(ctx)
+        with self._logged_query("explain-analyze", self._current_text):
             with tracer.span("query", "query", kind="explain-analyze"):
-                planner = PhysicalPlanner(self.ctx, self.store, self.config)
+                planner = PhysicalPlanner(ctx, self.store, self.config)
                 planned = planner.plan(optimized)
                 self.last_report = planned.report
                 rows = planned.rdd.collect()
-            logged["report"] = planned.report
-            logged["rows"] = len(rows)
-            logged["plan_text"] = plan_text
+            scope.report = planned.report
+            scope.result_rows = len(rows)
+            scope.plan_text = plan_text
 
-        cluster = self.ctx.cluster
-        cores = cluster.workers[0].cores if cluster.workers else 1
-        notes = list(planned.report.notes)
-        if self.ctx.lifecycle is not None:
-            notes.append(self.ctx.lifecycle.describe())
-        analysis = analyze_profiles(
-            plan_text,
-            scope.profiles,
-            num_workers=cluster.num_workers,
-            cores_per_worker=cores,
-            result_rows=len(rows),
-            notes=notes,
-            operator_modes=list(planned.report.operator_modes),
-            memory_rows=self.ctx.memory.watermarks(),
-            memory_pressure_events=self.ctx.memory.pressure_events,
-            memory_spills=self.ctx.memory.spill_rows_since(spill_mark),
-            operator_profiles=_operator_profiles(
-                planned.report, scope.profiles
-            ),
-            shuffle_skew=self.ctx.shuffle_manager.skew_records(scope),
-        )
-        serving = getattr(self.ctx, "serving", None)
-        if serving is not None:
-            analysis.serving_lines = serving.summary_lines()
+        # Live-only trailers: engine-wide state, not facts of the query.
+        trailers = []
+        if ctx.serving is not None:
+            trailers.append(("serving", ctx.serving.summary_lines()))
         if self.sql_cache is not None:
-            analysis.sql_cache_lines = self.sql_cache.summary_lines()
-        text = analysis.render()
+            trailers.append(("sql cache", self.sql_cache.summary_lines()))
+        notes = list(planned.report.notes)
+        if ctx.lifecycle is not None:
+            notes.append(ctx.lifecycle.describe())
+        text = render_query(
+            capture(ctx, scope, marks),
+            pressure_events=ctx.memory.pressure_events,
+            trailers=trailers,
+            notes=notes,
+        )
         schema = Schema([Field("plan", type_by_name("string"))])
         return QueryResult(
             rows=[(line,) for line in text.splitlines()],
@@ -867,23 +784,6 @@ def _render_literal(expr: ast.Expr) -> str:
     from repro.sql.render import render_expr
 
     return render_expr(expr)
-
-
-def _operator_profiles(
-    report: Optional[ExecutionReport], profiles: list
-) -> list[dict]:
-    """Join a report's planner stamps with the run's actual row counts
-    (empty when the query had no report, e.g. a pure cache hit)."""
-    if report is None or not report.operator_stamps:
-        return []
-    from repro.obs.planquality import (
-        actual_rows_from_profiles,
-        build_operator_profiles,
-    )
-
-    return build_operator_profiles(
-        report.operator_stamps, actual_rows_from_profiles(profiles)
-    )
 
 
 def _wants_cache(properties: dict[str, str]) -> bool:

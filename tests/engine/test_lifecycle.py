@@ -108,6 +108,44 @@ class TestAdmissionControl:
         # The cancelled query never launched a task.
         assert queued.tasks_launched == 0
 
+    def test_event_log_records_by_outcome(self, tmp_path):
+        """A query that ran logs the record captured off its scope —
+        jobs, plan, operator modes, like a plain statement's — and one
+        cancelled while queued still logs its begin/end pair."""
+        from repro.obs.events import read_event_log
+        from repro.obs.history import HistoryStore
+
+        shark = _build_shark()
+        path = tmp_path / "events.jsonl"
+        shark.enable_event_log(path)
+        lifecycle = shark.enable_lifecycle(
+            LifecycleConfig(max_concurrent=1, max_queued=1)
+        )
+        ran = shark.submit_sql(QUERIES["agg"], name="ran")
+        queued = shark.submit_sql(QUERIES["count"], name="victim")
+        queued.cancel()
+        lifecycle.drain()
+        live_profiles = list(ran.scope.profiles)
+        shark.close_event_log()
+
+        victim_id = f"lifecycle-{queued.query_id}"
+        assert [
+            record["type"]
+            for record in read_event_log(path)
+            if record.get("query_id") == victim_id
+        ] == ["query_begin", "query_end"]
+        store = HistoryStore.load(path)
+        assert store.query("victim").status == "cancelled"
+        loaded = store.query("ran")
+        assert loaded.profiles == live_profiles and loaded.num_tasks > 0
+        assert loaded.plan_text and loaded.operator_modes
+        assert loaded.result_rows == len(ran.result.rows)
+        # Charged seconds (what deadlines meter), not the makespan the
+        # stage_sim rows add up to; nothing sliced from shared buffers.
+        assert loaded.sim_seconds == ran.charged_seconds
+        assert loaded.stage_sim
+        assert not (loaded.timeline or loaded.counters or loaded.memory)
+
 
 class TestFairness:
     @pytest.mark.parametrize("policy", ["round-robin", "min-tasks"])

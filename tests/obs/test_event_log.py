@@ -16,6 +16,7 @@ import pytest
 
 from repro import SharkContext
 from repro.faults import FaultInjector
+from repro.obs.analyze import render_query
 from repro.obs.events import (
     EventLogSchemaError,
     EventLogWriter,
@@ -24,17 +25,17 @@ from repro.obs.events import (
     read_event_log,
     validate_record,
 )
-from repro.obs.history import HistoryStore
+from repro.obs.history import HistoryStore, QueryRecord
 from repro.sql.planner import PlannerConfig
 from repro.workloads import tpch
 
 
-def _tpch_shark(vectorize=True, fault_injector=None) -> SharkContext:
+def _tpch_shark(vectorize=True, **kwargs) -> SharkContext:
     shark = SharkContext(
         num_workers=4,
         cores_per_worker=2,
         config=PlannerConfig(vectorize=vectorize),
-        fault_injector=fault_injector,
+        **kwargs,
     )
     for name, data in (
         ("lineitem", tpch.generate_lineitem(2000)),
@@ -73,7 +74,7 @@ class TestWriter:
     def test_header_first_and_seq_monotonic(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with EventLogWriter(path, 4, 2, source="test") as log:
-            log.write_query(name="q", sim_seconds=1.0)
+            log.write_query(QueryRecord(name="q", sim_seconds=1.0))
         records = read_event_log(path)
         assert records[0]["type"] == "header"
         assert records[0]["version"] == SCHEMA_VERSION
@@ -84,7 +85,9 @@ class TestWriter:
     def test_gzip_round_trip(self, tmp_path):
         path = tmp_path / "log.jsonl.gz"
         with EventLogWriter(path, 2, 1) as log:
-            log.write_query(name="q", status="ok", sim_seconds=0.5)
+            log.write_query(
+                QueryRecord(name="q", status="ok", sim_seconds=0.5)
+            )
         records = read_event_log(path)
         assert records[-1]["type"] == "query_end"
         assert records[-1]["sim_seconds"] == 0.5
@@ -156,45 +159,42 @@ class TestFlightRecorder:
         assert ends[-1]["error"]
 
 
+def _logged_records(shark, path, run) -> list:
+    """Run ``run()`` with an event log at ``path``; returns the live
+    QueryRecord objects the writer was handed, in order."""
+    log = shark.enable_event_log(path)
+    written = []
+    write_query = log.write_query
+    log.write_query = lambda record: (
+        written.append(record),
+        write_query(record),
+    )[1]
+    try:
+        run()
+    finally:
+        shark.close_event_log()
+    return written
+
+
 class TestRoundTrip:
-    """Live QueryProfile aggregates == HistoryStore reconstruction."""
+    """``load(write(record)) == record``: the HistoryStore hands back the
+    live QueryRecord — profiles, rows, timeline and all — by dataclass
+    equality."""
 
     def _assert_round_trip(self, shark, query, path):
-        shark.enable_event_log(path)
         shark.engine.reset_profiles()
-        shark.sql(query)
+        (written,) = _logged_records(
+            shark, path, lambda: shark.sql(query)
+        )
         live = shark.engine.profiles
-        shark.close_event_log()
+        assert written.profiles == live and written.num_tasks > 0
 
         store = HistoryStore.load(path)
-        assert len(store.queries) == 1
-        rebuilt = store.queries[0].rebuild_profiles()
-
-        assert [p.job_id for p in rebuilt] == [p.job_id for p in live]
-        for mine, theirs in zip(rebuilt, live):
-            assert mine.num_stages == theirs.num_stages
-            assert mine.total_tasks == theirs.total_tasks
-            assert mine.total_attempts == theirs.total_attempts
-            assert mine.shuffle_read_bytes == theirs.shuffle_read_bytes
-            assert mine.shuffle_write_bytes == theirs.shuffle_write_bytes
-            assert mine.recovered_tasks == theirs.recovered_tasks
-            assert mine.retried_tasks == theirs.retried_tasks
-            assert mine.speculative_tasks == theirs.speculative_tasks
-            for s_mine, s_theirs in zip(mine.stages, theirs.stages):
-                assert s_mine.stage_id == s_theirs.stage_id
-                assert s_mine.name == s_theirs.name
-                assert s_mine.num_tasks == s_theirs.num_tasks
-                assert s_mine.records_in == s_theirs.records_in
-                assert s_mine.records_out == s_theirs.records_out
-                assert s_mine.bytes_in == s_theirs.bytes_in
-                assert (
-                    s_mine.shuffle_write_bytes
-                    == s_theirs.shuffle_write_bytes
-                )
-                assert (
-                    s_mine.shuffle_read_bytes
-                    == s_theirs.shuffle_read_bytes
-                )
+        (loaded,) = store.queries
+        assert loaded == written
+        assert loaded.profiles == live
+        # Rendered from the log or from the live capture: the same text.
+        assert render_query(loaded) == render_query(written)
 
         # Exact simulated-clock equality: the history store recomputes
         # the same simulated seconds the writer recorded.
@@ -203,12 +203,12 @@ class TestRoundTrip:
         live_analysis = analyze_profiles(
             "", live, num_workers=4, cores_per_worker=2
         )
-        record = store.queries[0]
-        assert record.sim_seconds == live_analysis.total_sim_seconds
+        assert loaded.sim_seconds == live_analysis.total_sim_seconds
         assert (
-            record.analyze().total_sim_seconds
+            loaded.analyze().total_sim_seconds
             == live_analysis.total_sim_seconds
         )
+        return loaded
 
     @pytest.mark.parametrize("vectorize", [True, False])
     @pytest.mark.parametrize("key", ["Q1", "Q3", "Q6"])
@@ -230,16 +230,70 @@ class TestRoundTrip:
             shark, tpch.TPCH_QUERIES["Q1"], tmp_path / "log.jsonl"
         )
 
+    def test_capped_spill_round_trip(self, tmp_path):
+        shark = _tpch_shark(memory_per_worker_bytes=2048)
+        loaded = self._assert_round_trip(
+            shark, tpch.TPCH_QUERIES["Q1"], tmp_path / "log.jsonl"
+        )
+        assert loaded.spills and loaded.memory
+        assert "spills:" in render_query(loaded)
+
+    def test_cached_round_trip(self, tmp_path):
+        shark = _tpch_shark()
+        shark.enable_sql_cache()
+        text = tpch.TPCH_QUERIES["Q6"]
+        cold, warm = _logged_records(
+            shark,
+            tmp_path / "log.jsonl",
+            lambda: (shark.sql(text), shark.sql(text)),
+        )
+        assert warm.cache_lookups[0]["outcome"] == "hit"
+        assert not warm.profiles and warm.result_rows == cold.result_rows
+        assert HistoryStore.load(tmp_path / "log.jsonl").queries == [
+            cold,
+            warm,
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs, sql_cache",
+        [({}, False), ({"memory_per_worker_bytes": 2048}, False), ({}, True)],
+        ids=["plain", "capped", "sql-cache"],
+    )
+    def test_explain_analyze_is_the_rendered_record(
+        self, tmp_path, kwargs, sql_cache
+    ):
+        """EXPLAIN ANALYZE prints ``render_query`` of the query's record
+        — the same text ``history --query`` rebuilds from the log — plus
+        only what a live session alone can add."""
+        shark = _tpch_shark(**kwargs)
+        if sql_cache:
+            shark.enable_sql_cache()
+        path = tmp_path / "log.jsonl"
+        text = shark.explain_analyze(tpch.TPCH_QUERIES["Q1"], log=path)
+        store = HistoryStore.load(path)
+        (loaded,) = store.queries
+        rendered = render_query(loaded)
+        live_only = ("  -- ", "  pressure events: ")
+        lines = [
+            line
+            for line in text.partition("\n  == sql cache ==")[0].splitlines()
+            if not line.startswith(live_only)
+        ]
+        assert lines == rendered.splitlines()
+        assert ("== sql cache ==" in text) == sql_cache
+        assert rendered in store.report(query=loaded.query_id)
+
     def test_traced_timeline_round_trips(self, tmp_path):
         shark = _tpch_shark()
         shark.enable_tracing()
         path = tmp_path / "log.jsonl"
-        shark.enable_event_log(path)
-        shark.sql(tpch.TPCH_QUERIES["Q6"])
-        shark.close_event_log()
+        (written,) = _logged_records(
+            shark, path, lambda: shark.sql(tpch.TPCH_QUERIES["Q6"])
+        )
         live_spans = len(shark.trace.spans)
         live_events = len(shark.trace.events)
         store = HistoryStore.load(path)
+        assert store.queries == [written] and written.timeline
         trace = store.queries[0].to_query_trace()
         assert len(trace.spans) == live_spans
         assert len(trace.events) == live_events
@@ -258,16 +312,20 @@ class TestServingFieldsV4:
         path = tmp_path / "serving.jsonl"
         with EventLogWriter(path, 2, 2) as log:
             log.write_query(
-                name="tagged",
-                status="shed",
-                started=1.0,
-                ended=2.5,
-                sim_seconds=0.0,
-                tenant="crawler",
-                priority="best_effort",
-                shed_reason="brownout",
+                QueryRecord(
+                    name="tagged",
+                    status="shed",
+                    started=1.0,
+                    ended=2.5,
+                    sim_seconds=0.0,
+                    tenant="crawler",
+                    priority="best_effort",
+                    shed_reason="brownout",
+                )
             )
-            log.write_query(name="plain", started=3.0, ended=4.0)
+            log.write_query(
+                QueryRecord(name="plain", started=3.0, ended=4.0)
+            )
         store = HistoryStore.load(path)
         tagged = store.query("tagged")
         assert tagged.tenant == "crawler"
@@ -282,7 +340,7 @@ class TestServingFieldsV4:
     def test_untagged_records_omit_the_fields_entirely(self, tmp_path):
         path = tmp_path / "plain.jsonl"
         with EventLogWriter(path, 2, 2) as log:
-            log.write_query(name="plain")
+            log.write_query(QueryRecord(name="plain"))
         raw = path.read_text()
         assert '"tenant"' not in raw
         assert '"priority"' not in raw
@@ -390,7 +448,9 @@ class TestCacheLookupsV5:
             {"layer": "fragment", "outcome": "hit", "hits": 3, "misses": 1},
         ]
         with EventLogWriter(path, 2, 2) as log:
-            log.write_query(name="probed", cache_lookups=lookups)
+            log.write_query(
+                QueryRecord(name="probed", cache_lookups=lookups)
+            )
         store = HistoryStore.load(path)
         record = store.query("probed")
         assert [r["layer"] for r in record.cache_lookups] == [
@@ -406,8 +466,8 @@ class TestCacheLookupsV5:
         # cache_lookup record, not even an empty list.
         path = tmp_path / "log.jsonl"
         with EventLogWriter(path, 2, 2) as log:
-            log.write_query(name="plain")
-            log.write_query(name="empty", cache_lookups=[])
+            log.write_query(QueryRecord(name="plain"))
+            log.write_query(QueryRecord(name="empty", cache_lookups=[]))
         assert '"cache_lookup"' not in path.read_text()
 
     def test_v4_log_loads_with_empty_cache_lookups(self, tmp_path):
@@ -536,14 +596,15 @@ class TestPlanQualityV6:
         ]
         with EventLogWriter(path, 2, 2) as log:
             log.write_query(
-                name="profiled",
-                operator_profiles=profiles,
-                shuffle_skew=skew,
+                QueryRecord(
+                    name="profiled",
+                    operator_profiles=profiles,
+                    skew_records=skew,
+                )
             )
         store = HistoryStore.load(path)
         record = store.query("profiled")
-        # Loaded records keep the log envelope (type/seq/query_id), like
-        # every other record list; the payload fields round-trip exactly.
+        # The payload fields round-trip exactly.
         assert len(record.operator_profiles) == 2
         for sent, loaded in zip(profiles, record.operator_profiles):
             assert sent == {
@@ -565,9 +626,11 @@ class TestPlanQualityV6:
         # operator_rows on tasks.
         path = tmp_path / "log.jsonl"
         with EventLogWriter(path, 2, 2) as log:
-            log.write_query(name="plain")
+            log.write_query(QueryRecord(name="plain"))
             log.write_query(
-                name="empty", operator_profiles=[], shuffle_skew=[]
+                QueryRecord(
+                    name="empty", operator_profiles=[], skew_records=[]
+                )
             )
         raw = path.read_text()
         assert '"operator_profile"' not in raw
@@ -600,7 +663,7 @@ class TestPlanQualityV6:
         assert sum(first["rows"]) == first["total_rows"]
         assert first["heavy_keys"]
         # Rebuilt task metrics carry the per-operator row counts.
-        rebuilt = record.rebuild_profiles()
+        rebuilt = record.profiles
         assert any(
             task.operator_rows
             for profile in rebuilt

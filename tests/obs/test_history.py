@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -25,6 +26,36 @@ def _shark() -> SharkContext:
         num_partitions=6,
     )
     return shark
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+FIXTURE_VERSIONS = (2, 3, 4, 5)
+
+
+def _all_reports(path) -> str:
+    """Every history report over one log as one text: the five report
+    kinds, then ``--query`` for each query, in text and in markdown."""
+    store = HistoryStore.load(path)
+    kinds = (
+        ("report", store.report),
+        ("memory", store.memory_report),
+        ("tenants", store.tenant_report),
+        ("cache", store.cache_report),
+        ("quality", store.plan_quality_report),
+    )
+    chunks = []
+    for markdown, mode in ((False, "text"), (True, "markdown")):
+        for kind, render in kinds:
+            chunks.append(
+                f"#### {kind} ({mode})\n{render(markdown=markdown)}"
+            )
+        for record in store.queries:
+            chunks.append(
+                f"#### --query {record.query_id} ({mode})\n"
+                + store.report(markdown=markdown, query=record.query_id)
+            )
+    return "\n\n".join(chunks) + "\n"
 
 
 @pytest.fixture
@@ -123,6 +154,68 @@ class TestReports:
         assert document["traceEvents"]
 
 
+class TestWorkerUtilization:
+    def test_lanes_are_busy_over_the_span_the_log_covers(self, tmp_path):
+        """A lane's utilization is its busy seconds over the span the
+        log's timelines cover times its cores — so never above 100%,
+        however many queries the busy seconds come from."""
+        from repro.obs.events import read_event_log
+
+        shark = _shark()
+        path = tmp_path / "traced.jsonl"
+        shark.enable_tracing()
+        shark.enable_event_log(path)
+        for threshold in (100, 200, 300, 400):
+            shark.sql(
+                "SELECT bucket, COUNT(*), SUM(value) FROM readings "
+                f"WHERE value > {threshold} GROUP BY bucket"
+            )
+        shark.close_event_log()
+
+        records = read_event_log(path)
+        spans = [r for r in records if r["type"] == "span"]
+        instants = [r for r in records if r["type"] == "instant"]
+        first = min(
+            [r["start"] for r in spans] + [r["ts"] for r in instants]
+        )
+        last = max([r["end"] for r in spans] + [r["ts"] for r in instants])
+        capacity = (last - first) * records[0]["cores_per_worker"]
+        busy: dict = {}
+        for span in spans:
+            if span["category"] == "task":
+                busy[span["lane"]] = busy.get(span["lane"], 0.0) + (
+                    span["end"] - span["start"]
+                )
+
+        store = HistoryStore.load(path)
+        rows = {row["lane"]: row for row in store.worker_utilization()}
+        assert set(rows) == set(busy) and len(rows) == 4
+        for lane, row in rows.items():
+            assert row["busy_seconds"] == pytest.approx(busy[lane])
+            assert row["utilization"] == pytest.approx(
+                busy[lane] / capacity
+            )
+            assert 0.0 < row["utilization"] <= 1.0
+        # The longest single query is a far shorter span than the log's:
+        # dividing by it (the old denominator) overstates every lane.
+        longest = max(record.makespan() for record in store.queries)
+        assert longest < (last - first) / 2
+
+
+class TestGoldenReports:
+    """Report text over the committed v2-v5 fixture logs is pinned byte
+    for byte (``tests/obs/golden``; regenerate deliberately with
+    ``PYTHONPATH=src python -m tests.obs.test_history``)."""
+
+    @pytest.mark.parametrize("version", FIXTURE_VERSIONS)
+    def test_fixture_reports_match_golden(self, version):
+        golden = GOLDEN / f"log_v{version}.txt"
+        assert (
+            _all_reports(FIXTURES / f"log_v{version}.jsonl")
+            == golden.read_text()
+        )
+
+
 class TestFlightOnly:
     def test_flight_dump_file_becomes_partial_query(self, tmp_path):
         """A killed query's flight dump, alone, is enough for a partial
@@ -159,48 +252,75 @@ class TestTenantReport:
 
     def _v4_log(self, tmp_path):
         from repro.obs.events import EventLogWriter
+        from repro.obs.history import QueryRecord
 
         path = tmp_path / "serving.jsonl"
         with EventLogWriter(path, 4, 2) as log:
             for index in range(4):
                 log.write_query(
-                    name=f"dash-{index}",
-                    status="ok",
-                    started=float(index),
-                    ended=float(index) + 0.5,
-                    sim_seconds=0.5,
-                    tenant="dashboards",
-                    priority="interactive",
+                    QueryRecord(
+                        name=f"dash-{index}",
+                        status="ok",
+                        started=float(index),
+                        ended=float(index) + 0.5,
+                        sim_seconds=0.5,
+                        tenant="dashboards",
+                        priority="interactive",
+                    )
                 )
             log.write_query(
-                name="crawl-ok",
-                status="ok",
-                started=0.0,
-                ended=4.0,
-                sim_seconds=4.0,
-                tenant="crawler",
-                priority="best_effort",
+                QueryRecord(
+                    name="crawl-ok",
+                    status="ok",
+                    started=0.0,
+                    ended=4.0,
+                    sim_seconds=4.0,
+                    tenant="crawler",
+                    priority="best_effort",
+                )
             )
             log.write_query(
-                name="crawl-shed",
-                status="shed",
-                started=1.0,
-                ended=2.0,
-                sim_seconds=0.0,
-                tenant="crawler",
-                priority="best_effort",
-                shed_reason="brownout",
+                QueryRecord(
+                    name="crawl-shed",
+                    status="shed",
+                    started=1.0,
+                    ended=2.0,
+                    sim_seconds=0.0,
+                    tenant="crawler",
+                    priority="best_effort",
+                    shed_reason="brownout",
+                )
             )
             log.write_query(
-                name="crawl-bad",
-                status="error",
-                started=2.0,
-                ended=3.0,
-                sim_seconds=1.0,
-                tenant="crawler",
-                priority="best_effort",
+                QueryRecord(
+                    name="crawl-bad",
+                    status="error",
+                    started=2.0,
+                    ended=3.0,
+                    sim_seconds=1.0,
+                    tenant="crawler",
+                    priority="best_effort",
+                )
             )
-            log.write_query(name="untagged", status="ok", sim_seconds=1.0)
+            # The other two statuses lifecycle._STATUS writes.
+            for name, status in (
+                ("crawl-cancelled", "cancelled"),
+                ("crawl-late", "deadline"),
+            ):
+                log.write_query(
+                    QueryRecord(
+                        name=name,
+                        status=status,
+                        started=3.0,
+                        ended=3.5,
+                        sim_seconds=0.25,
+                        tenant="crawler",
+                        priority="best_effort",
+                    )
+                )
+            log.write_query(
+                QueryRecord(name="untagged", status="ok", sim_seconds=1.0)
+            )
         return path
 
     def test_tenant_rows_aggregate_outcomes(self, tmp_path):
@@ -213,10 +333,21 @@ class TestTenantReport:
         assert dash["sim_seconds"] == pytest.approx(2.0)
         assert dash["latency_seconds"] == pytest.approx(2.0)
         crawler = rows["crawler"]
-        assert crawler["queries"] == 3
+        assert crawler["queries"] == 5
         assert crawler["completed"] == 1
         assert crawler["shed"] == 1
+        assert crawler["cancelled"] == 2  # by the user, by the deadline
         assert crawler["failed"] == 1
+        # Every query lands in exactly one outcome column.
+        for row in rows.values():
+            assert row["queries"] == sum(
+                row[column]
+                for column in ("completed", "shed", "cancelled", "failed")
+            )
+        assert (
+            "5 queries (1 ok, 1 shed, 2 cancelled, 1 failed)"
+            in store.tenant_report()
+        )
 
     def test_tier_latencies_only_count_completions(self, tmp_path):
         store = HistoryStore.load(self._v4_log(tmp_path))
@@ -270,4 +401,12 @@ class TestTenantReport:
         # Odd sample counts and ties hit the same ranks in both.
         assert percentiles_of(samples)[0] == percentile(
             sorted(samples), 50.0
+        )
+
+
+if __name__ == "__main__":  # regenerate the golden report texts
+    GOLDEN.mkdir(exist_ok=True)
+    for _version in FIXTURE_VERSIONS:
+        (GOLDEN / f"log_v{_version}.txt").write_text(
+            _all_reports(FIXTURES / f"log_v{_version}.jsonl")
         )

@@ -105,10 +105,14 @@ def test_actuals_agree_across_modes(shark):
             )
             shark.sql(QUERIES[name].rstrip())
             report = shark.session.last_report
-            from repro.sql.session import _operator_profiles
+            from repro.obs.planquality import (
+                actual_rows_from_profiles,
+                build_operator_profiles,
+            )
 
-            profiles = _operator_profiles(
-                report, shark.engine.profiles
+            profiles = build_operator_profiles(
+                report.operator_stamps,
+                actual_rows_from_profiles(shark.engine.profiles),
             )
             actuals[vectorize] = {
                 row["operator"]: row["actual_rows"]

@@ -316,6 +316,52 @@ def test_server_shed_writes_v4_event_log_records(tmp_path):
     report = store.tenant_report()
     assert "alice" in report and "carol" in report
     assert "deadline-unmeetable: 1" in report
+    # A shed query never ran: its begin/end pair is all there is.
+    from repro.obs.events import read_event_log
+
+    assert [
+        record["type"]
+        for record in read_event_log(path)
+        if record.get("query_id") == by_name["doomed"].query_id
+    ] == ["query_begin", "query_end"]
+
+
+def test_served_query_is_as_explainable_as_a_plain_one(tmp_path):
+    """A served query's record is captured off its scope, so loaded from
+    the log it has the jobs its handle ran, a plan, operator modes and
+    plan-quality rows — and the quality report profiles every completed
+    query."""
+    from repro.obs.history import HistoryStore
+
+    path = tmp_path / "serving.jsonl"
+    shark = _build_shark()
+    shark.enable_event_log(path, source="test")
+    server = _build_server(shark)
+    tickets = [
+        server.submit("alice", AGG, name="agg"),
+        server.submit("bob", FILTER, name="filter"),
+        server.submit("carol", COUNT, name="count"),
+    ]
+    server.drain()
+    profiles = {
+        ticket.name: list(ticket.handle.scope.profiles)
+        for ticket in tickets
+    }
+    shark.close_event_log()
+    assert all(ticket.state == "done" for ticket in tickets)
+
+    store = HistoryStore.load(path)
+    for ticket in tickets:
+        record = store.query(ticket.name)
+        assert record.profiles == profiles[ticket.name]
+        assert record.num_tasks > 0
+        assert record.plan_text and record.operator_modes
+        assert record.operator_profiles and record.stage_sim
+        assert record.sim_seconds == ticket.handle.charged_seconds
+        assert record.tenant == ticket.tenant
+    assert store.query("agg").skew_records
+    assert "3 profiled queries of 3" in store.plan_quality_report()
+    assert store.cardinality_priors()
 
 
 def test_server_drain_is_deterministic():

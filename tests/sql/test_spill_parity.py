@@ -194,7 +194,7 @@ class TestSpillObservability:
         assert "spill report" in report
         # Rebuilt profiles carry the per-task spill volumes (schema v3).
         record = store.queries[0]
-        rebuilt = record.rebuild_profiles()
+        rebuilt = record.profiles
         assert sum(
             task.spill_bytes_written
             for profile in rebuilt
