@@ -48,7 +48,9 @@ QUERIES = {
 #: and operator state cross it (exercising arbitration — cache eviction
 #: first, then consumer spill-to-disk), large enough that every query
 #: still answers correctly.  The verdict fails if no spill fired.
-MEMORY_PER_WORKER_BYTES = 16 * 1024
+#: (Shuffle blocks and operator state weigh their encoded bytes — a few
+#: hundred per task here — so the budget is a small one.)
+MEMORY_PER_WORKER_BYTES = 1024
 
 
 def build_context(fault_injector=None) -> SharkContext:
@@ -165,7 +167,7 @@ def main(
     for name in QUERIES:
         status = "DIVERGED" if name in divergent else "identical"
         print(f"  {name}: {status}")
-    # The 16 KiB cap exists to drive the arbitration path under chaos:
+    # The 1 KiB cap exists to drive the arbitration path under chaos:
     # a run that never spilled proves nothing, and a run that leaked or
     # over-released execution memory is a bug even with right answers.
     if accountant.spill_events == 0:

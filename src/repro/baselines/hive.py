@@ -360,6 +360,7 @@ class HiveExecutor:
             len(plan.left.schema),
             len(plan.right.schema),
             plan.residual,
+            len(plan.left_keys),
         )
 
         def reducer(key, tagged_rows: list) -> list:

@@ -17,11 +17,24 @@ cluster-scale runtimes under the HIVE/HADOOP profiles.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from repro.cluster.worker import approximate_size_bytes
 from repro.engine.partitioner import stable_hash
-from repro.engine.shuffle import serialized_size_bytes
+
+
+def serialized_size_bytes(records: list) -> int:
+    """Wire size of records the way Hadoop ships them: serialized rows
+    (pickled rows *are* this baseline's Writable format), not Python
+    object overhead.  Falls back to the heap estimate for unpicklable
+    records.
+    """
+    try:
+        return len(pickle.dumps(records, protocol=4))
+    except Exception:
+        return approximate_size_bytes(records)
 
 
 @dataclass

@@ -20,15 +20,29 @@ kernel asks for them.
 
 from __future__ import annotations
 
+import operator
 import sys
+from itertools import repeat
 
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar.table import ColumnarPartition
+from repro.columnar.table import ColumnarPartition, transpose_rows
 
-__all__ = ["Vector", "CodedVector", "LazyColumn", "ColumnBatch"]
+__all__ = [
+    "Vector", "CodedVector", "LazyColumn", "ColumnBatch", "count_rows",
+    "not_null",
+]
+
+
+def not_null(values: Sequence[Any]) -> np.ndarray:
+    """Boolean mask of the positions of ``values`` holding no NULL."""
+    return np.fromiter(
+        map(operator.is_not, values, repeat(None)),
+        dtype=bool,
+        count=len(values),
+    )
 
 
 class Vector:
@@ -49,6 +63,29 @@ class Vector:
     def __len__(self) -> int:
         return len(self.data)
 
+    @classmethod
+    def from_values(cls, values: Sequence[Any]) -> "Vector":
+        """Python values as a batch column: one typed array (with a
+        validity mask for NULLs) when they are all exactly ``int``,
+        ``float`` or ``bool`` and fit it, the list itself otherwise —
+        ``to_python_list()`` gives the values back unchanged."""
+        if isinstance(values, np.ndarray):
+            return cls(values)
+        kinds = set(map(type, values))
+        has_null = _NONE in kinds
+        kinds.discard(_NONE)
+        dtype = _ARRAY_DTYPES.get(next(iter(kinds))) if len(kinds) == 1 else None
+        if dtype is None:
+            return cls(values if isinstance(values, list) else list(values))
+        valid, filled = None, values
+        if has_null:
+            valid = not_null(values)
+            filled = [0 if value is None else value for value in values]
+        try:
+            return cls(np.array(filled, dtype=dtype), valid)
+        except OverflowError:  # an int beyond int64
+            return cls(list(values))
+
     @property
     def is_array(self) -> bool:
         return isinstance(self.data, np.ndarray)
@@ -58,6 +95,44 @@ class Vector:
             valid = self.valid[indices] if self.valid is not None else None
             return Vector(self.data[indices], valid)
         return Vector(list(map(self.data.__getitem__, indices.tolist())))
+
+    def slice(self, start: int, stop: int) -> "Vector":
+        """Rows ``start:stop`` (a view of array data, not a copy)."""
+        valid = self.valid[start:stop] if self.valid is not None else None
+        return Vector(self.data[start:stop], valid)
+
+    @staticmethod
+    def concat(spans: Sequence[tuple["Vector", int, int]]) -> "Vector":
+        """Rows ``start:stop`` of each ``(vector, start, stop)`` span, end
+        to end.  Arrays of one dtype kind stay an array; anything else
+        meets as Python values, so no int turns into a float on the way."""
+        if len(spans) == 1:
+            vector, start, stop = spans[0]
+            return vector.slice(start, stop)
+        datas = [vector.data for vector, __, __ in spans]
+        kinds = {
+            data.dtype.kind if isinstance(data, np.ndarray) else None
+            for data in datas
+        }
+        if len(kinds) != 1 or None in kinds or "O" in kinds:
+            values: list = []
+            for vector, start, stop in spans:
+                values.extend(vector.slice(start, stop).to_python_list())
+            return Vector(values)
+        valid = None
+        if any(vector.valid is not None for vector, __, __ in spans):
+            valid = np.concatenate(
+                [
+                    np.ones(stop - start, dtype=bool)
+                    if vector.valid is None
+                    else vector.valid[start:stop]
+                    for vector, start, stop in spans
+                ]
+            )
+        data = np.concatenate(
+            [data[start:stop] for data, (__, start, stop) in zip(datas, spans)]
+        )
+        return Vector(data, valid)
 
     def to_python_list(self) -> list:
         """Values as Python objects with inline None (row-path parity).
@@ -122,12 +197,20 @@ class CodedVector(Vector):
     def gather(self, indices: np.ndarray) -> "CodedVector":
         return CodedVector(self.codes[indices], self.dictionary)
 
+    def slice(self, start: int, stop: int) -> "CodedVector":
+        return CodedVector(self.codes[start:stop], self.dictionary)
+
     def memory_footprint_bytes(self) -> int:
         """Codes and dictionary, plus the dense values once expanded."""
         total = self.codes.nbytes + self.dictionary.memory_footprint_bytes()
         if self._dense is not None:
             total += self._dense.memory_footprint_bytes()
         return total
+
+
+_NONE = type(None)
+#: Exact Python type of a column's values -> the array dtype holding them.
+_ARRAY_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 
 
 def _as_vector(values: Sequence[Any]) -> Vector:
@@ -228,11 +311,80 @@ class ColumnBatch:
         ]
         return cls(entries, num_rows)
 
+    @classmethod
+    def from_columns(
+        cls, columns: Sequence[Sequence[Any]], num_rows: Optional[int] = None
+    ) -> "ColumnBatch":
+        """Columns of Python values (or arrays) as a batch of typed
+        vectors; ``num_rows`` is needed only when there is no column."""
+        if num_rows is None:
+            num_rows = len(columns[0])
+        return cls(list(map(Vector.from_values, columns)), num_rows)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence], width: int) -> "ColumnBatch":
+        """Row tuples transposed, once, into a batch."""
+        return cls.from_columns(transpose_rows(rows, width), len(rows))
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """The batches' rows end to end (all of one width)."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls.concat_slices(
+            [(batch, 0, batch.num_rows) for batch in batches]
+        )
+
+    @classmethod
+    def concat_slices(
+        cls, spans: Sequence[tuple["ColumnBatch", int, int]]
+    ) -> "ColumnBatch":
+        """Rows ``start:stop`` of each ``(batch, start, stop)`` span, end
+        to end, built a column at a time."""
+        if not spans:
+            return cls([], 0)
+        return cls(
+            [
+                Vector.concat(
+                    [(batch.vector(i), start, stop) for batch, start, stop in spans]
+                )
+                for i in range(len(spans[0][0].entries))
+            ],
+            sum(stop - start for __, start, stop in spans),
+        )
+
+    def __len__(self) -> int:
+        return self.num_rows
+
     def vector(self, ordinal: int) -> Vector:
         entry = self.entries[ordinal]
         if isinstance(entry, LazyColumn):
             return entry.vector()
         return entry
+
+    def vectors(self) -> list[Vector]:
+        return [self.vector(i) for i in range(len(self.entries))]
+
+    def slice(self, start: int, stop: int) -> "ColumnBatch":
+        """Rows ``start:stop`` (``0 <= start <= stop <= num_rows``) of
+        every column, decoded columns as views."""
+        return ColumnBatch(
+            [vector.slice(start, stop) for vector in self.vectors()],
+            stop - start,
+        )
+
+    def values(self, ordinals) -> list:
+        """One Python value per row: the column's own values for an int
+        ordinal, a tuple of the columns' values for a tuple of them."""
+        if not self.num_rows:
+            return []
+        if isinstance(ordinals, int):
+            return self.vector(ordinals).to_python_list()
+        if not ordinals:
+            return [()] * self.num_rows
+        return list(
+            zip(*[self.vector(i).to_python_list() for i in ordinals])
+        )
 
     def take(self, indices: np.ndarray) -> "ColumnBatch":
         """Keep only the given row positions (a filter kernel's output)."""
@@ -258,15 +410,15 @@ class ColumnBatch:
         )
 
     def materialize_rows(self) -> list[tuple]:
-        """Late materialization: rebuild Python row tuples at a pipeline
-        exit, matching the row path's value conventions exactly."""
-        if not self.entries:
-            return [()] * self.num_rows
-        return list(
-            zip(
-                *[
-                    self.vector(i).to_python_list()
-                    for i in range(len(self.entries))
-                ]
-            )
-        )
+        """Late materialization: rebuild Python row tuples where a row
+        consumer takes over, matching the row path's value conventions
+        exactly."""
+        return self.values(tuple(range(len(self.entries))))
+
+
+def count_rows(records: list) -> int:
+    """Rows a task's records stand for: a partition that holds
+    ColumnBatches counts their rows, any other one its elements."""
+    if records and isinstance(records[0], ColumnBatch):
+        return sum(map(len, records))
+    return len(records)

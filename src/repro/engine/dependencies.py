@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.columnar.batch import ColumnBatch
 from repro.engine.partitioner import Partitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,15 +89,28 @@ class Aggregator:
 class ShuffleDependency(Dependency):
     """A wide dependency: repartition parent records by key.
 
-    Parent records must be ``(key, value)`` pairs.  When ``aggregator`` is
-    set and ``map_side_combine`` is true, map tasks pre-aggregate per key
-    before writing buckets (the "task-local aggregations" of Section 6.2.2).
-    ``stats_collectors`` are PDE's pluggable accumulators (Section 3.1):
-    they observe map output as it is materialized and their merged results
-    are available to the optimizer before the reduce stage is planned.
+    What crosses the exchange is always one keyed
+    :class:`~repro.columnar.batch.ColumnBatch` per map task
+    (:meth:`keyed_batch`), whose ``key`` columns choose each row's reduce
+    partition; a reduce task gets the rows of its buckets back as
+    :meth:`records`.  For this class — the RDD API's — parent records are
+    ``(key, value)`` pairs: they are transposed into a key column and a
+    value column on the way in, and read back as pairs.  When
+    ``aggregator`` is set and ``map_side_combine`` is true, map tasks
+    pre-aggregate per key before that (the "task-local aggregations" of
+    Section 6.2.2).  ``stats_collectors`` are PDE's pluggable accumulators
+    (Section 3.1): they observe map output as it is materialized and
+    their merged results are available to the optimizer before the reduce
+    stage is planned.
     """
 
     _next_shuffle_id = 0
+
+    #: The batch columns holding the partitioning key and the value: an
+    #: ordinal (the column's values) or a tuple of them (tuples); no
+    #: value ordinals (None) stands for every column, a whole row.
+    key: Any = 0
+    value: Any = 1
 
     def __init__(
         self,
@@ -113,3 +127,60 @@ class ShuffleDependency(Dependency):
         self.stats_collectors = tuple(stats_collectors)
         self.shuffle_id = ShuffleDependency._next_shuffle_id
         ShuffleDependency._next_shuffle_id += 1
+
+    def keyed_batch(self, records: list) -> ColumnBatch:
+        """One map task's records as the batch it writes."""
+        if self.map_side_combine:
+            aggregator = self.aggregator
+            combined: dict[Any, Any] = {}
+            for key, value in records:
+                if key in combined:
+                    combined[key] = aggregator.merge_value(combined[key], value)
+                else:
+                    combined[key] = aggregator.create_combiner(value)
+            return ColumnBatch.from_columns(
+                [list(combined), list(combined.values())]
+            )
+        return ColumnBatch.from_rows(records, 2)
+
+    def pairs(self, batch: ColumnBatch) -> list:
+        """``(key, value)`` of every row of a fetched batch."""
+        value = self.value
+        if value is None:
+            value = tuple(range(len(batch.entries)))
+        return list(zip(batch.values(self.key), batch.values(value)))
+
+    def records(self, batch: ColumnBatch) -> list:
+        """What a reduce task computes on: here, the pairs again."""
+        return self.pairs(batch)
+
+
+class BatchShuffleDependency(ShuffleDependency):
+    """The exchange between SQL operators: the parent's partitions hold
+    ColumnBatches (one per task, normally) and the reduce side is handed
+    the fetched batch itself.  ``key`` names the partitioning columns;
+    ``value`` the columns :meth:`pairs` reads a row from, for the
+    consumers that still work on ``(key, row)`` pairs (cogroup).
+    ``map_side_combine`` only says the map output is already one record
+    per key and task (the cost model scales such shuffles differently).
+    """
+
+    def __init__(
+        self,
+        rdd: "RDD",
+        partitioner: Partitioner,
+        key: Any,
+        value: Any = None,
+        map_side_combine: bool = False,
+        stats_collectors: tuple = (),
+    ):
+        super().__init__(rdd, partitioner, stats_collectors=stats_collectors)
+        self.key = key
+        self.value = value
+        self.map_side_combine = map_side_combine
+
+    def keyed_batch(self, records: list) -> ColumnBatch:
+        return ColumnBatch.concat(records)
+
+    def records(self, batch: ColumnBatch) -> list:
+        return [batch]

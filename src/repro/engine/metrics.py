@@ -34,6 +34,9 @@ class TaskMetrics:
     shuffle_read_bytes: int = 0
     shuffle_write_bytes: int = 0
     shuffle_write_records: int = 0
+    #: The part of ``shuffle_write_bytes`` that is pickled object columns
+    #: (values the batch wire format has no typed column for).
+    shuffle_write_pickled_bytes: int = 0
     #: Spilled-run bytes this task wrote to (simulated) local disk under
     #: memory pressure and read back at merge time; the cost model
     #: charges a disk round trip for them (zero when nothing spilled).
@@ -114,6 +117,14 @@ class StageProfile:
     @property
     def shuffle_read_bytes(self) -> int:
         return sum(task.shuffle_read_bytes for task in self.tasks)
+
+    @property
+    def shuffle_write_records(self) -> int:
+        return sum(task.shuffle_write_records for task in self.tasks)
+
+    @property
+    def shuffle_write_pickled_bytes(self) -> int:
+        return sum(task.shuffle_write_pickled_bytes for task in self.tasks)
 
     @property
     def spill_bytes_written(self) -> int:

@@ -11,9 +11,12 @@ import bisect
 import zlib
 from datetime import date, datetime
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.batch import ColumnBatch, Vector
 
 _HASH_MASK = 0x7FFFFFFF
 
@@ -69,13 +72,33 @@ def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
     elif len(kinds) == 1 and kinds <= _REPR_HASHED:
         return _crc_column(map(str.encode, map(repr, keys)), len(keys))
     elif kinds == {tuple} and len(set(map(len, keys))) == 1:
-        value = np.full(len(keys), 0x345678, dtype=np.uint64)
-        for column in zip(*keys):
-            value = (value * np.uint64(1000003)) ^ stable_hash_many(
-                column
-            ).astype(np.uint64)
-        return (value & np.uint64(_HASH_MASK)).astype(np.int64)
+        return _combine_hashes(map(stable_hash_many, zip(*keys)), len(keys))
     return np.fromiter(map(stable_hash, keys), np.int64, len(keys))
+
+
+def _combine_hashes(columns, count: int) -> np.ndarray:
+    """:func:`stable_hash` of the tuples whose items hash to ``columns``."""
+    value = np.full(count, 0x345678, dtype=np.uint64)
+    for column in columns:
+        value = (value * np.uint64(1000003)) ^ column.astype(np.uint64)
+    return (value & np.uint64(_HASH_MASK)).astype(np.int64)
+
+
+def stable_hash_vector(vector: "Vector") -> np.ndarray:
+    """:func:`stable_hash` of every value of a batch column.  An integer
+    or boolean array hashes arithmetically (0 in its NULL slots), a coded
+    column by hashing its dictionary once; anything else is handed to
+    :func:`stable_hash_many` as the Python values it stands for."""
+    codes = getattr(vector, "codes", None)
+    if codes is not None:
+        return stable_hash_vector(vector.dictionary)[codes]
+    data = vector.data
+    if isinstance(data, np.ndarray) and data.dtype.kind in "ib":
+        hashed = data.astype(np.int64) & _HASH_MASK
+        if vector.valid is not None:
+            hashed = np.where(vector.valid, hashed, 0)
+        return hashed
+    return stable_hash_many(vector.to_python_list())
 
 
 #: Exact types :func:`stable_hash` hashes by the crc32 of their ``repr``.
@@ -84,6 +107,36 @@ _REPR_HASHED = {float, date, datetime}
 
 def _crc_column(encoded, count: int) -> np.ndarray:
     return np.fromiter(map(zlib.crc32, encoded), np.int64, count) & _HASH_MASK
+
+
+def ordered_array(vector: "Vector") -> "np.ndarray | None":
+    """The column's array when numpy orders it exactly as Python orders
+    its values: NULL-free, integer or NaN-free float; None otherwise."""
+    data = vector.data
+    if not isinstance(data, np.ndarray) or vector.valid is not None:
+        return None
+    kind = data.dtype.kind
+    if kind == "i" or (kind == "f" and not np.isnan(data).any()):
+        return data
+    return None
+
+
+def ordered_bounds(bounds: Sequence[Any], data: np.ndarray) -> "np.ndarray | None":
+    """Range bounds as an array ``np.searchsorted`` can bisect ``data``
+    on exactly as ``bisect`` would the Python values: every bound is of
+    ``data``'s own Python type (and fits it, and is no NaN)."""
+    want = int if data.dtype.kind == "i" else float
+    if not all(type(bound) is want for bound in bounds):
+        return None
+    try:
+        array = np.array(
+            bounds, dtype=np.int64 if want is int else np.float64
+        )
+    except OverflowError:
+        return None
+    if want is float and np.isnan(array).any():
+        return None
+    return array
 
 
 class Partitioner:
@@ -101,6 +154,15 @@ class Partitioner:
         """Partition index of every key of a batch, in key order; always
         equal to ``[self.partition(key) for key in keys]``."""
         return [self.partition(key) for key in keys]
+
+    def partition_batch(self, batch: "ColumnBatch", key) -> np.ndarray:
+        """Partition index of every row of ``batch`` keyed by its ``key``
+        columns (one ordinal: the column's values are the keys; a tuple
+        of ordinals: tuples of them); always equal to
+        ``partition_many(batch.values(key))``."""
+        return np.asarray(
+            self.partition_many(batch.values(key)), dtype=np.int64
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -120,6 +182,16 @@ class HashPartitioner(Partitioner):
 
     def partition_many(self, keys: Sequence[Any]) -> list[int]:
         return (stable_hash_many(keys) % self.num_partitions).tolist()
+
+    def partition_batch(self, batch: "ColumnBatch", key) -> np.ndarray:
+        if isinstance(key, int):
+            hashed = stable_hash_vector(batch.vector(key))
+        else:
+            hashed = _combine_hashes(
+                [stable_hash_vector(batch.vector(i)) for i in key],
+                batch.num_rows,
+            )
+        return hashed % self.num_partitions
 
     def __repr__(self) -> str:
         return f"HashPartitioner({self.num_partitions})"
@@ -149,6 +221,16 @@ class RangePartitioner(Partitioner):
             return list(indices)
         last = self.num_partitions - 1
         return [last - index for index in indices]
+
+    def partition_batch(self, batch: "ColumnBatch", key) -> np.ndarray:
+        data = ordered_array(batch.vector(key)) if isinstance(key, int) else None
+        bounds = None if data is None else ordered_bounds(self._bounds, data)
+        if bounds is None:
+            return super().partition_batch(batch, key)
+        indices = np.searchsorted(bounds, data, side="left")
+        if self._ascending:
+            return indices
+        return self.num_partitions - 1 - indices
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -14,11 +14,14 @@ stable hash.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
+from repro.columnar.batch import ColumnBatch
 from repro.engine.dependencies import (
     Aggregator,
+    BatchShuffleDependency,
     Dependency,
     ManyToOneDependency,
     OneToOneDependency,
@@ -29,6 +32,7 @@ from repro.engine.partitioner import (
     HashPartitioner,
     Partitioner,
     RangePartitioner,
+    ordered_array,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -420,33 +424,84 @@ class RDD:
         num_partitions: Optional[int] = None,
     ) -> "RDD":
         """Total sort by a per-record key function."""
-        return self.sort_by_key_column(
-            lambda part: list(map(key_fn, part)), ascending, num_partitions
+
+        def keyed(_: int, part: list) -> list:
+            return [
+                ColumnBatch.from_columns([list(map(key_fn, part)), part])
+            ]
+
+        def order(batch: ColumnBatch) -> Sequence[int]:
+            keys = batch.vector(0)
+            data = ordered_array(keys)
+            if data is not None and ascending:
+                return np.argsort(data, kind="stable")
+            return sorted(
+                range(batch.num_rows),
+                key=keys.to_python_list().__getitem__,
+                reverse=not ascending,
+            )
+
+        batches = MapPartitionsRDD(self, keyed, name="map")
+        ordered = batches.sort_batches(
+            0,
+            lambda batch, rows: batch.vector(0).gather(rows).to_python_list(),
+            lambda bounds: RangePartitioner(bounds, ascending=ascending),
+            order,
+            num_partitions,
+        )
+        if ordered is batches:
+            return self
+        return MapPartitionsRDD(
+            ordered,
+            lambda _, part: [
+                item for batch in part for item in batch.values(1)
+            ],
+            name="sort",
         )
 
-    def sort_by_key_column(
+    def sort_batches(
         self,
-        keys_of: Callable[[list], list],
-        ascending: bool = True,
+        key: Any,
+        keys_of: Callable[[ColumnBatch, "np.ndarray"], list],
+        partitioner_of: Callable[[list], Partitioner],
+        order: Callable[[ColumnBatch], Sequence[int]],
         num_partitions: Optional[int] = None,
     ) -> "RDD":
-        """Total sort: sample for range bounds, shuffle, sort partitions.
+        """Total sort of an RDD whose partitions hold ColumnBatches:
+        sample for range bounds, shuffle, sort each partition.
 
-        ``keys_of(partition)`` returns the sort key of every record of
-        one partition, in order — a partition is keyed as one batch (the
-        SQL sort builds its keys a column at a time).  Keys that compare
-        natively keep the bounds search, the partition sorts and the run
-        merge in C.
+        ``key`` names the batch columns the exchange partitions on.
+        ``keys_of(batch, rows)`` returns one comparable sort key per
+        requested row position (only sampled rows ever get one built);
+        ``partitioner_of(bounds)`` the range partitioner over bounds
+        picked among them, and ``order(batch)`` the stable sorting
+        permutation of one reduce partition.  Returns ``self`` when there
+        is nothing to sort.
         """
         target = num_partitions or self.ctx.default_parallelism
-        # Range bounds come from a sample (as in Spark's RangePartitioner);
-        # small inputs fall back to exact keys so bounds stay meaningful.
-        keys_rdd = MapPartitionsRDD(
-            self, lambda _, part: keys_of(part), name="map"
-        )
-        keys = keys_rdd.sample(0.1, seed=29).collect()
+
+        def sample_keys(fraction: Optional[float], name: str) -> list:
+            # Range bounds come from a sample (as in Spark's
+            # RangePartitioner): one seeded draw per row, so recovery
+            # replays the same sample.
+            def run(split: int, part: list) -> list:
+                rng = random.Random(29 * 1_000_003 + split)
+                keys: list = []
+                for batch in part:
+                    rows = range(batch.num_rows)
+                    if fraction is not None:
+                        rows = [i for i in rows if rng.random() < fraction]
+                    keys.extend(
+                        keys_of(batch, np.fromiter(rows, np.int64, len(rows)))
+                    )
+                return keys
+
+            return MapPartitionsRDD(self, run, name=name).collect()
+
+        keys = sample_keys(0.1, "sample")
         if len(keys) < max(20 * target, 100):
-            keys = keys_rdd.collect()
+            # Small inputs fall back to exact keys so bounds stay meaningful.
+            keys = sample_keys(None, "map")
         if not keys:
             return self
         if target > 1:
@@ -455,24 +510,21 @@ class RDD:
             bounds = sorted_keys[step::step][: target - 1]
         else:
             bounds = []
-        partitioner = RangePartitioner(bounds, ascending=ascending)
-        keyed = MapPartitionsRDD(
-            self, lambda _, part: list(zip(keys_of(part), part)), name="map"
+        shuffled = ShuffledRDD.of(
+            BatchShuffleDependency(self, partitioner_of(bounds), key)
         )
-        shuffled = ShuffledRDD(keyed, partitioner)
 
         def sort_partition(_: int, part: list) -> list:
             # External sort: the buffer is charged to the task's
-            # execution pool and sheds sorted runs under memory
-            # pressure; finish() k-way-merges runs + tail into exactly
-            # the order an in-memory stable sort would produce.
+            # execution pool and sheds runs under memory pressure;
+            # finish() orders runs + tail exactly as one in-memory
+            # stable sort would.
             from repro.engine.spill import ExternalSorter
 
-            sorter = ExternalSorter(
-                key=itemgetter(0), reverse=not ascending
-            )
-            sorter.extend(part)
-            return list(map(itemgetter(1), sorter.finish()))
+            sorter = ExternalSorter(order)
+            for batch in part:
+                sorter.extend(batch)
+            return [sorter.finish()]
 
         return MapPartitionsRDD(shuffled, sort_partition, name="sort")
 
@@ -789,9 +841,13 @@ class PrunedRDD(RDD):
 class ShuffledRDD(RDD):
     """The reduce side of a shuffle.
 
-    Reads bucket ``split`` from every map output (raising FetchFailedError
-    on lost outputs, which the scheduler turns into lineage recovery) and
-    merges combiners when an aggregator is attached.
+    Fetches its buckets from every map output (raising FetchFailedError
+    on lost outputs, which the scheduler turns into lineage recovery) as
+    one batch and hands on what the dependency reads out of it: the
+    batch itself between SQL operators, ``(key, value)`` pairs — merged
+    per key when an aggregator is attached — for the RDD API.  Partition
+    ``i`` reads bucket ``i``, or with ``groups`` every bucket of
+    ``groups[i]`` in one fetch (PDE's coalesced reduce partitions).
     """
 
     def __init__(
@@ -801,32 +857,55 @@ class ShuffledRDD(RDD):
         aggregator: Optional[Aggregator] = None,
         map_side_combine: bool = False,
         stats_collectors: tuple = (),
+        dep: Optional[ShuffleDependency] = None,
+        groups: Optional[list[list[int]]] = None,
     ):
-        dep = ShuffleDependency(
-            parent,
-            partitioner,
-            aggregator=aggregator,
-            map_side_combine=map_side_combine,
-            stats_collectors=stats_collectors,
-        )
+        if dep is None:
+            dep = ShuffleDependency(
+                parent,
+                partitioner,
+                aggregator=aggregator,
+                map_side_combine=map_side_combine,
+                stats_collectors=stats_collectors,
+            )
         super().__init__(
             parent.ctx,
-            partitioner.num_partitions,
+            partitioner.num_partitions if groups is None else len(groups),
             [dep],
-            partitioner=partitioner,
+            partitioner=partitioner if groups is None else None,
             name="shuffle",
         )
         self.shuffle_dep = dep
+        self._groups = groups
+
+    @classmethod
+    def of(
+        cls,
+        dep: ShuffleDependency,
+        groups: Optional[list[list[int]]] = None,
+    ) -> "ShuffledRDD":
+        return cls(dep.rdd, dep.partitioner, dep=dep, groups=groups)
+
+    def coalesce_grouped(self, groups: list[list[int]]) -> RDD:
+        """The same shuffle read a group of buckets at a time."""
+        if self._groups is not None:
+            return super().coalesce_grouped(groups)
+        return ShuffledRDD.of(self.shuffle_dep, groups)
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
-        pairs = task_ctx.shuffle_manager.fetch(
-            self.shuffle_dep.shuffle_id, split, task_ctx.metrics
+        dep = self.shuffle_dep
+        pairs = dep.records(
+            task_ctx.shuffle_manager.fetch(
+                dep.shuffle_id,
+                split if self._groups is None else self._groups[split],
+                task_ctx.metrics,
+            )
         )
-        aggregator = self.shuffle_dep.aggregator
+        aggregator = dep.aggregator
         if aggregator is None:
             return pairs
         merged: dict = {}
-        if self.shuffle_dep.map_side_combine:
+        if dep.map_side_combine:
             for key, combiner in pairs:
                 if key in merged:
                     merged[key] = aggregator.merge_combiners(
@@ -847,20 +926,23 @@ class CoGroupedRDD(RDD):
     """Groups values from N pair RDDs by key.
 
     For each parent already partitioned compatibly the dependency is
-    narrow; others are shuffled.  Output elements are
+    narrow; others are shuffled (a parent may also be given as the
+    shuffle dependency to read it through).  Output elements are
     ``(key, (values_from_rdd0, values_from_rdd1, ...))``.
     """
 
     def __init__(
         self,
         ctx: "EngineContext",
-        rdds: list[RDD],
+        rdds: "list[RDD | ShuffleDependency]",
         partitioner: Partitioner,
         stats_collectors: tuple = (),
     ):
         deps: list[Dependency] = []
         for rdd in rdds:
-            if rdd.partitioner == partitioner:
+            if isinstance(rdd, ShuffleDependency):
+                deps.append(rdd)
+            elif rdd.partitioner == partitioner:
                 deps.append(OneToOneDependency(rdd))
             else:
                 deps.append(
@@ -875,7 +957,7 @@ class CoGroupedRDD(RDD):
             partitioner=partitioner,
             name="cogroup",
         )
-        self._rdds = rdds
+        self._rdds = [dep.rdd for dep in deps]
 
     @property
     def uses_only_narrow_deps(self) -> bool:
@@ -891,8 +973,10 @@ class CoGroupedRDD(RDD):
             if isinstance(dep, OneToOneDependency):
                 pairs = self._rdds[index].iterator(split, task_ctx)
             else:
-                pairs = task_ctx.shuffle_manager.fetch(
-                    dep.shuffle_id, split, task_ctx.metrics
+                pairs = dep.pairs(
+                    task_ctx.shuffle_manager.fetch(
+                        dep.shuffle_id, split, task_ctx.metrics
+                    )
                 )
             for key, value in pairs:
                 if key not in groups:

@@ -41,6 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.columnar.batch import count_rows
 from repro.engine.dependencies import (
     NarrowDependency,
     ShuffleDependency,
@@ -626,10 +627,10 @@ class DAGScheduler:
                 stage.shuffle_dep,
                 partition,
                 worker.worker_id,
-                records,
+                stage.shuffle_dep.keyed_batch(records),
                 metrics,
             )
-        metrics.records_out = len(records)
+        metrics.records_out = count_rows(records)
         vector = metrics.to_cost_vector()
         # Durations are only priced out when something consumes them: the
         # trace, the fault injector's stragglers, speculation, or the

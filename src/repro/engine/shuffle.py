@@ -1,15 +1,19 @@
 """Shuffle: map-output bucketing, fetching, and PDE statistics.
 
-Map tasks partition their output records into one bucket per reduce
-partition and store the buckets in their worker's block store (the paper's
-memory-based shuffle, Section 5).  Reduce tasks fetch bucket ``i`` from
-every map output; if a map output's worker has died, the fetch raises
-:class:`~repro.errors.FetchFailedError` and the scheduler re-runs only the
-lost map tasks (lineage recovery within the query).
+A map task's output is one keyed :class:`~repro.columnar.batch.ColumnBatch`.
+The shuffle orders it by reduce partition and stores it, with the offsets
+of the buckets, in the task's worker's block store (the paper's
+memory-based shuffle, Section 5).  Reduce tasks fetch their buckets —
+slices of those batches — from every map output; if a map output's worker
+has died, the fetch raises :class:`~repro.errors.FetchFailedError` and the
+scheduler re-runs only the lost map tasks (lineage recovery within the
+query).
 
-While buckets are materialized, the shuffle runs PDE's statistics
-collectors and log-encodes bucket sizes, giving the master a ~1-byte-per-
-partition view of the data (Section 3.1) before the reduce stage is planned.
+A bucket weighs what it would encode to
+(:meth:`repro.columnar.serde.BatchSerde.encoded_size`): that one number
+is the byte count of every shuffle metric, what PDE's log-encoded sizes —
+a ~1-byte-per-partition view of the data the master has before the reduce
+stage is planned (Section 3.1) — decode to, and what a fetch charges.
 """
 
 from __future__ import annotations
@@ -17,31 +21,20 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-import pickle
+import numpy as np
 
-from repro.cluster.worker import approximate_size_bytes
+from repro.columnar.batch import ColumnBatch
+from repro.columnar.serde import BatchSerde
 from repro.engine.accumulator import log_decode_size, log_encode_size
 from repro.engine.partitioner import RangePartitioner
 from repro.engine.task import current_task_context
 from repro.errors import FetchFailedError
 from repro.obs import Tracer
 
-
-def serialized_size_bytes(records: list) -> int:
-    """Wire size of shuffle records.
-
-    Shuffle volumes feed the cost model and PDE's size-based decisions, so
-    they must reflect what would cross the network (serialized bytes), not
-    Python object overhead.  Falls back to the heap estimate for
-    unpicklable records.
-    """
-    try:
-        return len(pickle.dumps(records, protocol=4))
-    except Exception:
-        return approximate_size_bytes(records)
+_SERDE = BatchSerde()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster import VirtualCluster
@@ -52,6 +45,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _shuffle_block_id(shuffle_id: int, map_partition: int) -> str:
     return f"shuffle_{shuffle_id}_{map_partition}"
+
+
+class ShuffleBlock:
+    """One map task's stored output: its batch in bucket order, where
+    each bucket starts, and what each weighs.  A bucket is a slice."""
+
+    __slots__ = ("batch", "offsets", "sizes")
+
+    def __init__(self, batch: ColumnBatch, offsets: list, sizes: list):
+        self.batch = batch
+        self.offsets = offsets
+        self.sizes = sizes
+
+    def span(self, reduce_partition: int) -> tuple[ColumnBatch, int, int]:
+        """Where bucket ``reduce_partition`` lies in the batch."""
+        return (
+            self.batch,
+            self.offsets[reduce_partition],
+            self.offsets[reduce_partition + 1],
+        )
 
 
 #: Heavy-hitter keys each map task keeps in its skew partial (a little
@@ -265,61 +278,74 @@ class ShuffleManager:
         dep: "ShuffleDependency",
         map_partition: int,
         worker_id: int,
-        records: list,
+        batch: ColumnBatch,
         metrics: "TaskMetrics" = None,
     ) -> None:
-        """Bucket one map task's records and store them on its worker.
-
-        ``records`` must be (key, value) pairs.  Applies map-side combining
-        when the dependency requests it, then runs the PDE statistics
-        collectors over the bucketed output.
+        """Bucket one map task's keyed batch (``dep.keyed_batch`` of its
+        records) by ``dep.key`` and store it on the task's worker, then
+        run the PDE statistics collectors over it.
         """
-        partitioner = dep.partitioner
-        num_reduces = partitioner.num_partitions
-        if dep.map_side_combine:
-            aggregator = dep.aggregator
-            combined: dict[Any, Any] = {}
-            for key, value in records:
-                if key in combined:
-                    combined[key] = aggregator.merge_value(combined[key], value)
-                else:
-                    combined[key] = aggregator.create_combiner(value)
-            output: list = list(combined.items())
-            keys = list(combined)
+        num_reduces = dep.partitioner.num_partitions
+        rows = batch.num_rows
+        batch = ColumnBatch(batch.vectors(), rows)  # decoded, unpinned
+        observed = [
+            (collector, collector.observe(dep.pairs(batch)))
+            for collector in dep.stats_collectors
+        ]
+        if num_reduces == 1 or not rows:
+            # One bucket takes every row as it comes (and no row means
+            # maybe no column to read a key from).
+            counts = [0] * num_reduces
+            counts[0] = rows
+            offsets = [0] + [rows] * num_reduces
         else:
-            output = records
-            keys = [pair[0] for pair in output]
-
-        buckets: list[list] = [[] for _ in range(num_reduces)]
-        appends = [bucket.append for bucket in buckets]
-        for index, pair in zip(partitioner.partition_many(keys), output):
-            appends[index](pair)
+            ids = dep.partitioner.partition_batch(batch, dep.key)
+            counts = np.bincount(ids, minlength=num_reduces).tolist()
+            if len(counts) != num_reduces:
+                raise ValueError(
+                    f"{dep.partitioner!r} placed a key in partition "
+                    f"{len(counts) - 1}"
+                )
+            offsets = [0, *accumulate(counts)]
+            if (ids[1:] < ids[:-1]).any():
+                # Stable: a bucket keeps its rows in the order they
+                # arrived.  (Narrow ids let numpy pick its radix sort.)
+                narrow = np.uint16 if num_reduces <= 2 ** 16 else np.int64
+                batch = batch.take(
+                    np.argsort(ids.astype(narrow), kind="stable")
+                )
+        sizes, pickled_bytes = _SERDE.measure(
+            batch, None if num_reduces == 1 else np.array(offsets)
+        )
+        total_bytes = sum(sizes)
 
         worker = self._cluster.worker(worker_id)
         block_id = _shuffle_block_id(dep.shuffle_id, map_partition)
         # Pinned: shuffle output only vanishes with the worker (the spill
         # story of Section 5), never to silent cache eviction.
-        worker.blocks.put(block_id, buckets, pinned=True)
+        worker.blocks.put(
+            block_id,
+            ShuffleBlock(batch, offsets, sizes),
+            size_bytes=total_bytes,
+            pinned=True,
+        )
         self._locations[dep.shuffle_id][map_partition] = worker_id
 
         stats = self._stats[dep.shuffle_id]
-        bucket_bytes = [serialized_size_bytes(bucket) for bucket in buckets]
-        stats.encoded_bucket_sizes[map_partition] = [
-            log_encode_size(size) for size in bucket_bytes
-        ]
-        stats.record_counts[map_partition] = len(output)
+        stats.encoded_bucket_sizes[map_partition] = list(
+            map(log_encode_size, sizes)
+        )
+        stats.record_counts[map_partition] = rows
         stats.skew_partials[map_partition] = {
-            "rows": [len(bucket) for bucket in buckets],
-            "bytes": bucket_bytes,
+            "rows": counts,
+            "bytes": sizes,
         }
-        for collector in dep.stats_collectors:
-            partial = collector.observe(output)
+        for collector, partial in observed:
             stats.mergers[collector.name] = collector.merge
             stats.custom_partials.setdefault(collector.name, {})[
                 map_partition
             ] = partial
 
-        total_bytes = sum(bucket_bytes)
         task_ctx = current_task_context()
         if task_ctx is not None:
             # Transient bucketing buffer: charged to the map task's
@@ -328,9 +354,15 @@ class ShuffleManager:
             task_ctx.reserve_memory("shuffle_write", total_bytes)
         if metrics is not None:
             metrics.shuffle_write_bytes += total_bytes
-            metrics.shuffle_write_records += len(output)
-        self._tracer.metrics.inc("shuffle.write.bytes", total_bytes)
-        self._tracer.metrics.inc("shuffle.write.records", len(output))
+            metrics.shuffle_write_records += rows
+            metrics.shuffle_write_pickled_bytes += pickled_bytes
+        counters = self._tracer.metrics
+        counters.inc("shuffle.write.bytes", total_bytes)
+        counters.inc("shuffle.write.records", rows)
+        counters.inc("exchange.batches")
+        counters.inc("exchange.rows", rows)
+        counters.inc("exchange.encoded_bytes", total_bytes)
+        counters.inc("exchange.pickled_bytes", pickled_bytes)
         self._tracer.instant(
             "shuffle.write",
             "shuffle",
@@ -338,7 +370,9 @@ class ShuffleManager:
             shuffle_id=dep.shuffle_id,
             map_partition=map_partition,
             bytes=total_bytes,
-            records=len(output),
+            records=rows,
+            columns=len(batch.entries),
+            pickled_bytes=pickled_bytes,
         )
 
     # ------------------------------------------------------------------
@@ -347,21 +381,24 @@ class ShuffleManager:
     def fetch(
         self,
         shuffle_id: int,
-        reduce_partition: int,
+        reduce_partitions: "int | Sequence[int]",
         metrics: "TaskMetrics" = None,
-    ) -> list:
-        """Fetch bucket ``reduce_partition`` from every map output.
+    ) -> ColumnBatch:
+        """The rows of ``reduce_partitions`` (one bucket, or the buckets a
+        coalesced reduce partition reads), bucket by bucket and within
+        one in map order, as one batch.
 
         Raises :class:`FetchFailedError` naming the first lost map
         partition when any map output is unavailable.
         """
+        if isinstance(reduce_partitions, int):
+            reduce_partitions = (reduce_partitions,)
+        first = reduce_partitions[0] if reduce_partitions else 0
         locations = self._locations[shuffle_id]
         stats = self._stats[shuffle_id]
         reader_lane = metrics.worker_id if metrics is not None else "driver"
         injector = self._fault_injector
-        if injector is not None and injector.corrupt_fetch(
-            shuffle_id, reduce_partition
-        ):
+        if injector is not None and injector.corrupt_fetch(shuffle_id, first):
             # A corrupted map output is indistinguishable from a lost one:
             # drop the block so lineage recovery recomputes it.  Only a
             # map output that is actually still present can be the victim
@@ -390,7 +427,7 @@ class ShuffleManager:
             raise FetchFailedError(
                 shuffle_id, victim, owner if owner is not None else -1
             )
-        fetched: list = []
+        blocks: list[ShuffleBlock] = []
         for map_partition in range(stats.num_maps):
             worker_id = locations.get(map_partition)
             if worker_id is None:
@@ -405,10 +442,23 @@ class ShuffleManager:
                     shuffle_id, map_partition, worker_id, reader_lane
                 )
                 raise FetchFailedError(shuffle_id, map_partition, worker_id)
-            buckets = worker.blocks.get(block_id)
-            fetched.extend(buckets[reduce_partition])
+            blocks.append(worker.blocks.get(block_id))
+        fetched = ColumnBatch.concat_slices(
+            [
+                block.span(bucket)
+                for bucket in reduce_partitions
+                for block in blocks
+                if block.sizes[bucket]
+            ]
+            or [(blocks[0].batch, 0, 0)]
+        )
         if metrics is not None:
-            read_bytes = serialized_size_bytes(fetched)
+            # What was fetched is what was written: the buckets' sizes.
+            read_bytes = sum(
+                block.sizes[bucket]
+                for bucket in reduce_partitions
+                for block in blocks
+            )
             task_ctx = current_task_context()
             if task_ctx is not None:
                 # The fetched rows live in the reduce task until its
@@ -421,9 +471,10 @@ class ShuffleManager:
                 "shuffle",
                 lane=reader_lane,
                 shuffle_id=shuffle_id,
-                reduce_partition=reduce_partition,
+                reduce_partition=first,
+                buckets=len(reduce_partitions),
                 bytes=read_bytes,
-                records=len(fetched),
+                records=fetched.num_rows,
             )
         self._tracer.metrics.inc("shuffle.fetches")
         return fetched
@@ -496,10 +547,11 @@ class ShuffleManager:
         block_id = _shuffle_block_id(shuffle_id, map_partition)
         if not worker.alive or block_id not in worker.blocks:
             return ()
-        buckets = worker.blocks.get(block_id)
-        if isinstance(self._deps[shuffle_id].partitioner, RangePartitioner):
-            return repeat(SORT_KEY_LABEL, sum(map(len, buckets)))
-        return (_key_label(pair[0]) for bucket in buckets for pair in bucket)
+        batch = worker.blocks.get(block_id).batch
+        dep = self._deps[shuffle_id]
+        if isinstance(dep.partitioner, RangePartitioner):
+            return repeat(SORT_KEY_LABEL, batch.num_rows)
+        return map(_key_label, batch.values(dep.key))
 
     def map_location(self, shuffle_id: int, map_partition: int) -> int | None:
         return self._locations.get(shuffle_id, {}).get(map_partition)

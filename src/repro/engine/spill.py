@@ -22,12 +22,12 @@ worker's registered consumers to spill.  Two consumers live here:
     retries shift spill points between runs.
 
 :class:`ExternalSorter`
-    Classic run generation + k-way merge.  Each spill sorts the buffer
-    into a run; ``finish()`` merges the runs (chronological order) and
-    the sorted tail with :func:`heapq.merge`, whose stability over
-    in-order iterables makes the merged output equal a single stable
-    sort of the full input — so ``RDD.sort_by`` partitions (ORDER BY,
-    and any future sort/merge-join build) spill transparently.
+    Buffers the ColumnBatches of one sort partition.  Each spill encodes
+    the buffer as a run (``repro.columnar.serde.BatchSerde``, arrival
+    order); ``finish()`` concatenates the runs chronologically with the
+    tail and sorts once, stably — the same order as a single stable sort
+    of the full input — so ``RDD.sort_by`` and ORDER BY partitions spill
+    transparently.
 
 "Disk" is simulated: spilled runs are serialized bytes held off-ledger
 (their memory charge is released), with the write/read volume recorded
@@ -39,12 +39,14 @@ spill decisions are deterministic run to run.
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.worker import approximate_size_bytes
-from repro.columnar.serde import SpillSerde
+from repro.columnar.batch import ColumnBatch
+from repro.columnar.serde import BatchSerde, SpillSerde
 from repro.engine.task import current_task_context
 
 #: Fixed spill-bucket fanout for hash-aggregate state.  Small enough
@@ -59,6 +61,7 @@ RAW_FLUSH_ROWS = 256
 _SORT_CHARGE_EVERY = 64
 
 _SERDE = SpillSerde()
+_BATCH_SERDE = BatchSerde()
 
 
 def spill_bucket(key: Any) -> int:
@@ -69,6 +72,16 @@ def spill_bucket(key: Any) -> int:
     across the baseline and chaos runs for byte-identical event logs.
     """
     return zlib.crc32(repr(key).encode("utf-8")) % NUM_SPILL_BUCKETS
+
+
+def record_run_written(owner: str, nbytes: int) -> None:
+    """One spilled run of ``nbytes`` hit simulated disk: charge the
+    running task's cost vector and the accountant's per-owner totals."""
+    task_ctx = current_task_context()
+    if task_ctx is not None:
+        task_ctx.metrics.spill_bytes_written += nbytes
+        if task_ctx.accountant is not None:
+            task_ctx.accountant.note_spill_write(owner, nbytes, runs=1)
 
 
 class _SpilledBucket:
@@ -172,13 +185,7 @@ class SpillableGroups:
         self._record_write(len(payload))
 
     def _record_write(self, nbytes: int) -> None:
-        task_ctx = current_task_context()
-        if task_ctx is not None:
-            task_ctx.metrics.spill_bytes_written += nbytes
-            if task_ctx.accountant is not None:
-                task_ctx.accountant.note_spill_write(
-                    self.owner, nbytes, runs=1
-                )
+        record_run_written(self.owner, nbytes)
 
     def charge_pending(self) -> None:
         """Charge uncharged group growth to the task's execution pool."""
@@ -285,108 +292,104 @@ class SpillableGroups:
 
 
 class ExternalSorter:
-    """Buffered sort that sheds sorted runs under memory pressure.
+    """Buffered sort of ColumnBatch rows that sheds runs under memory
+    pressure.
 
-    ``finish()`` k-way-merges the runs in chronological order plus the
-    sorted in-memory tail; :func:`heapq.merge` keeps equal keys in
-    iterable order, so the result equals one stable sort of everything
-    ever added — ``sort_by`` output is byte-identical with or without
-    spills.
+    ``order(batch)`` returns the stable sorting permutation of a batch's
+    rows.  A spill encodes what is buffered as one run, in arrival order;
+    ``finish()`` puts the runs (chronological order) and the tail end to
+    end and orders that once — a stable sort of everything ever added,
+    so output is byte-identical with or without spills.
     """
 
     def __init__(
         self,
-        key: Optional[Callable] = None,
-        reverse: bool = False,
+        order: Callable[[ColumnBatch], Sequence[int]],
         owner: str = "sort",
     ) -> None:
-        self._key = key
-        self._reverse = reverse
+        self._order = order
         self.owner = owner
-        self._buffer: list = []
+        self._buffer: list[ColumnBatch] = []
+        self._rows = 0
         self._runs: list[bytes] = []
-        self._bytes_per_item = 0
-        self._charged_items = 0
+        self._bytes_per_row = 0
+        self._charged_rows = 0
         self._finishing = False
-        self._registered = False
         task_ctx = current_task_context()
         if task_ctx is not None:
             task_ctx.register_spillable(self)
-            self._registered = True
 
-    def extend(self, items: Sequence) -> None:
-        """Buffer a batch of items.  The ledger is charged — and a spill
-        can therefore fire — each time :data:`_SORT_CHARGE_EVERY` items
-        are pending, so the charge points depend only on how many items
+    def extend(self, batch: ColumnBatch) -> None:
+        """Buffer a batch.  The ledger is charged — and a spill can
+        therefore fire — each time :data:`_SORT_CHARGE_EVERY` rows are
+        pending, so the charge points depend only on how many rows
         arrived, not on where the batch boundaries fell."""
+        if not self._bytes_per_row and batch.num_rows:
+            # Heap bytes per row, from the first rows to arrive.
+            head = batch.slice(0, min(batch.num_rows, _SORT_CHARGE_EVERY))
+            self._bytes_per_row = max(
+                head.memory_footprint_bytes() // head.num_rows, 1
+            )
         start = 0
-        while start < len(items):
-            pending = len(self._buffer) - self._charged_items
-            stop = start + _SORT_CHARGE_EVERY - pending % _SORT_CHARGE_EVERY
-            self._buffer.extend(items[start:stop])
+        while start < batch.num_rows:
+            pending = self._rows - self._charged_rows
+            stop = min(
+                start + _SORT_CHARGE_EVERY - pending % _SORT_CHARGE_EVERY,
+                batch.num_rows,
+            )
+            self._buffer.append(batch.slice(start, stop))
+            self._rows += stop - start
             start = stop
-            if len(self._buffer) - self._charged_items >= _SORT_CHARGE_EVERY:
+            if self._rows - self._charged_rows >= _SORT_CHARGE_EVERY:
                 self._charge_pending()
 
     def _charge_pending(self) -> None:
-        pending = len(self._buffer) - self._charged_items
-        if pending <= 0:
-            return
         task_ctx = current_task_context()
         if task_ctx is None:
             return
-        if not self._bytes_per_item:
-            self._bytes_per_item = max(
-                approximate_size_bytes(self._buffer[0]), 1
-            )
         task_ctx.reserve_memory(
-            self.owner, pending * self._bytes_per_item
+            self.owner,
+            (self._rows - self._charged_rows) * self._bytes_per_row,
         )
-        self._charged_items = len(self._buffer)
+        self._charged_rows = self._rows
 
     def spillable_bytes(self) -> int:
-        return self._charged_items * self._bytes_per_item
+        return self._charged_rows * self._bytes_per_row
 
     def spill(self, nbytes: int) -> tuple[int, int, int]:
-        """Sort the buffer into one run and release its charge."""
+        """Encode the buffer as one run and release its charge."""
         if self._finishing or not self._buffer:
             return (0, 0, 0)
-        run = sorted(self._buffer, key=self._key, reverse=self._reverse)
-        payload = _SERDE.encode(run)
+        payload = _BATCH_SERDE.encode(ColumnBatch.concat(self._buffer))
         self._runs.append(payload)
         self._buffer = []
         released = 0
         task_ctx = current_task_context()
         if task_ctx is not None:
             released = task_ctx.release_memory(
-                self.owner, self._charged_items * self._bytes_per_item
+                self.owner, self._charged_rows * self._bytes_per_row
             )
-            task_ctx.metrics.spill_bytes_written += len(payload)
-            if task_ctx.accountant is not None:
-                task_ctx.accountant.note_spill_write(
-                    self.owner, len(payload), runs=1
-                )
-        self._charged_items = 0
+        record_run_written(self.owner, len(payload))
+        self._charged_rows = self._rows = 0
         return (released, len(payload), 1)
 
-    def finish(self) -> list:
-        """The fully sorted sequence (merging any spilled runs)."""
+    def finish(self) -> ColumnBatch:
+        """Every row ever added, sorted."""
         self._finishing = True
-        tail = sorted(self._buffer, key=self._key, reverse=self._reverse)
-        if not self._runs:
-            return tail
-        read_bytes = sum(len(payload) for payload in self._runs)
-        iterables = [_SERDE.decode(payload) for payload in self._runs]
-        iterables.append(tail)
-        merged = list(
-            heapq.merge(*iterables, key=self._key, reverse=self._reverse)
-        )
-        task_ctx = current_task_context()
-        if task_ctx is not None:
-            task_ctx.metrics.spill_bytes_read += read_bytes
-            reloaded = len(merged) - len(tail)
-            if reloaded > 0 and self._bytes_per_item:
-                task_ctx.reserve_memory(
-                    self.owner, reloaded * self._bytes_per_item
+        pieces = list(map(_BATCH_SERDE.decode, self._runs)) + self._buffer
+        merged = ColumnBatch.concat(pieces)
+        if self._runs:
+            task_ctx = current_task_context()
+            if task_ctx is not None:
+                task_ctx.metrics.spill_bytes_read += sum(
+                    map(len, self._runs)
                 )
-        return merged
+                # The reloaded runs live on the task's heap again until
+                # the attempt ends: put them back on the ledger.
+                task_ctx.reserve_memory(
+                    self.owner,
+                    (merged.num_rows - self._rows) * self._bytes_per_row,
+                )
+        if not merged.num_rows:
+            return merged
+        return merged.take(np.asarray(self._order(merged), dtype=np.int64))

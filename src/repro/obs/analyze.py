@@ -71,8 +71,19 @@ class StageAnalysis:
         if stage.shuffle_read_bytes:
             parts.append(f"shuffle read {_bytes(stage.shuffle_read_bytes)}")
         if stage.shuffle_write_bytes:
+            # The exchange: one keyed batch per map task, weighed at its
+            # encoded size; pickled bytes are columns with no typed form.
+            exchange = (
+                f"{stage.num_tasks} batches, "
+                f"{stage.shuffle_write_records} rows"
+            )
+            if stage.shuffle_write_pickled_bytes:
+                exchange += (
+                    f", {_bytes(stage.shuffle_write_pickled_bytes)} pickled"
+                )
             parts.append(
-                f"shuffle write {_bytes(stage.shuffle_write_bytes)}"
+                f"shuffle write {_bytes(stage.shuffle_write_bytes)} "
+                f"({exchange})"
             )
         parts.append(f"{self.sim_seconds:.3f} sim-s")
         return (

@@ -39,6 +39,13 @@ COUNTERS = frozenset(
         "shuffle.write.records",
         "shuffle.released",
         "shuffle.released.blocks",
+        # the exchange: keyed batches written, their rows, their encoded
+        # bytes, and the part of those that is pickled object columns
+        # (DESIGN.md §17)
+        "exchange.batches",
+        "exchange.rows",
+        "exchange.encoded_bytes",
+        "exchange.pickled_bytes",
         # block store / cache
         "blocks.put",
         "blocks.put.bytes",
@@ -62,6 +69,7 @@ COUNTERS = frozenset(
         "batch.batches",
         "batch.kernel.filter",
         "batch.kernel.project",
+        "batch.kernel.join",
         "batch.kernel.aggregate",
         # dictionary-domain kernel evaluations: how many ran, the distinct
         # values they evaluated, the rows those stood for

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
+from repro.columnar.batch import ColumnBatch
 from repro.datatypes import Schema
 from repro.engine.partitioner import HashPartitioner, Partitioner
-from repro.engine.rdd import RDD, ShuffledRDD
+from repro.engine.rdd import RDD
 from repro.errors import UnsupportedFeatureError
 from repro.pde import (
     JoinDecision,
@@ -134,6 +135,12 @@ class ExecutionReport:
         self.operator_stamps.append(stamp)
         return stamp
 
+    def set_mode(self, stamp: OperatorStamp, mode: str) -> None:
+        """Correct the mode of an operator stamped before the planner
+        knew how it would run (a join is stamped before its inputs)."""
+        stamp.mode = mode
+        self.operator_modes[stamp.op_id] = (stamp.operator, mode)
+
     def describe(self) -> str:
         lines = list(self.notes)
         if self.scanned_partitions or self.pruned_partitions:
@@ -151,6 +158,33 @@ class PlannedQuery:
     report: ExecutionReport
     output_partitioner: Optional[Partitioner] = None
     distribute_column: Optional[str] = None
+
+
+@dataclass
+class _Pipeline:
+    """A fused batch chain over one cached scan that is still open:
+    filters, projections and map-join probes are appended to it until an
+    operator that needs rows, batches or partial aggregates closes it
+    into one :class:`~repro.sql.physical.BatchPipelineRDD`."""
+
+    scan: logical.Scan
+    kept: Optional[list[int]]
+    scan_op: OperatorStamp
+    chain: list = field(default_factory=list)
+    chain_ops: list[OperatorStamp] = field(default_factory=list)
+    #: Running row estimate through the chain, with its source.
+    est: Optional[int] = None
+    source: str = SOURCE_NONE
+
+
+@dataclass
+class _Flow:
+    """What lowering a subtree gave: an open :class:`_Pipeline`, or an
+    RDD whose partitions hold ColumnBatches (``batched``) or rows."""
+
+    rdd: Optional[RDD] = None
+    batched: bool = False
+    pipeline: Optional[_Pipeline] = None
 
 
 def _is_identity(node: logical.Project) -> bool:
@@ -214,69 +248,120 @@ class PhysicalPlanner:
     # Recursive lowering
     # ------------------------------------------------------------------
     def _plan(self, node: logical.LogicalPlan, no_prune: bool = False) -> RDD:
+        """``node`` lowered to an RDD of rows."""
+        return self._rows(self._lower(node, no_prune))
+
+    def _rows(self, flow: _Flow) -> RDD:
+        if flow.pipeline is not None:
+            return self._close(flow.pipeline)
+        if flow.batched:
+            return physical.rows_of(flow.rdd)
+        return flow.rdd
+
+    def _either(self, flow: _Flow) -> tuple[RDD, bool]:
+        """(batches, True) when the flow has batches, else (rows, False)."""
+        if flow.pipeline is not None:
+            return self._close(flow.pipeline, emit_rows=False), True
+        return flow.rdd, flow.batched
+
+    def _lower(
+        self, node: logical.LogicalPlan, no_prune: bool = False
+    ) -> _Flow:
         if isinstance(node, logical.Values):
-            return physical.values_rdd(self.ctx, node.rows)
-        if self.config.vectorize and isinstance(
-            node, (logical.Scan, logical.Filter, logical.Project)
-        ):
-            batch = self._try_batch_pipeline(node, no_prune)
-            if batch is not None:
-                return batch
+            return _Flow(physical.values_rdd(self.ctx, node.rows))
         if isinstance(node, logical.Scan):
-            return self._plan_scan(node, condition=None, no_prune=no_prune)
+            if self._batch_scannable(node):
+                return _Flow(
+                    pipeline=self._open_pipeline(node, None, no_prune)
+                )
+            return _Flow(
+                self._plan_scan(node, condition=None, no_prune=no_prune)
+            )
         if isinstance(node, logical.Filter):
             if isinstance(node.child, logical.Scan):
-                return self._plan_scan(
-                    node.child, condition=node.condition, no_prune=no_prune
+                # A filter directly over the scan is the scan's
+                # predicate: it drives map pruning.
+                if self._batch_scannable(node.child):
+                    return _Flow(
+                        pipeline=self._open_pipeline(
+                            node.child, node.condition, no_prune
+                        )
+                    )
+                return _Flow(
+                    self._plan_scan(
+                        node.child, condition=node.condition,
+                        no_prune=no_prune,
+                    )
                 )
-            child = self._plan(node.child)
+            child = self._lower(node.child)
+            if child.pipeline is not None:
+                self._append_filter(child.pipeline, node.condition)
+                return child
             est, source = self._estimate_rows(node)
             op = self.report.mode(
                 "filter", "row", est, source, detail=node.condition.name
             )
-            return physical.filter_rows(child, node.condition, op=op)
+            return _Flow(
+                physical.filter_rows(self._rows(child), node.condition, op=op)
+            )
         if isinstance(node, logical.Project):
-            child = self._plan(node.child, no_prune=no_prune)
+            child = self._lower(node.child, no_prune=no_prune)
             if _is_identity(node):
                 # SELECT * and the like: the child's rows are the output.
                 return child
+            if child.pipeline is not None:
+                self._append_project(child.pipeline, node.expressions)
+                return child
             est, source = self._estimate_rows(node)
             op = self.report.mode("project", "row", est, source)
-            return physical.project_rows(child, node.expressions, op=op)
+            return _Flow(
+                physical.project_rows(
+                    self._rows(child), node.expressions, op=op
+                )
+            )
         if isinstance(node, logical.Aggregate):
-            return self._plan_aggregate(node)
+            return self._lower_aggregate(node)
         if isinstance(node, logical.Join):
-            return self._plan_join(node)
+            return self._lower_join(node)
         if isinstance(node, logical.Sort):
-            child = self._plan(node.child)
+            child, batched = self._either(self._lower(node.child))
             est, source = self._estimate_rows(node)
-            op = self.report.mode("sort", "row", est, source)
-            return physical.sort_rows(child, node.keys, op=op)
+            op = self.report.mode(
+                "sort", "vectorized" if batched else "row", est, source
+            )
+            return _Flow(
+                physical.sort_batches(
+                    child, batched, node.keys, len(node.schema), op=op
+                ),
+                batched=True,
+            )
         if isinstance(node, logical.Limit):
             child = self._plan(node.child)
             est, source = self._estimate_rows(node)
             op = self.report.mode("limit", "row", est, source)
-            return physical.limit_rows(child, node.count, op=op)
+            return _Flow(physical.limit_rows(child, node.count, op=op))
         if isinstance(node, logical.Distinct):
             child = self._plan(node.child)
             est, source = self._estimate_rows(node)
             op = self.report.mode("distinct", "row", est, source)
-            return physical.distinct_rows(child, op=op)
+            return _Flow(physical.distinct_rows(child, op=op))
         if isinstance(node, logical.UnionAll):
             children = [self._plan(child) for child in node.inputs]
             est, source = self._estimate_rows(node)
             op = self.report.mode("union_all", "row", est, source)
-            return physical.union_rdds(self.ctx, children, op=op)
+            return _Flow(physical.union_rdds(self.ctx, children, op=op))
         if isinstance(node, logical.Repartition):
-            child = self._plan(node.child)
+            child, batched = self._either(self._lower(node.child))
             est, source = self._estimate_rows(node)
             op = self.report.mode("distribute_by", "row", est, source)
-            return physical.repartition_rows(
-                child, node.expressions, self._repartition_partitioner(),
-                op=op,
+            return _Flow(
+                physical.repartition_rows(
+                    child, node.expressions, self._repartition_partitioner(),
+                    op=op, batched=batched, width=len(node.schema),
+                )
             )
         if isinstance(node, logical.SemiJoinFilter):
-            return self._plan_semi_join_filter(node)
+            return _Flow(self._plan_semi_join_filter(node))
         raise UnsupportedFeatureError(
             f"no physical strategy for {type(node).__name__}"
         )
@@ -433,43 +518,14 @@ class PhysicalPlanner:
     # ------------------------------------------------------------------
     # Batch pipeline (vectorize=on)
     # ------------------------------------------------------------------
-    def _match_batch_chain(self, node: logical.LogicalPlan):
-        """Match a Project/Filter chain over a cached-table scan.
-
-        Returns (scan, bottom-up chain ops) when the whole subtree can run
-        as one fused batch pipeline; None otherwise (uncached table,
-        unloaded table, or a non-chain operator).
-        """
-        ops: list[tuple[str, object]] = []
-        current = node
-        while True:
-            if isinstance(current, logical.Scan):
-                scan = current
-                break
-            if isinstance(current, logical.Project):
-                ops.append(("project", current.expressions))
-                current = current.child
-                continue
-            if isinstance(current, logical.Filter):
-                ops.append(("filter", current.condition))
-                current = current.child
-                continue
-            return None
+    def _batch_scannable(self, scan: logical.Scan) -> bool:
+        """Can this scan open a fused batch pipeline?  (A cached table
+        that has been loaded, under ``vectorize``.)"""
         entry = scan.table
-        if not entry.is_cached or entry.cached_rdd is None:
-            return None
-        ops.reverse()
-        return scan, ops
-
-    def _try_batch_pipeline(
-        self, node: logical.LogicalPlan, no_prune: bool
-    ) -> Optional[RDD]:
-        match = self._match_batch_chain(node)
-        if match is None:
-            return None
-        scan, ops = match
-        return self._build_batch_pipeline(
-            scan, ops, no_prune, aggregate=None
+        return (
+            self.config.vectorize
+            and entry.is_cached
+            and entry.cached_rdd is not None
         )
 
     @staticmethod
@@ -478,64 +534,78 @@ class PhysicalPlanner:
             return f"vectorized ({interpreted} interpreted)"
         return "vectorized"
 
-    def _build_batch_pipeline(
+    def _open_pipeline(
         self,
         scan: logical.Scan,
-        ops: list,
+        condition: Optional[BoundExpr],
         no_prune: bool,
-        aggregate: Optional[tuple] = None,
-        aggregate_est: Optional[tuple] = None,
-    ) -> RDD:
-        """Lower a matched chain to one :class:`BatchPipelineRDD`.  A
-        filter directly over the scan is the scan's predicate: it drives
-        map pruning and runs as the chain's first kernel."""
-        from repro.sql.codegen import (
-            compile_vector_expression,
-            compile_vector_predicate,
-            compile_vector_projection,
-        )
-
+    ) -> _Pipeline:
+        """A new pipeline over ``scan``; ``condition`` is the scan's
+        predicate: it drives map pruning and runs as the chain's first
+        kernel."""
         entry = scan.table
-        scan_condition = ops[0][1] if ops and ops[0][0] == "filter" else None
-        kept = self._scan_prep(scan, scan_condition, no_prune)
-        metrics = self.ctx.tracer.metrics
+        kept = self._scan_prep(scan, condition, no_prune)
         base_est, base_source = self._scan_estimate(entry, kept)
         scan_op = self.report.mode(
             f"scan({entry.name})", "vectorized", base_est, base_source
         )
-        # Running estimate through the fused chain, with its source.
-        running, running_source = base_est, base_source
-        chain: list[tuple[str, object]] = []
-        chain_ops: list[OperatorStamp] = []
-        for kind, payload in ops:
-            if kind == "filter":
-                kernel, interpreted = compile_vector_predicate(
-                    payload, metrics
-                )
-                chain.append(("filter", kernel))
-                if running is not None:
-                    running = estimate_filtered_rows(running, payload)
-                    running_source = SOURCE_GUESS
-                chain_ops.append(
-                    self.report.mode(
-                        "filter", self._mode_detail(interpreted),
-                        running,
-                        running_source if running is not None
-                        else SOURCE_NONE,
-                        detail=payload.name,
-                    )
-                )
-            else:
-                plans, interpreted = compile_vector_projection(
-                    payload, metrics
-                )
-                chain.append(("project", plans))
-                chain_ops.append(
-                    self.report.mode(
-                        "project", self._mode_detail(interpreted),
-                        running, running_source,
-                    )
-                )
+        pipeline = _Pipeline(
+            scan, kept, scan_op, est=base_est, source=base_source
+        )
+        if condition is not None:
+            self._append_filter(pipeline, condition)
+        return pipeline
+
+    def _append_filter(self, pipeline: _Pipeline, condition: BoundExpr) -> None:
+        from repro.sql.codegen import compile_vector_predicate
+
+        kernel, interpreted = compile_vector_predicate(
+            condition, self.ctx.tracer.metrics
+        )
+        pipeline.chain.append(("filter", kernel))
+        if pipeline.est is not None:
+            pipeline.est = estimate_filtered_rows(pipeline.est, condition)
+            pipeline.source = SOURCE_GUESS
+        pipeline.chain_ops.append(
+            self.report.mode(
+                "filter", self._mode_detail(interpreted),
+                pipeline.est,
+                pipeline.source if pipeline.est is not None else SOURCE_NONE,
+                detail=condition.name,
+            )
+        )
+
+    def _append_project(
+        self, pipeline: _Pipeline, expressions: list[BoundExpr]
+    ) -> None:
+        from repro.sql.codegen import compile_vector_projection
+
+        plans, interpreted = compile_vector_projection(
+            expressions, self.ctx.tracer.metrics
+        )
+        pipeline.chain.append(("project", plans))
+        pipeline.chain_ops.append(
+            self.report.mode(
+                "project", self._mode_detail(interpreted),
+                pipeline.est, pipeline.source,
+            )
+        )
+
+    def _close(
+        self,
+        pipeline: _Pipeline,
+        emit_rows: bool = True,
+        aggregate: Optional[tuple] = None,
+        aggregate_est: Optional[tuple] = None,
+    ) -> RDD:
+        """Lower a pipeline to one :class:`BatchPipelineRDD` yielding its
+        rows, its batches, or — with ``aggregate`` — the partial batches
+        of the task-local aggregation fused onto it."""
+        from repro.sql.codegen import compile_vector_expression
+
+        scan, kept = pipeline.scan, pipeline.kept
+        entry = scan.table
+        metrics = self.ctx.tracer.metrics
         aggregate_factory = None
         aggregate_op = None
         name = f"batch_scan({entry.name})"
@@ -576,15 +646,15 @@ class PhysicalPlanner:
                 # Each map task emits at most one partial per group.
                 partial_est = groups_est * max(map_parts, 1)
                 partial_source = groups_source
-                if running is not None:
-                    partial_est = min(partial_est, max(running, 1))
+                if pipeline.est is not None:
+                    partial_est = min(partial_est, max(pipeline.est, 1))
             aggregate_op = self.report.mode(
                 "aggregate.partial", self._mode_detail(interpreted),
                 partial_est, partial_source,
             )
         op_keys: dict = {
-            "scan": scan_op.key,
-            "chain": tuple(op.key for op in chain_ops),
+            "scan": pipeline.scan_op.key,
+            "chain": tuple(op.key for op in pipeline.chain_ops),
         }
         if aggregate_op is not None:
             op_keys["aggregate"] = aggregate_op.key
@@ -596,10 +666,11 @@ class PhysicalPlanner:
             column_indices=[
                 entry.schema.index_of(column) for column in scan.schema.names
             ],
-            chain=chain,
+            chain=pipeline.chain,
             aggregate_factory=aggregate_factory,
             name=name,
             op_keys=op_keys,
+            emit_rows=emit_rows,
         )
 
     def _prune_partitions(
@@ -621,132 +692,117 @@ class PhysicalPlanner:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def _plan_aggregate(self, node: logical.Aggregate) -> RDD:
-        partials: Optional[RDD] = None
-        child: Optional[RDD] = None
-        partial_op: Optional[OperatorStamp] = None
+    def _lower_aggregate(self, node: logical.Aggregate) -> _Flow:
+        """Two-phase hash aggregation.  Phase 1 aggregates within each
+        input partition ("task-local aggregations", Section 6.2.2) —
+        fused into the child's batch pipeline when it is one — and phase
+        2 shuffles the partial batches by group key and merges them."""
         groups_est, groups_source = self._estimate_groups(node)
         child_est, __ = self._estimate_rows(node.child)
-        if self.config.vectorize:
-            match = self._match_batch_chain(node.child)
-            if match is not None:
-                # Fuse the partial aggregation into the batch pipeline:
-                # the scan..project chain and the task-local hash
-                # aggregation run as one vectorized stage emitting
-                # (group key, accumulators) pairs.
-                scan, ops = match
-                partials = self._build_batch_pipeline(
-                    scan,
-                    ops,
-                    no_prune=False,
-                    aggregate=(node.group_expressions, node.aggregates),
-                    aggregate_est=(groups_est, groups_source),
-                )
-        if partials is None:
-            child = self._plan(node.child)
+        num_keys = len(node.group_expressions)
+        child = self._lower(node.child)
+        vectorized = child.pipeline is not None
+        if vectorized:
+            # The scan..project chain and the task-local hash
+            # aggregation run as one vectorized stage.
+            partials = self._close(
+                child.pipeline,
+                aggregate=(node.group_expressions, node.aggregates),
+                aggregate_est=(groups_est, groups_source),
+            )
+        else:
+            rows = self._rows(child)
             partial_est = None
             partial_source = SOURCE_NONE
             if groups_est is not None:
-                partial_est = groups_est * max(child.num_partitions, 1)
+                partial_est = groups_est * max(rows.num_partitions, 1)
                 partial_source = groups_source
                 if child_est is not None:
                     partial_est = min(partial_est, max(child_est, 1))
             partial_op = self.report.mode(
                 "aggregate.partial", "row", partial_est, partial_source
             )
-        final_op = self.report.mode(
-            "aggregate.final", "row", groups_est, groups_source
-        )
-        if not node.group_expressions:
-            return physical.global_aggregate_rows(
-                child, node.aggregates, partials=partials,
-                partial_op=partial_op, final_op=final_op,
-            )
-
-        if self.config.num_reducers is not None:
-            return physical.aggregate_rows(
-                child,
-                node.group_expressions,
-                node.aggregates,
-                num_partitions=self.config.num_reducers,
-                partials=partials,
-                partial_op=partial_op,
-                final_op=final_op,
-            )
-        if not self.config.enable_pde:
-            return physical.aggregate_rows(
-                child,
-                node.group_expressions,
-                node.aggregates,
-                num_partitions=self.ctx.default_parallelism,
-                partials=partials,
-                partial_op=partial_op,
-                final_op=final_op,
-            )
-
-        # PDE path (Section 3.1.2): shuffle into fine-grained buckets, read
-        # observed bucket sizes, then pick the reduce parallelism and
-        # optionally bin-pack buckets into balanced coalesced partitions.
-        fine = self.ctx.default_parallelism * FINE_GRAINED_FACTOR
-        if partials is None:
             partials = physical.partial_aggregate_rdd(
-                child, node.group_expressions, node.aggregates,
-                op=partial_op,
+                rows, node.group_expressions, node.aggregates, op=partial_op
             )
-        merged = physical.merge_partials(partials, node.aggregates, fine)
+        final_op = self.report.mode(
+            "aggregate.final", "vectorized" if vectorized else "row",
+            groups_est, groups_source,
+        )
 
-        if isinstance(merged, ShuffledRDD):
-            stats = self.ctx.materialize_dependency(merged.shuffle_dep)
-            sizes = stats.reduce_input_sizes()
-            total = sum(sizes)
-            reducers = choose_num_reducers(
-                total,
-                self.config.target_partition_bytes,
-                max_reducers=fine,
-            )
-            tracer = self.ctx.tracer
-            tracer.metrics.inc("pde.reducer_decisions")
-            tracer.instant(
-                "pde.decision",
-                "pde",
-                decision="num_reducers",
-                fine_buckets=fine,
-                reducers=reducers,
-                observed_bytes=total,
-            )
-            if reducers < fine:
-                if self.config.pde_skew_binpack:
-                    groups = pack_partitions(sizes, reducers)
-                    self.report.note(
-                        f"PDE: coalesced {fine} fine buckets into "
-                        f"{len(groups)} bin-packed reduce partitions "
-                        f"({total} observed bytes)"
-                    )
-                else:
-                    groups = [[] for _ in range(reducers)]
-                    for bucket in range(fine):
-                        groups[bucket % reducers].append(bucket)
-                    self.report.note(
-                        f"PDE: coalesced {fine} fine buckets into "
-                        f"{reducers} round-robin reduce partitions"
-                    )
-                merged = merged.coalesce_grouped(groups).set_name(
-                    "coalesced_aggregate"
-                )
-            else:
-                self.report.note(
-                    f"PDE: kept {fine} fine-grained reduce partitions "
-                    f"({total} observed bytes)"
-                )
+        pde = False
+        if not node.group_expressions:
+            reducers = 1  # no GROUP BY: all partials merge on one reducer
+        elif self.config.num_reducers is not None:
+            reducers = self.config.num_reducers
+        elif not self.config.enable_pde:
+            reducers = self.ctx.default_parallelism
+        else:
+            # PDE path (Section 3.1.2): shuffle into fine-grained buckets,
+            # read observed bucket sizes, then pick the reduce parallelism
+            # and optionally bin-pack buckets into balanced coalesced
+            # partitions.
+            pde = True
+            reducers = self.ctx.default_parallelism * FINE_GRAINED_FACTOR
+        exchanged = physical.exchange_partials(partials, num_keys, reducers)
+        if pde:
+            exchanged = self._coalesce_buckets(exchanged, reducers)
+        return _Flow(
+            physical.final_aggregate(
+                exchanged, num_keys, node.aggregates, final_op, vectorized
+            ),
+            batched=vectorized,
+        )
 
-        return physical.finish_aggregate(merged, node.aggregates, final_op)
+    def _coalesce_buckets(self, exchanged, fine: int) -> RDD:
+        stats = self.ctx.materialize_dependency(exchanged.shuffle_dep)
+        sizes = stats.reduce_input_sizes()
+        total = sum(sizes)
+        reducers = choose_num_reducers(
+            total,
+            self.config.target_partition_bytes,
+            max_reducers=fine,
+        )
+        tracer = self.ctx.tracer
+        tracer.metrics.inc("pde.reducer_decisions")
+        tracer.instant(
+            "pde.decision",
+            "pde",
+            decision="num_reducers",
+            fine_buckets=fine,
+            reducers=reducers,
+            observed_bytes=total,
+        )
+        if reducers >= fine:
+            self.report.note(
+                f"PDE: kept {fine} fine-grained reduce partitions "
+                f"({total} observed bytes)"
+            )
+            return exchanged
+        if self.config.pde_skew_binpack:
+            groups = pack_partitions(sizes, reducers)
+            self.report.note(
+                f"PDE: coalesced {fine} fine buckets into "
+                f"{len(groups)} bin-packed reduce partitions "
+                f"({total} observed bytes)"
+            )
+        else:
+            groups = [[] for _ in range(reducers)]
+            for bucket in range(fine):
+                groups[bucket % reducers].append(bucket)
+            self.report.note(
+                f"PDE: coalesced {fine} fine buckets into "
+                f"{reducers} round-robin reduce partitions"
+            )
+        # One fetch and one merge per coalesced partition.
+        return exchanged.coalesce_grouped(groups).set_name(
+            "coalesced_aggregate"
+        )
 
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _plan_join(self, node: logical.Join) -> RDD:
-        left_width = len(node.left.schema)
-        right_width = len(node.right.schema)
+    def _lower_join(self, node: logical.Join) -> _Flow:
         join_est, join_source = self._estimate_rows(node)
         join_op = self.report.mode(
             "join", "row", join_est, join_source, detail=node.join_type
@@ -756,17 +812,18 @@ class PhysicalPlanner:
             left = self._plan(node.left)
             right_rows = self._collect(self._plan(node.right))
             self.report.note("cross join: broadcasting right side")
-            return physical.cross_join(
-                self.ctx, left, right_rows, node.residual, op=join_op
+            return _Flow(
+                physical.cross_join(
+                    self.ctx, left, right_rows, len(node.right.schema),
+                    node.residual, op=join_op,
+                )
             )
 
         # 1. Co-partitioned join (Section 3.4).
         if self.config.enable_copartition_join and node.join_type == "inner":
-            planned = self._try_copartitioned(
-                node, left_width, right_width, join_op
-            )
+            planned = self._try_copartitioned(node, join_op)
             if planned is not None:
-                return planned
+                return _Flow(planned)
 
         # 2. Static size estimates.
         left_est = self._estimate_bytes(node.left)
@@ -787,39 +844,29 @@ class PhysicalPlanner:
             if decision.strategy != "shuffle":
                 self._record_join_decision(decision, "static")
                 self.report.note(f"static join selection: {decision.reason}")
-                return self._broadcast(node, decision.strategy,
-                                       left_width, right_width, join_op)
+                return self._broadcast(node, decision.strategy, join_op)
             if left_est is not None and right_est is not None:
                 # Both sides known and big: commit to a shuffle join.
                 self._record_join_decision(decision, "static")
                 self.report.note(f"static join selection: {decision.reason}")
-                return self._shuffle_join(
-                    node, left_width, right_width, join_op=join_op
-                )
+                return self._shuffle_join(node, join_op)
 
         # 3. Sizes unknown (fresh data / UDF filters): PDE (Section 3.1.1).
         if self.config.enable_pde and (
             left_broadcastable or right_broadcastable
         ):
             return self._pde_join(
-                node, left_width, right_width,
-                left_est, right_est,
+                node, left_est, right_est,
                 left_broadcastable, right_broadcastable,
                 join_op,
             )
 
         decision = JoinDecision("shuffle", "fallback: no PDE, no estimates")
         self._record_join_decision(decision, "fallback")
-        return self._shuffle_join(
-            node, left_width, right_width, join_op=join_op
-        )
+        return self._shuffle_join(node, join_op)
 
     def _try_copartitioned(
-        self,
-        node: logical.Join,
-        left_width: int,
-        right_width: int,
-        join_op: OperatorStamp,
+        self, node: logical.Join, join_op: OperatorStamp
     ) -> Optional[RDD]:
         if len(node.left_keys) != 1 or len(node.right_keys) != 1:
             return None
@@ -848,8 +895,8 @@ class PhysicalPlanner:
             node.left_keys,
             node.right_keys,
             node.join_type,
-            left_width,
-            right_width,
+            len(node.left.schema),
+            len(node.right.schema),
             node.residual,
             left_part,
             op=join_op,
@@ -859,70 +906,108 @@ class PhysicalPlanner:
         self,
         node: logical.Join,
         strategy: str,
-        left_width: int,
-        right_width: int,
-        join_op: Optional[OperatorStamp] = None,
-    ) -> RDD:
-        if strategy == "broadcast_right":
-            stream = self._plan(node.left)
-            build_rows = self._collect(self._plan(node.right))
-            return physical.broadcast_join(
-                self.ctx, stream, build_rows,
-                node.left_keys, node.right_keys,
-                node.join_type, True, left_width, right_width, node.residual,
-                op=join_op,
+        join_op: OperatorStamp,
+        build: Optional[ColumnBatch] = None,
+    ) -> _Flow:
+        """Map join: stream one side past the other, collected (here, or
+        already by PDE: ``build``) and broadcast.  Over an open batch
+        pipeline the probe is one more link of its chain."""
+        stream_is_left = strategy == "broadcast_right"
+        if stream_is_left:
+            stream_node, stream_keys = node.left, node.left_keys
+            build_node, build_keys = node.right, node.right_keys
+        else:
+            stream_node, stream_keys = node.right, node.right_keys
+            build_node, build_keys = node.left, node.left_keys
+        stream = self._lower(stream_node)
+        pipeline = stream.pipeline
+        if pipeline is None:
+            build_rows = (
+                self._collect(self._plan(build_node))
+                if build is None
+                else build.materialize_rows()
             )
-        stream = self._plan(node.right)
-        build_rows = self._collect(self._plan(node.left))
-        return physical.broadcast_join(
-            self.ctx, stream, build_rows,
-            node.right_keys, node.left_keys,
-            node.join_type, False, right_width, left_width, node.residual,
-            op=join_op,
+            return _Flow(
+                physical.broadcast_join(
+                    self.ctx, self._rows(stream), build_rows,
+                    stream_keys, build_keys, node.join_type, stream_is_left,
+                    len(stream_node.schema), len(build_node.schema),
+                    node.residual, op=join_op,
+                )
+            )
+        if build is None:
+            build = self._collect_batch(build_node)
+        link, interpreted = physical.broadcast_probe(
+            self.ctx, build, stream_keys, build_keys,
+            node.join_type, stream_is_left, node.residual,
+        )
+        self.report.set_mode(join_op, self._mode_detail(interpreted))
+        pipeline.chain.append(("join", link))
+        pipeline.chain_ops.append(join_op)
+        pipeline.est, pipeline.source = join_op.est_rows, join_op.est_source
+        return stream
+
+    def _collect_batch(self, node: logical.LogicalPlan) -> ColumnBatch:
+        """The rows of ``node`` as one batch, without building a row
+        where the plan yields batches."""
+        child, batched = self._either(self._lower(node))
+        if not batched:
+            return ColumnBatch.from_rows(
+                self._collect(child), len(node.schema)
+            )
+        return _concat_collected(self._collect(child), len(node.schema))
+
+    def _keyed(
+        self,
+        side: logical.LogicalPlan,
+        keys: list[BoundExpr],
+        partitioner: Partitioner,
+    ):
+        """The exchange of one shuffle-join side by its join keys."""
+        child, batched = self._either(self._lower(side))
+        return physical.keyed_batches(
+            child, batched, keys, len(side.schema), partitioner
         )
 
     def _shuffle_join(
         self,
         node: logical.Join,
-        left_width: int,
-        right_width: int,
+        join_op: OperatorStamp,
         pre_shuffled_left: Optional[RDD] = None,
         pre_shuffled_right: Optional[RDD] = None,
         partitioner: Optional[Partitioner] = None,
-        join_op: Optional[OperatorStamp] = None,
-    ) -> RDD:
+    ) -> _Flow:
         partitioner = partitioner or physical.default_partitioner(self.ctx)
-        left = None if pre_shuffled_left is not None else self._plan(node.left)
-        right = (
-            None if pre_shuffled_right is not None else self._plan(node.right)
-        )
-        return physical.shuffle_join(
-            self.ctx,
-            left,
-            right,
-            node.left_keys,
-            node.right_keys,
-            node.join_type,
-            left_width,
-            right_width,
-            node.residual,
-            partitioner,
-            pre_shuffled_left=pre_shuffled_left,
-            pre_shuffled_right=pre_shuffled_right,
-            op=join_op,
+        left = pre_shuffled_left
+        if left is None:
+            left = self._keyed(node.left, node.left_keys, partitioner)
+        right = pre_shuffled_right
+        if right is None:
+            right = self._keyed(node.right, node.right_keys, partitioner)
+        return _Flow(
+            physical.shuffle_join(
+                self.ctx,
+                left,
+                right,
+                node.join_type,
+                len(node.left.schema),
+                len(node.right.schema),
+                node.residual,
+                partitioner,
+                num_keys=len(node.left_keys),
+                op=join_op,
+            )
         )
 
     def _pde_join(
         self,
         node: logical.Join,
-        left_width: int,
-        right_width: int,
         left_est: Optional[int],
         right_est: Optional[int],
         left_broadcastable: bool,
         right_broadcastable: bool,
-        join_op: Optional[OperatorStamp] = None,
-    ) -> RDD:
+        join_op: OperatorStamp,
+    ) -> _Flow:
         """Pre-shuffle the likely-small side, observe, then decide.
 
         "If the optimizer has a prior belief that a particular join input
@@ -942,9 +1027,10 @@ class PhysicalPlanner:
             side_plan, keys = node.left, node.left_keys
         else:
             side_plan, keys = node.right, node.right_keys
-        side_rdd = self._plan(side_plan)
+        side, batched = self._either(self._lower(side_plan))
         pre_shuffled, dep = physical.pre_shuffle_side(
-            self.ctx, side_rdd, keys, partitioner
+            self.ctx, side, keys, partitioner,
+            batched=batched, width=len(side_plan.schema),
         )
         observed = self.ctx.shuffle_manager.stats(dep.shuffle_id)
         observed_bytes = observed.total_output_bytes()
@@ -970,38 +1056,23 @@ class PhysicalPlanner:
 
         wanted = "broadcast_left" if probe_left else "broadcast_right"
         if decision.strategy == wanted:
-            # Collect the pre-shuffled (key, row) pairs — the map outputs
-            # are already materialized, so this is a cheap narrow read.
-            build_rows = [row for __, row in self._collect(pre_shuffled)]
-            if probe_left:
-                stream = self._plan(node.right)
-                return physical.broadcast_join(
-                    self.ctx, stream, build_rows,
-                    node.right_keys, node.left_keys,
-                    node.join_type, False, right_width, left_width,
-                    node.residual,
-                    op=join_op,
-                )
-            stream = self._plan(node.left)
-            return physical.broadcast_join(
-                self.ctx, stream, build_rows,
-                node.left_keys, node.right_keys,
-                node.join_type, True, left_width, right_width,
-                node.residual,
-                op=join_op,
+            # Collect the pre-shuffled rows — the map outputs are already
+            # materialized, so this is a cheap narrow read.
+            build = _concat_collected(
+                self._collect(pre_shuffled), len(side_plan.schema)
             )
+            return self._broadcast(node, wanted, join_op, build=build)
 
         # Shuffle join, reusing the already-shuffled side.
+        pairs = physical.pre_shuffled_pairs(pre_shuffled)
         if probe_left:
             return self._shuffle_join(
-                node, left_width, right_width,
-                pre_shuffled_left=pre_shuffled, partitioner=partitioner,
-                join_op=join_op,
+                node, join_op, pre_shuffled_left=pairs,
+                partitioner=partitioner,
             )
         return self._shuffle_join(
-            node, left_width, right_width,
-            pre_shuffled_right=pre_shuffled, partitioner=partitioner,
-            join_op=join_op,
+            node, join_op, pre_shuffled_right=pairs,
+            partitioner=partitioner,
         )
 
     # ------------------------------------------------------------------
@@ -1148,6 +1219,14 @@ class PhysicalPlanner:
 
     def _collect(self, rdd: RDD) -> list:
         return rdd.collect()
+
+
+def _concat_collected(batches: list, width: int) -> ColumnBatch:
+    """Collected batches as one, of the ``width`` row columns."""
+    batch = ColumnBatch.concat([b for b in batches if b.num_rows])
+    if not batch.num_rows:
+        return ColumnBatch.from_rows([], width)
+    return ColumnBatch(batch.entries[:width], batch.num_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.sql.planner import (
     PlannerConfig,
 )
 from repro.storage import DistributedFileStore, HdfsRDD
-from repro.storage.scan import stored_paths
+from repro.storage.scan import lineage_reads
 
 
 @dataclass
@@ -105,9 +105,11 @@ class SqlSession:
             from repro.sql.journal import MasterJournal
 
             self.journal = MasterJournal(self.store)
-        #: Warehouse files of dropped tables that a dependent cached
-        #: table's lineage still reads; see _reap_dropped_files.
+        #: Warehouse files of dropped tables, and shuffles a dropped
+        #: table's lineage read, that a dependent cached table's lineage
+        #: still reads; see _reap_dropped.
         self._dropped_paths: set[str] = set()
+        self._dropped_shuffles: set[int] = set()
         #: True while executing a journaled statement, so internal
         #: load_rows calls are not double-journaled.
         self._in_statement = False
@@ -495,33 +497,43 @@ class SqlSession:
 
     def _drop_table(self, statement: ast.DropTable) -> QueryResult:
         name = statement.name
+        entry = self.catalog.get(name) if self.catalog.exists(name) else None
         if self.catalog.drop(name, if_exists=statement.if_exists):
             # The table owns its warehouse file (an external table's
-            # data, or what CACHE TABLE read it from): it goes with it.
+            # data, or what CACHE TABLE read it from) and the shuffles
+            # its lineage reads (CTAS ... GROUP BY / DISTRIBUTE BY kept
+            # their map outputs for it): they go with it.
             self._dropped_paths.add(self._table_path(name))
-            self._reap_dropped_files()
+            if entry.cached_rdd is not None:
+                self._dropped_shuffles |= lineage_reads(entry.cached_rdd)[1]
+            self._reap_dropped()
         return _status(f"dropped {name}")
 
-    def _reap_dropped_files(self) -> None:
-        """Delete dropped tables' files, except those a live cached
-        table's lineage still reads (CTAS / CACHE TABLE from the dropped
-        table): recomputing a lost partition needs them, so they go when
-        the last such dependent is dropped."""
+    def _reap_dropped(self) -> None:
+        """Delete dropped tables' files and release the map outputs they
+        kept, except those a live cached table's lineage still reads
+        (CTAS / CACHE TABLE from the dropped table): recomputing a lost
+        partition needs them, so they go when the last such dependent is
+        dropped."""
         entries = list(map(self.catalog.get, self.catalog.table_names()))
         # A name created again since owns its path again.
         self._dropped_paths.difference_update(
             entry.path for entry in entries
         )
-        pinned = set().union(
-            *(
-                stored_paths(entry.cached_rdd)
-                for entry in entries
-                if entry.cached_rdd is not None
-            )
-        )
-        for path in self._dropped_paths - pinned:
+        pinned_paths: set[str] = set()
+        pinned_shuffles: set[int] = set()
+        for entry in entries:
+            if entry.cached_rdd is not None:
+                paths, shuffles = lineage_reads(entry.cached_rdd)
+                pinned_paths |= paths
+                pinned_shuffles |= shuffles
+        for path in self._dropped_paths - pinned_paths:
             self.store.delete(path)
-        self._dropped_paths &= pinned
+        self._dropped_paths &= pinned_paths
+        self.ctx.scheduler.release_query_shuffles(
+            self._dropped_shuffles - pinned_shuffles
+        )
+        self._dropped_shuffles &= pinned_shuffles
 
     def _cache_table(self, statement: ast.CacheTable) -> QueryResult:
         entry = self.catalog.get(statement.name)
@@ -623,7 +635,9 @@ class SqlSession:
                 entry.schema.fields[index].data_type,
                 entry.distribute_column,
             )
-            rdd = phys.repartition_rows(rdd, [key], entry.partitioner)
+            rdd = phys.repartition_rows(
+                rdd, [key], entry.partitioner, width=len(entry.schema)
+            )
         if entry.is_cached:
             self._materialize_cached(entry, rdd, append=True)
         else:

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING
 from repro.columnar.serde import BinarySerde, TextSerde
 from repro.costmodel.models import SOURCE_DISK
 from repro.datatypes import Schema
+from repro.engine.dependencies import ShuffleDependency
 from repro.engine.rdd import RDD
 from repro.errors import StorageError
 
@@ -83,10 +84,12 @@ class _HdfsColumnsRDD(HdfsRDD):
         return [columns], len(columns[0])
 
 
-def stored_paths(rdd: RDD) -> set[str]:
-    """Paths of the stored files ``rdd``'s lineage reads (what recomputing
-    a lost partition of it needs to still exist)."""
+def lineage_reads(rdd: RDD) -> tuple[set[str], set[int]]:
+    """What recomputing a lost partition of ``rdd`` needs to still
+    exist: the paths of the stored files its lineage reads, and the ids
+    of the shuffles whose map outputs it fetches."""
     paths: set[str] = set()
+    shuffles: set[int] = set()
     seen: set[int] = set()
     stack = [rdd]
     while stack:
@@ -96,5 +99,8 @@ def stored_paths(rdd: RDD) -> set[str]:
         seen.add(node.id)
         if isinstance(node, HdfsRDD):
             paths.add(node._path)
-        stack.extend(dep.rdd for dep in node.dependencies)
-    return paths
+        for dep in node.dependencies:
+            if isinstance(dep, ShuffleDependency):
+                shuffles.add(dep.shuffle_id)
+            stack.append(dep.rdd)
+    return paths, shuffles

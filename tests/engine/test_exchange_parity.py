@@ -5,15 +5,24 @@ keyed batch (DESIGN §17).  Every batch routine is pinned here to the
 per-record definition it replaced:
 
 (a) ``Partitioner.partition_many(keys)`` equals ``partition(key)`` per
-    key, for every partitioner and every key type the shuffle carries;
+    key, for every partitioner and every key type the shuffle carries,
+    and ``partition_batch`` — ids taken from a keyed batch's key
+    *vectors*: arrays, lists, coded columns, composite keys — equals
+    both;
 (b) the native ORDER BY keys sort exactly as the old per-row comparator
     object did — it lives on in this file as :class:`ReferenceSortKey`,
     the reference — through SQL in both vectorize modes, and capped
     (``ExternalSorter`` spilled runs) equals uncapped;
-(c) ``shuffle_skew`` event-log records equal the parent commit's
-    (``fixtures/shuffle_skew_parent.jsonl``; an ORDER BY exchange's
-    differs in its shrunken ``bytes`` alone), are exactly-once under
-    map-task re-execution, and cost nothing while nobody asks for them.
+(c) ``shuffle_skew`` event-log records keep the parent commit's rows,
+    heavy keys, row skew and key labels
+    (``fixtures/shuffle_skew_parent.jsonl``) while their byte-derived
+    fields are the pinned encoded sizes, never above the parent's; they
+    are exactly-once under map-task re-execution, and cost nothing
+    while nobody asks for them;
+(d) what crosses an exchange does not depend on the execution mode:
+    the same statement under ``vectorize`` on and off stores the same
+    rows in the same buckets weighing the same bytes, and a reduce side
+    reads exactly the bytes the map side wrote.
 
 Regenerating the fixture (only ever from the commit *before* a change
 to the exchange)::
@@ -27,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 from operator import itemgetter
@@ -42,6 +52,11 @@ if str(_ROOT) not in sys.path:  # run as a script: make ``tests.*`` importable
     sys.path.insert(0, str(_ROOT))
 
 from repro import SharkContext  # noqa: E402
+from repro.columnar.batch import (  # noqa: E402
+    CodedVector,
+    ColumnBatch,
+    Vector,
+)
 from repro.datatypes import (  # noqa: E402
     BOOLEAN,
     DATE,
@@ -173,6 +188,67 @@ def test_function_partition_many_matches_partition(keys, num_partitions):
     assert partitioner.partition_many(keys) == [
         partitioner.partition(key) for key in keys
     ]
+
+
+def _key_columns(keys: list) -> tuple[list[list], object]:
+    """Keys as the columns of a keyed batch plus their ordinals: tuples
+    of one width become one column per item (a composite key), anything
+    else a single column."""
+    widths = {len(key) if type(key) is tuple else None for key in keys}
+    if len(widths) == 1 and None not in widths and keys:
+        width = widths.pop()
+        if width:
+            return [list(column) for column in zip(*keys)], tuple(range(width))
+    return [list(keys)], 0
+
+
+def _coded(column: list) -> Vector:
+    """The column as codes over its distinct values."""
+    if not column:
+        return Vector.from_values(column)
+    entries: dict = {}
+    for value in column:
+        entries.setdefault((type(value), repr(value)), value)
+    code_of = {entry: code for code, entry in enumerate(entries)}
+    codes = np.array(
+        [code_of[(type(value), repr(value))] for value in column],
+        dtype=np.int64,
+    )
+    return CodedVector(codes, Vector.from_values(list(entries.values())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=_BATCHES, num_partitions=st.integers(1, 9), data=st.data())
+def test_partition_batch_matches_partition(keys, num_partitions, data):
+    """Partition ids from key vectors — as lists, typed arrays, coded
+    columns; one column or a composite of them — are ``partition(key)``
+    of the key each row stands for."""
+    columns, key = _key_columns(keys)
+    partitioners = [
+        HashPartitioner(num_partitions),
+        FunctionPartitioner(
+            num_partitions, lambda k: stable_hash(k) // 3, label="thirds"
+        ),
+    ]
+    try:
+        bounds = sorted(
+            data.draw(st.lists(st.sampled_from(keys), max_size=4))
+            if keys
+            else []
+        )
+        # A range partitioner takes mutually ordered keys.
+        sorted(keys), [key < key for key in keys]
+        partitioners.append(RangePartitioner(bounds))
+        partitioners.append(RangePartitioner(bounds, ascending=False))
+    except TypeError:
+        pass
+    for form in (Vector, Vector.from_values, _coded):
+        batch = ColumnBatch([form(list(c)) for c in columns], len(keys))
+        assert list(map(repr, batch.values(key))) == list(map(repr, keys))
+        for partitioner in partitioners:
+            got = partitioner.partition_batch(batch, key)
+            want = [partitioner.partition(k) for k in batch.values(key)]
+            assert got.tolist() == want, (form, partitioner)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +387,7 @@ def test_order_by_expression_key_matches_reference(sort_shark):
 
 @pytest.mark.parametrize("order_by", [o for o, __ in _ORDERINGS])
 def test_capped_sort_spills_and_equals_uncapped(sort_shark, order_by):
-    capped = _sort_shark(memory_per_worker_bytes=8 * 1024)
+    capped = _sort_shark(memory_per_worker_bytes=4 * 1024)
     text = f"SELECT * FROM t ORDER BY {order_by}"
     want = sort_shark.sql(text).rows
     got = capped.sql(text).rows
@@ -391,9 +467,12 @@ def test_sort_partitioner_is_hashable_and_comparable(sort_shark):
 # ---------------------------------------------------------------------------
 
 
-def _skew_lines(tmp_dir: Path, **context_kwargs) -> list[dict]:
+def _skew_lines(
+    tmp_dir: Path, vectorize: bool = True, **context_kwargs
+) -> list[dict]:
     """The ``shuffle_skew`` event-log records of the TPC-H + Pavlo set."""
     shark = _build(True, 4, **context_kwargs)
+    shark.session.config = replace(shark.session.config, vectorize=vectorize)
     path = tmp_dir / "skew.jsonl"
     shark.enable_event_log(path, source="exchange-parity")
     for name in sorted(QUERIES):
@@ -413,13 +492,36 @@ def _timeless(record: dict) -> dict:
     return {k: v for k, v in record.items() if k not in ("ts", "seq")}
 
 
-#: What an ORDER BY exchange ships now that its keys are plain tuples
-#: rather than pickled comparator objects, by ``query_id``: the only
-#: fields of its record that differ from the parent commit's.
-_SORT_EXCHANGE_BYTES = {
-    "q0009": [136, 76, 76, 76, 76, 5],  # parent: 796 bytes in total
-    "q0010": [482, 441, 442, 442, 437, 441, 443, 477],  # parent: 5481
+#: ``total_bytes`` of every exchange of the TPC-H + Pavlo set, by
+#: ``(query_id, shuffle_id)``, now that a bucket weighs its encoded
+#: batch (DESIGN §17) instead of its pickled pairs — pinned on purpose:
+#: these feed PDE's decisions and every simulated-clock number.
+_EXCHANGE_BYTES = {
+    ("q0000", 0): 11220,  # parent: 15403
+    ("q0001", 0): 1556,  # 2728
+    ("q0002", 0): 4102,  # 6064
+    ("q0004", 0): 36,  # 96
+    ("q0005", 0): 14034,  # 61596
+    ("q0006", 0): 484,  # 1376
+    ("q0007", 0): 6565,  # 23591
+    ("q0009", 0): 1406,  # 2272
+    ("q0009", 1): 329,  # 796
+    ("q0010", 0): 413,  # 737
+    ("q0010", 1): 1645,  # 4824
+    ("q0010", 2): 1220,  # 5481
+    ("q0011", 0): 60,  # 120
 }
+
+#: ... and bucket by bucket for the two ORDER BY exchanges (Q1's, Q3's),
+#: which no longer ship a sort key beside the row.  An empty bucket is
+#: 0 bytes.
+_SORT_EXCHANGE_BYTES = {
+    ("q0009", 1): [101, 57, 57, 57, 57, 0],
+    ("q0010", 2): [163, 149, 149, 149, 149, 149, 149, 163],
+}
+
+#: The fields of a record derived from its buckets' bytes.
+_BYTE_FIELDS = ("bytes", "total_bytes", "byte_skew")
 
 
 def test_skew_records_match_parent_commit(tmp_path):
@@ -430,24 +532,19 @@ def test_skew_records_match_parent_commit(tmp_path):
     assert len(current) == len(parent)
     sort_exchanges = []
     for got, want in zip(current, parent):
-        assert got["seq"] == want["seq"]
+        key = (got["query_id"], got["shuffle_id"])
+        # Same rows in the same buckets under the same labels ...
+        for name in set(want) - set(_BYTE_FIELDS) - {"ts", "seq"}:
+            assert got[name] == want[name], (key, name)
+        # ... weighing the pinned bytes, never more than at the parent.
+        sizes = got["bytes"]
+        assert got["total_bytes"] == sum(sizes) == _EXCHANGE_BYTES[key]
+        assert got["total_bytes"] <= want["total_bytes"]
+        assert got["byte_skew"] == max(sizes) / (sum(sizes) / len(sizes))
+        assert [size > 0 for size in sizes] == [n > 0 for n in got["rows"]]
         if want["heavy_keys"][0][0] == shuffle.SORT_KEY_LABEL:
-            # Same rows in the same buckets under the same label; only
-            # the bytes shrink.
-            sort_exchanges.append(got["query_id"])
-            sizes = _SORT_EXCHANGE_BYTES[got["query_id"]]
-            assert got["bytes"] == sizes
-            assert all(g <= w for g, w in zip(sizes, want["bytes"]))
-            mean = sum(sizes) / len(sizes)
-            want = {
-                **want,
-                "bytes": sizes,
-                "total_bytes": sum(sizes),
-                "byte_skew": max(sizes) / mean,
-            }
-        assert json.dumps(_timeless(got), sort_keys=True) == json.dumps(
-            _timeless(want), sort_keys=True
-        )
+            sort_exchanges.append(key)
+            assert sizes == _SORT_EXCHANGE_BYTES[key]
     assert sort_exchanges == sorted(_SORT_EXCHANGE_BYTES)  # Q1 and Q3
 
 
@@ -507,6 +604,113 @@ def test_no_key_is_labelled_unless_skew_is_asked_for(monkeypatch, tmp_path):
     shark.sql(QUERIES["tpch_agg_7"].rstrip())
     shark.close_event_log()
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# (d) one exchange, whatever the mode: same rows, same buckets, same bytes
+# ---------------------------------------------------------------------------
+
+
+_WRITE_MAP_OUTPUT = shuffle.ShuffleManager.write_map_output
+_FETCH = shuffle.ShuffleManager.fetch
+
+
+def _stored_exchanges(vectorize: bool, monkeypatch) -> dict:
+    """Every exchange of the TPC-H + Pavlo set as it was stored and read:
+    ``stored[(query, exchange ordinal, map partition)]`` is one
+    ``(rows, bytes)`` per bucket, ``fetches[(query, exchange ordinal)]``
+    how often each bucket was fetched, ``counters[query]`` the query's
+    ``shuffle.{write,read}.bytes``."""
+    shark = _build(True, 4)
+    shark.session.config = replace(shark.session.config, vectorize=vectorize)
+    stored: dict = {}
+    fetches: dict = {}
+    counters: dict = {}
+    seen: list = []
+    current = [None]
+
+    def recording(self, dep, map_partition, worker_id, batch, metrics=None):
+        _WRITE_MAP_OUTPUT(self, dep, map_partition, worker_id, batch, metrics)
+        if dep.shuffle_id not in seen:
+            seen.append(dep.shuffle_id)
+        block = self._cluster.worker(worker_id).blocks.get(
+            f"shuffle_{dep.shuffle_id}_{map_partition}"
+        )
+        rows = block.batch.materialize_rows()
+        stored[(current[0], seen.index(dep.shuffle_id), map_partition)] = [
+            (list(map(repr, rows[start:stop])), size)
+            for start, stop, size in zip(
+                block.offsets, block.offsets[1:], block.sizes
+            )
+        ]
+
+    def counting(self, shuffle_id, reduce_partitions, metrics=None):
+        fetched = _FETCH(self, shuffle_id, reduce_partitions, metrics)
+        if isinstance(reduce_partitions, int):
+            reduce_partitions = [reduce_partitions]
+        counts = fetches.setdefault(
+            (current[0], seen.index(shuffle_id)), Counter()
+        )
+        counts.update(reduce_partitions)
+        return fetched
+
+    monkeypatch.setattr(shuffle.ShuffleManager, "write_map_output", recording)
+    monkeypatch.setattr(shuffle.ShuffleManager, "fetch", counting)
+    for name in sorted(QUERIES):
+        current[0] = name
+        del seen[:]
+        before = [
+            shark.metrics.value(f"shuffle.{side}.bytes")
+            for side in ("write", "read")
+        ]
+        shark.sql(QUERIES[name].rstrip())
+        counters[name] = tuple(
+            shark.metrics.value(f"shuffle.{side}.bytes") - was
+            for side, was in zip(("write", "read"), before)
+        )
+    assert not shark.engine.shuffle_manager.registered_block_ids()
+    return {"stored": stored, "fetches": fetches, "counters": counters}
+
+
+def test_both_modes_ship_identical_buckets(monkeypatch):
+    vectorized = _stored_exchanges(True, monkeypatch)
+    row_mode = _stored_exchanges(False, monkeypatch)
+    assert vectorized["stored"].keys() == row_mode["stored"].keys()
+    assert len(vectorized["stored"]) > 40
+    for key, buckets in vectorized["stored"].items():
+        # The same rows, in the same order, in the same buckets ...
+        assert [rows for rows, __ in buckets] == [
+            rows for rows, __ in row_mode["stored"][key]
+        ], key
+        # ... at the same encoded sizes: the size rule reads values,
+        # not the arrays, lists or codes that held them.
+        assert [size for __, size in buckets] == [
+            size for __, size in row_mode["stored"][key]
+        ], key
+    assert vectorized["fetches"] == row_mode["fetches"]
+    assert vectorized["counters"] == row_mode["counters"]
+
+
+def test_reduce_side_reads_the_bytes_the_map_side_wrote(monkeypatch):
+    """A fetch is charged the recorded sizes of its buckets, so the read
+    bytes of a query sum to the written bytes of each of its exchanges
+    times the exchange's consumers (one, but for what an ORDER BY's two
+    sampling jobs read again beneath it)."""
+    observed = _stored_exchanges(True, monkeypatch)
+    written: Counter = Counter()
+    for (name, exchange, __), buckets in observed["stored"].items():
+        written[(name, exchange)] += sum(size for __, size in buckets)
+    expected_reads: Counter = Counter()
+    for (name, exchange), counts in observed["fetches"].items():
+        consumers = set(counts.values())
+        assert len(consumers) == 1, (name, exchange)  # whole reads only
+        expected_reads[name] += consumers.pop() * written[(name, exchange)]
+    for name, (write_bytes, read_bytes) in observed["counters"].items():
+        assert write_bytes == sum(
+            size for key, size in written.items() if key[0] == name
+        )
+        assert read_bytes == expected_reads[name], name
+    assert sum(1 for size in written.values() if size) >= 10
 
 
 if __name__ == "__main__":

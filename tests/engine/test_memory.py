@@ -148,7 +148,7 @@ class TestLedgerInvariants:
 
 class TestPressure:
     def test_cap_breach_emits_pressure_but_never_fails(self):
-        shark = _build_shark(memory_per_worker_bytes=4_000)
+        shark = _build_shark(memory_per_worker_bytes=600)
         result = dict(
             shark.sql(
                 "SELECT bucket, COUNT(*) FROM readings GROUP BY bucket"
@@ -207,7 +207,7 @@ class TestWatermarkRoundTrip:
 
     def test_history_surfaces_consumers_and_report(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        shark = _build_shark(memory_per_worker_bytes=4_000)
+        shark = _build_shark(memory_per_worker_bytes=600)
         shark.enable_event_log(path, source="test", seed=1)
         for query in QUERIES:
             shark.sql(query)
@@ -226,7 +226,7 @@ class TestWatermarkRoundTrip:
 
 class TestSurfacing:
     def test_explain_analyze_has_memory_section(self):
-        shark = _build_shark(memory_per_worker_bytes=4_000)
+        shark = _build_shark(memory_per_worker_bytes=600)
         text = shark.explain_analyze(
             "SELECT bucket, COUNT(*) FROM readings GROUP BY bucket"
         )

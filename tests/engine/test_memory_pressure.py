@@ -124,7 +124,7 @@ class TestEvictionThenRecompute:
         # Small enough that the cached columnar partitions cannot all
         # fit: every query re-reads some partitions through lineage.
         shark = SharkContext(
-            num_workers=2, memory_per_worker_bytes=2_500
+            num_workers=2, memory_per_worker_bytes=1_000
         )
         shark.create_table(
             "t", Schema.of(("g", STRING), ("v", INT)), cached=True

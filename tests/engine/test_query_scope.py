@@ -154,6 +154,49 @@ class TestLineageKeepsWhatItReads:
         assert after["stages"] == kept["stages"]
         assert after["execution_bytes"] == 0 and after["clamped"] == 0
 
+    @pytest.mark.parametrize(
+        "select",
+        [AGG, "SELECT * FROM readings DISTRIBUTE BY day"],
+        ids=["group_by", "distribute_by"],
+    )
+    def test_dropped_table_gives_its_shuffles_back(self, select):
+        shark = _build_shark()
+        shark.sql(
+            "CREATE TABLE kept TBLPROPERTIES ('shark.cache'='true') AS "
+            + select
+        )
+        assert engine_holds(shark)["registered"]  # its lineage reads them
+        shark.sql("DROP TABLE kept")
+        assert engine_holds(shark) == NOTHING
+
+    def test_drop_waits_for_the_last_dependent_table(self):
+        # ``copy``'s lineage reads ``spread``'s blocks, which read the
+        # DISTRIBUTE BY shuffle: dropping ``spread`` must leave its map
+        # outputs until ``copy`` goes too.
+        shark = _build_shark(fault_injector=FaultInjector(seed=3))
+        shark.sql(
+            "CREATE TABLE spread TBLPROPERTIES ('shark.cache'='true') "
+            "AS SELECT * FROM readings DISTRIBUTE BY day"
+        )
+        shark.sql(
+            "CREATE TABLE copy TBLPROPERTIES ('shark.cache'='true') "
+            "AS SELECT * FROM spread"
+        )
+        kept = engine_holds(shark)
+        shark.sql("DROP TABLE spread")
+        assert engine_holds(shark) == kept
+        # Drop the source, then lose a worker: the dependent recomputes
+        # its lost partitions through the shuffle it kept alive.
+        text = AGG.replace("readings", "copy")
+        reference = sorted(_build_shark().sql(AGG).rows)
+        shark.engine.inject_failure(worker_id=2, after_tasks=3)
+        assert sorted(shark.sql(text).rows) == reference
+        assert not shark.engine.cluster.worker(2).alive
+        assert shark.metrics.value("tasks.recovered") > 0
+        assert engine_holds(shark)["registered"] == kept["registered"]
+        shark.sql("DROP TABLE copy")
+        assert engine_holds(shark) == NOTHING
+
     def test_sql2rdd_plan_survives_other_statements(self):
         shark = _build_shark()
         table_rdd = shark.sql2rdd(AGG)

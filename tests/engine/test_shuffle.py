@@ -13,6 +13,13 @@ from repro.engine.shuffle import ShuffleManager
 from repro.errors import FetchFailedError
 
 
+def _write(manager, dep, map_partition, worker_id, records):
+    """What a map task does: hand over its records as one keyed batch."""
+    manager.write_map_output(
+        dep, map_partition, worker_id, dep.keyed_batch(records)
+    )
+
+
 def _make_dep(ctx, num_reduces=4, **kwargs):
     parent = ctx.parallelize([(i, 1) for i in range(20)], 2)
     return parent, ShuffleDependency(
@@ -26,28 +33,28 @@ class TestWriteAndFetch:
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=2)
         records = [(i, i * 10) for i in range(12)]
-        manager.write_map_output(dep, 0, 0, records[:6])
-        manager.write_map_output(dep, 1, 1, records[6:])
+        _write(manager, dep, 0, 0, records[:6])
+        _write(manager, dep, 1, 1, records[6:])
         fetched = []
         for reduce_partition in range(4):
-            fetched.extend(manager.fetch(dep.shuffle_id, reduce_partition))
+            fetched.extend(dep.records(manager.fetch(dep.shuffle_id, reduce_partition)))
         assert sorted(fetched) == sorted(records)
 
     def test_bucketing_respects_partitioner(self, ctx):
         parent, dep = _make_dep(ctx, num_reduces=3)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=1)
-        manager.write_map_output(dep, 0, 0, [(i, None) for i in range(30)])
+        _write(manager, dep, 0, 0, [(i, None) for i in range(30)])
         partitioner = dep.partitioner
         for reduce_partition in range(3):
-            for key, __ in manager.fetch(dep.shuffle_id, reduce_partition):
+            for key, __ in dep.records(manager.fetch(dep.shuffle_id, reduce_partition)):
                 assert partitioner.partition(key) == reduce_partition
 
     def test_register_idempotent(self, ctx):
         parent, dep = _make_dep(ctx)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=2)
-        manager.write_map_output(dep, 0, 0, [(1, 1)])
+        _write(manager, dep, 0, 0, [(1, 1)])
         manager.register(dep, num_maps=2)  # must not wipe outputs
         assert manager.missing_maps(dep.shuffle_id) == [1]
 
@@ -63,8 +70,7 @@ class TestMapSideCombine:
         )
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=1)
-        manager.write_map_output(
-            dep, 0, 0, [("k", 1)] * 100 + [("j", 2)] * 50
+        _write(manager, dep, 0, 0, [("k", 1)] * 100 + [("j", 2)] * 50
         )
         stats = manager.stats(dep.shuffle_id)
         # 150 input records collapse to 2 combined records.
@@ -76,8 +82,7 @@ class TestStatistics:
         parent, dep = _make_dep(ctx)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=1)
-        manager.write_map_output(
-            dep, 0, 0, [(i, "x" * 50) for i in range(100)]
+        _write(manager, dep, 0, 0, [(i, "x" * 50) for i in range(100)]
         )
         stats = manager.stats(dep.shuffle_id)
         total = stats.map_output_bytes(0)
@@ -90,8 +95,8 @@ class TestStatistics:
         parent, dep = _make_dep(ctx, num_reduces=2)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=2)
-        manager.write_map_output(dep, 0, 0, [(0, "a")])
-        manager.write_map_output(dep, 1, 1, [(0, "b"), (1, "c")])
+        _write(manager, dep, 0, 0, [(0, "a")])
+        _write(manager, dep, 1, 1, [(0, "b"), (1, "c")])
         sizes = stats = manager.stats(dep.shuffle_id).reduce_input_sizes()
         assert len(sizes) == 2
         assert all(size >= 0 for size in sizes)
@@ -103,8 +108,8 @@ class TestStatistics:
         )
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=2)
-        manager.write_map_output(dep, 0, 0, [("hot", 1)] * 30 + [("a", 1)])
-        manager.write_map_output(dep, 1, 1, [("hot", 1)] * 20 + [("b", 1)])
+        _write(manager, dep, 0, 0, [("hot", 1)] * 30 + [("a", 1)])
+        _write(manager, dep, 1, 1, [("hot", 1)] * 20 + [("b", 1)])
         stats = manager.stats(dep.shuffle_id)
         assert stats.custom["record_counts"] == 52
         hitters = stats.custom["heavy_hitters"]
@@ -116,7 +121,7 @@ class TestFailures:
         parent, dep = _make_dep(ctx)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=1)
-        manager.write_map_output(dep, 0, 2, [(1, 1)])
+        _write(manager, dep, 0, 2, [(1, 1)])
         ctx.cluster.kill_worker(2)
         with pytest.raises(FetchFailedError) as info:
             manager.fetch(dep.shuffle_id, 0)
@@ -126,9 +131,9 @@ class TestFailures:
         parent, dep = _make_dep(ctx)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=3)
-        manager.write_map_output(dep, 0, 0, [(1, 1)])
-        manager.write_map_output(dep, 1, 1, [(2, 2)])
-        manager.write_map_output(dep, 2, 1, [(3, 3)])
+        _write(manager, dep, 0, 0, [(1, 1)])
+        _write(manager, dep, 1, 1, [(2, 2)])
+        _write(manager, dep, 2, 1, [(3, 3)])
         assert manager.missing_maps(dep.shuffle_id) == []
         ctx.cluster.kill_worker(1)
         assert manager.missing_maps(dep.shuffle_id) == [1, 2]
@@ -137,10 +142,10 @@ class TestFailures:
         parent, dep = _make_dep(ctx)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=1)
-        manager.write_map_output(dep, 0, 1, [(1, 1)])
+        _write(manager, dep, 0, 1, [(1, 1)])
         ctx.cluster.kill_worker(1)
         assert manager.missing_maps(dep.shuffle_id) == [0]
-        manager.write_map_output(dep, 0, 0, [(1, 1)])
+        _write(manager, dep, 0, 0, [(1, 1)])
         assert manager.missing_maps(dep.shuffle_id) == []
 
 

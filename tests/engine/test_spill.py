@@ -8,8 +8,8 @@ Covers the enforcement path PR'd on top of the observe-only accountant:
 * :class:`~repro.engine.spill.SpillableGroups` spills whole buckets,
   replays raw rows in arrival order, and returns results identical to
   the never-spilled path;
-* :class:`~repro.engine.spill.ExternalSorter` run generation + k-way
-  merge equals one stable sort;
+* :class:`~repro.engine.spill.ExternalSorter` spilled runs + tail
+  re-sorted equal one stable sort;
 * spill traffic is attributed (``memory.spill.*`` counters, per-owner
   rows) and ``BlockStore.evict_up_to`` never touches pinned blocks;
 * the corrupted-fetch regression: the shuffle manager reports a map
@@ -21,6 +21,7 @@ import zlib
 import pytest
 
 from repro.cluster.worker import BlockStore
+from repro.columnar.batch import ColumnBatch
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.memory import (
     EXECUTION,
@@ -201,31 +202,48 @@ class TestSpillableGroups:
         assert state.spill(1000) == (0, 0, 0)
 
 
+def _by_first_column(reverse=False):
+    """Stable sorting permutation of a batch by its column 0."""
+
+    def order(batch):
+        keys = batch.vector(0).to_python_list()
+        return sorted(
+            range(batch.num_rows), key=keys.__getitem__, reverse=reverse
+        )
+
+    return order
+
+
+def _batch(items):
+    """``(key, payload)`` items as a two-column batch."""
+    return ColumnBatch.from_rows(items, 2)
+
+
 class TestExternalSorter:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_merge_equals_single_stable_sort(self, reverse):
         items = [(i % 7, f"item{i}") for i in range(500)]
-        sorter = ExternalSorter(key=lambda p: p[0], reverse=reverse)
+        sorter = ExternalSorter(_by_first_column(reverse))
         for i, item in enumerate(items):
-            sorter.extend([item])
+            sorter.extend(_batch([item]))
             if i in (99, 299):
                 sorter.spill(10 ** 9)
         expected = sorted(items, key=lambda p: p[0], reverse=reverse)
-        # Stable: equal keys keep arrival order even across run merges.
-        assert sorter.finish() == expected
+        # Stable: equal keys keep arrival order even across spilled runs.
+        assert sorter.finish().materialize_rows() == expected
 
     def test_no_spill_is_plain_sort(self):
-        sorter = ExternalSorter()
-        sorter.extend([5, 3, 9, 1])
-        assert sorter.finish() == [1, 3, 5, 9]
+        sorter = ExternalSorter(_by_first_column())
+        sorter.extend(ColumnBatch.from_columns([[5, 3, 9, 1]]))
+        assert sorter.finish().materialize_rows() == [(1,), (3,), (5,), (9,)]
 
     def test_spill_empty_buffer_is_noop(self):
-        sorter = ExternalSorter()
+        sorter = ExternalSorter(_by_first_column())
         assert sorter.spill(100) == (0, 0, 0)
 
     @pytest.mark.parametrize("chunks", [[200], [1] * 200, [1, 100, 99], [63, 2, 135]])
     def test_charge_points_ignore_batch_boundaries(self, chunks, monkeypatch):
-        """The ledger is charged at every 64th item however the items
+        """The ledger is charged at every 64th row however the rows
         are batched (a charge is where a spill can fire)."""
         charges = []
 
@@ -234,15 +252,17 @@ class TestExternalSorter:
                 pass
 
             def reserve_memory(self, owner, nbytes):
-                charges.append(len(sorter._buffer))
+                charges.append(sum(map(len, sorter._buffer)))
 
         monkeypatch.setattr(
             "repro.engine.spill.current_task_context", lambda: StubTask()
         )
-        sorter = ExternalSorter()
+        sorter = ExternalSorter(_by_first_column())
         items = iter(range(200))
         for size in chunks:
-            sorter.extend([next(items) for __ in range(size)])
+            sorter.extend(
+                ColumnBatch.from_columns([[next(items) for __ in range(size)]])
+            )
         assert charges == [64, 128, 192]
 
 
@@ -279,6 +299,12 @@ class TestSpillAccounting:
         assert "state" in described
 
 
+def _write(manager, dep, map_partition, worker_id, records):
+    manager.write_map_output(
+        dep, map_partition, worker_id, dep.keyed_batch(records)
+    )
+
+
 class TestCorruptFetchRegression:
     """The corrupted-fetch handler must name a real map partition."""
 
@@ -294,8 +320,8 @@ class TestCorruptFetchRegression:
 
     def test_victim_is_a_present_block(self, ctx):
         manager, dep = self._registered(ctx)
-        manager.write_map_output(dep, 0, 0, [(0, "a"), (1, "b")])
-        manager.write_map_output(dep, 1, 1, [(2, "c"), (3, "d")])
+        _write(manager, dep, 0, 0, [(0, "a"), (1, "b")])
+        _write(manager, dep, 1, 1, [(2, "c"), (3, "d")])
         with pytest.raises(FetchFailedError) as info:
             manager.fetch(dep.shuffle_id, 0)
         # The dropped victim really was registered and present: its
@@ -306,8 +332,8 @@ class TestCorruptFetchRegression:
 
     def test_stale_victim_skipped_for_present_one(self, ctx):
         manager, dep = self._registered(ctx)
-        manager.write_map_output(dep, 0, 0, [(0, "a")])
-        manager.write_map_output(dep, 1, 1, [(2, "c")])
+        _write(manager, dep, 0, 0, [(0, "a")])
+        _write(manager, dep, 1, 1, [(2, "c")])
         # Partition 0's block vanished (worker-side loss) but its
         # location entry is stale: corruption must pick partition 1,
         # the one whose block it can actually drop.

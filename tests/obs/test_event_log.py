@@ -231,7 +231,7 @@ class TestRoundTrip:
         )
 
     def test_capped_spill_round_trip(self, tmp_path):
-        shark = _tpch_shark(memory_per_worker_bytes=2048)
+        shark = _tpch_shark(memory_per_worker_bytes=512)
         loaded = self._assert_round_trip(
             shark, tpch.TPCH_QUERIES["Q1"], tmp_path / "log.jsonl"
         )
@@ -256,7 +256,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "kwargs, sql_cache",
-        [({}, False), ({"memory_per_worker_bytes": 2048}, False), ({}, True)],
+        [({}, False), ({"memory_per_worker_bytes": 512}, False), ({}, True)],
         ids=["plain", "capped", "sql-cache"],
     )
     def test_explain_analyze_is_the_rendered_record(

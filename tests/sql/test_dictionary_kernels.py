@@ -410,11 +410,14 @@ def reference_group_ids(columns):
 
 
 def _group_ids(vectors, n):
-    """``BatchAggregator._group_ids`` over the given key vectors."""
-    aggregator = BatchAggregator(
-        [lambda batch, v=v: v for v in vectors], [], []
+    """``physical._group_rows`` over the given key vectors: the group of
+    every row, and every group's key (the values of its first row)."""
+    gids, first_rows = physical._group_rows(list(vectors), n)
+    if not vectors:
+        return gids.tolist(), [()]
+    keys = list(
+        zip(*[v.gather(first_rows).to_python_list() for v in vectors])
     )
-    gids, keys = aggregator._group_ids(ColumnBatch(list(vectors), n))
     return gids.tolist(), keys
 
 
@@ -794,8 +797,8 @@ class TestSpillMidBatch:
     @staticmethod
     def _one_task_context(**kwargs):
         """``t`` with both blocks in one partition, so one aggregator
-        consumes two batches and a bucket spilled after the first meets
-        its keys again in the second."""
+        consumes two batches and the groups of a partial spilled after
+        the first meet their keys again in the second."""
         shark = _context(**kwargs)
         entry = shark.table_entry("t")
         blocks = shark.engine.run_job(entry.cached_rdd, lambda part: part[0])
@@ -805,19 +808,23 @@ class TestSpillMidBatch:
         return shark
 
     def test_capped_aggregation_equals_uncapped(self, monkeypatch):
-        routed = []
-        original = BatchAggregator._route_spilled_rows
+        #: (pending partial batches, runs already shed) at every spill.
+        spilled = []
+        original = BatchAggregator.spill
 
-        def spy(self, batch, gids, keys, spilled_gids):
-            routed.append(len(spilled_gids))
-            return original(self, batch, gids, keys, spilled_gids)
+        def spy(self, nbytes):
+            spilled.append((len(self._partials), len(self._runs)))
+            return original(self, nbytes)
 
-        monkeypatch.setattr(BatchAggregator, "_route_spilled_rows", spy)
+        monkeypatch.setattr(BatchAggregator, "spill", spy)
         want = self._one_task_context().sql(self.QUERY).rows
-        assert len(want) > 200 and not routed
-        capped = self._one_task_context(memory_per_worker_bytes=8 * 1024)
+        assert len(want) > 200 and not spilled
+        capped = self._one_task_context(memory_per_worker_bytes=2 * 1024)
         got = capped.sql(self.QUERY).rows
         assert_byte_identical(got, want)
         assert capped.engine.memory.spill_events > 0
-        assert routed and max(routed) > 0
+        # The first batch's partial was shed as a run before the second
+        # batch arrived, and the second's after it: the two meet again
+        # only when ``finish`` merges the runs.
+        assert spilled[:2] == [(1, 0), (1, 1)]
         assert capped.engine.memory.clamped_release_bytes == 0

@@ -10,8 +10,10 @@ fire, which must not shift results.  After every successful statement
 the execution ledger balances to zero with zero clamped releases.
 
 The acceptance class pins the ISSUE contract: Q1/Q3/Q6 capped at 1/8 of
-their uncapped per-worker peak watermark complete correctly with
-``memory.spill.events > 0``.
+what their operators held at the uncapped per-worker peak (operator
+state, fetched and pending batches are charged at their encoded size —
+DESIGN §17 — a small share of a peak that cached tables dominate)
+complete correctly with ``memory.spill.events > 0``.
 """
 
 from dataclasses import replace
@@ -29,10 +31,10 @@ from tests.sql.test_vectorized_parity import (
     assert_byte_identical,
 )
 
-#: Low enough to force arbitration on every aggregation/sort query at
-#: these data sizes, high enough that pinned shuffle outputs alone
-#: never exceed it (spills, not thrash).
-CAPPED_BYTES = 48 * 1024
+#: Low enough to force arbitration on the larger aggregation/sort
+#: queries at these data sizes (their partial batches encode to a few
+#: KiB), high enough that the small ones still fit.
+CAPPED_BYTES = 1024
 
 
 def _datasets():
@@ -57,6 +59,15 @@ def _build(**context_kwargs):
         "SOME_UDF", lambda addr: addr.endswith("7"), return_type=BOOLEAN
     )
     return shark
+
+
+def _operator_peak(shark) -> int:
+    """The most any worker's execution pool held at once."""
+    return max(
+        ledger.peak[EXECUTION]
+        for worker_id, ledger in shark.engine.memory.ledgers.items()
+        if worker_id >= 0
+    )
 
 
 def _run(shark, query, vectorize=True):
@@ -136,7 +147,7 @@ class TestSpillChaosParity:
 
 
 class TestAcceptance:
-    """ISSUE contract: Q1/Q3/Q6 at 1/8 of their uncapped peak."""
+    """ISSUE contract: Q1/Q3/Q6 at 1/8 of their operators' uncapped peak."""
 
     ACCEPTANCE = ["tpch_q1", "tpch_q3", "tpch_q6"]
 
@@ -144,13 +155,9 @@ class TestAcceptance:
     def test_eighth_of_peak_completes_and_spills(self, name):
         baseline = _build()
         expected = _run(baseline, QUERIES[name])
-        peak = max(
-            ledger.total_peak
-            for worker_id, ledger in baseline.engine.memory.ledgers.items()
-            if worker_id >= 0
-        )
+        peak = _operator_peak(baseline)
         assert peak > 0
-        capped = _build(memory_per_worker_bytes=peak // 8)
+        capped = _build(memory_per_worker_bytes=max(peak // 8, 1))
         got = _run(capped, QUERIES[name])
         assert_byte_identical(got, expected)
         assert capped.metrics.value("memory.spill.events") > 0
@@ -160,15 +167,10 @@ class TestAcceptance:
 
 @pytest.fixture(scope="module")
 def q1_tight_cap():
-    """An eighth of Q1's own uncapped peak: guarantees Q1 spills."""
+    """An eighth of what Q1's operators hold uncapped: Q1 spills."""
     baseline = _build()
     _run(baseline, QUERIES["tpch_q1"])
-    peak = max(
-        ledger.total_peak
-        for worker_id, ledger in baseline.engine.memory.ledgers.items()
-        if worker_id >= 0
-    )
-    return peak // 8
+    return _operator_peak(baseline) // 8
 
 
 class TestSpillObservability:
