@@ -13,7 +13,9 @@ stable hash.
 
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -54,11 +56,12 @@ class RDD:
         dependencies: list[Dependency],
         partitioner: Optional[Partitioner] = None,
         name: str = "",
+        rdd_id: Optional[int] = None,
     ):
         if num_partitions <= 0:
             raise ValueError("an RDD needs at least one partition")
         self.ctx = ctx
-        self.id = ctx.new_rdd_id()
+        self.id = ctx.new_rdd_id() if rdd_id is None else rdd_id
         self.num_partitions = num_partitions
         self.dependencies = dependencies
         self.partitioner = partitioner
@@ -768,6 +771,110 @@ class UnionRDD(RDD):
                 return rdd.iterator(split - offset, task_ctx)
             offset += rdd.num_partitions
         raise IndexError(f"partition {split} out of range for union")
+
+
+@dataclass
+class TableBlock:
+    """One block of a cached table: partition ``split`` of its cached
+    lineage ``rdd``, and what the loading task reported about it."""
+
+    rdd: RDD
+    split: int
+    stats: Any
+    bytes: int
+    rows: int
+    #: The row chunk a load that arrived as a single block was built
+    #: from — such a block is a *delta*, and a later single-block load
+    #: may absorb it; None for every other block.
+    chunk: Optional[list] = None
+
+    @property
+    def delta(self) -> bool:
+        return self.chunk is not None
+
+
+class BlockListRDD(RDD):
+    """A cached table's storage: one flat, ordered list of blocks.
+
+    Partition ``i`` is block ``i`` read through its own cached lineage,
+    so the table is one level deep however it was loaded.  A version is
+    immutable: an append makes the next one (:meth:`extended`) over the
+    same block objects, and a plan built on this one keeps reading its
+    blocks — one that was replaced since recomputes from its lineage.
+    """
+
+    #: A block list is catalog state, not a dataset a program made: it
+    #: is numbered from its own (negative) sequence, so a program's RDDs
+    #: — and the names of their cached blocks in logs and traces — are
+    #: numbered the same whether or not a table was (re)versioned between.
+    _ids = itertools.count(1)
+
+    def __init__(self, ctx: "EngineContext", blocks: list[TableBlock],
+                 name: str = "blocks"):
+        super().__init__(
+            ctx,
+            len(blocks),
+            [
+                RangeDependency(block.rdd, block.split, index, 1)
+                for index, block in enumerate(blocks)
+            ],
+            name=name,
+            rdd_id=-next(self._ids),
+        )
+        self.blocks = blocks
+        #: Per-block views, in block order (map pruning, PDE sizing).
+        self.stats = [block.stats for block in blocks]
+        self.bytes = [block.bytes for block in blocks]
+        self.row_count = sum(block.rows for block in blocks)
+        self.size_bytes = sum(self.bytes)
+
+    def absorbable(self, rows: int, target_bytes: int) -> list[TableBlock]:
+        """The trailing deltas a single-block write of ``rows`` rows
+        takes in: each no larger than what is being written so far
+        (size-tiered, so a row is re-encoded O(log n) times over n equal
+        trickles), while the merged block's estimated bytes — the new
+        rows priced at the table's bytes per row — stay within
+        ``target_bytes``."""
+        nbytes = rows * self.size_bytes // max(self.row_count, 1)
+        taken = 0
+        for block in reversed(self.blocks):
+            if not block.delta or block.rows > rows:
+                break
+            nbytes += block.bytes
+            if nbytes > target_bytes:
+                break
+            rows += block.rows
+            taken += 1
+        return self.blocks[len(self.blocks) - taken:]
+
+    def extended(
+        self, blocks: list[TableBlock], absorbed: int = 0
+    ) -> "BlockListRDD":
+        """The next version: the last ``absorbed`` blocks, whose rows
+        ``blocks`` now hold, leave the workers' stores and ``blocks``
+        follow the rest."""
+        kept = self.blocks[: len(self.blocks) - absorbed]
+        for block in self.blocks[len(kept):]:
+            block.rdd.unpersist()
+        return BlockListRDD(self.ctx, kept + blocks, self.name)
+
+    def compute(self, split: int, task_ctx: "TaskContext") -> list:
+        block = self.blocks[split]
+        return block.rdd.iterator(block.split, task_ctx)
+
+    def preferred_workers(self, split: int) -> list[int]:
+        block = self.blocks[split]
+        return block.rdd.preferred_workers(block.split)
+
+    def unpersist(self) -> "RDD":
+        """Give every block back (DROP / UNCACHE)."""
+        for rdd in {block.rdd.id: block.rdd for block in self.blocks}.values():
+            rdd.unpersist()
+        return self
+
+    @property
+    def is_cached(self) -> bool:
+        return any(block.rdd.is_cached for block in self.blocks)
 
 
 class CoalescedRDD(RDD):

@@ -53,6 +53,10 @@ COUNTERS = frozenset(
         "blocks.evicted.bytes",
         "cache.hits",
         "cache.misses",
+        # memstore appends: trailing deltas a single-block load merged
+        # into itself, and the rows re-encoded doing so (write cost)
+        "memstore.append.blocks_absorbed",
+        "memstore.append.rows_rewritten",
         # cluster membership
         "workers.added",
         "workers.killed",
@@ -201,6 +205,8 @@ INSTANTS = frozenset(
         # cache
         "cache.hit",
         "block.evict",
+        # one per load_rows / INSERT: blocks written, deltas absorbed
+        "table.append",
         # PDE and the vectorized pipeline
         "pde.decision",
         "batch.pipeline",

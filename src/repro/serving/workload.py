@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.engine.task import _rdd_block_id
 from repro.errors import TenantQuotaExceeded
 from repro.serving.server import ServerConfig, SqlServer
 from repro.serving.tenants import (
@@ -336,6 +337,26 @@ def run_soak(
     orphaned = shark.engine.cluster.pinned_block_ids() | registered
     if orphaned:
         failures.append(f"orphaned pinned shuffle blocks: {len(orphaned)}")
+    # Every block a worker still holds is a block of a live cached
+    # table, and no table piled up deltas (trickle appends merge).
+    live_blocks: set[str] = set()
+    catalog = shark.session.catalog
+    for entry in map(catalog.get, catalog.table_names()):
+        if entry.cached_rdd is None:
+            continue
+        blocks = entry.cached_rdd.blocks
+        live_blocks |= {_rdd_block_id(b.rdd.id, b.split) for b in blocks}
+        deltas = sum(block.delta for block in blocks)
+        if deltas > 11:
+            failures.append(f"{entry.name} holds {deltas} delta blocks")
+    stray = [
+        block_id
+        for worker in shark.engine.cluster.workers
+        for block_id in worker.blocks.block_ids()
+        if block_id not in live_blocks
+    ]
+    if stray:
+        failures.append(f"blocks of no live table: {sorted(stray)[:5]}")
     open_spans = [s.name for s in shark.trace.spans if s.end is None]
     if open_spans:
         failures.append(f"half-open tracer spans: {open_spans}")

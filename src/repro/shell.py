@@ -504,6 +504,10 @@ class Shell:
             self._write(f"  {field.name}  {field.data_type}")
         if entry.row_count is not None:
             self._write(f"  -- {entry.row_count} rows")
+        if entry.cached_rdd is not None:
+            blocks = entry.cached_rdd.blocks
+            deltas = sum(block.delta for block in blocks)
+            self._write(f"  -- {len(blocks)} blocks, {deltas} deltas")
         if entry.distribute_column:
             self._write(
                 f"  -- DISTRIBUTE BY {entry.distribute_column} "

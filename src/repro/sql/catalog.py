@@ -3,8 +3,8 @@
 Plays the role of the "Metastore (System Catalog)" box in the paper's
 architecture diagram (Figure 2).  A table is either *external* (rows
 encoded in the distributed file store, scanned from "disk") or *cached*
-(``shark.cache`` — an RDD of columnar partitions pinned in worker memory,
-with per-partition statistics held here for map pruning).
+(``shark.cache`` — one flat list of columnar blocks pinned in worker
+memory, each carrying the statistics map pruning reads).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.errors import CatalogError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.stats import PartitionStats
     from repro.engine.partitioner import Partitioner
-    from repro.engine.rdd import RDD
+    from repro.engine.rdd import BlockListRDD
 
 EXTERNAL = "external"
 CACHED = "cached"
@@ -33,10 +33,9 @@ class TableEntry:
     kind: str = EXTERNAL
     #: DFS path for external tables.
     path: Optional[str] = None
-    #: Cached tables: RDD with one ColumnarPartition element per partition.
-    cached_rdd: Optional["RDD"] = None
-    #: Cached tables: per-partition column statistics, for map pruning.
-    partition_stats: list["PartitionStats"] = field(default_factory=list)
+    #: Cached tables: the current version of the table's block list, one
+    #: ColumnarPartition element per partition (None until first loaded).
+    cached_rdd: Optional["BlockListRDD"] = None
     #: Set when the table was created with DISTRIBUTE BY (Section 3.4).
     partitioner: Optional["Partitioner"] = None
     distribute_column: Optional[str] = None
@@ -47,12 +46,28 @@ class TableEntry:
     #: Stored size in bytes (memstore footprint or DFS file size); the
     #: static optimizer's size estimate.
     size_bytes: Optional[int] = None
-    #: Cached tables: memstore bytes per partition (PDE-independent sizing).
-    partition_bytes: list[int] = field(default_factory=list)
 
     @property
     def is_cached(self) -> bool:
         return self.kind == CACHED
+
+    def set_blocks(self, blocks: "BlockListRDD") -> None:
+        """Point the table at the next version of its block list; the
+        counts are the list's own."""
+        self.cached_rdd = blocks
+        self.row_count = blocks.row_count
+        self.size_bytes = blocks.size_bytes
+
+    @property
+    def partition_stats(self) -> list["PartitionStats"]:
+        """Cached tables: per-block column statistics, for map pruning."""
+        return self.cached_rdd.stats if self.cached_rdd is not None else []
+
+    @property
+    def partition_bytes(self) -> list[int]:
+        """Cached tables: memstore bytes per block (PDE-independent
+        sizing)."""
+        return self.cached_rdd.bytes if self.cached_rdd is not None else []
 
     def copartitioned_with(self) -> Optional[str]:
         """Name of the table this one was co-partitioned against, if any."""

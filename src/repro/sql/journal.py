@@ -53,9 +53,19 @@ class MasterJournal:
         """Log one successfully executed DDL/DML statement."""
         self._append({"kind": "statement", "text": text})
 
-    def log_load(self, table: str, rows: list[tuple]) -> None:
-        """Log one bulk load (the rows are the recovery source)."""
-        self._append({"kind": "load", "table": table, "rows": rows})
+    def log_load(
+        self, table: str, rows: list[tuple], num_partitions: int
+    ) -> None:
+        """Log one bulk load (the rows are the recovery source; the
+        partition count makes the replayed table's blocks the same)."""
+        self._append(
+            {
+                "kind": "load",
+                "table": table,
+                "rows": rows,
+                "num_partitions": num_partitions,
+            }
+        )
 
     # ------------------------------------------------------------------
     # Reading / replay
@@ -88,7 +98,11 @@ class MasterJournal:
                 if record["kind"] == "statement":
                     session.execute(record["text"])
                 elif record["kind"] == "load":
-                    session.load_rows(record["table"], record["rows"])
+                    session.load_rows(
+                        record["table"],
+                        record["rows"],
+                        record.get("num_partitions"),
+                    )
                 else:
                     raise StorageError(
                         f"unknown journal record kind {record['kind']!r}"

@@ -21,7 +21,7 @@ from repro.columnar.table import (
 from repro.columnar.serde import TextSerde
 from repro.datatypes import Field, Schema, type_by_name
 from repro.engine.context import EngineContext
-from repro.engine.rdd import RDD
+from repro.engine.rdd import RDD, BlockListRDD, TableBlock
 from repro.errors import AnalysisError, CatalogError, UnsupportedFeatureError
 from repro.obs.analyze import render_query
 from repro.obs.planquality import DEFAULT_Q_ERROR_THRESHOLD, audit
@@ -620,28 +620,52 @@ class SqlSession:
         rows = list(map(tuple, rows))
         # Once, before any task transposes the rows into columns.
         check_row_width(rows, len(entry.schema))
+        table = entry.cached_rdd
+        if num_partitions is None:
+            num_partitions = self.ctx.default_parallelism
+            if table is not None:
+                # Sized from the table: blocks like its largest, so a
+                # small INSERT arrives as one block, as any trickle.
+                largest = max(block.rows for block in table.blocks)
+                wanted = -(-len(rows) // max(largest, 1))
+                num_partitions = max(1, min(wanted, num_partitions))
         if self.journal is not None and not self._in_statement:
-            self.journal.log_load(table_name, rows)
-        rdd = self.ctx.parallelize(
-            rows, num_partitions or self.ctx.default_parallelism
-        )
-        if entry.partitioner is not None and entry.distribute_column:
-            from repro.sql.expressions import BoundColumn
-            from repro.sql import physical as phys
-
-            index = entry.schema.index_of(entry.distribute_column)
-            key = BoundColumn(
-                index,
-                entry.schema.fields[index].data_type,
-                entry.distribute_column,
-            )
-            rdd = phys.repartition_rows(
-                rdd, [key], entry.partitioner, width=len(entry.schema)
-            )
+            self.journal.log_load(table_name, rows, num_partitions)
+        rdd = self.ctx.parallelize(rows, num_partitions)
+        chunk, absorbed = None, []
+        if entry.is_cached and rdd.num_partitions == 1:
+            # The load arrives as one block, a delta: it takes in the
+            # trailing deltas no larger than itself, so n trickles leave
+            # O(log n) blocks and not n.  The merged block is loaded
+            # like any other, from the concatenated row chunks.
+            chunk = rows
+            if table is not None:
+                absorbed = table.absorbable(
+                    len(rows), self.config.target_partition_bytes
+                )
+            if absorbed:
+                chunk = [r for block in absorbed for r in block.chunk] + rows
+                rdd = self.ctx.parallelize(chunk, 1)
         if entry.is_cached:
-            self._materialize_cached(entry, rdd, append=True)
+            self._materialize_cached(entry, rdd, chunk, len(absorbed))
         else:
             self._materialize_external(entry, rdd, append=True)
+        rewritten = sum(block.rows for block in absorbed)
+        tracer = self.ctx.tracer
+        if absorbed:
+            tracer.metrics.inc(
+                "memstore.append.blocks_absorbed", len(absorbed)
+            )
+            tracer.metrics.inc("memstore.append.rows_rewritten", rewritten)
+        tracer.instant(
+            "table.append",
+            "memstore",
+            table=entry.name,
+            rows=len(rows),
+            blocks_written=rdd.num_partitions,
+            blocks_absorbed=len(absorbed),
+            rows_rewritten=rewritten,
+        )
         # Loads/inserts move the table version (result/fragment cache
         # invalidation) without touching its DDL identity.
         self.catalog.bump_version(table_name)
@@ -651,13 +675,21 @@ class SqlSession:
     # Materialization
     # ------------------------------------------------------------------
     def _materialize_cached(
-        self, entry: TableEntry, rows_rdd: RDD, append: bool = False
+        self,
+        entry: TableEntry,
+        rows_rdd: RDD,
+        chunk: Optional[list] = None,
+        absorbed: int = 0,
     ) -> None:
-        """Marshal a row RDD into cached columnar partitions.
+        """Marshal a row RDD into cached columnar blocks at the end of
+        the table's block list.
 
         Loading is itself a distributed job: each task builds its own
         partition's columns, picks compression per column, and collects the
         statistics map pruning needs; the master keeps only the metadata.
+        ``chunk`` is the row list a single-block load was parallelized
+        from; it already holds the rows of the table's last ``absorbed``
+        blocks, which the new block replaces.
         """
         schema = entry.schema
         # TBLPROPERTIES ('shark.compress' = 'false') keeps columns plain —
@@ -678,46 +710,32 @@ class SqlSession:
             return [ColumnarPartition.from_columns(schema, columns,
                                                    compress=compress)]
 
-        blocks = rows_rdd.map_partitions(build).set_name(
-            f"load:{entry.name}"
-        )
-        blocks.partitioner = rows_rdd.partitioner
-        blocks.cache()
+        name = f"load:{entry.name}"
+        loaded = rows_rdd.map_partitions(build).set_name(name).cache()
         infos = self.ctx.run_job(
-            blocks,
+            loaded,
             lambda blks: (
                 blks[0].stats,
                 blks[0].memory_footprint_bytes(),
                 blks[0].num_rows,
             ),
         )
-        stats = [info[0] for info in infos]
-        bytes_per_partition = [info[1] for info in infos]
-        row_count = sum(info[2] for info in infos)
-        # The table keeps ``blocks`` as its lineage: recomputing a lost
+        blocks = [
+            TableBlock(loaded, split, *info, chunk=chunk)
+            for split, info in enumerate(infos)
+        ]
+        # The table keeps ``loaded`` as its lineage: recomputing a lost
         # partition reads the shuffles of the scope that built it.
         self.ctx.query.stored_table = True
-
-        if append and entry.cached_rdd is not None:
-            entry.cached_rdd = entry.cached_rdd.union(blocks)
-            entry.partition_stats = entry.partition_stats + stats
-            entry.partition_bytes = entry.partition_bytes + bytes_per_partition
-            entry.row_count = (entry.row_count or 0) + row_count
-            entry.size_bytes = (entry.size_bytes or 0) + sum(
-                bytes_per_partition
-            )
-            # Appends break any previous co-partitioning contract.
-            if entry.partitioner is not None and rows_rdd.partitioner != (
-                entry.partitioner
-            ):
-                entry.partitioner = None
-                entry.distribute_column = None
-        else:
-            entry.cached_rdd = blocks
-            entry.partition_stats = stats
-            entry.partition_bytes = bytes_per_partition
-            entry.row_count = row_count
-            entry.size_bytes = sum(bytes_per_partition)
+        table = entry.cached_rdd
+        if table is None:
+            entry.set_blocks(BlockListRDD(self.ctx, blocks, name))
+            return
+        entry.set_blocks(table.extended(blocks, absorbed))
+        # An append ends the co-partitioning contract of a DISTRIBUTE BY
+        # table: block i no longer holds all of bucket i.
+        entry.partitioner = None
+        entry.distribute_column = None
 
     def _materialize_external(
         self, entry: TableEntry, rows_rdd: RDD, append: bool = False

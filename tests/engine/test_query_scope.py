@@ -197,6 +197,38 @@ class TestLineageKeepsWhatItReads:
         shark.sql("DROP TABLE copy")
         assert engine_holds(shark) == NOTHING
 
+    @pytest.mark.parametrize("statement", ["DROP TABLE grown", "UNCACHE TABLE grown"])
+    def test_dropped_or_uncached_table_gives_every_block_back(self, statement):
+        # CTAS + a bulk append + trickle appends (two of which merge):
+        # every block of every load leaves its worker's store, not just
+        # those of the first.
+        shark = _build_shark()
+        shark.sql(
+            "CREATE TABLE grown TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT * FROM readings WHERE day < 5"
+        )
+        shark.sql("DROP TABLE readings")
+        shark.load_rows("grown", ROWS[:600], num_partitions=3)
+        for start in (600, 610, 620):
+            shark.load_rows("grown", ROWS[start:start + 10], num_partitions=1)
+        table = shark.table_entry("grown").cached_rdd
+        assert [block.rows for block in table.blocks[-2:]] == [20, 10]
+        want = sorted(shark.sql("SELECT * FROM grown").rows)
+
+        def stored():
+            return [
+                block_id
+                for worker in shark.engine.cluster.workers
+                for block_id in worker.blocks.block_ids()
+            ]
+
+        assert len(stored()) == table.num_partitions
+        shark.sql(statement)
+        assert stored() == []
+        assert engine_holds(shark)["execution_bytes"] == 0
+        if statement.startswith("UNCACHE"):
+            assert sorted(shark.sql("SELECT * FROM grown").rows) == want
+
     def test_sql2rdd_plan_survives_other_statements(self):
         shark = _build_shark()
         table_rdd = shark.sql2rdd(AGG)

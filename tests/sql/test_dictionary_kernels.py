@@ -41,6 +41,7 @@ from repro.datatypes import (  # noqa: E402
     ArrayType,
     Schema,
 )
+from repro.engine.rdd import BlockListRDD, TableBlock  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.sql import functions, physical  # noqa: E402
 from repro.sql.analyzer import Analyzer, Scope  # noqa: E402
@@ -801,10 +802,15 @@ class TestSpillMidBatch:
         the first meet their keys again in the second."""
         shark = _context(**kwargs)
         entry = shark.table_entry("t")
-        blocks = shark.engine.run_job(entry.cached_rdd, lambda part: part[0])
-        entry.cached_rdd = shark.engine.parallelize(blocks, num_partitions=1)
-        entry.partition_stats = entry.partition_stats[:1]
-        entry.partition_bytes = [sum(entry.partition_bytes)]
+        table = entry.cached_rdd
+        both = shark.engine.parallelize(
+            shark.engine.run_job(table, lambda part: part[0]),
+            num_partitions=1,
+        )
+        block = TableBlock(
+            both, 0, table.stats[0], table.size_bytes, table.row_count
+        )
+        entry.set_blocks(BlockListRDD(shark.engine, [block]))
         return shark
 
     def test_capped_aggregation_equals_uncapped(self, monkeypatch):

@@ -118,6 +118,37 @@ class TestPruningSafety:
         assert dict(result.rows) == {"US": 30}
 
 
+class TestPruningOverMergedBlocks:
+    """Trickle appends merge into one tail block whose statistics are
+    recomputed over the merged rows: it is pruned by those, and the bulk
+    blocks before it by theirs, as before."""
+
+    def test_merged_tail_is_pruned_by_its_recomputed_stats(self, clustered):
+        shark, rows = clustered
+        for day in (20, 21):  # two one-block loads, merged into one
+            shark.load_rows(
+                "logs",
+                [(day, "US", day * 100 + i) for i in range(30)],
+                num_partitions=1,
+            )
+        entry = shark.session.catalog.get("logs")
+        assert len(entry.partition_stats) == 21
+        tail = entry.partition_stats[-1].column("day")
+        assert (tail.minimum, tail.maximum, tail.row_count) == (20, 21, 60)
+        assert tail.distinct_values == {20, 21}
+        for condition, count, scanned in (
+            ("day = 7", 30, 1),
+            ("day = 20", 30, 1),
+            ("day = 21", 30, 1),
+            ("day BETWEEN 19 AND 20", 60, 2),
+            ("day > 21", 0, 0),
+        ):
+            result = shark.sql(f"SELECT COUNT(*) FROM logs WHERE {condition}")
+            assert result.scalar() == count, condition
+            assert result.report.scanned_partitions == scanned, condition
+            assert result.report.pruned_partitions == 21 - scanned, condition
+
+
 class TestMissingOrStaleStats:
     """Pruning must stay conservative when statistics are absent or
     stale: a partition whose stats cannot vouch for its contents is

@@ -1,9 +1,12 @@
 """Session DDL/DML: CREATE [AS SELECT], INSERT, DROP, CACHE, EXPLAIN."""
 
+import math
+
 import pytest
 
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
+from repro.engine.rdd import BlockListRDD, UnionRDD
 from repro.errors import AnalysisError, CatalogError
 from repro.sql.parser import parse
 
@@ -112,27 +115,41 @@ class TestInsert:
         assert shark.table_entry("mem").row_count == 4
 
     def test_appends_keep_one_level_of_lineage(self, shark):
+        # A base of one three-row block: a two-row load that names no
+        # partition count then sizes itself to one block, a delta.
+        shark.sql("CREATE TABLE wide (k INT, name STRING, v DOUBLE)")
+        shark.load_rows(
+            "wide", shark.sql("SELECT * FROM src").rows, num_partitions=1
+        )
         shark.sql(
             "CREATE TABLE mem TBLPROPERTIES ('shark.cache'='true') AS "
-            "SELECT * FROM src"
+            "SELECT * FROM wide"
         )
         entry = shark.table_entry("mem")
-        blocks = [entry.cached_rdd]
+        base = entry.cached_rdd.num_partitions
         rows = shark.sql("SELECT * FROM mem").rows
-        for k in range(10, 16):
+        for appends, k in enumerate(range(10, 16), start=1):
             shark.load_rows("mem", [(k, "n", 0.5), (k, "m", 1.5)])
             rows += [(k, "n", 0.5), (k, "m", 1.5)]
-            parents = [dep.rdd for dep in entry.cached_rdd.dependencies]
-            # Every load's blocks are direct parents of the table, in
-            # load order: depth one however many appends came before.
-            assert parents[: len(blocks)] == blocks
+            table = entry.cached_rdd
+            # Every block's cached load is a direct parent of the table:
+            # depth one however many appends came before.
+            parents = [dep.rdd for dep in table.dependencies]
+            assert parents == [block.rdd for block in table.blocks]
             assert all(parent.is_cached for parent in parents)
-            blocks = parents
-            assert entry.cached_rdd.num_partitions == len(
-                entry.partition_stats
-            ) == sum(parent.num_partitions for parent in parents)
-        assert len(blocks) == 7
-        assert shark.sql("SELECT * FROM mem").rows == rows
+            assert not any(
+                isinstance(parent, (BlockListRDD, UnionRDD))
+                for parent in parents
+            )
+            assert table.num_partitions == len(entry.partition_stats) == len(
+                entry.partition_bytes
+            )
+            # Equal trickles merge like a binary counter: O(log n) deltas.
+            assert table.num_partitions <= (
+                base + math.ceil(math.log2(appends)) + 1
+            )
+            assert shark.sql("SELECT * FROM mem").rows == rows
+        assert entry.row_count == len(rows)
 
     def test_insert_into_missing_table(self, shark):
         with pytest.raises(CatalogError):

@@ -92,6 +92,21 @@ class TestDotCommands:
         assert "t" in text
         assert "columnar memstore" in text
 
+    def test_describe_counts_blocks_and_deltas(self, session):
+        shell, output = session
+        drive(
+            shell,
+            "CREATE TABLE t (a INT) TBLPROPERTIES ('shark.cache'='true');",
+            ".describe t",  # never loaded: no block list yet
+        )
+        assert "blocks" not in "\n".join(output)
+        shell.shark.load_rows("t", [(i,) for i in range(8)], num_partitions=2)
+        for value in (8, 9, 10):  # 8 | 8+9 merged | 8+9, 10
+            drive(shell, f"INSERT INTO t VALUES ({value});")
+        drive(shell, ".describe t")
+        assert "  -- 11 rows" in output
+        assert "  -- 4 blocks, 2 deltas" in output
+
     def test_explain(self, session):
         shell, output = session
         drive(
