@@ -16,8 +16,10 @@ per-value ``<`` / ``set.add`` / ``!=`` loop would — NaN, ``-0.0`` and
 forms do not (``ndarray.min`` propagates NaN, an int32 array cannot tell
 ``True`` from ``1``), so they are used only for an *exact* column: INT /
 BIGINT / DOUBLE whose values are all exactly ``int`` (resp. ``float``)
-with no NULL.  What remains per-value is the range-comparability filter
-for columns that mix Python types.
+with no NULL, and a DATE / TIMESTAMP column, which has an array at all
+only when its values are all exactly ``date`` (resp. naive ``datetime``).
+What remains per-value is the range-comparability filter for columns
+that mix Python types.
 """
 
 from __future__ import annotations
@@ -30,7 +32,17 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.datatypes import DataType, DoubleType, IntegerType, LongType
+from repro.datatypes import (
+    DAYS,
+    MICROS,
+    DataType,
+    DateType,
+    DoubleType,
+    IntegerType,
+    LongType,
+    TimestampType,
+    datetime64_array,
+)
 
 #: Types whose values can be range-compared for pruning.
 _COMPARABLE = (int, float, str, date, datetime)
@@ -47,6 +59,10 @@ def numpy_dtype_for(data_type: Optional[DataType]) -> Optional[np.dtype]:
         return np.dtype(np.int64)
     if isinstance(data_type, DoubleType):
         return np.dtype(np.float64)
+    if isinstance(data_type, DateType):
+        return DAYS
+    if isinstance(data_type, TimestampType):
+        return MICROS
     return None
 
 
@@ -81,10 +97,16 @@ class ColumnAnalysis:
 
     @cached_property
     def array(self) -> Optional[np.ndarray]:
-        """The column as one typed array: primitive type and no NULL."""
+        """The column as one typed array: primitive type and no NULL (and,
+        a datetime64 array coercing nothing, no value of another type)."""
         dtype = numpy_dtype_for(self.data_type)
         if dtype is None or self.has_null:
             return None
+        if dtype.kind == "M":
+            kind = date if dtype == DAYS else datetime
+            if self.kind is not kind and len(self.values):
+                return None
+            return datetime64_array(self.values, kind)
         return np.asarray(self.values, dtype=dtype)
 
     @cached_property
@@ -93,13 +115,15 @@ class ColumnAnalysis:
         int/float coerced on the way in), so numpy may answer for them?"""
         if self.array is None:
             return False
-        return self.kind is (float if self.array.dtype.kind == "f" else int)
+        kind = self.array.dtype.kind
+        return kind == "M" or self.kind is (float if kind == "f" else int)
 
     @cached_property
     def bounds(self) -> tuple[Optional[Any], Optional[Any]]:
         """(minimum, maximum) over the range-comparable values."""
-        if self.exact and self.array.dtype.kind == "i" and len(self.array):
-            return int(self.array.min()), int(self.array.max())
+        if self.exact and self.array.dtype.kind in "iM" and len(self.array):
+            # ``item()``: an int, or the date / datetime of a datetime64.
+            return self.array.min().item(), self.array.max().item()
         if self.kind in _COMPARABLE:
             # One primitive type: min/max keep the first of equal values
             # and so do the distinct keys, so ranging over the keys gives

@@ -11,7 +11,9 @@ invariant: rows are only rebuilt as Python tuples at pipeline exits
 
 Values inside a batch follow the same conventions as decoded block
 columns: primitives are numpy arrays (with an optional validity mask for
-NULLs), everything else is a plain Python list with inline ``None``.  A
+NULLs; DATE and TIMESTAMP as ``datetime64[D]`` / ``datetime64[us]``, so a
+``date`` object exists only where a row leaves the engine), everything
+else is a plain Python list with inline ``None``.  A
 dictionary-encoded block column enters the batch *coded*
 (:class:`CodedVector`: its codes plus the small dictionary), so kernels
 can work on the distinct values and dense values appear only when a
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from datetime import date, datetime
 from itertools import repeat
 
 from typing import Any, Optional, Sequence
@@ -29,6 +32,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.columnar.table import ColumnarPartition, transpose_rows
+from repro.datatypes import DAYS, MICROS, datetime64_array
 
 __all__ = [
     "Vector", "CodedVector", "LazyColumn", "ColumnBatch", "count_rows",
@@ -67,24 +71,33 @@ class Vector:
     def from_values(cls, values: Sequence[Any]) -> "Vector":
         """Python values as a batch column: one typed array (with a
         validity mask for NULLs) when they are all exactly ``int``,
-        ``float`` or ``bool`` and fit it, the list itself otherwise —
-        ``to_python_list()`` gives the values back unchanged."""
+        ``float``, ``bool``, ``date`` or naive ``datetime`` and fit it,
+        the list itself otherwise — ``to_python_list()`` gives the values
+        back unchanged."""
         if isinstance(values, np.ndarray):
             return cls(values)
         kinds = set(map(type, values))
         has_null = _NONE in kinds
         kinds.discard(_NONE)
-        dtype = _ARRAY_DTYPES.get(next(iter(kinds))) if len(kinds) == 1 else None
+        kind = kinds.pop() if len(kinds) == 1 else None
+        dtype = _ARRAY_DTYPES.get(kind)
         if dtype is None:
             return cls(values if isinstance(values, list) else list(values))
         valid, filled = None, values
         if has_null:
             valid = not_null(values)
-            filled = [0 if value is None else value for value in values]
+            zero = _ZEROS[kind]
+            filled = [zero if value is None else value for value in values]
         try:
-            return cls(np.array(filled, dtype=dtype), valid)
+            if dtype.kind == "M":
+                data = datetime64_array(filled, kind)
+            else:
+                data = np.array(filled, dtype=dtype)
         except OverflowError:  # an int beyond int64
+            data = None
+        if data is None:  # ... or a datetime with a zone or a fold
             return cls(list(values))
+        return cls(data, valid)
 
     @property
     def is_array(self) -> bool:
@@ -104,8 +117,9 @@ class Vector:
     @staticmethod
     def concat(spans: Sequence[tuple["Vector", int, int]]) -> "Vector":
         """Rows ``start:stop`` of each ``(vector, start, stop)`` span, end
-        to end.  Arrays of one dtype kind stay an array; anything else
-        meets as Python values, so no int turns into a float on the way."""
+        to end.  Arrays of one dtype kind (one dtype, of datetime64s) stay
+        an array; anything else meets as Python values, so no int turns
+        into a float, and no date into a datetime, on the way."""
         if len(spans) == 1:
             vector, start, stop = spans[0]
             return vector.slice(start, stop)
@@ -114,7 +128,9 @@ class Vector:
             data.dtype.kind if isinstance(data, np.ndarray) else None
             for data in datas
         }
-        if len(kinds) != 1 or None in kinds or "O" in kinds:
+        if len(kinds) != 1 or None in kinds or "O" in kinds or (
+            "M" in kinds and len({data.dtype for data in datas}) > 1
+        ):
             values: list = []
             for vector, start, stop in spans:
                 values.extend(vector.slice(start, stop).to_python_list())
@@ -138,7 +154,8 @@ class Vector:
         """Values as Python objects with inline None (row-path parity).
 
         ``ndarray.tolist()`` unboxes numpy scalars to exact Python
-        ints/floats/bools, matching ``ColumnarPartition._to_python``.
+        ints/floats/bools/dates/datetimes, matching
+        ``ColumnarPartition._to_python``.
         """
         if not isinstance(self.data, np.ndarray):
             return list(self.data)
@@ -210,7 +227,14 @@ class CodedVector(Vector):
 
 _NONE = type(None)
 #: Exact Python type of a column's values -> the array dtype holding them.
-_ARRAY_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+_ARRAY_DTYPES = {
+    int: np.dtype(np.int64), float: np.dtype(np.float64),
+    bool: np.dtype(np.bool_), date: DAYS, datetime: MICROS,
+}
+#: What a NULL slot of such an array is filled with, as a Python value.
+_ZEROS = {
+    kind: np.zeros((), dtype).item() for kind, dtype in _ARRAY_DTYPES.items()
+}
 
 
 def _as_vector(values: Sequence[Any]) -> Vector:

@@ -18,14 +18,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.columnar.analysis import ColumnAnalysis, analyze, numpy_dtype_for
-from repro.datatypes import (
-    BOOLEAN,
-    DataType,
-    DateType,
-    DoubleType,
-    StringType,
-    TimestampType,
-)
+from repro.datatypes import BOOLEAN, DAYS, DataType, StringType
 from repro.errors import CompressionError
 
 #: Dictionary encoding applies when distinct/total falls below this ratio
@@ -108,8 +101,14 @@ class _PlainColumn(EncodedColumn):
     scheme_name = "plain"
 
     def __init__(self, column: ColumnAnalysis):
+        #: What ``decode`` casts the stored array back to: a day number
+        #: fits four bytes, a datetime64 takes eight.
+        self._dtype = None
         if column.array is not None:
             self._data = column.array
+            if self._data.dtype == DAYS:
+                self._dtype = DAYS
+                self._data = self._data.astype(np.int32)
             self._bytes = int(self._data.nbytes)
         else:
             self._data = list(column.values)
@@ -121,6 +120,8 @@ class _PlainColumn(EncodedColumn):
                 self._bytes = len(pickle.dumps(self._data, protocol=4))
 
     def decode(self) -> Sequence[Any]:
+        if self._dtype is not None:
+            return self._data.astype(self._dtype)
         return self._data
 
     @property
@@ -267,9 +268,8 @@ class _BitPackedColumn(EncodedColumn):
         if not len(column):
             raise CompressionError("cannot bit-pack an empty column")
         array = np.asarray(
-            column.values if column.array is None else column.array,
-            dtype=np.int64,
-        )
+            column.values if column.array is None else column.array
+        ).astype(np.int64)
         self._base = int(array.min())
         deltas = (array - self._base).astype(np.uint64)
         max_delta = int(deltas.max()) if len(deltas) else 0
@@ -422,19 +422,19 @@ def choose_scheme(
         return PLAIN
     if data_type == BOOLEAN and not column.has_null:
         return BITSET
-    if data_type == BOOLEAN or isinstance(
-        data_type, (DateType, TimestampType)
+    dtype = numpy_dtype_for(data_type)
+    if data_type == BOOLEAN or (
+        column.has_null and dtype is not None and dtype.kind == "M"
     ):
-        # Dates behave like strings here: dictionary if few distinct,
-        # otherwise one pickled vector (compact: the codec is shared).
-        # So does a BOOLEAN column with NULLs, the bitset having no room
-        # for a third value.
+        # NULLs among booleans or dates behave like strings, the bitset
+        # having no room for a third value and the datetime64 array none
+        # for NULL: dictionary if few distinct, otherwise one pickled
+        # vector (compact: the codec is shared).
         if _few_distinct(column, dictionary_threshold):
             return DICTIONARY
         return PLAIN
 
-    numeric = numpy_dtype_for(data_type) is not None
-    if not numeric and not isinstance(data_type, StringType):
+    if dtype is None and not isinstance(data_type, StringType):
         return BLOB
     if column.has_null:
         # Null-bearing primitive columns fall back to plain list storage.
@@ -444,8 +444,13 @@ def choose_scheme(
         return RLE
     if _few_distinct(column, dictionary_threshold):
         return DICTIONARY
-    if numeric and not isinstance(data_type, DoubleType):
-        array = column.array
+    # ``array`` is None for a DATE / TIMESTAMP column holding anything but
+    # exact dates (naive datetimes): it stays a list, as a NULL keeps one.
+    array = column.array
+    if array is not None and array.dtype.kind in "iM":
+        if array.dtype.kind == "M":
+            # Day numbers and microseconds pack like the integers they are.
+            array = array.view(np.int64)
         span = int(array.max()) - int(array.min())
         if span.bit_length() <= MAX_PACK_BITS:
             return BITPACK

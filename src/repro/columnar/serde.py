@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from itertools import repeat
 from typing import Any, Optional, Sequence
 
@@ -22,6 +22,8 @@ import numpy as np
 from repro.columnar.batch import CodedVector, ColumnBatch, Vector, not_null
 from repro.columnar.table import transpose_rows
 from repro.datatypes import (
+    DAYS,
+    MICROS,
     ArrayType,
     BooleanType,
     DataType,
@@ -34,6 +36,8 @@ from repro.datatypes import (
     StringType,
     StructType,
     TimestampType,
+    datetime64_array,
+    time_number,
 )
 from repro.errors import AnalysisError, StorageError
 
@@ -45,7 +49,6 @@ _TEXT_FORMATTERS = {
     float: str,
     str: str,
     bool: ("false", "true").__getitem__,
-    date: date.isoformat,
     datetime: datetime.isoformat,
 }
 #: Value of one non-NULL text field, by its column type.
@@ -92,6 +95,11 @@ class TextSerde:
 
     def _format_column(self, values: tuple) -> list[str]:
         kinds = set(map(type, values))
+        if kinds == {date}:
+            # One call prints the column, as ``date.isoformat`` would.
+            return np.datetime_as_string(
+                datetime64_array(values, date)
+            ).tolist()
         if len(kinds) == 1:
             formatter = _TEXT_FORMATTERS.get(kinds.pop())
             if formatter is not None:
@@ -189,7 +197,10 @@ class BinarySerde:
         elif isinstance(data_type, DateType):
             out.extend(struct.pack("<i", value.toordinal()))
         elif isinstance(data_type, TimestampType):
-            out.extend(struct.pack("<d", value.timestamp()))
+            # Microseconds of the naive wall-clock time, as BatchSerde
+            # writes them: ``timestamp()`` would read it in the process's
+            # time zone and round it to a float.
+            out.extend(struct.pack("<q", time_number(value)))
         elif isinstance(data_type, StringType):
             blob = value.encode("utf-8")
             out.extend(struct.pack("<I", len(blob)))
@@ -218,8 +229,8 @@ class BinarySerde:
             ordinal = struct.unpack_from("<i", payload, offset)[0]
             return date.fromordinal(ordinal), offset + 4
         if isinstance(data_type, TimestampType):
-            stamp = struct.unpack_from("<d", payload, offset)[0]
-            return datetime.fromtimestamp(stamp), offset + 8
+            micros = struct.unpack_from("<q", payload, offset)[0]
+            return np.datetime64(micros, "us").item(), offset + 8
         if isinstance(data_type, StringType):
             length = struct.unpack_from("<I", payload, offset)[0]
             offset += 4
@@ -295,7 +306,7 @@ class SpillSerde:
     _INT8, _INT16, _INT32, _INT64,  # the narrowest holding min..max
     _FLOAT,  # 8 bytes per row
     _BOOL,  # one bit per row
-    _DATE,  # 4-byte proleptic ordinals
+    _DATE,  # 4-byte days since the epoch
     _TIMESTAMP,  # 8-byte microseconds since the epoch
     _STRING,  # 4-byte end offsets, then UTF-8
     _DICTIONARY,  # entry count, the entries as _STRING, 1/2/4-byte codes
@@ -313,8 +324,6 @@ _WIDTHS = {
 _HEADER = struct.Struct("<IH")  # rows, columns
 _FIRST_ROW = np.zeros(1, dtype=np.int64)  # where a whole batch starts
 _LENGTH = struct.Struct("<I")
-_EPOCH = datetime(1970, 1, 1)
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def _bits(counts):
@@ -354,8 +363,8 @@ def _with_validity(valid, payload, starts, counts) -> np.ndarray:
 
 class _FixedColumn:
     """A column whose rows all take the same number of payload bytes
-    (bits, for BOOLEAN): ``data`` is the int/float/bool array, or the
-    list of dates or datetimes; NULL slots are written as zero."""
+    (bits, for BOOLEAN): ``data`` is the int, float, bool or datetime64
+    array; NULL slots are written as zero."""
 
     def __init__(self, tag: int, data, valid: Optional[np.ndarray]):
         self.tag = tag
@@ -363,18 +372,14 @@ class _FixedColumn:
         self.valid = valid
 
     def gather(self, codes: np.ndarray) -> "_FixedColumn":
-        data = self.data
-        if isinstance(data, np.ndarray):
-            data = data[codes]
-        elif data is not None:
-            data = list(map(data.__getitem__, codes.tolist()))
+        data = self.data if self.data is None else self.data[codes]
         valid = self.valid[codes] if self.valid is not None else None
         return _FixedColumn(self.tag, data, valid)
 
     def _filled(self) -> np.ndarray:
         if self.valid is None:
             return self.data
-        return np.where(self.valid, self.data, 0)
+        return np.where(self.valid, self.data, np.zeros((), self.data.dtype))
 
     def sizes(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         if self.tag == _BOOL:
@@ -405,21 +410,9 @@ class _FixedColumn:
             payload = self._filled().astype("<f8").tobytes()
         elif tag == _BOOL:
             payload = np.packbits(self._filled()).tobytes()
-        elif tag == _DATE:
-            payload = np.fromiter(
-                (0 if v is None else v.toordinal() for v in self.data),
-                dtype="<i4",
-                count=len(self.data),
-            ).tobytes()
-        else:
-            payload = np.fromiter(
-                (
-                    0 if v is None else (v - _EPOCH) // _MICROSECOND
-                    for v in self.data
-                ),
-                dtype="<i8",
-                count=len(self.data),
-            ).tobytes()
+        else:  # the numbers of a datetime64 array
+            dtype = "<i4" if tag == _DATE else "<i8"
+            payload = self._filled().astype(dtype).tobytes()
         out.append(tag if valid is None else tag | _NULLABLE)
         if valid is not None:
             out += np.packbits(valid).tobytes()
@@ -569,21 +562,12 @@ def _plan_values(values: list):
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
         return _StringColumn.of(values, has_null)
-    if kind in (int, float, bool):
+    if kind in (int, float, bool, date, datetime):
+        # An array unless a value has no slot in one: an int beyond
+        # int64, a datetime with a zone or a fold.
         vector = Vector.from_values(values)
         if vector.is_array:
             return _plan(vector)
-    elif kind is date or (
-        kind is datetime
-        # Naive wall-clock times only: a zone or a fold has no slot.
-        and all(v is None or (v.tzinfo is None and not v.fold) for v in values)
-    ):
-        valid = None
-        if has_null:
-            valid = not_null(values)
-        return _FixedColumn(
-            _DATE if kind is date else _TIMESTAMP, values, valid
-        )
     return _ObjectColumn(values)
 
 
@@ -602,6 +586,10 @@ def _plan(vector: Vector):
             return _FixedColumn(_BOOL, data, vector.valid)
         if data.dtype == np.float64:
             return _FixedColumn(_FLOAT, data, vector.valid)
+        if data.dtype == DAYS:
+            return _FixedColumn(_DATE, data, vector.valid)
+        if data.dtype == MICROS:
+            return _FixedColumn(_TIMESTAMP, data, vector.valid)
         return _plan_values(vector.to_python_list())
     return _plan_values(data if isinstance(data, list) else list(data))
 
@@ -727,17 +715,11 @@ class BatchSerde:
                 Vector(pickle.loads(view[offset : offset + size])),
                 offset + size,
             )
-        if tag == _DATE:
-            ordinals = np.frombuffer(view, "<i4", rows, offset).tolist()
-            offset += 4 * rows
-            if valid is not None:
-                ordinals = np.where(valid, ordinals, 1).tolist()
-            values = list(map(date.fromordinal, ordinals))
-        elif tag == _TIMESTAMP:
-            micros = np.frombuffer(view, "<i8", rows, offset).tolist()
-            offset += 8 * rows
-            values = [_EPOCH + value * _MICROSECOND for value in micros]
-        elif tag == _STRING:
+        if tag in (_DATE, _TIMESTAMP):
+            width, dtype = (4, DAYS) if tag == _DATE else (8, MICROS)
+            data = np.frombuffer(view, f"<i{width}", rows, offset)
+            return Vector(data.astype(dtype), valid), offset + width * rows
+        if tag == _STRING:
             values, offset = _read_strings(view, offset, rows)
         elif tag == _DICTIONARY:
             (count,) = _LENGTH.unpack_from(view, offset)

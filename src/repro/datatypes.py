@@ -9,8 +9,9 @@ out (array/map/struct appear in the real-warehouse workload, Section 6.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime
-from typing import Any, Iterable
+from datetime import date, datetime, timedelta
+from operator import attrgetter
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -161,6 +162,44 @@ _PRIMITIVES_BY_NAME = {
 
 #: Numeric types, ordered by promotion priority.
 NUMERIC_TYPES = (INT, BIGINT, DOUBLE)
+
+#: The array dtypes of DATE and TIMESTAMP columns: days and microseconds
+#: since 1970-01-01, whose ``tolist()`` gives ``date`` / ``datetime``
+#: objects back — the dtype is the logical type.
+DAYS = np.dtype("datetime64[D]")
+MICROS = np.dtype("datetime64[us]")
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def time_number(value: date) -> int:
+    """The integer a datetime64 array holds for ``value``: the day number
+    of a date, the microseconds of a naive datetime (TypeError for one
+    with a zone)."""
+    if isinstance(value, datetime):
+        return (value - _EPOCH) // _MICROSECOND
+    return value.toordinal() - _EPOCH_ORDINAL
+
+
+def datetime64_array(values: Sequence, kind: type) -> Optional[np.ndarray]:
+    """NULL-free ``values``, every one exactly of Python type ``kind``, as
+    the datetime64 array whose ``tolist()`` gives them back; None when
+    there is none (``kind`` is neither ``date`` nor ``datetime``, or a
+    datetime carries a zone or a fold, which have no slot).  Built from
+    the values' numbers: ``np.array(dates, "M8[D]")`` is 30x slower."""
+    if kind is date:
+        days = np.fromiter(map(date.toordinal, values), np.int64, len(values))
+        days -= _EPOCH_ORDINAL
+        return days.view(DAYS)
+    if kind is not datetime or any(map(attrgetter("fold"), values)):
+        return None
+    try:
+        return np.fromiter(
+            map(time_number, values), np.int64, len(values)
+        ).view(MICROS)
+    except TypeError:
+        return None
 
 
 def type_by_name(name: str) -> DataType:

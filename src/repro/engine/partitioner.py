@@ -15,10 +15,18 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
+from repro.datatypes import datetime64_array, time_number
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.batch import ColumnBatch, Vector
 
 _HASH_MASK = 0x7FFFFFFF
+_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+#: Multiplier (2**64 / the golden ratio) whose product's top 31 bits are
+#: the hash of a date or datetime number: the low bits of whole seconds
+#: in microseconds are all zero, so the int rule would put every such
+#: timestamp in reduce partition 0 of a power-of-two exchange.
+_SPREAD = 0x9E3779B97F4A7C15
 
 
 def stable_hash(key: Any) -> int:
@@ -45,19 +53,27 @@ def stable_hash(key: Any) -> int:
         for item in key:
             value = (value * 1000003) ^ stable_hash(item)
         return value & 0x7FFFFFFF
+    if isinstance(key, date):
+        # By its day number (microseconds for a datetime): what a
+        # datetime64 column hashes without building the objects.
+        try:
+            return (time_number(key) * _SPREAD & _UINT64_MASK) >> 33
+        except TypeError:  # a datetime with a zone
+            pass
     return zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF
 
 
 def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
     """:func:`stable_hash` of every key in a batch, as an int64 array.
 
-    Homogeneous batches hash column-wise in C: ints arithmetically,
-    strings and bytes through one ``crc32`` map, exact floats, dates and
-    datetimes through the same map over their ``repr``, tuples of equal
-    width by combining their columns (the multiply/xor recurrence only
-    ever needs the low 31 bits, so it runs in wrapping uint64).  Anything
-    else — None, mixed types, subclasses, ints beyond int64, ragged
-    tuples — takes :func:`stable_hash` per key, so the two always agree.
+    Homogeneous batches hash column-wise in C: ints, dates and naive
+    datetimes arithmetically, strings and bytes through one ``crc32``
+    map, exact floats through the same map over their ``repr``, tuples
+    of equal width by combining their columns (the multiply/xor
+    recurrence only ever needs the low 31 bits, so it runs in wrapping
+    uint64).  Anything else — None, mixed types, subclasses, ints beyond
+    int64, ragged tuples — takes :func:`stable_hash` per key, so the two
+    always agree.
     """
     kinds = set(map(type, keys))
     if kinds <= {int, bool}:
@@ -69,8 +85,12 @@ def stable_hash_many(keys: Sequence[Any]) -> np.ndarray:
         return _crc_column(map(str.encode, keys), len(keys))
     elif kinds == {bytes}:
         return _crc_column(keys, len(keys))
-    elif len(kinds) == 1 and kinds <= _REPR_HASHED:
+    elif kinds == {float}:
         return _crc_column(map(str.encode, map(repr, keys)), len(keys))
+    elif kinds == {date} or kinds == {datetime}:
+        array = datetime64_array(keys, kinds.pop())
+        if array is not None:
+            return _spread_times(array)
     elif kinds == {tuple} and len(set(map(len, keys))) == 1:
         return _combine_hashes(map(stable_hash_many, zip(*keys)), len(keys))
     return np.fromiter(map(stable_hash, keys), np.int64, len(keys))
@@ -85,24 +105,30 @@ def _combine_hashes(columns, count: int) -> np.ndarray:
 
 
 def stable_hash_vector(vector: "Vector") -> np.ndarray:
-    """:func:`stable_hash` of every value of a batch column.  An integer
-    or boolean array hashes arithmetically (0 in its NULL slots), a coded
-    column by hashing its dictionary once; anything else is handed to
-    :func:`stable_hash_many` as the Python values it stands for."""
+    """:func:`stable_hash` of every value of a batch column.  An integer,
+    boolean or datetime64 array hashes arithmetically (0 in its NULL
+    slots), a coded column by hashing its dictionary once; anything else
+    is handed to :func:`stable_hash_many` as the Python values it stands
+    for."""
     codes = getattr(vector, "codes", None)
     if codes is not None:
         return stable_hash_vector(vector.dictionary)[codes]
     data = vector.data
-    if isinstance(data, np.ndarray) and data.dtype.kind in "ib":
-        hashed = data.astype(np.int64) & _HASH_MASK
+    if isinstance(data, np.ndarray) and data.dtype.kind in "ibM":
+        if data.dtype.kind == "M":
+            hashed = _spread_times(data)
+        else:
+            hashed = data.astype(np.int64) & _HASH_MASK
         if vector.valid is not None:
             hashed = np.where(vector.valid, hashed, 0)
         return hashed
     return stable_hash_many(vector.to_python_list())
 
 
-#: Exact types :func:`stable_hash` hashes by the crc32 of their ``repr``.
-_REPR_HASHED = {float, date, datetime}
+def _spread_times(array: np.ndarray) -> np.ndarray:
+    """:func:`stable_hash` of the values of a datetime64 array."""
+    product = array.view(np.uint64) * np.uint64(_SPREAD)  # wraps, as & does
+    return (product >> np.uint64(33)).astype(np.int64)
 
 
 def _crc_column(encoded, count: int) -> np.ndarray:
@@ -111,12 +137,13 @@ def _crc_column(encoded, count: int) -> np.ndarray:
 
 def ordered_array(vector: "Vector") -> "np.ndarray | None":
     """The column's array when numpy orders it exactly as Python orders
-    its values: NULL-free, integer or NaN-free float; None otherwise."""
+    its values: NULL-free, integer, datetime64 or NaN-free float; None
+    otherwise."""
     data = vector.data
     if not isinstance(data, np.ndarray) or vector.valid is not None:
         return None
     kind = data.dtype.kind
-    if kind == "i" or (kind == "f" and not np.isnan(data).any()):
+    if kind in "iM" or (kind == "f" and not np.isnan(data).any()):
         return data
     return None
 
@@ -125,9 +152,11 @@ def ordered_bounds(bounds: Sequence[Any], data: np.ndarray) -> "np.ndarray | Non
     """Range bounds as an array ``np.searchsorted`` can bisect ``data``
     on exactly as ``bisect`` would the Python values: every bound is of
     ``data``'s own Python type (and fits it, and is no NaN)."""
-    want = int if data.dtype.kind == "i" else float
+    want = type(np.zeros((), data.dtype).item())
     if not all(type(bound) is want for bound in bounds):
         return None
+    if data.dtype.kind == "M":
+        return datetime64_array(bounds, want)
     try:
         array = np.array(
             bounds, dtype=np.int64 if want is int else np.float64

@@ -8,8 +8,9 @@ for the Python engine: a :class:`~repro.sql.expressions.BoundExpr` tree
 becomes one closure per *operator* that maps a ColumnBatch to a Vector, so
 the tree is walked once per batch instead of once per row.
 
-Numeric columns stay numpy arrays end to end (NULLs as validity masks,
-three-valued logic as true/false mask pairs).  A ``_*_kernel`` below is
+Numeric, DATE and TIMESTAMP columns stay numpy arrays end to end (NULLs
+as validity masks, three-valued logic as true/false mask pairs).  A
+``_*_kernel`` below is
 only the *array form* of its node: it answers None where the operands
 have none (Python lists of mixed values, a NULL literal, an ARRAY column)
 and states no scalar semantics of its own.  The scalar rule of every node
@@ -30,6 +31,8 @@ AND/OR, BETWEEN's non-decomposable NULL handling); ``vectorize`` off runs
 
 from __future__ import annotations
 
+from contextlib import suppress
+from datetime import date, datetime
 from functools import partial
 from itertools import repeat, starmap
 from typing import Any, Callable, Optional
@@ -37,6 +40,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.columnar.batch import CodedVector, ColumnBatch, Vector
+from repro.datatypes import DAYS, datetime64_array, time_number
 from repro.sql.expressions import (
     BoundAnd,
     BoundArithmetic,
@@ -106,6 +110,31 @@ def _numeric_operand(operand):
     return data, operand.valid
 
 
+def _temporal_operand(operand):
+    """(data, valid) with data a datetime64 array or scalar; None when
+    the operand is no DATE / TIMESTAMP array or exact literal."""
+    if isinstance(operand, _Const):
+        value = operand.value
+        array = datetime64_array([value], type(value))
+        return None if array is None else (array[0], None)
+    data = operand.data
+    if isinstance(data, np.ndarray) and data.dtype.kind == "M":
+        return data, operand.valid
+    return None
+
+
+def _ordered_operands(*operands) -> Optional[list]:
+    """The operands as (data, valid) pairs numpy compares exactly as
+    Python compares their values: all numeric, or all datetime64 of one
+    unit (a date equals no datetime and orders with none); else None."""
+    pairs = [_numeric_operand(operand) for operand in operands]
+    if None in pairs:  # (a tuple equals no None: no array is compared)
+        pairs = [_temporal_operand(operand) for operand in operands]
+        if None in pairs or len({data.dtype for data, __ in pairs}) > 1:
+            return None
+    return pairs
+
+
 def _combine_valid(*valids) -> Optional[np.ndarray]:
     out = None
     for valid in valids:
@@ -167,7 +196,7 @@ _NUMPY_CMP = {
 
 def _object_compare(operand, n: int, compare):
     """``compare(values)`` over the non-NULL values of a list-backed
-    operand (STRING/DATE columns, nullable primitives) as one object-array
+    operand (STRING columns, nullable primitives) as one object-array
     operation: a boolean Vector that is NULL where the operand is.  None
     for array-backed operands and for ARRAY columns, whose rows would
     become a 2-d array; those keep their own paths.
@@ -195,10 +224,9 @@ def _is_scalar(operand) -> bool:
 
 def _compare_kernel(op: str, left, right, n: int):
     compare = _NUMPY_CMP[op]
-    a = _numeric_operand(left)
-    b = _numeric_operand(right)
-    if a is not None and b is not None:
-        (ad, av), (bd, bv) = a, b
+    pairs = _ordered_operands(left, right)
+    if pairs is not None:
+        (ad, av), (bd, bv) = pairs
         return Vector(compare(ad, bd), _combine_valid(av, bv))
     if _is_scalar(right):
         return _object_compare(
@@ -212,11 +240,9 @@ def _compare_kernel(op: str, left, right, n: int):
 
 
 def _between_kernel(negated: bool, value, low, high, n: int):
-    v = _numeric_operand(value)
-    lo = _numeric_operand(low)
-    hi = _numeric_operand(high)
-    if v is not None and lo is not None and hi is not None:
-        (vd, vv), (lod, lov), (hid, hiv) = v, lo, hi
+    pairs = _ordered_operands(value, low, high)
+    if pairs is not None:
+        (vd, vv), (lod, lov), (hid, hiv) = pairs
         vals = (lod <= vd) & (vd <= hid)
         if negated:
             vals = ~vals
@@ -233,14 +259,26 @@ def _between_kernel(negated: bool, value, low, high, n: int):
 
 def _in_kernel(constant_set: frozenset, negated: bool, operand, n: int):
     numeric = _numeric_operand(operand)
-    if numeric is None:
-        return None
-    data, valid = numeric
-    options = [
-        option for option in constant_set
-        if isinstance(option, (int, float))
-        and not isinstance(option, bool)
-    ]
+    if numeric is not None:
+        data, valid = numeric
+        options = [
+            option for option in constant_set
+            if isinstance(option, (int, float))
+            and not isinstance(option, bool)
+        ]
+    else:
+        temporal = _temporal_operand(operand)
+        if temporal is None:
+            return None
+        data, valid = temporal
+        # A date equals only dates, a datetime only datetimes; one with
+        # a zone (TypeError) equals no naive one.
+        timed = data.dtype != DAYS
+        data, options = data.view(np.int64), []
+        for option in constant_set:
+            if isinstance(option, date) and isinstance(option, datetime) == timed:
+                with suppress(TypeError):
+                    options.append(time_number(option))
     vals = np.isin(data, options)
     if negated:
         vals = ~vals

@@ -23,9 +23,12 @@ from repro.columnar.table import ColumnarPartition, transpose_rows
 from repro.costmodel.models import SOURCE_MEMORY
 from repro.datatypes import (
     DataType,
+    DateType,
     DoubleType,
     IntegerType,
     LongType,
+    TimestampType,
+    time_number,
 )
 from repro.engine.dependencies import (
     BatchShuffleDependency,
@@ -305,13 +308,16 @@ def partials_pairs(
     return list(zip(batch.values(tuple(range(num_keys))), map(list, accs)))
 
 
-def _numeric_data(vector, n: int):
-    """(values, group-able validity) when the column is a numeric
-    array the grouped reductions can run on; None otherwise."""
+def _numeric_data(vector, n: int, ordered: bool = False):
+    """(values, group-able validity) when the column is a numeric array
+    the grouped reductions can run on — or, for the ``ordered`` ones
+    (MIN/MAX), a datetime64 array; None otherwise."""
     data = vector.data
     if not isinstance(data, np.ndarray):
         return None
-    if data.dtype == np.bool_ or not np.issubdtype(data.dtype, np.number):
+    if not (ordered and data.dtype.kind == "M") and (
+        data.dtype == np.bool_ or not np.issubdtype(data.dtype, np.number)
+    ):
         return None
     return data, _vector_validity(vector, n)
 
@@ -394,7 +400,13 @@ def _grouped_extreme(
         info = np.iinfo(np.int64)
         fill = info.max if minimum else info.min
         extremes = np.full(k, fill, dtype=np.int64)
+    # A datetime64 array reduces as its numbers and comes back as itself.
+    dtype = sub_data.dtype
+    if dtype.kind == "M":
+        sub_data = sub_data.view(np.int64)
     (np.minimum if minimum else np.maximum).at(extremes, sub_gids, sub_data)
+    if dtype.kind == "M":
+        extremes = extremes.view(dtype)
     return _nullable(extremes, np.bincount(sub_gids, minlength=k))
 
 
@@ -413,7 +425,8 @@ def _merge_accs(
     per group, partials of a group merged in arrival order."""
     n = len(gids)
     if not fn.distinct:
-        numeric = [_numeric_data(vector, n) for vector in vectors]
+        ordered = isinstance(fn, (MinAggregate, MaxAggregate))
+        numeric = [_numeric_data(vector, n, ordered) for vector in vectors]
         merged = None
         if any(item is None for item in numeric):
             pass
@@ -546,7 +559,9 @@ class BatchAggregator:
             if isinstance(fn, CountAggregate):
                 counted = None if fn.count_star else vector
                 return [_grouped_count(counted, n, gids, k)]
-            numeric = None if vector is None else _numeric_data(vector, n)
+            numeric = None if vector is None else _numeric_data(
+                vector, n, isinstance(fn, (MinAggregate, MaxAggregate))
+            )
             columns = None
             if numeric is None:
                 pass
@@ -754,6 +769,8 @@ class JoinBuild:
             if (
                 isinstance(data, np.ndarray)
                 and data.dtype.kind == self.uniq.dtype.kind
+                # ... and unit: a date matches no datetime.
+                and (data.dtype.kind != "M" or data.dtype == self.uniq.dtype)
             ):
                 if not len(self.uniq):
                     return np.full(n, -1)
@@ -1106,7 +1123,8 @@ def distinct_rows(
 
 class Descending:
     """Inverts the order of one DESC sort column whose values cannot be
-    negated (strings, dates, ...); numeric columns negate instead and
+    negated (strings, datetimes with a zone); numbers negate instead,
+    dates and timestamps negate their day or microsecond number, and
     never meet this class."""
 
     __slots__ = ("value",)
@@ -1124,7 +1142,11 @@ class Descending:
         return hash(self.value)
 
 
-_NEGATABLE = (IntegerType, LongType, DoubleType)
+_NEGATABLE = (IntegerType, LongType, DoubleType, DateType, TimestampType)
+
+
+def _negated_time(value) -> int:
+    return -time_number(value)
 
 
 def _descending(values: list, data_type: DataType) -> list:
@@ -1133,9 +1155,15 @@ def _descending(values: list, data_type: DataType) -> list:
     key's NULL flag orders them)."""
     if not isinstance(data_type, _NEGATABLE):
         return list(map(Descending, values))
-    if None in values:
-        return [None if value is None else -value for value in values]
-    return list(map(operator.neg, values))
+    negate = operator.neg
+    if isinstance(data_type, (DateType, TimestampType)):
+        negate = _negated_time
+    try:
+        if None in values:
+            return [None if v is None else negate(v) for v in values]
+        return list(map(negate, values))
+    except TypeError:  # datetimes with a zone have no number: wrapped
+        return list(map(Descending, values))
 
 
 def _column_values(expr: BoundExpr, rows: list) -> list:
@@ -1181,15 +1209,16 @@ def _ascending_arrays(
     keys: list[tuple[BoundExpr, bool]], vectors: list[Vector]
 ) -> Optional[list[np.ndarray]]:
     """The ORDER BY columns as arrays whose ascending numeric order is
-    the flat keys' order — every column a NULL-free, NaN-free numeric
-    array, negated where descending; None when one is not."""
+    the flat keys' order — every column a NULL-free, NaN-free numeric or
+    datetime64 array, negated (the latter as its numbers) where
+    descending; None when one is not."""
     arrays = []
     for (expr, ascending), vector in zip(keys, vectors):
         data = ordered_array(vector)
         if data is None or not isinstance(expr.data_type, _NEGATABLE):
             return None
         if not ascending:
-            if data.dtype.kind == "i":
+            if data.dtype.kind in "iM":
                 data = data.astype(np.int64, copy=False)
                 if data.size and data.min() == np.iinfo(np.int64).min:
                     return None

@@ -196,6 +196,49 @@ def test_datetimes_with_a_zone_or_a_fold_stay_objects():
         )
 
 
+class _Day(date):
+    """A date subclass: a value no datetime64 array gives back."""
+
+
+_EDGE_DATES = [date.min, date(1960, 2, 29), date(1969, 12, 31), date.max]
+_EDGE_STAMPS = [
+    datetime.min, datetime(1969, 12, 31, 23, 59, 59, 999999),
+    datetime(2013, 3, 10, 2, 30), datetime.max,
+]
+
+
+@pytest.mark.parametrize(
+    "values,dtype",
+    [
+        (_EDGE_DATES, "datetime64[D]"),
+        ([None] + _EDGE_DATES + [None], "datetime64[D]"),
+        (_EDGE_STAMPS, "datetime64[us]"),
+        ([None] + _EDGE_STAMPS + [None], "datetime64[us]"),
+        ([None] * 4, None),
+        ([_Day(2000, 1, 1), date(2000, 1, 2)], None),
+        ([_Day(2000, 1, 1), None], None),
+    ],
+)
+def test_dates_and_timestamps_are_datetime64_columns(values, dtype):
+    """... from ``from_values`` through the wire and back, the epoch in
+    their NULL slots; a subclass (or nothing at all) stays a list."""
+    vector = Vector.from_values(values)
+    assert vector.is_array == (dtype is not None)
+    if dtype is not None:
+        assert vector.data.dtype == dtype
+    batch = ColumnBatch([vector], len(values))
+    payload = SERDE.encode(batch)
+    assert SERDE.encoded_size(batch) == [len(payload)]
+    assert payload == SERDE.encode(ColumnBatch([Vector(values)], len(values)))
+    decoded = SERDE.decode(payload)
+    assert _reprs(decoded.materialize_rows()) == _reprs(zip(values))
+    if dtype is not None:
+        assert decoded.vector(0).data.dtype == dtype
+        width = 4 if dtype == "datetime64[D]" else 8
+        validity = (len(values) + 7) // 8 if None in values else 0
+        assert len(payload) == 6 + 1 + validity + width * len(values)
+
+
 def test_bucket_of_a_mixed_column_holding_one_type_is_typed():
     batch = ColumnBatch.from_columns([[1, 2, 3, "x"]])
     first, second = SERDE.encoded_size(batch, np.array([0, 3, 4]))

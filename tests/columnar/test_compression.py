@@ -1,5 +1,8 @@
 """Compression schemes: lossless roundtrips, footprints, auto-selection."""
 
+import pickle
+from datetime import date, datetime
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +20,12 @@ from repro.columnar.compression import (
 from repro.datatypes import (
     ArrayType,
     BOOLEAN,
+    DATE,
     DOUBLE,
     INT,
     BIGINT,
     STRING,
+    TIMESTAMP,
     Schema,
 )
 from repro.errors import CompressionError
@@ -312,3 +317,120 @@ class TestAdversarialRoundtrips:
     ):
         # Small domains drive the selector toward RLE/dictionary/bitpack.
         self._partition_roundtrip(values, INT, compress=compress)
+
+
+# ---------------------------------------------------------------------------
+# DATE and TIMESTAMP: datetime64 columns under every scheme
+# ---------------------------------------------------------------------------
+
+
+class _Day(date):
+    """A date subclass: a value no datetime64 array gives back."""
+
+
+_TEMPORAL = {
+    DATE: [
+        date.min, date(1960, 2, 29), date(1969, 12, 31), date(1970, 1, 1),
+        date(2000, 1, 1), date.max,
+    ],
+    TIMESTAMP: [
+        datetime.min, datetime(1960, 2, 29, 12), datetime(1969, 12, 31, 23,
+        59, 59, 999999), datetime(1970, 1, 1), datetime(2013, 3, 10, 2, 30),
+        datetime.max,
+    ],
+}
+_SHAPES = {
+    "no NULL": lambda values: values,
+    "runs": lambda values: [v for v in values for __ in range(5)],
+    "repeats": lambda values: values * 4,
+    "some NULL": lambda values: [None] + values * 3 + [None],
+    "all NULL": lambda values: [None] * 5,
+    "empty": lambda values: [],
+}
+_ARRAY_DTYPE = {DATE: "datetime64[D]", TIMESTAMP: "datetime64[us]"}
+
+
+class TestTemporalColumns:
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize(
+        "scheme", [None, PLAIN, RLE, DICTIONARY, BITPACK],
+        ids=["chosen", "plain", "rle", "dictionary", "bitpack"],
+    )
+    @pytest.mark.parametrize("data_type", [DATE, TIMESTAMP], ids=str)
+    def test_round_trip_under_every_scheme(self, data_type, scheme, shape):
+        values = _SHAPES[shape](_TEMPORAL[data_type])
+        if scheme is BITPACK and (None in values or not values):
+            pytest.skip("bit packing has no room for NULL or nothing")
+        if scheme is None:
+            scheme = choose_scheme(values, data_type)
+        encoded = scheme.encode(values, data_type)
+        assert len(encoded) == len(values)
+        assert list(map(repr, _decode_list(encoded))) == list(
+            map(repr, values)
+        )
+        decoded = encoded.decode()
+        if None in values:
+            assert isinstance(decoded, list)
+        else:
+            # No NULL: the type's own array, and no pickle anywhere.
+            assert decoded.dtype == _ARRAY_DTYPE[data_type]
+        part = ColumnarPartition.from_columns(
+            Schema.of(("c", data_type)), [values]
+        )
+        assert [repr(row[0]) for row in part.iter_rows()] == list(
+            map(repr, values)
+        )
+        present = [v for v in values if v is not None]
+        stats = part.stats.column("c")
+        assert (stats.minimum, stats.maximum) == (
+            (min(present), max(present)) if present else (None, None)
+        )
+
+    def test_plain_takes_four_bytes_a_day_eight_a_microsecond(self):
+        for data_type, width in ((DATE, 4), (TIMESTAMP, 8)):
+            values = _TEMPORAL[data_type]
+            assert choose_scheme(values, data_type) is PLAIN
+            encoded = PLAIN.encode(values, data_type)
+            assert encoded.compressed_bytes == width * len(values)
+
+    def test_numeric_route(self):
+        days = [date(1995, 1, 1 + i % 28) for i in range(200)]
+        assert choose_scheme(sorted(days), DATE) is RLE
+        assert choose_scheme(days, DATE) is DICTIONARY
+        spread = [date.fromordinal(728000 + 7 * i) for i in range(200)]
+        assert choose_scheme(spread, DATE) is BITPACK
+        entries = DICTIONARY.encode(days, DATE).coded_view()[1]
+        assert entries.dtype == "datetime64[D]" and len(entries) == 28
+
+    def test_no_pickle_for_null_free_columns(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DATE column was pickled")
+
+        monkeypatch.setattr(pickle, "dumps", refuse)
+        for data_type, values in _TEMPORAL.items():
+            for shape in ("no NULL", "runs", "repeats", "empty"):
+                column = _SHAPES[shape](values)
+                choose_scheme(column, data_type).encode(column, data_type)
+
+    def test_a_date_subclass_keeps_the_column_a_list(self):
+        values = [_Day(2000, 1, 1), date(2000, 1, 2), date(2000, 1, 3)]
+        encoded = choose_scheme(values, DATE).encode(values, DATE)
+        decoded = encoded.decode()
+        assert isinstance(decoded, list)
+        assert list(map(type, decoded)) == [_Day, date, date]
+        assert decoded == values
+        # ... as a datetime does in a DATE column, and a zone anywhere.
+        from datetime import timezone
+
+        for data_type, odd in (
+            (DATE, datetime(2000, 1, 1, 5)),
+            (TIMESTAMP, datetime(2000, 1, 1, tzinfo=timezone.utc)),
+            (TIMESTAMP, datetime(2000, 1, 1, fold=1)),
+        ):
+            column = [odd] * 3
+            encoded = choose_scheme(column, data_type).encode(
+                column, data_type
+            )
+            assert list(map(repr, _decode_list(encoded))) == list(
+                map(repr, column)
+            )

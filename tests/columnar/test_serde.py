@@ -215,6 +215,37 @@ class TestBinarySerde:
         serde = BinarySerde(FULL_SCHEMA)
         assert serde.decode(serde.encode([])) == []
 
+    def test_timestamp_is_wall_clock_time_whatever_the_process_zone(
+        self, monkeypatch
+    ):
+        """Regression: TIMESTAMP went through ``timestamp()`` /
+        ``fromtimestamp()`` — float seconds in the *process's* zone — so
+        under ``TZ=America/Los_Angeles`` 02:30 on the 2013 DST-gap day
+        decoded as 03:30, and ``datetime.min`` / ``datetime.max`` raised
+        ValueError.  It is int64 microseconds since the naive epoch."""
+        import time
+
+        monkeypatch.setenv("TZ", "America/Los_Angeles")
+        time.tzset()
+        try:
+            schema = Schema.of(("ts", TIMESTAMP))
+            rows = [
+                (datetime(2013, 3, 10, 2, 30),),  # in the DST gap
+                (datetime(2013, 11, 3, 1, 30),),  # ambiguous: fall back
+                (datetime(1969, 12, 31, 23, 59, 59, 999999),),
+                (datetime(1901, 1, 1, 0, 0, 0, 1),),
+                (datetime.min,),
+                (datetime.max,),
+                (None,),
+            ]
+            serde = BinarySerde(schema)
+            payload = serde.encode(rows)
+            assert serde.decode(payload) == rows
+            assert len(payload) == 4 + 6 * 9 + 1
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+
     def test_binary_smaller_than_text_for_numbers(self):
         schema = Schema.of(("a", DOUBLE), ("b", DOUBLE), ("c", BIGINT))
         rows = [

@@ -8,12 +8,23 @@ parsed-expression table with coded columns is
 ``tests/sql/test_dictionary_kernels.py``.)
 """
 
+from datetime import date, datetime, timezone
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import SharkContext
 from repro.columnar.batch import ColumnBatch, Vector
-from repro.datatypes import BOOLEAN, DOUBLE, INT, STRING, Schema
+from repro.datatypes import (
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    INT,
+    STRING,
+    TIMESTAMP,
+    Schema,
+)
 from repro.sql.codegen import (
     compile_vector_expression,
     compile_vector_predicate,
@@ -189,6 +200,106 @@ class TestNodeCoverage:
             BoundIsNull(col(0)),
         )
         check(expr, NUMERIC_ROWS)
+
+
+class _Day(date):
+    pass
+
+
+class TestTemporalKernels:
+    """DATE / TIMESTAMP columns are datetime64 vectors: compare, BETWEEN
+    and constant IN / NOT IN are one array operation over the day
+    (microsecond) numbers, NULLs in the validity mask — never ``apply``
+    per row — and anything numpy would not compare as Python does (a date
+    with a datetime, a string, a zone) is still left to ``apply``."""
+
+    DAYS = [date(1969, 12, 31), date(1970, 1, 1), None, date(1995, 3, 15),
+            date.min, date.max]
+    STAMPS = [datetime(1969, 12, 31, 23, 59, 59, 999999), None,
+              datetime(2013, 3, 10, 2, 30), datetime.min, datetime.max]
+
+    @staticmethod
+    def _cases(data_type, values):
+        present = [v for v in values if v is not None]
+        low, high = sorted(present)[1], sorted(present)[-2]
+        column = col(0, data_type)
+
+        def lits(*options):
+            return [lit(option, data_type) for option in options]
+
+        yield from (
+            BoundComparison(op, column, lit(low, data_type))
+            for op in ("=", "<>", "<", "<=", ">", ">=")
+        )
+        yield BoundComparison("<", lit(low, data_type), column)
+        yield BoundComparison("=", column, column)
+        yield BoundBetween(column, *lits(low, high))
+        yield BoundBetween(column, *lits(low, high), negated=True)
+        yield BoundIn(column, lits(low, high))
+        yield BoundIn(column, lits(low, high), negated=True)
+        yield BoundIn(column, lits(low) + [lit(None, data_type)])
+
+    @pytest.mark.parametrize(
+        "data_type,values", [(DATE, DAYS), (TIMESTAMP, STAMPS)], ids=str
+    )
+    @pytest.mark.parametrize("nulls", [True, False], ids=["nulls", "dense"])
+    def test_array_form_equals_eval_and_never_calls_apply(
+        self, monkeypatch, data_type, values, nulls
+    ):
+        if not nulls:
+            values = [v for v in values if v is not None]
+        vector = Vector.from_values(values)
+        assert vector.data.dtype.kind == "M"
+        batch = ColumnBatch([vector], len(values))
+        cases = [
+            (expr, [expr.eval((v,)) for v in values])
+            for expr in self._cases(data_type, values)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("apply called per row")
+
+        for node in (BoundComparison, BoundBetween, BoundIn):
+            monkeypatch.setattr(node, "apply", refuse)
+        for expr, want in cases:
+            kernel, interpreted = compile_vector_expression(expr)
+            assert interpreted == 0
+            assert kernel(batch).to_python_list() == want, expr.name
+        # IS [NOT] NULL reads the validity mask.
+        monkeypatch.undo()
+        check_null = BoundIsNull(col(0, data_type), negated=True)
+        kernel, __ = compile_vector_expression(check_null)
+        assert kernel(batch).to_python_list() == [
+            v is not None for v in values
+        ]
+
+    def test_what_numpy_would_compare_differently_is_left_to_apply(self):
+        days = ColumnBatch([Vector.from_values(self.DAYS)], len(self.DAYS))
+        stamps = ColumnBatch(
+            [Vector.from_values(self.STAMPS)], len(self.STAMPS)
+        )
+        aware = datetime(2013, 3, 10, 2, 30, tzinfo=timezone.utc)
+        for batch, values, expr in (
+            # A date equals no datetime, though their datetime64s would.
+            (days, self.DAYS,
+             BoundComparison("=", col(0, DATE),
+                             lit(datetime(1970, 1, 1), TIMESTAMP))),
+            (days, self.DAYS,
+             BoundIn(col(0, DATE), [lit(datetime(1970, 1, 1), TIMESTAMP),
+                                    lit(_Day(1995, 3, 15), DATE)])),
+            (days, self.DAYS,
+             BoundComparison("=", col(0, DATE), lit("1970-01-01", STRING))),
+            # ... and a naive datetime none with a zone.
+            (stamps, self.STAMPS,
+             BoundIn(col(0, TIMESTAMP),
+                     [lit(aware, TIMESTAMP),
+                      lit(datetime(2013, 3, 10, 2, 30, fold=1), TIMESTAMP)])),
+            (stamps, self.STAMPS,
+             BoundComparison("<>", col(0, TIMESTAMP), lit(aware, TIMESTAMP))),
+        ):
+            kernel, __ = compile_vector_expression(expr)
+            want = [expr.eval((v,)) for v in values]
+            assert kernel(batch).to_python_list() == want, expr.name
 
 
 class TestProjectionAndPredicate:

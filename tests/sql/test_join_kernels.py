@@ -8,13 +8,16 @@
   ``vectorize`` modes, and ``baselines.hive``, against stdlib ``sqlite3``
   on the same rows — the independent oracle (ROADMAP item 6), FULL JOIN
   emulated — including the NULL-key cases: an equi-join key with a NULL
-  component matches nothing; inner drops the row, outer NULL-extends it.
+  component matches nothing; inner drops the row, outer NULL-extends it;
+  and with DATE keys (datetime64 vectors): joins, GROUP BY, BETWEEN / IN /
+  IS NULL, MIN / MAX / COUNT(DISTINCT) and ORDER BY ... DESC with NULLs.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from collections import Counter
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from repro import SharkContext
 from repro.baselines.hive import HiveExecutor
 from repro.columnar.batch import ColumnBatch
-from repro.datatypes import INT, STRING, Schema
+from repro.datatypes import DATE, INT, STRING, Schema
 from repro.sql import physical
 from repro.sql.expressions import BoundColumn, BoundComparison
 from repro.sql.planner import PlannerConfig
@@ -167,15 +170,30 @@ _A = [(1, "a1"), (None, "anull"), (2, "a2"), (2, "a2b"), (4, "a4")]
 _B = [(1, "b1"), (None, "bnull"), (3, "b3"), (2, "b2"), (2, "b2b")]
 
 
-def _oracle(statement: str, a_rows, b_rows) -> Counter:
+def _sqlite_rows(statement: str, a_rows, b_rows) -> list:
+    """What sqlite answers; a date is its ISO text there (which orders
+    and compares as the date does) and ``DATE '...'`` that text."""
     db = sqlite3.connect(":memory:")
     try:
         for name, rows in (("a", a_rows), ("b", b_rows)):
-            db.execute(f"CREATE TABLE {name} (k INTEGER, v TEXT)")
-            db.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
-        return Counter(db.execute(statement).fetchall())
+            db.execute(f"CREATE TABLE {name} (k, v TEXT)")
+            db.executemany(
+                f"INSERT INTO {name} VALUES (?, ?)", _iso_rows(rows)
+            )
+        return db.execute(statement.replace("DATE '", "'")).fetchall()
     finally:
         db.close()
+
+
+def _oracle(statement: str, a_rows, b_rows) -> Counter:
+    return Counter(_sqlite_rows(statement, a_rows, b_rows))
+
+
+def _iso_rows(rows) -> list:
+    return [
+        tuple(v.isoformat() if type(v) is date else v for v in row)
+        for row in rows
+    ]
 
 
 _SELECT = "SELECT a.k, a.v, b.k, b.v FROM "
@@ -194,7 +212,9 @@ _ORACLE_SQL = {
 }
 
 
-def _shark(strategy: str, vectorize: bool, a_rows, b_rows) -> SharkContext:
+def _shark(
+    strategy: str, vectorize: bool, a_rows, b_rows, key_type=INT
+) -> SharkContext:
     config = PlannerConfig(
         vectorize=vectorize,
         # A threshold of nothing: every keyed join shuffles.
@@ -203,7 +223,7 @@ def _shark(strategy: str, vectorize: bool, a_rows, b_rows) -> SharkContext:
         ),
     )
     shark = SharkContext(num_workers=2, config=config)
-    schema = Schema.of(("k", INT), ("v", STRING))
+    schema = Schema.of(("k", key_type), ("v", STRING))
     if strategy != "copartitioned":
         for name, rows in (("a", a_rows), ("b", b_rows)):
             shark.create_table(name, schema, cached=True)
@@ -289,3 +309,77 @@ def test_joins_equal_sqlite(a_rows, b_rows, data):
         ordered.append(rows)
     # The two modes agree on the order too, not only on the rows.
     assert ordered[0] == ordered[1]
+
+
+# ---------------------------------------------------------------------------
+# DATE keys: datetime64 vectors through every operator == sqlite3
+# ---------------------------------------------------------------------------
+
+
+def _dated(rows) -> list:
+    """The same rows keyed by a day (pre-1970 ones too) in place of k."""
+    return [
+        (None if k is None else date(1969, 12, 30) + timedelta(days=k), v)
+        for k, v in rows
+    ]
+
+
+_DATE_STATEMENTS = [
+    "SELECT k, COUNT(*), MIN(v) FROM a GROUP BY k",
+    "SELECT v, MIN(k), MAX(k), COUNT(DISTINCT k), COUNT(k) FROM a GROUP BY v",
+    "SELECT MIN(k), MAX(k), COUNT(DISTINCT k) FROM a",
+    "SELECT k, v FROM a "
+    "WHERE k BETWEEN DATE '1969-12-31' AND DATE '1970-01-01'",
+    "SELECT k, v FROM a WHERE k IN (DATE '1969-12-31', DATE '1970-01-03')",
+    "SELECT k, v FROM a "
+    "WHERE k NOT IN (DATE '1969-12-31', DATE '1970-01-03')",
+    "SELECT k, v FROM a WHERE k IS NULL OR k >= DATE '1970-01-01'",
+    "SELECT v FROM a WHERE k IS NOT NULL AND k <> DATE '1970-01-01'",
+    "SELECT a.k, COUNT(*) FROM a JOIN b ON a.k = b.k "
+    "WHERE b.k < DATE '1970-01-02' GROUP BY a.k",
+]
+_DATE_ORDERED = [
+    "SELECT k, v FROM a ORDER BY k DESC, v",
+    "SELECT k, v FROM a ORDER BY k, v DESC",
+    "SELECT v, MAX(k) AS m FROM a GROUP BY v ORDER BY m DESC, v",
+]
+
+
+@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
+@pytest.mark.parametrize("strategy", ["broadcast", "shuffle", "copartitioned"])
+@pytest.mark.parametrize("syntax", sorted(_ORACLE_SQL))
+def test_date_keys_join_like_sqlite(strategy, vectorize, syntax):
+    a_rows, b_rows = _dated(_A), _dated(_B)
+    shark = _shark(strategy, vectorize, a_rows, b_rows, DATE)
+    rows = shark.sql(_SELECT + f"a {syntax} b" + _ON).rows
+    assert Counter(_iso_rows(rows)) == _oracle(
+        _ORACLE_SQL[syntax], a_rows, b_rows
+    )
+    # A collected row holds dates, never a numpy scalar.
+    assert {type(v) for row in rows for v in row} <= {date, str, type(None)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(a_rows=_TABLE_ROWS, b_rows=_TABLE_ROWS)
+def test_date_predicates_groups_and_sorts_equal_sqlite(a_rows, b_rows):
+    a_rows, b_rows = _dated(a_rows), _dated(b_rows)
+    modes = []
+    for vectorize in (True, False):
+        shark = _shark("broadcast", vectorize, a_rows, b_rows, DATE)
+        answers = []
+        for statement in _DATE_STATEMENTS:
+            rows = shark.sql(statement).rows
+            assert Counter(_iso_rows(rows)) == _oracle(
+                statement, a_rows, b_rows
+            ), (statement, vectorize)
+            answers.append(sorted(map(repr, rows)))
+        for statement in _DATE_ORDERED:
+            # NULLs first ascending, last descending: sqlite's order too.
+            rows = shark.sql(statement).rows
+            assert _iso_rows(rows) == _sqlite_rows(
+                statement, a_rows, b_rows
+            ), (statement, vectorize)
+            answers.append(list(map(repr, rows)))
+        modes.append(answers)
+    # Row mode, the differential reference, repr-identically.
+    assert modes[0] == modes[1]

@@ -1,12 +1,13 @@
 """Map pruning: partitions skipped by statistics (paper Section 3.5)."""
 
 from dataclasses import replace
+from datetime import date, datetime, timedelta
 
 import pytest
 
 from repro import SharkContext
 from repro.columnar.stats import ColumnStats, PartitionStats
-from repro.datatypes import INT, STRING, Schema
+from repro.datatypes import DATE, INT, STRING, TIMESTAMP, Schema
 from repro.sql.planner import PlannerConfig
 from repro.workloads import warehouse
 
@@ -116,6 +117,71 @@ class TestPruningSafety:
             "GROUP BY country"
         )
         assert dict(result.rows) == {"US": 30}
+
+
+class TestDatePruning:
+    """DATE / TIMESTAMP blocks are datetime64 arrays; their statistics
+    hold ``date`` / ``datetime`` bounds, so a literal prunes the same
+    blocks the INT ``day`` column does."""
+
+    DAY0 = date(1969, 12, 25)  # blocks on both sides of the epoch
+
+    @pytest.fixture
+    def dated(self):
+        shark = SharkContext(num_workers=4)
+        shark.create_table(
+            "logs",
+            Schema.of(("day", DATE), ("at", TIMESTAMP), ("hits", INT)),
+            cached=True,
+        )
+        rows = [
+            (
+                self.DAY0 + timedelta(days=day),
+                datetime(2013, 3, 10) + timedelta(days=day, minutes=i),
+                day * 100 + i,
+            )
+            for day in range(20)
+            for i in range(30)
+        ]
+        shark.load_rows("logs", rows, num_partitions=20)
+        return shark
+
+    def test_stats_hold_python_bounds(self, dated):
+        entry = dated.session.catalog.get("logs")
+        stats = entry.partition_stats[7]
+        day, at = stats.column("day"), stats.column("at")
+        assert day.minimum == day.maximum == self.DAY0 + timedelta(days=7)
+        assert type(day.minimum) is date and day.distinct_values == {
+            day.minimum
+        }
+        assert type(at.minimum) is type(at.maximum) is datetime
+        assert (at.minimum, at.maximum) == (
+            datetime(2013, 3, 17), datetime(2013, 3, 17, 0, 29)
+        )
+
+    @pytest.mark.parametrize(
+        "condition,count,scanned",
+        [
+            ("day = DATE '1970-01-01'", 30, 1),
+            ("day >= DATE '1969-12-30' AND day < DATE '1970-01-04'", 150, 5),
+            ("day BETWEEN DATE '1969-12-28' AND DATE '1969-12-29'", 60, 2),
+            ("day IN (DATE '1969-12-26', DATE '1970-01-09')", 60, 2),
+            ("DATE '1970-01-10' < day", 90, 3),
+            ("day > DATE '1970-01-13'", 0, 0),
+            ("at >= TIMESTAMP '2013-03-28 00:10:00'", 50, 2),
+            ("at BETWEEN TIMESTAMP '2013-03-12 00:00:00' "
+             "AND TIMESTAMP '2013-03-13 23:00:00'", 60, 2),
+        ],
+    )
+    def test_date_ranges_prune(self, dated, condition, count, scanned):
+        for vectorize in (True, False):
+            dated.session.config = replace(
+                dated.session.config, vectorize=vectorize
+            )
+            result = dated.sql(f"SELECT COUNT(*) FROM logs WHERE {condition}")
+            assert result.scalar() == count
+            assert result.report.scanned_partitions == scanned
+            assert result.report.pruned_partitions == 20 - scanned
 
 
 class TestPruningOverMergedBlocks:
