@@ -90,8 +90,9 @@ class TestCodegenAblation:
         assert compiled_s < interpreted_s
 
     def test_end_to_end_vectorize_on_vs_off(self, dataset, benchmark):
-        """The same predicate-heavy scan through the batch pipeline
-        (kernels) and through the row operators (``eval``)."""
+        """The same predicate-heavy scan through the same batch
+        pipeline, its links the array kernels and then ``eval`` mapped
+        over each batch's rows (``vectorize`` off)."""
         compiled_shark = make_shark(
             {"lineitem": dataset}, cached=True,
             config=PlannerConfig(vectorize=True),
@@ -116,8 +117,8 @@ class TestCodegenAblation:
             lambda: interpreted_shark.sql(QUERY), repeats=3
         )
         print(
-            f"\n    end to end ({len(compiled_rows)} rows out): row "
-            f"operators {interpreted_s * 1000:.1f} ms, batch pipeline "
+            f"\n    end to end ({len(compiled_rows)} rows out): eval "
+            f"per row {interpreted_s * 1000:.1f} ms, array kernels "
             f"{compiled_s * 1000:.1f} ms "
             f"({interpreted_s / compiled_s:.2f}x)"
         )

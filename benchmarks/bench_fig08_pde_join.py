@@ -91,14 +91,15 @@ class TestFigure08:
         lineitem_rows = adaptive_shark.sql2rdd(
             "SELECT * FROM lineitem"
         )
-        suppkey_idx = lineitem_rows.schema.index_of("L_SUPPKEY")
-        from repro.sql.expressions import BoundColumn
-        from repro.datatypes import INT
+        schema = lineitem_rows.schema
+        from repro.columnar.batch import ColumnBatch
 
         physical.pre_shuffle_side(
             adaptive_shark.engine,
-            lineitem_rows.rdd,
-            [BoundColumn(suppkey_idx, INT, "L_SUPPKEY")],
+            lineitem_rows.rdd.map_partitions(
+                lambda part: [ColumnBatch.from_rows(part, len(schema))]
+            ),
+            [schema.index_of("L_SUPPKEY")],
             HashPartitioner(adaptive_shark.engine.default_parallelism),
         )
         adaptive_rows = adaptive_shark.sql(QUERY).rows

@@ -19,7 +19,7 @@ verify; only the job structure and cost accounting differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.baselines.mapreduce import JobStats, MapReduceEngine
 from repro.columnar.serde import TextSerde
@@ -31,8 +31,103 @@ from repro.sql.catalog import Catalog, TableEntry
 from repro.sql.functions import FunctionRegistry
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
-from repro.sql.physical import row_sort_keys
+from repro.sql.expressions import BoundExpr
+from repro.sql.physical import flat_sort_keys
 from repro.storage import DistributedFileStore
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time operators: Hive's semantics, not Shark's (whose operators
+# run on ColumnBatches).  The join test keeps ``_emit_joined`` as its
+# per-row reference.
+# ---------------------------------------------------------------------------
+
+
+def _key_function(keys: list[BoundExpr]) -> Callable[[tuple], Any]:
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda row: key.eval(row)
+    return lambda row: tuple(key.eval(row) for key in keys)
+
+
+def row_sort_keys(
+    keys: list[tuple[BoundExpr, bool]], rows: list
+) -> list[tuple]:
+    """:func:`~repro.sql.physical.flat_sort_keys` of a partition of rows."""
+    return flat_sort_keys(
+        keys, [[expr.eval(row) for row in rows] for expr, __ in keys]
+    )
+
+
+def _emit_joined(
+    join_type: str,
+    left_width: int,
+    right_width: int,
+    residual: Optional[BoundExpr],
+    num_keys: int = 1,
+) -> Callable[[tuple], list]:
+    """The rows one cogrouped ``(key, (left rows, right rows))`` joins
+    to.  An equi-join key with a NULL component equals nothing — not
+    even another NULL."""
+    left_nulls = (None,) * left_width
+    right_nulls = (None,) * right_width
+
+    def emit(pair: tuple) -> list:
+        key, (left_rows, right_rows) = pair
+        null_key = key is None if num_keys == 1 else None in key
+        out: list[tuple] = []
+        if left_rows and right_rows and not null_key:
+            for left_row in left_rows:
+                matched = False
+                for right_row in right_rows:
+                    combined = tuple(left_row) + tuple(right_row)
+                    if residual is None or residual.eval(combined) is True:
+                        out.append(combined)
+                        matched = True
+                if not matched and join_type in ("left", "full"):
+                    out.append(tuple(left_row) + right_nulls)
+            if join_type in ("right", "full"):
+                for right_row in right_rows:
+                    matched = any(
+                        residual is None
+                        or residual.eval(tuple(lr) + tuple(right_row)) is True
+                        for lr in left_rows
+                    )
+                    if not matched:
+                        out.append(left_nulls + tuple(right_row))
+            return out
+        if join_type in ("left", "full"):
+            out.extend(tuple(row) + right_nulls for row in left_rows)
+        if join_type in ("right", "full"):
+            out.extend(left_nulls + tuple(row) for row in right_rows)
+        return out
+
+    return emit
+
+
+def semi_join_probe(
+    key_fn: Callable[[tuple], Any],
+    value_set: frozenset,
+    has_null: bool,
+    negated: bool,
+) -> Callable[[tuple], bool]:
+    """Row predicate for ``key [NOT] IN (subquery values)``.
+
+    SQL three-valued semantics: a NULL key is never TRUE; NOT IN over a
+    set containing NULL is never TRUE for any row — unless the subquery
+    returned nothing: NOT IN (nothing) is TRUE whatever the key.
+    """
+
+    def keep(row: tuple) -> bool:
+        value = key_fn(row)
+        if value is None:
+            return negated and not value_set and not has_null
+        if negated:
+            if has_null:
+                return False
+            return value not in value_set
+        return value in value_set
+
+    return keep
 
 
 @dataclass
@@ -310,8 +405,6 @@ class HiveExecutor:
         )
 
     def _lower_join(self, plan: logical.Join) -> _Staged:
-        from repro.sql.physical import _emit_joined, _key_function
-
         left = self._consume(self._lower(plan.left), "join")
         right = self._consume(self._lower(plan.right), "join")
         left_pending, right_pending = left.pending, right.pending
@@ -443,8 +536,6 @@ class HiveExecutor:
         """Hive's uncorrelated IN-subquery: run the subquery as its own
         job chain, distribute the value set to the outer query's mappers
         (a map-side semi-join), and filter in the map phase."""
-        from repro.sql.physical import semi_join_probe
-
         sub = self._flush(self._lower(plan.subquery), "subquery")
         values = [row[0] for block in sub.blocks for row in block]
         has_null = any(value is None for value in values)
@@ -460,8 +551,6 @@ class HiveExecutor:
         return child
 
     def _lower_repartition(self, plan: logical.Repartition) -> _Staged:
-        from repro.sql.physical import _key_function
-
         child = self._consume(self._lower(plan.child), "repartition")
         key_fn = _key_function(plan.expressions)
         mapper = _compose(lambda row: [(key_fn(row), row)], child.pending)

@@ -352,7 +352,10 @@ class ColumnBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
-        """The batches' rows end to end (all of one width)."""
+        """The batches' rows end to end (all of one width; one of no rows
+        may be of any — an empty partition has no column to tell it)."""
+        if len(batches) > 1:
+            batches = [b for b in batches if b.num_rows] or batches[:1]
         if len(batches) == 1:
             return batches[0]
         return cls.concat_slices(

@@ -158,25 +158,24 @@ class ShuffleDependency(Dependency):
 class BatchShuffleDependency(ShuffleDependency):
     """The exchange between SQL operators: the parent's partitions hold
     ColumnBatches (one per task, normally) and the reduce side is handed
-    the fetched batch itself.  ``key`` names the partitioning columns;
-    ``value`` the columns :meth:`pairs` reads a row from, for the
-    consumers that still work on ``(key, row)`` pairs (cogroup).
+    the fetched batch itself.  ``key`` names the partitioning columns; a
+    statistics collector's :meth:`pairs` are ``(key, whole row)``.
     ``map_side_combine`` only says the map output is already one record
     per key and task (the cost model scales such shuffles differently).
     """
+
+    value = None
 
     def __init__(
         self,
         rdd: "RDD",
         partitioner: Partitioner,
         key: Any,
-        value: Any = None,
         map_side_combine: bool = False,
         stats_collectors: tuple = (),
     ):
         super().__init__(rdd, partitioner, stats_collectors=stats_collectors)
         self.key = key
-        self.value = value
         self.map_side_combine = map_side_combine
 
     def keyed_batch(self, records: list) -> ColumnBatch:

@@ -18,7 +18,7 @@ with two pools,
     held by long-lived broadcast values.
 
 Every reservation is attributed to an ``owner`` label (``rdd_3``,
-``shuffle_1``, ``hash_aggregate``, ``broadcast_0``, ...) so the ledger
+``shuffle_1``, ``batch_aggregate``, ``broadcast_0``, ...) so the ledger
 answers "which operator peaked where" — surfaced via the ``memory.*``
 metric family, the shell's ``.memory`` command, EXPLAIN ANALYZE's
 ``== memory ==`` section, and ``memory_watermark``/``memory_spill``
@@ -414,7 +414,7 @@ class MemoryAccountant:
             metrics.inc("memory.spill.bytes", nbytes)
             metrics.inc("memory.spill.runs", runs)
             # dynamic name: per-owner spill attribution (stable labels:
-            # batch_aggregate / hash_aggregate / sort).
+            # batch_aggregate / sort).
             metrics.inc(f"memory.spill.owner.{owner}.bytes", nbytes)
 
     def _note_spill(

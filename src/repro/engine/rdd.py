@@ -1033,23 +1033,20 @@ class CoGroupedRDD(RDD):
     """Groups values from N pair RDDs by key.
 
     For each parent already partitioned compatibly the dependency is
-    narrow; others are shuffled (a parent may also be given as the
-    shuffle dependency to read it through).  Output elements are
+    narrow; others are shuffled.  Output elements are
     ``(key, (values_from_rdd0, values_from_rdd1, ...))``.
     """
 
     def __init__(
         self,
         ctx: "EngineContext",
-        rdds: "list[RDD | ShuffleDependency]",
+        rdds: list[RDD],
         partitioner: Partitioner,
         stats_collectors: tuple = (),
     ):
         deps: list[Dependency] = []
         for rdd in rdds:
-            if isinstance(rdd, ShuffleDependency):
-                deps.append(rdd)
-            elif rdd.partitioner == partitioner:
+            if rdd.partitioner == partitioner:
                 deps.append(OneToOneDependency(rdd))
             else:
                 deps.append(

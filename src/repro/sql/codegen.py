@@ -26,7 +26,11 @@ only learns *how many* subtrees call Python per row.
 Parity contract: every kernel reproduces the corresponding BoundExpr.eval
 semantics exactly (NULL propagation, division by zero -> NULL, Kleene
 AND/OR, BETWEEN's non-decomposable NULL handling); ``vectorize`` off runs
-``eval`` itself and is the differential reference.
+``eval`` itself and is the differential reference.  It does so in the
+same operators: ``arrays=False`` compiles every expression to the
+whole-subtree form — ``eval`` mapped over the rows of the batch, never
+over a dictionary — so the two modes differ in the scalar rules' array
+forms and in nothing else.
 """
 
 from __future__ import annotations
@@ -76,14 +80,16 @@ class _Const:
 
 class _VectorCompileState:
     """What one compilation shares: the count of subtrees that call
-    Python once per row (interpreted subtrees and UDF calls), and the
-    metrics registry the dictionary-domain evaluations are counted in."""
+    Python once per row (interpreted subtrees and UDF calls), the
+    metrics registry the dictionary-domain evaluations are counted in,
+    and whether nodes get their array forms at all (``vectorize``)."""
 
-    __slots__ = ("interpreted", "metrics")
+    __slots__ = ("interpreted", "metrics", "arrays")
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics=None, arrays: bool = True) -> None:
         self.interpreted = 0
         self.metrics = metrics
+        self.arrays = arrays
 
 
 def _values_list(operand, n: int):
@@ -424,8 +430,9 @@ def _kernel_node(
 
 def _interpret_subtree(expr: BoundExpr, state: _VectorCompileState):
     """Whole-subtree fallback: ``expr.eval`` per row of the referenced
-    columns (per dictionary entry when that is one coded column and the
-    subtree calls no UDF) — exactly the row semantics by construction.
+    columns (per dictionary entry when that is one coded column, the
+    subtree calls no UDF and array forms are on) — exactly the row
+    semantics by construction.
     """
     state.interpreted += 1
     references = sorted(expr.references())
@@ -444,7 +451,8 @@ def _interpret_subtree(expr: BoundExpr, state: _VectorCompileState):
     children = [
         partial(ColumnBatch.vector, ordinal=index) for index in references
     ]
-    return _kernel_node(kernel, None, children, state, not _calls_udf(expr))
+    pure = state.arrays and not _calls_udf(expr)
+    return _kernel_node(kernel, None, children, state, pure)
 
 
 def _vector_node(expr: BoundExpr, state: _VectorCompileState):
@@ -454,6 +462,8 @@ def _vector_node(expr: BoundExpr, state: _VectorCompileState):
         return _Const(expr.value)
     if isinstance(expr, BoundColumn):
         return partial(ColumnBatch.vector, ordinal=expr.index)
+    if not state.arrays:
+        return _interpret_subtree(expr, state)
     # ``kernel`` stays None where the node has no array form (static LIKE,
     # CAST, scalar calls): ``apply`` per value.
     operands, kernel, pure = expr.children(), None, True
@@ -496,7 +506,7 @@ def _broadcast(result, n: int) -> Vector:
 
 
 def compile_vector_expression(
-    expr: BoundExpr, metrics=None
+    expr: BoundExpr, metrics=None, arrays: bool = True
 ) -> tuple[Callable[[ColumnBatch], Vector], int]:
     """Compile ``expr`` to a batch kernel.
 
@@ -505,20 +515,22 @@ def compile_vector_expression(
     that call Python once per row (``expr.eval`` fallbacks and UDF calls)
     rather than running a kernel.  Compilation is total — every
     expression gets a kernel.  ``metrics`` (a ``MetricsRegistry``) counts
-    the dictionary-domain evaluations.
+    the dictionary-domain evaluations.  ``arrays`` off (here and in the
+    two compilers below) is ``vectorize`` off: the kernel is ``expr.eval``
+    mapped over the rows.
     """
-    state = _VectorCompileState(metrics)
+    state = _VectorCompileState(metrics, arrays)
     node = _vector_node(expr, state)
     return (lambda batch: _broadcast(node(batch), batch.num_rows),
             state.interpreted)
 
 
 def compile_vector_predicate(
-    expr: BoundExpr, metrics=None
+    expr: BoundExpr, metrics=None, arrays: bool = True
 ) -> tuple[Callable[[ColumnBatch], np.ndarray], int]:
     """Compile a predicate to a kernel producing a keep-mask (TRUE only;
-    NULL and FALSE both drop the row, as in the row path)."""
-    state = _VectorCompileState(metrics)
+    NULL and FALSE both drop the row)."""
+    state = _VectorCompileState(metrics, arrays)
     node = _vector_node(expr, state)
 
     def predicate(batch: ColumnBatch) -> np.ndarray:
@@ -529,7 +541,7 @@ def compile_vector_predicate(
 
 
 def compile_vector_projection(
-    expressions: list[BoundExpr], metrics=None
+    expressions: list[BoundExpr], metrics=None, arrays: bool = True
 ) -> tuple[list, int]:
     """Compile a SELECT list to per-output plans.
 
@@ -537,7 +549,7 @@ def compile_vector_projection(
     the pipeline moves the (possibly still encoded) entry without
     decoding — or ``("expr", kernel)`` for a computed output.
     """
-    state = _VectorCompileState(metrics)
+    state = _VectorCompileState(metrics, arrays)
     plans: list = []
     for expr in expressions:
         if isinstance(expr, BoundColumn):

@@ -1,19 +1,33 @@
 """Physical operators: logical nodes lowered to RDD transformations.
 
-Each helper takes child RDDs and returns a new RDD.  An RDD's partitions
-hold row tuples or — between the operators of a vectorized plan and
-across every exchange — ColumnBatches (:mod:`repro.columnar.batch`);
-rows are built once, by :func:`rows_of`, where a plan hands its result
-to a row consumer.  The planner (:mod:`repro.sql.planner`) decides
-*which* helper to use (join strategies, PDE, map pruning); the helpers
+Each helper takes child RDDs and returns a new RDD.  One thing flows
+between SQL operators: a partition holds ColumnBatches
+(:mod:`repro.columnar.batch`) — over a cached scan, over an external
+scan's decoded columns, and above every exchange — and row tuples are
+built once, by :func:`rows_of`, where a plan hands its result to a row
+consumer.  There is one family of operators.  ``PlannerConfig.vectorize``
+off does not select others: it hands these the kernels that are
+``expr.eval`` mapped over the rows (:mod:`repro.sql.codegen`) and turns
+off the array forms of the aggregate folds (``arrays=False`` below), so
+the two modes differ in the scalar rules and share every skeleton.  The
+planner (:mod:`repro.sql.planner`) decides *which* helper to use (join
+strategies, PDE, map pruning) and compiles the expressions; the helpers
 only build dataflow.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
@@ -33,6 +47,7 @@ from repro.datatypes import (
 from repro.engine.dependencies import (
     BatchShuffleDependency,
     OneToOneDependency,
+    ShuffleDependency,
 )
 from repro.engine.memory import DRIVER_WORKER, EXECUTION
 from repro.engine.partitioner import (
@@ -42,17 +57,11 @@ from repro.engine.partitioner import (
     ordered_array,
     ordered_bounds,
 )
-from repro.engine.rdd import (
-    RDD,
-    CoGroupedRDD,
-    MapPartitionsRDD,
-    PrunedRDD,
-    ShuffledRDD,
-)
-from repro.engine.spill import SpillableGroups, record_run_written
+from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD, ShuffledRDD
+from repro.engine.spill import record_run_written
 from repro.engine.task import current_task_context
 from repro.obs.planquality import OperatorStamp, record_operator_rows
-from repro.sql.expressions import BoundColumn, BoundExpr
+from repro.sql.expressions import BoundExpr
 from repro.sql.functions import (
     AggregateFunction,
     AvgAggregate,
@@ -69,10 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sql.catalog import TableEntry
 
 _SERDE = BatchSerde()
+#: What a chain link, a key or an argument kernel is: batch -> Vector
+#: (``compile_vector_expression``) or batch -> keep-mask (``..._predicate``).
+Kernel = Callable[[ColumnBatch], Any]
 
 
 # ---------------------------------------------------------------------------
-# Scans
+# Where batches come from, and where rows leave
 # ---------------------------------------------------------------------------
 
 
@@ -94,86 +106,89 @@ def _scanned_bytes(
     )
 
 
-class MemstoreScanRDD(RDD):
-    """Scan a cached table's columnar partitions into row tuples.
 
-    Only the projected columns are decoded (the benefit of the columnar
-    layout, Section 3.2).  This is the row-mode reference scan: it applies
-    no predicate — :func:`filter_rows` does, over the tuples built here.
-    The parent RDD's elements are :class:`ColumnarPartition` blocks, one
-    per partition.
-    """
-
-    def __init__(
-        self,
-        parent: RDD,
-        projected: Optional[list[str]] = None,
-        scan_key: Optional[str] = None,
-    ):
-        super().__init__(
-            parent.ctx,
-            parent.num_partitions,
-            [OneToOneDependency(parent)],
-            name="memstore_scan",
-        )
-        self._parent = parent
-        self._projected = projected
-        #: Plan-quality stamp key credited with the rows read.
-        self._scan_key = scan_key
-
-    def compute(self, split: int, task_ctx: "TaskContext") -> list:
-        rows: list[tuple] = []
-        total_bytes = 0
-        for block in self._parent.iterator(split, task_ctx):
-            total_bytes += _scanned_bytes(block, self._projected)
-            rows.extend(block.iter_rows(self._projected))
-        task_ctx.metrics.source = SOURCE_MEMORY
-        task_ctx.metrics.records_in += len(rows)
-        task_ctx.metrics.bytes_in += total_bytes
-        if self._scan_key is not None:
-            record_operator_rows(self._scan_key, len(rows))
-        return rows
-
-
-def scan_memstore(
-    entry: "TableEntry",
-    projected: Optional[list[str]],
-    kept_partitions: Optional[list[int]] = None,
-    scan_op: Optional[OperatorStamp] = None,
+def _counted(
+    batches: RDD,
+    op: Optional[OperatorStamp],
+    name: str,
+    run: Callable[[list], list] = list,
+    preserves_partitioning: bool = False,
 ) -> RDD:
-    """Build the scan dataflow for a cached table, optionally map-pruned."""
-    base = entry.cached_rdd
-    if base is None:
-        raise ValueError(f"table {entry.name} has no cached data")
-    if kept_partitions is not None and kept_partitions != list(
-        range(base.num_partitions)
-    ):
-        base = PrunedRDD(base, kept_partitions)
-    return MemstoreScanRDD(
-        base, projected,
-        scan_key=scan_op.key if scan_op is not None else None,
+    """``run`` over every partition of an RDD of batches, its output rows
+    credited to ``op``'s plan-quality stamp."""
+    key = None if op is None else op.key
+
+    def counted(_: int, part: list) -> list:
+        out = run(part)
+        if key is not None:
+            record_operator_rows(key, sum(map(len, out)))
+        return out
+
+    return MapPartitionsRDD(
+        batches, counted,
+        preserves_partitioning=preserves_partitioning, name=name,
     )
 
 
-# ---------------------------------------------------------------------------
-# Batch pipeline (vectorized execution past the scan)
-# ---------------------------------------------------------------------------
+def _narrowed(batch: ColumnBatch, width: int) -> ColumnBatch:
+    """The first ``width`` columns: the row, without the key columns an
+    exchange computed beside it."""
+    if len(batch.entries) <= width:
+        return batch
+    return ColumnBatch(batch.entries[:width], batch.num_rows)
 
 
-def rows_of(batches: RDD, width: Optional[int] = None) -> RDD:
-    """Late materialization, as an operator: the rows (of the first
-    ``width`` columns) of an RDD whose partitions hold ColumnBatches."""
+def rows_of(batches: RDD) -> RDD:
+    """Late materialization, as an operator: the rows of an RDD whose
+    partitions hold ColumnBatches.  The one place a plan builds tuples."""
 
     def run(_: int, part: list) -> list:
         rows: list[tuple] = []
         for batch in part:
-            if width is not None and len(batch.entries) > width:
-                batch = ColumnBatch(batch.entries[:width], batch.num_rows)
             rows.extend(batch.materialize_rows())
         return rows
 
     # Named after what it reads: a stage is known by its last operator.
     return MapPartitionsRDD(batches, run, name=batches.name)
+
+
+def values_batches(
+    ctx: "EngineContext",
+    rows: list[tuple],
+    width: int,
+    op: Optional[OperatorStamp] = None,
+) -> RDD:
+    """Literal rows (a VALUES list; none, for a cached table that was
+    never loaded) as one partition of one batch."""
+    return _counted(
+        ctx.parallelize(rows, num_partitions=1),
+        op,
+        "values",
+        lambda part: [ColumnBatch.from_rows(part, width)],
+    )
+
+
+def external_batches(
+    columns: RDD, indices: list[int], op: OperatorStamp
+) -> RDD:
+    """An external table's scan (``HdfsRDD.as_columns()``: one record a
+    block, its decoded columns) as batches of the columns at ``indices``
+    — no tuple is built to be transposed back."""
+
+    def run(part: list) -> list:
+        return [
+            ColumnBatch.from_columns(
+                [block[i] for i in indices], len(block[0])
+            )
+            for block in part
+        ]
+
+    return _counted(columns, op, "external_scan", run)
+
+
+# ---------------------------------------------------------------------------
+# Grouping and aggregation
+# ---------------------------------------------------------------------------
 
 
 def _vector_validity(vector, n: int):
@@ -246,6 +261,8 @@ def _group_rows(vectors: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return gid_of[codes], first[present[order]]
 
 
+
+
 # -- aggregate partials as batches ------------------------------------------
 #
 # A partial aggregation result is a batch: the group key columns, then
@@ -276,36 +293,6 @@ def _accs_of(fn: AggregateFunction, vectors: list[Vector]) -> list:
     return vectors[0].to_python_list()
 
 
-def partials_batch(
-    pairs: list, num_keys: int, specs: list[AggregateSpec]
-) -> ColumnBatch:
-    """``(group key, accumulators)`` pairs in the partial-batch layout."""
-    keys = transpose_rows([key for key, __ in pairs], num_keys)
-    accs = transpose_rows([accs for __, accs in pairs], len(specs))
-    entries = list(map(Vector.from_values, keys))
-    for spec, column in zip(specs, accs):
-        entries.extend(_acc_columns(spec.function, column))
-    return ColumnBatch(entries, len(pairs))
-
-
-def partials_pairs(
-    batch: ColumnBatch, num_keys: int, specs: list[AggregateSpec]
-) -> list:
-    """The pairs :func:`partials_batch` was given."""
-    if not batch.num_rows:
-        return []
-    columns, ordinal = [], num_keys
-    for spec in specs:
-        width = _acc_width(spec.function)
-        columns.append(
-            _accs_of(
-                spec.function,
-                [batch.vector(ordinal + i) for i in range(width)],
-            )
-        )
-        ordinal += width
-    accs = zip(*columns) if columns else repeat(())
-    return list(zip(batch.values(tuple(range(num_keys))), map(list, accs)))
 
 
 def _numeric_data(vector, n: int, ordered: bool = False):
@@ -418,13 +405,20 @@ def _folded(step, initial, values, gids: np.ndarray, k: int) -> list:
     return accs
 
 
+
 def _merge_accs(
-    fn: AggregateFunction, vectors: list[Vector], gids: np.ndarray, k: int
+    fn: AggregateFunction,
+    vectors: list[Vector],
+    gids: np.ndarray,
+    k: int,
+    arrays: bool,
 ) -> list[Vector]:
     """One aggregate's accumulator columns segment-reduced to one row
-    per group, partials of a group merged in arrival order."""
+    per group, partials of a group merged in arrival order: by the
+    grouped reductions where ``arrays`` allows and the columns have one,
+    by ``fn.merge`` otherwise."""
     n = len(gids)
-    if not fn.distinct:
+    if arrays and not fn.distinct:
         ordered = isinstance(fn, (MinAggregate, MaxAggregate))
         numeric = [_numeric_data(vector, n, ordered) for vector in vectors]
         merged = None
@@ -457,14 +451,19 @@ def _merge_accs(
 
 
 def merge_partials(
-    batch: ColumnBatch, num_keys: int, specs: list[AggregateSpec]
+    batch: ColumnBatch,
+    num_keys: int,
+    specs: list[AggregateSpec],
+    arrays: bool = True,
 ) -> ColumnBatch:
     """Partials of the same group merged into one, groups in
-    first-occurrence order: the merge of every vectorized aggregation —
-    a map task that saw several batches, the reduce side, a re-merge
-    after a spill.  Replaces the per-pair loops of ``ShuffledRDD`` and
-    ``SpillableGroups.finish_groups`` (row mode keeps those)."""
+    first-occurrence order: the merge of every aggregation — a map task
+    that saw several batches, the reduce side, a re-merge after a spill
+    — and, with no aggregate at all, DISTINCT.  ``arrays`` off
+    (``vectorize`` off) merges by ``fn.merge`` alone."""
     n = batch.num_rows
+    if not n:
+        return batch
     keys = [batch.vector(i) for i in range(num_keys)]
     gids, first_rows = _group_rows(keys, n)
     k = len(first_rows)
@@ -480,6 +479,7 @@ def merge_partials(
                 [batch.vector(ordinal + i) for i in range(width)],
                 gids,
                 k,
+                arrays,
             )
         )
         ordinal += width
@@ -487,11 +487,17 @@ def merge_partials(
 
 
 def finish_partials(
-    batch: ColumnBatch, num_keys: int, specs: list[AggregateSpec]
+    batch: ColumnBatch,
+    num_keys: int,
+    specs: list[AggregateSpec],
+    arrays: bool = True,
 ) -> ColumnBatch:
     """Merged partials to output rows: the keys, then each aggregate's
-    ``finish`` — the accumulator column itself for COUNT/SUM/MIN/MAX."""
+    ``finish`` — which ``arrays`` spares COUNT/SUM/MIN/MAX, where it is
+    the identity, and runs as one division for AVG."""
     n = batch.num_rows
+    if not n:
+        return batch
     entries = [batch.vector(i) for i in range(num_keys)]
     ordinal = num_keys
     for spec in specs:
@@ -499,11 +505,11 @@ def finish_partials(
         width = _acc_width(fn)
         vectors = [batch.vector(ordinal + i) for i in range(width)]
         ordinal += width
-        if not fn.distinct and isinstance(
+        if arrays and not fn.distinct and isinstance(
             fn, (CountAggregate, SumAggregate, MinAggregate, MaxAggregate)
         ):
             entries.append(vectors[0])
-        elif width == 2 and all(
+        elif arrays and width == 2 and all(
             isinstance(v.data, np.ndarray) and v.valid is None
             for v in vectors
         ):
@@ -521,11 +527,12 @@ def finish_partials(
 
 
 class BatchAggregator:
-    """Vectorized task-local hash aggregation over ColumnBatches.
+    """Task-local hash aggregation over ColumnBatches.
 
-    Every consumed batch becomes one partial batch (the layout above) by
-    per-group numpy reductions whose accumulation order matches the row
-    path's left-to-right updates; ``finish`` merges them
+    Every consumed batch becomes one partial batch (the layout above):
+    per group, ``fn.update`` folded over its rows in order, or — with
+    ``arrays``, where the argument column has one — the numpy reduction
+    that accumulates in that same order.  ``finish`` merges the partials
     (:func:`merge_partials`) when there is more than one.  The pending
     partials are the task's spillable state: a spill encodes them as one
     run and ``finish`` reads the runs back, in order, into the merge.
@@ -538,10 +545,12 @@ class BatchAggregator:
         group_kernels: list,
         specs: list[AggregateSpec],
         arg_kernels: list,
+        arrays: bool = True,
     ):
         self.group_kernels = group_kernels
         self.specs = specs
         self.arg_kernels = arg_kernels
+        self.arrays = arrays
         self._partials: list[ColumnBatch] = []
         self._runs: list[bytes] = []
         self._charged = 0
@@ -555,7 +564,7 @@ class BatchAggregator:
         """Accumulator columns of one aggregate over one batch."""
         n = batch.num_rows
         vector = kernel(batch) if kernel is not None else None
-        if not fn.distinct:
+        if self.arrays and not fn.distinct:
             if isinstance(fn, CountAggregate):
                 counted = None if fn.count_star else vector
                 return [_grouped_count(counted, n, gids, k)]
@@ -616,7 +625,10 @@ class BatchAggregator:
         if len(pieces) == 1:
             return pieces[0]
         return merge_partials(
-            ColumnBatch.concat(pieces), len(self.group_kernels), self.specs
+            ColumnBatch.concat(pieces),
+            len(self.group_kernels),
+            self.specs,
+            self.arrays,
         )
 
     def spill(self, nbytes: int) -> tuple[int, int, int]:
@@ -661,72 +673,17 @@ class BatchAggregator:
         return ColumnBatch([Vector([]) for __ in range(width)], 0)
 
 
-class BroadcastProbe:
-    """One broadcast (map) join as a link of the batch chain: the stream
-    batch's key vectors probe the build side, grouped once by key, and
-    the joined batch is gathered from both — stream rows in order, the
-    build rows of one in build order (the row path's order).  An equi-join
-    key with a NULL component matches nothing."""
 
-    def __init__(
-        self,
-        build: "Any",
-        stream_kernels: list,
-        stream_is_left: bool,
-        outer_stream: bool,
-        residual: Optional[Callable],
-    ):
-        self._build = build  # Broadcast of a JoinBuild
-        self._stream_kernels = stream_kernels
-        self._stream_is_left = stream_is_left
-        self._outer_stream = outer_stream
-        self._residual = residual
-
-    def __call__(self, batch: ColumnBatch) -> ColumnBatch:
-        build: JoinBuild = self._build.value
-        n = batch.num_rows
-        groups = build.probe(
-            [kernel(batch) for kernel in self._stream_kernels], n
-        )
-        # Every (stream row, build row) pair of equal keys: a matched
-        # stream row repeated once per row of its group, beside the
-        # group's run of build rows.
-        matched = np.flatnonzero(groups >= 0)
-        groups = groups[matched]
-        counts = build.counts[groups]
-        stream_rows = np.repeat(matched, counts)
-        within = np.arange(len(stream_rows)) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        build_rows = build.rows[np.repeat(build.starts[groups], counts) + within]
-        if self._residual is not None and len(stream_rows):
-            kept = np.flatnonzero(
-                self._residual(self._joined(batch, stream_rows, build_rows))
-            )
-            stream_rows, build_rows = stream_rows[kept], build_rows[kept]
-        if self._outer_stream:
-            lonely = np.flatnonzero(np.bincount(stream_rows, minlength=n) == 0)
-            if len(lonely):
-                # NULL-extended once each, in their place in stream order.
-                stream_rows = np.concatenate([stream_rows, lonely])
-                build_rows = np.concatenate(
-                    [build_rows, np.full(len(lonely), -1)]
-                )
-                order = np.argsort(stream_rows, kind="stable")
-                stream_rows, build_rows = stream_rows[order], build_rows[order]
-        return self._joined(batch, stream_rows, build_rows)
-
-    def _joined(self, batch, stream_rows, build_rows) -> ColumnBatch:
-        stream = batch.take(stream_rows).entries
-        build = self._build.value.take(build_rows)
-        entries = stream + build if self._stream_is_left else build + stream
-        return ColumnBatch(entries, len(stream_rows))
+# ---------------------------------------------------------------------------
+# The equi-join kernel
+# ---------------------------------------------------------------------------
 
 
 class JoinBuild:
-    """The build side of a map join: its rows as one batch, grouped once
-    by join key.  ``rows[starts[g]:starts[g] + counts[g]]`` are the build
-    rows of group ``g`` in build order; rows whose key has a NULL
+    """The build side of an equi-join — the broadcast side of a map join,
+    one side of a cogrouped partition: its rows as one batch, grouped
+    once by join key.  ``rows[starts[g]:starts[g] + counts[g]]`` are the
+    build rows of group ``g`` in build order; rows whose key has a NULL
     component are in no group."""
 
     def __init__(self, batch: ColumnBatch, keys: list[Vector]):
@@ -790,26 +747,114 @@ class JoinBuild:
             map(self._lookup.get, values, repeat(-1)), dtype=np.int64, count=n
         )
 
-    def take(self, rows: np.ndarray) -> list[Vector]:
-        """The build columns at ``rows``; NULL where a row is -1."""
-        present = rows >= 0
-        if present.all():
-            return [vector.gather(rows) for vector in self.batch.vectors()]
-        if not self.batch.num_rows:
-            return [Vector([None] * len(rows)) for __ in self.batch.entries]
-        out = []
-        for vector in self.batch.vectors():
-            taken = vector.gather(np.where(present, rows, 0))
-            data, valid = taken.data, taken.valid
-            if isinstance(data, np.ndarray):
-                valid = present if valid is None else valid & present
-            else:
-                data = list(data)
-                for index in np.flatnonzero(~present).tolist():
-                    data[index] = None
-            out.append(Vector(data, valid))
-        return out
 
+
+def _take_or_null(batch: ColumnBatch, rows: np.ndarray) -> list:
+    """``batch``'s columns at ``rows``; NULL where a row is -1 (the side
+    of an outer join's row that nothing matched)."""
+    present = rows >= 0
+    if present.all():
+        return batch.take(rows).entries
+    if not batch.num_rows:
+        return [Vector([None] * len(rows)) for __ in batch.entries]
+    out = []
+    for taken in batch.take(np.where(present, rows, 0)).vectors():
+        data, valid = taken.data, taken.valid
+        if isinstance(data, np.ndarray):
+            valid = present if valid is None else valid & present
+        else:
+            data = list(data)
+            for index in np.flatnonzero(~present).tolist():
+                data[index] = None
+        out.append(Vector(data, valid))
+    return out
+
+
+class JoinProbe:
+    """The one equi-join: a stream batch's key vectors probe a
+    :class:`JoinBuild` and the joined batch is gathered from both —
+    stream rows in order, the build rows of one in build order, a stream
+    row of an outer stream side that matched nothing NULL-extended in its
+    place, then the build rows of an outer build side that nothing
+    matched.  An equi-join key with a NULL component matches nothing;
+    ``residual`` is a keep-mask kernel over the joined (left + right)
+    batch.  The build side may be outer only where one probe sees every
+    row that could match it (a cogrouped partition, not a broadcast)."""
+
+    def __init__(
+        self,
+        stream_keys: list[Kernel],
+        stream_is_left: bool,
+        join_type: str,
+        residual: Optional[Kernel],
+        stream_width: int,
+    ):
+        self._stream_keys = stream_keys
+        self._stream_is_left = stream_is_left
+        outer_left = join_type in ("left", "full")
+        outer_right = join_type in ("right", "full")
+        self._outer_stream = outer_left if stream_is_left else outer_right
+        self._outer_build = outer_right if stream_is_left else outer_left
+        self._residual = residual
+        self._stream_width = stream_width
+
+    def __call__(self, build: JoinBuild, batch: ColumnBatch) -> ColumnBatch:
+        n = batch.num_rows
+        if n:
+            groups = build.probe(
+                [kernel(batch) for kernel in self._stream_keys], n
+            )
+            batch = _narrowed(batch, self._stream_width)
+        else:  # (and then maybe no column to read a key from)
+            groups = np.empty(0, dtype=np.int64)
+            batch = ColumnBatch.from_rows([], self._stream_width)
+        # Every (stream row, build row) pair of equal keys: a matched
+        # stream row repeated once per row of its group, beside the
+        # group's run of build rows.
+        matched = np.flatnonzero(groups >= 0)
+        groups = groups[matched]
+        counts = build.counts[groups]
+        stream_rows = np.repeat(matched, counts)
+        within = np.arange(len(stream_rows)) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        build_rows = build.rows[np.repeat(build.starts[groups], counts) + within]
+        if self._residual is not None and len(stream_rows):
+            pairs = self._joined(build, batch, stream_rows, build_rows)
+            kept = np.flatnonzero(self._residual(pairs))
+            stream_rows, build_rows = stream_rows[kept], build_rows[kept]
+        lonely_build = ()
+        if self._outer_build:
+            lonely_build = np.flatnonzero(
+                np.bincount(build_rows, minlength=build.batch.num_rows) == 0
+            )
+        if self._outer_stream:
+            lonely = np.flatnonzero(np.bincount(stream_rows, minlength=n) == 0)
+            if len(lonely):
+                # NULL-extended once each, in their place in stream order.
+                stream_rows = np.concatenate([stream_rows, lonely])
+                build_rows = np.concatenate(
+                    [build_rows, np.full(len(lonely), -1)]
+                )
+                order = np.argsort(stream_rows, kind="stable")
+                stream_rows, build_rows = stream_rows[order], build_rows[order]
+        if len(lonely_build):
+            stream_rows = np.concatenate(
+                [stream_rows, np.full(len(lonely_build), -1)]
+            )
+            build_rows = np.concatenate([build_rows, lonely_build])
+        return self._joined(build, batch, stream_rows, build_rows)
+
+    def _joined(self, build, batch, stream_rows, build_rows) -> ColumnBatch:
+        stream = _take_or_null(batch, stream_rows)
+        built = _take_or_null(build.batch, build_rows)
+        entries = stream + built if self._stream_is_left else built + stream
+        return ColumnBatch(entries, len(stream_rows))
+
+
+# ---------------------------------------------------------------------------
+# The batch pipeline
+# ---------------------------------------------------------------------------
 
 #: Counters of the kernels' dictionary-domain evaluations: how many ran,
 #: the distinct values they evaluated, the rows those stood for.
@@ -820,30 +865,66 @@ _DICTIONARY = (
 )
 
 
+def filter_link(keep: Kernel) -> tuple:
+    """WHERE as a chain link: the rows whose keep-mask is set."""
+    return "filter", lambda batch: batch.take(np.flatnonzero(keep(batch)))
+
+
+def project_link(plans: list) -> tuple:
+    """A SELECT list as a chain link; ``plans`` as
+    ``compile_vector_projection`` gives them: a carried column moves as
+    the (possibly still encoded) entry it is."""
+
+    def project(batch: ColumnBatch) -> ColumnBatch:
+        return ColumnBatch(
+            [
+                batch.entries[plan] if kind == "col" else plan(batch)
+                for kind, plan in plans
+            ],
+            batch.num_rows,
+        )
+
+    return "project", project
+
+
+class BlockScan(NamedTuple):
+    """What a pipeline over a cached table's blocks reads."""
+
+    #: The columns to decode, and the projection they are priced by.
+    column_indices: list[int]
+    projected: Optional[list[str]]
+    #: (table, version, kept_partitions_or_None) when the sql cache's
+    #: fragment layer is on: each block's batch is published there, so
+    #: every query over the same columns — whatever its predicate,
+    #: concurrent or later — decodes each block once (shared scans).
+    fragment_scope: Optional[tuple]
+    #: Whether the scanned rows count as ``batch_rows`` (``vectorize``:
+    #: the kernels above the scan are array code).
+    vectorized: bool
+
+
 class BatchPipelineRDD(RDD):
-    """A fused columnar pipeline over cached blocks.
+    """A fused chain of batch links over a source of batches.
 
-    scan -> chain of filter/project/join kernels (the scan's predicate is
-    the chain's first filter; a join link probes a broadcast build side)
-    -> the batches themselves, their rows (``emit_rows``: late
-    materialization, for a plan that ends here), or a
-    :class:`BatchAggregator`'s partial batch.
+    The source is the parent's ColumnBatches (an external scan, the
+    output of an exchange) or, with ``scan``, its ColumnarPartition
+    blocks, each read as one batch of lazy columns.  source -> chain of
+    ``(kind, batch -> batch)`` links (filter / project / join: the
+    scan's predicate is the chain's first filter, a join link probes a
+    broadcast build side) -> the batches themselves or, with
+    ``aggregate_factory``, a :class:`BatchAggregator`'s partial batch.
 
-    Columns stay (possibly compressed) arrays throughout.  One compute()
-    call processes each ColumnarPartition block as one batch.
+    Columns stay (possibly compressed) arrays throughout.
     """
 
     def __init__(
         self,
         parent: RDD,
-        column_indices: list[int],
-        projected: Optional[list[str]],
-        chain: tuple = (),
+        chain: Sequence[tuple] = (),
         aggregate_factory: Optional[Callable[[], BatchAggregator]] = None,
-        name: str = "batch_scan",
-        fragment_scope: Optional[tuple] = None,
+        name: str = "batch_pipeline",
         op_keys: Optional[dict] = None,
-        emit_rows: bool = True,
+        scan: Optional[BlockScan] = None,
     ):
         super().__init__(
             parent.ctx,
@@ -852,24 +933,39 @@ class BatchPipelineRDD(RDD):
             name=name,
         )
         self._parent = parent
-        self._column_indices = list(column_indices)
-        self._projected = projected
         self._chain = tuple(chain)
         self._aggregate_factory = aggregate_factory
-        self._emit_rows = emit_rows
-        #: Plan-quality stamp keys for the fused operators: "scan",
-        #: "chain" (one per chained kernel) and "aggregate" — runtime row
-        #: counts are credited to these so batch and row mode report the
-        #: same operators.
+        self._scan = scan
+        #: Plan-quality stamp keys for the fused operators: "scan" (a
+        #: block scan's), "chain" (one per link; None for a link the
+        #: planner added unstamped) and "aggregate" — runtime row counts
+        #: are credited to these.
         self._op_keys = dict(op_keys or {})
-        #: (table, version, kept_partitions_or_None) when the sql cache's
-        #: fragment layer is on: each block's batch is published there,
-        #: so every query over the same columns — whatever its predicate,
-        #: concurrent or later — decodes each block once (shared scans).
-        self._fragment_scope = fragment_scope
+
+    def _read_block(
+        self, block, split: int, ordinal: int, task_ctx, cache
+    ) -> tuple[ColumnBatch, int]:
+        """One block as a batch, and how many blocks that decoded: none
+        on a fragment hit (a shared scan reuses another query's batch)."""
+        scan = self._scan
+        fragment_key = None
+        if cache is not None:
+            fragment_key = cache.fragment_key(
+                scan.fragment_scope, split, ordinal, scan.column_indices
+            )
+            batch = cache.fragment_lookup(fragment_key)
+            if batch is not None:
+                return batch, 0
+        batch = ColumnBatch.from_block(block, scan.column_indices)
+        if fragment_key is not None:
+            cache.fragment_store(
+                fragment_key, batch, task_ctx.worker.worker_id
+            )
+        return batch, 1
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         counters = self.ctx.tracer.metrics
+        scan = self._scan
         aggregator = (
             self._aggregate_factory() if self._aggregate_factory else None
         )
@@ -880,66 +976,40 @@ class BatchPipelineRDD(RDD):
         chain_keys = self._op_keys.get("chain") or (None,) * len(self._chain)
         chain_rows_out = [0] * len(self._chain)
         #: Whether a link ever saw a row: a join over nothing ran no
-        #: probe and, like the row join, credits nothing.
+        #: probe and credits nothing.
         chain_ran = [False] * len(self._chain)
         dictionary_before = [counters.value(name) for name in _DICTIONARY]
-        cache = (
-            getattr(self.ctx, "sql_cache", None)
-            if self._fragment_scope is not None
-            else None
-        )
-        for ordinal, block in enumerate(
+        cache = None
+        if scan is not None and scan.fragment_scope is not None:
+            cache = getattr(self.ctx, "sql_cache", None)
+        for ordinal, batch in enumerate(
             self._parent.iterator(split, task_ctx)
         ):
-            total_bytes += _scanned_bytes(block, self._projected)
-            total_records += block.num_rows
-            batch = None
-            fragment_key = None
-            if cache is not None:
-                fragment_key = cache.fragment_key(
-                    self._fragment_scope,
-                    split,
-                    ordinal,
-                    self._column_indices,
+            if scan is not None:  # ... and ``batch`` is still a block
+                total_bytes += _scanned_bytes(batch, scan.projected)
+                batch, decoded = self._read_block(
+                    batch, split, ordinal, task_ctx, cache
                 )
-                batch = cache.fragment_lookup(fragment_key)
-            if batch is None:
-                # batch.batches counts real decodes only: a fragment hit
-                # (shared scan) reuses another query's decoded batch.
-                num_batches += 1
-                batch = ColumnBatch.from_block(block, self._column_indices)
-                if fragment_key is not None:
-                    cache.fragment_store(
-                        fragment_key, batch, task_ctx.worker.worker_id
-                    )
-            for index, (kind, payload) in enumerate(self._chain):
+                num_batches += decoded
+            elif not batch.num_rows:
+                continue  # of any width: no link could read a column of it
+            total_records += batch.num_rows
+            for index, (kind, link) in enumerate(self._chain):
                 chain_ran[index] |= batch.num_rows > 0
+                batch = link(batch)
+                # (Spelled out: the metric-name registry reads literals.)
                 if kind == "filter":
-                    keep = payload(batch)
-                    batch = batch.take(np.nonzero(keep)[0])
                     counters.inc("batch.kernel.filter")
                 elif kind == "join":
-                    batch = payload(batch)
                     counters.inc("batch.kernel.join")
-                else:  # project
-                    entries = [
-                        batch.entries[plan]
-                        if plan_kind == "col"
-                        else plan(batch)
-                        for plan_kind, plan in payload
-                    ]
-                    batch = ColumnBatch(entries, batch.num_rows)
+                else:
                     counters.inc("batch.kernel.project")
                 chain_rows_out[index] += batch.num_rows
             if aggregator is not None:
                 aggregator.consume(batch)
                 counters.inc("batch.kernel.aggregate")
-            elif self._emit_rows:
-                out.extend(batch.materialize_rows())
             else:
                 out.append(batch)
-        counters.inc("batch.batches", num_batches)
-        counters.inc("batch.rows", total_records)
         # The kernels count their dictionary-domain evaluations; one task
         # runs at a time, so the difference is this task's.
         kernels, values, covered = (
@@ -957,21 +1027,23 @@ class BatchPipelineRDD(RDD):
             batches=num_batches,
             rows=total_records,
             output_rows=(
-                None
-                if aggregator is not None
-                else len(out) if self._emit_rows else sum(map(len, out))
+                None if aggregator is not None else sum(map(len, out))
             ),
             dictionary_kernels=kernels,
             dictionary_values=values,
             dictionary_rows=covered,
         )
-        task_ctx.metrics.source = SOURCE_MEMORY
-        task_ctx.metrics.records_in += total_records
-        task_ctx.metrics.bytes_in += total_bytes
-        task_ctx.metrics.batch_rows += total_records
-        scan_key = self._op_keys.get("scan")
-        if scan_key is not None:
-            record_operator_rows(scan_key, total_records)
+        if scan is not None:
+            counters.inc("batch.batches", num_batches)
+            task_ctx.metrics.source = SOURCE_MEMORY
+            task_ctx.metrics.records_in += total_records
+            task_ctx.metrics.bytes_in += total_bytes
+            if scan.vectorized:
+                counters.inc("batch.rows", total_records)
+                task_ctx.metrics.batch_rows += total_records
+            scan_key = self._op_keys.get("scan")
+            if scan_key is not None:
+                record_operator_rows(scan_key, total_records)
         for (kind, __), key, count, ran in zip(
             self._chain, chain_keys, chain_rows_out, chain_ran
         ):
@@ -988,14 +1060,14 @@ def scan_batch_pipeline(
     projected: Optional[list[str]],
     kept_partitions: Optional[list[int]],
     column_indices: list[int],
-    chain: tuple = (),
+    chain: Sequence[tuple] = (),
     aggregate_factory: Optional[Callable[[], BatchAggregator]] = None,
     name: str = "batch_scan",
     op_keys: Optional[dict] = None,
-    emit_rows: bool = True,
+    vectorized: bool = True,
 ) -> RDD:
-    """Build the fused batch dataflow for a cached table (same pruning
-    contract as :func:`scan_memstore`)."""
+    """Build the fused batch dataflow for a cached table, optionally
+    map-pruned to ``kept_partitions``."""
     base = entry.cached_rdd
     if base is None:
         raise ValueError(f"table {entry.name} has no cached data")
@@ -1021,104 +1093,18 @@ def scan_batch_pipeline(
         base = PrunedRDD(base, kept_partitions)
     return BatchPipelineRDD(
         base,
-        column_indices,
-        projected,
-        chain=chain,
-        aggregate_factory=aggregate_factory,
-        name=name,
-        fragment_scope=fragment_scope,
-        op_keys=op_keys,
-        emit_rows=emit_rows,
+        chain,
+        aggregate_factory,
+        name,
+        op_keys,
+        BlockScan(column_indices, projected, fragment_scope, vectorized),
     )
 
 
+
 # ---------------------------------------------------------------------------
-# Row-level operators
+# ORDER BY
 # ---------------------------------------------------------------------------
-
-
-def _count_into(op: OperatorStamp) -> Callable[[list], list]:
-    """Per-partition pass-through that credits the partition's rows to
-    ``op``'s plan-quality stamp."""
-    key = op.key
-
-    def count_partition(part: list) -> list:
-        record_operator_rows(key, len(part))
-        return part
-
-    return count_partition
-
-
-def _counted_filter(
-    child: RDD, keep: Callable[[tuple], bool], op: OperatorStamp, name: str
-) -> RDD:
-    """``child.filter(keep)`` that also credits surviving rows to ``op``."""
-    count = _count_into(op)
-
-    def run(part: list) -> list:
-        return count([row for row in part if keep(row)])
-
-    return child.map_partitions(
-        run, preserves_partitioning=True
-    ).set_name(name)
-
-
-def filter_rows(child: RDD, condition: BoundExpr, *, op: OperatorStamp) -> RDD:
-    """Filter rows where the predicate is exactly TRUE."""
-    count = _count_into(op)
-
-    def run(part: list) -> list:
-        values = _column_values(condition, part)
-        return count(
-            [row for row, value in zip(part, values) if value is True]
-        )
-
-    return child.map_partitions(
-        run, preserves_partitioning=True
-    ).set_name("filter")
-
-
-def project_columns(expressions: list[BoundExpr], rows: list) -> list:
-    """The SELECT list over one partition's rows, a column at a time."""
-    columns = [_column_values(expr, rows) for expr in expressions]
-    return list(zip(*columns)) if columns else [()] * len(rows)
-
-
-def project_rows(
-    child: RDD, expressions: list[BoundExpr], *, op: OperatorStamp
-) -> RDD:
-    """Evaluate the SELECT list over every partition."""
-    count = _count_into(op)
-    return child.map_partitions(
-        lambda part: count(project_columns(expressions, part))
-    ).set_name("project")
-
-
-def limit_rows(child: RDD, count: int, op: OperatorStamp) -> RDD:
-    """LIMIT pushed into individual partitions (Section 2.4), then a final
-    single-partition pass takes the global first ``count``."""
-
-    def take_local(part: list) -> list:
-        return part[:count]
-
-    local = child.map_partitions(take_local).set_name("limit_local")
-    count_final = _count_into(op)
-
-    def take_final(part: list) -> list:
-        return count_final(part[:count])
-
-    return local.coalesce(1).map_partitions(take_final).set_name("limit")
-
-
-def distinct_rows(
-    child: RDD,
-    num_partitions: Optional[int] = None,
-    *,
-    op: OperatorStamp,
-) -> RDD:
-    out = child.distinct(num_partitions)
-    out = out.map_partitions(_count_into(op), preserves_partitioning=True)
-    return out.set_name("distinct")
 
 
 class Descending:
@@ -1166,11 +1152,6 @@ def _descending(values: list, data_type: DataType) -> list:
         return list(map(Descending, values))
 
 
-def _column_values(expr: BoundExpr, rows: list) -> list:
-    if isinstance(expr, BoundColumn):
-        return list(map(operator.itemgetter(expr.index), rows))
-    return [expr.eval(row) for row in rows]
-
 
 def flat_sort_keys(
     keys: list[tuple[BoundExpr, bool]], columns: list[list]
@@ -1195,14 +1176,6 @@ def flat_sort_keys(
             parts.append(_descending(values, expr.data_type))
     return list(zip(*parts))
 
-
-def row_sort_keys(
-    keys: list[tuple[BoundExpr, bool]], rows: list
-) -> list[tuple]:
-    """:func:`flat_sort_keys` of a partition of rows."""
-    return flat_sort_keys(
-        keys, [_column_values(expr, rows) for expr, __ in keys]
-    )
 
 
 def _ascending_arrays(
@@ -1256,71 +1229,21 @@ class SortPartitioner(RangePartitioner):
         )
 
 
-def _with_columns(
-    child: RDD,
-    batched: bool,
-    expressions: list[BoundExpr],
-    width: Optional[int],
-) -> tuple[RDD, list[int]]:
-    """``child`` as an RDD of ColumnBatches in which every expression is
-    a column: a plain column reference is that column, anything else is
-    evaluated — by its vector kernel over a batch, by ``eval`` over rows,
-    which are transposed here, once — and appended after the ``width``
-    row columns.  Returns the RDD and the expressions' ordinals."""
-    from repro.sql.codegen import compile_vector_expression
-
-    computed = [e for e in expressions if not isinstance(e, BoundColumn)]
-    if computed and width is None:
-        raise ValueError("computed key columns need the row width")
-    appended = iter(range(width or 0, (width or 0) + len(computed)))
-    ordinals = [
-        expr.index if isinstance(expr, BoundColumn) else next(appended)
-        for expr in expressions
-    ]
-    if batched:
-        if not computed:
-            return child, ordinals
-        kernels = [compile_vector_expression(e)[0] for e in computed]
-
-        def run(_: int, part: list) -> list:
-            return [
-                ColumnBatch(
-                    batch.entries + [kernel(batch) for kernel in kernels],
-                    batch.num_rows,
-                )
-                for batch in part
-            ]
-
-    else:
-
-        def run(_: int, part: list) -> list:
-            row_width = width
-            if row_width is None:
-                row_width = len(part[0]) if part else 0
-            columns = transpose_rows(part, row_width)
-            columns += [_column_values(expr, part) for expr in computed]
-            return [ColumnBatch.from_columns(columns, len(part))]
-
-    return MapPartitionsRDD(child, run, name="map"), ordinals
-
 
 def sort_batches(
     child: RDD,
-    batched: bool,
     keys: list[tuple[BoundExpr, bool]],
+    ordinals: list[int],
     width: int,
     *,
     op: OperatorStamp,
 ) -> RDD:
-    """ORDER BY over batches (``batched``) or rows; yields batches of the
-    ``width`` row columns.  The ORDER BY columns cross the exchange as
-    what they are — columns of the row, or computed ones beside it — and
-    each reduce partition is ordered by one stable ``argsort``/``lexsort``
-    when they are all plain numerics, by ``sorted()`` over the flat keys
-    otherwise."""
-    keyed, ordinals = _with_columns(
-        child, batched, [expr for expr, __ in keys], width
-    )
+    """ORDER BY over batches; yields batches of the ``width`` row
+    columns.  The ORDER BY columns cross the exchange as what they are —
+    the columns at ``ordinals``: columns of the row, or computed ones
+    beside it — and each reduce partition is ordered by one stable
+    ``argsort``/``lexsort`` when they are all plain numerics, by
+    ``sorted()`` over the flat keys otherwise."""
 
     def keys_of(batch: ColumnBatch, rows: np.ndarray) -> list[tuple]:
         return flat_sort_keys(
@@ -1340,81 +1263,24 @@ def sort_batches(
         )
         return sorted(range(batch.num_rows), key=flat.__getitem__)
 
-    ordered = keyed.sort_batches(
+    ordered = child.sort_batches(
         tuple(ordinals),
         keys_of,
         lambda bounds: SortPartitioner(bounds, keys),
         order,
     )
-    count_key = op.key
-
-    def finish(part: list) -> list:
-        out = [
-            ColumnBatch(batch.entries[:width], batch.num_rows)
-            for batch in part
-        ]
-        record_operator_rows(count_key, sum(map(len, out)))
-        return out
-
-    return ordered.map_partitions(
-        finish, preserves_partitioning=True
-    ).set_name("sort")
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
-
-
-def _partial_aggregate_partition(
-    part: list,
-    group_exprs: list[BoundExpr],
-    specs: list[AggregateSpec],
-) -> list:
-    """Task-local aggregation: one pass producing (group_key, accs) pairs.
-
-    State lives in a :class:`SpillableGroups` registered with the
-    accountant, charged incrementally as groups appear — so an over-cap
-    reservation mid-partition can spill buckets to simulated disk and
-    the pass completes in bounded memory, with output identical to the
-    in-memory path."""
-    state = SpillableGroups(
-        [spec.function for spec in specs], "hash_aggregate"
+    return _counted(
+        ordered,
+        op,
+        "sort",
+        lambda part: [_narrowed(batch, width) for batch in part],
+        preserves_partitioning=True,
     )
-    if not group_exprs:
-        # Global aggregation: an empty input still yields one group so
-        # COUNT(*) over zero rows returns 0, not zero rows.
-        state.live_accs(())
-        state.charge_pending()
-    for row in part:
-        key = tuple(expr.eval(row) for expr in group_exprs)
-        state.update_row(
-            key,
-            [
-                spec.argument.eval(row) if spec.argument is not None else None
-                for spec in specs
-            ],
-        )
-    return state.finish_groups()
 
 
-def partial_aggregate_rdd(
-    child: RDD,
-    group_exprs: list[BoundExpr],
-    specs: list[AggregateSpec],
-    op: Optional[OperatorStamp] = None,
-) -> RDD:
-    """Phase 1, row mode: task-local aggregation of a row RDD; each task
-    yields its (group key, accs) pairs as one partial batch."""
-    key = op.key if op is not None else None
-
-    def run(part: list) -> list:
-        out = _partial_aggregate_partition(part, group_exprs, specs)
-        if key is not None:
-            record_operator_rows(key, len(out))
-        return [partials_batch(out, len(group_exprs), specs)]
-
-    return child.map_partitions(run).set_name("partial_aggregate")
+# ---------------------------------------------------------------------------
+# Aggregation and DISTINCT past the map side
+# ---------------------------------------------------------------------------
 
 
 def exchange_partials(
@@ -1438,47 +1304,36 @@ def final_aggregate(
     num_keys: int,
     specs: list[AggregateSpec],
     final_op: OperatorStamp,
-    vectorized: bool,
+    arrays: bool = True,
+    name: str = "final_aggregate",
 ) -> RDD:
-    """Phase 2b: merge each reduce partition's partials per group and
-    finish them — one :func:`merge_partials` + :func:`finish_partials`
-    yielding a batch (``vectorized``), or the per-pair reference loop
-    yielding rows."""
-    count_key = final_op.key
+    """Phase 2b: merge each reduce partition's partials per group
+    (:func:`merge_partials`) and finish them (:func:`finish_partials`)."""
 
-    def run_batches(part: list) -> list:
-        batch = finish_partials(
-            merge_partials(ColumnBatch.concat(part), num_keys, specs),
-            num_keys,
-            specs,
+    def run(part: list) -> list:
+        merged = merge_partials(
+            ColumnBatch.concat(part), num_keys, specs, arrays
         )
-        record_operator_rows(count_key, batch.num_rows)
-        return [batch]
+        return [finish_partials(merged, num_keys, specs, arrays)]
 
-    def run_rows(part: list) -> list:
-        merged: dict = {}
-        for batch in part:
-            for key, accs in partials_pairs(batch, num_keys, specs):
-                if key in merged:
-                    merged[key] = [
-                        spec.function.merge(left, right)
-                        for spec, left, right in zip(specs, merged[key], accs)
-                    ]
-                else:
-                    merged[key] = accs
-        rows = [
-            tuple(key)
-            + tuple(
-                spec.function.finish(acc) for spec, acc in zip(specs, accs)
-            )
-            for key, accs in merged.items()
-        ]
-        record_operator_rows(count_key, len(rows))
-        return rows
+    return _counted(exchanged, final_op, name, run)
 
-    return exchanged.map_partitions(
-        run_batches if vectorized else run_rows
-    ).set_name("final_aggregate")
+
+def distinct_batches(
+    child: RDD, width: int, num_partitions: int, *, op: OperatorStamp
+) -> RDD:
+    """DISTINCT: an aggregation with every column a group key and no
+    aggregate — rows merged within each task, exchanged by the whole
+    row, merged again."""
+    local = MapPartitionsRDD(
+        child,
+        lambda _, part: [merge_partials(ColumnBatch.concat(part), width, [])],
+        name="distinct_local",
+    )
+    return final_aggregate(
+        exchange_partials(local, width, num_partitions), width, [], op,
+        name="distinct",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1486,170 +1341,109 @@ def final_aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _key_function(keys: list[BoundExpr]) -> Callable[[tuple], Any]:
-    if len(keys) == 1:
-        key = keys[0]
-        return lambda row: key.eval(row)
-    return lambda row: tuple(key.eval(row) for key in keys)
-
-
-def _key_column(keys: list[BoundExpr], rows: list) -> list:
-    """``_key_function(keys)`` of every row, built a column at a time."""
-    if len(keys) == 1:
-        return _column_values(keys[0], rows)
-    return project_columns(keys, rows)
-
-
-def _has_null(key: Any, num_keys: int) -> bool:
-    """Does an equi-join key have a NULL component?  Then, in SQL, it
-    equals nothing — not even another NULL."""
-    return key is None if num_keys == 1 else None in key
-
-
 def keyed_batches(
-    child: RDD,
-    batched: bool,
-    keys: list[BoundExpr],
-    width: Optional[int],
-    partitioner: Partitioner,
-    stats_collectors: tuple = (),
+    child: RDD, ordinals: list[int], partitioner: Partitioner
 ) -> BatchShuffleDependency:
-    """The exchange of ``child``'s rows by ``keys``: its dependency,
-    whose ``pairs`` are ``(key, row)``.  ``width`` may be unknown (None)
-    when every key is a column of the row."""
-    keyed, ordinals = _with_columns(child, batched, keys, width)
+    """The exchange of ``child``'s batches by the columns at
+    ``ordinals``: its dependency."""
     return BatchShuffleDependency(
-        keyed,
+        child,
         partitioner,
-        key=ordinals[0] if len(keys) == 1 else tuple(ordinals),
-        value=None if width is None else tuple(range(width)),
-        stats_collectors=stats_collectors,
+        key=ordinals[0] if len(ordinals) == 1 else tuple(ordinals),
     )
 
 
-def _emit_joined(
-    join_type: str,
-    left_width: int,
-    right_width: int,
-    residual: Optional[BoundExpr],
-    num_keys: int = 1,
-) -> Callable[[tuple], list]:
-    left_nulls = (None,) * left_width
-    right_nulls = (None,) * right_width
-
-    def emit(pair: tuple) -> list:
-        key, (left_rows, right_rows) = pair
-        out: list[tuple] = []
-        if left_rows and right_rows and not _has_null(key, num_keys):
-            for left_row in left_rows:
-                matched = False
-                for right_row in right_rows:
-                    combined = tuple(left_row) + tuple(right_row)
-                    if residual is None or residual.eval(combined) is True:
-                        out.append(combined)
-                        matched = True
-                if not matched and join_type in ("left", "full"):
-                    out.append(tuple(left_row) + right_nulls)
-            if join_type in ("right", "full"):
-                for right_row in right_rows:
-                    matched = any(
-                        residual is None
-                        or residual.eval(tuple(lr) + tuple(right_row)) is True
-                        for lr in left_rows
-                    )
-                    if not matched:
-                        out.append(left_nulls + tuple(right_row))
-            return out
-        if join_type in ("left", "full"):
-            out.extend(tuple(row) + right_nulls for row in left_rows)
-        if join_type in ("right", "full"):
-            out.extend(left_nulls + tuple(row) for row in right_rows)
-        return out
-
-    return emit
-
-
-def _flat_map_counted(
-    rdd: RDD, emit: Callable[[Any], list], op: Optional[OperatorStamp]
-) -> RDD:
-    """``rdd.flat_map(emit)`` that credits each partition's output rows
-    to the join's plan-quality stamp (once per partition; an empty
-    partition ran no emit and credits nothing)."""
-    if op is None:
-        return rdd.flat_map(emit)
-    key = op.key
-
-    def run(part: list) -> list:
-        out = [row for item in part for row in emit(item)]
-        if part:
-            record_operator_rows(key, len(out))
-        return out
-
-    return rdd.map_partitions(run)
-
-
-def shuffle_join(
+def pre_shuffle_side(
     ctx: "EngineContext",
-    left: "RDD | BatchShuffleDependency",
-    right: "RDD | BatchShuffleDependency",
-    join_type: str,
-    left_width: int,
-    right_width: int,
-    residual: Optional[BoundExpr],
+    side: RDD,
+    ordinals: list[int],
     partitioner: Partitioner,
-    num_keys: int = 1,
-    op: Optional[OperatorStamp] = None,
-) -> RDD:
-    """Repartition both sides by key and join corresponding partitions.
+) -> tuple[ShuffledRDD, BatchShuffleDependency]:
+    """PDE: run the map (pre-shuffle) stage of one join side *now*.
 
-    A side is the :func:`keyed_batches` dependency to read it through,
-    or the ``(key, row)`` pairs of one PDE already shuffled
-    (:func:`pre_shuffle_side`): cogroup sees its partitioner matches and
-    uses a narrow dependency, so the pre-shuffle work is reused, not
-    repeated.
+    Returns the shuffled side — an RDD of batches whose map outputs are
+    already materialized — plus its dependency, whose statistics the
+    optimizer reads before deciding the join strategy.
     """
-    grouped = CoGroupedRDD(ctx, [left, right], partitioner)
-    emit = _emit_joined(
-        join_type, left_width, right_width, residual, num_keys
-    )
-    return _flat_map_counted(grouped, emit, op).set_name(f"{join_type}_join")
+    dep = keyed_batches(side, ordinals, partitioner)
+    ctx.materialize_dependency(dep)
+    return ShuffledRDD.of(dep), dep
 
 
-def copartitioned_join(
-    ctx: "EngineContext",
-    left: RDD,
-    right: RDD,
-    left_keys: list[BoundExpr],
-    right_keys: list[BoundExpr],
-    join_type: str,
-    left_width: int,
-    right_width: int,
-    residual: Optional[BoundExpr],
-    partitioner: Partitioner,
-    op: Optional[OperatorStamp] = None,
-) -> RDD:
-    """Join two tables co-partitioned on the join key (Section 3.4): both
-    keyed RDDs inherit the stored partitioning, so cogroup is all-narrow
-    and no shuffle happens."""
-    sides = []
-    for side, keys, name in (
-        (left, left_keys, "copartition_key_left"),
-        (right, right_keys, "copartition_key_right"),
+class CoGroupedBatchesRDD(RDD):
+    """Partition ``i`` of two join sides, each as one batch, handed to
+    ``join``.  A side is an RDD of batches already partitioned by
+    ``partitioner`` — a PDE pre-shuffle, a table stored DISTRIBUTE BY the
+    key: read narrowly, so that work is reused, not repeated — or the
+    :func:`keyed_batches` dependency to fetch it through."""
+
+    def __init__(
+        self,
+        ctx: "EngineContext",
+        sides: "list[RDD | ShuffleDependency]",
+        partitioner: Partitioner,
+        join: Callable[[ColumnBatch, ColumnBatch], ColumnBatch],
+        name: str,
     ):
-        keyed = MapPartitionsRDD(
-            side,
-            lambda __, part, keys=keys: list(
-                zip(_key_column(keys, part), part)
-            ),
+        super().__init__(
+            ctx,
+            partitioner.num_partitions,
+            [
+                side
+                if isinstance(side, ShuffleDependency)
+                else OneToOneDependency(side)
+                for side in sides
+            ],
+            partitioner=partitioner,
             name=name,
         )
-        keyed.partitioner = partitioner
-        sides.append(keyed)
-    grouped = CoGroupedRDD(ctx, sides, partitioner)
-    emit = _emit_joined(
-        join_type, left_width, right_width, residual, len(left_keys)
-    )
-    return _flat_map_counted(grouped, emit, op).set_name("copartitioned_join")
+        self._join = join
+
+    def compute(self, split: int, task_ctx: "TaskContext") -> list:
+        batches = []
+        for dep in self.dependencies:
+            if isinstance(dep, ShuffleDependency):
+                batch = task_ctx.shuffle_manager.fetch(
+                    dep.shuffle_id, split, task_ctx.metrics
+                )
+            else:
+                batch = ColumnBatch.concat(dep.rdd.iterator(split, task_ctx))
+            batches.append(batch)
+        return [self._join(*batches)]
+
+
+def cogroup_join(
+    ctx: "EngineContext",
+    left: "RDD | ShuffleDependency",
+    right: "RDD | ShuffleDependency",
+    partitioner: Partitioner,
+    probe: JoinProbe,
+    build_ordinals: list[int],
+    build_width: int,
+    name: str,
+    op: OperatorStamp,
+) -> RDD:
+    """The shuffle join and the co-partitioned join (Section 3.4: both
+    sides inherit the stored partitioning, so every dependency is narrow
+    and no shuffle happens): in each partition the right side is built
+    (:class:`JoinBuild`, keyed by its columns at ``build_ordinals``) and
+    the left side streams past it through ``probe`` — an outer build side
+    is safe here, the partition holds every row of its keys."""
+    key = op.key
+
+    def join(stream: ColumnBatch, build: ColumnBatch) -> ColumnBatch:
+        if build.num_rows:
+            keys = [build.vector(i) for i in build_ordinals]
+            build = _narrowed(build, build_width)
+        else:  # (and then maybe no column to read a key from)
+            keys = [Vector([]) for __ in build_ordinals]
+            build = ColumnBatch.from_rows([], build_width)
+        joined = probe(JoinBuild(build, keys), stream)
+        if stream.num_rows or build.num_rows:
+            record_operator_rows(key, joined.num_rows)
+        return joined
+
+    return CoGroupedBatchesRDD(ctx, [left, right], partitioner, join, name)
 
 
 def _charge_build_side(ctx: "EngineContext", value: Any, rows: ColumnBatch):
@@ -1668,252 +1462,124 @@ def _charge_build_side(ctx: "EngineContext", value: Any, rows: ColumnBatch):
     return broadcast
 
 
-def broadcast_probe(
+def broadcast_link(
     ctx: "EngineContext",
     build: ColumnBatch,
-    stream_keys: list[BoundExpr],
-    build_keys: list[BoundExpr],
-    join_type: str,
-    stream_is_left: bool,
-    residual: Optional[BoundExpr],
-) -> tuple[BroadcastProbe, int]:
-    """Map join (Section 3.1.1) as a batch-chain link, replacing
-    :func:`broadcast_join`'s per-row ``emit``: the link and how many of
-    its expressions are interpreted."""
-    from repro.sql.codegen import (
-        compile_vector_expression,
-        compile_vector_predicate,
-    )
-
-    metrics = ctx.tracer.metrics
-    interpreted = 0
-    kernels = []
-    for key in stream_keys:
-        kernel, count = compile_vector_expression(key, metrics)
-        kernels.append(kernel)
-        interpreted += count
-    predicate = None
-    if residual is not None:
-        predicate, count = compile_vector_predicate(residual, metrics)
-        interpreted += count
-    # Hash the small side once and broadcast it.
-    build_key_vectors = [
-        compile_vector_expression(key)[0](build) for key in build_keys
-    ]
-    link = BroadcastProbe(
-        _charge_build_side(ctx, JoinBuild(build, build_key_vectors), build),
-        kernels,
-        stream_is_left,
-        (join_type == "left" and stream_is_left)
-        or (join_type == "right" and not stream_is_left),
-        predicate,
-    )
-    return link, interpreted
+    build_keys: list[Vector],
+    probe: JoinProbe,
+) -> tuple:
+    """Map join (Section 3.1.1) as a chain link: the small side is
+    grouped by key once, broadcast, and every stream batch probes it."""
+    broadcast = _charge_build_side(ctx, JoinBuild(build, build_keys), build)
+    return "join", lambda batch: probe(broadcast.value, batch)
 
 
-def broadcast_join(
-    ctx: "EngineContext",
-    stream_side: RDD,
-    build_rows: list[tuple],
-    stream_keys: list[BoundExpr],
-    build_keys: list[BoundExpr],
-    join_type: str,
-    stream_is_left: bool,
-    stream_width: int,
-    build_width: int,
-    residual: Optional[BoundExpr],
-    op: Optional[OperatorStamp] = None,
-) -> RDD:
-    """Map join (Section 3.1.1), row mode: hash the small side once,
-    broadcast it, and join each partition of the large side with only
-    map tasks."""
-    table: dict[Any, list[tuple]] = {}
-    for key, row in zip(_key_column(build_keys, build_rows), build_rows):
-        if not _has_null(key, len(build_keys)):
-            table.setdefault(key, []).append(row)
+def cross_link(
+    ctx: "EngineContext", right: ColumnBatch, residual: Optional[Kernel]
+) -> tuple:
+    """Broadcast nested-loop join for key-less joins, as a chain link:
+    every stream row beside every row of ``right``, in that order, less
+    what the ``residual`` keep-mask drops."""
+    right = ColumnBatch(right.vectors(), right.num_rows)
+    broadcast = _charge_build_side(ctx, right, right)
+
+    def cross(batch: ColumnBatch) -> ColumnBatch:
+        build: ColumnBatch = broadcast.value
+        n, m = batch.num_rows, build.num_rows
+        joined = ColumnBatch(
+            batch.take(np.repeat(np.arange(n), m)).entries
+            + build.take(np.tile(np.arange(m), n)).entries,
+            n * m,
+        )
+        if residual is not None and joined.num_rows:
+            joined = joined.take(np.flatnonzero(residual(joined)))
+        return joined
+
+    return "join", cross
+
+
+def semi_join_link(
+    ctx: "EngineContext", key: Kernel, values: list, negated: bool
+) -> tuple:
+    """``key [NOT] IN (subquery values)`` as a chain link probing the
+    collected, broadcast values.  SQL three-valued semantics: a NULL key
+    is never TRUE and NOT IN over values containing NULL is never TRUE
+    for any row — unless there is no value at all: IN (nothing) is FALSE
+    and NOT IN (nothing) TRUE, whatever the key."""
+    nothing, has_null = not values, None in values
+    present = [value for value in values if value is not None]
+    try:
+        members: Any = frozenset(present)
+    except TypeError:  # unhashable subquery values: a linear probe
+        members = present
     broadcast = _charge_build_side(
-        ctx, table, ColumnBatch.from_rows(build_rows, build_width)
+        ctx, members, ColumnBatch.from_columns([list(members)])
     )
 
-    stream_key_fn = _key_function(stream_keys)
-    build_nulls = (None,) * build_width
-    outer_stream = (
-        (join_type == "left" and stream_is_left)
-        or (join_type == "right" and not stream_is_left)
-    )
+    def keep(batch: ColumnBatch) -> np.ndarray:
+        if nothing:
+            return np.full(batch.num_rows, negated)
+        if negated and has_null:
+            return np.zeros(batch.num_rows, dtype=bool)
+        contains = broadcast.value.__contains__
+        keys = key(batch).to_python_list()
+        found = np.fromiter(map(contains, keys), bool, len(keys))
+        return (~found & not_null(keys)) if negated else found
 
-    def emit(row: tuple) -> list:
-        # (A stream key with a NULL component finds nothing: the table
-        # holds no such key.)
-        matches = broadcast.value.get(stream_key_fn(row), ())
-        out: list[tuple] = []
-        for build_row in matches:
-            if stream_is_left:
-                combined = tuple(row) + tuple(build_row)
-            else:
-                combined = tuple(build_row) + tuple(row)
-            if residual is None or residual.eval(combined) is True:
-                out.append(combined)
-        if not out and outer_stream:
-            if stream_is_left:
-                out.append(tuple(row) + build_nulls)
-            else:
-                out.append(build_nulls + tuple(row))
-        return out
-
-    return _flat_map_counted(stream_side, emit, op).set_name("broadcast_join")
+    return filter_link(keep)
 
 
-def cross_join(
-    ctx: "EngineContext",
-    left: RDD,
-    right_rows: list[tuple],
-    right_width: int,
-    residual: Optional[BoundExpr],
-    op: Optional[OperatorStamp] = None,
+# ---------------------------------------------------------------------------
+# LIMIT, UNION ALL, DISTRIBUTE BY
+# ---------------------------------------------------------------------------
+
+
+def _head(count: int, part: list) -> list:
+    """The batches of a partition cut after its first ``count`` rows."""
+    out: list = []
+    for batch in part:
+        if count <= 0:
+            break
+        if batch.num_rows > count:
+            batch = batch.slice(0, count)
+        out.append(batch)
+        count -= batch.num_rows
+    return out
+
+
+def limit_batches(child: RDD, count: int, *, op: OperatorStamp) -> RDD:
+    """LIMIT pushed into individual partitions (Section 2.4), then a final
+    single-partition pass takes the global first ``count``."""
+    head = partial(_head, count)
+    local = child.map_partitions(head).set_name("limit_local")
+    return _counted(local.coalesce(1), op, "limit", head)
+
+
+def union_batches(
+    ctx: "EngineContext", children: list[RDD], *, op: OperatorStamp
 ) -> RDD:
-    """Broadcast nested-loop join for key-less joins."""
-    broadcast = _charge_build_side(
-        ctx, right_rows, ColumnBatch.from_rows(right_rows, right_width)
-    )
-
-    def emit(row: tuple) -> list:
-        out = []
-        for right_row in broadcast.value:
-            combined = tuple(row) + tuple(right_row)
-            if residual is None or residual.eval(combined) is True:
-                out.append(combined)
-        return out
-
-    return _flat_map_counted(left, emit, op).set_name("cross_join")
+    return _counted(ctx.union(children), op, "union_all")
 
 
-def pre_shuffle_side(
-    ctx: "EngineContext",
-    side: RDD,
-    keys: list[BoundExpr],
+def repartition_batches(
+    child: RDD,
+    ordinals: list[int],
+    width: int,
     partitioner: Partitioner,
-    stats_collectors: tuple = (),
-    batched: bool = False,
-    width: Optional[int] = None,
-) -> tuple[RDD, BatchShuffleDependency]:
-    """PDE: run the map (pre-shuffle) stage of one join side *now*.
-
-    Returns the shuffled side — an RDD of row batches whose map outputs
-    are already materialized — plus its dependency, whose statistics the
-    optimizer reads before deciding the join strategy.
-    """
-    dep = keyed_batches(
-        side, batched, keys, width, partitioner, stats_collectors
-    )
-    ctx.materialize_dependency(dep)
-    return ShuffledRDD.of(dep), dep
-
-
-def pre_shuffled_pairs(shuffled: ShuffledRDD) -> RDD:
-    """A :func:`pre_shuffle_side` result as the ``(key, row)`` pairs a
-    cogroup reads narrowly."""
-    pairs_of = shuffled.shuffle_dep.pairs
-    pairs = shuffled.map_partitions(
-        lambda part: [pair for batch in part for pair in pairs_of(batch)],
+    *,
+    op: OperatorStamp,
+) -> RDD:
+    """DISTRIBUTE BY: batches hashed to partitions by the key columns at
+    ``ordinals``, the ``width`` row columns kept."""
+    out = _counted(
+        ShuffledRDD.of(keyed_batches(child, ordinals, partitioner)),
+        op,
+        "distribute_by",
+        lambda part: [_narrowed(batch, width) for batch in part],
         preserves_partitioning=True,
     )
-    return pairs.set_name("shuffle")
-
-
-def repartition_rows(
-    child: RDD,
-    keys: list[BoundExpr],
-    partitioner: Partitioner,
-    op: Optional[OperatorStamp] = None,
-    batched: bool = False,
-    width: Optional[int] = None,
-) -> RDD:
-    """DISTRIBUTE BY: hash rows to partitions by key expressions, keeping
-    rows (not pairs) as output."""
-    dep = keyed_batches(child, batched, keys, width, partitioner)
-    values = rows_of(ShuffledRDD.of(dep), width)
-    if op is not None:  # a load-time DISTRIBUTE BY has no plan node
-        values = values.map_partitions(
-            _count_into(op), preserves_partitioning=True
-        )
-    values = values.set_name("distribute_by")
-    values.partitioner = partitioner
-    return values
-
-
-def semi_join_probe(
-    key_fn: Callable[[tuple], Any],
-    value_set: frozenset,
-    has_null: bool,
-    negated: bool,
-) -> Callable[[tuple], bool]:
-    """Row predicate for ``key [NOT] IN (subquery values)``.
-
-    SQL three-valued semantics: a NULL key is never TRUE; NOT IN over a
-    set containing NULL is never TRUE for any row.
-    """
-
-    def keep(row: tuple) -> bool:
-        value = key_fn(row)
-        if value is None:
-            return False
-        if negated:
-            if has_null:
-                return False
-            return value not in value_set
-        return value in value_set
-
-    return keep
-
-
-def semi_join_filter(
-    ctx: "EngineContext",
-    child: RDD,
-    key: BoundExpr,
-    values: list,
-    negated: bool,
-    op: OperatorStamp,
-) -> RDD:
-    """Filter ``child`` by membership of ``key`` in the collected subquery
-    result (broadcast to all tasks)."""
-    has_null = any(value is None for value in values)
-    try:
-        value_set = frozenset(v for v in values if v is not None)
-    except TypeError:
-        # Unhashable subquery values: linear probe.
-        value_list = [v for v in values if v is not None]
-
-        def keep_linear(row: tuple) -> bool:
-            value = key.eval(row)
-            if value is None:
-                return False
-            found = value in value_list
-            if negated:
-                return not found and not has_null
-            return found
-
-        return _counted_filter(child, keep_linear, op, "semi_join")
-    broadcast = _charge_build_side(
-        ctx, value_set, ColumnBatch.from_columns([list(value_set)])
-    )
-    keep = semi_join_probe(
-        lambda row: key.eval(row), broadcast.value, has_null, negated
-    )
-    return _counted_filter(child, keep, op, "semi_join")
-
-
-def values_rdd(ctx: "EngineContext", rows: list[tuple]) -> RDD:
-    return ctx.parallelize(rows, num_partitions=1).set_name("values")
-
-
-def union_rdds(
-    ctx: "EngineContext",
-    children: list[RDD],
-    op: OperatorStamp,
-) -> RDD:
-    out = ctx.union(children).map_partitions(_count_into(op))
-    return out.set_name("union_all")
+    out.partitioner = partitioner
+    return out
 
 
 def default_partitioner(

@@ -50,6 +50,11 @@ from repro.pde.decisions import (
 from repro.sql import logical
 from repro.sql import physical
 from repro.sql.catalog import TableEntry
+from repro.sql.codegen import (
+    compile_vector_expression,
+    compile_vector_predicate,
+    compile_vector_projection,
+)
 from repro.sql.expressions import (
     BoundBetween,
     BoundColumn,
@@ -85,12 +90,14 @@ class PlannerConfig:
     #: Partitioner override for DISTRIBUTE BY (co-partitioning with an
     #: existing table requires using its exact partitioner).
     repartition_override: Optional[Partitioner] = None
-    #: Run scan->filter->project->partial-aggregate chains over cached
-    #: tables batch-at-a-time (ColumnBatch kernels over the column arrays,
-    #: the cache-behavior benefit of Section 3.2's layout; late
-    #: materialization) instead of the row-at-a-time operators.  Results
-    #: are identical; this knob exists as an ablation axis and for
-    #: differential testing — row mode is the reference.
+    #: Give expressions and aggregate folds their array forms (numpy
+    #: kernels over the column arrays, the cache-behavior benefit of
+    #: Section 3.2's layout).  Off, the same operators run the scalar
+    #: rules instead — ``expr.eval`` mapped over a batch's rows, the
+    #: ``fn.update`` / ``fn.merge`` / ``fn.finish`` folds — and are
+    #: stamped "row".  Results are identical; this knob exists as an
+    #: ablation axis and for differential testing — the scalar rules are
+    #: the reference.  The only mode switch on the path.
     vectorize: bool = True
 
 
@@ -103,9 +110,10 @@ class ExecutionReport:
     pruned_partitions: int = 0
     join_decisions: list[JoinDecision] = field(default_factory=list)
     #: (operator label, execution mode) per lowered operator: "vectorized"
-    #: for batch-pipeline kernels (with an interpreted-subtree count when
-    #: some expressions fell back to the elementwise evaluator), "row" for
-    #: the tuple-at-a-time operators.  EXPLAIN ANALYZE renders these.
+    #: for array kernels (with an interpreted-subtree count when some
+    #: expressions fell back to the elementwise evaluator), "row" for
+    #: every operator of a ``vectorize``-off plan, whose kernels are the
+    #: scalar rules.  EXPLAIN ANALYZE renders these.
     operator_modes: list[tuple[str, str]] = field(default_factory=list)
     #: One :class:`OperatorStamp` per ``mode()`` call, carrying the
     #: planner's cardinality estimate and its statistics source; runtime
@@ -162,29 +170,27 @@ class PlannedQuery:
 
 @dataclass
 class _Pipeline:
-    """A fused batch chain over one cached scan that is still open:
-    filters, projections and map-join probes are appended to it until an
-    operator that needs rows, batches or partial aggregates closes it
-    into one :class:`~repro.sql.physical.BatchPipelineRDD`."""
+    """What lowering a subtree gives: an open chain of batch links over
+    a source of ColumnBatches — a cached scan's blocks (``scan``), or any
+    RDD whose partitions hold batches (``rdd``: an external scan's
+    decoded columns, the output of an exchange).  Filters, projections
+    and map-join probes are appended to it until an operator that needs
+    the batches or their partial aggregates closes it into one
+    :class:`~repro.sql.physical.BatchPipelineRDD`."""
 
-    scan: logical.Scan
-    kept: Optional[list[int]]
-    scan_op: OperatorStamp
+    rdd: Optional[RDD] = None
+    scan: Optional[logical.Scan] = None
+    kept: Optional[list[int]] = None
+    scan_op: Optional[OperatorStamp] = None
+    #: The source as an RDD of rows, where it has one (an external
+    #: table's whole-row scan): what a plan that is only this scan is.
+    rows: Optional[RDD] = None
     chain: list = field(default_factory=list)
-    chain_ops: list[OperatorStamp] = field(default_factory=list)
+    #: One stamp per link; None for a link no plan node stands behind.
+    chain_ops: list[Optional[OperatorStamp]] = field(default_factory=list)
     #: Running row estimate through the chain, with its source.
     est: Optional[int] = None
     source: str = SOURCE_NONE
-
-
-@dataclass
-class _Flow:
-    """What lowering a subtree gave: an open :class:`_Pipeline`, or an
-    RDD whose partitions hold ColumnBatches (``batched``) or rows."""
-
-    rdd: Optional[RDD] = None
-    batched: bool = False
-    pipeline: Optional[_Pipeline] = None
 
 
 def _is_identity(node: logical.Project) -> bool:
@@ -230,7 +236,13 @@ class PhysicalPlanner:
         )
 
     def plan(self, node: logical.LogicalPlan) -> PlannedQuery:
-        rdd = self._plan(node)
+        pipeline = self._lower(node)
+        if pipeline.rows is not None and not pipeline.chain:
+            # Only an external scan: the file's rows, each tuple built
+            # once by its serde (and a load reads its columns instead).
+            rdd = pipeline.rows
+        else:
+            rdd = physical.rows_of(self._close(pipeline))
         planned = PlannedQuery(
             rdd=rdd, schema=node.schema, report=self.report
         )
@@ -245,143 +257,163 @@ class PhysicalPlanner:
         return planned
 
     # ------------------------------------------------------------------
+    # Expression compilation: where ``vectorize`` takes effect
+    # ------------------------------------------------------------------
+    def _mode(self, interpreted: int = 0) -> str:
+        """How an operator's expressions run, for its stamp."""
+        if not self.config.vectorize:
+            return "row"
+        if interpreted:
+            return f"vectorized ({interpreted} interpreted)"
+        return "vectorized"
+
+    def _kernel(self, expr: BoundExpr) -> tuple:
+        return compile_vector_expression(
+            expr, self.ctx.tracer.metrics, self.config.vectorize
+        )
+
+    def _kernels(self, expressions: list[BoundExpr]) -> tuple[list, int]:
+        """A kernel per expression, and how many subtrees of all of them
+        are interpreted."""
+        compiled = list(map(self._kernel, expressions))
+        return (
+            [kernel for kernel, __ in compiled],
+            sum(count for __, count in compiled),
+        )
+
+    def _predicate(self, condition: Optional[BoundExpr]) -> tuple:
+        if condition is None:
+            return None, 0
+        return compile_vector_predicate(
+            condition, self.ctx.tracer.metrics, self.config.vectorize
+        )
+
+    # ------------------------------------------------------------------
     # Recursive lowering
     # ------------------------------------------------------------------
-    def _plan(self, node: logical.LogicalPlan, no_prune: bool = False) -> RDD:
-        """``node`` lowered to an RDD of rows."""
-        return self._rows(self._lower(node, no_prune))
+    def _stamp(
+        self,
+        operator: str,
+        node: logical.LogicalPlan,
+        detail: str = "",
+        interpreted: int = 0,
+    ) -> OperatorStamp:
+        est, source = self._estimate_rows(node)
+        return self.report.mode(
+            operator, self._mode(interpreted), est, source, detail
+        )
 
-    def _rows(self, flow: _Flow) -> RDD:
-        if flow.pipeline is not None:
-            return self._close(flow.pipeline)
-        if flow.batched:
-            return physical.rows_of(flow.rdd)
-        return flow.rdd
+    @staticmethod
+    def _over(rdd: RDD, op: OperatorStamp) -> _Pipeline:
+        """A new pipeline over the batches operator ``op`` yields."""
+        return _Pipeline(rdd, est=op.est_rows, source=op.est_source)
 
-    def _either(self, flow: _Flow) -> tuple[RDD, bool]:
-        """(batches, True) when the flow has batches, else (rows, False)."""
-        if flow.pipeline is not None:
-            return self._close(flow.pipeline, emit_rows=False), True
-        return flow.rdd, flow.batched
+    def _batches(
+        self, node: logical.LogicalPlan, no_prune: bool = False
+    ) -> RDD:
+        return self._close(self._lower(node, no_prune))
 
     def _lower(
         self, node: logical.LogicalPlan, no_prune: bool = False
-    ) -> _Flow:
+    ) -> _Pipeline:
         if isinstance(node, logical.Values):
-            return _Flow(physical.values_rdd(self.ctx, node.rows))
-        if isinstance(node, logical.Scan):
-            if self._batch_scannable(node):
-                return _Flow(
-                    pipeline=self._open_pipeline(node, None, no_prune)
-                )
-            return _Flow(
-                self._plan_scan(node, condition=None, no_prune=no_prune)
+            return _Pipeline(
+                physical.values_batches(
+                    self.ctx, node.rows, len(node.schema)
+                ),
+                est=len(node.rows),
+                source=SOURCE_CATALOG,
             )
+        if isinstance(node, logical.Scan):
+            return self._open_pipeline(node, None, no_prune)
         if isinstance(node, logical.Filter):
             if isinstance(node.child, logical.Scan):
                 # A filter directly over the scan is the scan's
                 # predicate: it drives map pruning.
-                if self._batch_scannable(node.child):
-                    return _Flow(
-                        pipeline=self._open_pipeline(
-                            node.child, node.condition, no_prune
-                        )
-                    )
-                return _Flow(
-                    self._plan_scan(
-                        node.child, condition=node.condition,
-                        no_prune=no_prune,
-                    )
+                return self._open_pipeline(
+                    node.child, node.condition, no_prune
                 )
             child = self._lower(node.child)
-            if child.pipeline is not None:
-                self._append_filter(child.pipeline, node.condition)
-                return child
-            est, source = self._estimate_rows(node)
-            op = self.report.mode(
-                "filter", "row", est, source, detail=node.condition.name
-            )
-            return _Flow(
-                physical.filter_rows(self._rows(child), node.condition, op=op)
-            )
+            self._append_filter(child, node.condition)
+            return child
         if isinstance(node, logical.Project):
             child = self._lower(node.child, no_prune=no_prune)
-            if _is_identity(node):
-                # SELECT * and the like: the child's rows are the output.
-                return child
-            if child.pipeline is not None:
-                self._append_project(child.pipeline, node.expressions)
-                return child
-            est, source = self._estimate_rows(node)
-            op = self.report.mode("project", "row", est, source)
-            return _Flow(
-                physical.project_rows(
-                    self._rows(child), node.expressions, op=op
-                )
-            )
+            # (SELECT * and the like: the child's rows are the output.)
+            if not _is_identity(node):
+                self._append_project(child, node.expressions)
+            return child
         if isinstance(node, logical.Aggregate):
             return self._lower_aggregate(node)
         if isinstance(node, logical.Join):
             return self._lower_join(node)
+        width = len(node.schema)
         if isinstance(node, logical.Sort):
-            child, batched = self._either(self._lower(node.child))
-            est, source = self._estimate_rows(node)
-            op = self.report.mode(
-                "sort", "vectorized" if batched else "row", est, source
+            child, ordinals = self._keyed(
+                node.child, [expr for expr, __ in node.keys]
             )
-            return _Flow(
+            op = self._stamp("sort", node)
+            return self._over(
                 physical.sort_batches(
-                    child, batched, node.keys, len(node.schema), op=op
+                    child, node.keys, ordinals, width, op=op
                 ),
-                batched=True,
+                op,
             )
         if isinstance(node, logical.Limit):
-            child = self._plan(node.child)
-            est, source = self._estimate_rows(node)
-            op = self.report.mode("limit", "row", est, source)
-            return _Flow(physical.limit_rows(child, node.count, op=op))
+            child = self._batches(node.child)
+            op = self._stamp("limit", node)
+            return self._over(
+                physical.limit_batches(child, node.count, op=op), op
+            )
         if isinstance(node, logical.Distinct):
-            child = self._plan(node.child)
-            est, source = self._estimate_rows(node)
-            op = self.report.mode("distinct", "row", est, source)
-            return _Flow(physical.distinct_rows(child, op=op))
+            child = self._batches(node.child)
+            op = self._stamp("distinct", node)
+            return self._over(
+                physical.distinct_batches(
+                    child, width, self.ctx.default_parallelism, op=op
+                ),
+                op,
+            )
         if isinstance(node, logical.UnionAll):
-            children = [self._plan(child) for child in node.inputs]
-            est, source = self._estimate_rows(node)
-            op = self.report.mode("union_all", "row", est, source)
-            return _Flow(physical.union_rdds(self.ctx, children, op=op))
+            children = list(map(self._batches, node.inputs))
+            op = self._stamp("union_all", node)
+            return self._over(
+                physical.union_batches(self.ctx, children, op=op), op
+            )
         if isinstance(node, logical.Repartition):
-            child, batched = self._either(self._lower(node.child))
-            est, source = self._estimate_rows(node)
-            op = self.report.mode("distribute_by", "row", est, source)
-            return _Flow(
-                physical.repartition_rows(
-                    child, node.expressions, self._repartition_partitioner(),
-                    op=op, batched=batched, width=len(node.schema),
-                )
+            child, ordinals = self._keyed(node.child, node.expressions)
+            op = self._stamp("distribute_by", node)
+            return self._over(
+                physical.repartition_batches(
+                    child, ordinals, width,
+                    self._repartition_partitioner(), op=op,
+                ),
+                op,
             )
         if isinstance(node, logical.SemiJoinFilter):
-            return _Flow(self._plan_semi_join_filter(node))
+            return self._lower_semi_join_filter(node)
         raise UnsupportedFeatureError(
             f"no physical strategy for {type(node).__name__}"
         )
 
-    def _plan_semi_join_filter(self, node: logical.SemiJoinFilter) -> RDD:
-        """Broadcast semi-join: collect the subquery's (small) result into
-        a set, broadcast it, probe per outer row."""
-        child = self._plan(node.child)
-        values = [row[0] for row in self._plan(node.subquery).collect()]
+    def _lower_semi_join_filter(
+        self, node: logical.SemiJoinFilter
+    ) -> _Pipeline:
+        """Broadcast semi-join: collect the subquery's (small) result,
+        broadcast it, probe it with the outer batches' key column."""
+        child = self._lower(node.child)
+        values = self._collect_batch(node.subquery).values(0)
         self.report.note(
             f"IN-subquery materialized {len(values)} values for a "
             f"broadcast semi-join"
         )
-        est, source = self._estimate_rows(node)
-        op = self.report.mode(
-            "semi_join", "row", est, source, detail=node.key.name
+        key, interpreted = self._kernel(node.key)
+        op = self._stamp("semi_join", node, node.key.name, interpreted)
+        self._append(
+            child,
+            physical.semi_join_link(self.ctx, key, values, node.negated),
+            op,
         )
-        return physical.semi_join_filter(
-            self.ctx, child, node.key, values, node.negated, op=op
-        )
+        return child
 
     def _repartition_partitioner(self) -> Partitioner:
         if self.config.repartition_override is not None:
@@ -391,68 +423,57 @@ class PhysicalPlanner:
     # ------------------------------------------------------------------
     # Scans and map pruning
     # ------------------------------------------------------------------
-    def _plan_scan(
+    def _open_pipeline(
         self,
         scan: logical.Scan,
         condition: Optional[BoundExpr],
-        no_prune: bool = False,
-    ) -> RDD:
+        no_prune: bool,
+    ) -> _Pipeline:
+        """A new pipeline over ``scan``; ``condition`` is the scan's
+        predicate: it drives map pruning (of a cached table) and runs as
+        the chain's first kernel."""
         entry = scan.table
-        if entry.is_cached and entry.cached_rdd is None:
-            # Cached table created but never loaded: empty.
-            rdd = physical.values_rdd(self.ctx, [])
-            self.report.mode(f"scan({entry.name})", "row", 0, SOURCE_CATALOG)
-            if condition is not None:
-                op = self.report.mode(
-                    "filter", "row", 0, SOURCE_CATALOG,
-                    detail=condition.name,
-                )
-                rdd = physical.filter_rows(rdd, condition, op=op)
-            return rdd
-        if entry.is_cached:
+        label = f"scan({entry.name})"
+        if entry.is_cached and entry.cached_rdd is not None:
             kept = self._scan_prep(scan, condition, no_prune)
-            base_est, base_source = self._scan_estimate(entry, kept)
-            scan_op = self.report.mode(
-                f"scan({entry.name})", "row", base_est, base_source
+            est, source = self._scan_estimate(entry, kept)
+            pipeline = _Pipeline(
+                scan=scan, kept=kept,
+                scan_op=self.report.mode(label, self._mode(), est, source),
+                est=est, source=source,
             )
-            rdd = physical.scan_memstore(
-                entry, scan.projected_columns, kept, scan_op=scan_op
+        elif entry.is_cached:
+            # Cached table created but never loaded: empty.
+            op = self.report.mode(label, self._mode(), 0, SOURCE_CATALOG)
+            pipeline = self._over(
+                physical.values_batches(
+                    self.ctx, [], len(scan.schema), op
+                ),
+                op,
             )
         else:
             from repro.storage import HdfsRDD
 
-            base_est, base_source = (
+            est, source = (
                 (entry.row_count, SOURCE_CATALOG)
                 if entry.row_count is not None
                 else (None, SOURCE_NONE)
             )
-            self.report.mode(
-                f"scan({entry.name})", "row", base_est, base_source
+            op = self.report.mode(label, self._mode(), est, source)
+            rows = HdfsRDD(self.ctx, self.store, entry.path, entry.schema)
+            pipeline = self._over(
+                physical.external_batches(
+                    rows.as_columns(),
+                    [entry.schema.index_of(c) for c in scan.schema.names],
+                    op,
+                ),
+                op,
             )
-            rdd = HdfsRDD(self.ctx, self.store, entry.path, entry.schema)
-            if scan.projected_columns is not None:
-                columns = [
-                    BoundColumn(
-                        entry.schema.index_of(name),
-                        entry.schema.field(name).data_type,
-                        name,
-                    )
-                    for name in scan.projected_columns
-                ]
-                rdd = rdd.map_partitions(
-                    partial(physical.project_columns, columns)
-                ).set_name("project_scan")
+            if scan.projected_columns is None:
+                pipeline.rows = rows
         if condition is not None:
-            est, source = None, SOURCE_NONE
-            if base_est is not None:
-                est = estimate_filtered_rows(base_est, condition)
-                source = SOURCE_GUESS
-            filter_op = self.report.mode(
-                "filter", "row", est, source, detail=condition.name
-            )
-            rdd = physical.filter_rows(rdd, condition, op=filter_op)
-        return rdd
-
+            self._append_filter(pipeline, condition)
+        return pipeline
     def _scan_estimate(
         self, entry: TableEntry, kept: Optional[list[int]]
     ) -> tuple[Optional[int], str]:
@@ -516,128 +537,106 @@ class PhysicalPlanner:
         return kept
 
     # ------------------------------------------------------------------
-    # Batch pipeline (vectorize=on)
+    # The batch pipeline
     # ------------------------------------------------------------------
-    def _batch_scannable(self, scan: logical.Scan) -> bool:
-        """Can this scan open a fused batch pipeline?  (A cached table
-        that has been loaded, under ``vectorize``.)"""
-        entry = scan.table
-        return (
-            self.config.vectorize
-            and entry.is_cached
-            and entry.cached_rdd is not None
-        )
-
     @staticmethod
-    def _mode_detail(interpreted: int) -> str:
-        if interpreted:
-            return f"vectorized ({interpreted} interpreted)"
-        return "vectorized"
-
-    def _open_pipeline(
-        self,
-        scan: logical.Scan,
-        condition: Optional[BoundExpr],
-        no_prune: bool,
-    ) -> _Pipeline:
-        """A new pipeline over ``scan``; ``condition`` is the scan's
-        predicate: it drives map pruning and runs as the chain's first
-        kernel."""
-        entry = scan.table
-        kept = self._scan_prep(scan, condition, no_prune)
-        base_est, base_source = self._scan_estimate(entry, kept)
-        scan_op = self.report.mode(
-            f"scan({entry.name})", "vectorized", base_est, base_source
-        )
-        pipeline = _Pipeline(
-            scan, kept, scan_op, est=base_est, source=base_source
-        )
-        if condition is not None:
-            self._append_filter(pipeline, condition)
-        return pipeline
+    def _append(
+        pipeline: _Pipeline, link: tuple, op: Optional[OperatorStamp]
+    ) -> None:
+        pipeline.chain.append(link)
+        pipeline.chain_ops.append(op)
+        if op is not None:
+            pipeline.est, pipeline.source = op.est_rows, op.est_source
 
     def _append_filter(self, pipeline: _Pipeline, condition: BoundExpr) -> None:
-        from repro.sql.codegen import compile_vector_predicate
-
-        kernel, interpreted = compile_vector_predicate(
-            condition, self.ctx.tracer.metrics
+        kernel, interpreted = self._predicate(condition)
+        est, source = pipeline.est, SOURCE_NONE
+        if est is not None:
+            est, source = estimate_filtered_rows(est, condition), SOURCE_GUESS
+        op = self.report.mode(
+            "filter", self._mode(interpreted), est, source,
+            detail=condition.name,
         )
-        pipeline.chain.append(("filter", kernel))
-        if pipeline.est is not None:
-            pipeline.est = estimate_filtered_rows(pipeline.est, condition)
-            pipeline.source = SOURCE_GUESS
-        pipeline.chain_ops.append(
-            self.report.mode(
-                "filter", self._mode_detail(interpreted),
-                pipeline.est,
-                pipeline.source if pipeline.est is not None else SOURCE_NONE,
-                detail=condition.name,
-            )
-        )
+        self._append(pipeline, physical.filter_link(kernel), op)
 
     def _append_project(
         self, pipeline: _Pipeline, expressions: list[BoundExpr]
     ) -> None:
-        from repro.sql.codegen import compile_vector_projection
-
         plans, interpreted = compile_vector_projection(
-            expressions, self.ctx.tracer.metrics
+            expressions, self.ctx.tracer.metrics, self.config.vectorize
         )
-        pipeline.chain.append(("project", plans))
-        pipeline.chain_ops.append(
-            self.report.mode(
-                "project", self._mode_detail(interpreted),
-                pipeline.est, pipeline.source,
+        op = self.report.mode(
+            "project", self._mode(interpreted), pipeline.est, pipeline.source
+        )
+        self._append(pipeline, physical.project_link(plans), op)
+
+    def _with_columns(
+        self, pipeline: _Pipeline, expressions: list[BoundExpr], width: int
+    ) -> list[int]:
+        """The ordinals at which ``pipeline``'s batches hold every
+        expression as a column, for an exchange to key on: a plain column
+        reference is that column, anything else is computed — by one more
+        link of the chain — into a column after the ``width`` row columns."""
+        computed = [e for e in expressions if not isinstance(e, BoundColumn)]
+        appended = iter(range(width, width + len(computed)))
+        ordinals = [
+            expr.index if isinstance(expr, BoundColumn) else next(appended)
+            for expr in expressions
+        ]
+        if computed:
+            carried = [("col", index) for index in range(width)]
+            kernels, __ = self._kernels(computed)
+            self._append(
+                pipeline,
+                physical.project_link(
+                    carried + [("expr", kernel) for kernel in kernels]
+                ),
+                None,
             )
-        )
+        return ordinals
 
     def _close(
         self,
         pipeline: _Pipeline,
-        emit_rows: bool = True,
         aggregate: Optional[tuple] = None,
         aggregate_est: Optional[tuple] = None,
     ) -> RDD:
-        """Lower a pipeline to one :class:`BatchPipelineRDD` yielding its
-        rows, its batches, or — with ``aggregate`` — the partial batches
-        of the task-local aggregation fused onto it."""
-        from repro.sql.codegen import compile_vector_expression
-
-        scan, kept = pipeline.scan, pipeline.kept
-        entry = scan.table
-        metrics = self.ctx.tracer.metrics
+        """Lower a pipeline to an RDD of its batches or — with
+        ``aggregate`` — of the partial batches of the task-local
+        aggregation fused onto it: the source itself when nothing was
+        appended, else one :class:`BatchPipelineRDD`."""
+        scan = pipeline.scan
+        if scan is None and not pipeline.chain and aggregate is None:
+            return pipeline.rdd
         aggregate_factory = None
-        aggregate_op = None
-        name = f"batch_scan({entry.name})"
+        op_keys: dict = {
+            "chain": tuple(
+                None if op is None else op.key for op in pipeline.chain_ops
+            ),
+        }
+        if scan is not None:
+            entry = scan.table
+            map_parts = (
+                len(pipeline.kept)
+                if pipeline.kept is not None
+                else entry.cached_rdd.num_partitions
+            )
+            op_keys["scan"] = pipeline.scan_op.key
+        else:
+            map_parts = pipeline.rdd.num_partitions
         if aggregate is not None:
             group_exprs, specs = aggregate
-            group_kernels = []
-            interpreted = 0
-            for expr in group_exprs:
-                kernel, count = compile_vector_expression(expr, metrics)
-                interpreted += count
-                group_kernels.append(kernel)
+            group_kernels, interpreted = self._kernels(group_exprs)
             arg_kernels = []
             for spec in specs:
-                if spec.argument is None:
-                    arg_kernels.append(None)
-                else:
-                    kernel, count = compile_vector_expression(
-                        spec.argument, metrics
-                    )
+                kernel = None  # COUNT(*) reads no column
+                if spec.argument is not None:
+                    kernel, count = self._kernel(spec.argument)
                     interpreted += count
-                    arg_kernels.append(kernel)
-
-            def aggregate_factory() -> physical.BatchAggregator:
-                return physical.BatchAggregator(
-                    group_kernels, specs, arg_kernels
-                )
-
-            name = "batch_partial_aggregate"
-            map_parts = (
-                len(kept)
-                if kept is not None
-                else entry.cached_rdd.num_partitions
+                arg_kernels.append(kernel)
+            aggregate_factory = partial(
+                physical.BatchAggregator,
+                group_kernels, specs, arg_kernels, self.config.vectorize,
             )
             groups_est, groups_source = aggregate_est or (None, SOURCE_NONE)
             partial_est = None
@@ -648,21 +647,26 @@ class PhysicalPlanner:
                 partial_source = groups_source
                 if pipeline.est is not None:
                     partial_est = min(partial_est, max(pipeline.est, 1))
-            aggregate_op = self.report.mode(
-                "aggregate.partial", self._mode_detail(interpreted),
+            op_keys["aggregate"] = self.report.mode(
+                "aggregate.partial", self._mode(interpreted),
                 partial_est, partial_source,
-            )
-        op_keys: dict = {
-            "scan": pipeline.scan_op.key,
-            "chain": tuple(op.key for op in pipeline.chain_ops),
-        }
-        if aggregate_op is not None:
-            op_keys["aggregate"] = aggregate_op.key
+            ).key
         self.ctx.tracer.metrics.inc("batch.pipelines")
+        # A stage is known by what its pipeline ends in.
+        if aggregate is not None:
+            name = "batch_partial_aggregate"
+        elif scan is not None:
+            name = f"batch_scan({entry.name})"
+        else:
+            name = pipeline.chain[-1][0]
+        if scan is None:
+            return physical.BatchPipelineRDD(
+                pipeline.rdd, pipeline.chain, aggregate_factory, name, op_keys
+            )
         return physical.scan_batch_pipeline(
             entry,
             scan.projected_columns,
-            kept,
+            pipeline.kept,
             column_indices=[
                 entry.schema.index_of(column) for column in scan.schema.names
             ],
@@ -670,9 +674,8 @@ class PhysicalPlanner:
             aggregate_factory=aggregate_factory,
             name=name,
             op_keys=op_keys,
-            emit_rows=emit_rows,
+            vectorized=self.config.vectorize,
         )
-
     def _prune_partitions(
         self, scan: logical.Scan, condition: BoundExpr
     ) -> list[int]:
@@ -692,42 +695,20 @@ class PhysicalPlanner:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def _lower_aggregate(self, node: logical.Aggregate) -> _Flow:
+    def _lower_aggregate(self, node: logical.Aggregate) -> _Pipeline:
         """Two-phase hash aggregation.  Phase 1 aggregates within each
-        input partition ("task-local aggregations", Section 6.2.2) —
-        fused into the child's batch pipeline when it is one — and phase
-        2 shuffles the partial batches by group key and merges them."""
+        input partition ("task-local aggregations", Section 6.2.2),
+        fused onto the child's batch chain, and phase 2 shuffles the
+        partial batches by group key and merges them."""
         groups_est, groups_source = self._estimate_groups(node)
-        child_est, __ = self._estimate_rows(node.child)
         num_keys = len(node.group_expressions)
-        child = self._lower(node.child)
-        vectorized = child.pipeline is not None
-        if vectorized:
-            # The scan..project chain and the task-local hash
-            # aggregation run as one vectorized stage.
-            partials = self._close(
-                child.pipeline,
-                aggregate=(node.group_expressions, node.aggregates),
-                aggregate_est=(groups_est, groups_source),
-            )
-        else:
-            rows = self._rows(child)
-            partial_est = None
-            partial_source = SOURCE_NONE
-            if groups_est is not None:
-                partial_est = groups_est * max(rows.num_partitions, 1)
-                partial_source = groups_source
-                if child_est is not None:
-                    partial_est = min(partial_est, max(child_est, 1))
-            partial_op = self.report.mode(
-                "aggregate.partial", "row", partial_est, partial_source
-            )
-            partials = physical.partial_aggregate_rdd(
-                rows, node.group_expressions, node.aggregates, op=partial_op
-            )
+        partials = self._close(
+            self._lower(node.child),
+            aggregate=(node.group_expressions, node.aggregates),
+            aggregate_est=(groups_est, groups_source),
+        )
         final_op = self.report.mode(
-            "aggregate.final", "vectorized" if vectorized else "row",
-            groups_est, groups_source,
+            "aggregate.final", self._mode(), groups_est, groups_source
         )
 
         pde = False
@@ -747,11 +728,12 @@ class PhysicalPlanner:
         exchanged = physical.exchange_partials(partials, num_keys, reducers)
         if pde:
             exchanged = self._coalesce_buckets(exchanged, reducers)
-        return _Flow(
+        return self._over(
             physical.final_aggregate(
-                exchanged, num_keys, node.aggregates, final_op, vectorized
+                exchanged, num_keys, node.aggregates, final_op,
+                self.config.vectorize,
             ),
-            batched=vectorized,
+            final_op,
         )
 
     def _coalesce_buckets(self, exchanged, fine: int) -> RDD:
@@ -802,28 +784,25 @@ class PhysicalPlanner:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _lower_join(self, node: logical.Join) -> _Flow:
-        join_est, join_source = self._estimate_rows(node)
-        join_op = self.report.mode(
-            "join", "row", join_est, join_source, detail=node.join_type
-        )
+    def _lower_join(self, node: logical.Join) -> _Pipeline:
+        join_op = self._stamp("join", node, detail=node.join_type)
 
         if not node.left_keys:
-            left = self._plan(node.left)
-            right_rows = self._collect(self._plan(node.right))
+            left = self._lower(node.left)
+            right = self._collect_batch(node.right)
             self.report.note("cross join: broadcasting right side")
-            return _Flow(
-                physical.cross_join(
-                    self.ctx, left, right_rows, len(node.right.schema),
-                    node.residual, op=join_op,
-                )
+            residual, interpreted = self._predicate(node.residual)
+            self.report.set_mode(join_op, self._mode(interpreted))
+            self._append(
+                left, physical.cross_link(self.ctx, right, residual), join_op
             )
+            return left
 
         # 1. Co-partitioned join (Section 3.4).
         if self.config.enable_copartition_join and node.join_type == "inner":
             planned = self._try_copartitioned(node, join_op)
             if planned is not None:
-                return _Flow(planned)
+                return planned
 
         # 2. Static size estimates.
         left_est = self._estimate_bytes(node.left)
@@ -865,9 +844,34 @@ class PhysicalPlanner:
         self._record_join_decision(decision, "fallback")
         return self._shuffle_join(node, join_op)
 
+    def _join_probe(
+        self,
+        node: logical.Join,
+        join_op: OperatorStamp,
+        stream_is_left: bool,
+        stream_keys: Optional[list] = None,
+    ) -> physical.JoinProbe:
+        """The join of ``node`` as one probe of the side not streamed;
+        ``stream_keys`` where the stream batches already hold the keys
+        as columns, else kernels are compiled from the key expressions."""
+        stream, expressions = (
+            (node.left, node.left_keys)
+            if stream_is_left
+            else (node.right, node.right_keys)
+        )
+        interpreted = 0
+        if stream_keys is None:
+            stream_keys, interpreted = self._kernels(expressions)
+        residual, count = self._predicate(node.residual)
+        self.report.set_mode(join_op, self._mode(interpreted + count))
+        return physical.JoinProbe(
+            stream_keys, stream_is_left, node.join_type, residual,
+            len(stream.schema),
+        )
+
     def _try_copartitioned(
         self, node: logical.Join, join_op: OperatorStamp
-    ) -> Optional[RDD]:
+    ) -> Optional[_Pipeline]:
         if len(node.left_keys) != 1 or len(node.right_keys) != 1:
             return None
         left_info = _copartition_info(node.left, node.left_keys[0])
@@ -877,8 +881,9 @@ class PhysicalPlanner:
         left_part, right_part = left_info.partitioner, right_info.partitioner
         if left_part != right_part:
             return None
-        left = self._plan(node.left, no_prune=True)
-        right = self._plan(node.right, no_prune=True)
+        # (The keys are plain columns: that is what co-partitioned means.)
+        left = self._batches(node.left, no_prune=True)
+        right = self._batches(node.right, no_prune=True)
         self.report.note(
             f"co-partitioned join on {left_info.table_name}."
             f"{left_info.column} = {right_info.table_name}."
@@ -888,18 +893,10 @@ class PhysicalPlanner:
             JoinDecision("copartitioned", "tables co-partitioned on join key"),
             "copartitioned",
         )
-        return physical.copartitioned_join(
-            self.ctx,
-            left,
-            right,
-            node.left_keys,
-            node.right_keys,
-            node.join_type,
-            len(node.left.schema),
-            len(node.right.schema),
-            node.residual,
-            left_part,
-            op=join_op,
+        return self._cogroup(
+            node, join_op, left_part, "copartitioned_join",
+            (left, [node.left_keys[0].index]),
+            (right, [node.right_keys[0].index]),
         )
 
     def _broadcast(
@@ -908,95 +905,96 @@ class PhysicalPlanner:
         strategy: str,
         join_op: OperatorStamp,
         build: Optional[ColumnBatch] = None,
-    ) -> _Flow:
+    ) -> _Pipeline:
         """Map join: stream one side past the other, collected (here, or
-        already by PDE: ``build``) and broadcast.  Over an open batch
-        pipeline the probe is one more link of its chain."""
+        already by PDE: ``build``) and broadcast; the probe is one more
+        link of the stream side's chain."""
         stream_is_left = strategy == "broadcast_right"
         if stream_is_left:
-            stream_node, stream_keys = node.left, node.left_keys
+            stream_node = node.left
             build_node, build_keys = node.right, node.right_keys
         else:
-            stream_node, stream_keys = node.right, node.right_keys
+            stream_node = node.right
             build_node, build_keys = node.left, node.left_keys
         stream = self._lower(stream_node)
-        pipeline = stream.pipeline
-        if pipeline is None:
-            build_rows = (
-                self._collect(self._plan(build_node))
-                if build is None
-                else build.materialize_rows()
-            )
-            return _Flow(
-                physical.broadcast_join(
-                    self.ctx, self._rows(stream), build_rows,
-                    stream_keys, build_keys, node.join_type, stream_is_left,
-                    len(stream_node.schema), len(build_node.schema),
-                    node.residual, op=join_op,
-                )
-            )
         if build is None:
             build = self._collect_batch(build_node)
-        link, interpreted = physical.broadcast_probe(
-            self.ctx, build, stream_keys, build_keys,
-            node.join_type, stream_is_left, node.residual,
+        probe = self._join_probe(node, join_op, stream_is_left)
+        # Hash the small side once and broadcast it.
+        kernels, __ = self._kernels(build_keys)
+        link = physical.broadcast_link(
+            self.ctx, build, [kernel(build) for kernel in kernels], probe
         )
-        self.report.set_mode(join_op, self._mode_detail(interpreted))
-        pipeline.chain.append(("join", link))
-        pipeline.chain_ops.append(join_op)
-        pipeline.est, pipeline.source = join_op.est_rows, join_op.est_source
+        self._append(stream, link, join_op)
         return stream
 
     def _collect_batch(self, node: logical.LogicalPlan) -> ColumnBatch:
-        """The rows of ``node`` as one batch, without building a row
-        where the plan yields batches."""
-        child, batched = self._either(self._lower(node))
-        if not batched:
-            return ColumnBatch.from_rows(
-                self._collect(child), len(node.schema)
-            )
-        return _concat_collected(self._collect(child), len(node.schema))
+        """The rows of ``node`` as one batch (no row is built)."""
+        return _concat_collected(
+            self._collect(self._batches(node)), len(node.schema)
+        )
 
     def _keyed(
+        self, child: logical.LogicalPlan, keys: list[BoundExpr]
+    ) -> tuple[RDD, list[int]]:
+        """``child``'s batches as an exchange keyed by ``keys`` (join
+        keys, ORDER BY or DISTRIBUTE BY expressions) reads them, and the
+        ordinals at which they hold the keys."""
+        pipeline = self._lower(child)
+        ordinals = self._with_columns(pipeline, keys, len(child.schema))
+        return self._close(pipeline), ordinals
+
+    def _cogroup(
         self,
-        side: logical.LogicalPlan,
-        keys: list[BoundExpr],
+        node: logical.Join,
+        join_op: OperatorStamp,
         partitioner: Partitioner,
-    ):
-        """The exchange of one shuffle-join side by its join keys."""
-        child, batched = self._either(self._lower(side))
-        return physical.keyed_batches(
-            child, batched, keys, len(side.schema), partitioner
+        name: str,
+        left: tuple,
+        right: tuple,
+    ) -> _Pipeline:
+        """Join corresponding partitions of two sides, each ``(what to
+        read it through, its key ordinals)``: the left streams, the right
+        is built."""
+        (left, left_ordinals), (right, right_ordinals) = left, right
+        probe = self._join_probe(
+            node, join_op, True,
+            [partial(ColumnBatch.vector, ordinal=i) for i in left_ordinals],
+        )
+        return self._over(
+            physical.cogroup_join(
+                self.ctx, left, right, partitioner, probe, right_ordinals,
+                len(node.right.schema), name, join_op,
+            ),
+            join_op,
         )
 
     def _shuffle_join(
         self,
         node: logical.Join,
         join_op: OperatorStamp,
-        pre_shuffled_left: Optional[RDD] = None,
-        pre_shuffled_right: Optional[RDD] = None,
+        pre_shuffled: Optional[dict] = None,
         partitioner: Optional[Partitioner] = None,
-    ) -> _Flow:
+    ) -> _Pipeline:
+        """Repartition both sides by key and join corresponding
+        partitions.  ``pre_shuffled`` holds the side ("left" / "right")
+        PDE already shuffled, if any: the cogroup reads it narrowly, so
+        that work is reused, not repeated."""
         partitioner = partitioner or physical.default_partitioner(self.ctx)
-        left = pre_shuffled_left
-        if left is None:
-            left = self._keyed(node.left, node.left_keys, partitioner)
-        right = pre_shuffled_right
-        if right is None:
-            right = self._keyed(node.right, node.right_keys, partitioner)
-        return _Flow(
-            physical.shuffle_join(
-                self.ctx,
-                left,
-                right,
-                node.join_type,
-                len(node.left.schema),
-                len(node.right.schema),
-                node.residual,
-                partitioner,
-                num_keys=len(node.left_keys),
-                op=join_op,
-            )
+        sides = dict(pre_shuffled or {})
+        for name, side, keys in (
+            ("left", node.left, node.left_keys),
+            ("right", node.right, node.right_keys),
+        ):
+            if name not in sides:
+                batches, ordinals = self._keyed(side, keys)
+                sides[name] = (
+                    physical.keyed_batches(batches, ordinals, partitioner),
+                    ordinals,
+                )
+        return self._cogroup(
+            node, join_op, partitioner, f"{node.join_type}_join",
+            sides["left"], sides["right"],
         )
 
     def _pde_join(
@@ -1007,7 +1005,7 @@ class PhysicalPlanner:
         left_broadcastable: bool,
         right_broadcastable: bool,
         join_op: OperatorStamp,
-    ) -> _Flow:
+    ) -> _Pipeline:
         """Pre-shuffle the likely-small side, observe, then decide.
 
         "If the optimizer has a prior belief that a particular join input
@@ -1027,10 +1025,9 @@ class PhysicalPlanner:
             side_plan, keys = node.left, node.left_keys
         else:
             side_plan, keys = node.right, node.right_keys
-        side, batched = self._either(self._lower(side_plan))
+        side, ordinals = self._keyed(side_plan, keys)
         pre_shuffled, dep = physical.pre_shuffle_side(
-            self.ctx, side, keys, partitioner,
-            batched=batched, width=len(side_plan.schema),
+            self.ctx, side, ordinals, partitioner
         )
         observed = self.ctx.shuffle_manager.stats(dep.shuffle_id)
         observed_bytes = observed.total_output_bytes()
@@ -1064,15 +1061,10 @@ class PhysicalPlanner:
             return self._broadcast(node, wanted, join_op, build=build)
 
         # Shuffle join, reusing the already-shuffled side.
-        pairs = physical.pre_shuffled_pairs(pre_shuffled)
-        if probe_left:
-            return self._shuffle_join(
-                node, join_op, pre_shuffled_left=pairs,
-                partitioner=partitioner,
-            )
         return self._shuffle_join(
-            node, join_op, pre_shuffled_right=pairs,
-            partitioner=partitioner,
+            node, join_op,
+            {"left" if probe_left else "right": (pre_shuffled, ordinals)},
+            partitioner,
         )
 
     # ------------------------------------------------------------------

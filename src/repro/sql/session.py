@@ -551,6 +551,11 @@ class SqlSession:
                 self._materialize_external(new_entry, rows_rdd)
                 self.catalog.drop(entry.name)
                 self.catalog.create(new_entry)
+                # The external entry has no lineage to walk at DROP: the
+                # shuffles the cached one read go now (or with the last
+                # live table whose lineage still reads them).
+                self._dropped_shuffles |= lineage_reads(entry.cached_rdd)[1]
+                self._reap_dropped()
             return _status(f"uncached {statement.name}")
         if entry.is_cached:
             return _status(f"{statement.name} is already cached")

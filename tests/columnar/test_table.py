@@ -131,9 +131,9 @@ class TestFootprints:
 
 class TestValidation:
     def test_type_error_on_foreign_block(self, ctx):
-        from repro.sql.physical import MemstoreScanRDD
+        from repro.sql.physical import BatchPipelineRDD, BlockScan
 
         bad = ctx.parallelize([["not a partition"]], 1).glom()
-        scan = MemstoreScanRDD(bad)
+        scan = BatchPipelineRDD(bad, scan=BlockScan([0], None, None, True))
         with pytest.raises(Exception):
             scan.collect()

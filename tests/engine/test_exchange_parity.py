@@ -500,7 +500,7 @@ def _sort_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_sort_cases())
 def test_native_keys_order_like_reference_comparator(case):
-    from repro.sql.physical import row_sort_keys
+    from repro.baselines.hive import row_sort_keys
 
     types, ascendings, rows = case
     keys = [

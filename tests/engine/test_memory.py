@@ -214,7 +214,7 @@ class TestWatermarkRoundTrip:
         shark.close_event_log()
         store = HistoryStore.load(path)
         owners = {owner for owner, __, __ in store.memory_top_consumers()}
-        assert "batch_aggregate" in owners or "hash_aggregate" in owners
+        assert "batch_aggregate" in owners
         assert store.memory_pressure_events() > 0
         report = store.memory_report()
         assert "memory report" in report

@@ -159,14 +159,15 @@ class TestLineageKeepsWhatItReads:
         [AGG, "SELECT * FROM readings DISTRIBUTE BY day"],
         ids=["group_by", "distribute_by"],
     )
-    def test_dropped_table_gives_its_shuffles_back(self, select):
+    @pytest.mark.parametrize("statement", ["DROP TABLE kept", "UNCACHE TABLE kept"])
+    def test_dropped_table_gives_its_shuffles_back(self, select, statement):
         shark = _build_shark()
         shark.sql(
             "CREATE TABLE kept TBLPROPERTIES ('shark.cache'='true') AS "
             + select
         )
         assert engine_holds(shark)["registered"]  # its lineage reads them
-        shark.sql("DROP TABLE kept")
+        shark.sql(statement)
         assert engine_holds(shark) == NOTHING
 
     def test_drop_waits_for_the_last_dependent_table(self):

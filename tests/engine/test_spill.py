@@ -5,9 +5,6 @@ Covers the enforcement path PR'd on top of the observe-only accountant:
 * ``MemoryAccountant.reserve`` over a cap arbitrates — unpinned storage
   blocks are evicted LRU-first, then registered execution consumers are
   asked to spill — and the reservation always proceeds;
-* :class:`~repro.engine.spill.SpillableGroups` spills whole buckets,
-  replays raw rows in arrival order, and returns results identical to
-  the never-spilled path;
 * :class:`~repro.engine.spill.ExternalSorter` spilled runs + tail
   re-sorted equal one stable sort;
 * spill traffic is attributed (``memory.spill.*`` counters, per-owner
@@ -15,8 +12,6 @@ Covers the enforcement path PR'd on top of the observe-only accountant:
 * the corrupted-fetch regression: the shuffle manager reports a map
   partition that actually exists (satellite bugfix).
 """
-
-import zlib
 
 import pytest
 
@@ -29,15 +24,9 @@ from repro.engine.memory import (
     MemoryAccountant,
 )
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.spill import (
-    NUM_SPILL_BUCKETS,
-    ExternalSorter,
-    SpillableGroups,
-    spill_bucket,
-)
+from repro.engine.spill import ExternalSorter
 from repro.errors import FetchFailedError
 from repro.faults.injector import FaultInjector
-from repro.sql.functions import CountAggregate, SumAggregate
 
 
 class _Tally:
@@ -122,84 +111,6 @@ class TestArbitration:
         # LRU-first: the oldest insertion alone covers the request.
         assert store.evict_up_to(100) == 300
         assert "rdd_1_0" not in store and "rdd_1_1" in store
-
-
-def _groups_fixture():
-    return SpillableGroups(
-        [CountAggregate(count_star=True), SumAggregate()],
-        "hash_aggregate",
-    )
-
-
-def _feed(state, rows):
-    for key, value in rows:
-        state.update_row((key,), [None, value])
-
-
-def _rows(n):
-    # Keys spread over every spill bucket, interleaved arrival order.
-    return [(f"k{i % 20}", float(i)) for i in range(n)]
-
-
-class TestSpillableGroups:
-    def test_bucket_is_deterministic_crc32(self):
-        key = ("abc", 7)
-        expected = zlib.crc32(repr(key).encode("utf-8")) % NUM_SPILL_BUCKETS
-        assert spill_bucket(key) == expected
-
-    def test_no_spill_fast_path(self):
-        state = _groups_fixture()
-        _feed(state, _rows(100))
-        result = state.finish_groups()
-        assert len(result) == 20
-        # First-seen order: k0, k1, ... exactly as the dict would order.
-        assert [key for (key,), __ in result] == [f"k{i}" for i in range(20)]
-
-    @pytest.mark.parametrize("spill_at", [0, 37, 99])
-    def test_spilled_equals_unspilled(self, spill_at):
-        baseline = _groups_fixture()
-        _feed(baseline, _rows(200))
-        expected = baseline.finish_groups()
-
-        state = _groups_fixture()
-        rows = _rows(200)
-        _feed(state, rows[:spill_at])
-        state.spill(10 ** 9)  # shed everything buffered so far
-        _feed(state, rows[spill_at:])
-        got = state.finish_groups()
-        assert repr(got) == repr(expected)
-
-    def test_multiple_spills_across_buckets(self):
-        baseline = _groups_fixture()
-        _feed(baseline, _rows(400))
-        expected = baseline.finish_groups()
-
-        state = _groups_fixture()
-        rows = _rows(400)
-        for start in range(0, 400, 80):
-            _feed(state, rows[start:start + 80])
-            state.spill(1)  # one bucket per call
-        assert state.spilled
-        got = state.finish_groups()
-        assert repr(got) == repr(expected)
-
-    def test_spilled_bucket_routes_rows_raw(self):
-        state = _groups_fixture()
-        _feed(state, _rows(40))
-        state.spill(10 ** 9)
-        assert not state.groups
-        # New rows for spilled keys must not resurrect live groups.
-        _feed(state, _rows(40))
-        spilled_keys = {
-            key for key in (("k%d" % i,) for i in range(20))
-            if spill_bucket(key) in state._spilled
-        }
-        assert spilled_keys
-        assert all(key not in state.groups for key in spilled_keys)
-
-    def test_spill_returns_zero_when_empty(self):
-        state = _groups_fixture()
-        assert state.spill(1000) == (0, 0, 0)
 
 
 def _by_first_column(reverse=False):

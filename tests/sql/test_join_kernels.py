@@ -1,16 +1,23 @@
 """Equi-joins against two references that share nothing with the kernels.
 
-* The vectorized map-join link (``physical.BroadcastProbe`` over a
-  ``JoinBuild``) against the per-row ``_emit_joined`` it replaces:
-  inner / left / right x unique and duplicate build keys x residual x
-  composite keys x empty sides, rows in identical order.
-* Every join strategy (broadcast, shuffle, co-partitioned) in both
-  ``vectorize`` modes, and ``baselines.hive``, against stdlib ``sqlite3``
-  on the same rows — the independent oracle (ROADMAP item 6), FULL JOIN
-  emulated — including the NULL-key cases: an equi-join key with a NULL
-  component matches nothing; inner drops the row, outer NULL-extends it;
-  and with DATE keys (datetime64 vectors): joins, GROUP BY, BETWEEN / IN /
-  IS NULL, MIN / MAX / COUNT(DISTINCT) and ORDER BY ... DESC with NULLs.
+* The one join kernel (``physical.JoinProbe`` over a ``JoinBuild``)
+  against the per-row ``_emit_joined`` (Hive's, in ``baselines.hive``):
+  as a map-join link — inner / left / right x unique and duplicate build
+  keys x residual x composite keys x empty sides, rows in identical
+  order — and as the batch cogroup, full joins too, as multisets.
+* Every join strategy (broadcast, shuffle, PDE-pre-shuffled,
+  co-partitioned) in both ``vectorize`` modes, and ``baselines.hive``,
+  against stdlib ``sqlite3`` on the same rows — the independent oracle
+  (ROADMAP item 7), FULL JOIN emulated — including the NULL-key cases:
+  an equi-join key with a NULL component matches nothing; inner drops the
+  row, outer NULL-extends it; and with DATE keys (datetime64 vectors):
+  joins, GROUP BY, BETWEEN / IN / IS NULL, MIN / MAX / COUNT(DISTINCT)
+  and ORDER BY ... DESC with NULLs.
+* The operators that have no row twin to be compared with any more
+  (WHERE / SELECT / GROUP BY above an exchange or an external table,
+  DISTINCT, LIMIT, UNION ALL, IN-subqueries, the cross join) against
+  ``sqlite3``: cached and external tables, both modes, NULLs in every
+  column, empty inputs.
 """
 
 from __future__ import annotations
@@ -18,16 +25,23 @@ from __future__ import annotations
 import sqlite3
 from collections import Counter
 from datetime import date, timedelta
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SharkContext
-from repro.baselines.hive import HiveExecutor
+from repro.baselines.hive import HiveExecutor, _emit_joined
 from repro.columnar.batch import ColumnBatch
 from repro.datatypes import DATE, INT, STRING, Schema
+from repro.engine.partitioner import HashPartitioner
+from repro.obs.planquality import OperatorStamp
 from repro.sql import physical
+from repro.sql.codegen import (
+    compile_vector_expression,
+    compile_vector_predicate,
+)
 from repro.sql.expressions import BoundColumn, BoundComparison
 from repro.sql.planner import PlannerConfig
 
@@ -47,7 +61,9 @@ def _rows(key_columns):
 
 
 @st.composite
-def _cases(draw):
+def _cases(draw, cogroup=False):
+    """A join of two small row sets; ``cogroup``: the left side streams
+    and the join may be outer on either side."""
     composite = draw(st.booleans())
     strings = draw(st.booleans())
     first = _STRING_KEYS if strings else _KEYS
@@ -67,7 +83,12 @@ def _cases(draw):
         build = draw(_rows(columns))
     join_type, stream_is_left = draw(
         st.sampled_from(
-            [("inner", True), ("inner", False), ("left", True), ("right", False)]
+            [("inner", True), ("left", True), ("right", True), ("full", True)]
+            if cogroup
+            else [
+                ("inner", True), ("inner", False),
+                ("left", True), ("right", False),
+            ]
         )
     )
     return (
@@ -80,13 +101,37 @@ def _column(index: int, kind, name: str) -> BoundColumn:
     return BoundColumn(index, kind, name)
 
 
+def _probe(keys, join_type, stream_is_left, residual, width, stream_keys=None):
+    """The planner's ``_join_probe`` by hand: key kernels, the residual
+    as a keep-mask kernel, no subtree of either interpreted."""
+    compiled = [compile_vector_expression(key) for key in keys]
+    predicate, interpreted = (None, 0)
+    if residual is not None:
+        predicate, interpreted = compile_vector_predicate(residual)
+    assert interpreted + sum(count for __, count in compiled) == 0
+    kernels = [kernel for kernel, __ in compiled]
+    probe = physical.JoinProbe(
+        stream_keys or kernels, stream_is_left, join_type, predicate, width
+    )
+    return probe, kernels
+
+
+def _broadcast_link(
+    ctx, build_rows, keys, join_type, stream_is_left, residual, width
+):
+    probe, kernels = _probe(keys, join_type, stream_is_left, residual, width)
+    build = ColumnBatch.from_rows(build_rows, width)
+    __, link = physical.broadcast_link(
+        ctx, build, [kernel(build) for kernel in kernels], probe
+    )
+    return link
+
+
 def _reference(stream, build, num_keys, join_type, stream_is_left, residual):
     """``_emit_joined`` fed one stream row at a time: stream order, and
     per stream row its build matches in build order."""
     width = num_keys + 2
-    emit = physical._emit_joined(
-        join_type, width, width, residual, num_keys
-    )
+    emit = _emit_joined(join_type, width, width, residual, num_keys)
     key_of = (
         (lambda row: row[1])
         if num_keys == 1
@@ -101,10 +146,9 @@ def _reference(stream, build, num_keys, join_type, stream_is_left, residual):
     return out
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=_cases())
-def test_probe_equals_emit_joined_row_for_row(case):
-    stream, build, num_keys, join_type, stream_is_left, with_residual = case
+def _bound(case):
+    """The key columns and the residual of a drawn case, bound."""
+    stream, build, num_keys, __, __, with_residual = case
     width = num_keys + 2
     kinds = [
         STRING if isinstance(value, str) else INT
@@ -122,17 +166,18 @@ def test_probe_equals_emit_joined_row_for_row(case):
             _column(width - 1, INT, "lw"),
             _column(2 * width - 1, INT, "rw"),
         )
+    return keys, residual, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_cases())
+def test_probe_equals_emit_joined_row_for_row(case):
+    stream, build, num_keys, join_type, stream_is_left, __ = case
+    keys, residual, width = _bound(case)
     ctx = SharkContext(num_workers=1).engine
-    link, interpreted = physical.broadcast_probe(
-        ctx,
-        ColumnBatch.from_rows(build, width),
-        keys,
-        keys,
-        join_type,
-        stream_is_left,
-        residual,
+    link = _broadcast_link(
+        ctx, build, keys, join_type, stream_is_left, residual, width
     )
-    assert interpreted == 0
     got = link(ColumnBatch.from_rows(stream, width)).materialize_rows()
     want = _reference(
         stream, build, num_keys, join_type, stream_is_left, residual
@@ -142,15 +187,63 @@ def test_probe_equals_emit_joined_row_for_row(case):
     assert ctx.memory.live_bytes("execution") == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_cases(cogroup=True), appended=st.booleans())
+def test_cogroup_equals_emit_joined_as_multisets(case, appended):
+    """One partition of the batch cogroup — a side with no batch at all
+    when it is empty, the key columns ``appended`` after the row as an
+    exchange computes them or read in place — against ``_emit_joined``
+    over the same rows grouped by key."""
+    left, right, num_keys, join_type, __, __ = case
+    keys, residual, width = _bound(case)
+    ordinals = [key.index for key in keys]
+    if appended:
+        ordinals = list(range(width, width + num_keys))
+    ctx = SharkContext(num_workers=1).engine
+
+    def side(rows):
+        if not rows:
+            return ctx.parallelize([], 1)
+        batch = ColumnBatch.from_rows(rows, width)
+        if appended:
+            batch = ColumnBatch(
+                batch.entries + [batch.vector(k.index) for k in keys],
+                batch.num_rows,
+            )
+        return ctx.parallelize([batch], 1)
+
+    probe, __ = _probe(
+        keys, join_type, True, residual, width,
+        [partial(ColumnBatch.vector, ordinal=i) for i in ordinals],
+    )
+    joined = physical.cogroup_join(
+        ctx, side(left), side(right), HashPartitioner(1), probe, ordinals,
+        width, "join", OperatorStamp("join", "vectorized", 0),
+    )
+    got = physical.rows_of(joined).collect()
+
+    key_of = (
+        (lambda row: row[1])
+        if num_keys == 1
+        else (lambda row: tuple(row[1 : 1 + num_keys]))
+    )
+    groups: dict = {}
+    for index, rows in enumerate((left, right)):
+        for row in rows:
+            groups.setdefault(key_of(row), ([], []))[index].append(row)
+    emit = _emit_joined(join_type, width, width, residual, num_keys)
+    want = [row for pair in groups.items() for row in emit(pair)]
+    assert Counter(map(repr, got)) == Counter(map(repr, want))
+
+
 def test_numeric_probe_meets_keys_of_another_kind():
     """A build side keyed by a NULL-free integer column bisects; a probe
     column it cannot bisect (floats, NULLs, a list) is looked up by value
     — ``1 == 1.0`` as in the row join's dict."""
     ctx = SharkContext(num_workers=1).engine
     key = [_column(0, INT, "k")]
-    link, __ = physical.broadcast_probe(
-        ctx, ColumnBatch.from_rows([(1, "one"), (2, "two")], 2),
-        key, key, "left", True, None,
+    link = _broadcast_link(
+        ctx, [(1, "one"), (2, "two")], key, "left", True, None, 2
     )
     stream = ColumnBatch.from_columns([[1.0, None, 2, 7.5, 1]])
     assert link(stream).materialize_rows() == [
@@ -213,20 +306,23 @@ _ORACLE_SQL = {
 
 
 def _shark(
-    strategy: str, vectorize: bool, a_rows, b_rows, key_type=INT
+    strategy: str, vectorize: bool, a_rows, b_rows, key_type=INT, cached=True
 ) -> SharkContext:
     config = PlannerConfig(
         vectorize=vectorize,
-        # A threshold of nothing: every keyed join shuffles.
+        # A threshold of nothing: every keyed join shuffles ...
         broadcast_threshold_bytes=(
-            0 if strategy == "shuffle" else 4 * 1024 * 1024
+            0 if strategy in ("shuffle", "pde") else 4 * 1024 * 1024
         ),
+        # ... after PDE pre-shuffled a side to find that out, when no
+        # static estimate says so first.
+        enable_static_join_estimates=strategy != "pde",
     )
     shark = SharkContext(num_workers=2, config=config)
     schema = Schema.of(("k", key_type), ("v", STRING))
     if strategy != "copartitioned":
         for name, rows in (("a", a_rows), ("b", b_rows)):
-            shark.create_table(name, schema, cached=True)
+            shark.create_table(name, schema, cached=cached)
             shark.load_rows(name, rows, num_partitions=2)
         return shark
     for name, rows in (("raw_a", a_rows), ("raw_b", b_rows)):
@@ -244,22 +340,33 @@ def _shark(
 
 
 @pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
-@pytest.mark.parametrize("strategy", ["broadcast", "shuffle", "copartitioned"])
+@pytest.mark.parametrize(
+    "strategy", ["broadcast", "shuffle", "pde", "copartitioned"]
+)
 @pytest.mark.parametrize("syntax", sorted(_ORACLE_SQL))
 def test_null_keys_match_nothing(strategy, vectorize, syntax):
     shark = _shark(strategy, vectorize, _A, _B)
     result = shark.sql(_SELECT + f"a {syntax} b" + _ON)
     strategies = {d.strategy for d in result.report.join_decisions}
+    mode = "vectorized" if vectorize else "row"
+    # One join kernel under every strategy, stamped by the mode alone.
+    assert ("join", mode) in result.report.operator_modes
     if strategy == "copartitioned" and syntax == "JOIN":
         assert strategies == {"copartitioned"}
+        # All-narrow: the cogroup read both tables in place — no map
+        # task ran (the stages of the tables' own lineage are listed).
+        assert not any(
+            stage.is_shuffle_map and stage.num_tasks
+            for stage in shark.engine.profiles[-1].stages
+        )
     elif strategy == "broadcast" and syntax != "FULL JOIN":
         assert strategies <= {"broadcast_left", "broadcast_right"}
-        # The map join is a link of the stream side's batch chain.
-        assert ("join", "vectorized" if vectorize else "row") in (
-            result.report.operator_modes
-        )
-    elif strategy == "shuffle":
+    elif strategy in ("shuffle", "pde"):
         assert strategies == {"shuffle"}
+        # The cogroup read the side PDE had shuffled already, narrowly (a
+        # FULL JOIN has no side to broadcast, so nothing was pre-shuffled).
+        pre_shuffled = any("pre-shuffled" in n for n in result.report.notes)
+        assert pre_shuffled == (strategy == "pde" and syntax != "FULL JOIN")
     assert Counter(result.rows) == _oracle(_ORACLE_SQL[syntax], _A, _B)
     assert (None, "anull", None, "bnull") not in result.rows
 
@@ -309,6 +416,114 @@ def test_joins_equal_sqlite(a_rows, b_rows, data):
         ordered.append(rows)
     # The two modes agree on the order too, not only on the rows.
     assert ordered[0] == ordered[1]
+
+
+# ---------------------------------------------------------------------------
+# The operators with no row twin left == sqlite3
+# ---------------------------------------------------------------------------
+
+#: Multiset-equal to sqlite as they stand (the one dialect difference, `/`,
+#: float division here, is not used).
+_OPERATOR_STATEMENTS = [
+    # WHERE + a computed SELECT list over a GROUP BY result.
+    "SELECT t.k + 1, t.n * 2 FROM "
+    "(SELECT k, COUNT(*) AS n, MIN(v) AS m FROM a GROUP BY k) t "
+    "WHERE t.n > 1 OR t.m = 'x'",
+    "SELECT k, COUNT(*), MAX(v) FROM a GROUP BY k HAVING COUNT(*) > 1",
+    "SELECT v, SUM(k), COUNT(k) FROM a GROUP BY v HAVING SUM(k) >= 2",
+    # GROUP BY over a join's output.
+    "SELECT a.k, COUNT(*), MIN(b.v) FROM a JOIN b ON a.k = b.k GROUP BY a.k",
+    "SELECT b.v, COUNT(a.k), SUM(a.k) FROM a LEFT JOIN b ON a.k = b.k "
+    "GROUP BY b.v",
+    # A join whose side is a derived aggregate / a SELECT DISTINCT.
+    "SELECT a.k, a.v, t.n FROM a JOIN "
+    "(SELECT k, COUNT(*) AS n FROM b GROUP BY k) t ON a.k = t.k",
+    "SELECT a.k, a.v FROM a JOIN (SELECT DISTINCT k FROM b) t ON a.k = t.k",
+    "SELECT t.k, b.v FROM (SELECT DISTINCT k FROM a) t "
+    "LEFT JOIN b ON t.k = b.k",
+    "SELECT DISTINCT k FROM a",
+    "SELECT DISTINCT k, v FROM a",
+    "SELECT DISTINCT v FROM a WHERE k IS NOT NULL",
+    "SELECT k FROM a LIMIT 0",
+    # UNION ALL feeding a GROUP BY.
+    "SELECT u.k, COUNT(*) FROM "
+    "(SELECT k FROM a UNION ALL SELECT k FROM b) u GROUP BY u.k",
+    "SELECT u.v, MAX(u.k) FROM (SELECT k, v FROM a WHERE k > 0 UNION ALL "
+    "SELECT k, v FROM b) u WHERE u.v IS NOT NULL GROUP BY u.v",
+    # IN / NOT IN subqueries: a NULL on either side comes with the rows.
+    "SELECT k, v FROM a WHERE k IN (SELECT k FROM b)",
+    "SELECT k, v FROM a WHERE k NOT IN (SELECT k FROM b)",
+    "SELECT k, v FROM a WHERE v NOT IN (SELECT v FROM b WHERE k > 1)",
+    "SELECT k, COUNT(*) FROM a WHERE k IN "
+    "(SELECT k FROM b WHERE v IS NOT NULL) GROUP BY k",
+    # A cross join with a residual.
+    "SELECT a.k, a.v, b.k FROM a, b WHERE a.k < b.k",
+    "SELECT a.v, COUNT(*) FROM a, b WHERE a.k <> b.k OR b.v = 'x' "
+    "GROUP BY a.v",
+]
+#: Totally ordered (NULLs first ascending: sqlite's order too), so equal
+#: as lists.
+_OPERATOR_ORDERED = [
+    "SELECT k, v FROM a ORDER BY k, v LIMIT 3",
+    "SELECT k, v FROM a ORDER BY k DESC, v DESC LIMIT 2",
+    "SELECT k, v FROM a ORDER BY v, k LIMIT 0",
+    "SELECT k, COUNT(*) AS n FROM a GROUP BY k ORDER BY n DESC, k LIMIT 2",
+    "SELECT t.v, t.k + 1 FROM "
+    "(SELECT k, v FROM a UNION ALL SELECT k, v FROM b) t "
+    "ORDER BY t.v DESC, t.k LIMIT 4",
+]
+_NULLABLE_ROWS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.one_of(st.none(), st.sampled_from(["x", "y", "z"])),
+    ),
+    max_size=8,
+)
+
+
+def _assert_operators_equal_sqlite(a_rows, b_rows, strategy):
+    """Every statement above, over cached and over external tables, in
+    both ``vectorize`` modes."""
+    want = [
+        _oracle(statement, a_rows, b_rows)
+        for statement in _OPERATOR_STATEMENTS
+    ] + [
+        _sqlite_rows(statement, a_rows, b_rows)
+        for statement in _OPERATOR_ORDERED
+    ]
+    for cached in (True, False):
+        for vectorize in (True, False):
+            shark = _shark(
+                strategy, vectorize, a_rows, b_rows, cached=cached
+            )
+            where = (strategy, "cached" if cached else "external", vectorize)
+            for statement, rows in zip(_OPERATOR_STATEMENTS, want):
+                got = shark.sql(statement)
+                assert Counter(got.rows) == rows, (statement, where)
+                if not vectorize:
+                    assert {m for __, m in got.report.operator_modes} == {
+                        "row"
+                    }, (statement, where)
+            for statement, rows in zip(
+                _OPERATOR_ORDERED, want[len(_OPERATOR_STATEMENTS):]
+            ):
+                assert shark.sql(statement).rows == rows, (statement, where)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a_rows=_NULLABLE_ROWS, b_rows=_NULLABLE_ROWS, data=st.data())
+def test_operators_equal_sqlite(a_rows, b_rows, data):
+    strategy = data.draw(st.sampled_from(["broadcast", "shuffle", "pde"]))
+    _assert_operators_equal_sqlite(a_rows, b_rows, strategy)
+
+
+@pytest.mark.parametrize(
+    "a_rows,b_rows",
+    [([], []), ([], _B), (_A, [])],
+    ids=["both_empty", "a_empty", "b_empty"],
+)
+def test_operators_equal_sqlite_over_an_empty_input(a_rows, b_rows):
+    _assert_operators_equal_sqlite(a_rows, b_rows, "shuffle")
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ replace, kept here literally as the reference: a dict keyed by group key,
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, Vector
+from repro.columnar.table import transpose_rows
 from repro.sql.functions import (
     AvgAggregate,
     CountAggregate,
@@ -21,11 +23,40 @@ from repro.sql.functions import (
 )
 from repro.sql.logical import AggregateSpec
 from repro.sql.physical import (
+    _acc_columns,
+    _acc_width,
+    _accs_of,
     finish_partials,
     merge_partials,
-    partials_batch,
-    partials_pairs,
 )
+
+
+def partials_batch(pairs: list, num_keys: int, specs: list) -> ColumnBatch:
+    """``(group key, accumulators)`` pairs in the partial-batch layout."""
+    keys = transpose_rows([key for key, __ in pairs], num_keys)
+    accs = transpose_rows([accs for __, accs in pairs], len(specs))
+    entries = list(map(Vector.from_values, keys))
+    for spec, column in zip(specs, accs):
+        entries.extend(_acc_columns(spec.function, column))
+    return ColumnBatch(entries, len(pairs))
+
+
+def partials_pairs(batch: ColumnBatch, num_keys: int, specs: list) -> list:
+    """The pairs :func:`partials_batch` was given."""
+    if not batch.num_rows:
+        return []
+    columns, ordinal = [], num_keys
+    for spec in specs:
+        width = _acc_width(spec.function)
+        columns.append(
+            _accs_of(
+                spec.function,
+                [batch.vector(ordinal + i) for i in range(width)],
+            )
+        )
+        ordinal += width
+    accs = zip(*columns) if columns else repeat(())
+    return list(zip(batch.values(tuple(range(num_keys))), map(list, accs)))
 
 
 def reference_merge(pairs: list, specs: list) -> list:
@@ -69,12 +100,14 @@ def _check(pairs: list, num_keys: int, specs: list, pieces: int = 1):
             for start in range(0, max(len(pairs), 1), step)
         ]
     )
-    merged = merge_partials(batch, num_keys, specs)
     want = reference_merge(pairs, specs)
-    assert _reprs(partials_pairs(merged, num_keys, specs)) == _reprs(want)
-    assert _reprs(
-        finish_partials(merged, num_keys, specs).materialize_rows()
-    ) == _reprs(reference_finish(want, specs))
+    # With the array forms of the folds, and (``vectorize`` off) without.
+    for arrays in (True, False):
+        merged = merge_partials(batch, num_keys, specs, arrays)
+        assert _reprs(partials_pairs(merged, num_keys, specs)) == _reprs(want)
+        assert _reprs(
+            finish_partials(merged, num_keys, specs, arrays).materialize_rows()
+        ) == _reprs(reference_finish(want, specs))
 
 
 # -- the cases the issue names ---------------------------------------------

@@ -1,7 +1,7 @@
 """Scan predicates: one evaluator per execution mode.
 
-A cached scan's predicate runs in the vector kernels (``vectorize`` on:
-the batch chain's first filter) or in ``filter_rows`` over the row scan
+A cached scan's predicate is the batch chain's first filter: the vector
+kernels (``vectorize`` on) or ``eval`` mapped over the batch's rows
 (``vectorize`` off) — there is no third, scan-private evaluator.  The
 contract checked here: both modes return exactly the rows a plain Python
 evaluation of the predicate keeps (a NULL operand is never TRUE, in a

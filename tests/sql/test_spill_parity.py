@@ -101,18 +101,28 @@ class TestSpillParity:
         assert capped.engine.memory.clamped_release_bytes == 0
 
     def test_cap_actually_forced_spills(self, capped, uncapped_rows):
-        # Run the heaviest aggregations in row mode too: both pipelines
-        # must exercise their spill paths under this cap.
+        # Run the heaviest aggregations with ``vectorize`` off too: the
+        # scalar folds spill through the same aggregator's runs.
+        accountant = capped.engine.memory
+
+        def aggregate_spills() -> int:
+            spilled = accountant.spilled_by_owner.get("batch_aggregate")
+            return spilled["events"] if spilled else 0
+
+        before = aggregate_spills()
         for name in ("tpch_q1", "pavlo_agg_full"):
             got = _run(capped, QUERIES[name], vectorize=False)
             assert_byte_identical(got, uncapped_rows[name])
-        accountant = capped.engine.memory
+            assert accountant.live_bytes(EXECUTION) == 0
+        assert aggregate_spills() > before
+        assert accountant.clamped_release_bytes == 0
         assert accountant.spill_events > 0
         assert accountant.spill_bytes > 0
         assert capped.metrics.value("memory.spill.events") > 0
         assert capped.metrics.value("memory.spill.bytes") > 0
-        owners = set(accountant.spilled_by_owner)
-        assert owners & {"batch_aggregate", "hash_aggregate", "sort"}
+        assert set(accountant.spilled_by_owner) <= {
+            "batch_aggregate", "sort", "shuffle_fetch",
+        }
 
     def test_row_mode_capped_parity(self, capped, uncapped_rows):
         for name in ("tpch_q3", "tpch_agg_2500", "pavlo_join"):
