@@ -69,14 +69,6 @@ class MapReduceRun:
     def rows(self) -> list:
         return [record for block in self.blocks for record in block]
 
-    @property
-    def total_map_tasks(self) -> int:
-        return sum(job.map_tasks for job in self.jobs)
-
-    @property
-    def total_reduce_tasks(self) -> int:
-        return sum(job.reduce_tasks for job in self.jobs)
-
 
 Mapper = Callable[[Any], Iterable[tuple]]
 Reducer = Callable[[Any, list], Iterable[Any]]

@@ -154,8 +154,8 @@ class Vector:
         """Values as Python objects with inline None (row-path parity).
 
         ``ndarray.tolist()`` unboxes numpy scalars to exact Python
-        ints/floats/bools/dates/datetimes, matching
-        ``ColumnarPartition._to_python``.
+        ints/floats/bools/dates/datetimes, as
+        ``ColumnarPartition.iter_rows`` does.
         """
         if not isinstance(self.data, np.ndarray):
             return list(self.data)

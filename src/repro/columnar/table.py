@@ -163,13 +163,6 @@ class ColumnarPartition:
     def to_rows(self) -> list[tuple]:
         return list(self.iter_rows())
 
-    @staticmethod
-    def _to_python(value: Any) -> Any:
-        """Unbox numpy scalars so row consumers see plain Python values."""
-        if isinstance(value, np.generic):
-            return value.item()
-        return value
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

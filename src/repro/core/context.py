@@ -183,7 +183,7 @@ class SharkContext:
     # Query caching
     # ------------------------------------------------------------------
     def enable_sql_cache(self, config=None):
-        """Turn on the plan/result/fragment query caching stack
+        """Turn on the plan/result query caching stack
         (:mod:`repro.sql.cache`); returns the active SqlCache."""
         return self.session.enable_sql_cache(config=config)
 

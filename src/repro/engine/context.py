@@ -73,10 +73,6 @@ class EngineContext:
         #: Optional SqlServer (multi-tenant serving); None until a
         #: server is started over this context (repro.serving).
         self.serving = None
-        #: Optional SqlCache (plan/result/fragment caching); None until
-        #: SqlSession.enable_sql_cache().  The physical layer reads this
-        #: for scan-fragment reuse and shared scans.
-        self.sql_cache = None
         if (
             fault_injector is not None
             and fault_injector.kill_worker_id is not None

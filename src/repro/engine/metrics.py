@@ -201,12 +201,6 @@ class QueryProfile:
     def shuffle_write_bytes(self) -> int:
         return sum(stage.shuffle_write_bytes for stage in self.stages)
 
-    def stage_named(self, name: str) -> StageProfile:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(f"no stage named {name!r} in job {self.job_id}")
-
     def describe(self) -> str:
         # Imported here, not at module level: repro.obs.analyze imports
         # this module, so a top-level obs import would be circular.

@@ -553,9 +553,6 @@ class ShuffleManager:
             return repeat(SORT_KEY_LABEL, batch.num_rows)
         return map(_key_label, batch.values(dep.key))
 
-    def map_location(self, shuffle_id: int, map_partition: int) -> int | None:
-        return self._locations.get(shuffle_id, {}).get(map_partition)
-
     def repoint_map_output(
         self, shuffle_id: int, map_partition: int, worker_id: int
     ) -> None:

@@ -114,9 +114,6 @@ class ExternalSorter:
         )
         self._charged_rows = self._rows
 
-    def spillable_bytes(self) -> int:
-        return self._charged_rows * self._bytes_per_row
-
     def spill(self, nbytes: int) -> tuple[int, int, int]:
         """Encode the buffer as one run and release its charge."""
         if self._finishing or not self._buffer:

@@ -525,6 +525,8 @@ class HistoryStore:
             )
             return report.text()
         report.section("per-layer lookups")
+        # "fragment": rows of logs written while the SQL cache had a
+        # scan-side layer (before PR 24); nothing writes them now.
         for layer in ("plan", "result", "fragment"):
             row = layers.get(layer)
             if row is None:

@@ -100,15 +100,12 @@ COUNTERS = frozenset(
         "server.shed",
         "server.brownouts",
         "tenant.quota_rejected",
-        # SQL query caching stack (plan/result/fragment caches and
-        # shared scans; repro.sql.cache, served.hits in repro.serving)
+        # SQL query caching stack (plan and result caches;
+        # repro.sql.cache, served.hits in repro.serving)
         "sqlcache.plan.hits",
         "sqlcache.plan.misses",
         "sqlcache.result.hits",
         "sqlcache.result.misses",
-        "sqlcache.fragment.hits",
-        "sqlcache.fragment.misses",
-        "sqlcache.shared.attached",
         "sqlcache.invalidations",
         "sqlcache.evictions",
         "sqlcache.evicted.bytes",
@@ -161,7 +158,7 @@ GAUGES = frozenset(
         "server.queue_depth",
         "server.brownout",
         # SQL query cache occupancy (bytes charged to the sql_cache
-        # owner and live entry count across all three layers).
+        # owner and live entry count across both layers).
         "sqlcache.bytes",
         "sqlcache.entries",
         # plan quality: worst q-error the last audited query produced

@@ -127,9 +127,6 @@ class QueryTrace:
     def spans_in_category(self, category: str) -> list[Span]:
         return [span for span in self.spans if span.category == category]
 
-    def spans_named(self, name: str) -> list[Span]:
-        return [span for span in self.spans if span.name == name]
-
     def events_named(self, name: str) -> list[TraceEvent]:
         return [event for event in self.events if event.name == name]
 

@@ -440,7 +440,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--sql-cache",
         action="store_true",
-        help="enable the plan/result/fragment caching stack and gate "
+        help="enable the plan/result caching stack and gate "
         "on a non-zero served hit ratio",
     )
     args = parser.parse_args(argv)

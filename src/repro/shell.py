@@ -34,8 +34,8 @@ Enter SQL terminated by ';'.  Dot-commands:
   .metrics              engine counters (tasks, shuffle bytes, evictions)
   .memory               unified memory ledger: per-worker pool usage,
                         peaks, headroom, top consumers, and spills
-  .cache [on]           query caching stack status (plan/result/fragment
-                        hit ratios, shared scans); 'on' enables it
+  .cache [on]           query caching stack status (plan/result hit
+                        ratios); 'on' enables it
   .trace [on|off|<path>] toggle span tracing / export Chrome-trace JSON
   .eventlog [<path>|off] stream every query to a persistent event log
   .history <path> [id]  report over an event log (whole log, or one query)

@@ -127,71 +127,26 @@ class Scope:
         return len(self.columns)
 
 
+def _is_aggregate(expr: ast.Expr) -> bool:
+    return (
+        isinstance(expr, ast.FunctionCall)
+        and expr.name.lower() in AGGREGATE_NAMES
+    )
+
+
 def _contains_aggregate(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name.lower() in AGGREGATE_NAMES:
-            return True
-        return any(_contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Between):
-        return any(
-            _contains_aggregate(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, ast.InList):
-        return _contains_aggregate(expr.operand) or any(
-            _contains_aggregate(o) for o in expr.options
-        )
-    if isinstance(expr, ast.Like):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.IsNull):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.CaseWhen):
-        parts = list(expr.branches)
-        if _contains_aggregate(expr.operand) if expr.operand else False:
-            return True
-        for condition, value in parts:
-            if _contains_aggregate(condition) or _contains_aggregate(value):
-                return True
-        return expr.otherwise is not None and _contains_aggregate(expr.otherwise)
-    if isinstance(expr, ast.Cast):
-        return _contains_aggregate(expr.operand)
-    return False
+    return _is_aggregate(expr) or any(
+        map(_contains_aggregate, expr.children())
+    )
 
 
 def _collect_aggregates(expr: ast.Expr, out: list[ast.FunctionCall]) -> None:
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name.lower() in AGGREGATE_NAMES:
-            if expr not in out:
-                out.append(expr)
-            return  # no nested aggregates
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
-        return
-    if isinstance(expr, ast.BinaryOp):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, ast.UnaryOp):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.Between):
-        for inner in (expr.operand, expr.low, expr.high):
-            _collect_aggregates(inner, out)
-    elif isinstance(expr, ast.InList):
-        _collect_aggregates(expr.operand, out)
-        for option in expr.options:
-            _collect_aggregates(option, out)
-    elif isinstance(expr, (ast.Like, ast.IsNull, ast.Cast)):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.CaseWhen):
-        if expr.operand is not None:
-            _collect_aggregates(expr.operand, out)
-        for condition, value in expr.branches:
-            _collect_aggregates(condition, out)
-            _collect_aggregates(value, out)
-        if expr.otherwise is not None:
-            _collect_aggregates(expr.otherwise, out)
+    if _is_aggregate(expr):
+        if expr not in out:
+            out.append(expr)
+        return  # no nested aggregates
+    for child in expr.children():
+        _collect_aggregates(child, out)
 
 
 class Analyzer:
@@ -372,7 +327,7 @@ class Analyzer:
                             index, column.data_type, column.name,
                             column.declared,
                         )
-        if isinstance(expr, ast.FunctionCall) and expr.name.lower() in AGGREGATE_NAMES:
+        if _is_aggregate(expr):
             for offset, agg_ast in enumerate(agg_asts):
                 if expr == agg_ast:
                     index = len(group_asts) + offset

@@ -14,6 +14,10 @@ from typing import Any, Optional
 class Expr:
     """Base class for expression AST nodes."""
 
+    def children(self) -> tuple["Expr", ...]:
+        """The sub-expressions, in source order (a leaf has none)."""
+        return ()
+
 
 @dataclass(frozen=True)
 class Literal(Expr):
@@ -54,6 +58,9 @@ class BinaryOp(Expr):
     left: Expr
     right: Expr
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.left, self.right)
+
     def __str__(self) -> str:
         return f"({self.left} {self.op.upper()} {self.right})"
 
@@ -62,6 +69,9 @@ class BinaryOp(Expr):
 class UnaryOp(Expr):
     op: str  # 'not' | '-'
     operand: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
 
     def __str__(self) -> str:
         return f"({self.op.upper()} {self.operand})"
@@ -72,6 +82,9 @@ class FunctionCall(Expr):
     name: str
     args: tuple[Expr, ...]
     distinct: bool = False
+
+    def children(self) -> tuple[Expr, ...]:
+        return self.args
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -86,6 +99,14 @@ class CaseWhen(Expr):
     operand: Optional[Expr]
     branches: tuple[tuple[Expr, Expr], ...]
     otherwise: Optional[Expr]
+
+    def children(self) -> tuple[Expr, ...]:
+        parts = [] if self.operand is None else [self.operand]
+        for branch in self.branches:
+            parts.extend(branch)
+        if self.otherwise is not None:
+            parts.append(self.otherwise)
+        return tuple(parts)
 
     def __str__(self) -> str:
         parts = ["CASE"]
@@ -104,6 +125,9 @@ class Cast(Expr):
     operand: Expr
     type_name: str
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
+
     def __str__(self) -> str:
         return f"CAST({self.operand} AS {self.type_name.upper()})"
 
@@ -115,6 +139,9 @@ class Between(Expr):
     high: Expr
     negated: bool = False
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand, self.low, self.high)
+
     def __str__(self) -> str:
         op = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"({self.operand} {op} {self.low} AND {self.high})"
@@ -125,6 +152,9 @@ class InList(Expr):
     operand: Expr
     options: tuple[Expr, ...]
     negated: bool = False
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand, *self.options)
 
     def __str__(self) -> str:
         op = "NOT IN" if self.negated else "IN"
@@ -140,6 +170,11 @@ class InSubquery(Expr):
     query: "SelectStatement"
     negated: bool = False
 
+    def children(self) -> tuple[Expr, ...]:
+        # The operand only: the subquery is a statement with a scope of
+        # its own, not a sub-expression of this one.
+        return (self.operand,)
+
     def __str__(self) -> str:
         op = "NOT IN" if self.negated else "IN"
         return f"({self.operand} {op} (<subquery>))"
@@ -151,6 +186,9 @@ class Like(Expr):
     pattern: Expr
     negated: bool = False
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand, self.pattern)
+
     def __str__(self) -> str:
         op = "NOT LIKE" if self.negated else "LIKE"
         return f"({self.operand} {op} {self.pattern})"
@@ -160,6 +198,9 @@ class Like(Expr):
 class IsNull(Expr):
     operand: Expr
     negated: bool = False
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
 
     def __str__(self) -> str:
         op = "IS NOT NULL" if self.negated else "IS NULL"

@@ -1,8 +1,8 @@
-"""The query caching stack: plan, result, and fragment caches.
+"""The query caching stack: text memo, plan cache, result cache.
 
 Shark's interactivity claim rests on amortizing work across the query
 stream, not just within one query (paper §3.1-§3.2).  This module layers
-three caches over the SQL session:
+two caches over the SQL session, behind a memo of raw statement texts:
 
 * **Plan cache** — parsed SQL is *normalized* (literals parameterized,
   identifiers case-folded, commutative predicates canonically ordered
@@ -19,28 +19,23 @@ three caches over the SQL session:
   monotonic per-table version on every journaled DDL/load/insert, so a
   stale entry's key can never be rebuilt — and an invalidation listener
   frees its memory eagerly.
-* **Fragment cache** — scan-side fragments: the post-pruning
-  :class:`~repro.columnar.batch.ColumnBatch` a vectorized scan decodes
-  per block, before any predicate runs, keyed on
-  ``(table, version, partition, block, columns)`` — so every query over
-  those columns shares it, whatever its literals.  When the lifecycle
-  manager interleaves N admitted queries over the same cached table,
-  late arrivals attach to the in-flight scan's decoded batches (shared
-  scans) instead of re-decoding per query — ``LazyColumn`` memoization
-  makes the per-column decode happen exactly once.
+
+There is no scan-side layer: a cached table's block memoizes every
+column it decodes (``ColumnarPartition.column``), so whichever queries
+read a block — concurrent or later, whatever their literals — decode
+each of its columns once, with or without this module (DESIGN §14).
 
 Every cached byte is charged to the ``sql_cache`` owner in the
-:class:`~repro.engine.memory.MemoryAccountant` (storage pool), and a
-per-worker spill consumer lets PR 7's arbitration evict fragments
-before any execution state has to spill.  All layers default *off*;
-``SqlSession.enable_sql_cache()`` turns them on.
+:class:`~repro.engine.memory.MemoryAccountant` (storage pool, driver
+ledger).  Both layers default *off*; ``SqlSession.enable_sql_cache()``
+turns them on, and the session is the only code that consults them.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.engine.memory import DRIVER_WORKER, STORAGE
@@ -54,8 +49,8 @@ __all__ = [
     "normalize_select",
 ]
 
-#: Ledger attribution label for every cached byte (result rows on the
-#: driver ledger, fragments on their worker's storage pool).
+#: Ledger attribution label for every cached byte (result rows, on the
+#: driver ledger).
 CACHE_OWNER = "sql_cache"
 
 
@@ -78,14 +73,12 @@ class NormalizedQuery:
 
 @dataclass
 class SqlCacheConfig:
-    """Knobs for the three cache layers (all sizes driver-side caps;
-    fragment bytes are additionally subject to memory arbitration)."""
+    """Knobs for the cache layers (all sizes driver-side caps)."""
 
     enable_result: bool = True
     max_plan_entries: int = 128
     max_result_entries: int = 256
     max_result_bytes: int = 16 * 1024 * 1024
-    max_fragment_bytes: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.max_plan_entries < 1:
@@ -232,37 +225,8 @@ def _walk_exprs(expr: Optional[ast.Expr]) -> Iterator[ast.Expr]:
     if expr is None:
         return
     yield expr
-    if isinstance(expr, ast.BinaryOp):
-        yield from _walk_exprs(expr.left)
-        yield from _walk_exprs(expr.right)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, ast.FunctionCall):
-        for arg in expr.args:
-            yield from _walk_exprs(arg)
-    elif isinstance(expr, ast.CaseWhen):
-        yield from _walk_exprs(expr.operand)
-        for condition, value in expr.branches:
-            yield from _walk_exprs(condition)
-            yield from _walk_exprs(value)
-        yield from _walk_exprs(expr.otherwise)
-    elif isinstance(expr, ast.Cast):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, ast.Between):
-        yield from _walk_exprs(expr.operand)
-        yield from _walk_exprs(expr.low)
-        yield from _walk_exprs(expr.high)
-    elif isinstance(expr, (ast.InList, ast.Like)):
-        yield from _walk_exprs(expr.operand)
-        if isinstance(expr, ast.InList):
-            for option in expr.options:
-                yield from _walk_exprs(option)
-        else:
-            yield from _walk_exprs(expr.pattern)
-    elif isinstance(expr, ast.InSubquery):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, ast.IsNull):
-        yield from _walk_exprs(expr.operand)
+    for child in expr.children():
+        yield from _walk_exprs(child)
 
 
 def _collect_tables(select: ast.SelectStatement, out: list) -> None:
@@ -331,36 +295,6 @@ class _ResultEntry:
     tables: frozenset
 
 
-@dataclass
-class _FragmentEntry:
-    batch: Any
-    nbytes: int
-    worker_id: int
-    #: CancelToken of the producing query (None outside the lifecycle);
-    #: a hit under a *different* token is a shared-scan attach.
-    producer_token: Any = field(default=None, repr=False)
-
-
-class _FragmentSpillConsumer:
-    """Arbitration adapter: under memory pressure the accountant asks
-    registered consumers to shed state — evicting cached fragments is
-    pure release (nothing is written), so cache entries go before any
-    execution operator has to spill."""
-
-    __slots__ = ("_cache", "_worker_id", "owner")
-
-    def __init__(self, cache: "SqlCache", worker_id: int):
-        self._cache = cache
-        self._worker_id = worker_id
-        self.owner = CACHE_OWNER
-
-    def spill(self, nbytes: int) -> tuple[int, int, int]:
-        released = self._cache.evict_worker_fragments(
-            self._worker_id, nbytes
-        )
-        return released, 0, 0
-
-
 def _rows_nbytes(rows: list) -> int:
     """Driver-heap estimate for a materialized result set."""
     total = sys.getsizeof(rows)
@@ -377,8 +311,14 @@ def _rows_nbytes(rows: list) -> int:
 
 
 class SqlCache:
-    """Three-layer query cache bound to one session's catalog and
-    engine context (see the module docstring for the layer contract)."""
+    """The query cache of one session, bound to its catalog and engine
+    context (see the module docstring for the layer contract)."""
+
+    #: Constant 0: there is no fragment layer.  Only the traced run of
+    #: ``benchmarks/perf/measure.py`` (``sql.cache.fragment_hit_ratio``)
+    #: reads these two; they go in the next PR that may edit it.
+    fragment_hits = 0
+    fragment_misses = 0
 
     def __init__(self, ctx, catalog, config: Optional[SqlCacheConfig] = None):
         self._ctx = ctx
@@ -389,25 +329,16 @@ class SqlCache:
         self._text_memo: dict[str, Optional[NormalizedQuery]] = {}
         self._plans: OrderedDict = OrderedDict()
         self._results: OrderedDict = OrderedDict()
-        self._fragments: OrderedDict = OrderedDict()
         self._result_bytes = 0
-        self._fragment_bytes = 0
         # Lifetime tallies (summary_lines is self-contained; the metric
         # registry mirrors these).
         self.plan_hits = 0
         self.plan_misses = 0
         self.result_hits = 0
         self.result_misses = 0
-        self.fragment_hits = 0
-        self.fragment_misses = 0
-        self.shared_attached = 0
         self.invalidations = 0
         self.evictions = 0
         catalog.add_listener(self._on_table_change)
-        for worker in ctx.cluster.workers:
-            ctx.memory.register_spill_consumer(
-                worker.worker_id, _FragmentSpillConsumer(self, worker.worker_id)
-            )
 
     # ------------------------------------------------------------------
     # Text memo
@@ -453,9 +384,6 @@ class SqlCache:
                 return None
             vector.append((alias, table, self.catalog.version(table)))
         return tuple(vector)
-
-    def table_version(self, name: str) -> int:
-        return self.catalog.version(name)
 
     # ------------------------------------------------------------------
     # Plan cache
@@ -546,96 +474,6 @@ class SqlCache:
             metrics.inc("sqlcache.evicted.bytes", entry.nbytes)
 
     # ------------------------------------------------------------------
-    # Fragment cache (scan-side decoded batches)
-    # ------------------------------------------------------------------
-    def fragment_key(
-        self,
-        scope: tuple,
-        split: int,
-        ordinal: int,
-        column_indices,
-    ) -> tuple:
-        """``scope`` is the scan-time binding from the physical layer:
-        ``(table, version, kept_partitions_or_None)``.  The key maps the
-        pruned split index back to the original partition id, so two
-        queries with different pruning still share surviving blocks."""
-        table, version, kept = scope
-        partition = kept[split] if kept is not None else split
-        return (
-            table,
-            version,
-            partition,
-            ordinal,
-            tuple(column_indices),
-        )
-
-    def fragment_lookup(self, key: tuple):
-        """The cached ColumnBatch of one block, or None."""
-        metrics = self._ctx.tracer.metrics
-        entry = self._fragments.get(key)
-        if entry is None:
-            self.fragment_misses += 1
-            metrics.inc("sqlcache.fragment.misses")
-            return None
-        self._fragments.move_to_end(key)
-        self.fragment_hits += 1
-        metrics.inc("sqlcache.fragment.hits")
-        token = self._ctx.query.token
-        if token is not None and token is not entry.producer_token:
-            # A different admitted query attached to this scan's
-            # decoded batches: the shared-scan path.
-            self.shared_attached += 1
-            metrics.inc("sqlcache.shared.attached")
-        return entry.batch
-
-    def fragment_store(self, key: tuple, batch, worker_id: int) -> None:
-        if key in self._fragments:
-            return
-        nbytes = batch.memory_footprint_bytes()
-        self._ctx.memory.reserve(worker_id, STORAGE, CACHE_OWNER, nbytes)
-        self._fragment_bytes += nbytes
-        self._fragments[key] = _FragmentEntry(
-            batch, nbytes, worker_id, producer_token=self._ctx.query.token
-        )
-        while self._fragment_bytes > self.config.max_fragment_bytes:
-            if len(self._fragments) <= 1:
-                break
-            stale_key, stale = self._fragments.popitem(last=False)
-            self._drop_fragment(stale)
-        self._update_gauges()
-
-    def _drop_fragment(
-        self, entry: _FragmentEntry, evicted: bool = True
-    ) -> None:
-        metrics = self._ctx.tracer.metrics
-        self._ctx.memory.release(
-            entry.worker_id, STORAGE, CACHE_OWNER, entry.nbytes
-        )
-        self._fragment_bytes -= entry.nbytes
-        if evicted:
-            self.evictions += 1
-            metrics.inc("sqlcache.evictions")
-            metrics.inc("sqlcache.evicted.bytes", entry.nbytes)
-
-    def evict_worker_fragments(self, worker_id: int, nbytes: int) -> int:
-        """LRU-evict this worker's fragments until ``nbytes`` are freed
-        (the arbitration spill-consumer entry point).  Returns the bytes
-        released."""
-        released = 0
-        for key in list(self._fragments):
-            if released >= nbytes:
-                break
-            entry = self._fragments[key]
-            if entry.worker_id != worker_id:
-                continue
-            del self._fragments[key]
-            self._drop_fragment(entry)
-            released += entry.nbytes
-        if released:
-            self._update_gauges()
-        return released
-
-    # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
     def _on_table_change(self, table: str, version: int, ddl: bool) -> None:
@@ -650,9 +488,6 @@ class SqlCache:
             if table in entry.tables
         ]:
             self._drop_result(self._results.pop(key), evicted=False)
-            dropped += 1
-        for key in [key for key in self._fragments if key[0] == table]:
-            self._drop_fragment(self._fragments.pop(key), evicted=False)
             dropped += 1
         if ddl:
             for key in [
@@ -672,17 +507,14 @@ class SqlCache:
     # ------------------------------------------------------------------
     def _update_gauges(self) -> None:
         metrics = self._ctx.tracer.metrics
+        metrics.set_gauge("sqlcache.bytes", self._result_bytes)
         metrics.set_gauge(
-            "sqlcache.bytes", self._result_bytes + self._fragment_bytes
-        )
-        metrics.set_gauge(
-            "sqlcache.entries",
-            len(self._plans) + len(self._results) + len(self._fragments),
+            "sqlcache.entries", len(self._plans) + len(self._results)
         )
 
     @property
     def bytes_cached(self) -> int:
-        return self._result_bytes + self._fragment_bytes
+        return self._result_bytes
 
     def summary_lines(self) -> list[str]:
         """The ``== sql cache ==`` section for EXPLAIN ANALYZE and the
@@ -700,10 +532,6 @@ class SqlCache:
             f"result cache: {len(self._results)} entries, "
             f"{self._result_bytes} B, "
             f"{ratio(self.result_hits, self.result_misses)}",
-            f"fragment cache: {len(self._fragments)} entries, "
-            f"{self._fragment_bytes} B, "
-            f"{ratio(self.fragment_hits, self.fragment_misses)}, "
-            f"{self.shared_attached} shared-scan attach(es)",
             f"invalidated {self.invalidations}, evicted {self.evictions}, "
             f"{self.bytes_cached} B charged to '{CACHE_OWNER}'",
         ]

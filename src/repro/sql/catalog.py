@@ -69,10 +69,6 @@ class TableEntry:
         sizing)."""
         return self.cached_rdd.bytes if self.cached_rdd is not None else []
 
-    def copartitioned_with(self) -> Optional[str]:
-        """Name of the table this one was co-partitioned against, if any."""
-        return self.properties.get("copartition")
-
 
 class Catalog:
     """Named tables plus UDF registrations.

@@ -617,10 +617,6 @@ class BatchAggregator:
         else:
             task_ctx.release_memory(self.owner, charged)
 
-    # -- the spill consumer contract --------------------------------------
-    def spillable_bytes(self) -> int:
-        return self._charged
-
     def _merged(self, pieces: list[ColumnBatch]) -> ColumnBatch:
         if len(pieces) == 1:
             return pieces[0]
@@ -888,16 +884,14 @@ def project_link(plans: list) -> tuple:
 
 
 class BlockScan(NamedTuple):
-    """What a pipeline over a cached table's blocks reads."""
+    """What a pipeline over a cached table's blocks reads.  A block is
+    read with ``ColumnBatch.from_block``: its columns decode on first
+    touch and the block keeps them, so every query over it — whatever
+    its predicate, concurrent or later — decodes each column once."""
 
     #: The columns to decode, and the projection they are priced by.
     column_indices: list[int]
     projected: Optional[list[str]]
-    #: (table, version, kept_partitions_or_None) when the sql cache's
-    #: fragment layer is on: each block's batch is published there, so
-    #: every query over the same columns — whatever its predicate,
-    #: concurrent or later — decodes each block once (shared scans).
-    fragment_scope: Optional[tuple]
     #: Whether the scanned rows count as ``batch_rows`` (``vectorize``:
     #: the kernels above the scan are array code).
     vectorized: bool
@@ -942,27 +936,6 @@ class BatchPipelineRDD(RDD):
         #: are credited to these.
         self._op_keys = dict(op_keys or {})
 
-    def _read_block(
-        self, block, split: int, ordinal: int, task_ctx, cache
-    ) -> tuple[ColumnBatch, int]:
-        """One block as a batch, and how many blocks that decoded: none
-        on a fragment hit (a shared scan reuses another query's batch)."""
-        scan = self._scan
-        fragment_key = None
-        if cache is not None:
-            fragment_key = cache.fragment_key(
-                scan.fragment_scope, split, ordinal, scan.column_indices
-            )
-            batch = cache.fragment_lookup(fragment_key)
-            if batch is not None:
-                return batch, 0
-        batch = ColumnBatch.from_block(block, scan.column_indices)
-        if fragment_key is not None:
-            cache.fragment_store(
-                fragment_key, batch, task_ctx.worker.worker_id
-            )
-        return batch, 1
-
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         counters = self.ctx.tracer.metrics
         scan = self._scan
@@ -979,18 +952,11 @@ class BatchPipelineRDD(RDD):
         #: probe and credits nothing.
         chain_ran = [False] * len(self._chain)
         dictionary_before = [counters.value(name) for name in _DICTIONARY]
-        cache = None
-        if scan is not None and scan.fragment_scope is not None:
-            cache = getattr(self.ctx, "sql_cache", None)
-        for ordinal, batch in enumerate(
-            self._parent.iterator(split, task_ctx)
-        ):
+        for batch in self._parent.iterator(split, task_ctx):
             if scan is not None:  # ... and ``batch`` is still a block
                 total_bytes += _scanned_bytes(batch, scan.projected)
-                batch, decoded = self._read_block(
-                    batch, split, ordinal, task_ctx, cache
-                )
-                num_batches += decoded
+                batch = ColumnBatch.from_block(batch, scan.column_indices)
+                num_batches += 1
             elif not batch.num_rows:
                 continue  # of any width: no link could read a column of it
             total_records += batch.num_rows
@@ -1071,25 +1037,9 @@ def scan_batch_pipeline(
     base = entry.cached_rdd
     if base is None:
         raise ValueError(f"table {entry.name} has no cached data")
-    cache = getattr(base.ctx, "sql_cache", None)
-    fragment_scope = None
-    if cache is not None:
-        fragment_scope = (
-            entry.name.lower(),
-            cache.table_version(entry.name),
-            None,
-        )
     if kept_partitions is not None and kept_partitions != list(
         range(base.num_partitions)
     ):
-        if fragment_scope is not None:
-            # Key fragments on the *original* partition ids, so two
-            # queries with different pruning share surviving blocks.
-            fragment_scope = (
-                fragment_scope[0],
-                fragment_scope[1],
-                tuple(kept_partitions),
-            )
         base = PrunedRDD(base, kept_partitions)
     return BatchPipelineRDD(
         base,
@@ -1097,7 +1047,7 @@ def scan_batch_pipeline(
         aggregate_factory,
         name,
         op_keys,
-        BlockScan(column_indices, projected, fragment_scope, vectorized),
+        BlockScan(column_indices, projected, vectorized),
     )
 
 

@@ -119,14 +119,12 @@ class SqlSession:
         self.sql_cache = None
 
     def enable_sql_cache(self, config=None):
-        """Turn on the plan/result/fragment caching stack for this
-        session (idempotent; returns the active SqlCache)."""
+        """Turn on the plan/result caching stack for this session
+        (idempotent; returns the active SqlCache)."""
         if self.sql_cache is None:
             from repro.sql.cache import SqlCache
 
             self.sql_cache = SqlCache(self.ctx, self.catalog, config)
-            # The physical layer reads ctx.sql_cache for fragment reuse.
-            self.ctx.sql_cache = self.sql_cache
         return self.sql_cache
 
     # ------------------------------------------------------------------
@@ -250,24 +248,7 @@ class SqlSession:
                 planner = PhysicalPlanner(ctx, self.store, self.config)
                 planned = planner.plan(plan)
                 self.last_report = planned.report
-                fragment_mark = (
-                    (cache.fragment_hits, cache.fragment_misses)
-                    if cache is not None
-                    else (0, 0)
-                )
                 rows = planned.rdd.collect()
-                if cache is not None:
-                    hits = cache.fragment_hits - fragment_mark[0]
-                    misses = cache.fragment_misses - fragment_mark[1]
-                    if hits or misses:
-                        lookups.append(
-                            {
-                                "layer": "fragment",
-                                "outcome": "hit" if hits else "miss",
-                                "hits": hits,
-                                "misses": misses,
-                            }
-                        )
                 if cache is not None and memo is not None:
                     cache.plan_store(memo, plan, planned.schema)
                     cache.result_store(memo, rows, planned.schema)
@@ -671,7 +652,7 @@ class SqlSession:
             blocks_absorbed=len(absorbed),
             rows_rewritten=rewritten,
         )
-        # Loads/inserts move the table version (result/fragment cache
+        # Loads/inserts move the table version (result cache
         # invalidation) without touching its DDL identity.
         self.catalog.bump_version(table_name)
         return len(rows)

@@ -441,6 +441,9 @@ class TestServingFieldsV4:
 
 class TestCacheLookupsV5:
     def test_cache_lookups_round_trip(self, tmp_path):
+        # The "fragment" row is the old-log case: the SQL cache wrote
+        # one (with hits / misses) while it had a scan-side layer; such
+        # logs must keep loading and rendering.
         path = tmp_path / "log.jsonl"
         lookups = [
             {"layer": "result", "outcome": "miss"},

@@ -69,6 +69,19 @@ class TestAggregateValidation:
         result = shark.sql("SELECT COUNT(*) FROM t HAVING COUNT(*) > 0")
         assert result.scalar() == 2
 
+    @pytest.mark.parametrize(
+        "having", ["'y' LIKE MAX(b)", "MAX(b) LIKE 'y'"]
+    )
+    def test_aggregate_on_either_side_of_like(self, shark, having):
+        # An aggregate is found wherever it sits in an expression: the
+        # pattern of a LIKE used to be skipped ("unresolved aggregate").
+        result = shark.sql(f"SELECT a FROM t GROUP BY a HAVING {having}")
+        assert result.rows == [(2,)]
+
+    def test_aggregate_in_like_pattern_rejected_in_where(self, shark):
+        with pytest.raises(AnalysisError, match="WHERE"):
+            shark.sql("SELECT a FROM t WHERE 'y' LIKE MAX(b)")
+
     def test_star_only_in_count(self, shark):
         with pytest.raises(AnalysisError):
             shark.sql("SELECT SUM(*) FROM t")

@@ -3,8 +3,9 @@
 The caching stack's correctness contract is that a stale entry is never
 served: every catalog-mutating statement kind (CREATE, DROP, CACHE,
 UNCACHE, INSERT, LOAD) must invalidate exactly the entries it makes
-stale in each cache layer (plan / result / fragment), verified against a
-cache-off context that replays the same mutations.  Per-table versions
+stale in each cache layer (plan / result), verified against a cache-off
+context that replays the same mutations; beneath them a scan decodes the
+blocks a mutation added and never an old block again.  Per-table versions
 are monotonic — they survive DROP and master-journal replay — and a
 self-join or subquery contributes one version-vector entry *per alias
 occurrence* (the PR's normalizer regression).
@@ -18,6 +19,7 @@ from repro.sql.journal import MasterJournal
 from repro.sql.parser import parse
 from repro.storage import DistributedFileStore
 
+from tests.sql.test_cache_parity import count_decodes
 from tests.sql.test_vectorized_parity import assert_byte_identical
 
 QUERY = "SELECT k, SUM(v) AS total FROM src GROUP BY k ORDER BY k"
@@ -108,11 +110,10 @@ class TestResultInvalidation:
         before = cache.invalidations
         mutate(shark)
         assert cache.invalidations > before
-        # No result or fragment entry for src may survive the mutation.
+        # No result entry for src may survive the mutation.
         assert not any(
             "src" in entry.tables for entry in cache._results.values()
         )
-        assert not any(key[0] == "src" for key in cache._fragments)
 
     def test_unrelated_mutation_keeps_entries(self):
         shark = _build()
@@ -183,8 +184,8 @@ class TestPlanInvalidation:
 
 
 class TestFragmentInvalidation:
-    """Fragment layer: decoded scan batches die with their table
-    version and the next scan re-decodes fresh data."""
+    """Beneath the result cache: a scan after a mutation reads the
+    table's current blocks, decoding the new ones and no old one twice."""
 
     def _build_cached_table(self):
         shark = SharkContext(num_workers=2)
@@ -193,36 +194,35 @@ class TestFragmentInvalidation:
             "TBLPROPERTIES ('shark.cache'='true')"
         )
         shark.sql("INSERT INTO src VALUES (1, 1.0), (2, 2.0), (3, 3.0)")
-        shark.enable_sql_cache(SqlCacheConfig(enable_result=False))
+        shark.enable_sql_cache()
         return shark
 
     def test_insert_drops_fragments_and_redecodes(self):
         shark = self._build_cached_table()
-        cache = shark.sql_cache
-        shark.sql(QUERY)
-        assert cache.fragment_misses > 0
-        # Warm scan: every block comes from the fragment cache, so the
-        # decode counter does not move.
-        decoded_before = shark.metrics.value("batch.batches")
-        shark.sql(QUERY)
-        assert shark.metrics.value("batch.batches") == decoded_before
-        assert cache.fragment_hits > 0
+        with count_decodes() as cold:
+            first = shark.sql(QUERY)
+        assert cold and set(cold.values()) == {1}
+        with count_decodes() as warm:
+            assert shark.sql(QUERY).cache_hit
+        assert not warm
 
         shark.sql("INSERT INTO src VALUES (9, 9.0)")
-        assert not any(key[0] == "src" for key in cache._fragments)
-        misses_before = cache.fragment_misses
-        after = shark.sql(QUERY)
-        assert cache.fragment_misses > misses_before
-        assert (9, 9.0) in after.rows
+        with count_decodes() as after_insert:
+            after = shark.sql(QUERY)
+        assert not after.cache_hit
+        assert after.rows == first.rows + [(9, 9.0)]
+        # The appended block's columns, and none of the old block's.
+        assert after_insert and set(after_insert.values()) == {1}
+        assert not set(after_insert) & set(cold)
 
     def test_uncache_drops_fragments(self):
         shark = self._build_cached_table()
-        cache = shark.sql_cache
-        shark.sql(QUERY)
+        first = shark.sql(QUERY)
         shark.sql("UNCACHE TABLE src")
-        assert not any(key[0] == "src" for key in cache._fragments)
-        # The uncached path still answers correctly.
-        assert (1, 1.0) in shark.sql(QUERY).rows
+        # The uncached path answers afresh, and correctly.
+        after = shark.sql(QUERY)
+        assert not after.cache_hit
+        assert after.rows == first.rows
 
 
 class TestPerAliasVersioning:

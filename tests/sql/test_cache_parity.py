@@ -5,14 +5,19 @@ and a cache-on one — cold (first execution populates) then warm (served
 from the result cache) — and all three row sets must be repr-identical
 (the same float-drift standard as the vectorized parity harness).  A
 chaos section repeats the comparison under the fault injector, the
-shared-scan soak proves N concurrent same-table queries decode every
-block exactly once, and a tiny-cap section churns the eviction path
-while the memory ledger stays balanced (zero clamped releases).
+block-memo section proves N same-table queries — interleaved or in
+turn, SQL cache on or off — decode every block column exactly once,
+and a tiny-cap section churns the eviction path while the memory ledger
+stays balanced (zero clamped releases).
 """
+
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import pytest
 
 from repro import SharkContext
+from repro.columnar.compression import EncodedColumn
 from repro.datatypes import BOOLEAN, DOUBLE, INT, STRING, Schema
 from repro.engine.lifecycle import LifecycleConfig
 from repro.engine.memory import EXECUTION
@@ -24,6 +29,27 @@ from tests.sql.test_vectorized_parity import (
     QUERIES,
     assert_byte_identical,
 )
+
+
+@contextmanager
+def count_decodes():
+    """``decode`` calls per encoded block column while the block is
+    open, every scheme patched: yields the dict, column -> calls."""
+    calls: dict = {}
+
+    def counting(original):
+        def decode(column):
+            calls[column] = calls.get(column, 0) + 1
+            return original(column)
+
+        return decode
+
+    with ExitStack() as stack:
+        for scheme in EncodedColumn.__subclasses__():
+            stack.enter_context(
+                mock.patch.object(scheme, "decode", counting(scheme.decode))
+            )
+        yield calls
 
 
 def _datasets():
@@ -105,15 +131,17 @@ class TestChaosParity:
 
 
 class TestSharedScans:
-    """N concurrent same-table queries decode every block exactly once:
-    the first toucher pays the decode, late arrivals attach."""
+    """A cached block is its own memo: however many queries read a
+    table — interleaved or one after another, whatever their literals,
+    SQL cache on or off — each (block, column) they touch is decoded
+    once, and every reader sees the solo run's rows."""
 
     QUERY = (
         "SELECT bucket, COUNT(*) AS n, SUM(value) AS total "
         "FROM readings GROUP BY bucket"
     )
 
-    def _scan_ctx(self):
+    def _scan_ctx(self, sql_cache):
         shark = SharkContext(num_workers=4, cores_per_worker=2)
         shark.create_table(
             "readings",
@@ -124,85 +152,80 @@ class TestSharedScans:
         )
         shark.load_rows(
             "readings",
-            [(f"b{i % 6}", i % 15, float(i % 100)) for i in range(4000)],
+            [(f"b{i % 6}", i % 15, i * 0.5) for i in range(4000)],
             num_partitions=8,
         )
+        if sql_cache:
+            # Result cache off so every execution actually scans.
+            shark.enable_sql_cache(SqlCacheConfig(enable_result=False))
         return shark
 
     def test_concurrent_queries_decode_each_block_once(self):
-        # Reference: how many blocks does one solo run decode?
-        # (Result cache off so every execution actually scans.)
-        solo = self._scan_ctx()
-        solo.enable_sql_cache(SqlCacheConfig(enable_result=False))
-        before = solo.metrics.value("batch.batches")
-        expected = solo.sql(self.QUERY).rows
-        solo_blocks = solo.metrics.value("batch.batches") - before
-        assert solo_blocks > 0
+        for sql_cache in (False, True):
+            solo = self._scan_ctx(sql_cache)
+            with count_decodes() as solo_decodes:
+                expected = solo.sql(self.QUERY).rows
+            assert solo_decodes and set(solo_decodes.values()) == {1}
 
-        shark = self._scan_ctx()
-        cache = shark.enable_sql_cache(
-            SqlCacheConfig(enable_result=False)
-        )
-        shark.enable_lifecycle(
-            LifecycleConfig(max_concurrent=3, max_queued=4)
-        )
-        before = shark.metrics.value("batch.batches")
-        handles = [
-            shark.submit_sql(self.QUERY, name=f"reader-{i}")
-            for i in range(3)
-        ]
-        shark.lifecycle.drain()
-        decoded = shark.metrics.value("batch.batches") - before
-        # Three concurrent scans, one decode per block — not 3x.
-        assert decoded == solo_blocks
-        assert cache.fragment_hits > 0
-        assert cache.shared_attached > 0
-        assert shark.metrics.value("sqlcache.shared.attached") > 0
-        for handle in handles:
-            assert_byte_identical(
-                handle.result_or_raise().rows, expected
+            shark = self._scan_ctx(sql_cache)
+            shark.enable_lifecycle(
+                LifecycleConfig(max_concurrent=3, max_queued=4)
             )
+            with count_decodes() as decodes:
+                handles = [
+                    shark.submit_sql(self.QUERY, name=f"reader-{i}")
+                    for i in range(3)
+                ]
+                shark.lifecycle.drain()
+            # Three interleaved scans, one decode per block column.
+            assert len(decodes) == len(solo_decodes)
+            assert set(decodes.values()) == {1}
+            for handle in handles:
+                assert_byte_identical(
+                    handle.result_or_raise().rows, expected
+                )
 
     def test_different_literals_share_decoded_blocks(self):
-        # The fragment key holds no predicate: a second select over the
-        # same columns with another literal decodes nothing.
+        # The memo holds no predicate: a later select over the same
+        # columns with another literal decodes nothing.
         queries = [
             f"SELECT bucket, value FROM readings WHERE day < {cutoff}"
-            for cutoff in (5, 9)
+            for cutoff in (5, 9, 12)
         ]
-        reference = self._scan_ctx()
-        shark = self._scan_ctx()
-        cache = shark.enable_sql_cache(SqlCacheConfig(enable_result=False))
-        blocks = 8  # one per partition loaded by _scan_ctx
-        before = shark.metrics.value("batch.batches")
-        for query in queries:
-            assert_byte_identical(
-                shark.sql(query).rows, reference.sql(query).rows
-            )
-        assert shark.metrics.value("batch.batches") - before == blocks
-        assert cache.fragment_hits == blocks
-        assert shark.metrics.value("sqlcache.fragment.hits") > 0
+        reference = self._scan_ctx(False)
+        expected = [reference.sql(query).rows for query in queries]
+        for sql_cache in (False, True):
+            shark = self._scan_ctx(sql_cache)
+            with count_decodes() as first:
+                shark.sql(queries[0])
+            with count_decodes() as later:
+                for query, rows in zip(queries, expected):
+                    assert_byte_identical(shark.sql(query).rows, rows)
+            assert first and set(first.values()) == {1}
+            assert not later
 
     def test_full_stack_concurrent_soak(self):
-        # All layers on: whichever mix of result hits and shared scans
-        # the interleaving produces, the rows never diverge.
-        shark = self._scan_ctx()
+        # All layers on: whichever mix of result hits and scans the
+        # interleaving produces, the rows never diverge.
+        shark = self._scan_ctx(False)
         cache = shark.enable_sql_cache()
         shark.enable_lifecycle(
             LifecycleConfig(max_concurrent=3, max_queued=8)
         )
         expected = None
-        handles = [
-            shark.submit_sql(self.QUERY, name=f"mixed-{i}")
-            for i in range(6)
-        ]
-        shark.lifecycle.drain()
+        with count_decodes() as decodes:
+            handles = [
+                shark.submit_sql(self.QUERY, name=f"mixed-{i}")
+                for i in range(6)
+            ]
+            shark.lifecycle.drain()
         for handle in handles:
             rows = handle.result_or_raise().rows
             if expected is None:
                 expected = rows
             assert_byte_identical(rows, expected)
-        assert cache.result_hits + cache.shared_attached > 0
+        assert cache.result_hits > 0
+        assert set(decodes.values()) == {1}
         assert shark.engine.memory.clamped_release_bytes == 0
 
 
@@ -214,7 +237,6 @@ class TestCappedEviction:
         config = SqlCacheConfig(
             max_result_entries=4,
             max_result_bytes=8 * 1024,
-            max_fragment_bytes=16 * 1024,
         )
         shark = _build(sql_cache=True, cache_config=config)
         for _pass in range(2):
@@ -233,9 +255,8 @@ class TestCappedEviction:
         )
 
     def test_capped_worker_memory_parity(self, uncached_rows):
-        # The PR 7 arbitration interplay: under a per-worker cap the
-        # accountant may evict cached fragments (a registered spill
-        # consumer) before execution state spills — invisibly.
+        # The PR 7 arbitration interplay: a per-worker cap evicts and
+        # spills beneath a warm result cache — invisibly.
         shark = _build(
             sql_cache=True, memory_per_worker_bytes=48 * 1024
         )
