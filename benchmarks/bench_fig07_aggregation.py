@@ -13,10 +13,8 @@ Hive (untuned: too few reducers, the optimizer's frequent mistake).
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -131,15 +129,12 @@ class TestFigure07_1TB:
 
 
 # ---------------------------------------------------------------------------
-# Tiny mode: vectorize on/off wall-clock comparison (CI smoke job)
+# Tiny mode: wall-clock and simulated seconds per shape (CI smoke job)
 # ---------------------------------------------------------------------------
 
 
-def _wall_seconds(shark, query, vectorize, reps):
-    """Best-of-``reps`` real wall-clock for one query in one mode."""
-    shark.session.config = replace(
-        shark.session.config, vectorize=vectorize
-    )
+def _wall_seconds(shark, query, reps):
+    """Best-of-``reps`` real wall-clock for one query."""
     rows = shark.sql(query).rows  # warm-up: plans cached, JIT-free
     best = float("inf")
     for __ in range(reps):
@@ -149,27 +144,9 @@ def _wall_seconds(shark, query, vectorize, reps):
     return best, rows
 
 
-def _assert_byte_identical(vectorized, row_mode, query):
-    """Same multiset of rows with identical types and reprs."""
-    left = sorted((tuple(r) for r in vectorized), key=repr)
-    right = sorted((tuple(r) for r in row_mode), key=repr)
-    if len(left) != len(right) or any(
-        type(x) is not type(y) or repr(x) != repr(y)
-        for lr, rr in zip(left, right)
-        for x, y in zip(lr, rr)
-    ):
-        raise AssertionError(f"vectorized != row results for: {query}")
-
-
-def run_tiny(rows, out_path, min_speedup, reps=3):
-    """Run the Figure 7 aggregation queries with the batch pipeline on
-    and off, recording real wall-clock and simulated cluster seconds.
-
-    The speedup gate applies to the geometric mean across the four
-    group counts: the 1/7/2.5K-group shapes vectorize almost entirely,
-    while the 150M-group shape is dominated by the (mode-independent)
-    shuffle and merge of one output row per input quartet.
-    """
+def run_tiny(rows, out_path, reps=3):
+    """Run the Figure 7 aggregation queries, recording real wall-clock
+    and simulated cluster seconds per group count."""
     dataset = tpch.generate_lineitem(rows, represented=tpch.SCALE_100GB)
     shark = make_shark({"lineitem": dataset}, cached=True)
     scale = tpch.SCALE_100GB[0] / dataset.local_bytes
@@ -177,66 +154,41 @@ def run_tiny(rows, out_path, min_speedup, reps=3):
     results = []
     for key in [1, 7, 2500, "max"]:
         query = tpch.AGGREGATION_QUERIES[key]
-        on_wall, on_rows = _wall_seconds(shark, query, True, reps)
-        off_wall, off_rows = _wall_seconds(shark, query, False, reps)
-        _assert_byte_identical(on_rows, off_rows, query)
-        shark.session.config = replace(shark.session.config, vectorize=True)
-        on_sim, __ = shark_cluster_seconds(shark, query, scale, SHARK_MEM)
-        shark.session.config = replace(shark.session.config, vectorize=False)
-        off_sim, __ = shark_cluster_seconds(shark, query, scale, SHARK_MEM)
+        wall, result_rows = _wall_seconds(shark, query, reps)
+        sim, __ = shark_cluster_seconds(shark, query, scale, SHARK_MEM)
         results.append(
             {
                 "groups": GROUP_LABELS[key],
                 "query": " ".join(query.split()),
-                "wall_seconds_vectorized": on_wall,
-                "wall_seconds_row": off_wall,
-                "wall_speedup": off_wall / on_wall,
-                "sim_seconds_vectorized": on_sim,
-                "sim_seconds_row": off_sim,
-                "result_rows": len(on_rows),
+                "wall_seconds": wall,
+                "sim_seconds": sim,
+                "result_rows": len(result_rows),
             }
         )
         print(
             f"fig07[{GROUP_LABELS[key]} groups] "
-            f"vectorized {on_wall * 1000:.1f} ms, "
-            f"row {off_wall * 1000:.1f} ms "
-            f"({off_wall / on_wall:.2f}x), "
-            f"sim {on_sim:.2f}s vs {off_sim:.2f}s"
+            f"{wall * 1000:.1f} ms wall, sim {sim:.2f}s"
         )
 
-    geomean = math.exp(
-        sum(math.log(entry["wall_speedup"]) for entry in results)
-        / len(results)
-    )
     payload = {
         "benchmark": "fig07_aggregation_tiny",
         "rows": rows,
         "reps": reps,
-        "geomean_wall_speedup": geomean,
-        "min_speedup_required": min_speedup,
         "queries": results,
     }
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2)
     shark.close_event_log()
-    print(f"geomean wall speedup {geomean:.2f}x -> {out_path}")
-    if geomean < min_speedup:
-        print(
-            f"FAIL: geomean speedup {geomean:.2f}x < "
-            f"required {min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
+    print(f"-> {out_path}")
     return 0
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Figure 7 tiny mode: vectorize on/off wall-clock smoke"
+        description="Figure 7 tiny mode: wall-clock and simulated seconds"
     )
     parser.add_argument("--rows", type=int, default=100_000)
     parser.add_argument("--out", default="BENCH_fig07.json")
-    parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument(
         "--event-log-out",
@@ -249,9 +201,7 @@ def main(argv=None):
         import harness
 
         harness.EVENT_LOG_OUT = options.event_log_out
-    return run_tiny(
-        options.rows, options.out, options.min_speedup, options.reps
-    )
+    return run_tiny(options.rows, options.out, options.reps)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ repr-identical to the uncapped run no matter where (or whether) spills
 fire — crucial because chaos retries shift spill points between runs:
 
 ``repro.sql.physical.BatchAggregator``
-    Hash-aggregation state in both ``vectorize`` modes: the pending
-    partial batches of a task, merged again after the runs are reloaded.
+    Hash-aggregation state: the pending partial batches of a task,
+    merged again after the runs are reloaded.
 
 :class:`ExternalSorter`
     Buffers the ColumnBatches of one sort partition.  Each spill encodes

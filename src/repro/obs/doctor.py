@@ -9,8 +9,6 @@ from a fixed taxonomy:
 ===================  =====================================================
 category             evidence consulted
 ===================  =====================================================
-``mode-flip``        operator modes: an operator ran vectorized in the
-                     baseline but row-at-a-time in the current run
 ``spill-appeared``   ``memory_spill`` records: spills present (or grown)
                      in the current run only
 ``cache-miss``       ``cache_lookup`` records: a layer that hit in the
@@ -24,7 +22,7 @@ category             evidence consulted
                      structural cause explains the regression
 ===================  =====================================================
 
-Categories are ranked by diagnostic specificity (a mode flip explains a
+Categories are ranked by diagnostic specificity (a spill explains a
 slowdown better than "a stage got slower" does); within a report the
 top-ranked finding of each regressed query votes for the corpus-level
 "top root cause" line the perf sentinel prints.  Everything here is a
@@ -57,7 +55,6 @@ ESTIMATE_DRIFT_FACTOR = 2.0
 
 #: Category -> rank weight (higher = more diagnostic, reported first).
 CATEGORY_WEIGHTS = {
-    "mode-flip": 100,
     "spill-appeared": 80,
     "cache-miss": 70,
     "skew-growth": 60,
@@ -194,30 +191,6 @@ class DoctorReport:
 # ---------------------------------------------------------------------------
 # Per-query diagnosis
 # ---------------------------------------------------------------------------
-
-
-def _mode_flips(
-    baseline: QueryRecord, current: QueryRecord
-) -> Optional[Finding]:
-    before = dict(baseline.operator_modes)
-    flipped = [
-        operator
-        for operator, mode in current.operator_modes
-        if mode == "row"
-        and before.get(operator, "").startswith("vectorized")
-    ]
-    if not flipped:
-        return None
-    return Finding(
-        category="mode-flip",
-        summary=(
-            f"{len(flipped)} operator(s) flipped vectorized -> row"
-        ),
-        evidence=[
-            f"{operator}: {before[operator]} -> row"
-            for operator in flipped
-        ],
-    )
 
 
 def _spill_delta(
@@ -392,7 +365,6 @@ def _stage_slowdown(
 
 
 _CHECKS = (
-    _mode_flips,
     _spill_delta,
     _cache_regression,
     _skew_growth,

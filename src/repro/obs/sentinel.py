@@ -17,15 +17,16 @@ Each measurement is read off the query's event-log record (the log is
 sentinel also runs the suite under the default configuration into a
 second scratch log and hands both logs to the query doctor
 (:mod:`repro.obs.doctor`), so the failure report ends
-with ranked root causes — e.g. a ``--vectorize off`` run is attributed
-to ``mode-flip`` rather than just "a stage got slower".
+with ranked root causes — e.g. a ``--memory-cap 16384`` run is
+attributed to ``spill-appeared`` rather than just "a stage got slower".
 
 Everything is measured on the simulated clock, so the baseline is exact
 and machine-independent: an unchanged engine reproduces it bit-for-bit,
 and CI can gate on it without noise margins.  ``--write-baseline``
 (re)seeds the baseline after an intentional performance change;
-``--vectorize off`` demonstrates a deliberate regression against a
-vectorize-on baseline.
+``--memory-cap 16384 --threshold 0.25`` demonstrates a deliberate
+regression: the cap forces spills and evictions the uncapped baseline
+never paid for.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ BASELINE_VERSION = 1
 
 #: Suite geometry: small enough for CI, large enough that per-record
 #: CPU cost dominates the fixed per-task launch overhead — otherwise a
-#: CPU-side regression (like losing vectorization) hides inside the
+#: CPU-side regression (like losing a kernel) hides inside the
 #: overhead and the sentinel can't see it.  Two fat partitions per big
 #: table give ~50K rows per task: the CPU term is ~2x the 5 ms launch
 #: overhead, so a 10x per-record slowdown moves total sim-seconds well
@@ -75,19 +76,14 @@ def suite_queries() -> dict[str, str]:
     return queries
 
 
-def build_warehouse(
-    vectorize: bool = True,
-    memory_per_worker_bytes: Optional[int] = None,
-):
+def build_warehouse(memory_per_worker_bytes: Optional[int] = None):
     """A fresh SharkContext with the suite's cached TPC-H tables."""
     from repro.core.context import SharkContext
-    from repro.sql.planner import PlannerConfig
     from repro.workloads import tpch
 
     shark = SharkContext(
         num_workers=WORKERS,
         cores_per_worker=CORES_PER_WORKER,
-        config=PlannerConfig(vectorize=vectorize),
         memory_per_worker_bytes=memory_per_worker_bytes,
     )
     for name, data, partitions in (
@@ -107,11 +103,7 @@ def run_passes(shark, log_path, passes: int = 1) -> list[dict[str, dict]]:
     from repro.obs.history import HistoryStore
 
     queries = suite_queries()
-    shark.enable_event_log(
-        log_path,
-        source="sentinel",
-        vectorize="on" if shark.session.config.vectorize else "off",
-    )
+    shark.enable_event_log(log_path, source="sentinel")
     try:
         for __ in range(passes):
             for text in queries.values():
@@ -298,12 +290,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="relative sim-seconds regression that fails (default 0.25)",
     )
     parser.add_argument(
-        "--vectorize",
-        choices=("on", "off"),
-        default="on",
-        help="planner vectorization (off = deliberate regression demo)",
-    )
-    parser.add_argument(
         "--write-baseline",
         action="store_true",
         help="write the measured suite as the new baseline and exit 0",
@@ -347,10 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _gate(args, log_path) -> int:
     """Run the suite into ``log_path`` and compare it with the baseline."""
-    shark = build_warehouse(
-        vectorize=args.vectorize == "on",
-        memory_per_worker_bytes=args.memory_cap,
-    )
+    shark = build_warehouse(memory_per_worker_bytes=args.memory_cap)
     warm = None
     if args.sql_cache == "on":
         shark.enable_sql_cache()
@@ -444,8 +427,7 @@ def _gate(args, log_path) -> int:
     regressions, info = compare(baseline, current, args.threshold)
     lines = [
         f"sentinel: {len(current)} queries vs {args.baseline} "
-        f"(threshold {args.threshold * 100.0:.0f}%, "
-        f"vectorize {args.vectorize})"
+        f"(threshold {args.threshold * 100.0:.0f}%)"
     ]
     lines.extend(f"  {line}" for line in info)
     lines.extend(f"  {line}" for line in regressions)

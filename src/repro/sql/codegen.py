@@ -25,12 +25,10 @@ only learns *how many* subtrees call Python per row.
 
 Parity contract: every kernel reproduces the corresponding BoundExpr.eval
 semantics exactly (NULL propagation, division by zero -> NULL, Kleene
-AND/OR, BETWEEN's non-decomposable NULL handling); ``vectorize`` off runs
-``eval`` itself and is the differential reference.  It does so in the
-same operators: ``arrays=False`` compiles every expression to the
-whole-subtree form — ``eval`` mapped over the rows of the batch, never
-over a dictionary — so the two modes differ in the scalar rules' array
-forms and in nothing else.
+AND/OR, BETWEEN's non-decomposable NULL handling).  The kernels are the
+only way a SQL operator evaluates an expression; the reference they are
+held to is stdlib ``sqlite3`` (``tests/oracle.py``), which shares no code
+with the engine.
 """
 
 from __future__ import annotations
@@ -80,16 +78,14 @@ class _Const:
 
 class _VectorCompileState:
     """What one compilation shares: the count of subtrees that call
-    Python once per row (interpreted subtrees and UDF calls), the
-    metrics registry the dictionary-domain evaluations are counted in,
-    and whether nodes get their array forms at all (``vectorize``)."""
+    Python once per row (interpreted subtrees and UDF calls) and the
+    metrics registry the dictionary-domain evaluations are counted in."""
 
-    __slots__ = ("interpreted", "metrics", "arrays")
+    __slots__ = ("interpreted", "metrics")
 
-    def __init__(self, metrics=None, arrays: bool = True) -> None:
+    def __init__(self, metrics=None) -> None:
         self.interpreted = 0
         self.metrics = metrics
-        self.arrays = arrays
 
 
 def _values_list(operand, n: int):
@@ -184,7 +180,7 @@ def _arith_kernel(op: str, left, right, n: int):
         if op == "/":
             vals = np.true_divide(ad, bd)
         elif op == "%":
-            vals = np.mod(ad, bd)
+            vals = np.fmod(ad, bd)
         elif op == "+":
             vals = ad + bd
         elif op == "-":
@@ -286,6 +282,8 @@ def _in_kernel(constant_set: frozenset, negated: bool, operand, n: int):
                 with suppress(TypeError):
                     options.append(time_number(option))
     vals = np.isin(data, options)
+    if None in constant_set:  # no match against a NULL option: NULL
+        valid = vals if valid is None else (valid & vals)
     if negated:
         vals = ~vals
     return Vector(vals, valid)
@@ -430,9 +428,8 @@ def _kernel_node(
 
 def _interpret_subtree(expr: BoundExpr, state: _VectorCompileState):
     """Whole-subtree fallback: ``expr.eval`` per row of the referenced
-    columns (per dictionary entry when that is one coded column, the
-    subtree calls no UDF and array forms are on) — exactly the row
-    semantics by construction.
+    columns (per dictionary entry when that is one coded column and the
+    subtree calls no UDF) — exactly the row semantics by construction.
     """
     state.interpreted += 1
     references = sorted(expr.references())
@@ -451,8 +448,7 @@ def _interpret_subtree(expr: BoundExpr, state: _VectorCompileState):
     children = [
         partial(ColumnBatch.vector, ordinal=index) for index in references
     ]
-    pure = state.arrays and not _calls_udf(expr)
-    return _kernel_node(kernel, None, children, state, pure)
+    return _kernel_node(kernel, None, children, state, not _calls_udf(expr))
 
 
 def _vector_node(expr: BoundExpr, state: _VectorCompileState):
@@ -462,8 +458,6 @@ def _vector_node(expr: BoundExpr, state: _VectorCompileState):
         return _Const(expr.value)
     if isinstance(expr, BoundColumn):
         return partial(ColumnBatch.vector, ordinal=expr.index)
-    if not state.arrays:
-        return _interpret_subtree(expr, state)
     # ``kernel`` stays None where the node has no array form (static LIKE,
     # CAST, scalar calls): ``apply`` per value.
     operands, kernel, pure = expr.children(), None, True
@@ -506,7 +500,7 @@ def _broadcast(result, n: int) -> Vector:
 
 
 def compile_vector_expression(
-    expr: BoundExpr, metrics=None, arrays: bool = True
+    expr: BoundExpr, metrics=None
 ) -> tuple[Callable[[ColumnBatch], Vector], int]:
     """Compile ``expr`` to a batch kernel.
 
@@ -515,22 +509,20 @@ def compile_vector_expression(
     that call Python once per row (``expr.eval`` fallbacks and UDF calls)
     rather than running a kernel.  Compilation is total — every
     expression gets a kernel.  ``metrics`` (a ``MetricsRegistry``) counts
-    the dictionary-domain evaluations.  ``arrays`` off (here and in the
-    two compilers below) is ``vectorize`` off: the kernel is ``expr.eval``
-    mapped over the rows.
+    the dictionary-domain evaluations.
     """
-    state = _VectorCompileState(metrics, arrays)
+    state = _VectorCompileState(metrics)
     node = _vector_node(expr, state)
     return (lambda batch: _broadcast(node(batch), batch.num_rows),
             state.interpreted)
 
 
 def compile_vector_predicate(
-    expr: BoundExpr, metrics=None, arrays: bool = True
+    expr: BoundExpr, metrics=None
 ) -> tuple[Callable[[ColumnBatch], np.ndarray], int]:
     """Compile a predicate to a kernel producing a keep-mask (TRUE only;
     NULL and FALSE both drop the row)."""
-    state = _VectorCompileState(metrics, arrays)
+    state = _VectorCompileState(metrics)
     node = _vector_node(expr, state)
 
     def predicate(batch: ColumnBatch) -> np.ndarray:
@@ -541,7 +533,7 @@ def compile_vector_predicate(
 
 
 def compile_vector_projection(
-    expressions: list[BoundExpr], metrics=None, arrays: bool = True
+    expressions: list[BoundExpr], metrics=None
 ) -> tuple[list, int]:
     """Compile a SELECT list to per-output plans.
 
@@ -549,7 +541,7 @@ def compile_vector_projection(
     the pipeline moves the (possibly still encoded) entry without
     decoding — or ``("expr", kernel)`` for a computed output.
     """
-    state = _VectorCompileState(metrics, arrays)
+    state = _VectorCompileState(metrics)
     plans: list = []
     for expr in expressions:
         if isinstance(expr, BoundColumn):

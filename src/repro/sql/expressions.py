@@ -10,6 +10,7 @@ predicate is exactly TRUE.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Callable, Optional, Sequence
 
@@ -87,12 +88,21 @@ class BoundColumn(BoundExpr):
         return row[self.index]
 
 
+def _remainder(a: Any, b: Any) -> Any:
+    """Hive's (Java's) ``%``: the truncated remainder, which takes the sign
+    of the dividend (``-7 % 3`` is -1), not Python's floored one."""
+    if isinstance(a, float) or isinstance(b, float):
+        return math.fmod(a, b)
+    remainder = abs(a) % abs(b)
+    return -remainder if a < 0 else remainder
+
+
 class BoundArithmetic(BoundExpr):
     _OPS: dict[str, Callable[[Any, Any], Any]] = {
         "+": lambda a, b: a + b,
         "-": lambda a, b: a - b,
         "*": lambda a, b: a * b,
-        "%": lambda a, b: a % b,
+        "%": _remainder,
     }
 
     def __init__(self, op: str, left: BoundExpr, right: BoundExpr):
@@ -317,12 +327,19 @@ class BoundIn(BoundExpr):
         else:
             self._constant_set = None
 
+    def _result(self, found: bool, null_option: bool) -> Optional[bool]:
+        # No match against a list holding NULL is unknown, not FALSE.
+        if not found and null_option:
+            return None
+        return found != self.negated
+
     def apply(self, value: Any) -> Optional[bool]:
         """The constant-option form, a function of the operand alone."""
         if value is None:
             return None
-        result = value in self._constant_set
-        return not result if self.negated else result
+        return self._result(
+            value in self._constant_set, None in self._constant_set
+        )
 
     def eval(self, row: tuple) -> Optional[bool]:
         value = self.operand.eval(row)
@@ -330,8 +347,14 @@ class BoundIn(BoundExpr):
             return self.apply(value)
         if value is None:
             return None
-        result = any(option.eval(row) == value for option in self.options)
-        return not result if self.negated else result
+        null_option = False
+        for option in self.options:
+            candidate = option.eval(row)
+            if candidate is None:
+                null_option = True
+            elif candidate == value:
+                return self._result(True, null_option)
+        return self._result(False, null_option)
 
     def children(self) -> Sequence[BoundExpr]:
         return (self.operand, *self.options)

@@ -5,11 +5,10 @@ between SQL operators: a partition holds ColumnBatches
 (:mod:`repro.columnar.batch`) — over a cached scan, over an external
 scan's decoded columns, and above every exchange — and row tuples are
 built once, by :func:`rows_of`, where a plan hands its result to a row
-consumer.  There is one family of operators.  ``PlannerConfig.vectorize``
-off does not select others: it hands these the kernels that are
-``expr.eval`` mapped over the rows (:mod:`repro.sql.codegen`) and turns
-off the array forms of the aggregate folds (``arrays=False`` below), so
-the two modes differ in the scalar rules and share every skeleton.  The
+consumer.  There is one family of operators and one way to run them:
+the kernels of :mod:`repro.sql.codegen` and the array forms of the
+aggregate folds, which fall back to ``fn.update`` / ``merge`` /
+``finish`` only where a column has no array form.  The
 planner (:mod:`repro.sql.planner`) decides *which* helper to use (join
 strategies, PDE, map pruning) and compiles the expressions; the helpers
 only build dataflow.
@@ -411,14 +410,13 @@ def _merge_accs(
     vectors: list[Vector],
     gids: np.ndarray,
     k: int,
-    arrays: bool,
 ) -> list[Vector]:
     """One aggregate's accumulator columns segment-reduced to one row
     per group, partials of a group merged in arrival order: by the
-    grouped reductions where ``arrays`` allows and the columns have one,
-    by ``fn.merge`` otherwise."""
+    grouped reductions where the columns have one, by ``fn.merge``
+    otherwise."""
     n = len(gids)
-    if arrays and not fn.distinct:
+    if not fn.distinct:
         ordered = isinstance(fn, (MinAggregate, MaxAggregate))
         numeric = [_numeric_data(vector, n, ordered) for vector in vectors]
         merged = None
@@ -454,13 +452,11 @@ def merge_partials(
     batch: ColumnBatch,
     num_keys: int,
     specs: list[AggregateSpec],
-    arrays: bool = True,
 ) -> ColumnBatch:
     """Partials of the same group merged into one, groups in
     first-occurrence order: the merge of every aggregation — a map task
     that saw several batches, the reduce side, a re-merge after a spill
-    — and, with no aggregate at all, DISTINCT.  ``arrays`` off
-    (``vectorize`` off) merges by ``fn.merge`` alone."""
+    — and, with no aggregate at all, DISTINCT."""
     n = batch.num_rows
     if not n:
         return batch
@@ -479,7 +475,6 @@ def merge_partials(
                 [batch.vector(ordinal + i) for i in range(width)],
                 gids,
                 k,
-                arrays,
             )
         )
         ordinal += width
@@ -490,11 +485,10 @@ def finish_partials(
     batch: ColumnBatch,
     num_keys: int,
     specs: list[AggregateSpec],
-    arrays: bool = True,
 ) -> ColumnBatch:
     """Merged partials to output rows: the keys, then each aggregate's
-    ``finish`` — which ``arrays`` spares COUNT/SUM/MIN/MAX, where it is
-    the identity, and runs as one division for AVG."""
+    ``finish`` — spared for COUNT/SUM/MIN/MAX, where it is the identity,
+    and run as one division for AVG."""
     n = batch.num_rows
     if not n:
         return batch
@@ -505,11 +499,11 @@ def finish_partials(
         width = _acc_width(fn)
         vectors = [batch.vector(ordinal + i) for i in range(width)]
         ordinal += width
-        if arrays and not fn.distinct and isinstance(
+        if not fn.distinct and isinstance(
             fn, (CountAggregate, SumAggregate, MinAggregate, MaxAggregate)
         ):
             entries.append(vectors[0])
-        elif arrays and width == 2 and all(
+        elif width == 2 and all(
             isinstance(v.data, np.ndarray) and v.valid is None
             for v in vectors
         ):
@@ -530,9 +524,9 @@ class BatchAggregator:
     """Task-local hash aggregation over ColumnBatches.
 
     Every consumed batch becomes one partial batch (the layout above):
-    per group, ``fn.update`` folded over its rows in order, or — with
-    ``arrays``, where the argument column has one — the numpy reduction
-    that accumulates in that same order.  ``finish`` merges the partials
+    per group, ``fn.update`` folded over its rows in order, or — where
+    the argument column has one — the numpy reduction that accumulates
+    in that same order.  ``finish`` merges the partials
     (:func:`merge_partials`) when there is more than one.  The pending
     partials are the task's spillable state: a spill encodes them as one
     run and ``finish`` reads the runs back, in order, into the merge.
@@ -545,12 +539,10 @@ class BatchAggregator:
         group_kernels: list,
         specs: list[AggregateSpec],
         arg_kernels: list,
-        arrays: bool = True,
     ):
         self.group_kernels = group_kernels
         self.specs = specs
         self.arg_kernels = arg_kernels
-        self.arrays = arrays
         self._partials: list[ColumnBatch] = []
         self._runs: list[bytes] = []
         self._charged = 0
@@ -564,7 +556,7 @@ class BatchAggregator:
         """Accumulator columns of one aggregate over one batch."""
         n = batch.num_rows
         vector = kernel(batch) if kernel is not None else None
-        if self.arrays and not fn.distinct:
+        if not fn.distinct:
             if isinstance(fn, CountAggregate):
                 counted = None if fn.count_star else vector
                 return [_grouped_count(counted, n, gids, k)]
@@ -624,7 +616,6 @@ class BatchAggregator:
             ColumnBatch.concat(pieces),
             len(self.group_kernels),
             self.specs,
-            self.arrays,
         )
 
     def spill(self, nbytes: int) -> tuple[int, int, int]:
@@ -892,9 +883,6 @@ class BlockScan(NamedTuple):
     #: The columns to decode, and the projection they are priced by.
     column_indices: list[int]
     projected: Optional[list[str]]
-    #: Whether the scanned rows count as ``batch_rows`` (``vectorize``:
-    #: the kernels above the scan are array code).
-    vectorized: bool
 
 
 class BatchPipelineRDD(RDD):
@@ -1004,9 +992,8 @@ class BatchPipelineRDD(RDD):
             task_ctx.metrics.source = SOURCE_MEMORY
             task_ctx.metrics.records_in += total_records
             task_ctx.metrics.bytes_in += total_bytes
-            if scan.vectorized:
-                counters.inc("batch.rows", total_records)
-                task_ctx.metrics.batch_rows += total_records
+            counters.inc("batch.rows", total_records)
+            task_ctx.metrics.batch_rows += total_records
             scan_key = self._op_keys.get("scan")
             if scan_key is not None:
                 record_operator_rows(scan_key, total_records)
@@ -1030,7 +1017,6 @@ def scan_batch_pipeline(
     aggregate_factory: Optional[Callable[[], BatchAggregator]] = None,
     name: str = "batch_scan",
     op_keys: Optional[dict] = None,
-    vectorized: bool = True,
 ) -> RDD:
     """Build the fused batch dataflow for a cached table, optionally
     map-pruned to ``kept_partitions``."""
@@ -1047,7 +1033,7 @@ def scan_batch_pipeline(
         aggregate_factory,
         name,
         op_keys,
-        BlockScan(column_indices, projected, vectorized),
+        BlockScan(column_indices, projected),
     )
 
 
@@ -1254,17 +1240,14 @@ def final_aggregate(
     num_keys: int,
     specs: list[AggregateSpec],
     final_op: OperatorStamp,
-    arrays: bool = True,
     name: str = "final_aggregate",
 ) -> RDD:
     """Phase 2b: merge each reduce partition's partials per group
     (:func:`merge_partials`) and finish them (:func:`finish_partials`)."""
 
     def run(part: list) -> list:
-        merged = merge_partials(
-            ColumnBatch.concat(part), num_keys, specs, arrays
-        )
-        return [finish_partials(merged, num_keys, specs, arrays)]
+        merged = merge_partials(ColumnBatch.concat(part), num_keys, specs)
+        return [finish_partials(merged, num_keys, specs)]
 
     return _counted(exchanged, final_op, name, run)
 

@@ -15,6 +15,9 @@ This is where the paper's Section 3 machinery comes together:
 * **degree-of-parallelism + skew** (3.1.2): aggregations shuffle into
   fine-grained buckets; PDE reads bucket sizes and greedily bin-packs them
   into balanced coalesced reduce partitions.
+
+Every operator's expressions compile to the batch kernels of
+:mod:`repro.sql.codegen`; no option selects another execution mode.
 """
 
 from __future__ import annotations
@@ -90,15 +93,6 @@ class PlannerConfig:
     #: Partitioner override for DISTRIBUTE BY (co-partitioning with an
     #: existing table requires using its exact partitioner).
     repartition_override: Optional[Partitioner] = None
-    #: Give expressions and aggregate folds their array forms (numpy
-    #: kernels over the column arrays, the cache-behavior benefit of
-    #: Section 3.2's layout).  Off, the same operators run the scalar
-    #: rules instead — ``expr.eval`` mapped over a batch's rows, the
-    #: ``fn.update`` / ``fn.merge`` / ``fn.finish`` folds — and are
-    #: stamped "row".  Results are identical; this knob exists as an
-    #: ablation axis and for differential testing — the scalar rules are
-    #: the reference.  The only mode switch on the path.
-    vectorize: bool = True
 
 
 @dataclass
@@ -110,10 +104,9 @@ class ExecutionReport:
     pruned_partitions: int = 0
     join_decisions: list[JoinDecision] = field(default_factory=list)
     #: (operator label, execution mode) per lowered operator: "vectorized"
-    #: for array kernels (with an interpreted-subtree count when some
-    #: expressions fell back to the elementwise evaluator), "row" for
-    #: every operator of a ``vectorize``-off plan, whose kernels are the
-    #: scalar rules.  EXPLAIN ANALYZE renders these.
+    #: for array kernels, with an interpreted-subtree count when some
+    #: expressions fell back to the elementwise evaluator.  EXPLAIN
+    #: ANALYZE renders these.
     operator_modes: list[tuple[str, str]] = field(default_factory=list)
     #: One :class:`OperatorStamp` per ``mode()`` call, carrying the
     #: planner's cardinality estimate and its statistics source; runtime
@@ -257,20 +250,16 @@ class PhysicalPlanner:
         return planned
 
     # ------------------------------------------------------------------
-    # Expression compilation: where ``vectorize`` takes effect
+    # Expression compilation
     # ------------------------------------------------------------------
     def _mode(self, interpreted: int = 0) -> str:
         """How an operator's expressions run, for its stamp."""
-        if not self.config.vectorize:
-            return "row"
         if interpreted:
             return f"vectorized ({interpreted} interpreted)"
         return "vectorized"
 
     def _kernel(self, expr: BoundExpr) -> tuple:
-        return compile_vector_expression(
-            expr, self.ctx.tracer.metrics, self.config.vectorize
-        )
+        return compile_vector_expression(expr, self.ctx.tracer.metrics)
 
     def _kernels(self, expressions: list[BoundExpr]) -> tuple[list, int]:
         """A kernel per expression, and how many subtrees of all of them
@@ -284,9 +273,7 @@ class PhysicalPlanner:
     def _predicate(self, condition: Optional[BoundExpr]) -> tuple:
         if condition is None:
             return None, 0
-        return compile_vector_predicate(
-            condition, self.ctx.tracer.metrics, self.config.vectorize
-        )
+        return compile_vector_predicate(condition, self.ctx.tracer.metrics)
 
     # ------------------------------------------------------------------
     # Recursive lowering
@@ -507,9 +494,8 @@ class PhysicalPlanner:
         condition: Optional[BoundExpr],
         no_prune: bool,
     ) -> Optional[list[int]]:
-        """Map pruning for a cached scan, shared by the row scan and the
-        batch pipeline so both modes prune identically.  Returns the kept
-        partitions, or None when every partition is scanned.
+        """Map pruning for a cached scan.  Returns the kept partitions, or
+        None when every partition is scanned.
         """
         entry = scan.table
         kept = None
@@ -563,7 +549,7 @@ class PhysicalPlanner:
         self, pipeline: _Pipeline, expressions: list[BoundExpr]
     ) -> None:
         plans, interpreted = compile_vector_projection(
-            expressions, self.ctx.tracer.metrics, self.config.vectorize
+            expressions, self.ctx.tracer.metrics
         )
         op = self.report.mode(
             "project", self._mode(interpreted), pipeline.est, pipeline.source
@@ -635,8 +621,7 @@ class PhysicalPlanner:
                     interpreted += count
                 arg_kernels.append(kernel)
             aggregate_factory = partial(
-                physical.BatchAggregator,
-                group_kernels, specs, arg_kernels, self.config.vectorize,
+                physical.BatchAggregator, group_kernels, specs, arg_kernels
             )
             groups_est, groups_source = aggregate_est or (None, SOURCE_NONE)
             partial_est = None
@@ -674,7 +659,6 @@ class PhysicalPlanner:
             aggregate_factory=aggregate_factory,
             name=name,
             op_keys=op_keys,
-            vectorized=self.config.vectorize,
         )
     def _prune_partitions(
         self, scan: logical.Scan, condition: BoundExpr
@@ -730,8 +714,7 @@ class PhysicalPlanner:
             exchanged = self._coalesce_buckets(exchanged, reducers)
         return self._over(
             physical.final_aggregate(
-                exchanged, num_keys, node.aggregates, final_op,
-                self.config.vectorize,
+                exchanged, num_keys, node.aggregates, final_op
             ),
             final_op,
         )

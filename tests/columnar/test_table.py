@@ -134,6 +134,6 @@ class TestValidation:
         from repro.sql.physical import BatchPipelineRDD, BlockScan
 
         bad = ctx.parallelize([["not a partition"]], 1).glom()
-        scan = BatchPipelineRDD(bad, scan=BlockScan([0], None, True))
+        scan = BatchPipelineRDD(bad, scan=BlockScan([0], None))
         with pytest.raises(Exception):
             scan.collect()

@@ -11,18 +11,19 @@ per-record definition it replaced:
     both;
 (b) the native ORDER BY keys sort exactly as the old per-row comparator
     object did — it lives on in this file as :class:`ReferenceSortKey`,
-    the reference — through SQL in both vectorize modes, and capped
-    (``ExternalSorter`` spilled runs) equals uncapped;
+    the reference — through SQL over cached and external tables, and
+    capped (``ExternalSorter`` spilled runs) equals uncapped;
 (c) ``shuffle_skew`` event-log records keep the parent commit's rows,
     heavy keys, row skew and key labels
     (``fixtures/shuffle_skew_parent.jsonl``) while their byte-derived
     fields are the pinned encoded sizes, never above the parent's; they
     are exactly-once under map-task re-execution, and cost nothing
     while nobody asks for them;
-(d) what crosses an exchange does not depend on the execution mode:
-    the same statement under ``vectorize`` on and off stores the same
-    rows in the same buckets weighing the same bytes, and a reduce side
-    reads exactly the bytes the map side wrote.
+(d) what crosses an exchange does not depend on how the scanned tables
+    are stored: the same statement over compressed (dictionary-coded)
+    and plain tables stores the same rows in the same buckets weighing
+    the same bytes, and a reduce side reads exactly the bytes the map
+    side wrote.
 
 Regenerating the fixture (only ever from the commit *before* a change
 to the exchange)::
@@ -37,7 +38,6 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -382,11 +382,17 @@ _ORDERINGS = [
 ]
 
 
-def _sort_shark(**context_kwargs) -> SharkContext:
+def _sort_shark(cached: bool = True, **context_kwargs) -> SharkContext:
+    """``t`` as a cached table's column blocks, or (``cached`` off) as an
+    external table's text rows."""
     shark = SharkContext(num_workers=4, cores_per_worker=2, **context_kwargs)
-    shark.create_table("t", _SORT_SCHEMA, cached=True)
+    shark.create_table("t", _SORT_SCHEMA, cached=cached)
     shark.load_rows("t", _sort_rows(), num_partitions=4)
     return shark
+
+
+#: The scan under the sort: column blocks ("vec") or text rows ("row").
+_SOURCES = pytest.mark.parametrize("cached", [True, False], ids=["vec", "row"])
 
 
 @pytest.fixture(scope="module")
@@ -394,14 +400,17 @@ def sort_shark():
     return _sort_shark()
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
+@pytest.fixture(scope="module")
+def sort_sharks(sort_shark):
+    return {True: sort_shark, False: _sort_shark(cached=False)}
+
+
+@_SOURCES
 @pytest.mark.parametrize("order_by,spec", _ORDERINGS, ids=[o for o, __ in _ORDERINGS])
 def test_order_by_matches_reference_comparator(
-    sort_shark, order_by, spec, vectorize
+    sort_sharks, order_by, spec, cached
 ):
-    sort_shark.session.config = replace(
-        sort_shark.session.config, vectorize=vectorize
-    )
+    sort_shark = sort_sharks[cached]
     scanned = sort_shark.sql("SELECT * FROM t").rows
     got = sort_shark.sql(f"SELECT * FROM t ORDER BY {order_by}").rows
     ordinals = [ordinal for ordinal, __ in spec]
@@ -430,14 +439,13 @@ def test_order_by_expression_key_matches_reference(sort_shark):
     assert got == want
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
-def test_desc_over_zoned_datetimes_still_sorts(vectorize):
+@_SOURCES
+def test_desc_over_zoned_datetimes_still_sorts(cached):
     """A datetime with a zone has no slot in a datetime64 array and no
     microsecond number to negate: its DESC key stays the wrapper."""
     shark = SharkContext(num_workers=2)
-    shark.session.config = replace(shark.session.config, vectorize=vectorize)
     shark.create_table(
-        "z", Schema([Field("k", INT), Field("ts", TIMESTAMP)]), cached=True
+        "z", Schema([Field("k", INT), Field("ts", TIMESTAMP)]), cached=cached
     )
     start = datetime(2000, 1, 1, tzinfo=timezone.utc)
     rows = [
@@ -539,12 +547,9 @@ def test_sort_partitioner_is_hashable_and_comparable(sort_shark):
 # ---------------------------------------------------------------------------
 
 
-def _skew_lines(
-    tmp_dir: Path, vectorize: bool = True, **context_kwargs
-) -> list[dict]:
+def _skew_lines(tmp_dir: Path, **context_kwargs) -> list[dict]:
     """The ``shuffle_skew`` event-log records of the TPC-H + Pavlo set."""
     shark = _build(True, 4, **context_kwargs)
-    shark.session.config = replace(shark.session.config, vectorize=vectorize)
     path = tmp_dir / "skew.jsonl"
     shark.enable_event_log(path, source="exchange-parity")
     for name in sorted(QUERIES):
@@ -702,7 +707,7 @@ def test_no_key_is_labelled_unless_skew_is_asked_for(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# (d) one exchange, whatever the mode: same rows, same buckets, same bytes
+# (d) one exchange, whatever the storage: same rows, same buckets, same bytes
 # ---------------------------------------------------------------------------
 
 
@@ -710,14 +715,13 @@ _WRITE_MAP_OUTPUT = shuffle.ShuffleManager.write_map_output
 _FETCH = shuffle.ShuffleManager.fetch
 
 
-def _stored_exchanges(vectorize: bool, monkeypatch) -> dict:
+def _stored_exchanges(compress: bool, monkeypatch) -> dict:
     """Every exchange of the TPC-H + Pavlo set as it was stored and read:
     ``stored[(query, exchange ordinal, map partition)]`` is one
     ``(rows, bytes)`` per bucket, ``fetches[(query, exchange ordinal)]``
     how often each bucket was fetched, ``counters[query]`` the query's
     ``shuffle.{write,read}.bytes``."""
-    shark = _build(True, 4)
-    shark.session.config = replace(shark.session.config, vectorize=vectorize)
+    shark = _build(compress, 4)
     stored: dict = {}
     fetches: dict = {}
     counters: dict = {}
@@ -768,22 +772,24 @@ def _stored_exchanges(vectorize: bool, monkeypatch) -> dict:
 
 
 def test_both_modes_ship_identical_buckets(monkeypatch):
-    vectorized = _stored_exchanges(True, monkeypatch)
-    row_mode = _stored_exchanges(False, monkeypatch)
-    assert vectorized["stored"].keys() == row_mode["stored"].keys()
-    assert len(vectorized["stored"]) > 40
-    for key, buckets in vectorized["stored"].items():
+    """Compressed tables hand the kernels coded columns, plain ones
+    arrays and lists: the exchange must not tell them apart."""
+    coded = _stored_exchanges(True, monkeypatch)
+    plain = _stored_exchanges(False, monkeypatch)
+    assert coded["stored"].keys() == plain["stored"].keys()
+    assert len(coded["stored"]) > 40
+    for key, buckets in coded["stored"].items():
         # The same rows, in the same order, in the same buckets ...
         assert [rows for rows, __ in buckets] == [
-            rows for rows, __ in row_mode["stored"][key]
+            rows for rows, __ in plain["stored"][key]
         ], key
         # ... at the same encoded sizes: the size rule reads values,
         # not the arrays, lists or codes that held them.
         assert [size for __, size in buckets] == [
-            size for __, size in row_mode["stored"][key]
+            size for __, size in plain["stored"][key]
         ], key
-    assert vectorized["fetches"] == row_mode["fetches"]
-    assert vectorized["counters"] == row_mode["counters"]
+    assert coded["fetches"] == plain["fetches"]
+    assert coded["counters"] == plain["counters"]
 
 
 def test_reduce_side_reads_the_bytes_the_map_side_wrote(monkeypatch):

@@ -1,10 +1,10 @@
 """Query-doctor tests: taxonomy checks, ranking, pairing, and the CLI.
 
 Synthetic :class:`QueryRecord` pairs exercise each root-cause check in
-isolation; a live two-run diff (vectorize on vs off over the same tiny
-corpus) proves the end-to-end contract the CI smoke job greps for — the
-deliberate vectorization regression is attributed to ``mode-flip``
-first, not to the generic stage-slowdown fallback.
+isolation; a live two-run diff (uncapped vs a memory cap over the same
+tiny corpus) proves the end-to-end contract the CI smoke job greps for —
+the deliberate regression is attributed to ``spill-appeared`` first, not
+to the generic stage-slowdown fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.obs.doctor import (
     diagnose_pair,
 )
 from repro.obs.history import HistoryStore, QueryRecord
-from repro.sql.planner import PlannerConfig
 from repro.workloads import tpch
 
 
@@ -31,37 +30,23 @@ def _record(**kwargs) -> QueryRecord:
     return QueryRecord(**base)
 
 
-class TestTaxonomy:
-    def test_mode_flip_detected_and_ranked_first(self):
-        baseline = _record(
-            operator_modes=[
-                ("scan(t)", "vectorized"),
-                ("filter", "vectorized (codegen)"),
-            ],
-            stage_sim=[
-                {"stage_id": 0, "name": "scan", "sim_seconds": 0.1}
-            ],
-        )
-        current = _record(
-            operator_modes=[("scan(t)", "row"), ("filter", "row")],
-            stage_sim=[
-                {"stage_id": 0, "name": "scan", "sim_seconds": 0.4}
-            ],
-        )
-        findings = diagnose_pair(baseline, current)
-        assert findings[0].category == "mode-flip"
-        assert "2 operator(s)" in findings[0].summary
-        # The generic fallback still reports, but ranked below.
-        assert findings[-1].category == "stage-slowdown"
+_SPILL = {"owner": "sort", "events": 1, "bytes": 4096, "runs": 1}
 
+
+class TestTaxonomy:
     def test_spill_appeared(self):
-        baseline = _record()
+        baseline = _record(
+            stage_sim=[{"stage_id": 0, "name": "sort", "sim_seconds": 0.1}]
+        )
         current = _record(
-            spills=[{"owner": "sort", "events": 1, "bytes": 4096, "runs": 1}]
+            spills=[_SPILL],
+            stage_sim=[{"stage_id": 0, "name": "sort", "sim_seconds": 0.4}],
         )
         findings = diagnose_pair(baseline, current)
         assert findings[0].category == "spill-appeared"
         assert "4096" in findings[0].summary
+        # The generic fallback still reports, but ranked below.
+        assert findings[-1].category == "stage-slowdown"
         # Symmetric runs produce no spill finding.
         assert diagnose_pair(current, current) == []
 
@@ -102,10 +87,14 @@ class TestTaxonomy:
 
     def test_plan_shape_change(self):
         baseline = _record(
-            operator_modes=[("scan(t)", "row"), ("join.broadcast", "row")]
+            operator_modes=[
+                ("scan(t)", "vectorized"), ("join.broadcast", "vectorized")
+            ]
         )
         current = _record(
-            operator_modes=[("scan(t)", "row"), ("join.shuffle", "row")]
+            operator_modes=[
+                ("scan(t)", "vectorized"), ("join.shuffle", "vectorized")
+            ]
         )
         findings = diagnose_pair(baseline, current)
         assert findings[0].category == "plan-change"
@@ -176,8 +165,7 @@ class TestReport:
                 current_seconds=2.0,
             )
             diagnosis.findings = diagnose_pair(
-                _record(operator_modes=[("scan(t)", "vectorized")]),
-                _record(operator_modes=[("scan(t)", "row")]),
+                _record(), _record(spills=[_SPILL])
             )
             report.diagnoses.append(diagnosis)
         # One non-regressed query must not vote.
@@ -186,9 +174,9 @@ class TestReport:
                 name="ok", baseline_seconds=1.0, current_seconds=1.0
             )
         )
-        assert report.top_cause() == ("mode-flip", 3)
+        assert report.top_cause() == ("spill-appeared", 3)
         rendered = report.render()
-        assert "top root cause across corpus: mode-flip (3 queries)" in (
+        assert "top root cause across corpus: spill-appeared (3 queries)" in (
             rendered
         )
         assert "[REGRESSED]" in rendered and "[ok]" in rendered
@@ -196,12 +184,9 @@ class TestReport:
     def test_findings_counter_feeds_metrics(self):
         from repro.obs.metrics import MetricsRegistry
 
-        baseline = self._store(
-            [_record(name="a", operator_modes=[("scan(t)", "vectorized")])]
-        )
+        baseline = self._store([_record(name="a")])
         current = self._store(
-            [_record(name="a", sim_seconds=2.0,
-                     operator_modes=[("scan(t)", "row")])]
+            [_record(name="a", sim_seconds=2.0, spills=[_SPILL])]
         )
         metrics = MetricsRegistry()
         diagnose(baseline, current, metrics=metrics)
@@ -209,54 +194,58 @@ class TestReport:
 
 
 class TestLiveDiff:
-    """The CI smoke contract, at unit-test scale: diff a vectorize-on
-    log against a vectorize-off log of the same corpus."""
+    """The CI smoke contract, at unit-test scale: diff an uncapped log
+    against a log of the same corpus under a memory cap that makes the
+    GROUP BY's partial aggregates spill."""
 
     QUERIES = (
         "SELECT COUNT(*) FROM lineitem",
-        tpch.TPCH_QUERIES["Q6"],
+        tpch.AGGREGATION_QUERIES["max"],
     )
+    CAP = 4096
 
-    def _run(self, tmp_path, vectorize: bool):
+    def _run(self, tmp_path, memory_cap=None):
         shark = SharkContext(
             num_workers=2,
             cores_per_worker=2,
-            config=PlannerConfig(vectorize=vectorize),
+            memory_per_worker_bytes=memory_cap,
         )
         data = tpch.generate_lineitem(4000)
         shark.create_table("lineitem", data.schema, cached=True)
         shark.load_rows("lineitem", data.rows)
-        path = tmp_path / f"vec_{vectorize}.jsonl"
+        path = tmp_path / f"cap_{memory_cap}.jsonl"
         shark.enable_event_log(path, source="test")
         for text in self.QUERIES:
             shark.sql(text)
         shark.close_event_log()
         return path
 
-    def test_vectorize_flip_is_top_root_cause(self, tmp_path):
-        log_on = self._run(tmp_path, True)
-        log_off = self._run(tmp_path, False)
-        report = diagnose_logs(log_on, log_off, regression_threshold=0.0)
+    def test_memory_cap_spill_is_top_root_cause(self, tmp_path):
+        log_uncapped = self._run(tmp_path)
+        log_capped = self._run(tmp_path, self.CAP)
+        report = diagnose_logs(
+            log_uncapped, log_capped, regression_threshold=0.0
+        )
         assert len(report.diagnoses) == len(self.QUERIES)
         regressed = report.regressed()
-        assert regressed, "vectorize off must cost simulated seconds"
+        assert regressed, "spilling must cost simulated seconds"
         for diagnosis in regressed:
-            assert diagnosis.top_category == "mode-flip"
+            assert diagnosis.top_category == "spill-appeared"
         top = report.top_cause()
-        assert top is not None and top[0] == "mode-flip"
+        assert top is not None and top[0] == "spill-appeared"
 
     def test_cli_writes_report(self, tmp_path, capsys):
-        log_on = self._run(tmp_path, True)
-        log_off = self._run(tmp_path, False)
+        log_uncapped = self._run(tmp_path)
+        log_capped = self._run(tmp_path, self.CAP)
         out = tmp_path / "doctor.txt"
         code = doctor.main(
-            [str(log_on), str(log_off), "--threshold", "0.0",
+            [str(log_uncapped), str(log_capped), "--threshold", "0.0",
              "--report", str(out)]
         )
         assert code == 0
         printed = capsys.readouterr().out
         assert "query doctor:" in printed
-        assert "mode-flip" in printed
+        assert "spill-appeared" in printed
         assert out.read_text().strip() == printed.strip()
 
     def test_cli_missing_log_errors(self, tmp_path, capsys):

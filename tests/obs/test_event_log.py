@@ -3,7 +3,8 @@
 The acceptance bar: a TPC-H query executed with event logging enabled
 must produce a log from which the HistoryStore reproduces the same
 stage/task/shuffle aggregates as the live QueryProfile — exact
-simulated-clock equality, across vectorize on/off and a chaos run —
+simulated-clock equality, over compressed and plain tables and a chaos
+run —
 and a killed/cancelled query must leave a flight-recorder dump with
 tracing disabled.
 """
@@ -26,23 +27,20 @@ from repro.obs.events import (
     validate_record,
 )
 from repro.obs.history import HistoryStore, QueryRecord
-from repro.sql.planner import PlannerConfig
 from repro.workloads import tpch
 
 
-def _tpch_shark(vectorize=True, **kwargs) -> SharkContext:
-    shark = SharkContext(
-        num_workers=4,
-        cores_per_worker=2,
-        config=PlannerConfig(vectorize=vectorize),
-        **kwargs,
-    )
+def _tpch_shark(compress=True, **kwargs) -> SharkContext:
+    shark = SharkContext(num_workers=4, cores_per_worker=2, **kwargs)
+    properties = None if compress else {"shark.compress": "false"}
     for name, data in (
         ("lineitem", tpch.generate_lineitem(2000)),
         ("orders", tpch.generate_orders(500)),
         ("customer", tpch.generate_customer(50)),
     ):
-        shark.create_table(name, data.schema, cached=True)
+        shark.create_table(
+            name, data.schema, cached=True, properties=properties
+        )
         shark.load_rows(name, data.rows)
     return shark
 
@@ -210,10 +208,10 @@ class TestRoundTrip:
         )
         return loaded
 
-    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize("compress", [True, False])
     @pytest.mark.parametrize("key", ["Q1", "Q3", "Q6"])
-    def test_tpch_round_trip(self, tmp_path, vectorize, key):
-        shark = _tpch_shark(vectorize=vectorize)
+    def test_tpch_round_trip(self, tmp_path, compress, key):
+        shark = _tpch_shark(compress=compress)
         self._assert_round_trip(
             shark, tpch.TPCH_QUERIES[key], tmp_path / "log.jsonl"
         )
@@ -640,10 +638,10 @@ class TestPlanQualityV6:
         assert '"shuffle_skew"' not in raw
         assert '"operator_rows"' not in raw
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_live_query_streams_profiles(self, tmp_path, vectorize):
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_live_query_streams_profiles(self, tmp_path, compress):
         path = tmp_path / "live.jsonl"
-        shark = _tpch_shark(vectorize=vectorize)
+        shark = _tpch_shark(compress=compress)
         shark.enable_event_log(path, source="test")
         shark.sql(tpch.TPCH_QUERIES["Q1"])
         shark.close_event_log()
@@ -651,9 +649,8 @@ class TestPlanQualityV6:
         record = store.queries[0]
         operators = [row["operator"] for row in record.operator_profiles]
         assert any(op.startswith("scan(") for op in operators)
-        expected_mode = "row" if not vectorize else "vectorized"
-        assert any(
-            row["mode"].startswith(expected_mode)
+        assert all(
+            row["mode"].startswith("vectorized")
             for row in record.operator_profiles
         )
         for row in record.operator_profiles:

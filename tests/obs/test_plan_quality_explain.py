@@ -1,7 +1,7 @@
 """EXPLAIN ANALYZE plan-quality acceptance harness (PR 10 tentpole).
 
-For every TPC-H and Pavlo workload query, in both vectorize modes, the
-EXPLAIN ANALYZE output must carry a plan-quality section with one
+For every TPC-H and Pavlo workload query, over cached tables' column
+blocks and over external tables' text rows, the EXPLAIN ANALYZE output must carry a plan-quality section with one
 ``est N (source) / actual M rows, q-error X`` line per planned operator
 — no unknown actuals — and across the corpus the audit must flag at
 least one known misestimate (the default selectivity guesses are
@@ -12,13 +12,11 @@ orders of magnitude).
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import pytest
 
 from repro import SharkContext
 from repro.datatypes import BOOLEAN
-from repro.workloads import pavlo, tpch
 
 from tests.sql.test_vectorized_parity import QUERIES, _datasets
 
@@ -27,16 +25,29 @@ PROFILE_LINE = re.compile(
 )
 
 
-@pytest.fixture(scope="module")
-def shark():
+def _context(cached: bool = True, compress: bool = True) -> SharkContext:
     context = SharkContext(num_workers=4, cores_per_worker=2)
+    properties = None if compress else {"shark.compress": "false"}
     for name, data in _datasets().items():
-        context.create_table(name, data.schema, cached=True)
+        context.create_table(
+            name, data.schema, cached=cached, properties=properties
+        )
         context.load_rows(name, data.rows, num_partitions=4)
     context.register_udf(
         "SOME_UDF", lambda addr: addr.endswith("7"), return_type=BOOLEAN
     )
     return context
+
+
+@pytest.fixture(scope="module")
+def shark():
+    return _context()
+
+
+@pytest.fixture(scope="module")
+def sharks(shark):
+    """Cached tables ("vec") and external ones ("row")."""
+    return {True: shark, False: _context(cached=False)}
 
 
 def _profile_section(text: str) -> list[str]:
@@ -55,13 +66,10 @@ def _profile_section(text: str) -> list[str]:
     return section
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
+@pytest.mark.parametrize("cached", [True, False], ids=["vec", "row"])
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_every_operator_reports_est_and_actual(shark, name, vectorize):
-    shark.session.config = replace(
-        shark.session.config, vectorize=vectorize
-    )
-    text = shark.explain_analyze(QUERIES[name].rstrip())
+def test_every_operator_reports_est_and_actual(sharks, name, cached):
+    text = sharks[cached].explain_analyze(QUERIES[name].rstrip())
     section = _profile_section(text)
     assert section, f"{name}: no plan-quality section in:\n{text}"
     for line in section:
@@ -71,17 +79,12 @@ def test_every_operator_reports_est_and_actual(shark, name, vectorize):
         # Every operator's runtime count must have been observed:
         # 'actual ? rows' means a stamp never reached its operator.
         assert "actual ? rows" not in line, f"{name}: {line!r}"
-    # Mode truth: row mode must stamp no vectorized operators, and the
-    # default mode must vectorize at least the scan somewhere.
+    # The kernels run every operator, whatever the scan's source.
     joined = "\n".join(section)
-    if not vectorize:
-        assert "[vectorized" not in joined, f"{name}:\n{joined}"
-    # The same query run in either mode observes the same actuals for
-    # the scan (first profile line) — counting is mode-independent.
+    assert "[vectorized" in joined, f"{name}:\n{joined}"
 
 
 def test_corpus_flags_at_least_one_misestimate(shark):
-    shark.session.config = replace(shark.session.config, vectorize=True)
     flagged_queries = []
     for name in sorted(QUERIES):
         text = shark.explain_analyze(QUERIES[name].rstrip())
@@ -94,17 +97,15 @@ def test_corpus_flags_at_least_one_misestimate(shark):
     )
 
 
-def test_actuals_agree_across_modes(shark):
-    """The counting side is planner-mode-independent: scan and filter
-    actuals match between vectorized and row execution."""
+def test_actuals_agree_across_modes():
+    """The counting side is storage-independent: scan and filter actuals
+    match between compressed (dictionary-coded) and plain tables."""
     for name in ("tpch_q6", "pavlo_selection"):
         actuals = {}
-        for vectorize in (True, False):
-            shark.session.config = replace(
-                shark.session.config, vectorize=vectorize
-            )
-            shark.sql(QUERIES[name].rstrip())
-            report = shark.session.last_report
+        for compress in (True, False):
+            context = _context(compress=compress)
+            context.sql(QUERIES[name].rstrip())
+            report = context.session.last_report
             from repro.obs.planquality import (
                 actual_rows_from_profiles,
                 build_operator_profiles,
@@ -112,9 +113,9 @@ def test_actuals_agree_across_modes(shark):
 
             profiles = build_operator_profiles(
                 report.operator_stamps,
-                actual_rows_from_profiles(shark.engine.profiles),
+                actual_rows_from_profiles(context.engine.profiles),
             )
-            actuals[vectorize] = {
+            actuals[compress] = {
                 row["operator"]: row["actual_rows"]
                 for row in profiles
                 if row["operator"].startswith(("scan(", "filter"))

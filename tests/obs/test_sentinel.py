@@ -130,17 +130,16 @@ class TestCli:
         path.write_text(json.dumps({"version": 0, "queries": {}}))
         assert sentinel.main(["--baseline", str(path)]) == 2
 
-    def test_vectorize_off_regression_gets_doctor_attribution(
+    def test_memory_cap_regression_gets_doctor_attribution(
         self, tmp_path, capsys, monkeypatch
     ):
-        """PR 10: a failing sentinel run ends with query-doctor root
-        causes, and the seeded vectorize-off regression is attributed to
-        the mode flip — not just to a slower stage.
+        """A failing sentinel run ends with query-doctor root causes, and
+        the seeded regression — ``--memory-cap 16384`` against an
+        uncapped baseline — is attributed to the spills it forced, not
+        just to a slower stage.
 
-        Runs at full suite size (overriding the autouse shrink): at 2K
-        rows the fixed per-task launch overhead hides the row-mode CPU
-        cost under the 25% gate, exactly as the sentinel's sizing
-        docstring explains."""
+        Runs at full suite size (overriding the autouse shrink): the cap
+        is sized to the full suite's partial aggregates."""
         monkeypatch.setattr(sentinel, "LINEITEM_ROWS", 100_000)
         monkeypatch.setattr(sentinel, "ORDERS_ROWS", 25_000)
         monkeypatch.setattr(sentinel, "CUSTOMER_ROWS", 2_500)
@@ -151,14 +150,17 @@ class TestCli:
         )
         capsys.readouterr()
         code = sentinel.main(
-            ["--baseline", str(baseline), "--vectorize", "off"]
+            [
+                "--baseline", str(baseline),
+                "--memory-cap", "16384", "--threshold", "0.25",
+            ]
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "REGRESSION" in out  # the CI grep contract survives
+        assert "REGRESSION agg_max" in out  # the CI grep contract survives
         assert "== query doctor" in out
-        assert "[mode-flip]" in out
-        assert "top root cause across corpus: mode-flip" in out
+        assert "[spill-appeared]" in out
+        assert "top root cause across corpus: spill-appeared" in out
 
     def test_event_log_out_streams_suite(self, tmp_path):
         from repro.obs.history import HistoryStore

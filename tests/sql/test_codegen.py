@@ -8,6 +8,7 @@ parsed-expression table with coded columns is
 ``tests/sql/test_dictionary_kernels.py``.)
 """
 
+import math
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -46,6 +47,8 @@ from repro.sql.expressions import (
     BoundOr,
     BoundScalarCall,
 )
+
+from tests.oracle import assert_rows_match, sqlite_rows
 
 
 def col(index, data_type=INT):
@@ -93,6 +96,17 @@ class TestNodeCoverage:
                 BoundArithmetic(op, col(0), col(1)),
                 rows + [(None, 1), (1, None)],
             )
+
+    def test_remainder_takes_the_sign_of_the_dividend(self):
+        remainder = BoundArithmetic("%", col(0), col(1))
+        for rows in ([(-7, 3), (10, -3)], [(-7, 3), (10, -3), (None, 2)]):
+            check(remainder, rows)
+        assert compiled_values(remainder, [(-7, 3), (10, -3)]) == [-1, 1]
+        floats = [(-1.0, 2), (7.5, -2), (-4.0, 2)]
+        assert compiled_values(remainder, floats) == [
+            math.fmod(a, b) for a, b in floats
+        ] == [-1.0, 1.5, -0.0]
+        check(remainder, floats + [(1.5, 0)])
 
     def test_division_by_zero_null(self):
         divide = BoundArithmetic("/", col(0), col(1))
@@ -144,6 +158,14 @@ class TestNodeCoverage:
             check(BoundIn(col(0), [lit(1), lit(2)]), rows)
             check(BoundIn(col(0), [lit(1)], negated=True), rows)
             check(BoundIn(col(0), [col(0)]), rows)  # dynamic option list
+            # A NULL option: no match is NULL, under NOT too.
+            for negated in (False, True):
+                check(BoundIn(col(0), [lit(1), lit(None)], negated), rows)
+                check(BoundIn(col(0), [lit(None)], negated), rows)
+        assert compiled_values(
+            BoundIn(col(0), [lit(1), lit(None)], negated=True),
+            [(1,), (4,)],
+        ) == [False, None]
 
     def test_like_static_and_dynamic(self):
         rows = [("url7",), ("x",), (None,)]
@@ -327,8 +349,7 @@ class TestProjectionAndPredicate:
 
 class TestEndToEnd:
     def test_codegen_matches_interpreted_query(self):
-        from dataclasses import replace
-
+        """The kernels against sqlite's interpreter on the same rows."""
         shark = SharkContext(num_workers=2)
         shark.create_table(
             "t", Schema.of(("a", INT), ("b", STRING), ("c", DOUBLE)),
@@ -344,10 +365,10 @@ class TestEndToEnd:
             "END FROM t WHERE (a BETWEEN 10 AND 150 AND b LIKE 's%') "
             "OR c IS NULL"
         )
-        compiled = sorted(shark.sql(query).rows, key=repr)
-        shark.session.config = replace(shark.session.config, vectorize=False)
-        interpreted = sorted(shark.sql(query).rows, key=repr)
-        assert compiled == interpreted
+        assert_rows_match(
+            shark.sql(query).rows,
+            sqlite_rows(query, {"t": (("a", "b", "c"), rows)}),
+        )
 
 
 class TestPropertyEquivalence:

@@ -70,6 +70,7 @@ from repro.sql.functions import FunctionRegistry  # noqa: E402
 from repro.sql.parser import parse_expression  # noqa: E402
 from repro.sql.physical import BatchAggregator  # noqa: E402
 
+from tests.oracle import assert_rows_match, sqlite_rows  # noqa: E402
 from tests.sql.test_vectorized_parity import (  # noqa: E402
     QUERIES,
     _build,
@@ -165,11 +166,14 @@ EXPRESSIONS = [
     "s IN ('a', 'zz', 'nope')", "s NOT IN ('a')",
     "d IN (DATE '2000-01-01', DATE '2000-01-05')", "i IN (1, 4)",
     "j NOT IN (2, 5)", "y IN (0.5, 2.5)", "b IN (TRUE)",
+    "i IN (1, NULL)", "j NOT IN (2, NULL)", "s IN ('a', NULL)",
+    "d NOT IN (DATE '2000-01-01', NULL)", "i NOT IN (NULL)",
     "s LIKE 'a%'", "s NOT LIKE '%b'", "s LIKE '_'",
     "s IS NULL", "d IS NOT NULL", "i IS NULL", "x IS NOT NULL", "b IS NULL",
     "j IS NULL", "y IS NOT NULL",
     # arithmetic, negation, logic (same-column operands share the codes)
     "i + 1", "10 - i", "i * 2", "i / 2", "i / 0", "7 % j", "j % 2", "-i",
+    "-7 % j", "j % -3", "(i - 3) % 2", "x % -2", "-x % 3",
     "-y", "x * 2", "1 - y", "j * 2 + 1", "NOT (i > 2)", "NOT b",
     "s > 'a' AND s < 'c'", "s < 'b' OR s IS NULL", "d IS NULL OR i > 1",
     "i > 1 AND i < 4 AND i <> 2", "b AND TRUE", "b OR NULL",
@@ -564,15 +568,13 @@ def _t_rows(n=400):
     ]
 
 
-def _context(**kwargs):
+def _context(compress: bool = True, **kwargs):
+    """``t`` over two blocks; ``compress`` off stores every column as a
+    plain array or list, so no kernel sees a dictionary."""
     shark = SharkContext(num_workers=2, **kwargs)
-    shark.create_table("t", T_SCHEMA, cached=True)
+    properties = None if compress else {"shark.compress": "false"}
+    shark.create_table("t", T_SCHEMA, cached=True, properties=properties)
     shark.load_rows("t", _t_rows(), num_partitions=2)
-    return shark
-
-
-def _with(shark, **config):
-    shark.session.config = replace(shark.session.config, **config)
     return shark
 
 
@@ -618,10 +620,10 @@ class TestCallCounts:
         shark.sql("SELECT shout(SUBSTR(s, 1, 2)) FROM t")
         assert calls["udf"] == len(rows)
 
-        # Row mode calls the built-ins per row: the count above is the
-        # dictionary's doing, not the function's.
+        # Over plain columns the built-ins run per row: the count above
+        # is the dictionary's doing, not the function's.
         calls["upper"] = 0
-        _with(shark, vectorize=False).sql("SELECT UPPER(s) FROM t")
+        _context(compress=False).sql("SELECT UPPER(s) FROM t")
         assert calls["upper"] == len(rows)
 
     def test_constant_arguments_fold_a_builtin_never_a_udf(self, monkeypatch):
@@ -743,17 +745,26 @@ GROUPED = [
 
 
 class TestQueryParity:
+    """The dictionary domain against the plain one, repr-identically, and
+    against sqlite."""
+
     @pytest.mark.parametrize("query", GROUPED)
     def test_modes_agree(self, query):
-        shark = _context()
-        want = _with(shark, vectorize=False).sql(query).rows
-        got = _with(shark, vectorize=True).sql(query).rows
-        assert_byte_identical(got, want)
+        got = _context().sql(query).rows
+        assert_byte_identical(got, _context(compress=False).sql(query).rows)
+        want = sqlite_rows(
+            query,
+            {"t": (T_SCHEMA.names, _t_rows())},
+            {"YEAR": lambda day: None if day is None else int(day[:4])},
+        )
+        assert_rows_match(got, want, context=query)
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_workload_queries_across_codegen(self, warehouse, name):
-        want = _with(warehouse, vectorize=False).sql(QUERIES[name]).rows
-        got = _with(warehouse, vectorize=True).sql(QUERIES[name]).rows
+    def test_workload_queries_across_codegen(
+        self, warehouse, plain_warehouse, name
+    ):
+        want = plain_warehouse.sql(QUERIES[name]).rows
+        got = warehouse.sql(QUERIES[name]).rows
         assert_byte_identical(got, want)
 
     @pytest.mark.parametrize(
@@ -762,9 +773,13 @@ class TestQueryParity:
         ids=[name for name, __ in queries.SCAN_AGG + queries.SHUFFLE_JOIN],
     )
     def test_benchmark_statements(self, benchmark_tables, name, text):
-        want = _with(benchmark_tables, vectorize=False).sql(text).rows
-        got = _with(benchmark_tables, vectorize=True).sql(text).rows
-        assert_byte_identical(got, want)
+        shark, tables = benchmark_tables
+        assert_rows_match(
+            shark.sql(text).rows,
+            sqlite_rows(text, tables),
+            ordered="LIMIT" in text,
+            context=name,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -773,10 +788,17 @@ def warehouse():
 
 
 @pytest.fixture(scope="module")
+def plain_warehouse():
+    return _build(False, 4)
+
+
+@pytest.fixture(scope="module")
 def benchmark_tables():
+    """The benchmark's tables in a context, and as sqlite loads them."""
     from benchmarks.perf.workloads import schema_of
 
     shark = SharkContext(num_workers=2)
+    tables = {}
     for table in (
         datagen.lineitem(11, 3000),
         datagen.rankings(11, 300),
@@ -786,7 +808,8 @@ def benchmark_tables():
     ):
         shark.create_table(table.name, schema_of(table), cached=True)
         shark.load_rows(table.name, table.rows, num_partitions=2)
-    return shark
+        tables[table.name] = (schema_of(table).names, table.rows)
+    return shark, tables
 
 
 class TestSpillMidBatch:

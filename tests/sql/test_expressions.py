@@ -41,6 +41,15 @@ class TestArithmetic:
         assert BoundArithmetic("*", col(0), col(1)).eval(row) == 30
         assert BoundArithmetic("%", col(0), col(1)).eval(row) == 1
 
+    def test_remainder_takes_the_sign_of_the_dividend(self):
+        # Hive's (Java's) truncated remainder, not Python's floored one.
+        expr = BoundArithmetic("%", col(0), col(1))
+        assert expr.eval((-7, 3)) == -1
+        assert expr.eval((10, -3)) == 1
+        assert expr.eval((-1.0, 2)) == -1.0
+        assert expr.eval((7.5, -2)) == 1.5
+        assert expr.eval((-7, 0)) is None
+
     def test_division_returns_double_and_null_on_zero(self):
         expr = BoundArithmetic("/", col(0), col(1))
         assert expr.data_type == DOUBLE
@@ -129,6 +138,15 @@ class TestPredicates:
     def test_in_negated(self):
         expr = BoundIn(col(0), [lit(1)], negated=True)
         assert expr.eval((2,)) is True
+
+    def test_in_with_a_null_option_is_unknown_unless_it_matches(self):
+        for options in ([lit(10), lit(None)], [lit(10), col(1)]):
+            expr = BoundIn(col(0), options)
+            negated = BoundIn(col(0), options, negated=True)
+            assert expr.eval((10, None)) is True
+            assert negated.eval((10, None)) is False
+            assert expr.eval((3, None)) is None
+            assert negated.eval((3, None)) is None
 
     def test_is_null(self):
         assert BoundIsNull(col(0)).eval((None,)) is True

@@ -6,9 +6,10 @@
   keys x residual x composite keys x empty sides, rows in identical
   order — and as the batch cogroup, full joins too, as multisets.
 * Every join strategy (broadcast, shuffle, PDE-pre-shuffled,
-  co-partitioned) in both ``vectorize`` modes, and ``baselines.hive``,
-  against stdlib ``sqlite3`` on the same rows — the independent oracle
-  (ROADMAP item 7), FULL JOIN emulated — including the NULL-key cases:
+  co-partitioned) over cached tables' column blocks and external tables'
+  text rows, and ``baselines.hive``, against stdlib ``sqlite3`` on the
+  same rows (``tests/oracle.py``), FULL JOIN emulated — including the
+  NULL-key cases:
   an equi-join key with a NULL component matches nothing; inner drops the
   row, outer NULL-extends it; and with DATE keys (datetime64 vectors):
   joins, GROUP BY, BETWEEN / IN / IS NULL, MIN / MAX / COUNT(DISTINCT)
@@ -16,13 +17,12 @@
 * The operators that have no row twin to be compared with any more
   (WHERE / SELECT / GROUP BY above an exchange or an external table,
   DISTINCT, LIMIT, UNION ALL, IN-subqueries, the cross join) against
-  ``sqlite3``: cached and external tables, both modes, NULLs in every
-  column, empty inputs.
+  ``sqlite3``: cached and external tables, NULLs in every column, empty
+  inputs.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from collections import Counter
 from datetime import date, timedelta
 from functools import partial
@@ -44,6 +44,8 @@ from repro.sql.codegen import (
 )
 from repro.sql.expressions import BoundColumn, BoundComparison
 from repro.sql.planner import PlannerConfig
+
+from tests.oracle import iso_rows, oracle, sqlite_rows
 
 # ---------------------------------------------------------------------------
 # The probe kernel == _emit_joined per stream row
@@ -256,37 +258,23 @@ def test_numeric_probe_meets_keys_of_another_kind():
 
 
 # ---------------------------------------------------------------------------
-# Every strategy, both modes and the Hive baseline == sqlite3
+# Every strategy, both sources and the Hive baseline == sqlite3
 # ---------------------------------------------------------------------------
 
 _A = [(1, "a1"), (None, "anull"), (2, "a2"), (2, "a2b"), (4, "a4")]
 _B = [(1, "b1"), (None, "bnull"), (3, "b3"), (2, "b2"), (2, "b2b")]
 
 
+def _tables(a_rows, b_rows) -> dict:
+    return {"a": (("k", "v"), a_rows), "b": (("k", "v"), b_rows)}
+
+
 def _sqlite_rows(statement: str, a_rows, b_rows) -> list:
-    """What sqlite answers; a date is its ISO text there (which orders
-    and compares as the date does) and ``DATE '...'`` that text."""
-    db = sqlite3.connect(":memory:")
-    try:
-        for name, rows in (("a", a_rows), ("b", b_rows)):
-            db.execute(f"CREATE TABLE {name} (k, v TEXT)")
-            db.executemany(
-                f"INSERT INTO {name} VALUES (?, ?)", _iso_rows(rows)
-            )
-        return db.execute(statement.replace("DATE '", "'")).fetchall()
-    finally:
-        db.close()
+    return sqlite_rows(statement, _tables(a_rows, b_rows))
 
 
 def _oracle(statement: str, a_rows, b_rows) -> Counter:
-    return Counter(_sqlite_rows(statement, a_rows, b_rows))
-
-
-def _iso_rows(rows) -> list:
-    return [
-        tuple(v.isoformat() if type(v) is date else v for v in row)
-        for row in rows
-    ]
+    return oracle(statement, _tables(a_rows, b_rows))
 
 
 _SELECT = "SELECT a.k, a.v, b.k, b.v FROM "
@@ -306,10 +294,12 @@ _ORACLE_SQL = {
 
 
 def _shark(
-    strategy: str, vectorize: bool, a_rows, b_rows, key_type=INT, cached=True
+    strategy: str, a_rows, b_rows, key_type=INT, cached=True
 ) -> SharkContext:
+    """``a`` and ``b`` over the rows; ``cached`` off makes them (or, for
+    ``copartitioned``, the tables they are distributed from) external
+    text files, read as rows and batched above the scan."""
     config = PlannerConfig(
-        vectorize=vectorize,
         # A threshold of nothing: every keyed join shuffles ...
         broadcast_threshold_bytes=(
             0 if strategy in ("shuffle", "pde") else 4 * 1024 * 1024
@@ -326,7 +316,7 @@ def _shark(
             shark.load_rows(name, rows, num_partitions=2)
         return shark
     for name, rows in (("raw_a", a_rows), ("raw_b", b_rows)):
-        shark.create_table(name, schema, cached=True)
+        shark.create_table(name, schema, cached=cached)
         shark.load_rows(name, rows, num_partitions=2)
     shark.sql(
         "CREATE TABLE a TBLPROPERTIES ('shark.cache'='true') "
@@ -339,18 +329,22 @@ def _shark(
     return shark
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
+#: Where the sides come from: cached tables' column blocks ("vec") or
+#: external tables' text rows ("row").
+_SOURCES = pytest.mark.parametrize("cached", [True, False], ids=["vec", "row"])
+
+
+@_SOURCES
 @pytest.mark.parametrize(
     "strategy", ["broadcast", "shuffle", "pde", "copartitioned"]
 )
 @pytest.mark.parametrize("syntax", sorted(_ORACLE_SQL))
-def test_null_keys_match_nothing(strategy, vectorize, syntax):
-    shark = _shark(strategy, vectorize, _A, _B)
+def test_null_keys_match_nothing(strategy, cached, syntax):
+    shark = _shark(strategy, _A, _B, cached=cached)
     result = shark.sql(_SELECT + f"a {syntax} b" + _ON)
     strategies = {d.strategy for d in result.report.join_decisions}
-    mode = "vectorized" if vectorize else "row"
-    # One join kernel under every strategy, stamped by the mode alone.
-    assert ("join", mode) in result.report.operator_modes
+    # One join kernel under every strategy and source.
+    assert ("join", "vectorized") in result.report.operator_modes
     if strategy == "copartitioned" and syntax == "JOIN":
         assert strategies == {"copartitioned"}
         # All-narrow: the cogroup read both tables in place — no map
@@ -373,7 +367,7 @@ def test_null_keys_match_nothing(strategy, vectorize, syntax):
 
 @pytest.mark.parametrize("syntax", sorted(_ORACLE_SQL))
 def test_hive_baseline_null_keys_match_nothing(syntax):
-    shark = _shark("broadcast", True, _A, _B)
+    shark = _shark("broadcast", _A, _B)
 
     def table_rows(entry):
         return shark.engine.run_job(shark.session._scan_rdd(entry), list)
@@ -399,7 +393,7 @@ _TABLE_ROWS = st.lists(
 @given(a_rows=_TABLE_ROWS, b_rows=_TABLE_ROWS, data=st.data())
 def test_joins_equal_sqlite(a_rows, b_rows, data):
     """Random sides (empty ones, duplicate and NULL keys) through every
-    strategy and mode, with and without a residual, as sqlite answers."""
+    strategy and source, with and without a residual, as sqlite answers."""
     syntax = data.draw(st.sampled_from(sorted(_ORACLE_SQL)))
     strategy = data.draw(st.sampled_from(["broadcast", "shuffle"]))
     residual = data.draw(st.sampled_from(["", " AND a.v <= b.v"]))
@@ -409,12 +403,12 @@ def test_joins_equal_sqlite(a_rows, b_rows, data):
         _ORACLE_SQL[syntax].replace(_ON, _ON + residual), a_rows, b_rows
     )
     ordered = []
-    for vectorize in (True, False):
-        shark = _shark(strategy, vectorize, a_rows, b_rows)
+    for cached in (True, False):
+        shark = _shark(strategy, a_rows, b_rows, cached=cached)
         rows = shark.sql(_SELECT + f"a {syntax} b" + _ON + residual).rows
-        assert Counter(rows) == want, (strategy, vectorize)
+        assert Counter(rows) == want, (strategy, cached)
         ordered.append(rows)
-    # The two modes agree on the order too, not only on the rows.
+    # The two sources agree on the order too, not only on the rows.
     assert ordered[0] == ordered[1]
 
 
@@ -422,8 +416,9 @@ def test_joins_equal_sqlite(a_rows, b_rows, data):
 # The operators with no row twin left == sqlite3
 # ---------------------------------------------------------------------------
 
-#: Multiset-equal to sqlite as they stand (the one dialect difference, `/`,
-#: float division here, is not used).
+_NOT_IN_SUBQUERY = "SELECT k, v FROM a WHERE k NOT IN (SELECT k FROM b)"
+#: Multiset-equal to sqlite as they stand (no statement meets a dialect
+#: difference of ``tests/oracle.py``).
 _OPERATOR_STATEMENTS = [
     # WHERE + a computed SELECT list over a GROUP BY result.
     "SELECT t.k + 1, t.n * 2 FROM "
@@ -452,10 +447,18 @@ _OPERATOR_STATEMENTS = [
     "SELECT k, v FROM b) u WHERE u.v IS NOT NULL GROUP BY u.v",
     # IN / NOT IN subqueries: a NULL on either side comes with the rows.
     "SELECT k, v FROM a WHERE k IN (SELECT k FROM b)",
-    "SELECT k, v FROM a WHERE k NOT IN (SELECT k FROM b)",
+    _NOT_IN_SUBQUERY,
     "SELECT k, v FROM a WHERE v NOT IN (SELECT v FROM b WHERE k > 1)",
     "SELECT k, COUNT(*) FROM a WHERE k IN "
     "(SELECT k FROM b WHERE v IS NOT NULL) GROUP BY k",
+    # Hive's `%` (the dividend's sign) and IN lists holding a NULL (no
+    # match is NULL, under NOT too).
+    "SELECT k, k % 3, (k - 7) % 3, 10 % (k - 3), -7 % (k + 1) FROM a",
+    "SELECT k, v FROM a WHERE (k - 2) % 2 = -1",
+    "SELECT k, v FROM a WHERE k IN (1, NULL)",
+    "SELECT k, v FROM a WHERE k NOT IN (1, NULL)",
+    "SELECT k, k IN (2, NULL), k NOT IN (2, NULL), v NOT IN ('x', NULL) "
+    "FROM a",
     # A cross join with a residual.
     "SELECT a.k, a.v, b.k FROM a, b WHERE a.k < b.k",
     "SELECT a.v, COUNT(*) FROM a, b WHERE a.k <> b.k OR b.v = 'x' "
@@ -482,8 +485,7 @@ _NULLABLE_ROWS = st.lists(
 
 
 def _assert_operators_equal_sqlite(a_rows, b_rows, strategy):
-    """Every statement above, over cached and over external tables, in
-    both ``vectorize`` modes."""
+    """Every statement above, over cached and over external tables."""
     want = [
         _oracle(statement, a_rows, b_rows)
         for statement in _OPERATOR_STATEMENTS
@@ -492,22 +494,16 @@ def _assert_operators_equal_sqlite(a_rows, b_rows, strategy):
         for statement in _OPERATOR_ORDERED
     ]
     for cached in (True, False):
-        for vectorize in (True, False):
-            shark = _shark(
-                strategy, vectorize, a_rows, b_rows, cached=cached
+        shark = _shark(strategy, a_rows, b_rows, cached=cached)
+        where = (strategy, "cached" if cached else "external")
+        for statement, rows in zip(_OPERATOR_STATEMENTS, want):
+            assert Counter(shark.sql(statement).rows) == rows, (
+                statement, where
             )
-            where = (strategy, "cached" if cached else "external", vectorize)
-            for statement, rows in zip(_OPERATOR_STATEMENTS, want):
-                got = shark.sql(statement)
-                assert Counter(got.rows) == rows, (statement, where)
-                if not vectorize:
-                    assert {m for __, m in got.report.operator_modes} == {
-                        "row"
-                    }, (statement, where)
-            for statement, rows in zip(
-                _OPERATOR_ORDERED, want[len(_OPERATOR_STATEMENTS):]
-            ):
-                assert shark.sql(statement).rows == rows, (statement, where)
+        for statement, rows in zip(
+            _OPERATOR_ORDERED, want[len(_OPERATOR_STATEMENTS):]
+        ):
+            assert shark.sql(statement).rows == rows, (statement, where)
 
 
 @settings(max_examples=30, deadline=None)
@@ -524,6 +520,13 @@ def test_operators_equal_sqlite(a_rows, b_rows, data):
 )
 def test_operators_equal_sqlite_over_an_empty_input(a_rows, b_rows):
     _assert_operators_equal_sqlite(a_rows, b_rows, "shuffle")
+
+
+def test_operators_equal_sqlite_with_null_keys_on_both_sides():
+    """Always a NULL in the IN-subquery's output: ``k NOT IN (SELECT k
+    FROM b)`` keeps no row, as in sqlite."""
+    assert not _sqlite_rows(_NOT_IN_SUBQUERY, _A, _B)
+    _assert_operators_equal_sqlite(_A, _B, "broadcast")
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +563,14 @@ _DATE_ORDERED = [
 ]
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "row"])
+@_SOURCES
 @pytest.mark.parametrize("strategy", ["broadcast", "shuffle", "copartitioned"])
 @pytest.mark.parametrize("syntax", sorted(_ORACLE_SQL))
-def test_date_keys_join_like_sqlite(strategy, vectorize, syntax):
+def test_date_keys_join_like_sqlite(strategy, cached, syntax):
     a_rows, b_rows = _dated(_A), _dated(_B)
-    shark = _shark(strategy, vectorize, a_rows, b_rows, DATE)
+    shark = _shark(strategy, a_rows, b_rows, DATE, cached=cached)
     rows = shark.sql(_SELECT + f"a {syntax} b" + _ON).rows
-    assert Counter(_iso_rows(rows)) == _oracle(
+    assert Counter(iso_rows(rows)) == _oracle(
         _ORACLE_SQL[syntax], a_rows, b_rows
     )
     # A collected row holds dates, never a numpy scalar.
@@ -578,23 +581,23 @@ def test_date_keys_join_like_sqlite(strategy, vectorize, syntax):
 @given(a_rows=_TABLE_ROWS, b_rows=_TABLE_ROWS)
 def test_date_predicates_groups_and_sorts_equal_sqlite(a_rows, b_rows):
     a_rows, b_rows = _dated(a_rows), _dated(b_rows)
-    modes = []
-    for vectorize in (True, False):
-        shark = _shark("broadcast", vectorize, a_rows, b_rows, DATE)
+    sources = []
+    for cached in (True, False):
+        shark = _shark("broadcast", a_rows, b_rows, DATE, cached=cached)
         answers = []
         for statement in _DATE_STATEMENTS:
             rows = shark.sql(statement).rows
-            assert Counter(_iso_rows(rows)) == _oracle(
+            assert Counter(iso_rows(rows)) == _oracle(
                 statement, a_rows, b_rows
-            ), (statement, vectorize)
+            ), (statement, cached)
             answers.append(sorted(map(repr, rows)))
         for statement in _DATE_ORDERED:
             # NULLs first ascending, last descending: sqlite's order too.
             rows = shark.sql(statement).rows
-            assert _iso_rows(rows) == _sqlite_rows(
+            assert iso_rows(rows) == _sqlite_rows(
                 statement, a_rows, b_rows
-            ), (statement, vectorize)
+            ), (statement, cached)
             answers.append(list(map(repr, rows)))
-        modes.append(answers)
-    # Row mode, the differential reference, repr-identically.
-    assert modes[0] == modes[1]
+        sources.append(answers)
+    # Both sources, repr-identically: dates stay dates either way.
+    assert sources[0] == sources[1]

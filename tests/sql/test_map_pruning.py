@@ -8,8 +8,9 @@ import pytest
 from repro import SharkContext
 from repro.columnar.stats import ColumnStats, PartitionStats
 from repro.datatypes import DATE, INT, STRING, TIMESTAMP, Schema
-from repro.sql.planner import PlannerConfig
 from repro.workloads import warehouse
+
+from tests.oracle import sqlite_rows
 
 
 @pytest.fixture
@@ -174,14 +175,10 @@ class TestDatePruning:
         ],
     )
     def test_date_ranges_prune(self, dated, condition, count, scanned):
-        for vectorize in (True, False):
-            dated.session.config = replace(
-                dated.session.config, vectorize=vectorize
-            )
-            result = dated.sql(f"SELECT COUNT(*) FROM logs WHERE {condition}")
-            assert result.scalar() == count
-            assert result.report.scanned_partitions == scanned
-            assert result.report.pruned_partitions == 20 - scanned
+        result = dated.sql(f"SELECT COUNT(*) FROM logs WHERE {condition}")
+        assert result.scalar() == count
+        assert result.report.scanned_partitions == scanned
+        assert result.report.pruned_partitions == 20 - scanned
 
 
 class TestPruningOverMergedBlocks:
@@ -272,14 +269,20 @@ class TestMissingOrStaleStats:
         assert result.report.pruned_partitions == 0
 
     def test_stale_stats_same_rows_both_modes(self, clustered):
+        """Pruning over stale statistics, and no pruning at all, both
+        answer what sqlite does over the rows."""
         shark, rows = clustered
         entry = shark.session.catalog.get("logs")
         entry.partition_stats[0] = PartitionStats({})
         query = "SELECT country, SUM(hits) FROM logs WHERE day < 3 GROUP BY country"
-        vectorized = shark.sql(query).rows
-        shark.session.config = replace(shark.session.config, vectorize=False)
-        row_mode = shark.sql(query).rows
-        assert sorted(vectorized) == sorted(row_mode)
+        pruned = shark.sql(query).rows
+        shark.session.config = replace(
+            shark.session.config, enable_map_pruning=False
+        )
+        unpruned = shark.sql(query).rows
+        assert sorted(pruned) == sorted(unpruned)
+        want = sqlite_rows(query, {"logs": (("day", "country", "hits"), rows)})
+        assert sorted(pruned) == sorted(want)
 
 
 class TestWarehousePruning:

@@ -101,13 +101,11 @@ def _check(pairs: list, num_keys: int, specs: list, pieces: int = 1):
         ]
     )
     want = reference_merge(pairs, specs)
-    # With the array forms of the folds, and (``vectorize`` off) without.
-    for arrays in (True, False):
-        merged = merge_partials(batch, num_keys, specs, arrays)
-        assert _reprs(partials_pairs(merged, num_keys, specs)) == _reprs(want)
-        assert _reprs(
-            finish_partials(merged, num_keys, specs, arrays).materialize_rows()
-        ) == _reprs(reference_finish(want, specs))
+    merged = merge_partials(batch, num_keys, specs)
+    assert _reprs(partials_pairs(merged, num_keys, specs)) == _reprs(want)
+    assert _reprs(
+        finish_partials(merged, num_keys, specs).materialize_rows()
+    ) == _reprs(reference_finish(want, specs))
 
 
 # -- the cases the issue names ---------------------------------------------

@@ -1,20 +1,18 @@
-"""Scan predicates: one evaluator per execution mode.
+"""Scan predicates: one evaluator.
 
-A cached scan's predicate is the batch chain's first filter: the vector
-kernels (``vectorize`` on) or ``eval`` mapped over the batch's rows
-(``vectorize`` off) — there is no third, scan-private evaluator.  The
-contract checked here: both modes return exactly the rows a plain Python
-evaluation of the predicate keeps (a NULL operand is never TRUE, in a
-BOOLEAN column like in any other), and an
-ordering Python cannot evaluate is rejected at bind time with the same
-``TypeMismatchError`` whatever the table kind and the mode.  The NULL
+A cached scan's predicate is the batch chain's first filter, run by the
+vector kernels — there is no second, scan-private evaluator.  The
+contract checked here: the kernels return exactly the rows a plain
+Python evaluation of the predicate keeps (a NULL operand is never TRUE,
+in a BOOLEAN column like in any other), and an ordering Python cannot
+evaluate is rejected at bind time with the same ``TypeMismatchError``
+whatever the table kind.  The NULL
 rules of the kernels' keep-masks are also pinned directly, one block at
 a time.
 """
 
 import random
 from collections import Counter
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -93,18 +91,10 @@ def shark():
     return context
 
 
-def _run(context, query, vectorize):
-    context.session.config = replace(
-        context.session.config, vectorize=vectorize
-    )
-    return sorted(context.sql(query).rows, key=repr)
-
-
 def _check(context, query, want):
-    """Both modes agree with each other and with the Python answer."""
-    want = sorted(want, key=repr)
-    assert _run(context, query, vectorize=True) == want, query
-    assert _run(context, query, vectorize=False) == want, query
+    """The engine agrees with the Python answer."""
+    got = sorted(context.sql(query).rows, key=repr)
+    assert got == sorted(want, key=repr), query
 
 
 def _case(name, query, keep, select=lambda row: (row[0],)):
@@ -307,7 +297,6 @@ class TestModesMatchPython:
             )
 
     def test_predicate_runs_in_the_kernels(self, shark):
-        shark.session.config = replace(shark.session.config, vectorize=True)
         result = shark.sql("SELECT a FROM t WHERE a > 20 AND b = 'x'")
         modes = dict(result.report.operator_modes)
         assert modes["filter"] == "vectorized"
@@ -417,13 +406,9 @@ class TestIncomparableOrderings:
     def test_same_typed_error_everywhere(self, shark, query):
         messages = set()
         for suffix in ("", "_ext"):
-            for vectorize in (True, False):
-                shark.session.config = replace(
-                    shark.session.config, vectorize=vectorize
-                )
-                with pytest.raises(TypeMismatchError) as raised:
-                    shark.sql(query.format(t=f"t{suffix}", u=f"u{suffix}"))
-                messages.add(str(raised.value))
+            with pytest.raises(TypeMismatchError) as raised:
+                shark.sql(query.format(t=f"t{suffix}", u=f"u{suffix}"))
+            messages.add(str(raised.value))
         assert len(messages) == 1, messages
 
     def test_equality_and_computed_operands_are_left_alone(self, shark):

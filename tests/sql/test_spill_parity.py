@@ -16,8 +16,6 @@ DESIGN §17 — a small share of a peak that cached tables dominate)
 complete correctly with ``memory.spill.events > 0``.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import SharkContext
@@ -50,10 +48,10 @@ def _datasets():
     }
 
 
-def _build(**context_kwargs):
+def _build(cached=True, **context_kwargs):
     shark = SharkContext(num_workers=4, cores_per_worker=2, **context_kwargs)
     for name, data in _datasets().items():
-        shark.create_table(name, data.schema, cached=True)
+        shark.create_table(name, data.schema, cached=cached)
         shark.load_rows(name, data.rows, num_partitions=4)
     shark.register_udf(
         "SOME_UDF", lambda addr: addr.endswith("7"), return_type=BOOLEAN
@@ -70,8 +68,7 @@ def _operator_peak(shark) -> int:
     )
 
 
-def _run(shark, query, vectorize=True):
-    shark.session.config = replace(shark.session.config, vectorize=vectorize)
+def _run(shark, query):
     return shark.sql(query).rows
 
 
@@ -101,8 +98,7 @@ class TestSpillParity:
         assert capped.engine.memory.clamped_release_bytes == 0
 
     def test_cap_actually_forced_spills(self, capped, uncapped_rows):
-        # Run the heaviest aggregations with ``vectorize`` off too: the
-        # scalar folds spill through the same aggregator's runs.
+        # The heaviest aggregations spill their partial batches.
         accountant = capped.engine.memory
 
         def aggregate_spills() -> int:
@@ -111,7 +107,7 @@ class TestSpillParity:
 
         before = aggregate_spills()
         for name in ("tpch_q1", "pavlo_agg_full"):
-            got = _run(capped, QUERIES[name], vectorize=False)
+            got = _run(capped, QUERIES[name])
             assert_byte_identical(got, uncapped_rows[name])
             assert accountant.live_bytes(EXECUTION) == 0
         assert aggregate_spills() > before
@@ -124,12 +120,16 @@ class TestSpillParity:
             "batch_aggregate", "sort", "shuffle_fetch",
         }
 
-    def test_row_mode_capped_parity(self, capped, uncapped_rows):
+    def test_row_mode_capped_parity(self, uncapped_rows):
+        """External tables' text rows through the capped operators: the
+        rows of the cached, uncapped run."""
+        capped = _build(cached=False, memory_per_worker_bytes=CAPPED_BYTES)
         for name in ("tpch_q3", "tpch_agg_2500", "pavlo_join"):
-            got = _run(capped, QUERIES[name], vectorize=False)
+            got = _run(capped, QUERIES[name])
             assert_byte_identical(got, uncapped_rows[name])
             assert capped.engine.memory.live_bytes(EXECUTION) == 0
             assert capped.engine.memory.clamped_release_bytes == 0
+        assert capped.engine.memory.spill_events > 0
 
 
 class TestSpillChaosParity:

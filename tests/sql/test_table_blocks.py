@@ -10,7 +10,6 @@ contents and order, the catalog's counts, write amplification, lineage
 
 import math
 import pickle
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,8 +127,7 @@ class TestAgainstAListOfRows:
             loaded += count
             _check_invariants(shark, model)
         # Map pruning over whatever blocks the sequence left — merged
-        # ones included — prunes exactly what their statistics allow,
-        # and both execution modes read the same rows.
+        # ones included — prunes exactly what their statistics allow.
         entry = shark.table_entry("t")
         text = f"SELECT k, s, v FROM t WHERE k >= {probe}"
         want = [row for row in model if row[0] >= probe]
@@ -141,8 +139,6 @@ class TestAgainstAListOfRows:
                 for stats in entry.partition_stats
             )
             assert result.report.scanned_partitions == may_match
-        shark.session.config = replace(shark.session.config, vectorize=False)
-        assert shark.sql(text).rows == want
 
 
 class TestSizing:

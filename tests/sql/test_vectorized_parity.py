@@ -1,19 +1,18 @@
-"""Exhaustive vectorized-vs-row parity harness.
+"""The oracle parity harness: every workload query equals sqlite.
 
-The batch pipeline (``PlannerConfig.vectorize=True``, the default) must
-be an invisible optimization: every query returns byte-identical rows to
-the serial row-at-a-time interpreter.  This harness runs every TPC-H and
-Pavlo workload query with vectorization on and off, across compression
-on/off (``shark.compress`` table property) and 1 vs 4 partitions, and
-compares sorted results with exact types — ``repr`` equality on floats,
-so ``-0.0`` vs ``0.0`` or any accumulation-order drift fails loudly.
+Every TPC-H and Pavlo workload query runs across compression on/off
+(``shark.compress`` table property) and 1 vs 4 partitions and must equal
+stdlib ``sqlite3`` over the same rows (``tests/oracle.py``: multisets
+with a 1e-9 relative float tolerance, lists where the query orders its
+rows) — a reference that shares no code with the kernels.  Storage must
+also be invisible: each configuration's rows are ``repr``-identical
+(exact types, ``-0.0`` vs ``0.0`` and any accumulation-order drift
+fail loudly) to a clean default-config run over the same partitioning.
 
 A chaos section repeats the comparison under the fault injector (task
 retries plus speculative stragglers): recovery re-execution must not
-perturb batch results either.
+perturb results either.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -21,6 +20,8 @@ from repro import SharkContext
 from repro.datatypes import BOOLEAN
 from repro.faults.injector import FaultInjector
 from repro.workloads import pavlo, tpch
+
+from tests.oracle import assert_rows_match, sqlite_rows
 
 TPCH_Q1 = """
     SELECT L_RETURNFLAG, L_LINESTATUS,
@@ -95,24 +96,21 @@ def _build(compress: bool, partitions: int, **context_kwargs):
             name, data.schema, cached=True, properties=properties
         )
         shark.load_rows(name, data.rows, num_partitions=partitions)
-    shark.register_udf(
-        "SOME_UDF", lambda addr: addr.endswith("7"), return_type=BOOLEAN
-    )
+    shark.register_udf("SOME_UDF", _some_udf, return_type=BOOLEAN)
     return shark
 
 
-def _run(shark, query, vectorize):
-    shark.session.config = replace(shark.session.config, vectorize=vectorize)
-    return shark.sql(query).rows
+def _some_udf(addr):
+    return addr.endswith("7")
 
 
 def _canonical(rows):
     return sorted((tuple(row) for row in rows), key=repr)
 
 
-def assert_byte_identical(vectorized, row_mode):
-    assert len(vectorized) == len(row_mode)
-    for got, want in zip(_canonical(vectorized), _canonical(row_mode)):
+def assert_byte_identical(rows, reference):
+    assert len(rows) == len(reference)
+    for got, want in zip(_canonical(rows), _canonical(reference)):
         assert len(got) == len(want)
         for x, y in zip(got, want):
             assert type(x) is type(y), (x, y)
@@ -132,26 +130,48 @@ def assert_byte_identical(vectorized, row_mode):
 )
 def warehouse(request):
     compress, partitions = request.param
-    return _build(compress, partitions)
+    return _build(compress, partitions), partitions
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    """What sqlite answers for each query over the same rows."""
+    tables = {
+        table: (data.schema.names, data.rows)
+        for table, data in _datasets().items()
+    }
+    return {
+        name: sqlite_rows(query, tables, {"SOME_UDF": _some_udf})
+        for name, query in QUERIES.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def clean_rows():
+    """A default-config (compressed) run per partitioning."""
+    contexts = {partitions: _build(True, partitions) for partitions in (1, 4)}
+    return {
+        (partitions, name): shark.sql(QUERIES[name]).rows
+        for partitions, shark in contexts.items()
+        for name in QUERIES
+    }
 
 
 class TestVectorizedParity:
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_query_parity(self, warehouse, name):
+    def test_query_parity(self, warehouse, oracle_rows, clean_rows, name):
+        shark, partitions = warehouse
         query = QUERIES[name]
-        assert_byte_identical(
-            _run(warehouse, query, vectorize=True),
-            _run(warehouse, query, vectorize=False),
+        rows = shark.sql(query).rows
+        assert_rows_match(
+            rows, oracle_rows[name], ordered="ORDER BY" in query, context=name
         )
-
-    def test_vectorize_off_reports_row_modes(self, warehouse):
-        _run(warehouse, QUERIES["tpch_agg_7"], vectorize=False)
-        modes = dict(warehouse.last_report.operator_modes)
-        assert modes and all(mode == "row" for mode in modes.values())
+        assert_byte_identical(rows, clean_rows[partitions, name])
 
     def test_vectorize_on_reports_vectorized_scan(self, warehouse):
-        _run(warehouse, QUERIES["tpch_agg_7"], vectorize=True)
-        modes = dict(warehouse.last_report.operator_modes)
+        shark, __ = warehouse
+        shark.sql(QUERIES["tpch_agg_7"])
+        modes = dict(shark.last_report.operator_modes)
         assert any(
             op.startswith("scan(") and mode.startswith("vectorized")
             for op, mode in modes.items()
@@ -159,22 +179,14 @@ class TestVectorizedParity:
 
 
 class TestChaosParity:
-    """Batch pipeline under fault injection == clean serial row path.
+    """Under fault injection == the clean default-config run.
 
     Task retries and speculative straggler backups re-execute batch
-    tasks from lineage; the recovered results must still match the row
-    interpreter bit for bit.
+    tasks from lineage; the recovered results must still match the clean
+    run bit for bit.
     """
 
     CHAOS_QUERIES = ["tpch_q1", "tpch_agg_max", "pavlo_agg_full"]
-
-    @pytest.fixture(scope="class")
-    def clean_rows(self):
-        shark = _build(True, 4)
-        return {
-            name: _run(shark, QUERIES[name], vectorize=False)
-            for name in self.CHAOS_QUERIES
-        }
 
     @pytest.mark.parametrize("name", CHAOS_QUERIES)
     def test_chaos_batch_matches_clean_rows(self, clean_rows, name):
@@ -184,5 +196,5 @@ class TestChaosParity:
             stragglers_per_stage=1,
         )
         chaotic = _build(True, 4, fault_injector=injector)
-        got = _run(chaotic, QUERIES[name], vectorize=True)
-        assert_byte_identical(got, clean_rows[name])
+        got = chaotic.sql(QUERIES[name]).rows
+        assert_byte_identical(got, clean_rows[4, name])
