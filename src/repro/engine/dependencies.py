@@ -9,13 +9,24 @@ map output, and child tasks fetch buckets from every map task.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+import random
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.columnar.batch import ColumnBatch
-from repro.engine.partitioner import Partitioner
+from repro.engine.partitioner import Partitioner, RangePartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.rdd import RDD
+
+#: A sort exchange's sampler: each map task keeps a row when its one
+#: ``random()`` draw from ``Random(SORT_SAMPLE_SEED * 1_000_003 +
+#: map_partition)`` is below ``SORT_SAMPLE_FRACTION`` — seeded, so a
+#: re-run map task draws the same sample.
+SORT_SAMPLE_SEED = 29
+SORT_SAMPLE_FRACTION = 0.1
 
 
 class Dependency:
@@ -111,6 +122,10 @@ class ShuffleDependency(Dependency):
     #: value ordinals (None) stands for every column, a whole row.
     key: Any = 0
     value: Any = 1
+    #: Whether ``partitioner`` is final.  A sort exchange's is not until
+    #: its bounds are picked from its own map output; until then its map
+    #: outputs are stored whole (:class:`SortShuffleDependency`).
+    resolved = True
 
     def __init__(
         self,
@@ -142,6 +157,37 @@ class ShuffleDependency(Dependency):
                 [list(combined), list(combined.values())]
             )
         return ColumnBatch.from_rows(records, 2)
+
+    def map_output(
+        self, batch: ColumnBatch, map_partition: int
+    ) -> tuple[ColumnBatch, Any]:
+        """What map task ``map_partition`` stores of its keyed batch, and
+        the statistic it publishes beside its buckets' sizes (None:
+        none)."""
+        return batch, None
+
+    def bucketed(self, batch: ColumnBatch) -> tuple[ColumnBatch, list[int]]:
+        """``batch`` in bucket order, each bucket keeping its rows in the
+        order they arrived, and where each bucket starts (one offset per
+        reduce partition, then the row count).  No id is computed for a
+        single reduce partition, which takes every row as it comes (and
+        no row means maybe no column to read a key from)."""
+        num_reduces = self.partitioner.num_partitions
+        rows = batch.num_rows
+        if num_reduces == 1 or not rows:
+            return batch, [0] + [rows] * num_reduces
+        ids = self.partitioner.partition_batch(batch, self.key)
+        counts = np.bincount(ids, minlength=num_reduces)
+        if len(counts) != num_reduces:
+            raise ValueError(
+                f"{self.partitioner!r} placed a key in partition "
+                f"{len(counts) - 1}"
+            )
+        if (ids[1:] < ids[:-1]).any():
+            # (Narrow ids let numpy pick its radix sort.)
+            narrow = np.uint16 if num_reduces <= 2 ** 16 else np.int64
+            batch = batch.take(np.argsort(ids.astype(narrow), kind="stable"))
+        return batch, [0, *accumulate(counts.tolist())]
 
     def pairs(self, batch: ColumnBatch) -> list:
         """``(key, value)`` of every row of a fetched batch."""
@@ -183,3 +229,71 @@ class BatchShuffleDependency(ShuffleDependency):
 
     def records(self, batch: ColumnBatch) -> list:
         return [batch]
+
+
+class SortShuffleDependency(BatchShuffleDependency):
+    """The exchange of a total sort (``RDD.sort_batches``).
+
+    A map task stores its output as one *run*: ordered by ``order``
+    (the sort's one stable permutation of a batch) and, under a LIMIT,
+    cut to its first ``top`` rows.  In the same pass it draws the sample
+    the range bounds are picked from — the partitioner's ``keys_at`` of
+    the rows the seeded sampler keeps (one draw per row, in arrival
+    order) — and publishes it as its map-output statistic.  A range
+    bucket of a run is one slice of it (``RangePartitioner.cut``).
+
+    A sort into more than one partition without a ``top`` needs bounds:
+    it is one range until :meth:`resolve` hands it the partitioner over
+    them, and its runs wait uncut meanwhile.  A run written after that —
+    by lineage recovery, speculation, a plan executed again — is cut as
+    it is stored, and draws no sample.
+    """
+
+    def __init__(
+        self,
+        rdd: "RDD",
+        partitioner: RangePartitioner,
+        key: Any,
+        order: Callable[[ColumnBatch], Sequence[int]],
+        num_partitions: int,
+        top: Optional[int] = None,
+    ):
+        super().__init__(rdd, partitioner, key)
+        self.order = order
+        self.top = top
+        self.resolved = top is not None or num_partitions == 1
+
+    def map_output(
+        self, batch: ColumnBatch, map_partition: int
+    ) -> tuple[ColumnBatch, Optional[list]]:
+        rows = batch.num_rows
+        if not rows:
+            return batch, None if self.resolved else []
+        order = np.asarray(self.order(batch), dtype=np.int64)
+        run = batch.take(order)
+        sample = None
+        if not self.resolved:
+            draw = random.Random(
+                SORT_SAMPLE_SEED * 1_000_003 + map_partition
+            ).random
+            fraction = SORT_SAMPLE_FRACTION
+            picked = [i for i in range(rows) if draw() < fraction]
+            # Keyed where the run holds them, the sampled rows come out
+            # sorted: sorting the merged sample only merges runs (and,
+            # being stable, ends as it would from arrival order).
+            position = np.empty(rows, dtype=np.int64)
+            position[order] = np.arange(rows)
+            sample = self.partitioner.keys_at(
+                run, self.key, np.sort(position[picked])
+            )
+        if self.top is not None and self.top < rows:
+            run = run.slice(0, self.top)
+        return run, sample
+
+    def bucketed(self, batch: ColumnBatch) -> tuple[ColumnBatch, list[int]]:
+        return batch, self.partitioner.cut(batch, self.key)
+
+    def resolve(self, partitioner: RangePartitioner) -> None:
+        """The bounds are picked: cut runs at ``partitioner``'s."""
+        self.partitioner = partitioner
+        self.resolved = True

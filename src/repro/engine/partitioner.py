@@ -27,6 +27,8 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 #: in microseconds are all zero, so the int rule would put every such
 #: timestamp in reduce partition 0 of a power-of-two exchange.
 _SPREAD = 0x9E3779B97F4A7C15
+#: Fewer descents than this and :func:`stable_argsort` merges runs.
+_PRESORTED_RUNS = 64
 
 
 def stable_hash(key: Any) -> int:
@@ -148,6 +150,39 @@ def ordered_array(vector: "Vector") -> "np.ndarray | None":
     return None
 
 
+def stable_argsort(data: np.ndarray) -> np.ndarray:
+    """``np.argsort(data, kind="stable")`` of an :func:`ordered_array`.
+    Data made of a few sorted runs (a reduce partition: slices of sorted
+    map outputs, end to end) takes numpy's stable sort, which merges
+    runs; anything else the unstable sort, several times faster on
+    shuffled data, after which each run of equal keys is put back in
+    position order by one sort of distinct (run, position) numbers."""
+    if data.dtype.kind == "M":
+        data = data.view(np.int64)
+    if np.count_nonzero(data[1:] < data[:-1]) < _PRESORTED_RUNS:
+        return np.argsort(data, kind="stable")
+    order = np.argsort(data)
+    ranked = data[order]
+    ties = ranked[1:] == ranked[:-1]
+    if not ties.any():
+        return order
+    runs = np.concatenate(([0], np.cumsum(~ties)))
+    return order[np.argsort(runs * len(data) + order)]
+
+
+def columns_at(
+    batch: "ColumnBatch", ordinals: Sequence[int], rows: "np.ndarray | None"
+) -> list[list]:
+    """The Python values of the columns at ``ordinals``, of the rows at
+    positions ``rows`` (of every row: None)."""
+    if not batch.num_rows:  # (maybe no column to read from)
+        return [[] for __ in ordinals]
+    return [
+        (vector if rows is None else vector.gather(rows)).to_python_list()
+        for vector in map(batch.vector, ordinals)
+    ]
+
+
 def ordered_bounds(bounds: Sequence[Any], data: np.ndarray) -> "np.ndarray | None":
     """Range bounds as an array ``np.searchsorted`` can bisect ``data``
     on exactly as ``bisect`` would the Python values: every bound is of
@@ -229,8 +264,8 @@ class HashPartitioner(Partitioner):
 class RangePartitioner(Partitioner):
     """Orders keys into contiguous ranges; used by sortBy.
 
-    Bounds are computed by sampling the input (the engine context does the
-    sampling); keys <= bounds[i] land in partition i.
+    Bounds are picked from a sample of the sort's own map output
+    (``RDD.sort_batches``); keys <= bounds[i] land in partition i.
     """
 
     def __init__(self, bounds: Sequence[Any], ascending: bool = True):
@@ -251,15 +286,62 @@ class RangePartitioner(Partitioner):
         last = self.num_partitions - 1
         return [last - index for index in indices]
 
-    def partition_batch(self, batch: "ColumnBatch", key) -> np.ndarray:
-        data = ordered_array(batch.vector(key)) if isinstance(key, int) else None
+    def keys_at(
+        self, batch: "ColumnBatch", key, rows: "np.ndarray | None" = None
+    ) -> list:
+        """The keys this partitioner places, of the rows of ``batch`` at
+        positions ``rows`` (of every row: None) — here the ``key``
+        columns' values."""
+        if isinstance(key, int):
+            return columns_at(batch, (key,), rows)[0]
+        return list(zip(*columns_at(batch, key, rows)))
+
+    def _array_ids(self, batch: "ColumnBatch", key) -> "np.ndarray | None":
+        """Partition ids by one ``searchsorted`` of a numeric key array,
+        when one stands in for the keys; None otherwise."""
+        if not batch.num_rows or not isinstance(key, int):
+            return None
+        data = ordered_array(batch.vector(key))
         bounds = None if data is None else ordered_bounds(self._bounds, data)
         if bounds is None:
-            return super().partition_batch(batch, key)
+            return None
         indices = np.searchsorted(bounds, data, side="left")
         if self._ascending:
             return indices
         return self.num_partitions - 1 - indices
+
+    def partition_batch(self, batch: "ColumnBatch", key) -> np.ndarray:
+        ids = self._array_ids(batch, key)
+        if ids is None:
+            ids = self.partition_many(self.keys_at(batch, key))
+        return np.asarray(ids, dtype=np.int64)
+
+    def cut(self, run: "ColumnBatch", key) -> list[int]:
+        """Bucket offsets of a run already in this partitioner's order,
+        where every bucket is one slice: ``offsets[i]`` is the first row
+        placed in partition ``i`` or later.  A numeric key array is
+        placed whole; otherwise a binary search over the rows builds a
+        key only at the rows it probes."""
+        rows = run.num_rows
+        if self.num_partitions == 1:
+            return [0, rows]
+        ids = self._array_ids(run, key)
+        if ids is not None:
+            return np.searchsorted(
+                ids, np.arange(self.num_partitions + 1), side="left"
+            ).tolist()
+
+        def placed(row: int) -> int:
+            return self.partition(self.keys_at(run, key, np.array([row]))[0])
+
+        offsets = [0]
+        for partition in range(1, self.num_partitions):
+            offsets.append(
+                bisect.bisect_left(
+                    range(rows), partition, offsets[-1], key=placed
+                )
+            )
+        return offsets + [rows]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -18,23 +18,22 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.columnar.batch import ColumnBatch
 from repro.engine.dependencies import (
     Aggregator,
-    BatchShuffleDependency,
     Dependency,
     ManyToOneDependency,
     OneToOneDependency,
     RangeDependency,
     ShuffleDependency,
+    SortShuffleDependency,
 )
 from repro.engine.partitioner import (
     HashPartitioner,
     Partitioner,
     RangePartitioner,
     ordered_array,
+    stable_argsort,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -437,7 +436,7 @@ class RDD:
             keys = batch.vector(0)
             data = ordered_array(keys)
             if data is not None and ascending:
-                return np.argsort(data, kind="stable")
+                return stable_argsort(data)
             return sorted(
                 range(batch.num_rows),
                 key=keys.to_python_list().__getitem__,
@@ -445,17 +444,13 @@ class RDD:
             )
 
         batches = MapPartitionsRDD(self, keyed, name="map")
-        ordered = batches.sort_batches(
-            0,
-            lambda batch, rows: batch.vector(0).gather(rows).to_python_list(),
-            lambda bounds: RangePartitioner(bounds, ascending=ascending),
-            order,
-            num_partitions,
-        )
-        if ordered is batches:
-            return self
         return MapPartitionsRDD(
-            ordered,
+            batches.sort_batches(
+                0,
+                lambda bounds: RangePartitioner(bounds, ascending=ascending),
+                order,
+                num_partitions,
+            ),
             lambda _, part: [
                 item for batch in part for item in batch.values(1)
             ],
@@ -465,57 +460,48 @@ class RDD:
     def sort_batches(
         self,
         key: Any,
-        keys_of: Callable[[ColumnBatch, "np.ndarray"], list],
-        partitioner_of: Callable[[list], Partitioner],
+        partitioner_of: Callable[[list], RangePartitioner],
         order: Callable[[ColumnBatch], Sequence[int]],
         num_partitions: Optional[int] = None,
+        top: Optional[int] = None,
     ) -> "RDD":
-        """Total sort of an RDD whose partitions hold ColumnBatches:
-        sample for range bounds, shuffle, sort each partition.
+        """Total sort of an RDD whose partitions hold ColumnBatches: one
+        exchange whose map side is the sample, then each reduce partition
+        sorted.
 
-        ``key`` names the batch columns the exchange partitions on.
-        ``keys_of(batch, rows)`` returns one comparable sort key per
-        requested row position (only sampled rows ever get one built);
-        ``partitioner_of(bounds)`` the range partitioner over bounds
-        picked among them, and ``order(batch)`` the stable sorting
-        permutation of one reduce partition.  Returns ``self`` when there
-        is nothing to sort.
+        ``key`` names the batch columns the exchange partitions on,
+        ``partitioner_of(bounds)`` is the range partitioner over bounds
+        picked among the keys its ``keys_at`` builds, and ``order(batch)``
+        the stable sorting permutation of a batch.  Every map task stores
+        its partition as one run in that order and publishes a seeded
+        sample of its keys (:class:`SortShuffleDependency`); the map stage
+        runs now, bounds are picked from the merged sample — from every
+        key of the runs when it is small — and the runs are cut at them.
+        With ``top`` (an ORDER BY under a LIMIT) a run keeps its first
+        ``top`` rows and the sort has one partition, so nothing runs now.
         """
-        target = num_partitions or self.ctx.default_parallelism
-
-        def sample_keys(fraction: Optional[float], name: str) -> list:
-            # Range bounds come from a sample (as in Spark's
-            # RangePartitioner): one seeded draw per row, so recovery
-            # replays the same sample.
-            def run(split: int, part: list) -> list:
-                rng = random.Random(29 * 1_000_003 + split)
-                keys: list = []
-                for batch in part:
-                    rows = range(batch.num_rows)
-                    if fraction is not None:
-                        rows = [i for i in rows if rng.random() < fraction]
-                    keys.extend(
-                        keys_of(batch, np.fromiter(rows, np.int64, len(rows)))
-                    )
-                return keys
-
-            return MapPartitionsRDD(self, run, name=name).collect()
-
-        keys = sample_keys(0.1, "sample")
-        if len(keys) < max(20 * target, 100):
-            # Small inputs fall back to exact keys so bounds stay meaningful.
-            keys = sample_keys(None, "map")
-        if not keys:
-            return self
-        if target > 1:
+        target = 1 if top is not None else (
+            num_partitions or self.ctx.default_parallelism
+        )
+        dep = SortShuffleDependency(
+            self, partitioner_of([]), key, order, target, top
+        )
+        if not dep.resolved:
+            keys = self.ctx.materialize_dependency(dep).sample
+            manager = self.ctx.shuffle_manager
+            if len(keys) < max(20 * target, 100):
+                # Small inputs fall back to exact keys so bounds stay
+                # meaningful.
+                keys = [
+                    k
+                    for run in manager.stored_runs(dep.shuffle_id)
+                    for k in dep.partitioner.keys_at(run, key)
+                ]
             sorted_keys = sorted(keys)
             step = max(1, len(sorted_keys) // target)
-            bounds = sorted_keys[step::step][: target - 1]
-        else:
-            bounds = []
-        shuffled = ShuffledRDD.of(
-            BatchShuffleDependency(self, partitioner_of(bounds), key)
-        )
+            dep.resolve(partitioner_of(sorted_keys[step::step][: target - 1]))
+            manager.cut_runs(dep)
+        shuffled = ShuffledRDD.of(dep)
 
         def sort_partition(_: int, part: list) -> list:
             # External sort: the buffer is charged to the task's

@@ -1,7 +1,8 @@
 """Shuffle: map-output bucketing, fetching, and PDE statistics.
 
 A map task's output is one keyed :class:`~repro.columnar.batch.ColumnBatch`.
-The shuffle orders it by reduce partition and stores it, with the offsets
+The shuffle orders it by reduce partition (a sort exchange: by its sort
+key, one run cut at the range bounds) and stores it, with the offsets
 of the buckets, in the task's worker's block store (the paper's
 memory-based shuffle, Section 5).  Reduce tasks fetch their buckets —
 slices of those batches — from every map output; if a map output's worker
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -121,6 +122,17 @@ class MapOutputStats:
     #: profiling).  Keys are not kept here: :meth:`skew_record` labels
     #: them from the map outputs themselves when it is asked.
     skew_partials: dict[int, dict] = field(default_factory=dict)
+    #: A sort exchange's per-map-partition samples (the keys its range
+    #: bounds are picked from), kept per partition like the partials.
+    samples: dict[int, list] = field(default_factory=dict)
+
+    @property
+    def sample(self) -> list:
+        """Every map task's sample, end to end in map-partition order."""
+        return [
+            key for map_partition in sorted(self.samples)
+            for key in self.samples[map_partition]
+        ]
 
     @property
     def custom(self) -> dict[str, Any]:
@@ -248,6 +260,9 @@ class ShuffleManager:
         self._locations: dict[int, dict[int, int]] = {}
         self._stats: dict[int, MapOutputStats] = {}
         self._deps: dict[int, "ShuffleDependency"] = {}
+        #: shuffle_id -> {map_partition: [(worker_id, metrics), ...]}: the
+        #: writes of an unresolved sort, accounted when its runs are cut.
+        self._uncut: dict[int, dict[int, list]] = {}
         cluster.on_worker_killed(self._handle_worker_killed)
 
     # ------------------------------------------------------------------
@@ -281,76 +296,138 @@ class ShuffleManager:
         batch: ColumnBatch,
         metrics: "TaskMetrics" = None,
     ) -> None:
-        """Bucket one map task's keyed batch (``dep.keyed_batch`` of its
-        records) by ``dep.key`` and store it on the task's worker, then
-        run the PDE statistics collectors over it.
+        """Store one map task's keyed batch (``dep.keyed_batch`` of its
+        records) on the task's worker as ``dep.map_output`` makes it,
+        bucketed by ``dep.key``, and run the PDE statistics collectors
+        over it.  The output of a sort that has no bounds yet is stored
+        as one bucket and its write is accounted when :meth:`cut_runs`
+        cuts it.
         """
-        num_reduces = dep.partitioner.num_partitions
-        rows = batch.num_rows
-        batch = ColumnBatch(batch.vectors(), rows)  # decoded, unpinned
+        batch = ColumnBatch(batch.vectors(), batch.num_rows)  # decoded, unpinned
         observed = [
             (collector, collector.observe(dep.pairs(batch)))
             for collector in dep.stats_collectors
         ]
-        if num_reduces == 1 or not rows:
-            # One bucket takes every row as it comes (and no row means
-            # maybe no column to read a key from).
-            counts = [0] * num_reduces
-            counts[0] = rows
-            offsets = [0] + [rows] * num_reduces
-        else:
-            ids = dep.partitioner.partition_batch(batch, dep.key)
-            counts = np.bincount(ids, minlength=num_reduces).tolist()
-            if len(counts) != num_reduces:
-                raise ValueError(
-                    f"{dep.partitioner!r} placed a key in partition "
-                    f"{len(counts) - 1}"
-                )
-            offsets = [0, *accumulate(counts)]
-            if (ids[1:] < ids[:-1]).any():
-                # Stable: a bucket keeps its rows in the order they
-                # arrived.  (Narrow ids let numpy pick its radix sort.)
-                narrow = np.uint16 if num_reduces <= 2 ** 16 else np.int64
-                batch = batch.take(
-                    np.argsort(ids.astype(narrow), kind="stable")
-                )
-        sizes, pickled_bytes = _SERDE.measure(
-            batch, None if num_reduces == 1 else np.array(offsets)
-        )
-        total_bytes = sum(sizes)
-
-        worker = self._cluster.worker(worker_id)
-        block_id = _shuffle_block_id(dep.shuffle_id, map_partition)
-        # Pinned: shuffle output only vanishes with the worker (the spill
-        # story of Section 5), never to silent cache eviction.
-        worker.blocks.put(
-            block_id,
-            ShuffleBlock(batch, offsets, sizes),
-            size_bytes=total_bytes,
-            pinned=True,
-        )
-        self._locations[dep.shuffle_id][map_partition] = worker_id
-
+        batch, sample = dep.map_output(batch, map_partition)
         stats = self._stats[dep.shuffle_id]
-        stats.encoded_bucket_sizes[map_partition] = list(
-            map(log_encode_size, sizes)
-        )
-        stats.record_counts[map_partition] = rows
-        stats.skew_partials[map_partition] = {
-            "rows": counts,
-            "bytes": sizes,
-        }
+        stats.record_counts[map_partition] = batch.num_rows
+        if sample is not None:
+            stats.samples[map_partition] = sample
         for collector, partial in observed:
             stats.mergers[collector.name] = collector.merge
             stats.custom_partials.setdefault(collector.name, {})[
                 map_partition
             ] = partial
+        written = self._store(
+            dep, map_partition, worker_id, *dep.bucketed(batch)
+        )
+        self._locations[dep.shuffle_id][map_partition] = worker_id
+        if dep.resolved:
+            self._account_write(
+                dep, map_partition, worker_id, metrics, *written
+            )
+        else:
+            self._uncut.setdefault(dep.shuffle_id, {}).setdefault(
+                map_partition, []
+            ).append((worker_id, metrics))
 
+    def cut_runs(self, dep: "ShuffleDependency") -> None:
+        """A sort exchange just resolved: cut each stored run at its
+        partitioner's bounds, and account every write that waited for
+        that — to the attempt that made it, as if cut when written (a
+        run is a function of its map partition)."""
+        stats = self._stats[dep.shuffle_id]
+        stats.num_reduces = dep.partitioner.num_partitions
+        stats.encoded_bucket_sizes = [
+            [0] * stats.num_reduces for __ in range(stats.num_maps)
+        ]
+        stats.skew_partials = {}
+        waiting = self._uncut.pop(dep.shuffle_id, {})
+        for map_partition in range(stats.num_maps):
+            block = self._stored_block(dep.shuffle_id, map_partition)
+            if block is None:  # lost: cut when lineage writes it again
+                continue
+            written = self._store(
+                dep,
+                map_partition,
+                self._locations[dep.shuffle_id][map_partition],
+                *dep.bucketed(block.batch),
+            )
+            for worker_id, metrics in waiting.get(map_partition, ()):
+                self._account_write(
+                    dep, map_partition, worker_id, metrics, *written
+                )
+
+    def stored_runs(self, shuffle_id: int) -> list[ColumnBatch]:
+        """The batch every map output holds, in map-partition order."""
+        return [
+            self._stored_block(shuffle_id, map_partition).batch
+            for map_partition in range(self._stats[shuffle_id].num_maps)
+        ]
+
+    def _stored_block(
+        self, shuffle_id: int, map_partition: int
+    ) -> "ShuffleBlock | None":
+        """One map output's block where its location says, if there."""
+        worker_id = self._locations[shuffle_id].get(map_partition)
+        if worker_id is None:
+            return None
+        worker = self._cluster.worker(worker_id)
+        block_id = _shuffle_block_id(shuffle_id, map_partition)
+        if not worker.alive or block_id not in worker.blocks:
+            return None
+        return worker.blocks.get(block_id)
+
+    def _store(
+        self,
+        dep: "ShuffleDependency",
+        map_partition: int,
+        worker_id: int,
+        batch: ColumnBatch,
+        offsets: list[int],
+    ) -> tuple[int, int, int, int]:
+        """Weigh a bucketed map output and store it on ``worker_id``;
+        returns its (rows, columns, bytes, pickled bytes)."""
+        sizes, pickled_bytes = _SERDE.measure(
+            batch, None if len(offsets) == 2 else np.array(offsets)
+        )
+        total_bytes = sum(sizes)
+        worker = self._cluster.worker(worker_id)
+        # Pinned: shuffle output only vanishes with the worker (the spill
+        # story of Section 5), never to silent cache eviction.
+        worker.blocks.put(
+            _shuffle_block_id(dep.shuffle_id, map_partition),
+            ShuffleBlock(batch, offsets, sizes),
+            size_bytes=total_bytes,
+            pinned=True,
+        )
+        stats = self._stats[dep.shuffle_id]
+        stats.encoded_bucket_sizes[map_partition] = list(
+            map(log_encode_size, sizes)
+        )
+        stats.skew_partials[map_partition] = {
+            "rows": [b - a for a, b in zip(offsets, offsets[1:])],
+            "bytes": sizes,
+        }
+        return batch.num_rows, len(batch.entries), total_bytes, pickled_bytes
+
+    def _account_write(
+        self,
+        dep: "ShuffleDependency",
+        map_partition: int,
+        worker_id: int,
+        metrics: "TaskMetrics",
+        rows: int,
+        columns: int,
+        total_bytes: int,
+        pickled_bytes: int,
+    ) -> None:
+        """Charge one map output's write to the attempt that made it."""
         task_ctx = current_task_context()
         if task_ctx is not None:
             # Transient bucketing buffer: charged to the map task's
             # execution pool for the rest of the attempt (the pinned
-            # block above already rides the storage pool).
+            # block already rides the storage pool).
             task_ctx.reserve_memory("shuffle_write", total_bytes)
         if metrics is not None:
             metrics.shuffle_write_bytes += total_bytes
@@ -371,7 +448,7 @@ class ShuffleManager:
             map_partition=map_partition,
             bytes=total_bytes,
             records=rows,
-            columns=len(batch.entries),
+            columns=columns,
             pickled_bytes=pickled_bytes,
         )
 
@@ -540,14 +617,10 @@ class ShuffleManager:
         """The label of every key of one map output, read back from its
         pinned block.  A block lost with its worker and not recomputed
         has nothing left to label."""
-        worker_id = self._locations[shuffle_id].get(map_partition)
-        if worker_id is None:
+        block = self._stored_block(shuffle_id, map_partition)
+        if block is None:
             return ()
-        worker = self._cluster.worker(worker_id)
-        block_id = _shuffle_block_id(shuffle_id, map_partition)
-        if not worker.alive or block_id not in worker.blocks:
-            return ()
-        batch = worker.blocks.get(block_id).batch
+        batch = block.batch
         dep = self._deps[shuffle_id]
         if isinstance(dep.partitioner, RangePartitioner):
             return repeat(SORT_KEY_LABEL, batch.num_rows)
@@ -582,6 +655,7 @@ class ShuffleManager:
             return 0
         stats = self._stats.pop(shuffle_id)
         self._deps.pop(shuffle_id, None)
+        self._uncut.pop(shuffle_id, None)
         released = 0
         block_ids = [
             _shuffle_block_id(shuffle_id, map_partition)

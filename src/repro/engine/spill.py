@@ -36,8 +36,8 @@ from repro.columnar.batch import ColumnBatch
 from repro.columnar.serde import BatchSerde
 from repro.engine.task import current_task_context
 
-#: Sorter items added between incremental ledger charges.
-_SORT_CHARGE_EVERY = 64
+#: Rows of the first batch a sorter weighs to price a row.
+_BYTES_PER_ROW_SAMPLE = 64
 
 _SERDE = BatchSerde()
 
@@ -74,45 +74,38 @@ class ExternalSorter:
         self._rows = 0
         self._runs: list[bytes] = []
         self._bytes_per_row = 0
-        self._charged_rows = 0
+        self._charged = 0
         self._finishing = False
         task_ctx = current_task_context()
         if task_ctx is not None:
             task_ctx.register_spillable(self)
 
     def extend(self, batch: ColumnBatch) -> None:
-        """Buffer a batch.  The ledger is charged — and a spill can
-        therefore fire — each time :data:`_SORT_CHARGE_EVERY` rows are
-        pending, so the charge points depend only on how many rows
-        arrived, not on where the batch boundaries fell."""
-        if not self._bytes_per_row and batch.num_rows:
+        """Take a batch: one ledger charge per arriving batch, made before
+        the batch is kept in memory, so the charge points are the batches
+        that arrive (a sort reads one fetched batch per reduce partition,
+        the same on every retry).  A spill the charge forces sheds the
+        buffer with the arriving batch in it."""
+        rows = batch.num_rows
+        if not rows:
+            return
+        if not self._bytes_per_row:
             # Heap bytes per row, from the first rows to arrive.
-            head = batch.slice(0, min(batch.num_rows, _SORT_CHARGE_EVERY))
+            head = batch.slice(0, min(rows, _BYTES_PER_ROW_SAMPLE))
             self._bytes_per_row = max(
                 head.memory_footprint_bytes() // head.num_rows, 1
             )
-        start = 0
-        while start < batch.num_rows:
-            pending = self._rows - self._charged_rows
-            stop = min(
-                start + _SORT_CHARGE_EVERY - pending % _SORT_CHARGE_EVERY,
-                batch.num_rows,
-            )
-            self._buffer.append(batch.slice(start, stop))
-            self._rows += stop - start
-            start = stop
-            if self._rows - self._charged_rows >= _SORT_CHARGE_EVERY:
-                self._charge_pending()
-
-    def _charge_pending(self) -> None:
+        self._buffer.append(batch)
+        self._rows += rows
         task_ctx = current_task_context()
         if task_ctx is None:
             return
-        task_ctx.reserve_memory(
-            self.owner,
-            (self._rows - self._charged_rows) * self._bytes_per_row,
-        )
-        self._charged_rows = self._rows
+        nbytes = rows * self._bytes_per_row
+        task_ctx.reserve_memory(self.owner, nbytes)
+        if self._buffer:
+            self._charged += nbytes
+        else:  # spilled while it was charged: its bytes are on disk
+            task_ctx.release_memory(self.owner, nbytes)
 
     def spill(self, nbytes: int) -> tuple[int, int, int]:
         """Encode the buffer as one run and release its charge."""
@@ -124,11 +117,9 @@ class ExternalSorter:
         released = 0
         task_ctx = current_task_context()
         if task_ctx is not None:
-            released = task_ctx.release_memory(
-                self.owner, self._charged_rows * self._bytes_per_row
-            )
+            released = task_ctx.release_memory(self.owner, self._charged)
         record_run_written(self.owner, len(payload))
-        self._charged_rows = self._rows = 0
+        self._charged = self._rows = 0
         return (released, len(payload), 1)
 
     def finish(self) -> ColumnBatch:

@@ -53,8 +53,10 @@ from repro.engine.partitioner import (
     HashPartitioner,
     Partitioner,
     RangePartitioner,
+    columns_at,
     ordered_array,
     ordered_bounds,
+    stable_argsort,
 )
 from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD, ShuffledRDD
 from repro.engine.spill import record_run_written
@@ -1146,24 +1148,22 @@ class SortPartitioner(RangePartitioner):
         super().__init__(bounds)
         self._keys = keys
 
-    def partition_batch(self, batch: ColumnBatch, key) -> np.ndarray:
-        vectors = [batch.vector(i) for i in key]
-        arrays = _ascending_arrays(self._keys, vectors) if len(key) == 1 else None
-        if arrays is not None and all(
+    def keys_at(self, batch: ColumnBatch, key, rows=None) -> list[tuple]:
+        return flat_sort_keys(self._keys, columns_at(batch, key, rows))
+
+    def _array_ids(self, batch: ColumnBatch, key) -> Optional[np.ndarray]:
+        if len(key) != 1 or not batch.num_rows or not all(
             # (flag, value): the flag of every non-NULL key is the same.
             bound[0] is self._keys[0][1] for bound in self._bounds
         ):
-            bounds = ordered_bounds(
-                [bound[1] for bound in self._bounds], arrays[0]
-            )
-            if bounds is not None:
-                return np.searchsorted(bounds, arrays[0], side="left")
-        columns = [vector.to_python_list() for vector in vectors]
-        return np.asarray(
-            self.partition_many(flat_sort_keys(self._keys, columns)),
-            dtype=np.int64,
-        )
-
+            return None
+        arrays = _ascending_arrays(self._keys, [batch.vector(key[0])])
+        if arrays is None:
+            return None
+        bounds = ordered_bounds([bound[1] for bound in self._bounds], arrays[0])
+        if bounds is None:
+            return None
+        return np.searchsorted(bounds, arrays[0], side="left")
 
 
 def sort_batches(
@@ -1173,26 +1173,22 @@ def sort_batches(
     width: int,
     *,
     op: OperatorStamp,
+    top: Optional[int] = None,
 ) -> RDD:
     """ORDER BY over batches; yields batches of the ``width`` row
-    columns.  The ORDER BY columns cross the exchange as what they are —
-    the columns at ``ordinals``: columns of the row, or computed ones
-    beside it — and each reduce partition is ordered by one stable
-    ``argsort``/``lexsort`` when they are all plain numerics, by
-    ``sorted()`` over the flat keys otherwise."""
-
-    def keys_of(batch: ColumnBatch, rows: np.ndarray) -> list[tuple]:
-        return flat_sort_keys(
-            keys,
-            [batch.vector(i).gather(rows).to_python_list() for i in ordinals],
-        )
+    columns (under a LIMIT of ``top``, one partition holding each map
+    task's first ``top`` rows, in order).  The ORDER BY columns cross
+    the exchange as what they are — the columns at ``ordinals``: columns
+    of the row, or computed ones beside it — and a batch is ordered by
+    one stable ``argsort``/``lexsort`` when they are all plain numerics,
+    by ``sorted()`` over the flat keys otherwise."""
 
     def order(batch: ColumnBatch) -> Sequence[int]:
         vectors = [batch.vector(i) for i in ordinals]
         arrays = _ascending_arrays(keys, vectors)
         if arrays is not None:
             if len(arrays) == 1:
-                return np.argsort(arrays[0], kind="stable")
+                return stable_argsort(arrays[0])
             return np.lexsort(arrays[::-1])
         flat = flat_sort_keys(
             keys, [vector.to_python_list() for vector in vectors]
@@ -1201,9 +1197,9 @@ def sort_batches(
 
     ordered = child.sort_batches(
         tuple(ordinals),
-        keys_of,
         lambda bounds: SortPartitioner(bounds, keys),
         order,
+        top=top,
     )
     return _counted(
         ordered,

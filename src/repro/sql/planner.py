@@ -296,13 +296,22 @@ class PhysicalPlanner:
         return _Pipeline(rdd, est=op.est_rows, source=op.est_source)
 
     def _batches(
-        self, node: logical.LogicalPlan, no_prune: bool = False
+        self,
+        node: logical.LogicalPlan,
+        no_prune: bool = False,
+        top: Optional[int] = None,
     ) -> RDD:
-        return self._close(self._lower(node, no_prune))
+        return self._close(self._lower(node, no_prune, top))
 
     def _lower(
-        self, node: logical.LogicalPlan, no_prune: bool = False
+        self,
+        node: logical.LogicalPlan,
+        no_prune: bool = False,
+        top: Optional[int] = None,
     ) -> _Pipeline:
+        """``node``'s dataflow.  ``top``: only the first ``top`` rows
+        will be read (a LIMIT above, through projections), which a sort
+        hands its exchange."""
         if isinstance(node, logical.Values):
             return _Pipeline(
                 physical.values_batches(
@@ -324,7 +333,7 @@ class PhysicalPlanner:
             self._append_filter(child, node.condition)
             return child
         if isinstance(node, logical.Project):
-            child = self._lower(node.child, no_prune=no_prune)
+            child = self._lower(node.child, no_prune, top)
             # (SELECT * and the like: the child's rows are the output.)
             if not _is_identity(node):
                 self._append_project(child, node.expressions)
@@ -341,12 +350,12 @@ class PhysicalPlanner:
             op = self._stamp("sort", node)
             return self._over(
                 physical.sort_batches(
-                    child, node.keys, ordinals, width, op=op
+                    child, node.keys, ordinals, width, op=op, top=top
                 ),
                 op,
             )
         if isinstance(node, logical.Limit):
-            child = self._batches(node.child)
+            child = self._batches(node.child, top=node.count)
             op = self._stamp("limit", node)
             return self._over(
                 physical.limit_batches(child, node.count, op=op), op

@@ -23,7 +23,14 @@ per-record definition it replaced:
     are stored: the same statement over compressed (dictionary-coded)
     and plain tables stores the same rows in the same buckets weighing
     the same bytes, and a reduce side reads exactly the bytes the map
-    side wrote.
+    side wrote;
+(e) the sort exchange reads its input once — its map side is the
+    sample: every bucket of every stored run holds exactly the rows the
+    separate sampling jobs plus ``SortPartitioner`` used to put there
+    (that sampler lives on in this file as the reference), a run lost
+    after the bounds are picked is cut again as lineage rewrites it,
+    ``ORDER BY … LIMIT k`` keeps k rows a run in one partition, and no
+    sampling job runs at all.
 
 Regenerating the fixture (only ever from the commit *before* a change
 to the exchange)::
@@ -36,15 +43,17 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -68,17 +77,21 @@ from repro.datatypes import (  # noqa: E402
     Schema,
 )
 from repro.engine import shuffle  # noqa: E402
+from repro.engine.dependencies import SortShuffleDependency  # noqa: E402
 from repro.engine.partitioner import (  # noqa: E402
     FunctionPartitioner,
     HashPartitioner,
     RangePartitioner,
+    stable_argsort,
     stable_hash,
     stable_hash_many,
     stable_hash_vector,
 )
 from repro.faults.injector import FaultInjector  # noqa: E402
 from repro.sql.expressions import BoundColumn  # noqa: E402
+from repro.sql.physical import SortPartitioner, flat_sort_keys  # noqa: E402
 
+from tests.oracle import assert_rows_match, iso_rows, sqlite_rows  # noqa: E402
 from tests.sql.test_vectorized_parity import QUERIES, _build  # noqa: E402
 
 SKEW_FIXTURE = Path(__file__).parent / "fixtures" / "shuffle_skew_parent.jsonl"
@@ -469,24 +482,21 @@ def test_capped_sort_spills_and_equals_uncapped(sort_shark, order_by):
     assert capped.engine.memory.clamped_release_bytes == 0
 
 
+#: The values an ORDER BY column of each type is drawn from (and NULL).
+_SORT_POOLS = {
+    INT: [-3, -2, -1, 0, 1, 2, 3],
+    DOUBLE: [-2, -1, 0, 1, 2, 0.5, -0.5, -0.0, 1e300],
+    STRING: ["", "a", "ab", "b", "é"],
+    DATE: [date(1969, 12, 31), date(1999, 1, 1), date(2001, 5, 9)],
+    TIMESTAMP: [
+        datetime(1969, 12, 31, 23, 59, 59, 999999), datetime(1970, 1, 1),
+        datetime(2013, 3, 10, 2, 30),
+    ],
+    BOOLEAN: [False, True],
+}
 _SORT_VALUE = {
-    INT: st.one_of(st.none(), st.integers(-3, 3)),
-    DOUBLE: st.one_of(
-        st.none(), st.integers(-2, 2), st.sampled_from([0.5, -0.5, -0.0, 1e300])
-    ),
-    STRING: st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "é"])),
-    DATE: st.one_of(
-        st.none(),
-        st.sampled_from([date(1969, 12, 31), date(1999, 1, 1), date(2001, 5, 9)]),
-    ),
-    TIMESTAMP: st.one_of(
-        st.none(),
-        st.sampled_from(
-            [datetime(1969, 12, 31, 23, 59, 59, 999999), datetime(1970, 1, 1),
-             datetime(2013, 3, 10, 2, 30)]
-        ),
-    ),
-    BOOLEAN: st.one_of(st.none(), st.booleans()),
+    data_type: st.sampled_from([None, *pool])
+    for data_type, pool in _SORT_POOLS.items()
 }
 
 
@@ -521,6 +531,33 @@ def test_native_keys_order_like_reference_comparator(case):
     assert list(map(repr, got)) == list(map(repr, want))
     # Keys are plain hashable values: usable as range bounds.
     assert hash(RangePartitioner(sorted(set(native))[:3])) is not None
+
+
+_ARRAYS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=300).map(
+        lambda v: np.array(v, dtype=np.int64)
+    ),
+    st.lists(
+        st.sampled_from([-0.0, 0.0, 0.5, -2.0, 1e300, -1e300]), max_size=300
+    ).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.integers(-40, 40), max_size=300).map(
+        lambda v: np.array(v, dtype="datetime64[D]")
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_ARRAYS, runs=st.integers(0, 3))
+def test_stable_argsort_is_numpys_stable_sort(data, runs):
+    """Shuffled data (the unstable sort, ties put back in position
+    order) and data of a few sorted runs (numpy's stable sort) alike."""
+    if runs:
+        data = np.concatenate(
+            [np.sort(part, kind="stable") for part in np.array_split(data, runs)]
+        )
+    assert stable_argsort(data).tolist() == np.argsort(
+        data, kind="stable"
+    ).tolist()
 
 
 def _range_partitioner_of(rdd) -> RangePartitioner:
@@ -585,16 +622,19 @@ _EXCHANGE_BYTES = {
     ("q0009", 1): 329,  # 796
     ("q0010", 0): 413,  # 737
     ("q0010", 1): 1698,  # 4824 (1645 until its DATE key re-hashed)
-    ("q0010", 2): 1220,  # 5481
+    ("q0010", 2): 149,  # 5481; 1220 until its LIMIT kept 10 rows a run
     ("q0011", 0): 60,  # 120
 }
 
 #: ... and bucket by bucket for the two ORDER BY exchanges (Q1's, Q3's),
 #: which no longer ship a sort key beside the row.  An empty bucket is
-#: 0 bytes.
+#: 0 bytes.  Q3's sits under a LIMIT 10: one partition of each map
+#: task's first 10 rows (its fixture record was re-pinned once, on
+#: purpose, from 8 buckets of 82 rows, weighing
+#: [163, 149, 149, 149, 149, 149, 149, 163]).
 _SORT_EXCHANGE_BYTES = {
     ("q0009", 1): [101, 57, 57, 57, 57, 0],
-    ("q0010", 2): [163, 149, 149, 149, 149, 149, 149, 163],
+    ("q0010", 2): [149],
 }
 
 #: Rows per bucket of the two exchanges keyed by a DATE (the 2 500-group
@@ -712,14 +752,16 @@ def test_no_key_is_labelled_unless_skew_is_asked_for(monkeypatch, tmp_path):
 
 
 _WRITE_MAP_OUTPUT = shuffle.ShuffleManager.write_map_output
+_CUT_RUNS = shuffle.ShuffleManager.cut_runs
 _FETCH = shuffle.ShuffleManager.fetch
 
 
 def _stored_exchanges(compress: bool, monkeypatch) -> dict:
-    """Every exchange of the TPC-H + Pavlo set as it was stored and read:
-    ``stored[(query, exchange ordinal, map partition)]`` is one
-    ``(rows, bytes)`` per bucket, ``fetches[(query, exchange ordinal)]``
-    how often each bucket was fetched, ``counters[query]`` the query's
+    """Every exchange of the TPC-H + Pavlo set as it was stored (a sort's
+    runs as they were cut) and read: ``stored[(query, exchange ordinal,
+    map partition)]`` is one ``(rows, bytes)`` per bucket,
+    ``fetches[(query, exchange ordinal)]`` how often each bucket was
+    fetched, ``counters[query]`` the query's
     ``shuffle.{write,read}.bytes``."""
     shark = _build(compress, 4)
     stored: dict = {}
@@ -730,11 +772,17 @@ def _stored_exchanges(compress: bool, monkeypatch) -> dict:
 
     def recording(self, dep, map_partition, worker_id, batch, metrics=None):
         _WRITE_MAP_OUTPUT(self, dep, map_partition, worker_id, batch, metrics)
+        record(self, dep, map_partition)
+
+    def cutting(self, dep):
+        _CUT_RUNS(self, dep)
+        for map_partition in range(self.stats(dep.shuffle_id).num_maps):
+            record(self, dep, map_partition)
+
+    def record(self, dep, map_partition):
         if dep.shuffle_id not in seen:
             seen.append(dep.shuffle_id)
-        block = self._cluster.worker(worker_id).blocks.get(
-            f"shuffle_{dep.shuffle_id}_{map_partition}"
-        )
+        block = self._stored_block(dep.shuffle_id, map_partition)
         rows = block.batch.materialize_rows()
         stored[(current[0], seen.index(dep.shuffle_id), map_partition)] = [
             (list(map(repr, rows[start:stop])), size)
@@ -754,6 +802,7 @@ def _stored_exchanges(compress: bool, monkeypatch) -> dict:
         return fetched
 
     monkeypatch.setattr(shuffle.ShuffleManager, "write_map_output", recording)
+    monkeypatch.setattr(shuffle.ShuffleManager, "cut_runs", cutting)
     monkeypatch.setattr(shuffle.ShuffleManager, "fetch", counting)
     for name in sorted(QUERIES):
         current[0] = name
@@ -795,8 +844,8 @@ def test_both_modes_ship_identical_buckets(monkeypatch):
 def test_reduce_side_reads_the_bytes_the_map_side_wrote(monkeypatch):
     """A fetch is charged the recorded sizes of its buckets, so the read
     bytes of a query sum to the written bytes of each of its exchanges
-    times the exchange's consumers (one, but for what an ORDER BY's two
-    sampling jobs read again beneath it)."""
+    times the exchange's consumers (one: an ORDER BY reads its input
+    once, its own map output being the sample)."""
     observed = _stored_exchanges(True, monkeypatch)
     written: Counter = Counter()
     for (name, exchange, __), buckets in observed["stored"].items():
@@ -812,6 +861,256 @@ def test_reduce_side_reads_the_bytes_the_map_side_wrote(monkeypatch):
         )
         assert read_bytes == expected_reads[name], name
     assert sum(1 for size in written.values() if size) >= 10
+
+
+# ---------------------------------------------------------------------------
+# (e) the sort exchange: its map side is the sample
+# ---------------------------------------------------------------------------
+
+
+def _reference_sort_buckets(
+    arrived: dict, keys: list, key: tuple, target: int
+) -> tuple[dict, int, bool]:
+    """The sampler ``RDD.sort_batches`` ran as two jobs of its own before
+    its map stage, kept as the reference: the bucket ``SortPartitioner``
+    puts every row of every map partition (``arrived[split]``, in the
+    order the map task received them) into, under the bounds picked
+    from a seeded 10 % sample — or, when that holds fewer than
+    ``max(20 × target, 100)`` keys, from every key.  Also says which."""
+
+    def flat(rows: list) -> list:
+        return flat_sort_keys(keys, [[row[i] for row in rows] for i in key])
+
+    sample = []
+    for split in sorted(arrived):
+        rng = random.Random(29 * 1_000_003 + split)
+        sample.extend(
+            flat([row for row in arrived[split] if rng.random() < 0.1])
+        )
+    sampled = len(sample) >= max(20 * target, 100)
+    if not sampled:
+        sample = [k for split in sorted(arrived) for k in flat(arrived[split])]
+    bounds = []
+    if target > 1:
+        ordered = sorted(sample)
+        step = max(1, len(ordered) // target)
+        bounds = ordered[step::step][: target - 1]
+    partitioner = SortPartitioner(bounds, keys)
+    placed = {
+        split: partitioner.partition_many(flat(rows))
+        for split, rows in arrived.items()
+    }
+    return placed, partitioner.num_partitions, sampled
+
+
+def _sort_exchange(shark: SharkContext, text: str):
+    """Run ``text``.  Returns its rows, and of its sort exchange what each
+    map task was handed (rows in arrival order), each stored run's
+    buckets as the reduce side reads them, and the dependency."""
+    arrived: dict = {}
+    buckets: dict = {}
+    deps: list = []
+
+    def writing(self, dep, map_partition, worker_id, batch, metrics=None):
+        if isinstance(dep, SortShuffleDependency):
+            deps.append(dep)
+            arrived[map_partition] = batch.materialize_rows()
+        _WRITE_MAP_OUTPUT(self, dep, map_partition, worker_id, batch, metrics)
+
+    def fetching(self, shuffle_id, reduce_partitions, metrics=None):
+        if deps and shuffle_id == deps[0].shuffle_id and not buckets:
+            for split in range(self.stats(shuffle_id).num_maps):
+                block = self._stored_block(shuffle_id, split)
+                rows = block.batch.materialize_rows()
+                buckets[split] = [
+                    rows[start:stop]
+                    for start, stop in zip(block.offsets, block.offsets[1:])
+                ]
+        return _FETCH(self, shuffle_id, reduce_partitions, metrics)
+
+    with mock.patch.object(
+        shuffle.ShuffleManager, "write_map_output", writing
+    ), mock.patch.object(shuffle.ShuffleManager, "fetch", fetching):
+        rows = shark.sql(text).rows
+    return rows, arrived, buckets, deps[0] if deps else None
+
+
+@st.composite
+def _exchange_cases(draw):
+    """An ORDER BY over 1-3 columns of drawn types and directions, rows
+    with NULLs (or none) and ties, in 1-4 partitions, sorted into 1-4
+    ranges: a handful of rows (bounds from every key) or a thousand and
+    more (bounds from the sample)."""
+    types, ascendings, rows = draw(_sort_cases())
+    null_free = draw(st.booleans())
+    if null_free:
+        rows = [row for row in rows if None not in row]
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        pools = [
+            _SORT_POOLS[data_type] + ([] if null_free else [None])
+            for data_type in types
+        ]
+        rows = [
+            tuple(map(rng.choice, pools))
+            for __ in range(draw(st.integers(1000, 1600)))
+        ]
+    assume(rows)
+    return (
+        types, ascendings, rows,
+        draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_exchange_cases())
+def test_sort_buckets_hold_what_the_sampler_placed_there(case):
+    types, ascendings, rows, partitions, target, cached = case
+    shark = SharkContext(num_workers=2, default_parallelism=target)
+    shark.create_table(
+        "t",
+        Schema([Field(f"c{i}", t) for i, t in enumerate(types)]),
+        cached=cached,
+    )
+    shark.load_rows("t", rows, num_partitions=partitions)
+    order_by = ", ".join(
+        f"c{i}" + ("" if ascending else " DESC")
+        for i, ascending in enumerate(ascendings)
+    )
+    got, arrived, buckets, dep = _sort_exchange(
+        shark, f"SELECT * FROM t ORDER BY {order_by}"
+    )
+    keys = [
+        (BoundColumn(i, data_type, f"c{i}"), ascending)
+        for i, (data_type, ascending) in enumerate(zip(types, ascendings))
+    ]
+    assert dep.key == tuple(range(len(types)))
+    placed, num_buckets, sampled = _reference_sort_buckets(
+        arrived, keys, dep.key, target
+    )
+    event(f"{num_buckets} buckets, bounds from the {'sample' if sampled else 'keys'}")
+    assert sorted(buckets) == sorted(arrived)
+    ordinals = list(range(len(types)))
+    for split, received in arrived.items():
+        want = [[] for __ in range(num_buckets)]
+        for row, bucket in zip(received, placed[split]):
+            want[bucket].append(row)
+        # The same rows in every bucket, each slice of the run in order.
+        assert [list(map(repr, bucket)) for bucket in buckets[split]] == [
+            list(map(repr, _reference_sort(rows, ordinals, ascendings)))
+            for rows in want
+        ], split
+    scanned = [row for split in sorted(arrived) for row in arrived[split]]
+    assert list(map(repr, got)) == list(
+        map(repr, _reference_sort(scanned, ordinals, ascendings))
+    )
+
+
+@pytest.mark.parametrize("order_by", ["a", "s DESC, a DESC", "ts DESC, e DESC, a"])
+def test_run_lost_after_the_bounds_is_cut_again_by_lineage(
+    sort_shark, order_by
+):
+    """The worker holding map 0's run dies right after the runs are cut:
+    lineage re-runs what it held, each rewritten run is cut as it is
+    stored, and the rows do not move."""
+    text = f"SELECT * FROM t ORDER BY {order_by}"
+    want = sort_shark.sql(text).rows
+    shark = _sort_shark()
+    killed: list = []
+    rewrites: list = []
+
+    def cutting(self, dep):
+        _CUT_RUNS(self, dep)
+        killed.append(self._locations[dep.shuffle_id][0])
+        self._cluster.kill_worker(killed[-1])
+
+    def writing(self, dep, map_partition, worker_id, batch, metrics=None):
+        if killed and isinstance(dep, SortShuffleDependency):
+            rewrites.append((map_partition, dep.resolved))
+        _WRITE_MAP_OUTPUT(self, dep, map_partition, worker_id, batch, metrics)
+
+    with mock.patch.object(
+        shuffle.ShuffleManager, "cut_runs", cutting
+    ), mock.patch.object(shuffle.ShuffleManager, "write_map_output", writing):
+        got = shark.sql(text).rows
+    assert killed and (0, True) in rewrites
+    assert all(resolved for __, resolved in rewrites)
+    assert list(map(repr, got)) == list(map(repr, want))
+    memory = shark.engine.memory
+    assert memory.live_bytes("execution") == 0
+    assert memory.clamped_release_bytes == 0
+
+
+_TOP_K_COLUMNS = ["id", "a", "s", "f", "d", "b"]
+
+#: (ORDER BY, k): ties at the k-th key (``a`` has 11 values over 700
+#: rows), NULLs first (ascending) and last (descending), DESC strings,
+#: k past the row count, LIMIT 0.
+_TOP_K = [
+    ("a", 100),
+    ("a", 1),
+    ("a DESC", 650),
+    ("s DESC, a", 37),
+    ("d DESC, b", 5),
+    ("f DESC", 700),
+    ("b DESC, s DESC, d", 1000),
+    ("a", 0),
+]
+
+
+@pytest.mark.parametrize("order_by,k", _TOP_K, ids=[f"{o}-{k}" for o, k in _TOP_K])
+def test_top_k_is_the_first_k_rows_of_the_full_sort(sort_shark, order_by, k):
+    select = f"SELECT {', '.join(_TOP_K_COLUMNS)} FROM t ORDER BY {order_by}"
+    full = sort_shark.sql(select).rows
+    written = sort_shark.metrics.value("shuffle.write.records")
+    got = sort_shark.sql(f"{select} LIMIT {k}").rows
+    assert list(map(repr, got)) == list(map(repr, full[:k]))
+    # One range, to which each map task ships its first k rows.
+    written = sort_shark.metrics.value("shuffle.write.records") - written
+    scanned = sort_shark.engine.run_job(
+        sort_shark.sql2rdd("SELECT id FROM t").rdd, len
+    )
+    assert len(scanned) == 4
+    assert written == sum(min(k, rows) for rows in scanned)
+    partitioner = _range_partitioner_of(
+        sort_shark.sql2rdd(f"{select} LIMIT {k}").rdd
+    )
+    assert partitioner.num_partitions == 1
+    # sqlite keeps other rows among the ties at the k-th key, with the
+    # same keys in the same places; with ``id`` breaking ties, the same
+    # rows.
+    tables = {"t": (_TOP_K_COLUMNS, [row[:6] for row in _sort_rows()])}
+    positions = [
+        _TOP_K_COLUMNS.index(term.split()[0]) for term in order_by.split(",")
+    ]
+    assert [[row[i] for i in positions] for row in iso_rows(got)] == [
+        [row[i] for i in positions]
+        for row in sqlite_rows(f"{select} LIMIT {k}", tables)
+    ]
+    assert_rows_match(
+        sort_shark.sql(f"{select}, id LIMIT {k}").rows,
+        sqlite_rows(f"{select}, id LIMIT {k}", tables),
+        ordered=True,
+    )
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q3", "ORDER_BY"])
+def test_an_order_by_computes_its_child_once(name):
+    """No sampling job reads the sort's input before its map stage does:
+    no ``sample`` or ``map`` stage, and no stage runs twice."""
+    from benchmarks.perf import queries
+
+    shark = _build(True, 4)
+    shark.engine.reset_profiles()
+    shark.sql(getattr(queries, name))
+    ran = Counter(
+        (stage.stage_id, stage.name)
+        for profile in shark.engine.profiles
+        for stage in profile.stages
+        if stage.num_tasks
+    )
+    assert ran and set(ran.values()) == {1}
+    assert not {"sample", "map"} & {name for __, name in ran}
 
 
 if __name__ == "__main__":

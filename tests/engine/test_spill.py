@@ -13,6 +13,8 @@ Covers the enforcement path PR'd on top of the observe-only accountant:
   partition that actually exists (satellite bugfix).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.worker import BlockStore
@@ -153,28 +155,55 @@ class TestExternalSorter:
         assert sorter.spill(100) == (0, 0, 0)
 
     @pytest.mark.parametrize("chunks", [[200], [1] * 200, [1, 100, 99], [63, 2, 135]])
-    def test_charge_points_ignore_batch_boundaries(self, chunks, monkeypatch):
-        """The ledger is charged at every 64th row however the rows
-        are batched (a charge is where a spill can fire)."""
+    def test_one_charge_per_arriving_batch(self, chunks, monkeypatch):
+        """The ledger is charged once per batch, as it arrives (a charge
+        is where a spill can fire, and it sheds the arriving batch too);
+        wherever the spill lands — at the first, a middle or the last
+        charge, or nowhere — the result is one stable sort of every row
+        added and the ledger holds exactly what stays in memory."""
+        for forced in (None, 0, len(chunks) // 2, len(chunks) - 1):
+            self._charge_and_merge(chunks, forced, monkeypatch)
+
+    @staticmethod
+    def _charge_and_merge(chunks, forced, monkeypatch):
         charges = []
+        ledger = [0]
 
         class StubTask:
             def register_spillable(self, consumer):
                 pass
 
             def reserve_memory(self, owner, nbytes):
-                charges.append(sum(map(len, sorter._buffer)))
+                charges.append(nbytes)
+                if len(charges) - 1 == forced:
+                    sorter.spill(nbytes)
+                ledger[0] += nbytes
+
+            def release_memory(self, owner, nbytes):
+                ledger[0] -= nbytes
+                return nbytes
+
+            metrics = SimpleNamespace(spill_bytes_read=0)
 
         monkeypatch.setattr(
             "repro.engine.spill.current_task_context", lambda: StubTask()
         )
+        monkeypatch.setattr(
+            "repro.engine.spill.record_run_written", lambda owner, n: None
+        )
         sorter = ExternalSorter(_by_first_column())
-        items = iter(range(200))
+        items = [(i % 7, f"item{i}") for i in range(200)]
+        start = 0
         for size in chunks:
-            sorter.extend(
-                ColumnBatch.from_columns([[next(items) for __ in range(size)]])
-            )
-        assert charges == [64, 128, 192]
+            sorter.extend(_batch(items[start : start + size]))
+            start += size
+        row_bytes = charges[0] // chunks[0]
+        assert charges == [size * row_bytes for size in chunks]
+        kept = chunks if forced is None else chunks[forced + 1 :]
+        assert ledger[0] == sum(kept) * row_bytes
+        assert sorter.finish().materialize_rows() == sorted(
+            items, key=lambda p: p[0]
+        )
 
 
 class TestSpillAccounting:

@@ -28,7 +28,7 @@ from datetime import date, timedelta
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import SharkContext
@@ -300,12 +300,14 @@ def _shark(
     ``copartitioned``, the tables they are distributed from) external
     text files, read as rows and batched above the scan."""
     config = PlannerConfig(
-        # A threshold of nothing: every keyed join shuffles ...
-        broadcast_threshold_bytes=(
-            0 if strategy in ("shuffle", "pde") else 4 * 1024 * 1024
+        # A threshold below nothing: every keyed join shuffles — an empty
+        # external table weighs 0 bytes, a cached one its block headers,
+        # and a threshold of 0 would broadcast the first only ...
+        broadcast_threshold_bytes={"shuffle": -1, "pde": 0}.get(
+            strategy, 4 * 1024 * 1024
         ),
-        # ... after PDE pre-shuffled a side to find that out, when no
-        # static estimate says so first.
+        # ... and PDE pre-shuffles a side to find out what to do, when no
+        # static estimate says so first (an empty side: broadcast it).
         enable_static_join_estimates=strategy != "pde",
     )
     shark = SharkContext(num_workers=2, config=config)
@@ -390,25 +392,41 @@ _TABLE_ROWS = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(a_rows=_TABLE_ROWS, b_rows=_TABLE_ROWS, data=st.data())
-def test_joins_equal_sqlite(a_rows, b_rows, data):
+@given(
+    a_rows=_TABLE_ROWS,
+    b_rows=_TABLE_ROWS,
+    syntax=st.sampled_from(sorted(_ORACLE_SQL)),
+    strategy=st.sampled_from(["broadcast", "shuffle"]),
+    residual=st.sampled_from(["", " AND a.v <= b.v"]),
+)
+# An empty external side weighed 0 bytes and was broadcast under the
+# shuffle strategy's threshold of 0, where the cached one was shuffled.
+@example(
+    a_rows=[], b_rows=[(1, "x"), (None, "x")],
+    syntax="RIGHT JOIN", strategy="shuffle", residual="",
+)
+def test_joins_equal_sqlite(a_rows, b_rows, syntax, strategy, residual):
     """Random sides (empty ones, duplicate and NULL keys) through every
-    strategy and source, with and without a residual, as sqlite answers."""
-    syntax = data.draw(st.sampled_from(sorted(_ORACLE_SQL)))
-    strategy = data.draw(st.sampled_from(["broadcast", "shuffle"]))
-    residual = data.draw(st.sampled_from(["", " AND a.v <= b.v"]))
+    strategy and source, with and without a residual, as sqlite answers.
+
+    The contract on order: a join's output order is a function of its
+    plan and its input's order, so two sources holding the same rows in
+    the same partitions and planned alike return the same list."""
     if syntax == "FULL JOIN":
         residual = ""  # the emulation above has no slot for one
     want = _oracle(
         _ORACLE_SQL[syntax].replace(_ON, _ON + residual), a_rows, b_rows
     )
     ordered = []
+    plans = []
     for cached in (True, False):
         shark = _shark(strategy, a_rows, b_rows, cached=cached)
-        rows = shark.sql(_SELECT + f"a {syntax} b" + _ON + residual).rows
-        assert Counter(rows) == want, (strategy, cached)
-        ordered.append(rows)
-    # The two sources agree on the order too, not only on the rows.
+        result = shark.sql(_SELECT + f"a {syntax} b" + _ON + residual)
+        assert Counter(result.rows) == want, (strategy, cached)
+        ordered.append(result.rows)
+        plans.append([d.strategy for d in result.report.join_decisions])
+    # The two sources plan alike and agree on the order too.
+    assert plans[0] == plans[1]
     assert ordered[0] == ordered[1]
 
 
