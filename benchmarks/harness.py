@@ -134,19 +134,9 @@ def make_shark(
 
 
 def make_hive(shark: SharkContext, num_reducers: int = 8) -> HiveExecutor:
-    """A Hive executor over the same catalog/data as ``shark``."""
-
-    def table_rows(entry):
-        rdd = shark.session._scan_rdd(entry)
-        return shark.engine.run_job(rdd, list)
-
-    return HiveExecutor(
-        shark.session.catalog,
-        shark.store,
-        shark.session.registry,
-        num_reducers=num_reducers,
-        table_rows=table_rows,
-    )
+    """A Hive executor over the same catalog, data and engine as
+    ``shark``."""
+    return HiveExecutor(shark.session, num_reducers=num_reducers)
 
 
 def shark_cluster_seconds(

@@ -1,25 +1,21 @@
 """Comparator systems the paper evaluates Shark against.
 
-* :mod:`repro.baselines.mapreduce` — a faithful-shape MapReduce engine:
-  rigid map/sort-shuffle/reduce topology, map output "written to disk",
-  intermediate job output materialized to the replicated store.  Used
-  directly by the Hadoop ML baselines (Figures 11-12).
-* :mod:`repro.baselines.hive` — Hive: the same SQL front end (Shark reuses
-  Hive's compiler in the paper, we reuse ours), but lowered to *chains of
-  MapReduce jobs* instead of RDD transformations.  Produces identical rows
-  to Shark — which the differential tests exploit — with Hadoop's cost
-  profile.
+* :mod:`repro.baselines.hive` — Hive as a *lowering policy* over the one
+  engine: the same SQL front end and operators (Shark reuses Hive's
+  compiler in the paper, we reuse ours), cut into chains of MapReduce
+  jobs — one per blocking operator, nothing pipelined across jobs, every
+  intermediate written to the file store and read back.  Rows equal
+  Shark's; :class:`~repro.baselines.mapreduce.JobStats` carry Hadoop's
+  cost profile.
+* :mod:`repro.baselines.hadoop_ml` — the Hadoop ML jobs of Figures
+  11-12: every iteration re-reads and decodes its input file.
 * :mod:`repro.baselines.mpp` — the MPP-database execution model:
   pipelined, no per-task overhead, single-coordinator final aggregation,
   and *coarse-grained recovery*: any worker failure aborts and restarts
   the whole query.
 """
 
-from repro.baselines.mapreduce import (
-    JobStats,
-    MapReduceEngine,
-    MapReduceRun,
-)
+from repro.baselines.mapreduce import JobStats
 from repro.baselines.hive import HiveExecutor, HiveQueryRun
 from repro.baselines.mpp import MppExecutor, MppQueryRun
 from repro.baselines.hadoop_ml import (
@@ -30,8 +26,6 @@ from repro.baselines.hadoop_ml import (
 
 __all__ = [
     "JobStats",
-    "MapReduceEngine",
-    "MapReduceRun",
     "HiveExecutor",
     "HiveQueryRun",
     "MppExecutor",

@@ -3,25 +3,27 @@
 "In the case of Hive and Hadoop, every iteration took the reported time
 because data was loaded from HDFS for every iteration."  These trainers do
 exactly that: each iteration re-reads the stored file, decodes every
-record (text or binary serde — the two bars in the figures), runs a
-map/combine/reduce gradient or assignment job, and updates the model on
-the driver.  Numeric results match the Shark trainers; only the data-path
+record (text or binary serde — the two bars in the figures), folds each
+block's records into one partial per key as a map task with a combiner
+would, merges the partials on the driver as the one reducer, and updates
+the model.  Numeric results match the Shark trainers; only the data-path
 costs differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.baselines.mapreduce import JobStats, MapReduceEngine
+from repro.baselines.mapreduce import JobStats, serialized_size_bytes
 from repro.columnar.serde import BinarySerde, TextSerde
 from repro.datatypes import Schema
 from repro.errors import MLError
 from repro.ml.kmeans import KMeansModel, _closest
-from repro.ml.logistic import LogisticRegressionModel
+from repro.ml.logistic import LogisticRegressionModel, gradient_factor
 from repro.storage import DistributedFileStore
 
 
@@ -51,7 +53,6 @@ class _HadoopIterativeBase:
         path: str,
         schema: Schema,
         format: str = "text",
-        num_reducers: int = 1,
     ):
         if format not in ("text", "binary"):
             raise MLError(f"unknown format {format!r}")
@@ -59,7 +60,6 @@ class _HadoopIterativeBase:
         self.path = path
         self.schema = schema
         self.format = format
-        self.engine = MapReduceEngine(num_reducers=num_reducers)
 
     def _decode_blocks(self) -> tuple[list[list[tuple]], int]:
         """Read and deserialize every block; returns (blocks, total bytes).
@@ -79,6 +79,39 @@ class _HadoopIterativeBase:
             total_bytes += len(payload)
             blocks.append(serde.decode(payload))
         return blocks, total_bytes
+
+    def _job(self, name: str, emit: Callable, merge: Callable, keyed=True):
+        """One iteration's job over freshly decoded input: a map task
+        folds its block's ``emit(row)`` = ``(key, value)`` pairs per key
+        with ``merge`` (the combiner) and ships them sorted by key; the
+        one reducer folds each key's partials in block order and emits
+        ``(key, total)`` — or, not ``keyed``, the totals alone."""
+        blocks, input_bytes = self._decode_blocks()
+        job = JobStats(
+            name, map_tasks=len(blocks), reduce_tasks=1,
+            input_records=sum(map(len, blocks)), input_bytes=input_bytes,
+            used_combiner=True,
+        )
+
+        def fold(into: dict, key, value) -> None:
+            into[key] = merge(into[key], value) if key in into else value
+
+        totals: dict = {}
+        for block in blocks:
+            partials: dict = {}
+            for key, value in map(emit, block):
+                fold(partials, key, value)
+            output = sorted(partials.items(), key=itemgetter(0))
+            job.map_output_records += len(output)
+            job.shuffle_bytes += serialized_size_bytes(output)
+            for key, value in output:
+                fold(totals, key, value)
+        output = sorted(totals.items(), key=itemgetter(0))
+        if not keyed:
+            output = [total for __, total in output]
+        job.output_records = len(output)
+        job.output_bytes = serialized_size_bytes(output)
+        return output, job
 
 
 class HadoopLogisticRegression(_HadoopIterativeBase):
@@ -111,34 +144,17 @@ class HadoopLogisticRegression(_HadoopIterativeBase):
         trace = IterationTrace()
 
         for iteration in range(iterations):
-            blocks, input_bytes = self._decode_blocks()
 
-            def mapper(row: tuple, w=weights):
-                from repro.ml.logistic import gradient_factor
-
-                y = float(row[0])
+            def emit(row: tuple, w=weights) -> tuple:
                 x = np.asarray(row[1:], dtype=np.float64)
-                factor = gradient_factor(y, float(np.dot(w, x)))
-                return [("gradient", factor * x)]
+                factor = gradient_factor(float(row[0]), float(np.dot(w, x)))
+                return "gradient", factor * x
 
-            def combiner(key, gradients: list):
-                return [(key, sum(gradients[1:], gradients[0]))]
-
-            def reducer(key, gradients: list):
-                return [sum(gradients[1:], gradients[0])]
-
-            run = self.engine.run_job(
-                blocks,
-                mapper=mapper,
-                reducer=reducer,
-                combiner=combiner,
-                num_reducers=1,
-                name=f"logreg_iter_{iteration}",
+            (gradient,), job = self._job(
+                f"logreg_iter_{iteration}", emit, np.add, keyed=False
             )
-            run.jobs[0].input_bytes = input_bytes  # serialized, not in-heap
-            gradient = run.rows[0]
             weights = weights - learning_rate * gradient
-            trace.jobs.extend(run.jobs)
+            trace.jobs.append(job)
 
         model = LogisticRegressionModel(
             weights=weights, iterations_run=iterations
@@ -170,44 +186,24 @@ class HadoopKMeans(_HadoopIterativeBase):
         inertia = float("inf")
 
         for iteration in range(iterations):
-            blocks, input_bytes = self._decode_blocks()
 
-            def mapper(row: tuple, c=centers):
+            def emit(row: tuple, c=centers) -> tuple:
                 point = np.asarray(row, dtype=np.float64)
                 index, distance = _closest(c, point)
-                return [(index, (point, 1, distance))]
+                return index, (point, 1, distance)
 
-            def combiner(key, parts: list):
-                total = parts[0]
-                for part in parts[1:]:
-                    total = (
-                        total[0] + part[0],
-                        total[1] + part[1],
-                        total[2] + part[2],
-                    )
-                return [(key, total)]
+            def merge(total: tuple, part: tuple) -> tuple:
+                return tuple(a + b for a, b in zip(total, part))
 
-            def reducer(key, parts: list):
-                (__, total), = combiner(key, parts)
-                return [(key, total)]
-
-            run = self.engine.run_job(
-                blocks,
-                mapper=mapper,
-                reducer=reducer,
-                combiner=combiner,
-                num_reducers=1,
-                name=f"kmeans_iter_{iteration}",
-            )
-            run.jobs[0].input_bytes = input_bytes
-            totals = dict(run.rows)
+            pairs, job = self._job(f"kmeans_iter_{iteration}", emit, merge)
+            totals = dict(pairs)
             inertia = sum(entry[2] for entry in totals.values())
             new_centers = centers.copy()
             for index, (vector_sum, count, __) in totals.items():
                 if count > 0:
                     new_centers[index] = vector_sum / count
             centers = new_centers
-            trace.jobs.extend(run.jobs)
+            trace.jobs.append(job)
 
         model = KMeansModel(
             centers=centers, iterations_run=iterations, inertia=float(inertia)

@@ -1174,10 +1174,12 @@ def sort_batches(
     *,
     op: OperatorStamp,
     top: Optional[int] = None,
+    num_partitions: Optional[int] = None,
 ) -> RDD:
-    """ORDER BY over batches; yields batches of the ``width`` row
-    columns (under a LIMIT of ``top``, one partition holding each map
-    task's first ``top`` rows, in order).  The ORDER BY columns cross
+    """ORDER BY over batches into ``num_partitions`` ranges (None: one
+    per core); yields batches of the ``width`` row columns (under a
+    LIMIT of ``top``, one partition holding each map task's first
+    ``top`` rows, in order).  The ORDER BY columns cross
     the exchange as what they are — the columns at ``ordinals``: columns
     of the row, or computed ones beside it — and a batch is ordered by
     one stable ``argsort``/``lexsort`` when they are all plain numerics,
@@ -1199,6 +1201,7 @@ def sort_batches(
         tuple(ordinals),
         lambda bounds: SortPartitioner(bounds, keys),
         order,
+        num_partitions=num_partitions,
         top=top,
     )
     return _counted(

@@ -43,16 +43,7 @@ def systems():
         "products", [(f"p{i}", ["a", "b"][i % 2]) for i in range(12)]
     )
 
-    def table_rows(entry):
-        rdd = shark.session._scan_rdd(entry)
-        return shark.engine.run_job(rdd, list)
-
-    hive = HiveExecutor(
-        shark.session.catalog,
-        shark.store,
-        shark.session.registry,
-        table_rows=table_rows,
-    )
+    hive = HiveExecutor(shark.session)
     return shark, hive
 
 

@@ -53,14 +53,7 @@ def executed():
     # resembles cluster reality; tiny samples overstate shuffle volume.
     shark.load_rows("t", [(f"k{i % 50}", i) for i in range(20000)])
 
-    def table_rows(entry):
-        rdd = shark.session._scan_rdd(entry)
-        return shark.engine.run_job(rdd, list)
-
-    hive = HiveExecutor(
-        shark.session.catalog, shark.store, shark.session.registry,
-        table_rows=table_rows,
-    )
+    hive = HiveExecutor(shark.session)
     return shark, hive
 
 

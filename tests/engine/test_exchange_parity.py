@@ -515,11 +515,18 @@ def _sort_cases(draw):
     return types, ascendings, rows
 
 
+def row_sort_keys(
+    keys: list[tuple[BoundColumn, bool]], rows: list
+) -> list[tuple]:
+    """:func:`~repro.sql.physical.flat_sort_keys` of a partition of rows."""
+    return flat_sort_keys(
+        keys, [[expr.eval(row) for row in rows] for expr, __ in keys]
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_sort_cases())
 def test_native_keys_order_like_reference_comparator(case):
-    from repro.baselines.hive import row_sort_keys
-
     types, ascendings, rows = case
     keys = [
         (BoundColumn(index, data_type, f"c{index}"), ascending)

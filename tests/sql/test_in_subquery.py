@@ -121,14 +121,7 @@ class TestRestrictions:
 
 class TestIntegration:
     def test_matches_hive_baseline(self, shark):
-        def table_rows(entry):
-            rdd = shark.session._scan_rdd(entry)
-            return shark.engine.run_job(rdd, list)
-
-        hive = HiveExecutor(
-            shark.session.catalog, shark.store, shark.session.registry,
-            table_rows=table_rows,
-        )
+        hive = HiveExecutor(shark.session)
         query = (
             "SELECT cust, COUNT(*) FROM orders "
             "WHERE cust IN (SELECT cust FROM vip) GROUP BY cust"

@@ -111,14 +111,7 @@ class TestJoinsMatchHiveBaseline:
 
         shark, __, ___, ____, _____ = warehouse
 
-        def table_rows(entry):
-            rdd = shark.session._scan_rdd(entry)
-            return shark.engine.run_job(rdd, list)
-
-        hive = HiveExecutor(
-            shark.session.catalog, shark.store, shark.session.registry,
-            table_rows=table_rows,
-        )
+        hive = HiveExecutor(shark.session)
         query = (
             "SELECT c.C_MKTSEGMENT, COUNT(*) FROM lineitem l "
             "JOIN orders o ON l.L_ORDERKEY = o.O_ORDERKEY "

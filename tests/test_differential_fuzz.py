@@ -1,19 +1,23 @@
 """Differential fuzzing: Shark vs the Hive baseline vs sqlite.
 
-Shark and the Hive baseline share a front end but execute through
-completely different machinery (RDD dataflow with PDE/broadcast/pruning
-vs MapReduce job chains).  Both share the scalar rules of
-``BoundExpr.apply`` too, so a bug there shows in neither comparison with
-the other: every generated query is also held to stdlib ``sqlite3``
-(``tests/oracle.py``), which shares no code with either.  The table has
-a NULL in every column, and the grammar reaches the rules the two engines
-once shared wrongly: ``%`` with negative operands (Hive's truncated
-remainder, not Python's floored one) and IN lists holding a NULL (no
-match is NULL, not FALSE — under NOT too).
+Shark and the Hive baseline share a front end and the batch operators
+but differ in plan shape: Shark plans one dataflow with PDE, broadcast
+joins and map pruning; Hive cuts it into MapReduce jobs, shuffles every
+join and writes every intermediate to the file store as text.  The
+grammar reaches every cut Hive makes — GROUP BY / HAVING, joins (one
+over a HAVING subquery), DISTINCT, UNION ALL, ORDER BY ... LIMIT and
+IN-subqueries.  Both share the scalar rules of ``BoundExpr.apply`` too,
+so a bug there shows in neither comparison with the other: every
+generated query is also held to stdlib ``sqlite3`` (``tests/oracle.py``),
+which shares no code with either.  The table has a NULL in every column,
+and the grammar reaches the rules the engines once shared wrongly: ``%``
+with negative operands (Hive's truncated remainder, not Python's floored
+one) and IN lists holding a NULL (no match is NULL, not FALSE — under
+NOT too).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import SharkContext
 from repro.baselines import HiveExecutor
@@ -47,14 +51,7 @@ def systems():
     shark.create_table("d", Schema.of(("k", INT), ("label", STRING)))
     shark.load_rows("d", D_ROWS)
 
-    def table_rows(entry):
-        rdd = shark.session._scan_rdd(entry)
-        return shark.engine.run_job(rdd, list)
-
-    hive = HiveExecutor(
-        shark.session.catalog, shark.store, shark.session.registry,
-        table_rows=table_rows,
-    )
+    hive = HiveExecutor(shark.session)
     return shark, hive
 
 
@@ -130,7 +127,7 @@ def where_clauses(draw) -> str:
 @st.composite
 def select_queries(draw) -> str:
     where = draw(where_clauses())
-    shape = draw(st.integers(0, 4))
+    shape = draw(st.integers(0, 9))
     if shape == 0:
         return f"SELECT k, g, x FROM f WHERE {where}"
     if shape == 1:
@@ -147,12 +144,46 @@ def select_queries(draw) -> str:
             f"SELECT k, {draw(remainders())}, {draw(in_lists())} "
             f"FROM f WHERE {where}"
         )
-    # Join shape: qualified filters (k exists on both sides).
-    cutoff = draw(st.integers(-5, 30))
-    group = draw(st.integers(0, 5))
+    if shape == 4:
+        # Join shape: qualified filters (k exists on both sides).
+        cutoff = draw(st.integers(-5, 30))
+        group = draw(st.integers(0, 5))
+        return (
+            f"SELECT f.g, d.label FROM f JOIN d ON f.k = d.k "
+            f"WHERE f.x > {cutoff} OR f.g = 'g{group}'"
+        )
+    if shape == 5:
+        return f"SELECT DISTINCT g, y FROM f WHERE {where}"
+    bound = draw(st.integers(-2, 24))
+    op = draw(comparison_ops)
+    if shape == 6:
+        return (
+            f"SELECT k, g FROM f WHERE {where} "
+            f"UNION ALL SELECT k, label FROM d WHERE k {op} {bound}"
+        )
+    if shape == 7:
+        # Every output column a key: the order is total, so the rows
+        # compare as lists (NULLs first ascending, last descending).
+        keys = draw(st.permutations(["k", "g", "x"]))
+        order = ", ".join(
+            f"{key}{draw(st.sampled_from(['', ' DESC']))}" for key in keys
+        )
+        limit = draw(st.integers(0, 30))
+        return f"SELECT k, g, x FROM f WHERE {where} ORDER BY {order} LIMIT {limit}"
+    if shape == 8:
+        # d.k holds a NULL: kept by some subquery filters, not by others.
+        negated = "NOT " if draw(st.booleans()) else ""
+        sub = draw(st.sampled_from([f"k {op} {bound}", "label <> 'label4'"]))
+        return (
+            f"SELECT k, g FROM f WHERE k {negated}IN "
+            f"(SELECT k FROM d WHERE {sub}) AND ({where})"
+        )
+    # A join over a GROUP BY ... HAVING subquery, through aliases.
     return (
-        f"SELECT f.g, d.label FROM f JOIN d ON f.k = d.k "
-        f"WHERE f.x > {cutoff} OR f.g = 'g{group}'"
+        f"SELECT s.g, s.c, e.label FROM "
+        f"(SELECT g, k, COUNT(*) c FROM f WHERE {where} GROUP BY g, k "
+        f"HAVING COUNT(*) > {draw(st.integers(0, 3))}) s "
+        f"JOIN d e ON s.k = e.k"
     )
 
 
@@ -170,12 +201,35 @@ def _normalize(rows):
 class TestDifferentialFuzz:
     @given(select_queries())
     @settings(max_examples=60, deadline=None)
+    # Each of Hive's cuts once, whatever the draw: NOT IN over a subquery
+    # that keeps d's NULL key (no row survives), a HAVING that empties
+    # a job feeding a join, DISTINCT, and a descending order with NULLs.
+    @example(
+        "SELECT k, g FROM f WHERE k NOT IN "
+        "(SELECT k FROM d WHERE label <> 'label4') AND (y < 18)"
+    )
+    @example(
+        "SELECT s.g, s.c, e.label FROM (SELECT g, k, COUNT(*) c FROM f "
+        "WHERE g IS NULL GROUP BY g, k HAVING COUNT(*) > 3) s "
+        "JOIN d e ON s.k = e.k"
+    )
+    @example("SELECT DISTINCT g, y FROM f WHERE k IN (NULL, 4)")
+    @example(
+        "SELECT k, g, x FROM f WHERE y IS NULL OR k > 20 "
+        "ORDER BY x DESC, g DESC, k LIMIT 12"
+    )
     def test_shark_and_hive_agree(self, systems, query):
         shark, hive = systems
         shark_rows = shark.sql(query).rows
         hive_rows = hive.execute(query).rows
-        assert _normalize(shark_rows) == _normalize(hive_rows), query
-        assert_rows_match(shark_rows, sqlite_rows(query, TABLES), context=query)
+        ordered = "ORDER BY" in query
+        if ordered:
+            assert hive_rows == shark_rows, query
+        else:
+            assert _normalize(shark_rows) == _normalize(hive_rows), query
+        want = sqlite_rows(query, TABLES)
+        for rows in (shark_rows, hive_rows):
+            assert_rows_match(rows, want, ordered, context=query)
 
     @given(where_clauses())
     @settings(max_examples=30, deadline=None)

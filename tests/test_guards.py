@@ -1,0 +1,140 @@
+"""Grep guards: code that a simplification deleted stays deleted.
+
+Each guard names a path the codebase gave up — a second operator family,
+a mode knob, a hook that bypassed the query scope, a row executor — by
+the identifiers it left behind, and fails when one of them reappears
+where it used to live.  One parametrized case per guard; a rule allows
+``at_most`` matching lines (most allow none).
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Rule:
+    pattern: str
+    paths: tuple[str, ...] = ("src",)
+    #: Path fragment whose files the rule does not read.
+    exclude: str = ""
+    at_most: int = 0
+    #: Match across lines (the whole file at once).
+    multiline: bool = False
+
+    def hits(self) -> list[str]:
+        regex = re.compile(self.pattern, re.MULTILINE)
+        found = []
+        for path in self.paths:
+            base = ROOT / path
+            files = [base] if base.is_file() else sorted(base.rglob("*.py"))
+            for file in files:
+                name = file.relative_to(ROOT).as_posix()
+                if self.exclude and self.exclude in name:
+                    continue
+                text = file.read_text(encoding="utf-8")
+                if self.multiline:
+                    found += [f"{name}: {m.group(0)}" for m in regex.finditer(text)]
+                    continue
+                found += [
+                    f"{name}:{number}: {line.strip()}"
+                    for number, line in enumerate(text.splitlines(), 1)
+                    if regex.search(line)
+                ]
+        return found
+
+
+GUARDS = {
+    # Every byte moves through MemoryAccountant.reserve/release: nothing
+    # pokes block-store internals or the ledger's byte fields.
+    "memory-ledger": [
+        Rule(r"\._blocks\b", ("src/repro",), exclude="cluster/worker.py"),
+        Rule(r"\.used\[|\.peak\[", ("src/repro",), exclude="engine/memory.py"),
+    ],
+    # A cached scan's predicate is the batch chain's first filter.
+    "one-predicate-evaluator": [
+        Rule(r"VectorFilter|enable_vectorized_scan|vector_filters"),
+    ],
+    # One set of operators, over batches.
+    "one-operator-family": [
+        Rule(
+            r"MemstoreScanRDD|scan_memstore|filter_rows|project_rows"
+            r"|partial_aggregate_rdd|SpillableGroups|pre_shuffled_pairs",
+            ("src/repro/sql", "src/repro/engine"),
+        ),
+    ],
+    # Nothing selects a second execution mode.
+    "one-execution-path": [
+        Rule(
+            r"\bvectorize\b|arrays(: bool|=)|\.arrays\b",
+            ("src/repro/sql", "src/repro/obs"),
+        ),
+    ],
+    # GROUP BY factorizes whatever the key.
+    "one-group-id-path": [Rule(r"group_ordinals")],
+    # A node's SQL rule is BoundExpr.apply: no row compiler, no exec().
+    "one-scalar-rule": [
+        Rule(
+            r"enable_codegen|use_codegen"
+            r"|compile_(predicate|projection|expression)|exec\("
+        ),
+    ],
+    # A query's engine state lives on its QueryScope.
+    "one-owner": [
+        Rule(
+            r"note_shuffle|note_cache_lookups|on_task_seconds"
+            r"|current_token\(|current_tenant\(|in_query\("
+            r"|_live_broadcasts|shed_queued"
+        ),
+        Rule(r"_next_shuffle_id", exclude="src/repro/engine/"),
+    ],
+    # A query's facts are stated once, as its QueryRecord.
+    "one-record": [
+        Rule(r"rebuild_profiles"),
+        Rule(r"write_query\(\s*[a-z_]+=", multiline=True),
+        Rule(r'if markdown else "== "', at_most=1),
+        Rule(r'"shuffle_write_bytes": stage\.shuffle_write_bytes', at_most=1),
+        Rule(r"reset_profiles", ("src/repro/obs",)),
+    ],
+    # A cached table's storage is extended, never a union chain.
+    "one-block-list": [Rule(r"cached_rdd\.union\(", ("src/repro",))],
+    # The operators and the engine do not know a query cache exists.
+    "session-owned-cache": [
+        Rule(
+            r"fragment|sql_cache",
+            ("src/repro/sql/physical.py", "src/repro/engine"),
+        ),
+    ],
+    # A bucket weighs its encoded batch: no pickle in the shuffle, and
+    # the pickled-row size rule stays with the Hadoop baselines.
+    "exchange": [
+        Rule(
+            r"^\s*(import pickle|from pickle)",
+            ("src/repro/engine/shuffle.py",),
+        ),
+        Rule(r"serialized_size_bytes", ("src/repro/engine", "src/repro/sql")),
+    ],
+    # Trace time is the simulated clock's: the engine reads no wall clock.
+    "wall-clock": [Rule(r"time\.time\(\)|perf_counter", ("src/repro",))],
+    # The baselines are lowering policies over the one engine: no
+    # MapReduce loop and no row executor of their own.
+    "baselines-on-the-engine": [
+        Rule(
+            r"MapReduceEngine|_emit_joined|\.eval\(",
+            ("src/repro/baselines",),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_guard(guard):
+    for rule in GUARDS[guard]:
+        hits = rule.hits()
+        assert len(hits) <= rule.at_most, (rule.pattern, hits)
