@@ -1,17 +1,15 @@
 """Hive: the same SQL front end and engine, lowered the way Hive runs.
 
 Hive is a lowering policy over the one engine (Shark reuses Hive's
-compiler, Section 2.4; Hive itself later ran vectorized operators): a
-query is cut into MapReduce jobs, one per aggregation, join, sort,
-DISTINCT and DISTRIBUTE BY.  Filters and projections fuse into the map
-phase of the job that reads a table, or into the reducer of the job
+compiler, Section 2.4): a query is cut into MapReduce jobs, one per
+aggregation, join, sort, DISTINCT and DISTRIBUTE BY, with filters and
+projections fused into the map phase over a table or into the reducer
 whose output they read.  Each job is planned by the one planner with
-every run-time optimization off — every join shuffles, ORDER BY has one
-reducer — and runs on the engine.  A job's output that another job
-reads goes to the file store as text, a block per reduce partition, and
-is scanned from there: nothing pipelines across jobs.  :class:`JobStats`
-are a job's stage profile (tasks, map output records, shuffle bytes)
-and its input and output as ``TextSerde`` bytes.
+every run-time optimization off (every join shuffles) and runs on the
+engine.  A job's output that another job reads goes to the file store
+as text, a block per reduce partition, and is scanned from there.
+:class:`JobStats` are a job's stage profile (tasks, map output records,
+shuffle bytes) and its input and output as ``TextSerde`` bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from repro.baselines.mapreduce import JobStats
 from repro.columnar.serde import TextSerde
 from repro.datatypes import INT, Field, Schema
 from repro.engine.metrics import QueryProfile
-from repro.errors import UnsupportedFeatureError
+from repro.errors import StorageError, UnsupportedFeatureError
 from repro.sql import ast, logical, physical
 from repro.sql.analyzer import Analyzer
 from repro.sql.catalog import TableEntry
@@ -70,7 +68,11 @@ class _Staged:
 
 
 class _JobPlanner(PhysicalPlanner):
-    """The planner, with Hive's ORDER BY: one reducer, for a total order."""
+    """The planner, with Hive's reducers: ``num_reducers`` of them behind
+    every hash exchange, and one for ORDER BY, for a total order."""
+
+    def _hash_partitions(self) -> int:
+        return self.config.num_reducers
 
     def _lower(self, node, no_prune=False, top=None):
         if not isinstance(node, logical.Sort):
@@ -238,13 +240,25 @@ class HiveExecutor:
     def _write(self, blocks: list[list], schema: Schema) -> logical.Scan:
         """Rows jobs produced as a text file, a block a partition, to be
         scanned as a table (its columns renamed apart: a join's output
-        may repeat a name)."""
+        may repeat a name).  Rows it would read back as other rows are
+        an error (DESIGN §16, "Text")."""
         schema = Schema(
             Field(f"_c{i}", column.data_type)
             for i, column in enumerate(schema.fields)
         )
+        serde = TextSerde(schema)
+        payloads = list(map(serde.encode, blocks))
+        try:  # (repr: a NaN reads back as a NaN, which is unequal to it)
+            read = list(map(serde.decode, payloads))
+            carried = read == blocks or repr(read) == repr(blocks)
+        except StorageError:  # a STRUCT, or a delimiter inside a string
+            carried = False
+        if not carried:
+            raise UnsupportedFeatureError(
+                "the Hive baseline's text intermediate cannot hold these rows"
+            )
         path = f"/tmp/hive/{id(self)}/{len(self._files)}"
-        self.store.write_file(path, _encoded(blocks, schema))
+        self.store.write_file(path, payloads)
         self._files.append(path)
         rows = sum(map(len, blocks))
         return logical.Scan(TableEntry(path, schema, path=path, row_count=rows))
@@ -256,13 +270,12 @@ def _job_stats(name: str, profile: QueryProfile) -> JobStats:
     bounds.  Shuffle-map stages that ran are the map phase, the result
     stage the reduce phase (without a shuffle, the map phase)."""
     maps = [s for s in profile.stages if s.is_shuffle_map and s.num_tasks]
-    last = profile.stages[-1]
     if not maps:
-        return JobStats(name, map_tasks=last.num_tasks)
+        return JobStats(name, map_tasks=profile.stages[-1].num_tasks)
     return JobStats(
         name,
         map_tasks=sum(stage.num_tasks for stage in maps),
-        reduce_tasks=last.num_tasks,
+        reduce_tasks=profile.stages[-1].num_tasks,
         map_output_records=sum(stage.shuffle_write_records for stage in maps),
         shuffle_bytes=sum(stage.shuffle_write_bytes for stage in maps),
         used_combiner=any(stage.map_side_combined for stage in maps),

@@ -150,12 +150,13 @@ class TextSerde:
 
     def decode_columns(self, payload: bytes) -> list[list]:
         """The payload's rows as one list of values per schema field."""
-        text = payload.decode("utf-8")
-        if text.endswith("\n"):
-            text = text[:-1]
-        # Split on the record delimiter only; field values may contain
-        # characters like \r that str.splitlines would treat as breaks.
-        lines = text.split("\n") if text else []
+        # A row is what its "\n" ends (the last may be unended), so one
+        # row of one empty field is b"\n".  Split on the record delimiter
+        # only; values may hold characters like \r that splitlines takes
+        # for breaks.
+        lines = payload.decode("utf-8").split("\n")
+        if not lines[-1]:
+            lines.pop()
         rows = list(map(str.split, lines, repeat(self.delimiter)))
         width = len(self.schema)
         try:

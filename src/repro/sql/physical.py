@@ -1512,9 +1512,3 @@ def repartition_batches(
     )
     out.partitioner = partitioner
     return out
-
-
-def default_partitioner(
-    ctx: "EngineContext", num_partitions: Optional[int] = None
-) -> HashPartitioner:
-    return HashPartitioner(num_partitions or ctx.default_parallelism)

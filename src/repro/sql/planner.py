@@ -85,8 +85,7 @@ class PlannerConfig:
     enable_static_join_estimates: bool = True
     broadcast_threshold_bytes: int = DEFAULT_BROADCAST_THRESHOLD
     target_partition_bytes: int = DEFAULT_TARGET_PARTITION_BYTES
-    #: Fixed reducer count of every hash exchange (overrides PDE's
-    #: parallelism choice when set; else one reducer per core).
+    #: Fixed reducer count (overrides PDE parallelism choice when set).
     num_reducers: Optional[int] = None
     #: Bin-pack fine partitions into balanced coalesced partitions; off =
     #: "just run many reduce tasks" (the Section 3.1.2 comparison).
@@ -366,7 +365,7 @@ class PhysicalPlanner:
             op = self._stamp("distinct", node)
             return self._over(
                 physical.distinct_batches(
-                    child, width, self._num_reducers(), op=op
+                    child, width, self._hash_partitions(), op=op
                 ),
                 op,
             )
@@ -415,11 +414,12 @@ class PhysicalPlanner:
     def _repartition_partitioner(self) -> Partitioner:
         if self.config.repartition_override is not None:
             return self.config.repartition_override
-        return HashPartitioner(self._num_reducers())
+        return HashPartitioner(self._hash_partitions())
 
-    def _num_reducers(self) -> int:
-        """Reduce partitions of a hash exchange PDE does not size."""
-        return self.config.num_reducers or self.ctx.default_parallelism
+    def _hash_partitions(self) -> int:
+        """Reduce partitions of a join's, DISTINCT's or DISTRIBUTE BY's
+        hash exchange: one per core."""
+        return self.ctx.default_parallelism
 
     # ------------------------------------------------------------------
     # Scans and map pruning
@@ -712,8 +712,10 @@ class PhysicalPlanner:
         pde = False
         if not node.group_expressions:
             reducers = 1  # no GROUP BY: all partials merge on one reducer
-        elif self.config.num_reducers or not self.config.enable_pde:
-            reducers = self._num_reducers()
+        elif self.config.num_reducers is not None:
+            reducers = self.config.num_reducers
+        elif not self.config.enable_pde:
+            reducers = self.ctx.default_parallelism
         else:
             # PDE path (Section 3.1.2): shuffle into fine-grained buckets,
             # read observed bucket sizes, then pick the reduce parallelism
@@ -975,9 +977,7 @@ class PhysicalPlanner:
         partitions.  ``pre_shuffled`` holds the side ("left" / "right")
         PDE already shuffled, if any: the cogroup reads it narrowly, so
         that work is reused, not repeated."""
-        partitioner = partitioner or physical.default_partitioner(
-            self.ctx, self._num_reducers()
-        )
+        partitioner = partitioner or HashPartitioner(self._hash_partitions())
         sides = dict(pre_shuffled or {})
         for name, side, keys in (
             ("left", node.left, node.left_keys),
@@ -1017,9 +1017,7 @@ class PhysicalPlanner:
             or (left_prior or 0) <= (right_prior or 0)
         )
 
-        partitioner = physical.default_partitioner(
-            self.ctx, self._num_reducers()
-        )
+        partitioner = HashPartitioner(self._hash_partitions())
         if probe_left:
             side_plan, keys = node.left, node.left_keys
         else:

@@ -12,6 +12,7 @@ from repro import SharkContext
 from repro.baselines import HiveExecutor
 from repro.columnar.serde import TextSerde
 from repro.datatypes import DOUBLE, INT, STRING, Schema
+from repro.errors import UnsupportedFeatureError
 
 WORDS = ["the quick brown fox", "the lazy dog", "the fox jumps"]
 
@@ -36,6 +37,10 @@ def systems():
         num_partitions=2,
     )
     shark.create_table("empty", Schema.of(("k", INT)), cached=True)
+    shark.create_table("blank", Schema.of(("s", STRING)), cached=True)
+    shark.load_rows("blank", [("",), ("",)])
+    shark.create_table("texts", Schema.of(("s", STRING)), cached=True)
+    shark.load_rows("texts", [("one\ntwo",), ("x\x01y",), ("\\N",)])
     hive = HiveExecutor(shark.session)
     return shark, hive
 
@@ -196,6 +201,37 @@ class TestFusedChainsAndJobInputs:
         )
         assert cross.output_records == len(run.rows) > 0
         assert sorted(run.rows) == sorted(shark.sql(query).rows)
+
+    def test_an_empty_string_row_survives_the_file_store(self, systems):
+        """DISTINCT leaves one partition holding one row of one empty
+        string: its block is b"\\n", and the next job reads the row."""
+        shark, hive = systems
+        query = (
+            "SELECT x.s, COUNT(*) FROM (SELECT DISTINCT s FROM blank) x "
+            "GROUP BY x.s"
+        )
+        run = _run(hive, query)
+        distinct, aggregate = run.jobs
+        assert distinct.materialized_output and distinct.output_records == 1
+        assert aggregate.input_records == 1
+        assert run.rows == shark.sql(query).rows == [("", 1)]
+
+    @pytest.mark.parametrize("value", ["one\ntwo", "x\x01y", "\\N"])
+    def test_rows_text_cannot_carry_are_an_error(self, systems, value):
+        """A string holding a newline, the field delimiter or the NULL
+        token would read back as other rows: the query fails instead."""
+        shark, hive = systems
+        query = (
+            "SELECT x.s, COUNT(*) FROM (SELECT DISTINCT s FROM texts "
+            f"WHERE s = '{value}') x GROUP BY x.s"
+        )
+        assert shark.sql(query).rows == [(value, 1)]
+        with pytest.raises(UnsupportedFeatureError, match="cannot hold"):
+            hive.execute(query)
+        assert not [
+            path for path in hive.store.list_files()
+            if not path.startswith("/warehouse/")
+        ]
 
     def test_jobs_feeding_a_cross_join_are_materialized(self, systems):
         shark, hive = systems

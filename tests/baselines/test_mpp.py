@@ -6,6 +6,7 @@ from repro import SharkContext
 from repro.baselines import MppExecutor
 from repro.datatypes import INT, STRING, Schema
 from repro.errors import QueryAbortedError
+from repro.sql.planner import PlannerConfig
 
 
 @pytest.fixture
@@ -31,6 +32,25 @@ class TestExecution:
         run = mpp.execute("SELECT k, COUNT(*) FROM t GROUP BY k")
         # All groups merged on one coordinator (one reduce partition).
         assert run.coordinator_merge_records == 10
+
+    def test_only_the_aggregate_merges_on_the_coordinator(self):
+        """The coordinator takes an aggregation's final merge; a shuffle
+        join and DISTINCT keep one reduce partition per core."""
+        shark = SharkContext(
+            num_workers=4, config=PlannerConfig(broadcast_threshold_bytes=-1)
+        )
+        shark.create_table("t", Schema.of(("k", STRING), ("v", INT)))
+        shark.load_rows("t", [(f"k{i % 10}", i) for i in range(200)])
+        mpp = MppExecutor(shark.session)
+        cores = shark.engine.default_parallelism
+        for query, reducers in (
+            ("SELECT a.k, b.v FROM t a JOIN t b ON a.k = b.k", cores),
+            ("SELECT DISTINCT k FROM t", cores),
+            ("SELECT k, COUNT(*) FROM t GROUP BY k", 1),
+        ):
+            run = mpp.execute(query)
+            assert shark.engine.profiles[-1].stages[-1].num_tasks == reducers
+            assert sorted(run.rows) == sorted(shark.sql(query).rows)
 
     def test_select_only(self, shark):
         mpp = MppExecutor(shark.session)

@@ -163,6 +163,15 @@ class TestTextSerdeColumnWise:
         assert serde.decode(b"") == []
         assert serde.decode_columns(b"") == [[] for _ in self.TYPED.fields]
 
+    def test_a_row_of_one_empty_field_is_a_row(self):
+        """Rows are counted by the newlines that end them: one row of a
+        single empty string is b"\\n", not an empty payload."""
+        schema = Schema.of(("s", STRING))
+        assert self._roundtrip(schema, [("",)]) == b"\n"
+        self._roundtrip(schema, [("",), ("a",), ("",), ("",)])
+        # A last row without its newline is still a row.
+        assert TextSerde(schema).decode(b"a\n\nb") == [("a",), ("",), ("b",)]
+
     def test_field_count_error_names_the_first_bad_row(self):
         serde = TextSerde(Schema.of(("a", INT), ("b", INT)))
         payload = b"1\x012\n3\x014\x015\n6\n"

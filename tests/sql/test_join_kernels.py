@@ -460,8 +460,10 @@ def test_joins_equal_sqlite(a_rows, b_rows, syntax, strategy, residual):
     The contract on order: a join's output order is a function of its
     plan and its input's order, so two sources holding the same rows in
     the same partitions and planned alike return the same list.  Under
-    the shuffle strategy they always plan alike; a broadcast join
-    broadcasts whichever side the source's size estimate finds smaller."""
+    the shuffle strategy they always plan alike.  Under broadcast each
+    source broadcasts the side its own size estimate finds smaller (of
+    the sides its join type may broadcast), and block and text sizes
+    may rank the two sides apart."""
     if syntax == "FULL JOIN":
         residual = ""  # the emulation above has no slot for one
     want = _oracle(
@@ -475,11 +477,34 @@ def test_joins_equal_sqlite(a_rows, b_rows, syntax, strategy, residual):
         assert Counter(result.rows) == want, (strategy, cached)
         ordered.append(result.rows)
         plans.append([d.strategy for d in result.report.join_decisions])
-    # Planned alike, the two sources agree on the order too.
+        if strategy == "broadcast":
+            (decision,) = result.report.join_decisions
+            assert decision.strategy == _smaller_side(decision, syntax)
     if strategy == "shuffle":
         assert plans[0] == plans[1]
+    # Planned alike, the two sources agree on the order too.
     if plans[0] == plans[1]:
         assert ordered[0] == ordered[1]
+
+
+#: The sides each join type may broadcast: never the side it preserves.
+_BROADCASTABLE = {
+    "JOIN": ("left", "right"),
+    "LEFT JOIN": ("right",),
+    "RIGHT JOIN": ("left",),
+    "FULL JOIN": (),
+}
+
+
+def _smaller_side(decision, syntax: str) -> str:
+    """The strategy a broadcast-friendly threshold gives: the smaller
+    broadcastable side by the decision's estimates (a tie: the left),
+    and a shuffle when neither side may be broadcast."""
+    sizes = {"left": decision.left_bytes, "right": decision.right_bytes}
+    sides = _BROADCASTABLE[syntax]
+    if not sides:
+        return "shuffle"
+    return "broadcast_" + min(sides, key=lambda side: (sizes[side], side))
 
 
 # ---------------------------------------------------------------------------

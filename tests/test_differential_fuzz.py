@@ -9,8 +9,9 @@ over a HAVING subquery), DISTINCT, UNION ALL, ORDER BY ... LIMIT and
 IN-subqueries.  Both share the scalar rules of ``BoundExpr.apply`` too,
 so a bug there shows in neither comparison with the other: every
 generated query is also held to stdlib ``sqlite3`` (``tests/oracle.py``),
-which shares no code with either.  The table has a NULL in every column,
-and the grammar reaches the rules the engines once shared wrongly: ``%``
+which shares no code with either.  The table has a NULL in every column
+and empty strings beside them (a one-column intermediate of them must
+survive the file store), and the grammar reaches the rules the engines once shared wrongly: ``%``
 with negative operands (Hive's truncated remainder, not Python's floored
 one) and IN lists holding a NULL (no match is NULL, not FALSE — under
 NOT too).
@@ -29,7 +30,7 @@ F_COLUMNS = ("k", "g", "x", "y")
 F_ROWS = [
     (
         None if i % 17 == 0 else i % 23,
-        None if i % 13 == 0 else f"g{i % 5}",
+        None if i % 13 == 0 else "" if i % 11 == 0 else f"g{i % 5}",
         None if i % 19 == 0 else round((i * 7 % 97) / 3.0, 3),
         None if i % 7 == 0 else i % 11,
     )
@@ -153,7 +154,13 @@ def select_queries(draw) -> str:
             f"WHERE f.x > {cutoff} OR f.g = 'g{group}'"
         )
     if shape == 5:
-        return f"SELECT DISTINCT g, y FROM f WHERE {where}"
+        if draw(st.booleans()):
+            return f"SELECT DISTINCT g, y FROM f WHERE {where}"
+        # One string column through the file store, '' among its values.
+        return (
+            f"SELECT x.g, COUNT(*) FROM (SELECT DISTINCT g FROM f "
+            f"WHERE {where}) x GROUP BY x.g"
+        )
     bound = draw(st.integers(-2, 24))
     op = draw(comparison_ops)
     if shape == 6:
@@ -203,7 +210,9 @@ class TestDifferentialFuzz:
     @settings(max_examples=60, deadline=None)
     # Each of Hive's cuts once, whatever the draw: NOT IN over a subquery
     # that keeps d's NULL key (no row survives), a HAVING that empties
-    # a job feeding a join, DISTINCT, and a descending order with NULLs.
+    # a job feeding a join, DISTINCT, DISTINCT feeding a job with a
+    # reduce partition of one '' row (its block is b"\n"), and a
+    # descending order with NULLs.
     @example(
         "SELECT k, g FROM f WHERE k NOT IN "
         "(SELECT k FROM d WHERE label <> 'label4') AND (y < 18)"
@@ -214,6 +223,10 @@ class TestDifferentialFuzz:
         "JOIN d e ON s.k = e.k"
     )
     @example("SELECT DISTINCT g, y FROM f WHERE k IN (NULL, 4)")
+    @example(
+        "SELECT x.g, COUNT(*) FROM (SELECT DISTINCT g FROM f "
+        "WHERE g IS NOT NULL) x GROUP BY x.g"
+    )
     @example(
         "SELECT k, g, x FROM f WHERE y IS NULL OR k > 20 "
         "ORDER BY x DESC, g DESC, k LIMIT 12"
