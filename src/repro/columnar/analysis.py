@@ -2,17 +2,16 @@
 
 A loading task looks at each column of its split once and derives from
 that look everything the store needs: the statistics map pruning
-consults, the compression scheme, and the encoded column itself.
+consults and the typed array the column writer encodes.
 :class:`ColumnAnalysis` is that look.  Each fact — typed array, NULL
-count, range, distinct values in first-occurrence order, run starts — is
-computed the first time someone asks and then shared, so
-``ColumnStats.from_values``, ``choose_scheme`` and the encoders never
-rescan ``values``.
+count, range, distinct values in first-occurrence order — is computed
+the first time someone asks and then shared, so
+``ColumnStats.from_values`` and the writer never rescan ``values``.
 
-Whole-column builtins (``min``/``max``, ``dict.fromkeys``,
-``map(operator.ne, ...)``) compare, hash and order values exactly like a
-per-value ``<`` / ``set.add`` / ``!=`` loop would — NaN, ``-0.0`` and
-``1 == 1.0 == True`` included — so they apply to every column.  The numpy
+Whole-column builtins (``min``/``max``, ``dict.fromkeys``) compare, hash
+and order values exactly like a per-value ``<`` / ``set.add`` loop would
+— NaN, ``-0.0`` and ``1 == 1.0 == True`` included — so they apply to
+every column.  The numpy
 forms do not (``ndarray.min`` propagates NaN, an int32 array cannot tell
 ``True`` from ``1``), so they are used only for an *exact* column: INT /
 BIGINT / DOUBLE whose values are all exactly ``int`` (resp. ``float``)
@@ -24,10 +23,8 @@ that mix Python types.
 
 from __future__ import annotations
 
-import operator
 from datetime import date, datetime
 from functools import cached_property
-from itertools import islice
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -35,6 +32,7 @@ import numpy as np
 from repro.datatypes import (
     DAYS,
     MICROS,
+    BooleanType,
     DataType,
     DateType,
     DoubleType,
@@ -63,6 +61,8 @@ def numpy_dtype_for(data_type: Optional[DataType]) -> Optional[np.dtype]:
         return DAYS
     if isinstance(data_type, TimestampType):
         return MICROS
+    if isinstance(data_type, BooleanType):
+        return np.dtype(np.bool_)
     return None
 
 
@@ -98,7 +98,8 @@ class ColumnAnalysis:
     @cached_property
     def array(self) -> Optional[np.ndarray]:
         """The column as one typed array: primitive type and no NULL (and,
-        a datetime64 array coercing nothing, no value of another type)."""
+        a datetime64 array coercing nothing, no value of another type; an
+        int array no int it cannot hold)."""
         dtype = numpy_dtype_for(self.data_type)
         if dtype is None or self.has_null:
             return None
@@ -107,7 +108,10 @@ class ColumnAnalysis:
             if self.kind is not kind and len(self.values):
                 return None
             return datetime64_array(self.values, kind)
-        return np.asarray(self.values, dtype=dtype)
+        try:
+            return np.asarray(self.values, dtype=dtype)
+        except OverflowError:
+            return None
 
     @cached_property
     def exact(self) -> bool:
@@ -116,7 +120,7 @@ class ColumnAnalysis:
         if self.array is None:
             return False
         kind = self.array.dtype.kind
-        return kind == "M" or self.kind is (float if kind == "f" else int)
+        return kind == "M" or self.kind is {"f": float, "i": int}.get(kind)
 
     @cached_property
     def bounds(self) -> tuple[Optional[Any], Optional[Any]]:
@@ -149,22 +153,6 @@ class ColumnAnalysis:
             return dict.fromkeys(self.values)
         except TypeError:
             return None
-
-    @cached_property
-    def run_starts(self) -> np.ndarray:
-        """Positions where a run of equal values begins."""
-        values = self.values
-        if not len(values):
-            return np.zeros(0, dtype=np.intp)
-        if self.exact:
-            changed = self.array[1:] != self.array[:-1]
-        else:
-            changed = np.fromiter(
-                map(operator.ne, islice(values, 1, None), values),
-                dtype=bool,
-                count=len(values) - 1,
-            )
-        return np.concatenate(([0], np.flatnonzero(changed) + 1))
 
 
 def analyze(values, data_type: Optional[DataType] = None) -> ColumnAnalysis:

@@ -27,17 +27,37 @@ import sys
 from datetime import date, datetime
 from itertools import repeat
 
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar.table import ColumnarPartition, transpose_rows
 from repro.datatypes import DAYS, MICROS, datetime64_array
+from repro.errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.table import ColumnarPartition
 
 __all__ = [
     "Vector", "CodedVector", "LazyColumn", "ColumnBatch", "count_rows",
-    "not_null",
+    "not_null", "transpose_rows",
 ]
+
+
+def check_row_width(rows: Sequence[Sequence], width: int) -> None:
+    """Reject rows narrower or wider than the table: transposing with
+    ``zip(*rows)`` would silently drop the values past the shortest."""
+    widths = set(map(len, rows))
+    widths.discard(width)
+    if widths:
+        raise AnalysisError(
+            f"row width {min(widths)} != table width {width}"
+        )
+
+
+def transpose_rows(rows: Sequence[Sequence], width: int) -> list[tuple]:
+    """The ``width`` columns of ``rows``, each one tuple."""
+    check_row_width(rows, width)
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def not_null(values: Sequence[Any]) -> np.ndarray:
@@ -237,28 +257,20 @@ _ZEROS = {
 }
 
 
-def _as_vector(values: Sequence[Any]) -> Vector:
-    """Wrap a decoded block column (ndarray or list) as a Vector."""
-    if isinstance(values, np.ndarray):
-        return Vector(values)
-    return Vector(values if isinstance(values, list) else list(values))
-
-
 class LazyColumn:
     """A batch entry that defers decoding an encoded block column.
 
     Holds (block, column index, selection).  ``vector()`` hands out the
-    column's values with the selection applied: coded when the block
-    column keeps a dictionary shorter than the selection (no row is
-    decoded), otherwise decoded through the block's column cache and
-    gathered.
+    column's values, decoded once through the block's column memo, with
+    the selection applied: coded when the block column is a dictionary
+    shorter than the selection, dense otherwise.
     """
 
     __slots__ = ("block", "index", "selection", "_vector")
 
     def __init__(
         self,
-        block: ColumnarPartition,
+        block: "ColumnarPartition",
         index: int,
         selection: Optional[np.ndarray],
     ):
@@ -274,33 +286,23 @@ class LazyColumn:
 
     def vector(self) -> Vector:
         if self._vector is None:
-            view = self.block.encoded_column(self.index).coded_view()
-            if view is not None and len(view[1]) < len(self):
-                full = CodedVector(view[0], _as_vector(view[1]))
-            else:
-                full = _as_vector(self.block.column(self.index))
+            full = self.block.column(self.index)
+            coded = isinstance(full, CodedVector)
+            if coded and len(full.dictionary) >= len(self):
+                full = Vector(full.data, full.valid)
             if self.selection is not None:
                 full = full.gather(self.selection)
             self._vector = full
         return self._vector
 
     def memory_footprint_bytes(self) -> int:
-        """Exact heap bytes this entry pins right now: the decoded
-        vector if it exists, otherwise the encoded column it references
-        (plus the dictionary), plus the selection index array."""
+        """Heap bytes this entry pins right now: the decoded vector if it
+        exists, otherwise the encoded column's bytes, plus the selection
+        index array."""
         if self._vector is not None:
             total = self._vector.memory_footprint_bytes()
         else:
-            encoded = self.block.encoded_column(self.index)
-            total = encoded.compressed_bytes
-            view = encoded.dictionary_view()
-            if view is not None:
-                __, dictionary = view
-                total += sys.getsizeof(dictionary) + sum(
-                    sys.getsizeof(value)
-                    for value in dictionary
-                    if value is not None
-                )
+            total = len(self.block.column_bytes(self.index))
         if self.selection is not None:
             total += self.selection.nbytes
         return total
@@ -325,7 +327,7 @@ class ColumnBatch:
     @classmethod
     def from_block(
         cls,
-        block: ColumnarPartition,
+        block: "ColumnarPartition",
         column_indices: Sequence[int],
         selection: Optional[np.ndarray] = None,
     ) -> "ColumnBatch":

@@ -1,12 +1,16 @@
-"""Row serdes (text and binary wire formats) and the batch serde.
+"""Row serdes (text and binary wire formats) and the column format.
 
 The row serdes back the HDFS-like store and the Hadoop ML baselines: the
 paper's Figures 11-12 compare Hadoop reading "text" records against a
 compact "binary" format, which differ in size and in per-record decode
-cost.  :class:`BatchSerde` is the columnar wire format of everything that
-leaves a task as a :class:`~repro.columnar.batch.ColumnBatch` — shuffle
-buckets, spilled runs, a join's build side — and the one statement of
-what a column of it weighs (DESIGN §17).
+cost.  The column format is the one encoding of a column everywhere it
+is bytes: a memstore block's columns (:func:`write_column`, DESIGN §16)
+and, through :class:`BatchSerde`, everything that leaves a task as a
+:class:`~repro.columnar.batch.ColumnBatch` — shuffle buckets, spilled
+runs, a join's build side.  One writer prices every encoding a column
+allows (plain, run-length, dictionary, bit-packed) and writes the
+smallest, so it is also the one statement of what a column weighs
+(DESIGN §17).
 """
 
 from __future__ import annotations
@@ -14,13 +18,19 @@ from __future__ import annotations
 import pickle
 import struct
 from datetime import date, datetime
-from itertools import repeat
-from typing import Any, Optional, Sequence
+from functools import reduce
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar.batch import CodedVector, ColumnBatch, Vector, not_null
-from repro.columnar.table import transpose_rows
+from repro.columnar.batch import (
+    CodedVector,
+    ColumnBatch,
+    Vector,
+    not_null,
+    transpose_rows,
+)
 from repro.datatypes import (
     DAYS,
     MICROS,
@@ -39,7 +49,10 @@ from repro.datatypes import (
     datetime64_array,
     time_number,
 )
-from repro.errors import AnalysisError, StorageError
+from repro.errors import AnalysisError, CompressionError, StorageError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.analysis import ColumnAnalysis
 
 _NULL_TOKEN = "\\N"
 
@@ -297,11 +310,14 @@ class SpillSerde:
 
 
 # ---------------------------------------------------------------------------
-# The batch wire format
+# The column format: exchange buckets, spilled runs and memstore blocks
 # ---------------------------------------------------------------------------
 
 #: Column tags.  A column is ``tag [validity bits] payload``; the high bit
-#: of the tag says a validity bitmap (one bit per row) follows it.
+#: of the tag says a validity bitmap (one bit per row) follows, and the
+#: payload then holds the NULL rows as zeros ("" for strings).  A nested
+#: column (a dictionary's entries, a run-length column's lengths and
+#: values, a bit-packed column's base) is a NULL-free plain column.
 (
     _NULLS,  # every row NULL: no payload
     _INT8, _INT16, _INT32, _INT64,  # the narrowest holding min..max
@@ -310,19 +326,28 @@ class SpillSerde:
     _DATE,  # 4-byte days since the epoch
     _TIMESTAMP,  # 8-byte microseconds since the epoch
     _STRING,  # 4-byte end offsets, then UTF-8
-    _DICTIONARY,  # entry count, the entries as _STRING, 1/2/4-byte codes
+    _DICTIONARY,  # code width (1 byte), 1/2/4-byte codes, the entries
     _OBJECT,  # 4-byte length, then the column's pickle
-) = range(12)
+    _RLE,  # run count (4 bytes), the run lengths, the run values
+    _PACKED,  # bit width (1 byte), each row's offset from the base, the base
+) = range(14)
 _NULLABLE = 0x80
 _INT = _INT8  # an integer column before its width is chosen
-_INT_DTYPES = {_INT8: "<i1", _INT16: "<i2", _INT32: "<i4", _INT64: "<i8"}
 _INT_TAGS = {1: _INT8, 2: _INT16, 4: _INT32, 8: _INT64}
-#: Payload bytes per row of the fixed-width kinds.
-_WIDTHS = {
-    _NULLS: 0, _INT8: 1, _INT16: 2, _INT32: 4, _INT64: 8,
-    _FLOAT: 8, _DATE: 4, _TIMESTAMP: 8,
+#: Each number tag's stored form, and the array it decodes to.
+_NUMBERS = {
+    _INT8: ("<i1", np.int64), _INT16: ("<i2", np.int64),
+    _INT32: ("<i4", np.int64), _INT64: ("<i8", np.int64),
+    _FLOAT: ("<f8", np.float64), _DATE: ("<i4", DAYS),
+    _TIMESTAMP: ("<i8", MICROS),
 }
+_WIDTHS = {_FLOAT: 8, _DATE: 4, _TIMESTAMP: 8}
+#: The encodings the writer prices, in the order that breaks a tie.  A
+#: column's "plain" encoding is the tag of its type.
+SCHEMES = ("plain", "rle", "dictionary", "bitpack")
+_SCHEME_OF = {_RLE: "rle", _DICTIONARY: "dictionary", _PACKED: "bitpack"}
 _HEADER = struct.Struct("<IH")  # rows, columns
+HEADER_BYTES = _HEADER.size
 _FIRST_ROW = np.zeros(1, dtype=np.int64)  # where a whole batch starts
 _LENGTH = struct.Struct("<I")
 
@@ -336,19 +361,67 @@ def _bits(counts):
 #: below 2**(8w - 1): the first width whose limit exceeds it.
 _INT_LIMITS = np.array([2 ** 7, 2 ** 15, 2 ** 31])
 _INT_WIDTHS = np.array([1, 2, 4, 8])
+_INT64_RANGE = np.iinfo(np.int64)
 _CODE_LIMITS = np.array([2 ** 8, 2 ** 16])
 _CODE_WIDTHS = np.array([1, 2, 4])
+#: 2**0 .. 2**63: how many of them a number reaches is its bit length.
+_POWERS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def _int_widths(low, high):
     """Bytes of the narrowest signed width holding ``low..high``."""
-    reach = np.maximum(high, -1 - low)
-    return _INT_WIDTHS[np.searchsorted(_INT_LIMITS, reach, side="right")]
+    reach = np.maximum(high, ~low)  # ~low is -low - 1
+    return _INT_WIDTHS[_INT_LIMITS.searchsorted(reach, "right")]
 
 
 def _code_width(distinct):
     """Bytes per dictionary code for ``distinct`` entries."""
-    return _CODE_WIDTHS[np.searchsorted(_CODE_LIMITS, distinct, side="left")]
+    return _CODE_WIDTHS[_CODE_LIMITS.searchsorted(distinct)]
+
+
+def _bit_widths(low, high):
+    """Bits per row of the offsets from ``low`` up to ``high`` (int64
+    arrays, the span taken modulo 2**64); one at least."""
+    span = high.view(np.uint64) - low.view(np.uint64)
+    return np.maximum(_POWERS.searchsorted(span, "right"), 1)
+
+
+def _breaks(keys: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where a run of equal ``keys`` begins, every bucket beginning one."""
+    breaks = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=breaks[1:])
+    breaks[starts] = True
+    return breaks
+
+
+def _longest(breaks: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The longest run of each bucket."""
+    firsts = np.flatnonzero(breaks)
+    lengths = np.diff(firsts, append=len(breaks))
+    return np.maximum.reduceat(lengths, np.searchsorted(firsts, starts))
+
+
+def _sorted_set(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort, which outruns
+    ``np.unique``'s hashing on the columns a task holds."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _distinct(ids, size: int, counts, valid=None) -> np.ndarray:
+    """The distinct (bucket, id) pairs of the valid rows, as the sorted
+    numbers ``bucket * size + id`` (every id below ``size``): marked in
+    a table where it has no more slots than eight a row, else sorted."""
+    pairs = np.repeat(np.arange(len(counts)) * size, counts) + ids
+    if valid is not None:
+        pairs = pairs[valid]
+    if len(counts) * size > 8 * len(ids):
+        return _sorted_set(pairs)
+    table = np.zeros(len(counts) * size, dtype=bool)
+    table[pairs] = True
+    return np.flatnonzero(table)
 
 
 def _with_validity(valid, payload, starts, counts) -> np.ndarray:
@@ -362,7 +435,104 @@ def _with_validity(valid, payload, starts, counts) -> np.ndarray:
     return np.where(present == 0, 1, 1 + bitmap + payload)
 
 
-class _FixedColumn:
+def _plain(tag: int, data: np.ndarray) -> tuple[int, bytes]:
+    """The plain tag and payload of NULL-free ``data`` of a fixed kind."""
+    if tag == _BOOL:
+        return tag, np.packbits(data).tobytes()
+    if tag == _INT:
+        tag = _INT_TAGS[int(_int_widths(data.min(), data.max()))]
+    return tag, data.astype(_NUMBERS[tag][0]).tobytes()
+
+
+def _nest(tag: int, data: np.ndarray, out: bytearray) -> None:
+    """Append ``data`` as a nested plain column."""
+    tag, payload = _plain(tag, data)
+    out.append(tag)
+    out += payload
+
+
+def _strings(texts: list, lens: np.ndarray, out: bytearray) -> None:
+    """Append ``texts`` (of UTF-8 lengths ``lens``) as end offsets, then
+    UTF-8."""
+    out += np.cumsum(lens).astype("<u4").tobytes()
+    out += "".join(texts).encode("utf-8")
+
+
+class _Column:
+    """A column planned for the format: what each bucket of it weighs
+    under each encoding it has (``prices``, payload bytes; an encoding
+    a floor shows cannot be the cheapest is left out) and its bytes under
+    one (``encoded``).  The writer prices, then writes the cheapest;
+    ``sizes`` is that price per bucket, with the tag and validity."""
+
+    valid: Optional[np.ndarray] = None
+    schemes: tuple = ("plain",)
+
+    def sizes(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        payload = reduce(np.minimum, self.prices(starts, counts).values())
+        return _with_validity(self.valid, payload, starts, counts)
+
+    def choose(self, schemes: Sequence[str] = SCHEMES) -> str:
+        """The cheapest of ``schemes`` (all of them, or one) for the
+        whole column, the first of equals; CompressionError when the
+        column has none of them."""
+        allowed = [name for name in schemes if name in self.schemes]
+        if not allowed:
+            raise CompressionError(
+                f"no {'/'.join(schemes)} encoding for this column"
+            )
+        if len(allowed) == 1:
+            return allowed[0]
+        prices = self.prices(_FIRST_ROW, np.array([len(self)]))
+        return min(
+            (name for name in allowed if name in prices),
+            key=lambda name: int(prices[name][0]),
+        )
+
+    def write(self, out: bytearray, schemes: Sequence[str] = SCHEMES) -> None:
+        valid = self.valid
+        if valid is not None and not valid.any():
+            if "plain" not in schemes:
+                raise CompressionError("a column of NULLs is a tag alone")
+            out.append(_NULLS)
+            return
+        tag, payload = self.encoded(self.choose(schemes))
+        if valid is None or valid.all():
+            out.append(tag)
+        else:
+            out.append(tag | _NULLABLE)
+            out += np.packbits(valid).tobytes()
+        out += payload
+
+    def encoded(self, scheme: str) -> tuple[int, bytes]:
+        """(tag, payload) under ``scheme``.  Runs and a dictionary are of
+        the rows' keys (equal exactly where the values written are); the
+        run values and the entries are keys ``_nest_keys`` writes."""
+        if scheme == "plain":
+            return self._plain()
+        if scheme == "bitpack":
+            return self._packed()
+        keys, out = self._keys(), bytearray()
+        if scheme == "rle":
+            firsts = np.flatnonzero(_breaks(keys, _FIRST_ROW))
+            out += _LENGTH.pack(len(firsts))
+            _nest(_INT, np.diff(firsts, append=len(keys)), out)
+            self._nest_keys(keys[firsts], out)
+            return _RLE, out
+        # Entries: the valid rows' distinct keys, ascending; a NULL row
+        # takes code 0.
+        rows = slice(None) if self.valid is None else self.valid
+        entries, inverse = np.unique(keys[rows], return_inverse=True)
+        width = int(_code_width(len(entries)))
+        codes = np.zeros(len(keys), dtype=f"<u{width}")
+        codes[rows] = inverse
+        out.append(width)
+        out += codes.tobytes()
+        self._nest_keys(entries, out)
+        return _DICTIONARY, out
+
+
+class _FixedColumn(_Column):
     """A column whose rows all take the same number of payload bytes
     (bits, for BOOLEAN): ``data`` is the int, float, bool or datetime64
     array; NULL slots are written as zero."""
@@ -371,6 +541,12 @@ class _FixedColumn:
         self.tag = tag
         self.data = data
         self.valid = valid
+        if data is not None:
+            numeric = tag in (_INT, _DATE, _TIMESTAMP)
+            self.schemes = SCHEMES if numeric else SCHEMES[:3]
+
+    def __len__(self) -> int:
+        return len(self.valid if self.data is None else self.data)
 
     def gather(self, codes: np.ndarray) -> "_FixedColumn":
         data = self.data if self.data is None else self.data[codes]
@@ -382,47 +558,121 @@ class _FixedColumn:
             return self.data
         return np.where(self.valid, self.data, np.zeros((), self.data.dtype))
 
-    def sizes(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        if self.tag == _BOOL:
-            payload = _bits(counts)
-        elif self.tag == _INT:
-            filled = self._filled()
-            payload = counts * _int_widths(
-                np.minimum.reduceat(filled, starts),
-                np.maximum.reduceat(filled, starts),
-            )
+    def _keys(self) -> np.ndarray:
+        """The filled values as int64, a float as its bits (so -0.0 is
+        not 0.0)."""
+        filled = self._filled()
+        if filled.dtype.kind in "fM":
+            return filled.view(np.int64)
+        return filled.astype(np.int64, copy=False)
+
+    def _plain(self) -> tuple[int, bytes]:
+        return _plain(self.tag, self._filled())
+
+    def _nest_keys(self, keys: np.ndarray, out: bytearray) -> None:
+        """Append the values of ``keys`` as a nested plain column."""
+        if self.tag == _FLOAT:
+            keys = keys.view(np.float64)
+        elif self.tag == _BOOL:
+            keys = keys.astype(bool)
+        _nest(self.tag, keys, out)
+
+    def _packed(self) -> tuple[int, bytes]:
+        numbers, out = self._keys(), bytearray()
+        low = int(numbers.argmin())
+        offsets = numbers.view(np.uint64) - numbers.view(np.uint64)[low]
+        width = max(int(offsets.max()).bit_length(), 1)
+        # Bit j of offset i is bit i * width + j of a little-endian stream:
+        # each offset's low ``width`` bits, from its narrowest whole word.
+        size = next(size for size in (1, 2, 4, 8) if 8 * size >= width)
+        bits = np.unpackbits(
+            offsets.astype(f"<u{size}").view(np.uint8).reshape(-1, size),
+            axis=1,
+            bitorder="little",
+        )
+        out.append(width)
+        out += np.packbits(bits[:, :width], bitorder="little").tobytes()
+        self._nest_keys(numbers[low : low + 1], out)
+        return _PACKED, out
+
+    def prices(self, starts: np.ndarray, counts: np.ndarray) -> dict:
+        if self.data is None:
+            return {"plain": np.zeros(len(counts), dtype=np.int64)}
+        numbers, tag, valid = self._keys(), self.tag, self.valid
+        width = None if tag == _BOOL else _WIDTHS.get(tag)
+        if "bitpack" in self.schemes:
+            low = np.minimum.reduceat(numbers, starts)
+            high = np.maximum.reduceat(numbers, starts)
+            if tag == _INT:
+                width = _int_widths(low, high)
+
+        def value_bytes(count, width=width):
+            return _bits(count) if width is None else count * width
+
+        prices = {"plain": value_bytes(counts)}
+        if counts.max() < 2:  # a row a bucket: any other form adds framing
+            return prices
+        if "bitpack" in self.schemes:
+            # The bit width and the packed offsets, then the base nested.
+            base = _int_widths(low, low) if tag == _INT else width
+            packed = _bits(counts * _bit_widths(low, high))
+            prices["bitpack"] = 2 + packed + base
+        best = reduce(np.minimum, prices.values())
+        # The run count, then the lengths and the values nested; priced
+        # where a byte a run length would undercut.
+        breaks = _breaks(numbers, starts)
+        runs = np.add.reduceat(breaks, starts, dtype=np.int64)
+        if (6 + runs + value_bytes(runs) <= best).any():
+            lengths = _int_widths(0, _longest(breaks, starts))
+            prices["rle"] = 6 + runs * lengths + value_bytes(runs)
+            best = np.minimum(best, prices["rle"])
+        # The code width and the codes, then the entries nested; priced
+        # where a byte a code and one entry would undercut.
+        if (3 + counts > best).all():
+            return prices
+        # Entries per bucket from its distinct (bucket, value) pairs, the
+        # value an offset from the least where that fits in int64 ...
+        size = 2 ** 64
+        if "bitpack" in self.schemes:
+            size = int(high.max()) - int(low.min()) + 1
+        if size * len(counts) < 2 ** 63:
+            pairs = _distinct(numbers - low.min(), size, counts, valid)
+            distinct = np.bincount(pairs // size, minlength=len(counts))
+        elif len(counts) == 1:
+            present = numbers if valid is None else numbers[valid]
+            distinct = np.array([len(_sorted_set(present))])
         else:
-            payload = counts * _WIDTHS[self.tag]
-        return _with_validity(self.valid, payload, starts, counts)
-
-    def write(self, out: bytearray) -> None:
-        valid = self.valid
-        if self.tag == _NULLS or (valid is not None and not valid.any()):
-            out.append(_NULLS)
-            return
-        if valid is not None and valid.all():
-            valid = None
-        tag = self.tag
-        if tag == _INT:
-            filled = self._filled()
-            tag = _INT_TAGS[int(_int_widths(filled.min(), filled.max()))]
-            payload = filled.astype(_INT_DTYPES[tag]).tobytes()
-        elif tag == _FLOAT:
-            payload = self._filled().astype("<f8").tobytes()
-        elif tag == _BOOL:
-            payload = np.packbits(self._filled()).tobytes()
-        else:  # the numbers of a datetime64 array
-            dtype = "<i4" if tag == _DATE else "<i8"
-            payload = self._filled().astype(dtype).tobytes()
-        out.append(tag if valid is None else tag | _NULLABLE)
-        if valid is not None:
-            out += np.packbits(valid).tobytes()
-        out += payload
+            # ... else (a double's bits) its rank, where a bucket's valid
+            # rows less the repeats of the whole column, as entries, still
+            # undercut.
+            size = len(_sorted_set(numbers))
+            present = counts if valid is None else np.add.reduceat(
+                valid, starts, dtype=np.int64
+            )
+            fewest = np.maximum(present - len(numbers) + size, 1)
+            floor = counts * _code_width(fewest) + value_bytes(fewest)
+            if (2 + floor > best).all():
+                return prices
+            ids = np.unique(numbers, return_inverse=True)[1]
+            pairs = _distinct(ids, size, counts, valid)
+            distinct = np.bincount(pairs // size, minlength=len(counts))
+        if valid is not None and tag == _INT:  # the entries' own range
+            top, bottom = _INT64_RANGE.max, _INT64_RANGE.min
+            width = _int_widths(
+                np.minimum.reduceat(np.where(valid, numbers, top), starts),
+                np.maximum.reduceat(np.where(valid, numbers, bottom), starts),
+            )
+        prices["dictionary"] = (
+            2 + counts * _code_width(distinct) + value_bytes(distinct, width)
+        )
+        return prices
 
 
-class _StringColumn:
+class _StringColumn(_Column):
     """A column of strings as ``entries[ids]``: the distinct values once,
     their UTF-8 lengths, and an id per row (0 in NULL slots)."""
+
+    schemes = SCHEMES[:3]
 
     def __init__(self, ids, valid, entries: list, lens: np.ndarray):
         self.ids = ids
@@ -431,10 +681,11 @@ class _StringColumn:
         self.lens = lens
 
     @classmethod
-    def of(cls, values: Sequence, has_null: bool) -> "_StringColumn":
-        distinct = dict.fromkeys(values)
-        distinct.pop(None, None)
-        entries = list(distinct)
+    def of(cls, values: Sequence, has_null: bool, distinct=None):
+        """The column of ``values`` (their ``dict.fromkeys``, if made)."""
+        if distinct is None:
+            distinct = dict.fromkeys(values)
+        entries = [value for value in distinct if value is not None]
         id_of = dict(zip(entries, range(len(entries))))
         valid = None
         if has_null:
@@ -450,83 +701,83 @@ class _StringColumn:
         )
         return cls(ids, valid, entries, lens)
 
+    def __len__(self) -> int:
+        return len(self.ids)
+
     def gather(self, codes: np.ndarray) -> "_StringColumn":
         valid = self.valid[codes] if self.valid is not None else None
         return _StringColumn(self.ids[codes], valid, self.entries, self.lens)
 
-    def _row_lens(self) -> np.ndarray:
+    def _keys(self) -> np.ndarray:
+        """The ids, -1 for a NULL (written as "")."""
+        if self.valid is None:
+            return self.ids
+        return np.where(self.valid, self.ids, -1)
+
+    def _write_texts(self, keys: np.ndarray, out: bytearray) -> None:
+        """Append the strings of ``keys`` ("" for -1, a NULL)."""
+        texts = list(map(self.entries.__getitem__, keys.tolist()))
+        lens = self.lens[keys]
+        if self.valid is not None:
+            present = (keys >= 0).tolist()
+            texts = [text if ok else "" for text, ok in zip(texts, present)]
+            lens = np.where(keys >= 0, lens, 0)
+        _strings(texts, lens, out)
+
+    def _plain(self) -> tuple[int, bytes]:
+        out = bytearray()
+        self._write_texts(self._keys(), out)
+        return _STRING, out
+
+    def _nest_keys(self, keys: np.ndarray, out: bytearray) -> None:
+        out.append(_STRING)
+        self._write_texts(keys, out)
+
+    def prices(self, starts: np.ndarray, counts: np.ndarray) -> dict:
         row_lens = self.lens[self.ids]
         if self.valid is not None:
             row_lens = np.where(self.valid, row_lens, 0)
-        return row_lens
-
-    def sizes(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        payload = 4 * counts + np.add.reduceat(self._row_lens(), starts)
-        if len(self.entries) < len(self.ids):
-            # Some value repeats: the dictionary form may be the smaller
-            # one in a bucket.  Distinct (bucket, id) pairs, counted and
-            # weighed for all buckets at once.
-            width = len(self.entries)
-            bucket = np.repeat(np.arange(len(starts)), counts)
-            pairs = bucket * width + self.ids
-            if self.valid is not None:
-                pairs = pairs[self.valid]
-            pairs = np.unique(pairs)
-            owner = pairs // width
-            distinct = np.bincount(owner, minlength=len(starts))
-            entry_bytes = np.bincount(
-                owner, weights=self.lens[pairs % width], minlength=len(starts)
-            ).astype(np.int64)
-            payload = np.minimum(
-                payload,
-                4 + 4 * distinct + entry_bytes
-                + counts * _code_width(distinct),
-            )
-        return _with_validity(self.valid, payload, starts, counts)
-
-    def write(self, out: bytearray) -> None:
-        ids, valid = self.ids, self.valid
-        if valid is not None and not valid.any():
-            out.append(_NULLS)
-            return
-        if valid is not None and valid.all():
-            valid = None
-        used = np.unique(ids if valid is None else ids[valid])
-        plain = 4 * len(ids) + int(self._row_lens().sum())
-        width = int(_code_width(len(used)))
-        coded = (
-            4 + 4 * len(used) + int(self.lens[used].sum()) + width * len(ids)
+        prices = {"plain": 4 * counts + np.add.reduceat(row_lens, starts)}
+        if counts.max() < 2:  # a row a bucket: any other form adds framing
+            return prices
+        # A run-length form where a byte a run length would undercut.
+        breaks = _breaks(self._keys(), starts)
+        runs = np.add.reduceat(breaks, starts, dtype=np.int64)
+        rle = 6 + 4 * runs + np.add.reduceat(
+            np.where(breaks, row_lens, 0), starts
         )
-        tag = _DICTIONARY if coded < plain else _STRING
-        out.append(tag if valid is None else tag | _NULLABLE)
-        if valid is not None:
-            out += np.packbits(valid).tobytes()
-        entries = self.entries
-        if tag == _STRING:
-            texts = map(entries.__getitem__, ids.tolist())
-            if valid is not None:
-                texts = [
-                    text if ok else ""
-                    for text, ok in zip(texts, valid.tolist())
-                ]
-            out += np.cumsum(self._row_lens()).astype("<u4").tobytes()
-            out += "".join(texts).encode("utf-8")
-            return
-        out += _LENGTH.pack(len(used))
-        out += np.cumsum(self.lens[used]).astype("<u4").tobytes()
-        out += "".join(map(entries.__getitem__, used.tolist())).encode("utf-8")
-        codes = np.searchsorted(used, ids)
-        if valid is not None:
-            codes = np.where(valid, codes, 0)
-        out += codes.astype(f"<u{width}").tobytes()
+        if (rle + runs <= prices["plain"]).any():
+            lengths = _int_widths(0, _longest(breaks, starts))
+            prices["rle"] = rle + runs * lengths
+        if np.bincount(self.ids).max() < 2:
+            # No string repeats: an entry a row costs what plain does and
+            # the codes besides.
+            return prices
+        # The distinct strings of each bucket's valid rows, weighed for
+        # all buckets at once.
+        size = len(self.entries)
+        pairs = _distinct(self.ids, size, counts, self.valid)
+        owner = pairs // size
+        distinct = np.bincount(owner, minlength=len(counts))
+        entry_bytes = np.bincount(
+            owner, weights=self.lens[pairs % size], minlength=len(counts)
+        ).astype(np.int64)
+        prices["dictionary"] = (
+            2 + counts * _code_width(distinct) + 4 * distinct + entry_bytes
+        )
+        return prices
 
 
-class _ObjectColumn:
+class _ObjectColumn(_Column):
     """Values of no single primitive type: the column's pickle.  A bucket
-    of it may still hold one type only, and then weighs what that does."""
+    of it may still hold one type only, and then weighs what that type
+    does."""
 
     def __init__(self, values: list):
         self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
 
     def gather(self, codes: np.ndarray):
         # The rows picked may be of one type though the entries are not.
@@ -543,11 +794,9 @@ class _ObjectColumn:
             sizes.append(len(out))
         return np.array(sizes, dtype=np.int64)
 
-    def write(self, out: bytearray) -> None:
+    def encoded(self, scheme: str) -> tuple[int, bytes]:
         blob = pickle.dumps(self.values, protocol=4)
-        out.append(_OBJECT)
-        out += _LENGTH.pack(len(blob))
-        out += blob
+        return _OBJECT, _LENGTH.pack(len(blob)) + blob
 
 
 _NONE = type(None)
@@ -595,6 +844,44 @@ def _plan(vector: Vector):
     return _plan_values(data if isinstance(data, list) else list(data))
 
 
+def _stored(column: "ColumnAnalysis"):
+    """A stored column's plan (DESIGN §16): the schema's array when it
+    holds the values (``ColumnAnalysis.array``), else the values planned
+    as an exchange plans them; NULLs are validity bits either way."""
+    if not len(column):
+        return _plan_values([])
+    if column.array is not None:
+        return _plan(Vector(column.array))
+    if column.kind is str:  # its distinct values are the statistics'
+        distinct = column.distinct
+        return _StringColumn.of(column.values, column.has_null, distinct)
+    return _plan_values(list(column.values))
+
+
+def write_column(
+    column: "ColumnAnalysis", schemes: Sequence[str] = SCHEMES
+) -> bytes:
+    """A loading task's column as the cheapest of ``schemes``."""
+    out = bytearray()
+    _stored(column).write(out, schemes)
+    return bytes(out)
+
+
+def cheapest_scheme(column: "ColumnAnalysis") -> str:
+    """The encoding :func:`write_column` picks, priced but not written."""
+    return _stored(column).choose()
+
+
+def scheme_of(payload: bytes) -> str:
+    """The encoding a written column is in."""
+    return _SCHEME_OF.get(payload[0] & ~_NULLABLE, "plain")
+
+
+def read_column(payload: bytes, rows: int) -> Vector:
+    """A column :func:`write_column` wrote, of ``rows`` rows."""
+    return _read(memoryview(payload), 0, rows)[0]
+
+
 def _read_strings(payload, offset: int, count: int) -> tuple[list, int]:
     """``count`` strings stored as end offsets + UTF-8, and the offset
     past them."""
@@ -610,6 +897,122 @@ def _read_strings(payload, offset: int, count: int) -> tuple[list, int]:
     else:
         texts = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
     return texts, offset + total
+
+
+def _array(view, dtype: str, count: int, offset: int) -> np.ndarray:
+    """``count`` numbers at ``offset``: a view of the bytes where they
+    lie aligned, else a copy (numpy gathers 5x slower from a misaligned
+    array)."""
+    data = np.frombuffer(view, dtype, count, offset)
+    return data if data.flags.aligned else data.copy()
+
+
+def _unpack(view, offset: int, rows: int, width: int) -> np.ndarray:
+    """``rows`` offsets of ``width`` bits packed from ``offset``, as
+    uint64.  Offset i is the word at byte i * width // 8 shifted down to
+    its first bit (and the next word's low bits past 57), masked; the
+    stream's words at each of the 8 byte phases, end to end, make every
+    such word one gather."""
+    size = (rows * width + 7) // 8
+    words = size // 8 + 2
+    stream = np.zeros(8 * words + 8, dtype=np.uint8)
+    stream[:size] = np.frombuffer(view, np.uint8, size, offset)
+    phases = np.concatenate(
+        [np.frombuffer(stream, "<u8", words, k) for k in range(8)]
+    )
+    first = np.arange(rows, dtype=np.int64) * width
+    at = ((first >> 3) & 7) * words + (first >> 6)
+    shift = (first & 7).astype(np.uint64)
+    offsets = phases[at] >> shift
+    if width > 57:
+        offsets |= (phases[at + 1] << (np.uint64(63) - shift)) << np.uint64(1)
+    return offsets & np.uint64(2**width - 1)
+
+
+def _read(view, offset: int, rows: int) -> tuple[Vector, int]:
+    """The column of ``rows`` rows at ``offset``, and the offset past it.
+    A dictionary reads as a :class:`CodedVector`; a number column whose
+    bytes are its array's is a view of them (:func:`_array`)."""
+    tag = view[offset]
+    offset += 1
+    valid = None
+    if tag & _NULLABLE:
+        tag &= ~_NULLABLE
+        valid = np.unpackbits(
+            np.frombuffer(view, np.uint8, _bits(rows), offset), count=rows
+        ).astype(bool)
+        offset += _bits(rows)
+    if tag in _NUMBERS:
+        stored, dtype = _NUMBERS[tag]
+        data = _array(view, stored, rows, offset)
+        offset += data.nbytes
+        data = data.view(dtype) if tag == _TIMESTAMP else data.astype(
+            dtype, copy=False
+        )
+        vector = Vector(data)
+    elif tag == _BOOL:
+        vector = Vector(
+            np.unpackbits(
+                np.frombuffer(view, np.uint8, _bits(rows), offset), count=rows
+            ).astype(bool)
+        )
+        offset += _bits(rows)
+    elif tag == _STRING:
+        values, offset = _read_strings(view, offset, rows)
+        vector = Vector(values)
+    elif tag == _OBJECT:
+        (size,) = _LENGTH.unpack_from(view, offset)
+        offset += _LENGTH.size + size
+        vector = Vector(pickle.loads(view[offset - size : offset]))
+    elif tag == _DICTIONARY:
+        width = view[offset]
+        codes = _array(view, f"<u{width}", rows, offset + 1)
+        entries, offset = _read(
+            view, offset + 1 + width * rows, int(codes.max()) + 1
+        )
+        vector = CodedVector(codes, entries)
+    elif tag == _RLE:
+        (count,) = _LENGTH.unpack_from(view, offset)
+        lengths, offset = _read(view, offset + _LENGTH.size, count)
+        values, offset = _read(view, offset, count)
+        if values.is_array:
+            vector = Vector(np.repeat(values.data, lengths.data))
+        else:
+            runs = map(repeat, values.data, lengths.data.tolist())
+            vector = Vector(list(chain.from_iterable(runs)))
+    elif tag == _PACKED:
+        width = view[offset]
+        offsets = _unpack(view, offset + 1, rows, width)
+        base, offset = _read(view, offset + 1 + _bits(rows * width), 1)
+        numbers = offsets + base.data.view(np.uint64)
+        vector = Vector(numbers.view(np.int64).view(base.data.dtype))
+    elif tag == _NULLS:
+        vector = Vector([None] * rows)
+    else:
+        raise StorageError(f"unknown batch column tag {tag}")
+    if valid is None:
+        return vector, offset
+    return _null_rows(vector, valid), offset
+
+
+def _null_rows(vector: Vector, valid: np.ndarray) -> Vector:
+    """``vector`` with the rows ``valid`` marks made NULL; a coded one
+    gains a NULL entry for them."""
+    if isinstance(vector, CodedVector):
+        entries = vector.dictionary
+        count = len(entries)
+        if entries.is_array:
+            data = np.concatenate([entries.data, entries.data[:1]])
+            entries = Vector(data, np.arange(count + 1) < count)
+        else:
+            entries = Vector(entries.data + [None])
+        codes = np.where(valid, vector.codes, np.int64(count))
+        return CodedVector(codes, entries)
+    if vector.is_array:
+        return Vector(vector.data, valid)
+    for index in np.flatnonzero(~valid).tolist():
+        vector.data[index] = None
+    return vector
 
 
 class BatchSerde:
@@ -673,70 +1076,13 @@ class BatchSerde:
         offset = _HEADER.size
         entries = []
         for __ in range(width):
-            vector, offset = self._decode_column(view, offset, rows)
+            vector, offset = _read(view, offset, rows)
             entries.append(vector)
         if offset != len(payload):
             raise StorageError(
                 f"batch payload has {len(payload) - offset} trailing bytes"
             )
         return ColumnBatch(entries, rows)
-
-    @staticmethod
-    def _decode_column(view, offset: int, rows: int) -> tuple[Vector, int]:
-        tag = view[offset]
-        offset += 1
-        valid = None
-        if tag & _NULLABLE:
-            tag &= ~_NULLABLE
-            size = (rows + 7) // 8
-            valid = np.unpackbits(
-                np.frombuffer(view, np.uint8, size, offset), count=rows
-            ).astype(bool)
-            offset += size
-        if tag == _NULLS:
-            return Vector([None] * rows), offset
-        if tag in _INT_DTYPES or tag == _FLOAT:
-            dtype = np.dtype(_INT_DTYPES.get(tag, "<f8"))
-            data = np.frombuffer(view, dtype, rows, offset)
-            wide = np.int64 if tag != _FLOAT else np.float64
-            return (
-                Vector(data.astype(wide), valid),
-                offset + rows * dtype.itemsize,
-            )
-        if tag == _BOOL:
-            size = (rows + 7) // 8
-            data = np.unpackbits(
-                np.frombuffer(view, np.uint8, size, offset), count=rows
-            ).astype(bool)
-            return Vector(data, valid), offset + size
-        if tag == _OBJECT:
-            (size,) = _LENGTH.unpack_from(view, offset)
-            offset += _LENGTH.size
-            return (
-                Vector(pickle.loads(view[offset : offset + size])),
-                offset + size,
-            )
-        if tag in (_DATE, _TIMESTAMP):
-            width, dtype = (4, DAYS) if tag == _DATE else (8, MICROS)
-            data = np.frombuffer(view, f"<i{width}", rows, offset)
-            return Vector(data.astype(dtype), valid), offset + width * rows
-        if tag == _STRING:
-            values, offset = _read_strings(view, offset, rows)
-        elif tag == _DICTIONARY:
-            (count,) = _LENGTH.unpack_from(view, offset)
-            entries, offset = _read_strings(
-                view, offset + _LENGTH.size, count
-            )
-            width = int(_code_width(count))
-            codes = np.frombuffer(view, f"<u{width}", rows, offset)
-            offset += width * rows
-            values = list(map(entries.__getitem__, codes.tolist()))
-        else:
-            raise StorageError(f"unknown batch column tag {tag}")
-        if valid is not None:
-            for index in np.flatnonzero(~valid).tolist():
-                values[index] = None
-        return Vector(values), offset
 
 
 #: StructType rows serialize via pickle in BinarySerde; exported for benches.

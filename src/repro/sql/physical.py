@@ -102,7 +102,7 @@ def _scanned_bytes(
     if projected is None:
         return block.memory_footprint_bytes()
     return sum(
-        block.encoded_column(block.schema.index_of(name)).compressed_bytes
+        len(block.column_bytes(block.schema.index_of(name)))
         for name in projected
     )
 
@@ -227,7 +227,19 @@ def _factorize(vector) -> tuple[np.ndarray, int]:
 
 
 def _renumber(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The same partition of the rows under dense codes ``0..k-1``."""
+    """The same partition of the rows under dense codes ``0..k-1``, in
+    the order of their values."""
+    if codes.dtype.kind == "M":  # sorts as its numbers, several times faster
+        codes = codes.view(np.int64)
+    if codes.dtype.kind in "iu" and len(codes):
+        # Few values apart: a table over the range, not a sort.
+        low, high = int(codes.min()), int(codes.max())
+        if high - low < 4 * len(codes):
+            offsets = codes - low
+            seen = np.zeros(high - low + 1, dtype=np.int64)
+            seen[offsets] = 1
+            dense = np.cumsum(seen)
+            return dense[offsets] - 1, int(dense[-1])
     uniq, dense = np.unique(codes, return_inverse=True)
     return dense, len(uniq)
 

@@ -1,7 +1,9 @@
-"""The batch wire format (DESIGN §17): ``decode(encode(b)) == b`` and
+"""The column format (DESIGN §16-17): ``decode(encode(b)) == b`` and
 ``encoded_size`` equals ``len(encode(bucket))`` for every bucket, for
 every DataType, NULLs, empty batches, coded vectors, ints at each width
-boundary and beyond int64, NaN / -0.0 and ARRAY / MAP object columns."""
+boundary and beyond int64, NaN / -0.0 and ARRAY / MAP object columns;
+and every DataType round-trips under every encoding the writer can be
+forced to."""
 
 from __future__ import annotations
 
@@ -14,8 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar.analysis import ColumnAnalysis
 from repro.columnar.batch import CodedVector, ColumnBatch, Vector
-from repro.columnar.serde import BatchSerde
+from repro.columnar.serde import (
+    SCHEMES,
+    BatchSerde,
+    read_column,
+    scheme_of,
+    write_column,
+)
+from repro.datatypes import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    INT,
+    STRING,
+    TIMESTAMP,
+    ArrayType,
+    MapType,
+    StructType,
+)
+from repro.errors import CompressionError
 
 SERDE = BatchSerde()
 
@@ -147,29 +169,131 @@ def _column_bytes(values, rows=None) -> int:
     return SERDE.encoded_size(batch)[0] - 7
 
 
+#: Eight distinct values spread over the whole of a width, so that no
+#: run, repeat or narrow range makes a compressed encoding cheaper.
+_SPREAD = {
+    2: [128, -(2 ** 15), 2 ** 15 - 1, 300, -300, 5000, -5000, 20000],
+    4: [2 ** 15, -(2 ** 31), 2 ** 31 - 1, 7, -70000, 2 ** 20, 9, -3],
+    8: [2 ** 31, -(2 ** 63), 2 ** 63 - 1, 7, -(2 ** 40), 2 ** 50, 9, -3],
+}
+
+
 @pytest.mark.parametrize(
     "values,want",
     [
         ([127, -128] * 4, 8 * 1),
-        ([128] * 8, 8 * 2),
-        ([-129] * 8, 8 * 2),
-        ([2 ** 15] * 8, 8 * 4),
-        ([2 ** 31] * 8, 8 * 8),
-        ([0.5] * 8, 8 * 8),
+        (_SPREAD[2], 8 * 2),
+        ([-129] + _SPREAD[2][1:], 8 * 2),
+        (_SPREAD[4], 8 * 4),
+        (_SPREAD[8], 8 * 8),
+        ([0.5 + i for i in range(8)], 8 * 8),
         ([True, False] * 4, 1),
         ([True] * 9, 2),
-        ([date(2000, 1, 1)] * 8, 8 * 4),
-        ([datetime(2000, 1, 1, 1, 2, 3, 4)] * 8, 8 * 8),
+        # Dates: bit width 1, the 22-bit offsets from the earliest day
+        # (date.min .. date.max), the base as a nested 4-byte day.
+        ([date.min, date.max] + [date(2000, 1, i) for i in range(1, 7)],
+         1 + 22 + 1 + 4),
+        ([datetime.min, datetime.max] + [
+            datetime(2000, 1, 1, 1, 2, 3, i) for i in range(6)
+        ], 8 * 8),
         (["ab", "é"], 2 * 4 + 2 + 2),
-        # Repeats: 4-byte count + one entry (4 + 4) + one code byte a row.
-        (["MAIL"] * 100, 4 + 8 + 100),
+        # Repeats: a code width byte and one code byte a row, then the two
+        # entries as a nested string column (tag, end offsets, UTF-8).
+        (["a", "b"] * 50, 1 + 100 + 1 + 8 + 2),
         ([None] * 8, 0),
         # NULLs: one validity bit per row beside the payload.
-        ([1, None] * 4, 1 + 8),
+        ([-100, None, 100, None, 50, None, -50, None], 1 + 8),
     ],
 )
 def test_size_rule_table(values, want):
     assert _column_bytes(values) == want
+
+
+@pytest.mark.parametrize(
+    "values,scheme,want",
+    [
+        # A run count, the run lengths and the run values, each nested.
+        ([7] * 100 + [9] * 100, "rle", 4 + (1 + 2) + (1 + 2)),
+        (["MAIL"] * 100, "rle", 4 + (1 + 1) + (1 + 4 + 4)),
+        # A bit width, 3-bit offsets from the base, the base nested.
+        ([1000 + i % 8 for i in range(80)], "bitpack", 1 + 30 + (1 + 2)),
+        # Doubles repeat as a dictionary, compared by their bits.
+        ([0.0, -0.0, 1.5, 2.5] * 20, "dictionary", 1 + 80 + (1 + 32)),
+    ],
+)
+def test_compressed_size_rules(values, scheme, want):
+    assert _column_bytes(values) == want
+    assert scheme_of(write_column(ColumnAnalysis(values))) == scheme
+
+
+_NAN = float("nan")
+#: Per DataType: columns of every shape a loading task meets.
+_TYPED = {
+    INT: [[7], [1, None, 1, 1, 300, -5], [2 ** 31 - 1, -(2 ** 31)] * 3],
+    BIGINT: [
+        [2 ** 63 - 1, -(2 ** 63), 0] * 2, [5] * 9 + [None],
+        [2 ** 70, 1],  # beyond int64: no array, one pickle
+    ],
+    DOUBLE: [[-0.0], [0.0, -0.0, _NAN, 1.5, None, _NAN, 0.0], [_NAN] * 4],
+    BOOLEAN: [[True], [True, None, False, False, False]],
+    STRING: [["x"], ["a", None, "", "é", "a", "a", "日本"]],
+    DATE: [[date.max], [date.min, None, date(2000, 1, 1)] * 2],
+    TIMESTAMP: [
+        [datetime.min],
+        [datetime.max, None, datetime(2013, 3, 10, 2, 30)] * 2,
+    ],
+    ArrayType(element_type=INT): [[[1, 2], None, [], [1, 2]]],
+    MapType(key_type=STRING, value_type=INT): [[{"a": 1}, None, {}]],
+    StructType(): [[(1, "x"), None, (1, "x")]],
+}
+_CASES = [
+    (data_type, values)
+    for data_type, columns in _TYPED.items()
+    for values in [[], [None], [None] * 3] + columns
+]
+
+
+def _encodings(data_type, values) -> set:
+    """The encodings a column of ``values`` has: the plain one alone when
+    nothing is present or it is an object column; no bit packing for a
+    type that is no integer, day or microsecond."""
+    present = [v for v in values if v is not None]
+    if not present or data_type not in (
+        INT, BIGINT, DOUBLE, BOOLEAN, STRING, DATE, TIMESTAMP
+    ) or 2 ** 70 in present:
+        return {"plain"}
+    if data_type in (DOUBLE, BOOLEAN, STRING):
+        return {"plain", "rle", "dictionary"}
+    return set(SCHEMES)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize(
+    "data_type,values", _CASES,
+    ids=[f"{t}-{i}" for i, (t, __) in enumerate(_CASES)],
+)
+def test_every_type_under_every_encoding(data_type, values, scheme):
+    column = ColumnAnalysis(values, data_type)
+    if scheme not in _encodings(data_type, values):
+        with pytest.raises(CompressionError):
+            write_column(column, (scheme,))
+        return
+    payload = write_column(column, (scheme,))
+    assert scheme_of(payload) == scheme
+    decoded = read_column(payload, len(values)).to_python_list()
+    assert list(map(repr, decoded)) == list(map(repr, values))
+    # The writer left free picks the smallest of them.
+    assert len(write_column(column)) == min(
+        len(write_column(column, (name,)))
+        for name in _encodings(data_type, values)
+    )
+    # ... and an exchange weighs each bucket what it encodes to.
+    batch = ColumnBatch.from_columns([values], len(values))
+    offsets = np.array([0, len(values) // 2, len(values)])
+    for size, start, stop in zip(
+        SERDE.encoded_size(batch, offsets), offsets, offsets[1:]
+    ):
+        assert size == len(SERDE.encode(batch.slice(start, stop)))
 
 
 def test_object_column_is_its_pickle():
@@ -234,9 +358,10 @@ def test_dates_and_timestamps_are_datetime64_columns(values, dtype):
     assert _reprs(decoded.materialize_rows()) == _reprs(zip(values))
     if dtype is not None:
         assert decoded.vector(0).data.dtype == dtype
+        # Four bytes a day, eight a microsecond, or a packing of them.
         width = 4 if dtype == "datetime64[D]" else 8
         validity = (len(values) + 7) // 8 if None in values else 0
-        assert len(payload) == 6 + 1 + validity + width * len(values)
+        assert len(payload) <= 6 + 1 + validity + width * len(values)
 
 
 def test_bucket_of_a_mixed_column_holding_one_type_is_typed():

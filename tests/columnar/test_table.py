@@ -65,7 +65,9 @@ class TestColumns:
     def test_column_by_name(self):
         rows = _rows(20)
         part = ColumnarPartition.from_rows(SCHEMA, rows)
-        assert list(part.column_by_name("mode")) == [r[1] for r in rows]
+        assert part.column_by_name("mode").to_python_list() == [
+            r[1] for r in rows
+        ]
 
     def test_decoded_column_cached(self):
         part = ColumnarPartition.from_rows(SCHEMA, _rows(20))
@@ -78,7 +80,8 @@ class TestColumns:
         schemes = part.compression_schemes()
         assert len(schemes) == 4
         assert schemes[1] == "dictionary"  # 3-value mode column
-        assert schemes[3] == "bitset"
+        assert schemes[3] == "plain"  # a BOOLEAN's plain tag is its bitset
+        assert len(part.column_bytes(3)) == 1 + (500 + 7) // 8
 
     def test_compress_false_uses_plain(self):
         part = ColumnarPartition.from_rows(SCHEMA, _rows(), compress=False)

@@ -616,20 +616,22 @@ def _timeless(record: dict) -> dict:
 #: ``total_bytes`` of every exchange of the TPC-H + Pavlo set, by
 #: ``(query_id, shuffle_id)``, now that a bucket weighs its encoded
 #: batch (DESIGN §17) instead of its pickled pairs — pinned on purpose:
-#: these feed PDE's decisions and every simulated-clock number.
+#: these feed PDE's decisions and every simulated-clock number.  Re-pinned
+#: once more, lower, when the writer began to price run-length, dictionary
+#: and bit-packed forms of every column (the value before that is second).
 _EXCHANGE_BYTES = {
     ("q0000", 0): 11220,  # parent: 15403
     ("q0001", 0): 1556,  # 2728
-    ("q0002", 0): 4102,  # 6064
+    ("q0002", 0): 4089,  # 6064; 4102
     ("q0004", 0): 36,  # 96
-    ("q0005", 0): 14034,  # 61596
+    ("q0005", 0): 6545,  # 61596; 14034
     ("q0006", 0): 484,  # 1376
-    ("q0007", 0): 6565,  # 23591
+    ("q0007", 0): 4665,  # 23591; 6565
     ("q0009", 0): 1406,  # 2272
-    ("q0009", 1): 329,  # 796
-    ("q0010", 0): 413,  # 737
-    ("q0010", 1): 1698,  # 4824 (1645 until its DATE key re-hashed)
-    ("q0010", 2): 149,  # 5481; 1220 until its LIMIT kept 10 rows a run
+    ("q0009", 1): 328,  # 796; 329
+    ("q0010", 0): 403,  # 737; 413
+    ("q0010", 1): 1692,  # 4824; 1698 (1645 until its DATE key re-hashed)
+    ("q0010", 2): 124,  # 5481; 149 (1220 until its LIMIT kept 10 rows)
     ("q0011", 0): 60,  # 120
 }
 
@@ -640,8 +642,8 @@ _EXCHANGE_BYTES = {
 #: purpose, from 8 buckets of 82 rows, weighing
 #: [163, 149, 149, 149, 149, 149, 149, 163]).
 _SORT_EXCHANGE_BYTES = {
-    ("q0009", 1): [101, 57, 57, 57, 57, 0],
-    ("q0010", 2): [149],
+    ("q0009", 1): [100, 57, 57, 57, 57, 0],  # [101, 57, 57, 57, 57, 0]
+    ("q0010", 2): [124],  # [149]
 }
 
 #: Rows per bucket of the two exchanges keyed by a DATE (the 2 500-group

@@ -11,13 +11,14 @@ and a tiny-cap section churns the eviction path while the memory ledger
 stays balanced (zero clamped releases).
 """
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
 from repro import SharkContext
-from repro.columnar.compression import EncodedColumn
+from repro.columnar import table
+from repro.columnar.serde import read_column
 from repro.datatypes import BOOLEAN, DOUBLE, INT, STRING, Schema
 from repro.engine.lifecycle import LifecycleConfig
 from repro.engine.memory import EXECUTION
@@ -33,22 +34,16 @@ from tests.sql.test_vectorized_parity import (
 
 @contextmanager
 def count_decodes():
-    """``decode`` calls per encoded block column while the block is
-    open, every scheme patched: yields the dict, column -> calls."""
+    """Decodes per stored block column while the block is open (the
+    block store reads each column through ``read_column``): yields the
+    dict, id of the column's bytes -> calls."""
     calls: dict = {}
 
-    def counting(original):
-        def decode(column):
-            calls[column] = calls.get(column, 0) + 1
-            return original(column)
+    def decode(payload, rows):
+        calls[id(payload)] = calls.get(id(payload), 0) + 1
+        return read_column(payload, rows)
 
-        return decode
-
-    with ExitStack() as stack:
-        for scheme in EncodedColumn.__subclasses__():
-            stack.enter_context(
-                mock.patch.object(scheme, "decode", counting(scheme.decode))
-            )
+    with mock.patch.object(table, "read_column", decode):
         yield calls
 
 

@@ -362,24 +362,26 @@ class TestInterpretedCount:
 
 
 class TestLazyColumnHandsOutCodes:
-    schema = Schema.of(("s", STRING), ("b", BOOLEAN), ("q", INT), ("n", INT))
+    schema = Schema.of(
+        ("s", STRING), ("d", DOUBLE), ("q", INT), ("n", INT)
+    )
     rows = [
-        (f"w{i % 4}", None if i % 3 == 0 else i % 2 == 0, i % 5, i)
+        (None if i % 3 == 0 else f"w{i % 4}", i % 4 * 0.5, i % 5 * 10**5, i)
         for i in range(60)
     ]
 
     def test_dictionary_columns_enter_coded(self):
         block = ColumnarPartition.from_rows(self.schema, self.rows)
-        assert block.compression_schemes()[:3] == ["dictionary"] * 3
+        assert block.compression_schemes() == ["dictionary"] * 3 + ["bitpack"]
         batch = ColumnBatch.from_block(block, [0, 1, 2, 3])
-        s, b, q, n = (batch.vector(i) for i in range(4))
-        assert all(isinstance(v, CodedVector) for v in (s, b, q))
+        s, d, q, n = (batch.vector(i) for i in range(4))
+        assert all(isinstance(v, CodedVector) for v in (s, d, q))
         assert not isinstance(n, CodedVector)
-        # NULL is an entry of the BOOLEAN dictionary; a NULL-free
-        # primitive's dictionary is the typed array decoding indexes.
-        assert b.dictionary.data == [None, False, True]
-        assert q.dictionary.data.dtype == np.int32
-        for index, vector in enumerate((s, b, q, n)):
+        # NULL is an entry of a nullable column's dictionary; a primitive's
+        # dictionary is the typed array decoding indexes.
+        assert s.dictionary.data == ["w1", "w2", "w0", "w3", None]
+        assert q.dictionary.data.dtype == np.int64
+        for index, vector in enumerate((s, d, q, n)):
             assert vector.to_python_list() == [r[index] for r in self.rows]
 
     def test_selection_shorter_than_the_dictionary_decodes(self):

@@ -9,7 +9,6 @@ contents and order, the catalog's counts, write amplification, lineage
 """
 
 import math
-import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,13 +258,7 @@ class TestAmplification:
 
 
 def _fingerprint(block) -> list:
-    return [
-        (
-            block.encoded_column(i).scheme_name,
-            pickle.dumps(block.encoded_column(i)),
-        )
-        for i in range(len(SCHEMA))
-    ]
+    return [block.column_bytes(i) for i in range(len(SCHEMA))]
 
 
 def _tail(shark: SharkContext):

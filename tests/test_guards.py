@@ -120,6 +120,16 @@ GUARDS = {
         ),
         Rule(r"serialized_size_bytes", ("src/repro/engine", "src/repro/sql")),
     ],
+    # One column format from memstore to wire: the store keeps no second
+    # encoder, so only the serdes' module pickles.
+    "one-column-format": [
+        Rule(
+            r"^\s*(import pickle|from pickle)",
+            ("src/repro/columnar",),
+            exclude="columnar/serde.py",
+        ),
+        Rule(r"EncodedColumn|CompressionScheme", ("src/repro",)),
+    ],
     # Trace time is the simulated clock's: the engine reads no wall clock.
     "wall-clock": [Rule(r"time\.time\(\)|perf_counter", ("src/repro",))],
     # The baselines are lowering policies over the one engine: no
