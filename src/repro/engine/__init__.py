@@ -18,14 +18,7 @@ from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
 from repro.engine.partitioner import HashPartitioner, RangePartitioner
 from repro.engine.broadcast import Broadcast
-from repro.engine.accumulator import (
-    Accumulator,
-    StatisticsCollector,
-    PartitionSizeStat,
-    RecordCountStat,
-    HeavyHittersStat,
-    HistogramStat,
-)
+from repro.engine.accumulator import Accumulator
 from repro.engine.metrics import TaskMetrics, StageProfile, QueryProfile
 from repro.engine.lifecycle import (
     LifecycleConfig,
@@ -43,11 +36,6 @@ __all__ = [
     "RangePartitioner",
     "Broadcast",
     "Accumulator",
-    "StatisticsCollector",
-    "PartitionSizeStat",
-    "RecordCountStat",
-    "HeavyHittersStat",
-    "HistogramStat",
     "TaskMetrics",
     "StageProfile",
     "QueryProfile",

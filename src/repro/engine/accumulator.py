@@ -1,27 +1,14 @@
-"""Accumulators and PDE's pluggable statistics collectors (Section 3.1).
+"""Accumulators: Spark-style write-only shared variables.
 
-Two related facilities live here:
-
-* :class:`Accumulator` — Spark-style write-only shared variables that tasks
-  add to and the driver reads (used by map pruning's scan counters and by
-  user jobs).
-* :class:`StatisticsCollector` — the "simple, pluggable accumulator API"
-  PDE uses to gather per-partition statistics while map output is being
-  materialized.  Workers run ``observe`` over their output and send a small
-  partial back to the master, which ``merge``\\ s partials and hands the
-  result to the optimizer.  The paper's three examples — partition sizes
-  (log-encoded to ~1 byte each), heavy hitters, and approximate histograms
-  — are implemented below.
+Tasks add to an :class:`Accumulator` and the driver reads it (map
+pruning's scan counters and user jobs use them).  PDE's statistics are
+not accumulators here: each map task reports one status with its output
+(:class:`~repro.engine.shuffle.MapStatus`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Iterable
-
-# ---------------------------------------------------------------------------
-# Driver-side accumulators
-# ---------------------------------------------------------------------------
+from typing import Any, Callable
 
 
 class Accumulator:
@@ -61,165 +48,3 @@ class Accumulator:
 
     def reset(self, initial: Any) -> None:
         self._value = initial
-
-
-# ---------------------------------------------------------------------------
-# Log-encoded sizes (Section 3.1: one byte per size with <= 10% error)
-# ---------------------------------------------------------------------------
-
-#: Logarithmic base chosen so a single byte (0..255) spans up to ~32 GB with
-#: at most ~10% relative error, as described in the paper.
-_LOG_BASE = 1.1
-_LOG_DENOM = math.log(_LOG_BASE)
-
-
-def log_encode_size(num_bytes: int) -> int:
-    """Encode a byte count into one byte with bounded relative error."""
-    if num_bytes <= 0:
-        return 0
-    code = int(round(math.log(num_bytes) / _LOG_DENOM)) + 1
-    return max(1, min(code, 255))
-
-
-def log_decode_size(code: int) -> int:
-    """Decode a one-byte size code back to an approximate byte count."""
-    if code <= 0:
-        return 0
-    return int(round(_LOG_BASE ** (code - 1)))
-
-
-# ---------------------------------------------------------------------------
-# Pluggable per-shuffle statistics
-# ---------------------------------------------------------------------------
-
-
-class StatisticsCollector:
-    """Interface for PDE's per-shuffle statistics.
-
-    ``observe`` runs on the worker over one map task's output records and
-    returns a compact partial; ``merge`` combines two partials on the
-    master.  Partials must stay small (the paper limits them to 1-2 KB per
-    task) — collectors here respect that by design.
-    """
-
-    #: Key under which merged results appear in MapOutputStats.custom.
-    name: str = "stat"
-
-    def observe(self, records: Iterable[Any]) -> Any:
-        raise NotImplementedError
-
-    def merge(self, left: Any, right: Any) -> Any:
-        raise NotImplementedError
-
-
-class PartitionSizeStat(StatisticsCollector):
-    """Total output bytes per map task, log-encoded to one byte."""
-
-    name = "partition_sizes"
-
-    def __init__(self, size_of: Callable[[Any], int] = None):
-        self._size_of = size_of
-
-    def observe(self, records: Iterable[Any]) -> int:
-        from repro.cluster.worker import approximate_size_bytes
-
-        if self._size_of is not None:
-            total = sum(self._size_of(record) for record in records)
-        else:
-            total = sum(approximate_size_bytes(record) for record in records)
-        return log_encode_size(total)
-
-    def merge(self, left: int, right: int) -> int:
-        return log_encode_size(log_decode_size(left) + log_decode_size(right))
-
-
-class RecordCountStat(StatisticsCollector):
-    """Output record count per map task."""
-
-    name = "record_counts"
-
-    def observe(self, records: Iterable[Any]) -> int:
-        return sum(1 for _ in records)
-
-    def merge(self, left: int, right: int) -> int:
-        return left + right
-
-
-class HeavyHittersStat(StatisticsCollector):
-    """Frequent keys via the SpaceSaving algorithm (bounded memory).
-
-    Partials are ``{key: approximate_count}`` dicts capped at ``capacity``
-    entries, so a partial stays within the paper's 1-2 KB budget for
-    reasonable key sizes.
-    """
-
-    name = "heavy_hitters"
-
-    def __init__(self, capacity: int = 16, key_of: Callable[[Any], Any] = None):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._key_of = key_of if key_of is not None else (lambda record: record[0])
-
-    def observe(self, records: Iterable[Any]) -> dict:
-        counters: dict[Any, int] = {}
-        for record in records:
-            key = self._key_of(record)
-            if key in counters:
-                counters[key] += 1
-            elif len(counters) < self.capacity:
-                counters[key] = 1
-            else:
-                # SpaceSaving: evict the minimum, inherit its count + 1.
-                evict = min(counters, key=counters.get)
-                count = counters.pop(evict)
-                counters[key] = count + 1
-        return counters
-
-    def merge(self, left: dict, right: dict) -> dict:
-        merged = dict(left)
-        for key, count in right.items():
-            merged[key] = merged.get(key, 0) + count
-        if len(merged) > self.capacity:
-            top = sorted(merged.items(), key=lambda kv: -kv[1])[: self.capacity]
-            merged = dict(top)
-        return merged
-
-
-class HistogramStat(StatisticsCollector):
-    """Approximate equi-width histogram over a numeric feature of records."""
-
-    name = "histogram"
-
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        num_buckets: int = 32,
-        value_of: Callable[[Any], float] = None,
-    ):
-        if high <= low:
-            raise ValueError("high must exceed low")
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
-        self.low = low
-        self.high = high
-        self.num_buckets = num_buckets
-        self._value_of = value_of if value_of is not None else (lambda r: float(r))
-        self._width = (high - low) / num_buckets
-
-    def bucket_of(self, value: float) -> int:
-        if value <= self.low:
-            return 0
-        if value >= self.high:
-            return self.num_buckets - 1
-        return min(int((value - self.low) / self._width), self.num_buckets - 1)
-
-    def observe(self, records: Iterable[Any]) -> list[int]:
-        buckets = [0] * self.num_buckets
-        for record in records:
-            buckets[self.bucket_of(self._value_of(record))] += 1
-        return buckets
-
-    def merge(self, left: list[int], right: list[int]) -> list[int]:
-        return [a + b for a, b in zip(left, right)]

@@ -109,17 +109,15 @@ class ShuffleDependency(Dependency):
     value column on the way in, and read back as pairs.  When
     ``aggregator`` is set and ``map_side_combine`` is true, map tasks
     pre-aggregate per key before that (the "task-local aggregations" of
-    Section 6.2.2).  ``stats_collectors`` are PDE's pluggable accumulators
-    (Section 3.1): they observe map output as it is materialized and
-    their merged results are available to the optimizer before the reduce
-    stage is planned.
+    Section 6.2.2).  What each map task reports beside its buckets is
+    the shuffle's business (:class:`~repro.engine.shuffle.MapStatus`):
+    PDE reads it before the reduce stage is planned (Section 3.1).
     """
 
     _next_shuffle_id = 0
 
     #: The batch columns holding the partitioning key and the value: an
-    #: ordinal (the column's values) or a tuple of them (tuples); no
-    #: value ordinals (None) stands for every column, a whole row.
+    #: ordinal (the column's values) or a tuple of them (tuples).
     key: Any = 0
     value: Any = 1
     #: Whether ``partitioner`` is final.  A sort exchange's is not until
@@ -133,13 +131,11 @@ class ShuffleDependency(Dependency):
         partitioner: Partitioner,
         aggregator: Optional[Aggregator] = None,
         map_side_combine: bool = False,
-        stats_collectors: tuple = (),
     ):
         super().__init__(rdd)
         self.partitioner = partitioner
         self.aggregator = aggregator
         self.map_side_combine = map_side_combine and aggregator is not None
-        self.stats_collectors = tuple(stats_collectors)
         self.shuffle_id = ShuffleDependency._next_shuffle_id
         ShuffleDependency._next_shuffle_id += 1
 
@@ -162,7 +158,7 @@ class ShuffleDependency(Dependency):
         self, batch: ColumnBatch, map_partition: int
     ) -> tuple[ColumnBatch, Any]:
         """What map task ``map_partition`` stores of its keyed batch, and
-        the statistic it publishes beside its buckets' sizes (None:
+        the sample its status carries beside its buckets' sizes (None:
         none)."""
         return batch, None
 
@@ -191,10 +187,7 @@ class ShuffleDependency(Dependency):
 
     def pairs(self, batch: ColumnBatch) -> list:
         """``(key, value)`` of every row of a fetched batch."""
-        value = self.value
-        if value is None:
-            value = tuple(range(len(batch.entries)))
-        return list(zip(batch.values(self.key), batch.values(value)))
+        return list(zip(batch.values(self.key), batch.values(self.value)))
 
     def records(self, batch: ColumnBatch) -> list:
         """What a reduce task computes on: here, the pairs again."""
@@ -204,13 +197,10 @@ class ShuffleDependency(Dependency):
 class BatchShuffleDependency(ShuffleDependency):
     """The exchange between SQL operators: the parent's partitions hold
     ColumnBatches (one per task, normally) and the reduce side is handed
-    the fetched batch itself.  ``key`` names the partitioning columns; a
-    statistics collector's :meth:`pairs` are ``(key, whole row)``.
+    the fetched batch itself.  ``key`` names the partitioning columns.
     ``map_side_combine`` only says the map output is already one record
     per key and task (the cost model scales such shuffles differently).
     """
-
-    value = None
 
     def __init__(
         self,
@@ -218,9 +208,8 @@ class BatchShuffleDependency(ShuffleDependency):
         partitioner: Partitioner,
         key: Any,
         map_side_combine: bool = False,
-        stats_collectors: tuple = (),
     ):
-        super().__init__(rdd, partitioner, stats_collectors=stats_collectors)
+        super().__init__(rdd, partitioner)
         self.key = key
         self.map_side_combine = map_side_combine
 

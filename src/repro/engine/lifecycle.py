@@ -95,6 +95,17 @@ _STATUS = {
     FAILED: "error",
 }
 
+#: Retry-after hint per waiting query, in simulated seconds, before any
+#: drain rate or completed query duration is observed (the server's too).
+RETRY_AFTER_DEFAULT_S = 1.0
+#: Terminal events (slot/queue-position releases) sampled for the observed
+#: queue drain rate that prices retry-after hints (the server's too).
+DRAIN_RATE_WINDOW = 8
+#: Real-time guard on baton handoffs: a cooperative-scheduling bug
+#: surfaces as a typed error after this many seconds instead of a hung
+#: test run.  Never reached in normal operation.
+WATCHDOG_TIMEOUT_S = 300.0
+
 
 @dataclass
 class LifecycleConfig:
@@ -121,15 +132,6 @@ class LifecycleConfig:
     #: Query completions (any key) before an open circuit half-opens and
     #: admits one trial run.
     circuit_reset_completions: int = 4
-    #: Retry-after hint when no completed query durations exist yet.
-    retry_after_default_s: float = 1.0
-    #: Terminal events (slot/queue-position releases) sampled for the
-    #: observed queue drain rate that prices retry-after hints.
-    drain_rate_window: int = 8
-    #: Real-time guard on baton handoffs: a cooperative-scheduling bug
-    #: surfaces as a typed error after this many seconds instead of a
-    #: hung test run.  Never reached in normal operation.
-    watchdog_timeout_s: float = 300.0
 
 
 class CancelToken:
@@ -428,7 +430,7 @@ class QueryLifecycleManager:
         recently completed query durations.
         """
         waiting = 1 + len(self._queued)
-        samples = self._drain_times[-self.config.drain_rate_window:]
+        samples = self._drain_times[-DRAIN_RATE_WINDOW:]
         if len(samples) >= 2:
             elapsed = samples[-1] - samples[0]
             if elapsed > 0:
@@ -438,7 +440,7 @@ class QueryLifecycleManager:
         average = (
             sum(recent) / len(recent)
             if recent
-            else self.config.retry_after_default_s
+            else RETRY_AFTER_DEFAULT_S
         )
         return max(average, 1e-3) * waiting
 
@@ -547,10 +549,10 @@ class QueryLifecycleManager:
             self._baton = handle
             self._cond.notify_all()
             while self._baton is not None:
-                if not self._cond.wait(self.config.watchdog_timeout_s):
+                if not self._cond.wait(WATCHDOG_TIMEOUT_S):
                     raise EngineError(
                         f"lifecycle watchdog: query {handle.name!r} made no "
-                        f"progress in {self.config.watchdog_timeout_s}s "
+                        f"progress in {WATCHDOG_TIMEOUT_S}s "
                         "(cooperative-scheduling deadlock?)"
                     )
             ctx.tracer.use_stack(driver_stack)
@@ -559,10 +561,10 @@ class QueryLifecycleManager:
     def _await_grant(self, handle: QueryHandle) -> None:
         with self._cond:
             while self._baton is not handle:
-                if not self._cond.wait(self.config.watchdog_timeout_s):
+                if not self._cond.wait(WATCHDOG_TIMEOUT_S):
                     raise EngineError(
                         f"lifecycle watchdog: query {handle.name!r} waited "
-                        f"{self.config.watchdog_timeout_s}s for the baton"
+                        f"{WATCHDOG_TIMEOUT_S}s for the baton"
                     )
 
     def _yield_baton(self, handle: QueryHandle) -> None:
@@ -728,8 +730,8 @@ class QueryLifecycleManager:
         # Every terminal event frees a slot or queue position: sample
         # the simulated clock for the drain rate behind retry hints.
         self._drain_times.append(self._ctx.tracer.clock.now())
-        if len(self._drain_times) > 4 * self.config.drain_rate_window:
-            del self._drain_times[: -self.config.drain_rate_window]
+        if len(self._drain_times) > 4 * DRAIN_RATE_WINDOW:
+            del self._drain_times[:-DRAIN_RATE_WINDOW]
         scoped = (handle.tenant, handle.key)
         if handle.state == DONE:
             self.completed += 1

@@ -264,17 +264,11 @@ class RDD:
     def values(self) -> "RDD":
         return self.map(lambda pair: pair[1])
 
-    def partition_by(
-        self,
-        partitioner: Partitioner,
-        stats_collectors: tuple = (),
-    ) -> "RDD":
+    def partition_by(self, partitioner: Partitioner) -> "RDD":
         """Shuffle (key, value) pairs by key with the given partitioner."""
         if self.partitioner == partitioner:
             return self
-        return ShuffledRDD(
-            self, partitioner, stats_collectors=stats_collectors
-        )
+        return ShuffledRDD(self, partitioner)
 
     def combine_by_key(
         self,
@@ -283,7 +277,6 @@ class RDD:
         merge_combiners: Callable[[Any, Any], Any],
         num_partitions: Optional[int] = None,
         map_side_combine: bool = True,
-        stats_collectors: tuple = (),
     ) -> "RDD":
         aggregator = Aggregator(create_combiner, merge_value, merge_combiners)
         partitioner = self._target_partitioner(num_partitions)
@@ -307,19 +300,14 @@ class RDD:
             partitioner,
             aggregator=aggregator,
             map_side_combine=map_side_combine,
-            stats_collectors=stats_collectors,
         )
 
     def reduce_by_key(
         self,
         fn: Callable[[Any, Any], Any],
         num_partitions: Optional[int] = None,
-        stats_collectors: tuple = (),
     ) -> "RDD":
-        return self.combine_by_key(
-            lambda value: value, fn, fn, num_partitions,
-            stats_collectors=stats_collectors,
-        )
+        return self.combine_by_key(lambda value: value, fn, fn, num_partitions)
 
     def fold_by_key(
         self,
@@ -949,7 +937,6 @@ class ShuffledRDD(RDD):
         partitioner: Partitioner,
         aggregator: Optional[Aggregator] = None,
         map_side_combine: bool = False,
-        stats_collectors: tuple = (),
         dep: Optional[ShuffleDependency] = None,
         groups: Optional[list[list[int]]] = None,
     ):
@@ -959,7 +946,6 @@ class ShuffledRDD(RDD):
                 partitioner,
                 aggregator=aggregator,
                 map_side_combine=map_side_combine,
-                stats_collectors=stats_collectors,
             )
         super().__init__(
             parent.ctx,
@@ -1028,18 +1014,13 @@ class CoGroupedRDD(RDD):
         ctx: "EngineContext",
         rdds: list[RDD],
         partitioner: Partitioner,
-        stats_collectors: tuple = (),
     ):
         deps: list[Dependency] = []
         for rdd in rdds:
             if rdd.partitioner == partitioner:
                 deps.append(OneToOneDependency(rdd))
             else:
-                deps.append(
-                    ShuffleDependency(
-                        rdd, partitioner, stats_collectors=stats_collectors
-                    )
-                )
+                deps.append(ShuffleDependency(rdd, partitioner))
         super().__init__(
             ctx,
             partitioner.num_partitions,

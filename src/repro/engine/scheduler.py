@@ -68,6 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Upper bound on recovery rounds for one job before giving up.
 MAX_RECOVERY_ROUNDS = 16
 
+#: The quantile of completed stage peers' runtimes a straggler is
+#: measured against (times ``SchedulerConfig.speculation_multiplier``).
+SPECULATION_QUANTILE = 0.75
+
 #: QueryProfile attribute -> the counter whose growth over the job it is.
 _JOB_COUNTERS = {
     "evicted_blocks": "blocks.evicted",
@@ -95,9 +99,8 @@ class SchedulerConfig:
     retry_backoff_cap_s: float = 2.0
     #: True/False forces speculation on/off; None = auto (see above).
     speculation: Optional[bool] = None
-    #: A task is a straggler when its runtime exceeds this quantile of
-    #: completed stage peers times ``speculation_multiplier``.
-    speculation_quantile: float = 0.75
+    #: A task is a straggler when its runtime exceeds the
+    #: ``SPECULATION_QUANTILE`` of completed stage peers times this.
     speculation_multiplier: float = 1.5
     #: Minimum completed peers before the quantile is trusted.
     speculation_min_peers: int = 3
@@ -817,7 +820,7 @@ class DAGScheduler:
             return None
         ordered = sorted(durations)
         index = min(
-            int(len(ordered) * self.config.speculation_quantile),
+            int(len(ordered) * SPECULATION_QUANTILE),
             len(ordered) - 1,
         )
         return ordered[index] * self.config.speculation_multiplier

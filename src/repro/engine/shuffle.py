@@ -12,24 +12,28 @@ query).
 
 A bucket weighs what it would encode to
 (:meth:`repro.columnar.serde.BatchSerde.encoded_size`): that one number
-is the byte count of every shuffle metric, what PDE's log-encoded sizes —
-a ~1-byte-per-partition view of the data the master has before the reduce
-stage is planned (Section 3.1) — decode to, and what a fetch charges.
+is the byte count of every shuffle metric and what a fetch charges.
+Beside its block, each map task reports one :class:`MapStatus` to the
+master — its buckets' rows and sizes and, for a sort still without
+bounds, its sample — and every PDE decision reads those statuses
+(Section 3.1): a size through its one-byte code, as the master would
+receive it.  Heavy keys are not gathered on the map side; the skew
+audit labels them from the stored blocks when it is asked.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.columnar.batch import ColumnBatch
 from repro.columnar.serde import BatchSerde
-from repro.engine.accumulator import log_decode_size, log_encode_size
 from repro.engine.partitioner import RangePartitioner
 from repro.engine.task import current_task_context
 from repro.errors import FetchFailedError
@@ -68,11 +72,11 @@ class ShuffleBlock:
         )
 
 
-#: Heavy-hitter keys each map task keeps in its skew partial (a little
+#: Heavy keys each map output contributes to its skew record (a little
 #: wider than the merged top-N so near-ties survive the merge).
 _HEAVY_KEYS_PER_MAP = 8
 
-#: Heavy reduce keys reported per shuffle after merging map partials.
+#: Heavy reduce keys reported per shuffle after merging map outputs.
 HEAVY_KEYS_TOP_N = 5
 
 
@@ -95,65 +99,64 @@ def _key_label(key: Any) -> str:
 SORT_KEY_LABEL = "<SortKey>"
 
 
+#: Logarithmic base chosen so a single byte (0..255) spans up to ~32 GB with
+#: at most ~10% relative error, as described in the paper (Section 3.1).
+_LOG_BASE = 1.1
+_LOG_DENOM = math.log(_LOG_BASE)
+
+
+def log_encode_size(num_bytes: int) -> int:
+    """Encode a byte count into one byte with bounded relative error."""
+    if num_bytes <= 0:
+        return 0
+    code = int(round(math.log(num_bytes) / _LOG_DENOM)) + 1
+    return max(1, min(code, 255))
+
+
+def log_decode_size(code: int) -> int:
+    """Decode a one-byte size code back to an approximate byte count."""
+    if code <= 0:
+        return 0
+    return int(round(_LOG_BASE ** (code - 1)))
+
+
+def _as_reported(size: int) -> int:
+    """A bucket's size as the master receives it: through its code."""
+    return log_decode_size(log_encode_size(size))
+
+
+@dataclass
+class MapStatus:
+    """What one map task reports to the master: the rows and the exact
+    encoded size of each of its buckets and, for a sort whose bounds
+    are not picked yet, the sample they are picked from."""
+
+    rows: list[int]
+    sizes: list[int]
+    sample: Optional[list] = None
+
+
 @dataclass
 class MapOutputStats:
-    """Master-side view of a shuffle's map outputs.
+    """Master-side view of a shuffle's map outputs: one
+    :class:`MapStatus` per map partition that has reported.
 
-    Sizes are stored log-encoded (one byte per entry, <= ~10% error) as in
-    the paper; accessors decode on demand.
+    A re-run map task — retry, speculation, lineage recovery — overwrites
+    its own status, so every statistic counts each map output once.
     """
 
     num_maps: int
     num_reduces: int
-    #: encoded_bucket_sizes[map][reduce] -> one-byte size code.
-    encoded_bucket_sizes: list[list[int]] = field(default_factory=list)
-    record_counts: list[int] = field(default_factory=list)
-    #: Per-map-partition collector partials, keyed by collector name then
-    #: map partition.  Kept per partition (not merged eagerly) so a re-run
-    #: of a map task — retry, speculation, or lineage recovery — simply
-    #: overwrites its own partial instead of double-merging (exactly-once
-    #: PDE statistics).
-    custom_partials: dict[str, dict[int, Any]] = field(default_factory=dict)
-    #: collector name -> merge function, recorded at first observe.
-    mergers: dict[str, Any] = field(default_factory=dict)
-    #: Per-map-partition skew partials ({"rows": [..], "bytes": [..]}),
-    #: kept per partition like ``custom_partials`` so task re-runs
-    #: overwrite instead of double-merging (exactly-once skew
-    #: profiling).  Keys are not kept here: :meth:`skew_record` labels
-    #: them from the map outputs themselves when it is asked.
-    skew_partials: dict[int, dict] = field(default_factory=dict)
-    #: A sort exchange's per-map-partition samples (the keys its range
-    #: bounds are picked from), kept per partition like the partials.
-    samples: dict[int, list] = field(default_factory=dict)
+    statuses: dict[int, MapStatus] = field(default_factory=dict)
 
     @property
     def sample(self) -> list:
         """Every map task's sample, end to end in map-partition order."""
         return [
-            key for map_partition in sorted(self.samples)
-            for key in self.samples[map_partition]
+            key
+            for map_partition in sorted(self.statuses)
+            for key in self.statuses[map_partition].sample or ()
         ]
-
-    @property
-    def custom(self) -> dict[str, Any]:
-        """Merged collector results, keyed by collector name.
-
-        Computed on demand from the per-partition partials; the merge
-        order is map-partition order, so results are deterministic and
-        independent of task scheduling or re-execution.
-        """
-        merged: dict[str, Any] = {}
-        for name, partials in self.custom_partials.items():
-            merge = self.mergers[name]
-            result = None
-            for map_partition in sorted(partials):
-                partial = partials[map_partition]
-                result = (
-                    partial if result is None else merge(result, partial)
-                )
-            if result is not None:
-                merged[name] = result
-        return merged
 
     def skew_record(
         self, shuffle_id: int, map_labels: Callable[[int], Iterable[str]]
@@ -164,7 +167,7 @@ class MapOutputStats:
         that map output, in any order; labelling and counting happen
         here, on demand, so a query nobody profiles pays nothing per
         record.  Each map contributes its ``_HEAVY_KEYS_PER_MAP``
-        heaviest labels (ties: label order).  Partials merge in
+        heaviest labels (ties: label order).  Statuses merge in
         map-partition order; sums and the sorted top-N are
         order-independent, so the record is deterministic across task
         scheduling and re-execution.
@@ -172,11 +175,11 @@ class MapOutputStats:
         rows = [0] * self.num_reduces
         bucket_bytes = [0] * self.num_reduces
         key_counts: dict[str, int] = {}
-        for map_partition in sorted(self.skew_partials):
-            partial = self.skew_partials[map_partition]
-            for index, count in enumerate(partial["rows"]):
+        for map_partition in sorted(self.statuses):
+            status = self.statuses[map_partition]
+            for index, count in enumerate(status.rows):
                 rows[index] += count
-            for index, size in enumerate(partial["bytes"]):
+            for index, size in enumerate(status.sizes):
                 bucket_bytes[index] += size
             heaviest = sorted(
                 Counter(map_labels(map_partition)).items(),
@@ -217,31 +220,26 @@ class MapOutputStats:
 
     @property
     def maps_reported(self) -> int:
-        return len(self.encoded_bucket_sizes)
+        return len(self.statuses)
 
     def map_output_bytes(self, map_partition: int) -> int:
-        return sum(
-            log_decode_size(code)
-            for code in self.encoded_bucket_sizes[map_partition]
-        )
+        return sum(map(_as_reported, self.statuses[map_partition].sizes))
 
     def total_output_bytes(self) -> int:
-        return sum(
-            self.map_output_bytes(i) for i in range(self.maps_reported)
-        )
+        return sum(map(self.map_output_bytes, self.statuses))
 
     def reduce_input_bytes(self, reduce_partition: int) -> int:
         """Approximate bytes reduce task ``reduce_partition`` will fetch."""
         return sum(
-            log_decode_size(row[reduce_partition])
-            for row in self.encoded_bucket_sizes
+            _as_reported(status.sizes[reduce_partition])
+            for status in self.statuses.values()
         )
 
     def reduce_input_sizes(self) -> list[int]:
         return [self.reduce_input_bytes(i) for i in range(self.num_reduces)]
 
     def total_records(self) -> int:
-        return sum(self.record_counts)
+        return sum(sum(status.rows) for status in self.statuses.values())
 
 
 class ShuffleManager:
@@ -276,11 +274,7 @@ class ShuffleManager:
             return False
         self._locations[shuffle_id] = {}
         self._stats[shuffle_id] = MapOutputStats(
-            num_maps=num_maps,
-            num_reduces=dep.partitioner.num_partitions,
-            encoded_bucket_sizes=[[0] * dep.partitioner.num_partitions
-                                  for _ in range(num_maps)],
-            record_counts=[0] * num_maps,
+            num_maps, dep.partitioner.num_partitions
         )
         self._deps[shuffle_id] = dep
         return True
@@ -298,29 +292,17 @@ class ShuffleManager:
     ) -> None:
         """Store one map task's keyed batch (``dep.keyed_batch`` of its
         records) on the task's worker as ``dep.map_output`` makes it,
-        bucketed by ``dep.key``, and run the PDE statistics collectors
-        over it.  The output of a sort that has no bounds yet is stored
-        as one bucket and its write is accounted when :meth:`cut_runs`
-        cuts it.
+        bucketed by ``dep.key``, and report its status.  The output of a
+        sort that has no bounds yet is stored as one bucket, its status
+        carries its sample, and its write is accounted when
+        :meth:`cut_runs` cuts it.
         """
         batch = ColumnBatch(batch.vectors(), batch.num_rows)  # decoded, unpinned
-        observed = [
-            (collector, collector.observe(dep.pairs(batch)))
-            for collector in dep.stats_collectors
-        ]
         batch, sample = dep.map_output(batch, map_partition)
-        stats = self._stats[dep.shuffle_id]
-        stats.record_counts[map_partition] = batch.num_rows
-        if sample is not None:
-            stats.samples[map_partition] = sample
-        for collector, partial in observed:
-            stats.mergers[collector.name] = collector.merge
-            stats.custom_partials.setdefault(collector.name, {})[
-                map_partition
-            ] = partial
         written = self._store(
             dep, map_partition, worker_id, *dep.bucketed(batch)
         )
+        self._stats[dep.shuffle_id].statuses[map_partition].sample = sample
         self._locations[dep.shuffle_id][map_partition] = worker_id
         if dep.resolved:
             self._account_write(
@@ -335,13 +317,11 @@ class ShuffleManager:
         """A sort exchange just resolved: cut each stored run at its
         partitioner's bounds, and account every write that waited for
         that — to the attempt that made it, as if cut when written (a
-        run is a function of its map partition)."""
+        run is a function of its map partition).  Each cut run reports
+        its status again; a lost one reports when lineage writes it."""
         stats = self._stats[dep.shuffle_id]
         stats.num_reduces = dep.partitioner.num_partitions
-        stats.encoded_bucket_sizes = [
-            [0] * stats.num_reduces for __ in range(stats.num_maps)
-        ]
-        stats.skew_partials = {}
+        stats.statuses = {}
         waiting = self._uncut.pop(dep.shuffle_id, {})
         for map_partition in range(stats.num_maps):
             block = self._stored_block(dep.shuffle_id, map_partition)
@@ -386,8 +366,9 @@ class ShuffleManager:
         batch: ColumnBatch,
         offsets: list[int],
     ) -> tuple[int, int, int, int]:
-        """Weigh a bucketed map output and store it on ``worker_id``;
-        returns its (rows, columns, bytes, pickled bytes)."""
+        """Weigh a bucketed map output, store it on ``worker_id`` and
+        report its status; returns its (rows, columns, bytes, pickled
+        bytes)."""
         sizes, pickled_bytes = _SERDE.measure(
             batch, None if len(offsets) == 2 else np.array(offsets)
         )
@@ -401,14 +382,9 @@ class ShuffleManager:
             size_bytes=total_bytes,
             pinned=True,
         )
-        stats = self._stats[dep.shuffle_id]
-        stats.encoded_bucket_sizes[map_partition] = list(
-            map(log_encode_size, sizes)
+        self._stats[dep.shuffle_id].statuses[map_partition] = MapStatus(
+            [b - a for a, b in zip(offsets, offsets[1:])], sizes
         )
-        stats.skew_partials[map_partition] = {
-            "rows": [b - a for a, b in zip(offsets, offsets[1:])],
-            "bytes": sizes,
-        }
         return batch.num_rows, len(batch.entries), total_bytes, pickled_bytes
 
     def _account_write(
@@ -601,7 +577,7 @@ class ShuffleManager:
         out = []
         for shuffle_id in sorted(scope.shuffle_ids):
             stats = self._stats.get(shuffle_id)
-            if stats is None or not stats.skew_partials:
+            if stats is None or not stats.statuses:
                 continue
             out.append(
                 stats.skew_record(
@@ -632,8 +608,8 @@ class ShuffleManager:
         """Make ``worker_id`` the authoritative holder of a map output.
 
         Used when a speculative copy finishes first: both the original and
-        the copy wrote identical buckets, so reduces may fetch from the
-        winner without re-running statistics collection.
+        the copy wrote identical buckets and reported identical statuses,
+        so reduces may fetch from the winner.
         """
         self._locations[shuffle_id][map_partition] = worker_id
 

@@ -1,8 +1,8 @@
 """Partial DAG Execution (paper Section 3.1).
 
 PDE lets Shark re-optimize a running query at shuffle boundaries: map
-stages materialize their output *and* per-partition statistics (via the
-pluggable collectors in :mod:`repro.engine.accumulator`), and the
+stages materialize their output *and* report one status each (bucket
+rows and sizes, :class:`~repro.engine.shuffle.MapStatus`), and the
 decisions here consume those statistics before the downstream DAG is
 committed:
 

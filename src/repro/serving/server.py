@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.engine.lifecycle import DRAIN_RATE_WINDOW, RETRY_AFTER_DEFAULT_S
 from repro.errors import (
     QueryLifecycleError,
     QueryShedError,
@@ -70,10 +71,6 @@ class ServerConfig:
     #: Brownout sheds lowest-tier pending work until the backlog is back
     #: at this depth (hysteresis; must be < brownout_enter_depth).
     brownout_exit_depth: int = 16
-    #: Retry-after hint before any completion drain samples exist.
-    retry_after_default_s: float = 1.0
-    #: Completion instants sampled for the drain rate behind hints.
-    drain_rate_window: int = 8
 
     def __post_init__(self) -> None:
         if self.engine_slots < 1:
@@ -296,13 +293,13 @@ class SqlServer:
         """Time for the tenant's backlog to drain at the observed
         server-wide completion rate (simulated clock)."""
         waiting = tenant.running + len(self._pending[tenant.name]) + 1
-        samples = self._drain_times[-self.config.drain_rate_window:]
+        samples = self._drain_times[-DRAIN_RATE_WINDOW:]
         if len(samples) >= 2:
             elapsed = samples[-1] - samples[0]
             if elapsed > 0:
                 rate = (len(samples) - 1) / elapsed
                 return waiting / rate
-        return self.config.retry_after_default_s * waiting
+        return RETRY_AFTER_DEFAULT_S * waiting
 
     # ------------------------------------------------------------------
     # Pump: shed, brownout, promote
@@ -520,8 +517,8 @@ class SqlServer:
             else:
                 tenant.failed += 1
             self._drain_times.append(now)
-            if len(self._drain_times) > 4 * self.config.drain_rate_window:
-                del self._drain_times[: -2 * self.config.drain_rate_window]
+            if len(self._drain_times) > 4 * DRAIN_RATE_WINDOW:
+                del self._drain_times[: -2 * DRAIN_RATE_WINDOW]
             self._record_latency(ticket)
             self.finished.append(ticket)
 

@@ -71,18 +71,20 @@ class NormalizedQuery:
     tables: tuple
 
 
+#: Plans the plan cache keeps (least recently used out first); the text
+#: memo keeps up to four times as many texts.
+MAX_PLAN_ENTRIES = 128
+
+
 @dataclass
 class SqlCacheConfig:
     """Knobs for the cache layers (all sizes driver-side caps)."""
 
     enable_result: bool = True
-    max_plan_entries: int = 128
     max_result_entries: int = 256
     max_result_bytes: int = 16 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.max_plan_entries < 1:
-            raise ValueError("max_plan_entries must be >= 1")
         if self.max_result_entries < 1:
             raise ValueError("max_result_entries must be >= 1")
 
@@ -359,7 +361,7 @@ class SqlCache:
         except UncacheableQuery:
             normalized = None
         self._text_memo[text] = normalized
-        if len(self._text_memo) > 4 * self.config.max_plan_entries:
+        if len(self._text_memo) > 4 * MAX_PLAN_ENTRIES:
             # The memo is bounded by the plan cache's horizon; drop the
             # oldest half when it overgrows (plain dicts iterate in
             # insertion order).
@@ -409,7 +411,7 @@ class SqlCache:
         tables = frozenset(table for __, table in normalized.tables)
         self._plans[key] = _PlanEntry(plan, schema, tables)
         self._plans.move_to_end(key)
-        while len(self._plans) > self.config.max_plan_entries:
+        while len(self._plans) > MAX_PLAN_ENTRIES:
             self._plans.popitem(last=False)
         self._update_gauges()
 

@@ -75,6 +75,7 @@ from repro.sql.logical import AggregateSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import EngineContext
+    from repro.engine.shuffle import MapOutputStats
     from repro.engine.task import TaskContext
     from repro.sql.catalog import TableEntry
 
@@ -1302,16 +1303,15 @@ def pre_shuffle_side(
     side: RDD,
     ordinals: list[int],
     partitioner: Partitioner,
-) -> tuple[ShuffledRDD, BatchShuffleDependency]:
+) -> tuple[ShuffledRDD, "MapOutputStats"]:
     """PDE: run the map (pre-shuffle) stage of one join side *now*.
 
     Returns the shuffled side — an RDD of batches whose map outputs are
-    already materialized — plus its dependency, whose statistics the
-    optimizer reads before deciding the join strategy.
+    already materialized — plus the statistics its map tasks reported,
+    which the optimizer reads before deciding the join strategy.
     """
     dep = keyed_batches(side, ordinals, partitioner)
-    ctx.materialize_dependency(dep)
-    return ShuffledRDD.of(dep), dep
+    return ShuffledRDD.of(dep), ctx.materialize_dependency(dep)
 
 
 class CoGroupedBatchesRDD(RDD):

@@ -1023,10 +1023,9 @@ class PhysicalPlanner:
         else:
             side_plan, keys = node.right, node.right_keys
         side, ordinals = self._keyed(side_plan, keys)
-        pre_shuffled, dep = physical.pre_shuffle_side(
+        pre_shuffled, observed = physical.pre_shuffle_side(
             self.ctx, side, ordinals, partitioner
         )
-        observed = self.ctx.shuffle_manager.stats(dep.shuffle_id)
         observed_bytes = observed.total_output_bytes()
 
         if probe_left:

@@ -1,13 +1,14 @@
-"""PDE statistics collectors and driver accumulators."""
+"""Driver accumulators and the PDE statistics a map status carries."""
+
+import functools
 
 import pytest
 
-from repro.engine.accumulator import (
-    Accumulator,
-    HeavyHittersStat,
-    HistogramStat,
-    PartitionSizeStat,
-    RecordCountStat,
+from repro.engine.accumulator import Accumulator
+from repro.engine.dependencies import ShuffleDependency
+from repro.engine.partitioner import HashPartitioner
+from repro.engine.shuffle import (
+    HEAVY_KEYS_TOP_N,
     log_decode_size,
     log_encode_size,
 )
@@ -45,89 +46,88 @@ class TestLogEncoding:
         assert codes == sorted(codes)
 
 
+def _exchange(ctx, maps):
+    """One single-bucket exchange whose map partition ``i`` wrote the
+    (key, value) records ``maps[i]``: the shuffle manager and the
+    dependency."""
+    dep = ShuffleDependency(ctx.parallelize([], len(maps)), HashPartitioner(1))
+    manager = ctx.shuffle_manager
+    manager.register(dep, num_maps=len(maps))
+    for map_partition, records in enumerate(maps):
+        manager.write_map_output(
+            dep, map_partition, map_partition % 2, dep.keyed_batch(records)
+        )
+    return manager, dep
+
+
+def _stats(ctx, maps):
+    manager, dep = _exchange(ctx, maps)
+    return manager.stats(dep.shuffle_id)
+
+
+def _heavy_keys(ctx, maps) -> list:
+    """The skew audit's heavy keys of the exchange: the statistic that
+    reads keys, labelled from the stored blocks when asked."""
+    manager, dep = _exchange(ctx, maps)
+    record = manager.stats(dep.shuffle_id).skew_record(
+        0, functools.partial(manager._map_output_labels, dep.shuffle_id)
+    )
+    return [(label, count) for label, count in record["heavy_keys"]]
+
+
 class TestPartitionSizeStat:
-    def test_observe_returns_single_byte_code(self):
-        stat = PartitionSizeStat()
-        code = stat.observe([("k", "v" * 100)] * 10)
-        assert 1 <= code <= 255
+    def test_observe_returns_single_byte_code(self, ctx):
+        stats = _stats(ctx, [[("k", "v" * 100)] * 10])
+        (size,) = stats.statuses[0].sizes
+        assert size > 0
+        assert 1 <= log_encode_size(size) <= 255
+        assert stats.map_output_bytes(0) == log_decode_size(
+            log_encode_size(size)
+        )
 
-    def test_merge_approximates_sum(self):
-        stat = PartitionSizeStat(size_of=lambda record: 1000)
-        left = stat.observe([None] * 10)   # ~10 KB
-        right = stat.observe([None] * 10)  # ~10 KB
-        merged_bytes = log_decode_size(stat.merge(left, right))
-        assert 16000 < merged_bytes < 24000
+    def test_merge_approximates_sum(self, ctx):
+        stats = _stats(ctx, [[(i, "x" * 100) for i in range(10)]] * 2)
+        exact = sum(status.sizes[0] for status in stats.statuses.values())
+        # Each map's size goes through its code: <= ~10 % error each.
+        assert abs(stats.total_output_bytes() - exact) <= 0.11 * exact
+        assert stats.reduce_input_sizes() == [stats.total_output_bytes()]
 
-    def test_empty_observation(self):
-        assert PartitionSizeStat(size_of=lambda r: 0).observe([]) == 0
+    def test_empty_observation(self, ctx):
+        stats = _stats(ctx, [[]])
+        assert stats.statuses[0].sizes == [0]
+        assert stats.total_output_bytes() == 0
 
 
 class TestRecordCountStat:
-    def test_counts_and_merges(self):
-        stat = RecordCountStat()
-        assert stat.observe(iter(range(7))) == 7
-        assert stat.merge(7, 5) == 12
+    def test_counts_and_merges(self, ctx):
+        stats = _stats(ctx, [[(i, i) for i in range(7)], [(0, 0)] * 5])
+        assert [status.rows for status in stats.statuses.values()] == [
+            [7], [5],
+        ]
+        assert stats.total_records() == 12
 
 
 class TestHeavyHitters:
-    def test_finds_dominant_key(self):
-        stat = HeavyHittersStat(capacity=4)
+    def test_finds_dominant_key(self, ctx):
         records = [("hot", 1)] * 500 + [(f"cold{i}", 1) for i in range(200)]
-        partial = stat.observe(records)
-        assert max(partial, key=partial.get) == "hot"
-        assert len(partial) <= 4
+        heavy = _heavy_keys(ctx, [records])
+        assert heavy[0] == ("'hot'", 500)
+        assert len(heavy) == HEAVY_KEYS_TOP_N
 
-    def test_merge_caps_capacity(self):
-        stat = HeavyHittersStat(capacity=3)
-        left = {"a": 10, "b": 5, "c": 1}
-        right = {"d": 20, "e": 2, "a": 3}
-        merged = stat.merge(left, right)
-        assert len(merged) <= 3
-        assert "d" in merged and "a" in merged
+    def test_merge_caps_capacity(self, ctx):
+        def of(counts):
+            return [(key, 1) for key, n in counts.items() for __ in range(n)]
 
-    def test_space_saving_overestimates_only(self):
-        # SpaceSaving counts are upper bounds of true frequencies.
-        stat = HeavyHittersStat(capacity=2)
+        left = of({"a": 10, "b": 5, "c": 1, "f": 4})
+        right = of({"d": 20, "e": 2, "a": 3, "g": 1})
+        heavy = _heavy_keys(ctx, [left, right])
+        assert heavy == [
+            ("'d'", 20), ("'a'", 13), ("'b'", 5), ("'f'", 4), ("'e'", 2)
+        ]
+
+    def test_space_saving_overestimates_only(self, ctx):
+        # A map's keys are counted exactly: never above their frequency.
         records = [("x", 1)] * 50 + [("y", 1)] * 30 + [("z", 1)] * 5
-        partial = stat.observe(records)
-        if "x" in partial:
-            assert partial["x"] >= 50
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            HeavyHittersStat(capacity=0)
-
-    def test_custom_key_function(self):
-        stat = HeavyHittersStat(capacity=4, key_of=lambda record: record)
-        partial = stat.observe(["a", "a", "b"])
-        assert partial["a"] == 2
-
-
-class TestHistogram:
-    def test_bucket_assignment(self):
-        stat = HistogramStat(0.0, 100.0, num_buckets=10)
-        assert stat.bucket_of(-5) == 0
-        assert stat.bucket_of(5) == 0
-        assert stat.bucket_of(55) == 5
-        assert stat.bucket_of(150) == 9
-
-    def test_observe_and_merge(self):
-        stat = HistogramStat(0.0, 10.0, num_buckets=5)
-        left = stat.observe([1.0, 3.0, 9.0])
-        right = stat.observe([1.5])
-        merged = stat.merge(left, right)
-        assert sum(merged) == 4
-        assert merged[0] == 2  # 1.0 and 1.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HistogramStat(5.0, 5.0)
-        with pytest.raises(ValueError):
-            HistogramStat(0.0, 1.0, num_buckets=0)
-
-    def test_custom_value_function(self):
-        stat = HistogramStat(
-            0.0, 10.0, num_buckets=2, value_of=lambda record: record[1]
-        )
-        counts = stat.observe([("a", 1.0), ("b", 9.0)])
-        assert counts == [1, 1]
+        assert _heavy_keys(ctx, [records]) == [
+            ("'x'", 50), ("'y'", 30), ("'z'", 5)
+        ]

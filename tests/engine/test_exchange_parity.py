@@ -30,7 +30,11 @@ per-record definition it replaced:
     (that sampler lives on in this file as the reference), a run lost
     after the bounds are picked is cut again as lineage rewrites it,
     ``ORDER BY … LIMIT k`` keeps k rows a run in one partition, and no
-    sampling job runs at all.
+    sampling job runs at all;
+(f) what PDE reads is what was stored: each map output's status is its
+    pinned block's bucket rows and sizes, the reduce-side sizes are
+    their sums through the one-byte codes, and a worker killed
+    mid-query leaves every status as in a clean run.
 
 Regenerating the fixture (only ever from the commit *before* a change
 to the exchange)::
@@ -746,8 +750,9 @@ def test_no_key_is_labelled_unless_skew_is_asked_for(monkeypatch, tmp_path):
     manager = shark.engine.shuffle_manager
     assert manager._stats
     for stats in manager._stats.values():
-        for partial in stats.skew_partials.values():
-            assert set(partial) == {"rows", "bytes"}
+        for status in stats.statuses.values():
+            assert len(status.rows) == len(status.sizes) == stats.num_reduces
+            assert status.sample is None
     # ... and asking pays: the event log labels the same keys on demand.
     shark.enable_event_log(tmp_path / "on.jsonl", source="exchange-parity")
     shark.sql(QUERIES["tpch_agg_7"].rstrip())
@@ -1120,6 +1125,91 @@ def test_an_order_by_computes_its_child_once(name):
     )
     assert ran and set(ran.values()) == {1}
     assert not {"sample", "map"} & {name for __, name in ran}
+
+
+# ---------------------------------------------------------------------------
+# (f) one status per map output: what PDE reads is what was stored
+# ---------------------------------------------------------------------------
+
+
+_RELEASE_SHUFFLE = shuffle.ShuffleManager.release_shuffle
+
+
+def _reported_statuses(monkeypatch, **context_kwargs) -> dict:
+    """Run the TPC-H + Pavlo set.  Right after a map output is stored
+    (or a sort's runs are cut), its status must be its pinned block's
+    bucket rows and sizes; when a query lets go of an exchange, PDE's
+    reduce-side sizes must be the per-bucket sums of those sizes through
+    their one-byte codes.  Returns ``(query, exchange ordinal) ->
+    {map partition: (rows, sizes)}`` as each exchange was released, and
+    how many map outputs were written."""
+    shark = _build(True, 4, **context_kwargs)
+    reported: dict = {}
+    current = [None]
+    writes = [0]
+
+    def check(self, dep, map_partition):
+        status = self.stats(dep.shuffle_id).statuses[map_partition]
+        block = self._stored_block(dep.shuffle_id, map_partition)
+        offsets = block.offsets
+        assert status.rows == [b - a for a, b in zip(offsets, offsets[1:])]
+        assert status.sizes == block.sizes
+
+    def writing(self, dep, map_partition, worker_id, batch, metrics=None):
+        _WRITE_MAP_OUTPUT(self, dep, map_partition, worker_id, batch, metrics)
+        check(self, dep, map_partition)
+        writes[0] += 1
+
+    def cutting(self, dep):
+        _CUT_RUNS(self, dep)
+        for map_partition in self.stats(dep.shuffle_id).statuses:
+            check(self, dep, map_partition)
+
+    def releasing(self, shuffle_id):
+        stats = self._stats.get(shuffle_id)
+        if stats is not None and stats.statuses:
+            statuses = stats.statuses.values()
+            assert stats.reduce_input_sizes() == [
+                sum(
+                    shuffle.log_decode_size(
+                        shuffle.log_encode_size(status.sizes[bucket])
+                    )
+                    for status in statuses
+                )
+                for bucket in range(stats.num_reduces)
+            ]
+            reported.setdefault(current[0], {})[shuffle_id] = {
+                map_partition: (status.rows, status.sizes)
+                for map_partition, status in stats.statuses.items()
+            }
+        return _RELEASE_SHUFFLE(self, shuffle_id)
+
+    monkeypatch.setattr(shuffle.ShuffleManager, "write_map_output", writing)
+    monkeypatch.setattr(shuffle.ShuffleManager, "cut_runs", cutting)
+    monkeypatch.setattr(shuffle.ShuffleManager, "release_shuffle", releasing)
+    for name in sorted(QUERIES):
+        current[0] = name
+        shark.sql(QUERIES[name].rstrip())
+    return {
+        (name, ordinal): reported[name][shuffle_id]
+        for name in sorted(reported)
+        for ordinal, shuffle_id in enumerate(sorted(reported[name]))
+    }, writes[0]
+
+
+def test_each_status_is_its_stored_block_clean_and_under_a_kill(monkeypatch):
+    clean, clean_writes = _reported_statuses(monkeypatch)
+    assert len(clean) == len(_EXCHANGE_BYTES)
+    killed, killed_writes = _reported_statuses(
+        monkeypatch,
+        fault_injector=FaultInjector(
+            seed=5, kill_worker_id=1, kill_after_tasks=60
+        ),
+    )
+    assert killed_writes > clean_writes, "no map task re-ran"
+    # Each re-run map task overwrote its own status: PDE saw the clean
+    # run's numbers.
+    assert killed == clean
 
 
 if __name__ == "__main__":

@@ -325,17 +325,16 @@ class TestExactlyOnceAccumulators:
             )
             shuffled.collect()
             dep = shuffled.shuffle_dep
-            stats = ctx.shuffle_manager.stats(dep.shuffle_id)
-            return stats.record_counts, stats.custom
+            return ctx.shuffle_manager.stats(dep.shuffle_id).statuses
 
-        clean_counts, clean_custom = stats_of()
-        chaos_counts, chaos_custom = stats_of(
+        clean = stats_of()
+        chaos = stats_of(
             FaultInjector(
                 seed=7, transient_failure_rate=0.2, corrupt_fetch_rate=0.3
             )
         )
-        assert chaos_counts == clean_counts
-        assert chaos_custom == clean_custom
+        assert len(clean) == 5
+        assert chaos == clean
 
 
 class TestChaoticSqlResults:

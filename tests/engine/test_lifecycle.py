@@ -13,7 +13,7 @@ import pytest
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.engine import EngineContext
-from repro.engine.lifecycle import LifecycleConfig
+from repro.engine.lifecycle import DRAIN_RATE_WINDOW, LifecycleConfig
 from repro.engine.task import TaskContext
 from repro.errors import (
     AdmissionRejected,
@@ -837,8 +837,7 @@ class TestRetryAfterDrainRate:
         for index in range(3):
             shark.submit_sql(QUERIES["count"], name=f"warm{index}")
             lifecycle.drain()
-        window = lifecycle.config.drain_rate_window
-        samples = lifecycle._drain_times[-window:]
+        samples = lifecycle._drain_times[-DRAIN_RATE_WINDOW:]
         rate = (len(samples) - 1) / (samples[-1] - samples[0])
 
         shark.submit_sql(QUERIES["count"], name="running")

@@ -1,15 +1,18 @@
 """Shuffle manager: bucketing, stats, fetch failures, map-side combine."""
 
+import functools
+
 import pytest
 
-from repro.engine.accumulator import (
-    HeavyHittersStat,
-    RecordCountStat,
-    log_decode_size,
-)
 from repro.engine.dependencies import Aggregator, ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.shuffle import ShuffleManager
+from repro.engine.shuffle import (
+    MapOutputStats,
+    MapStatus,
+    ShuffleManager,
+    log_decode_size,
+    log_encode_size,
+)
 from repro.errors import FetchFailedError
 
 
@@ -58,6 +61,19 @@ class TestWriteAndFetch:
         manager.register(dep, num_maps=2)  # must not wipe outputs
         assert manager.missing_maps(dep.shuffle_id) == [1]
 
+    def test_maps_reported_counts_maps_that_ran(self, ctx):
+        shuffled = ctx.parallelize([(i, i) for i in range(40)], 4).partition_by(
+            HashPartitioner(3)
+        )
+        dep = shuffled.shuffle_dep
+        ctx.shuffle_manager.register(dep, 4)
+        stats = ctx.shuffle_manager.stats(dep.shuffle_id)
+        assert stats.maps_reported == 0
+        assert stats.total_records() == 0
+        assert ctx.materialize_shuffle(shuffled) is stats
+        assert stats.maps_reported == 4
+        assert stats.total_records() == 40
+
 
 class TestMapSideCombine:
     def test_combines_before_bucketing(self, ctx):
@@ -74,7 +90,7 @@ class TestMapSideCombine:
         )
         stats = manager.stats(dep.shuffle_id)
         # 150 input records collapse to 2 combined records.
-        assert stats.record_counts[0] == 2
+        assert sum(stats.statuses[0].rows) == 2
 
 
 class TestStatistics:
@@ -87,9 +103,11 @@ class TestStatistics:
         stats = manager.stats(dep.shuffle_id)
         total = stats.map_output_bytes(0)
         assert total > 0
-        # Log decoding has bounded (~10%) error per bucket.
-        for code in stats.encoded_bucket_sizes[0]:
-            assert 0 <= code <= 255
+        # Each bucket reaches PDE through its one-byte code, with bounded
+        # (~10%) error.
+        sizes = stats.statuses[0].sizes
+        assert total == sum(log_decode_size(log_encode_size(s)) for s in sizes)
+        assert abs(total - sum(sizes)) <= 0.11 * sum(sizes)
 
     def test_reduce_input_sizes(self, ctx):
         parent, dep = _make_dep(ctx, num_reduces=2)
@@ -97,23 +115,75 @@ class TestStatistics:
         manager.register(dep, num_maps=2)
         _write(manager, dep, 0, 0, [(0, "a")])
         _write(manager, dep, 1, 1, [(0, "b"), (1, "c")])
-        sizes = stats = manager.stats(dep.shuffle_id).reduce_input_sizes()
+        stats = manager.stats(dep.shuffle_id)
+        sizes = stats.reduce_input_sizes()
         assert len(sizes) == 2
-        assert all(size >= 0 for size in sizes)
+        assert sizes == [
+            sum(
+                log_decode_size(log_encode_size(status.sizes[bucket]))
+                for status in stats.statuses.values()
+            )
+            for bucket in range(2)
+        ]
 
     def test_custom_collectors_run_and_merge(self, ctx):
-        parent, dep = _make_dep(
-            ctx,
-            stats_collectors=(RecordCountStat(), HeavyHittersStat(capacity=4)),
-        )
+        # The statistics map tasks report merge in map-partition order:
+        # records from the statuses, heavy keys from the skew audit.
+        parent, dep = _make_dep(ctx)
         manager = ctx.shuffle_manager
         manager.register(dep, num_maps=2)
         _write(manager, dep, 0, 0, [("hot", 1)] * 30 + [("a", 1)])
         _write(manager, dep, 1, 1, [("hot", 1)] * 20 + [("b", 1)])
         stats = manager.stats(dep.shuffle_id)
-        assert stats.custom["record_counts"] == 52
-        hitters = stats.custom["heavy_hitters"]
-        assert max(hitters, key=hitters.get) == "hot"
+        assert stats.total_records() == 52
+        record = stats.skew_record(
+            0, functools.partial(manager._map_output_labels, dep.shuffle_id)
+        )
+        assert record["heavy_keys"][0] == ["'hot'", 50]
+
+    def test_rerun_map_overwrites_its_status(self, ctx):
+        parent, dep = _make_dep(ctx, num_reduces=2)
+        manager = ctx.shuffle_manager
+        manager.register(dep, num_maps=2)
+        _write(manager, dep, 0, 0, [(0, "a"), (1, "b")])
+        _write(manager, dep, 1, 1, [(1, "c")])
+        stats = manager.stats(dep.shuffle_id)
+        reported = dict(stats.statuses)
+        _write(manager, dep, 0, 2, [(0, "a"), (1, "b")])  # re-run elsewhere
+        assert stats.statuses == reported
+        assert stats.maps_reported == 2
+        assert stats.total_records() == 3
+
+    def test_sample_is_every_map_sample_in_map_order(self):
+        stats = MapOutputStats(3, 1)
+        stats.statuses[2] = MapStatus([1], [9], sample=["c"])
+        stats.statuses[0] = MapStatus([2], [9], sample=["a", "b"])
+        stats.statuses[1] = MapStatus([0], [0])  # drew nothing
+        assert stats.sample == ["a", "b", "c"]
+
+    def test_cut_runs_rewrites_each_status(self, ctx, monkeypatch):
+        seen = []
+        real = ShuffleManager.cut_runs
+
+        def cutting(self, dep):
+            stats = self.stats(dep.shuffle_id)
+            seen.append({m: s.rows for m, s in stats.statuses.items()})
+            assert all(s.sample for s in stats.statuses.values())
+            real(self, dep)
+            seen.append({m: s.rows for m, s in stats.statuses.items()})
+            assert not any(s.sample for s in stats.statuses.values())
+            assert stats.num_reduces == 3
+
+        monkeypatch.setattr(ShuffleManager, "cut_runs", cutting)
+        rdd = ctx.parallelize(range(400), 4).sort_by(
+            lambda x: -x, num_partitions=3
+        )
+        uncut, cut = seen
+        # One run per map task, then the same rows in three ranges.
+        assert uncut == {m: [100] for m in range(4)}
+        assert sorted(cut) == [0, 1, 2, 3]
+        assert all(len(rows) == 3 and sum(rows) == 100 for rows in cut.values())
+        assert rdd.collect() == list(range(399, -1, -1))
 
 
 class TestFailures:
@@ -151,19 +221,13 @@ class TestFailures:
 
 class TestLogEncoding:
     def test_roundtrip_error_bounded(self):
-        from repro.engine.accumulator import log_encode_size
-
         for size in [1, 10, 1000, 10**6, 10**9, 32 * 10**9]:
             decoded = log_decode_size(log_encode_size(size))
             assert abs(decoded - size) / size < 0.11
 
     def test_zero_maps_to_zero(self):
-        from repro.engine.accumulator import log_encode_size
-
         assert log_encode_size(0) == 0
         assert log_decode_size(0) == 0
 
     def test_single_byte_range(self):
-        from repro.engine.accumulator import log_encode_size
-
         assert 0 <= log_encode_size(32 * 1024**3) <= 255

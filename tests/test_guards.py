@@ -132,6 +132,15 @@ GUARDS = {
     ],
     # Trace time is the simulated clock's: the engine reads no wall clock.
     "wall-clock": [Rule(r"time\.time\(\)|perf_counter", ("src/repro",))],
+    # A map task reports one status; PDE reads every statistic off it
+    # and no pluggable collector feeds a table beside it.
+    "one-map-status": [
+        Rule(
+            r"StatisticsCollector|stats_collectors|custom_partials"
+            r"|skew_partials|encoded_bucket_sizes",
+            ("src/repro",),
+        ),
+    ],
     # The baselines are lowering policies over the one engine: no
     # MapReduce loop and no row executor of their own.
     "baselines-on-the-engine": [
