@@ -9,9 +9,10 @@ Layered like the paper's system:
 * :mod:`repro.storage` — an HDFS-like replicated block store.
 * :mod:`repro.sql` — the HiveQL-subset front end, optimizer, and physical
   planner over RDDs, with Partial DAG Execution (:mod:`repro.pde`).
-* :mod:`repro.ml` — logistic regression, linear regression, k-means on RDDs.
+* :mod:`repro.ml` — logistic regression and k-means on RDDs.
 * :mod:`repro.core` — the Shark public API (:class:`~repro.core.SharkContext`).
-* :mod:`repro.baselines` — Hive/Hadoop and MPP comparators.
+* :mod:`repro.baselines` — the Hive/Hadoop comparators (MPP databases are
+  a cost-model profile).
 * :mod:`repro.costmodel` + :mod:`repro.workloads` — the benchmark harness's
   cluster-scale cost model and dataset generators.
 

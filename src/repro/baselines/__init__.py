@@ -9,15 +9,13 @@
   cost profile.
 * :mod:`repro.baselines.hadoop_ml` — the Hadoop ML jobs of Figures
   11-12: every iteration re-reads and decodes its input file.
-* :mod:`repro.baselines.mpp` — the MPP-database execution model:
-  pipelined, no per-task overhead, single-coordinator final aggregation,
-  and *coarse-grained recovery*: any worker failure aborts and restarts
-  the whole query.
+
+MPP databases are a cost-model profile (:data:`repro.costmodel.MPP`),
+not an executor.
 """
 
 from repro.baselines.mapreduce import JobStats
 from repro.baselines.hive import HiveExecutor, HiveQueryRun
-from repro.baselines.mpp import MppExecutor, MppQueryRun
 from repro.baselines.hadoop_ml import (
     HadoopKMeans,
     HadoopLogisticRegression,
@@ -28,8 +26,6 @@ __all__ = [
     "JobStats",
     "HiveExecutor",
     "HiveQueryRun",
-    "MppExecutor",
-    "MppQueryRun",
     "HadoopKMeans",
     "HadoopLogisticRegression",
     "IterationTrace",

@@ -27,11 +27,7 @@ from repro.costmodel.constants import (
     MPP,
 )
 from repro.costmodel.simulator import ClusterSimulator, StageCost, QueryCost
-from repro.costmodel.models import (
-    TaskCostVector,
-    estimate_task_seconds,
-    scale_metrics,
-)
+from repro.costmodel.models import TaskCostVector, estimate_task_seconds
 
 __all__ = [
     "EngineProfile",
@@ -48,5 +44,4 @@ __all__ = [
     "QueryCost",
     "TaskCostVector",
     "estimate_task_seconds",
-    "scale_metrics",
 ]

@@ -141,23 +141,6 @@ def _stages_from_stage_profiles(
     return stages
 
 
-def stages_from_profile(
-    profile: QueryProfile,
-    scale: float,
-    reduce_tasks: Optional[int] = None,
-    min_map_tasks: int = 1,
-) -> list[StageCost]:
-    """Scale one Shark job profile to cluster volumes."""
-    return _stages_from_stage_profiles(
-        profile.stages, scale, reduce_tasks, min_map_tasks
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hive/Hadoop: JobStats -> stages
-# ---------------------------------------------------------------------------
-
-
 def stages_from_profiles(
     profiles: list[QueryProfile],
     scale: float,
@@ -177,6 +160,11 @@ def stages_from_profiles(
     return _stages_from_stage_profiles(
         flat, scale, reduce_tasks, min_map_tasks
     )
+
+
+# ---------------------------------------------------------------------------
+# Hive/Hadoop: JobStats -> stages
+# ---------------------------------------------------------------------------
 
 
 def stages_from_jobs(
@@ -241,7 +229,6 @@ __all__ = [
     "MAX_TASKS",
     "combined_scale",
     "split_stage",
-    "stages_from_profile",
     "stages_from_profiles",
     "stages_from_jobs",
     "SOURCE_MEMORY",

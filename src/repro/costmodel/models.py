@@ -3,8 +3,8 @@
 A :class:`TaskCostVector` summarizes what one task did: how many records and
 bytes it consumed, produced, shuffled, and where its input lived.  The
 engine's scheduler fills these in during real execution; benchmark harnesses
-scale them up to cluster-scale volumes with :func:`scale_metrics` and feed
-them to :class:`~repro.costmodel.simulator.ClusterSimulator`.
+scale them up to cluster-scale volumes (:mod:`repro.costmodel.bridge`) and
+feed them to :class:`~repro.costmodel.simulator.ClusterSimulator`.
 
 :func:`estimate_task_seconds` is the heart of the model: it converts one
 vector into seconds under a given engine and hardware profile, charging for
@@ -93,13 +93,6 @@ class TaskCostVector:
             spill_read_bytes=self.spill_read_bytes * factor,
             extra_cpu_s=self.extra_cpu_s * factor,
         )
-
-
-def scale_metrics(
-    vectors: list[TaskCostVector], factor: float
-) -> list[TaskCostVector]:
-    """Scale every vector's volumes by ``factor`` (local size -> cluster size)."""
-    return [vector.scaled(factor) for vector in vectors]
 
 
 def _input_seconds(

@@ -111,11 +111,6 @@ class ClusterSimulator:
         task is recorded as a ``sim``-category span on its slot's lane
         (timestamps are the simulator's own schedule), and speculative
         backups increment the ``speculation.launched`` counter.
-    fault_injector:
-        Optional :class:`~repro.faults.FaultInjector`; its deterministic
-        straggler picks and transient-retry counts are charged to the
-        simulated schedule (the same faults the real engine would see at
-        cluster scale).
     """
 
     def __init__(
@@ -126,7 +121,6 @@ class ClusterSimulator:
         seed: int = 42,
         speculation: bool = True,
         tracer: Optional["Tracer"] = None,
-        fault_injector=None,
     ):
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
@@ -136,7 +130,6 @@ class ClusterSimulator:
         self.seed = seed
         self.speculation = speculation
         self.tracer = tracer
-        self.fault_injector = fault_injector
 
     @property
     def total_slots(self) -> int:
@@ -170,29 +163,8 @@ class ClusterSimulator:
     ) -> list[float]:
         """Per-task durations with straggler noise applied."""
         durations = []
-        injector = self.fault_injector
-        for task_index, vector in enumerate(stage.tasks):
+        for vector in stage.tasks:
             seconds = estimate_task_seconds(vector, self.engine, self.hardware)
-            if injector is not None:
-                factor, retries = injector.sim_task_effects(
-                    stage.name, task_index, len(stage.tasks)
-                )
-                if factor > 1.0 and self.speculation:
-                    # A backup copy caps the injected straggler the same
-                    # way the engine-profile stragglers are capped below.
-                    capped = (
-                        2.0 * seconds + self.engine.task_launch_overhead_s
-                    )
-                    slowed = min(seconds * factor, capped)
-                    if self.tracer is not None and slowed == capped:
-                        self.tracer.metrics.inc("speculation.launched")
-                    seconds = slowed
-                else:
-                    seconds *= factor
-                # Each retry re-runs the task after a relaunch overhead.
-                seconds += retries * (
-                    self.engine.task_launch_overhead_s + seconds
-                )
             if rng.random() < self.engine.straggler_fraction:
                 straggler_seconds = seconds * self.engine.straggler_slowdown
                 if self.speculation:

@@ -200,72 +200,3 @@ class QueryProfile:
     @property
     def shuffle_write_bytes(self) -> int:
         return sum(stage.shuffle_write_bytes for stage in self.stages)
-
-    def describe(self) -> str:
-        # Imported here, not at module level: repro.obs.analyze imports
-        # this module, so a top-level obs import would be circular.
-        from repro.obs.metrics import percentiles_of
-
-        lines = [f"job {self.job_id}: {self.num_stages} stages"]
-        for stage in self.stages:
-            kind = "shuffle-map" if stage.is_shuffle_map else "result"
-            lines.append(
-                f"  stage {stage.stage_id} ({kind}, {stage.name}): "
-                f"{stage.num_tasks} tasks "
-                f"({stage.total_attempts} attempts), "
-                f"{stage.records_in} records in, "
-                f"{stage.records_out} records out, "
-                f"shuffle read {stage.shuffle_read_bytes} B, "
-                f"shuffle write {stage.shuffle_write_bytes} B"
-            )
-            if stage.num_tasks > 1:
-                p50, p95, p99 = percentiles_of(
-                    [float(task.records_in) for task in stage.tasks]
-                )
-                lines.append(
-                    f"    rows/task p50={int(p50)} "
-                    f"p95={int(p95)} p99={int(p99)}"
-                )
-            operator_rows = stage.operator_rows
-            if operator_rows:
-                # Plan order (the numeric stamp id), so row and batch
-                # mode runs read identically operator for operator.
-                ordered = sorted(
-                    operator_rows.items(),
-                    key=lambda item: int(item[0].rsplit("#", 1)[1]),
-                )
-                lines.append(
-                    "    operator rows: "
-                    + ", ".join(
-                        f"{key}={count}" for key, count in ordered
-                    )
-                )
-        if self.recovered_tasks:
-            lines.append(f"  recovered tasks: {self.recovered_tasks}")
-        if self.retried_tasks:
-            lines.append(f"  retried tasks: {self.retried_tasks}")
-        if self.speculative_tasks:
-            lines.append(
-                f"  speculative tasks: {self.speculative_tasks}"
-            )
-        if self.blacklisted_workers:
-            lines.append(
-                f"  blacklisted workers: {self.blacklisted_workers}"
-            )
-        if self.evicted_blocks:
-            lines.append(
-                f"  evicted cache blocks: {self.evicted_blocks} "
-                f"({self.evicted_bytes} B)"
-            )
-        if self.memory_reserved_bytes or self.memory_peak_bytes:
-            lines.append("  == memory ==")
-            lines.append(
-                f"  reserved during job: {self.memory_reserved_bytes} B, "
-                f"engine peak watermark: {self.memory_peak_bytes} B"
-            )
-            if self.memory_spill_events:
-                lines.append(
-                    f"  spills: {self.memory_spill_events} event(s), "
-                    f"{self.memory_spill_bytes} B to disk"
-                )
-        return "\n".join(lines)

@@ -73,6 +73,9 @@ class QueryScope:
         #: Set when a statement stores its RDD as a cached table: the
         #: table's lineage reads this scope's shuffles from then on.
         self.stored_table = False
+        #: Set while a catalog-mutating statement runs in this scope: the
+        #: master journal logs the statement, not the loads it makes.
+        self.in_statement = False
 
     def release_broadcasts(self) -> int:
         """End the ledger charge of every broadcast made in this scope

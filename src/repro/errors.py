@@ -88,10 +88,6 @@ class NoLiveWorkersError(EngineError):
     """All workers are dead; the cluster cannot make progress."""
 
 
-class QueryAbortedError(EngineError):
-    """A coarse-grained engine (the MPP baseline) aborted a query mid-run."""
-
-
 class QueryLifecycleError(EngineError):
     """Base class for query-lifecycle failures (admission, cancellation,
     deadlines, circuit breaking) raised by

@@ -9,17 +9,14 @@ corrupts shuffle fetches, and kills a worker mid-query — all decided by
 hashes of the injection site, never by wall-clock or execution order, so
 two runs with the same seed inject exactly the same faults.
 
-The injector plugs into three layers:
+The injector plugs into two layers:
 
 * :class:`~repro.engine.context.EngineContext` (``fault_injector=``) —
   the scheduler consults it per task attempt and retries, speculates,
   and blacklists accordingly;
 * :class:`~repro.engine.shuffle.ShuffleManager` — corrupted fetches drop
   the map output block and surface as :class:`~repro.errors.
-  FetchFailedError`, driving lineage recovery;
-* :class:`~repro.costmodel.simulator.ClusterSimulator`
-  (``fault_injector=``) — simulated makespans charge the same straggler
-  slowdowns and retry overheads at cluster scale.
+  FetchFailedError`, driving lineage recovery.
 
 ``examples/chaos_demo.py`` runs the benchmark queries under an injector
 and checks the results are byte-identical to a fault-free run.

@@ -166,31 +166,6 @@ class FaultInjector:
         return False
 
     # ------------------------------------------------------------------
-    # Cluster-simulator plug (consulted by ClusterSimulator)
-    # ------------------------------------------------------------------
-    def sim_task_effects(
-        self, stage_name: str, task_index: int, num_tasks: int
-    ) -> tuple[float, int]:
-        """(slowdown factor, retry count) the simulator should charge."""
-        factor = 1.0
-        if self.stragglers_per_stage > 0 and num_tasks > 1:
-            count = min(self.stragglers_per_stage, num_tasks)
-            picks = self._rng("sim-straggler", stage_name).sample(
-                range(num_tasks), count
-            )
-            if task_index in picks:
-                factor = self.straggler_slowdown
-        retries = 0
-        if self.transient_failure_rate > 0.0:
-            rng = self._rng("sim-task", stage_name, task_index)
-            for __ in range(self.fail_attempts_ceiling):
-                if rng.random() < self.transient_failure_rate:
-                    retries += 1
-                else:
-                    break
-        return factor, retries
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -1,16 +1,15 @@
 """Machine learning as a first-class citizen (paper Section 4).
 
-All three algorithms the paper ships — logistic regression, linear
-regression, k-means — are expressed as RDD ``map``/``reduce`` operations,
-so they parallelize across the same workers as SQL, read the same cached
-tables without data movement, and inherit lineage-based fault tolerance
-end-to-end: killing a worker mid-iteration recomputes only the lost
-partitions and the fit continues.
+The two algorithms the paper evaluates (Figures 11-12) — logistic
+regression and k-means — are expressed as RDD ``map``/``reduce``
+operations, so they parallelize across the same workers as SQL, read the
+same cached tables without data movement, and inherit lineage-based fault
+tolerance end-to-end: killing a worker mid-iteration recomputes only the
+lost partitions and the fit continues.
 """
 
 from repro.ml.features import LabeledPoint, label_feature_extractor, vectorize_rows
 from repro.ml.logistic import LogisticRegression, LogisticRegressionModel
-from repro.ml.linear import LinearRegression, LinearRegressionModel
 from repro.ml.kmeans import KMeans, KMeansModel
 
 __all__ = [
@@ -19,8 +18,6 @@ __all__ = [
     "vectorize_rows",
     "LogisticRegression",
     "LogisticRegressionModel",
-    "LinearRegression",
-    "LinearRegressionModel",
     "KMeans",
     "KMeansModel",
 ]

@@ -142,15 +142,6 @@ class ExecutionReport:
         stamp.mode = mode
         self.operator_modes[stamp.op_id] = (stamp.operator, mode)
 
-    def describe(self) -> str:
-        lines = list(self.notes)
-        if self.scanned_partitions or self.pruned_partitions:
-            lines.append(
-                f"map pruning: scanned {self.scanned_partitions}, "
-                f"pruned {self.pruned_partitions}"
-            )
-        return "\n".join(lines)
-
 
 @dataclass
 class PlannedQuery:

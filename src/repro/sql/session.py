@@ -110,9 +110,6 @@ class SqlSession:
         #: still reads; see _reap_dropped.
         self._dropped_paths: set[str] = set()
         self._dropped_shuffles: set[int] = set()
-        #: True while executing a journaled statement, so internal
-        #: load_rows calls are not double-journaled.
-        self._in_statement = False
         #: Original SQL text of the statement being executed (event log).
         self._current_text: Optional[str] = None
         #: Query caching stack (repro.sql.cache); None until enabled.
@@ -144,19 +141,18 @@ class SqlSession:
                     # plan- or result-cache miss below re-parses on demand.
                     with self.ctx.query_scope():
                         return self._execute_select(None, memo=memo)
-            return self.execute_statement(parse(text))
+            # One scope per statement: what it leaves in the engine — map
+            # outputs, broadcast charges — is given back when it closes, on
+            # success, cancellation or failure alike (a statement inside a
+            # lifecycle query joins that query's scope).
+            with self.ctx.query_scope():
+                return self._execute_statement(parse(text), text)
         finally:
             self._current_text = None
 
-    def execute_statement(self, statement: ast.Statement) -> QueryResult:
-        # One scope per statement: what it leaves in the engine — map
-        # outputs, broadcast charges — is given back when it closes, on
-        # success, cancellation or failure alike (a statement inside a
-        # lifecycle query joins that query's scope).
-        with self.ctx.query_scope():
-            return self._execute_statement(statement)
-
-    def _execute_statement(self, statement: ast.Statement) -> QueryResult:
+    def _execute_statement(
+        self, statement: ast.Statement, text: str
+    ) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
             memo = None
             if self.sql_cache is not None and self._current_text is not None:
@@ -166,9 +162,13 @@ class SqlSession:
             if statement.analyze:
                 return self._explain_analyze(statement.statement)
             return self._explain(statement.statement)
-        # Catalog-mutating statements: execute, then journal on success.
-        previously_in_statement = self._in_statement
-        self._in_statement = True
+        # Catalog-mutating statements: execute, then journal the text as
+        # it was submitted (paper footnote 4) on success.  The text and
+        # the flag are the statement's own, not the session's: lifecycle
+        # queries interleave on one session.
+        scope = self.ctx.query
+        previously_in_statement = scope.in_statement
+        scope.in_statement = True
         try:
             if isinstance(statement, ast.CreateTable):
                 result = self._create_table(statement)
@@ -183,9 +183,9 @@ class SqlSession:
                     f"cannot execute {type(statement).__name__}"
                 )
         finally:
-            self._in_statement = previously_in_statement
+            scope.in_statement = previously_in_statement
         if self.journal is not None and not previously_in_statement:
-            self.journal.log_statement(_render_statement(statement))
+            self.journal.log_statement(text)
         return result
 
     def _execute_select(
@@ -615,7 +615,7 @@ class SqlSession:
                 largest = max(block.rows for block in table.blocks)
                 wanted = -(-len(rows) // max(largest, 1))
                 num_partitions = max(1, min(wanted, num_partitions))
-        if self.journal is not None and not self._in_statement:
+        if self.journal is not None and not self.ctx.query.in_statement:
             self.journal.log_load(table_name, rows, num_partitions)
         rdd = self.ctx.parallelize(rows, num_partitions)
         chunk, absorbed = None, []
@@ -745,63 +745,6 @@ class SqlSession:
     @staticmethod
     def _table_path(name: str) -> str:
         return f"/warehouse/{name.lower()}"
-
-
-def _render_statement(statement: ast.Statement) -> str:
-    """Statement text for the journal (re-parsable on replay)."""
-    if isinstance(statement, ast.CreateTable):
-        return _render_create(statement)
-    if isinstance(statement, ast.DropTable):
-        suffix = "IF EXISTS " if statement.if_exists else ""
-        return f"DROP TABLE {suffix}{statement.name}"
-    if isinstance(statement, ast.InsertInto):
-        if statement.values:
-            rows_sql = ", ".join(
-                "(" + ", ".join(_render_literal(e) for e in row) + ")"
-                for row in statement.values
-            )
-            return f"INSERT INTO {statement.table} VALUES {rows_sql}"
-        return f"INSERT INTO {statement.table} {_render_select(statement.select)}"
-    if isinstance(statement, ast.CacheTable):
-        verb = "UNCACHE" if statement.uncache else "CACHE"
-        return f"{verb} TABLE {statement.name}"
-    raise UnsupportedFeatureError(
-        f"cannot journal {type(statement).__name__}"
-    )
-
-
-def _render_create(statement: ast.CreateTable) -> str:
-    parts = ["CREATE TABLE"]
-    if statement.if_not_exists:
-        parts.append("IF NOT EXISTS")
-    parts.append(statement.name)
-    if statement.columns:
-        columns = ", ".join(
-            f"{c.name} {c.type_name.upper()}" for c in statement.columns
-        )
-        parts.append(f"({columns})")
-    if statement.properties:
-        props = ", ".join(
-            f"'{k}' = '{v}'" for k, v in statement.properties.items()
-        )
-        parts.append(f"TBLPROPERTIES ({props})")
-    if statement.as_select is not None:
-        parts.append("AS " + _render_select(statement.as_select))
-    return " ".join(parts)
-
-
-def _render_select(select: ast.SelectStatement) -> str:
-    """SELECT statements journal as their original text is unavailable;
-    re-render from the AST (covers the dialect's full surface)."""
-    from repro.sql.render import render_select
-
-    return render_select(select)
-
-
-def _render_literal(expr: ast.Expr) -> str:
-    from repro.sql.render import render_expr
-
-    return render_expr(expr)
 
 
 def _wants_cache(properties: dict[str, str]) -> bool:

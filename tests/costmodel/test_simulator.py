@@ -3,6 +3,7 @@
 import pytest
 
 from repro.costmodel import (
+    DEFAULT_HARDWARE,
     ClusterSimulator,
     HIVE,
     SHARK_MEM,
@@ -10,6 +11,7 @@ from repro.costmodel import (
     TaskCostVector,
 )
 from repro.costmodel.constants import MB, replace
+from repro.obs import Tracer
 
 
 def _stage(num_tasks, bytes_per_task=MB, source="memory"):
@@ -99,6 +101,41 @@ class TestEngineContrasts:
             2, always_slow, seed=3, speculation=False
         ).simulate([_stage(16, bytes_per_task=64 * MB)])
         assert with_spec.total_seconds < without.total_seconds / 10
+
+    def test_trace_has_one_span_per_task_on_its_slot(self):
+        """The benches' ``--trace-out`` path: each simulated task is a
+        ``sim`` span on its slot's lane, and a stage's last span ends
+        its simulated seconds after the stage started."""
+        tracer = Tracer(enabled=True)
+        stages = [
+            _stage(40),
+            StageCost.uniform(
+                "reduce", 6, TaskCostVector(shuffle_read_bytes=MB)
+            ),
+        ]
+        cost = ClusterSimulator(2, SHARK_MEM, seed=3, tracer=tracer).simulate(
+            stages
+        )
+        spans = tracer.trace.spans_in_category("sim")
+        assert len(spans) == 46
+        cores = DEFAULT_HARDWARE.cores_per_node
+        lanes = {f"sim node {n} core {c}" for n in range(2) for c in range(cores)}
+        start = 0.0
+        for stage, result in zip(stages, cost.stages):
+            mine = [span for span in spans if span.args["stage"] == stage.name]
+            assert sorted(span.args["task"] for span in mine) == list(
+                range(len(stage.tasks))
+            )
+            assert {span.lane for span in mine} <= lanes
+            assert min(span.start for span in mine) == pytest.approx(start)
+            end = max(span.end for span in mine)
+            assert end - start == pytest.approx(result.seconds)
+            start += result.seconds
+        for lane in lanes:
+            on_lane = sorted(
+                (span.start, span.end) for span in spans if span.lane == lane
+            )
+            assert all(a[1] <= b[0] for a, b in zip(on_lane, on_lane[1:]))
 
     def test_describe_output(self):
         sim = ClusterSimulator(4, SHARK_MEM, seed=1)

@@ -10,9 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Accumulator, EngineContext
+from repro.engine.rdd import DataRDD
 from repro.engine.scheduler import SchedulerConfig
+from repro.engine.shuffle import _shuffle_block_id
 from repro.errors import TaskError
 from repro.faults import FaultInjector
+from repro.obs.analyze import render_query
+from repro.obs.record import QueryRecord
 
 
 def _word_counts(ctx: EngineContext) -> list:
@@ -216,6 +220,53 @@ class TestSpeculation:
         # The straggler ran slowdown x 50; the copy at normal speed wins.
         assert winners, "expected at least one speculative winner"
 
+    def test_primary_map_output_beats_its_copy(self):
+        """A map task whose backup copy is no faster keeps its own
+        output: the copy wrote last, so its location is pointed back and
+        reducers read the primary's worker."""
+
+        def word_counts(speculation: bool):
+            ctx = EngineContext(
+                num_workers=4,
+                cores_per_worker=2,
+                scheduler_config=SchedulerConfig(
+                    speculation=speculation,
+                    speculation_min_peers=2,
+                    speculation_multiplier=1.2,
+                ),
+            )
+            ctx.enable_tracing()
+            # The last map partition is 3 000x its peers: slow on every
+            # worker, so its copy takes exactly as long and loses.
+            slices = [list(range(10))] * 7 + [list(range(30_000))]
+            counts = (
+                DataRDD(ctx, slices)
+                .map(lambda i: (i % 13, 1))
+                .reduce_by_key(lambda a, b: a + b)
+            )
+            return ctx, counts, counts.collect()
+
+        ctx, counts, rows = word_counts(speculation=True)
+        assert repr(rows) == repr(word_counts(speculation=False)[2])
+        launch = ctx.trace.events_named("task.speculative")[0]
+        assert launch.args["partition"] == 7
+        primary = launch.args["primary_worker"]
+        shuffle_id = counts.shuffle_dep.shuffle_id
+        block = _shuffle_block_id(shuffle_id, 7)
+        holders = {
+            worker.worker_id: worker
+            for worker in ctx.cluster.live_workers()
+            if block in worker.blocks
+        }
+        assert len(holders) == 2 and primary in holders
+        # Without the copy's block every read still finds its map output.
+        (copy,) = [w for worker_id, w in holders.items() if worker_id != primary]
+        copy.blocks.remove(block)
+        manager = ctx.shuffle_manager
+        assert manager.missing_maps(shuffle_id) == []
+        fetched = manager.fetch(shuffle_id, list(range(counts.num_partitions)))
+        assert fetched.num_rows == 7 * 10 + 13
+
     def test_release_frees_the_losing_copy_too(self):
         # A speculated map task leaves the same block on two workers and
         # the location names one; releasing the shuffle must free both.
@@ -385,8 +436,10 @@ class TestChaoticSqlResults:
         )
         chaos.engine.reset_profiles()
         chaos.sql(self.QUERIES[1])
-        texts = [p.describe() for p in chaos.engine.profiles]
-        assert any("retried tasks:" in text for text in texts)
+        profiles = list(chaos.engine.profiles)
+        assert sum(profile.retried_tasks for profile in profiles) > 0
+        text = render_query(QueryRecord(profiles=profiles))
+        assert "retried tasks (transient failures):" in text
 
     def test_explain_analyze_surfaces_retries(self):
         chaos = self._build(

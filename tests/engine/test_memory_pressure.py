@@ -10,6 +10,8 @@ import pytest
 
 from repro.cluster.worker import BlockStore
 from repro.engine import EngineContext
+from repro.obs.analyze import render_query
+from repro.obs.record import QueryRecord
 
 
 class TestBlockStoreEviction:
@@ -115,7 +117,7 @@ class TestEngineUnderMemoryPressure:
 class TestEvictionThenRecompute:
     """Regression: a cached table whose partitions were LRU-evicted must
     recompute via lineage and answer byte-identically — and the eviction
-    must be visible in QueryProfile.describe() and EXPLAIN ANALYZE."""
+    must be visible in the job profiles and EXPLAIN ANALYZE."""
 
     def _build(self):
         from repro import SharkContext
@@ -153,7 +155,7 @@ class TestEvictionThenRecompute:
         evicted_bytes = sum(p.evicted_bytes for p in profiles)
         assert evicted > 0
         assert evicted_bytes > 0
-        described = "\n".join(p.describe() for p in profiles)
+        described = render_query(QueryRecord(profiles=list(profiles)))
         assert "evicted cache blocks" in described
 
     def test_eviction_surfaced_in_explain_analyze(self):

@@ -5,6 +5,8 @@ import pytest
 from repro.engine.rdd import ShuffledRDD
 from repro.engine.partitioner import HashPartitioner
 from repro.errors import NoLiveWorkersError
+from repro.obs.analyze import render_query
+from repro.obs.record import QueryRecord
 
 
 class TestStageStructure:
@@ -143,5 +145,6 @@ class TestProfiles:
 
     def test_describe_is_readable(self, ctx):
         ctx.parallelize(range(4), 2).count()
-        text = ctx.last_profile.describe()
-        assert "stages" in text
+        text = render_query(QueryRecord(profiles=[ctx.last_profile]))
+        assert "runtime profile (1 job" in text
+        assert "stage 0 (result, parallelize): 2 tasks, rows 4 -> 4" in text

@@ -6,6 +6,13 @@ import pytest
 
 from repro.engine.metrics import QueryProfile, StageProfile, TaskMetrics
 from repro.obs import MetricsRegistry
+from repro.obs.analyze import render_query
+from repro.obs.planquality import (
+    OperatorStamp,
+    actual_rows_from_profiles,
+    build_operator_profiles,
+)
+from repro.obs.record import QueryRecord
 
 
 class TestMetricsRegistry:
@@ -109,15 +116,15 @@ class TestProfileRollups:
             )
         )
         profile.stages.append(stage)
-        text = profile.describe()
-        assert "shuffle read 64 B" in text
-        assert "shuffle write 256 B" in text
+        text = render_query(QueryRecord(profiles=[profile]))
+        assert "shuffle read 64B" in text
+        assert "shuffle write 256B" in text
         assert "(2 attempts)" in text
 
     def test_describe_lists_operator_rows_in_stamp_order(self):
-        """PR 10 satellite: per-operator actual row counts surface in
-        ``describe()`` for row-mode queries, ordered by stamp id (not
-        alphabetically — ``#10`` sorts after ``#9``)."""
+        """Per-operator actual row counts surface in EXPLAIN ANALYZE's
+        plan-quality section, ordered by stamp id (not alphabetically —
+        ``#10`` sorts after ``#9``)."""
         profile = QueryProfile(job_id=0)
         stage = StageProfile(stage_id=0, name="s", is_shuffle_map=False)
         stage.tasks.append(
@@ -128,17 +135,26 @@ class TestProfileRollups:
         assert stage.operator_rows == {
             "scan(t)#0": 100, "filter#9": 40, "project#10": 40,
         }
-        text = profile.describe()
-        assert "operator rows:" in text
-        line = next(
-            l for l in text.splitlines() if "operator rows:" in l
+        stamps = [
+            OperatorStamp("scan(t)", "vectorized", 0),
+            OperatorStamp("filter", "vectorized", 9),
+            OperatorStamp("project", "vectorized", 10),
+        ]
+        operators = build_operator_profiles(
+            stamps, actual_rows_from_profiles([profile])
         )
-        assert line.index("scan(t)#0=100") < line.index("filter#9=40")
-        assert line.index("filter#9=40") < line.index("project#10=40")
+        text = render_query(
+            QueryRecord(profiles=[profile], operator_profiles=operators)
+        )
+        scan = text.index("scan(t) [vectorized]: est ? (none) / actual 100")
+        filtered = text.index("filter [vectorized]: est ? (none) / actual 40")
+        assert scan < filtered < text.index("project [vectorized]")
 
     def test_describe_omits_operator_rows_when_absent(self):
         profile = QueryProfile(job_id=0)
         stage = StageProfile(stage_id=0, name="s", is_shuffle_map=False)
         stage.tasks.append(_task(records_in=5))
         profile.stages.append(stage)
-        assert "operator rows" not in profile.describe()
+        assert actual_rows_from_profiles([profile]) == {}
+        text = render_query(QueryRecord(profiles=[profile]))
+        assert "plan quality" not in text

@@ -145,13 +145,3 @@ class TestIntegration:
             "SELECT oid FROM orders WHERE cust IN (SELECT cust FROM vip)"
         )
         assert "SemiJoinFilter" in text
-
-    def test_render_round_trips(self):
-        from repro.sql.parser import parse
-        from repro.sql.render import render_select
-
-        query = (
-            "SELECT a FROM t WHERE k NOT IN (SELECT k FROM d WHERE x > 1)"
-        )
-        first = parse(query)
-        assert parse(render_select(first)) == first

@@ -139,3 +139,27 @@ class TestPdeAggregation:
             "SELECT user, SUM(n) FROM events GROUP BY user"
         )
         assert dict(result.rows) == self._reference()
+
+    def test_only_the_aggregate_merges_on_one_reducer(self):
+        """A static plan with one reducer (an MPP engine's coordinator
+        merge) sizes GROUP BY only: a shuffle join and DISTINCT keep one
+        reduce partition per core."""
+        contexts = [
+            SharkContext(num_workers=4, config=PlannerConfig(
+                broadcast_threshold_bytes=-1, **overrides
+            ))
+            for overrides in ({"enable_pde": False, "num_reducers": 1}, {})
+        ]
+        for shark in contexts:
+            shark.create_table("t", Schema.of(("k", STRING), ("v", INT)))
+            shark.load_rows("t", [(f"k{i % 10}", i) for i in range(200)])
+        static, default = contexts
+        cores = static.engine.default_parallelism
+        for query, reducers in (
+            ("SELECT a.k, b.v FROM t a JOIN t b ON a.k = b.k", cores),
+            ("SELECT DISTINCT k FROM t", cores),
+            ("SELECT k, COUNT(*) FROM t GROUP BY k", 1),
+        ):
+            rows = static.sql(query).rows
+            assert static.engine.profiles[-1].stages[-1].num_tasks == reducers
+            assert sorted(rows) == sorted(default.sql(query).rows)

@@ -141,6 +141,17 @@ GUARDS = {
             ("src/repro",),
         ),
     ],
+    # What only tests reached stays deleted: the journal keeps statement
+    # text (no AST renderer), EXPLAIN ANALYZE is the one profile
+    # renderer, and no MPP executor, linear regression or simulator
+    # fault plug comes back.
+    "tests-only-deleted": [
+        Rule(
+            r"repro\.sql\.render|LinearRegression|MppExecutor"
+            r"|sim_task_effects|QueryProfile\.describe",
+            ("src/repro",),
+        ),
+    ],
     # The baselines are lowering policies over the one engine: no
     # MapReduce loop and no row executor of their own.
     "baselines-on-the-engine": [

@@ -9,6 +9,7 @@ import pytest
 
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
+from repro.engine import LifecycleConfig
 from repro.sql.journal import JOURNAL_PATH, MasterJournal
 from repro.storage import DistributedFileStore
 
@@ -153,6 +154,72 @@ class TestRecovery:
         ]
         assert decisions == ["copartitioned"]
         assert result.scalar() == 1000
+
+    @pytest.mark.parametrize(
+        "statements",
+        [
+            ["CREATE TABLE t (x DOUBLE)", "INSERT INTO t VALUES (0.0000001)"],
+            [
+                "CREATE TABLE s (a DOUBLE) TBLPROPERTIES ('shark.cache'='true')",
+                "INSERT INTO s VALUES (2.0), (3.5)",
+                "CREATE TABLE t AS SELECT a * 0.00001 AS x FROM s",
+            ],
+            ["CREATE TABLE t (`select` INT)", "INSERT INTO t VALUES (1)"],
+            [
+                "CREATE TABLE t (x INT) TBLPROPERTIES ('note'='it''s')",
+                "INSERT INTO t VALUES (7)",
+            ],
+        ],
+        ids=["small-literal", "small-literal-in-ctas", "backquoted", "quote"],
+    )
+    def test_statements_replay_as_submitted(self, statements):
+        """The journal keeps each statement's submitted text, so replay
+        parses exactly what the original master parsed."""
+        store = DistributedFileStore()
+        original = SharkContext(
+            num_workers=2, store=store, enable_master_recovery=True
+        )
+        for text in statements:
+            original.sql(text)
+        recovered = SharkContext.recover(store)
+        query = "SELECT * FROM t"
+        assert repr(recovered.sql(query).rows) == repr(
+            original.sql(query).rows
+        )
+        assert recovered.table_entry("t").properties == (
+            original.table_entry("t").properties
+        )
+
+    def test_interleaved_statements_each_journal_their_own_text(self):
+        """Lifecycle queries interleave on one session: a CTAS and an
+        INSERT running side by side are each journaled, as their own
+        text."""
+        store = DistributedFileStore()
+        original = SharkContext(
+            num_workers=2, store=store, enable_master_recovery=True
+        )
+        for name in ("s", "u"):
+            original.sql(
+                f"CREATE TABLE {name} (k INT, v INT) "
+                "TBLPROPERTIES ('shark.cache'='true')"
+            )
+        original.load_rows(
+            "s", [(i % 7, i) for i in range(400)], num_partitions=8
+        )
+        lifecycle = original.enable_lifecycle(
+            LifecycleConfig(max_concurrent=2)
+        )
+        original.submit_sql(
+            "CREATE TABLE a TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT k, SUM(v) AS t FROM s GROUP BY k"
+        )
+        original.submit_sql("INSERT INTO u SELECT k, v FROM s WHERE v < 50")
+        lifecycle.drain()
+        recovered = SharkContext.recover(store)
+        for query in ("SELECT * FROM a", "SELECT * FROM u"):
+            assert sorted(recovered.sql(query).rows) == sorted(
+                original.sql(query).rows
+            ), query
 
     def test_dml_on_cached_table_replays(self):
         store = DistributedFileStore()

@@ -215,6 +215,38 @@ class TestDotCommands:
         assert "query doctor:" in text
         assert "1 paired query, 0 regressed" in text
 
+    def test_eventlog_and_history(self, session, tmp_path):
+        shell, output = session
+        path = tmp_path / "shell.jsonl"
+        drive(shell, ".eventlog", ".eventlog off", ".history")
+        assert output == [
+            "(no event log; `.eventlog <path>` to start one)",
+            "(no event log open)",
+            "usage: .history <path> [query-id-or-name]",
+        ]
+        drive(
+            shell,
+            "CREATE TABLE t (a INT) TBLPROPERTIES ('shark.cache'='true');",
+            f".eventlog {path}",
+            "SELECT COUNT(*) FROM t;",
+            ".eventlog",
+            f".history {path}",
+            ".eventlog off",
+        )
+        text = "\n".join(output)
+        assert f"event log open at {path}" in text
+        assert f"event log: {path} (1 queries logged)" in text
+        assert f"(note: {path} is still open for writing" in text
+        assert f"closed event log {path}" in text
+        del output[:]
+        drive(shell, f".history {path}", f".history {path} q0000")
+        text = "\n".join(output)
+        assert "query history: 1 query from 1 log file(s)" in text
+        assert "query q0000 [sql] ok" in text
+        assert "== runtime profile (" in text
+        drive(shell, f".history {path} q0009")
+        assert output[-1] == "error: \"no query 'q0009' in history\""
+
     def test_doctor_missing_log_errors(self, session, tmp_path):
         shell, output = session
         drive(shell, f".doctor {tmp_path}/a.jsonl {tmp_path}/b.jsonl")
