@@ -38,25 +38,43 @@ Execution model
 ---------------
 
 The engine runs tasks inline and synchronously, so concurrency is
-*cooperative*: each admitted query runs on its own daemon thread, but a
-baton guarantees exactly one thread executes at any instant.  Handoffs
-happen only at task boundaries (the scheduler calls :meth:`checkpoint`
-before every task attempt), and the next query to run is chosen
-deterministically by the fairness policy — so a set of concurrent
-queries produces byte-identical results and traces on every run, and
-composes with the seeded fault injector.  The baton also keeps the
-module-global task-context stack coherent, and makes "which query is
-running" a plain field read (``_baton``), never a question about
-threads.  What a query holds in the engine lives on its
-:class:`~repro.engine.query.QueryScope`: at every handoff the manager
+*cooperative*: an admitted query runs on a daemon thread of its own
+while it lives, but a baton guarantees exactly one thread executes at
+any instant.  Handoffs happen only at task boundaries (the scheduler
+calls :meth:`checkpoint` before every task attempt), and the next query
+to run is chosen deterministically by the fairness policy — so a set of
+concurrent queries produces byte-identical results and traces on every
+run, and composes with the seeded fault injector.  The baton also keeps
+the module-global task-context stack coherent, and makes "which query
+is running" a plain field read (``_baton``), never a question about
+threads.
+
+Every thread, the driver's included, parks on a lock of its own used as
+a binary semaphore, and a handoff releases exactly the lock of the
+thread that runs next: one wake per handoff.  A query that reaches a
+task boundary, or finishes, makes the driver loop's next step itself
+(promote queued queries, ask the fairness policy) and grants the pick
+directly — a query that picks itself simply goes on — so the driver
+wakes only when its loop is over: everything finished under
+:meth:`~QueryLifecycleManager.drain`, the awaited query under
+:meth:`~QueryLifecycleManager.wait`.  A finished query's thread parks
+idle and runs the next query that needs one; when the driver returns
+with nothing running or queued the idle threads exit, so at most
+``max_concurrent`` query threads live at a time and none outlives a
+drain.
+
+What a query holds in the engine lives on its
+:class:`~repro.engine.query.QueryScope`: at every handoff the granter
 swaps that scope onto the context (``ctx.query``) and its span stack
 onto the tracer, so concurrent queries' shuffles, broadcasts, profiles
 and spans never mix, and the scope's ``close()`` gives all of it back
 on any exit.
 
 Real wall-clock time is never read; the only real-time construct is a
-generous watchdog on the baton condition variable that turns an
-accidental deadlock into a typed error instead of a hung build.
+generous watchdog on every park that turns an accidental deadlock into
+a typed error instead of a hung build.  It measures progress, not time
+parked: only a whole watchdog period with no task launched and no baton
+granted trips it.
 """
 
 from __future__ import annotations
@@ -102,9 +120,37 @@ RETRY_AFTER_DEFAULT_S = 1.0
 #: queue drain rate that prices retry-after hints (the server's too).
 DRAIN_RATE_WINDOW = 8
 #: Real-time guard on baton handoffs: a cooperative-scheduling bug
-#: surfaces as a typed error after this many seconds instead of a hung
-#: test run.  Never reached in normal operation.
+#: surfaces as a typed error once this many seconds pass with no task
+#: launched and no baton handed on, instead of a hung test run.  Never
+#: reached in normal operation, however long a drain takes.
 WATCHDOG_TIMEOUT_S = 300.0
+
+
+def _parked_lock() -> threading.Lock:
+    """A lock held from the start: a binary semaphore at zero, which a
+    thread parks on until another releases it."""
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
+class _QueryThread:
+    """A daemon thread that runs one admitted query at a time, parked on
+    its own lock between grants."""
+
+    __slots__ = ("lock", "handle", "thread")
+
+    def __init__(self, manager: "QueryLifecycleManager"):
+        self.lock = _parked_lock()
+        #: The query it runs; None while idle, and to tell it to exit.
+        self.handle: Optional[QueryHandle] = None
+        self.thread = threading.Thread(
+            target=manager._thread_main,
+            args=(self,),
+            name="lifecycle-query",
+            daemon=True,
+        )
+        self.thread.start()
 
 
 @dataclass
@@ -197,7 +243,8 @@ class QueryHandle:
     #: profiles, charged seconds, span stack); ``ctx.query`` while it
     #: runs, closed on any exit.
     scope: QueryScope = field(init=False, repr=False)
-    _thread: Optional[threading.Thread] = field(default=None, repr=False)
+    #: The thread running this query, from its first grant to its end.
+    _thread: Optional[_QueryThread] = field(default=None, repr=False)
     _span: Any = field(default=None, repr=False)
     _cancel_after_tasks: Optional[int] = None
 
@@ -273,10 +320,20 @@ class QueryLifecycleManager:
             raise ValueError(
                 f"unknown fairness policy {self.config.fairness!r}"
             )
-        self._cond = threading.Condition()
         #: The query currently allowed to run (exactly one, or None when
         #: the driver holds control).
         self._baton: Optional[QueryHandle] = None
+        #: The driver parks here while queries run; the step that finds
+        #: its loop over releases it.
+        self._driver_lock = _parked_lock()
+        #: The handle the driver's wait() is for (None under drain()).
+        self._waiting_for: Optional[QueryHandle] = None
+        #: Threads of finished queries, parked until a query needs one.
+        #: A thread idle past the watchdog takes itself out, so takers
+        #: pop without checking first (one list op each, atomic).
+        self._idle: list[_QueryThread] = []
+        #: Task launches plus grants: what the watchdog calls progress.
+        self._progress = 0
         #: Admitted queries holding a slot, in admission order.
         self._running: list[QueryHandle] = []
         #: Admitted queries waiting for a slot.
@@ -358,38 +415,37 @@ class QueryLifecycleManager:
             weight=max(int(weight), 1),
             submitted_at=self._ctx.tracer.clock.now(),
         )
-        with self._cond:
-            if len(self._running) < self.config.max_concurrent:
-                handle.state = RUNNING
-                self._running.append(handle)
-                metrics.inc("queries.admitted")
-                self._ctx.tracer.instant(
-                    "query.admitted", "query",
-                    query_id=query_id, query=name,
-                )
-            elif len(self._queued) < self.config.max_queued:
-                self._queued.append(handle)
-                metrics.inc("queries.queued")
-                self._ctx.tracer.instant(
-                    "query.queued", "query",
-                    query_id=query_id, query=name,
-                    position=len(self._queued),
-                )
-            else:
-                self.rejected += 1
-                metrics.inc("queries.rejected")
-                hint = self._retry_after_hint()
-                self._ctx.tracer.instant(
-                    "query.rejected", "query",
-                    query_id=query_id, query=name,
-                    reason="capacity", retry_after_s=hint,
-                )
-                raise AdmissionRejected(
-                    name,
-                    running=len(self._running),
-                    queued=len(self._queued),
-                    retry_after_s=hint,
-                )
+        if len(self._running) < self.config.max_concurrent:
+            handle.state = RUNNING
+            self._running.append(handle)
+            metrics.inc("queries.admitted")
+            self._ctx.tracer.instant(
+                "query.admitted", "query",
+                query_id=query_id, query=name,
+            )
+        elif len(self._queued) < self.config.max_queued:
+            self._queued.append(handle)
+            metrics.inc("queries.queued")
+            self._ctx.tracer.instant(
+                "query.queued", "query",
+                query_id=query_id, query=name,
+                position=len(self._queued),
+            )
+        else:
+            self.rejected += 1
+            metrics.inc("queries.rejected")
+            hint = self._retry_after_hint()
+            self._ctx.tracer.instant(
+                "query.rejected", "query",
+                query_id=query_id, query=name,
+                reason="capacity", retry_after_s=hint,
+            )
+            raise AdmissionRejected(
+                name,
+                running=len(self._running),
+                queued=len(self._queued),
+                retry_after_s=hint,
+            )
         self.handles.append(handle)
         return handle
 
@@ -450,31 +506,56 @@ class QueryLifecycleManager:
     def drain(self) -> list[QueryHandle]:
         """Run every admitted query to a terminal state; returns the
         completion order."""
-        self._require_driver("drain")
-        while self._running or self._queued:
-            self._promote_queued()
-            handle = self._pick_next()
-            if handle is None:  # pragma: no cover - defensive
-                break
-            self._run_slice(handle)
+        self._drive("drain", None)
         return list(self.finish_order)
 
     def wait(self, handle: QueryHandle) -> Any:
         """Drive the scheduler (fairly — other queries keep their turns)
         until ``handle`` is terminal; return its result or raise."""
-        self._require_driver("wait")
-        while not handle.done:
-            self._promote_queued()
-            nxt = self._pick_next()
-            if nxt is None:  # pragma: no cover - defensive
-                raise EngineError(
-                    f"query {handle.name!r} is {handle.state} but no "
-                    "query is runnable"
-                )
-            self._run_slice(nxt)
+        self._drive("wait", handle)
         if handle.error is not None:
             raise handle.error
         return handle.result
+
+    def _drive(self, op: str, target: Optional[QueryHandle]) -> None:
+        """The driver loop, until ``target`` is terminal (everything is,
+        when None): grant the fairness policy's pick and park — the
+        queries take the loop's steps meanwhile.  Retires the idle
+        threads if nothing is left."""
+        self._require_driver(op)
+        self._waiting_for = target
+        ctx = self._ctx
+        while not self._driver_loop_over():
+            self._promote_queued()
+            handle = self._pick_next()
+            if handle is None:  # pragma: no cover - defensive
+                if target is None:
+                    break
+                raise EngineError(
+                    f"query {target.name!r} is {target.state} but no "
+                    "query is runnable"
+                )
+            driver_scope = ctx.query
+            driver_stack = self._grant(handle)
+            try:
+                # The baton passes from query to query and is clear only
+                # once the step that wakes the driver clears it.  A
+                # release with the baton held is stale — left by a query
+                # the watchdog ended while nobody drove — and is
+                # absorbed here.
+                while self._baton is not None:
+                    self._park(self._driver_lock, handle, "made no progress")
+            finally:
+                ctx.tracer.use_stack(driver_stack)
+                ctx.query = driver_scope
+        if not self._running and not self._queued:
+            self._retire_idle()
+
+    def _driver_loop_over(self) -> bool:
+        target = self._waiting_for
+        if target is None:
+            return not (self._running or self._queued)
+        return target.done
 
     def _require_driver(self, op: str) -> None:
         # The driver never runs while a query holds the baton, so a
@@ -485,20 +566,19 @@ class QueryLifecycleManager:
             )
 
     def _promote_queued(self) -> None:
-        with self._cond:
-            while (
-                self._queued
-                and len(self._running) < self.config.max_concurrent
-            ):
-                handle = self._queued.pop(0)
-                handle.state = RUNNING
-                self._running.append(handle)
-                self._ctx.tracer.metrics.inc("queries.admitted")
-                self._ctx.tracer.instant(
-                    "query.admitted", "query",
-                    query_id=handle.query_id, query=handle.name,
-                    promoted=True,
-                )
+        while (
+            self._queued
+            and len(self._running) < self.config.max_concurrent
+        ):
+            handle = self._queued.pop(0)
+            handle.state = RUNNING
+            self._running.append(handle)
+            self._ctx.tracer.metrics.inc("queries.admitted")
+            self._ctx.tracer.instant(
+                "query.admitted", "query",
+                query_id=handle.query_id, query=handle.name,
+                promoted=True,
+            )
 
     def _pick_next(self) -> Optional[QueryHandle]:
         """The fairness policy: which admitted query runs next."""
@@ -529,55 +609,102 @@ class QueryLifecycleManager:
         self._rr_cursor += 1
         return handle
 
-    def _run_slice(self, handle: QueryHandle) -> None:
-        """Grant the baton to one query until it yields or finishes."""
+    def _grant(self, handle: QueryHandle) -> list:
+        """Hand the baton to ``handle`` and wake its thread — an idle one,
+        or a new one, on its first grant.  What the engine records from
+        here lands on the query's scope and its spans nest under its own
+        stack, so both are swapped in; returns the span stack swapped
+        out.  The caller parks next and touches nothing else."""
         ctx = self._ctx
-        with self._cond:
-            if handle._thread is None:
-                handle._thread = threading.Thread(
-                    target=self._thread_main,
-                    args=(handle,),
-                    name=f"query-{handle.query_id}",
-                    daemon=True,
+        self._baton = handle
+        self._progress += 1
+        ctx.query = handle.scope
+        previous = ctx.tracer.use_stack(handle.scope.span_stack)
+        worker = handle._thread
+        if worker is None:
+            try:
+                worker = self._idle.pop()
+            except IndexError:
+                worker = _QueryThread(self)
+            worker.handle = handle
+            handle._thread = worker
+        worker.lock.release()
+        return previous
+
+    def _step(self, holder: Optional[QueryHandle]) -> bool:
+        """Take the driver loop's next step from the thread holding the
+        baton — a query at a task boundary (``holder``) or one that just
+        finished (None): once the loop is over, hand control back to the
+        driver; otherwise promote and pick, and grant the pick.  Returns
+        False, with no switch, when the pick is ``holder``; the caller
+        parks otherwise."""
+        if not self._driver_loop_over():
+            self._promote_queued()
+            pick = self._pick_next()
+            if pick is not None:
+                if pick is holder:
+                    return False
+                self._grant(pick)
+                return True
+        self._baton = None
+        self._driver_lock.release()
+        return True
+
+    def _retire_idle(self) -> None:
+        """Wake every idle thread with no query so it exits, and join it:
+        no query thread outlives a drain or pins the context."""
+        while True:
+            try:
+                worker = self._idle.pop()
+            except IndexError:
+                return
+            worker.lock.release()
+            worker.thread.join()
+
+    def _park(
+        self, lock: threading.Lock, handle: QueryHandle, stalled: str
+    ) -> None:
+        """Block until ``lock`` is released.  The watchdog measures
+        progress, not time parked: it raises only after a whole
+        :data:`WATCHDOG_TIMEOUT_S` in which no task launched and no baton
+        was granted, so a long drain, or a query the fairness policy
+        passes over for a long time, never trips it."""
+        seen = self._progress
+        while not lock.acquire(timeout=WATCHDOG_TIMEOUT_S):
+            if self._progress == seen:
+                raise EngineError(
+                    f"lifecycle watchdog: query {handle.name!r} {stalled} "
+                    f"in {WATCHDOG_TIMEOUT_S}s (cooperative-scheduling "
+                    "deadlock?)"
                 )
-                handle._thread.start()
-            # What the engine records during the slice lands on the
-            # query's scope and its spans nest under its own stack, not
-            # the driver's; swap both for the duration of the slice.
-            driver_scope, ctx.query = ctx.query, handle.scope
-            driver_stack = ctx.tracer.use_stack(handle.scope.span_stack)
-            self._baton = handle
-            self._cond.notify_all()
-            while self._baton is not None:
-                if not self._cond.wait(WATCHDOG_TIMEOUT_S):
-                    raise EngineError(
-                        f"lifecycle watchdog: query {handle.name!r} made no "
-                        f"progress in {WATCHDOG_TIMEOUT_S}s "
-                        "(cooperative-scheduling deadlock?)"
-                    )
-            ctx.tracer.use_stack(driver_stack)
-            ctx.query = driver_scope
-
-    def _await_grant(self, handle: QueryHandle) -> None:
-        with self._cond:
-            while self._baton is not handle:
-                if not self._cond.wait(WATCHDOG_TIMEOUT_S):
-                    raise EngineError(
-                        f"lifecycle watchdog: query {handle.name!r} waited "
-                        f"{WATCHDOG_TIMEOUT_S}s for the baton"
-                    )
-
-    def _yield_baton(self, handle: QueryHandle) -> None:
-        with self._cond:
-            self._baton = None
-            self._cond.notify_all()
-            self._await_grant(handle)
+            seen = self._progress
 
     # ------------------------------------------------------------------
     # The query thread
     # ------------------------------------------------------------------
-    def _thread_main(self, handle: QueryHandle) -> None:
-        self._await_grant(handle)
+    def _thread_main(self, worker: _QueryThread) -> None:
+        while True:
+            if not worker.lock.acquire(timeout=WATCHDOG_TIMEOUT_S):
+                # Idle that long: exit, unless a grant or a retire took
+                # it out of the list first — its release is on the way.
+                try:
+                    self._idle.remove(worker)
+                except ValueError:
+                    continue
+                return
+            handle = worker.handle
+            if handle is None:
+                return
+            self._run_query(handle)
+            worker.handle = handle._thread = None
+            # A grant that raced a watchdog-ended park left its release
+            # behind; take it, so the idle park waits for the next one.
+            worker.lock.acquire(blocking=False)
+            # Idle before the step: the next query may take this thread.
+            self._idle.append(worker)
+            self._step(None)
+
+    def _run_query(self, handle: QueryHandle) -> None:
         tracer = self._ctx.tracer
         handle._span = tracer.begin_span(
             f"query {handle.name}",
@@ -602,29 +729,31 @@ class QueryLifecycleManager:
         finally:
             # Still holding the baton: safe to touch shared engine state.
             self._cleanup(handle)
-            with self._cond:
-                if handle in self._running:
-                    self._running.remove(handle)
-                self._record_completion(handle)
-                self._baton = None
-                self._cond.notify_all()
+            if handle in self._running:
+                self._running.remove(handle)
+            self._record_completion(handle)
 
     # ------------------------------------------------------------------
     # Scheduler-facing hook (called from the running query's thread)
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
         """Cooperative scheduling point, called by the scheduler before
-        every task attempt: observe cancellation/deadline, then hand the
-        baton back so another query's task can interleave.  A no-op for
-        work the driver runs itself (no query holds the baton)."""
+        every task attempt: observe cancellation/deadline, then let the
+        fairness policy pick the query whose task runs next.  A no-op
+        for work the driver runs itself (no query holds the baton)."""
         handle = self._baton
         if handle is None:
             return
         self._observe(handle)
         handle.token.raise_if_cancelled()
         handle.tasks_launched += 1
+        self._progress += 1
         if len(self._running) > 1 or self._queued:
-            self._yield_baton(handle)
+            if self._step(handle):
+                self._park(
+                    handle._thread.lock, handle,
+                    "waited for the baton with no progress",
+                )
             # A cancel or deadline may have been issued while another
             # query held the baton — observe before launching the task
             # (this is what makes cancellation race retries/speculation
@@ -648,16 +777,15 @@ class QueryLifecycleManager:
     def _cancel(self, handle: QueryHandle, reason: str) -> None:
         if handle.done:
             return
-        with self._cond:
-            if handle in self._queued:
-                # Never started: terminal immediately, no cleanup needed.
-                self._queued.remove(handle)
-                handle.token.cancel(reason)
-                handle.state = CANCELLED
-                handle.error = QueryCancelledError(handle.name, reason=reason)
-                self._log_record(handle)
-                self._record_completion(handle)
-                return
+        if handle in self._queued:
+            # Never started: terminal immediately, no cleanup needed.
+            self._queued.remove(handle)
+            handle.token.cancel(reason)
+            handle.state = CANCELLED
+            handle.error = QueryCancelledError(handle.name, reason=reason)
+            self._log_record(handle)
+            self._record_completion(handle)
+            return
         handle.token.cancel(reason)
 
     def _cleanup(self, handle: QueryHandle) -> None:

@@ -8,6 +8,10 @@ queries, and leave no open tracer spans, no orphaned pinned shuffle
 blocks, and no accumulator contributions from cancelled attempts.
 """
 
+import gc
+import threading
+import weakref
+
 import pytest
 
 from repro import SharkContext
@@ -923,3 +927,270 @@ class TestAdmissionLedger:
         assert ledger["rejected"] == 1
         assert ledger["submitted"] == 6
         assert injector.injected_transient > 0
+
+
+def _launch_recorder(ctx, lifecycle) -> list:
+    """Patch ``checkpoint`` to append, at every task launch, the id of
+    the query that launches it; returns the list it appends to."""
+    launches = []
+    checkpoint = lifecycle.checkpoint
+
+    def recording_checkpoint():
+        checkpoint()
+        launches.append(
+            next(h.query_id for h in lifecycle.handles if h.scope is ctx.query)
+        )
+
+    lifecycle.checkpoint = recording_checkpoint
+    return launches
+
+
+def _schedule_scenario(policy: str):
+    """Six queries over three tenants at three slots: one cancelled after
+    3 tasks, one over its deadline mid-flight, three promoted from the
+    queue.  Returns (launch order, finish order, final states)."""
+    ctx = EngineContext(num_workers=4, cores_per_worker=2)
+    lifecycle = ctx.enable_lifecycle(
+        LifecycleConfig(max_concurrent=3, max_queued=3, fairness=policy)
+    )
+    launches = _launch_recorder(ctx, lifecycle)
+    tenants = (("a", 1), ("b", 2), ("c", 4))
+
+    def job(partitions, shuffle):
+        rdd = ctx.parallelize(range(60), partitions)
+        if shuffle:
+            return lambda: sorted(
+                rdd.map(lambda x: (x % 5, x)).reduce_by_key(lambda a, b: a + b)
+                .collect()
+            )
+        return lambda: rdd.map(lambda x: x * 2).collect()
+
+    shapes = ((6, False), (5, True), (3, False), (4, True), (2, False),
+              (7, False))
+    handles = []
+    for i, (partitions, shuffle) in enumerate(shapes):
+        tenant, weight = tenants[i % 3]
+        handles.append(
+            lifecycle.submit(
+                job(partitions, shuffle),
+                name=f"q{i}",
+                tenant=tenant,
+                weight=weight,
+                deadline_s=1e-3 if i == 3 else None,
+            )
+        )
+    handles[1].cancel_after_tasks(3)
+    assert [h.state for h in handles] == ["running"] * 3 + ["queued"] * 3
+    lifecycle.drain()
+    return (
+        launches,
+        [h.query_id for h in lifecycle.finish_order],
+        [h.state for h in handles],
+    )
+
+
+#: The schedule of ``_schedule_scenario`` under the condition-variable
+#: baton that direct handoff replaced: the query id at every task launch,
+#: then the finish order.  How the baton moves between threads must leave
+#: both exactly as they are.
+BATON_SCHEDULES = {
+    "round-robin": (
+        [0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 3, 0, 5, 4, 5, 4, 5, 5, 5, 5, 5],
+        [1, 2, 3, 0, 4, 5],
+    ),
+    "min-tasks": (
+        [0, 1, 2, 0, 1, 2, 0, 3, 4, 4, 5, 5, 2, 5, 0, 5, 0, 5, 0, 5, 5],
+        [1, 3, 4, 2, 0, 5],
+    ),
+    "weighted": (
+        [2, 2, 1, 2, 1, 0, 3, 4, 4, 5, 5, 5, 5, 5, 5, 5, 0, 0, 0, 0, 0],
+        [2, 3, 4, 1, 5, 0],
+    ),
+}
+
+
+class TestHandoff:
+    """One wake per handoff: queries pass the baton among themselves in
+    the order they always had, and a finished query's thread runs the
+    next."""
+
+    @pytest.mark.parametrize("policy", sorted(BATON_SCHEDULES))
+    def test_schedule_is_unchanged(self, policy):
+        launches, finished, states = _schedule_scenario(policy)
+        assert (launches, finished) == BATON_SCHEDULES[policy]
+        assert states == [
+            "done", "cancelled", "done", "deadline", "done", "done"
+        ]
+
+    def test_sole_slot_never_hands_off_mid_query(self):
+        """With one slot and three queued queries the running query is
+        re-picked at every task: it goes on without a switch, so each
+        query is granted the baton once.  A re-pick still observes its
+        cancel as a handoff did (query 1 stops after 2 launches)."""
+        ctx = EngineContext(num_workers=4)
+        lifecycle = ctx.enable_lifecycle(
+            LifecycleConfig(max_concurrent=1, max_queued=3)
+        )
+        launches = _launch_recorder(ctx, lifecycle)
+        grants = []
+        grant = lifecycle._grant
+
+        def counting_grant(handle):
+            grants.append(handle.query_id)
+            return grant(handle)
+
+        lifecycle._grant = counting_grant
+        rdd = ctx.parallelize(range(40), 8)
+        handles = [
+            lifecycle.submit(lambda: rdd.map(lambda x: x + 1).collect())
+            for _ in range(4)
+        ]
+        handles[1].cancel_after_tasks(3)
+        lifecycle.drain()
+        assert [h.state for h in handles] == [
+            "done", "cancelled", "done", "done"
+        ]
+        assert launches == [0] * 8 + [1] * 2 + [2] * 8 + [3] * 8
+        assert grants == [0, 1, 2, 3]
+
+    def test_threads_are_bounded_and_reused(self, monkeypatch):
+        ctx = EngineContext(num_workers=4)
+        lifecycle = ctx.enable_lifecycle(
+            LifecycleConfig(max_concurrent=4, max_queued=40)
+        )
+        baseline = threading.active_count()
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        alive = []
+        checkpoint = lifecycle.checkpoint
+
+        def sampling_checkpoint():
+            checkpoint()
+            alive.append(threading.active_count() - baseline)
+
+        lifecycle.checkpoint = sampling_checkpoint
+        rdd = ctx.parallelize(range(40), 4)
+        for _ in range(40):
+            lifecycle.submit(lambda: rdd.map(lambda x: x).collect())
+        lifecycle.drain()
+        assert lifecycle.completed == 40
+        assert len(started) <= 4
+        assert max(alive) <= 4
+        assert threading.active_count() == baseline
+
+    def test_no_thread_outlives_a_raising_wait(self):
+        ctx = EngineContext(num_workers=2)
+        lifecycle = ctx.enable_lifecycle(LifecycleConfig())
+        baseline = threading.active_count()
+        rdd = ctx.parallelize(range(10), 2)
+
+        def boom():
+            rdd.collect()
+            raise ValueError("boom")
+
+        lifecycle.submit(lambda: rdd.collect())
+        failing = lifecycle.submit(boom)
+        with pytest.raises(ValueError):
+            lifecycle.wait(failing)
+        assert lifecycle.admission_ledger()["running"] == 0
+        assert threading.active_count() == baseline
+
+    def test_no_thread_outlives_a_served_chaos_soak(self):
+        from repro.serving.workload import run_soak
+
+        baseline = threading.active_count()
+        assert run_soak(queries=300, fault_seed=13, verbose=False) == 0
+        assert threading.active_count() == baseline
+
+    def test_dropped_context_releases_its_manager(self):
+        ctx = EngineContext(num_workers=2)
+        lifecycle = ctx.enable_lifecycle(LifecycleConfig(max_concurrent=2))
+        rdd = ctx.parallelize(range(10), 2)
+        for _ in range(3):
+            lifecycle.submit(lambda: rdd.collect())
+        lifecycle.drain()
+        ref = weakref.ref(lifecycle)
+        del ctx, lifecycle, rdd
+        gc.collect()
+        assert ref() is None
+
+    def test_watchdog_ended_query_leaves_the_driver_sound(self, monkeypatch):
+        """wait() returns with another query parked mid-flight.  Nobody
+        drives, so nothing progresses for a whole watchdog period: the
+        parked query fails typed, idle threads exit on their own, and the
+        next drain still hands the baton one query at a time."""
+        import time
+
+        from repro.engine import lifecycle as lifecycle_module
+
+        monkeypatch.setattr(lifecycle_module, "WATCHDOG_TIMEOUT_S", 0.2)
+        ctx = EngineContext(num_workers=2)
+        lifecycle = ctx.enable_lifecycle(LifecycleConfig(max_concurrent=2))
+        baseline = threading.active_count()
+        long_rdd = ctx.parallelize(range(40), 8)
+        short_rdd = ctx.parallelize(range(4), 1)
+        parked = lifecycle.submit(lambda: long_rdd.collect(), name="parked")
+        short = lifecycle.submit(lambda: short_rdd.collect(), name="short")
+        assert lifecycle.wait(short) == [0, 1, 2, 3]
+        assert parked.state == "running"
+        give_up = time.monotonic() + 30
+        while time.monotonic() < give_up and (
+            not parked.done or threading.active_count() > baseline
+        ):
+            time.sleep(0.05)
+        assert parked.state == "failed"
+        assert "waited" in str(parked.error)
+        assert threading.active_count() == baseline
+        later = [
+            lifecycle.submit(lambda: long_rdd.collect()) for _ in range(2)
+        ]
+        lifecycle.drain()
+        assert [h.result for h in later] == [list(range(40))] * 2
+        assert threading.active_count() == baseline
+
+    def test_watchdog_spares_a_drain_that_keeps_progressing(
+        self, monkeypatch
+    ):
+        """The watchdog measures progress, not time parked: a drain many
+        watchdog periods long completes, though the driver parks through
+        all of it and min-tasks passes the long query over while thirty
+        fresh one-task queries are promoted ahead of it."""
+        import time
+
+        from repro.engine import lifecycle as lifecycle_module
+
+        timeout = 0.2
+        monkeypatch.setattr(lifecycle_module, "WATCHDOG_TIMEOUT_S", timeout)
+        ctx = EngineContext(num_workers=2)
+        lifecycle = ctx.enable_lifecycle(
+            LifecycleConfig(max_concurrent=2, max_queued=30,
+                            fairness="min-tasks")
+        )
+        baseline = threading.active_count()
+
+        def slow(x):
+            time.sleep(0.02)
+            return x
+
+        long_rdd = ctx.parallelize(range(8), 8)
+        short_rdd = ctx.parallelize(range(1), 1)
+        long = lifecycle.submit(
+            lambda: long_rdd.map(slow).collect(), name="long"
+        )
+        shorts = [
+            lifecycle.submit(lambda: short_rdd.map(slow).collect())
+            for _ in range(31)
+        ]
+        began = time.monotonic()
+        lifecycle.drain()
+        assert time.monotonic() - began > 3 * timeout
+        assert long.result == list(range(8))
+        assert [h.result for h in shorts] == [[0]] * 31
+        assert lifecycle.finish_order[-1] is long
+        assert threading.active_count() == baseline

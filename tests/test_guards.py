@@ -130,6 +130,15 @@ GUARDS = {
         ),
         Rule(r"EncodedColumn|CompressionScheme", ("src/repro",)),
     ],
+    # Concurrency is the lifecycle manager's cooperative baton: no other
+    # module starts, locks or waits on a thread.
+    "one-threaded-module": [
+        Rule(
+            r"^\s*(import threading|from threading)",
+            ("src/repro",),
+            exclude="engine/lifecycle.py",
+        ),
+    ],
     # Trace time is the simulated clock's: the engine reads no wall clock.
     "wall-clock": [Rule(r"time\.time\(\)|perf_counter", ("src/repro",))],
     # A map task reports one status; PDE reads every statistic off it
