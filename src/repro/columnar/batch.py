@@ -31,11 +31,12 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from repro.datatypes import DAYS, MICROS, datetime64_array
-from repro.errors import AnalysisError
+from repro.datatypes import DAYS, MICROS, DataType, datetime64_array
+from repro.errors import AnalysisError, TypeMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.table import ColumnarPartition
+    from repro.datatypes import Schema
 
 __all__ = [
     "Vector", "CodedVector", "LazyColumn", "ColumnBatch", "count_rows",
@@ -112,12 +113,48 @@ class Vector:
             if dtype.kind == "M":
                 data = datetime64_array(filled, kind)
             else:
-                data = np.array(filled, dtype=dtype)
+                data = np.fromiter(filled, dtype, len(filled))
         except OverflowError:  # an int beyond int64
             data = None
         if data is None:  # ... or a datetime with a zone or a fold
             return cls(list(values))
         return cls(data, valid)
+
+    @classmethod
+    def typed(
+        cls, values, data_type: DataType, name: str = "?"
+    ) -> "Vector":
+        """``values`` (or a Vector) as :meth:`from_values`' column of
+        their declared type, the one typing rule (DESIGN §16): NULL and
+        what ``data_type.validate`` takes, DOUBLE widening ints (ARRAY /
+        MAP / STRUCT: anything), else TypeMismatchError."""
+        if not isinstance(values, Vector):
+            values = cls.from_values(values)
+        if data_type.name in ("array", "map", "struct"):
+            return values
+        double = data_type.name == "double"
+        kind = _KIND_OF.get(getattr(values.data, "dtype", None))
+        if kind is not None:
+            if not data_type.validate(_ZEROS[kind]) and (
+                values.valid is None or values.valid.any()
+            ):
+                _refuse(name, data_type, values.to_python_list())
+            if not double or kind is float:
+                return values
+            return cls(values.data.astype(np.float64), values.valid)
+        # No array of one known dtype: the values, typed one by one.
+        data = values.to_python_list()
+        kinds = set(map(type, data))
+        for kind in kinds - {_NONE}:
+            value = next(v for v in data if type(v) is kind)
+            if not data_type.validate(value):
+                _refuse(name, data_type, [value])
+        if not double or kinds <= {_NONE}:
+            return values
+        # Ints beside floats, or float subclasses: one array of floats.
+        filled = [0.0 if value is None else value for value in data]
+        array = np.fromiter(filled, np.float64, len(filled))
+        return cls(array, not_null(data) if _NONE in kinds else None)
 
     @property
     def is_array(self) -> bool:
@@ -255,6 +292,16 @@ _ARRAY_DTYPES = {
 _ZEROS = {
     kind: np.zeros((), dtype).item() for kind, dtype in _ARRAY_DTYPES.items()
 }
+#: The Python type of the values of an array of each of those dtypes.
+_KIND_OF = {dtype: kind for kind, dtype in _ARRAY_DTYPES.items()}
+
+
+def _refuse(name: str, data_type: DataType, values: list) -> None:
+    """Raise the TypeMismatchError of a column's first non-NULL value."""
+    value = next(value for value in values if value is not None)
+    raise TypeMismatchError(
+        f"column {name} is {data_type}: cannot store {value!r}"
+    )
 
 
 class LazyColumn:
@@ -351,6 +398,16 @@ class ColumnBatch:
     def from_rows(cls, rows: Sequence[Sequence], width: int) -> "ColumnBatch":
         """Row tuples transposed, once, into a batch."""
         return cls.from_columns(transpose_rows(rows, width), len(rows))
+
+    def typed(self, schema: "Schema") -> "ColumnBatch":
+        """Each column of its declared type (:meth:`Vector.typed`); a batch
+        of no rows, of any width (none tells), is the schema's empty one."""
+        if not self.num_rows:
+            return ColumnBatch.from_rows([], len(schema))
+        check_row_width([self.entries], len(schema))
+        vectors = self.vectors()
+        typed = map(Vector.typed, vectors, schema.types, schema.names)
+        return ColumnBatch(list(typed), self.num_rows)
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

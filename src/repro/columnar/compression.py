@@ -16,7 +16,6 @@ a column through it).
 
 from __future__ import annotations
 
-from repro.columnar.analysis import analyze
 from repro.columnar.batch import Vector
 from repro.columnar.serde import (
     SCHEMES,
@@ -62,8 +61,8 @@ class Scheme:
         self.name = name
 
     def encode(self, values, data_type: DataType) -> StoredColumn:
-        column = analyze(values, data_type)
-        return StoredColumn(write_column(column, (self.name,)), len(column))
+        vector = Vector.typed(values, data_type)
+        return StoredColumn(write_column(vector, (self.name,)), len(vector))
 
     def __repr__(self) -> str:
         return f"Scheme({self.name!r})"
@@ -73,6 +72,7 @@ PLAIN, RLE, DICTIONARY, BITPACK = _BY_NAME = tuple(map(Scheme, SCHEMES))
 
 
 def choose_scheme(values, data_type: DataType) -> Scheme:
-    """The encoding a loading task's writer gives this column: the one of
-    fewest bytes.  ``values`` is a sequence or its ``ColumnAnalysis``."""
-    return _BY_NAME[SCHEMES.index(cheapest_scheme(analyze(values, data_type)))]
+    """The encoding a loading task's writer gives this column (typed by
+    ``data_type``): the one of fewest bytes."""
+    vector = Vector.typed(values, data_type)
+    return _BY_NAME[SCHEMES.index(cheapest_scheme(vector))]

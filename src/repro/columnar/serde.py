@@ -20,7 +20,7 @@ import struct
 from datetime import date, datetime
 from functools import reduce
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -46,13 +46,9 @@ from repro.datatypes import (
     StringType,
     StructType,
     TimestampType,
-    datetime64_array,
     time_number,
 )
 from repro.errors import AnalysisError, CompressionError, StorageError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.columnar.analysis import ColumnAnalysis
 
 _NULL_TOKEN = "\\N"
 
@@ -80,9 +76,9 @@ class TextSerde:
     """Delimited text rows (Hive's default storage format).
 
     Encoding and decoding work a column at a time: the converter is
-    picked once per column (from the values' Python type when writing,
-    from the schema when reading) and mapped over it; only columns that
-    carry NULLs, mix types or hold ARRAY/MAP values go value by value.
+    picked once per column (from its vector when writing, from the schema
+    when reading) and mapped over it; only list columns that mix types or
+    hold ARRAY/MAP values go value by value.
     """
 
     def __init__(self, schema: Schema, delimiter: str = "\x01"):
@@ -106,18 +102,23 @@ class TextSerde:
             return "{" + inner + "}"
         return str(value)
 
-    def _format_column(self, values: tuple) -> list[str]:
-        kinds = set(map(type, values))
-        if kinds == {date}:
+    def _format_column(self, vector: Vector) -> list[str]:
+        data = vector.data
+        array = isinstance(data, np.ndarray)
+        if array and data.dtype == DAYS:
             # One call prints the column, as ``date.isoformat`` would.
-            return np.datetime_as_string(
-                datetime64_array(values, date)
-            ).tolist()
-        if len(kinds) == 1:
-            formatter = _TEXT_FORMATTERS.get(kinds.pop())
-            if formatter is not None:
-                return list(map(formatter, values))
-        return [self._format_value(value) for value in values]
+            texts = np.datetime_as_string(data).tolist()
+        else:
+            values = data.tolist() if array else data
+            # A number array's values are all of one Python type.
+            number = array and data.dtype.kind in "iufb"
+            kinds = set(map(type, values[:1] if number else values))
+            formatter = len(kinds) == 1 and _TEXT_FORMATTERS.get(kinds.pop())
+            texts = list(map(formatter or self._format_value, values))
+        if vector.valid is not None:  # NULL rows of an array
+            for index in np.flatnonzero(~vector.valid).tolist():
+                texts[index] = _NULL_TOKEN
+        return texts
 
     def _parse_value(self, text: str, data_type: DataType) -> Any:
         if text == _NULL_TOKEN:
@@ -153,11 +154,15 @@ class TextSerde:
         return list(map(parser, texts))
 
     def encode(self, rows: list[tuple]) -> bytes:
-        if not rows:
+        return self.encode_batch(ColumnBatch.from_rows(rows, len(self.schema)))
+
+    def encode_batch(self, batch: ColumnBatch) -> bytes:
+        """A batch's rows as text, formatted a column at a time."""
+        if not batch.num_rows:
             return b""
-        columns = transpose_rows(rows, len(self.schema))
         lines = map(
-            self.delimiter.join, zip(*map(self._format_column, columns))
+            self.delimiter.join,
+            zip(*map(self._format_column, batch.vectors())),
         )
         return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -844,32 +849,17 @@ def _plan(vector: Vector):
     return _plan_values(data if isinstance(data, list) else list(data))
 
 
-def _stored(column: "ColumnAnalysis"):
-    """A stored column's plan (DESIGN §16): the schema's array when it
-    holds the values (``ColumnAnalysis.array``), else the values planned
-    as an exchange plans them; NULLs are validity bits either way."""
-    if not len(column):
-        return _plan_values([])
-    if column.array is not None:
-        return _plan(Vector(column.array))
-    if column.kind is str:  # its distinct values are the statistics'
-        distinct = column.distinct
-        return _StringColumn.of(column.values, column.has_null, distinct)
-    return _plan_values(list(column.values))
-
-
-def write_column(
-    column: "ColumnAnalysis", schemes: Sequence[str] = SCHEMES
-) -> bytes:
-    """A loading task's column as the cheapest of ``schemes``."""
+def write_column(vector: Vector, schemes: Sequence[str] = SCHEMES) -> bytes:
+    """A loading task's column — a Vector of its declared type — as the
+    cheapest of ``schemes``, planned as an exchange plans it."""
     out = bytearray()
-    _stored(column).write(out, schemes)
+    _plan(vector).write(out, schemes)
     return bytes(out)
 
 
-def cheapest_scheme(column: "ColumnAnalysis") -> str:
+def cheapest_scheme(vector: Vector) -> str:
     """The encoding :func:`write_column` picks, priced but not written."""
-    return _stored(column).choose()
+    return _plan(vector).choose()
 
 
 def scheme_of(payload: bytes) -> str:

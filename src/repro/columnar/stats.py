@@ -1,21 +1,37 @@
 """Per-partition column statistics for map pruning (paper Section 3.5).
 
-While a loading task marshals rows into columns, it also records each
+While a loading task marshals a split into columns, it also records each
 column's range and, for low-cardinality ("enum") columns, the exact set of
-distinct values.  The statistics are shipped to the master and consulted at
-query time: a partition whose statistics cannot satisfy the query's
-predicates is pruned — no task is launched to scan it.
+distinct values, read off the typed column the writer stores.  A NaN is
+in no range (every range comparison with it is false) but is a distinct
+value.  The statistics are shipped to the master and consulted at query
+time: a partition whose statistics cannot satisfy the query's predicates
+is pruned — no task is launched to scan it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date, datetime
 from typing import Any, Optional
 
-from repro.columnar.analysis import analyze, range_comparable
+import numpy as np
+
+from repro.columnar.batch import Vector
 
 #: Keep exact distinct sets only up to this many values.
 DISTINCT_LIMIT = 64
+#: Types whose values can be range-compared for pruning.
+_COMPARABLE = (int, float, str, date, datetime)
+#: Of those, the ones whose values all bound a range (no NaN).
+_ORDERED = {int, str, date, datetime}
+_NONE = type(None)
+
+
+def _ranged(value: Any) -> bool:
+    """Can ``value`` bound a range (comparable, and not NaN)?"""
+    comparable = isinstance(value, _COMPARABLE) and not isinstance(value, bool)
+    return comparable and value == value
 
 
 @dataclass
@@ -31,22 +47,51 @@ class ColumnStats:
 
     @classmethod
     def from_values(cls, values) -> "ColumnStats":
-        """Statistics of one column (a sequence of values, or the loading
-        task's :class:`~repro.columnar.analysis.ColumnAnalysis` of it)."""
-        column = analyze(values)
-        minimum, maximum = column.bounds
-        distinct = column.distinct
-        # Unhashable (complex types) or too many: no distinct tracking.
-        if (
-            distinct is not None
-            and len(distinct) - column.has_null <= DISTINCT_LIMIT
-        ):
-            distinct_values = set(distinct)
-            distinct_values.discard(None)
+        """Statistics of Python values, typed by their own types."""
+        return cls.of(Vector.from_values(values))
+
+    @classmethod
+    def of(cls, vector: Vector) -> "ColumnStats":
+        """Statistics of a stored column: numpy over an array's valid rows
+        (a stable sort: of 0.0 and -0.0 the first counts), else per value."""
+        data, valid = vector.data, vector.valid
+        if isinstance(data, np.ndarray) and data.dtype.kind in "iufbM":
+            present = data if valid is None else data[valid]
+            kind = data.dtype.kind
+            ordered = np.sort(present, kind="stable" if kind == "f" else None)
+            first = np.ones(len(ordered), dtype=bool)
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            distinct = ordered[first]
+            # NaNs sort last, each unequal to the others: one is kept,
+            # and none is in the range (nor is a bool).  Past the limit,
+            # only passing it counts.
+            ranged = distinct[~np.isnan(distinct)] if kind == "f" else distinct
+            distinct = distinct[: len(ranged) + 1]
+            distinct = distinct[: DISTINCT_LIMIT + 1].tolist()
+            bounded = len(ranged) and kind != "b"
+            ranged = ranged[[0, -1]].tolist() if bounded else []
         else:
-            distinct_values = None
+            kinds = set(map(type, data))
+            present = data
+            if _NONE in kinds:
+                kinds.discard(_NONE)
+                present = [value for value in data if value is not None]
+            try:
+                distinct = list(dict.fromkeys(present))
+            except TypeError:  # unhashable (complex types)
+                distinct = None
+            pool = present if distinct is None else distinct
+            if len(kinds) != 1 or not kinds <= _ORDERED:
+                pool = list(filter(_ranged, pool))
+            ranged = pool
+        if distinct is not None and len(distinct) > DISTINCT_LIMIT:
+            distinct = None
         return cls(
-            minimum, maximum, column.null_count, distinct_values, len(column)
+            min(ranged) if ranged else None,
+            max(ranged) if ranged else None,
+            len(data) - len(present),
+            None if distinct is None else set(distinct),
+            len(data),
         )
 
     # -- pruning predicates -------------------------------------------------
@@ -58,7 +103,7 @@ class ColumnStats:
             return True
         if self.distinct_values is not None:
             return value in self.distinct_values
-        if self.minimum is None or not range_comparable(value):
+        if self.minimum is None or not _ranged(value):
             return True
         try:
             return self.minimum <= value <= self.maximum
@@ -114,17 +159,6 @@ class PartitionStats:
 
     def __init__(self, columns: dict[str, ColumnStats]):
         self._columns = {name.lower(): stats for name, stats in columns.items()}
-
-    @classmethod
-    def from_columns(
-        cls, names: list[str], columns: list[list]
-    ) -> "PartitionStats":
-        return cls(
-            {
-                name: ColumnStats.from_values(values)
-                for name, values in zip(names, columns)
-            }
-        )
 
     def column(self, name: str) -> Optional[ColumnStats]:
         return self._columns.get(name.lower())

@@ -1,22 +1,21 @@
 """Columnar partitions: the unit Shark's memstore caches (Section 3.2).
 
 A :class:`ColumnarPartition` is what one loading task produces from a split
-of rows: each column as its bytes in the one column format (the tagged
-columns an exchange ships, :mod:`repro.columnar.serde`), per-column
-statistics, and a memo of the columns decoded so far.  From Spark's point
-of view it is a single record (one object), which is exactly the trick the
-paper describes in Section 7.1 — Shark gets columnar storage "without
-modifying the Spark runtime by simply representing a block of tuples as a
-single Spark record".
+(a ColumnBatch): each column, typed once, as its bytes in the one column
+format (the tagged columns an exchange ships, :mod:`repro.columnar.serde`),
+statistics read off the same typed column, and a memo of the columns
+decoded so far.  From Spark's point of view it is a single record (one
+object), which is exactly the trick the paper describes in Section 7.1 —
+Shark gets columnar storage "without modifying the Spark runtime by simply
+representing a block of tuples as a single Spark record".
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from repro.columnar.analysis import ColumnAnalysis
-from repro.columnar.batch import Vector, check_row_width, transpose_rows
+from repro.columnar.batch import ColumnBatch, Vector, transpose_rows
 from repro.columnar.serde import (
     HEADER_BYTES,
     SCHEMES,
@@ -26,9 +25,8 @@ from repro.columnar.serde import (
 )
 from repro.columnar.stats import ColumnStats, PartitionStats
 from repro.datatypes import Schema
-from repro.errors import AnalysisError
 
-__all__ = ["ColumnarPartition", "check_row_width", "transpose_rows"]
+__all__ = ["ColumnarPartition", "transpose_rows"]
 
 
 class ColumnarPartition:
@@ -55,43 +53,26 @@ class ColumnarPartition:
         cls, schema: Schema, rows: list[tuple], compress: bool = True
     ) -> "ColumnarPartition":
         """Marshal a split of rows into columns (the loading task of
-        Section 3.3): a width-checked transpose into :meth:`from_columns`."""
-        return cls.from_columns(
-            schema, transpose_rows(rows, len(schema)), compress=compress
-        )
+        Section 3.3): a width-checked transpose into :meth:`from_batch`."""
+        batch = ColumnBatch.from_rows(rows, len(schema))
+        return cls.from_batch(schema, batch, compress=compress)
 
     @classmethod
-    def from_columns(
-        cls,
-        schema: Schema,
-        columns: Sequence[Sequence[Any]],
-        compress: bool = True,
+    def from_batch(
+        cls, schema: Schema, batch: ColumnBatch, compress: bool = True
     ) -> "ColumnarPartition":
-        """Encode one split given column-wise, each column as the
-        smallest of its encodings (only the plain ones without
-        ``compress``), and collect statistics per column.  Each column is
-        analysed once; the writer and the statistics both read that one
-        :class:`ColumnAnalysis`."""
-        if len(columns) != len(schema) or len(set(map(len, columns))) > 1:
-            raise AnalysisError(
-                f"got {len(columns)} columns of lengths "
-                f"{sorted(set(map(len, columns)))} for a table of width "
-                f"{len(schema)}"
-            )
+        """Encode one split: each column typed once by its declared type
+        (:meth:`ColumnBatch.typed`), written as the smallest of its
+        encodings (only the plain ones without ``compress``), and its
+        statistics read off the same vector."""
         schemes = SCHEMES if compress else SCHEMES[:1]
         encoded: list[bytes] = []
         column_stats: dict[str, ColumnStats] = {}
-        for field_, values in zip(schema.fields, columns):
-            column = ColumnAnalysis(values, field_.data_type)
-            encoded.append(write_column(column, schemes))
-            column_stats[field_.name] = ColumnStats.from_values(column)
-
-        return cls(
-            schema=schema,
-            columns=encoded,
-            stats=PartitionStats(column_stats),
-            num_rows=len(columns[0]) if columns else 0,
-        )
+        batch = batch.typed(schema)
+        for field_, vector in zip(schema.fields, batch.vectors()):
+            encoded.append(write_column(vector, schemes))
+            column_stats[field_.name] = ColumnStats.of(vector)
+        return cls(schema, encoded, PartitionStats(column_stats), len(batch))
 
     # ------------------------------------------------------------------
     # Column access

@@ -36,7 +36,7 @@ class IntegerType(DataType):
     name = "int"
 
     def validate(self, value: Any) -> bool:
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LongType(DataType):
     name = "bigint"
 
     def validate(self, value: Any) -> bool:
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,7 @@ class DoubleType(DataType):
     name = "double"
 
     def validate(self, value: Any) -> bool:
-        return isinstance(value, (int, float, np.floating, np.integer)) and (
-            not isinstance(value, bool)
-        )
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class BooleanType(DataType):
     name = "boolean"
 
     def validate(self, value: Any) -> bool:
-        return isinstance(value, (bool, np.bool_))
+        return isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,10 @@ class EngineContext:
         return rdd_id
 
     def parallelize(
-        self, data: Iterable[Any], num_partitions: Optional[int] = None
+        self, data: Iterable[Any], num_partitions: Optional[int] = None,
+        prepare: Optional[Callable[[list], list]] = None,
     ) -> RDD:
-        """Distribute a local collection into an RDD."""
+        """Distribute a local collection (``prepare``: see DataRDD)."""
         items = list(data)
         parts = num_partitions or self.default_parallelism
         parts = max(1, min(parts, max(len(items), 1)))
@@ -117,7 +118,7 @@ class EngineContext:
             end = start + base + (1 if index < extra else 0)
             slices[index] = items[start:end]
             start = end
-        return DataRDD(self, slices)
+        return DataRDD(self, slices, prepare)
 
     def empty_rdd(self) -> RDD:
         return DataRDD(self, [[]])

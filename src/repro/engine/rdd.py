@@ -680,16 +680,20 @@ class RDD:
 
 
 class DataRDD(RDD):
-    """Source RDD over pre-split in-driver data (``ctx.parallelize``)."""
+    """Source RDD over pre-split in-driver data (``ctx.parallelize``);
+    ``prepare`` makes a slice its partition, in the slice's task."""
 
-    def __init__(self, ctx: "EngineContext", slices: list[list]):
+    def __init__(
+        self, ctx: "EngineContext", slices: list[list], prepare=None
+    ):
         super().__init__(ctx, max(len(slices), 1), [], name="parallelize")
         self._slices = slices if slices else [[]]
+        self._prepare = prepare
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         data = list(self._slices[split])
         task_ctx.metrics.records_in += len(data)
-        return data
+        return data if self._prepare is None else self._prepare(data)
 
 
 class MapPartitionsRDD(RDD):

@@ -23,7 +23,7 @@ Every operator's expressions compile to the batch kernels of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.columnar.batch import ColumnBatch
@@ -145,11 +145,21 @@ class ExecutionReport:
 
 @dataclass
 class PlannedQuery:
-    rdd: RDD
+    #: The output as ColumnBatches: what CTAS / CACHE TABLE write.
+    batches: RDD
     schema: Schema
     report: ExecutionReport
     output_partitioner: Optional[Partitioner] = None
     distribute_column: Optional[str] = None
+    #: An external table's whole-row scan: its serde's rows.
+    rows: Optional[RDD] = None
+
+    @cached_property
+    def rdd(self) -> RDD:
+        """The output as rows, for a row consumer (built on first use)."""
+        if self.rows is not None:
+            return self.rows
+        return physical.rows_of(self.batches)
 
 
 @dataclass
@@ -221,14 +231,9 @@ class PhysicalPlanner:
 
     def plan(self, node: logical.LogicalPlan) -> PlannedQuery:
         pipeline = self._lower(node)
-        if pipeline.rows is not None and not pipeline.chain:
-            # Only an external scan: the file's rows, each tuple built
-            # once by its serde (and a load reads its columns instead).
-            rdd = pipeline.rows
-        else:
-            rdd = physical.rows_of(self._close(pipeline))
         planned = PlannedQuery(
-            rdd=rdd, schema=node.schema, report=self.report
+            self._close(pipeline), node.schema, self.report,
+            rows=None if pipeline.chain else pipeline.rows,
         )
         if isinstance(node, logical.Repartition):
             planned.output_partitioner = self._repartition_partitioner()

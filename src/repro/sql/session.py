@@ -13,12 +13,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.columnar.table import (
-    ColumnarPartition,
-    check_row_width,
-    transpose_rows,
-)
+from repro.columnar.batch import ColumnBatch, check_row_width
 from repro.columnar.serde import TextSerde
+from repro.columnar.table import ColumnarPartition
 from repro.datatypes import Field, Schema, type_by_name
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD, BlockListRDD, TableBlock
@@ -37,7 +34,7 @@ from repro.sql.planner import (
     PhysicalPlanner,
     PlannerConfig,
 )
-from repro.storage import DistributedFileStore, HdfsRDD
+from repro.storage import DistributedFileStore
 from repro.storage.scan import lineage_reads
 
 
@@ -467,9 +464,9 @@ class SqlSession:
             distribute_column=planned.distribute_column,
         )
         if cached:
-            self._materialize_cached(entry, planned.rdd)
+            self._materialize_cached(entry, planned.batches)
         else:
-            self._materialize_external(entry, planned.rdd)
+            self._materialize_external(entry, planned.batches)
         self.catalog.create(entry)
         return _status(
             f"created {statement.name} ({entry.row_count} rows, "
@@ -521,7 +518,7 @@ class SqlSession:
         if statement.uncache:
             if entry.is_cached and entry.cached_rdd is not None:
                 # Spill to the store and flip to external.
-                rows_rdd = self._scan_rdd(entry)
+                batches = self._scan_batches(entry)
                 new_entry = TableEntry(
                     name=entry.name,
                     schema=entry.schema,
@@ -529,7 +526,7 @@ class SqlSession:
                     path=self._table_path(entry.name),
                     properties=dict(entry.properties),
                 )
-                self._materialize_external(new_entry, rows_rdd)
+                self._materialize_external(new_entry, batches)
                 self.catalog.drop(entry.name)
                 self.catalog.create(new_entry)
                 # The external entry has no lineage to walk at DROP: the
@@ -540,23 +537,23 @@ class SqlSession:
             return _status(f"uncached {statement.name}")
         if entry.is_cached:
             return _status(f"{statement.name} is already cached")
-        rows_rdd = self._scan_rdd(entry)
+        batches = self._scan_batches(entry)
         new_entry = TableEntry(
             name=entry.name,
             schema=entry.schema,
             kind=CACHED,
             properties=dict(entry.properties),
         )
-        self._materialize_cached(new_entry, rows_rdd)
+        self._materialize_cached(new_entry, batches)
         self.catalog.drop(entry.name)
         self.catalog.create(new_entry)
         return _status(f"cached {statement.name}")
 
-    def _scan_rdd(self, entry: TableEntry) -> RDD:
+    def _scan_batches(self, entry: TableEntry) -> RDD:
         from repro.sql import logical
 
         planner = PhysicalPlanner(self.ctx, self.store, self.config)
-        return planner.plan(logical.Scan(entry)).rdd
+        return planner.plan(logical.Scan(entry)).batches
 
     # ------------------------------------------------------------------
     # DML and loading
@@ -598,14 +595,19 @@ class SqlSession:
     ) -> int:
         """Bulk-load rows into a table (distributed loading, Section 3.3).
 
-        For cached tables each loading partition independently marshals its
-        split into compressed columns and records statistics; for external
-        tables each partition is encoded into one DFS block.
+        Each loading task types its split's columns, then compresses them
+        and records statistics (cached) or encodes one DFS block (external);
+        a value its column's type does not take fails the load unwritten.
         """
         entry = self.catalog.get(table_name)
         rows = list(map(tuple, rows))
+        width = len(entry.schema)
         # Once, before any task transposes the rows into columns.
-        check_row_width(rows, len(entry.schema))
+        check_row_width(rows, width)
+
+        def batch(part: list) -> list:
+            return [ColumnBatch.from_rows(part, width)]
+
         table = entry.cached_rdd
         if num_partitions is None:
             num_partitions = self.ctx.default_parallelism
@@ -615,9 +617,7 @@ class SqlSession:
                 largest = max(block.rows for block in table.blocks)
                 wanted = -(-len(rows) // max(largest, 1))
                 num_partitions = max(1, min(wanted, num_partitions))
-        if self.journal is not None and not self.ctx.query.in_statement:
-            self.journal.log_load(table_name, rows, num_partitions)
-        rdd = self.ctx.parallelize(rows, num_partitions)
+        rdd = self.ctx.parallelize(rows, num_partitions, batch)
         chunk, absorbed = None, []
         if entry.is_cached and rdd.num_partitions == 1:
             # The load arrives as one block, a delta: it takes in the
@@ -631,11 +631,14 @@ class SqlSession:
                 )
             if absorbed:
                 chunk = [r for block in absorbed for r in block.chunk] + rows
-                rdd = self.ctx.parallelize(chunk, 1)
+                rdd = self.ctx.parallelize(chunk, 1, batch)
         if entry.is_cached:
             self._materialize_cached(entry, rdd, chunk, len(absorbed))
         else:
             self._materialize_external(entry, rdd, append=True)
+        # Journaled once it landed, as a statement is once it ran.
+        if self.journal is not None and not self.ctx.query.in_statement:
+            self.journal.log_load(table_name, rows, num_partitions)
         rewritten = sum(block.rows for block in absorbed)
         tracer = self.ctx.tracer
         if absorbed:
@@ -660,22 +663,34 @@ class SqlSession:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
+    def _run_load(self, rdd: RDD, func) -> list:
+        """A load's job: data the table cannot take (TypeMismatchError) fails
+        it with that error, and leaves none of its blocks behind."""
+        try:
+            return self.ctx.run_job(rdd, func)
+        except BaseException as error:
+            if rdd.is_cached:
+                rdd.unpersist()
+            if isinstance(getattr(error, "cause", None), AnalysisError):
+                raise error.cause from None
+            raise
+
     def _materialize_cached(
         self,
         entry: TableEntry,
-        rows_rdd: RDD,
+        batches: RDD,
         chunk: Optional[list] = None,
         absorbed: int = 0,
     ) -> None:
-        """Marshal a row RDD into cached columnar blocks at the end of
-        the table's block list.
+        """Marshal an RDD of ColumnBatches into cached columnar blocks at
+        the end of the table's block list.
 
-        Loading is itself a distributed job: each task builds its own
-        partition's columns, picks compression per column, and collects the
-        statistics map pruning needs; the master keeps only the metadata.
-        ``chunk`` is the row list a single-block load was parallelized
-        from; it already holds the rows of the table's last ``absorbed``
-        blocks, which the new block replaces.
+        Loading is itself a distributed job: each task types its own
+        partition's columns, picks compression per column, and collects
+        the statistics map pruning needs; the master keeps only the
+        metadata.  ``chunk`` is the row list a single-block load was
+        parallelized from; it already holds the rows of the table's last
+        ``absorbed`` blocks, which the new block replaces.
         """
         schema = entry.schema
         # TBLPROPERTIES ('shark.compress' = 'false') keeps columns plain —
@@ -685,20 +700,13 @@ class SqlSession:
             not in ("false", "0", "no")
         )
 
-        stored = isinstance(rows_rdd, HdfsRDD)
-        if stored:
-            # A stored file loads block -> columns -> encoded partition,
-            # with no row tuples built and transposed back in between.
-            rows_rdd = rows_rdd.as_columns()
-
         def build(part: list) -> list:
-            columns = part[0] if stored else transpose_rows(part, len(schema))
-            return [ColumnarPartition.from_columns(schema, columns,
-                                                   compress=compress)]
+            batch = ColumnBatch.concat(part)
+            return [ColumnarPartition.from_batch(schema, batch, compress)]
 
         name = f"load:{entry.name}"
-        loaded = rows_rdd.map_partitions(build).set_name(name).cache()
-        infos = self.ctx.run_job(
+        loaded = batches.map_partitions(build).set_name(name).cache()
+        infos = self._run_load(
             loaded,
             lambda blks: (
                 blks[0].stats,
@@ -724,22 +732,29 @@ class SqlSession:
         entry.distribute_column = None
 
     def _materialize_external(
-        self, entry: TableEntry, rows_rdd: RDD, append: bool = False
+        self, entry: TableEntry, batches: RDD, append: bool = False
     ) -> None:
-        serde = TextSerde(entry.schema)
-        partitions = self.ctx.run_job(rows_rdd, list)
-        blocks = [serde.encode(part) for part in partitions if part]
+        """Write an RDD of ColumnBatches as the table's text file, a
+        block a non-empty partition, typed and formatted by its task."""
+        schema = entry.schema
+        serde = TextSerde(schema)
+
+        def encode(part: list) -> tuple[bytes, int]:
+            batch = ColumnBatch.concat(part).typed(schema)
+            return serde.encode_batch(batch), batch.num_rows
+
+        encoded = self._run_load(batches, encode)
+        blocks = [block for block, __ in encoded if block]
+        rows = sum(count for __, count in encoded)
         path = entry.path or self._table_path(entry.name)
         entry.path = path
         if append and self.store.exists(path):
             for block in blocks:
                 self.store.append_block(path, block)
-            entry.row_count = (entry.row_count or 0) + sum(
-                len(part) for part in partitions
-            )
+            entry.row_count = (entry.row_count or 0) + rows
         else:
             self.store.write_file(path, blocks, format="text", overwrite=True)
-            entry.row_count = sum(len(part) for part in partitions)
+            entry.row_count = rows
         entry.size_bytes = self.store.file(path).size_bytes
 
     @staticmethod

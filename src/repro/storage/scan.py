@@ -57,8 +57,7 @@ class HdfsRDD(RDD):
     def as_columns(self) -> "HdfsRDD":
         """The same scan with one record per block — its columns, as
         ``serde.decode_columns`` returns them — instead of its rows: what
-        a loading task feeds straight into
-        ``ColumnarPartition.from_columns``."""
+        ``physical.external_batches`` turns into batches."""
         return _HdfsColumnsRDD(self.ctx, self._store, self._path, self.schema)
 
     def _decode(self, payload: bytes) -> tuple[list, int]:

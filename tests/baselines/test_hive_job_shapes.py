@@ -13,6 +13,7 @@ from repro.baselines import HiveExecutor
 from repro.columnar.serde import TextSerde
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.errors import UnsupportedFeatureError
+from repro.sql import physical
 
 WORDS = ["the quick brown fox", "the lazy dog", "the fox jumps"]
 
@@ -62,7 +63,7 @@ def _run(hive, query):
 def _text_bytes(shark, table):
     """``table``'s rows as Hive stores them: text, block by block."""
     entry = shark.table_entry(table)
-    rdd = shark.session._scan_rdd(entry)
+    rdd = physical.rows_of(shark.session._scan_batches(entry))
     blocks = shark.engine.run_job(rdd, list)
     return sum(len(TextSerde(entry.schema).encode(block)) for block in blocks)
 
@@ -124,7 +125,7 @@ class TestOperatorJobShapes:
         from repro.columnar.serde import TextSerde
 
         entry = shark.table_entry("t")
-        rdd = shark.session._scan_rdd(entry)
+        rdd = physical.rows_of(shark.session._scan_batches(entry))
         blocks = shark.engine.run_job(rdd, list)
         expected = sum(
             len(TextSerde(entry.schema).encode(block)) for block in blocks

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.analysis import ColumnAnalysis
 from repro.columnar.batch import CodedVector, ColumnBatch, Vector
 from repro.columnar.serde import (
     SCHEMES,
@@ -223,7 +222,7 @@ def test_size_rule_table(values, want):
 )
 def test_compressed_size_rules(values, scheme, want):
     assert _column_bytes(values) == want
-    assert scheme_of(write_column(ColumnAnalysis(values))) == scheme
+    assert scheme_of(write_column(Vector.from_values(values))) == scheme
 
 
 _NAN = float("nan")
@@ -273,7 +272,7 @@ def _encodings(data_type, values) -> set:
     ids=[f"{t}-{i}" for i, (t, __) in enumerate(_CASES)],
 )
 def test_every_type_under_every_encoding(data_type, values, scheme):
-    column = ColumnAnalysis(values, data_type)
+    column = Vector.typed(values, data_type)
     if scheme not in _encodings(data_type, values):
         with pytest.raises(CompressionError):
             write_column(column, (scheme,))

@@ -24,9 +24,10 @@ from repro.datatypes import (
     BIGINT,
     STRING,
     TIMESTAMP,
+    MapType,
     Schema,
 )
-from repro.errors import CompressionError
+from repro.errors import CompressionError, TypeMismatchError
 
 
 def _decode_list(encoded):
@@ -158,7 +159,7 @@ class TestBlob:
 
     def test_dict_values(self):
         values = [{"k": 1}, {"j": 2, "k": 3}]
-        encoded = PLAIN.encode(values, STRING)
+        encoded = PLAIN.encode(values, MapType(STRING, INT))
         assert _decode_list(encoded) == values
 
 
@@ -392,8 +393,8 @@ class TestTemporalColumns:
         if present:
             # The type's own array (NULLs as validity), and no pickle.
             assert encoded.decode().data.dtype == _ARRAY_DTYPE[data_type]
-        part = ColumnarPartition.from_columns(
-            Schema.of(("c", data_type)), [values]
+        part = ColumnarPartition.from_rows(
+            Schema.of(("c", data_type)), [(value,) for value in values]
         )
         assert [repr(row[0]) for row in part.iter_rows()] == list(
             map(repr, values)
@@ -443,11 +444,13 @@ class TestTemporalColumns:
         assert not decoded.is_array
         assert list(map(type, decoded.data)) == [_Day, date, date]
         assert decoded.data == values
-        # ... as a datetime does in a DATE column, and a zone anywhere.
+        # ... as a zone or a fold does in a TIMESTAMP column; a datetime
+        # is no DATE.
         from datetime import timezone
 
+        with pytest.raises(TypeMismatchError, match="cannot store"):
+            choose_scheme([datetime(2000, 1, 1, 5)], DATE)
         for data_type, odd in (
-            (DATE, datetime(2000, 1, 1, 5)),
             (TIMESTAMP, datetime(2000, 1, 1, tzinfo=timezone.utc)),
             (TIMESTAMP, datetime(2000, 1, 1, fold=1)),
         ):

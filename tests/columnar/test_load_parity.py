@@ -1,11 +1,11 @@
 """The column-at-a-time load path against a literal per-value reference.
 
-The reference below states the load path value by value: the statistics
-as one ``observe`` per value, and the stored column as the writer's rule
-— type the column (the schema's array when it holds the values, NULLs
-as validity bits; otherwise the values' own Python type), weigh it under
-every encoding that type allows with hand-rolled run, distinct and range
-loops over per-value numbers (``_number``: days, microseconds, a
+The reference below states the load path value by value: type the
+column by its declared type (NULLs as validity bits; a value of another
+type rejects the column), take the statistics as one ``observe`` per
+typed value, and write the stored column by the writer's rule — weigh it
+under every encoding its type allows with hand-rolled run, distinct and
+range loops over per-value numbers (``_number``: days, microseconds, a
 double's bits), keep the least, ties in the order plain, rle,
 dictionary, bitpack.  It lives here, not in ``src/``, as the oracle: for
 any column the load path must give the same statistics field for field,
@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar.batch import CodedVector
+from repro import SharkContext
+from repro.columnar.batch import CodedVector, ColumnBatch
 from repro.columnar.compression import choose_scheme
 from repro.columnar.stats import DISTINCT_LIMIT, ColumnStats
 from repro.columnar.table import ColumnarPartition
@@ -38,7 +39,7 @@ from repro.datatypes import (
     Schema,
     StructType,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TypeMismatchError
 from repro.workloads import pavlo, tpch
 
 # ---------------------------------------------------------------------------
@@ -46,8 +47,6 @@ from repro.workloads import pavlo, tpch
 # ---------------------------------------------------------------------------
 
 _COMPARABLE = (int, float, str, date, datetime)
-#: The schema's array of each type that has one the writer uses.
-_ARRAYS = {INT: np.int32, BIGINT: np.int64, DOUBLE: np.float64, BOOLEAN: bool}
 #: The order that breaks a tie between encodings of equal length.
 _ORDER = ("plain", "rle", "dictionary", "bitpack")
 #: Bytes per value of the fixed-width kinds that are not ints or bools.
@@ -67,19 +66,28 @@ def _number(value):
 
 
 def ref_stats(values):
+    """Per typed value: a NaN is in no range (every comparison with it is
+    false) but is one distinct value; equal values count as the first."""
     minimum = maximum = None
     null_count = 0
     distinct = set()
+    seen_nan = False
     for value in values:
         if value is None:
             null_count += 1
             continue
-        if isinstance(value, _COMPARABLE) and not isinstance(value, bool):
+        nan = value != value
+        if (
+            isinstance(value, _COMPARABLE)
+            and not isinstance(value, bool)
+            and not nan
+        ):
             if minimum is None or value < minimum:
                 minimum = value
             if maximum is None or value > maximum:
                 maximum = value
-        if distinct is not None:
+        if distinct is not None and not (nan and seen_nan):
+            seen_nan = seen_nan or nan
             try:
                 distinct.add(value)
             except TypeError:
@@ -90,30 +98,44 @@ def ref_stats(values):
     return minimum, maximum, null_count, distinct, len(values)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Per declared type: the kind it is stored as and the values it takes.
+_DECLARED = {
+    INT: ("int", _is_int),
+    BIGINT: ("int", _is_int),
+    DOUBLE: ("float", lambda v: _is_int(v) or isinstance(v, float)),
+    BOOLEAN: ("bool", lambda v: isinstance(v, bool)),
+    STRING: ("str", lambda v: isinstance(v, str)),
+    DATE: (
+        "date",
+        lambda v: isinstance(v, date) and not isinstance(v, datetime),
+    ),
+    TIMESTAMP: ("ts", lambda v: isinstance(v, datetime)),
+}
+
+
 def ref_type(values, data_type):
-    """(kind, stored values): the schema's array when it holds the
-    values (no NULL, no int it cannot hold), else the values' own type."""
+    """(kind, stored values) of the column typed by its declared type,
+    NULLs as validity bits; None when a value is not of that type."""
     present = [value for value in values if value is not None]
     if not present:
         return "nulls", list(values)
-    if data_type in _ARRAYS and len(present) == len(values):
-        try:
-            array = np.asarray(values, dtype=_ARRAYS[data_type])
-        except OverflowError:
-            pass
-        else:
-            kind = {"i": "int", "f": "float", "b": "bool"}[array.dtype.kind]
-            return kind, array.tolist()
-    kinds = {type(value) for value in present}
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is int and all(-(2**63) <= v < 2**63 for v in present):
-        return "int", list(values)
-    if kind is datetime and all(
-        v.tzinfo is None and not v.fold for v in present
-    ):
-        return "ts", list(values)
-    names = {float: "float", bool: "bool", str: "str", date: "date"}
-    return names.get(kind, "object"), list(values)
+    if data_type not in _DECLARED:  # ARRAY / MAP / STRUCT: as given
+        return "object", list(values)
+    kind, takes = _DECLARED[data_type]
+    if not all(map(takes, present)):
+        return None
+    if kind == "float":
+        return kind, [None if v is None else float(v) for v in values]
+    # No array slot: an int beyond int64, a datetime with a zone or fold.
+    if kind == "int" and not all(-(2**63) <= v < 2**63 for v in present):
+        return "object", list(values)
+    if kind == "ts" and any(v.tzinfo or v.fold for v in present):
+        return "object", list(values)
+    return kind, list(values)
 
 
 def _width(low, high):
@@ -217,8 +239,29 @@ def assert_stats_parity(stats, values):
     assert _reprs(stats.distinct_values) == _reprs(distinct)
 
 
+def _stats(stats):
+    return (
+        repr(stats.minimum), repr(stats.maximum), stats.null_count,
+        stats.row_count, _reprs(stats.distinct_values),
+    )
+
+
+def _load(values, data_type):
+    return ColumnarPartition.from_rows(
+        Schema.of(("c", data_type)), [(value,) for value in values]
+    )
+
+
 def assert_parity(values, data_type):
-    assert_stats_parity(ColumnStats.from_values(values), values)
+    typed = ref_type(values, data_type)
+    if typed is None:
+        # A value not of the declared type: every way in refuses it.
+        for write in (choose_scheme, _load):
+            with pytest.raises(TypeMismatchError, match="cannot store"):
+                write(values, data_type)
+        return
+    __, stored = typed
+    assert_stats_parity(ColumnStats.from_values(stored), stored)
 
     expected_scheme, expected_bytes, decoded = ref_column(values, data_type)
     scheme = choose_scheme(values, data_type)
@@ -234,15 +277,13 @@ def assert_parity(values, data_type):
     # A dictionary decodes to its codes and entries, nothing else does.
     assert isinstance(vector, CodedVector) == (expected_scheme == "dictionary")
 
-    # The loading task shares one analysis across the writer and the
-    # statistics and must agree with the public entry points called
-    # separately.
-    partition = ColumnarPartition.from_columns(
-        Schema.of(("c", data_type)), [values]
-    )
+    # The loading task types the column once; the writer and the
+    # statistics both read that vector and must agree with the public
+    # entry points called separately.
+    partition = _load(values, data_type)
     assert partition.compression_schemes() == [expected_scheme]
     assert len(partition.column_bytes(0)) == expected_bytes
-    assert_stats_parity(partition.stats.column("c"), values)
+    assert_stats_parity(partition.stats.column("c"), stored)
     assert [repr(row[0]) for row in partition.to_rows()] == list(
         map(repr, decoded)
     )
@@ -298,8 +339,11 @@ class TestDrawnColumns:
     @given(columns(st.one_of(st.integers(-5, 5), st.booleans())))
     @_PARITY
     def test_bools_inside_int_column(self, values):
-        assert_parity(values, INT)
-        assert_parity(values, BIGINT)
+        for data_type in (INT, BIGINT):
+            assert_parity(values, data_type)
+            if any(isinstance(value, bool) for value in values):
+                with pytest.raises(TypeMismatchError, match="True|False"):
+                    _load(values, data_type)
 
     @given(columns(nullable(_FLOATS)))
     @_PARITY
@@ -310,6 +354,9 @@ class TestDrawnColumns:
     @_PARITY
     def test_mixed_int_float_in_double_column(self, values):
         assert_parity(values, DOUBLE)
+        # Widened: every int reads back as its float.
+        decoded = _load(values, DOUBLE).column(0).to_python_list()
+        assert list(map(repr, decoded)) == [repr(float(v)) for v in values]
 
     @given(columns(nullable(st.text(max_size=6))))
     @_PARITY
@@ -372,12 +419,50 @@ class TestDrawnColumns:
         for values in ([], [single], [None], [None] * 5, [single] * 9):
             assert_parity(values, data_type)
 
-    def test_nan_first_poisons_the_range_like_the_loop_did(self):
+    def test_nan_is_in_no_range_and_one_distinct_value(self):
         nan = float("nan")
-        stats = ColumnStats.from_values([nan, 1.0, 2.0])
-        assert math.isnan(stats.minimum) and math.isnan(stats.maximum)
-        stats = ColumnStats.from_values([1.0, nan, 2.0])
-        assert (stats.minimum, stats.maximum) == (1.0, 2.0)
+        for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0, float("nan")]):
+            stats = ColumnStats.from_values(values)
+            assert (stats.minimum, stats.maximum) == (1.0, 2.0)
+            assert _reprs(stats.distinct_values) == ["1.0", "2.0", "nan"]
+        stats = ColumnStats.from_values([nan, None, nan])
+        assert (stats.minimum, stats.maximum) == (None, None)
+        assert _reprs(stats.distinct_values) == ["nan"]
+        # So ``<>`` on a partition of one value besides NaN keeps it.
+        shark = SharkContext(num_workers=2)
+        shark.create_table("t", Schema.of(("x", DOUBLE)), cached=True)
+        shark.load_rows("t", [(1.0,), (nan,)], num_partitions=1)
+        rows = shark.sql("SELECT x FROM t WHERE x <> 1.0").rows
+        assert len(rows) == 1 and math.isnan(rows[0][0])
+
+    @given(
+        st.one_of(
+            *(
+                columns(strategy).map(lambda v, t=data_type: (t, v))
+                for data_type, strategy in (
+                    (INT, nullable(st.one_of(_INT32, st.booleans()))),
+                    (BIGINT, nullable(_INT64)),
+                    (DOUBLE, nullable(st.one_of(_FLOATS, _INT32))),
+                    (STRING, nullable(st.one_of(st.text(max_size=3), _INT32))),
+                    (BOOLEAN, nullable(st.one_of(st.booleans(), _INT32))),
+                    (DATE, nullable(st.one_of(_DATES, _STAMPS))),
+                    (TIMESTAMP, nullable(_STAMPS)),
+                )
+            )
+        )
+    )
+    @_PARITY
+    def test_block_stats_are_the_stats_of_its_values(self, drawn):
+        """A block's statistics describe the values it returns."""
+        data_type, values = drawn
+        try:
+            block = _load(values, data_type)
+        except TypeMismatchError:
+            return
+        decoded = block.column(0).to_python_list()
+        assert _stats(block.stats.column("c")) == _stats(
+            ColumnStats.from_values(decoded)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +481,28 @@ class TestRowWidth:
         with pytest.raises(AnalysisError, match="row width 1 != table width 2"):
             ColumnarPartition.from_rows(self.SCHEMA, [(1, "x"), (2,)])
 
-    def test_from_columns_checks_shape(self):
+    def test_from_batch_checks_shape(self):
         with pytest.raises(AnalysisError):
-            ColumnarPartition.from_columns(self.SCHEMA, [[1, 2]])
-        with pytest.raises(AnalysisError):
-            ColumnarPartition.from_columns(self.SCHEMA, [[1, 2], ["x"]])
+            ColumnarPartition.from_batch(
+                self.SCHEMA, ColumnBatch.from_columns([[1, 2]])
+            )
 
-    def test_from_columns_equals_from_rows(self):
+    def test_from_batch_equals_from_rows(self):
         rows = [(i % 3, "v%d" % (i % 5)) for i in range(40)]
         by_rows = ColumnarPartition.from_rows(self.SCHEMA, rows)
-        by_columns = ColumnarPartition.from_columns(
-            self.SCHEMA, [[r[0] for r in rows], [r[1] for r in rows]]
+        by_batch = ColumnarPartition.from_batch(
+            self.SCHEMA,
+            ColumnBatch.from_columns(
+                [
+                    np.array([r[0] for r in rows], dtype=np.int32),
+                    [r[1] for r in rows],
+                ]
+            ),
         )
-        assert by_columns.to_rows() == by_rows.to_rows() == rows
-        assert by_columns.compression_schemes() == by_rows.compression_schemes()
+        assert by_batch.to_rows() == by_rows.to_rows() == rows
+        assert by_batch.compression_schemes() == by_rows.compression_schemes()
         assert (
-            by_columns.memory_footprint_bytes()
+            by_batch.memory_footprint_bytes()
             == by_rows.memory_footprint_bytes()
         )
 

@@ -109,8 +109,11 @@ class TestMerge:
 
 class TestPartitionStats:
     def test_column_lookup_case_insensitive(self):
-        stats = PartitionStats.from_columns(
-            ["Day", "Country"], [[1, 2], ["US", "BR"]]
+        stats = PartitionStats(
+            {
+                "Day": ColumnStats.from_values([1, 2]),
+                "Country": ColumnStats.from_values(["US", "BR"]),
+            }
         )
         assert stats.column("day").maximum == 2
         assert stats.column("COUNTRY").may_contain("US")
@@ -118,7 +121,7 @@ class TestPartitionStats:
         assert "day" in stats
 
     def test_merge_partitions(self):
-        left = PartitionStats.from_columns(["x"], [[1, 2]])
-        right = PartitionStats.from_columns(["x"], [[5, 9]])
+        left = PartitionStats({"x": ColumnStats.from_values([1, 2])})
+        right = PartitionStats({"x": ColumnStats.from_values([5, 9])})
         merged = left.merge(right)
         assert merged.column("x").maximum == 9

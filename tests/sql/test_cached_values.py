@@ -4,16 +4,33 @@ The memstore writes a column in the format exchanges ship and keeps the
 smallest of its encodings; these pin what that must not change: the sign
 of a zero (run-length and dictionary forms compare doubles by their
 bits, so ``-0.0`` is not ``0.0``), and an integer the schema's array
-cannot hold (the column is then typed by its values, as an exchange
-types it, instead of failing the load).
+cannot hold (the column is then a list of Python ints, as an exchange
+types it, instead of failing the load).  Every way into a table types a
+column once, by its declared type: a value of another type fails the
+load for both table kinds alike, and a load writes its batches' columns
+without building a row tuple.
 """
 
 import math
+from datetime import date, datetime
 
 import pytest
 
 from repro import SharkContext
-from repro.datatypes import BIGINT, DOUBLE, INT, Schema
+from repro.columnar.batch import ColumnBatch
+from repro.datatypes import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    INT,
+    STRING,
+    TIMESTAMP,
+    Schema,
+)
+from repro.errors import TypeMismatchError
+from repro.sql import physical
+from tests.oracle import assert_rows_match, sqlite_rows
 
 _ZEROS = {
     "runs": [0.0, -0.0, 0.0, 0.0, 0.0],
@@ -58,16 +75,143 @@ def test_an_int_beyond_the_schema_array_loads(data_type, values):
     assert cached == external == [(value,) for value in values]
 
 
+#: Every type, a NULL in each column, -0.0 and an INT beyond int32.
+_WIDE = Schema.of(
+    ("i", INT), ("l", BIGINT), ("f", DOUBLE), ("s", STRING),
+    ("b", BOOLEAN), ("d", DATE), ("t", TIMESTAMP),
+)
+_WIDE_ROWS = [
+    (1, 2**40, -0.0, "a", True, date(2000, 1, 1), datetime(2000, 1, 1, 12)),
+    (None, None, None, None, None, None, None),
+    (2**40, -(2**63), 2.5, "", False, date(1999, 12, 31),
+     datetime(1999, 1, 1)),
+    (3, 5, 0.0, "b", None, date(2000, 1, 1), None),
+]
+
+
+def _iso(rows):
+    """Timestamps as the text sqlite keeps them as."""
+    return [
+        tuple(v.isoformat(" ") if isinstance(v, datetime) else v for v in row)
+        for row in rows
+    ]
+
+
 def test_insert_and_ctas_of_a_wide_int():
     shark = SharkContext(num_workers=2)
-    shark.sql("CREATE TABLE c (x INT) TBLPROPERTIES ('shark.cache' = 'true')")
-    shark.sql("CREATE TABLE e (x INT)")
-    for name in ("c", "e"):
-        shark.sql(f"INSERT INTO {name} VALUES (1099511627776), (1)")
-    shark.sql(
-        "CREATE TABLE copied TBLPROPERTIES ('shark.cache' = 'true') "
-        "AS SELECT * FROM e"
+    for name, cached in (("c", True), ("e", False)):
+        shark.create_table(name, _WIDE, cached=cached)
+        shark.load_rows(name, _WIDE_ROWS, num_partitions=2)
+        shark.sql(
+            f"INSERT INTO {name} VALUES "
+            "(1099511627776, 1, 1.5, 'x', TRUE, NULL, NULL), "
+            "(1, NULL, NULL, NULL, NULL, NULL, NULL)"
+        )
+    names = ["c", "e"]
+    for source in ("c", "e"):
+        for cached in (True, False):
+            name = f"{source}_{'cached' if cached else 'external'}"
+            props = " TBLPROPERTIES ('shark.cache' = 'true')" * cached
+            shark.sql(f"CREATE TABLE {name}{props} AS SELECT * FROM {source}")
+            names.append(name)
+    rows = _WIDE_ROWS + [
+        (1099511627776, 1, 1.5, "x", True, None, None),
+        (1, None, None, None, None, None, None),
+    ]
+    want = sqlite_rows("SELECT * FROM t", {"t": (_WIDE.names, _iso(rows))})
+    for name in names:
+        got = shark.sql(f"SELECT * FROM {name}").rows
+        # Cached == external, value for value (1 is not 1.0, nor 0.0 -0.0).
+        assert sorted(map(repr, got)) == sorted(map(repr, rows)), name
+        assert_rows_match(_iso(got), want, context=name)
+
+
+#: Per declared type: a value it stores, and values it does not take.
+_MISTYPED = {
+    "string-int": (STRING, "ok", [5]),
+    "string-mixed": (STRING, "ok", [5, "x"]),
+    "date-datetime": (DATE, date(2000, 1, 1), [datetime(2000, 1, 1, 12)]),
+    "int-bool-null": (INT, 7, [True, None]),
+    "int-bool-int": (INT, 7, [True, 3]),
+    "boolean-int": (BOOLEAN, True, [1]),
+    "double-str": (DOUBLE, 2.5, ["1.5"]),
+}
+
+
+def _state(shark, name):
+    """What a failed load must leave as it was: the table's rows, its
+    blocks (cached) or its file (external), and every worker's blocks."""
+    entry = shark.session.catalog.get(name)
+    if entry.is_cached:
+        shape = [(b.rdd.id, b.split, b.rows) for b in entry.cached_rdd.blocks]
+    else:
+        stored = shark.store.file(entry.path)
+        shape = [
+            shark.store.read_block(entry.path, i)
+            for i in range(stored.num_blocks)
+        ]
+    workers = sorted(
+        block
+        for worker in shark.engine.cluster.workers
+        for block in worker.blocks.block_ids()
     )
-    want = [(1099511627776,), (1,)]
-    for name in ("c", "e", "copied"):
-        assert shark.sql(f"SELECT x FROM {name}").rows == want
+    return shark.sql(f"SELECT * FROM {name}").rows, shape, workers
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "external"])
+@pytest.mark.parametrize(
+    "data_type,good,bad", list(_MISTYPED.values()), ids=list(_MISTYPED)
+)
+def test_a_mistyped_load_is_refused_and_writes_nothing(
+    cached, data_type, good, bad
+):
+    shark = SharkContext(num_workers=2)
+    shark.create_table("t", Schema.of(("x", data_type)), cached=cached)
+    shark.load_rows("t", [(good,), (None,)], num_partitions=1)
+    before = _state(shark, "t")
+    # The first task's split is well typed: its block must go too.
+    rows = [(good,)] * len(bad) + [(value,) for value in bad]
+    with pytest.raises(TypeMismatchError, match="column x"):
+        shark.load_rows("t", rows, num_partitions=2)
+    assert _state(shark, "t") == before
+    assert before[0] == [(good,), (None,)]
+
+
+@pytest.mark.parametrize("values", [[1, 2.5, None], [1, 2.5]])
+def test_a_double_column_widens_its_ints(values):
+    cached, external = _both(DOUBLE, values)
+    want = [(None if v is None else float(v),) for v in values]
+    assert list(map(repr, cached)) == list(map(repr, external))
+    assert list(map(repr, cached)) == list(map(repr, want))
+
+
+def test_loads_build_no_tuple(monkeypatch):
+    """CTAS over a filtered, projected cached table, CACHE TABLE of an
+    external table and UNCACHE hand the writer batches: columns in,
+    columns out."""
+    shark = SharkContext(num_workers=2)
+    rows = [(i, f"k{i % 3}", i * 0.5) for i in range(40)]
+    schema = Schema.of(("a", INT), ("k", STRING), ("v", DOUBLE))
+    for name, cached in (("c", True), ("e", False), ("u", True)):
+        shark.create_table(name, schema, cached=cached)
+        shark.load_rows(name, rows, num_partitions=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load built row tuples")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(physical, "rows_of", refuse)
+        patched.setattr(ColumnBatch, "materialize_rows", refuse)
+        shark.sql(
+            "CREATE TABLE f TBLPROPERTIES ('shark.cache' = 'true') "
+            "AS SELECT k, a * 2 AS a2 FROM c WHERE a > 10"
+        )
+        shark.sql("CACHE TABLE e")
+        shark.sql("UNCACHE TABLE u")
+    assert sorted(shark.sql("SELECT * FROM f").rows) == sorted(
+        (k, a * 2) for a, k, __ in rows if a > 10
+    )
+    for name in ("e", "u"):
+        assert sorted(shark.sql(f"SELECT * FROM {name}").rows) == rows
+    catalog = shark.session.catalog
+    assert catalog.get("e").is_cached and not catalog.get("u").is_cached

@@ -30,7 +30,6 @@ if str(_ROOT) not in sys.path:  # ``benchmarks.perf`` lives beside ``tests``
 from benchmarks.perf import datagen, queries  # noqa: E402
 from repro import SharkContext  # noqa: E402
 from repro.columnar import ColumnarPartition  # noqa: E402
-from repro.columnar.analysis import numpy_dtype_for  # noqa: E402
 from repro.columnar.batch import CodedVector, ColumnBatch, Vector  # noqa: E402
 from repro.datatypes import (  # noqa: E402
     BOOLEAN,
@@ -110,15 +109,15 @@ _POOLS = (
 ROWS = st.lists(st.tuples(*_POOLS), min_size=1, max_size=40)
 
 
-def _dense(values, data_type) -> Vector:
-    """A decoded block column: typed array when primitive and NULL-free."""
-    dtype = numpy_dtype_for(data_type)
-    if dtype is not None and None not in values:
-        return Vector(np.asarray(values, dtype=dtype))
-    return Vector(list(values))
+def _dense(values, data_type=None) -> Vector:
+    """A decoded block column: the values typed by their declared type
+    (without one, a list of them as given)."""
+    if data_type is None:
+        return Vector(list(values))
+    return Vector.typed(list(values), data_type)
 
 
-def _coded(values, data_type) -> CodedVector:
+def _coded(values, data_type=None) -> CodedVector:
     """The same column as the memstore's dictionary encoding holds it."""
     code_of = {value: i for i, value in enumerate(dict.fromkeys(values))}
     codes = np.fromiter(
@@ -467,7 +466,7 @@ def _key_vectors(draw):
         else:
             values = draw(st.lists(_KEY_VALUES, min_size=n, max_size=n))
             vectors.append(
-                Vector(values) if kind == "list" else _coded(values, STRING)
+                Vector(values) if kind == "list" else _coded(values)
             )
     return vectors, n
 
@@ -494,7 +493,7 @@ class TestGroupIds:
         rng = np.random.default_rng(3)
         vectors = [
             Vector([f"v{k}" for k in rng.integers(0, 40, 80)]),
-            _coded([int(k) for k in rng.integers(0, 40, 80)], STRING),
+            _coded([int(k) for k in rng.integers(0, 40, 80)]),
             Vector([None if k % 7 == 0 else k for k in range(80)]),
             Vector(rng.integers(0, 40, 80).astype(np.int64)),
         ]

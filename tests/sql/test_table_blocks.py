@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SharkContext
-from repro.columnar.stats import PartitionStats
-from repro.columnar.table import transpose_rows
+from repro.columnar.table import ColumnarPartition
 from repro.datatypes import INT, STRING, Schema
 from repro.faults import FaultInjector
 from repro.sql.planner import PlannerConfig
@@ -77,9 +76,7 @@ def _check_invariants(shark: SharkContext, model: list[tuple]) -> None:
     for block, stats in zip(table.blocks, entry.partition_stats):
         held = model[offset:offset + block.rows]
         offset += block.rows
-        fresh = PartitionStats.from_columns(
-            SCHEMA.names, transpose_rows(held, len(SCHEMA))
-        )
+        fresh = ColumnarPartition.from_rows(SCHEMA, held).stats
         for name in SCHEMA.names:
             assert stats.column(name) == fresh.column(name)
 

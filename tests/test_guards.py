@@ -161,6 +161,16 @@ GUARDS = {
             ("src/repro",),
         ),
     ],
+    # A column is typed once, by its declared type: no second column
+    # analysis on the load path, and every way into the memstore hands
+    # the writer a ColumnBatch (``ColumnBatch.from_columns`` stays).
+    "one-column-typing": [
+        Rule(
+            r"ColumnAnalysis|repro\.columnar\.analysis|def _stored\b"
+            r"|ColumnarPartition\.from_columns",
+            ("src/repro",),
+        ),
+    ],
     # The baselines are lowering policies over the one engine: no
     # MapReduce loop and no row executor of their own.
     "baselines-on-the-engine": [
