@@ -204,33 +204,13 @@ class SharkContext:
     ) -> None:
         """Programmatic CREATE TABLE.
 
-        Registers the catalog entry directly (not via DDL text), so it
-        supports complex column types (ARRAY/MAP/STRUCT) that the SQL
-        grammar does not spell.
+        Not via DDL text, so it supports complex column types
+        (ARRAY/MAP/STRUCT) that the SQL grammar does not spell.
         """
-        from repro.sql.catalog import CACHED, EXTERNAL
-
         props = dict(properties or {})
         if cached:
             props["shark.cache"] = "true"
-        entry = TableEntry(
-            name=name,
-            schema=schema,
-            kind=CACHED if cached else EXTERNAL,
-            path=None if cached else f"/warehouse/{name.lower()}",
-            properties=props,
-            row_count=0,
-            size_bytes=0,
-        )
-        # The catalog decides whether the name is taken, before the store
-        # is touched: a duplicate create must not truncate the table's file.
-        self.session.catalog.create(entry)
-        if not cached:
-            # overwrite=True like SQL CREATE TABLE (a dropped table's file
-            # may still be pinned by a dependent's lineage).
-            self.store.write_file(
-                entry.path, [], format="text", overwrite=True
-            )
+        self.session.create_table(name, schema, cached, props)
 
     def load_rows(
         self,

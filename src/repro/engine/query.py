@@ -70,9 +70,9 @@ class QueryScope:
         #: Tracer span stack of a lifecycle query, swapped in with the
         #: scope so interleaved queries' spans nest under their own.
         self.span_stack: list = []
-        #: Set when a statement stores its RDD as a cached table: the
-        #: table's lineage reads this scope's shuffles from then on.
-        self.stored_table = False
+        #: Shuffles the lineage of a cached table this scope wrote reads:
+        #: they outlive the scope and go with the table (DROP TABLE).
+        self.kept_shuffles: set[int] = set()
         #: Set while a catalog-mutating statement runs in this scope: the
         #: master journal logs the statement, not the loads it makes.
         self.in_statement = False
@@ -86,9 +86,9 @@ class QueryScope:
 
     def close(self) -> int:
         """The one exit, whatever the outcome: release the broadcast
-        charges and, unless a table's lineage now reads them, forget the
-        shuffles.  Returns the map-output blocks freed."""
+        charges and forget the shuffles no table's lineage reads.
+        Returns the map-output blocks freed."""
         self.release_broadcasts()
-        if self.stored_table:
-            return 0
-        return self._ctx.scheduler.release_query_shuffles(self.shuffle_ids)
+        return self._ctx.scheduler.release_query_shuffles(
+            self.shuffle_ids - self.kept_shuffles
+        )

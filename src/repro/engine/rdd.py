@@ -761,14 +761,9 @@ class TableBlock:
     stats: Any
     bytes: int
     rows: int
-    #: The row chunk a load that arrived as a single block was built
-    #: from — such a block is a *delta*, and a later single-block load
-    #: may absorb it; None for every other block.
-    chunk: Optional[list] = None
-
-    @property
-    def delta(self) -> bool:
-        return self.chunk is not None
+    #: Written by a load that arrived as a single block: a later one may
+    #: absorb it (:meth:`BlockListRDD.absorbable`).
+    delta: bool = False
 
 
 class BlockListRDD(RDD):

@@ -123,8 +123,12 @@ class CacheTracker:
         worker.blocks.put(_rdd_block_id(rdd_id, partition), value, size_bytes)
         self._locations[(rdd_id, partition)] = worker_id
 
-    def unpersist(self, rdd_id: int) -> None:
-        stale = [key for key in self._locations if key[0] == rdd_id]
+    def unpersist(self, rdd_id: int, partitions=None) -> None:
+        """Drop an RDD's cached partitions (only ``partitions``, if given)."""
+        stale = [
+            key for key in self._locations
+            if key[0] == rdd_id and (partitions is None or key[1] in partitions)
+        ]
         for key in stale:
             worker_id = self._locations.pop(key)
             worker = self._cluster.worker(worker_id)

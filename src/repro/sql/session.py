@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.columnar.batch import ColumnBatch, check_row_width
 from repro.columnar.serde import TextSerde
@@ -421,22 +421,9 @@ class SqlSession:
                 Field(column.name, type_by_name(column.type_name))
                 for column in statement.columns
             )
-            entry = TableEntry(
-                name=statement.name,
-                schema=schema,
-                kind=CACHED if cached else EXTERNAL,
-                path=None if cached else self._table_path(statement.name),
-                properties=dict(statement.properties),
-                row_count=0,
-                size_bytes=0,
+            self.create_table(
+                statement.name, schema, cached, statement.properties
             )
-            if not cached:
-                # overwrite=True: during master-recovery replay the file
-                # may already exist; loads are replayed on top anyway.
-                self.store.write_file(
-                    entry.path, [], format="text", overwrite=True
-                )
-            self.catalog.create(entry)
             return _status(f"created {statement.name}")
 
         # CTAS: plan the select, honoring co-partitioning requests.
@@ -453,25 +440,53 @@ class SqlSession:
                 self.config, repartition_override=target.partitioner
             )
         planned = self.plan_select(statement.as_select, config=config)
-
-        entry = TableEntry(
-            name=statement.name,
-            schema=planned.schema,
-            kind=CACHED if cached else EXTERNAL,
-            path=None if cached else self._table_path(statement.name),
-            properties=dict(statement.properties),
+        entry = self.create_table(
+            statement.name,
+            planned.schema,
+            cached,
+            statement.properties,
+            planned.batches,
             partitioner=planned.output_partitioner,
             distribute_column=planned.distribute_column,
         )
-        if cached:
-            self._materialize_cached(entry, planned.batches)
-        else:
-            self._materialize_external(entry, planned.batches)
-        self.catalog.create(entry)
         return _status(
             f"created {statement.name} ({entry.row_count} rows, "
             f"{'cached' if cached else 'external'})"
         )
+
+    def create_table(
+        self,
+        name: str,
+        schema: Schema,
+        cached: bool,
+        properties: dict[str, str],
+        batches: Optional[RDD] = None,
+        replaces: bool = False,
+        **layout,
+    ) -> TableEntry:
+        """Make a table (CREATE TABLE, CTAS, ``SharkContext.create_table``,
+        CACHE / UNCACHE's replacement entry).  With ``batches`` it is
+        written, then registered; without, the catalog takes the name
+        before an external table's empty file overwrites the path (a
+        taken name must not truncate its table's file)."""
+        entry = TableEntry(
+            name=name,
+            schema=schema,
+            kind=CACHED if cached else EXTERNAL,
+            path=None if cached else self._table_path(name),
+            properties=dict(properties),
+            row_count=0,
+            size_bytes=0,
+            **layout,
+        )
+        if batches is not None:
+            self._write(entry, batches)
+        if replaces:
+            self.catalog.drop(name)
+        self.catalog.create(entry)
+        if batches is None and not cached:
+            self.store.write_file(entry.path, [], format="text", overwrite=True)
+        return entry
 
     def _drop_table(self, statement: ast.DropTable) -> QueryResult:
         name = statement.name
@@ -515,39 +530,29 @@ class SqlSession:
 
     def _cache_table(self, statement: ast.CacheTable) -> QueryResult:
         entry = self.catalog.get(statement.name)
-        if statement.uncache:
-            if entry.is_cached and entry.cached_rdd is not None:
-                # Spill to the store and flip to external.
-                batches = self._scan_batches(entry)
-                new_entry = TableEntry(
-                    name=entry.name,
-                    schema=entry.schema,
-                    kind=EXTERNAL,
-                    path=self._table_path(entry.name),
-                    properties=dict(entry.properties),
-                )
-                self._materialize_external(new_entry, batches)
-                self.catalog.drop(entry.name)
-                self.catalog.create(new_entry)
-                # The external entry has no lineage to walk at DROP: the
-                # shuffles the cached one read go now (or with the last
-                # live table whose lineage still reads them).
-                self._dropped_shuffles |= lineage_reads(entry.cached_rdd)[1]
-                self._reap_dropped()
+        uncache = statement.uncache
+        if uncache and entry.cached_rdd is None:
             return _status(f"uncached {statement.name}")
-        if entry.is_cached:
+        if not uncache and entry.is_cached:
             return _status(f"{statement.name} is already cached")
-        batches = self._scan_batches(entry)
-        new_entry = TableEntry(
-            name=entry.name,
-            schema=entry.schema,
-            kind=CACHED,
-            properties=dict(entry.properties),
+        # UNCACHE spills to the store and flips to external; CACHE reads
+        # the file into memory.
+        self.create_table(
+            entry.name,
+            entry.schema,
+            not uncache,
+            entry.properties,
+            self._scan_batches(entry),
+            replaces=True,
         )
-        self._materialize_cached(new_entry, batches)
-        self.catalog.drop(entry.name)
-        self.catalog.create(new_entry)
-        return _status(f"cached {statement.name}")
+        if not uncache:
+            return _status(f"cached {statement.name}")
+        # The external entry has no lineage to walk at DROP: the shuffles
+        # the cached one read go now (or with the last live table whose
+        # lineage still reads them).
+        self._dropped_shuffles |= lineage_reads(entry.cached_rdd)[1]
+        self._reap_dropped()
+        return _status(f"uncached {statement.name}")
 
     def _scan_batches(self, entry: TableEntry) -> RDD:
         from repro.sql import logical
@@ -583,9 +588,8 @@ class SqlSession:
                 f"INSERT select width {len(planned.schema)} != table width "
                 f"{len(entry.schema)}"
             )
-        rows = planned.rdd.collect()
-        self.load_rows(statement.table, rows)
-        return _status(f"inserted {len(rows)} rows into {statement.table}")
+        rows = self._write(entry, planned.batches, append=True)
+        return _status(f"inserted {rows} rows into {statement.table}")
 
     def load_rows(
         self,
@@ -593,12 +597,8 @@ class SqlSession:
         rows: Iterable[tuple],
         num_partitions: Optional[int] = None,
     ) -> int:
-        """Bulk-load rows into a table (distributed loading, Section 3.3).
-
-        Each loading task types its split's columns, then compresses them
-        and records statistics (cached) or encodes one DFS block (external);
-        a value its column's type does not take fails the load unwritten.
-        """
+        """Bulk-load rows into a table: each loading task transposes its
+        split into a batch for :meth:`_write` (Section 3.3)."""
         entry = self.catalog.get(table_name)
         rows = list(map(tuple, rows))
         width = len(entry.schema)
@@ -618,50 +618,27 @@ class SqlSession:
                 wanted = -(-len(rows) // max(largest, 1))
                 num_partitions = max(1, min(wanted, num_partitions))
         rdd = self.ctx.parallelize(rows, num_partitions, batch)
-        chunk, absorbed = None, []
-        if entry.is_cached and rdd.num_partitions == 1:
+        delta = entry.is_cached and rdd.num_partitions == 1
+        absorbed = []
+        if delta and table is not None:
             # The load arrives as one block, a delta: it takes in the
             # trailing deltas no larger than itself, so n trickles leave
-            # O(log n) blocks and not n.  The merged block is loaded
-            # like any other, from the concatenated row chunks.
-            chunk = rows
-            if table is not None:
-                absorbed = table.absorbable(
-                    len(rows), self.config.target_partition_bytes
-                )
-            if absorbed:
-                chunk = [r for block in absorbed for r in block.chunk] + rows
-                rdd = self.ctx.parallelize(chunk, 1, batch)
-        if entry.is_cached:
-            self._materialize_cached(entry, rdd, chunk, len(absorbed))
-        else:
-            self._materialize_external(entry, rdd, append=True)
+            # O(log n) blocks and not n.  The merged block's task reads
+            # their columns through their lineage, then the new batch.
+            absorbed = table.absorbable(
+                len(rows), self.config.target_partition_bytes
+            )
+        if absorbed:
+            tail = TableBlock(rdd, 0, None, 0, len(rows))
+            rdd = BlockListRDD(self.ctx, absorbed + [tail]).coalesce(1)
+        self._write(entry, rdd, append=True, delta=delta, absorbed=absorbed)
         # Journaled once it landed, as a statement is once it ran.
         if self.journal is not None and not self.ctx.query.in_statement:
             self.journal.log_load(table_name, rows, num_partitions)
-        rewritten = sum(block.rows for block in absorbed)
-        tracer = self.ctx.tracer
-        if absorbed:
-            tracer.metrics.inc(
-                "memstore.append.blocks_absorbed", len(absorbed)
-            )
-            tracer.metrics.inc("memstore.append.rows_rewritten", rewritten)
-        tracer.instant(
-            "table.append",
-            "memstore",
-            table=entry.name,
-            rows=len(rows),
-            blocks_written=rdd.num_partitions,
-            blocks_absorbed=len(absorbed),
-            rows_rewritten=rewritten,
-        )
-        # Loads/inserts move the table version (result cache
-        # invalidation) without touching its DDL identity.
-        self.catalog.bump_version(table_name)
         return len(rows)
 
     # ------------------------------------------------------------------
-    # Materialization
+    # The writer
     # ------------------------------------------------------------------
     def _run_load(self, rdd: RDD, func) -> list:
         """A load's job: data the table cannot take (TypeMismatchError) fails
@@ -675,87 +652,117 @@ class SqlSession:
                 raise error.cause from None
             raise
 
-    def _materialize_cached(
+    def _write(
         self,
         entry: TableEntry,
         batches: RDD,
-        chunk: Optional[list] = None,
-        absorbed: int = 0,
-    ) -> None:
-        """Marshal an RDD of ColumnBatches into cached columnar blocks at
-        the end of the table's block list.
-
-        Loading is itself a distributed job: each task types its own
-        partition's columns, picks compression per column, and collects
-        the statistics map pruning needs; the master keeps only the
-        metadata.  ``chunk`` is the row list a single-block load was
-        parallelized from; it already holds the rows of the table's last
-        ``absorbed`` blocks, which the new block replaces.
+        append: bool = False,
+        delta: bool = False,
+        absorbed: Sequence[TableBlock] = (),
+    ) -> int:
+        """The one write into a table, of an RDD of ColumnBatches (a
+        distributed job, Section 3.3): each task types its partition's
+        columns, then compresses them into a cached block with its
+        statistics or formats a block of the text file.  A block follows
+        a partition; an ``append`` writes none of no rows.  A ``delta``'s
+        one partition leads with the rows of the ``absorbed`` blocks,
+        which it replaces.  Returns the rows the table gained.
         """
         schema = entry.schema
-        # TBLPROPERTIES ('shark.compress' = 'false') keeps columns plain —
-        # an ablation/differential-testing axis for the compression codecs.
-        compress = (
-            entry.properties.get("shark.compress", "").lower()
-            not in ("false", "0", "no")
-        )
+        if entry.is_cached:
+            # TBLPROPERTIES ('shark.compress' = 'false') keeps columns
+            # plain — an ablation/differential-testing axis for the codecs.
+            compress = (
+                entry.properties.get("shark.compress", "").lower()
+                not in ("false", "0", "no")
+            )
+            columns = range(len(schema))
 
-        def build(part: list) -> list:
-            batch = ColumnBatch.concat(part)
-            return [ColumnarPartition.from_batch(schema, batch, compress)]
+            def build(part: list) -> list:
+                # An absorbed block is read as the batch of its columns.
+                batch = ColumnBatch.concat([
+                    ColumnBatch.from_block(item, columns)
+                    if isinstance(item, ColumnarPartition) else item
+                    for item in part
+                ])
+                return [ColumnarPartition.from_batch(schema, batch, compress)]
 
-        name = f"load:{entry.name}"
-        loaded = batches.map_partitions(build).set_name(name).cache()
-        infos = self._run_load(
-            loaded,
-            lambda blks: (
-                blks[0].stats,
-                blks[0].memory_footprint_bytes(),
-                blks[0].num_rows,
-            ),
-        )
-        blocks = [
-            TableBlock(loaded, split, *info, chunk=chunk)
-            for split, info in enumerate(infos)
-        ]
-        # The table keeps ``loaded`` as its lineage: recomputing a lost
-        # partition reads the shuffles of the scope that built it.
-        self.ctx.query.stored_table = True
-        table = entry.cached_rdd
-        if table is None:
-            entry.set_blocks(BlockListRDD(self.ctx, blocks, name))
-            return
-        entry.set_blocks(table.extended(blocks, absorbed))
-        # An append ends the co-partitioning contract of a DISTRIBUTE BY
-        # table: block i no longer holds all of bucket i.
-        entry.partitioner = None
-        entry.distribute_column = None
-
-    def _materialize_external(
-        self, entry: TableEntry, batches: RDD, append: bool = False
-    ) -> None:
-        """Write an RDD of ColumnBatches as the table's text file, a
-        block a non-empty partition, typed and formatted by its task."""
-        schema = entry.schema
-        serde = TextSerde(schema)
-
-        def encode(part: list) -> tuple[bytes, int]:
-            batch = ColumnBatch.concat(part).typed(schema)
-            return serde.encode_batch(batch), batch.num_rows
-
-        encoded = self._run_load(batches, encode)
-        blocks = [block for block, __ in encoded if block]
-        rows = sum(count for __, count in encoded)
-        path = entry.path or self._table_path(entry.name)
-        entry.path = path
-        if append and self.store.exists(path):
-            for block in blocks:
-                self.store.append_block(path, block)
-            entry.row_count = (entry.row_count or 0) + rows
+            name = f"load:{entry.name}"
+            loaded = batches.map_partitions(build).set_name(name).cache()
+            infos = self._run_load(
+                loaded,
+                lambda blks: (
+                    blks[0].stats,
+                    blks[0].memory_footprint_bytes(),
+                    blks[0].num_rows,
+                ),
+            )
+            blocks = [
+                TableBlock(loaded, split, *info, delta=delta)
+                for split, info in enumerate(infos)
+                if info[2] or not append
+            ]
+            if len(blocks) < len(infos):
+                self.ctx.cache_tracker.unpersist(
+                    loaded.id,
+                    {split for split, info in enumerate(infos) if not info[2]},
+                )
+            # The table keeps ``loaded`` as its lineage: recomputing a
+            # lost block reads the shuffles it reads.
+            self.ctx.query.kept_shuffles |= lineage_reads(loaded)[1]
+            rows = sum(block.rows for block in blocks)
+            table = entry.cached_rdd
+            if table is None and blocks:
+                entry.set_blocks(BlockListRDD(self.ctx, blocks, name))
+            elif blocks:
+                entry.set_blocks(table.extended(blocks, len(absorbed)))
+                # An append ends the co-partitioning contract of a
+                # DISTRIBUTE BY table: block i no longer holds all of
+                # bucket i.
+                entry.partitioner = None
+                entry.distribute_column = None
         else:
-            self.store.write_file(path, blocks, format="text", overwrite=True)
-            entry.row_count = rows
-        entry.size_bytes = self.store.file(path).size_bytes
+            serde = TextSerde(schema)
+
+            def encode(part: list) -> tuple[bytes, int]:
+                batch = ColumnBatch.concat(part).typed(schema)
+                return serde.encode_batch(batch), batch.num_rows
+
+            encoded = self._run_load(batches, encode)
+            blocks = [block for block, __ in encoded if block]
+            rows = sum(count for __, count in encoded)
+            if append:
+                for block in blocks:
+                    self.store.append_block(entry.path, block)
+                entry.row_count += rows
+            else:
+                self.store.write_file(
+                    entry.path, blocks, format="text", overwrite=True
+                )
+                entry.row_count = rows
+            entry.size_bytes = self.store.file(entry.path).size_bytes
+        if not append:
+            return rows
+        rewritten = sum(block.rows for block in absorbed)
+        tracer = self.ctx.tracer
+        if absorbed:
+            tracer.metrics.inc(
+                "memstore.append.blocks_absorbed", len(absorbed)
+            )
+            tracer.metrics.inc("memstore.append.rows_rewritten", rewritten)
+        tracer.instant(
+            "table.append",
+            "memstore",
+            table=entry.name,
+            rows=rows - rewritten,
+            blocks_written=len(blocks),
+            blocks_absorbed=len(absorbed),
+            rows_rewritten=rewritten,
+        )
+        # Appends move the table version (result cache invalidation)
+        # without touching its DDL identity.
+        self.catalog.bump_version(entry.name)
+        return rows - rewritten
 
     @staticmethod
     def _table_path(name: str) -> str:

@@ -15,6 +15,7 @@ from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.errors import ReproError
 from repro.faults import FaultInjector
 from repro.serving import BATCH, INTERACTIVE, SqlServer
+from repro.storage.scan import lineage_reads
 
 AGG = (
     "SELECT bucket, COUNT(*) AS n, SUM(value) AS total "
@@ -169,6 +170,47 @@ class TestLineageKeepsWhatItReads:
         assert engine_holds(shark)["registered"]  # its lineage reads them
         shark.sql(statement)
         assert engine_holds(shark) == NOTHING
+
+    def test_a_ctas_keeps_only_the_shuffles_its_table_reads(self):
+        # The IN subquery's GROUP BY runs while the CTAS is planned; the
+        # table's lineage reads what it decided, not its shuffle.
+        shark = _build_shark()
+        shark.sql(
+            "CREATE TABLE c TBLPROPERTIES ('shark.cache'='true') AS "
+            "SELECT bucket, day FROM readings WHERE day IN "
+            "(SELECT day FROM readings GROUP BY day HAVING COUNT(*) > 0)"
+        )
+        assert lineage_reads(shark.table_entry("c").cached_rdd)[1] == set()
+        assert engine_holds(shark) == NOTHING
+        assert shark.sql("SELECT COUNT(*) FROM c").scalar() == len(ROWS)
+        shark.sql("DROP TABLE c")
+        assert engine_holds(shark) == NOTHING
+
+    def test_a_ctas_group_by_recomputes_byte_identically(self):
+        shark = _build_shark()
+        shark.sql(
+            "CREATE TABLE g TBLPROPERTIES ('shark.cache'='true') AS " + AGG
+        )
+        table = shark.table_entry("g").cached_rdd
+        kept = engine_holds(shark)
+        assert kept["registered"]  # the table's lineage reads the shuffle
+
+        def blocks():
+            return shark.engine.run_job(
+                table,
+                lambda blks: (
+                    [blks[0].column_bytes(i) for i in range(3)],
+                    repr(blks[0].stats),
+                ),
+            )
+
+        before = blocks()
+        holder = table.preferred_workers(0)[0]
+        shark.kill_worker(holder)
+        assert table.preferred_workers(0) == []
+        assert blocks() == before
+        assert table.preferred_workers(0) not in ([], [holder])
+        assert engine_holds(shark)["registered"] == kept["registered"]
 
     def test_drop_waits_for_the_last_dependent_table(self):
         # ``copy``'s lineage reads ``spread``'s blocks, which read the

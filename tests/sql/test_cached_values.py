@@ -113,7 +113,10 @@ def test_insert_and_ctas_of_a_wide_int():
             name = f"{source}_{'cached' if cached else 'external'}"
             props = " TBLPROPERTIES ('shark.cache' = 'true')" * cached
             shark.sql(f"CREATE TABLE {name}{props} AS SELECT * FROM {source}")
-            names.append(name)
+            # ... and INSERT ... SELECT into an empty table of each kind.
+            shark.create_table(f"{name}_insert", _WIDE, cached=cached)
+            shark.sql(f"INSERT INTO {name}_insert SELECT * FROM {source}")
+            names += [name, f"{name}_insert"]
     rows = _WIDE_ROWS + [
         (1099511627776, 1, 1.5, "x", True, None, None),
         (1, None, None, None, None, None, None),
@@ -177,6 +180,20 @@ def test_a_mistyped_load_is_refused_and_writes_nothing(
     assert before[0] == [(good,), (None,)]
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "external"])
+def test_a_mistyped_insert_select_is_refused_and_writes_nothing(cached):
+    shark = SharkContext(num_workers=2)
+    shark.create_table("t", Schema.of(("x", INT)), cached=cached)
+    shark.load_rows("t", [(7,), (None,)], num_partitions=1)
+    shark.create_table("src", Schema.of(("s", STRING)), cached=True)
+    shark.load_rows("src", [("a",), ("b",), ("c",)], num_partitions=2)
+    before = _state(shark, "t")
+    with pytest.raises(TypeMismatchError, match="column x"):
+        shark.sql("INSERT INTO t SELECT s FROM src")
+    assert _state(shark, "t") == before
+    assert before[0] == [(7,), (None,)]
+
+
 @pytest.mark.parametrize("values", [[1, 2.5, None], [1, 2.5]])
 def test_a_double_column_widens_its_ints(values):
     cached, external = _both(DOUBLE, values)
@@ -187,12 +204,14 @@ def test_a_double_column_widens_its_ints(values):
 
 def test_loads_build_no_tuple(monkeypatch):
     """CTAS over a filtered, projected cached table, CACHE TABLE of an
-    external table and UNCACHE hand the writer batches: columns in,
-    columns out."""
+    external table, UNCACHE and INSERT ... SELECT into either kind hand
+    the writer batches: columns in, columns out."""
     shark = SharkContext(num_workers=2)
     rows = [(i, f"k{i % 3}", i * 0.5) for i in range(40)]
     schema = Schema.of(("a", INT), ("k", STRING), ("v", DOUBLE))
-    for name, cached in (("c", True), ("e", False), ("u", True)):
+    for name, cached in (
+        ("c", True), ("e", False), ("u", True), ("ic", True), ("ie", False)
+    ):
         shark.create_table(name, schema, cached=cached)
         shark.load_rows(name, rows, num_partitions=3)
 
@@ -208,9 +227,18 @@ def test_loads_build_no_tuple(monkeypatch):
         )
         shark.sql("CACHE TABLE e")
         shark.sql("UNCACHE TABLE u")
+        for name in ("ic", "ie"):
+            status = shark.sql(
+                f"INSERT INTO {name} SELECT a + 100, k, v FROM c WHERE a < 5"
+            )
+            assert status.scalar() == f"inserted 5 rows into {name}"
     assert sorted(shark.sql("SELECT * FROM f").rows) == sorted(
         (k, a * 2) for a, k, __ in rows if a > 10
     )
+    for name in ("ic", "ie"):
+        assert shark.sql(f"SELECT * FROM {name}").rows == rows + [
+            (a + 100, k, v) for a, k, v in rows if a < 5
+        ]
     for name in ("e", "u"):
         assert sorted(shark.sql(f"SELECT * FROM {name}").rows) == rows
     catalog = shark.session.catalog

@@ -9,11 +9,13 @@ contents and order, the catalog's counts, write amplification, lineage
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SharkContext
+from repro.columnar.batch import ColumnBatch
 from repro.columnar.table import ColumnarPartition
 from repro.datatypes import INT, STRING, Schema
 from repro.faults import FaultInjector
@@ -71,14 +73,20 @@ def _check_invariants(shark: SharkContext, model: list[tuple]) -> None:
         block.rdd for block in table.blocks
     ]
     assert shark.sql("SELECT * FROM t").rows == model
-    # Every block's statistics are those of the rows it holds now.
+    # Every block — merged ones included — holds the bytes and statistics
+    # a load of the rows it holds now would write.
+    stored = shark.engine.run_job(table, lambda blks: blks[0])
     offset = 0
-    for block, stats in zip(table.blocks, entry.partition_stats):
+    for block, stats, part in zip(
+        table.blocks, entry.partition_stats, stored
+    ):
         held = model[offset:offset + block.rows]
         offset += block.rows
-        fresh = ColumnarPartition.from_rows(SCHEMA, held).stats
+        fresh = ColumnarPartition.from_rows(SCHEMA, held)
+        assert _fingerprint(part) == _fingerprint(fresh)
+        assert repr(stats) == repr(part.stats) == repr(fresh.stats)
         for name in SCHEMA.names:
-            assert stats.column(name) == fresh.column(name)
+            assert stats.column(name) == fresh.stats.column(name)
 
 
 _OPS = st.one_of(
@@ -100,6 +108,13 @@ class TestAgainstAListOfRows:
         _table(shark)
         model: list[tuple] = []
         loaded = 0
+        transposed: list[int] = []  # rows of each ColumnBatch.from_rows
+        from_rows = ColumnBatch.from_rows.__func__
+
+        def counted(cls, rows, width):
+            transposed.append(len(rows))
+            return from_rows(cls, rows, width)
+
         for op, count, parts in ops:
             if op == "drop":
                 shark.sql("DROP TABLE t")
@@ -118,7 +133,21 @@ class TestAgainstAListOfRows:
                 model += rows
             else:
                 rows = _rows(loaded, count)
-                shark.load_rows("t", rows, num_partitions=parts)
+                absorbed = shark.metrics.value(
+                    "memstore.append.blocks_absorbed"
+                )
+                transposed.clear()
+                with mock.patch.object(
+                    ColumnBatch, "from_rows", classmethod(counted)
+                ):
+                    shark.load_rows("t", rows, num_partitions=parts)
+                # A merge transposes the new rows only: the absorbed
+                # blocks come in as columns.
+                if shark.metrics.value(
+                    "memstore.append.blocks_absorbed"
+                ) > absorbed:
+                    assert transposed == [count]
+                assert sum(transposed) == count
                 model += rows
             loaded += count
             _check_invariants(shark, model)
@@ -156,6 +185,45 @@ class TestSizing:
         assert shark.sql("SELECT k FROM t WHERE k >= 400").rows == [
             (k,) for k in range(400, 407)
         ]
+
+    def test_an_insert_select_appends_its_plans_blocks_but_no_empty_one(
+        self,
+    ):
+        shark = SharkContext(num_workers=4)
+        _table(shark, "src")
+        shark.load_rows("src", _rows(0, 400), num_partitions=4)
+        _table(shark)
+        shark.load_rows("t", _rows(0, 10), num_partitions=1)
+        stored = _stored_blocks(shark)
+        shark.enable_tracing()
+        result = shark.sql(
+            "INSERT INTO t SELECT * FROM src WHERE k < 100 OR k > 350"
+        )
+        assert result.scalar() == "inserted 149 rows into t"
+        # The plan's four partitions hold (100, 0, 0, 49) rows: two blocks,
+        # neither a delta, and no stored block of the empty two.
+        assert [(r, d) for r, _, d in _shape(shark)] == [
+            (10, True), (100, False), (49, False)
+        ]
+        table = shark.table_entry("t").cached_rdd
+        assert _stored_blocks(shark) == sorted(
+            stored + [f"rdd_{b.rdd.id}_{b.split}" for b in table.blocks[1:]]
+        )
+        (event,) = shark.trace.events_named("table.append")
+        assert event.args == {
+            "table": "t",
+            "rows": 149,
+            "blocks_written": 2,
+            "blocks_absorbed": 0,
+            "rows_rewritten": 0,
+        }
+        # An INSERT that selects nothing writes nothing.
+        shark.sql("INSERT INTO t SELECT * FROM src WHERE k < 0")
+        assert len(_shape(shark)) == 3
+        assert len(_stored_blocks(shark)) == len(stored) + 2
+        assert shark.sql("SELECT * FROM t").rows == (
+            _rows(0, 10) + _rows(0, 100) + _rows(351, 49)
+        )
 
     def test_an_unsized_load_is_cut_like_the_largest_block(self):
         shark = SharkContext(num_workers=4)

@@ -171,6 +171,20 @@ GUARDS = {
             ("src/repro",),
         ),
     ],
+    # One write path into tables: every write hands the session's writer
+    # batches — INSERT ... SELECT collects no rows (only
+    # SELECT and EXPLAIN ANALYZE do), a delta merges from its blocks'
+    # columns and keeps no row chunk — and SharkContext.create_table goes
+    # through the session's.
+    "one-write-path": [
+        Rule(r"\.chunk\b|chunk=|stored_table", ("src/repro",)),
+        Rule(
+            r"planned\.rdd\.collect\(",
+            ("src/repro/sql/session.py",),
+            at_most=2,
+        ),
+        Rule(r"TableEntry\(", ("src/repro/core/context.py",)),
+    ],
     # The baselines are lowering policies over the one engine: no
     # MapReduce loop and no row executor of their own.
     "baselines-on-the-engine": [
