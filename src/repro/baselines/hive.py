@@ -251,7 +251,7 @@ class HiveExecutor:
         try:  # (repr: a NaN reads back as a NaN, which is unequal to it)
             read = list(map(serde.decode, payloads))
             carried = read == blocks or repr(read) == repr(blocks)
-        except StorageError:  # a STRUCT, or a delimiter inside a string
+        except StorageError:  # a STRUCT
             carried = False
         if not carried:
             raise UnsupportedFeatureError(

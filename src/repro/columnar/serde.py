@@ -46,20 +46,35 @@ from repro.datatypes import (
     StringType,
     StructType,
     TimestampType,
+    datetime64_array,
     time_number,
 )
 from repro.errors import AnalysisError, CompressionError, StorageError
 
 _NULL_TOKEN = "\\N"
+_DELIMITER = "\x01"
 
-#: Text of one non-NULL value, by its Python type.
-_TEXT_FORMATTERS = {
-    int: str,
-    float: str,
-    str: str,
-    bool: ("false", "true").__getitem__,
-    datetime: datetime.isoformat,
-}
+
+def _escape(text: str) -> str:
+    """A STRING value as text holds it (Hive's ``ESCAPED BY '\\'``): its
+    backslashes first, so every backslash read starts an escape."""
+    return (
+        text.replace("\\", "\\\\")
+        .replace("\n", "\\n")
+        .replace(_DELIMITER, "\\x01")
+    )
+
+
+def _unescape(text: str) -> str:
+    """The STRING value of a field: a field without a backslash is it."""
+    if "\\" not in text:
+        return text
+    return "\\".join(
+        part.replace("\\n", "\n").replace("\\x01", _DELIMITER)
+        for part in text.split("\\\\")
+    )
+
+
 #: Value of one non-NULL text field, by its column type.
 _TEXT_PARSERS = {
     IntegerType: int,
@@ -68,28 +83,50 @@ _TEXT_PARSERS = {
     BooleanType: "true".__eq__,
     DateType: date.fromisoformat,
     TimestampType: datetime.fromisoformat,
-    StringType: str,
+    StringType: _unescape,
 }
+#: The array a number field is parsed into, by its column type.
+_TEXT_NUMBERS = {
+    IntegerType: np.int64, LongType: np.int64, DoubleType: np.float64,
+}
+
+
+def _format_distinct(data: np.ndarray, format_value) -> list[str]:
+    """A number or datetime64 array's text: each distinct value (a float
+    by its bits, so ``-0.0`` keeps its sign) printed once and gathered;
+    days by ``np.datetime_as_string``, which prints ``date.isoformat``."""
+    kind = data.dtype.kind
+    keys = data.view(f"i{data.itemsize}") if kind in "fM" else data
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = distinct.view(data.dtype)
+    if data.dtype == DAYS:
+        texts = np.datetime_as_string(values)
+    else:
+        formatter = str if kind in "iuf" else format_value
+        texts = np.array(list(map(formatter, values.tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 class TextSerde:
     """Delimited text rows (Hive's default storage format).
 
-    Encoding and decoding work a column at a time: the converter is
-    picked once per column (from its vector when writing, from the schema
-    when reading) and mapped over it; only list columns that mix types or
-    hold ARRAY/MAP values go value by value.
+    Encoding and decoding work a column at a time: a number column is
+    printed once per distinct value and parsed by numpy into its array,
+    a STRING column is joined and split as it is; only NULL-bearing
+    columns on the way in, and list columns that mix types or hold
+    ARRAY/MAP values, go value by value.
     """
 
-    def __init__(self, schema: Schema, delimiter: str = "\x01"):
+    def __init__(self, schema: Schema):
         self.schema = schema
-        self.delimiter = delimiter
 
     def _format_value(self, value: Any) -> str:
         if value is None:
             return _NULL_TOKEN
         if isinstance(value, bool):
             return "true" if value else "false"
+        if isinstance(value, str):
+            return _escape(value)
         if isinstance(value, (date, datetime)):
             return value.isoformat()
         if isinstance(value, (list, tuple)):
@@ -104,21 +141,18 @@ class TextSerde:
 
     def _format_column(self, vector: Vector) -> list[str]:
         data = vector.data
-        array = isinstance(data, np.ndarray)
-        if array and data.dtype == DAYS:
-            # One call prints the column, as ``date.isoformat`` would.
-            texts = np.datetime_as_string(data).tolist()
-        else:
-            values = data.tolist() if array else data
-            # A number array's values are all of one Python type.
-            number = array and data.dtype.kind in "iufb"
-            kinds = set(map(type, values[:1] if number else values))
-            formatter = len(kinds) == 1 and _TEXT_FORMATTERS.get(kinds.pop())
-            texts = list(map(formatter or self._format_value, values))
-        if vector.valid is not None:  # NULL rows of an array
-            for index in np.flatnonzero(~vector.valid).tolist():
-                texts[index] = _NULL_TOKEN
-        return texts
+        if isinstance(data, np.ndarray) and data.dtype.kind in "iufbM":
+            texts = _format_distinct(data, self._format_value)
+            if vector.valid is not None:  # NULL rows of an array
+                for index in np.flatnonzero(~vector.valid).tolist():
+                    texts[index] = _NULL_TOKEN
+            return texts
+        values = vector.to_python_list()
+        # A STRING column none of whose values needs an escape is its text.
+        if set(map(type, values)) == {str}:
+            if _escape(joined := "".join(values)) == joined:
+                return values
+        return list(map(self._format_value, values))
 
     def _parse_value(self, text: str, data_type: DataType) -> Any:
         if text == _NULL_TOKEN:
@@ -147,11 +181,29 @@ class TextSerde:
             return out
         raise StorageError(f"text serde cannot parse type {data_type}")
 
-    def _parse_column(self, texts: tuple, data_type: DataType) -> list:
-        parser = _TEXT_PARSERS.get(type(data_type))
+    def _parse_column(self, texts: tuple, data_type: DataType) -> Vector:
+        """One field's texts as a vector of its type: a number field the
+        array numpy parses (as ``int`` / ``float`` do), a STRING one the
+        texts as split; a field with a NULL, or that numpy cannot parse
+        (an int beyond int64, no number), value by value."""
+        kind = type(data_type)
+        parser = _TEXT_PARSERS.get(kind)
         if parser is None or _NULL_TOKEN in texts:
-            return [self._parse_value(text, data_type) for text in texts]
-        return list(map(parser, texts))
+            values = [self._parse_value(text, data_type) for text in texts]
+        elif parser is _unescape:
+            if "\\" not in "".join(texts):
+                return Vector(list(texts))
+            values = list(map(_unescape, texts))
+        elif kind is DateType:
+            return Vector(datetime64_array(list(map(parser, texts)), date))
+        else:
+            if kind in _TEXT_NUMBERS:
+                try:
+                    return Vector(np.array(texts, _TEXT_NUMBERS[kind]))
+                except (ValueError, OverflowError):
+                    pass  # the parser raises its own error, or keeps an int
+            values = list(map(parser, texts))
+        return Vector.from_values(values)
 
     def encode(self, rows: list[tuple]) -> bytes:
         return self.encode_batch(ColumnBatch.from_rows(rows, len(self.schema)))
@@ -161,13 +213,13 @@ class TextSerde:
         if not batch.num_rows:
             return b""
         lines = map(
-            self.delimiter.join,
+            _DELIMITER.join,
             zip(*map(self._format_column, batch.vectors())),
         )
         return ("\n".join(lines) + "\n").encode("utf-8")
 
-    def decode_columns(self, payload: bytes) -> list[list]:
-        """The payload's rows as one list of values per schema field."""
+    def decode_batch(self, payload: bytes) -> ColumnBatch:
+        """The payload's rows as a batch of typed vectors (no row built)."""
         # A row is what its "\n" ends (the last may be unended), so one
         # row of one empty field is b"\n".  Split on the record delimiter
         # only; values may hold characters like \r that splitlines takes
@@ -175,7 +227,7 @@ class TextSerde:
         lines = payload.decode("utf-8").split("\n")
         if not lines[-1]:
             lines.pop()
-        rows = list(map(str.split, lines, repeat(self.delimiter)))
+        rows = list(map(str.split, lines, repeat(_DELIMITER)))
         width = len(self.schema)
         try:
             columns = transpose_rows(rows, width)
@@ -184,13 +236,11 @@ class TextSerde:
             raise StorageError(
                 f"text row has {bad} fields, schema has {width}"
             ) from None
-        return [
-            self._parse_column(texts, field_.data_type)
-            for texts, field_ in zip(columns, self.schema.fields)
-        ]
+        vectors = list(map(self._parse_column, columns, self.schema.types))
+        return ColumnBatch(vectors, len(rows))
 
     def decode(self, payload: bytes) -> list[tuple]:
-        return list(zip(*self.decode_columns(payload)))
+        return self.decode_batch(payload).materialize_rows()
 
 
 class BinarySerde:
@@ -282,10 +332,9 @@ class BinarySerde:
             rows.append(tuple(values))
         return rows
 
-    def decode_columns(self, payload: bytes) -> list[tuple]:
-        """The payload's rows as one sequence of values per schema field
-        (the format is row-major: decode, then transpose)."""
-        return transpose_rows(self.decode(payload), len(self.schema))
+    def decode_batch(self, payload: bytes) -> ColumnBatch:
+        """The payload's rows as a batch (decoded row-major, transposed)."""
+        return ColumnBatch.from_rows(self.decode(payload), len(self.schema))
 
 
 class SpillSerde:
@@ -407,8 +456,15 @@ def _longest(breaks: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _sorted_set(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending: a sort, which outruns
-    ``np.unique``'s hashing on the columns a task holds."""
+    """The distinct int64 values, ascending: marked in a table of their
+    range where it has no more slots than eight a value, else a sort,
+    which outruns ``np.unique``'s hashing on the columns a task holds."""
+    if len(values):
+        low, high = int(values.min()), int(values.max())
+        if high - low <= 8 * len(values):
+            seen = np.zeros(high - low + 1, dtype=bool)
+            seen[values - low] = True
+            return np.flatnonzero(seen) + low
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -472,6 +528,17 @@ class _Column:
 
     valid: Optional[np.ndarray] = None
     schemes: tuple = ("plain",)
+    _profile: Optional[np.ndarray] = None
+
+    def profile(self) -> np.ndarray:
+        """The valid rows' distinct keys, ascending: one sort, read by the
+        whole column's dictionary price, its dictionary and its
+        statistics."""
+        if self._profile is None:
+            keys = self._keys()
+            rows = slice(None) if self.valid is None else self.valid
+            self._profile = _sorted_set(keys[rows])
+        return self._profile
 
     def sizes(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         payload = reduce(np.minimum, self.prices(starts, counts).values())
@@ -494,20 +561,18 @@ class _Column:
             key=lambda name: int(prices[name][0]),
         )
 
-    def write(self, out: bytearray, schemes: Sequence[str] = SCHEMES) -> None:
+    def write(self, schemes: Sequence[str] = SCHEMES) -> bytes:
+        """The column's bytes under the cheapest of ``schemes``."""
         valid = self.valid
         if valid is not None and not valid.any():
             if "plain" not in schemes:
                 raise CompressionError("a column of NULLs is a tag alone")
-            out.append(_NULLS)
-            return
+            return bytes([_NULLS])
         tag, payload = self.encoded(self.choose(schemes))
         if valid is None or valid.all():
-            out.append(tag)
-        else:
-            out.append(tag | _NULLABLE)
-            out += np.packbits(valid).tobytes()
-        out += payload
+            return bytes([tag]) + payload
+        bitmap = np.packbits(valid).tobytes()
+        return bytes([tag | _NULLABLE]) + bitmap + payload
 
     def encoded(self, scheme: str) -> tuple[int, bytes]:
         """(tag, payload) under ``scheme``.  Runs and a dictionary are of
@@ -524,13 +589,12 @@ class _Column:
             _nest(_INT, np.diff(firsts, append=len(keys)), out)
             self._nest_keys(keys[firsts], out)
             return _RLE, out
-        # Entries: the valid rows' distinct keys, ascending; a NULL row
-        # takes code 0.
-        rows = slice(None) if self.valid is None else self.valid
-        entries, inverse = np.unique(keys[rows], return_inverse=True)
+        # Entries: the profile's keys; a NULL row takes code 0.
+        entries = self.profile()
         width = int(_code_width(len(entries)))
         codes = np.zeros(len(keys), dtype=f"<u{width}")
-        codes[rows] = inverse
+        rows = slice(None) if self.valid is None else self.valid
+        codes[rows] = np.searchsorted(entries, keys[rows])
         out.append(width)
         out += codes.tobytes()
         self._nest_keys(entries, out)
@@ -566,6 +630,8 @@ class _FixedColumn(_Column):
     def _keys(self) -> np.ndarray:
         """The filled values as int64, a float as its bits (so -0.0 is
         not 0.0)."""
+        if self.data is None:
+            return np.zeros(len(self), dtype=np.int64)
         filled = self._filled()
         if filled.dtype.kind in "fM":
             return filled.view(np.int64)
@@ -574,13 +640,17 @@ class _FixedColumn(_Column):
     def _plain(self) -> tuple[int, bytes]:
         return _plain(self.tag, self._filled())
 
+    def key_values(self, keys: np.ndarray) -> np.ndarray:
+        """The values whose keys ``keys`` are, of the column's dtype."""
+        if self.tag == _BOOL:
+            return keys.astype(bool)
+        if self.tag in (_FLOAT, _DATE, _TIMESTAMP):
+            return keys.view(self.data.dtype)
+        return keys
+
     def _nest_keys(self, keys: np.ndarray, out: bytearray) -> None:
         """Append the values of ``keys`` as a nested plain column."""
-        if self.tag == _FLOAT:
-            keys = keys.view(np.float64)
-        elif self.tag == _BOOL:
-            keys = keys.astype(bool)
-        _nest(self.tag, keys, out)
+        _nest(self.tag, self.key_values(keys), out)
 
     def _packed(self) -> tuple[int, bytes]:
         numbers, out = self._keys(), bytearray()
@@ -640,12 +710,11 @@ class _FixedColumn(_Column):
         size = 2 ** 64
         if "bitpack" in self.schemes:
             size = int(high.max()) - int(low.min()) + 1
-        if size * len(counts) < 2 ** 63:
+        if len(counts) == 1:
+            distinct = np.array([len(self.profile())])
+        elif size * len(counts) < 2 ** 63:
             pairs = _distinct(numbers - low.min(), size, counts, valid)
             distinct = np.bincount(pairs // size, minlength=len(counts))
-        elif len(counts) == 1:
-            present = numbers if valid is None else numbers[valid]
-            distinct = np.array([len(_sorted_set(present))])
         else:
             # ... else (a double's bits) its rank, where a bucket's valid
             # rows less the repeats of the whole column, as entries, still
@@ -686,14 +755,13 @@ class _StringColumn(_Column):
         self.lens = lens
 
     @classmethod
-    def of(cls, values: Sequence, has_null: bool, distinct=None):
-        """The column of ``values`` (their ``dict.fromkeys``, if made)."""
-        if distinct is None:
-            distinct = dict.fromkeys(values)
+    def of(cls, values: Sequence):
+        """The column of ``values`` (strings and NULLs)."""
+        distinct = dict.fromkeys(values)
         entries = [value for value in distinct if value is not None]
         id_of = dict(zip(entries, range(len(entries))))
         valid = None
-        if has_null:
+        if None in distinct:
             id_of[None] = 0
             valid = not_null(values)
         ids = np.fromiter(
@@ -713,6 +781,10 @@ class _StringColumn(_Column):
         valid = self.valid[codes] if self.valid is not None else None
         return _StringColumn(self.ids[codes], valid, self.entries, self.lens)
 
+    def key_values(self, keys: np.ndarray) -> list:
+        """The strings whose ids ``keys`` are."""
+        return list(map(self.entries.__getitem__, keys.tolist()))
+
     def _keys(self) -> np.ndarray:
         """The ids, -1 for a NULL (written as "")."""
         if self.valid is None:
@@ -721,7 +793,7 @@ class _StringColumn(_Column):
 
     def _write_texts(self, keys: np.ndarray, out: bytearray) -> None:
         """Append the strings of ``keys`` ("" for -1, a NULL)."""
-        texts = list(map(self.entries.__getitem__, keys.tolist()))
+        texts = self.key_values(keys)
         lens = self.lens[keys]
         if self.valid is not None:
             present = (keys >= 0).tolist()
@@ -754,19 +826,24 @@ class _StringColumn(_Column):
         if (rle + runs <= prices["plain"]).any():
             lengths = _int_widths(0, _longest(breaks, starts))
             prices["rle"] = rle + runs * lengths
-        if np.bincount(self.ids).max() < 2:
+        if len(counts) == 1:
+            entries = self.profile()
+            distinct = np.array([len(entries)])
+            entry_bytes = self.lens[entries].sum(keepdims=True)
+        elif np.bincount(self.ids).max() < 2:
             # No string repeats: an entry a row costs what plain does and
             # the codes besides.
             return prices
-        # The distinct strings of each bucket's valid rows, weighed for
-        # all buckets at once.
-        size = len(self.entries)
-        pairs = _distinct(self.ids, size, counts, self.valid)
-        owner = pairs // size
-        distinct = np.bincount(owner, minlength=len(counts))
-        entry_bytes = np.bincount(
-            owner, weights=self.lens[pairs % size], minlength=len(counts)
-        ).astype(np.int64)
+        else:
+            # The distinct strings of each bucket's valid rows, weighed
+            # for all buckets at once.
+            size = len(self.entries)
+            pairs = _distinct(self.ids, size, counts, self.valid)
+            owner = pairs // size
+            distinct = np.bincount(owner, minlength=len(counts))
+            entry_bytes = np.bincount(
+                owner, weights=self.lens[pairs % size], minlength=len(counts)
+            ).astype(np.int64)
         prices["dictionary"] = (
             2 + counts * _code_width(distinct) + 4 * distinct + entry_bytes
         )
@@ -784,6 +861,9 @@ class _ObjectColumn(_Column):
     def __len__(self) -> int:
         return len(self.values)
 
+    def profile(self) -> None:  # no keys: statistics go value by value
+        return None
+
     def gather(self, codes: np.ndarray):
         # The rows picked may be of one type though the entries are not.
         return _plan_values(
@@ -791,13 +871,11 @@ class _ObjectColumn(_Column):
         )
 
     def sizes(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        out = bytearray()
-        sizes = []
-        for start, count in zip(starts.tolist(), counts.tolist()):
-            del out[:]
-            _plan_values(self.values[start : start + count]).write(out)
-            sizes.append(len(out))
-        return np.array(sizes, dtype=np.int64)
+        buckets = zip(starts.tolist(), counts.tolist())
+        return np.array([
+            len(_plan_values(self.values[start : start + count]).write())
+            for start, count in buckets
+        ], dtype=np.int64)
 
     def encoded(self, scheme: str) -> tuple[int, bytes]:
         blob = pickle.dumps(self.values, protocol=4)
@@ -810,29 +888,32 @@ _NONE = type(None)
 def _plan_values(values: list):
     """The wire form of a column given as Python values."""
     kinds = set(map(type, values))
-    has_null = _NONE in kinds
     kinds.discard(_NONE)
     if not kinds:
         return _FixedColumn(_NULLS, None, np.zeros(len(values), dtype=bool))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
-        return _StringColumn.of(values, has_null)
+        return _StringColumn.of(values)
     if kind in (int, float, bool, date, datetime):
         # An array unless a value has no slot in one: an int beyond
         # int64, a datetime with a zone or a fold.
         vector = Vector.from_values(values)
         if vector.is_array:
-            return _plan(vector)
+            return plan_column(vector)
     return _ObjectColumn(values)
 
 
-def _plan(vector: Vector):
+def plan_column(vector: Vector, data_type: Optional[DataType] = None):
     """The wire form of a batch column.  It depends on the column's
     values alone: an int64 array, an int32 array and a list of the same
-    Python ints plan alike, and a coded vector plans as its values."""
+    Python ints plan alike, and a coded vector plans as its values.
+    Given ``data_type``, the vector is :meth:`Vector.typed`'s of it: a
+    STRING list is planned without another look at its values' types."""
     if isinstance(vector, CodedVector):
-        return _plan(vector.dictionary).gather(vector.codes)
+        return plan_column(vector.dictionary).gather(vector.codes)
     data = vector.data
+    if isinstance(data, list) and data and isinstance(data_type, StringType):
+        return _StringColumn.of(data)
     if isinstance(data, np.ndarray):
         kind = data.dtype.kind
         if kind == "i":
@@ -852,14 +933,12 @@ def _plan(vector: Vector):
 def write_column(vector: Vector, schemes: Sequence[str] = SCHEMES) -> bytes:
     """A loading task's column — a Vector of its declared type — as the
     cheapest of ``schemes``, planned as an exchange plans it."""
-    out = bytearray()
-    _plan(vector).write(out, schemes)
-    return bytes(out)
+    return plan_column(vector).write(schemes)
 
 
 def cheapest_scheme(vector: Vector) -> str:
     """The encoding :func:`write_column` picks, priced but not written."""
-    return _plan(vector).choose()
+    return plan_column(vector).choose()
 
 
 def scheme_of(payload: bytes) -> str:
@@ -1021,7 +1100,7 @@ class BatchSerde:
             return b""
         out = bytearray(_HEADER.pack(batch.num_rows, len(batch.entries)))
         for vector in batch.vectors():
-            _plan(vector).write(out)
+            out += plan_column(vector).write()
         return bytes(out)
 
     def encoded_size(
@@ -1050,7 +1129,7 @@ class BatchSerde:
         if len(counts):
             total = np.full(len(counts), _HEADER.size, dtype=np.int64)
             for vector in batch.vectors():
-                column = _plan(vector)
+                column = plan_column(vector)
                 column_sizes = column.sizes(starts, counts)
                 if isinstance(column, _ObjectColumn):
                     pickled += int(column_sizes.sum())

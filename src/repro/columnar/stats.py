@@ -18,6 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.columnar.batch import Vector
+from repro.columnar.serde import plan_column
 
 #: Keep exact distinct sets only up to this many values.
 DISTINCT_LIMIT = 64
@@ -25,7 +26,6 @@ DISTINCT_LIMIT = 64
 _COMPARABLE = (int, float, str, date, datetime)
 #: Of those, the ones whose values all bound a range (no NaN).
 _ORDERED = {int, str, date, datetime}
-_NONE = type(None)
 
 
 def _ranged(value: Any) -> bool:
@@ -48,50 +48,55 @@ class ColumnStats:
     @classmethod
     def from_values(cls, values) -> "ColumnStats":
         """Statistics of Python values, typed by their own types."""
-        return cls.of(Vector.from_values(values))
+        return cls.of(plan_column(Vector.from_values(values)))
 
     @classmethod
-    def of(cls, vector: Vector) -> "ColumnStats":
-        """Statistics of a stored column: numpy over an array's valid rows
-        (a stable sort: of 0.0 and -0.0 the first counts), else per value."""
-        data, valid = vector.data, vector.valid
-        if isinstance(data, np.ndarray) and data.dtype.kind in "iufbM":
-            present = data if valid is None else data[valid]
-            kind = data.dtype.kind
-            ordered = np.sort(present, kind="stable" if kind == "f" else None)
-            first = np.ones(len(ordered), dtype=bool)
-            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-            distinct = ordered[first]
-            # NaNs sort last, each unequal to the others: one is kept,
-            # and none is in the range (nor is a bool).  Past the limit,
-            # only passing it counts.
-            ranged = distinct[~np.isnan(distinct)] if kind == "f" else distinct
-            distinct = distinct[: len(ranged) + 1]
-            distinct = distinct[: DISTINCT_LIMIT + 1].tolist()
-            bounded = len(ranged) and kind != "b"
-            ranged = ranged[[0, -1]].tolist() if bounded else []
-        else:
-            kinds = set(map(type, data))
-            present = data
-            if _NONE in kinds:
-                kinds.discard(_NONE)
-                present = [value for value in data if value is not None]
+    def of(cls, column) -> "ColumnStats":
+        """Statistics of a column as the writer plans it (``plan_column``):
+        the distinct values are its profile's keys, which also price and
+        write its dictionary; of 0.0 and -0.0 the first in row order
+        stands for both.  Python values of no one type go value by value."""
+        entries = column.profile()
+        if entries is None:
+            present = [value for value in column.values if value is not None]
+            kinds = set(map(type, present))
             try:
                 distinct = list(dict.fromkeys(present))
             except TypeError:  # unhashable (complex types)
                 distinct = None
-            pool = present if distinct is None else distinct
+            ranged = present if distinct is None else distinct
             if len(kinds) != 1 or not kinds <= _ORDERED:
-                pool = list(filter(_ranged, pool))
-            ranged = pool
+                ranged = list(filter(_ranged, ranged))
+            nulls = len(column) - len(present)
+        else:
+            valid = column.valid
+            nulls = 0 if valid is None else len(valid) - int(valid.sum())
+            distinct = ranged = column.key_values(entries)
+            if isinstance(distinct, np.ndarray):  # (strings are a list)
+                kind = distinct.dtype.kind
+                if kind == "f":
+                    zeros = np.flatnonzero(distinct == 0)
+                    if len(zeros) == 2:  # -0.0's key, then 0.0's
+                        data = column.data
+                        data = data if valid is None else data[valid]
+                        first = np.signbit(data[data == 0][0])
+                        distinct = np.delete(distinct, zeros[int(first)])
+                    # A NaN is in no range; one of them is a distinct value.
+                    nan = np.isnan(distinct)
+                    ranged = distinct[~nan]
+                    distinct = np.concatenate([ranged, distinct[nan][:1]])
+                bounded = len(ranged) and kind != "b"
+                ends = [ranged.argmin(), ranged.argmax()] if bounded else []
+                ranged = ranged[ends].tolist()
+                distinct = distinct[: DISTINCT_LIMIT + 1].tolist()
         if distinct is not None and len(distinct) > DISTINCT_LIMIT:
             distinct = None
         return cls(
             min(ranged) if ranged else None,
             max(ranged) if ranged else None,
-            len(data) - len(present),
+            nulls,
             None if distinct is None else set(distinct),
-            len(data),
+            len(column),
         )
 
     # -- pruning predicates -------------------------------------------------

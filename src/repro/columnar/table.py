@@ -3,7 +3,7 @@
 A :class:`ColumnarPartition` is what one loading task produces from a split
 (a ColumnBatch): each column, typed once, as its bytes in the one column
 format (the tagged columns an exchange ships, :mod:`repro.columnar.serde`),
-statistics read off the same typed column, and a memo of the columns
+statistics read off the writer's profile of it, and a memo of the columns
 decoded so far.  From Spark's point of view it is a single record (one
 object), which is exactly the trick the paper describes in Section 7.1 —
 Shark gets columnar storage "without modifying the Spark runtime by simply
@@ -19,9 +19,9 @@ from repro.columnar.batch import ColumnBatch, Vector, transpose_rows
 from repro.columnar.serde import (
     HEADER_BYTES,
     SCHEMES,
+    plan_column,
     read_column,
     scheme_of,
-    write_column,
 )
 from repro.columnar.stats import ColumnStats, PartitionStats
 from repro.datatypes import Schema
@@ -62,16 +62,17 @@ class ColumnarPartition:
         cls, schema: Schema, batch: ColumnBatch, compress: bool = True
     ) -> "ColumnarPartition":
         """Encode one split: each column typed once by its declared type
-        (:meth:`ColumnBatch.typed`), written as the smallest of its
-        encodings (only the plain ones without ``compress``), and its
-        statistics read off the same vector."""
+        (:meth:`ColumnBatch.typed`) and planned once, written as the
+        smallest of its encodings (only the plain ones without
+        ``compress``), its statistics read off the plan's profile."""
         schemes = SCHEMES if compress else SCHEMES[:1]
         encoded: list[bytes] = []
         column_stats: dict[str, ColumnStats] = {}
         batch = batch.typed(schema)
         for field_, vector in zip(schema.fields, batch.vectors()):
-            encoded.append(write_column(vector, schemes))
-            column_stats[field_.name] = ColumnStats.of(vector)
+            column = plan_column(vector, field_.data_type)
+            encoded.append(column.write(schemes))
+            column_stats[field_.name] = ColumnStats.of(column)
         return cls(schema, encoded, PartitionStats(column_stats), len(batch))
 
     # ------------------------------------------------------------------

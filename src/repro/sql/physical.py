@@ -173,15 +173,13 @@ def values_batches(
 def external_batches(
     columns: RDD, indices: list[int], op: OperatorStamp
 ) -> RDD:
-    """An external table's scan (``HdfsRDD.as_columns()``: one record a
-    block, its decoded columns) as batches of the columns at ``indices``
-    — no tuple is built to be transposed back."""
+    """An external table's scan (an ``HdfsRDD``: one record a block, its
+    batch of typed columns) as batches of the columns at ``indices`` —
+    no tuple is built, and no column typed again."""
 
     def run(part: list) -> list:
         return [
-            ColumnBatch.from_columns(
-                [block[i] for i in indices], len(block[0])
-            )
+            ColumnBatch([block.entries[i] for i in indices], block.num_rows)
             for block in part
         ]
 

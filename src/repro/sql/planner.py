@@ -151,14 +151,10 @@ class PlannedQuery:
     report: ExecutionReport
     output_partitioner: Optional[Partitioner] = None
     distribute_column: Optional[str] = None
-    #: An external table's whole-row scan: its serde's rows.
-    rows: Optional[RDD] = None
 
     @cached_property
     def rdd(self) -> RDD:
         """The output as rows, for a row consumer (built on first use)."""
-        if self.rows is not None:
-            return self.rows
         return physical.rows_of(self.batches)
 
 
@@ -176,9 +172,6 @@ class _Pipeline:
     scan: Optional[logical.Scan] = None
     kept: Optional[list[int]] = None
     scan_op: Optional[OperatorStamp] = None
-    #: The source as an RDD of rows, where it has one (an external
-    #: table's whole-row scan): what a plan that is only this scan is.
-    rows: Optional[RDD] = None
     chain: list = field(default_factory=list)
     #: One stamp per link; None for a link no plan node stands behind.
     chain_ops: list[Optional[OperatorStamp]] = field(default_factory=list)
@@ -231,10 +224,7 @@ class PhysicalPlanner:
 
     def plan(self, node: logical.LogicalPlan) -> PlannedQuery:
         pipeline = self._lower(node)
-        planned = PlannedQuery(
-            self._close(pipeline), node.schema, self.report,
-            rows=None if pipeline.chain else pipeline.rows,
-        )
+        planned = PlannedQuery(self._close(pipeline), node.schema, self.report)
         if isinstance(node, logical.Repartition):
             planned.output_partitioner = self._repartition_partitioner()
             if len(node.expressions) == 1 and isinstance(
@@ -457,17 +447,14 @@ class PhysicalPlanner:
                 else (None, SOURCE_NONE)
             )
             op = self.report.mode(label, self._mode(), est, source)
-            rows = HdfsRDD(self.ctx, self.store, entry.path, entry.schema)
             pipeline = self._over(
                 physical.external_batches(
-                    rows.as_columns(),
+                    HdfsRDD(self.ctx, self.store, entry.path, entry.schema),
                     [entry.schema.index_of(c) for c in scan.schema.names],
                     op,
                 ),
                 op,
             )
-            if scan.projected_columns is None:
-                pipeline.rows = rows
         if condition is not None:
             self._append_filter(pipeline, condition)
         return pipeline

@@ -17,21 +17,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.hdfs import DistributedFileStore
 
 
-def serde_for(schema: Schema, format: str):
-    """Construct the serde matching a stored file's format tag."""
-    if format == "text":
-        return TextSerde(schema)
-    if format == "binary":
-        return BinarySerde(schema)
-    raise StorageError(f"unknown storage format {format!r}")
-
-
 class HdfsRDD(RDD):
     """Source RDD over a file in the distributed store.
 
-    Each partition reads and decodes one block; task metrics record a
-    disk source so the cost model charges disk read plus per-row
-    deserialization (the 200 MB/s/core bottleneck of Section 3.2).
+    Each partition reads one block and decodes it into one record, a
+    batch of typed columns; task metrics record a disk source so the cost
+    model charges disk read plus per-row deserialization (the 200
+    MB/s/core bottleneck of Section 3.2).
     """
 
     def __init__(
@@ -51,36 +43,22 @@ class HdfsRDD(RDD):
         self._store = store
         self._path = path
         self.schema = schema
-        self._serde = serde_for(schema, stored.format)
+        serde = {"text": TextSerde, "binary": BinarySerde}.get(stored.format)
+        if serde is None:
+            raise StorageError(f"unknown storage format {stored.format!r}")
+        self._serde = serde(schema)
         self._empty = stored.num_blocks == 0
-
-    def as_columns(self) -> "HdfsRDD":
-        """The same scan with one record per block — its columns, as
-        ``serde.decode_columns`` returns them — instead of its rows: what
-        ``physical.external_batches`` turns into batches."""
-        return _HdfsColumnsRDD(self.ctx, self._store, self._path, self.schema)
-
-    def _decode(self, payload: bytes) -> tuple[list, int]:
-        """(records, row count) of one block."""
-        rows = self._serde.decode(payload)
-        return rows, len(rows)
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
         if self._empty:
             # No block to read: what an empty block decodes to.
-            return self._decode(self._serde.encode([]))[0]
+            return [self._serde.decode_batch(self._serde.encode([]))]
         payload = self._store.read_block(self._path, split)
-        records, num_rows = self._decode(payload)
+        batch = self._serde.decode_batch(payload)
         task_ctx.metrics.source = SOURCE_DISK
         task_ctx.metrics.bytes_in += len(payload)
-        task_ctx.metrics.records_in += num_rows
-        return records
-
-
-class _HdfsColumnsRDD(HdfsRDD):
-    def _decode(self, payload: bytes) -> tuple[list, int]:
-        columns = self._serde.decode_columns(payload)
-        return [columns], len(columns[0])
+        task_ctx.metrics.records_in += batch.num_rows
+        return [batch]
 
 
 def lineage_reads(rdd: RDD) -> tuple[set[str], set[int]]:

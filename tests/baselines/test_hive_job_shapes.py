@@ -11,7 +11,7 @@ import pytest
 from repro import SharkContext
 from repro.baselines import HiveExecutor
 from repro.columnar.serde import TextSerde
-from repro.datatypes import DOUBLE, INT, STRING, Schema
+from repro.datatypes import DOUBLE, INT, STRING, ArrayType, MapType, Schema
 from repro.errors import UnsupportedFeatureError
 from repro.sql import physical
 
@@ -42,6 +42,14 @@ def systems():
     shark.load_rows("blank", [("",), ("",)])
     shark.create_table("texts", Schema.of(("s", STRING)), cached=True)
     shark.load_rows("texts", [("one\ntwo",), ("x\x01y",), ("\\N",)])
+    shark.create_table(
+        "nested",
+        Schema.of(
+            ("k", INT), ("a", ArrayType(STRING)), ("m", MapType(STRING, STRING))
+        ),
+        cached=True,
+    )
+    shark.load_rows("nested", [(1, ["a,b", "c"], {"x:y": "1"}), (2, ["d"], {})])
     hive = HiveExecutor(shark.session)
     return shark, hive
 
@@ -218,15 +226,40 @@ class TestFusedChainsAndJobInputs:
         assert run.rows == shark.sql(query).rows == [("", 1)]
 
     @pytest.mark.parametrize("value", ["one\ntwo", "x\x01y", "\\N"])
-    def test_rows_text_cannot_carry_are_an_error(self, systems, value):
-        """A string holding a newline, the field delimiter or the NULL
-        token would read back as other rows: the query fails instead."""
+    def test_rows_with_escaped_strings_are_carried(self, systems, value):
+        """A string holding a newline or the field delimiter, or equal to
+        the NULL token, is escaped in the text intermediate and reads back
+        as written (unescaped, it read back as other rows and the query
+        failed)."""
         shark, hive = systems
         query = (
             "SELECT x.s, COUNT(*) FROM (SELECT DISTINCT s FROM texts "
             f"WHERE s = '{value}') x GROUP BY x.s"
         )
         assert shark.sql(query).rows == [(value, 1)]
+        run = _run(hive, query)
+        assert run.jobs[0].materialized_output
+        assert run.rows == [(value, 1)]
+        assert not [
+            path for path in hive.store.list_files()
+            if not path.startswith("/warehouse/")
+        ]
+
+    @pytest.mark.parametrize("column", ["a", "m"])
+    def test_rows_text_cannot_carry_are_an_error(self, systems, column):
+        """An ARRAY element holding ``,`` or a MAP key holding ``:`` is not
+        escaped (only STRING fields are) and would read back as other
+        values: the query fails instead, and leaves no file behind."""
+        shark, hive = systems
+        query = (
+            f"SELECT x.k, x.{column} FROM (SELECT k, {column} FROM nested "
+            "DISTRIBUTE BY k) x ORDER BY x.k"
+        )
+        expected = {
+            "a": [(1, ["a,b", "c"]), (2, ["d"])],
+            "m": [(1, {"x:y": "1"}), (2, {})],
+        }
+        assert shark.sql(query).rows == expected[column]
         with pytest.raises(UnsupportedFeatureError, match="cannot hold"):
             hive.execute(query)
         assert not [

@@ -19,11 +19,12 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import SharkContext
 from repro.columnar.batch import CodedVector, ColumnBatch
 from repro.columnar.compression import choose_scheme
+from repro.columnar.serde import write_column
 from repro.columnar.stats import DISTINCT_LIMIT, ColumnStats
 from repro.columnar.table import ColumnarPartition
 from repro.datatypes import (
@@ -39,7 +40,7 @@ from repro.datatypes import (
     Schema,
     StructType,
 )
-from repro.errors import AnalysisError, TypeMismatchError
+from repro.errors import AnalysisError, CompressionError, TypeMismatchError
 from repro.workloads import pavlo, tpch
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,19 @@ def assert_parity(values, data_type):
     assert [repr(row[0]) for row in partition.to_rows()] == list(
         map(repr, decoded)
     )
+    # ... and its pick is the first of equals among the encodings forced
+    # one at a time on the typed vector.
+    schema = Schema.of(("c", data_type))
+    rows = [(value,) for value in values]
+    vector = ColumnBatch.from_rows(rows, 1).typed(schema).vector(0)
+    forced = {}
+    for name in _ORDER:
+        try:
+            forced[name] = len(write_column(vector, (name,)))
+        except CompressionError:  # not an encoding of this column
+            pass
+    first = min(forced, key=lambda name: (forced[name], _ORDER.index(name)))
+    assert (first, forced[first]) == (expected_scheme, expected_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +341,8 @@ _PARITY = settings(max_examples=150, deadline=None)
 
 class TestDrawnColumns:
     @given(columns(nullable(_INT32)))
+    @example(list(range(DISTINCT_LIMIT)))
+    @example(list(range(DISTINCT_LIMIT + 1)) + [None])
     @_PARITY
     def test_int(self, values):
         assert_parity(values, INT)
@@ -346,6 +362,11 @@ class TestDrawnColumns:
                     _load(values, data_type)
 
     @given(columns(nullable(_FLOATS)))
+    @example([0.0, -0.0, 0.0, 1.5])
+    @example([-0.0, None, 0.0, float("nan"), -0.0])
+    # 64 distinct values in 65 keys (-0.0 and 0.0), then 65 with a NaN.
+    @example([float(n) for n in range(1, DISTINCT_LIMIT)] + [-0.0, 0.0])
+    @example([float(n) for n in range(DISTINCT_LIMIT)] + [-0.0, float("nan")])
     @_PARITY
     def test_double(self, values):
         assert_parity(values, DOUBLE)
@@ -359,6 +380,7 @@ class TestDrawnColumns:
         assert list(map(repr, decoded)) == [repr(float(v)) for v in values]
 
     @given(columns(nullable(st.text(max_size=6))))
+    @example([str(n) for n in range(DISTINCT_LIMIT + 1)])
     @_PARITY
     def test_string(self, values):
         assert_parity(values, STRING)

@@ -86,6 +86,10 @@ _WIDE_ROWS = [
     (2**40, -(2**63), 2.5, "", False, date(1999, 12, 31),
      datetime(1999, 1, 1)),
     (3, 5, 0.0, "b", None, date(2000, 1, 1), None),
+    # Strings an external table's text holds only escaped.
+    (4, 6, 1.0, "a\nb", True, None, None),
+    (5, 7, 2.0, "\\N", False, None, None),
+    (6, 8, 3.0, "x\x01y\\n", None, None, None),
 ]
 
 
@@ -127,6 +131,36 @@ def test_insert_and_ctas_of_a_wide_int():
         # Cached == external, value for value (1 is not 1.0, nor 0.0 -0.0).
         assert sorted(map(repr, got)) == sorted(map(repr, rows)), name
         assert_rows_match(_iso(got), want, context=name)
+
+
+# An external table's text writes a STRING's backslash, newline and field
+# delimiter escaped (Hive's ESCAPED BY '\\'); unescaped, each of these
+# read back as other rows.
+def test_a_newline_in_an_external_string_is_not_a_row():
+    shark = SharkContext(num_workers=2)
+    shark.create_table("e", Schema.of(("s", STRING)), cached=False)
+    shark.load_rows("e", [("a\nb",)], num_partitions=1)
+    assert shark.sql("SELECT s FROM e").rows == [("a\nb",)]
+    assert shark.sql("SELECT COUNT(*) FROM e").rows == [(1,)]
+
+
+def test_ctas_into_an_external_table_keeps_the_null_tokens_text():
+    shark = SharkContext(num_workers=2)
+    shark.create_table("c", Schema.of(("s", STRING)), cached=True)
+    shark.load_rows("c", [("a\nb",), ("\\N",), (None,)], num_partitions=1)
+    shark.sql("CREATE TABLE e AS SELECT * FROM c")
+    assert not shark.session.catalog.get("e").is_cached
+    assert shark.sql("SELECT s FROM e").rows == [("a\nb",), ("\\N",), (None,)]
+
+
+def test_a_delimiter_in_an_external_string_leaves_later_scans_whole():
+    shark = SharkContext(num_workers=2)
+    shark.create_table("e", Schema.of(("s", STRING), ("n", INT)), cached=False)
+    shark.load_rows("e", [("x\x01y", 1), ("\\", 2)], num_partitions=1)
+    shark.load_rows("e", [("z", 3)], num_partitions=1)
+    assert shark.sql("SELECT s, n FROM e").rows == [
+        ("x\x01y", 1), ("\\", 2), ("z", 3)
+    ]
 
 
 #: Per declared type: a value it stores, and values it does not take.

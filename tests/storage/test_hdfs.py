@@ -5,6 +5,7 @@ import pytest
 from repro.columnar.serde import TextSerde
 from repro.datatypes import INT, STRING, Schema
 from repro.errors import FileNotFoundInStoreError, StorageError
+from repro.sql.physical import rows_of
 from repro.storage import DistributedFileStore, HdfsRDD
 
 
@@ -81,10 +82,12 @@ class TestHdfsRDD:
         return store
 
     def test_scan_rows(self, ctx):
+        """A block is one record: its rows as a batch of typed columns."""
         store = self._store_with_table()
         rdd = HdfsRDD(ctx, store, "/t", self.schema)
         assert rdd.num_partitions == 2
-        assert rdd.collect() == [(1, "a"), (2, "b"), (3, "c")]
+        assert [batch.num_rows for batch in rdd.collect()] == [2, 1]
+        assert rows_of(rdd).collect() == [(1, "a"), (2, "b"), (3, "c")]
 
     def test_metrics_mark_disk_source(self, ctx):
         store = self._store_with_table()
@@ -98,7 +101,7 @@ class TestHdfsRDD:
         store = DistributedFileStore()
         store.write_file("/empty", [], format="text")
         rdd = HdfsRDD(ctx, store, "/empty", self.schema)
-        assert rdd.collect() == []
+        assert rows_of(rdd).collect() == []
 
     def test_unknown_format_rejected(self, ctx):
         store = DistributedFileStore()

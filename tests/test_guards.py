@@ -171,6 +171,18 @@ GUARDS = {
             ("src/repro",),
         ),
     ],
+    # An external scan decodes each block once, straight into typed
+    # vectors: no list-of-values decode beside it, and the scan's batches
+    # select the decoded columns without typing them again.
+    "one-text-decode": [
+        Rule(r"decode_columns", ("src/repro",)),
+        Rule(
+            r"(?s)^def external_batches\b(?:(?!^def ).)*?"
+            r"(?:from_columns|from_values)",
+            ("src/repro/sql/physical.py",),
+            multiline=True,
+        ),
+    ],
     # One write path into tables: every write hands the session's writer
     # batches — INSERT ... SELECT collects no rows (only
     # SELECT and EXPLAIN ANALYZE do), a delta merges from its blocks'
