@@ -137,6 +137,21 @@ class MemoryAccountant:
         #: Bytes silently dropped by over-releases (double-release bugs);
         #: the ledger-zero invariant tests assert this stays zero.
         self.clamped_release_bytes = 0
+        if tracer is not None:
+            metrics = tracer.metrics
+            metrics.register_gauge(
+                "memory.storage.used", lambda: self._sum("used", STORAGE)
+            )
+            metrics.register_gauge(
+                "memory.execution.used", lambda: self._sum("used", EXECUTION)
+            )
+            metrics.register_gauge(
+                "memory.storage.peak", lambda: self._sum("peak", STORAGE)
+            )
+            metrics.register_gauge(
+                "memory.execution.peak", lambda: self._sum("peak", EXECUTION)
+            )
+            metrics.register_gauge("memory.headroom", self._headroom)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -215,7 +230,6 @@ class MemoryAccountant:
         self.total_reserved_bytes += nbytes
         if self.tracer is not None:
             self.tracer.metrics.inc("memory.reserved.bytes", nbytes)
-            self._update_gauges()
         return nbytes
 
     def release(
@@ -254,7 +268,6 @@ class MemoryAccountant:
         self.total_released_bytes += nbytes
         if self.tracer is not None:
             self.tracer.metrics.inc("memory.released.bytes", nbytes)
-            self._update_gauges()
         return nbytes
 
     def resize(
@@ -299,27 +312,15 @@ class MemoryAccountant:
                 )
         return released
 
-    def _update_gauges(self) -> None:
-        """Mirror the ledger into the always-on ``memory.*`` gauges
-        (live usage must be gauges: counters are monotonic)."""
-        metrics = self.tracer.metrics
-        storage_used = execution_used = 0
-        storage_peak = execution_peak = 0
-        headroom: Optional[int] = None
-        for ledger in self.ledgers.values():
-            storage_used += ledger.used[STORAGE]
-            execution_used += ledger.used[EXECUTION]
-            storage_peak += ledger.peak[STORAGE]
-            execution_peak += ledger.peak[EXECUTION]
-            room = ledger.headroom()
-            if room is not None:
-                headroom = room if headroom is None else min(headroom, room)
-        metrics.set_gauge("memory.storage.used", storage_used)
-        metrics.set_gauge("memory.execution.used", execution_used)
-        metrics.set_gauge("memory.storage.peak", storage_peak)
-        metrics.set_gauge("memory.execution.peak", execution_peak)
-        if headroom is not None:
-            metrics.set_gauge("memory.headroom", headroom)
+    def _sum(self, field_name: str, pool: str) -> int:
+        """A pool's ``used`` or ``peak`` bytes summed across workers."""
+        ledgers = self.ledgers.values()
+        return sum(getattr(ledger, field_name)[pool] for ledger in ledgers)
+
+    def _headroom(self) -> Optional[int]:
+        """The tightest worker's remaining budget (None when uncapped)."""
+        rooms = (ledger.headroom() for ledger in self.ledgers.values())
+        return min((room for room in rooms if room is not None), default=None)
 
     # ------------------------------------------------------------------
     # Pressure

@@ -413,8 +413,6 @@ class ShuffleManager:
         counters.inc("shuffle.write.bytes", total_bytes)
         counters.inc("shuffle.write.records", rows)
         counters.inc("exchange.batches")
-        counters.inc("exchange.rows", rows)
-        counters.inc("exchange.encoded_bytes", total_bytes)
         counters.inc("exchange.pickled_bytes", pickled_bytes)
         self._tracer.instant(
             "shuffle.write",

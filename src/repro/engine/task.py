@@ -6,6 +6,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster.worker import approximate_size_bytes
 from repro.costmodel.models import SOURCE_MEMORY
+from repro.obs.metrics import cache_ratios
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster import VirtualCluster, Worker
@@ -57,6 +58,15 @@ class CacheTracker:
         #: rdd_id -> [hits, misses] (per-table ratio gauges).
         self._rdd_stats: dict[int, list[int]] = {}
         cluster.on_worker_killed(self._handle_worker_killed)
+        metrics = self._tracer.metrics
+        metrics.register_gauge(
+            "cache.hit_ratio",
+            lambda: cache_ratios(metrics.value).get("cache.hit_ratio"),
+        )
+        metrics.register_gauge(
+            "blocks.eviction_ratio",
+            lambda: cache_ratios(metrics.value).get("blocks.eviction_ratio"),
+        )
 
     def get(self, rdd_id: int, partition: int) -> tuple[int, Any] | None:
         """Return (worker_id, value) for a cached partition, or None."""
@@ -84,29 +94,17 @@ class CacheTracker:
         return worker_id, worker.blocks.get(block_id)
 
     def _note_access(self, rdd_id: int, hit: bool) -> None:
-        """Maintain the derived cache-ratio gauges: one overall pair
-        from the ``cache.*``/``blocks.*`` counters, plus a per-RDD
-        hit-ratio gauge so eviction pressure on one table is readable
-        straight from ``.metrics``."""
-        stats = self._rdd_stats.setdefault(rdd_id, [0, 0])
+        """Count one lookup of ``rdd_id``; its first lookup registers
+        the RDD's hit-ratio gauge, so eviction pressure on one table is
+        readable straight from ``.metrics``."""
+        stats = self._rdd_stats.get(rdd_id)
+        if stats is None:
+            stats = self._rdd_stats[rdd_id] = [0, 0]
+            self._tracer.metrics.register_gauge(  # dynamic: per table
+                f"cache.rdd_{rdd_id}.hit_ratio",
+                lambda: stats[0] / (stats[0] + stats[1]),
+            )
         stats[0 if hit else 1] += 1
-        metrics = self._tracer.metrics
-        hits = metrics.value("cache.hits")
-        misses = metrics.value("cache.misses")
-        if hits + misses:
-            metrics.set_gauge(
-                "cache.hit_ratio", hits / (hits + misses)
-            )
-        puts = metrics.value("blocks.put")
-        if puts:
-            metrics.set_gauge(
-                "blocks.eviction_ratio",
-                metrics.value("blocks.evicted") / puts,
-            )
-        total = stats[0] + stats[1]
-        metrics.set_gauge(  # dynamic name: per-table breakdown
-            f"cache.rdd_{rdd_id}.hit_ratio", stats[0] / total
-        )
 
     def location(self, rdd_id: int, partition: int) -> int | None:
         return self._locations.get((rdd_id, partition))
@@ -124,7 +122,8 @@ class CacheTracker:
         self._locations[(rdd_id, partition)] = worker_id
 
     def unpersist(self, rdd_id: int, partitions=None) -> None:
-        """Drop an RDD's cached partitions (only ``partitions``, if given)."""
+        """Drop an RDD's cached partitions (only ``partitions``, if
+        given); dropping all of them forgets its hit-ratio gauge too."""
         stale = [
             key for key in self._locations
             if key[0] == rdd_id and (partitions is None or key[1] in partitions)
@@ -133,6 +132,8 @@ class CacheTracker:
             worker_id = self._locations.pop(key)
             worker = self._cluster.worker(worker_id)
             worker.blocks.remove(_rdd_block_id(key[0], key[1]))
+        if partitions is None and self._rdd_stats.pop(rdd_id, None):
+            self._tracer.metrics.drop_gauge(f"cache.rdd_{rdd_id}.hit_ratio")
 
     def cached_partitions(self, rdd_id: int) -> dict[int, int]:
         """partition -> worker_id for every cached partition of an RDD."""

@@ -250,6 +250,10 @@ class EventLogWriter:
         self.path = str(path)
         self.metrics = metrics
         self.queries_logged = 0
+        if metrics is not None:
+            metrics.register_gauge(
+                "eventlog.queries", lambda: self.queries_logged
+            )
         self._seq = 0
         self._closed = False
         if self.path.endswith(".gz"):
@@ -367,8 +371,6 @@ class EventLogWriter:
             for row in getattr(record, attribute):
                 emit(kind, {"ts": record.ended, **_jsonable(row)})
         emit("query_end", scalars("query_end"))
-        if self.metrics is not None:
-            self.metrics.set_gauge("eventlog.queries", self.queries_logged)
         return query_id
 
 

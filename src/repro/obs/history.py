@@ -35,6 +35,7 @@ from repro.obs.events import (
     profile_from_record,
     read_event_log,
 )
+from repro.obs.metrics import cache_ratios
 from repro.obs.planquality import (
     DEFAULT_Q_ERROR_THRESHOLD,
     audit,
@@ -262,15 +263,7 @@ class HistoryStore:
                     ("cache.", "blocks.", "memory.", "sqlcache.")
                 ):
                     totals[name] = totals.get(name, 0.0) + value
-        hits = totals.get("cache.hits", 0.0)
-        misses = totals.get("cache.misses", 0.0)
-        if hits + misses:
-            totals["cache.hit_ratio"] = hits / (hits + misses)
-        puts = totals.get("blocks.put", 0.0)
-        if puts:
-            totals["blocks.eviction_ratio"] = (
-                totals.get("blocks.evicted", 0.0) / puts
-            )
+        totals.update(cache_ratios(lambda name: totals.get(name, 0.0)))
         return dict(sorted(totals.items()))
 
     # ------------------------------------------------------------------

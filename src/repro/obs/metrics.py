@@ -6,6 +6,9 @@ the registry is always on: increments are plain dict operations, cheap
 enough for the hot path, and the shell's ``.metrics`` dot-command must
 show engine activity without the user having opted into tracing.
 
+A gauge is never written: its owner registers, once, a function that
+reads the owner's state, called only when someone asks.
+
 Naming convention: dotted lowercase paths grouped by subsystem, e.g.
 ``tasks.launched``, ``shuffle.write.bytes``, ``blocks.evicted``,
 ``pde.join_decisions``, ``workers.killed``.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass
@@ -30,15 +34,17 @@ class Counter:
         self.value += amount
 
 
-@dataclass
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+def cache_ratios(total: Callable[[str], float]) -> dict[str, float]:
+    """``cache.hit_ratio`` and ``blocks.eviction_ratio`` over counter
+    totals (``total(name)``), each left out while its denominator is 0."""
+    ratios = {}
+    hits, misses = total("cache.hits"), total("cache.misses")
+    if hits + misses:
+        ratios["cache.hit_ratio"] = hits / (hits + misses)
+    puts = total("blocks.put")
+    if puts:
+        ratios["blocks.eviction_ratio"] = total("blocks.evicted") / puts
+    return ratios
 
 
 #: Raw samples kept per histogram for exact percentiles; beyond this the
@@ -147,7 +153,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
+        #: name -> its owner's reader (None: nothing to report).
+        self._gauges: dict[str, Callable] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -157,12 +164,6 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(self, name: str) -> Histogram:
@@ -177,19 +178,29 @@ class MetricsRegistry:
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+    def register_gauge(self, name: str, read: Callable) -> None:
+        """Make ``name`` a gauge that ``read()`` answers."""
+        self._gauges[name] = read
+
+    def drop_gauge(self, name: str) -> None:
+        """Forget a gauge whose owner is gone."""
+        self._gauges.pop(name, None)
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
     def value(self, name: str, default: float = 0.0) -> float:
-        """Current value of a counter or gauge (0 when never emitted)."""
+        """Current value of a counter or gauge (``default`` when never
+        emitted, or when the gauge's owner has nothing to report)."""
         if name in self._counters:
             return self._counters[name].value
-        if name in self._gauges:
-            return self._gauges[name].value
-        return default
+        value = self._gauges.get(name, lambda: None)()
+        return default if value is None else value
+
+    def _read_gauges(self) -> dict[str, float]:
+        """name -> value of every gauge whose owner reports one."""
+        values = ((name, read()) for name, read in sorted(self._gauges.items()))
+        return {name: value for name, value in values if value is not None}
 
     # ------------------------------------------------------------------
     # Export
@@ -201,10 +212,7 @@ class MetricsRegistry:
                 name: metric.value
                 for name, metric in sorted(self._counters.items())
             },
-            "gauges": {
-                name: metric.value
-                for name, metric in sorted(self._gauges.items())
-            },
+            "gauges": self._read_gauges(),
             "histograms": {
                 name: metric.summary()
                 for name, metric in sorted(self._histograms.items())
@@ -216,8 +224,8 @@ class MetricsRegistry:
         lines: list[str] = []
         for name, metric in sorted(self._counters.items()):
             lines.append(f"{name} = {_number(metric.value)}")
-        for name, metric in sorted(self._gauges.items()):
-            lines.append(f"{name} = {_number(metric.value)} (gauge)")
+        for name, value in self._read_gauges().items():
+            lines.append(f"{name} = {_number(value)} (gauge)")
         for name, metric in sorted(self._histograms.items()):
             if metric.count:
                 lines.append(
@@ -232,8 +240,9 @@ class MetricsRegistry:
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
     def reset(self) -> None:
+        """Clear counters and histograms; gauges keep their readers,
+        whose owners outlive the reset."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
     def __len__(self) -> int:

@@ -2,11 +2,14 @@
 
 One declaration per name, grouped by subsystem.  Call sites must use a
 name declared here — ``tests/obs/check_metric_names.py`` scans
-``src/repro`` for ``metrics.inc/observe/set_gauge`` and
+``src/repro`` for ``metrics.inc/observe/register_gauge`` and
 ``tracer.instant`` literals and fails on any drift in either direction
 (an emitted name missing here, or a declared name nothing emits).  This
 is what keeps ``task.retry`` from growing a ``tasks.retried`` twin in
 another module: new telemetry starts by adding one line to this file.
+
+Each value has one home: no counter repeats another's value, and a
+gauge is registered once, by its owner, with a function that reads it.
 
 The registry is also the event-log contract: the history store and the
 perf-regression sentinel key their summaries by these names, so renames
@@ -39,12 +42,10 @@ COUNTERS = frozenset(
         "shuffle.write.records",
         "shuffle.released",
         "shuffle.released.blocks",
-        # the exchange: keyed batches written, their rows, their encoded
-        # bytes, and the part of those that is pickled object columns
-        # (DESIGN.md §17)
+        # the exchange: keyed batches written and the part of their
+        # encoded bytes that is pickled object columns (their rows and
+        # bytes are shuffle.write.*; DESIGN.md §17)
         "exchange.batches",
-        "exchange.rows",
-        "exchange.encoded_bytes",
         "exchange.pickled_bytes",
         # block store / cache
         "blocks.put",
@@ -137,13 +138,13 @@ COUNTERS = frozenset(
     }
 )
 
-#: Point-in-time gauges (``metrics.set_gauge``).
+#: Point-in-time gauges, read from their owner (``metrics.register_gauge``).
 GAUGES = frozenset(
     {
         "eventlog.queries",
         # unified memory accounting: live pool occupancy and peaks,
         # summed across workers; headroom is the tightest worker's
-        # remaining budget (only set when a capacity is configured).
+        # remaining budget (only reported when a capacity is configured).
         "memory.storage.used",
         "memory.execution.used",
         "memory.storage.peak",

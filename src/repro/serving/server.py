@@ -174,6 +174,10 @@ class SqlServer:
         self.brownouts = 0
         #: Completions served straight from the SQL result cache.
         self.cache_hits = 0
+        metrics = self._ctx.tracer.metrics
+        metrics.register_gauge("server.tenants", lambda: len(self.tenants))
+        metrics.register_gauge("server.queue_depth", self._pending_total)
+        metrics.register_gauge("server.brownout", lambda: int(self.brownout))
 
     # ------------------------------------------------------------------
     # Tenants
@@ -196,8 +200,6 @@ class SqlServer:
         )
         self.tenants[name] = tenant
         self._pending[name] = []
-        metrics = self._ctx.tracer.metrics
-        metrics.set_gauge("server.tenants", len(self.tenants))
         self._ctx.tracer.instant(
             "tenant.registered", "serving",
             tenant=name, priority=priority, weight=tenant.weight,
@@ -263,7 +265,6 @@ class SqlServer:
         pending.append(ticket)
         tenant.admitted += 1
         metrics.inc("server.enqueued")
-        metrics.set_gauge("server.queue_depth", self._pending_total())
         return ticket
 
     def _quota_rejection(
@@ -333,7 +334,6 @@ class SqlServer:
             self.brownout = True
             self.brownouts += 1
             metrics.inc("server.brownouts")
-            metrics.set_gauge("server.brownout", 1)
             self._ctx.tracer.instant(
                 "server.brownout.enter", "serving", queue_depth=depth
             )
@@ -351,7 +351,6 @@ class SqlServer:
                     depth -= 1
         if depth <= self.config.brownout_exit_depth:
             self.brownout = False
-            metrics.set_gauge("server.brownout", 0)
             self._ctx.tracer.instant(
                 "server.brownout.exit", "serving", queue_depth=depth
             )
@@ -416,7 +415,6 @@ class SqlServer:
             wait = now - ticket.enqueued_at
             metrics.observe("server.queue_wait", wait)
             metrics.observe(f"server.queue_wait.{ticket.priority}", wait)
-            metrics.set_gauge("server.queue_depth", self._pending_total())
 
     def _query_fn(self, text: str):
         return lambda: self.shark.session.execute(text)
@@ -436,7 +434,6 @@ class SqlServer:
         tenant.shed += 1
         self.shed += 1
         metrics.inc("server.shed")
-        metrics.set_gauge("server.queue_depth", self._pending_total())
         self._ctx.tracer.instant(
             "query.shed", "serving",
             query=ticket.name, tenant=ticket.tenant,

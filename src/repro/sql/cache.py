@@ -341,6 +341,11 @@ class SqlCache:
         self.invalidations = 0
         self.evictions = 0
         catalog.add_listener(self._on_table_change)
+        metrics = ctx.tracer.metrics
+        metrics.register_gauge("sqlcache.bytes", lambda: self._result_bytes)
+        metrics.register_gauge(
+            "sqlcache.entries", lambda: len(self._plans) + len(self._results)
+        )
 
     # ------------------------------------------------------------------
     # Text memo
@@ -413,7 +418,6 @@ class SqlCache:
         self._plans.move_to_end(key)
         while len(self._plans) > MAX_PLAN_ENTRIES:
             self._plans.popitem(last=False)
-        self._update_gauges()
 
     # ------------------------------------------------------------------
     # Result cache
@@ -462,7 +466,6 @@ class SqlCache:
         ):
             stale_key, stale = self._results.popitem(last=False)
             self._drop_result(stale)
-        self._update_gauges()
 
     def _drop_result(self, entry: _ResultEntry, evicted: bool = True) -> None:
         metrics = self._ctx.tracer.metrics
@@ -502,18 +505,10 @@ class SqlCache:
         if dropped:
             self.invalidations += dropped
             metrics.inc("sqlcache.invalidations", dropped)
-        self._update_gauges()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _update_gauges(self) -> None:
-        metrics = self._ctx.tracer.metrics
-        metrics.set_gauge("sqlcache.bytes", self._result_bytes)
-        metrics.set_gauge(
-            "sqlcache.entries", len(self._plans) + len(self._results)
-        )
-
     @property
     def bytes_cached(self) -> int:
         return self._result_bytes

@@ -947,6 +947,7 @@ class BatchPipelineRDD(RDD):
         total_records = 0
         total_bytes = 0
         num_batches = 0
+        fed = 0  # batches through the chain: each link runs once a batch
         chain_keys = self._op_keys.get("chain") or (None,) * len(self._chain)
         chain_rows_out = [0] * len(self._chain)
         #: Whether a link ever saw a row: a join over nothing ran no
@@ -961,22 +962,25 @@ class BatchPipelineRDD(RDD):
             elif not batch.num_rows:
                 continue  # of any width: no link could read a column of it
             total_records += batch.num_rows
-            for index, (kind, link) in enumerate(self._chain):
+            fed += 1
+            for index, (__, link) in enumerate(self._chain):
                 chain_ran[index] |= batch.num_rows > 0
                 batch = link(batch)
-                # (Spelled out: the metric-name registry reads literals.)
-                if kind == "filter":
-                    counters.inc("batch.kernel.filter")
-                elif kind == "join":
-                    counters.inc("batch.kernel.join")
-                else:
-                    counters.inc("batch.kernel.project")
                 chain_rows_out[index] += batch.num_rows
             if aggregator is not None:
                 aggregator.consume(batch)
-                counters.inc("batch.kernel.aggregate")
             else:
                 out.append(batch)
+        for kind, __ in self._chain if fed else ():
+            # (Spelled out: the metric-name registry reads literals.)
+            if kind == "filter":
+                counters.inc("batch.kernel.filter", fed)
+            elif kind == "join":
+                counters.inc("batch.kernel.join", fed)
+            else:
+                counters.inc("batch.kernel.project", fed)
+        if fed and aggregator is not None:
+            counters.inc("batch.kernel.aggregate", fed)
         # The kernels count their dictionary-domain evaluations; one task
         # runs at a time, so the difference is this task's.
         kernels, values, covered = (

@@ -111,6 +111,11 @@ class SqlSession:
         self._current_text: Optional[str] = None
         #: Query caching stack (repro.sql.cache); None until enabled.
         self.sql_cache = None
+        #: Worst q-error of the last misestimated query.
+        self._q_error_max: Optional[float] = None
+        ctx.tracer.metrics.register_gauge(
+            "plan.q_error_max", lambda: self._q_error_max
+        )
 
     def enable_sql_cache(self, config=None):
         """Turn on the plan/result caching stack for this session
@@ -323,9 +328,7 @@ class SqlSession:
                 )
                 if flagged:
                     metrics.inc("plan.misestimates", len(flagged))
-                    metrics.set_gauge(
-                        "plan.q_error_max", flagged[0]["q_error"]
-                    )
+                    self._q_error_max = flagged[0]["q_error"]
             if record.skew_records:
                 metrics.inc("skew.shuffles", len(record.skew_records))
             log.write_query(record)

@@ -224,6 +224,60 @@ class TestWatermarkRoundTrip:
         assert 0.0 <= churn["cache.hit_ratio"] <= 1.0
 
 
+def _assert_gauges_read_the_ledger(shark: SharkContext) -> None:
+    ledgers = shark.engine.memory.ledgers.values()
+    for pool in POOLS:
+        for field in ("used", "peak"):
+            assert shark.metrics.value(f"memory.{pool}.{field}") == sum(
+                getattr(ledger, field)[pool] for ledger in ledgers
+            )
+
+
+class TestGauges:
+    """The memory.* gauges read the ledger when asked, and nothing
+    writes them."""
+
+    def test_mid_query_and_after_a_capped_run(self, monkeypatch):
+        shark = _build_shark(memory_per_worker_bytes=600)
+        accountant = shark.engine.memory
+        reserve = accountant.reserve
+        checked = []
+
+        def checking_reserve(*args):
+            charged = reserve(*args)
+            _assert_gauges_read_the_ledger(shark)
+            checked.append(charged)
+            return charged
+
+        monkeypatch.setattr(accountant, "reserve", checking_reserve)
+        for query in QUERIES:
+            shark.sql(query)
+        assert len(checked) > len(QUERIES)
+        _assert_gauges_read_the_ledger(shark)
+        assert shark.metrics.value("memory.execution.used") == 0
+        assert shark.metrics.value("memory.headroom") == min(
+            ledger.headroom()
+            for ledger in accountant.ledgers.values()
+            if ledger.headroom() is not None
+        )
+
+    def test_headroom_is_omitted_without_a_cap(self):
+        shark = _build_shark()
+        shark.sql(QUERIES[0])
+        gauges = shark.metrics.snapshot()["gauges"]
+        assert gauges["memory.storage.used"] > 0
+        assert "memory.headroom" not in gauges
+
+    def test_a_gauge_reads_its_owner_after_a_reset(self):
+        shark = _build_shark()
+        shark.sql(QUERIES[0])
+        shark.engine.tracer.reset()
+        shark.metrics.reset()
+        assert shark.metrics.value("tasks.launched") == 0
+        assert shark.metrics.value("memory.storage.used") > 0
+        _assert_gauges_read_the_ledger(shark)
+
+
 class TestSurfacing:
     def test_explain_analyze_has_memory_section(self):
         shark = _build_shark(memory_per_worker_bytes=600)

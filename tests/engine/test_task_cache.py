@@ -1,5 +1,6 @@
 """CacheTracker and TaskContext internals."""
 
+from repro import SharkContext
 from repro.engine.metrics import TaskMetrics
 from repro.engine.task import CacheTracker, TaskContext
 
@@ -39,6 +40,35 @@ class TestCacheTracker:
         tracker.unpersist(8)
         assert tracker.cached_partitions(8) == {}
         assert tracker.cached_bytes(8) == 0
+
+    def test_per_rdd_hit_ratio_reads_its_lookups_until_unpersisted(self, ctx):
+        tracker = ctx.cache_tracker
+        metrics = ctx.tracer.metrics
+        tracker.put(6, 0, worker_id=1, value="v")
+        tracker.get(6, 0)
+        tracker.get(6, 1)
+        tracker.get(6, 0)
+        assert metrics.value("cache.rdd_6.hit_ratio") == 2 / 3
+        assert metrics.value("cache.hit_ratio") == 2 / 3
+        tracker.unpersist(6, {0})
+        assert "cache.rdd_6.hit_ratio" in metrics.snapshot()["gauges"]
+        tracker.unpersist(6)
+        assert "cache.rdd_6.hit_ratio" not in metrics.snapshot()["gauges"]
+
+    def test_dropped_tables_leave_no_hit_ratio_behind(self):
+        shark = SharkContext(num_workers=2, cores_per_worker=2)
+        for round_ in range(20):
+            shark.sql(
+                "CREATE TABLE t (k STRING, v INT) "
+                "TBLPROPERTIES ('shark.cache'='true')"
+            )
+            shark.sql(f"INSERT INTO t VALUES ('a', {round_}), ('b', 1)")
+            shark.sql("SELECT k, SUM(v) FROM t GROUP BY k")
+            shark.sql("DROP TABLE t")
+        tracker = shark.engine.cache_tracker
+        assert tracker._rdd_stats == {}
+        assert "cache.rdd_" not in shark.metrics.describe()
+        assert shark.metrics.value("cache.hits") > 0
 
 
 class TestTaskContext:

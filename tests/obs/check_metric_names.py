@@ -9,7 +9,8 @@ What counts as an emission (string literals only):
 
 * ``<...>metrics.inc("name"`` / ``counters.inc("name"`` — counter
 * ``<...>metrics.observe("name"``                       — histogram
-* ``<...>metrics.set_gauge("name"``                     — gauge
+* ``<...>metrics.register_gauge("name"``                — gauge (its
+  owner registers the reader once)
 * ``<...>.instant("name"``                              — trace instant
 
 Receivers other than ``metrics``/``counters`` (e.g. the shuffle layer's
@@ -34,7 +35,7 @@ _EMISSION_PATTERNS = {
         r"\bmetrics\s*\.\s*observe\(\s*\n?\s*\"([^\"]+)\""
     ),
     "gauge": re.compile(
-        r"\bmetrics\s*\.\s*set_gauge\(\s*\n?\s*\"([^\"]+)\""
+        r"\bmetrics\s*\.\s*register_gauge\(\s*\n?\s*\"([^\"]+)\""
     ),
     "instant": re.compile(r"\.instant\(\s*\n?\s*\"([^\"]+)\""),
 }

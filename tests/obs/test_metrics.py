@@ -27,11 +27,28 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             registry.inc("tasks.launched", -1)
 
-    def test_gauge_holds_last_value(self):
+    def test_gauge_reads_its_owner(self):
         registry = MetricsRegistry()
-        registry.set_gauge("workers.live", 4)
-        registry.set_gauge("workers.live", 3)
+        live = [4]
+        registry.register_gauge("workers.live", lambda: live[0])
+        assert registry.value("workers.live") == 4
+        live[0] = 3
         assert registry.value("workers.live") == 3
+        assert registry.snapshot()["gauges"] == {"workers.live": 3}
+        assert "workers.live = 3 (gauge)" in registry.describe()
+
+    def test_gauge_reading_none_is_omitted(self):
+        registry = MetricsRegistry()
+        registry.register_gauge("memory.headroom", lambda: None)
+        assert registry.value("memory.headroom", default=-1.0) == -1.0
+        assert registry.snapshot()["gauges"] == {}
+        assert "memory.headroom" not in registry.describe()
+
+    def test_dropped_gauge_is_gone(self):
+        registry = MetricsRegistry()
+        registry.register_gauge("cache.rdd_1.hit_ratio", lambda: 0.5)
+        registry.drop_gauge("cache.rdd_1.hit_ratio")
+        assert registry.snapshot()["gauges"] == {}
 
     def test_histogram_summarizes(self):
         registry = MetricsRegistry()
@@ -60,13 +77,16 @@ class TestMetricsRegistry:
     def test_describe_empty(self):
         assert "no metrics" in MetricsRegistry().describe()
 
-    def test_reset_clears_everything(self):
+    def test_reset_keeps_gauge_readers(self):
         registry = MetricsRegistry()
         registry.inc("x")
-        registry.set_gauge("y", 1)
+        registry.register_gauge("y", lambda: 1)
         registry.observe("z", 1.0)
         registry.reset()
-        assert len(registry) == 0
+        assert len(registry) == 1
+        assert registry.snapshot() == {
+            "counters": {}, "gauges": {"y": 1}, "histograms": {},
+        }
 
 
 def _task(**kwargs) -> TaskMetrics:

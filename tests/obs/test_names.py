@@ -10,7 +10,12 @@ import pytest
 from repro.obs import names
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_metric_names import emitted_names, find_drift  # noqa: E402
+from check_metric_names import (  # noqa: E402
+    _EMISSION_PATTERNS,
+    SRC,
+    emitted_names,
+    find_drift,
+)
 
 
 class TestRegistry:
@@ -41,6 +46,16 @@ class TestNoDrift:
         assert "task.seconds" in emitted["histogram"]
         assert "eventlog.queries" in emitted["gauge"]
         assert "flight.dump" in emitted["instant"]
+
+    def test_each_gauge_has_one_owner(self):
+        """A gauge is registered in one place, by the object whose state
+        it reads."""
+        registrations = [
+            name
+            for path in SRC.rglob("*.py")
+            for name in _EMISSION_PATTERNS["gauge"].findall(path.read_text())
+        ]
+        assert sorted(registrations) == sorted(names.GAUGES)
 
     def test_checker_catches_undeclared_emission(self, tmp_path):
         rogue = tmp_path / "rogue.py"

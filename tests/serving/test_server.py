@@ -291,6 +291,18 @@ def test_serving_section_in_explain_analyze_and_metrics():
     assert metrics.value("server.tenants") == 3
 
 
+def test_queue_depth_reads_the_pending_queries():
+    server = _build_server()
+    metrics = server.shark.metrics
+    assert metrics.value("server.queue_depth") == 0
+    server.submit("alice", AGG)
+    server.submit("bob", COUNT)
+    assert metrics.value("server.queue_depth") == 2
+    server.drain()
+    assert metrics.value("server.queue_depth") == 0
+    assert metrics.value("server.brownout") == 0
+
+
 def test_server_shed_writes_v4_event_log_records(tmp_path):
     path = tmp_path / "serving.jsonl"
     shark = _build_shark()

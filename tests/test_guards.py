@@ -205,6 +205,12 @@ GUARDS = {
             ("src/repro/baselines",),
         ),
     ],
+    # A value has one home: a gauge is read from its owner, never
+    # written, and no counter repeats shuffle.write.records / .bytes.
+    "gauges-are-read": [
+        Rule(r"set_gauge\(|_update_gauges", ("src/repro",)),
+        Rule(r'"exchange\.(rows|encoded_bytes)"', ("src/repro",)),
+    ],
 }
 
 
