@@ -61,9 +61,11 @@ class TestFigure09:
         assert sorted(baseline_rows) == sorted(disk_rows)
 
         # --- single failure: kill one worker mid-query; lineage recovery
-        # re-runs only the lost tasks, all inside the same query.
+        # re-runs only the lost tasks, all inside the same query.  The
+        # victim is the worker that completes the query's fourth task, so
+        # it dies holding a map output of the query.
         base = shark.engine.cluster.total_tasks_completed
-        shark.inject_failure(worker_id=1, after_tasks=base + 4)
+        shark.inject_failure(worker_id=None, after_tasks=base + 4)
         shark.engine.reset_profiles()
         failure_rows = shark.sql(QUERY).rows
         failure_s = _cluster_seconds(shark, scale)

@@ -15,14 +15,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class FailureInjector:
-    """Kills a specific worker after a given number of completed tasks.
+    """Kills a worker after a given number of completed tasks.
 
     Registered on a :class:`VirtualCluster`; the cluster consults it after
     every task completion, which is how the Figure 9 experiment kills a node
-    mid-query.  ``repeat=False`` injectors fire once and disarm.
+    mid-query.  ``worker_id=None`` kills the worker that completed the
+    triggering task.  Injectors fire once and disarm.
     """
 
-    worker_id: int
+    worker_id: int | None
     after_tasks: int
     fired: bool = False
 
@@ -193,35 +194,26 @@ class VirtualCluster:
     def assign_worker(
         self, preferred: Iterable[int] = (), exclude: Iterable[int] = ()
     ) -> Worker:
-        """Pick a worker for a task, honoring locality preferences.
+        """Pick a worker for a task.
 
-        Preferred workers (those already holding the task's input blocks)
-        win if alive and not excluded/blacklisted; otherwise round-robin
-        over the eligible live workers, mirroring delay-scheduling's
-        behaviour once locality is unobtainable.  ``exclude`` lists workers
-        a retry or speculative copy must avoid.  Blacklisted and excluded
-        workers are only used when no other live worker exists (progress
-        beats probation).
+        The first eligible preferred worker (one holding the task's
+        cached block) runs it unless an eligible worker's lane has been
+        busy less (see :meth:`_least_busy`); otherwise round-robin over
+        the eligible live workers.  ``exclude`` lists workers a retry or
+        speculative copy must avoid.  Blacklisted and excluded workers
+        are only used when no other live worker exists (progress beats
+        probation).
         """
         excluded = set(exclude)
         for worker_id in preferred:
-            if 0 <= worker_id < len(self.workers):
-                candidate = self.workers[worker_id]
-                if (
-                    candidate.alive
-                    and worker_id not in excluded
-                    and not self.is_blacklisted(worker_id)
-                ):
-                    return candidate
+            if 0 <= worker_id < len(self.workers) and self._eligible(
+                self.workers[worker_id], excluded
+            ):
+                return self._least_busy(self.workers[worker_id], excluded)
         live = self.live_workers()
         if not live:
             raise NoLiveWorkersError("no live workers to assign a task to")
-        pool = [
-            worker
-            for worker in live
-            if worker.worker_id not in excluded
-            and not self.is_blacklisted(worker.worker_id)
-        ]
+        pool = [worker for worker in live if self._eligible(worker, excluded)]
         if not pool:
             # Everything eligible is excluded or on probation; schedule
             # anyway rather than deadlock.
@@ -231,6 +223,27 @@ class VirtualCluster:
         self._next_assignment += 1
         return worker
 
+    def _eligible(self, worker: Worker, excluded: set[int]) -> bool:
+        return (
+            worker.alive
+            and worker.worker_id not in excluded
+            and not self.is_blacklisted(worker.worker_id)
+        )
+
+    def _least_busy(self, holder: Worker, excluded: set[int]) -> Worker:
+        """The eligible worker whose lane has been busy least, ``holder``
+        on ties, then the lowest id: where the task starts first on the
+        untraced clock.  A cached read costs the same on every worker
+        (delay scheduling with a zero wait), and busy time ignores the
+        traced stage floor, so tracing never moves a task."""
+        busy_time = self.tracer.clock.busy_time
+        best, best_busy = holder, busy_time(holder.worker_id)
+        for worker in self.workers:
+            busy = busy_time(worker.worker_id)
+            if busy < best_busy and self._eligible(worker, excluded):
+                best, best_busy = worker, busy
+        return best
+
     def task_completed(self, worker: Worker) -> None:
         """Record a completed task and fire any due failure injectors."""
         worker.tasks_run += 1
@@ -238,10 +251,14 @@ class VirtualCluster:
         for injector in self._failure_injectors:
             if injector.should_fire(self.total_tasks_completed):
                 injector.fired = True
-                self.kill_worker(injector.worker_id)
+                dead = injector.worker_id
+                self.kill_worker(worker.worker_id if dead is None else dead)
 
-    def inject_failure(self, worker_id: int, after_tasks: int) -> FailureInjector:
-        """Arrange for ``worker_id`` to die after ``after_tasks`` completions."""
+    def inject_failure(
+        self, worker_id: int | None, after_tasks: int
+    ) -> FailureInjector:
+        """Arrange for ``worker_id`` to die after ``after_tasks`` completions
+        (``None``: the worker that completes the last of them)."""
         injector = FailureInjector(worker_id=worker_id, after_tasks=after_tasks)
         self._failure_injectors.append(injector)
         return injector

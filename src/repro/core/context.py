@@ -256,7 +256,7 @@ class SharkContext:
         """Fault-injection hook for recovery experiments (Section 6.3.3)."""
         self.engine.kill_worker(worker_id)
 
-    def inject_failure(self, worker_id: int, after_tasks: int):
+    def inject_failure(self, worker_id: int | None, after_tasks: int):
         return self.engine.inject_failure(worker_id, after_tasks)
 
     @property

@@ -287,7 +287,7 @@ class EngineContext:
     def restart_worker(self, worker_id: int) -> None:
         self.cluster.restart_worker(worker_id)
 
-    def inject_failure(self, worker_id: int, after_tasks: int):
+    def inject_failure(self, worker_id: int | None, after_tasks: int):
         return self.cluster.inject_failure(worker_id, after_tasks)
 
     def add_worker(self, cores: int = 2):

@@ -129,11 +129,16 @@ def _as_reported(size: int) -> int:
 class MapStatus:
     """What one map task reports to the master: the rows and the exact
     encoded size of each of its buckets and, for a sort whose bounds
-    are not picked yet, the sample they are picked from."""
+    are not picked yet, the sample they are picked from; ``reported``
+    is each size decoded once, as the master reads it."""
 
     rows: list[int]
     sizes: list[int]
     sample: Optional[list] = None
+    reported: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.reported = [_as_reported(size) for size in self.sizes]
 
 
 @dataclass
@@ -223,7 +228,7 @@ class MapOutputStats:
         return len(self.statuses)
 
     def map_output_bytes(self, map_partition: int) -> int:
-        return sum(map(_as_reported, self.statuses[map_partition].sizes))
+        return sum(self.statuses[map_partition].reported)
 
     def total_output_bytes(self) -> int:
         return sum(map(self.map_output_bytes, self.statuses))
@@ -231,7 +236,7 @@ class MapOutputStats:
     def reduce_input_bytes(self, reduce_partition: int) -> int:
         """Approximate bytes reduce task ``reduce_partition`` will fetch."""
         return sum(
-            _as_reported(status.sizes[reduce_partition])
+            status.reported[reduce_partition]
             for status in self.statuses.values()
         )
 
@@ -658,16 +663,22 @@ class ShuffleManager:
     # Failure handling
     # ------------------------------------------------------------------
     def _handle_worker_killed(self, worker_id: int) -> None:
-        """Forget locations pointing at a dead worker.
-
-        The blocks themselves were dropped by the worker's ``kill``; the
-        next fetch raises FetchFailedError and the scheduler recomputes.
+        """Forget the map outputs a dead worker held, and those read from
+        a cached block it held: the scheduler re-runs them, and so
+        rebuilds the block inside the failing query.  (This callback
+        runs before the cache tracker forgets the dead worker's blocks.)
         """
-        for locations in self._locations.values():
+        for shuffle_id, locations in self._locations.items():
+            rdd = self._deps[shuffle_id].rdd
             lost = [
                 map_partition
                 for map_partition, owner in locations.items()
                 if owner == worker_id
+                or worker_id in rdd.preferred_workers(map_partition)
             ]
             for map_partition in lost:
-                del locations[map_partition]
+                owner = self._cluster.worker(locations.pop(map_partition))
+                if owner.alive:
+                    owner.blocks.remove(
+                        _shuffle_block_id(shuffle_id, map_partition)
+                    )

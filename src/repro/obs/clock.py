@@ -26,11 +26,13 @@ class VirtualClock:
     stage cannot start before the driver submitted it), runs for
     ``seconds`` of simulated time, and leaves the lane busy until it
     finishes.  ``now`` is the frontier — the latest simulated instant
-    any lane has reached.
+    any lane has reached.  ``busy_time`` ignores ``not_before``: it is
+    the lane's free time when nothing held the lane back.
     """
 
     def __init__(self) -> None:
         self._lanes: dict[Hashable, float] = {}
+        self._busy: dict[Hashable, float] = {}
         self._now = 0.0
 
     def now(self) -> float:
@@ -40,6 +42,10 @@ class VirtualClock:
     def lane_time(self, lane: Hashable) -> float:
         """When ``lane`` next becomes free."""
         return self._lanes.get(lane, 0.0)
+
+    def busy_time(self, lane: Hashable) -> float:
+        """Seconds ``lane`` has been occupied since the last reset."""
+        return self._busy.get(lane, 0.0)
 
     def advance_lane(
         self,
@@ -53,6 +59,7 @@ class VirtualClock:
         start = max(self._lanes.get(lane, 0.0), not_before)
         end = start + seconds
         self._lanes[lane] = end
+        self._busy[lane] = self._busy.get(lane, 0.0) + seconds
         if end > self._now:
             self._now = end
         return start, end
@@ -69,6 +76,7 @@ class VirtualClock:
 
     def reset(self) -> None:
         self._lanes.clear()
+        self._busy.clear()
         self._now = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

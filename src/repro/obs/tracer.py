@@ -416,6 +416,11 @@ class Tracer:
     # ------------------------------------------------------------------
     # Worker-lane task spans
     # ------------------------------------------------------------------
+    def _not_before(self) -> float:
+        """The enclosing driver span's start: a stage's tasks, and the
+        instants on their lanes, come after the stage."""
+        return self._stack[-1].start if self._stack else 0.0
+
     def task_span(
         self,
         name: str,
@@ -428,18 +433,16 @@ class Tracer:
         """Record one task occupying a worker lane.
 
         Duration is ``seconds`` when given, otherwise the cost model's
-        estimate for ``vector``.  The task cannot start before its
-        enclosing driver span did (a stage's tasks start after the
-        stage).
+        estimate for ``vector``.  The task cannot start before
+        :meth:`_not_before`.
         """
         if seconds is None:
             seconds = (
                 self.estimate_seconds(vector) if vector is not None else 0.0
             )
-        not_before = self._stack[-1].start if self._stack else 0.0
         # The lane clock advances even with tracing off, so flight-
         # recorder dumps carry real simulated timestamps.
-        start, end = self.clock.advance_lane(lane, seconds, not_before)
+        start, end = self.clock.advance_lane(lane, seconds, self._not_before())
         self.flight.record(
             {
                 "type": "span",
@@ -503,7 +506,7 @@ class Tracer:
         **args: Any,
     ) -> Optional[TraceEvent]:
         timestamp = (
-            self.clock.lane_time(lane)
+            max(self.clock.lane_time(lane), self._not_before())
             if lane != DRIVER_LANE
             else self.clock.now()
         )

@@ -104,6 +104,43 @@ class TestMembership:
         assert killed == [1]
 
 
+def _busy(cluster: VirtualCluster, *seconds: float) -> VirtualCluster:
+    """Occupy worker ``i``'s lane for ``seconds[i]``."""
+    for worker_id, busy in enumerate(seconds):
+        cluster.tracer.clock.advance_lane(worker_id, busy)
+    return cluster
+
+
+def _placements(traced: bool) -> list[int]:
+    """The worker of every task of a cached GROUP BY workload with
+    appends, a join and a mid-query kill, in launch order."""
+    from repro import SharkContext
+    from repro.datatypes import INT, STRING, Schema
+
+    shark = SharkContext(num_workers=4)
+    if traced:
+        shark.enable_tracing()
+    schema = Schema.of(("k", INT), ("s", STRING))
+    shark.create_table("t", schema, cached=True)
+    shark.load_rows("t", [(i, f"s{i % 7}") for i in range(400)], 8)
+    query = "SELECT s, COUNT(*) FROM t GROUP BY s"
+    for start in range(400, 480, 20):
+        shark.sql(query)
+        shark.load_rows("t", [(i, "x") for i in range(start, start + 20)], 1)
+    shark.sql("SELECT a.s, COUNT(*) FROM t a JOIN t b ON a.k = b.k GROUP BY a.s")
+    shark.inject_failure(
+        worker_id=None,
+        after_tasks=shark.engine.cluster.total_tasks_completed + 3,
+    )
+    shark.sql(query)
+    return [
+        task.worker_id
+        for profile in shark.engine.profiles
+        for stage in profile.stages
+        for task in stage.tasks
+    ]
+
+
 class TestAssignment:
     def test_round_robin_over_live_workers(self):
         cluster = VirtualCluster(num_workers=3)
@@ -126,6 +163,63 @@ class TestAssignment:
         worker = cluster.assign_worker(preferred=[99, -1])
         assert worker.worker_id in (0, 1)
 
+    @pytest.mark.parametrize("holder", [1, 2])
+    def test_holder_wins_when_no_lane_is_less_busy(self, holder):
+        cluster = _busy(VirtualCluster(num_workers=4), 2.0, 1.0, 1.0, 3.0)
+        assert cluster.assign_worker(preferred=[holder]).worker_id == holder
+
+    def test_otherwise_the_least_busy_lane_wins_lowest_id_on_ties(self):
+        cluster = _busy(VirtualCluster(num_workers=4), 3.0, 2.0, 1.0, 1.0)
+        assert cluster.assign_worker(preferred=[0]).worker_id == 2
+        assert cluster.assign_worker(preferred=[1]).worker_id == 2
+
+    def test_a_traced_stage_floor_does_not_move_a_task(self):
+        # A traced run starts a stage's tasks no earlier than the stage:
+        # worker 0's lane is held back to 5.0, but it was busy for 1.0
+        # only, as it would be untraced.
+        cluster = _busy(VirtualCluster(num_workers=2), 0.0, 2.0)
+        clock = cluster.tracer.clock
+        clock.advance_lane(0, 1.0, not_before=4.0)
+        assert (clock.lane_time(0), clock.busy_time(0)) == (5.0, 1.0)
+        assert cluster.assign_worker(preferred=[1]).worker_id == 0
+
+    def test_traced_and_untraced_runs_place_every_task_alike(self):
+        placements = _placements(traced=False)
+        assert len(set(placements)) == 4
+        assert _placements(traced=True) == placements
+
+    def test_ineligible_workers_never_win(self):
+        cluster = _busy(VirtualCluster(num_workers=4), 5.0, 0.0, 1.0, 2.0)
+        cluster.kill_worker(1)
+        assert cluster.assign_worker(preferred=[0]).worker_id == 2
+        assert (
+            cluster.assign_worker(preferred=[0], exclude=[2]).worker_id == 3
+        )
+        cluster.blacklist_worker(2, probation_tasks=10)
+        assert cluster.assign_worker(preferred=[0]).worker_id == 3
+
+    @pytest.mark.parametrize("why", ["dead", "excluded", "blacklisted"])
+    def test_an_ineligible_holder_falls_back_to_round_robin(self, why):
+        # Worker 0's lane is the busiest: only round-robin picks it.
+        cluster = _busy(VirtualCluster(num_workers=3), 9.0, 1.0, 0.0)
+        exclude = []
+        if why == "dead":
+            cluster.kill_worker(2)
+        elif why == "excluded":
+            exclude = [2]
+        else:
+            cluster.blacklist_worker(2, probation_tasks=10)
+        assigned = [
+            cluster.assign_worker(preferred=[2], exclude=exclude).worker_id
+            for _ in range(4)
+        ]
+        assert assigned == [0, 1, 0, 1]
+
+    def test_no_preference_stays_round_robin(self):
+        cluster = _busy(VirtualCluster(num_workers=3), 9.0, 1.0, 0.0)
+        assigned = [cluster.assign_worker().worker_id for _ in range(6)]
+        assert assigned == [0, 1, 2, 0, 1, 2]
+
 
 class TestFailureInjection:
     def test_fires_after_threshold(self):
@@ -145,6 +239,13 @@ class TestFailureInjection:
         cluster.restart_worker(1)
         cluster.task_completed(cluster.worker(0))
         assert cluster.worker(1).alive
+
+    def test_no_worker_id_kills_the_worker_completing_the_task(self):
+        cluster = VirtualCluster(num_workers=3)
+        cluster.inject_failure(worker_id=None, after_tasks=2)
+        cluster.task_completed(cluster.worker(0))
+        cluster.task_completed(cluster.worker(2))
+        assert [w.alive for w in cluster.workers] == [True, True, False]
 
     def test_should_fire_logic(self):
         injector = FailureInjector(worker_id=0, after_tasks=5)

@@ -1,15 +1,20 @@
 """Shuffle manager: bucketing, stats, fetch failures, map-side combine."""
 
 import functools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.engine.context import EngineContext
 from repro.engine.dependencies import Aggregator, ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import (
     MapOutputStats,
     MapStatus,
     ShuffleManager,
+    _as_reported,
     log_decode_size,
     log_encode_size,
 )
@@ -21,6 +26,25 @@ def _write(manager, dep, map_partition, worker_id, records):
     manager.write_map_output(
         dep, map_partition, worker_id, dep.keyed_batch(records)
     )
+
+
+def _check_decoded_once(stats):
+    """Every size statistic equals the sum of its buckets' sizes, each
+    decoded on its own through ``_as_reported`` (the reference)."""
+    statuses = stats.statuses.values()
+    per_reduce = [
+        sum(_as_reported(status.sizes[bucket]) for status in statuses)
+        for bucket in range(stats.num_reduces)
+    ]
+    assert stats.reduce_input_sizes() == per_reduce
+    assert [
+        stats.reduce_input_bytes(bucket) for bucket in range(stats.num_reduces)
+    ] == per_reduce
+    for map_partition, status in stats.statuses.items():
+        assert stats.map_output_bytes(map_partition) == sum(
+            map(_as_reported, status.sizes)
+        )
+    assert stats.total_output_bytes() == sum(per_reduce)
 
 
 def _make_dep(ctx, num_reduces=4, **kwargs):
@@ -126,6 +150,48 @@ class TestStatistics:
             for bucket in range(2)
         ]
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda reduces: st.tuples(
+                st.just(reduces),
+                st.lists(
+                    st.lists(
+                        st.integers(0, 2**40),
+                        min_size=reduces,
+                        max_size=reduces,
+                    ),
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_sizes_are_decoded_once_as_the_master_reads_them(self, shape):
+        num_reduces, sizes = shape
+        stats = MapOutputStats(len(sizes), num_reduces)
+        for map_partition, bucket_sizes in enumerate(sizes):
+            stats.statuses[map_partition] = MapStatus(
+                [1] * num_reduces, bucket_sizes
+            )
+        _check_decoded_once(stats)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cut_runs_report_decoded_sizes(self, seed, monkeypatch):
+        real = ShuffleManager.cut_runs
+
+        def cutting(self, dep):
+            real(self, dep)
+            _check_decoded_once(self.stats(dep.shuffle_id))
+            cut.append(dep.shuffle_id)
+
+        cut = []
+        monkeypatch.setattr(ShuffleManager, "cut_runs", cutting)
+        rng = random.Random(seed)
+        words = ["x" * rng.randrange(200) for _ in range(300)]
+        ctx = EngineContext(num_workers=4, cores_per_worker=2)
+        rdd = ctx.parallelize(words, 4).sort_by(len, num_partitions=3)
+        assert rdd.collect() == sorted(words, key=len)
+        assert len(cut) == 1
+
     def test_custom_collectors_run_and_merge(self, ctx):
         # The statistics map tasks report merge in map-partition order:
         # records from the statuses, heavy keys from the skew audit.
@@ -207,6 +273,23 @@ class TestFailures:
         assert manager.missing_maps(dep.shuffle_id) == []
         ctx.cluster.kill_worker(1)
         assert manager.missing_maps(dep.shuffle_id) == [1, 2]
+
+    def test_outputs_read_from_a_dead_workers_block_are_lost(self, ctx):
+        # Map 0 read its cached partition from worker 3 but ran on worker
+        # 0; map 1 read nothing cached.  Losing worker 3 loses map 0's
+        # output too, so its re-run rebuilds the block.
+        parent = ctx.parallelize([(i, 1) for i in range(20)], 2).cache()
+        ctx.cache_tracker.put(parent.id, 0, 3, [(0, 1)])
+        dep = ShuffleDependency(parent, HashPartitioner(4))
+        manager = ctx.shuffle_manager
+        manager.register(dep, num_maps=2)
+        _write(manager, dep, 0, 0, [(1, 1)])
+        _write(manager, dep, 1, 1, [(2, 2)])
+        ctx.cluster.kill_worker(3)
+        assert manager.missing_maps(dep.shuffle_id) == [0]
+        assert ctx.cluster.pinned_block_ids() == {
+            f"shuffle_{dep.shuffle_id}_1"
+        }
 
     def test_rewrite_after_recovery_clears_missing(self, ctx):
         parent, dep = _make_dep(ctx)

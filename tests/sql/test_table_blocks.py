@@ -414,14 +414,23 @@ class TestLineageOfAMergedBlock:
 
     def test_an_evicted_tail_still_merges(self):
         uncapped = _trickled()
-        # Room for one block a worker: scanning the four bulk blocks
-        # pushes the tail out of the store before every append.
+        # Room for one block a worker.  Where a scan task runs is the
+        # scheduler's choice, so before every append another block is
+        # cached on the tail's worker: over its cap, the store pushes
+        # out its least recently used block, the tail.
         shark = _trickled(memory_per_worker_bytes=200)
         for start in range(480, 560, 20):
             assert shark.sql("SELECT COUNT(*) FROM t WHERE k < 400").rows == [
                 (400,)
             ]
             tail = shark.table_entry("t").cached_rdd.blocks[-1]
+            holder = shark.engine.cache_tracker.location(
+                tail.rdd.id, tail.split
+            )
+            if holder is not None:
+                shark.engine.cluster.put_block(
+                    holder, f"other_{start}", b"", size_bytes=200
+                )
             assert f"rdd_{tail.rdd.id}_{tail.split}" not in _stored_blocks(shark)
             uncapped.load_rows("t", _rows(start, 20), num_partitions=1)
             shark.load_rows("t", _rows(start, 20), num_partitions=1)

@@ -67,6 +67,23 @@ class TestGuaranteeOne:
         )
         assert recovered > 0
 
+    def test_mid_query_loss_leaves_nothing_for_the_next_query(
+        self, loaded_shark
+    ):
+        # The victim completes the query's ninth task; tasks on other
+        # workers have read some of its cached partitions by then.  Every
+        # partition it held is rebuilt inside the failing query, so the
+        # next query misses no block.
+        shark, rows = loaded_shark
+        expected = sorted(shark.sql(GROUP_QUERY).rows)
+        base = shark.engine.cluster.total_tasks_completed
+        shark.inject_failure(worker_id=None, after_tasks=base + 9)
+        assert sorted(shark.sql(GROUP_QUERY).rows) == expected
+        assert len(shark.engine.cluster.live_workers()) == 4
+        misses = shark.metrics.value("cache.misses")
+        assert sorted(shark.sql(GROUP_QUERY).rows) == expected
+        assert shark.metrics.value("cache.misses") == misses
+
     def test_loss_during_multi_stage_join(self, loaded_shark):
         shark, rows = loaded_shark
         query = (
