@@ -49,6 +49,7 @@ class VirtualCluster:
     ):
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
+        self.cores_per_worker = cores_per_worker
         self.memory_per_worker_bytes = memory_per_worker_bytes
         #: Shared with the owning EngineContext; a private disabled
         #: tracer when the cluster is constructed standalone (tests).
@@ -63,19 +64,9 @@ class VirtualCluster:
                 tracer=self.tracer, capacity_bytes=memory_per_worker_bytes
             )
         self.accountant = accountant
-        self.workers = [
-            Worker(
-                worker_id=i,
-                cores=cores_per_worker,
-                blocks=BlockStore(
-                    capacity_bytes=memory_per_worker_bytes,
-                    tracer=self.tracer,
-                    accountant=self.accountant,
-                    worker_id=i,
-                ),
-            )
-            for i in range(num_workers)
-        ]
+        self.workers: list[Worker] = []
+        for __ in range(num_workers):
+            self._join(cores_per_worker)
         self._next_assignment = 0
         self.total_tasks_completed = 0
         self._failure_injectors: list[FailureInjector] = []
@@ -97,8 +88,20 @@ class VirtualCluster:
     def worker(self, worker_id: int) -> Worker:
         return self.workers[worker_id]
 
-    def add_worker(self, cores: int = 8) -> Worker:
-        """Elasticity: a new node joins and becomes schedulable immediately."""
+    def add_worker(self, cores: int | None = None) -> Worker:
+        """Elasticity: a new node joins and becomes schedulable
+        immediately, with the cluster's cores per worker by default."""
+        if cores is None:
+            cores = self.cores_per_worker
+        worker = self._join(cores)
+        self.tracer.metrics.inc("workers.added")
+        self.tracer.instant(
+            "worker.added", "cluster", lane=worker.worker_id, cores=cores
+        )
+        return worker
+
+    def _join(self, cores: int) -> Worker:
+        """Append a worker whose lane on the clock has ``cores`` slots."""
         worker_id = len(self.workers)
         worker = Worker(
             worker_id=worker_id,
@@ -111,10 +114,7 @@ class VirtualCluster:
             ),
         )
         self.workers.append(worker)
-        self.tracer.metrics.inc("workers.added")
-        self.tracer.instant(
-            "worker.added", "cluster", lane=worker.worker_id, cores=cores
-        )
+        self.tracer.clock.set_cores(worker_id, cores)
         return worker
 
     def kill_worker(self, worker_id: int) -> None:
@@ -231,11 +231,11 @@ class VirtualCluster:
         )
 
     def _least_busy(self, holder: Worker, excluded: set[int]) -> Worker:
-        """The eligible worker whose lane has been busy least, ``holder``
-        on ties, then the lowest id: where the task starts first on the
-        untraced clock.  A cached read costs the same on every worker
-        (delay scheduling with a zero wait), and busy time ignores the
-        traced stage floor, so tracing never moves a task."""
+        """The eligible worker whose lane has been busy least (summed
+        over its cores' slots), ``holder`` on ties, then the lowest id.
+        A cached read costs the same on every worker (delay scheduling
+        with a zero wait), and busy time ignores the traced stage floor,
+        so tracing never moves a task."""
         busy_time = self.tracer.clock.busy_time
         best, best_busy = holder, busy_time(holder.worker_id)
         for worker in self.workers:

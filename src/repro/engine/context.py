@@ -290,7 +290,7 @@ class EngineContext:
     def inject_failure(self, worker_id: int | None, after_tasks: int):
         return self.cluster.inject_failure(worker_id, after_tasks)
 
-    def add_worker(self, cores: int = 2):
+    def add_worker(self, cores: Optional[int] = None):
         return self.cluster.add_worker(cores)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

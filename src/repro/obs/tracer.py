@@ -156,18 +156,28 @@ class QueryTrace:
 
         One process ("shark virtual cluster"), one thread per lane —
         the driver first, then each virtual worker — so the timeline
-        reads as a per-worker Gantt chart.  Timestamps are simulated
-        seconds rendered as microseconds (the format's native unit).
+        reads as a per-worker Gantt chart.  A worker running tasks at
+        once gets a row per busy core (:func:`_core_rows`); its first
+        keeps the lane's thread.  Timestamps are simulated seconds
+        rendered as microseconds (the format's native unit).
 
         ``style="complete"`` emits one ``"X"`` event per span;
         ``style="duration"`` emits matched ``"B"``/``"E"`` pairs per
-        lane (outer spans open first, nested ends clamped inside their
+        row (outer spans open first, nested ends clamped inside their
         parents) for consumers that require duration events.
         """
         if style not in ("complete", "duration"):
             raise ValueError(f"unknown chrome-trace style {style!r}")
         lanes = _ordered_lanes(self)
-        tids = {lane: index for index, lane in enumerate(lanes)}
+        rows = _core_rows(self.spans)
+        # A lane's first row keeps the lane's index; more rows follow.
+        tids = {(lane, 0): index for index, lane in enumerate(lanes)}
+        row_spans: dict[int, list[Span]] = {}
+        for span in self.spans:
+            thread = (span.lane, rows.get(span.span_id, 0))
+            tid = tids.setdefault(thread, len(tids))
+            row_spans.setdefault(tid, []).append(span)
+        threads = sorted(tids, key=lambda t: (tids[(t[0], 0)], t[1]))
         pid = 1
         trace_events: list[dict] = [
             {
@@ -178,14 +188,16 @@ class QueryTrace:
                 "args": {"name": "shark virtual cluster"},
             }
         ]
-        for lane, tid in tids.items():
+        for position, (lane, row) in enumerate(threads):
+            tid = tids[(lane, row)]
+            label = _lane_label(lane) + (f" core {row}" if row else "")
             trace_events.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
                     "pid": pid,
                     "tid": tid,
-                    "args": {"name": _lane_label(lane)},
+                    "args": {"name": label},
                 }
             )
             trace_events.append(
@@ -194,11 +206,14 @@ class QueryTrace:
                     "ph": "M",
                     "pid": pid,
                     "tid": tid,
-                    "args": {"sort_index": tid},
+                    "args": {"sort_index": position},
                 }
             )
-        if style == "complete":
-            for span in self.spans:
+        for tid, spans in row_spans.items():
+            if style == "duration":
+                trace_events.extend(_duration_events(spans, pid, tid))
+                continue
+            for span in spans:
                 end = span.end if span.end is not None else span.start
                 trace_events.append(
                     {
@@ -208,18 +223,9 @@ class QueryTrace:
                         "ts": span.start * 1e6,
                         "dur": max(end - span.start, 0.0) * 1e6,
                         "pid": pid,
-                        "tid": tids[span.lane],
+                        "tid": tid,
                         "args": dict(span.args),
                     }
-                )
-        else:
-            for lane in lanes:
-                trace_events.extend(
-                    _duration_events(
-                        [s for s in self.spans if s.lane == lane],
-                        pid,
-                        tids[lane],
-                    )
                 )
         for event in self.events:
             trace_events.append(
@@ -229,7 +235,7 @@ class QueryTrace:
                     "ph": "i",
                     "ts": event.timestamp * 1e6,
                     "pid": pid,
-                    "tid": tids[event.lane],
+                    "tid": tids[(event.lane, 0)],
                     "s": "t",
                     "args": dict(event.args),
                 }
@@ -570,15 +576,30 @@ def _ordered_lanes(trace: QueryTrace) -> list[Hashable]:
     return [DRIVER_LANE, *workers, *others]
 
 
+def _core_rows(spans: list[Span]) -> dict[int, int]:
+    """Each worker-lane span's row: the lowest row of its lane free at
+    its start, so a lane has a row per core it kept busy at once."""
+    rows: dict[int, int] = {}
+    lane_ends: dict[Hashable, list[float]] = {}
+    for span in sorted(spans, key=lambda s: (s.start, -s.duration)):
+        if isinstance(span.lane, int):
+            ends = lane_ends.setdefault(span.lane, [])
+            free = [row for row, end in enumerate(ends) if end <= span.start]
+            row = free[0] if free else len(ends)
+            ends[row:row + 1] = [span.start + span.duration]
+            rows[span.span_id] = row
+    return rows
+
+
 def _duration_events(
     spans: list[Span], pid: int, tid: int
 ) -> list[dict]:
-    """One lane's spans as matched, properly nested B/E pairs.
+    """One row's spans as matched, properly nested B/E pairs.
 
-    Spans on a lane either nest (driver) or run back-to-back (workers);
-    sorting by (start, -duration) opens outer spans first, and a child's
-    end is clamped into its parent so every "E" matches its "B" and the
-    per-lane timestamp sequence is monotonically nondecreasing.
+    Spans on a row either nest (driver) or run back-to-back (a worker's
+    core); sorting by (start, -duration) opens outer spans first, and a
+    child's end is clamped into its parent so every "E" matches its "B"
+    and the per-row timestamp sequence is monotonically nondecreasing.
     """
     ordered = sorted(
         spans, key=lambda s: (s.start, -s.duration, s.span_id)

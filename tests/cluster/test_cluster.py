@@ -96,6 +96,21 @@ class TestMembership:
         assert worker.worker_id == 2
         assert len(cluster.live_workers()) == 3
 
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_every_worker_lane_gets_a_slot_per_core(self, cores):
+        cluster = VirtualCluster(num_workers=2, cores_per_worker=cores)
+        joined = cluster.add_worker()
+        assert joined.cores == cores
+        other = cluster.add_worker(cores=cores + 1)
+        clock = cluster.tracer.clock
+        for worker in cluster.workers:
+            starts = [
+                clock.advance_lane(worker.worker_id, 1.0)[0]
+                for __ in range(worker.cores + 1)
+            ]
+            assert starts == [0.0] * worker.cores + [1.0]
+        assert other.cores == cores + 1
+
     def test_kill_callbacks_fire(self):
         cluster = VirtualCluster(num_workers=2)
         killed = []
@@ -176,8 +191,11 @@ class TestAssignment:
     def test_a_traced_stage_floor_does_not_move_a_task(self):
         # A traced run starts a stage's tasks no earlier than the stage:
         # worker 0's lane is held back to 5.0, but it was busy for 1.0
-        # only, as it would be untraced.
-        cluster = _busy(VirtualCluster(num_workers=2), 0.0, 2.0)
+        # only, as it would be untraced.  One core a worker, so the lane
+        # time is that one slot's.
+        cluster = _busy(
+            VirtualCluster(num_workers=2, cores_per_worker=1), 0.0, 2.0
+        )
         clock = cluster.tracer.clock
         clock.advance_lane(0, 1.0, not_before=4.0)
         assert (clock.lane_time(0), clock.busy_time(0)) == (5.0, 1.0)

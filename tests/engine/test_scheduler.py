@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import EngineContext
 from repro.engine.rdd import ShuffledRDD
 from repro.engine.partitioner import HashPartitioner
 from repro.errors import NoLiveWorkersError
@@ -122,6 +123,15 @@ class TestRecovery:
         rdd = ctx.parallelize(range(100), 12)
         assert rdd.count() == 100
         assert worker.tasks_run > 0
+
+    def test_a_joining_worker_has_the_contexts_cores(self):
+        ctx = EngineContext(num_workers=2, cores_per_worker=3)
+        worker = ctx.add_worker()
+        assert worker.cores == 3
+        clock = ctx.tracer.clock
+        starts = [clock.advance_lane(2, 1.0)[0] for __ in range(4)]
+        assert starts == [0.0, 0.0, 0.0, 1.0]
+        assert ctx.add_worker(cores=1).cores == 1
 
 
 class TestProfiles:

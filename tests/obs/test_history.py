@@ -13,8 +13,8 @@ from repro.obs.history import HistoryStore, main as history_main
 from repro.obs.events import EventLogSchemaError
 
 
-def _shark() -> SharkContext:
-    shark = SharkContext(num_workers=4, cores_per_worker=2)
+def _shark(num_workers: int = 4, num_partitions: int = 6) -> SharkContext:
+    shark = SharkContext(num_workers=num_workers, cores_per_worker=2)
     shark.create_table(
         "readings",
         Schema.of(("bucket", STRING), ("day", INT), ("value", DOUBLE)),
@@ -23,7 +23,7 @@ def _shark() -> SharkContext:
     shark.load_rows(
         "readings",
         [(f"b{i % 5}", i % 10, float(i)) for i in range(600)],
-        num_partitions=6,
+        num_partitions=num_partitions,
     )
     return shark
 
@@ -200,6 +200,24 @@ class TestWorkerUtilization:
         # dividing by it (the old denominator) overstates every lane.
         longest = max(record.makespan() for record in store.queries)
         assert longest < (last - first) / 2
+
+    def test_a_lane_can_keep_more_than_one_core_busy(self, tmp_path):
+        """On 2 workers x 2 cores a lane runs two tasks at once, so it
+        can read above 1/cores; the span times cores still caps it."""
+        shark = _shark(num_workers=2, num_partitions=8)
+        path = tmp_path / "two_by_two.jsonl"
+        shark.enable_tracing()
+        shark.enable_event_log(path)
+        for threshold in (100, 200, 300, 400):
+            shark.sql(
+                "SELECT bucket, COUNT(*), SUM(value) FROM readings "
+                f"WHERE value > {threshold} GROUP BY bucket"
+            )
+        shark.close_event_log()
+        rows = HistoryStore.load(path).worker_utilization()
+        assert len(rows) == 2
+        assert max(row["utilization"] for row in rows) > 0.5
+        assert all(row["utilization"] <= 1.0 for row in rows)
 
 
 class TestGoldenReports:

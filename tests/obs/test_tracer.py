@@ -31,6 +31,65 @@ class TestVirtualClock:
         assert clock.lane_time(0) == 0.0
 
 
+class TestLaneSlots:
+    """A lane runs one task per registered core."""
+
+    def _two_cores(self) -> VirtualClock:
+        clock = VirtualClock()
+        clock.set_cores(0, 2)
+        return clock
+
+    def test_two_tasks_overlap_and_a_third_waits_for_the_earlier_end(self):
+        clock = self._two_cores()
+        assert clock.advance_lane(0, 3.0) == (0.0, 3.0)
+        assert clock.advance_lane(0, 1.0) == (0.0, 1.0)
+        assert clock.advance_lane(0, 2.0) == (1.0, 3.0)
+
+    def test_not_before_still_holds(self):
+        clock = self._two_cores()
+        clock.advance_lane(0, 1.0)
+        assert clock.advance_lane(0, 1.0, not_before=5.0) == (5.0, 6.0)
+        assert clock.advance_lane(0, 1.0, not_before=0.5) == (1.0, 2.0)
+
+    def test_ties_go_to_the_lowest_slot(self):
+        clock = self._two_cores()
+        clock.advance_lane(0, 0.0)  # slot 0, still free at 0.0
+        clock.advance_lane(0, 0.0)  # slot 0 again, not slot 1
+        clock.advance_lane(0, 4.0)  # slot 0: now busy to 4.0
+        assert clock.advance_lane(0, 1.0) == (0.0, 1.0)  # slot 1
+        assert clock.advance_lane(0, 1.0) == (1.0, 2.0)  # slot 1 again
+
+    def test_lane_time_is_the_earliest_free_slot(self):
+        clock = self._two_cores()
+        clock.advance_lane(0, 3.0)
+        assert clock.lane_time(0) == 0.0
+        clock.advance_lane(0, 1.0)
+        assert clock.lane_time(0) == 1.0
+        assert clock.now() == 3.0
+
+    def test_busy_time_sums_the_slots(self):
+        clock = self._two_cores()
+        clock.advance_lane(0, 3.0)
+        clock.advance_lane(0, 1.0, not_before=2.0)
+        assert clock.busy_time(0) == 4.0
+
+    def test_reset_rewinds_the_times_and_keeps_the_slot_counts(self):
+        clock = self._two_cores()
+        clock.advance_lane(0, 3.0)
+        clock.advance_lane(0, 3.0)
+        clock.reset()
+        assert (clock.lane_time(0), clock.busy_time(0)) == (0.0, 0.0)
+        assert clock.advance_lane(0, 1.0) == (0.0, 1.0)
+        assert clock.advance_lane(0, 1.0) == (0.0, 1.0)
+
+    def test_an_unregistered_lane_stays_serial(self):
+        clock = self._two_cores()
+        assert clock.advance_lane(DRIVER_LANE, 1.0) == (0.0, 1.0)
+        assert clock.advance_lane(DRIVER_LANE, 1.0) == (1.0, 2.0)
+        assert clock.advance_lane(1, 1.0) == (0.0, 1.0)
+        assert clock.advance_lane(1, 1.0) == (1.0, 2.0)
+
+
 class TestTracer:
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer()

@@ -8,9 +8,8 @@ from repro import SharkContext
 from repro.datatypes import INT, STRING, Schema
 
 
-@pytest.fixture
-def shark() -> SharkContext:
-    context = SharkContext(num_workers=4, cores_per_worker=2)
+def _joined(cores_per_worker: int) -> SharkContext:
+    context = SharkContext(num_workers=4, cores_per_worker=cores_per_worker)
     context.create_table(
         "users", Schema.of(("uid", INT), ("name", STRING)), cached=True
     )
@@ -26,6 +25,45 @@ def shark() -> SharkContext:
         num_partitions=8,
     )
     return context
+
+
+@pytest.fixture
+def shark() -> SharkContext:
+    return _joined(cores_per_worker=2)
+
+
+def _tasks_by_lane(shark: SharkContext) -> dict:
+    by_lane: dict = {}
+    for task in shark.trace.spans_in_category("task"):
+        by_lane.setdefault(task.lane, []).append(task)
+    return by_lane
+
+
+def _most_at_once(spans) -> int:
+    """The most spans running at one instant (an end frees its slot for
+    a span starting at the same time)."""
+    edges = sorted(
+        [(span.end, -1) for span in spans]
+        + [(span.start, 1) for span in spans]
+    )
+    running = most = 0
+    for __, step in edges:
+        running += step
+        most = max(most, running)
+    return most
+
+
+def _grouped_on_two_by_two() -> SharkContext:
+    """A traced GROUP BY over 8 cached blocks on 2 workers x 2 cores.
+    Blocks 0, 1, 4 and 5 hold 50 groups each, the rest one: a worker's
+    two cores free at different times, so its tasks overlap unevenly."""
+    shark = SharkContext(num_workers=2, cores_per_worker=2)
+    shark.create_table("t", Schema.of(("k", INT), ("s", STRING)), cached=True)
+    rows = [(i, f"s{i}" if (i // 50) % 4 < 2 else "x") for i in range(400)]
+    shark.load_rows("t", rows, 8)
+    shark.enable_tracing()
+    shark.sql("SELECT s, COUNT(*) FROM t GROUP BY s")
+    return shark
 
 
 JOIN_QUERY = (
@@ -65,17 +103,55 @@ class TestQueryTracing:
             assert task.start >= stage.start
             assert task.end <= stage.end
 
-    def test_worker_lanes_serialize_tasks(self, shark):
+    def test_worker_lanes_serialize_tasks(self):
+        # One core a worker: its lane runs one task at a time.
+        shark = _joined(cores_per_worker=1)
         shark.enable_tracing()
         shark.sql(JOIN_QUERY)
-        by_lane: dict = {}
-        for task in shark.trace.spans_in_category("task"):
-            by_lane.setdefault(task.lane, []).append(task)
+        by_lane = _tasks_by_lane(shark)
         assert len(by_lane) > 1  # work spread over workers
         for spans in by_lane.values():
             ordered = sorted(spans, key=lambda s: s.start)
             for earlier, later in zip(ordered, ordered[1:]):
                 assert later.start >= earlier.end
+
+    def test_worker_lanes_run_at_most_cores_tasks_at_once(self, shark):
+        shark.enable_tracing()
+        shark.sql(JOIN_QUERY)
+        most = [_most_at_once(s) for s in _tasks_by_lane(shark).values()]
+        assert max(most) == 2  # the fixture's cores per worker
+
+    def test_a_grouped_query_fills_two_cores_and_no_more(self):
+        by_lane = _tasks_by_lane(_grouped_on_two_by_two())
+        assert set(by_lane) == {0, 1}
+        assert max(_most_at_once(s) for s in by_lane.values()) == 2
+
+    def test_chrome_rows_keep_every_task_whole(self):
+        """Tasks a worker runs at once go on rows of their own, so the
+        duration export clamps none of them into a neighbour."""
+        shark = _grouped_on_two_by_two()
+        document = shark.trace.to_chrome_trace(style="duration")
+        names = {
+            event["tid"]: event["args"]["name"]
+            for event in document["traceEvents"]
+            if event["name"] == "thread_name"
+        }
+        assert "worker 0" in names.values()
+        assert {"worker 0 core 1", "worker 1 core 1"} & set(names.values())
+        assert not any("core 2" in name for name in names.values())
+        opened: dict = {}
+        exported: list = []
+        for event in document["traceEvents"]:
+            if event.get("cat") != "task":
+                continue
+            if event["ph"] == "B":
+                opened[event["tid"]] = event["ts"]
+            elif event["ph"] == "E":
+                exported.append(event["ts"] - opened.pop(event["tid"]))
+        spans = shark.trace.spans_in_category("task")
+        assert sorted(exported) == pytest.approx(
+            sorted(span.duration * 1e6 for span in spans)
+        )
 
     def test_disabled_tracing_records_nothing(self, shark):
         shark.sql(JOIN_QUERY)
