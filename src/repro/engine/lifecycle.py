@@ -18,8 +18,8 @@ manageable.  A :class:`QueryLifecycleManager` wraps the engine with:
   spans, and buffered accumulator updates (the recovery-tail discipline);
 * **fair multi-query scheduling** — runnable tasks from concurrently
   admitted queries interleave across the shared virtual workers
-  (round-robin, fewest-tasks-first, or weighted fair shares keyed on the
-  submitting tenant's priority tier) instead of strict FIFO, so a short
+  (round-robin, or weighted fair shares keyed on the submitting
+  tenant's priority tier) instead of strict FIFO, so a short
   interactive query is not starved behind a long scan;
 * a **per-query circuit breaker** — a query key whose runs repeatedly
   exhaust the engine's recovery budget fails fast with
@@ -126,6 +126,24 @@ DRAIN_RATE_WINDOW = 8
 WATCHDOG_TIMEOUT_S = 300.0
 
 
+def drain_rate_hint(
+    drain_times: list[float],
+    waiting: int,
+    fallback: float = RETRY_AFTER_DEFAULT_S,
+) -> float:
+    """Simulated seconds until ``waiting`` queries drain at the rate
+    ``drain_times`` spaces terminal events (each freed a slot or queue
+    position); ``fallback`` seconds a query until two samples with clock
+    movement exist."""
+    samples = drain_times[-DRAIN_RATE_WINDOW:]
+    if len(samples) >= 2:
+        elapsed = samples[-1] - samples[0]
+        if elapsed > 0:
+            rate = (len(samples) - 1) / elapsed  # drains per sim-s
+            return waiting / rate
+    return fallback * waiting
+
+
 def _parked_lock() -> threading.Lock:
     """A lock held from the start: a binary semaphore at zero, which a
     thread parks on until another releases it."""
@@ -163,11 +181,10 @@ class LifecycleConfig:
     #: this bound raise :class:`~repro.errors.AdmissionRejected`.
     max_queued: int = 2
     #: "round-robin" interleaves one task per query in admission order;
-    #: "min-tasks" always runs the query with the fewest launched tasks
-    #: (max-min fairness on task shares); "weighted" runs the query with
-    #: the smallest ``tasks_launched / weight`` ratio, so a weight-8
-    #: interactive query gets eight task slots for every one a weight-1
-    #: best-effort query gets (weighted max-min fairness).
+    #: "weighted" runs the query with the smallest ``tasks_launched /
+    #: weight`` ratio, so a weight-8 interactive query gets eight task
+    #: slots for every one a weight-1 best-effort query gets (weighted
+    #: max-min fairness; at equal weights, fewest launched tasks first).
     fairness: str = "round-robin"
     #: Deadline applied to queries submitted without an explicit one
     #: (None = no default deadline).
@@ -314,9 +331,7 @@ class QueryLifecycleManager:
     ):
         self._ctx = ctx
         self.config = config if config is not None else LifecycleConfig()
-        if self.config.fairness not in (
-            "round-robin", "min-tasks", "weighted"
-        ):
+        if self.config.fairness not in ("round-robin", "weighted"):
             raise ValueError(
                 f"unknown fairness policy {self.config.fairness!r}"
             )
@@ -344,7 +359,6 @@ class QueryLifecycleManager:
         self.finish_order: list[QueryHandle] = []
         self._next_query_id = 0
         self._rr_cursor = 0
-        self._completions = 0
         #: (tenant, query key) -> consecutive engine failures.  Scoping
         #: per tenant keeps one tenant's poison query from opening the
         #: circuit for another tenant running the same SQL.
@@ -355,12 +369,11 @@ class QueryLifecycleManager:
         #: Charged durations of recently completed queries (the
         #: retry-hint fallback before drain-rate samples exist).
         self._recent_seconds: list[float] = []
-        #: Simulated-clock instants of recent terminal events — each one
+        #: Simulated-clock instants of the last terminal events — each one
         #: released a slot or queue position, so their spacing is the
         #: observed queue drain rate behind retry-after hints.
         self._drain_times: list[float] = []
-        # Aggregate counters (engine metrics mirror these, but the
-        # manager keeps its own so describe() is self-contained).
+        # Lifetime tallies, read by the queries.* counters.
         self.submitted = 0
         self.completed = 0
         self.cancelled = 0
@@ -368,6 +381,17 @@ class QueryLifecycleManager:
         self.failed = 0
         self.rejected = 0
         self.circuit_opened = 0
+        metrics = ctx.tracer.metrics
+        metrics.register_counter("queries.submitted", lambda: self.submitted)
+        metrics.register_counter("queries.completed", lambda: self.completed)
+        metrics.register_counter("queries.cancelled", lambda: self.cancelled)
+        metrics.register_counter(
+            "queries.deadline_expired", lambda: self.deadline_expired
+        )
+        metrics.register_counter("queries.failed", lambda: self.failed)
+        metrics.register_counter(
+            "queries.circuit_opened", lambda: self.circuit_opened
+        )
 
     # ------------------------------------------------------------------
     # Submission and admission control
@@ -393,7 +417,6 @@ class QueryLifecycleManager:
         """
         metrics = self._ctx.tracer.metrics
         self.submitted += 1
-        metrics.inc("queries.submitted")
         query_id = self._next_query_id
         self._next_query_id += 1
         name = name if name is not None else f"q{query_id}"
@@ -456,14 +479,14 @@ class QueryLifecycleManager:
         half_open_at = self._circuit_until.get(scoped)
         if half_open_at is None:
             return
-        if self._completions >= half_open_at:
+        if len(self.finish_order) >= half_open_at:
             # Half-open: admit one trial; success closes the circuit,
             # another failure re-opens it.
             del self._circuit_until[scoped]
             return
         self.rejected += 1
         self._ctx.tracer.metrics.inc("queries.circuit_rejected")
-        remaining = half_open_at - self._completions
+        remaining = half_open_at - len(self.finish_order)
         self._ctx.tracer.instant(
             "query.rejected", "query",
             query=name, key=key, tenant=tenant, reason="circuit-open",
@@ -476,29 +499,14 @@ class QueryLifecycleManager:
         )
 
     def _retry_after_hint(self) -> float:
-        """Simulated seconds until a resubmission plausibly admits.
-
-        Derived from the observed queue drain rate: the simulated-clock
-        spacing of recent terminal events (each frees a slot or queue
-        position).  With ``q`` queries already queued, the hint is the
-        time for ``q + 1`` drains at that rate.  Before two drain
-        samples with clock movement exist, fall back to the average of
-        recently completed query durations.
-        """
+        """Simulated seconds until a resubmission plausibly admits: the
+        time for the queued queries and this one to drain.  Before the
+        drain rate is observed, priced at the average of recently
+        completed query durations."""
         waiting = 1 + len(self._queued)
-        samples = self._drain_times[-DRAIN_RATE_WINDOW:]
-        if len(samples) >= 2:
-            elapsed = samples[-1] - samples[0]
-            if elapsed > 0:
-                rate = (len(samples) - 1) / elapsed  # drains per sim-s
-                return waiting / rate
-        recent = self._recent_seconds[-8:]
-        average = (
-            sum(recent) / len(recent)
-            if recent
-            else RETRY_AFTER_DEFAULT_S
-        )
-        return max(average, 1e-3) * waiting
+        recent = self._recent_seconds[-8:] or [RETRY_AFTER_DEFAULT_S]
+        average = sum(recent) / len(recent)
+        return drain_rate_hint(self._drain_times, waiting, max(average, 1e-3))
 
     # ------------------------------------------------------------------
     # Driving the cooperative scheduler
@@ -584,11 +592,6 @@ class QueryLifecycleManager:
         """The fairness policy: which admitted query runs next."""
         if not self._running:
             return None
-        if self.config.fairness == "min-tasks":
-            return min(
-                self._running,
-                key=lambda handle: (handle.tasks_launched, handle.query_id),
-            )
         if self.config.fairness == "weighted":
             # Weighted max-min fairness: the smallest launched-tasks /
             # weight ratio runs next, ties broken by the heavier weight
@@ -852,24 +855,19 @@ class QueryLifecycleManager:
         )
 
     def _record_completion(self, handle: QueryHandle) -> None:
-        metrics = self._ctx.tracer.metrics
         self.finish_order.append(handle)
-        self._completions += 1
         # Every terminal event frees a slot or queue position: sample
         # the simulated clock for the drain rate behind retry hints.
         self._drain_times.append(self._ctx.tracer.clock.now())
-        if len(self._drain_times) > 4 * DRAIN_RATE_WINDOW:
-            del self._drain_times[:-DRAIN_RATE_WINDOW]
+        del self._drain_times[:-DRAIN_RATE_WINDOW]
         scoped = (handle.tenant, handle.key)
         if handle.state == DONE:
             self.completed += 1
-            metrics.inc("queries.completed")
             self._recent_seconds.append(handle.charged_seconds)
             self._failures.pop(scoped, None)
             self._circuit_until.pop(scoped, None)
         elif handle.state == DEADLINE:
             self.deadline_expired += 1
-            metrics.inc("queries.deadline_expired")
             self._ctx.tracer.instant(
                 "query.deadline", "query",
                 query_id=handle.query_id, query=handle.name,
@@ -878,7 +876,6 @@ class QueryLifecycleManager:
             )
         elif handle.state == CANCELLED:
             self.cancelled += 1
-            metrics.inc("queries.cancelled")
             self._ctx.tracer.instant(
                 "query.cancelled", "query",
                 query_id=handle.query_id, query=handle.name,
@@ -886,7 +883,6 @@ class QueryLifecycleManager:
             )
         elif handle.state == FAILED:
             self.failed += 1
-            metrics.inc("queries.failed")
             if isinstance(handle.error, EngineError) and not isinstance(
                 handle.error, QueryLifecycleError
             ):
@@ -894,9 +890,8 @@ class QueryLifecycleManager:
                 self._failures[scoped] = count
                 if count >= self.config.circuit_failure_threshold:
                     self.circuit_opened += 1
-                    metrics.inc("queries.circuit_opened")
                     self._circuit_until[scoped] = (
-                        self._completions
+                        len(self.finish_order)
                         + self.config.circuit_reset_completions
                     )
                     self._ctx.tracer.instant(
@@ -924,12 +919,7 @@ class QueryLifecycleManager:
         """Live admission accounting for ledger-zero assertions: every
         submission must be running, queued, terminal, or rejected —
         slots never leak, on any terminal path."""
-        terminal = (
-            self.completed
-            + self.cancelled
-            + self.deadline_expired
-            + self.failed
-        )
+        terminal = len(self.finish_order)
         return {
             "running": len(self._running),
             "queued": len(self._queued),

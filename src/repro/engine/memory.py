@@ -46,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from repro.obs.tracer import Tracer
+
 #: Pool names.
 STORAGE = "storage"
 EXECUTION = "execution"
@@ -91,6 +93,18 @@ class WorkerLedger:
         return max(self.capacity_bytes - self.total_used, 0)
 
 
+def _spilled(key: str) -> property:
+    """A spill total: the sum over ``spilled_by_owner``, its one home."""
+    return property(
+        lambda self: sum(e[key] for e in self.spilled_by_owner.values())
+    )
+
+
+def _lane(ledger: WorkerLedger):
+    """The trace lane of a ledger's instants."""
+    return ledger.worker_id if ledger.worker_id != DRIVER_WORKER else "driver"
+
+
 class MemoryAccountant:
     """The per-worker two-pool ledger behind every allocation site.
 
@@ -102,12 +116,17 @@ class MemoryAccountant:
     fields anywhere else.
     """
 
+    #: Arbitration-triggered spills, bytes spilled to disk, and runs.
+    spill_events = _spilled("events")
+    spill_bytes = _spilled("bytes")
+    spill_runs = _spilled("runs")
+
     def __init__(
         self,
         tracer=None,
         capacity_bytes: Optional[int] = None,
     ) -> None:
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         #: Default per-worker cap (``memory_per_worker_bytes``).
         self.capacity_bytes = capacity_bytes
         self.ledgers: dict[int, WorkerLedger] = {}
@@ -125,33 +144,46 @@ class MemoryAccountant:
         #: Re-entrancy guard: a consumer's spill releases memory through
         #: this same accountant and must never trigger nested arbitration.
         self._arbitrating = False
-        #: Monotonic totals (mirrored as counters when a tracer is set).
+        #: Monotonic totals, read by the memory.* counters.
         self.total_reserved_bytes = 0
         self.total_released_bytes = 0
-        self.pressure_events = 0
-        self.spill_events = 0
-        self.spill_bytes = 0
-        self.spill_runs = 0
-        #: owner -> {"events", "bytes", "runs"} cumulative attribution.
+        #: owner -> {"events", "bytes", "runs"} cumulative attribution:
+        #: the one home of every spill count.
         self.spilled_by_owner: dict[str, dict[str, int]] = {}
         #: Bytes silently dropped by over-releases (double-release bugs);
         #: the ledger-zero invariant tests assert this stays zero.
         self.clamped_release_bytes = 0
-        if tracer is not None:
-            metrics = tracer.metrics
-            metrics.register_gauge(
-                "memory.storage.used", lambda: self._sum("used", STORAGE)
-            )
-            metrics.register_gauge(
-                "memory.execution.used", lambda: self._sum("used", EXECUTION)
-            )
-            metrics.register_gauge(
-                "memory.storage.peak", lambda: self._sum("peak", STORAGE)
-            )
-            metrics.register_gauge(
-                "memory.execution.peak", lambda: self._sum("peak", EXECUTION)
-            )
-            metrics.register_gauge("memory.headroom", self._headroom)
+        metrics = self.tracer.metrics
+        metrics.register_counter(
+            "memory.reserved.bytes", lambda: self.total_reserved_bytes
+        )
+        metrics.register_counter(
+            "memory.released.bytes", lambda: self.total_released_bytes
+        )
+        metrics.register_counter(
+            "memory.release.clamped", lambda: self.clamped_release_bytes
+        )
+        metrics.register_counter(
+            "memory.pressure.events", lambda: self.pressure_events
+        )
+        metrics.register_counter(
+            "memory.spill.events", lambda: self.spill_events
+        )
+        metrics.register_counter("memory.spill.bytes", lambda: self.spill_bytes)
+        metrics.register_counter("memory.spill.runs", lambda: self.spill_runs)
+        metrics.register_gauge(
+            "memory.storage.used", lambda: self._sum("used", STORAGE)
+        )
+        metrics.register_gauge(
+            "memory.execution.used", lambda: self._sum("used", EXECUTION)
+        )
+        metrics.register_gauge(
+            "memory.storage.peak", lambda: self._sum("peak", STORAGE)
+        )
+        metrics.register_gauge(
+            "memory.execution.peak", lambda: self._sum("peak", EXECUTION)
+        )
+        metrics.register_gauge("memory.headroom", self._headroom)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -228,8 +260,6 @@ class MemoryAccountant:
         if live > ledger.owner_peak.get(key, 0):
             ledger.owner_peak[key] = live
         self.total_reserved_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.metrics.inc("memory.reserved.bytes", nbytes)
         return nbytes
 
     def release(
@@ -251,12 +281,7 @@ class MemoryAccountant:
         live = ledger.owners.get(key, 0)
         requested = int(nbytes)
         nbytes = min(requested, live)
-        if requested > nbytes:
-            self.clamped_release_bytes += requested - nbytes
-            if self.tracer is not None:
-                self.tracer.metrics.inc(
-                    "memory.release.clamped", requested - nbytes
-                )
+        self.clamped_release_bytes += requested - nbytes
         if nbytes <= 0:
             return 0
         remaining = live - nbytes
@@ -266,8 +291,6 @@ class MemoryAccountant:
             del ledger.owners[key]
         ledger.used[pool] -= nbytes
         self.total_released_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.metrics.inc("memory.released.bytes", nbytes)
         return nbytes
 
     def resize(
@@ -312,6 +335,24 @@ class MemoryAccountant:
                 )
         return released
 
+    @property
+    def pressure_events(self) -> int:
+        """``memory.pressure`` events across workers."""
+        return sum(ledger.pressure_events for ledger in self.ledgers.values())
+
+    def _spill_entry(self, owner: str) -> dict[str, int]:
+        """``owner``'s spill attribution, made at its first spill, when
+        its ``memory.spill.owner.<owner>.bytes`` counter is registered."""
+        entry = self.spilled_by_owner.get(owner)
+        if entry is None:
+            entry = self.spilled_by_owner[owner] = {
+                "events": 0, "bytes": 0, "runs": 0,
+            }
+            self.tracer.metrics.register_counter(
+                f"memory.spill.owner.{owner}.bytes", lambda: entry["bytes"]
+            )
+        return entry
+
     def _sum(self, field_name: str, pool: str) -> int:
         """A pool's ``used`` or ``peak`` bytes summed across workers."""
         ledgers = self.ledgers.values()
@@ -329,7 +370,6 @@ class MemoryAccountant:
         self, ledger: WorkerLedger, pool: str, owner: str, nbytes: int
     ) -> None:
         ledger.pressure_events += 1
-        self.pressure_events += 1
         victims = []
         source = self._victim_sources.get(ledger.worker_id)
         if source is not None:
@@ -337,24 +377,17 @@ class MemoryAccountant:
                 {"block_id": block_id, "bytes": size}
                 for block_id, size in source()[:_MAX_VICTIMS]
             ]
-        if self.tracer is not None:
-            self.tracer.metrics.inc("memory.pressure.events")
-            lane = (
-                ledger.worker_id
-                if ledger.worker_id != DRIVER_WORKER
-                else "driver"
-            )
-            self.tracer.instant(
-                "memory.pressure",
-                "memory",
-                lane=lane,
-                pool=pool,
-                owner=owner,
-                requested_bytes=nbytes,
-                used_bytes=ledger.total_used,
-                capacity_bytes=ledger.capacity_bytes,
-                victims=victims,
-            )
+        self.tracer.instant(
+            "memory.pressure",
+            "memory",
+            lane=_lane(ledger),
+            pool=pool,
+            owner=owner,
+            requested_bytes=nbytes,
+            used_bytes=ledger.total_used,
+            capacity_bytes=ledger.capacity_bytes,
+            victims=victims,
+        )
 
     # ------------------------------------------------------------------
     # Arbitration (eviction before spill)
@@ -403,20 +436,9 @@ class MemoryAccountant:
         per-owner attribution cover the full disk traffic, not just the
         arbitration-triggered slices.
         """
-        self.spill_bytes += nbytes
-        self.spill_runs += runs
-        entry = self.spilled_by_owner.setdefault(
-            owner, {"events": 0, "bytes": 0, "runs": 0}
-        )
+        entry = self._spill_entry(owner)
         entry["bytes"] += nbytes
         entry["runs"] += runs
-        if self.tracer is not None:
-            metrics = self.tracer.metrics
-            metrics.inc("memory.spill.bytes", nbytes)
-            metrics.inc("memory.spill.runs", runs)
-            # dynamic name: per-owner spill attribution (stable labels:
-            # batch_aggregate / sort).
-            metrics.inc(f"memory.spill.owner.{owner}.bytes", nbytes)
 
     def _note_spill(
         self,
@@ -431,32 +453,21 @@ class MemoryAccountant:
     ) -> None:
         """One arbitration-triggered consumer spill: the *event* and its
         instant (byte/run totals arrive via :meth:`note_spill_write`)."""
-        self.spill_events += 1
-        entry = self.spilled_by_owner.setdefault(
-            spiller, {"events": 0, "bytes": 0, "runs": 0}
+        self._spill_entry(spiller)["events"] += 1
+        self.tracer.instant(
+            "memory.spill",
+            "memory",
+            lane=_lane(ledger),
+            owner=spiller,
+            released_bytes=released,
+            spilled_bytes=written,
+            runs=runs,
+            trigger_pool=trigger_pool,
+            trigger_owner=trigger_owner,
+            requested_bytes=requested,
+            used_bytes=ledger.total_used,
+            capacity_bytes=ledger.capacity_bytes,
         )
-        entry["events"] += 1
-        if self.tracer is not None:
-            self.tracer.metrics.inc("memory.spill.events")
-            lane = (
-                ledger.worker_id
-                if ledger.worker_id != DRIVER_WORKER
-                else "driver"
-            )
-            self.tracer.instant(
-                "memory.spill",
-                "memory",
-                lane=lane,
-                owner=spiller,
-                released_bytes=released,
-                spilled_bytes=written,
-                runs=runs,
-                trigger_pool=trigger_pool,
-                trigger_owner=trigger_owner,
-                requested_bytes=requested,
-                used_bytes=ledger.total_used,
-                capacity_bytes=ledger.capacity_bytes,
-            )
 
     # ------------------------------------------------------------------
     # Views

@@ -37,7 +37,7 @@ opting into span collection.
 """
 
 from repro.obs.clock import VirtualClock
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracer import QueryTrace, Span, TraceEvent, Tracer
 
 #: repro.obs.analyze imports the engine (which imports this package), so
@@ -56,7 +56,6 @@ def __getattr__(name: str):
     )
 
 __all__ = [
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "QueryAnalysis",

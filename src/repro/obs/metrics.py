@@ -7,7 +7,9 @@ enough for the hot path, and the shell's ``.metrics`` dot-command must
 show engine activity without the user having opted into tracing.
 
 A gauge is never written: its owner registers, once, a function that
-reads the owner's state, called only when someone asks.
+reads the owner's state, called only when someone asks.  So is a counter
+whose owner already counts its event (``register_counter``); ``inc``
+counts only an event with no other home.  A name is one or the other.
 
 Naming convention: dotted lowercase paths grouped by subsystem, e.g.
 ``tasks.launched``, ``shuffle.write.bytes``, ``blocks.evicted``,
@@ -19,19 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing count."""
-
-    name: str
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
 
 
 def cache_ratios(total: Callable[[str], float]) -> dict[str, float]:
@@ -152,7 +141,10 @@ class MetricsRegistry:
     """All named metrics of one engine context."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
+        #: name -> total of a monotonically increasing count.
+        self._counters: dict[str, float] = {}
+        #: name -> its owner's reader of a count the owner keeps.
+        self._counter_readers: dict[str, Callable] = {}
         #: name -> its owner's reader (None: nothing to report).
         self._gauges: dict[str, Callable] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -160,12 +152,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Accessors (create on first use)
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            metric = self._counters[name] = Counter(name)
-        return metric
-
     def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
@@ -176,7 +162,19 @@ class MetricsRegistry:
     # One-line emit helpers (the instrumented call sites use these)
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
+        if amount < 0:
+            raise ValueError(f"counter {name} cannot decrease")
+        self._counters[name] = self._counters.get(name, 0.0) + amount
+
+    def register_counter(self, name: str, read: Callable) -> None:
+        """Make ``name`` a counter that ``read()`` answers; a new owner
+        counts on from the old one's total, so a count never goes down."""
+        previous = self._counter_readers.get(name)
+        if previous is not None:
+            base = previous()
+            self._counter_readers[name] = lambda: base + read()
+        else:
+            self._counter_readers[name] = read
 
     def register_gauge(self, name: str, read: Callable) -> None:
         """Make ``name`` a gauge that ``read()`` answers."""
@@ -190,12 +188,24 @@ class MetricsRegistry:
         self.histogram(name).observe(value)
 
     def value(self, name: str, default: float = 0.0) -> float:
-        """Current value of a counter or gauge (``default`` when never
-        emitted, or when the gauge's owner has nothing to report)."""
+        """Current value of a counter or gauge: ``default`` while none
+        is counted, or while the gauge's owner has nothing to report."""
         if name in self._counters:
-            return self._counters[name].value
+            return self._counters[name]
+        if name in self._counter_readers:
+            return float(self._counter_readers[name]()) or default
         value = self._gauges.get(name, lambda: None)()
         return default if value is None else value
+
+    def _read_counters(self) -> dict[str, float]:
+        """name -> float value of every counter, sorted; a read counter is
+        listed once non-zero, as an incremented one at its first inc."""
+        values = dict(self._counters)
+        for name, read in self._counter_readers.items():
+            value = float(read())
+            if value:
+                values[name] = value
+        return dict(sorted(values.items()))
 
     def _read_gauges(self) -> dict[str, float]:
         """name -> value of every gauge whose owner reports one."""
@@ -208,10 +218,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, dict]:
         """Plain-data view, stable key order, for tests and exporters."""
         return {
-            "counters": {
-                name: metric.value
-                for name, metric in sorted(self._counters.items())
-            },
+            "counters": self._read_counters(),
             "gauges": self._read_gauges(),
             "histograms": {
                 name: metric.summary()
@@ -222,8 +229,8 @@ class MetricsRegistry:
     def describe(self) -> str:
         """Human-readable dump for the shell's ``.metrics`` command."""
         lines: list[str] = []
-        for name, metric in sorted(self._counters.items()):
-            lines.append(f"{name} = {_number(metric.value)}")
+        for name, value in self._read_counters().items():
+            lines.append(f"{name} = {_number(value)}")
         for name, value in self._read_gauges().items():
             lines.append(f"{name} = {_number(value)} (gauge)")
         for name, metric in sorted(self._histograms.items()):
@@ -238,17 +245,6 @@ class MetricsRegistry:
             else:
                 lines.append(f"{name}: count=0")
         return "\n".join(lines) if lines else "(no metrics recorded)"
-
-    def reset(self) -> None:
-        """Clear counters and histograms; gauges keep their readers,
-        whose owners outlive the reset."""
-        self._counters.clear()
-        self._histograms.clear()
-
-    def __len__(self) -> int:
-        return (
-            len(self._counters) + len(self._gauges) + len(self._histograms)
-        )
 
 
 def _number(value: float) -> str:

@@ -2,14 +2,15 @@
 
 One declaration per name, grouped by subsystem.  Call sites must use a
 name declared here — ``tests/obs/check_metric_names.py`` scans
-``src/repro`` for ``metrics.inc/observe/register_gauge`` and
-``tracer.instant`` literals and fails on any drift in either direction
+``src/repro`` for ``metrics.inc/register_counter/observe/register_gauge``
+and ``tracer.instant`` literals and fails on any drift in either direction
 (an emitted name missing here, or a declared name nothing emits).  This
 is what keeps ``task.retry`` from growing a ``tasks.retried`` twin in
 another module: new telemetry starts by adding one line to this file.
 
 Each value has one home: no counter repeats another's value, and a
-gauge is registered once, by its owner, with a function that reads it.
+gauge — or a counter whose event its owner already counts — is
+registered once, by its owner, with a function that reads it.
 
 The registry is also the event-log contract: the history store and the
 perf-regression sentinel key their summaries by these names, so renames
@@ -18,8 +19,8 @@ are schema changes (see DESIGN.md §10 on event-log versioning).
 
 from __future__ import annotations
 
-#: Monotonic counters (``metrics.inc``), dotted lowercase, grouped by
-#: subsystem.
+#: Monotonic counters (``metrics.inc`` / ``.register_counter``), dotted
+#: lowercase, grouped by subsystem.
 COUNTERS = frozenset(
     {
         # engine: jobs, stages, tasks
@@ -119,7 +120,7 @@ COUNTERS = frozenset(
         "memory.reserved.bytes",
         "memory.released.bytes",
         "memory.pressure.events",
-        # memory arbitration: spill-to-disk traffic (per-owner twins use
+        # memory arbitration: spill-to-disk traffic (per-owner shares use
         # the dynamic name memory.spill.owner.{owner}.bytes) and
         # over-release clamps (should stay zero; see DESIGN.md §12)
         "memory.spill.events",

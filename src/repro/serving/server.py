@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.engine.lifecycle import DRAIN_RATE_WINDOW, RETRY_AFTER_DEFAULT_S
+from repro.engine.lifecycle import DRAIN_RATE_WINDOW, drain_rate_hint
 from repro.errors import (
     QueryLifecycleError,
     QueryShedError,
@@ -130,8 +130,26 @@ class ServedQuery:
         return ", ".join(parts)
 
 
+def _tenant_total(field_name: str) -> property:
+    """One of the tenants' outcome counts, summed across tenants."""
+    return property(
+        lambda self: sum(
+            getattr(tenant, field_name) for tenant in self.tenants.values()
+        )
+    )
+
+
 class SqlServer:
     """Long-lived multi-tenant serving over one SharkContext."""
+
+    submitted = _tenant_total("submitted")
+    enqueued = _tenant_total("enqueued")
+    #: Quota rejections.
+    rejected = _tenant_total("rejected")
+    shed = _tenant_total("shed")
+    completed = _tenant_total("completed")
+    #: Completions served straight from the SQL result cache.
+    cache_hits = _tenant_total("cache_hits")
 
     def __init__(
         self,
@@ -164,17 +182,21 @@ class SqlServer:
         #: Simulated-clock instants of recent completions (drain rate).
         self._drain_times: list[float] = []
         self.brownout = False
-        # Server-level counters (metrics mirror these; describe() is
-        # self-contained).
-        self.submitted = 0
+        #: Tickets promoted into the engine, and brownouts entered: the
+        #: server's own counts (the rest are the tenants').
         self.admitted = 0
-        self.rejected = 0
-        self.shed = 0
-        self.completed = 0
         self.brownouts = 0
-        #: Completions served straight from the SQL result cache.
-        self.cache_hits = 0
         metrics = self._ctx.tracer.metrics
+        metrics.register_counter("server.submitted", lambda: self.submitted)
+        metrics.register_counter("server.enqueued", lambda: self.enqueued)
+        metrics.register_counter("tenant.quota_rejected", lambda: self.rejected)
+        metrics.register_counter("server.shed", lambda: self.shed)
+        metrics.register_counter("server.completed", lambda: self.completed)
+        metrics.register_counter(
+            "sqlcache.served.hits", lambda: self.cache_hits
+        )
+        metrics.register_counter("server.admitted", lambda: self.admitted)
+        metrics.register_counter("server.brownouts", lambda: self.brownouts)
         metrics.register_gauge("server.tenants", lambda: len(self.tenants))
         metrics.register_gauge("server.queue_depth", self._pending_total)
         metrics.register_gauge("server.brownout", lambda: int(self.brownout))
@@ -230,11 +252,8 @@ class SqlServer:
         accepted ticket runs when the server is driven (:meth:`drain`).
         """
         tenant = self.tenant(tenant_name)
-        metrics = self._ctx.tracer.metrics
         now = self._now()
-        self.submitted += 1
         tenant.submitted += 1
-        metrics.inc("server.submitted")
         pending = self._pending[tenant_name]
         # Total outstanding work is bounded by the concurrency slots
         # plus the queue cap; a zero-length queue means the slots are
@@ -263,8 +282,7 @@ class SqlServer:
             enqueued_at=now,
         )
         pending.append(ticket)
-        tenant.admitted += 1
-        metrics.inc("server.enqueued")
+        tenant.enqueued += 1
         return ticket
 
     def _quota_rejection(
@@ -275,10 +293,7 @@ class SqlServer:
         now: float,
         retry_after: Optional[float] = None,
     ) -> TenantQuotaExceeded:
-        metrics = self._ctx.tracer.metrics
-        self.rejected += 1
         tenant.rejected += 1
-        metrics.inc("tenant.quota_rejected")
         if retry_after is None:
             retry_after = self._retry_after_hint(tenant)
         return TenantQuotaExceeded(
@@ -294,13 +309,7 @@ class SqlServer:
         """Time for the tenant's backlog to drain at the observed
         server-wide completion rate (simulated clock)."""
         waiting = tenant.running + len(self._pending[tenant.name]) + 1
-        samples = self._drain_times[-DRAIN_RATE_WINDOW:]
-        if len(samples) >= 2:
-            elapsed = samples[-1] - samples[0]
-            if elapsed > 0:
-                rate = (len(samples) - 1) / elapsed
-                return waiting / rate
-        return RETRY_AFTER_DEFAULT_S * waiting
+        return drain_rate_hint(self._drain_times, waiting)
 
     # ------------------------------------------------------------------
     # Pump: shed, brownout, promote
@@ -326,14 +335,12 @@ class SqlServer:
         """Server-level overload valve: past the enter threshold, shed
         pending work lowest tier first (never ``interactive``) until
         the backlog is back under the exit threshold."""
-        metrics = self._ctx.tracer.metrics
         depth = self._pending_total()
         if not self.brownout:
             if depth < self.config.brownout_enter_depth:
                 return
             self.brownout = True
             self.brownouts += 1
-            metrics.inc("server.brownouts")
             self._ctx.tracer.instant(
                 "server.brownout.enter", "serving", queue_depth=depth
             )
@@ -411,7 +418,6 @@ class SqlServer:
             tenant.running += 1
             self._inflight.append(ticket)
             self.admitted += 1
-            metrics.inc("server.admitted")
             wait = now - ticket.enqueued_at
             metrics.observe("server.queue_wait", wait)
             metrics.observe(f"server.queue_wait.{ticket.priority}", wait)
@@ -423,7 +429,6 @@ class SqlServer:
     # Shedding
     # ------------------------------------------------------------------
     def _shed(self, ticket: ServedQuery, reason: str) -> None:
-        metrics = self._ctx.tracer.metrics
         now = self._now()
         self._pending[ticket.tenant].remove(ticket)
         ticket.state = "shed"
@@ -432,8 +437,6 @@ class SqlServer:
         ticket.ended_at = now
         tenant = self.tenants[ticket.tenant]
         tenant.shed += 1
-        self.shed += 1
-        metrics.inc("server.shed")
         self._ctx.tracer.instant(
             "query.shed", "serving",
             query=ticket.name, tenant=ticket.tenant,
@@ -488,7 +491,6 @@ class SqlServer:
     def _sweep(self) -> None:
         """Book-keep every inflight ticket whose handle went terminal:
         release the tenant slot, charge the budget, record latency."""
-        metrics = self._ctx.tracer.metrics
         now = self._now()
         for ticket in list(self._inflight):
             handle = ticket.handle
@@ -503,19 +505,14 @@ class SqlServer:
             tenant.charge(handle.charged_seconds, now)
             if handle.state == "done":
                 tenant.completed += 1
-                self.completed += 1
-                metrics.inc("server.completed")
                 if getattr(handle.result, "cache_hit", False):
                     # Result came straight from the SQL result cache:
                     # attribute the saved work to the tenant.
                     tenant.cache_hits += 1
-                    self.cache_hits += 1
-                    metrics.inc("sqlcache.served.hits")
             else:
                 tenant.failed += 1
             self._drain_times.append(now)
-            if len(self._drain_times) > 4 * DRAIN_RATE_WINDOW:
-                del self._drain_times[: -2 * DRAIN_RATE_WINDOW]
+            del self._drain_times[:-DRAIN_RATE_WINDOW]
             self._record_latency(ticket)
             self.finished.append(ticket)
 

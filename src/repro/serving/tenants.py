@@ -69,9 +69,10 @@ class TenantState:
     quota: TenantQuota = field(default_factory=TenantQuota)
     #: Queries currently inside the engine (promoted, not yet terminal).
     running: int = 0
-    # Cumulative outcome counters (the .tenants shell view).
+    # Cumulative outcome counts (.tenants; the server's counters sum them).
     submitted: int = 0
-    admitted: int = 0
+    #: Accepted into the tenant's pending queue.
+    enqueued: int = 0
     rejected: int = 0
     shed: int = 0
     completed: int = 0

@@ -332,8 +332,7 @@ class SqlCache:
         self._plans: OrderedDict = OrderedDict()
         self._results: OrderedDict = OrderedDict()
         self._result_bytes = 0
-        # Lifetime tallies (summary_lines is self-contained; the metric
-        # registry mirrors these).
+        # Lifetime tallies, read by the sqlcache.* counters.
         self.plan_hits = 0
         self.plan_misses = 0
         self.result_hits = 0
@@ -342,6 +341,20 @@ class SqlCache:
         self.evictions = 0
         catalog.add_listener(self._on_table_change)
         metrics = ctx.tracer.metrics
+        metrics.register_counter("sqlcache.plan.hits", lambda: self.plan_hits)
+        metrics.register_counter(
+            "sqlcache.plan.misses", lambda: self.plan_misses
+        )
+        metrics.register_counter(
+            "sqlcache.result.hits", lambda: self.result_hits
+        )
+        metrics.register_counter(
+            "sqlcache.result.misses", lambda: self.result_misses
+        )
+        metrics.register_counter(
+            "sqlcache.invalidations", lambda: self.invalidations
+        )
+        metrics.register_counter("sqlcache.evictions", lambda: self.evictions)
         metrics.register_gauge("sqlcache.bytes", lambda: self._result_bytes)
         metrics.register_gauge(
             "sqlcache.entries", lambda: len(self._plans) + len(self._results)
@@ -397,16 +410,13 @@ class SqlCache:
     # ------------------------------------------------------------------
     def plan_lookup(self, normalized: NormalizedQuery):
         """The cached (optimized plan, schema) pair, or None."""
-        metrics = self._ctx.tracer.metrics
         key = (normalized.text, normalized.params, self.catalog.ddl_version)
         entry = self._plans.get(key)
         if entry is None:
             self.plan_misses += 1
-            metrics.inc("sqlcache.plan.misses")
             return None
         self._plans.move_to_end(key)
         self.plan_hits += 1
-        metrics.inc("sqlcache.plan.hits")
         return entry.plan, entry.schema
 
     def plan_store(
@@ -425,7 +435,6 @@ class SqlCache:
     def result_lookup(self, normalized: NormalizedQuery):
         """The cached (rows, schema) for the current version vector, or
         None.  Rows are returned as a fresh list (callers own it)."""
-        metrics = self._ctx.tracer.metrics
         if not self.config.enable_result:
             return None
         vector = self.version_vector(normalized)
@@ -435,11 +444,9 @@ class SqlCache:
         entry = self._results.get(key)
         if entry is None:
             self.result_misses += 1
-            metrics.inc("sqlcache.result.misses")
             return None
         self._results.move_to_end(key)
         self.result_hits += 1
-        metrics.inc("sqlcache.result.hits")
         return list(entry.rows), entry.schema
 
     def result_store(
@@ -468,15 +475,15 @@ class SqlCache:
             self._drop_result(stale)
 
     def _drop_result(self, entry: _ResultEntry, evicted: bool = True) -> None:
-        metrics = self._ctx.tracer.metrics
         self._ctx.memory.release(
             DRIVER_WORKER, STORAGE, CACHE_OWNER, entry.nbytes
         )
         self._result_bytes -= entry.nbytes
         if evicted:
             self.evictions += 1
-            metrics.inc("sqlcache.evictions")
-            metrics.inc("sqlcache.evicted.bytes", entry.nbytes)
+            self._ctx.tracer.metrics.inc(
+                "sqlcache.evicted.bytes", entry.nbytes
+            )
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -485,7 +492,6 @@ class SqlCache:
         """Catalog listener: ``table``'s version moved (load/insert) or
         its DDL identity changed (create/drop/cache/uncache).  Stale
         keys can never be rebuilt — this eagerly frees their memory."""
-        metrics = self._ctx.tracer.metrics
         dropped = 0
         for key in [
             key
@@ -502,9 +508,7 @@ class SqlCache:
             ]:
                 del self._plans[key]
                 dropped += 1
-        if dropped:
-            self.invalidations += dropped
-            metrics.inc("sqlcache.invalidations", dropped)
+        self.invalidations += dropped
 
     # ------------------------------------------------------------------
     # Introspection

@@ -152,7 +152,7 @@ class TestAdmissionControl:
 
 
 class TestFairness:
-    @pytest.mark.parametrize("policy", ["round-robin", "min-tasks"])
+    @pytest.mark.parametrize("policy", ["round-robin", "weighted"])
     def test_short_query_beats_earlier_long_query(self, policy):
         ctx = EngineContext(num_workers=4, cores_per_worker=2)
         lifecycle = ctx.enable_lifecycle(
@@ -829,6 +829,26 @@ class TestTenantIsolation:
         assert ctx.cluster.blacklisted_workers() == [0]
 
 
+class TestCounters:
+    def test_a_new_manager_never_lowers_a_count(self):
+        """The queries.* counters read the manager; the manager a new
+        config puts in its place counts on from the old one's totals."""
+        shark = _build_shark()
+        lifecycle = shark.enable_lifecycle(LifecycleConfig())
+        shark.submit_sql(QUERIES["count"], name="first")
+        lifecycle.drain()
+        metrics = shark.metrics
+        assert metrics.value("queries.submitted") == 1.0
+        assert metrics.value("queries.completed") == 1.0
+        lifecycle = shark.enable_lifecycle(LifecycleConfig(max_queued=3))
+        assert lifecycle.completed == 0
+        assert metrics.value("queries.completed") == 1.0
+        shark.submit_sql(QUERIES["count"], name="second")
+        lifecycle.drain()
+        assert metrics.value("queries.submitted") == 2.0
+        assert metrics.value("queries.completed") == 2.0
+
+
 class TestRetryAfterDrainRate:
     """Satellite 2: rejection hints derive from the observed completion
     drain rate on the simulated clock."""
@@ -945,16 +965,19 @@ def _launch_recorder(ctx, lifecycle) -> list:
     return launches
 
 
-def _schedule_scenario(policy: str):
+def _schedule_scenario(case: str):
     """Six queries over three tenants at three slots: one cancelled after
     3 tasks, one over its deadline mid-flight, three promoted from the
-    queue.  Returns (launch order, finish order, final states)."""
+    queue.  ``case`` is a fairness policy, or ``weighted-unit``: the
+    weighted policy with every weight 1, which runs the fewest launched
+    tasks first.  Returns (launch order, finish order, final states)."""
+    policy, unit, __ = case.partition("-unit")
     ctx = EngineContext(num_workers=4, cores_per_worker=2)
     lifecycle = ctx.enable_lifecycle(
         LifecycleConfig(max_concurrent=3, max_queued=3, fairness=policy)
     )
     launches = _launch_recorder(ctx, lifecycle)
-    tenants = (("a", 1), ("b", 2), ("c", 4))
+    tenants = (("a", 1), ("b", 1 if unit else 2), ("c", 1 if unit else 4))
 
     def job(partitions, shuffle):
         rdd = ctx.parallelize(range(60), partitions)
@@ -998,13 +1021,13 @@ BATON_SCHEDULES = {
         [0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 3, 0, 5, 4, 5, 4, 5, 5, 5, 5, 5],
         [1, 2, 3, 0, 4, 5],
     ),
-    "min-tasks": (
-        [0, 1, 2, 0, 1, 2, 0, 3, 4, 4, 5, 5, 2, 5, 0, 5, 0, 5, 0, 5, 5],
-        [1, 3, 4, 2, 0, 5],
-    ),
     "weighted": (
         [2, 2, 1, 2, 1, 0, 3, 4, 4, 5, 5, 5, 5, 5, 5, 5, 0, 0, 0, 0, 0],
         [2, 3, 4, 1, 5, 0],
+    ),
+    "weighted-unit": (
+        [0, 1, 2, 0, 1, 2, 0, 3, 4, 4, 5, 5, 2, 5, 0, 5, 0, 5, 0, 5, 5],
+        [1, 3, 4, 2, 0, 5],
     ),
 }
 
@@ -1014,10 +1037,10 @@ class TestHandoff:
     the order they always had, and a finished query's thread runs the
     next."""
 
-    @pytest.mark.parametrize("policy", sorted(BATON_SCHEDULES))
-    def test_schedule_is_unchanged(self, policy):
-        launches, finished, states = _schedule_scenario(policy)
-        assert (launches, finished) == BATON_SCHEDULES[policy]
+    @pytest.mark.parametrize("case", sorted(BATON_SCHEDULES))
+    def test_schedule_is_unchanged(self, case):
+        launches, finished, states = _schedule_scenario(case)
+        assert (launches, finished) == BATON_SCHEDULES[case]
         assert states == [
             "done", "cancelled", "done", "deadline", "done", "done"
         ]
@@ -1159,8 +1182,8 @@ class TestHandoff:
     ):
         """The watchdog measures progress, not time parked: a drain many
         watchdog periods long completes, though the driver parks through
-        all of it and min-tasks passes the long query over while thirty
-        fresh one-task queries are promoted ahead of it."""
+        all of it and unit-weight fairness passes the long query over
+        while thirty fresh one-task queries are promoted ahead of it."""
         import time
 
         from repro.engine import lifecycle as lifecycle_module
@@ -1170,7 +1193,7 @@ class TestHandoff:
         ctx = EngineContext(num_workers=2)
         lifecycle = ctx.enable_lifecycle(
             LifecycleConfig(max_concurrent=2, max_queued=30,
-                            fairness="min-tasks")
+                            fairness="weighted")
         )
         baseline = threading.active_count()
 

@@ -272,10 +272,43 @@ class TestGauges:
         shark = _build_shark()
         shark.sql(QUERIES[0])
         shark.engine.tracer.reset()
-        shark.metrics.reset()
-        assert shark.metrics.value("tasks.launched") == 0
         assert shark.metrics.value("memory.storage.used") > 0
         _assert_gauges_read_the_ledger(shark)
+
+
+class TestCounters:
+    """The memory.* counters read the ledger: each count has one home."""
+
+    def test_spill_bytes_agree_after_a_capped_chaos_run(self):
+        injector = FaultInjector(
+            seed=11, transient_failure_rate=0.15, stragglers_per_stage=1
+        )
+        shark = _build_shark(
+            memory_per_worker_bytes=600, fault_injector=injector
+        )
+        for query in QUERIES:
+            shark.sql(query)
+        accountant = shark.engine.memory
+        counters = shark.metrics.snapshot()["counters"]
+        per_owner = sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("memory.spill.owner.")
+        )
+        attributed = sum(
+            entry["bytes"] for entry in accountant.spilled_by_owner.values()
+        )
+        assert accountant.spill_bytes > 0
+        assert (
+            counters["memory.spill.bytes"]
+            == per_owner
+            == attributed
+            == accountant.spill_bytes
+        )
+        assert (
+            counters["memory.reserved.bytes"]
+            == accountant.total_reserved_bytes
+        )
 
 
 class TestSurfacing:

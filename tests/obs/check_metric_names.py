@@ -8,6 +8,9 @@ repo root (exits nonzero and prints each drift), and imported by
 What counts as an emission (string literals only):
 
 * ``<...>metrics.inc("name"`` / ``counters.inc("name"`` — counter
+* ``<...>metrics.register_counter("name"``              — counter (its
+  owner registers the reader once; a name is incremented or read,
+  never both)
 * ``<...>metrics.observe("name"``                       — histogram
 * ``<...>metrics.register_gauge("name"``                — gauge (its
   owner registers the reader once)
@@ -30,6 +33,9 @@ SRC = REPO_ROOT / "src" / "repro"
 _EMISSION_PATTERNS = {
     "counter": re.compile(
         r"\b(?:metrics|counters)\s*\.\s*inc\(\s*\n?\s*\"([^\"]+)\""
+    ),
+    "read_counter": re.compile(
+        r"\bmetrics\s*\.\s*register_counter\(\s*\n?\s*\"([^\"]+)\""
     ),
     "histogram": re.compile(
         r"\bmetrics\s*\.\s*observe\(\s*\n?\s*\"([^\"]+)\""
@@ -65,6 +71,14 @@ def find_drift(src: Path = SRC) -> list[str]:
     declared = names.all_names()
     emitted = emitted_names(src)
     problems: list[str] = []
+    read = emitted.pop("read_counter")
+    for name in sorted(set(read) & set(emitted["counter"])):
+        where = ", ".join(sorted(read[name] | emitted["counter"][name]))
+        problems.append(
+            f"counter {name!r} is both incremented and read ({where})"
+        )
+    for name, files in read.items():
+        emitted["counter"].setdefault(name, set()).update(files)
     for kind, by_name in emitted.items():
         for name, files in sorted(by_name.items()):
             if name not in declared[kind]:

@@ -77,16 +77,31 @@ class TestMetricsRegistry:
     def test_describe_empty(self):
         assert "no metrics" in MetricsRegistry().describe()
 
-    def test_reset_keeps_gauge_readers(self):
+    def test_read_counter_is_a_float_omitted_while_zero(self):
         registry = MetricsRegistry()
-        registry.inc("x")
-        registry.register_gauge("y", lambda: 1)
-        registry.observe("z", 1.0)
-        registry.reset()
-        assert len(registry) == 1
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {"y": 1}, "histograms": {},
-        }
+        count = [0]
+        registry.register_counter("queries.completed", lambda: count[0])
+        registry.inc("a.first")
+        assert registry.snapshot()["counters"] == {"a.first": 1.0}
+        assert "queries.completed" not in registry.describe()
+        assert registry.value("queries.completed", default=-1.0) == -1.0
+        count[0] = 2
+        value = registry.snapshot()["counters"]["queries.completed"]
+        assert value == 2.0 and isinstance(value, float)
+        assert list(registry.snapshot()["counters"]) == [
+            "a.first", "queries.completed",
+        ]
+        assert registry.value("queries.completed") == 2.0
+        assert "queries.completed = 2" in registry.describe()
+
+    def test_a_new_owner_counts_on_from_the_old(self):
+        registry = MetricsRegistry()
+        old, new = [3], [0]
+        registry.register_counter("queries.completed", lambda: old[0])
+        registry.register_counter("queries.completed", lambda: new[0])
+        assert registry.value("queries.completed") == 3.0
+        new[0] = 1
+        assert registry.value("queries.completed") == 4.0
 
 
 def _task(**kwargs) -> TaskMetrics:

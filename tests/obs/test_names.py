@@ -57,6 +57,32 @@ class TestNoDrift:
         ]
         assert sorted(registrations) == sorted(names.GAUGES)
 
+    def test_each_read_counter_has_one_owner(self):
+        """A read counter is registered in one place, by the object that
+        already counts its event, and nothing increments it."""
+        registrations = [
+            name
+            for path in SRC.rglob("*.py")
+            for name in _EMISSION_PATTERNS["read_counter"].findall(
+                path.read_text()
+            )
+        ]
+        assert registrations
+        assert len(registrations) == len(set(registrations))
+        assert not set(registrations) & set(emitted_names()["counter"])
+
+    def test_checker_catches_a_counter_both_incremented_and_read(
+        self, tmp_path
+    ):
+        (tmp_path / "twin.py").write_text(
+            'metrics.inc("queries.completed")\n'
+            'metrics.register_counter("queries.completed", read)\n'
+        )
+        assert any(
+            "'queries.completed' is both incremented and read" in problem
+            for problem in find_drift(src=tmp_path)
+        )
+
     def test_checker_catches_undeclared_emission(self, tmp_path):
         rogue = tmp_path / "rogue.py"
         rogue.write_text(

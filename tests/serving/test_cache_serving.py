@@ -78,6 +78,18 @@ class TestServingWithCache:
             "sql cache" in line for line in off.summary_lines()
         )
 
+    def test_served_counters_read_the_tenants(self):
+        shark, server = _drive(sql_cache=True)
+        tenants = server.tenants.values()
+        metrics = shark.metrics
+        assert metrics.value("server.completed") == sum(
+            tenant.completed for tenant in tenants
+        )
+        assert metrics.value("sqlcache.served.hits") == sum(
+            tenant.cache_hits for tenant in tenants
+        )
+        assert metrics.value("sqlcache.served.hits") > 0
+
     def test_admitted_results_byte_identical_per_template(self):
         __, server = _drive(sql_cache=True)
         by_text: dict[str, list] = {}

@@ -291,6 +291,28 @@ def test_serving_section_in_explain_analyze_and_metrics():
     assert metrics.value("server.tenants") == 3
 
 
+def test_a_second_server_never_lowers_a_count():
+    """The server.* counters read the tenants; a server that replaces
+    another on one context counts on from the first one's totals."""
+    shark = _build_shark()
+    first = _build_server(shark)
+    first.submit("alice", AGG)
+    first.submit("bob", COUNT)
+    first.drain()
+    before = shark.metrics.snapshot()["counters"]
+    assert before["server.completed"] == 2.0
+    second = _build_server(shark)
+    assert second.completed == 0
+    assert shark.metrics.snapshot()["counters"] == before
+    second.submit("carol", COUNT)
+    second.drain()
+    after = shark.metrics.snapshot()["counters"]
+    assert after["server.submitted"] == 3.0
+    assert after["server.completed"] == 3.0
+    assert after["server.admitted"] == 3.0
+    assert all(after[name] >= value for name, value in before.items())
+
+
 def test_queue_depth_reads_the_pending_queries():
     server = _build_server()
     metrics = server.shark.metrics

@@ -211,6 +211,18 @@ GUARDS = {
         Rule(r"set_gauge\(|_update_gauges", ("src/repro",)),
         Rule(r'"exchange\.(rows|encoded_bytes)"', ("src/repro",)),
     ],
+    # A count has one home: a counter whose event an owner already
+    # counts reads that owner (metrics.register_counter), and the twin
+    # tallies stay gone — spills live in spilled_by_owner, the server's
+    # outcome counts in its tenants.
+    "counters-read-their-owner": [
+        Rule(r"\.inc\(", ("src/repro",), at_most=65),
+        Rule(r"self\.spill_(bytes|runs|events) \+=", ("src/repro",)),
+        Rule(
+            r"self\.(submitted|completed|shed|rejected|cache_hits) \+=",
+            ("src/repro/serving/server.py",),
+        ),
+    ],
 }
 
 
