@@ -79,7 +79,7 @@ class Vector:
     data; ``valid is None`` over an array means no NULLs.
     """
 
-    __slots__ = ("data", "valid")
+    __slots__ = ("data", "valid", "__weakref__")
 
     def __init__(self, data, valid: Optional[np.ndarray] = None):
         self.data = data
@@ -177,10 +177,10 @@ class Vector:
         to end.  Arrays of one dtype kind (one dtype, of datetime64s) stay
         an array; anything else meets as Python values, so no int turns
         into a float, and no date into a datetime, on the way."""
-        if len(spans) == 1:
-            vector, start, stop = spans[0]
-            return vector.slice(start, stop)
-        datas = [vector.data for vector, __, __ in spans]
+        parts = [vector.slice(start, stop) for vector, start, stop in spans]
+        if len(parts) == 1:
+            return parts[0]
+        datas = [part.data for part in parts]
         kinds = {
             data.dtype.kind if isinstance(data, np.ndarray) else None
             for data in datas
@@ -189,23 +189,20 @@ class Vector:
             "M" in kinds and len({data.dtype for data in datas}) > 1
         ):
             values: list = []
-            for vector, start, stop in spans:
-                values.extend(vector.slice(start, stop).to_python_list())
+            for part in parts:
+                values.extend(part.to_python_list())
             return Vector(values)
         valid = None
-        if any(vector.valid is not None for vector, __, __ in spans):
+        if any(part.valid is not None for part in parts):
             valid = np.concatenate(
                 [
-                    np.ones(stop - start, dtype=bool)
-                    if vector.valid is None
-                    else vector.valid[start:stop]
-                    for vector, start, stop in spans
+                    np.ones(len(part), dtype=bool)
+                    if part.valid is None
+                    else part.valid
+                    for part in parts
                 ]
             )
-        data = np.concatenate(
-            [data[start:stop] for data, (__, start, stop) in zip(datas, spans)]
-        )
-        return Vector(data, valid)
+        return Vector(np.concatenate(datas), valid)
 
     def to_python_list(self) -> list:
         """Values as Python objects with inline None (row-path parity).

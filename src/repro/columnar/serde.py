@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+import weakref
 from datetime import date, datetime
 from functools import reduce
 from itertools import chain, repeat
@@ -524,7 +525,9 @@ class _Column:
     under each encoding it has (``prices``, payload bytes; an encoding
     a floor shows cannot be the cheapest is left out) and its bytes under
     one (``encoded``).  The writer prices, then writes the cheapest;
-    ``sizes`` is that price per bucket, with the tag and validity."""
+    ``sizes`` is that price per bucket, with the tag and validity.  The
+    buckets priced (``starts``, ``counts``) hold every row, none empty:
+    as many buckets as rows is a row a bucket."""
 
     valid: Optional[np.ndarray] = None
     schemes: tuple = ("plain",)
@@ -673,8 +676,16 @@ class _FixedColumn(_Column):
     def prices(self, starts: np.ndarray, counts: np.ndarray) -> dict:
         if self.data is None:
             return {"plain": np.zeros(len(counts), dtype=np.int64)}
-        numbers, tag, valid = self._keys(), self.tag, self.valid
+        tag, valid = self.tag, self.valid
         width = None if tag == _BOOL else _WIDTHS.get(tag)
+        if len(counts) >= len(self):
+            # A row a bucket: any other form adds framing, and an int's
+            # plain width is its own value's.
+            if tag == _INT:
+                keys = self._keys()
+                width = _int_widths(keys, keys)
+            return {"plain": _bits(counts) if width is None else counts * width}
+        numbers = self._keys()
         if "bitpack" in self.schemes:
             low = np.minimum.reduceat(numbers, starts)
             high = np.maximum.reduceat(numbers, starts)
@@ -685,8 +696,6 @@ class _FixedColumn(_Column):
             return _bits(count) if width is None else count * width
 
         prices = {"plain": value_bytes(counts)}
-        if counts.max() < 2:  # a row a bucket: any other form adds framing
-            return prices
         if "bitpack" in self.schemes:
             # The bit width and the packed offsets, then the base nested.
             base = _int_widths(low, low) if tag == _INT else width
@@ -694,13 +703,15 @@ class _FixedColumn(_Column):
             prices["bitpack"] = 2 + packed + base
         best = reduce(np.minimum, prices.values())
         # The run count, then the lengths and the values nested; priced
-        # where a byte a run length would undercut.
-        breaks = _breaks(numbers, starts)
-        runs = np.add.reduceat(breaks, starts, dtype=np.int64)
-        if (6 + runs + value_bytes(runs) <= best).any():
-            lengths = _int_widths(0, _longest(breaks, starts))
-            prices["rle"] = 6 + runs * lengths + value_bytes(runs)
-            best = np.minimum(best, prices["rle"])
+        # where a byte a run length would undercut, and its runs counted
+        # only where one run (a length byte and a value) would.
+        if (7 + value_bytes(1) <= best).any():
+            breaks = _breaks(numbers, starts)
+            runs = np.add.reduceat(breaks, starts, dtype=np.int64)
+            if (6 + runs + value_bytes(runs) <= best).any():
+                lengths = _int_widths(0, _longest(breaks, starts))
+                prices["rle"] = 6 + runs * lengths + value_bytes(runs)
+                best = np.minimum(best, prices["rle"])
         # The code width and the codes, then the entries nested; priced
         # where a byte a code and one entry would undercut.
         if (3 + counts > best).all():
@@ -815,8 +826,8 @@ class _StringColumn(_Column):
         if self.valid is not None:
             row_lens = np.where(self.valid, row_lens, 0)
         prices = {"plain": 4 * counts + np.add.reduceat(row_lens, starts)}
-        if counts.max() < 2:  # a row a bucket: any other form adds framing
-            return prices
+        if len(counts) >= len(self):
+            return prices  # a row a bucket: any other form adds framing
         # A run-length form where a byte a run length would undercut.
         breaks = _breaks(self._keys(), starts)
         runs = np.add.reduceat(breaks, starts, dtype=np.int64)
@@ -903,6 +914,13 @@ def _plan_values(values: list):
     return _ObjectColumn(values)
 
 
+#: Each live dictionary's plan: a coded column plans as its codes into
+#: it, and every column coded by one block's dictionary shares it.
+_DICTIONARY_PLANS: "weakref.WeakKeyDictionary[Vector, _Column]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def plan_column(vector: Vector, data_type: Optional[DataType] = None):
     """The wire form of a batch column.  It depends on the column's
     values alone: an int64 array, an int32 array and a list of the same
@@ -910,7 +928,11 @@ def plan_column(vector: Vector, data_type: Optional[DataType] = None):
     Given ``data_type``, the vector is :meth:`Vector.typed`'s of it: a
     STRING list is planned without another look at its values' types."""
     if isinstance(vector, CodedVector):
-        return plan_column(vector.dictionary).gather(vector.codes)
+        entries = vector.dictionary
+        plan = _DICTIONARY_PLANS.get(entries)
+        if plan is None:
+            plan = _DICTIONARY_PLANS[entries] = plan_column(entries)
+        return plan.gather(vector.codes)
     data = vector.data
     if isinstance(data, list) and data and isinstance(data_type, StringType):
         return _StringColumn.of(data)
@@ -1117,23 +1139,25 @@ class BatchSerde:
         """:meth:`encoded_size`, and how many of all those bytes belong
         to columns that had to be pickled (what makes an exchange fat)."""
         if offsets is None:
+            if not batch.num_rows:
+                return [0], 0
             starts, counts = _FIRST_ROW, np.array([batch.num_rows])
-            filled = slice(None) if batch.num_rows else slice(0)
+            filled = slice(None)
+            sizes = np.zeros(1, dtype=np.int64)
         else:
-            counts = np.diff(offsets)
-            filled = counts > 0
-            starts = offsets[:-1][filled]
-        sizes = np.zeros(len(counts), dtype=np.int64)
-        counts = counts[filled]
+            counts = offsets[1:] - offsets[:-1]
+            filled = counts.nonzero()[0]
+            starts, counts = offsets[filled], counts[filled]
+            sizes = np.zeros(len(offsets) - 1, dtype=np.int64)
         pickled = 0
         if len(counts):
-            total = np.full(len(counts), _HEADER.size, dtype=np.int64)
+            total = _HEADER.size
             for vector in batch.vectors():
                 column = plan_column(vector)
                 column_sizes = column.sizes(starts, counts)
                 if isinstance(column, _ObjectColumn):
                     pickled += int(column_sizes.sum())
-                total += column_sizes
+                total = total + column_sizes
             sizes[filled] = total
         return sizes.tolist(), pickled
 

@@ -10,7 +10,6 @@ map output, and child tasks fetch buckets from every map task.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -162,7 +161,7 @@ class ShuffleDependency(Dependency):
         none)."""
         return batch, None
 
-    def bucketed(self, batch: ColumnBatch) -> tuple[ColumnBatch, list[int]]:
+    def bucketed(self, batch: ColumnBatch) -> tuple[ColumnBatch, np.ndarray]:
         """``batch`` in bucket order, each bucket keeping its rows in the
         order they arrived, and where each bucket starts (one offset per
         reduce partition, then the row count).  No id is computed for a
@@ -170,8 +169,10 @@ class ShuffleDependency(Dependency):
         no row means maybe no column to read a key from)."""
         num_reduces = self.partitioner.num_partitions
         rows = batch.num_rows
+        offsets = np.zeros(num_reduces + 1, dtype=np.int64)
         if num_reduces == 1 or not rows:
-            return batch, [0] + [rows] * num_reduces
+            offsets[1:] = rows
+            return batch, offsets
         ids = self.partitioner.partition_batch(batch, self.key)
         counts = np.bincount(ids, minlength=num_reduces)
         if len(counts) != num_reduces:
@@ -182,8 +183,9 @@ class ShuffleDependency(Dependency):
         if (ids[1:] < ids[:-1]).any():
             # (Narrow ids let numpy pick its radix sort.)
             narrow = np.uint16 if num_reduces <= 2 ** 16 else np.int64
-            batch = batch.take(np.argsort(ids.astype(narrow), kind="stable"))
-        return batch, [0, *accumulate(counts.tolist())]
+            batch = batch.take(ids.astype(narrow).argsort(kind="stable"))
+        counts.cumsum(out=offsets[1:])
+        return batch, offsets
 
     def pairs(self, batch: ColumnBatch) -> list:
         """``(key, value)`` of every row of a fetched batch."""

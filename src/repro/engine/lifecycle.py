@@ -379,7 +379,8 @@ class QueryLifecycleManager:
         self.cancelled = 0
         self.deadline_expired = 0
         self.failed = 0
-        self.rejected = 0
+        self.capacity_rejected = 0
+        self.circuit_rejected = 0
         self.circuit_opened = 0
         metrics = ctx.tracer.metrics
         metrics.register_counter("queries.submitted", lambda: self.submitted)
@@ -390,8 +391,19 @@ class QueryLifecycleManager:
         )
         metrics.register_counter("queries.failed", lambda: self.failed)
         metrics.register_counter(
+            "queries.rejected", lambda: self.capacity_rejected
+        )
+        metrics.register_counter(
+            "queries.circuit_rejected", lambda: self.circuit_rejected
+        )
+        metrics.register_counter(
             "queries.circuit_opened", lambda: self.circuit_opened
         )
+
+    @property
+    def rejected(self) -> int:
+        """Submissions refused, beyond capacity or by an open circuit."""
+        return self.capacity_rejected + self.circuit_rejected
 
     # ------------------------------------------------------------------
     # Submission and admission control
@@ -455,8 +467,7 @@ class QueryLifecycleManager:
                 position=len(self._queued),
             )
         else:
-            self.rejected += 1
-            metrics.inc("queries.rejected")
+            self.capacity_rejected += 1
             hint = self._retry_after_hint()
             self._ctx.tracer.instant(
                 "query.rejected", "query",
@@ -484,8 +495,7 @@ class QueryLifecycleManager:
             # another failure re-opens it.
             del self._circuit_until[scoped]
             return
-        self.rejected += 1
-        self._ctx.tracer.metrics.inc("queries.circuit_rejected")
+        self.circuit_rejected += 1
         remaining = half_open_at - len(self.finish_order)
         self._ctx.tracer.instant(
             "query.rejected", "query",

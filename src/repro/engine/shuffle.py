@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import CodedVector, ColumnBatch, Vector
 from repro.columnar.serde import BatchSerde
 from repro.engine.partitioner import RangePartitioner
 from repro.engine.task import current_task_context
@@ -54,22 +54,68 @@ def _shuffle_block_id(shuffle_id: int, map_partition: int) -> str:
 
 class ShuffleBlock:
     """One map task's stored output: its batch in bucket order, where
-    each bucket starts, and what each weighs.  A bucket is a slice."""
+    each bucket starts (an array), and what each weighs.  A bucket is a
+    slice."""
 
     __slots__ = ("batch", "offsets", "sizes")
 
-    def __init__(self, batch: ColumnBatch, offsets: list, sizes: list):
+    def __init__(self, batch: ColumnBatch, offsets: np.ndarray, sizes: list):
         self.batch = batch
         self.offsets = offsets
         self.sizes = sizes
 
-    def span(self, reduce_partition: int) -> tuple[ColumnBatch, int, int]:
-        """Where bucket ``reduce_partition`` lies in the batch."""
-        return (
-            self.batch,
-            self.offsets[reduce_partition],
-            self.offsets[reduce_partition + 1],
+
+def _gather_buckets(
+    blocks: list[ShuffleBlock], buckets: Sequence[int]
+) -> ColumnBatch:
+    """The rows of ``buckets`` in every block, bucket by bucket and
+    within one in block order: what the slices of each (bucket, block)
+    with rows, end to end, make.  Each block holding such a slice gives
+    one span (from its first wanted bucket to past its last); the spans
+    are concatenated a column at a time and then gathered into bucket
+    order, unless they are in it already.  A coded column comes out
+    dense wherever more than one slice met, as their concatenation
+    would."""
+    offsets = np.array([block.offsets for block in blocks])
+    wanted = np.array(buckets, dtype=np.int64)
+    firsts, stops = offsets[:, wanted], offsets[:, wanted + 1]
+    counts = stops - firsts
+    filled = counts > 0  # block x bucket: a slice with rows
+    pieces = np.count_nonzero(filled)
+    if pieces <= 1:
+        if not pieces:
+            return blocks[0].batch.slice(0, 0)
+        block, bucket = np.argwhere(filled)[0].tolist()
+        first, stop = int(firsts[block, bucket]), int(stops[block, bucket])
+        return blocks[block].batch.slice(first, stop)
+    held = filled.any(axis=1).nonzero()[0]
+    firsts, counts, filled = firsts[held], counts[held], filled[held]
+    starts, ends = firsts.min(axis=1), stops[held].max(axis=1)
+    spans = zip(held.tolist(), starts.tolist(), ends.tolist())
+    batch = ColumnBatch.concat_slices(
+        [(blocks[block].batch, start, end) for block, start, end in spans]
+    )
+    if len(wanted) > 1:
+        # Where each slice lies in ``batch``, and where bucket order puts it.
+        lengths = ends - starts
+        shift = starts - lengths.cumsum() + lengths
+        at = (firsts - shift[:, None]).T[filled.T]
+        counts = counts.T[filled.T]
+        placed = counts.cumsum() - counts
+        total = int(placed[-1] + counts[-1])
+        if total != batch.num_rows or (at != placed).any():
+            batch = batch.take((at - placed).repeat(counts) + np.arange(total))
+    if len(held) == 1:
+        batch = ColumnBatch(
+            [
+                Vector(vector.data, vector.valid)
+                if isinstance(vector, CodedVector)
+                else vector
+                for vector in batch.vectors()
+            ],
+            batch.num_rows,
         )
+    return batch
 
 
 #: Heavy keys each map output contributes to its skew record (a little
@@ -120,8 +166,11 @@ def log_decode_size(code: int) -> int:
     return int(round(_LOG_BASE ** (code - 1)))
 
 
+@functools.lru_cache(maxsize=4096)
 def _as_reported(size: int) -> int:
-    """A bucket's size as the master receives it: through its code."""
+    """A bucket's size as the master receives it: through its code
+    (memoized: a served exchange reports the same few sizes again and
+    again)."""
     return log_decode_size(log_encode_size(size))
 
 
@@ -369,13 +418,14 @@ class ShuffleManager:
         map_partition: int,
         worker_id: int,
         batch: ColumnBatch,
-        offsets: list[int],
+        offsets: Sequence[int],
     ) -> tuple[int, int, int, int]:
         """Weigh a bucketed map output, store it on ``worker_id`` and
         report its status; returns its (rows, columns, bytes, pickled
         bytes)."""
+        offsets = np.asarray(offsets)
         sizes, pickled_bytes = _SERDE.measure(
-            batch, None if len(offsets) == 2 else np.array(offsets)
+            batch, None if len(offsets) == 2 else offsets
         )
         total_bytes = sum(sizes)
         worker = self._cluster.worker(worker_id)
@@ -388,7 +438,7 @@ class ShuffleManager:
             pinned=True,
         )
         self._stats[dep.shuffle_id].statuses[map_partition] = MapStatus(
-            [b - a for a, b in zip(offsets, offsets[1:])], sizes
+            (offsets[1:] - offsets[:-1]).tolist(), sizes
         )
         return batch.num_rows, len(batch.entries), total_bytes, pickled_bytes
 
@@ -499,22 +549,11 @@ class ShuffleManager:
                 )
                 raise FetchFailedError(shuffle_id, map_partition, worker_id)
             blocks.append(worker.blocks.get(block_id))
-        fetched = ColumnBatch.concat_slices(
-            [
-                block.span(bucket)
-                for bucket in reduce_partitions
-                for block in blocks
-                if block.sizes[bucket]
-            ]
-            or [(blocks[0].batch, 0, 0)]
-        )
+        fetched = _gather_buckets(blocks, reduce_partitions)
         if metrics is not None:
             # What was fetched is what was written: the buckets' sizes.
-            read_bytes = sum(
-                block.sizes[bucket]
-                for bucket in reduce_partitions
-                for block in blocks
-            )
+            sizes = np.array([block.sizes for block in blocks])
+            read_bytes = int(sizes[:, list(reduce_partitions)].sum())
             task_ctx = current_task_context()
             if task_ctx is not None:
                 # The fetched rows live in the reduce task until its

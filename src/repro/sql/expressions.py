@@ -10,7 +10,9 @@ predicate is exactly TRUE.
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 import re
 from typing import Any, Callable, Optional, Sequence
 
@@ -529,21 +531,64 @@ def expr_signature(expr: BoundExpr) -> tuple:
     return (type(expr).__name__, extra, children)
 
 
+#: Where a node keeps what ``children()`` lists: one child each, or a
+#: list of them; a CASE keeps (condition, value) pairs in ``branches``.
+_CHILD_ATTRIBUTES = (
+    "left", "right", "operand", "low", "high", "pattern", "otherwise",
+)
+_CHILD_LISTS = ("args", "options")
+
+
+def map_children(
+    expr: BoundExpr, fn: Callable[[BoundExpr], BoundExpr]
+) -> BoundExpr:
+    """``expr`` with ``fn`` applied to each of its children: ``expr``
+    itself where ``fn`` returns every child unchanged, else a shallow
+    copy holding the new children (the rest shared with ``expr``, which
+    stays as it was)."""
+    changed: dict[str, Any] = {}
+    for attribute in _CHILD_ATTRIBUTES:
+        child = getattr(expr, attribute, None)
+        if isinstance(child, BoundExpr):
+            mapped = fn(child)
+            if mapped is not child:
+                changed[attribute] = mapped
+    for attribute in _CHILD_LISTS:
+        children = getattr(expr, attribute, None)
+        if children is not None:
+            mapped = [fn(child) for child in children]
+            if any(map(operator.is_not, mapped, children)):
+                changed[attribute] = mapped
+    branches = getattr(expr, "branches", None)
+    if branches is not None:
+        mapped = [(fn(condition), fn(value)) for condition, value in branches]
+        if any(map(operator.is_not, _flat(mapped), _flat(branches))):
+            changed["branches"] = mapped
+    if not changed:
+        return expr
+    clone = copy.copy(expr)
+    vars(clone).update(changed)
+    return clone
+
+
+def _flat(pairs: list[tuple[BoundExpr, BoundExpr]]) -> list[BoundExpr]:
+    return [node for pair in pairs for node in pair]
+
+
 def rewrite_columns(expr: BoundExpr, mapping: dict[int, int]) -> BoundExpr:
-    """Return a copy of ``expr`` with column ordinals remapped.
+    """``expr`` with column ordinals remapped.
 
     Used by pushdown rules that move a predicate across a projection or to
     one side of a join: the predicate's input layout changes, so its
-    column indices must be rebased.
+    column indices must be rebased.  Only the nodes on a path to a column
+    whose ordinal changes are rebuilt (:func:`map_children`); every other
+    subtree is shared with ``expr``.
     """
-    import copy
-
-    clone = copy.deepcopy(expr)
-    stack: list[BoundExpr] = [clone]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BoundColumn):
-            node.index = mapping[node.index]
-        for child in node.children():
-            stack.append(child)
-    return clone
+    if isinstance(expr, BoundColumn):
+        index = mapping[expr.index]
+        if index == expr.index:
+            return expr
+        clone = copy.copy(expr)
+        clone.index = index
+        return clone
+    return map_children(expr, lambda child: rewrite_columns(child, mapping))

@@ -27,6 +27,7 @@ from repro.sql.expressions import (
     BoundColumn,
     BoundExpr,
     BoundLiteral,
+    map_children,
     rewrite_columns,
 )
 
@@ -72,26 +73,8 @@ def fold_expression(expr: BoundExpr) -> BoundExpr:
         except Exception:
             return expr  # leave non-evaluable expressions alone
         return BoundLiteral(value, expr.data_type)
-    # Fold children in place (expressions are plan-private copies).
-    _fold_children(expr)
-    return expr
-
-
-def _fold_children(expr: BoundExpr) -> None:
-    for attribute in ("left", "right", "operand", "low", "high", "pattern",
-                      "otherwise"):
-        child = getattr(expr, attribute, None)
-        if isinstance(child, BoundExpr):
-            setattr(expr, attribute, fold_expression(child))
-    if hasattr(expr, "args"):
-        expr.args = [fold_expression(arg) for arg in expr.args]
-    if hasattr(expr, "options"):
-        expr.options = [fold_expression(option) for option in expr.options]
-    if hasattr(expr, "branches"):
-        expr.branches = [
-            (fold_expression(condition), fold_expression(value))
-            for condition, value in expr.branches
-        ]
+    # Fold children, copying only the nodes on a path to a fold.
+    return map_children(expr, fold_expression)
 
 
 def fold_constants(plan: logical.LogicalPlan) -> logical.LogicalPlan:

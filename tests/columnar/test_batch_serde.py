@@ -381,6 +381,33 @@ def test_null_slots_of_an_array_never_leak_their_garbage():
     ]
 
 
+def test_columns_coded_by_one_dictionary_plan_it_once(monkeypatch):
+    """Pricing and writing two columns coded by one dictionary type its
+    entries once; each still weighs and writes what its values do."""
+    from repro.columnar import serde
+
+    planned = []
+    real = serde._StringColumn.of
+    monkeypatch.setattr(
+        serde._StringColumn, "of",
+        classmethod(lambda cls, values: planned.append(values) or real(values)),
+    )
+    entries = Vector(["a", "bb", None, "a"])
+    columns = [
+        CodedVector(np.array([0, 1, 2, 0, 1]), entries),
+        CodedVector(np.array([3, 3, 1]), entries),
+    ]
+    for coded in columns:
+        offsets = np.array([0, 1, 1, len(coded)])
+        batch = ColumnBatch([coded], len(coded))
+        dense = ColumnBatch([Vector(coded.to_python_list())], len(coded))
+        assert SERDE.encode(batch) == SERDE.encode(dense)
+        assert SERDE.encoded_size(batch, offsets) == SERDE.encoded_size(
+            dense, offsets
+        )
+    assert planned.count(entries.data) == 1
+
+
 def test_empty_batch_is_empty_string():
     assert SERDE.encode(ColumnBatch.from_columns([[], []], 0)) == b""
     assert SERDE.decode(b"").num_rows == 0

@@ -848,6 +848,39 @@ class TestCounters:
         assert metrics.value("queries.submitted") == 2.0
         assert metrics.value("queries.completed") == 2.0
 
+    def test_each_rejection_counts_in_its_own_field(self):
+        """A capacity rejection and a circuit rejection each read one
+        field; ``rejected`` is their sum, as the admission ledger counts."""
+        ctx = EngineContext(num_workers=2)
+        lifecycle = ctx.enable_lifecycle(
+            LifecycleConfig(
+                max_concurrent=1, max_queued=1, circuit_failure_threshold=1
+            )
+        )
+
+        def boom():
+            raise TaskError(0, 0, ValueError("boom"))
+
+        with pytest.raises(TaskError):
+            lifecycle.wait(lifecycle.submit(boom, name="bad", key="bad"))
+        with pytest.raises(QueryCircuitOpenError):
+            lifecycle.submit(boom, name="bad again", key="bad")
+        running = lifecycle.submit(lambda: 1, name="running")
+        queued = lifecycle.submit(lambda: 2, name="queued")
+        for name in ("over", "over again"):
+            with pytest.raises(AdmissionRejected):
+                lifecycle.submit(lambda: 3, name=name)
+        assert (lifecycle.capacity_rejected, lifecycle.circuit_rejected) == (
+            2, 1,
+        )
+        assert lifecycle.rejected == 3
+        assert ctx.metrics.value("queries.rejected") == 2.0
+        assert ctx.metrics.value("queries.circuit_rejected") == 1.0
+        assert lifecycle.admission_ledger()["rejected"] == 3
+        lifecycle.drain()
+        assert (running.state, queued.state) == ("done", "done")
+        assert lifecycle.admission_ledger()["leaked"] == 0
+
 
 class TestRetryAfterDrainRate:
     """Satellite 2: rejection hints derive from the observed completion

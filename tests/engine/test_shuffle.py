@@ -3,18 +3,21 @@
 import functools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar.batch import CodedVector, ColumnBatch, Vector
 from repro.engine.context import EngineContext
 from repro.engine.dependencies import Aggregator, ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import (
     MapOutputStats,
     MapStatus,
+    ShuffleBlock,
     ShuffleManager,
-    _as_reported,
+    _gather_buckets,
     log_decode_size,
     log_encode_size,
 )
@@ -28,12 +31,16 @@ def _write(manager, dep, map_partition, worker_id, records):
     )
 
 
+def _through_the_code(size):
+    return log_decode_size(log_encode_size(size))
+
+
 def _check_decoded_once(stats):
     """Every size statistic equals the sum of its buckets' sizes, each
-    decoded on its own through ``_as_reported`` (the reference)."""
+    decoded on its own through its code (the reference)."""
     statuses = stats.statuses.values()
     per_reduce = [
-        sum(_as_reported(status.sizes[bucket]) for status in statuses)
+        sum(_through_the_code(status.sizes[bucket]) for status in statuses)
         for bucket in range(stats.num_reduces)
     ]
     assert stats.reduce_input_sizes() == per_reduce
@@ -42,7 +49,7 @@ def _check_decoded_once(stats):
     ] == per_reduce
     for map_partition, status in stats.statuses.items():
         assert stats.map_output_bytes(map_partition) == sum(
-            map(_as_reported, status.sizes)
+            map(_through_the_code, status.sizes)
         )
     assert stats.total_output_bytes() == sum(per_reduce)
 
@@ -97,6 +104,135 @@ class TestWriteAndFetch:
         assert ctx.materialize_shuffle(shuffled) is stats
         assert stats.maps_reported == 4
         assert stats.total_records() == 40
+
+
+def _by_slices(blocks, buckets):
+    """The reference fetch: every (bucket, block) slice with bytes, bucket
+    by bucket and within one in block order, concatenated."""
+    return ColumnBatch.concat_slices(
+        [
+            (block.batch, block.offsets[bucket], block.offsets[bucket + 1])
+            for bucket in buckets
+            for block in blocks
+            if block.sizes[bucket]
+        ]
+        or [(blocks[0].batch, 0, 0)]
+    )
+
+
+def _kinds(batch):
+    return [
+        (type(vector), vector.is_array, getattr(vector.data, "dtype", None))
+        for vector in batch.vectors()
+    ]
+
+
+#: One column of ``n`` rows of a kind a map output may hold.
+_COLUMN_KINDS = {
+    "int64": lambda rng, n: Vector(rng.integers(-50, 50, n)),
+    "float64": lambda rng, n: Vector(rng.normal(size=n).round(2)),
+    "datetime64": lambda rng, n: Vector(
+        rng.integers(0, 20_000, n).astype("datetime64[D]")
+    ),
+    "nullable": lambda rng, n: Vector(
+        rng.integers(0, 9, n), rng.random(n) < 0.7
+    ),
+    "coded strings": lambda rng, n: CodedVector(
+        rng.integers(0, 3, n), Vector(["a", "bb", None])
+    ),
+    "coded ints": lambda rng, n: CodedVector(
+        rng.integers(0, 3, n),
+        Vector(np.array([7, -1, 0]), np.array([True, True, False])),
+    ),
+    "object": lambda rng, n: Vector(
+        [[None, "x", 1, 2.5, (1, "y")][i] for i in rng.integers(0, 5, n)]
+    ),
+}
+
+
+@st.composite
+def _map_outputs(draw):
+    """Blocks of one width over one reduce count: random columns (of any
+    kind, block by block) and random bucket offsets, empty buckets too."""
+    num_reduces = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for __ in range(draw(st.integers(1, 5))):
+        counts = draw(
+            st.lists(
+                st.integers(0, 4) | st.just(0),
+                min_size=num_reduces,
+                max_size=num_reduces,
+            )
+        )
+        rows = sum(counts)
+        kinds = draw(
+            st.lists(
+                st.sampled_from(sorted(_COLUMN_KINDS)),
+                min_size=width,
+                max_size=width,
+            )
+        )
+        batch = ColumnBatch(
+            [_COLUMN_KINDS[kind](rng, rows) for kind in kinds], rows
+        )
+        offsets = [0, *np.cumsum(counts).tolist()]
+        sizes = [10 * count for count in counts]  # bytes where rows are
+        blocks.append(ShuffleBlock(batch, offsets, sizes))
+    return num_reduces, blocks
+
+
+class TestFetchOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_map_outputs(), st.data())
+    def test_a_fetch_is_its_slices_end_to_end(self, outputs, data):
+        num_reduces, blocks = outputs
+        single = st.integers(0, num_reduces - 1).map(lambda b: [b])
+        contiguous = st.tuples(
+            st.integers(0, num_reduces - 1), st.integers(1, num_reduces)
+        ).map(lambda ab: list(range(ab[0], min(num_reduces, ab[0] + ab[1]))))
+        packed = st.lists(
+            st.integers(0, num_reduces - 1), min_size=1, unique=True
+        )
+        buckets = data.draw(single | contiguous | packed)
+        fetched = _gather_buckets(blocks, buckets)
+        expected = _by_slices(blocks, buckets)
+        assert fetched.num_rows == expected.num_rows
+        rows = fetched.materialize_rows()
+        assert rows == expected.materialize_rows()
+        assert repr(rows) == repr(expected.materialize_rows())
+        assert _kinds(fetched) == _kinds(expected)
+
+    def test_a_coalesced_fetch_equals_its_slices(self, ctx):
+        parent, dep = _make_dep(ctx, num_reduces=6)
+        manager = ctx.shuffle_manager
+        manager.register(dep, num_maps=3)
+        for map_partition in range(3):
+            _write(
+                manager, dep, map_partition, map_partition,
+                [(f"k{i % 7}", i * 1.5) for i in range(map_partition, 40, 3)],
+            )
+        blocks = [
+            manager._stored_block(dep.shuffle_id, m) for m in range(3)
+        ]
+        for group in ([2], [0, 1, 2], [5, 1, 3], list(range(6)), []):
+            fetched = manager.fetch(dep.shuffle_id, group)
+            expected = _by_slices(blocks, group)
+            assert fetched.materialize_rows() == expected.materialize_rows()
+            assert _kinds(fetched) == _kinds(expected)
+
+    def test_a_lost_output_fails_the_fetch_at_the_first(self, ctx):
+        parent, dep = _make_dep(ctx)
+        manager = ctx.shuffle_manager
+        manager.register(dep, num_maps=3)
+        _write(manager, dep, 0, 0, [(1, 1)])
+        _write(manager, dep, 1, 1, [(2, 2)])
+        _write(manager, dep, 2, 1, [(3, 3)])
+        ctx.cluster.kill_worker(1)
+        with pytest.raises(FetchFailedError) as info:
+            manager.fetch(dep.shuffle_id, [0, 1, 2, 3])
+        assert info.value.map_partition == 1
 
 
 class TestMapSideCombine:
@@ -314,3 +450,25 @@ class TestLogEncoding:
 
     def test_single_byte_range(self):
         assert 0 <= log_encode_size(32 * 1024**3) <= 255
+
+
+class TestReportedSizes:
+    """A status reports each size through its code, memoized or not."""
+
+    def test_every_small_size_and_each_code_boundary(self):
+        # Sizes to 2**20 reach codes up to 146; each code past that starts
+        # near 1.1 ** (code - 1.5), where its rounding turns up.
+        near = [
+            int(1.1 ** (code - 1.5)) + step
+            for code in range(147, 256)
+            for step in (-1, 0, 1, 2)
+        ]
+        assert {log_encode_size(size) for size in near} >= set(range(147, 256))
+        sizes = [*range(2**20 + 1), *near]
+        status = MapStatus([1] * len(sizes), sizes)
+        assert status.reported == list(map(_through_the_code, sizes))
+
+    @given(st.lists(st.integers(0, 2**40), max_size=40))
+    def test_random_sizes(self, sizes):
+        status = MapStatus([1] * len(sizes), sizes)
+        assert status.reported == list(map(_through_the_code, sizes))

@@ -9,6 +9,7 @@ from repro.sql.expressions import (
     BoundArithmetic,
     BoundBetween,
     BoundCase,
+    BoundCast,
     BoundColumn,
     BoundComparison,
     BoundIn,
@@ -236,6 +237,39 @@ class TestReferencesAndRewrite:
         rewritten = rewrite_columns(expr, {4: 0, 5: 1, 6: 2})
         assert rewritten.eval((1, "then", "else")) == "then"
         assert rewritten.eval((-1, "then", "else")) == "else"
+
+    def test_rewrite_reaches_every_child_and_shares_the_rest(self):
+        # One node of each kind, a column in each of its child slots: the
+        # rewrite must remap every column ``children()`` leads to.
+        c = col
+        nodes = [
+            BoundArithmetic("+", c(1), c(2)),
+            BoundComparison("<", c(1), c(2)),
+            BoundAnd(BoundIsNull(c(1)), BoundIsNull(c(2))),
+            BoundOr(BoundIsNull(c(1)), BoundIsNull(c(2))),
+            BoundNot(BoundIsNull(c(1))),
+            BoundNegate(c(1)),
+            BoundBetween(c(1), c(2), c(3)),
+            BoundIn(c(1), [c(2), c(3)]),
+            BoundLike(c(1, STRING), c(2, STRING)),
+            BoundCase([(BoundIsNull(c(1)), c(2))], c(3), INT),
+            BoundCast(c(1), DOUBLE, float),
+            BoundScalarCall("f", max, [c(1), c(2), c(3)], INT),
+        ]
+        for node in nodes:
+            rewritten = rewrite_columns(node, {1: 11, 2: 12, 3: 13})
+            assert rewritten.references() == {
+                index + 10 for index in node.references()
+            }
+            assert node.references() <= {1, 2, 3}
+        shared = BoundArithmetic("+", c(5), c(1))
+        expr = BoundAnd(
+            BoundComparison("=", shared, lit(3)), BoundIsNull(c(2))
+        )
+        rewritten = rewrite_columns(expr, {1: 1, 2: 0, 5: 5})
+        assert rewritten.left is expr.left
+        assert rewritten.right.operand.index == 0
+        assert expr.right.operand.index == 2
 
 
 class TestSignatures:

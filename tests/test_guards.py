@@ -216,7 +216,7 @@ GUARDS = {
     # tallies stay gone — spills live in spilled_by_owner, the server's
     # outcome counts in its tenants.
     "counters-read-their-owner": [
-        Rule(r"\.inc\(", ("src/repro",), at_most=65),
+        Rule(r"\.inc\(", ("src/repro",), at_most=63),
         Rule(r"self\.spill_(bytes|runs|events) \+=", ("src/repro",)),
         Rule(
             r"self\.(submitted|completed|shed|rejected|cache_hits) \+=",
