@@ -488,7 +488,7 @@ class RDD:
             sorted_keys = sorted(keys)
             step = max(1, len(sorted_keys) // target)
             dep.resolve(partitioner_of(sorted_keys[step::step][: target - 1]))
-            manager.cut_runs(dep)
+            self.ctx.scheduler.cut_runs(dep)
         shuffled = ShuffledRDD.of(dep)
 
         def sort_partition(_: int, part: list) -> list:

@@ -82,6 +82,30 @@ _JOB_COUNTERS = {
 }
 
 
+def _folded_counters(profile: QueryProfile) -> dict[str, int]:
+    """Counter -> its share of one job: what the job's kept task attempts
+    did, read off their ``TaskMetrics`` and the profile's recovery counts
+    (what the cost model charges).  An attempt the job threw away — a
+    speculative loser, a reduce that died of a fetch failure — is in no
+    profile, so it counts in none of these."""
+    tasks = [task for stage in profile.stages for task in stage.tasks]
+    return {
+        "shuffle.write.bytes": sum(t.shuffle_write_bytes for t in tasks),
+        "shuffle.write.records": sum(t.shuffle_write_records for t in tasks),
+        "exchange.batches": sum(
+            stage.num_tasks for stage in profile.stages if stage.is_shuffle_map
+        ),
+        "exchange.pickled_bytes": sum(
+            t.shuffle_write_pickled_bytes for t in tasks
+        ),
+        "shuffle.read.bytes": sum(t.shuffle_read_bytes for t in tasks),
+        "batch.rows": sum(t.batch_rows for t in tasks),
+        "tasks.recovered": profile.recovered_tasks,
+        "tasks.retried": profile.retried_tasks,
+        "tasks.speculative": profile.speculative_tasks,
+    }
+
+
 @dataclass
 class SchedulerConfig:
     """Knobs for the scheduler's robustness machinery.
@@ -241,14 +265,36 @@ class DAGScheduler:
             self._ensure_shuffle_stage(stage, profile)
         return self._ctx.shuffle_manager.stats(dep.shuffle_id)
 
+    def cut_runs(self, dep: ShuffleDependency) -> None:
+        """Cut a sort exchange's runs at the bounds it just resolved.  Its
+        pre-shuffle job — the last one run — has ended, so the writes the
+        cut accounts to that job's kept map tasks are folded here."""
+        profile = self.last_profile
+        before = _folded_counters(profile)
+        self._ctx.shuffle_manager.cut_runs(dep)
+        self._fold(profile, before)
+
+    def _fold(
+        self, profile: QueryProfile, before: Optional[dict] = None
+    ) -> None:
+        """Add a job's share of the folded counters (less ``before``, what
+        was folded of it already); a counter is listed once non-zero."""
+        counters = self._ctx.tracer.metrics
+        for name, total in _folded_counters(profile).items():
+            grown = total - (before[name] if before else 0)
+            if grown:
+                counters.inc(name, grown)
+
     @contextmanager
     def _job(self, result_job: bool, **span_args):
         """The frame of one job, of either kind: its id, its span, its
         profile — yielded to the body, then completed with the job's
-        share of the eviction, reservation and spill counters — and its
-        place in ``last_profile``, the history and the running query's
-        scope.  A result job's span also ends with its recovered-task
-        count and ok/cancelled status; a pre-shuffle's never did."""
+        share of the eviction, reservation and spill counters, and
+        folded into the counters that total its kept attempts, even when
+        it failed or was cancelled — and its place in ``last_profile``,
+        the history and the running query's scope.  A result job's span
+        also ends with its recovered-task count and ok/cancelled status;
+        a pre-shuffle's never did."""
         job_id = self._next_job_id
         self._next_job_id += 1
         profile = QueryProfile(job_id=job_id)
@@ -267,6 +313,7 @@ class DAGScheduler:
             for attribute, name in _JOB_COUNTERS.items():
                 setattr(profile, attribute, int(value(name) - before[name]))
             profile.memory_peak_bytes = int(self._ctx.memory.peak_bytes())
+            self._fold(profile)
             end_args = {"stages": profile.num_stages}
             if result_job:
                 end_args.update(
@@ -380,7 +427,6 @@ class DAGScheduler:
                     tracer.metrics.inc("stages.run")
                 if round_number > 0:
                     profile.recovered_tasks += len(missing)
-                    tracer.metrics.inc("tasks.recovered", len(missing))
                     tracer.instant(
                         "lineage.recovery",
                         "recovery",
@@ -457,7 +503,6 @@ class DAGScheduler:
                 )
             except FetchFailedError as failure:
                 profile.recovered_tasks += 1
-                tracer.metrics.inc("tasks.recovered")
                 tracer.instant(
                     "task.reexecution",
                     "recovery",
@@ -486,11 +531,11 @@ class DAGScheduler:
         stage: Stage,
         partition: int,
         stage_profile: StageProfile,
+        profile: QueryProfile,
         func: Optional[Callable[[list], object]],
         kind: str,
         recovery: bool = False,
         prior_attempts: int = 0,
-        profile: Optional[QueryProfile] = None,
     ) -> object:
         """Run one task to a kept result: retries transient failures with
         backoff, launches a speculative copy against stragglers, feeds the
@@ -702,7 +747,7 @@ class DAGScheduler:
         partition: int,
         failure: TransientTaskFailure,
         attempt: int,
-        profile: Optional[QueryProfile],
+        profile: QueryProfile,
     ) -> None:
         """Record a retry and charge its backoff delay to simulated time."""
         config = self.config
@@ -711,9 +756,7 @@ class DAGScheduler:
             config.retry_backoff_base_s * (2 ** (attempt - 1)),
             config.retry_backoff_cap_s,
         )
-        tracer.metrics.inc("tasks.retried")
-        if profile is not None:
-            profile.retried_tasks += 1
+        profile.retried_tasks += 1
         tracer.instant(
             "task.retry",
             "recovery",
@@ -737,7 +780,7 @@ class DAGScheduler:
         )
 
     def _note_worker_failure(
-        self, worker_id: int, profile: Optional[QueryProfile]
+        self, worker_id: int, profile: QueryProfile
     ) -> None:
         """Count one failure against a worker; blacklist on threshold.
 
@@ -754,8 +797,7 @@ class DAGScheduler:
             self._ctx.cluster.blacklist_worker(
                 worker_id, self.config.blacklist_probation_tasks
             )
-            if profile is not None:
-                profile.blacklisted_workers += 1
+            profile.blacklisted_workers += 1
 
     def _maybe_speculate(
         self,
@@ -766,7 +808,7 @@ class DAGScheduler:
         func: Optional[Callable[[list], object]],
         kind: str,
         next_attempt: int,
-        profile: Optional[QueryProfile],
+        profile: QueryProfile,
     ) -> _Attempt:
         """Launch a backup copy when the primary looks like a straggler;
         return whichever attempt finished faster (simulated time)."""
@@ -775,11 +817,8 @@ class DAGScheduler:
         threshold = self._speculation_threshold(stage)
         if threshold is None or primary.seconds <= threshold:
             return primary
-        tracer = self._ctx.tracer
-        tracer.metrics.inc("tasks.speculative")
-        if profile is not None:
-            profile.speculative_tasks += 1
-        tracer.instant(
+        profile.speculative_tasks += 1
+        self._ctx.tracer.instant(
             "task.speculative",
             "recovery",
             stage_id=stage.stage_id,

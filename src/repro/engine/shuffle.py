@@ -312,8 +312,8 @@ class ShuffleManager:
         self._locations: dict[int, dict[int, int]] = {}
         self._stats: dict[int, MapOutputStats] = {}
         self._deps: dict[int, "ShuffleDependency"] = {}
-        #: shuffle_id -> {map_partition: [(worker_id, metrics), ...]}: the
-        #: writes of an unresolved sort, accounted when its runs are cut.
+        #: shuffle_id -> {map_partition: [metrics, ...]}: the writes of an
+        #: unresolved sort, accounted when its runs are cut.
         self._uncut: dict[int, dict[int, list]] = {}
         cluster.on_worker_killed(self._handle_worker_killed)
 
@@ -359,13 +359,11 @@ class ShuffleManager:
         self._stats[dep.shuffle_id].statuses[map_partition].sample = sample
         self._locations[dep.shuffle_id][map_partition] = worker_id
         if dep.resolved:
-            self._account_write(
-                dep, map_partition, worker_id, metrics, *written
-            )
+            self._account_write(metrics, *written)
         else:
             self._uncut.setdefault(dep.shuffle_id, {}).setdefault(
                 map_partition, []
-            ).append((worker_id, metrics))
+            ).append(metrics)
 
     def cut_runs(self, dep: "ShuffleDependency") -> None:
         """A sort exchange just resolved: cut each stored run at its
@@ -387,10 +385,8 @@ class ShuffleManager:
                 self._locations[dep.shuffle_id][map_partition],
                 *dep.bucketed(block.batch),
             )
-            for worker_id, metrics in waiting.get(map_partition, ()):
-                self._account_write(
-                    dep, map_partition, worker_id, metrics, *written
-                )
+            for metrics in waiting.get(map_partition, ()):
+                self._account_write(metrics, *written)
 
     def stored_runs(self, shuffle_id: int) -> list[ColumnBatch]:
         """The batch every map output holds, in map-partition order."""
@@ -419,10 +415,9 @@ class ShuffleManager:
         worker_id: int,
         batch: ColumnBatch,
         offsets: Sequence[int],
-    ) -> tuple[int, int, int, int]:
+    ) -> tuple[int, int, int]:
         """Weigh a bucketed map output, store it on ``worker_id`` and
-        report its status; returns its (rows, columns, bytes, pickled
-        bytes)."""
+        report its status; returns its (rows, bytes, pickled bytes)."""
         offsets = np.asarray(offsets)
         sizes, pickled_bytes = _SERDE.measure(
             batch, None if len(offsets) == 2 else offsets
@@ -440,20 +435,18 @@ class ShuffleManager:
         self._stats[dep.shuffle_id].statuses[map_partition] = MapStatus(
             (offsets[1:] - offsets[:-1]).tolist(), sizes
         )
-        return batch.num_rows, len(batch.entries), total_bytes, pickled_bytes
+        return batch.num_rows, total_bytes, pickled_bytes
 
     def _account_write(
         self,
-        dep: "ShuffleDependency",
-        map_partition: int,
-        worker_id: int,
         metrics: "TaskMetrics",
         rows: int,
-        columns: int,
         total_bytes: int,
         pickled_bytes: int,
     ) -> None:
-        """Charge one map output's write to the attempt that made it."""
+        """Charge one map output's write to the attempt that made it: its
+        ``TaskMetrics`` are the one record of it (the scheduler folds the
+        kept attempts' into the shuffle counters)."""
         task_ctx = current_task_context()
         if task_ctx is not None:
             # Transient bucketing buffer: charged to the map task's
@@ -464,22 +457,6 @@ class ShuffleManager:
             metrics.shuffle_write_bytes += total_bytes
             metrics.shuffle_write_records += rows
             metrics.shuffle_write_pickled_bytes += pickled_bytes
-        counters = self._tracer.metrics
-        counters.inc("shuffle.write.bytes", total_bytes)
-        counters.inc("shuffle.write.records", rows)
-        counters.inc("exchange.batches")
-        counters.inc("exchange.pickled_bytes", pickled_bytes)
-        self._tracer.instant(
-            "shuffle.write",
-            "shuffle",
-            lane=worker_id,
-            shuffle_id=dep.shuffle_id,
-            map_partition=map_partition,
-            bytes=total_bytes,
-            records=rows,
-            columns=columns,
-            pickled_bytes=pickled_bytes,
-        )
 
     # ------------------------------------------------------------------
     # Reduce-side fetches
@@ -560,17 +537,6 @@ class ShuffleManager:
                 # attempt ends; charge its worker's execution pool.
                 task_ctx.reserve_memory("shuffle_fetch", read_bytes)
             metrics.shuffle_read_bytes += read_bytes
-            self._tracer.metrics.inc("shuffle.read.bytes", read_bytes)
-            self._tracer.instant(
-                "shuffle.fetch",
-                "shuffle",
-                lane=reader_lane,
-                shuffle_id=shuffle_id,
-                reduce_partition=first,
-                buckets=len(reduce_partitions),
-                bytes=read_bytes,
-                records=fetched.num_rows,
-            )
         self._tracer.metrics.inc("shuffle.fetches")
         return fetched
 

@@ -10,7 +10,10 @@ another module: new telemetry starts by adding one line to this file.
 
 Each value has one home: no counter repeats another's value, and a
 gauge — or a counter whose event its owner already counts — is
-registered once, by its owner, with a function that reads it.
+registered once, by its owner, with a function that reads it.  A task's
+volumes live in its ``TaskMetrics``: the counters that total them
+(marked *folded* below) grow when a job ends, by what its kept attempts
+did (``engine.scheduler._folded_counters``), and no instant repeats them.
 
 The registry is also the event-log contract: the history store and the
 perf-regression sentinel key their summaries by these names, so renames
@@ -30,6 +33,7 @@ COUNTERS = frozenset(
         "stages.failed",
         "tasks.launched",
         "tasks.failed",
+        # folded: the jobs' QueryProfile recovery counts
         "tasks.recovered",
         "tasks.retried",
         "tasks.speculative",
@@ -38,14 +42,16 @@ COUNTERS = frozenset(
         "shuffle.fetches",
         "shuffle.fetch_failures",
         "shuffle.corrupt_fetches",
+        "shuffle.released",
+        "shuffle.released.blocks",
+        # folded: kept attempts' shuffle_read_bytes, shuffle_write_bytes
+        # and shuffle_write_records
         "shuffle.read.bytes",
         "shuffle.write.bytes",
         "shuffle.write.records",
-        "shuffle.released",
-        "shuffle.released.blocks",
-        # the exchange: keyed batches written and the part of their
-        # encoded bytes that is pickled object columns (their rows and
-        # bytes are shuffle.write.*; DESIGN.md §17)
+        # folded, the exchange: one keyed batch per kept map task, and
+        # the part of their encoded bytes that is pickled object columns
+        # (shuffle_write_pickled_bytes; DESIGN.md §17)
         "exchange.batches",
         "exchange.pickled_bytes",
         # block store / cache
@@ -71,6 +77,7 @@ COUNTERS = frozenset(
         "pde.reducer_decisions",
         # vectorized pipeline
         "batch.pipelines",
+        # folded: kept attempts' batch_rows (rows a cached scan fed in)
         "batch.rows",
         "batch.batches",
         "batch.kernel.filter",
@@ -186,9 +193,8 @@ HISTOGRAMS = frozenset(
 #: Zero-duration trace instants (``tracer.instant``).
 INSTANTS = frozenset(
     {
-        # shuffle
-        "shuffle.write",
-        "shuffle.fetch",
+        # shuffle (a write's and a fetch's volumes are their task's
+        # TaskMetrics: its event-log task record)
         "shuffle.fetch_failed",
         # recovery / robustness
         "lineage.recovery",

@@ -14,8 +14,10 @@ Span taxonomy (the ``category`` field):
     One task attempt on a worker lane; duration is the cost model's
     estimate for the task's measured volumes.
 ``shuffle``
-    Instants: ``shuffle.write``, ``shuffle.fetch``,
-    ``shuffle.fetch_failed``.
+    Instant: ``shuffle.fetch_failed`` (a lost map output, the trigger for
+    lineage recovery).  A write's and a fetch's volumes are no instant:
+    they are their task's ``TaskMetrics`` — a map task span's
+    ``shuffle_write_bytes``, the event log's task record.
 ``recovery``
     Instants: ``lineage.recovery`` (lost map outputs recomputed),
     ``task.reexecution``, ``task.retry`` (transient failure, attempt will
@@ -148,9 +150,7 @@ class QueryTrace:
     # Chrome trace export
     # ------------------------------------------------------------------
     def to_chrome_trace(
-        self,
-        metadata: Optional[dict[str, Any]] = None,
-        style: str = "complete",
+        self, metadata: Optional[dict[str, Any]] = None
     ) -> dict:
         """The trace as Chrome ``chrome://tracing`` / Perfetto JSON.
 
@@ -159,15 +159,9 @@ class QueryTrace:
         reads as a per-worker Gantt chart.  A worker running tasks at
         once gets a row per busy core (:func:`_core_rows`); its first
         keeps the lane's thread.  Timestamps are simulated seconds
-        rendered as microseconds (the format's native unit).
-
-        ``style="complete"`` emits one ``"X"`` event per span;
-        ``style="duration"`` emits matched ``"B"``/``"E"`` pairs per
-        row (outer spans open first, nested ends clamped inside their
-        parents) for consumers that require duration events.
+        rendered as microseconds (the format's native unit).  A span is
+        one complete (``"X"``) event, an instant one ``"i"`` event.
         """
-        if style not in ("complete", "duration"):
-            raise ValueError(f"unknown chrome-trace style {style!r}")
         lanes = _ordered_lanes(self)
         rows = _core_rows(self.spans)
         # A lane's first row keeps the lane's index; more rows follow.
@@ -210,9 +204,6 @@ class QueryTrace:
                 }
             )
         for tid, spans in row_spans.items():
-            if style == "duration":
-                trace_events.extend(_duration_events(spans, pid, tid))
-                continue
             for span in spans:
                 end = span.end if span.end is not None else span.start
                 trace_events.append(
@@ -589,58 +580,6 @@ def _core_rows(spans: list[Span]) -> dict[int, int]:
             ends[row:row + 1] = [span.start + span.duration]
             rows[span.span_id] = row
     return rows
-
-
-def _duration_events(
-    spans: list[Span], pid: int, tid: int
-) -> list[dict]:
-    """One row's spans as matched, properly nested B/E pairs.
-
-    Spans on a row either nest (driver) or run back-to-back (a worker's
-    core); sorting by (start, -duration) opens outer spans first, and a
-    child's end is clamped into its parent so every "E" matches its "B"
-    and the per-row timestamp sequence is monotonically nondecreasing.
-    """
-    ordered = sorted(
-        spans, key=lambda s: (s.start, -s.duration, s.span_id)
-    )
-    events: list[dict] = []
-    open_stack: list[tuple[Span, float]] = []
-
-    def close(span: Span, end: float) -> None:
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.category,
-                "ph": "E",
-                "ts": end * 1e6,
-                "pid": pid,
-                "tid": tid,
-            }
-        )
-
-    for span in ordered:
-        while open_stack and open_stack[-1][1] <= span.start:
-            close(*open_stack.pop())
-        end = span.end if span.end is not None else span.start
-        end = max(end, span.start)
-        if open_stack:
-            end = min(end, open_stack[-1][1])
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.category,
-                "ph": "B",
-                "ts": span.start * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": dict(span.args),
-            }
-        )
-        open_stack.append((span, end))
-    while open_stack:
-        close(*open_stack.pop())
-    return events
 
 
 def _lane_label(lane: Hashable) -> str:

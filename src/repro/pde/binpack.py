@@ -20,6 +20,8 @@ def pack_partitions(sizes: list[int], num_bins: int) -> list[list[int]]:
     if num_bins <= 0:
         raise ValueError("num_bins must be positive")
     num_bins = min(num_bins, max(len(sizes), 1))
+    if num_bins == 1:  # what the loop below would pack, without it
+        return [list(range(len(sizes)))]
     # Heap of (current_total, bin_index); Python's heap breaks ties on the
     # bin index, keeping the packing deterministic.
     heap: list[tuple[int, int]] = [(0, index) for index in range(num_bins)]

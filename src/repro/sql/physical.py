@@ -1009,7 +1009,6 @@ class BatchPipelineRDD(RDD):
             task_ctx.metrics.source = SOURCE_MEMORY
             task_ctx.metrics.records_in += total_records
             task_ctx.metrics.bytes_in += total_bytes
-            counters.inc("batch.rows", total_records)
             task_ctx.metrics.batch_rows += total_records
             scan_key = self._op_keys.get("scan")
             if scan_key is not None:

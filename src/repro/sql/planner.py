@@ -87,9 +87,6 @@ class PlannerConfig:
     target_partition_bytes: int = DEFAULT_TARGET_PARTITION_BYTES
     #: Fixed reducer count (overrides PDE parallelism choice when set).
     num_reducers: Optional[int] = None
-    #: Bin-pack fine partitions into balanced coalesced partitions; off =
-    #: "just run many reduce tasks" (the Section 3.1.2 comparison).
-    pde_skew_binpack: bool = True
     #: Partitioner override for DISTRIBUTE BY (co-partitioning with an
     #: existing table requires using its exact partitioner).
     repartition_override: Optional[Partitioner] = None
@@ -702,8 +699,7 @@ class PhysicalPlanner:
         else:
             # PDE path (Section 3.1.2): shuffle into fine-grained buckets,
             # read observed bucket sizes, then pick the reduce parallelism
-            # and optionally bin-pack buckets into balanced coalesced
-            # partitions.
+            # and bin-pack buckets into balanced coalesced partitions.
             pde = True
             reducers = self.ctx.default_parallelism * FINE_GRAINED_FACTOR
         exchanged = physical.exchange_partials(partials, num_keys, reducers)
@@ -741,21 +737,12 @@ class PhysicalPlanner:
                 f"({total} observed bytes)"
             )
             return exchanged
-        if self.config.pde_skew_binpack:
-            groups = pack_partitions(sizes, reducers)
-            self.report.note(
-                f"PDE: coalesced {fine} fine buckets into "
-                f"{len(groups)} bin-packed reduce partitions "
-                f"({total} observed bytes)"
-            )
-        else:
-            groups = [[] for _ in range(reducers)]
-            for bucket in range(fine):
-                groups[bucket % reducers].append(bucket)
-            self.report.note(
-                f"PDE: coalesced {fine} fine buckets into "
-                f"{reducers} round-robin reduce partitions"
-            )
+        groups = pack_partitions(sizes, reducers)
+        self.report.note(
+            f"PDE: coalesced {fine} fine buckets into "
+            f"{len(groups)} bin-packed reduce partitions "
+            f"({total} observed bytes)"
+        )
         # One fetch and one merge per coalesced partition.
         return exchanged.coalesce_grouped(groups).set_name(
             "coalesced_aggregate"

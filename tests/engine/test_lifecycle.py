@@ -18,6 +18,7 @@ from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.engine import EngineContext
 from repro.engine.lifecycle import DRAIN_RATE_WINDOW, LifecycleConfig
+from repro.engine.metrics import QueryProfile
 from repro.engine.task import TaskContext
 from repro.errors import (
     AdmissionRejected,
@@ -808,7 +809,7 @@ class TestTenantIsolation:
         def fail_on_worker(times):
             def fn():
                 for _ in range(times):
-                    scheduler._note_worker_failure(0, None)
+                    scheduler._note_worker_failure(0, QueryProfile(0))
 
             return fn
 

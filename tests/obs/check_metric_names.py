@@ -15,6 +15,9 @@ What counts as an emission (string literals only):
 * ``<...>metrics.register_gauge("name"``                — gauge (its
   owner registers the reader once)
 * ``<...>.instant("name"``                              — trace instant
+* a ``"name":`` key of the dict the scheduler's ``_folded_counters``
+  returns                                              — counter (the
+  totals of a job's kept attempts, added by one ``inc`` when it ends)
 
 Receivers other than ``metrics``/``counters`` (e.g. the shuffle layer's
 ``collector.observe`` or columnar ``stats.observe``) are different
@@ -46,6 +49,10 @@ _EMISSION_PATTERNS = {
     "instant": re.compile(r"\.instant\(\s*\n?\s*\"([^\"]+)\""),
 }
 
+#: The fold table: ``_folded_counters``' body, to its closing brace.
+_FOLD_TABLE = re.compile(r"^def _folded_counters\(.*?^    \}$", re.M | re.S)
+_FOLD_KEY = re.compile(r'^\s*"([^"]+)":', re.M)
+
 
 def emitted_names(src: Path = SRC) -> dict[str, dict[str, set[str]]]:
     """kind -> name -> set of emitting files (repo-relative)."""
@@ -61,6 +68,9 @@ def emitted_names(src: Path = SRC) -> dict[str, dict[str, set[str]]]:
         for kind, pattern in _EMISSION_PATTERNS.items():
             for name in pattern.findall(text):
                 out[kind].setdefault(name, set()).add(rel)
+        for table in _FOLD_TABLE.findall(text):
+            for name in _FOLD_KEY.findall(table):
+                out["counter"].setdefault(name, set()).add(rel)
     return out
 
 

@@ -1,14 +1,13 @@
 """S3: Chrome-trace export contract, including a faulty (retries +
 speculation) run.
 
-Checked per export: required keys on every event, per-lane monotonic
-timestamps in duration style, and strictly matched B/E pairs.
+Checked per export: required keys on every event, named lanes, and the
+recovery instants of a chaotic run.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 
 import pytest
 
@@ -19,8 +18,6 @@ from repro.faults import FaultInjector
 _REQUIRED_KEYS = {
     "M": {"name", "ph", "pid", "tid", "args"},
     "X": {"name", "cat", "ph", "ts", "dur", "pid", "tid"},
-    "B": {"name", "cat", "ph", "ts", "pid", "tid"},
-    "E": {"name", "cat", "ph", "ts", "pid", "tid"},
     "i": {"name", "cat", "ph", "ts", "pid", "tid", "s"},
 }
 
@@ -52,7 +49,7 @@ def _traced_shark(fault_injector=None, scheduler_config=None) -> SharkContext:
 
 @pytest.fixture(scope="module")
 def chaotic_document():
-    """Duration-style export of a run with retries and speculation."""
+    """The export of a run with retries and speculation."""
     from repro.engine.scheduler import SchedulerConfig
 
     injector = FaultInjector(
@@ -72,7 +69,7 @@ def chaotic_document():
         p.speculative_tasks for p in shark.engine.profiles
     )
     assert retried > 0 and speculative > 0  # the run was actually chaotic
-    return shark.trace.to_chrome_trace(style="duration")
+    return shark.trace.to_chrome_trace()
 
 
 def _check_required_keys(document):
@@ -95,41 +92,10 @@ class TestCompleteStyle:
             event["ph"] == "X" for event in again["traceEvents"]
         )
 
-    def test_unknown_style_rejected(self):
-        shark = _traced_shark()
-        with pytest.raises(ValueError, match="style"):
-            shark.trace.to_chrome_trace(style="flame")
 
-
-class TestDurationStyle:
+class TestChaoticRun:
     def test_required_keys(self, chaotic_document):
         _check_required_keys(chaotic_document)
-
-    def test_monotonic_ts_per_lane(self, chaotic_document):
-        per_lane = defaultdict(list)
-        for event in chaotic_document["traceEvents"]:
-            if event["ph"] in ("B", "E"):
-                per_lane[event["tid"]].append(event["ts"])
-        assert per_lane
-        for tid, timestamps in per_lane.items():
-            assert timestamps == sorted(timestamps), (
-                f"lane {tid} B/E timestamps are not monotonic"
-            )
-
-    def test_matched_be_pairs(self, chaotic_document):
-        """Every E closes the most recent open B with the same name —
-        strict stack discipline per lane, nothing left open."""
-        stacks = defaultdict(list)
-        for event in chaotic_document["traceEvents"]:
-            if event["ph"] == "B":
-                stacks[event["tid"]].append(event["name"])
-            elif event["ph"] == "E":
-                assert stacks[event["tid"]], (
-                    f"E without open B on lane {event['tid']}"
-                )
-                assert stacks[event["tid"]].pop() == event["name"]
-        for tid, stack in stacks.items():
-            assert stack == [], f"unclosed B events on lane {tid}: {stack}"
 
     def test_driver_and_worker_lanes_named(self, chaotic_document):
         names = {

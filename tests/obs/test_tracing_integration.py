@@ -127,10 +127,10 @@ class TestQueryTracing:
         assert max(_most_at_once(s) for s in by_lane.values()) == 2
 
     def test_chrome_rows_keep_every_task_whole(self):
-        """Tasks a worker runs at once go on rows of their own, so the
-        duration export clamps none of them into a neighbour."""
+        """Tasks a worker runs at once go on rows of their own: no two
+        task events of a row overlap, and each keeps its span's length."""
         shark = _grouped_on_two_by_two()
-        document = shark.trace.to_chrome_trace(style="duration")
+        document = shark.trace.to_chrome_trace()
         names = {
             event["tid"]: event["args"]["name"]
             for event in document["traceEvents"]
@@ -139,15 +139,15 @@ class TestQueryTracing:
         assert "worker 0" in names.values()
         assert {"worker 0 core 1", "worker 1 core 1"} & set(names.values())
         assert not any("core 2" in name for name in names.values())
-        opened: dict = {}
-        exported: list = []
+        rows: dict = {}
         for event in document["traceEvents"]:
-            if event.get("cat") != "task":
-                continue
-            if event["ph"] == "B":
-                opened[event["tid"]] = event["ts"]
-            elif event["ph"] == "E":
-                exported.append(event["ts"] - opened.pop(event["tid"]))
+            if event["ph"] == "X" and event["cat"] == "task":
+                rows.setdefault(event["tid"], []).append(event)
+        for events in rows.values():
+            ordered = sorted(events, key=lambda event: event["ts"])
+            for earlier, later in zip(ordered, ordered[1:]):
+                assert later["ts"] >= earlier["ts"] + earlier["dur"] - 1e-6
+        exported = [event["dur"] for events in rows.values() for event in events]
         spans = shark.trace.spans_in_category("task")
         assert sorted(exported) == pytest.approx(
             sorted(span.duration * 1e6 for span in spans)

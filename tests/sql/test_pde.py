@@ -1,5 +1,8 @@
 """Partial DAG Execution: bin packing, reducer choice, aggregation path."""
 
+import heapq
+import random
+
 import pytest
 
 from repro import SharkContext
@@ -45,6 +48,30 @@ class TestBinPacking:
 
     def test_empty_sizes(self):
         assert pack_partitions([], 3) == [[]]
+
+    def test_one_bin_packs_as_the_heap_loop_would(self):
+        rng = random.Random(0)
+        for _ in range(50):
+            sizes = [rng.randrange(10_000) for _ in range(rng.randrange(40))]
+            for bins in (1, 2, 3, 8):
+                assert pack_partitions(sizes, bins) == _heap_packing(
+                    sizes, bins
+                )
+        assert pack_partitions([], 1) == _heap_packing([], 1) == [[]]
+        assert pack_partitions([7], 5) == _heap_packing([7], 5) == [[0]]
+
+
+def _heap_packing(sizes, num_bins):
+    """Longest-processing-time-first over a heap of bins, for every bin
+    count: the reference ``pack_partitions`` answers."""
+    num_bins = min(num_bins, max(len(sizes), 1))
+    heap = [(0, index) for index in range(num_bins)]
+    groups = [[] for _ in range(num_bins)]
+    for partition in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        total, bin_index = heapq.heappop(heap)
+        groups[bin_index].append(partition)
+        heapq.heappush(heap, (total + sizes[partition], bin_index))
+    return [sorted(group) for group in groups if group] or [[]]
 
 
 class TestReducerChoice:
@@ -117,14 +144,6 @@ class TestPdeAggregation:
         )
         notes = " ".join(result.report.notes)
         assert "PDE" in notes
-
-    def test_binpack_vs_round_robin_same_rows(self):
-        packed = self._shark(enable_pde=True, pde_skew_binpack=True)
-        round_robin = self._shark(enable_pde=True, pde_skew_binpack=False)
-        query = "SELECT user, COUNT(*) FROM events GROUP BY user"
-        assert sorted(packed.sql(query).rows) == sorted(
-            round_robin.sql(query).rows
-        )
 
     def test_fixed_reducers_override(self):
         shark = self._shark(num_reducers=2)

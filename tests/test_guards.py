@@ -214,13 +214,23 @@ GUARDS = {
     # A count has one home: a counter whose event an owner already
     # counts reads that owner (metrics.register_counter), and the twin
     # tallies stay gone — spills live in spilled_by_owner, the server's
-    # outcome counts in its tenants.
+    # outcome counts in its tenants, a task's volumes in its TaskMetrics
+    # (folded into their counters when the job ends).
     "counters-read-their-owner": [
-        Rule(r"\.inc\(", ("src/repro",), at_most=63),
+        Rule(r"\.inc\(", ("src/repro",), at_most=54),
         Rule(r"self\.spill_(bytes|runs|events) \+=", ("src/repro",)),
         Rule(
             r"self\.(submitted|completed|shed|rejected|cache_hits) \+=",
             ("src/repro/serving/server.py",),
+        ),
+    ],
+    # A shuffle write's and a fetch's volumes are their task's record:
+    # no instant repeats them.
+    "no-volume-instants": [
+        Rule(
+            r'\.instant\(\s*"shuffle\.(write|fetch)"',
+            ("src/repro",),
+            multiline=True,
         ),
     ],
 }
