@@ -38,7 +38,7 @@ degrade to spilled execution instead of OOM.
 
 All bookkeeping is plain dict arithmetic on the simulated clock — no
 wall-clock reads, deterministic, and cheap enough for the task hot
-path (the sentinel budget allows <5% sim-seconds overhead).
+path.
 """
 
 from __future__ import annotations

@@ -289,10 +289,10 @@ class DAGScheduler:
     def _job(self, result_job: bool, **span_args):
         """The frame of one job, of either kind: its id, its span, its
         profile — yielded to the body, then completed with the job's
-        share of the eviction, reservation and spill counters, and
-        folded into the counters that total its kept attempts, even when
-        it failed or was cancelled — and its place in ``last_profile``,
-        the history and the running query's scope.  A result job's span
+        share of the eviction, reservation and spill counters, folded
+        into the counters that total its kept attempts, and given its
+        place in ``last_profile``, the history and the running query's
+        scope, even when it failed or was cancelled.  A result job's span
         also ends with its recovered-task count and ok/cancelled status;
         a pre-shuffle's never did."""
         job_id = self._next_job_id
@@ -320,9 +320,9 @@ class DAGScheduler:
                     recovered_tasks=profile.recovered_tasks, status=status
                 )
             tracer.end_span(job_span, **end_args)
-        self.last_profile = profile
-        self.history.append(profile)
-        self._ctx.query.profiles.append(profile)
+            self.last_profile = profile
+            self.history.append(profile)
+            self._ctx.query.profiles.append(profile)
 
     def reset_history(self) -> None:
         self.history = []

@@ -20,9 +20,8 @@ Consumers:
   rendering: the optimized plan annotated with per-stage task counts,
   rows, bytes, attempts and simulated seconds, then memory, operator
   modes, plan quality and shuffle skew;
-* the history reports, the query doctor (:mod:`repro.obs.doctor`) and
-  the perf sentinel (:mod:`repro.obs.sentinel`), which read loaded
-  records and nothing else;
+* the history reports and the query doctor (:mod:`repro.obs.doctor`),
+  which read loaded records and nothing else;
 * :meth:`~repro.obs.tracer.QueryTrace.to_chrome_trace` — exports the
   span timeline as Chrome ``chrome://tracing`` / Perfetto JSON keyed by
   virtual worker;

@@ -25,7 +25,7 @@ category             evidence consulted
 Categories are ranked by diagnostic specificity (a spill explains a
 slowdown better than "a stage got slower" does); within a report the
 top-ranked finding of each regressed query votes for the corpus-level
-"top root cause" line the perf sentinel prints.  Everything here is a
+"top root cause" line that ends the report.  Everything here is a
 pure function of the two logs — deterministic, no wall clock.
 """
 

@@ -6,8 +6,7 @@ under a path and renders a report: per-query status and simulated
 seconds, per-worker utilization over the run, shuffle-skew and
 cache-churn summaries, and — per query — the EXPLAIN ANALYZE text and
 timeline rebuilt from its record.  The same loader backs the shell's
-``.history`` dot-command, the query doctor and the perf-regression
-sentinel.
+``.history`` dot-command and the query doctor.
 
 Reconstruction is exact: a loaded :class:`~repro.obs.record.QueryRecord`
 equals the one the writer was given — its ``profiles`` are

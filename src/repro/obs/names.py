@@ -15,9 +15,9 @@ volumes live in its ``TaskMetrics``: the counters that total them
 (marked *folded* below) grow when a job ends, by what its kept attempts
 did (``engine.scheduler._folded_counters``), and no instant repeats them.
 
-The registry is also the event-log contract: the history store and the
-perf-regression sentinel key their summaries by these names, so renames
-are schema changes (see DESIGN.md §10 on event-log versioning).
+The registry is also the event-log contract: the history store keys its
+summaries by these names, so renames are schema changes (see DESIGN.md
+§10 on event-log versioning).
 """
 
 from __future__ import annotations

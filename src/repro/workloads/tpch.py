@@ -215,7 +215,7 @@ AGGREGATION_QUERIES = {
 
 #: Classic TPC-H query texts over the generated tables (the same Q1/Q3/
 #: Q6 shapes tests/sql/test_tpch_queries.py checks against references);
-#: the perf-regression sentinel runs these as part of its suite.
+#: the benchmark's scan_agg and shuffle_join workloads run the same texts.
 TPCH_QUERIES = {
     "Q1": """
         SELECT L_RETURNFLAG, L_LINESTATUS,

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.context import EngineContext
 from repro.engine.scheduler import SchedulerConfig
+from repro.errors import TaskError
 from repro.faults import FaultInjector
 from tests.sql.test_vectorized_parity import QUERIES, _build
 
@@ -121,3 +123,26 @@ def test_fault_free_counters_are_pinned(key):
     names = list(_PROFILE_SUMS)
     assert tuple(grown[name] for name in names[:6]) == _FAULT_FREE[key]
     assert not any(grown[name] for name in names[6:])
+
+
+def test_failed_job_keeps_its_profile():
+    """A job whose result tasks fail still folds its map stage into the
+    counters, and its profile is kept for those counters to equal."""
+    engine = EngineContext(num_workers=2)
+    pairs = engine.parallelize([(i % 5, i) for i in range(40)], 4)
+    summed = pairs.reduce_by_key(lambda a, b: a + b)
+    metrics = engine.tracer.metrics
+    before = {name: metrics.value(name) for name in _PROFILE_SUMS}
+
+    def fail(rows):
+        raise ValueError("result task fails")
+
+    with pytest.raises(TaskError):
+        engine.run_job(summed, fail)
+    (profile,) = engine.profiles
+    assert engine.last_profile is profile
+    (map_stage,) = [s for s in profile.stages if s.is_shuffle_map]
+    assert map_stage.num_tasks == 4
+    for name, total in _PROFILE_SUMS.items():
+        assert metrics.value(name) - before[name] == total(profile), name
+    assert metrics.value("shuffle.write.bytes") > before["shuffle.write.bytes"]

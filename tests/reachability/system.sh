@@ -28,22 +28,12 @@ for report in "" memory tenants cache quality; do
     run python -m repro.obs.history "$out/chaos.jsonl" $report
 done
 run python -m repro.obs.history "$out/bench_events" memory --markdown
-run python -m repro.obs.sentinel --baseline BENCH_baseline.json \
-    --threshold 0.25 --event-log-out "$out/uncapped.jsonl" \
-    --report "$out/sentinel.txt"
-run python -m repro.obs.sentinel --baseline BENCH_baseline.json \
-    --threshold 0.25 --sql-cache on --report "$out/cached.txt"
-run python -m repro.obs.sentinel --baseline BENCH_baseline.json \
-    --threshold 1.5 --memory-cap 65536 --report "$out/capped.txt"
-# Exits 1 by design: the cap must regress against the baseline.
-run python -m repro.obs.sentinel --baseline BENCH_baseline.json \
-    --threshold 0.25 --memory-cap 16384 --event-log-out "$out/capped.jsonl" \
-    --report "$out/demo.txt"
-run python -m repro.obs.doctor "$out/uncapped.jsonl" "$out/capped.jsonl" \
-    --threshold 0.25
 run python -m repro.serving.workload --queries 300 --chaos \
     --event-log-out "$out/soak.jsonl" --report-out "$out/soak.txt"
 run python -m repro.serving.workload --queries 300 --chaos --sql-cache \
-    --report-out "$out/cache_soak.txt"
+    --event-log-out "$out/cache_soak.jsonl" --report-out "$out/cache_soak.txt"
 run python -m repro.obs.history "$out/soak.jsonl" tenants
+# The doctor diffs the two soaks' logs: one corpus of named queries, the
+# cache soak's as the baseline and the plain soak's as the current run.
+run python -m repro.obs.doctor "$out/cache_soak.jsonl" "$out/soak.jsonl"
 rm -rf "$out"

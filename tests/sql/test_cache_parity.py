@@ -29,6 +29,7 @@ from repro.workloads import pavlo, tpch
 from tests.sql.test_vectorized_parity import (
     QUERIES,
     assert_byte_identical,
+    sim_seconds,
 )
 
 
@@ -104,6 +105,13 @@ class TestColdWarmParity:
         result = cached.sql(QUERIES["tpch_q1"])
         assert result.cache_hit
         assert cached.metrics.value("jobs.submitted") == before
+
+    def test_cold_pass_costs_what_uncached_costs(self):
+        # Cache probes are free on the simulated clock: a cold miss runs
+        # the uncached statement's jobs, to the last simulated second.
+        plain, cold = _build(), _build(sql_cache=True)
+        for name, text in QUERIES.items():
+            assert sim_seconds(cold, text) == sim_seconds(plain, text), name
 
 
 class TestChaosParity:

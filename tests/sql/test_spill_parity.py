@@ -27,6 +27,7 @@ from repro.workloads import pavlo, tpch
 from tests.sql.test_vectorized_parity import (
     QUERIES,
     assert_byte_identical,
+    sim_seconds,
 )
 
 #: Low enough to force arbitration on the larger aggregation/sort
@@ -130,6 +131,19 @@ class TestSpillParity:
             assert capped.engine.memory.live_bytes(EXECUTION) == 0
             assert capped.engine.memory.clamped_release_bytes == 0
         assert capped.engine.memory.spill_events > 0
+
+
+class TestSpillCost:
+    def test_capped_suite_costs_more_within_bound(self):
+        """The spill path is charged on the simulated clock, and stays
+        within 2.5x of the uncapped suite: evictions recompute cached
+        blocks and spills pay their I/O, but never runaway."""
+        uncapped = _build()
+        capped = _build(memory_per_worker_bytes=CAPPED_BYTES)
+        base = sum(sim_seconds(uncapped, text) for text in QUERIES.values())
+        spilled = sum(sim_seconds(capped, text) for text in QUERIES.values())
+        assert capped.engine.memory.spill_events > 0
+        assert base < spilled <= 2.5 * base, (base, spilled)
 
 
 class TestSpillChaosParity:

@@ -19,6 +19,7 @@ import pytest
 from repro import SharkContext
 from repro.datatypes import BOOLEAN
 from repro.faults.injector import FaultInjector
+from repro.obs.analyze import analyze_profiles
 from repro.workloads import pavlo, tpch
 
 from tests.oracle import assert_rows_match, sqlite_rows
@@ -117,6 +118,15 @@ def assert_byte_identical(rows, reference):
             # repr equality: catches -0.0 vs 0.0 and any float drift
             # that value equality would forgive.
             assert repr(x) == repr(y), (x, y)
+
+
+def sim_seconds(shark, text) -> float:
+    """One statement's simulated seconds on a 4 x 2 cluster."""
+    shark.engine.reset_profiles()
+    shark.sql(text)
+    return analyze_profiles(
+        "", shark.engine.profiles, num_workers=4, cores_per_worker=2
+    ).total_sim_seconds
 
 
 @pytest.fixture(
