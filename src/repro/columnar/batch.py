@@ -127,11 +127,16 @@ class Vector:
         """``values`` (or a Vector) as :meth:`from_values`' column of
         their declared type, the one typing rule (DESIGN §16): NULL and
         what ``data_type.validate`` takes, DOUBLE widening ints (ARRAY /
-        MAP / STRUCT: anything), else TypeMismatchError."""
+        MAP / STRUCT: anything), else TypeMismatchError.  A coded vector
+        stays coded."""
         if not isinstance(values, Vector):
             values = cls.from_values(values)
         if data_type.name in ("array", "map", "struct"):
             return values
+        if isinstance(values, CodedVector):  # typed by the entries rows take
+            used, codes = np.unique(values.codes, return_inverse=True)
+            entries = values.dictionary.gather(used)
+            return CodedVector(codes, cls.typed(entries, data_type, name))
         double = data_type.name == "double"
         kind = _KIND_OF.get(getattr(values.data, "dtype", None))
         if kind is not None:

@@ -30,7 +30,6 @@ from repro.columnar.batch import (
     ColumnBatch,
     Vector,
     not_null,
-    transpose_rows,
 )
 from repro.datatypes import (
     DAYS,
@@ -47,10 +46,9 @@ from repro.datatypes import (
     StringType,
     StructType,
     TimestampType,
-    datetime64_array,
     time_number,
 )
-from repro.errors import AnalysisError, CompressionError, StorageError
+from repro.errors import CompressionError, StorageError
 
 _NULL_TOKEN = "\\N"
 _DELIMITER = "\x01"
@@ -86,9 +84,119 @@ _TEXT_PARSERS = {
     TimestampType: datetime.fromisoformat,
     StringType: _unescape,
 }
-#: The array a number field is parsed into, by its column type.
-_TEXT_NUMBERS = {
-    IntegerType: np.int64, LongType: np.int64, DoubleType: np.float64,
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+#: A ``YYYY-MM-DD`` field's bytes: where its dashes are, and what each
+#: digit is worth to its year, month and day.
+_DASHES = np.isin(np.arange(10), [4, 7])[:, None]
+_DATE_PLACES = np.array([
+    [1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 10, 1],
+])
+#: The low ``n`` bytes of a word, and 0x01 (in no field) in the others.
+_LOW_BYTES = np.array([2 ** (8 * n) - 1 for n in range(8)], dtype=np.uint64)
+_PADDING = ~_LOW_BYTES & np.uint64(0x0101010101010101)
+
+
+def _decimals(data, starts, ends):
+    """Each field ``starts[i]:ends[i]`` of ``data`` as ``-?d+`` or
+    ``-?d+.d+`` of at most 19 bytes: (minus, its digits as one uint64 with
+    a 0 in the point's place, digits after the point (-1: no point),
+    digits), or None."""
+    minus = data[starts] == ord("-")
+    first = starts + minus
+    count = ends - first
+    size = int(count.max(initial=1))
+    if size > 19 or (count < 1).any():
+        return None
+    # Row k holds every field's k-th of ``size`` right-aligned bytes (0
+    # left of the field, where an index may wrap), worth
+    # 10 ** (size - 1 - k); "." reads 254.
+    back = np.arange(size, 0, -1, dtype=np.uint8)[:, None]
+    digit = data[ends - back] - np.uint8(ord("0"))
+    digit *= back <= count
+    point = digit == np.uint8(ord(".") - ord("0") + 256)
+    points, place = point.sum(axis=0), back[:, 0] @ point.view(np.uint8)
+    if (points > 1).any() or ((digit > 9) ^ point).any():
+        return None
+    digit *= ~point
+    value = _POW10[size - 1 :: -1] @ digit
+    return minus, value, place.astype(np.int64) - 1, count - points
+
+
+def _ints(data, starts, ends) -> Optional[Vector]:
+    """An INT / BIGINT column of ``-?d+`` fields of at most 18 digits."""
+    parsed = _decimals(data, starts, ends)
+    if parsed is None or ((parsed[2] >= 0) | (parsed[3] > 18)).any():
+        return None
+    value = parsed[1].view(np.int64)
+    return Vector(np.where(parsed[0], -value, value))
+
+
+def _doubles(data, starts, ends) -> Optional[Vector]:
+    """A DOUBLE column of ``-?d+.d+`` fields of at most 15 digits, each
+    ``w / 10**k``: both are exact doubles and the division rounds once,
+    so it is ``float(text)`` exactly (Clinger's fast path)."""
+    parsed = _decimals(data, starts, ends)
+    if parsed is None:
+        return None
+    minus, value, scale, digits = parsed
+    if not ((scale >= 1) & (scale < digits) & (digits <= 15)).all():
+        return None
+    # The digits left of the point one place down, into its 0.
+    low = _POW10[scale]
+    number = (value // (10 * low) * low + value % low) / low
+    return Vector(np.where(minus, -number, number))
+
+
+def _days(data, starts, ends) -> Optional[Vector]:
+    """A DATE column of ``YYYY-MM-DD`` fields as days, each checked by a
+    round trip through its month: a day past the month's end rolls into
+    the next one."""
+    if (ends - starts != 10).any():
+        return None
+    chars = data[starts + np.arange(10)[:, None]]
+    digit = chars - np.uint8(ord("0"))
+    if not np.where(_DASHES, chars == ord("-"), digit <= 9).all():
+        return None
+    year, month, day = _DATE_PLACES @ digit
+    months = (year - 1970) * 12 + month - 1
+    days = months.view("M8[M]").astype(DAYS) + (day - 1).view("m8[D]")
+    valid = (year > 0) & (month > 0) & (month < 13) & (day > 0)
+    if (valid & (days.astype("M8[M]").view(np.int64) == months)).all():
+        return Vector(days)
+    return None
+
+
+def _short_strings(data, starts, ends) -> Optional[Vector]:
+    """A STRING column of ASCII fields of at most 7 bytes, none holding a
+    backslash, factorized on each field's bytes as one word (the eight
+    bytes from its start, padded past its end): its entries in
+    first-occurrence order, so the writer gives them the ids it gives a
+    list of the values."""
+    sizes = ends - starts
+    if (sizes > 7).any():
+        return None
+    words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
+    keys = words[starts] & _LOW_BYTES[sizes] | _PADDING[sizes]
+    held = keys.view(np.uint8)
+    if ((held == ord("\\")) | (held >= 0x80)).any():
+        return None
+    __, firsts, ids = np.unique(keys, return_index=True, return_inverse=True)
+    rows = np.sort(firsts)
+    bounds = zip(starts[rows].tolist(), ends[rows].tolist())
+    entries = [data[start:end].tobytes().decode() for start, end in bounds]
+    return CodedVector(np.argsort(np.argsort(firsts))[ids], Vector(entries))
+
+
+#: Each type's parse of a column from its fields' bytes, None unless
+#: every field has a form it reads exactly as ``_parse_value`` does.
+_BYTE_PARSERS = {
+    IntegerType: _ints,
+    LongType: _ints,
+    DoubleType: _doubles,
+    DateType: _days,
+    StringType: _short_strings,
 }
 
 
@@ -112,10 +220,9 @@ class TextSerde:
     """Delimited text rows (Hive's default storage format).
 
     Encoding and decoding work a column at a time: a number column is
-    printed once per distinct value and parsed by numpy into its array,
-    a STRING column is joined and split as it is; only NULL-bearing
-    columns on the way in, and list columns that mix types or hold
-    ARRAY/MAP values, go value by value.
+    printed once per distinct value, a STRING column joined as it is; a
+    column is parsed from its fields' bytes (``_BYTE_PARSERS``) unless a
+    field has no form its parse reads exactly, and then value by value.
     """
 
     def __init__(self, schema: Schema):
@@ -182,30 +289,6 @@ class TextSerde:
             return out
         raise StorageError(f"text serde cannot parse type {data_type}")
 
-    def _parse_column(self, texts: tuple, data_type: DataType) -> Vector:
-        """One field's texts as a vector of its type: a number field the
-        array numpy parses (as ``int`` / ``float`` do), a STRING one the
-        texts as split; a field with a NULL, or that numpy cannot parse
-        (an int beyond int64, no number), value by value."""
-        kind = type(data_type)
-        parser = _TEXT_PARSERS.get(kind)
-        if parser is None or _NULL_TOKEN in texts:
-            values = [self._parse_value(text, data_type) for text in texts]
-        elif parser is _unescape:
-            if "\\" not in "".join(texts):
-                return Vector(list(texts))
-            values = list(map(_unescape, texts))
-        elif kind is DateType:
-            return Vector(datetime64_array(list(map(parser, texts)), date))
-        else:
-            if kind in _TEXT_NUMBERS:
-                try:
-                    return Vector(np.array(texts, _TEXT_NUMBERS[kind]))
-                except (ValueError, OverflowError):
-                    pass  # the parser raises its own error, or keeps an int
-            values = list(map(parser, texts))
-        return Vector.from_values(values)
-
     def encode(self, rows: list[tuple]) -> bytes:
         return self.encode_batch(ColumnBatch.from_rows(rows, len(self.schema)))
 
@@ -220,25 +303,45 @@ class TextSerde:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def decode_batch(self, payload: bytes) -> ColumnBatch:
-        """The payload's rows as a batch of typed vectors (no row built)."""
+        """The payload's rows as a batch of typed vectors, each column
+        parsed from its fields' bytes (no line, row or field text built
+        but where a column falls back to :meth:`_parse_column`)."""
         # A row is what its "\n" ends (the last may be unended), so one
-        # row of one empty field is b"\n".  Split on the record delimiter
-        # only; values may hold characters like \r that splitlines takes
-        # for breaks.
-        lines = payload.decode("utf-8").split("\n")
-        if not lines[-1]:
-            lines.pop()
-        rows = list(map(str.split, lines, repeat(_DELIMITER)))
+        # row of one empty field is b"\n".  Only "\n" ends a row: values
+        # may hold characters like \r that splitlines takes for breaks.
+        if payload and not payload.endswith(b"\n"):
+            payload += b"\n"
+        # (Zeros past the end: a field has 8 bytes from its start.)
+        data = np.frombuffer(payload + bytes(8), np.uint8)
+        ends = np.flatnonzero((data == ord(_DELIMITER)) | (data == ord("\n")))
+        lines = np.flatnonzero(data[ends] == ord("\n"))
+        widths = np.diff(lines, prepend=-1)
         width = len(self.schema)
-        try:
-            columns = transpose_rows(rows, width)
-        except AnalysisError:
-            bad = next(len(row) for row in rows if len(row) != width)
-            raise StorageError(
-                f"text row has {bad} fields, schema has {width}"
-            ) from None
-        vectors = list(map(self._parse_column, columns, self.schema.types))
-        return ColumnBatch(vectors, len(rows))
+        if (widths != width).any():
+            bad = widths[widths != width][0]
+            raise StorageError(f"text row has {bad} fields, schema has {width}")
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1] + 1
+        shape = (len(lines), width)
+        columns = zip(starts.reshape(shape).T, ends.reshape(shape).T)
+        vectors = list(map(self._parse_column, repeat(payload), repeat(data),
+                           *zip(*columns), self.schema.types))
+        return ColumnBatch(vectors, len(lines))
+
+    def _parse_column(self, payload, data, starts, ends, data_type) -> Vector:
+        """One field of every row, from its bytes ``starts:ends``: by the
+        type's byte parse where every field takes it, else value by value
+        (a STRING one with no backslash, so no NULL or escape, as split)."""
+        parse = _BYTE_PARSERS.get(type(data_type))
+        vector = parse and parse(data, starts, ends)
+        if vector is not None:
+            return vector
+        bounds = zip(starts.tolist(), ends.tolist())
+        texts = [payload[start:end].decode("utf-8") for start, end in bounds]
+        if isinstance(data_type, StringType) and "\\" not in "".join(texts):
+            return Vector(texts)
+        values = [self._parse_value(text, data_type) for text in texts]
+        return Vector.from_values(values)
 
     def decode(self, payload: bytes) -> list[tuple]:
         return self.decode_batch(payload).materialize_rows()

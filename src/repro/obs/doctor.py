@@ -110,6 +110,8 @@ class DoctorReport:
     diagnoses: list[QueryDiagnosis] = field(default_factory=list)
     #: Queries present in only one of the two logs (unpairable).
     unmatched: list[str] = field(default_factory=list)
+    #: Queries shed in both runs: they ran on neither side, so no pair.
+    shed_both: int = 0
 
     def regressed(self) -> list[QueryDiagnosis]:
         return [
@@ -178,6 +180,9 @@ class DoctorReport:
                 "unpaired queries (present in only one run): "
                 + ", ".join(map(_short, self.unmatched))
             )
+        if self.shed_both:
+            shed = count_queries(self.shed_both)
+            lines += ["", f"{shed} shed in both runs (ran on neither side)"]
         top = self.top_cause()
         if top is not None:
             lines.append("")
@@ -395,25 +400,31 @@ def diagnose_pair(
 
 def _pair_queries(
     baseline: HistoryStore, current: HistoryStore
-) -> tuple[list[tuple[QueryRecord, QueryRecord]], list[str]]:
+) -> tuple[list[tuple[QueryRecord, QueryRecord]], list[str], int]:
     """Pair queries by name, in order of occurrence (a corpus may run
-    the same statement twice)."""
+    the same statement twice); a name shed on both sides ran on neither
+    and is counted, not paired."""
     remaining: dict[str, list[QueryRecord]] = {}
     for record in current.queries:
         remaining.setdefault(record.name, []).append(record)
     pairs: list[tuple[QueryRecord, QueryRecord]] = []
     unmatched: list[str] = []
+    shed_both = 0
     for record in baseline.queries:
         bucket = remaining.get(record.name)
         if bucket:
-            pairs.append((record, bucket.pop(0)))
+            match = bucket.pop(0)
+            if record.status == match.status == "shed":
+                shed_both += 1
+            else:
+                pairs.append((record, match))
         else:
             unmatched.append(record.name or record.query_id)
     for bucket in remaining.values():
         unmatched.extend(
             record.name or record.query_id for record in bucket
         )
-    return pairs, unmatched
+    return pairs, unmatched, shed_both
 
 
 def diagnose(
@@ -424,12 +435,13 @@ def diagnose(
 ) -> DoctorReport:
     """Compare two loaded histories; optionally count findings into a
     :class:`~repro.obs.metrics.MetricsRegistry`."""
-    pairs, unmatched = _pair_queries(baseline, current)
+    pairs, unmatched, shed_both = _pair_queries(baseline, current)
     report = DoctorReport(
         baseline_path=baseline.files[0] if baseline.files else "?",
         current_path=current.files[0] if current.files else "?",
         regression_threshold=regression_threshold,
         unmatched=unmatched,
+        shed_both=shed_both,
     )
     total_findings = 0
     for record_a, record_b in pairs:

@@ -247,8 +247,8 @@ class TestTextSerdeColumnWise:
     def test_drawn_columns_of_every_scalar_type(self, column):
         """``encode_batch`` of a typed column (each distinct number
         printed once) is the per-value reference byte for byte, and
-        ``decode_batch`` (numbers parsed by numpy, strings taken as
-        split) gives what the per-value parse gives, of the same dtype."""
+        ``decode_batch`` (each column parsed from its fields' bytes)
+        gives what the per-value parse gives, of the same dtype."""
         data_type, values = column
         schema = Schema.of(("x", data_type))
         serde = TextSerde(schema)

@@ -154,6 +154,25 @@ class TestReport:
         assert set(report.unmatched) == {"only-baseline", "only-current"}
         assert report.regressed()[0].slowdown == pytest.approx(1.0)
 
+    def test_a_query_shed_on_both_sides_is_counted_not_paired(self):
+        baseline = self._store([
+            _record(name="a"),
+            _record(name="shed", status="shed", sim_seconds=0.0),
+            _record(name="shed-once", status="shed", sim_seconds=0.0),
+        ])
+        current = self._store([
+            _record(name="a"),
+            _record(name="shed", status="shed", sim_seconds=0.0),
+            _record(name="shed-once", sim_seconds=1.0),
+        ])
+        report = diagnose(baseline, current)
+        assert [d.name for d in report.diagnoses] == ["a", "shed-once"]
+        assert report.shed_both == 1 and not report.unmatched
+        rendered = report.render()
+        assert "2 paired queries" in rendered
+        assert "1 query shed in both runs" in rendered
+        assert "shed: " not in rendered
+
     def test_top_cause_votes_by_regressed_queries(self):
         report = DoctorReport(
             baseline_path="a", current_path="b",
