@@ -168,22 +168,15 @@ def main(
         status = "DIVERGED" if name in divergent else "identical"
         print(f"  {name}: {status}")
     # The 1 KiB cap exists to drive the arbitration path under chaos:
-    # a run that never spilled proves nothing, and a run that leaked or
-    # over-released execution memory is a bug even with right answers.
+    # a run that never spilled proves nothing, and a run that leaves
+    # anything behind (a ledger charge, a clamp, ...) is a bug even with
+    # right answers.
     if accountant.spill_events == 0:
         print("\nFAIL: the memory cap forced no spills")
         return 1
-    if accountant.live_bytes("execution") != 0:
-        print(
-            f"\nFAIL: execution pool holds "
-            f"{accountant.live_bytes('execution')} B after all queries"
-        )
-        return 1
-    if accountant.clamped_release_bytes != 0:
-        print(
-            f"\nFAIL: {accountant.clamped_release_bytes} B of releases "
-            f"were clamped (double-release bug)"
-        )
+    violations = chaos.engine.invariant_violations()
+    if violations:
+        print("\nFAIL: " + "; ".join(violations))
         return 1
 
     if trace_out:

@@ -12,9 +12,9 @@ the full lifecycle story in one run:
 - every *surviving* query returns results byte-identical to a serial
   fault-free run.
 
-After the drain, the demo checks the cleanup invariants: cancelled
-queries' shuffle outputs are released (no orphaned pinned blocks) and
-the tracer has no half-open spans.
+After the drain, the demo checks the engine's cleanup invariants
+(``EngineContext.invariant_violations``): among them, cancelled queries'
+shuffle outputs are released and the tracer has no half-open spans.
 
 Run with::
 
@@ -142,18 +142,9 @@ def main(seed: int = 11) -> int:
         print(f"  {name}: {status}")
     print(f"  cancelled: {cancelled.state}, deadlined: {deadlined.state}")
 
-    open_spans = [s.name for s in shark.trace.spans if s.end is None]
-    if open_spans:
-        failures.append(f"half-open tracer spans: {open_spans}")
-    registered = shark.engine.shuffle_manager.registered_block_ids()
-    pinned = shark.engine.cluster.pinned_block_ids()
-    orphaned = pinned - registered
-    if orphaned:
-        failures.append(f"orphaned pinned shuffle blocks: {sorted(orphaned)}")
-    print(
-        f"  cleanup: {len(open_spans)} open spans, "
-        f"{len(orphaned)} orphaned pinned blocks"
-    )
+    violations = shark.engine.invariant_violations()
+    failures.extend(violations)
+    print(f"  cleanup: {len(violations)} invariant violations")
 
     if failures:
         print("\nFAIL:")

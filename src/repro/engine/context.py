@@ -8,7 +8,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.cluster import VirtualCluster
 from repro.engine.broadcast import Broadcast
 from repro.engine.dependencies import ShuffleDependency
-from repro.engine.memory import MemoryAccountant
+from repro.engine.memory import EXECUTION, MemoryAccountant
 from repro.engine.metrics import QueryProfile
 from repro.engine.query import QueryScope
 from repro.engine.rdd import RDD, DataRDD, ShuffledRDD
@@ -134,21 +134,24 @@ class EngineContext:
     def broadcast(
         self, value: Any, size_bytes: Optional[int] = None
     ) -> Broadcast:
+        """Ship ``value`` to every task.  Only a query's scope charges
+        (and releases) its bytes to the driver's execution pool."""
+        scoped = self.query is not self._root_query
         broadcast = Broadcast(
             self._next_broadcast_id,
             value,
-            accountant=self.memory,
+            accountant=self.memory if scoped else None,
             size_bytes=size_bytes,
         )
         self._next_broadcast_id += 1
-        self.query.broadcasts.append(broadcast)
+        if scoped:
+            self.query.broadcasts.append(broadcast)
         return broadcast
 
     def release_broadcast_accounting(self) -> int:
         """Drop the execution-pool charge of every live broadcast of the
-        current scope (a statement's scope does this itself when it
-        closes; code that plans and collects outside a statement calls
-        it so the ledger balances to zero afterwards).  The values
+        current scope (a scope does this itself when it closes; outside
+        any query nothing was charged, so this releases 0).  The values
         themselves stay usable; only the accounting ends.  Returns the
         bytes released."""
         return self.query.release_broadcasts()
@@ -172,6 +175,42 @@ class EngineContext:
         finally:
             self.query = self._root_query
             scope.close()
+
+    def invariant_violations(self) -> list[str]:
+        """The cleanup invariants, stated once: what a quiescent context
+        holds and must not, one line each (empty when clean)."""
+        clamped = self.memory.clamped_release_bytes
+        registered = self.shuffle_manager.registered_block_ids()
+        pinned = self.cluster.pinned_block_ids()
+        admitted = self.lifecycle.admission_ledger() if self.lifecycle else {}
+        located = self.cache_tracker.located_blocks()
+        found = [
+            f"worker {ledger.worker_id} execution pool: {nbytes} B of {owner}"
+            for ledger in self.memory.ledgers.values()
+            for (pool, owner), nbytes in ledger.owners.items()
+            if pool == EXECUTION
+        ]
+        found += [f"{clamped} B of releases clamped"] if clamped else []
+        found += [
+            f"half-open span {span.name}"
+            for span in self.trace.spans if span.end is None
+        ]
+        found += [
+            f"pinned block {block_id} of no registered shuffle"
+            for block_id in sorted(pinned - registered)
+        ]
+        found += [
+            f"lifecycle ledger: {admitted[key]} {key}"
+            for key in ("leaked", "running", "queued") if admitted.get(key)
+        ]
+        return found + [
+            f"block {block_id} on worker {worker.worker_id} is neither a "
+            "located cached partition nor a registered map output"
+            for worker in self.cluster.live_workers()
+            for block_id in worker.blocks.block_ids()
+            if block_id not in registered and block_id not in pinned
+            and (worker.worker_id, block_id) not in located
+        ]
 
     # ------------------------------------------------------------------
     # Job execution

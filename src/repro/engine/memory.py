@@ -151,7 +151,7 @@ class MemoryAccountant:
         #: the one home of every spill count.
         self.spilled_by_owner: dict[str, dict[str, int]] = {}
         #: Bytes silently dropped by over-releases (double-release bugs);
-        #: the ledger-zero invariant tests assert this stays zero.
+        #: ``EngineContext.invariant_violations`` names any.
         self.clamped_release_bytes = 0
         metrics = self.tracer.metrics
         metrics.register_counter(
@@ -271,8 +271,8 @@ class MemoryAccountant:
         A clamp means someone released more than they reserved — a
         double-release — which is an accounting bug, not a normal path:
         the clamped remainder is counted under
-        ``memory.release.clamped`` and ``clamped_release_bytes`` so the
-        ledger-zero invariant tests can assert it never happens.
+        ``memory.release.clamped`` and ``clamped_release_bytes``, which
+        ``EngineContext.invariant_violations`` names.
         Returns the bytes actually released."""
         if nbytes <= 0:
             return 0
@@ -473,8 +473,7 @@ class MemoryAccountant:
     # Views
     # ------------------------------------------------------------------
     def live_bytes(self, pool: Optional[str] = None) -> int:
-        """Total live reserved bytes across workers (the ledger-zero
-        invariant checks ``live_bytes(EXECUTION) == 0`` after queries)."""
+        """Total live reserved bytes across workers."""
         return sum(
             ledger.used[pool] if pool is not None else ledger.total_used
             for ledger in self.ledgers.values()

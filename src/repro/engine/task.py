@@ -109,6 +109,10 @@ class CacheTracker:
     def location(self, rdd_id: int, partition: int) -> int | None:
         return self._locations.get((rdd_id, partition))
 
+    def located_blocks(self) -> set[tuple[int, str]]:
+        """(worker_id, block_id) of every cached partition it locates."""
+        return {(w, _rdd_block_id(*key)) for key, w in self._locations.items()}
+
     def put(
         self,
         rdd_id: int,

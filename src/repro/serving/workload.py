@@ -10,8 +10,9 @@ system degraded *gracefully*:
 * every admitted-and-completed query's result is byte-identical to an
   uncontended fault-free run of the same SQL,
 * per-tier p50/p95/p99 latency is reported from the event log, and
-* nothing leaked afterwards — admission slots (ledger-zero), pinned
-  shuffle blocks, open tracer spans, or execution-pool memory residue.
+* nothing leaked afterwards — the context's cleanup invariants hold
+  (``EngineContext.invariant_violations``), no shuffle is registered and
+  every stored block belongs to a live table.
 
 Run the soak (the CI serving gate) with::
 
@@ -327,18 +328,12 @@ def run_soak(
         f"{divergent} divergent"
     )
 
-    # Gate 3: nothing leaked.
-    ledger = server.lifecycle.admission_ledger()
-    if ledger["leaked"] != 0 or ledger["running"] or ledger["queued"]:
-        failures.append(f"admission-slot leak: {ledger}")
-    # Every query's scope released its shuffles when it closed: nothing
-    # may still be registered and no worker may hold a pinned copy.
-    registered = shark.engine.shuffle_manager.registered_block_ids()
-    orphaned = shark.engine.cluster.pinned_block_ids() | registered
-    if orphaned:
-        failures.append(f"orphaned pinned shuffle blocks: {len(orphaned)}")
-    # Every block a worker still holds is a block of a live cached
-    # table, and no table piled up deltas (trickle appends merge).
+    # Gate 3: nothing leaked.  Stricter than the context's invariants:
+    # no shuffle is still registered, every stored block is a live
+    # table's, and no table piled up deltas (trickle appends merge).
+    failures += shark.engine.invariant_violations()
+    if shark.engine.shuffle_manager.registered_block_ids():
+        failures.append("shuffle map outputs still registered")
     live_blocks: set[str] = set()
     catalog = shark.session.catalog
     for entry in map(catalog.get, catalog.table_names()):
@@ -357,23 +352,6 @@ def run_soak(
     ]
     if stray:
         failures.append(f"blocks of no live table: {sorted(stray)[:5]}")
-    open_spans = [s.name for s in shark.trace.spans if s.end is None]
-    if open_spans:
-        failures.append(f"half-open tracer spans: {open_spans}")
-    execution_residue = sum(
-        row["used_bytes"]
-        for row in shark.engine.memory.watermarks()
-        if row["pool"] == "execution"
-    )
-    if execution_residue:
-        failures.append(
-            f"execution-pool memory residue: {execution_residue}B"
-        )
-    say(
-        f"cleanup: ledger leak {ledger['leaked']}, "
-        f"{len(orphaned)} orphaned blocks, {len(open_spans)} open spans, "
-        f"{execution_residue}B execution residue"
-    )
 
     # Gate 4: per-tier latency percentiles from the event log.
     report_lines = [

@@ -58,8 +58,7 @@ def _run(hive, query):
     """One Hive run, and the invariants every run must leave behind."""
     run = hive.execute(query)
     engine = hive.ctx
-    assert engine.memory.live_bytes("execution") == 0
-    assert engine.memory.clamped_release_bytes == 0
+    assert engine.invariant_violations() == []
     assert not engine.shuffle_manager.registered_block_ids()
     assert not [
         path for path in hive.store.list_files()

@@ -50,6 +50,44 @@ def _hang_guard():
         signal.signal(signal.SIGALRM, previous)
 
 
+#: Contexts built since the last test's teardown (its fixtures' too),
+#: held until that teardown checks them: a wrapped __init__ adds each,
+#: so src has no test hook.  A ``keeps_engine_state`` test adds none.
+_BUILT: list[EngineContext] = []
+_engine_init = EngineContext.__init__
+
+
+def _registering_init(self, *args, **kwargs):
+    _engine_init(self, *args, **kwargs)
+    _BUILT.append(self)
+
+
+EngineContext.__init__ = _registering_init
+
+
+@pytest.fixture(autouse=True)
+def _engine_invariants(request):
+    """Each context a test built ends clean, unless the test is marked
+    ``keeps_engine_state(reason=...)``."""
+    held = request.node.get_closest_marker("keeps_engine_state")
+    assert held is None or held.kwargs["reason"]
+    EngineContext.__init__ = _engine_init if held else _registering_init
+    yield
+    EngineContext.__init__ = _registering_init
+    built, _BUILT[:] = _BUILT[:], []
+    for engine in built:
+        assert engine.invariant_violations() == []
+
+
+def stored_blocks(shark: SharkContext) -> list[str]:
+    """Every block id the workers' stores hold, sorted."""
+    return sorted(
+        block_id
+        for worker in shark.engine.cluster.workers
+        for block_id in worker.blocks.block_ids()
+    )
+
+
 @pytest.fixture
 def ctx() -> EngineContext:
     """A small engine context: 4 workers x 2 cores."""

@@ -483,7 +483,6 @@ def test_capped_sort_spills_and_equals_uncapped(sort_shark, order_by):
     spilled = {row["owner"] for row in capped.engine.memory.spill_rows()}
     assert "sort" in spilled, "the cap forced no ExternalSorter runs"
     assert list(map(repr, got)) == list(map(repr, want))
-    assert capped.engine.memory.clamped_release_bytes == 0
 
 
 #: The values an ORDER BY column of each type is drawn from (and NULL).
@@ -1050,9 +1049,6 @@ def test_run_lost_after_the_bounds_is_cut_again_by_lineage(
     assert killed and (0, True) in rewrites
     assert all(resolved for __, resolved in rewrites)
     assert list(map(repr, got)) == list(map(repr, want))
-    memory = shark.engine.memory
-    assert memory.live_bytes("execution") == 0
-    assert memory.clamped_release_bytes == 0
 
 
 _TOP_K_COLUMNS = ["id", "a", "s", "f", "d", "b"]

@@ -69,6 +69,7 @@ class TestAdmissionControl:
         assert info.value.running == 1
         assert info.value.queued == 1
         assert shark.metrics.value("queries.rejected") == 1
+        shark.lifecycle.drain()
 
     def test_queued_query_promoted_and_completes(self):
         shark = _build_shark()
@@ -98,6 +99,7 @@ class TestAdmissionControl:
         assert info.value.retry_after_s == pytest.approx(
             handle.charged_seconds, rel=1e-6
         )
+        lifecycle.drain()
 
     def test_cancel_queued_query_is_immediate(self):
         shark = _build_shark()
@@ -208,11 +210,6 @@ class TestCancellation:
             victim.result_or_raise()
         assert survivor.result.rows == [(3000,)]
 
-        # Cleanup invariants: no open spans, no orphaned pinned blocks.
-        assert [s.name for s in shark.trace.spans if s.end is None] == []
-        registered = shark.engine.shuffle_manager.registered_block_ids()
-        pinned = shark.engine.cluster.pinned_block_ids()
-        assert pinned <= registered
         assert shark.metrics.value("queries.cancelled") == 1
         assert len(shark.trace.events_named("query.cancelled")) == 1
 
@@ -260,6 +257,7 @@ class TestCancellation:
         )
         with pytest.raises(QueryCancelledError):
             rdd.iterator(0, task_ctx)
+        lifecycle.drain()
 
     def test_cancel_after_done_is_noop(self):
         shark = _build_shark()
@@ -407,12 +405,6 @@ class TestConcurrentChaosAcceptance:
             assert handle.state == "done"
             assert sorted(handle.result.rows) == baseline[name], name
 
-        # No open tracer spans.
-        assert [s.name for s in shark.trace.spans if s.end is None] == []
-        # No orphaned pinned shuffle blocks.
-        registered = shark.engine.shuffle_manager.registered_block_ids()
-        pinned = shark.engine.cluster.pinned_block_ids()
-        assert pinned <= registered
         # The lifecycle ledger agrees.
         assert lifecycle.completed == 2
         assert lifecycle.cancelled == 1
@@ -472,9 +464,7 @@ class TestCorruptionIsolation:
         assert sorted(survivor.result.rows) == serial
         # The victim's shuffle state is gone entirely; the survivor's is
         # intact and consistent with the workers' pinned blocks.
-        registered = shark.engine.shuffle_manager.registered_block_ids()
-        pinned = shark.engine.cluster.pinned_block_ids()
-        assert pinned <= registered
+        assert shark.engine.invariant_violations() == []
         for shuffle_id in victim.scope.shuffle_ids:
             assert not shark.engine.shuffle_manager.is_registered(shuffle_id)
 
@@ -689,10 +679,8 @@ class TestTraceDrainOnCancellation:
         assert handle.state == "cancelled"
         # The private stack was drained despite the disabled tracer ...
         assert handle.scope.span_stack == []
-        # ... every recorded span got a close time and terminal status.
+        # ... and every recorded span ended with a terminal status.
         assert shark.trace.spans
-        for span in shark.trace.spans:
-            assert span.end is not None
         query_span = shark.trace.spans_in_category("query")[0]
         assert query_span.args["status"] == "cancelled"
         # Draining again is a no-op (idempotent).
@@ -880,7 +868,6 @@ class TestCounters:
         assert lifecycle.admission_ledger()["rejected"] == 3
         lifecycle.drain()
         assert (running.state, queued.state) == ("done", "done")
-        assert lifecycle.admission_ledger()["leaked"] == 0
 
 
 class TestRetryAfterDrainRate:
@@ -974,9 +961,6 @@ class TestAdmissionLedger:
         assert failing.state == "failed"
 
         ledger = lifecycle.admission_ledger()
-        assert ledger["leaked"] == 0
-        assert ledger["running"] == 0
-        assert ledger["queued"] == 0
         assert ledger["terminal"] == 5
         assert ledger["rejected"] == 1
         assert ledger["submitted"] == 6
@@ -1155,7 +1139,6 @@ class TestHandoff:
         failing = lifecycle.submit(boom)
         with pytest.raises(ValueError):
             lifecycle.wait(failing)
-        assert lifecycle.admission_ledger()["running"] == 0
         assert threading.active_count() == baseline
 
     def test_no_thread_outlives_a_served_chaos_soak(self):
@@ -1165,6 +1148,7 @@ class TestHandoff:
         assert run_soak(queries=300, fault_seed=13, verbose=False) == 0
         assert threading.active_count() == baseline
 
+    @pytest.mark.keeps_engine_state(reason="asserts its context is collected")
     def test_dropped_context_releases_its_manager(self):
         ctx = EngineContext(num_workers=2)
         lifecycle = ctx.enable_lifecycle(LifecycleConfig(max_concurrent=2))

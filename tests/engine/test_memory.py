@@ -73,10 +73,7 @@ class TestLedgerInvariants:
             shark.sql(query)
             # Task state and the join's broadcast build table are all
             # query-scoped: nothing may outlive the statement.
-            assert shark.engine.memory.live_bytes(EXECUTION) == 0
-        # Balanced books, not clamped-to-zero books: no release ever
-        # exceeded what its owner still held.
-        assert shark.engine.memory.clamped_release_bytes == 0
+            assert shark.engine.invariant_violations() == []
 
     def test_execution_pool_zero_after_cancellation(self):
         shark = _build_shark()
@@ -87,8 +84,7 @@ class TestLedgerInvariants:
         shark.submit_sql(QUERIES[0], name="survivor")
         shark.lifecycle.drain()
         assert victim.state == "cancelled"
-        assert shark.engine.memory.live_bytes(EXECUTION) == 0
-        assert shark.engine.memory.clamped_release_bytes == 0
+        assert shark.engine.invariant_violations() == []
 
     def test_execution_pool_zero_under_chaos(self):
         injector = FaultInjector(
@@ -98,8 +94,7 @@ class TestLedgerInvariants:
         for query in QUERIES:
             shark.sql(query)
         # Failed attempts released their reservations in task teardown.
-        assert shark.engine.memory.live_bytes(EXECUTION) == 0
-        assert shark.engine.memory.clamped_release_bytes == 0
+        assert shark.engine.invariant_violations() == []
 
     def test_storage_pool_mirrors_block_stores(self):
         shark = _build_shark()
@@ -254,7 +249,6 @@ class TestGauges:
             shark.sql(query)
         assert len(checked) > len(QUERIES)
         _assert_gauges_read_the_ledger(shark)
-        assert shark.metrics.value("memory.execution.used") == 0
         assert shark.metrics.value("memory.headroom") == min(
             ledger.headroom()
             for ledger in accountant.ledgers.values()

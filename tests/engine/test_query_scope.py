@@ -1,11 +1,11 @@
 """QueryScope: one owner, one exit for what a query holds in the engine.
 
 Whatever the entry point and whatever the outcome, a finished SELECT
-leaves no registered or pinned shuffle block, no scheduler stage or
-accumulator guard and a balanced ledger; a table or a ``sql2rdd`` plan
-keeps exactly what its lineage reads.  (The lifecycle outcomes — done,
-cancelled, deadline, failed — and the two concurrent-query probes are in
-``test_lifecycle.py``.)
+leaves no registered shuffle block, no scheduler stage or accumulator
+guard, and nothing ``EngineContext.invariant_violations`` names; a table
+or a ``sql2rdd`` plan keeps exactly what its lineage reads.  (The
+lifecycle outcomes — done, cancelled, deadline, failed — and the two
+concurrent-query probes are in ``test_lifecycle.py``.)
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.errors import ReproError
 from repro.faults import FaultInjector
 from repro.serving import BATCH, INTERACTIVE, SqlServer
 from repro.storage.scan import lineage_reads
+from tests.conftest import stored_blocks
 
 AGG = (
     "SELECT bucket, COUNT(*) AS n, SUM(value) AS total "
@@ -41,25 +42,21 @@ def _build_shark(**kwargs) -> SharkContext:
 
 
 def engine_holds(shark: SharkContext) -> dict:
-    """Everything a query can leave in the engine, by name."""
+    """What a query can leave in the engine, by name."""
     engine = shark.engine
     return {
         "registered": engine.shuffle_manager.registered_block_ids(),
-        "pinned": engine.cluster.pinned_block_ids(),
         "stages": set(engine.scheduler._shuffle_stages),
         "acc_guards": set(engine.scheduler._merged_map_acc),
-        "execution_bytes": engine.memory.live_bytes("execution"),
-        "clamped": engine.memory.clamped_release_bytes,
+        "violations": engine.invariant_violations(),
     }
 
 
 NOTHING = {
     "registered": set(),
-    "pinned": set(),
     "stages": set(),
     "acc_guards": set(),
-    "execution_bytes": 0,
-    "clamped": 0,
+    "violations": [],
 }
 
 
@@ -137,8 +134,8 @@ class TestLineageKeepsWhatItReads:
             "AS SELECT * FROM readings DISTRIBUTE BY day"
         )
         kept = engine_holds(shark)
-        assert kept["registered"] and kept["registered"] == kept["pinned"]
-        assert len(kept["stages"]) == 1
+        assert kept["registered"] == shark.engine.cluster.pinned_block_ids()
+        assert kept["registered"] and len(kept["stages"]) == 1
 
         text = AGG.replace("readings", "spread")
         assert sorted(shark.sql(text).rows) == reference
@@ -149,11 +146,9 @@ class TestLineageKeepsWhatItReads:
         assert sorted(shark.sql(text).rows) == reference
         assert not shark.engine.cluster.worker(2).alive
         assert shark.metrics.value("tasks.recovered") > 0
-        after = engine_holds(shark)
         # Same shuffle, same map partitions, re-homed on live workers.
-        assert after["registered"] == kept["registered"] == after["pinned"]
-        assert after["stages"] == kept["stages"]
-        assert after["execution_bytes"] == 0 and after["clamped"] == 0
+        assert engine_holds(shark) == kept
+        assert kept["registered"] == shark.engine.cluster.pinned_block_ids()
 
     @pytest.mark.parametrize(
         "select",
@@ -257,18 +252,10 @@ class TestLineageKeepsWhatItReads:
         table = shark.table_entry("grown").cached_rdd
         assert [block.rows for block in table.blocks[-2:]] == [20, 10]
         want = sorted(shark.sql("SELECT * FROM grown").rows)
-
-        def stored():
-            return [
-                block_id
-                for worker in shark.engine.cluster.workers
-                for block_id in worker.blocks.block_ids()
-            ]
-
-        assert len(stored()) == table.num_partitions
+        assert len(stored_blocks(shark)) == table.num_partitions
         shark.sql(statement)
-        assert stored() == []
-        assert engine_holds(shark)["execution_bytes"] == 0
+        assert stored_blocks(shark) == []
+        assert engine_holds(shark) == NOTHING
         if statement.startswith("UNCACHE"):
             assert sorted(shark.sql("SELECT * FROM grown").rows) == want
 

@@ -95,7 +95,6 @@ class TestQueryTracing:
         shark.enable_tracing()
         shark.sql(JOIN_QUERY)
         for span in shark.trace.spans:
-            assert span.end is not None
             assert span.end >= span.start
         # A task runs inside its stage's interval.
         for task in shark.trace.spans_in_category("task"):

@@ -70,7 +70,6 @@ class TestServingWithCache:
         # shedding must never get worse with the cache on.
         assert len(shed_on) <= len(shed_off)
         assert all(t.priority == BEST_EFFORT for t in shed_on)
-        assert shark.engine.memory.clamped_release_bytes == 0
         # The server summary surfaces the hit count only when nonzero
         # (cache-off runs keep byte-identical summaries).
         assert any("sql cache" in line for line in on.summary_lines())

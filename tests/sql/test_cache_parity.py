@@ -21,7 +21,6 @@ from repro.columnar import table
 from repro.columnar.serde import read_column
 from repro.datatypes import BOOLEAN, DOUBLE, INT, STRING, Schema
 from repro.engine.lifecycle import LifecycleConfig
-from repro.engine.memory import EXECUTION
 from repro.faults.injector import FaultInjector
 from repro.sql.cache import SqlCacheConfig
 from repro.workloads import pavlo, tpch
@@ -130,7 +129,6 @@ class TestChaosParity:
             warm = shark.sql(QUERIES[name])
             assert warm.cache_hit
             assert_byte_identical(warm.rows, uncached_rows[name])
-        assert shark.engine.memory.clamped_release_bytes == 0
 
 
 class TestSharedScans:
@@ -229,7 +227,6 @@ class TestSharedScans:
             assert_byte_identical(rows, expected)
         assert cache.result_hits > 0
         assert set(decodes.values()) == {1}
-        assert shark.engine.memory.clamped_release_bytes == 0
 
 
 class TestCappedEviction:
@@ -248,9 +245,6 @@ class TestCappedEviction:
                 assert_byte_identical(got.rows, uncached_rows[name])
         cache = shark.sql_cache
         assert cache.evictions > 0
-        assert shark.metrics.value("memory.release.clamped") == 0
-        assert shark.engine.memory.clamped_release_bytes == 0
-        assert shark.engine.memory.live_bytes(EXECUTION) == 0
         # Whatever survives the churn is exactly what the cache thinks
         # it holds (the sqlcache.bytes gauge mirrors bytes_cached).
         assert shark.metrics.value("sqlcache.bytes") == (
@@ -268,5 +262,3 @@ class TestCappedEviction:
             assert_byte_identical(cold.rows, uncached_rows[name])
             warm = shark.sql(QUERIES[name])
             assert_byte_identical(warm.rows, uncached_rows[name])
-        assert shark.engine.memory.clamped_release_bytes == 0
-        assert shark.engine.memory.live_bytes(EXECUTION) == 0

@@ -31,6 +31,7 @@ from repro.datatypes import (
 from repro.errors import TypeMismatchError
 from repro.sql import physical
 from tests.oracle import assert_rows_match, sqlite_rows
+from tests.conftest import stored_blocks
 
 _ZEROS = {
     "runs": [0.0, -0.0, 0.0, 0.0, 0.0],
@@ -187,11 +188,7 @@ def _state(shark, name):
             shark.store.read_block(entry.path, i)
             for i in range(stored.num_blocks)
         ]
-    workers = sorted(
-        block
-        for worker in shark.engine.cluster.workers
-        for block in worker.blocks.block_ids()
-    )
+    workers = stored_blocks(shark)
     return shark.sql(f"SELECT * FROM {name}").rows, shape, workers
 
 

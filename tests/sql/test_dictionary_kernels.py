@@ -857,4 +857,3 @@ class TestSpillMidBatch:
         # batch arrived, and the second's after it: the two meet again
         # only when ``finish`` merges the runs.
         assert spilled[:2] == [(1, 0), (1, 1)]
-        assert capped.engine.memory.clamped_release_bytes == 0

