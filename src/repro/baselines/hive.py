@@ -23,10 +23,8 @@ from repro.datatypes import INT, Field, Schema
 from repro.engine.metrics import QueryProfile
 from repro.errors import StorageError, UnsupportedFeatureError
 from repro.sql import ast, logical, physical
-from repro.sql.analyzer import Analyzer
 from repro.sql.catalog import TableEntry
 from repro.sql.expressions import BoundLiteral
-from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.planner import PhysicalPlanner
 from repro.sql.session import SqlSession
@@ -113,8 +111,7 @@ class HiveExecutor:
             raise UnsupportedFeatureError(
                 "the Hive baseline executes SELECT statements only"
             )
-        analyzer = Analyzer(self.session.catalog, self.session.registry)
-        plan = optimize(analyzer.analyze_select(statement))
+        plan = self.session.logical_plan(statement)
         with self.ctx.query_scope():
             try:
                 staged = self._flush(self._lower(plan), "final_map")

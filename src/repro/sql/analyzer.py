@@ -4,9 +4,11 @@ Responsibilities:
 
 * name resolution with alias scoping (``t.col``, subquery aliases, join
   scopes, ambiguity detection);
-* expression binding and typing (:mod:`repro.sql.expressions`);
-* aggregate extraction and rewriting — select/having expressions over
-  aggregates are rebound against the Aggregate node's output;
+* expression binding and typing (:mod:`repro.sql.expressions`): one
+  switch, :meth:`Analyzer.bind`, whatever the scope;
+* aggregate extraction — above an Aggregate node, select, HAVING and
+  ORDER BY expressions bind against an :class:`AggregateScope`, which
+  maps group keys and aggregate calls to the node's output columns;
 * equi-join key extraction from ON conditions;
 * ORDER BY / GROUP BY positional and alias references, hidden sort columns;
 * plan shaping: Filter -> Aggregate -> Having -> Project -> Sort -> Limit ->
@@ -15,7 +17,8 @@ Responsibilities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from datetime import date
 from typing import Optional
 
 from repro.datatypes import (
@@ -123,8 +126,85 @@ class Scope:
             raise AnalysisError(f"unknown table alias {qualifier!r} in '*'")
         return out
 
+    def lookup(self, expr: ast.Expr, bind) -> Optional[BoundExpr]:
+        """What ``expr`` binds to as a whole in this scope, before
+        :meth:`Analyzer.bind` looks at its kind; None here."""
+        return None
+
     def __len__(self) -> int:
         return len(self.columns)
+
+
+class AggregateScope(Scope):
+    """An Aggregate node's output: its group keys, then its aggregate
+    results, over ``input_scope``.
+
+    :meth:`lookup` turns a subtree into a column of this layout when it
+    is a GROUP BY expression — by syntax first, then by the signature of
+    its binding over ``input_scope`` (so ``sourceIP`` matches ``GROUP BY
+    UV.sourceIP``) — or an aggregate call; a bare column that is neither
+    is an error.
+    """
+
+    def __init__(
+        self,
+        columns: list[ScopeColumn],
+        group_asts: list[ast.Expr],
+        agg_asts: list[ast.FunctionCall],
+        input_scope: Scope,
+        group_signatures: list[tuple],
+    ):
+        super().__init__(columns)
+        self.group_asts = group_asts
+        self.agg_asts = agg_asts
+        self.input_scope = input_scope
+        self.group_signatures = group_signatures
+
+    def lookup(self, expr: ast.Expr, bind) -> Optional[BoundExpr]:
+        index = self._ordinal(expr, bind)
+        if index is not None:
+            column = self.columns[index]
+            return BoundColumn(
+                index, column.data_type, column.name, column.declared
+            )
+        if isinstance(expr, ast.ColumnRef):
+            raise AnalysisError(
+                f"column {expr} must appear in GROUP BY or inside an aggregate"
+            )
+        return None
+
+    def _ordinal(self, expr: ast.Expr, bind) -> Optional[int]:
+        if expr in self.group_asts:
+            return self.group_asts.index(expr)
+        if self.group_signatures and not _contains_aggregate(expr):
+            try:
+                signature = expr_signature(bind(expr, self.input_scope))
+            except AnalysisError:
+                return None
+            if signature in self.group_signatures:
+                return self.group_signatures.index(signature)
+        if expr in self.agg_asts:
+            return len(self.group_asts) + self.agg_asts.index(expr)
+        return None
+
+
+def _same(value):
+    return value
+
+
+def _to_date(value) -> date:
+    return value if isinstance(value, date) else date.fromisoformat(str(value))
+
+
+#: A CAST's conversion of one non-NULL value, by target type name.
+_CASTS = {
+    "int": int,
+    "bigint": int,
+    "double": float,
+    "string": str,
+    "boolean": bool,
+    "date": _to_date,
+}
 
 
 def _is_aggregate(expr: ast.Expr) -> bool:
@@ -157,9 +237,15 @@ class Analyzer:
         self.registry = registry
 
     # ------------------------------------------------------------------
-    # Expression binding (pre-aggregation scopes)
+    # Expression binding
     # ------------------------------------------------------------------
     def bind(self, expr: ast.Expr, scope: Scope) -> BoundExpr:
+        """The one switch from an AST node to its ``Bound*`` node.  Each
+        node asks the scope first (an :class:`AggregateScope` maps group
+        keys and aggregate calls to its columns)."""
+        found = scope.lookup(expr, self.bind)
+        if found is not None:
+            return found
         if isinstance(expr, ast.Literal):
             if expr.value is None:
                 return BoundLiteral(None, STRING)
@@ -249,20 +335,9 @@ class Analyzer:
         return BoundCase(branches, otherwise, data_type)
 
     def _bind_cast(self, expr: ast.Cast, scope: Scope) -> BoundExpr:
-        from datetime import date as _date
-
         target = type_by_name(expr.type_name)
         operand = self.bind(expr.operand, scope)
-        casts = {
-            "int": int,
-            "bigint": int,
-            "double": float,
-            "string": str,
-            "boolean": bool,
-            "date": lambda v: v if isinstance(v, _date) else _date.fromisoformat(str(v)),
-        }
-        cast_fn = casts.get(target.name, lambda v: v)
-        return BoundCast(operand, target, cast_fn)
+        return BoundCast(operand, target, _CASTS.get(target.name, _same))
 
     def _bind_call(self, expr: ast.FunctionCall, scope: Scope) -> BoundExpr:
         spec = self.registry.lookup(expr.name)
@@ -282,131 +357,6 @@ class Analyzer:
             expr.name, spec.fn, args, data_type,
             null_propagating=spec.null_propagating,
         )
-
-    # ------------------------------------------------------------------
-    # Post-aggregation binding
-    # ------------------------------------------------------------------
-    def bind_post_aggregate(
-        self,
-        expr: ast.Expr,
-        group_asts: list[ast.Expr],
-        agg_asts: list[ast.FunctionCall],
-        agg_scope: Scope,
-        input_scope: Optional[Scope] = None,
-        group_signatures: Optional[list[tuple]] = None,
-    ) -> BoundExpr:
-        """Bind an expression against an Aggregate node's output.
-
-        ``agg_scope`` lays out group columns first, then aggregate results.
-        Subtrees matching a GROUP BY expression — syntactically, or
-        semantically via bound-expression signatures (so ``sourceIP``
-        matches ``GROUP BY UV.sourceIP``) — or an aggregate call become
-        column references into that layout.
-        """
-        for index, group_ast in enumerate(group_asts):
-            if expr == group_ast:
-                column = agg_scope.columns[index]
-                return BoundColumn(
-                    index, column.data_type, column.name, column.declared
-                )
-        if (
-            input_scope is not None
-            and group_signatures
-            and not _contains_aggregate(expr)
-        ):
-            try:
-                candidate = self.bind(expr, input_scope)
-            except AnalysisError:
-                candidate = None
-            if candidate is not None:
-                signature = expr_signature(candidate)
-                for index, group_signature in enumerate(group_signatures):
-                    if signature == group_signature:
-                        column = agg_scope.columns[index]
-                        return BoundColumn(
-                            index, column.data_type, column.name,
-                            column.declared,
-                        )
-        if _is_aggregate(expr):
-            for offset, agg_ast in enumerate(agg_asts):
-                if expr == agg_ast:
-                    index = len(group_asts) + offset
-                    column = agg_scope.columns[index]
-                    return BoundColumn(index, column.data_type, column.name)
-            raise AnalysisError(f"unresolved aggregate {expr}")
-
-        rebind = lambda inner: self.bind_post_aggregate(  # noqa: E731
-            inner, group_asts, agg_asts, agg_scope, input_scope,
-            group_signatures,
-        )
-        if isinstance(expr, ast.Literal):
-            return self.bind(expr, agg_scope)
-        if isinstance(expr, ast.ColumnRef):
-            raise AnalysisError(
-                f"column {expr} must appear in GROUP BY or inside an aggregate"
-            )
-        if isinstance(expr, ast.BinaryOp):
-            left = rebind(expr.left)
-            right = rebind(expr.right)
-            if expr.op == "and":
-                return BoundAnd(left, right)
-            if expr.op == "or":
-                return BoundOr(left, right)
-            if expr.op in ("=", "<>", "<", "<=", ">", ">="):
-                return BoundComparison(expr.op, left, right)
-            return BoundArithmetic(expr.op, left, right)
-        if isinstance(expr, ast.UnaryOp):
-            operand = rebind(expr.operand)
-            return BoundNot(operand) if expr.op == "not" else BoundNegate(operand)
-        if isinstance(expr, ast.Between):
-            return BoundBetween(
-                rebind(expr.operand), rebind(expr.low), rebind(expr.high),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.InList):
-            return BoundIn(
-                rebind(expr.operand),
-                [rebind(option) for option in expr.options],
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.Like):
-            return BoundLike(
-                rebind(expr.operand), rebind(expr.pattern), negated=expr.negated
-            )
-        if isinstance(expr, ast.IsNull):
-            return BoundIsNull(rebind(expr.operand), expr.negated)
-        if isinstance(expr, ast.Cast):
-            target = type_by_name(expr.type_name)
-            operand = rebind(expr.operand)
-            casts = {"int": int, "bigint": int, "double": float, "string": str,
-                     "boolean": bool}
-            return BoundCast(operand, target, casts.get(target.name, lambda v: v))
-        if isinstance(expr, ast.CaseWhen):
-            branches = []
-            if expr.operand is not None:
-                operand = rebind(expr.operand)
-                for condition, value in expr.branches:
-                    branches.append(
-                        (BoundComparison("=", operand, rebind(condition)),
-                         rebind(value))
-                    )
-            else:
-                for condition, value in expr.branches:
-                    branches.append((rebind(condition), rebind(value)))
-            otherwise = rebind(expr.otherwise) if expr.otherwise else None
-            data_type = branches[0][1].data_type if branches else STRING
-            return BoundCase(branches, otherwise, data_type)
-        if isinstance(expr, ast.FunctionCall):
-            spec = self.registry.lookup(expr.name)
-            if spec is None:
-                raise AnalysisError(f"unknown function {expr.name!r}")
-            args = [rebind(arg) for arg in expr.args]
-            data_type = spec.resolve_type([arg.data_type for arg in args])
-            return BoundScalarCall(
-                expr.name, spec.fn, args, data_type,
-                null_propagating=spec.null_propagating,
-            )
-        raise AnalysisError(f"cannot bind post-aggregate expression {expr!r}")
 
     # ------------------------------------------------------------------
     # Relations
@@ -456,14 +406,7 @@ class Analyzer:
         if not left_keys and relation.condition is None:
             join_type = "cross"
 
-        schema = Schema(
-            [
-                Field(column.name, column.data_type)
-                for column in combined.columns
-            ]
-            if _names_unique(combined)
-            else _dedupe_fields(combined)
-        )
+        schema = Schema(_dedupe_fields(combined))
         plan = logical.Join(
             left=left_plan,
             right=right_plan,
@@ -531,12 +474,6 @@ class Analyzer:
             plain = [
                 c for c in conjuncts if not isinstance(c, ast.InSubquery)
             ]
-            for conjunct in plain:
-                if _contains_in_subquery(conjunct):
-                    raise AnalysisError(
-                        "IN (SELECT ...) is only supported as a top-level "
-                        "WHERE conjunct"
-                    )
             if plain:
                 condition = _join_conjuncts(plain)
                 if _contains_aggregate(condition):
@@ -569,20 +506,16 @@ class Analyzer:
         ) or (select.having is not None)
 
         if has_aggregates:
-            plan, output_exprs, output_schema, agg_state = self._plan_aggregate(
-                plan, scope, items, group_asts, select.having
+            plan, scope = self._plan_aggregate(
+                plan, scope, items, group_asts, select
             )
-        else:
-            if select.having is not None:
-                raise AnalysisError("HAVING requires GROUP BY or aggregates")
-            output_exprs = [self.bind(item.expr, scope) for item in items]
-            output_schema = Schema(
-                Field(name, expr.data_type)
-                for name, expr in zip(
-                    self._output_names(items), output_exprs
-                )
-            )
-            agg_state = None
+        elif select.having is not None:
+            raise AnalysisError("HAVING requires GROUP BY or aggregates")
+        output_exprs = [self.bind(item.expr, scope) for item in items]
+        output_schema = Schema(
+            Field(name, expr.data_type)
+            for name, expr in zip(self._output_names(items), output_exprs)
+        )
 
         # ORDER BY: resolve against output aliases/positions, else bind the
         # expression and append it as a hidden projection column.
@@ -598,13 +531,7 @@ class Analyzer:
                         output_schema.names[ordinal],
                     )
                 else:
-                    if agg_state is not None:
-                        bound = self.bind_post_aggregate(
-                            order.expr, agg_state[0], agg_state[1],
-                            agg_state[2], agg_state[3], agg_state[4],
-                        )
-                    else:
-                        bound = self.bind(order.expr, scope)
+                    bound = self.bind(order.expr, scope)
                     index = len(output_schema) + len(hidden)
                     hidden.append(bound)
                     key = BoundColumn(index, bound.data_type, f"_sort{index}")
@@ -668,23 +595,11 @@ class Analyzer:
         return expanded
 
     def _output_names(self, items: list[ast.SelectItem]) -> list[str]:
-        names: list[str] = []
         used: set[str] = set()
-        for index, item in enumerate(items):
-            if item.alias:
-                name = item.alias
-            elif isinstance(item.expr, ast.ColumnRef):
-                name = item.expr.name
-            else:
-                name = f"_c{index}"
-            base = name
-            suffix = 1
-            while name.lower() in used:
-                name = f"{base}_{suffix}"
-                suffix += 1
-            used.add(name.lower())
-            names.append(name)
-        return names
+        return [
+            _unique(_item_name(item) or f"_c{index}", used)
+            for index, item in enumerate(items)
+        ]
 
     def _resolve_group_refs(
         self, group_by: list[ast.Expr], items: list[ast.SelectItem]
@@ -730,11 +645,7 @@ class Analyzer:
             raise AnalysisError(f"ORDER BY position {position} out of range")
         if isinstance(expr, ast.ColumnRef) and expr.qualifier is None:
             for index, item in enumerate(items):
-                alias = item.alias or (
-                    item.expr.name
-                    if isinstance(item.expr, ast.ColumnRef)
-                    else None
-                )
+                alias = _item_name(item)
                 if alias and alias.lower() == expr.name.lower():
                     return index
         for index, item in enumerate(items):
@@ -748,14 +659,18 @@ class Analyzer:
         scope: Scope,
         items: list[ast.SelectItem],
         group_asts: list[ast.Expr],
-        having: Optional[ast.Expr],
-    ):
-        # Collect every aggregate call in select + having.
+        select: ast.SelectStatement,
+    ) -> tuple[logical.LogicalPlan, AggregateScope]:
+        """The Aggregate (and HAVING) over ``plan``, and the scope that
+        the select list and ORDER BY bind against above it."""
+        # Every aggregate call in the select list, HAVING and ORDER BY.
         agg_asts: list[ast.FunctionCall] = []
-        for item in items:
-            _collect_aggregates(item.expr, agg_asts)
-        if having is not None:
-            _collect_aggregates(having, agg_asts)
+        for expr in (
+            [item.expr for item in items]
+            + ([select.having] if select.having is not None else [])
+            + [order.expr for order in select.order_by]
+        ):
+            _collect_aggregates(expr, agg_asts)
 
         group_bound = [self.bind(expr, scope) for expr in group_asts]
         specs: list[logical.AggregateSpec] = []
@@ -788,10 +703,17 @@ class Analyzer:
                 )
             )
 
-        agg_fields = [
-            Field(f"_g{i}", expr.data_type) for i, expr in enumerate(group_bound)
+        # A group key that is a stored column keeps its declared type;
+        # aggregate results are estimates.
+        columns = [
+            ScopeColumn(
+                None, f"_g{i}", key.data_type,
+                isinstance(key, BoundColumn) and key.declared,
+            )
+            for i, key in enumerate(group_bound)
         ] + [
-            Field(
+            ScopeColumn(
+                None,
                 spec.output_name,
                 spec.function.result_type(
                     spec.argument.data_type if spec.argument else None
@@ -799,51 +721,15 @@ class Analyzer:
             )
             for spec in specs
         ]
-        agg_schema = Schema(agg_fields)
+        agg_schema = Schema(Field(c.name, c.data_type) for c in columns)
         plan = logical.Aggregate(plan, group_bound, specs, agg_schema)
-        # A group key that is a stored column keeps its declared type;
-        # aggregate results are estimates.
-        agg_scope = Scope.from_schema(agg_schema, None)
-        for index, key in enumerate(group_bound):
-            if isinstance(key, BoundColumn) and key.declared:
-                agg_scope.columns[index] = replace(
-                    agg_scope.columns[index], declared=True
-                )
-        group_signatures = [expr_signature(expr) for expr in group_bound]
-
-        if having is not None:
-            condition = self.bind_post_aggregate(
-                having, group_asts, agg_asts, agg_scope, scope,
-                group_signatures,
-            )
-            plan = logical.Filter(plan, condition)
-
-        output_exprs = [
-            self.bind_post_aggregate(
-                item.expr, group_asts, agg_asts, agg_scope, scope,
-                group_signatures,
-            )
-            for item in items
-        ]
-        output_schema = Schema(
-            Field(name, expr.data_type)
-            for name, expr in zip(self._output_names(items), output_exprs)
+        agg_scope = AggregateScope(
+            columns, group_asts, agg_asts, scope,
+            [expr_signature(expr) for expr in group_bound],
         )
-        return plan, output_exprs, output_schema, (
-            group_asts, agg_asts, agg_scope, scope, group_signatures,
-        )
-
-
-def _contains_in_subquery(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.InSubquery):
-        return True
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_in_subquery(expr.left) or _contains_in_subquery(
-            expr.right
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_in_subquery(expr.operand)
-    return False
+        if select.having is not None:
+            plan = logical.Filter(plan, self.bind(select.having, agg_scope))
+        return plan, agg_scope
 
 
 def _split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
@@ -859,23 +745,33 @@ def _join_conjuncts(conjuncts: list[ast.Expr]) -> ast.Expr:
     return result
 
 
-def _names_unique(scope: Scope) -> bool:
-    names = [column.name.lower() for column in scope.columns]
-    return len(names) == len(set(names))
+def _item_name(item: ast.SelectItem) -> Optional[str]:
+    """A select item's own name: its alias, else a bare column's name."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ast.ColumnRef):
+        return item.expr.name
+    return None
+
+
+def _unique(name: str, used: set[str]) -> str:
+    """``name``, else the first of ``name_1``, ``name_2``, ... that is not
+    in ``used`` (case-blind); the result joins ``used``."""
+    base, suffix = name, 1
+    while name.lower() in used:
+        name = f"{base}_{suffix}"
+        suffix += 1
+    used.add(name.lower())
+    return name
 
 
 def _dedupe_fields(scope: Scope) -> list[Field]:
-    fields: list[Field] = []
+    """One field per column, a repeated name qualified, then suffixed."""
     used: set[str] = set()
+    fields: list[Field] = []
     for column in scope.columns:
         name = column.name
         if name.lower() in used and column.qualifier:
             name = f"{column.qualifier}.{column.name}"
-        base = name
-        suffix = 1
-        while name.lower() in used:
-            name = f"{base}_{suffix}"
-            suffix += 1
-        used.add(name.lower())
-        fields.append(Field(name, column.data_type))
+        fields.append(Field(_unique(name, used), column.data_type))
     return fields

@@ -27,6 +27,7 @@ from repro.sql import ast
 from repro.sql.analyzer import Analyzer, Scope
 from repro.sql.catalog import CACHED, Catalog, EXTERNAL, TableEntry
 from repro.sql.functions import FunctionRegistry
+from repro.sql.logical import LogicalPlan
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.planner import (
@@ -194,12 +195,15 @@ class SqlSession:
         self,
         statement: Optional[ast.SelectStatement],
         memo=None,
+        explain: bool = False,
     ) -> QueryResult:
         """Run one SELECT through the cache stack.
 
         ``statement`` may be None when the raw text's normalized form
         (``memo``) is known — a result- or plan-cache hit then never
         parses; a miss re-parses ``self._current_text`` on demand.
+        ``explain``: the run of an EXPLAIN ANALYZE — logged and traced
+        under that kind, and its plan text always rendered.
         """
         ctx = self.ctx
         tracer = ctx.tracer
@@ -208,8 +212,9 @@ class SqlSession:
         cache = self.sql_cache
         scope = ctx.query
         lookups = scope.cache_lookups
-        with self._logged_query("sql", text):
-            with tracer.span("query", "query", kind="select"):
+        kind = "explain-analyze" if explain else "select"
+        with self._logged_query(kind if explain else "sql", text):
+            with tracer.span("query", "query", kind=kind):
                 if cache is not None and memo is not None:
                     hit = cache.result_lookup(memo)
                     if hit is not None:
@@ -240,12 +245,11 @@ class SqlSession:
                             {"layer": "plan", "outcome": "miss"}
                         )
                 if plan is None:
-                    if statement is None:
-                        statement = parse(text)
-                    analyzer = Analyzer(self.catalog, self.registry)
-                    plan = optimize(analyzer.analyze_select(statement))
+                    plan = self.logical_plan(statement or parse(text))
                 plan_text = (
-                    plan.pretty() if ctx.event_log is not None else None
+                    plan.pretty()
+                    if explain or ctx.event_log is not None
+                    else None
                 )
                 planner = PhysicalPlanner(ctx, self.store, self.config)
                 planned = planner.plan(plan)
@@ -259,15 +263,19 @@ class SqlSession:
             scope.plan_text = plan_text
         return QueryResult(rows, planned.schema, planned.report)
 
+    def logical_plan(self, select: ast.SelectStatement) -> LogicalPlan:
+        """The analyzed, optimized logical plan of one SELECT: the front
+        end every way of running or explaining a query goes through."""
+        return optimize(
+            Analyzer(self.catalog, self.registry).analyze_select(select)
+        )
+
     def plan_select(self, select: ast.SelectStatement,
                     config: Optional[PlannerConfig] = None):
         """Analyze, optimize and physically plan a SELECT; returns the
         PlannedQuery (rdd + schema + report) without executing it."""
-        analyzer = Analyzer(self.catalog, self.registry)
-        plan = analyzer.analyze_select(select)
-        plan = optimize(plan)
         planner = PhysicalPlanner(self.ctx, self.store, config or self.config)
-        planned = planner.plan(plan)
+        planned = planner.plan(self.logical_plan(select))
         self.last_report = planned.report
         return planned
 
@@ -334,52 +342,19 @@ class SqlSession:
             log.write_query(record)
 
     def _explain(self, statement: ast.Statement) -> QueryResult:
-        if isinstance(statement, ast.CreateTable) and statement.as_select:
-            statement = statement.as_select
-        if not isinstance(statement, ast.SelectStatement):
-            raise UnsupportedFeatureError("EXPLAIN supports SELECT and CTAS")
-        analyzer = Analyzer(self.catalog, self.registry)
-        plan = analyzer.analyze_select(statement)
-        optimized = optimize(plan)
-        text = optimized.pretty()
-        schema = Schema([Field("plan", type_by_name("string"))])
-        return QueryResult(
-            rows=[(line,) for line in text.splitlines()],
-            schema=schema,
-            plan_text=text,
-        )
+        text = self.logical_plan(_explained(statement, "EXPLAIN")).pretty()
+        return _plan_result(text)
 
     def _explain_analyze(self, statement: ast.Statement) -> QueryResult:
         """EXPLAIN ANALYZE: run the query for real, then annotate the
         optimized plan with each executed stage's task counts, attempts,
         rows, shuffle bytes, and simulated seconds."""
-        if isinstance(statement, ast.CreateTable) and statement.as_select:
-            statement = statement.as_select
-        if not isinstance(statement, ast.SelectStatement):
-            raise UnsupportedFeatureError(
-                "EXPLAIN ANALYZE supports SELECT and CTAS"
-            )
-        analyzer = Analyzer(self.catalog, self.registry)
-        plan = analyzer.analyze_select(statement)
-        optimized = optimize(plan)
-        plan_text = optimized.pretty()
-
+        select = _explained(statement, "EXPLAIN ANALYZE")
         # The report covers the jobs and shuffles of the scope this
         # statement runs in — its own, whatever runs beside it.
         ctx = self.ctx
-        scope = ctx.query
-        tracer = ctx.tracer
-        tracer.metrics.inc("queries.executed")
         marks = Marks(ctx)
-        with self._logged_query("explain-analyze", self._current_text):
-            with tracer.span("query", "query", kind="explain-analyze"):
-                planner = PhysicalPlanner(ctx, self.store, self.config)
-                planned = planner.plan(optimized)
-                self.last_report = planned.report
-                rows = planned.rdd.collect()
-            scope.report = planned.report
-            scope.result_rows = len(rows)
-            scope.plan_text = plan_text
+        report = self._execute_select(select, explain=True).report
 
         # Live-only trailers: engine-wide state, not facts of the query.
         trailers = []
@@ -387,22 +362,16 @@ class SqlSession:
             trailers.append(("serving", ctx.serving.summary_lines()))
         if self.sql_cache is not None:
             trailers.append(("sql cache", self.sql_cache.summary_lines()))
-        notes = list(planned.report.notes)
+        notes = list(report.notes)
         if ctx.lifecycle is not None:
             notes.append(ctx.lifecycle.describe())
         text = render_query(
-            capture(ctx, scope, marks),
+            capture(ctx, ctx.query, marks),
             pressure_events=ctx.memory.pressure_events,
             trailers=trailers,
             notes=notes,
         )
-        schema = Schema([Field("plan", type_by_name("string"))])
-        return QueryResult(
-            rows=[(line,) for line in text.splitlines()],
-            schema=schema,
-            report=planned.report,
-            plan_text=text,
-        )
+        return _plan_result(text, report)
 
     # ------------------------------------------------------------------
     # DDL
@@ -784,6 +753,27 @@ def _terminal_status(error: BaseException) -> str:
     if isinstance(error, QueryCancelledError):
         return "cancelled"
     return "error"
+
+
+def _explained(statement: ast.Statement, what: str) -> ast.SelectStatement:
+    """The SELECT an EXPLAIN [ANALYZE] shows: its own, or a CTAS's."""
+    if isinstance(statement, ast.CreateTable) and statement.as_select:
+        statement = statement.as_select
+    if not isinstance(statement, ast.SelectStatement):
+        raise UnsupportedFeatureError(f"{what} supports SELECT and CTAS")
+    return statement
+
+
+def _plan_result(
+    text: str, report: Optional[ExecutionReport] = None
+) -> QueryResult:
+    """An EXPLAIN's answer: one row per line of ``text``."""
+    return QueryResult(
+        rows=[(line,) for line in text.splitlines()],
+        schema=Schema([Field("plan", type_by_name("string"))]),
+        report=report or ExecutionReport(),
+        plan_text=text,
+    )
 
 
 def _status(message: str) -> QueryResult:

@@ -1,10 +1,14 @@
 """Analyzer: resolution, scoping, aggregate validation, error messages."""
 
+from datetime import date
+
 import pytest
 
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.errors import AnalysisError, CatalogError
+
+from tests.oracle import assert_rows_match, sqlite_rows
 
 
 @pytest.fixture
@@ -47,8 +51,14 @@ class TestResolutionErrors:
             shark.sql("SELECT frobnicate(a) FROM t")
 
     def test_wrong_arity(self, shark):
-        with pytest.raises(AnalysisError, match="arguments"):
-            shark.sql("SELECT SUBSTR(b) FROM t")
+        # Above a GROUP BY too: the call is checked when it binds, not
+        # left to fail in a task.
+        for query in (
+            "SELECT SUBSTR(b) FROM t",
+            "SELECT a, ABS(SUM(c), 1) FROM t GROUP BY a",
+        ):
+            with pytest.raises(AnalysisError, match="arguments"):
+                shark.sql(query)
 
     def test_unknown_star_qualifier(self, shark):
         with pytest.raises(AnalysisError):
@@ -123,6 +133,53 @@ class TestScoping:
     def test_duplicate_output_names_deduplicated(self, shark):
         result = shark.sql("SELECT a, a FROM t WHERE a = 1")
         assert len(set(result.column_names)) == 2
+
+
+G_COLUMNS = ("k", "x", "s")
+G_ROWS = [
+    (f"k{i % 4}", None if i % 7 == 3 else i % 5, f"2024-0{1 + i % 9}-1{i}")
+    for i in range(10)
+]
+
+
+@pytest.fixture(scope="module")
+def grouped():
+    shark = SharkContext(num_workers=2)
+    shark.create_table(
+        "g", Schema.of(("k", STRING), ("x", INT), ("s", STRING)), cached=True
+    )
+    shark.load_rows("g", G_ROWS)
+    return shark
+
+
+class TestPostAggregateBinding:
+    """Above an Aggregate, expressions bind through the same switch as
+    below it: casts, calls and errors do not depend on the scope."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT k FROM g GROUP BY k ORDER BY MIN(s)",
+            "SELECT k, COUNT(*) FROM g GROUP BY k ORDER BY MAX(s) DESC",
+            "SELECT k FROM g GROUP BY k HAVING SUM(x) > 2 "
+            "ORDER BY SUM(x) + COUNT(x) DESC, k",
+        ],
+    )
+    def test_order_by_aggregate_outside_select_list(self, grouped, query):
+        assert_rows_match(
+            grouped.sql(query).rows,
+            sqlite_rows(query, {"g": (G_COLUMNS, G_ROWS)}),
+            ordered=True,
+            context=query,
+        )
+
+    def test_cast_to_date_whatever_the_scope(self, grouped):
+        for query in (
+            "SELECT CAST(s AS DATE) FROM g WHERE k = 'k1'",
+            "SELECT k, CAST(MIN(s) AS DATE) FROM g GROUP BY k",
+        ):
+            values = [row[-1] for row in grouped.sql(query).rows]
+            assert values and all(type(v) is date for v in values), query
 
 
 class TestUnionValidation:

@@ -99,11 +99,19 @@ class TestSemantics:
 
 class TestRestrictions:
     def test_nested_in_expression_rejected(self, shark):
-        with pytest.raises(AnalysisError, match="top-level"):
-            shark.sql(
-                "SELECT COUNT(*) FROM orders "
-                "WHERE NOT (cust IN (SELECT cust FROM vip))"
-            )
+        # HAVING binds through the same switch as WHERE: same message.
+        for query in (
+            "SELECT COUNT(*) FROM orders "
+            "WHERE NOT (cust IN (SELECT cust FROM vip))",
+            "SELECT cust, COUNT(*) FROM orders GROUP BY cust "
+            "HAVING cust IN (SELECT cust FROM vip)",
+        ):
+            with pytest.raises(
+                AnalysisError,
+                match=r"^IN \(SELECT \.\.\.\) is only supported as a "
+                r"top-level WHERE conjunct$",
+            ):
+                shark.sql(query)
 
     def test_multi_column_subquery_rejected(self, shark):
         with pytest.raises(AnalysisError, match="one column"):
@@ -113,7 +121,7 @@ class TestRestrictions:
             )
 
     def test_in_subquery_in_select_list_rejected(self, shark):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(AnalysisError, match="top-level"):
             shark.sql(
                 "SELECT cust IN (SELECT cust FROM vip) FROM orders"
             )

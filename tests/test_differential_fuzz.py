@@ -4,7 +4,8 @@ Shark and the Hive baseline share a front end and the batch operators
 but differ in plan shape: Shark plans one dataflow with PDE, broadcast
 joins and map pruning; Hive cuts it into MapReduce jobs, shuffles every
 join and writes every intermediate to the file store as text.  The
-grammar reaches every cut Hive makes — GROUP BY / HAVING, joins (one
+grammar reaches every cut Hive makes — GROUP BY / HAVING (over
+expressions of the aggregates, ordered by one not selected), joins (one
 over a HAVING subquery), DISTINCT, UNION ALL, ORDER BY ... LIMIT and
 IN-subqueries.  Both share the scalar rules of ``BoundExpr.apply`` too,
 so a bug there shows in neither comparison with the other: every
@@ -109,6 +110,32 @@ def predicates(draw) -> str:
     return "g LIKE 'g%'"
 
 
+int_aggregates = st.sampled_from(
+    ["COUNT(*)", "COUNT(x)", "SUM(y)", "MIN(y)", "MAX(k)"]
+)
+
+
+@st.composite
+def post_aggregates(draw) -> str:
+    """An INT over a GROUP BY k's aggregates and its key: an aggregate,
+    arithmetic, ``ABS`` or ``CASE``."""
+    agg = draw(int_aggregates)
+    other = draw(
+        st.one_of(
+            st.just("k"), int_aggregates, st.integers(0, 9).map(str)
+        )
+    )
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return agg
+    if kind == 1:
+        return f"{agg} {draw(st.sampled_from(['+', '-', '*']))} {other}"
+    if kind == 2:
+        return f"ABS({agg} - {other})"
+    bound = draw(st.integers(0, 9))
+    return f"CASE WHEN {agg} > {bound} THEN {other} ELSE {agg} END"
+
+
 @st.composite
 def where_clauses(draw) -> str:
     parts = draw(st.lists(predicates(), min_size=1, max_size=3))
@@ -135,10 +162,18 @@ def select_queries(draw) -> str:
         agg = draw(st.sampled_from(["COUNT(*)", "SUM(y)", "AVG(x)", "MIN(x)"]))
         return f"SELECT g, {agg} FROM f WHERE {where} GROUP BY g"
     if shape == 2:
-        return (
-            f"SELECT k, COUNT(*), SUM(x) FROM f WHERE {where} "
-            f"GROUP BY k HAVING COUNT(*) > 1"
+        # Expressions over the aggregates and the key, in the select list
+        # and HAVING, and maybe an order by an aggregate the select list
+        # lacks (k breaks its ties: the order is total).
+        query = (
+            f"SELECT k, COUNT(*), SUM(x), {draw(post_aggregates())} FROM f "
+            f"WHERE {where} GROUP BY k "
+            f"HAVING {draw(post_aggregates())} > {draw(st.integers(0, 9))}"
         )
+        if draw(st.booleans()):
+            direction = draw(st.sampled_from(["", " DESC"]))
+            query += f" ORDER BY {draw(int_aggregates)}{direction}, k"
+        return query
     if shape == 3:
         # Computed outputs: the projection kernels, NULLs included.
         return (
@@ -230,6 +265,21 @@ class TestDifferentialFuzz:
     @example(
         "SELECT k, g, x FROM f WHERE y IS NULL OR k > 20 "
         "ORDER BY x DESC, g DESC, k LIMIT 12"
+    )
+    # Above a GROUP BY: arithmetic, ABS and CASE over aggregates and the
+    # key; a computed HAVING; an order by an aggregate not selected.
+    @example(
+        "SELECT k, COUNT(*), SUM(x), CASE WHEN SUM(y) > 20 THEN k * MIN(y) "
+        "ELSE ABS(MAX(k) - COUNT(x)) END FROM f WHERE y IS NOT NULL "
+        "GROUP BY k HAVING COUNT(*) > 0"
+    )
+    @example(
+        "SELECT k, COUNT(*), SUM(x), MAX(k) FROM f WHERE k < 12 "
+        "GROUP BY k HAVING ABS(SUM(y) - 30) + k > 9"
+    )
+    @example(
+        "SELECT k, COUNT(*), SUM(x), k FROM f WHERE g LIKE 'g%' "
+        "GROUP BY k HAVING COUNT(*) > 3 ORDER BY MIN(y) DESC, k"
     )
     def test_shark_and_hive_agree(self, systems, query):
         shark, hive = systems

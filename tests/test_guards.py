@@ -55,6 +55,8 @@ _RESTATED = (
     r"|end is None\] ==\s\[\]"
 )
 
+_ANALYZER = "src/repro/sql/analyzer.py"
+
 GUARDS = {
     # Every byte moves through MemoryAccountant.reserve/release: nothing
     # pokes block-store internals or the ledger's byte fields.
@@ -242,6 +244,16 @@ GUARDS = {
             r'\.instant\(\s*"shuffle\.(write|fetch)"',
             ("src/repro",),
             multiline=True,
+        ),
+    ],
+    # One expression binder: above an Aggregate, expressions bind through
+    # Analyzer.bind (AggregateScope is a lookup it asks, not a second
+    # switch), and one session method runs analyze -> optimize.
+    "one-binder": [
+        Rule(r"isinstance\(expr, ast\.Cast\)", (_ANALYZER,), at_most=1),
+        Rule(r"BoundCast\(", (_ANALYZER,), at_most=1),
+        Rule(
+            r"analyze_select\(", ("src/repro",), exclude=_ANALYZER, at_most=1
         ),
     ],
 }
