@@ -119,6 +119,8 @@ RETRY_AFTER_DEFAULT_S = 1.0
 #: Terminal events (slot/queue-position releases) sampled for the observed
 #: queue drain rate that prices retry-after hints (the server's too).
 DRAIN_RATE_WINDOW = 8
+#: Completed query durations averaged into the fallback retry hint.
+RECENT_SECONDS_WINDOW = 8
 #: Real-time guard on baton handoffs: a cooperative-scheduling bug
 #: surfaces as a typed error once this many seconds pass with no task
 #: launched and no baton handed on, instead of a hung test run.  Never
@@ -514,7 +516,7 @@ class QueryLifecycleManager:
         drain rate is observed, priced at the average of recently
         completed query durations."""
         waiting = 1 + len(self._queued)
-        recent = self._recent_seconds[-8:] or [RETRY_AFTER_DEFAULT_S]
+        recent = self._recent_seconds or [RETRY_AFTER_DEFAULT_S]
         average = sum(recent) / len(recent)
         return drain_rate_hint(self._drain_times, waiting, max(average, 1e-3))
 
@@ -874,6 +876,7 @@ class QueryLifecycleManager:
         if handle.state == DONE:
             self.completed += 1
             self._recent_seconds.append(handle.charged_seconds)
+            del self._recent_seconds[:-RECENT_SECONDS_WINDOW]
             self._failures.pop(scoped, None)
             self._circuit_until.pop(scoped, None)
         elif handle.state == DEADLINE:

@@ -13,6 +13,7 @@ stable hash.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -467,7 +468,34 @@ class RDD:
         key of the runs when it is small — and the runs are cut at them.
         With ``top`` (an ORDER BY under a LIMIT) a run keeps its first
         ``top`` rows and the sort has one partition, so nothing runs now.
+
+        One input partition and no ``num_partitions`` asked for is sorted
+        in its own task, with no exchange: the one run the map side would
+        store is that partition's stable sort (cut to ``top`` rows), and
+        ranges would only re-sort slices of it.
         """
+
+        def sort_partition(
+            _: int, part: list, keep: Optional[int] = None
+        ) -> list:
+            # External sort: the buffer is charged to the task's
+            # execution pool and sheds runs under memory pressure;
+            # finish() orders runs + tail exactly as one in-memory
+            # stable sort would.
+            from repro.engine.spill import ExternalSorter
+
+            sorter = ExternalSorter(order)
+            for batch in part:
+                sorter.extend(batch)
+            run = sorter.finish()
+            if keep is not None and keep < run.num_rows:
+                run = run.slice(0, keep)
+            return [run]
+
+        if num_partitions is None and self.num_partitions == 1:
+            return MapPartitionsRDD(
+                self, functools.partial(sort_partition, keep=top), name="sort"
+            )
         target = 1 if top is not None else (
             num_partitions or self.ctx.default_parallelism
         )
@@ -489,21 +517,9 @@ class RDD:
             step = max(1, len(sorted_keys) // target)
             dep.resolve(partitioner_of(sorted_keys[step::step][: target - 1]))
             self.ctx.scheduler.cut_runs(dep)
-        shuffled = ShuffledRDD.of(dep)
-
-        def sort_partition(_: int, part: list) -> list:
-            # External sort: the buffer is charged to the task's
-            # execution pool and sheds runs under memory pressure;
-            # finish() orders runs + tail exactly as one in-memory
-            # stable sort would.
-            from repro.engine.spill import ExternalSorter
-
-            sorter = ExternalSorter(order)
-            for batch in part:
-                sorter.extend(batch)
-            return [sorter.finish()]
-
-        return MapPartitionsRDD(shuffled, sort_partition, name="sort")
+        return MapPartitionsRDD(
+            ShuffledRDD.of(dep), sort_partition, name="sort"
+        )
 
     def sort_by_key(
         self, ascending: bool = True, num_partitions: Optional[int] = None

@@ -84,7 +84,8 @@ class ExternalSorter:
         """Take a batch: one ledger charge per arriving batch, made before
         the batch is kept in memory, so the charge points are the batches
         that arrive (a sort reads one fetched batch per reduce partition,
-        the same on every retry).  A spill the charge forces sheds the
+        or the batches of the one partition it sorts in place, the same
+        on every retry).  A spill the charge forces sheds the
         buffer with the arriving batch in it."""
         rows = batch.num_rows
         if not rows:

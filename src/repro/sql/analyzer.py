@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.datatypes import (
     DataType,
@@ -196,14 +196,27 @@ def _to_date(value) -> date:
     return value if isinstance(value, date) else date.fromisoformat(str(value))
 
 
+def _or_null(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``convert``, except that a value it cannot convert is NULL, as in
+    Hive (``CAST('a' AS INT)``, ``CAST('2024-13-01' AS DATE)``)."""
+
+    def cast(value):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            return None
+
+    return cast
+
+
 #: A CAST's conversion of one non-NULL value, by target type name.
 _CASTS = {
-    "int": int,
-    "bigint": int,
-    "double": float,
+    "int": _or_null(int),
+    "bigint": _or_null(int),
+    "double": _or_null(float),
     "string": str,
     "boolean": bool,
-    "date": _to_date,
+    "date": _or_null(_to_date),
 }
 
 

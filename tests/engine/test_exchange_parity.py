@@ -15,10 +15,11 @@ per-record definition it replaced:
     capped (``ExternalSorter`` spilled runs) equals uncapped;
 (c) ``shuffle_skew`` event-log records keep the parent commit's rows,
     heavy keys, row skew and key labels
-    (``fixtures/shuffle_skew_parent.jsonl``) while their byte-derived
-    fields are the pinned encoded sizes, never above the parent's; they
-    are exactly-once under map-task re-execution, and cost nothing
-    while nobody asks for them;
+    (``fixtures/shuffle_skew_parent.jsonl``, but for TPC-H Q1's and Q3's
+    one-partition sorts, which no longer have an exchange) while their
+    byte-derived fields are the pinned encoded sizes, never above the
+    parent's; they are exactly-once under map-task re-execution, and
+    cost nothing while nobody asks for them;
 (d) what crosses an exchange does not depend on how the scanned tables
     are stored: the same statement over compressed (dictionary-coded)
     and plain tables stores the same rows in the same buckets weighing
@@ -30,7 +31,9 @@ per-record definition it replaced:
     (that sampler lives on in this file as the reference), a run lost
     after the bounds are picked is cut again as lineage rewrites it,
     ``ORDER BY … LIMIT k`` keeps k rows a run in one partition, and no
-    sampling job runs at all;
+    sampling job runs at all.  An ORDER BY over one partition, with no
+    partition count asked for, has no exchange: it is sorted in that
+    partition's task (``tests/sql/test_sort_in_place.py``);
 (f) what PDE reads is what was stored: each map output's status is its
     pinned block's bucket rows and sizes, the reduce-side sizes are
     their sums through the one-byte codes, and a worker killed
@@ -57,7 +60,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -631,22 +634,19 @@ _EXCHANGE_BYTES = {
     ("q0006", 0): 484,  # 1376
     ("q0007", 0): 4665,  # 23591; 6565
     ("q0009", 0): 1406,  # 2272
-    ("q0009", 1): 328,  # 796; 329
     ("q0010", 0): 403,  # 737; 413
     ("q0010", 1): 1692,  # 4824; 1698 (1645 until its DATE key re-hashed)
-    ("q0010", 2): 124,  # 5481; 149 (1220 until its LIMIT kept 10 rows)
     ("q0011", 0): 60,  # 120
 }
 
-#: ... and bucket by bucket for the two ORDER BY exchanges (Q1's, Q3's),
-#: which no longer ship a sort key beside the row.  An empty bucket is
-#: 0 bytes.  Q3's sits under a LIMIT 10: one partition of each map
-#: task's first 10 rows (its fixture record was re-pinned once, on
-#: purpose, from 8 buckets of 82 rows, weighing
-#: [163, 149, 149, 149, 149, 149, 149, 163]).
-_SORT_EXCHANGE_BYTES = {
-    ("q0009", 1): [100, 57, 57, 57, 57, 0],  # [101, 57, 57, 57, 57, 0]
-    ("q0010", 2): [124],  # [149]
+#: The two ORDER BY exchanges the fixture holds, by the query they sort:
+#: TPC-H Q1's (6 groups) and Q3's (under its LIMIT 10).  Each read the
+#: one partition PDE coalesced its aggregate into, and a one-partition
+#: ORDER BY is sorted in that partition's task (DESIGN §17): no
+#: exchange, so no record.
+_IN_PLACE_SORTS = {
+    ("q0009", 1): "tpch_q1",
+    ("q0010", 2): "tpch_q3",
 }
 
 #: Rows per bucket of the two exchanges keyed by a DATE (the 2 500-group
@@ -670,15 +670,28 @@ _BYTE_FIELDS = ("bytes", "total_bytes", "byte_skew")
 _ROW_FIELDS = ("rows", "row_skew", "straggler_partition")
 
 
+def _exchange_of(record: dict) -> tuple[str, int]:
+    return record["query_id"], record["shuffle_id"]
+
+
 def test_skew_records_match_parent_commit(tmp_path):
     parent = [
         json.loads(line) for line in SKEW_FIXTURE.read_text().splitlines()
     ]
+    gone = [r for r in parent if _exchange_of(r) in _IN_PLACE_SORTS]
+    assert sorted(map(_exchange_of, gone)) == sorted(_IN_PLACE_SORTS)
+    for record in gone:
+        assert record["heavy_keys"][0][0] == shuffle.SORT_KEY_LABEL
+        assert record["num_maps"] == 1
+        query = _IN_PLACE_SORTS[_exchange_of(record)]
+        assert sorted(QUERIES)[int(record["query_id"][1:])] == query
+    # The parent's records but the one-partition sorts', in its order.
+    parent = [r for r in parent if _exchange_of(r) not in _IN_PLACE_SORTS]
     current = _skew_lines(tmp_path)
-    assert len(current) == len(parent)
-    sort_exchanges = []
+    assert list(map(_exchange_of, current)) == list(map(_exchange_of, parent))
+    assert len(current) == len(_EXCHANGE_BYTES) == 11
     for got, want in zip(current, parent):
-        key = (got["query_id"], got["shuffle_id"])
+        key = _exchange_of(got)
         # Same rows in the same buckets under the same labels ...
         moved = _REHASHED_ROWS.get(key)
         if moved is not None:
@@ -694,10 +707,7 @@ def test_skew_records_match_parent_commit(tmp_path):
         assert got["total_bytes"] <= want["total_bytes"]
         assert got["byte_skew"] == max(sizes) / (sum(sizes) / len(sizes))
         assert [size > 0 for size in sizes] == [n > 0 for n in got["rows"]]
-        if want["heavy_keys"][0][0] == shuffle.SORT_KEY_LABEL:
-            sort_exchanges.append(key)
-            assert sizes == _SORT_EXCHANGE_BYTES[key]
-    assert sort_exchanges == sorted(_SORT_EXCHANGE_BYTES)  # Q1 and Q3
+        assert got["heavy_keys"][0][0] != shuffle.SORT_KEY_LABEL
 
 
 @pytest.mark.parametrize(
@@ -977,6 +987,7 @@ def _exchange_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_exchange_cases())
+@example(case=([INT], [True], [(2,), (1,), (None,), (1,)], 2, 2, True))
 def test_sort_buckets_hold_what_the_sampler_placed_there(case):
     types, ascendings, rows, partitions, target, cached = case
     shark = SharkContext(num_workers=2, default_parallelism=target)
@@ -993,17 +1004,27 @@ def test_sort_buckets_hold_what_the_sampler_placed_there(case):
     got, arrived, buckets, dep = _sort_exchange(
         shark, f"SELECT * FROM t ORDER BY {order_by}"
     )
+    ordinals = list(range(len(types)))
+    scan = shark.sql2rdd("SELECT * FROM t").rdd
+    if scan.num_partitions == 1:
+        # One partition is sorted in its own task: no exchange, no run.
+        event("sorted in place")
+        assert dep is None and not arrived and not buckets
+        scanned = shark.sql("SELECT * FROM t").rows
+        assert list(map(repr, got)) == list(
+            map(repr, _reference_sort(scanned, ordinals, ascendings))
+        )
+        return
     keys = [
         (BoundColumn(i, data_type, f"c{i}"), ascending)
         for i, (data_type, ascending) in enumerate(zip(types, ascendings))
     ]
-    assert dep.key == tuple(range(len(types)))
+    assert dep.key == tuple(ordinals)
     placed, num_buckets, sampled = _reference_sort_buckets(
         arrived, keys, dep.key, target
     )
     event(f"{num_buckets} buckets, bounds from the {'sample' if sampled else 'keys'}")
     assert sorted(buckets) == sorted(arrived)
-    ordinals = list(range(len(types)))
     for split, received in arrived.items():
         want = [[] for __ in range(num_buckets)]
         for row, bucket in zip(received, placed[split]):
@@ -1195,7 +1216,10 @@ def _reported_statuses(monkeypatch, **context_kwargs) -> dict:
 
 def test_each_status_is_its_stored_block_clean_and_under_a_kill(monkeypatch):
     clean, clean_writes = _reported_statuses(monkeypatch)
-    assert len(clean) == len(_EXCHANGE_BYTES)
+    # Every exchange of the set, by query: none for a one-partition sort.
+    assert Counter(name for name, __ in clean) == Counter(
+        sorted(QUERIES)[int(query_id[1:])] for query_id, __ in _EXCHANGE_BYTES
+    )
     killed, killed_writes = _reported_statuses(
         monkeypatch,
         fault_injector=FaultInjector(

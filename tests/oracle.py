@@ -18,6 +18,8 @@ oracle as written; the callers avoid or rewrite it:
   here it is the truncated floating remainder (``math.fmod``, Hive's and
   Java's).  On integers the two agree: the sign is the dividend's.
 * ``CAST(... AS STRING)``: sqlite needs ``TEXT``.
+* A CAST of a value that does not convert (``CAST('a' AS INT)``) is NULL
+  here, as in Hive; sqlite answers 0.  No such CAST goes to the oracle.
 * ``||`` is not parsed here (``CONCAT`` is).
 * ``BETWEEN`` with a NULL bound is NULL here, as in Hive; sqlite answers
   FALSE when the other bound already fails (``5 BETWEEN 6 AND NULL``).

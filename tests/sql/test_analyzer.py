@@ -5,6 +5,7 @@ from datetime import date
 import pytest
 
 from repro import SharkContext
+from repro.baselines.hive import HiveExecutor
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.errors import AnalysisError, CatalogError
 
@@ -186,6 +187,47 @@ class TestUnionValidation:
     def test_mismatched_width_rejected(self, shark):
         with pytest.raises(AnalysisError, match="UNION"):
             shark.sql("SELECT a FROM t UNION ALL SELECT a, d FROM u")
+
+
+#: Strings that do not all convert, and what CAST makes of each.
+_CAST_INPUTS = ["a", "1", "2024-02-29", None, "2024-13-01", " 7 "]
+_CAST_OUTPUTS = {
+    "INT": [None, 1, None, None, None, 7],
+    "BIGINT": [None, 1, None, None, None, 7],
+    "DOUBLE": [None, 1.0, None, None, None, 7.0],
+    "DATE": [None, None, date(2024, 2, 29), None, None, None],
+}
+
+
+class TestMalformedCast:
+    """A value a CAST cannot convert is NULL, as in Hive, and the query
+    goes on.  sqlite's CAST answers 0 for such a value, so none of these
+    goes to the oracle."""
+
+    @pytest.fixture
+    def casts(self):
+        shark = SharkContext(num_workers=2)
+        shark.create_table("c", Schema.of(("k", STRING)), cached=True)
+        shark.load_rows("c", [(k,) for k in _CAST_INPUTS])
+        return shark
+
+    @pytest.mark.parametrize("target", sorted(_CAST_OUTPUTS))
+    def test_column_and_constant(self, casts, target):
+        query = f"SELECT k, CAST(k AS {target}) FROM c"
+        want = list(zip(_CAST_INPUTS, _CAST_OUTPUTS[target]))
+        assert sorted(casts.sql(query).rows, key=repr) == sorted(
+            want, key=repr
+        )
+        # The Hive baseline binds through the same analyzer.
+        hive = HiveExecutor(casts.session)
+        assert sorted(hive.execute(query).rows, key=repr) == sorted(
+            want, key=repr
+        )
+        for value, cast in zip(_CAST_INPUTS, _CAST_OUTPUTS[target]):
+            if value is not None:
+                constant = f"SELECT CAST('{value}' AS {target})"
+                assert casts.sql(constant).rows == [(cast,)], constant
+                assert hive.execute(constant).rows == [(cast,)], constant
 
 
 class TestConstantQueries:
