@@ -17,11 +17,10 @@ from harness import Figure, PAPER_NODES, make_shark
 from repro.costmodel import (
     ClusterSimulator,
     HIVE,
-    SHARK_MEM,
     StageCost,
     TaskCostVector,
 )
-from repro.costmodel.constants import replace
+from repro.costmodel.constants import SHARK_NO_STRAGGLER, replace
 from repro.engine.rdd import ShuffledRDD
 from repro.pde import pack_partitions
 from repro.pde.binpack import imbalance
@@ -32,7 +31,6 @@ COARSE_BINS = 16
 #: Cluster-scale bytes the skewed shuffle represents.
 TOTAL_SHUFFLE_BYTES = 24e9
 
-NO_NOISE_SHARK = replace(SHARK_MEM, straggler_fraction=0.0)
 NO_NOISE_HIVE = replace(HIVE, straggler_fraction=0.0)
 
 
@@ -87,7 +85,7 @@ class TestSkewAblation:
         ]
         fine = [[i] for i in range(FINE_BUCKETS)]
 
-        sim = ClusterSimulator(PAPER_NODES // 25, NO_NOISE_SHARK, seed=7)
+        sim = ClusterSimulator(PAPER_NODES // 25, SHARK_NO_STRAGGLER, seed=7)
         hadoop_sim = ClusterSimulator(PAPER_NODES // 25, NO_NOISE_HIVE, seed=7)
 
         binpack_s = sim.simulate(

@@ -15,7 +15,8 @@ import pytest
 from dataclasses import replace
 
 from harness import Figure, make_shark
-from repro.costmodel import ClusterSimulator, SHARK_DISK, SHARK_MEM
+from repro.costmodel import ClusterSimulator, SHARK_DISK
+from repro.costmodel.constants import SHARK_NO_STRAGGLER
 from repro.costmodel.bridge import stages_from_profiles
 from repro.workloads import tpch
 
@@ -26,7 +27,6 @@ QUERY = "SELECT L_RECEIPTDATE, COUNT(*) FROM lineitem GROUP BY L_RECEIPTDATE"
 
 #: Straggler noise off: this figure isolates the *recovery* delta, and
 #: random per-run straggler draws would swamp a ~20% effect.
-MEM_PROFILE = replace(SHARK_MEM, straggler_fraction=0.0)
 DISK_PROFILE = replace(SHARK_DISK, straggler_fraction=0.0)
 
 
@@ -35,7 +35,7 @@ def dataset():
     return tpch.generate_lineitem(LOCAL_ROWS, represented=tpch.SCALE_100GB)
 
 
-def _cluster_seconds(shark, scale, engine=MEM_PROFILE):
+def _cluster_seconds(shark, scale, engine=SHARK_NO_STRAGGLER):
     stages = stages_from_profiles(shark.engine.profiles, scale)
     return ClusterSimulator(FAULT_NODES, engine).simulate(
         stages

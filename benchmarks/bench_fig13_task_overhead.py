@@ -96,12 +96,9 @@ class TestFigure13:
         tasks than slots, a 10x-slow straggler barely moves the makespan."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         from repro.costmodel import StageCost, TaskCostVector
-        from repro.costmodel.constants import MB, replace
+        from repro.costmodel.constants import MB, SHARK_NO_STRAGGLER
 
-        profile = replace(
-            SHARK_MEM, straggler_fraction=0.0, task_launch_overhead_s=0.005
-        )
-        sim = ClusterSimulator(10, profile, seed=1)
+        sim = ClusterSimulator(10, SHARK_NO_STRAGGLER, seed=1)
         slots = sim.total_slots
 
         def makespan(num_tasks):

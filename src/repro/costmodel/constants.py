@@ -83,8 +83,8 @@ class EngineProfile:
     cpu_per_record_us: float
     #: HDFS replication factor used when materializing between stages.
     hdfs_replication: int = 3
-    #: Expected straggler slowdown applied to a small fraction of tasks;
-    #: coarse model of JVM GC pauses and network hiccups (Section 7.1).
+    #: The paper-scale model's stragglers: a seeded fraction of tasks run
+    #: slower (JVM GC pauses, network hiccups; Section 7.1).
     straggler_fraction: float = 0.05
     straggler_slowdown: float = 3.0
     #: Whether the engine can recover mid-query (lineage / task re-execution)
@@ -103,6 +103,9 @@ SHARK_MEM = EngineProfile(
     columnar_scan=True,
     cpu_per_record_us=0.10,
 )
+
+#: Shark with no statistical straggler: what executed work is priced on.
+SHARK_NO_STRAGGLER = replace(SHARK_MEM, straggler_fraction=0.0)
 
 #: Shark reading input from HDFS (first touch; no memstore cache).
 SHARK_DISK = replace(SHARK_MEM, name="shark-disk", columnar_scan=False)

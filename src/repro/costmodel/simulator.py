@@ -10,8 +10,8 @@ The simulator adds the engine-level effects the paper highlights:
 
 * per-task launch overhead (5 ms for Spark vs 5-10 s for Hadoop),
 * heartbeat-quantized task assignment (Hadoop assigns work every 3 s),
-* deterministic straggler injection (a seeded fraction of tasks run slower,
-  modelling GC pauses and network hiccups),
+* the paper-scale model's seeded stragglers (GC pauses, network hiccups;
+  ``analyze_profiles`` prices executed work on ``SHARK_NO_STRAGGLER``),
 * optional speculative execution: a straggling task's remaining work is
   capped by relaunching a backup copy once a full wave has finished.
 """

@@ -15,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
-from repro.costmodel.constants import (
-    DEFAULT_HARDWARE,
-    EngineProfile,
-    SHARK_MEM,
-)
+from repro.costmodel.constants import DEFAULT_HARDWARE, SHARK_NO_STRAGGLER
 from repro.costmodel.simulator import ClusterSimulator, StageCost
 from repro.engine.metrics import QueryProfile, StageProfile
 from repro.obs.planquality import (
@@ -106,20 +102,20 @@ def analyze_profiles(
     profiles: list[QueryProfile],
     num_workers: int,
     cores_per_worker: int,
-    engine: EngineProfile = SHARK_MEM,
 ) -> QueryAnalysis:
     """Price the executed profiles on the simulator.
 
     Simulated seconds come from list-scheduling each executed stage's
     measured per-task cost vectors onto the session's own virtual
-    cluster geometry (``num_workers`` x ``cores_per_worker``).
+    cluster geometry (``num_workers`` x ``cores_per_worker``), with no
+    straggler draw: a stage costs the same wherever it sits in its query.
     ``plan_text`` is not read: the plan belongs to the query's record
     (:func:`render_query` prints it); the parameter stays for callers
     that pass it by position.
     """
     hardware = replace(DEFAULT_HARDWARE, cores_per_node=cores_per_worker)
     simulator = ClusterSimulator(
-        max(num_workers, 1), engine=engine, hardware=hardware
+        max(num_workers, 1), engine=SHARK_NO_STRAGGLER, hardware=hardware
     )
     executed = [
         (profile.job_id, stage)

@@ -99,6 +99,14 @@ def _remainder(a: Any, b: Any) -> Any:
     return -remainder if a < 0 else remainder
 
 
+def _wrap_long(value: Any) -> Any:
+    """An integer wrapped to 64 bits, as Hive's Java ``long`` and the
+    vector kernels' int64 arrays wrap it; any other value as it is."""
+    if type(value) is int and not -(1 << 63) <= value < 1 << 63:
+        return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+    return value
+
+
 class BoundArithmetic(BoundExpr):
     _OPS: dict[str, Callable[[Any, Any], Any]] = {
         "+": lambda a, b: a + b,
@@ -130,7 +138,7 @@ class BoundArithmetic(BoundExpr):
             return None  # SQL: division/modulo by zero yields NULL (Hive).
         if self.op == "/":
             return left / right
-        return self._fn(left, right)
+        return _wrap_long(self._fn(left, right))
 
     def eval(self, row: tuple) -> Any:
         return self.apply(self.left.eval(row), self.right.eval(row))
@@ -274,7 +282,7 @@ class BoundNegate(BoundExpr):
         self.operand = operand
 
     def apply(self, value: Any) -> Any:
-        return None if value is None else -value
+        return None if value is None else _wrap_long(-value)
 
     def eval(self, row: tuple) -> Any:
         return self.apply(self.operand.eval(row))

@@ -10,7 +10,7 @@ from repro.costmodel import (
     StageCost,
     TaskCostVector,
 )
-from repro.costmodel.constants import MB, replace
+from repro.costmodel.constants import MB, SHARK_NO_STRAGGLER, replace
 from repro.obs import Tracer
 
 
@@ -37,15 +37,13 @@ class TestMakespan:
         sim = ClusterSimulator(
             num_nodes=1, engine=SHARK_MEM, seed=1, speculation=False
         )
-        profile = replace(SHARK_MEM, straggler_fraction=0.0)
-        sim = ClusterSimulator(1, profile, seed=1)
+        sim = ClusterSimulator(1, SHARK_NO_STRAGGLER, seed=1)
         one_wave = sim.simulate([_stage(8)]).total_seconds
         two_waves = sim.simulate([_stage(16)]).total_seconds
         assert two_waves == pytest.approx(2 * one_wave, rel=0.01)
 
     def test_stages_sequential(self):
-        profile = replace(SHARK_MEM, straggler_fraction=0.0)
-        sim = ClusterSimulator(10, profile, seed=1)
+        sim = ClusterSimulator(10, SHARK_NO_STRAGGLER, seed=1)
         single = sim.simulate([_stage(10)]).total_seconds
         double = sim.simulate([_stage(10), _stage(10)]).total_seconds
         assert double == pytest.approx(2 * single, rel=0.01)

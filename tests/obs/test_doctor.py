@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SharkContext
+from repro.engine.metrics import QueryProfile, StageProfile, TaskMetrics
 from repro.obs import doctor
 from repro.obs.doctor import (
     DoctorReport,
@@ -133,6 +134,46 @@ class TestTaxonomy:
         findings = diagnose_pair(baseline, current)
         assert [f.category for f in findings] == ["stage-slowdown"]
         assert "stage 1 (agg)" in findings[0].summary
+
+    def test_an_earlier_stage_does_not_move_a_common_stage(self):
+        """Only the scan's task count differs; the aggregate's tasks are
+        identical, so its priced seconds are too."""
+
+        def priced(scan_tasks: int) -> QueryRecord:
+            def stage(stage_id, name, count, records):
+                tasks = [
+                    TaskMetrics(
+                        records_in=records, bytes_in=records * 16,
+                        source="memory",
+                    )
+                    for _ in range(count)
+                ]
+                return StageProfile(stage_id, name, False, tasks=tasks)
+
+            record = _record(
+                profiles=[
+                    QueryProfile(
+                        job_id=0,
+                        stages=[
+                            stage(0, "scan", scan_tasks, 500),
+                            stage(1, "agg", 3, 20_000),
+                        ],
+                    )
+                ],
+                header={"workers": 2, "cores_per_worker": 2},
+            )
+            analysis = record.analyze()
+            record.sim_seconds = analysis.total_sim_seconds
+            record.stage_sim = [row.row() for row in analysis.stages]
+            return record
+
+        baseline, current = priced(scan_tasks=2), priced(scan_tasks=1)
+        assert baseline.stage_sim[1] == current.stage_sim[1]
+        assert not [
+            finding
+            for finding in diagnose_pair(baseline, current)
+            if finding.category == "stage-slowdown"
+        ]
 
 
 class TestReport:

@@ -23,6 +23,11 @@ oracle as written; the callers avoid or rewrite it:
 * ``||`` is not parsed here (``CONCAT`` is).
 * ``BETWEEN`` with a NULL bound is NULL here, as in Hive; sqlite answers
   FALSE when the other bound already fails (``5 BETWEEN 6 AND NULL``).
+* Integer ``+``, ``-``, ``*`` and unary ``-`` wrap to 64 bits here, as
+  Hive's Java ``long`` does (``9223372036854775807 + 1`` is
+  ``-9223372036854775808``); sqlite answers a REAL, and its ``SUM``
+  raises "integer overflow".  No overflowing statement goes to the
+  oracle.
 """
 
 from __future__ import annotations
