@@ -148,10 +148,10 @@ class TestMultitenancy:
                 )
             except Exception:  # TenantQuotaExceeded: offered >> capacity
                 rejected += 1
-        server.drain()
+        finished = server.drain()
 
-        shed = [t for t in server.finished if t.state == "shed"]
-        done = [t for t in server.finished if t.state == "done"]
+        shed = [t for t in finished if t.state == "shed"]
+        done = [t for t in finished if t.state == "done"]
         by_tier: dict[str, list[float]] = {}
         for ticket in done:
             by_tier.setdefault(ticket.priority, []).append(
@@ -216,9 +216,7 @@ class TestMultitenancy:
                 )
             except Exception:  # TenantQuotaExceeded
                 pass
-        server.drain()
-
-        shed = [t for t in server.finished if t.state == "shed"]
+        shed = [t for t in server.drain() if t.state == "shed"]
         attributed = sum(
             state.cache_hits for state in server.tenants.values()
         )

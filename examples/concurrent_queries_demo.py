@@ -112,7 +112,7 @@ def main(seed: int = 11) -> int:
 
     lifecycle.drain()
     print(f"  {injector.describe()}")
-    for handle in lifecycle.handles:
+    for handle in (*survivors.values(), cancelled, deadlined):
         print(f"  {handle.describe()}")
     print(f"  {lifecycle.describe()}")
 

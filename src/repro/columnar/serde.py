@@ -15,6 +15,7 @@ smallest, so it is also the one statement of what a column weighs
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import weakref
@@ -965,9 +966,9 @@ class _StringColumn(_Column):
 
 
 class _ObjectColumn(_Column):
-    """Values of no single primitive type: the column's pickle.  A bucket
-    of it may still hold one type only, and then weighs what that type
-    does."""
+    """Values of no single primitive type: the column's memo-free pickle,
+    so equal values weigh alike, shared or not.  A bucket of it may still
+    hold one type only, and then weighs what that type does."""
 
     def __init__(self, values: list):
         self.values = values
@@ -992,8 +993,11 @@ class _ObjectColumn(_Column):
         ], dtype=np.int64)
 
     def encoded(self, scheme: str) -> tuple[int, bytes]:
-        blob = pickle.dumps(self.values, protocol=4)
-        return _OBJECT, _LENGTH.pack(len(blob)) + blob
+        out = io.BytesIO()
+        pickler = pickle.Pickler(out, protocol=4)
+        pickler.fast = True  # no memo: an object met twice is written twice
+        pickler.dump(self.values)
+        return _OBJECT, _LENGTH.pack(out.tell()) + out.getvalue()
 
 
 _NONE = type(None)

@@ -345,6 +345,8 @@ class QueryLifecycleManager:
         self._driver_lock = _parked_lock()
         #: The handle the driver's wait() is for (None under drain()).
         self._waiting_for: Optional[QueryHandle] = None
+        #: What finished while the driver drives, in completion order.
+        self._drained: Optional[list[QueryHandle]] = None
         #: Threads of finished queries, parked until a query needs one.
         #: A thread idle past the watchdog takes itself out, so takers
         #: pop without checking first (one list op each, atomic).
@@ -355,10 +357,6 @@ class QueryLifecycleManager:
         self._running: list[QueryHandle] = []
         #: Admitted queries waiting for a slot.
         self._queued: list[QueryHandle] = []
-        #: Every handle ever submitted (for the shell's .queries view).
-        self.handles: list[QueryHandle] = []
-        #: Terminal handles in completion order (fairness assertions).
-        self.finish_order: list[QueryHandle] = []
         self._next_query_id = 0
         self._rr_cursor = 0
         #: (tenant, query key) -> consecutive engine failures.  Scoping
@@ -400,6 +398,14 @@ class QueryLifecycleManager:
         )
         metrics.register_counter(
             "queries.circuit_opened", lambda: self.circuit_opened
+        )
+
+    @property
+    def terminal(self) -> int:
+        """Queries that reached a terminal state."""
+        return (
+            self.completed + self.cancelled + self.deadline_expired
+            + self.failed
         )
 
     @property
@@ -482,7 +488,6 @@ class QueryLifecycleManager:
                 queued=len(self._queued),
                 retry_after_s=hint,
             )
-        self.handles.append(handle)
         return handle
 
     def _check_circuit(
@@ -492,13 +497,13 @@ class QueryLifecycleManager:
         half_open_at = self._circuit_until.get(scoped)
         if half_open_at is None:
             return
-        if len(self.finish_order) >= half_open_at:
+        if self.terminal >= half_open_at:
             # Half-open: admit one trial; success closes the circuit,
             # another failure re-opens it.
             del self._circuit_until[scoped]
             return
         self.circuit_rejected += 1
-        remaining = half_open_at - len(self.finish_order)
+        remaining = half_open_at - self.terminal
         self._ctx.tracer.instant(
             "query.rejected", "query",
             query=name, key=key, tenant=tenant, reason="circuit-open",
@@ -525,9 +530,8 @@ class QueryLifecycleManager:
     # ------------------------------------------------------------------
     def drain(self) -> list[QueryHandle]:
         """Run every admitted query to a terminal state; returns the
-        completion order."""
-        self._drive("drain", None)
-        return list(self.finish_order)
+        handles this call finished, in completion order."""
+        return self._drive("drain", None)
 
     def wait(self, handle: QueryHandle) -> Any:
         """Drive the scheduler (fairly — other queries keep their turns)
@@ -537,13 +541,13 @@ class QueryLifecycleManager:
             raise handle.error
         return handle.result
 
-    def _drive(self, op: str, target: Optional[QueryHandle]) -> None:
+    def _drive(self, op: str, target: Optional[QueryHandle]) -> list:
         """The driver loop, until ``target`` is terminal (everything is,
         when None): grant the fairness policy's pick and park — the
         queries take the loop's steps meanwhile.  Retires the idle
-        threads if nothing is left."""
+        threads if nothing is left; returns the handles that finished."""
         self._require_driver(op)
-        self._waiting_for = target
+        self._waiting_for, self._drained = target, []
         ctx = self._ctx
         while not self._driver_loop_over():
             self._promote_queued()
@@ -568,8 +572,10 @@ class QueryLifecycleManager:
             finally:
                 ctx.tracer.use_stack(driver_stack)
                 ctx.query = driver_scope
+        drained, self._waiting_for, self._drained = self._drained, None, None
         if not self._running and not self._queued:
             self._retire_idle()
+        return drained
 
     def _driver_loop_over(self) -> bool:
         target = self._waiting_for
@@ -867,7 +873,8 @@ class QueryLifecycleManager:
         )
 
     def _record_completion(self, handle: QueryHandle) -> None:
-        self.finish_order.append(handle)
+        if self._drained is not None:
+            self._drained.append(handle)
         # Every terminal event frees a slot or queue position: sample
         # the simulated clock for the drain rate behind retry hints.
         self._drain_times.append(self._ctx.tracer.clock.now())
@@ -904,8 +911,7 @@ class QueryLifecycleManager:
                 if count >= self.config.circuit_failure_threshold:
                     self.circuit_opened += 1
                     self._circuit_until[scoped] = (
-                        len(self.finish_order)
-                        + self.config.circuit_reset_completions
+                        self.terminal + self.config.circuit_reset_completions
                     )
                     self._ctx.tracer.instant(
                         "query.circuit_open", "query",
@@ -932,7 +938,7 @@ class QueryLifecycleManager:
         """Live admission accounting for ledger-zero assertions: every
         submission must be running, queued, terminal, or rejected —
         slots never leak, on any terminal path."""
-        terminal = len(self.finish_order)
+        terminal = self.terminal
         return {
             "running": len(self._running),
             "queued": len(self._queued),
@@ -949,5 +955,5 @@ class QueryLifecycleManager:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"QueryLifecycleManager(running={len(self._running)}, "
-            f"queued={len(self._queued)}, finished={len(self.finish_order)})"
+            f"queued={len(self._queued)}, finished={self.terminal})"
         )

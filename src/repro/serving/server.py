@@ -176,8 +176,8 @@ class SqlServer:
         self._pending: dict[str, list[ServedQuery]] = {}
         #: Promoted tickets whose engine handle is not yet terminal.
         self._inflight: list[ServedQuery] = []
-        #: Terminal tickets, completion order.
-        self.finished: list[ServedQuery] = []
+        #: What finished during the running drain(), in completion order.
+        self._drained: list[ServedQuery] = []
         self._next_seq = 0
         #: Simulated-clock instants of recent completions (drain rate).
         self._drain_times: list[float] = []
@@ -407,7 +407,7 @@ class SqlServer:
                 ticket.error = error
                 ticket.ended_at = now
                 tenant.failed += 1
-                self.finished.append(ticket)
+                self._drained.append(ticket)
                 continue
             # Re-stamp admission to the server enqueue instant so the
             # event log's started/ended span covers server queue wait.
@@ -459,14 +459,15 @@ class SqlServer:
                 )
             )
         self._record_latency(ticket)
-        self.finished.append(ticket)
+        self._drained.append(ticket)
 
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
     def drain(self) -> list[ServedQuery]:
         """Run every accepted query to a terminal state; returns the
-        completion order (shed tickets included)."""
+        tickets this call finished (shed ones too), in completion order."""
+        self._drained = drained = []
         while self._pending_total() or self._inflight:
             self._pump()
             if not self._inflight:
@@ -486,7 +487,8 @@ class SqlServer:
                 # records it on the ticket.
                 pass
             self._sweep()
-        return list(self.finished)
+        self._drained = []
+        return drained
 
     def _sweep(self) -> None:
         """Book-keep every inflight ticket whose handle went terminal:
@@ -514,7 +516,7 @@ class SqlServer:
             self._drain_times.append(now)
             del self._drain_times[:-DRAIN_RATE_WINDOW]
             self._record_latency(ticket)
-            self.finished.append(ticket)
+            self._drained.append(ticket)
 
     def _record_latency(self, ticket: ServedQuery) -> None:
         metrics = self._ctx.tracer.metrics

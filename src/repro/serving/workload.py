@@ -11,8 +11,9 @@ system degraded *gracefully*:
   uncontended fault-free run of the same SQL,
 * per-tier p50/p95/p99 latency is reported from the event log, and
 * nothing leaked afterwards — the context's cleanup invariants hold
-  (``EngineContext.invariant_violations``), no shuffle is registered and
-  every stored block belongs to a live table.
+  (``EngineContext.invariant_violations``), no shuffle is registered,
+  every stored block belongs to a live table, and no served ticket or
+  handle is reachable once the soak drops its own.
 
 Run the soak (the CI serving gate) with::
 
@@ -27,8 +28,10 @@ results — chaos included.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -282,11 +285,11 @@ def run_soak(
         f"{len(tickets)} accepted, {rejected} quota-rejected"
     )
 
-    server.drain()
+    finished = server.drain()
     say(server.describe())
 
     # Gate 1: shedding never touched a tier above the lowest with work.
-    shed = [t for t in server.finished if t.state == "shed"]
+    shed = [t for t in finished if t.state == "shed"]
     shed_tiers = sorted({t.priority for t in shed})
     if not shed and not sql_cache:
         # With the caching stack on, result hits drain so fast the
@@ -311,7 +314,7 @@ def run_soak(
 
     # Gate 2: every completed query byte-identical to an uncontended
     # fault-free run of the same SQL.
-    completed = [t for t in server.finished if t.state == "done"]
+    completed = [t for t in finished if t.state == "done"]
     baseline_ctx = build_serving_context(fault_seed=None)
     baseline: dict[str, list] = {}
     divergent = 0
@@ -374,6 +377,14 @@ def run_soak(
             failures.append("event log carries no per-tier latencies")
         report_lines.append(store.tenant_report())
         say(store.tenant_report())
+
+    # Gate 3 on the driver: with the soak's own tickets dropped, no
+    # served ticket or handle is reachable.
+    served = [weakref.ref(x) for t in tickets for x in (t, t.handle) if x]
+    tickets = finished = shed = completed = ticket = None
+    gc.collect()
+    if any(ref() is not None for ref in served):
+        failures.append("a finished ticket or handle is still reachable")
 
     if report_out:
         with open(report_out, "w", encoding="utf-8") as handle:

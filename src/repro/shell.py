@@ -46,7 +46,7 @@ Enter SQL terminated by ';'.  Dot-commands:
   .notes                run-time optimizer decisions of the last query
   .submit <query>       submit SQL for concurrent execution (queued under
                         admission control; run with .drain)
-  .queries              lifecycle status of every submitted query
+  .queries              lifecycle status of every query .submit admitted
   .cancel <id>          cooperatively cancel a submitted query
   .drain                run all submitted queries to completion, fairly
                         interleaved
@@ -101,6 +101,9 @@ class Shell:
         self.shark = shark if shark is not None else SharkContext()
         self._write = write if write is not None else self._default_write
         self._buffer: list[str] = []
+        #: What `.submit` admitted, for `.queries` and `.cancel`: the
+        #: lifecycle manager keeps no finished query.
+        self._submitted: list = []
         self.running = True
 
     @staticmethod
@@ -262,6 +265,7 @@ class Shell:
         if name == ".submit":
             try:
                 handle = self.shark.submit_sql(argument.rstrip(";"))
+                self._submitted.append(handle)
                 self._write(
                     f"submitted query {handle.query_id} "
                     f"({handle.state}); run with .drain"
@@ -273,22 +277,18 @@ class Shell:
                 self._write(f"error: {error}")
             return
         if name == ".queries":
-            lifecycle = self.shark.lifecycle
-            if lifecycle is None or not lifecycle.handles:
+            if not self._submitted:
                 self._write("(no submitted queries)")
             else:
-                for handle in lifecycle.handles:
+                for handle in self._submitted:
                     self._write(handle.describe())
-                self._write(lifecycle.describe())
+                self._write(self.shark.lifecycle.describe())
             return
         if name == ".cancel":
-            lifecycle = self.shark.lifecycle
             try:
                 query_id = int(argument)
                 handle = next(
-                    h
-                    for h in (lifecycle.handles if lifecycle else [])
-                    if h.query_id == query_id
+                    h for h in self._submitted if h.query_id == query_id
                 )
             except (ValueError, StopIteration):
                 self._write(f"error: no submitted query {argument!r}")

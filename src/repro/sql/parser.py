@@ -455,7 +455,8 @@ class Parser:
 
         if token.kind == "number":
             self._advance()
-            if "." in token.value:
+            # An integer beyond BIGINT is a DOUBLE, as in sqlite.
+            if "." in token.value or int(token.value) >= 1 << 63:
                 return Literal(float(token.value))
             return Literal(int(token.value))
         if token.kind == "string":

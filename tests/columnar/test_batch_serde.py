@@ -37,6 +37,7 @@ from repro.datatypes import (
     StructType,
 )
 from repro.errors import CompressionError
+from tests.conftest import memo_free_pickle
 
 SERDE = BatchSerde()
 
@@ -107,16 +108,13 @@ def _as_coded(column: list):
 def _batches(draw):
     rows = draw(st.integers(0, 40))
     columns = []
-    pickled = False
     for __ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(sorted(_VALUES)))
-        pickled |= kind in ("array", "map", "mixed", "beyond_int64")
-        values = _VALUES[kind]
+        values = _VALUES[draw(st.sampled_from(sorted(_VALUES)))]
         if draw(st.booleans()):
             values = st.one_of(st.none(), values)
         columns.append(draw(st.lists(values, min_size=rows, max_size=rows)))
     cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=5)))
-    return rows, columns, np.array([0, *cuts, rows]), pickled
+    return rows, columns, np.array([0, *cuts, rows])
 
 
 def _reprs(rows) -> list:
@@ -140,7 +138,7 @@ def _batch_of(columns, rows, form) -> ColumnBatch:
 @settings(max_examples=400, deadline=None)
 @given(case=_batches())
 def test_round_trip_and_bucket_sizes(case):
-    rows, columns, offsets, pickled = case
+    rows, columns, offsets = case
     want = _reprs(zip(*columns)) if columns else _reprs([()] * rows)
     payloads = set()
     for form in ("lists", "typed", "arrays", "coded"):
@@ -157,9 +155,9 @@ def test_round_trip_and_bucket_sizes(case):
             assert size == len(SERDE.encode(batch.slice(start, stop)))
             if start == stop:
                 assert size == 0
-    # The bytes are a function of the values, not of their container
-    # (a pickle, though, abbreviates an object it has met before).
-    assert pickled or len(payloads) == 1
+    # The bytes are a function of the values, not of their container,
+    # pickled columns included.
+    assert len(payloads) == 1
 
 
 def _column_bytes(values, rows=None) -> int:
@@ -296,13 +294,26 @@ def test_every_type_under_every_encoding(data_type, values, scheme):
 
 
 def test_object_column_is_its_pickle():
-    import pickle
-
     values = [[1, 2], {"a": 1}, None]
-    assert _column_bytes(values) == 4 + len(pickle.dumps(values, protocol=4))
+    assert _column_bytes(values) == 4 + len(memo_free_pickle(values))
     # Ints beyond int64 have no array form.
     big = [2 ** 70, 1]
-    assert _column_bytes(big) == 4 + len(pickle.dumps(big, protocol=4))
+    assert _column_bytes(big) == 4 + len(memo_free_pickle(big))
+
+
+def test_an_object_column_weighs_its_values_not_their_identity():
+    # Equal values, once as one shared list and one shared string (as a
+    # dictionary hands them out), once as distinct objects.
+    word = "".join(["cust", "3"])
+    shared = [[word, word]] * 4 + [None]
+    distinct = [["".join(["cust", "3"]) for _ in range(2)] for _ in range(4)]
+    distinct.append(None)
+    assert shared == distinct
+    assert shared[0] is shared[1] and distinct[0] is not distinct[1]
+    assert _column_bytes(shared) == _column_bytes(distinct)
+    assert SERDE.encode(ColumnBatch.from_columns([shared])) == SERDE.encode(
+        ColumnBatch.from_columns([distinct])
+    )
 
 
 def test_datetimes_with_a_zone_or_a_fold_stay_objects():

@@ -28,6 +28,7 @@ from repro.datatypes import (
     Schema,
 )
 from repro.errors import CompressionError, TypeMismatchError
+from tests.conftest import memo_free_pickle
 
 
 def _decode_list(encoded):
@@ -206,7 +207,7 @@ class TestChooseScheme:
         assert scheme is PLAIN
         encoded = scheme.encode(values, ArrayType(element_type=STRING))
         assert encoded.compressed_bytes == 1 + 4 + len(
-            pickle.dumps(values, protocol=4)
+            memo_free_pickle(values)
         )
 
     def test_empty_column_plain(self):
@@ -432,6 +433,7 @@ class TestTemporalColumns:
             raise AssertionError("a DATE column was pickled")
 
         monkeypatch.setattr(pickle, "dumps", refuse)
+        monkeypatch.setattr(pickle, "Pickler", refuse)
         for data_type, values in _TEMPORAL.items():
             for shape in ("no NULL", "runs", "repeats", "empty"):
                 column = _SHAPES[shape](values)

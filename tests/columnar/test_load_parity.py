@@ -13,7 +13,6 @@ the same encoding, the same bytes and the same decoded values.
 """
 
 import math
-import pickle
 import struct
 from datetime import date, datetime, timedelta
 
@@ -42,6 +41,7 @@ from repro.datatypes import (
 )
 from repro.errors import AnalysisError, CompressionError, TypeMismatchError
 from repro.workloads import pavlo, tpch
+from tests.conftest import memo_free_pickle
 
 # ---------------------------------------------------------------------------
 # The per-value reference
@@ -166,7 +166,7 @@ def ref_sizes(kind, values):
     if kind == "nulls":
         return {"plain": 0}
     if kind == "object":
-        return {"plain": 4 + len(pickle.dumps(values, protocol=4))}
+        return {"plain": 4 + len(memo_free_pickle(values))}
     if kind == "str":
         def size(value):
             return 0 if value is None else len(value.encode("utf-8"))

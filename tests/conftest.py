@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import pickle
 import signal
 import sys
 from pathlib import Path
@@ -86,6 +88,16 @@ def stored_blocks(shark: SharkContext) -> list[str]:
         for worker in shark.engine.cluster.workers
         for block_id in worker.blocks.block_ids()
     )
+
+
+def memo_free_pickle(values) -> bytes:
+    """``values``' protocol-4 pickle with no memo, as an object column
+    is written: an object met twice is written twice."""
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, protocol=4)
+    pickler.fast = True
+    pickler.dump(values)
+    return out.getvalue()
 
 
 @pytest.fixture

@@ -915,6 +915,74 @@ class TestRetryAfterDrainRate:
         assert admitted.result.rows == [(3000,)]
 
 
+def held_by(handle) -> list:
+    """Weak references to a query's handle, its scope and its result."""
+    held = [handle, handle.scope]
+    if handle.result is not None:
+        held.append(handle.result)
+    return [weakref.ref(obj) for obj in held]
+
+
+def still_reachable(refs) -> list[str]:
+    """The referents of ``refs`` that survive a full collection."""
+    gc.collect()
+    return [type(ref()).__name__ for ref in refs if ref() is not None]
+
+
+class TestFinishedQueriesAreForgotten:
+    """Only the caller holds a finished query: once it drops its handle,
+    the handle, its scope and its result are unreachable, whatever the
+    outcome and whether drain() or wait() finished it."""
+
+    def test_every_outcome_under_drain(self):
+        shark = _build_shark()
+        lifecycle = shark.enable_lifecycle(
+            LifecycleConfig(max_concurrent=1, max_queued=3)
+        )
+        handles = [
+            shark.submit_sql(QUERIES["agg"], name="done"),
+            shark.submit_sql("SELECT nope FROM readings", name="failed"),
+            shark.submit_sql(QUERIES["count"], name="late", deadline_s=1e-9),
+            shark.submit_sql(QUERIES["count"], name="withdrawn"),
+        ]
+        handles[3].cancel()
+        assert [h.name for h in lifecycle.drain()] == ["done", "failed", "late"]
+        assert [h.state for h in handles] == [
+            "done", "failed", "deadline", "cancelled"
+        ]
+        refs = [ref for handle in handles for ref in held_by(handle)]
+        assert len(refs) == 9
+        del handles
+        assert still_reachable(refs) == []
+        assert lifecycle.admission_ledger()["terminal"] == 4
+
+    def test_a_waited_handle(self):
+        shark = _build_shark()
+        lifecycle = shark.enable_lifecycle()
+        handle = shark.submit_sql(QUERIES["count"])
+        assert lifecycle.wait(handle).rows == [(3000,)]
+        refs = held_by(handle)
+        del handle
+        assert still_reachable(refs) == []
+
+    def test_drain_returns_only_its_own_completions(self):
+        ctx = EngineContext(num_workers=2)
+        lifecycle = ctx.enable_lifecycle(
+            LifecycleConfig(max_concurrent=1, max_queued=3)
+        )
+        first = lifecycle.submit(lambda: 1)
+        assert lifecycle.drain() == [first]
+        waited, drained, withdrawn = (
+            lifecycle.submit(lambda value=value: value) for value in (2, 3, 4)
+        )
+        withdrawn.cancel()
+        assert lifecycle.wait(waited) == 2
+        # Finished before this call, by cancel() and by wait(): not its own.
+        assert lifecycle.drain() == [drained]
+        assert lifecycle.drain() == []
+        assert lifecycle.terminal == 4
+
+
 class TestAdmissionLedger:
     """Satellite 3: the slot ledger balances to zero on every terminal
     path — completed, cancelled (mid-flight and while queued),
@@ -967,17 +1035,16 @@ class TestAdmissionLedger:
         assert injector.injected_transient > 0
 
 
-def _launch_recorder(ctx, lifecycle) -> list:
+def _launch_recorder(lifecycle) -> list:
     """Patch ``checkpoint`` to append, at every task launch, the id of
-    the query that launches it; returns the list it appends to."""
+    the query that launches it (the baton's holder); returns the list it
+    appends to."""
     launches = []
     checkpoint = lifecycle.checkpoint
 
     def recording_checkpoint():
         checkpoint()
-        launches.append(
-            next(h.query_id for h in lifecycle.handles if h.scope is ctx.query)
-        )
+        launches.append(lifecycle._baton.query_id)
 
     lifecycle.checkpoint = recording_checkpoint
     return launches
@@ -994,7 +1061,7 @@ def _schedule_scenario(case: str):
     lifecycle = ctx.enable_lifecycle(
         LifecycleConfig(max_concurrent=3, max_queued=3, fairness=policy)
     )
-    launches = _launch_recorder(ctx, lifecycle)
+    launches = _launch_recorder(lifecycle)
     tenants = (("a", 1), ("b", 1 if unit else 2), ("c", 1 if unit else 4))
 
     def job(partitions, shuffle):
@@ -1022,10 +1089,10 @@ def _schedule_scenario(case: str):
         )
     handles[1].cancel_after_tasks(3)
     assert [h.state for h in handles] == ["running"] * 3 + ["queued"] * 3
-    lifecycle.drain()
+    finished = lifecycle.drain()
     return (
         launches,
-        [h.query_id for h in lifecycle.finish_order],
+        [h.query_id for h in finished],
         [h.state for h in handles],
     )
 
@@ -1072,7 +1139,7 @@ class TestHandoff:
         lifecycle = ctx.enable_lifecycle(
             LifecycleConfig(max_concurrent=1, max_queued=3)
         )
-        launches = _launch_recorder(ctx, lifecycle)
+        launches = _launch_recorder(lifecycle)
         grants = []
         grant = lifecycle._grant
 
@@ -1229,9 +1296,9 @@ class TestHandoff:
             for _ in range(31)
         ]
         began = time.monotonic()
-        lifecycle.drain()
+        finished = lifecycle.drain()
         assert time.monotonic() - began > 3 * timeout
         assert long.result == list(range(8))
         assert [h.result for h in shorts] == [[0]] * 31
-        assert lifecycle.finish_order[-1] is long
+        assert finished[-1] is long
         assert threading.active_count() == baseline

@@ -28,6 +28,10 @@ oracle as written; the callers avoid or rewrite it:
   ``-9223372036854775808``); sqlite answers a REAL, and its ``SUM``
   raises "integer overflow".  No overflowing statement goes to the
   oracle.
+* An integer literal beyond BIGINT is a DOUBLE here and in sqlite
+  (``typeof(9223372036854775808)`` is ``real``), but sqlite reads
+  ``-9223372036854775808`` as one INTEGER literal; here it is the
+  negated DOUBLE.  No such negated literal goes to the oracle.
 """
 
 from __future__ import annotations

@@ -38,8 +38,7 @@ def _drive(queries=160, seed=29, sql_cache=False, fault_seed=None):
             )
         except TenantQuotaExceeded:
             pass
-    server.drain()
-    return shark, server
+    return shark, server, server.drain()
 
 
 class TestServingWithCache:
@@ -57,15 +56,15 @@ class TestServingWithCache:
         assert exit_code == 0
 
     def test_cache_hits_attributed_and_shedding_not_worse(self):
-        __, off = _drive(sql_cache=False)
-        shark, on = _drive(sql_cache=True)
+        __, off, off_finished = _drive(sql_cache=False)
+        __, on, on_finished = _drive(sql_cache=True)
         assert on.cache_hits > 0
         attributed = sum(
             state.cache_hits for state in on.tenants.values()
         )
         assert attributed == on.cache_hits
-        shed_on = [t for t in on.finished if t.state == "shed"]
-        shed_off = [t for t in off.finished if t.state == "shed"]
+        shed_on = [t for t in on_finished if t.state == "shed"]
+        shed_off = [t for t in off_finished if t.state == "shed"]
         # Cache hits complete instantly, draining the backlog faster —
         # shedding must never get worse with the cache on.
         assert len(shed_on) <= len(shed_off)
@@ -78,7 +77,7 @@ class TestServingWithCache:
         )
 
     def test_served_counters_read_the_tenants(self):
-        shark, server = _drive(sql_cache=True)
+        shark, server, __ = _drive(sql_cache=True)
         tenants = server.tenants.values()
         metrics = shark.metrics
         assert metrics.value("server.completed") == sum(
@@ -90,9 +89,9 @@ class TestServingWithCache:
         assert metrics.value("sqlcache.served.hits") > 0
 
     def test_admitted_results_byte_identical_per_template(self):
-        __, server = _drive(sql_cache=True)
+        __, __, finished = _drive(sql_cache=True)
         by_text: dict[str, list] = {}
-        for ticket in server.finished:
+        for ticket in finished:
             if ticket.state != "done":
                 continue
             rows = ticket.result.rows

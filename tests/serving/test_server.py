@@ -1,5 +1,7 @@
 """Multi-tenant SqlServer: quotas, priorities, shedding, isolation."""
 
+import weakref
+
 import pytest
 
 from repro import SharkContext
@@ -19,6 +21,7 @@ from repro.serving import (
     SqlServer,
     TenantQuota,
 )
+from tests.engine.test_lifecycle import held_by, still_reachable
 
 AGG = (
     "SELECT bucket, COUNT(*) AS n, SUM(value) AS total "
@@ -91,10 +94,11 @@ def test_weighted_fairness_finishes_interactive_first():
     server = _build_server()
     slow = server.submit("carol", AGG, name="be")
     fast = server.submit("alice", AGG, name="ia")
-    server.drain()
+    finished = server.drain()
     assert slow.state == "done" and fast.state == "done"
-    order = [h.name for h in server.lifecycle.finish_order]
-    assert order.index("ia") < order.index("be")
+    # Swept apart: the best-effort query still ran when "ia" ended.
+    assert [t.name for t in finished] == ["ia", "be"]
+    assert fast.ended_at < slow.ended_at
 
 
 # ----------------------------------------------------------------------
@@ -211,9 +215,9 @@ def test_brownout_sheds_best_effort_before_batch_and_never_interactive():
     interactive = [server.submit("alice", COUNT) for _ in range(2)]
     batch = [server.submit("bob", COUNT) for _ in range(2)]
     best_effort = [server.submit("carol", AGG) for _ in range(8)]
-    server.drain()
+    finished = server.drain()
     assert all(t.state == "done" for t in interactive)
-    shed = [t for t in server.finished if t.state == "shed"]
+    shed = [t for t in finished if t.state == "shed"]
     assert shed, "expected brownout shedding"
     assert {t.priority for t in shed} == {BEST_EFFORT}
     assert all(t.shed_reason == "brownout" for t in shed)
@@ -404,10 +408,9 @@ def test_server_drain_is_deterministic():
         server.submit("alice", AGG)
         server.submit("bob", FILTER)
         server.submit("carol", COUNT)
-        server.drain()
         return [
             (t.name, t.state, sorted(t.result.rows) if t.result else None)
-            for t in server.finished
+            for t in server.drain()
         ]
 
     assert run_once() == run_once()
@@ -421,3 +424,24 @@ def test_drain_leaves_no_admission_ledger_leak():
     server.drain()
     assert server.lifecycle.admission_ledger()["terminal"] == 4
     assert server.shark.engine.invariant_violations() == []
+
+
+def test_a_finished_ticket_is_held_only_by_its_caller():
+    # One slot: the blocker runs while the clock passes the doomed
+    # query's deadline, so the drain finishes one ticket per outcome.
+    server = _build_server(config=ServerConfig(engine_slots=1))
+    tickets = [
+        server.submit("alice", AGG, name="done"),
+        server.submit("bob", "SELECT nope FROM readings", name="failed"),
+        server.submit("carol", COUNT, deadline_s=1e-9, name="doomed"),
+    ]
+    finished = server.drain()
+    assert [t.name for t in finished] == ["done", "doomed", "failed"]
+    assert [t.state for t in tickets] == ["done", "failed", "shed"]
+    refs = [weakref.ref(t) for t in tickets] + [
+        ref for t in tickets if t.handle is not None for ref in held_by(t.handle)
+    ]
+    assert len(refs) == 8
+    del tickets, finished
+    assert still_reachable(refs) == []
+    assert server.drain() == []

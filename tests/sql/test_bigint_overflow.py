@@ -1,5 +1,6 @@
 """BIGINT arithmetic has one overflow rule: ``+``, ``-``, ``*`` and unary
-``-`` on integers wrap to 64 bits, as Hive's Java ``long`` does.
+``-`` on integers wrap to 64 bits, as Hive's Java ``long`` does.  An
+integer literal beyond BIGINT is a DOUBLE, as in sqlite.
 
 The vector kernels (int64 arrays), the per-row fallback (a multi-column
 CASE) and constant folding all answer the same, repr-identical values.
@@ -10,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro import SharkContext
+from repro.datatypes import DOUBLE
+from tests.oracle import assert_rows_match, sqlite_rows
 
 MAX = (1 << 63) - 1
 MIN = -(1 << 63)
@@ -107,3 +110,47 @@ def test_post_aggregate_arithmetic_wraps(shark):
         f"CASE WHEN {both} THEN -MIN(a) END FROM t"
     ).rows
     _assert_identical(list(row), [MIN, MAX, MIN] * 2)
+
+
+#: An integer literal one past BIGINT, and one far beyond it.
+BEYOND = "9223372036854775808"
+FAR = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "template, exact",
+    [
+        (BEYOND, lambda a: float(BEYOND)),
+        (f"{{a}} + {BEYOND}", lambda a: a + float(BEYOND)),
+        (f"{{a}} - {BEYOND}", lambda a: a - float(BEYOND)),
+        (f"{{a}} * {FAR}", lambda a: a * float(FAR)),
+    ],
+    ids=["literal", "plus", "minus", "times"],
+)
+def test_a_literal_beyond_bigint_is_a_double_on_every_path(
+    shark, template, exact
+):
+    want = [exact(a) for __, a, ___ in ROWS]
+    assert all(type(value) is float for value in want)
+    expression = template.format(a="a")
+    kernel = _column(shark, expression)
+    fallback = _column(
+        shark,
+        f"CASE WHEN a IS NOT NULL AND b IS NOT NULL THEN {expression} END",
+    )
+    folded = [
+        shark.sql(f"SELECT {template.format(a=_literal(a))}").rows[0][0]
+        for __, a, ___ in ROWS
+    ]
+    for got in (kernel, fallback, folded):
+        _assert_identical(got, want)
+
+
+@pytest.mark.parametrize(
+    "statement", [f"SELECT i, a + {BEYOND} FROM t", f"SELECT i, {BEYOND} FROM t"]
+)
+def test_a_literal_beyond_bigint_matches_the_oracle(shark, statement):
+    result = shark.sql(statement)
+    assert result.schema.fields[1].data_type == DOUBLE
+    tables = {"t": (("i", "a", "b"), shark.sql("SELECT i, a, b FROM t").rows)}
+    assert_rows_match(result.rows, sqlite_rows(statement, tables))

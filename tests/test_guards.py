@@ -256,6 +256,17 @@ GUARDS = {
             r"analyze_select\(", ("src/repro",), exclude=_ANALYZER, at_most=1
         ),
     ],
+    # A finished query is held only by its caller: neither the lifecycle
+    # manager nor the server keeps a list of the handles or tickets it
+    # has finished.
+    "finished-queries-forgotten": [
+        Rule(
+            r"finish_order|(lifecycle|self)\.handles\b"
+            r"|(server|self)\.finished\b",
+            ("src", "examples", "benchmarks", "tests"),
+            exclude="tests/test_guards.py",
+        ),
+    ],
 }
 
 

@@ -187,6 +187,31 @@ class TestDotCommands:
         assert "no submitted query '99'" in text
         assert "cancelled" in text
 
+    def test_queries_and_cancel_read_the_shells_own_submissions(
+        self, session
+    ):
+        # The lifecycle manager forgets a finished query; the shell
+        # still lists, and still refuses to cancel, what it submitted.
+        shell, output = session
+        drive(shell, "CREATE TABLE t (a INT);")
+        shell.shark.load_rows("t", [(i,) for i in range(40)], 4)
+        drive(
+            shell,
+            ".submit SELECT COUNT(*) FROM t",
+            ".drain",
+            ".submit SELECT a FROM t WHERE a > 30",
+            ".drain",
+        )
+        del output[:]
+        drive(shell, ".queries", ".cancel 0", ".cancel 1", ".drain")
+        assert output[0].startswith("query 0 ('q0'): done")
+        assert output[1].startswith("query 1 ('q1'): done")
+        assert output[2].startswith("lifecycle: 2 submitted, 2 completed")
+        assert output[3:] == [
+            "query 0 already finished (done)",
+            "query 1 already finished (done)",
+        ]
+
     def test_queries_without_lifecycle(self, session):
         shell, output = session
         drive(shell, ".queries", ".drain")
