@@ -67,10 +67,15 @@ class _Staged:
 
 class _JobPlanner(PhysicalPlanner):
     """The planner, with Hive's reducers: ``num_reducers`` of them behind
-    every hash exchange, and one for ORDER BY, for a total order."""
+    every hash exchange, and one for ORDER BY, for a total order, and
+    for an aggregate with no GROUP BY."""
 
     def _hash_partitions(self) -> int:
         return self.config.num_reducers
+
+    def _global_partials(self, partials):
+        # Hive merges a global aggregate's partials on one reducer.
+        return physical.exchange_partials(partials, 0, 1)
 
     def _lower(self, node, no_prune=False, top=None):
         if not isinstance(node, logical.Sort):

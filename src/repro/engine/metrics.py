@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.costmodel.constants import EngineProfile, HardwareProfile
 from repro.costmodel.models import (
     SOURCE_GENERATED,
     TaskCostVector,
+    estimate_task_seconds,
 )
 
 
@@ -180,6 +182,32 @@ class QueryProfile:
     #: local disk.  Zero when every operator fit in its budget.
     memory_spill_events: int = 0
     memory_spill_bytes: int = 0
+    #: The driver's :class:`TaskMetrics` for a job it finished from its
+    #: result tasks' outputs (a :class:`~repro.engine.rdd.DriverRDD`'s
+    #: merge), as its fields: ``records_in`` and ``shuffle_read_bytes``
+    #: are the outputs' rows and encoded bytes, ``operator_rows`` what
+    #: the operators run on the driver output.  Empty otherwise, and
+    #: then not in the event log.
+    driver_merge: dict = field(default_factory=dict)
+
+    @property
+    def driver_task(self) -> TaskMetrics | None:
+        """:attr:`driver_merge` as a TaskMetrics (None when the driver
+        merged nothing)."""
+        return TaskMetrics(**self.driver_merge) if self.driver_merge else None
+
+    def driver_merge_seconds(
+        self, engine: EngineProfile, hardware: HardwareProfile
+    ) -> float:
+        """The driver merge's simulated seconds: the driver task's cost
+        vector with no task launch (0 when the job merged nothing on
+        the driver)."""
+        task = self.driver_task
+        if task is None:
+            return 0.0
+        return estimate_task_seconds(
+            task.to_cost_vector(), engine, hardware, include_launch=False
+        )
 
     @property
     def num_stages(self) -> int:

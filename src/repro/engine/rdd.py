@@ -894,6 +894,32 @@ class CoalescedRDD(RDD):
         return merged
 
 
+class DriverRDD(RDD):
+    """One partition the driver can compute: ``exchanged`` (a one-bucket
+    exchange of ``partials``) read as it is.  A job that reads it
+    through narrow operators alone runs ``partials`` as its result tasks
+    and computes the rest on the driver from their outputs, in map-index
+    order — the order the exchange's one bucket holds them in
+    (:meth:`DAGScheduler.run_job`): no exchange, and no task for the one
+    partition.  Read inside a task instead (under an exchange, or by a
+    cached write) it is the exchange's reduce partition, as before."""
+
+    def __init__(self, exchanged: RDD, partials: RDD):
+        super().__init__(
+            exchanged.ctx,
+            1,
+            [OneToOneDependency(exchanged)],
+            name=exchanged.name,
+        )
+        self._exchanged = exchanged
+        self.partials = partials
+
+    def compute(self, split: int, task_ctx: "TaskContext") -> list:
+        if task_ctx.collected is None:
+            return self._exchanged.iterator(split, task_ctx)
+        return [item for part in task_ctx.collected for item in part]
+
+
 class PrunedRDD(RDD):
     """Exposes only a subset of a parent's partitions.
 

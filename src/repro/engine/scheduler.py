@@ -1,7 +1,10 @@
 """DAG scheduler: stages, tasks, and lineage-based fault recovery.
 
 The scheduler turns an RDD graph into stages split at shuffle boundaries
-(Section 2.4) and runs each stage's tasks on virtual workers.  Its recovery
+(Section 2.4) and runs each stage's tasks on virtual workers; a job that
+reads a :class:`~repro.engine.rdd.DriverRDD` through narrow operators
+alone finishes on the driver, from its result tasks' outputs (a global
+aggregate's merge, as Spark's ``reduce`` merges).  Its recovery
 behaviour implements the paper's fault-tolerance guarantees (Section 2.3):
 
 * a fetch of lost map output raises ``FetchFailedError``; the scheduler
@@ -38,15 +41,20 @@ retries, speculation, and recovery never inflate accumulator values.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.cluster.worker import Worker
 from repro.columnar.batch import count_rows
+from repro.columnar.serde import BatchSerde
+from repro.costmodel.models import SOURCE_SHUFFLE
 from repro.engine.dependencies import (
     NarrowDependency,
     ShuffleDependency,
 )
+from repro.engine.memory import DRIVER_WORKER
 from repro.engine.metrics import QueryProfile, StageProfile, TaskMetrics
+from repro.engine.rdd import DriverRDD
 from repro.engine.task import (
     TaskContext,
     pop_task_context,
@@ -59,11 +67,14 @@ from repro.errors import (
     TaskError,
     TransientTaskFailure,
 )
+from repro.obs.clock import DRIVER_LANE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import EngineContext
     from repro.engine.rdd import RDD
     from repro.engine.shuffle import MapOutputStats
+
+_SERDE = BatchSerde()
 
 #: Upper bound on recovery rounds for one job before giving up.
 MAX_RECOVERY_ROUNDS = 16
@@ -104,6 +115,34 @@ def _folded_counters(profile: QueryProfile) -> dict[str, int]:
         "tasks.retried": profile.retried_tasks,
         "tasks.speculative": profile.speculative_tasks,
     }
+
+
+def _driver_source(rdd: "RDD") -> Optional[DriverRDD]:
+    """The one DriverRDD a job over ``rdd`` reads, when it reads nothing
+    else and only through narrow operators, none cached (a cached block
+    lives on a worker): a job the driver can finish.  None otherwise."""
+    source = None
+    stack = [rdd]
+    while stack:
+        node = stack.pop()
+        if node.is_cached or not node.dependencies:
+            return None
+        if isinstance(node, DriverRDD):
+            if source not in (None, node):
+                return None
+            source = node
+            continue
+        for dep in node.dependencies:
+            if not isinstance(dep, NarrowDependency):
+                return None
+            stack.append(dep.rdd)
+    return source
+
+
+def _result_bytes(batches: list) -> int:
+    """What a result task's batches weigh on their way to the driver:
+    their encoded bytes, as in an exchange."""
+    return sum(_SERDE.encoded_size(batch)[0] for batch in batches)
 
 
 @dataclass
@@ -204,6 +243,9 @@ class DAGScheduler:
         self._merged_map_acc: set[tuple[int, int]] = set()
         #: stage_id -> kept-attempt simulated durations (speculation peers).
         self._stage_durations: dict[int, list[float]] = {}
+        #: What a driver-side TaskContext runs on: its reservations land
+        #: on the driver's ledger.
+        self._driver = Worker(DRIVER_WORKER, cores=1)
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -214,44 +256,134 @@ class DAGScheduler:
         func: Callable[[list], object],
         partitions: Optional[list[int]] = None,
     ) -> list:
-        """Compute ``func(partition_data)`` for each requested partition."""
+        """Compute ``func(partition_data)`` for each requested partition:
+        as the tasks of one result stage or — when ``rdd`` reads one
+        :class:`~repro.engine.rdd.DriverRDD` through narrow operators —
+        on the driver, after the DriverRDD's parent ran as the result
+        stage (:meth:`_run_on_driver`)."""
         if partitions is None:
             partitions = list(range(rdd.num_partitions))
-        tracer = self._ctx.tracer
+        source = _driver_source(rdd)
         with self._job(
             result_job=True, rdd=rdd.name, partitions=len(partitions)
         ) as profile:
-            final_stage = Stage(self._new_stage_id(), rdd)
-            final_stage.parents = self._parent_stages(rdd)
-            self._ensure_parents(final_stage, profile)
+            if source is not None:
+                return self._run_on_driver(
+                    rdd, func, partitions, source, profile
+                )
+            return self._run_result_stage(rdd, partitions, profile, func)
 
-            stage_profile = self._stage_profile(profile, final_stage)
-            stage_span = tracer.begin_span(
-                f"stage {final_stage.stage_id}",
-                "stage",
-                rdd=rdd.name,
-                kind="result",
-                tasks=len(partitions),
-            )
-            tracer.metrics.inc("stages.run")
-            try:
-                results = []
-                for partition in partitions:
-                    results.append(
-                        self._run_with_recovery(
-                            final_stage, partition, profile, stage_profile,
-                            func,
-                        )
-                    )
-            except QueryLifecycleError:
-                tracer.end_span(stage_span, status="cancelled")
-                stage_span = None
-                raise
-            finally:
-                tracer.end_span(stage_span)
-                # A result stage dies with its job; its speculation
-                # peers have no later reader.
-                self._stage_durations.pop(final_stage.stage_id, None)
+    def _run_result_stage(
+        self,
+        rdd: "RDD",
+        partitions: list[int],
+        profile: QueryProfile,
+        func: Callable[[list], object],
+    ) -> list:
+        """Run ``partitions`` of ``rdd`` as one result stage, its parent
+        stages first; returns ``func`` of each."""
+        tracer = self._ctx.tracer
+        final_stage = Stage(self._new_stage_id(), rdd)
+        final_stage.parents = self._parent_stages(rdd)
+        self._ensure_parents(final_stage, profile)
+
+        stage_profile = self._stage_profile(profile, final_stage)
+        stage_span = tracer.begin_span(
+            f"stage {final_stage.stage_id}",
+            "stage",
+            rdd=rdd.name,
+            kind="result",
+            tasks=len(partitions),
+        )
+        tracer.metrics.inc("stages.run")
+        try:
+            return [
+                self._run_with_recovery(
+                    final_stage, partition, profile, stage_profile, func
+                )
+                for partition in partitions
+            ]
+        except QueryLifecycleError:
+            tracer.end_span(stage_span, status="cancelled")
+            stage_span = None
+            raise
+        finally:
+            tracer.end_span(stage_span)
+            # A result stage dies with its job; its speculation
+            # peers have no later reader.
+            self._stage_durations.pop(final_stage.stage_id, None)
+
+    def _run_on_driver(
+        self,
+        rdd: "RDD",
+        func: Callable[[list], object],
+        partitions: list[int],
+        source: DriverRDD,
+        profile: QueryProfile,
+    ) -> list:
+        """The driver merge: ``source``'s partials run as the result
+        stage, and the driver reads their outputs as ``source``'s one
+        partition, computing ``rdd``'s requested partitions itself, as a
+        task would: its accumulator updates apply once it succeeds, and
+        a user function's failure is a :class:`TaskError`.  It holds the
+        outputs on its execution ledger meanwhile; the work is priced
+        with no task launch, on the driver lane."""
+        ctx = self._ctx
+        tracer = ctx.tracer
+        partials = source.partials
+        outputs = self._run_result_stage(
+            partials, list(range(partials.num_partitions)), profile, list
+        )
+        metrics = TaskMetrics(
+            worker_id=DRIVER_WORKER,
+            records_in=sum(map(count_rows, outputs)),
+            shuffle_read_bytes=sum(map(_result_bytes, outputs)),
+            source=SOURCE_SHUFFLE,
+        )
+        task_ctx = TaskContext(
+            stage_id=-1,
+            partition=0,
+            worker=self._driver,
+            shuffle_manager=ctx.shuffle_manager,
+            cache_tracker=ctx.cache_tracker,
+            metrics=metrics,
+            cancel_token=ctx.query.token,
+            accountant=ctx.memory,
+            collected=outputs,
+        )
+        push_task_context(task_ctx)
+        try:
+            task_ctx.reserve_memory("driver_merge", metrics.shuffle_read_bytes)
+            results = [
+                func(rdd.iterator(partition, task_ctx))
+                for partition in partitions
+            ]
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise TaskError(-1, 0, exc) from exc
+        finally:
+            pop_task_context(task_ctx)
+            task_ctx.release_task_memory()
+        for accumulator, delta in task_ctx.acc_updates:
+            accumulator.apply(delta)
+        profile.driver_merge = asdict(metrics)
+        seconds = profile.driver_merge_seconds(tracer.engine, tracer.hardware)
+        ctx.query.charged_seconds += seconds
+        # After the result stage's last task: the frontier.
+        start, end = tracer.clock.advance_lane(
+            DRIVER_LANE, seconds, tracer.clock.now()
+        )
+        tracer.record_span(
+            "driver merge",
+            "driver",
+            DRIVER_LANE,
+            start,
+            end,
+            partials=len(outputs),
+            records=metrics.records_in,
+            bytes=metrics.shuffle_read_bytes,
+        )
         return results
 
     def materialize_shuffle(self, dep: ShuffleDependency) -> "MapOutputStats":

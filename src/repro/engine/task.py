@@ -6,6 +6,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster.worker import approximate_size_bytes
 from repro.costmodel.models import SOURCE_MEMORY
+from repro.engine.memory import DRIVER_WORKER
+from repro.obs.clock import DRIVER_LANE
 from repro.obs.metrics import cache_ratios
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -197,6 +199,7 @@ class TaskContext:
         speculative: bool = False,
         cancel_token: Any | None = None,
         accountant: Any | None = None,
+        collected: list | None = None,
     ):
         self.stage_id = stage_id
         self.partition = partition
@@ -211,6 +214,10 @@ class TaskContext:
         self.acc_updates: list[tuple[Any, Any]] = []
         #: Execution-pool memory ledger (None outside an EngineContext).
         self.accountant = accountant
+        #: The job's result-task outputs, in partition order, that a
+        #: DriverRDD reads: set on the driver's context only
+        #: (DAGScheduler.run_job).
+        self.collected = collected
         #: owner -> bytes this attempt still holds; drained by
         #: release_task_memory() when the attempt ends, so failed or
         #: cancelled attempts can never leak reservations.
@@ -220,6 +227,13 @@ class TaskContext:
         #: failed, retried, or cancelled attempt can never leave a dead
         #: consumer (or its spilled runs) reachable from arbitration.
         self._spillables: list[Any] = []
+
+    @property
+    def lane(self):
+        """The trace lane the task runs on: its worker's, or the
+        driver's."""
+        worker_id = self.worker.worker_id
+        return DRIVER_LANE if worker_id == DRIVER_WORKER else worker_id
 
     # -- execution-pool memory accounting ------------------------------
     def reserve_memory(self, owner: str, nbytes: int) -> int:

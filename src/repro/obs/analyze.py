@@ -7,7 +7,8 @@ annotated with task counts, attempts, rows, shuffle bytes, and the
 simulated seconds the discrete-event
 :class:`~repro.costmodel.simulator.ClusterSimulator` charges for it on
 the session's own virtual cluster (not the paper's 100 nodes — the
-point is to show where *this* query spent its modelled time).
+point is to show where *this* query spent its modelled time); a job's
+driver merge gets a line of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.costmodel.constants import DEFAULT_HARDWARE, SHARK_NO_STRAGGLER
 from repro.costmodel.simulator import ClusterSimulator, StageCost
-from repro.engine.metrics import QueryProfile, StageProfile
+from repro.engine.metrics import QueryProfile, StageProfile, TaskMetrics
 from repro.obs.planquality import (
     DEFAULT_Q_ERROR_THRESHOLD,
     audit,
@@ -89,12 +90,33 @@ class StageAnalysis:
 
 
 @dataclass
+class DriverMergeAnalysis:
+    """One job's driver merge (``QueryProfile.driver_task``) and the
+    simulated seconds it was charged: driver work after the job's last
+    stage, not a stage.  ``partials`` is the result tasks' count."""
+
+    job_id: int
+    partials: int
+    task: TaskMetrics
+    sim_seconds: float
+
+    def render(self) -> str:
+        return (
+            f"driver merge (job {self.job_id}): {self.partials} "
+            f"partials, rows {self.task.records_in}, "
+            f"fetched {_bytes(self.task.shuffle_read_bytes)}, "
+            f"{self.sim_seconds:.6f} sim-s"
+        )
+
+
+@dataclass
 class QueryAnalysis:
-    """What :func:`analyze_profiles` computes: each executed stage's
-    simulated seconds and the query's makespan."""
+    """What :func:`analyze_profiles` computes: each executed stage's and
+    driver merge's simulated seconds, and the query's makespan."""
 
     stages: list[StageAnalysis] = field(default_factory=list)
     total_sim_seconds: float = 0.0
+    merges: list[DriverMergeAnalysis] = field(default_factory=list)
 
 
 def analyze_profiles(
@@ -109,6 +131,8 @@ def analyze_profiles(
     measured per-task cost vectors onto the session's own virtual
     cluster geometry (``num_workers`` x ``cores_per_worker``), with no
     straggler draw: a stage costs the same wherever it sits in its query.
+    A job's driver merge follows its last stage, priced as the work of
+    one task with no launch.
     ``plan_text`` is not read: the plan belongs to the query's record
     (:func:`render_query` prints it); the parameter stays for callers
     that pass it by position.
@@ -129,12 +153,24 @@ def analyze_profiles(
             for __, stage in executed
         ]
     )
+    merges = [
+        DriverMergeAnalysis(
+            profile.job_id,
+            sum(s.num_tasks for s in profile.stages if not s.is_shuffle_map),
+            profile.driver_task,
+            profile.driver_merge_seconds(SHARK_NO_STRAGGLER, hardware),
+        )
+        for profile in profiles
+        if profile.driver_merge
+    ]
     return QueryAnalysis(
         stages=[
             StageAnalysis(job_id, stage, result.seconds)
             for (job_id, stage), result in zip(executed, costs.stages)
         ],
-        total_sim_seconds=costs.total_seconds,
+        total_sim_seconds=costs.total_seconds
+        + sum(merge.sim_seconds for merge in merges),
+        merges=merges,
     )
 
 
@@ -178,6 +214,8 @@ def render_query(
     )
     for stage in analysis.stages:
         lines.append("  " + stage.render())
+    for merge in analysis.merges:
+        lines.append("  " + merge.render())
     for counter, label in _JOB_TOTALS:
         if total(counter):
             lines.append(f"  {label}: {total(counter)}")

@@ -341,30 +341,44 @@ def _estimate_drift(
     )
 
 
+def _stage_keys(record: QueryRecord) -> list[tuple[str, int]]:
+    """Each ``stage_sim`` row's key across runs: its name and how many
+    stages of that name came before it in the query.  Not its id: ids
+    count every stage the context ran before, so a stage one run does
+    not have (say a global aggregate's reduce, where the other merged on
+    the driver) would renumber every stage after it."""
+    seen: dict[str, int] = {}
+    keys = []
+    for row in record.stage_sim:
+        name = row["name"]
+        keys.append((name, seen.get(name, 0)))
+        seen[name] = seen.get(name, 0) + 1
+    return keys
+
+
 def _stage_slowdown(
     baseline: QueryRecord, current: QueryRecord
 ) -> Optional[Finding]:
     before = {
-        (row["stage_id"], row["name"]): float(row["sim_seconds"])
-        for row in baseline.stage_sim
+        key: float(row["sim_seconds"])
+        for key, row in zip(_stage_keys(baseline), baseline.stage_sim)
     }
-    worst_key, worst_delta, after_seconds = None, 0.0, 0.0
-    for row in current.stage_sim:
-        key = (row["stage_id"], row["name"])
+    worst_row, worst_delta, before_seconds = None, 0.0, 0.0
+    for key, row in zip(_stage_keys(current), current.stage_sim):
         delta = float(row["sim_seconds"]) - before.get(key, 0.0)
         if delta > worst_delta:
-            worst_key, worst_delta = key, delta
-            after_seconds = float(row["sim_seconds"])
-    if worst_key is None:
+            worst_row, worst_delta = row, delta
+            before_seconds = before.get(key, 0.0)
+    if worst_row is None:
         return None
     return Finding(
         category="stage-slowdown",
         summary=(
-            f"stage {worst_key[0]} ({worst_key[1]}) slowed by "
-            f"{worst_delta:.3f} sim-s"
+            f"stage {worst_row['stage_id']} ({worst_row['name']}) slowed "
+            f"by {worst_delta:.3f} sim-s"
         ),
         evidence=[
-            f"{before.get(worst_key, 0.0):.3f}s -> {after_seconds:.3f}s"
+            f"{before_seconds:.3f}s -> {float(worst_row['sim_seconds']):.3f}s"
         ],
     )
 

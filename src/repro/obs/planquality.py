@@ -86,7 +86,7 @@ def q_error(est: Optional[int], actual: Optional[int]) -> Optional[float]:
 
 def record_operator_rows(key: str, count: int) -> None:
     """Credit ``count`` output rows to operator ``key`` in the running
-    task's metrics (no-op on the driver).
+    task's metrics (a driver merge's included; no-op outside a task).
 
     Counts live in per-attempt :class:`TaskMetrics`, and only the kept
     attempt's metrics reach the stage profile — so retries, speculative
@@ -102,7 +102,8 @@ def record_operator_rows(key: str, count: int) -> None:
 
 
 def actual_rows_from_profiles(profiles) -> dict[str, int]:
-    """Aggregate per-task operator counts across a query's job profiles.
+    """Aggregate per-task operator counts (and those of the operators a
+    job ran on the driver) across a query's job profiles.
 
     Within one job the per-task counts sum; across jobs the per-operator
     totals take the *max*.  A query may run several jobs that recompute
@@ -114,10 +115,12 @@ def actual_rows_from_profiles(profiles) -> dict[str, int]:
     totals: dict[str, int] = {}
     for profile in profiles:
         per_job: dict[str, int] = {}
-        for stage in profile.stages:
-            for task in stage.tasks:
-                for key, count in task.operator_rows.items():
-                    per_job[key] = per_job.get(key, 0) + count
+        tasks = [task for stage in profile.stages for task in stage.tasks]
+        if profile.driver_task is not None:
+            tasks.append(profile.driver_task)
+        for task in tasks:
+            for key, count in task.operator_rows.items():
+                per_job[key] = per_job.get(key, 0) + count
         for key, count in per_job.items():
             # Presence check, not a bare max: an operator that produced
             # zero rows is still an observation ("actual 0"), distinct

@@ -13,6 +13,10 @@ Span taxonomy (the ``category`` field):
 ``task``
     One task attempt on a worker lane; duration is the cost model's
     estimate for the task's measured volumes.
+``driver``
+    ``driver merge``: a job's partitions computed on the driver lane
+    from its result tasks' outputs (a global aggregate's merge), priced
+    as that work with no task launch.
 ``shuffle``
     Instant: ``shuffle.fetch_failed`` (a lost map output, the trigger for
     lineage recovery).  A write's and a fetch's volumes are no instant:

@@ -992,7 +992,7 @@ class BatchPipelineRDD(RDD):
         self.ctx.tracer.instant(
             "batch.pipeline",
             "task",
-            lane=task_ctx.worker.worker_id,
+            lane=task_ctx.lane,
             stage_id=task_ctx.stage_id,
             partition=task_ctx.partition,
             batches=num_batches,

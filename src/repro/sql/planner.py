@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.columnar.batch import ColumnBatch
 from repro.datatypes import Schema
 from repro.engine.partitioner import HashPartitioner, Partitioner
-from repro.engine.rdd import RDD
+from repro.engine.rdd import RDD, DriverRDD
 from repro.errors import UnsupportedFeatureError
 from repro.pde import (
     JoinDecision,
@@ -677,7 +677,8 @@ class PhysicalPlanner:
         """Two-phase hash aggregation.  Phase 1 aggregates within each
         input partition ("task-local aggregations", Section 6.2.2),
         fused onto the child's batch chain, and phase 2 shuffles the
-        partial batches by group key and merges them."""
+        partial batches by group key and merges them — or, with no GROUP
+        BY, merges them on the driver (:meth:`_global_partials`)."""
         groups_est, groups_source = self._estimate_groups(node)
         num_keys = len(node.group_expressions)
         partials = self._close(
@@ -689,27 +690,41 @@ class PhysicalPlanner:
             "aggregate.final", self._mode(), groups_est, groups_source
         )
 
-        pde = False
         if not node.group_expressions:
-            reducers = 1  # no GROUP BY: all partials merge on one reducer
+            exchanged = self._global_partials(partials)
         elif self.config.num_reducers is not None:
-            reducers = self.config.num_reducers
+            exchanged = physical.exchange_partials(
+                partials, num_keys, self.config.num_reducers
+            )
         elif not self.config.enable_pde:
-            reducers = self.ctx.default_parallelism
+            exchanged = physical.exchange_partials(
+                partials, num_keys, self.ctx.default_parallelism
+            )
         else:
             # PDE path (Section 3.1.2): shuffle into fine-grained buckets,
             # read observed bucket sizes, then pick the reduce parallelism
             # and bin-pack buckets into balanced coalesced partitions.
-            pde = True
-            reducers = self.ctx.default_parallelism * FINE_GRAINED_FACTOR
-        exchanged = physical.exchange_partials(partials, num_keys, reducers)
-        if pde:
-            exchanged = self._coalesce_buckets(exchanged, reducers)
+            fine = self.ctx.default_parallelism * FINE_GRAINED_FACTOR
+            exchanged = self._coalesce_buckets(
+                physical.exchange_partials(partials, num_keys, fine), fine
+            )
         return self._over(
             physical.final_aggregate(
                 exchanged, num_keys, node.aggregates, final_op
             ),
             final_op,
+        )
+
+    def _global_partials(self, partials: RDD) -> RDD:
+        """Where a GROUP-BY-less aggregate's partial rows (one a map
+        task) meet: on the driver, as the map tasks' results, in
+        map-index order — the order a one-bucket exchange fetches them
+        in, so the merge sums in the same order (DESIGN §17).  The merge
+        and everything narrow above it run there, when the job reads
+        them through narrow operators alone; read inside a task, the
+        partials go through that exchange."""
+        return DriverRDD(
+            physical.exchange_partials(partials, 0, 1), partials
         )
 
     def _coalesce_buckets(self, exchanged, fine: int) -> RDD:

@@ -190,6 +190,7 @@ class TestFairness:
         assert result.rows == [(3000,)]
         # Waiting on one handle still gave the other its turns.
         assert other.tasks_launched > 0
+        assert len(other.result_or_raise().rows) == 6
 
 
 class TestCancellation:

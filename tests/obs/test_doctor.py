@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SharkContext
+from repro.baselines.hive import _JobPlanner
 from repro.engine.metrics import QueryProfile, StageProfile, TaskMetrics
 from repro.obs import doctor
 from repro.obs.doctor import (
@@ -22,6 +23,7 @@ from repro.obs.doctor import (
     diagnose_pair,
 )
 from repro.obs.history import HistoryStore, QueryRecord
+from repro.sql.planner import PhysicalPlanner
 from repro.workloads import tpch
 
 
@@ -293,6 +295,29 @@ class TestLiveDiff:
             assert diagnosis.top_category == "spill-appeared"
         top = report.top_cause()
         assert top is not None and top[0] == "spill-appeared"
+
+    def test_a_merge_moved_to_the_driver_is_no_cause(
+        self, tmp_path, monkeypatch
+    ):
+        """The global aggregate's one-task reduce stage is gone (its
+        partials merge on the driver, DESIGN §17): an intended plan
+        change, and one that renumbers every later stage.  A log with
+        the stage diffed against one without blames nothing, with every
+        pair examined."""
+        current = self._run(tmp_path)
+        (tmp_path / "exchange").mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                PhysicalPlanner,
+                "_global_partials",
+                _JobPlanner._global_partials,
+            )
+            baseline = self._run(tmp_path / "exchange")
+        report = diagnose_logs(baseline, current, regression_threshold=-1.0)
+        merged, grouped = report.diagnoses
+        assert merged.current_seconds < merged.baseline_seconds
+        assert grouped.current_seconds == grouped.baseline_seconds
+        assert [d.findings for d in report.diagnoses] == [[], []]
 
     def test_cli_writes_report(self, tmp_path, capsys):
         log_uncapped = self._run(tmp_path)

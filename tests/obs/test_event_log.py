@@ -216,6 +216,36 @@ class TestRoundTrip:
             shark, tpch.TPCH_QUERIES[key], tmp_path / "log.jsonl"
         )
 
+    def test_driver_merge_price_survives_the_log(self, tmp_path):
+        """Q6 has no GROUP BY: its partials merge on the driver, after
+        its one stage.  The job record carries what was merged, so the
+        replayed record prices the merge as the live one does, and
+        renders the stage and the merge, one line each."""
+        shark = _tpch_shark()
+        loaded = self._assert_round_trip(
+            shark, tpch.TPCH_QUERIES["Q6"], tmp_path / "log.jsonl"
+        )
+        (job,) = loaded.profiles
+        (stage,) = job.stages
+        assert job.driver_task.records_in == stage.num_tasks
+        analysis = loaded.analyze()
+        (merge,) = analysis.merges
+        assert merge.sim_seconds > 0
+        assert loaded.sim_seconds == (
+            analysis.stages[0].sim_seconds + merge.sim_seconds
+        )
+        lines = render_query(loaded).splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith(
+            ("  stage ", "  driver merge")
+        )] == [
+            f"  stage {stage.stage_id} (result, {stage.name})",
+            f"  driver merge (job {job.job_id})",
+        ]
+        assert (
+            f"{stage.num_tasks} partials, rows {stage.num_tasks}, fetched "
+            in render_query(loaded)
+        )
+
     def test_chaos_round_trip(self, tmp_path):
         injector = FaultInjector(
             seed=11,

@@ -134,6 +134,7 @@ class _FakeStage:
 @dataclass
 class _FakeProfile:
     stages: list = field(default_factory=list)
+    driver_task: _FakeTask | None = None
 
 
 class TestActualAggregation:
@@ -162,6 +163,25 @@ class TestActualAggregation:
         )
         totals = actual_rows_from_profiles([sample_job, full_job])
         assert totals == {"scan(t)#0": 1000}
+
+    def test_driver_merge_counts_in_its_job(self):
+        # A global aggregate: the partials come from the tasks, the
+        # final row from the merge the driver ran.
+        profile = _FakeProfile(
+            stages=[
+                _FakeStage(
+                    tasks=[
+                        _FakeTask({"aggregate.partial#1": 1}),
+                        _FakeTask({"aggregate.partial#1": 1}),
+                    ]
+                )
+            ],
+            driver_task=_FakeTask({"aggregate.final#2": 1}),
+        )
+        assert actual_rows_from_profiles([profile]) == {
+            "aggregate.partial#1": 2,
+            "aggregate.final#2": 1,
+        }
 
     def test_record_is_a_noop_on_the_driver(self):
         # No task context outside a running task: recording must not

@@ -357,10 +357,12 @@ class TestLineageOfAMergedBlock:
                 assert table.preferred_workers(split) == [holder]
             # ... and the scheduler took the offer.
             shark.enable_tracing()
+            # (A global aggregate: its scan tasks are the job's result
+            # tasks, the partials merging on the driver.)
             shark.sql("SELECT COUNT(*) FROM t WHERE v >= 0")
             lanes = sorted(
                 span.lane for span in shark.trace.spans
-                if span.name.startswith("map task")
+                if span.name.startswith("result task")
             )
             shark.disable_tracing()
             assert lanes == sorted(
