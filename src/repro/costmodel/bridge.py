@@ -152,11 +152,20 @@ def stages_from_profiles(
 
     Stages that appear in multiple profiles (a shuffle materialized by a
     PDE probe and then *skipped* by the final job) are only counted once:
-    skipped stages ran zero tasks and are dropped.
+    skipped stages ran zero tasks and are dropped.  A merge that ran on
+    the driver in place of a reduce stage (a GROUP BY that PDE sized to
+    one reducer at the executed size) is that reduce stage again: its
+    one task's metrics, re-counted at scale like any reducer's.
     """
     flat: list[StageProfile] = []
     for profile in profiles:
         flat.extend(profile.stages)
+        if profile.driver_map_outputs:
+            flat.append(
+                StageProfile(
+                    -1, "driver merge", False, tasks=[profile.driver_task]
+                )
+            )
     return _stages_from_stage_profiles(
         flat, scale, reduce_tasks, min_map_tasks
     )

@@ -182,13 +182,17 @@ class QueryProfile:
     #: local disk.  Zero when every operator fit in its budget.
     memory_spill_events: int = 0
     memory_spill_bytes: int = 0
-    #: The driver's :class:`TaskMetrics` for a job it finished from its
-    #: result tasks' outputs (a :class:`~repro.engine.rdd.DriverRDD`'s
-    #: merge), as its fields: ``records_in`` and ``shuffle_read_bytes``
-    #: are the outputs' rows and encoded bytes, ``operator_rows`` what
-    #: the operators run on the driver output.  Empty otherwise, and
-    #: then not in the event log.
+    #: The driver's :class:`TaskMetrics` for a job it finished itself (a
+    #: :class:`~repro.engine.rdd.DriverRDD`'s merge), as its fields:
+    #: ``records_in`` and ``shuffle_read_bytes`` are its result tasks'
+    #: outputs' rows and encoded bytes, or what it fetched as a reduce
+    #: task would; ``operator_rows`` what the operators run on the driver
+    #: output.  Empty otherwise, and then not in the event log.
     driver_merge: dict = field(default_factory=dict)
+    #: The map outputs a driver merge fetched itself: those of a GROUP BY
+    #: that PDE sized to one reducer, whose reduce stage the merge
+    #: replaced.  0 for a merge of result-task outputs, or none.
+    driver_map_outputs: int = 0
 
     @property
     def driver_task(self) -> TaskMetrics | None:

@@ -75,14 +75,18 @@ class RDD:
         """Materialize partition ``split``.  Must be deterministic."""
         raise NotImplementedError
 
-    def iterator(self, split: int, task_ctx: "TaskContext") -> list:
-        """Read a partition through the cache if this RDD is persisted."""
+    def iterator(
+        self, split: int, task_ctx: "TaskContext", counted: bool = True
+    ) -> list:
+        """Read a partition through the cache if this RDD is persisted
+        (its records and bytes counted as the task's input unless the
+        reader counts what it reads itself: ``counted=False``)."""
         # Cooperative cancellation point: every RDD in a narrow chain
         # passes through here, so an in-flight attempt of a cancelled
         # query stops at the next operator boundary.
         task_ctx.check_cancelled()
         if self._cached:
-            cached = task_ctx.read_cached(self.id, split)
+            cached = task_ctx.read_cached(self.id, split, counted)
             if cached is not None:
                 return cached
             data = self.compute(split, task_ctx)
@@ -848,8 +852,10 @@ class BlockListRDD(RDD):
         return BlockListRDD(self.ctx, kept + blocks, self.name)
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
+        # A block is one record of its cached list, not its rows: the
+        # scan over it counts the rows and the column bytes it reads.
         block = self.blocks[split]
-        return block.rdd.iterator(block.split, task_ctx)
+        return block.rdd.iterator(block.split, task_ctx, counted=False)
 
     def preferred_workers(self, split: int) -> list[int]:
         block = self.blocks[split]
@@ -895,16 +901,18 @@ class CoalescedRDD(RDD):
 
 
 class DriverRDD(RDD):
-    """One partition the driver can compute: ``exchanged`` (a one-bucket
-    exchange of ``partials``) read as it is.  A job that reads it
-    through narrow operators alone runs ``partials`` as its result tasks
-    and computes the rest on the driver from their outputs, in map-index
-    order — the order the exchange's one bucket holds them in
-    (:meth:`DAGScheduler.run_job`): no exchange, and no task for the one
-    partition.  Read inside a task instead (under an exchange, or by a
-    cached write) it is the exchange's reduce partition, as before."""
+    """One partition the driver can compute: ``exchanged``'s one reduce
+    partition read as it is.  A job that reads it through narrow
+    operators alone computes it on the driver, with no task for it
+    (:meth:`DAGScheduler.run_job`): with ``partials`` (``exchanged`` is
+    their one-bucket exchange) it runs them as its result tasks and
+    reads their outputs in map-index order — the order the bucket holds
+    them in — so nothing is exchanged; without, the driver fetches the
+    map outputs ``exchanged`` reads, as its task would.  Read inside a
+    task instead (under an exchange, or by a cached write) it is the
+    exchange's reduce partition, as before."""
 
-    def __init__(self, exchanged: RDD, partials: RDD):
+    def __init__(self, exchanged: RDD, partials: Optional[RDD] = None):
         super().__init__(
             exchanged.ctx,
             1,

@@ -4,7 +4,8 @@ The scheduler turns an RDD graph into stages split at shuffle boundaries
 (Section 2.4) and runs each stage's tasks on virtual workers; a job that
 reads a :class:`~repro.engine.rdd.DriverRDD` through narrow operators
 alone finishes on the driver, from its result tasks' outputs (a global
-aggregate's merge, as Spark's ``reduce`` merges).  Its recovery
+aggregate's merge, as Spark's ``reduce`` merges) or from the map outputs
+it fetches itself (a GROUP BY that PDE sized to one reducer).  Its recovery
 behaviour implements the paper's fault-tolerance guarantees (Section 2.3):
 
 * a fetch of lost map output raises ``FetchFailedError``; the scheduler
@@ -100,6 +101,10 @@ def _folded_counters(profile: QueryProfile) -> dict[str, int]:
     speculative loser, a reduce that died of a fetch failure — is in no
     profile, so it counts in none of these."""
     tasks = [task for stage in profile.stages for task in stage.tasks]
+    if profile.driver_map_outputs:
+        # The merge fetched the map outputs as the reduce task it
+        # replaced would have: that is a shuffle read.
+        tasks.append(profile.driver_task)
     return {
         "shuffle.write.bytes": sum(t.shuffle_write_bytes for t in tasks),
         "shuffle.write.records": sum(t.shuffle_write_records for t in tasks),
@@ -229,9 +234,10 @@ class DAGScheduler:
         self._shuffle_stages: dict[int, Stage] = {}
         #: Profile of the most recent job, for the cost model and tests.
         self.last_profile: Optional[QueryProfile] = None
-        #: Profiles of every job run since the last reset_history(); a SQL
-        #: query can span several jobs (PDE pre-shuffles, sort sampling,
-        #: the final collect), and cost accounting needs all of them.
+        #: Profiles of every job run since the last reset_history() outside
+        #: a lifecycle query (those stay on its scope); a SQL query can
+        #: span several jobs (PDE pre-shuffles, sort sampling, the final
+        #: collect), and cost accounting needs all of them.
         self.history: list[QueryProfile] = []
         #: (tenant, worker_id) -> failures since its last blacklisting.
         #: Attribution is per tenant (None outside lifecycle queries) so
@@ -259,8 +265,7 @@ class DAGScheduler:
         """Compute ``func(partition_data)`` for each requested partition:
         as the tasks of one result stage or — when ``rdd`` reads one
         :class:`~repro.engine.rdd.DriverRDD` through narrow operators —
-        on the driver, after the DriverRDD's parent ran as the result
-        stage (:meth:`_run_on_driver`)."""
+        on the driver (:meth:`_run_on_driver`)."""
         if partitions is None:
             partitions = list(range(rdd.num_partitions))
         source = _driver_source(rdd)
@@ -321,56 +326,47 @@ class DAGScheduler:
         source: DriverRDD,
         profile: QueryProfile,
     ) -> list:
-        """The driver merge: ``source``'s partials run as the result
-        stage, and the driver reads their outputs as ``source``'s one
-        partition, computing ``rdd``'s requested partitions itself, as a
-        task would: its accumulator updates apply once it succeeds, and
-        a user function's failure is a :class:`TaskError`.  It holds the
-        outputs on its execution ledger meanwhile; the work is priced
-        with no task launch, on the driver lane."""
-        ctx = self._ctx
-        tracer = ctx.tracer
+        """The driver merge: ``rdd``'s requested partitions computed on
+        the driver from ``source``'s one partition.  With partials, those
+        run as the result stage and the driver reads their outputs,
+        holding them on its execution ledger; without, it fetches the map
+        outputs ``source`` reads (a GROUP BY's, which PDE's pre-shuffle
+        wrote) as a reduce task would, and a lost one is recovered by
+        lineage before it merges again.  The work is priced with no task
+        launch, on the driver lane."""
+        tracer = self._ctx.tracer
         partials = source.partials
-        outputs = self._run_result_stage(
-            partials, list(range(partials.num_partitions)), profile, list
-        )
-        metrics = TaskMetrics(
-            worker_id=DRIVER_WORKER,
-            records_in=sum(map(count_rows, outputs)),
-            shuffle_read_bytes=sum(map(_result_bytes, outputs)),
-            source=SOURCE_SHUFFLE,
-        )
-        task_ctx = TaskContext(
-            stage_id=-1,
-            partition=0,
-            worker=self._driver,
-            shuffle_manager=ctx.shuffle_manager,
-            cache_tracker=ctx.cache_tracker,
-            metrics=metrics,
-            cancel_token=ctx.query.token,
-            accountant=ctx.memory,
-            collected=outputs,
-        )
-        push_task_context(task_ctx)
-        try:
-            task_ctx.reserve_memory("driver_merge", metrics.shuffle_read_bytes)
-            results = [
-                func(rdd.iterator(partition, task_ctx))
-                for partition in partitions
-            ]
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise TaskError(-1, 0, exc) from exc
-        finally:
-            pop_task_context(task_ctx)
-            task_ctx.release_task_memory()
-        for accumulator, delta in task_ctx.acc_updates:
-            accumulator.apply(delta)
+        if partials is None:
+            (parent,) = self._parent_stages(source)
+            self._ensure_shuffle_stage(parent, profile)
+            results, metrics = self._recovering(
+                lambda attempt: self._compute_on_driver(
+                    rdd, func, partitions,
+                    TaskMetrics(worker_id=DRIVER_WORKER),
+                ),
+                profile, -1, 0, "the driver merge",
+            )
+            profile.driver_map_outputs = parent.num_partitions
+            inputs = {"map_outputs": parent.num_partitions}
+        else:
+            outputs = self._run_result_stage(
+                partials, list(range(partials.num_partitions)), profile, list
+            )
+            results, metrics = self._compute_on_driver(
+                rdd, func, partitions,
+                TaskMetrics(
+                    worker_id=DRIVER_WORKER,
+                    records_in=sum(map(count_rows, outputs)),
+                    shuffle_read_bytes=sum(map(_result_bytes, outputs)),
+                    source=SOURCE_SHUFFLE,
+                ),
+                outputs,
+            )
+            inputs = {"partials": len(outputs)}
         profile.driver_merge = asdict(metrics)
         seconds = profile.driver_merge_seconds(tracer.engine, tracer.hardware)
-        ctx.query.charged_seconds += seconds
-        # After the result stage's last task: the frontier.
+        self._ctx.query.charged_seconds += seconds
+        # After the job's last task: the frontier.
         start, end = tracer.clock.advance_lane(
             DRIVER_LANE, seconds, tracer.clock.now()
         )
@@ -380,11 +376,54 @@ class DAGScheduler:
             DRIVER_LANE,
             start,
             end,
-            partials=len(outputs),
+            **inputs,
             records=metrics.records_in,
             bytes=metrics.shuffle_read_bytes,
         )
         return results
+
+    def _compute_on_driver(
+        self,
+        rdd: "RDD",
+        func: Callable[[list], object],
+        partitions: list[int],
+        metrics: TaskMetrics,
+        collected: Optional[list] = None,
+    ) -> tuple[list, TaskMetrics]:
+        """``func`` of ``rdd``'s ``partitions``, computed on the driver as
+        a task would compute them: its accumulator updates apply once it
+        succeeds, and a user function's failure is a :class:`TaskError`.
+        Returns the results and ``metrics``, filled in."""
+        ctx = self._ctx
+        task_ctx = TaskContext(
+            stage_id=-1,
+            partition=0,
+            worker=self._driver,
+            shuffle_manager=ctx.shuffle_manager,
+            cache_tracker=ctx.cache_tracker,
+            metrics=metrics,
+            cancel_token=ctx.query.token,
+            accountant=ctx.memory,
+            collected=collected,
+        )
+        push_task_context(task_ctx)
+        try:
+            task_ctx.reserve_memory("driver_merge", metrics.shuffle_read_bytes)
+            results = []
+            for partition in partitions:
+                records = rdd.iterator(partition, task_ctx)
+                metrics.records_out += count_rows(records)
+                results.append(func(records))
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise TaskError(-1, 0, exc) from exc
+        finally:
+            pop_task_context(task_ctx)
+            task_ctx.release_task_memory()
+        for accumulator, delta in task_ctx.acc_updates:
+            accumulator.apply(delta)
+        return results, metrics
 
     def materialize_shuffle(self, dep: ShuffleDependency) -> "MapOutputStats":
         """PDE hook: run the map side of one shuffle now and return its
@@ -423,8 +462,9 @@ class DAGScheduler:
         profile — yielded to the body, then completed with the job's
         share of the eviction, reservation and spill counters, folded
         into the counters that total its kept attempts, and given its
-        place in ``last_profile``, the history and the running query's
-        scope, even when it failed or was cancelled.  A result job's span
+        place in ``last_profile``, the running query's scope and — unless
+        that is a lifecycle query's — the history, even when it failed
+        or was cancelled.  A result job's span
         also ends with its recovered-task count and ok/cancelled status;
         a pre-shuffle's never did."""
         job_id = self._next_job_id
@@ -453,8 +493,13 @@ class DAGScheduler:
                 )
             tracer.end_span(job_span, **end_args)
             self.last_profile = profile
-            self.history.append(profile)
-            self._ctx.query.profiles.append(profile)
+            query = self._ctx.query
+            query.profiles.append(profile)
+            if query.token is None:
+                # A lifecycle query's jobs stay on its own scope, which
+                # its record and the event log read: a server's history
+                # does not grow with every query it serves.
+                self.history.append(profile)
 
     def reset_history(self) -> None:
         self.history = []
@@ -621,24 +666,39 @@ class DAGScheduler:
         func: Callable[[list], object],
     ) -> object:
         """Run one result task, recovering lost ancestor shuffles on demand."""
+        return self._recovering(
+            lambda attempt: self._run_resilient_task(
+                stage,
+                partition,
+                stage_profile,
+                func=func,
+                kind="result",
+                prior_attempts=attempt - 1,
+                profile=profile,
+            ),
+            profile, stage.stage_id, partition, f"result partition {partition}",
+        )
+
+    def _recovering(
+        self,
+        run: Callable[[int], Any],
+        profile: QueryProfile,
+        stage_id: int,
+        partition: int,
+        what: str,
+    ) -> Any:
+        """``run(attempt)`` until it reads every map output it fetches: a
+        lost one's shuffle is recovered by lineage, then ``run`` again."""
         tracer = self._ctx.tracer
         for attempt in range(1, MAX_RECOVERY_ROUNDS + 1):
             try:
-                return self._run_resilient_task(
-                    stage,
-                    partition,
-                    stage_profile,
-                    func=func,
-                    kind="result",
-                    prior_attempts=attempt - 1,
-                    profile=profile,
-                )
+                return run(attempt)
             except FetchFailedError as failure:
                 profile.recovered_tasks += 1
                 tracer.instant(
                     "task.reexecution",
                     "recovery",
-                    stage_id=stage.stage_id,
+                    stage_id=stage_id,
                     partition=partition,
                     shuffle_id=failure.shuffle_id,
                     attempt=attempt,
@@ -646,8 +706,7 @@ class DAGScheduler:
                 self._recover_shuffle(failure.shuffle_id, profile)
         tracer.metrics.inc("tasks.failed")
         raise EngineError(
-            f"result partition {partition} failed after "
-            f"{MAX_RECOVERY_ROUNDS} recovery rounds"
+            f"{what} failed after {MAX_RECOVERY_ROUNDS} recovery rounds"
         )
 
     # ------------------------------------------------------------------

@@ -479,7 +479,8 @@ class ShuffleManager:
         first = reduce_partitions[0] if reduce_partitions else 0
         locations = self._locations[shuffle_id]
         stats = self._stats[shuffle_id]
-        reader_lane = metrics.worker_id if metrics is not None else "driver"
+        task_ctx = current_task_context()
+        reader_lane = task_ctx.lane if task_ctx is not None else "driver"
         injector = self._fault_injector
         if injector is not None and injector.corrupt_fetch(shuffle_id, first):
             # A corrupted map output is indistinguishable from a lost one:
@@ -531,7 +532,6 @@ class ShuffleManager:
             # What was fetched is what was written: the buckets' sizes.
             sizes = np.array([block.sizes for block in blocks])
             read_bytes = int(sizes[:, list(reduce_partitions)].sum())
-            task_ctx = current_task_context()
             if task_ctx is not None:
                 # The fetched rows live in the reduce task until its
                 # attempt ends; charge its worker's execution pool.

@@ -215,8 +215,8 @@ class TaskContext:
         #: Execution-pool memory ledger (None outside an EngineContext).
         self.accountant = accountant
         #: The job's result-task outputs, in partition order, that a
-        #: DriverRDD reads: set on the driver's context only
-        #: (DAGScheduler.run_job).
+        #: DriverRDD with partials reads: set on the driver's context
+        #: only (DAGScheduler.run_job).
         self.collected = collected
         #: owner -> bytes this attempt still holds; drained by
         #: release_task_memory() when the attempt ends, so failed or
@@ -236,12 +236,20 @@ class TaskContext:
         return DRIVER_LANE if worker_id == DRIVER_WORKER else worker_id
 
     # -- execution-pool memory accounting ------------------------------
+    def _owner(self, owner: str) -> str:
+        """The ledger owner of a reservation: on the driver, whose only
+        task is a merge, all it holds is the merge's."""
+        if self.worker.worker_id == DRIVER_WORKER:
+            return "driver_merge"
+        return owner
+
     def reserve_memory(self, owner: str, nbytes: int) -> int:
         """Charge ``nbytes`` of transient operator state (hash tables,
         shuffle buffers) to this worker's execution pool, attributed to
         ``owner``; auto-released when the attempt ends."""
         if self.accountant is None or nbytes <= 0:
             return 0
+        owner = self._owner(owner)
         charged = self.accountant.reserve(
             self.worker.worker_id, "execution", owner, nbytes
         )
@@ -256,6 +264,7 @@ class TaskContext:
         aggregation state) before the attempt ends."""
         if self.accountant is None or nbytes <= 0:
             return 0
+        owner = self._owner(owner)
         held = self._memory_held.get(owner, 0)
         released = self.accountant.release(
             self.worker.worker_id, "execution", owner, min(nbytes, held)
@@ -308,16 +317,20 @@ class TaskContext:
         """Buffer a task-side accumulator update for driver-side merge."""
         self.acc_updates.append((accumulator, delta))
 
-    def read_cached(self, rdd_id: int, partition: int) -> Any | None:
-        """Read a cached partition, recording memory-source metrics."""
+    def read_cached(
+        self, rdd_id: int, partition: int, counted: bool = True
+    ) -> Any | None:
+        """Read a cached partition, recording memory-source metrics (its
+        records and bytes only when ``counted``)."""
         hit = self.cache_tracker.get(rdd_id, partition)
         if hit is None:
             return None
         __, value = hit
         self.metrics.source = SOURCE_MEMORY
-        self.metrics.bytes_in += approximate_size_bytes(value)
-        if isinstance(value, list):
-            self.metrics.records_in += len(value)
+        if counted:
+            self.metrics.bytes_in += approximate_size_bytes(value)
+            if isinstance(value, list):
+                self.metrics.records_in += len(value)
         return value
 
     def write_cached(self, rdd_id: int, partition: int, value: Any) -> None:

@@ -93,18 +93,31 @@ class StageAnalysis:
 class DriverMergeAnalysis:
     """One job's driver merge (``QueryProfile.driver_task``) and the
     simulated seconds it was charged: driver work after the job's last
-    stage, not a stage.  ``partials`` is the result tasks' count."""
+    stage, not a stage.  ``partials`` is the result tasks' count, and
+    ``map_outputs`` the map outputs the driver fetched itself instead
+    (``QueryProfile.driver_map_outputs``)."""
 
     job_id: int
     partials: int
     task: TaskMetrics
     sim_seconds: float
+    map_outputs: int = 0
 
     def render(self) -> str:
+        task = self.task
+        if self.map_outputs:
+            read = (
+                f"{self.map_outputs} map outputs, "
+                f"fetched {_bytes(task.shuffle_read_bytes)}, "
+                f"{task.records_out} rows out"
+            )
+        else:
+            read = (
+                f"{self.partials} partials, rows {task.records_in}, "
+                f"fetched {_bytes(task.shuffle_read_bytes)}"
+            )
         return (
-            f"driver merge (job {self.job_id}): {self.partials} "
-            f"partials, rows {self.task.records_in}, "
-            f"fetched {_bytes(self.task.shuffle_read_bytes)}, "
+            f"driver merge (job {self.job_id}): {read}, "
             f"{self.sim_seconds:.6f} sim-s"
         )
 
@@ -159,6 +172,7 @@ def analyze_profiles(
             sum(s.num_tasks for s in profile.stages if not s.is_shuffle_map),
             profile.driver_task,
             profile.driver_merge_seconds(SHARK_NO_STRAGGLER, hardware),
+            profile.driver_map_outputs,
         )
         for profile in profiles
         if profile.driver_merge

@@ -677,8 +677,9 @@ class PhysicalPlanner:
         """Two-phase hash aggregation.  Phase 1 aggregates within each
         input partition ("task-local aggregations", Section 6.2.2),
         fused onto the child's batch chain, and phase 2 shuffles the
-        partial batches by group key and merges them — or, with no GROUP
-        BY, merges them on the driver (:meth:`_global_partials`)."""
+        partial batches by group key and merges them — on the driver with
+        no GROUP BY (:meth:`_global_partials`), or when PDE sizes the
+        merge to one reducer (:meth:`_coalesce_buckets`)."""
         groups_est, groups_source = self._estimate_groups(node)
         num_keys = len(node.group_expressions)
         partials = self._close(
@@ -759,9 +760,15 @@ class PhysicalPlanner:
             f"({total} observed bytes)"
         )
         # One fetch and one merge per coalesced partition.
-        return exchanged.coalesce_grouped(groups).set_name(
+        coalesced = exchanged.coalesce_grouped(groups).set_name(
             "coalesced_aggregate"
         )
+        if len(groups) > 1:
+            return coalesced
+        # One reducer: the driver fetches its buckets, in the order its
+        # task would, and merges them — no one-task reduce stage, when
+        # the job reads the merge through narrow operators (DESIGN §17).
+        return DriverRDD(coalesced)
 
     # ------------------------------------------------------------------
     # Joins

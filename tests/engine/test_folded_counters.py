@@ -21,7 +21,12 @@ from tests.sql.test_vectorized_parity import QUERIES, _build
 
 
 def _tasks(profile):
-    return [task for stage in profile.stages for task in stage.tasks]
+    """The job's kept task attempts, and a driver merge that fetched map
+    outputs (it read the shuffle as the reduce task it replaced)."""
+    tasks = [task for stage in profile.stages for task in stage.tasks]
+    if profile.driver_map_outputs:
+        tasks.append(profile.driver_task)
+    return tasks
 
 
 #: Counter -> its sum over one job's profile.

@@ -450,12 +450,13 @@ class TestCorruptionIsolation:
         lifecycle = shark.enable_lifecycle(
             LifecycleConfig(max_concurrent=2)
         )
-        # The victim hits the (single) corrupted fetch in its reduce
-        # stage around its 9th task, starts lineage recovery, and is
-        # cancelled mid-recovery (it would finish at 11 tasks unharmed).
+        # The victim hits the (single) corrupted fetch in its driver
+        # merge after its 8 map tasks, starts lineage recovery, and is
+        # cancelled mid-recovery, as the lost map output's task launches
+        # (it would finish at 9 tasks unharmed).
         victim = shark.submit_sql(
             QUERIES["agg"], name="victim"
-        ).cancel_after_tasks(10)
+        ).cancel_after_tasks(9)
         survivor = shark.submit_sql(QUERIES["filter"], name="survivor")
         lifecycle.drain()
 
@@ -561,7 +562,7 @@ class TestQueryScopeIsolation:
         done = shark.submit_sql(QUERIES["agg"], name="done")
         cancelled = shark.submit_sql(
             QUERIES["filter"], name="cancelled"
-        ).cancel_after_tasks(9)
+        ).cancel_after_tasks(8)
         deadlined = shark.submit_sql(
             QUERIES["agg"], name="deadlined", deadline_s=1e-9
         )
@@ -575,7 +576,9 @@ class TestQueryScopeIsolation:
         assert [h.state for h in (done, cancelled, deadlined, failed)] == [
             "done", "cancelled", "deadline", "failed"
         ]
-        # Each of them got past its map stage, so each held something.
+        # Each of them ran map tasks, so each held something (the
+        # cancelled one is stopped at its last: with its merge on the
+        # driver, no task of it follows).
         for handle in (done, cancelled, failed):
             assert handle.scope.shuffle_ids, handle.name
         assert shark.metrics.value("shuffle.released.blocks") >= 24
@@ -628,12 +631,13 @@ class TestQueryScopeIsolation:
             handle = shark.submit_sql(
                 "EXPLAIN ANALYZE " + QUERIES["agg"], name="explained"
             )
+            handles = [handle]
             if beside:
-                shark.submit_sql(
+                handles.append(shark.submit_sql(
                     "SELECT day, value FROM readings "
                     "ORDER BY value, day LIMIT 5",
                     name="beside",
-                )
+                ))
             lifecycle.drain()
             text = handle.result.plan_text
             lines = [
@@ -643,15 +647,18 @@ class TestQueryScopeIsolation:
                 if "stage " in line or "runtime profile" in line
                 or line.startswith("  shuffle ")
             ]
-            return lines, len(shark.engine.profiles)
+            jobs = [len(each.scope.profiles) for each in handles]
+            return lines, jobs, len(shark.engine.profiles)
 
-        alone, alone_jobs = profile_lines(beside=False)
-        beside, all_jobs = profile_lines(beside=True)
+        alone, alone_jobs, alone_history = profile_lines(beside=False)
+        beside, all_jobs, all_history = profile_lines(beside=True)
         assert alone[0].startswith("== runtime profile (2 jobs, ")
         assert beside == alone
-        # ... and nothing was cleared under the other query's feet: the
-        # context's history still holds every job of both.
-        assert alone_jobs == 2 and all_jobs > alone_jobs
+        # ... and nothing was cleared under the other query's feet: each
+        # handle's scope holds every job it ran (a served query's jobs
+        # stay on its scope, not in the context's history).
+        assert alone_jobs == [2] and all_jobs[0] == 2 and all_jobs[1] > 0
+        assert alone_history == all_history == 0
 
 
 class TestTraceDrainOnCancellation:

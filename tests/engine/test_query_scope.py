@@ -270,8 +270,10 @@ class TestLineageKeepsWhatItReads:
         assert engine_holds(shark) == kept
         stages_run = shark.metrics.value("stages.run")
         assert sorted(table_rdd.collect()) == first
-        # Its map outputs were still there: only the result stage ran.
-        assert shark.metrics.value("stages.run") == stages_run + 1
+        # Its map outputs were still there: no stage ran, the driver
+        # merged them again.
+        assert shark.metrics.value("stages.run") == stages_run
+        assert shark.engine.last_profile.driver_map_outputs > 0
 
 
 def test_explain_analyze_leaves_the_profile_history_alone():

@@ -109,3 +109,39 @@ class TestTaskContext:
         assert vector.records_in == 10.0
         assert vector.shuffle_write_bytes == 50.0
         assert vector.source == "disk"
+
+
+class TestCachedScanCountsOnce:
+    """A cached table's block is one element of its cached list: the
+    scan over it counts the rows and the column bytes it reads, and the
+    cache read counts nothing of its own beside them."""
+
+    def _table(self):
+        shark = SharkContext(num_workers=2)
+        shark.sql(
+            "CREATE TABLE t (a INT, b INT) TBLPROPERTIES ('shark.cache'='true')"
+        )
+        shark.load_rows(
+            "t", [(i, i % 3) for i in range(400)], num_partitions=4
+        )
+        return shark
+
+    def test_a_scan_task_counts_its_rows_once(self):
+        shark = self._table()
+        text = "SELECT COUNT(*) FROM t WHERE a >= 0"
+        shark.engine.reset_profiles()
+        shark.sql(text)
+        (profile,) = shark.engine.profiles
+        (stage,) = profile.stages
+        assert [task.records_in for task in stage.tasks] == [100] * 4
+        assert "rows 400 -> 4," in shark.explain_analyze(text)
+
+    def test_a_cached_rdd_partition_still_counts_its_records(self):
+        shark = self._table()
+        rdd = shark.engine.parallelize(list(range(12)), 3).cache()
+        rdd.collect()  # computes and caches the partitions
+        shark.engine.reset_profiles()
+        assert rdd.count() == 12
+        (profile,) = shark.engine.profiles
+        assert [task.records_in for task in profile.stages[0].tasks] == [4] * 3
+        assert all(task.bytes_in > 0 for task in profile.stages[0].tasks)

@@ -246,6 +246,30 @@ class TestRoundTrip:
             in render_query(loaded)
         )
 
+    def test_group_by_driver_merge_price_survives_the_log(self, tmp_path):
+        """agg_7's seven groups: PDE sizes its merge to one reducer, so
+        the driver fetches its map outputs and merges them, with no
+        reduce stage.  The replayed record prices the merge as the live
+        one does and renders the map outputs it fetched."""
+        shark = _tpch_shark()
+        loaded = self._assert_round_trip(
+            shark, tpch.AGGREGATION_QUERIES[7], tmp_path / "log.jsonl"
+        )
+        pre_shuffle, job = loaded.profiles
+        (stage,) = pre_shuffle.stages
+        assert stage.is_shuffle_map and job.stages[0].num_tasks == 0
+        assert job.driver_map_outputs == stage.num_tasks
+        analysis = loaded.analyze()
+        (merge,) = analysis.merges
+        assert merge.map_outputs == stage.num_tasks and merge.sim_seconds > 0
+        assert loaded.sim_seconds == (
+            analysis.stages[0].sim_seconds + merge.sim_seconds
+        )
+        assert (
+            f"driver merge (job {job.job_id}): {stage.num_tasks} map "
+            f"outputs, fetched " in render_query(loaded)
+        )
+
     def test_chaos_round_trip(self, tmp_path):
         injector = FaultInjector(
             seed=11,

@@ -445,3 +445,23 @@ def test_a_finished_ticket_is_held_only_by_its_caller():
     del tickets, finished
     assert still_reachable(refs) == []
     assert server.drain() == []
+
+
+def test_served_queries_leave_the_job_history_as_it_was():
+    """A served query's jobs stay on its handle's scope, which its
+    record reads: the context's history, which a server never resets,
+    does not grow with every query it serves."""
+    shark = _build_shark()
+    shark.sql(COUNT)  # a statement's jobs are in the history
+    before = len(shark.engine.profiles)
+    assert before > 0
+    server = _build_server(shark)
+    tickets = [
+        server.submit(tenant, text)
+        for __ in range(4)
+        for tenant, text in (("alice", AGG), ("bob", FILTER), ("carol", COUNT))
+    ]
+    server.drain()
+    assert all(ticket.state == "done" for ticket in tickets)
+    assert all(ticket.handle.scope.profiles for ticket in tickets)
+    assert len(shark.engine.profiles) == before

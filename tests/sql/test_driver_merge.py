@@ -12,6 +12,12 @@ as an IN subquery and as either side of a cross join, CTAS and INSERT …
 SELECT of one; and under a memory cap, a killed worker and a failed
 task attempt.  Read inside a task — under an exchange, or by a cached
 write — the partials go through their one-bucket exchange, as before.
+
+A GROUP BY that PDE sizes to one reducer merges on the driver too: the
+driver fetches the map outputs the pre-shuffle wrote, in the order the
+one reduce task fetched them, so its rows are pinned the same way, and
+so are its recovery (a worker killed after the pre-shuffle, a corrupted
+fetch), its memory cap and the reducer counts that keep the stage.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ from repro.engine.memory import DRIVER_WORKER
 from repro.errors import TaskError
 from repro.faults.injector import FaultInjector
 from repro.obs.analyze import analyze_profiles
+from repro.sql.planner import PlannerConfig
+from repro.workloads import tpch
 from tests.oracle import assert_rows_match, sqlite_rows
+from tests.sql.test_vectorized_parity import TPCH_Q1, TPCH_Q3
 
 _SCHEMA = Schema(
     [
@@ -344,3 +353,206 @@ def test_sql2rdd_is_a_lazy_one_partition_rdd(shark):
     # Cached, the partition lives on a worker: its task computes it.
     assert list(map(repr, table.cache().collect())) == want
     assert list(map(repr, table.collect())) == want
+
+
+# ---------------------------------------------------------------------------
+# A GROUP BY that PDE sizes to one reducer merges on the driver too: the
+# driver fetches the map outputs the pre-shuffle wrote, in the order the
+# one coalesced reduce partition reads them, and merges them there.
+# ---------------------------------------------------------------------------
+
+_GROUPED = [
+    "SELECT a, COUNT(*), COUNT(f), SUM(f), AVG(f), MIN(s), MAX(s) "
+    "FROM {table} GROUP BY a",
+    "SELECT s, COUNT(DISTINCT a), SUM(DISTINCT a) FROM {table} GROUP BY s",
+    "SELECT a, SUM(f) FROM {table} GROUP BY a HAVING COUNT(*) > 30",
+    "SELECT a, s, SUM(f) AS total FROM {table} GROUP BY a, s "
+    "ORDER BY total DESC, a, s LIMIT 4",
+]
+_GROUPED_CASES = [
+    (statement, table)
+    for statement in _GROUPED
+    for table in ("one", "two", "four", "holes", "empty")
+]
+
+
+def _merged_on_driver(shark: SharkContext, text: str) -> list:
+    """Run ``text`` and check its merge ran on the driver: the map
+    outputs the PDE pre-shuffle wrote, fetched by the driver, and no
+    task past the map stage."""
+    shark.engine.reset_profiles()
+    rows = shark.sql(text).rows
+    merged = shark.engine.profiles[-1]
+    assert all(stage.is_shuffle_map for stage in merged.stages)
+    assert merged.driver_map_outputs > 0
+    assert merged.driver_task.worker_id == DRIVER_WORKER
+    return rows
+
+
+def _hive_reprs(shark: SharkContext, text: str, rows: list) -> None:
+    hive = HiveExecutor(shark.session, num_reducers=8).execute(text).rows
+    if "ORDER BY" in text:
+        assert list(map(repr, rows)) == list(map(repr, hive))
+    else:
+        assert sorted(map(repr, rows)) == sorted(map(repr, hive))
+
+
+@pytest.mark.parametrize(("statement", "table"), _GROUPED_CASES)
+def test_group_by_merges_on_the_driver(shark, statement, table):
+    text = statement.format(table=table)
+    got = _merged_on_driver(shark, text)
+    assert_rows_match(
+        got, sqlite_rows(text, _ORACLE_TABLES),
+        ordered="ORDER BY" in text, context=text,
+    )
+    _hive_reprs(shark, text, got)
+
+
+@pytest.fixture(scope="module")
+def tpch_shark():
+    shark = SharkContext(num_workers=4, cores_per_worker=2)
+    tables = {}
+    for name, data in (
+        ("lineitem", tpch.generate_lineitem(1500)),
+        ("orders", tpch.generate_orders(400)),
+        ("customer", tpch.generate_customer(60)),
+    ):
+        shark.create_table(name, data.schema, cached=True)
+        shark.load_rows(name, data.rows)
+        tables[name] = (data.schema.names, data.rows)
+    return shark, tables
+
+
+@pytest.mark.parametrize("name", ["q1", "q3"])
+def test_tpch_q1_and_q3_merge_on_the_driver(tpch_shark, name):
+    shark, tables = tpch_shark
+    text = {"q1": TPCH_Q1, "q3": TPCH_Q3}[name]
+    got = _merged_on_driver(shark, text)
+    assert_rows_match(got, sqlite_rows(text, tables), ordered=True)
+    _hive_reprs(shark, text, got)
+
+
+def test_group_partials_merge_in_map_index_order():
+    """One group, one partial a map task: the driver adds them in
+    map-index order, as the one coalesced reducer did."""
+    values = [1e17, 3.0, -1e17, 1.25]
+    shark = SharkContext(num_workers=2)
+    shark.create_table("spread", _SCHEMA, cached=True)
+    shark.load_rows(
+        "spread", [(i, 1, f, "x", None) for i, f in enumerate(values)],
+        num_partitions=4,
+    )
+    text = "SELECT a, SUM(f), AVG(f) FROM spread GROUP BY a"
+    rows = _merged_on_driver(shark, text)
+    in_order = ((values[0] + values[1]) + values[2]) + values[3]
+    assert rows == [(1, in_order, in_order / 4)]
+    _hive_reprs(shark, text, rows)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PlannerConfig(target_partition_bytes=64),
+        PlannerConfig(num_reducers=4),
+        PlannerConfig(enable_pde=False),
+    ],
+    ids=["pde-more-reducers", "num-reducers", "no-pde"],
+)
+def test_more_than_one_reducer_keeps_the_reduce_stage(config):
+    shark = _build(config=config)
+    text = _GROUPED[0].format(table="four")
+    shark.engine.reset_profiles()
+    got = shark.sql(text).rows
+    profiles = shark.engine.profiles
+    reduces = [
+        stage.num_tasks for p in profiles for stage in p.stages
+        if not stage.is_shuffle_map
+    ]
+    assert len(reduces) == 1 and reduces[0] > 1
+    assert all(p.driver_task is None for p in profiles)
+    assert_rows_match(got, sqlite_rows(text, _ORACLE_TABLES), context=text)
+    _hive_reprs(shark, text, got)
+
+
+def test_worker_killed_after_the_pre_shuffle_reruns_only_its_maps(shark):
+    """The worker dies between plan() — whose PDE pre-shuffle wrote the
+    map outputs — and the collect: the lost map outputs alone re-run
+    from lineage before the driver fetches them."""
+    text = _GROUPED[0].format(table="four")
+    killed = _build()
+    killed.engine.reset_profiles()
+    table = killed.sql2rdd(text)
+    (pre_shuffle,) = killed.engine.profiles
+    lost = sum(task.worker_id == 1 for task in pre_shuffle.stages[0].tasks)
+    killed.engine.cluster.kill_worker(1)
+    launched = killed.metrics.value("tasks.launched")
+    rows = table.collect()
+    assert sorted(map(repr, rows)) == sorted(
+        map(repr, shark.sql(text).rows)
+    )
+    __, merged = killed.engine.profiles
+    (rerun,) = merged.stages
+    assert rerun.is_shuffle_map and rerun.num_tasks == lost > 0
+    assert killed.metrics.value("tasks.launched") - launched == lost
+    assert merged.driver_map_outputs == 4
+
+
+def test_a_corrupted_fetch_on_the_driver_reruns_one_map(shark):
+    text = _GROUPED[0].format(table="four")
+    # The loads fetch nothing: the first fetch is the driver's, and it
+    # finds one map output bad.
+    injector = FaultInjector(
+        seed=5, corrupt_fetch_rate=1.0, max_corrupt_fetches=1
+    )
+    corrupted = _build(fault_injector=injector)
+    launched = corrupted.metrics.value("tasks.launched")
+    rows = _merged_on_driver(corrupted, text)
+    assert injector.injected_corruptions == 1
+    assert corrupted.metrics.value("shuffle.fetch_failures") == 1
+    assert corrupted.metrics.value("tasks.launched") - launched == 4 + 1
+    assert sorted(map(repr, rows)) == sorted(
+        map(repr, shark.sql(text).rows)
+    )
+    __, merged = corrupted.engine.profiles
+    (rerun,) = merged.stages
+    assert rerun.num_tasks == 1 and merged.recovered_tasks == 1
+
+
+def test_capped_context_merges_the_same_groups(shark):
+    capped = _build(memory_per_worker_bytes=256)
+    for statement, table in _GROUPED_CASES:
+        text = statement.format(table=table)
+        assert sorted(map(repr, _merged_on_driver(capped, text))) == sorted(
+            map(repr, shark.sql(text).rows)
+        ), text
+    driver = capped.engine.memory.ledger(DRIVER_WORKER)
+    assert driver.owner_peak[("execution", "driver_merge")] > 0
+    assert driver.used["execution"] == 0
+    assert capped.engine.invariant_violations() == []
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "external"])
+def test_ctas_and_insert_select_of_a_group_by(cached):
+    shark = _build()
+    select = "SELECT a, COUNT(*) AS n, SUM(f) AS total FROM four GROUP BY a"
+    properties = " TBLPROPERTIES ('shark.cache' = 'true')" if cached else ""
+    shark.sql(f"CREATE TABLE grouped{properties} AS {select}")
+    shark.sql(f"INSERT INTO grouped {select.replace('four', 'two')}")
+    want = shark.sql(select).rows + shark.sql(select.replace("four", "two")).rows
+    got = shark.sql("SELECT * FROM grouped").rows
+    assert sorted(map(repr, got)) == sorted(map(repr, want))
+
+
+def test_sql2rdd_of_a_group_by_runs_only_its_pre_shuffle(shark):
+    text = _GROUPED[0].format(table="four")
+    shark.engine.reset_profiles()
+    table = shark.sql2rdd(text)
+    (pre_shuffle,) = shark.engine.profiles  # plan() sized the merge
+    assert all(stage.is_shuffle_map for stage in pre_shuffle.stages)
+    assert table.num_partitions == 1
+    want = sorted(map(repr, shark.sql(text).rows))
+    shark.engine.reset_profiles()
+    assert sorted(map(repr, table.collect())) == want
+    (merged,) = shark.engine.profiles
+    assert merged.driver_map_outputs == 4
+    assert table.count() == 8  # 7 values of a, and NULL
