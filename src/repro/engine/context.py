@@ -165,7 +165,9 @@ class EngineContext:
 
         Re-entrant: inside an open statement or a lifecycle query
         (EXPLAIN ANALYZE, CTAS, the SQL a submitted query runs) it
-        yields the scope already open, which its opener closes."""
+        yields the scope already open, which its opener closes.  A
+        closed statement hands its job profiles to the root scope, which
+        :attr:`profiles` reads."""
         if self.query is not self._root_query:
             yield self.query
             return
@@ -174,6 +176,7 @@ class EngineContext:
             yield scope
         finally:
             self.query = self._root_query
+            self._root_query.profiles += scope.profiles
             scope.close()
 
     def invariant_violations(self) -> list[str]:
@@ -236,19 +239,22 @@ class EngineContext:
 
     @property
     def last_profile(self) -> Optional[QueryProfile]:
-        """Metrics of the most recently executed job."""
-        return self.scheduler.last_profile
+        """Metrics of the running scope's most recent job (outside any
+        query, the last job run outside lifecycle queries)."""
+        profiles = self.query.profiles
+        return profiles[-1] if profiles else None
 
     def reset_profiles(self) -> None:
         """Clear the job-profile history (call before a measured query)."""
-        self.scheduler.reset_history()
         self._root_query.profiles.clear()
 
     @property
     def profiles(self) -> list[QueryProfile]:
-        """Profiles of every job since the last reset (a single SQL query
-        may span several: PDE pre-shuffles, sampling, the final collect)."""
-        return list(self.scheduler.history)
+        """Profiles of every job since the last reset outside lifecycle
+        queries (those stay on their own scopes), in run order; a single
+        SQL query may span several: PDE pre-shuffles, sampling, the final
+        collect."""
+        return list(self._root_query.profiles)
 
     # ------------------------------------------------------------------
     # Observability

@@ -1,4 +1,4 @@
-"""Query lifecycle: admission control, deadlines, cancellation, fairness.
+"""Query lifecycle: admission control, deadlines, cancellation, fair shares.
 
 PR 2 made individual *tasks* resilient; this module makes whole *queries*
 manageable.  A :class:`QueryLifecycleManager` wraps the engine with:
@@ -17,10 +17,11 @@ manageable.  A :class:`QueryLifecycleManager` wraps the engine with:
   query's admission slot and cleans up its shuffle outputs, open tracer
   spans, and buffered accumulator updates (the recovery-tail discipline);
 * **fair multi-query scheduling** — runnable tasks from concurrently
-  admitted queries interleave across the shared virtual workers
-  (round-robin, or weighted fair shares keyed on the submitting
-  tenant's priority tier) instead of strict FIFO, so a short
-  interactive query is not starved behind a long scan;
+  admitted queries interleave across the shared virtual workers by
+  weighted fair shares (fewest launched tasks per unit of weight first;
+  the server keys the weight on the tenant's priority tier) instead of
+  strict FIFO, so a short interactive query is not starved behind a
+  long scan;
 * a **per-query circuit breaker** — a query key whose runs repeatedly
   exhaust the engine's recovery budget fails fast with
   :class:`~repro.errors.QueryCircuitOpenError` instead of burning the
@@ -42,7 +43,7 @@ The engine runs tasks inline and synchronously, so concurrency is
 while it lives, but a baton guarantees exactly one thread executes at
 any instant.  Handoffs happen only at task boundaries (the scheduler
 calls :meth:`checkpoint` before every task attempt), and the next query
-to run is chosen deterministically by the fairness policy — so a set of
+to run is chosen deterministically by the fair-share rule — so a set of
 concurrent queries produces byte-identical results and traces on every
 run, and composes with the seeded fault injector.  The baton also keeps
 the module-global task-context stack coherent, and makes "which query
@@ -53,7 +54,7 @@ Every thread, the driver's included, parks on a lock of its own used as
 a binary semaphore, and a handoff releases exactly the lock of the
 thread that runs next: one wake per handoff.  A query that reaches a
 task boundary, or finishes, makes the driver loop's next step itself
-(promote queued queries, ask the fairness policy) and grants the pick
+(promote queued queries, apply the fair-share rule) and grants the pick
 directly — a query that picks itself simply goes on — so the driver
 wakes only when its loop is over: everything finished under
 :meth:`~QueryLifecycleManager.drain`, the awaited query under
@@ -119,6 +120,12 @@ RETRY_AFTER_DEFAULT_S = 1.0
 #: Terminal events (slot/queue-position releases) sampled for the observed
 #: queue drain rate that prices retry-after hints (the server's too).
 DRAIN_RATE_WINDOW = 8
+#: Consecutive engine failures of one ``(tenant, key)`` before its
+#: circuit opens.
+CIRCUIT_FAILURE_THRESHOLD = 2
+#: Query completions (any key) before an open circuit half-opens and
+#: admits one trial run.
+CIRCUIT_RESET_COMPLETIONS = 4
 #: Completed query durations averaged into the fallback retry hint.
 RECENT_SECONDS_WINDOW = 8
 #: Real-time guard on baton handoffs: a cooperative-scheduling bug
@@ -175,28 +182,13 @@ class _QueryThread:
 
 @dataclass
 class LifecycleConfig:
-    """Knobs for admission, fairness, and the circuit breaker."""
+    """The two admission bounds."""
 
     #: Queries allowed to run concurrently (admission slots).
     max_concurrent: int = 2
     #: Admitted-but-waiting queries beyond the slots; submissions past
     #: this bound raise :class:`~repro.errors.AdmissionRejected`.
     max_queued: int = 2
-    #: "round-robin" interleaves one task per query in admission order;
-    #: "weighted" runs the query with the smallest ``tasks_launched /
-    #: weight`` ratio, so a weight-8 interactive query gets eight task
-    #: slots for every one a weight-1 best-effort query gets (weighted
-    #: max-min fairness; at equal weights, fewest launched tasks first).
-    fairness: str = "round-robin"
-    #: Deadline applied to queries submitted without an explicit one
-    #: (None = no default deadline).
-    default_deadline_s: Optional[float] = None
-    #: Consecutive engine failures of one query key before its circuit
-    #: opens.
-    circuit_failure_threshold: int = 2
-    #: Query completions (any key) before an open circuit half-opens and
-    #: admits one trial run.
-    circuit_reset_completions: int = 4
 
 
 class CancelToken:
@@ -247,7 +239,7 @@ class QueryHandle:
     tenant: Optional[str] = None
     #: Priority tier label (serving layer: interactive/batch/best_effort).
     priority: Optional[str] = None
-    #: Fair-share weight under the "weighted" fairness policy.
+    #: Fair-share weight: task slots per turn against a weight-1 query.
     weight: int = 1
     #: Simulated-clock instant this query was admitted or queued.
     submitted_at: float = 0.0
@@ -255,7 +247,7 @@ class QueryHandle:
     result: Any = None
     error: Optional[BaseException] = None
     #: Task attempts this query has launched (retries and speculative
-    #: copies included) — the fairness currency.
+    #: copies included) — the fair-share currency.
     tasks_launched: int = 0
     token: CancelToken = field(init=False)
     #: What this query holds in the engine (shuffles, broadcasts, job
@@ -333,10 +325,6 @@ class QueryLifecycleManager:
     ):
         self._ctx = ctx
         self.config = config if config is not None else LifecycleConfig()
-        if self.config.fairness not in ("round-robin", "weighted"):
-            raise ValueError(
-                f"unknown fairness policy {self.config.fairness!r}"
-            )
         #: The query currently allowed to run (exactly one, or None when
         #: the driver holds control).
         self._baton: Optional[QueryHandle] = None
@@ -358,7 +346,6 @@ class QueryLifecycleManager:
         #: Admitted queries waiting for a slot.
         self._queued: list[QueryHandle] = []
         self._next_query_id = 0
-        self._rr_cursor = 0
         #: (tenant, query key) -> consecutive engine failures.  Scoping
         #: per tenant keeps one tenant's poison query from opening the
         #: circuit for another tenant running the same SQL.
@@ -432,8 +419,8 @@ class QueryLifecycleManager:
         and :class:`~repro.errors.QueryCircuitOpenError` when the
         ``(tenant, key)`` circuit is open.  Nothing executes until
         :meth:`drain`/:meth:`wait`.  ``tenant``/``priority``/``weight``
-        are the serving layer's hooks: the weight feeds the "weighted"
-        fairness policy and the tenant scopes failure attribution.
+        are the serving layer's hooks: the weight is the query's fair
+        share and the tenant scopes failure attribution.
         """
         metrics = self._ctx.tracer.metrics
         self.submitted += 1
@@ -448,11 +435,7 @@ class QueryLifecycleManager:
             key=key,
             fn=fn,
             manager=self,
-            deadline_s=(
-                deadline_s
-                if deadline_s is not None
-                else self.config.default_deadline_s
-            ),
+            deadline_s=deadline_s,
             tenant=tenant,
             priority=priority,
             weight=max(int(weight), 1),
@@ -543,7 +526,7 @@ class QueryLifecycleManager:
 
     def _drive(self, op: str, target: Optional[QueryHandle]) -> list:
         """The driver loop, until ``target`` is terminal (everything is,
-        when None): grant the fairness policy's pick and park — the
+        when None): grant the fair-share pick and park — the
         queries take the loop's steps meanwhile.  Retires the idle
         threads if nothing is left; returns the handles that finished."""
         self._require_driver(op)
@@ -607,28 +590,23 @@ class QueryLifecycleManager:
             )
 
     def _pick_next(self) -> Optional[QueryHandle]:
-        """The fairness policy: which admitted query runs next."""
-        if not self._running:
-            return None
-        if self.config.fairness == "weighted":
-            # Weighted max-min fairness: the smallest launched-tasks /
-            # weight ratio runs next, ties broken by the heavier weight
-            # (higher tier first), then admission order — deterministic,
-            # so concurrent runs stay byte-identical.
-            return min(
-                self._running,
-                key=lambda handle: (
-                    handle.tasks_launched / handle.weight,
-                    -handle.weight,
-                    handle.query_id,
-                ),
-            )
-        # Round-robin in admission order, robust to completions
-        # shrinking the list between slices.
-        self._rr_cursor %= len(self._running)
-        handle = self._running[self._rr_cursor]
-        self._rr_cursor += 1
-        return handle
+        """The fair-share rule: which admitted query runs next.
+
+        Weighted max-min fairness: the smallest launched-tasks / weight
+        ratio runs next, so a weight-8 query gets eight task slots for
+        every one a weight-1 query gets; ties go to the heavier weight
+        (higher tier first), then to admission order.  At equal weights
+        that is fewest launched tasks first.  Deterministic, so
+        concurrent runs stay byte-identical."""
+        return min(
+            self._running,
+            key=lambda handle: (
+                handle.tasks_launched / handle.weight,
+                -handle.weight,
+                handle.query_id,
+            ),
+            default=None,
+        )
 
     def _grant(self, handle: QueryHandle) -> list:
         """Hand the baton to ``handle`` and wake its thread — an idle one,
@@ -688,7 +666,7 @@ class QueryLifecycleManager:
         """Block until ``lock`` is released.  The watchdog measures
         progress, not time parked: it raises only after a whole
         :data:`WATCHDOG_TIMEOUT_S` in which no task launched and no baton
-        was granted, so a long drain, or a query the fairness policy
+        was granted, so a long drain, or a query the fair-share rule
         passes over for a long time, never trips it."""
         seen = self._progress
         while not lock.acquire(timeout=WATCHDOG_TIMEOUT_S):
@@ -760,7 +738,7 @@ class QueryLifecycleManager:
     def checkpoint(self) -> None:
         """Cooperative scheduling point, called by the scheduler before
         every task attempt: observe cancellation/deadline, then let the
-        fairness policy pick the query whose task runs next.  A no-op
+        fair-share rule pick the query whose task runs next.  A no-op
         for work the driver runs itself (no query holds the baton)."""
         handle = self._baton
         if handle is None:
@@ -908,18 +886,16 @@ class QueryLifecycleManager:
             ):
                 count = self._failures.get(scoped, 0) + 1
                 self._failures[scoped] = count
-                if count >= self.config.circuit_failure_threshold:
+                if count >= CIRCUIT_FAILURE_THRESHOLD:
                     self.circuit_opened += 1
                     self._circuit_until[scoped] = (
-                        self.terminal + self.config.circuit_reset_completions
+                        self.terminal + CIRCUIT_RESET_COMPLETIONS
                     )
                     self._ctx.tracer.instant(
                         "query.circuit_open", "query",
                         key=handle.key, tenant=handle.tenant,
                         failures=count,
-                        reset_after_completions=(
-                            self.config.circuit_reset_completions
-                        ),
+                        reset_after_completions=CIRCUIT_RESET_COMPLETIONS,
                     )
 
     # ------------------------------------------------------------------

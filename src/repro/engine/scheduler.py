@@ -232,13 +232,6 @@ class DAGScheduler:
         #: shuffle_id -> Stage, shared across jobs so PDE pre-shuffles and
         #: reused cached plans skip already-materialized stages.
         self._shuffle_stages: dict[int, Stage] = {}
-        #: Profile of the most recent job, for the cost model and tests.
-        self.last_profile: Optional[QueryProfile] = None
-        #: Profiles of every job run since the last reset_history() outside
-        #: a lifecycle query (those stay on its scope); a SQL query can
-        #: span several jobs (PDE pre-shuffles, sort sampling, the final
-        #: collect), and cost accounting needs all of them.
-        self.history: list[QueryProfile] = []
         #: (tenant, worker_id) -> failures since its last blacklisting.
         #: Attribution is per tenant (None outside lifecycle queries) so
         #: one tenant's poison query cannot blacklist workers out from
@@ -394,36 +387,65 @@ class DAGScheduler:
         a task would compute them: its accumulator updates apply once it
         succeeds, and a user function's failure is a :class:`TaskError`.
         Returns the results and ``metrics``, filled in."""
-        ctx = self._ctx
-        task_ctx = TaskContext(
-            stage_id=-1,
-            partition=0,
-            worker=self._driver,
-            shuffle_manager=ctx.shuffle_manager,
-            cache_tracker=ctx.cache_tracker,
-            metrics=metrics,
-            cancel_token=ctx.query.token,
-            accountant=ctx.memory,
-            collected=collected,
-        )
-        push_task_context(task_ctx)
-        try:
+
+        def merge(task_ctx: TaskContext) -> list:
             task_ctx.reserve_memory("driver_merge", metrics.shuffle_read_bytes)
             results = []
             for partition in partitions:
                 records = rdd.iterator(partition, task_ctx)
                 metrics.records_out += count_rows(records)
                 results.append(func(records))
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise TaskError(-1, 0, exc) from exc
-        finally:
-            pop_task_context(task_ctx)
-            task_ctx.release_task_memory()
+            return results
+
+        results, task_ctx = self._run_task_body(
+            merge, -1, 0, self._driver, metrics, collected=collected
+        )
         for accumulator, delta in task_ctx.acc_updates:
             accumulator.apply(delta)
         return results, metrics
+
+    def _run_task_body(
+        self,
+        body: Callable[[TaskContext], Any],
+        stage_id: int,
+        partition: int,
+        worker: Worker,
+        metrics: TaskMetrics,
+        **task_args,
+    ) -> tuple[Any, TaskContext]:
+        """Run ``body`` as every task runs, an attempt and the driver
+        merge alike: in a :class:`TaskContext` on the engine's shuffle
+        manager, cache tracker and memory ledger, observing the running
+        query's cancel token, pushed for the call.  An engine error
+        passes through; any other exception is the user code's and
+        becomes a :class:`TaskError`.  Every exit pops the context and
+        releases its execution memory.  Returns ``body``'s value and the
+        context, whose accumulator updates the caller applies."""
+        ctx = self._ctx
+        task_ctx = TaskContext(
+            stage_id=stage_id,
+            partition=partition,
+            worker=worker,
+            shuffle_manager=ctx.shuffle_manager,
+            cache_tracker=ctx.cache_tracker,
+            metrics=metrics,
+            cancel_token=ctx.query.token,
+            accountant=ctx.memory,
+            **task_args,
+        )
+        push_task_context(task_ctx)
+        try:
+            return body(task_ctx), task_ctx
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise TaskError(stage_id, partition, exc) from exc
+        finally:
+            pop_task_context(task_ctx)
+            # Drain the task's execution-pool reservations whether it
+            # succeeded, failed, or was cancelled — the ledger-balances-
+            # to-zero invariant lives or dies right here.
+            task_ctx.release_task_memory()
 
     def materialize_shuffle(self, dep: ShuffleDependency) -> "MapOutputStats":
         """PDE hook: run the map side of one shuffle now and return its
@@ -438,9 +460,10 @@ class DAGScheduler:
 
     def cut_runs(self, dep: ShuffleDependency) -> None:
         """Cut a sort exchange's runs at the bounds it just resolved.  Its
-        pre-shuffle job — the last one run — has ended, so the writes the
-        cut accounts to that job's kept map tasks are folded here."""
-        profile = self.last_profile
+        pre-shuffle job — the last one its query ran — has ended, so the
+        writes the cut accounts to that job's kept map tasks are folded
+        here."""
+        profile = self._ctx.query.profiles[-1]
         before = _folded_counters(profile)
         self._ctx.shuffle_manager.cut_runs(dep)
         self._fold(profile, before)
@@ -461,10 +484,9 @@ class DAGScheduler:
         """The frame of one job, of either kind: its id, its span, its
         profile — yielded to the body, then completed with the job's
         share of the eviction, reservation and spill counters, folded
-        into the counters that total its kept attempts, and given its
-        place in ``last_profile``, the running query's scope and — unless
-        that is a lifecycle query's — the history, even when it failed
-        or was cancelled.  A result job's span
+        into the counters that total its kept attempts, and appended to
+        the running query's scope, even when it failed or was cancelled.
+        A result job's span
         also ends with its recovered-task count and ok/cancelled status;
         a pre-shuffle's never did."""
         job_id = self._next_job_id
@@ -492,17 +514,7 @@ class DAGScheduler:
                     recovered_tasks=profile.recovered_tasks, status=status
                 )
             tracer.end_span(job_span, **end_args)
-            self.last_profile = profile
-            query = self._ctx.query
-            query.profiles.append(profile)
-            if query.token is None:
-                # A lifecycle query's jobs stay on its own scope, which
-                # its record and the event log read: a server's history
-                # does not grow with every query it serves.
-                self.history.append(profile)
-
-    def reset_history(self) -> None:
-        self.history = []
+            self._ctx.query.profiles.append(profile)
 
     def release_query_shuffles(self, shuffle_ids) -> int:
         """Forget a finished query's shuffles entirely; returns blocks
@@ -834,33 +846,15 @@ class DAGScheduler:
             worker_id=worker.worker_id,
             speculative=speculative,
         )
-        task_ctx = TaskContext(
-            stage_id=stage.stage_id,
-            partition=partition,
-            worker=worker,
-            shuffle_manager=ctx.shuffle_manager,
-            cache_tracker=ctx.cache_tracker,
-            metrics=metrics,
-            attempt=attempt,
-            speculative=speculative,
-            cancel_token=query.token,
-            accountant=ctx.memory,
+
+        def run(task_ctx: TaskContext) -> tuple:
+            records = stage.rdd.iterator(partition, task_ctx)
+            return records, func(records) if func is not None else None
+
+        (records, result), task_ctx = self._run_task_body(
+            run, stage.stage_id, partition, worker, metrics,
+            attempt=attempt, speculative=speculative,
         )
-        push_task_context(task_ctx)
-        try:
-            try:
-                records = stage.rdd.iterator(partition, task_ctx)
-                result = func(records) if func is not None else None
-            except (FetchFailedError, EngineError):
-                raise
-            except Exception as exc:
-                raise TaskError(stage.stage_id, partition, exc) from exc
-        finally:
-            pop_task_context(task_ctx)
-            # Drain the attempt's execution-pool reservations whether it
-            # succeeded, failed, or was cancelled — the ledger-balances-
-            # to-zero invariant lives or dies right here.
-            task_ctx.release_task_memory()
         if kind == "shuffle-map":
             ctx.shuffle_manager.write_map_output(
                 stage.shuffle_dep,

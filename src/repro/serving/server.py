@@ -166,7 +166,6 @@ class SqlServer:
                 LifecycleConfig(
                     max_concurrent=self.config.engine_slots,
                     max_queued=self.config.engine_slots,
-                    fairness="weighted",
                 )
             )
         self.lifecycle = self._ctx.lifecycle

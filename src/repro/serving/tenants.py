@@ -22,8 +22,8 @@ BEST_EFFORT = "best_effort"
 PRIORITY_TIERS: tuple[str, ...] = (INTERACTIVE, BATCH, BEST_EFFORT)
 
 #: Fair-share task weights per tier, fed to the lifecycle manager's
-#: "weighted" fairness policy: an interactive query gets eight task
-#: slots for every one a best-effort query gets.
+#: fair-share rule: an interactive query gets eight task slots for
+#: every one a best-effort query gets.
 PRIORITY_WEIGHTS: dict[str, int] = {
     INTERACTIVE: 8,
     BATCH: 2,

@@ -202,7 +202,7 @@ class TestSpeculation:
         launches = ctx.trace.events_named("task.speculative")
         assert launches
         profile_total = sum(
-            p.speculative_tasks for p in ctx.scheduler.history
+            p.speculative_tasks for p in ctx.profiles
         )
         assert profile_total > 0
 
@@ -212,7 +212,7 @@ class TestSpeculation:
         _word_counts(ctx)
         winners = [
             metrics
-            for profile in ctx.scheduler.history
+            for profile in ctx.profiles
             for stage in profile.stages
             for metrics in stage.tasks
             if metrics.speculative
@@ -306,7 +306,7 @@ class TestPermanentLossAndCorruption:
         assert _word_counts(ctx) == baseline
         assert not ctx.cluster.worker(3).alive
         recovered = sum(
-            p.recovered_tasks for p in ctx.scheduler.history
+            p.recovered_tasks for p in ctx.profiles
         )
         assert recovered >= 0  # kill may land between stages
 
@@ -320,7 +320,7 @@ class TestPermanentLossAndCorruption:
         assert _word_counts(ctx) == baseline
         assert ctx.metrics.value("shuffle.corrupt_fetches") == 1
         recovered = sum(
-            p.recovered_tasks for p in ctx.scheduler.history
+            p.recovered_tasks for p in ctx.profiles
         )
         assert recovered > 0
 

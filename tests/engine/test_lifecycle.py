@@ -17,7 +17,12 @@ import pytest
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.engine import EngineContext
-from repro.engine.lifecycle import DRAIN_RATE_WINDOW, LifecycleConfig
+from repro.engine.lifecycle import (
+    CIRCUIT_FAILURE_THRESHOLD,
+    CIRCUIT_RESET_COMPLETIONS,
+    DRAIN_RATE_WINDOW,
+    LifecycleConfig,
+)
 from repro.engine.metrics import QueryProfile
 from repro.engine.task import TaskContext
 from repro.errors import (
@@ -155,12 +160,9 @@ class TestAdmissionControl:
 
 
 class TestFairness:
-    @pytest.mark.parametrize("policy", ["round-robin", "weighted"])
-    def test_short_query_beats_earlier_long_query(self, policy):
+    def test_short_query_beats_earlier_long_query(self):
         ctx = EngineContext(num_workers=4, cores_per_worker=2)
-        lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(max_concurrent=2, fairness=policy)
-        )
+        lifecycle = ctx.enable_lifecycle(LifecycleConfig(max_concurrent=2))
         long_rdd = ctx.parallelize(range(6000), 12)
         short_rdd = ctx.parallelize(range(10), 1)
         long_handle = lifecycle.submit(
@@ -175,11 +177,6 @@ class TestFairness:
         assert [handle.name for handle in finished] == ["short", "long"]
         assert short_handle.result == [x * 2 for x in range(10)]
         assert long_handle.result == [x * 2 for x in range(6000)]
-
-    def test_unknown_policy_rejected(self):
-        ctx = EngineContext(num_workers=2)
-        with pytest.raises(ValueError, match="fairness"):
-            ctx.enable_lifecycle(LifecycleConfig(fairness="lottery"))
 
     def test_wait_drives_other_queries_fairly(self):
         shark = _build_shark()
@@ -299,41 +296,28 @@ class TestDeadlines:
         assert handle.state == "done"
         assert handle.result.rows == [(3000,)]
 
-    def test_default_deadline_from_config(self):
-        shark = _build_shark()
-        lifecycle = shark.enable_lifecycle(
-            LifecycleConfig(default_deadline_s=1e-9)
-        )
-        handle = shark.submit_sql(QUERIES["agg"], name="q")
-        lifecycle.drain()
-        assert handle.state == "deadline"
-
 
 class TestCircuitBreaker:
     def test_repeated_failures_open_then_half_open(self):
         ctx = EngineContext(num_workers=2)
-        lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(
-                circuit_failure_threshold=2, circuit_reset_completions=2
-            )
-        )
+        lifecycle = ctx.enable_lifecycle()
 
         def boom():
             raise TaskError(0, 0, ValueError("boom"))
 
-        for name in ("bad1", "bad2"):
-            handle = lifecycle.submit(boom, name=name, key="bad")
+        for index in range(CIRCUIT_FAILURE_THRESHOLD):
+            handle = lifecycle.submit(boom, name=f"bad{index}", key="bad")
             with pytest.raises(TaskError):
                 lifecycle.wait(handle)
-        # Two consecutive engine failures on one key: circuit open.
+        # Consecutive engine failures on one key: circuit open.
         with pytest.raises(QueryCircuitOpenError) as info:
-            lifecycle.submit(boom, name="bad3", key="bad")
+            lifecycle.submit(boom, name="bad again", key="bad")
         assert info.value.key == "bad"
         assert info.value.retry_after_completions > 0
         assert ctx.metrics.value("queries.circuit_opened") == 1
 
         # Other keys are unaffected and their completions age the circuit.
-        for index in range(2):
+        for index in range(CIRCUIT_RESET_COMPLETIONS):
             ok = lifecycle.submit(lambda: 42, name=f"ok{index}")
             assert lifecycle.wait(ok) == 42
 
@@ -345,10 +329,8 @@ class TestCircuitBreaker:
 
     def test_cancellation_does_not_trip_the_circuit(self):
         shark = _build_shark()
-        lifecycle = shark.enable_lifecycle(
-            LifecycleConfig(circuit_failure_threshold=1)
-        )
-        for index in range(3):
+        lifecycle = shark.enable_lifecycle()
+        for index in range(CIRCUIT_FAILURE_THRESHOLD + 1):
             handle = shark.submit_sql(
                 QUERIES["agg"], name=f"c{index}", key="same"
             ).cancel_after_tasks(1)
@@ -715,9 +697,7 @@ class TestTraceDrainOnCancellation:
 class TestWeightedFairness:
     def test_heavier_weight_finishes_first(self):
         ctx = EngineContext(num_workers=4, cores_per_worker=2)
-        lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(max_concurrent=2, fairness="weighted")
-        )
+        lifecycle = ctx.enable_lifecycle(LifecycleConfig(max_concurrent=2))
         rdd = ctx.parallelize(range(1200), 12)
         light = lifecycle.submit(
             lambda: rdd.map(lambda x: x + 1).collect(),
@@ -737,9 +717,7 @@ class TestWeightedFairness:
 
     def test_weight_floor_is_one(self):
         ctx = EngineContext(num_workers=2)
-        lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(fairness="weighted")
-        )
+        lifecycle = ctx.enable_lifecycle()
         handle = lifecycle.submit(lambda: 1, name="q", weight=0)
         assert handle.weight == 1
         assert lifecycle.wait(handle) == 1
@@ -748,7 +726,7 @@ class TestWeightedFairness:
         def run_once():
             ctx = EngineContext(num_workers=4, cores_per_worker=2)
             lifecycle = ctx.enable_lifecycle(
-                LifecycleConfig(max_concurrent=3, fairness="weighted")
+                LifecycleConfig(max_concurrent=3)
             )
             rdd = ctx.parallelize(range(600), 6)
             for name, weight in (("a", 8), ("b", 2), ("c", 1)):
@@ -775,14 +753,10 @@ class TestTenantIsolation:
 
     def test_circuit_is_scoped_to_the_failing_tenant(self):
         ctx = EngineContext(num_workers=2)
-        lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(
-                circuit_failure_threshold=2, circuit_reset_completions=4
-            )
-        )
-        for name in ("a1", "a2"):
+        lifecycle = ctx.enable_lifecycle()
+        for index in range(CIRCUIT_FAILURE_THRESHOLD):
             handle = lifecycle.submit(
-                self._boom, name=name, key="hot", tenant="a"
+                self._boom, name=f"a{index}", key="hot", tenant="a"
             )
             with pytest.raises(TaskError):
                 lifecycle.wait(handle)
@@ -850,16 +824,17 @@ class TestCounters:
         field; ``rejected`` is their sum, as the admission ledger counts."""
         ctx = EngineContext(num_workers=2)
         lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(
-                max_concurrent=1, max_queued=1, circuit_failure_threshold=1
-            )
+            LifecycleConfig(max_concurrent=1, max_queued=1)
         )
 
         def boom():
             raise TaskError(0, 0, ValueError("boom"))
 
-        with pytest.raises(TaskError):
-            lifecycle.wait(lifecycle.submit(boom, name="bad", key="bad"))
+        for index in range(CIRCUIT_FAILURE_THRESHOLD):
+            with pytest.raises(TaskError):
+                lifecycle.wait(
+                    lifecycle.submit(boom, name=f"bad{index}", key="bad")
+                )
         with pytest.raises(QueryCircuitOpenError):
             lifecycle.submit(boom, name="bad again", key="bad")
         running = lifecycle.submit(lambda: 1, name="running")
@@ -1061,13 +1036,13 @@ def _launch_recorder(lifecycle) -> list:
 def _schedule_scenario(case: str):
     """Six queries over three tenants at three slots: one cancelled after
     3 tasks, one over its deadline mid-flight, three promoted from the
-    queue.  ``case`` is a fairness policy, or ``weighted-unit``: the
-    weighted policy with every weight 1, which runs the fewest launched
-    tasks first.  Returns (launch order, finish order, final states)."""
-    policy, unit, __ = case.partition("-unit")
+    queue.  ``case`` is ``weighted`` (tenants weigh 1, 2 and 4) or
+    ``weighted-unit`` (every weight 1, so the fewest launched tasks run
+    first).  Returns (launch order, finish order, final states)."""
+    unit = case == "weighted-unit"
     ctx = EngineContext(num_workers=4, cores_per_worker=2)
     lifecycle = ctx.enable_lifecycle(
-        LifecycleConfig(max_concurrent=3, max_queued=3, fairness=policy)
+        LifecycleConfig(max_concurrent=3, max_queued=3)
     )
     launches = _launch_recorder(lifecycle)
     tenants = (("a", 1), ("b", 1 if unit else 2), ("c", 1 if unit else 4))
@@ -1110,10 +1085,6 @@ def _schedule_scenario(case: str):
 #: then the finish order.  How the baton moves between threads must leave
 #: both exactly as they are.
 BATON_SCHEDULES = {
-    "round-robin": (
-        [0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 3, 0, 5, 4, 5, 4, 5, 5, 5, 5, 5],
-        [1, 2, 3, 0, 4, 5],
-    ),
     "weighted": (
         [2, 2, 1, 2, 1, 0, 3, 4, 4, 5, 5, 5, 5, 5, 5, 5, 0, 0, 0, 0, 0],
         [2, 3, 4, 1, 5, 0],
@@ -1285,8 +1256,7 @@ class TestHandoff:
         monkeypatch.setattr(lifecycle_module, "WATCHDOG_TIMEOUT_S", timeout)
         ctx = EngineContext(num_workers=2)
         lifecycle = ctx.enable_lifecycle(
-            LifecycleConfig(max_concurrent=2, max_queued=30,
-                            fairness="weighted")
+            LifecycleConfig(max_concurrent=2, max_queued=30)
         )
         baseline = threading.active_count()
 

@@ -284,3 +284,32 @@ def test_explain_analyze_leaves_the_profile_history_alone():
     text = shark.explain_analyze(AGG)
     assert f"runtime profile ({jobs} jobs" in text
     assert len(shark.engine.profiles) == 2 * jobs
+
+
+def test_profiles_are_the_jobs_outside_lifecycle_queries_in_run_order():
+    """A statement hands its jobs to ``engine.profiles`` as it closes and
+    an RDD job lands there as it ends; a submitted query's jobs stay on
+    its own scope."""
+    shark = _build_shark()
+    engine = shark.engine
+    lifecycle = shark.enable_lifecycle()
+    engine.reset_profiles()
+    first_job = engine.scheduler._next_job_id
+    submitted = shark.submit_sql(AGG, name="submitted")
+    shark.sql(ORDERED)
+    numbers = engine.parallelize(range(40), 4)
+    assert numbers.map(lambda x: (x % 3, x)).reduce_by_key(
+        lambda a, b: a + b
+    ).count() == 3
+    lifecycle.wait(submitted)
+    shark.sql(SELF_JOIN)
+    assert numbers.count() == 40
+    submitted_jobs = {profile.job_id for profile in submitted.scope.profiles}
+    assert submitted_jobs
+    expected = [
+        job_id
+        for job_id in range(first_job, engine.scheduler._next_job_id)
+        if job_id not in submitted_jobs
+    ]
+    assert [profile.job_id for profile in engine.profiles] == expected
+    assert engine.last_profile is engine.profiles[-1]

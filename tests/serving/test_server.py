@@ -6,6 +6,7 @@ import pytest
 
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
+from repro.engine.lifecycle import CIRCUIT_FAILURE_THRESHOLD
 from repro.errors import (
     QueryLifecycleError,
     QueryShedError,
@@ -77,7 +78,6 @@ def test_server_registers_itself_on_the_engine_context():
     server = _build_server()
     assert server.shark.engine.serving is server
     assert server.lifecycle is server.shark.engine.lifecycle
-    assert server.lifecycle.config.fairness == "weighted"
 
 
 def test_register_tenant_is_idempotent_and_validates_tier():
@@ -260,8 +260,7 @@ def test_one_tenants_poison_query_never_circuit_breaks_another():
         return plain_query_fn(text)
 
     server._query_fn = query_fn
-    threshold = server.lifecycle.config.circuit_failure_threshold
-    for _ in range(threshold):
+    for _ in range(CIRCUIT_FAILURE_THRESHOLD):
         ticket = server.submit("poisoner", "POISON", key="shared-key")
         server.drain()
         assert ticket.state == "failed"

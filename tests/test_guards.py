@@ -267,6 +267,27 @@ GUARDS = {
             exclude="tests/test_guards.py",
         ),
     ],
+    # One fair-share rule picks the next admitted query's task, and the
+    # lifecycle config holds only its two admission bounds: no
+    # round-robin policy, no default deadline, no settable breaker.
+    "one-fair-share-rule": [
+        Rule(
+            r"""["']round-robin["']|_rr_cursor|fairness="""
+            r"|default_deadline_s|circuit_(failure_threshold|reset_completions)",
+            ("src", "examples", "benchmarks", "tests"),
+            exclude="tests/test_guards.py",
+        ),
+    ],
+    # A job's profile lives on the scope that ran it: the scheduler keeps
+    # no history or last profile of its own.
+    "profiles-live-on-scopes": [
+        Rule(
+            r"reset_history|scheduler\.(history|last_profile)\b"
+            r"|self\.(history|last_profile)\b",
+            ("src/repro/engine", "tests", "benchmarks", "examples"),
+            exclude="tests/test_guards.py",
+        ),
+    ],
 }
 
 
