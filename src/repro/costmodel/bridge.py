@@ -153,9 +153,10 @@ def stages_from_profiles(
     Stages that appear in multiple profiles (a shuffle materialized by a
     PDE probe and then *skipped* by the final job) are only counted once:
     skipped stages ran zero tasks and are dropped.  A merge that ran on
-    the driver in place of a reduce stage (a GROUP BY that PDE sized to
-    one reducer at the executed size) is that reduce stage again: its
-    one task's metrics, re-counted at scale like any reducer's.
+    the driver in place of a reduce stage (a global aggregate's, or a
+    GROUP BY's that PDE sized to one reducer at the executed size) is
+    that reduce stage again: its one task's metrics, re-counted at scale
+    like any reducer's.
     """
     flat: list[StageProfile] = []
     for profile in profiles:

@@ -904,15 +904,13 @@ class DriverRDD(RDD):
     """One partition the driver can compute: ``exchanged``'s one reduce
     partition read as it is.  A job that reads it through narrow
     operators alone computes it on the driver, with no task for it
-    (:meth:`DAGScheduler.run_job`): with ``partials`` (``exchanged`` is
-    their one-bucket exchange) it runs them as its result tasks and
-    reads their outputs in map-index order — the order the bucket holds
-    them in — so nothing is exchanged; without, the driver fetches the
-    map outputs ``exchanged`` reads, as its task would.  Read inside a
-    task instead (under an exchange, or by a cached write) it is the
-    exchange's reduce partition, as before."""
+    (:meth:`DAGScheduler.run_job`): the driver fetches the map outputs
+    ``exchanged`` reads, in the order its reduce task would — a global
+    aggregate's one bucket, or the buckets of a GROUP BY that PDE sized
+    to one reducer.  Read inside a task instead (under an exchange, or by
+    a cached write) it is the exchange's reduce partition, as before."""
 
-    def __init__(self, exchanged: RDD, partials: Optional[RDD] = None):
+    def __init__(self, exchanged: RDD):
         super().__init__(
             exchanged.ctx,
             1,
@@ -920,12 +918,9 @@ class DriverRDD(RDD):
             name=exchanged.name,
         )
         self._exchanged = exchanged
-        self.partials = partials
 
     def compute(self, split: int, task_ctx: "TaskContext") -> list:
-        if task_ctx.collected is None:
-            return self._exchanged.iterator(split, task_ctx)
-        return [item for part in task_ctx.collected for item in part]
+        return self._exchanged.iterator(split, task_ctx)
 
 
 class PrunedRDD(RDD):

@@ -3,9 +3,9 @@
 The scheduler turns an RDD graph into stages split at shuffle boundaries
 (Section 2.4) and runs each stage's tasks on virtual workers; a job that
 reads a :class:`~repro.engine.rdd.DriverRDD` through narrow operators
-alone finishes on the driver, from its result tasks' outputs (a global
-aggregate's merge, as Spark's ``reduce`` merges) or from the map outputs
-it fetches itself (a GROUP BY that PDE sized to one reducer).  Its recovery
+alone finishes on the driver, from the map outputs it fetches itself (a
+global aggregate's one bucket, or a GROUP BY that PDE sized to one
+reducer), with no reduce task.  Its recovery
 behaviour implements the paper's fault-tolerance guarantees (Section 2.3):
 
 * a fetch of lost map output raises ``FetchFailedError``; the scheduler
@@ -47,8 +47,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.cluster.worker import Worker
 from repro.columnar.batch import count_rows
-from repro.columnar.serde import BatchSerde
-from repro.costmodel.models import SOURCE_SHUFFLE
 from repro.engine.dependencies import (
     NarrowDependency,
     ShuffleDependency,
@@ -74,8 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import EngineContext
     from repro.engine.rdd import RDD
     from repro.engine.shuffle import MapOutputStats
-
-_SERDE = BatchSerde()
 
 #: Upper bound on recovery rounds for one job before giving up.
 MAX_RECOVERY_ROUNDS = 16
@@ -142,12 +138,6 @@ def _driver_source(rdd: "RDD") -> Optional[DriverRDD]:
                 return None
             stack.append(dep.rdd)
     return source
-
-
-def _result_bytes(batches: list) -> int:
-    """What a result task's batches weigh on their way to the driver:
-    their encoded bytes, as in an exchange."""
-    return sum(_SERDE.encoded_size(batch)[0] for batch in batches)
 
 
 @dataclass
@@ -320,42 +310,20 @@ class DAGScheduler:
         profile: QueryProfile,
     ) -> list:
         """The driver merge: ``rdd``'s requested partitions computed on
-        the driver from ``source``'s one partition.  With partials, those
-        run as the result stage and the driver reads their outputs,
-        holding them on its execution ledger; without, it fetches the map
-        outputs ``source`` reads (a GROUP BY's, which PDE's pre-shuffle
-        wrote) as a reduce task would, and a lost one is recovered by
+        the driver from ``source``'s one partition.  The map stage
+        ``source`` reads runs first, unless its outputs exist (a GROUP
+        BY's, which PDE's pre-shuffle wrote); the driver then fetches
+        them as a reduce task would, and a lost one is recovered by
         lineage before it merges again.  The work is priced with no task
         launch, on the driver lane."""
         tracer = self._ctx.tracer
-        partials = source.partials
-        if partials is None:
-            (parent,) = self._parent_stages(source)
-            self._ensure_shuffle_stage(parent, profile)
-            results, metrics = self._recovering(
-                lambda attempt: self._compute_on_driver(
-                    rdd, func, partitions,
-                    TaskMetrics(worker_id=DRIVER_WORKER),
-                ),
-                profile, -1, 0, "the driver merge",
-            )
-            profile.driver_map_outputs = parent.num_partitions
-            inputs = {"map_outputs": parent.num_partitions}
-        else:
-            outputs = self._run_result_stage(
-                partials, list(range(partials.num_partitions)), profile, list
-            )
-            results, metrics = self._compute_on_driver(
-                rdd, func, partitions,
-                TaskMetrics(
-                    worker_id=DRIVER_WORKER,
-                    records_in=sum(map(count_rows, outputs)),
-                    shuffle_read_bytes=sum(map(_result_bytes, outputs)),
-                    source=SOURCE_SHUFFLE,
-                ),
-                outputs,
-            )
-            inputs = {"partials": len(outputs)}
+        (parent,) = self._parent_stages(source)
+        self._ensure_shuffle_stage(parent, profile)
+        results, metrics = self._recovering(
+            lambda attempt: self._compute_on_driver(rdd, func, partitions),
+            profile, -1, 0, "the driver merge",
+        )
+        profile.driver_map_outputs = parent.num_partitions
         profile.driver_merge = asdict(metrics)
         seconds = profile.driver_merge_seconds(tracer.engine, tracer.hardware)
         self._ctx.query.charged_seconds += seconds
@@ -369,7 +337,7 @@ class DAGScheduler:
             DRIVER_LANE,
             start,
             end,
-            **inputs,
+            map_outputs=parent.num_partitions,
             records=metrics.records_in,
             bytes=metrics.shuffle_read_bytes,
         )
@@ -380,16 +348,14 @@ class DAGScheduler:
         rdd: "RDD",
         func: Callable[[list], object],
         partitions: list[int],
-        metrics: TaskMetrics,
-        collected: Optional[list] = None,
     ) -> tuple[list, TaskMetrics]:
         """``func`` of ``rdd``'s ``partitions``, computed on the driver as
         a task would compute them: its accumulator updates apply once it
         succeeds, and a user function's failure is a :class:`TaskError`.
-        Returns the results and ``metrics``, filled in."""
+        Returns the results and the driver's metrics."""
+        metrics = TaskMetrics(worker_id=DRIVER_WORKER)
 
         def merge(task_ctx: TaskContext) -> list:
-            task_ctx.reserve_memory("driver_merge", metrics.shuffle_read_bytes)
             results = []
             for partition in partitions:
                 records = rdd.iterator(partition, task_ctx)
@@ -398,7 +364,7 @@ class DAGScheduler:
             return results
 
         results, task_ctx = self._run_task_body(
-            merge, -1, 0, self._driver, metrics, collected=collected
+            merge, -1, 0, self._driver, metrics
         )
         for accumulator, delta in task_ctx.acc_updates:
             accumulator.apply(delta)

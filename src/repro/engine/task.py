@@ -199,7 +199,6 @@ class TaskContext:
         speculative: bool = False,
         cancel_token: Any | None = None,
         accountant: Any | None = None,
-        collected: list | None = None,
     ):
         self.stage_id = stage_id
         self.partition = partition
@@ -214,10 +213,6 @@ class TaskContext:
         self.acc_updates: list[tuple[Any, Any]] = []
         #: Execution-pool memory ledger (None outside an EngineContext).
         self.accountant = accountant
-        #: The job's result-task outputs, in partition order, that a
-        #: DriverRDD with partials reads: set on the driver's context
-        #: only (DAGScheduler.run_job).
-        self.collected = collected
         #: owner -> bytes this attempt still holds; drained by
         #: release_task_memory() when the attempt ends, so failed or
         #: cancelled attempts can never leak reservations.

@@ -93,31 +93,21 @@ class StageAnalysis:
 class DriverMergeAnalysis:
     """One job's driver merge (``QueryProfile.driver_task``) and the
     simulated seconds it was charged: driver work after the job's last
-    stage, not a stage.  ``partials`` is the result tasks' count, and
-    ``map_outputs`` the map outputs the driver fetched itself instead
-    (``QueryProfile.driver_map_outputs``)."""
+    stage, not a stage.  ``map_outputs`` are the map outputs the driver
+    fetched (``QueryProfile.driver_map_outputs``)."""
 
     job_id: int
-    partials: int
     task: TaskMetrics
     sim_seconds: float
-    map_outputs: int = 0
+    map_outputs: int
 
     def render(self) -> str:
         task = self.task
-        if self.map_outputs:
-            read = (
-                f"{self.map_outputs} map outputs, "
-                f"fetched {_bytes(task.shuffle_read_bytes)}, "
-                f"{task.records_out} rows out"
-            )
-        else:
-            read = (
-                f"{self.partials} partials, rows {task.records_in}, "
-                f"fetched {_bytes(task.shuffle_read_bytes)}"
-            )
         return (
-            f"driver merge (job {self.job_id}): {read}, "
+            f"driver merge (job {self.job_id}): "
+            f"{self.map_outputs} map outputs, "
+            f"fetched {_bytes(task.shuffle_read_bytes)}, "
+            f"{task.records_out} rows out, "
             f"{self.sim_seconds:.6f} sim-s"
         )
 
@@ -169,7 +159,6 @@ def analyze_profiles(
     merges = [
         DriverMergeAnalysis(
             profile.job_id,
-            sum(s.num_tasks for s in profile.stages if not s.is_shuffle_map),
             profile.driver_task,
             profile.driver_merge_seconds(SHARK_NO_STRAGGLER, hardware),
             profile.driver_map_outputs,

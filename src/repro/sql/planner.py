@@ -718,15 +718,10 @@ class PhysicalPlanner:
 
     def _global_partials(self, partials: RDD) -> RDD:
         """Where a GROUP-BY-less aggregate's partial rows (one a map
-        task) meet: on the driver, as the map tasks' results, in
-        map-index order — the order a one-bucket exchange fetches them
-        in, so the merge sums in the same order (DESIGN §17).  The merge
-        and everything narrow above it run there, when the job reads
-        them through narrow operators alone; read inside a task, the
-        partials go through that exchange."""
-        return DriverRDD(
-            physical.exchange_partials(partials, 0, 1), partials
-        )
+        task) meet: their one-bucket exchange, which the driver fetches
+        and merges when the job reads it through narrow operators alone,
+        as it does a GROUP BY's one reducer (DESIGN §17)."""
+        return DriverRDD(physical.exchange_partials(partials, 0, 1))
 
     def _coalesce_buckets(self, exchanged, fine: int) -> RDD:
         stats = self.ctx.materialize_dependency(exchanged.shuffle_dep)

@@ -629,12 +629,14 @@ _EXCHANGE_BYTES = {
     ("q0000", 0): 11220,  # parent: 15403
     ("q0001", 0): 1556,  # 2728
     ("q0002", 0): 4089,  # 6064; 4102
+    ("q0004", 0): 36,  # 96
     ("q0005", 0): 6545,  # 61596; 14034
     ("q0006", 0): 484,  # 1376
     ("q0007", 0): 4665,  # 23591; 6565
     ("q0009", 0): 1406,  # 2272
     ("q0010", 0): 403,  # 737; 413
     ("q0010", 1): 1692,  # 4824; 1698 (1645 until its DATE key re-hashed)
+    ("q0011", 0): 60,  # 120
 }
 
 #: The two ORDER BY exchanges the fixture holds, by the query they sort:
@@ -645,15 +647,6 @@ _EXCHANGE_BYTES = {
 _IN_PLACE_SORTS = {
     ("q0009", 1): "tpch_q1",
     ("q0010", 2): "tpch_q3",
-}
-
-#: The two exchanges of an aggregate with no GROUP BY the fixture holds
-#: (one partial row a map task into one bucket; 36 and 60 bytes here).
-#: Those partials now come back as the map tasks' results and merge on
-#: the driver (DESIGN §17): no exchange, so no record.
-_DRIVER_MERGES = {
-    ("q0004", 0): "tpch_agg_1",
-    ("q0011", 0): "tpch_q6",
 }
 
 #: Rows per bucket of the two exchanges keyed by a DATE (the 2 500-group
@@ -692,22 +685,11 @@ def test_skew_records_match_parent_commit(tmp_path):
         assert record["num_maps"] == 1
         query = _IN_PLACE_SORTS[_exchange_of(record)]
         assert sorted(QUERIES)[int(record["query_id"][1:])] == query
-    merged = [r for r in parent if _exchange_of(r) in _DRIVER_MERGES]
-    assert sorted(map(_exchange_of, merged)) == sorted(_DRIVER_MERGES)
-    for record in merged:
-        assert record["num_reduces"] == 1
-        assert record["total_rows"] == record["num_maps"] == 4
-        query = _DRIVER_MERGES[_exchange_of(record)]
-        assert sorted(QUERIES)[int(record["query_id"][1:])] == query
-    # The parent's records but the one-partition sorts' and the global
-    # aggregates', in its order.
-    parent = [
-        r for r in parent
-        if _exchange_of(r) not in {**_IN_PLACE_SORTS, **_DRIVER_MERGES}
-    ]
+    # The parent's records but the one-partition sorts', in its order.
+    parent = [r for r in parent if _exchange_of(r) not in _IN_PLACE_SORTS]
     current = _skew_lines(tmp_path)
     assert list(map(_exchange_of, current)) == list(map(_exchange_of, parent))
-    assert len(current) == len(_EXCHANGE_BYTES) == 9
+    assert len(current) == len(_EXCHANGE_BYTES) == 11
     for got, want in zip(current, parent):
         key = _exchange_of(got)
         # Same rows in the same buckets under the same labels ...
@@ -867,9 +849,8 @@ def test_both_modes_ship_identical_buckets(monkeypatch):
     coded = _stored_exchanges(True, monkeypatch)
     plain = _stored_exchanges(False, monkeypatch)
     assert coded["stored"].keys() == plain["stored"].keys()
-    # (query, exchange, map partition): 44 before the two global
-    # aggregates' 4-map exchanges gave way to driver merges.
-    assert len(coded["stored"]) == 36
+    # (query, exchange, map partition).
+    assert len(coded["stored"]) == 44
     for key, buckets in coded["stored"].items():
         # The same rows, in the same order, in the same buckets ...
         assert [rows for rows, __ in buckets] == [

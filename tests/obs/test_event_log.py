@@ -217,8 +217,9 @@ class TestRoundTrip:
         )
 
     def test_driver_merge_price_survives_the_log(self, tmp_path):
-        """Q6 has no GROUP BY: its partials merge on the driver, after
-        its one stage.  The job record carries what was merged, so the
+        """Q6 has no GROUP BY: its partials go to their one-bucket
+        exchange and the driver fetches and merges them, after its one
+        map stage.  The job record carries what was merged, so the
         replayed record prices the merge as the live one does, and
         renders the stage and the merge, one line each."""
         shark = _tpch_shark()
@@ -227,7 +228,8 @@ class TestRoundTrip:
         )
         (job,) = loaded.profiles
         (stage,) = job.stages
-        assert job.driver_task.records_in == stage.num_tasks
+        assert stage.is_shuffle_map
+        assert job.driver_map_outputs == stage.num_tasks
         analysis = loaded.analyze()
         (merge,) = analysis.merges
         assert merge.sim_seconds > 0
@@ -238,12 +240,12 @@ class TestRoundTrip:
         assert [line.split(":")[0] for line in lines if line.startswith(
             ("  stage ", "  driver merge")
         )] == [
-            f"  stage {stage.stage_id} (result, {stage.name})",
+            f"  stage {stage.stage_id} (shuffle-map, {stage.name})",
             f"  driver merge (job {job.job_id})",
         ]
         assert (
-            f"{stage.num_tasks} partials, rows {stage.num_tasks}, fetched "
-            in render_query(loaded)
+            f"driver merge (job {job.job_id}): {stage.num_tasks} map "
+            f"outputs, fetched " in render_query(loaded)
         )
 
     def test_group_by_driver_merge_price_survives_the_log(self, tmp_path):

@@ -1,23 +1,25 @@
 """An aggregate with no GROUP BY merges its partials on the driver.
 
-Each map task's partial batch (one row) comes back as that task's
-result, and the driver merges them in map-index order (DESIGN §17): one
-stage, no exchange, no reduce task.  The reduce task concatenated the
-partials in that same order, so the rows — float sums included — are
-``repr``-identical to the Hive baseline's, which keeps its one reducer.
-Pinned here against sqlite and against Hive over 1, 2 and 4 partitions:
-each aggregate, an empty table and an empty partition, an all-NULL
-column, HAVING, expressions over aggregates, LIMIT 0, a global aggregate
-as an IN subquery and as either side of a cross join, CTAS and INSERT …
-SELECT of one; and under a memory cap, a killed worker and a failed
-task attempt.  Read inside a task — under an exchange, or by a cached
-write — the partials go through their one-bucket exchange, as before.
+Each map task writes its partial batch (one row) to the one bucket of
+the partials' exchange, and the driver fetches that bucket and merges
+it in map-index order (DESIGN §17): one map stage, no reduce task.  The
+reduce task read the partials in that same order, so the rows — float
+sums included — are ``repr``-identical to the Hive baseline's, which
+keeps its one reducer.  Pinned here against sqlite and against Hive
+over 1, 2 and 4 partitions: each aggregate, an empty table and an empty
+partition, an all-NULL column, HAVING, expressions over aggregates,
+LIMIT 0, a global aggregate as an IN subquery and as either side of a
+cross join, CTAS and INSERT … SELECT of one; and under a memory cap, a
+worker killed at every point of the query and a failed task attempt.
+Read inside a task — under an exchange, or by a cached write — the
+partials' bucket is read by a one-task reduce, as before.
 
-A GROUP BY that PDE sizes to one reducer merges on the driver too: the
-driver fetches the map outputs the pre-shuffle wrote, in the order the
-one reduce task fetched them, so its rows are pinned the same way, and
-so are its recovery (a worker killed after the pre-shuffle, a corrupted
-fetch), its memory cap and the reducer counts that keep the stage.
+A GROUP BY that PDE sizes to one reducer merges on the driver the same
+way: the driver fetches the map outputs the pre-shuffle wrote, in the
+order the one reduce task fetched them, so its rows are pinned the same
+way, and so are its recovery (a worker killed after the pre-shuffle, a
+corrupted fetch), its memory cap and the reducer counts that keep the
+stage.
 """
 
 from __future__ import annotations
@@ -116,24 +118,25 @@ def shark():
     return _build()
 
 
-def _one_stage(shark: SharkContext, text: str) -> list:
-    """Run ``text`` and check it merged on the driver: one job of one
-    result stage and a driver merge, nothing written to an exchange."""
+def _merged_on_driver(shark: SharkContext, text: str) -> list:
+    """Run ``text`` and check its merge ran on the driver: the result
+    job's one map stage (a global aggregate's partials, or the stage a
+    GROUP BY's PDE pre-shuffle ran), whose outputs the driver fetched,
+    and no reduce task."""
     shark.engine.reset_profiles()
-    written = shark.metrics.value("shuffle.write.records")
     rows = shark.sql(text).rows
-    (profile,) = shark.engine.profiles
-    (stage,) = profile.stages
-    assert not stage.is_shuffle_map
-    assert profile.driver_task.worker_id == DRIVER_WORKER
-    assert shark.metrics.value("shuffle.write.records") == written
+    merged = shark.engine.profiles[-1]
+    (stage,) = merged.stages
+    assert stage.is_shuffle_map
+    assert merged.driver_map_outputs > 0
+    assert merged.driver_task.worker_id == DRIVER_WORKER
     return rows
 
 
 @pytest.mark.parametrize(("statement", "table"), _CASES)
 def test_rows_match_sqlite_and_hives_reducer(shark, statement, table):
     text = statement.format(table=table)
-    got = _one_stage(shark, text)
+    got = _merged_on_driver(shark, text)
     assert_rows_match(got, sqlite_rows(text, _ORACLE_TABLES), context=text)
     hive = HiveExecutor(shark.session, num_reducers=8).execute(text)
     assert list(map(repr, got)) == list(map(repr, hive.rows))
@@ -156,7 +159,7 @@ def test_partials_merge_in_map_index_order():
         num_partitions=4,
     )
     text = "SELECT SUM(f), AVG(f) FROM spread"
-    rows = _one_stage(shark, text)
+    rows = _merged_on_driver(shark, text)
     in_order = ((values[0] + values[1]) + values[2]) + values[3]
     backwards = ((values[3] + values[2]) + values[1]) + values[0]
     assert in_order != backwards
@@ -167,13 +170,13 @@ def test_partials_merge_in_map_index_order():
 
 def test_the_merge_is_priced_as_driver_work(shark):
     text = _AGGREGATES.format(table="four")
-    _one_stage(shark, text)
+    _merged_on_driver(shark, text)
     (profile,) = shark.engine.profiles
     merged = profile.driver_task
-    assert merged.records_in == 4 and merged.shuffle_read_bytes > 0
+    assert merged.shuffle_read_bytes > 0 and merged.records_out == 1
     analysis = analyze_profiles("", [profile], 2, 1)
     (priced,) = analysis.merges
-    assert priced.partials == 4
+    assert priced.map_outputs == 4
     (stage,) = analysis.stages
     # Not a task: no launch overhead, yet not free.
     assert 0 < priced.sim_seconds < 1e-3
@@ -197,11 +200,12 @@ def test_explain_analyze_shows_one_stage_and_the_merge(shark):
     lines = [line.strip() for line in text.splitlines()]
     stages = [line for line in lines if line.startswith("stage ")]
     merges = [line for line in lines if line.startswith("driver merge")]
-    assert len(stages) == 1 and "(result, " in stages[0]
+    assert len(stages) == 1 and "(shuffle-map, " in stages[0]
     assert "4 tasks" in stages[0]
     (merge,) = merges
     assert merge.startswith("driver merge (job ")
-    assert ": 4 partials, rows 4, fetched " in merge
+    assert ": 4 map outputs, fetched " in merge
+    assert ", 1 rows out, " in merge
     assert merge.endswith(" sim-s") and " 0.000000 sim-s" not in merge
 
 
@@ -299,31 +303,48 @@ def test_capped_context_merges_the_same_rows(shark):
         ), text
     assert capped.engine.memory.spill_events > 0
     assert capped.metrics.value("blocks.evicted") > 0
-    # The merge held its partials on the driver's ledger, then let go.
-    driver = capped.engine.memory.ledger(-1)
+    # The merge held its fetched partials on the driver's ledger, then
+    # let go.
+    driver = capped.engine.memory.ledger(DRIVER_WORKER)
     assert driver.owner_peak[("execution", "driver_merge")] > 0
+    assert driver.used["execution"] == 0
 
 
-def test_worker_killed_mid_query_loses_no_partial(shark):
+def test_a_worker_killed_at_any_task_of_the_query_reruns_its_maps(shark):
+    """The worker dies after each of the query's tasks in turn: the map
+    outputs it held are lost and re-run from lineage before the driver
+    fetches the bucket, as a GROUP BY's are, and the rows never move."""
     text = _AGGREGATES.format(table="four")
-    # The loads run 11 tasks: the worker dies after the query's second.
-    killed = _build(
-        fault_injector=FaultInjector(
-            seed=5, kill_worker_id=1, kill_after_tasks=13
+    clean = _build()
+    loads = clean.engine.cluster.total_tasks_completed
+    want = list(map(repr, clean.sql(text).rows))
+    query_tasks = clean.engine.cluster.total_tasks_completed - loads
+    for kill_after in range(loads + 1, loads + query_tasks + 1):
+        killed = _build(
+            fault_injector=FaultInjector(
+                seed=5, kill_worker_id=1, kill_after_tasks=kill_after
+            )
         )
-    )
-    worker = killed.engine.cluster.worker(1)
-    assert worker.alive
-    launched = killed.metrics.value("tasks.launched")
-    recovered = killed.metrics.value("tasks.recovered")
-    rows = killed.sql(text).rows
-    assert not worker.alive
-    assert list(map(repr, rows)) == list(map(repr, shark.sql(text).rows))
-    # The partials already returned are on the driver: no task re-ran
-    # (the dead worker's blocks were recomputed by the tasks that read
-    # them), four tasks in all.
-    assert killed.metrics.value("tasks.recovered") == recovered
-    assert killed.metrics.value("tasks.launched") - launched == 4
+        worker = killed.engine.cluster.worker(1)
+        assert worker.alive
+        killed.engine.reset_profiles()
+        launched = killed.metrics.value("tasks.launched")
+        recovered = killed.metrics.value("tasks.recovered")
+        rows = killed.sql(text).rows
+        assert not worker.alive, kill_after
+        assert list(map(repr, rows)) == want, kill_after
+        (profile,) = killed.engine.profiles
+        (stage,) = profile.stages
+        lost = sum(task.worker_id == 1 for task in stage.tasks)
+        assert profile.recovered_tasks == lost > 0, kill_after
+        assert killed.metrics.value("tasks.recovered") - recovered == lost
+        # The dead worker's cached blocks were recomputed by the tasks
+        # that read them: only its map outputs launched again.
+        assert (
+            killed.metrics.value("tasks.launched") - launched
+            == query_tasks + lost
+        )
+        assert killed.engine.invariant_violations() == [], kill_after
 
 
 def test_a_failed_attempt_reruns_only_its_partial(shark):
@@ -374,19 +395,6 @@ _GROUPED_CASES = [
     for statement in _GROUPED
     for table in ("one", "two", "four", "holes", "empty")
 ]
-
-
-def _merged_on_driver(shark: SharkContext, text: str) -> list:
-    """Run ``text`` and check its merge ran on the driver: the map
-    outputs the PDE pre-shuffle wrote, fetched by the driver, and no
-    task past the map stage."""
-    shark.engine.reset_profiles()
-    rows = shark.sql(text).rows
-    merged = shark.engine.profiles[-1]
-    assert all(stage.is_shuffle_map for stage in merged.stages)
-    assert merged.driver_map_outputs > 0
-    assert merged.driver_task.worker_id == DRIVER_WORKER
-    return rows
 
 
 def _hive_reprs(shark: SharkContext, text: str, rows: list) -> None:

@@ -278,6 +278,16 @@ GUARDS = {
             exclude="tests/test_guards.py",
         ),
     ],
+    # One driver merge: the driver fetches the map outputs of the one
+    # exchange it replaces the reduce stage of, a global aggregate's as a
+    # GROUP BY's; no result-task outputs handed to it, and no second
+    # pricing of them.
+    "one-driver-merge": [
+        Rule(
+            r"\.collected\b|collected=|_result_bytes|\.partials\b",
+            ("src/repro/engine", "src/repro/obs"),
+        ),
+    ],
     # A job's profile lives on the scope that ran it: the scheduler keeps
     # no history or last profile of its own.
     "profiles-live-on-scopes": [
