@@ -41,7 +41,6 @@ class SharkContext:
         store: Optional[DistributedFileStore] = None,
         enable_master_recovery: bool = False,
         fault_injector=None,
-        scheduler_config=None,
         memory_per_worker_bytes: Optional[int] = None,
     ):
         self.engine = EngineContext(
@@ -50,7 +49,6 @@ class SharkContext:
             default_parallelism=default_parallelism,
             memory_per_worker_bytes=memory_per_worker_bytes,
             fault_injector=fault_injector,
-            scheduler_config=scheduler_config,
         )
         self.store = store if store is not None else DistributedFileStore()
         self.session = SqlSession(
@@ -182,10 +180,10 @@ class SharkContext:
     # ------------------------------------------------------------------
     # Query caching
     # ------------------------------------------------------------------
-    def enable_sql_cache(self, config=None):
+    def enable_sql_cache(self):
         """Turn on the plan/result query caching stack
         (:mod:`repro.sql.cache`); returns the active SqlCache."""
-        return self.session.enable_sql_cache(config=config)
+        return self.session.enable_sql_cache()
 
     @property
     def sql_cache(self):

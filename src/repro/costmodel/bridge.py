@@ -57,13 +57,11 @@ def split_stage(
 
 
 def _map_task_count(
-    total_input_bytes: float,
-    min_tasks: int = 1,
-    total_records: float = 0.0,
+    total_input_bytes: float, total_records: float = 0.0
 ) -> int:
     by_bytes = math.ceil(total_input_bytes / BLOCK_BYTES)
     by_records = math.ceil(total_records / RECORDS_PER_TASK)
-    return max(min_tasks, by_bytes, by_records)
+    return max(1, by_bytes, by_records)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,6 @@ def _stages_from_stage_profiles(
     stage_profiles: list[StageProfile],
     scale: float,
     reduce_tasks: Optional[int] = None,
-    min_map_tasks: int = 1,
 ) -> list[StageCost]:
     """Scale executed stage metrics to cluster volumes.
 
@@ -128,9 +125,7 @@ def _stages_from_stage_profiles(
                 _map_task_count(totals.shuffle_read_bytes),
             )
         else:
-            num_tasks = _map_task_count(
-                totals.bytes_in, min_map_tasks, totals.records_in
-            )
+            num_tasks = _map_task_count(totals.bytes_in, totals.records_in)
         if stage.is_shuffle_map and stage.map_side_combined:
             task_ratio = num_tasks / stage.num_tasks
             effective = min(current_scale, task_ratio)
@@ -145,7 +140,6 @@ def stages_from_profiles(
     profiles: list[QueryProfile],
     scale: float,
     reduce_tasks: Optional[int] = None,
-    min_map_tasks: int = 1,
 ) -> list[StageCost]:
     """Scale every job of a query (PDE probes, sampling, the final
     collect), in run order, as one stage sequence.
@@ -167,9 +161,7 @@ def stages_from_profiles(
                     -1, "driver merge", False, tasks=[profile.driver_task]
                 )
             )
-    return _stages_from_stage_profiles(
-        flat, scale, reduce_tasks, min_map_tasks
-    )
+    return _stages_from_stage_profiles(flat, scale, reduce_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +173,6 @@ def stages_from_jobs(
     jobs: list[JobStats],
     scale: float,
     reduce_tasks: Optional[int] = None,
-    min_map_tasks: int = 1,
-    input_source: str = SOURCE_DISK,
 ) -> list[StageCost]:
     """Scale a MapReduce job chain to cluster volumes.
 
@@ -198,11 +188,9 @@ def stages_from_jobs(
             bytes_in=job.input_bytes * current_scale,
             records_out=job.map_output_records * current_scale,
             shuffle_write_bytes=job.shuffle_bytes * current_scale,
-            source=input_source,
+            source=SOURCE_DISK,
         )
-        map_tasks = _map_task_count(
-            map_totals.bytes_in, min_map_tasks, map_totals.records_in
-        )
+        map_tasks = _map_task_count(map_totals.bytes_in, map_totals.records_in)
         shuffle_scale = current_scale
         if job.used_combiner and job.map_tasks > 0:
             # Combined map output scales with the task-count ratio.

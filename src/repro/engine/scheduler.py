@@ -19,17 +19,19 @@ behaviour implements the paper's fault-tolerance guarantees (Section 2.3):
   pre-run the map side of a shuffle and reuse it (Section 3.1).
 
 Layered on top of lineage recovery is per-attempt robustness (Section 7's
-straggler/failure discussion), governed by :class:`SchedulerConfig`:
+straggler/failure discussion), bounded by the module constants below:
 
 * **retry with backoff** — a :class:`~repro.errors.TransientTaskFailure`
   (from the fault-injection harness or a flaky worker) retries the task on
   a different worker after a capped exponential *simulated-clock* backoff,
-  up to ``max_task_attempts``; this is per-attempt and distinct from
+  up to ``MAX_TASK_ATTEMPTS``; this is per-attempt and distinct from
   lineage-recovery rounds, which re-run tasks whose *output* was lost;
 * **speculative execution** — when a completed task's simulated runtime
   exceeds a quantile of its stage peers, a backup copy runs on another
-  worker and the faster finisher's result is kept;
-* **worker blacklisting** — workers accumulating ``blacklist_threshold``
+  worker and the faster finisher's result is kept.  It runs exactly when
+  the context carries a fault injector, so a fault-free run keeps its
+  exact seed behaviour;
+* **worker blacklisting** — workers accumulating ``BLACKLIST_THRESHOLD``
   failures are taken out of the schedulable pool for a probation period.
 
 Correctness under re-execution: each attempt buffers its accumulator
@@ -76,9 +78,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Upper bound on recovery rounds for one job before giving up.
 MAX_RECOVERY_ROUNDS = 16
 
+#: Attempts per task (first run + retries) before the job fails.
+MAX_TASK_ATTEMPTS = 4
+#: First retry waits this many simulated seconds; doubles per retry.
+RETRY_BACKOFF_BASE_S = 0.05
+#: Ceiling on the simulated backoff delay.
+RETRY_BACKOFF_CAP_S = 2.0
+
 #: The quantile of completed stage peers' runtimes a straggler is
-#: measured against (times ``SchedulerConfig.speculation_multiplier``).
+#: measured against (times ``SPECULATION_MULTIPLIER``).
 SPECULATION_QUANTILE = 0.75
+#: A task is a straggler when its runtime exceeds the
+#: ``SPECULATION_QUANTILE`` of completed stage peers times this.
+SPECULATION_MULTIPLIER = 1.5
+#: Minimum completed peers before the quantile is trusted.
+SPECULATION_MIN_PEERS = 3
+
+#: Failures before a worker is blacklisted.
+BLACKLIST_THRESHOLD = 3
+#: Probation length, in cluster-wide task completions.
+BLACKLIST_PROBATION_TASKS = 25
 
 #: QueryProfile attribute -> the counter whose growth over the job it is.
 _JOB_COUNTERS = {
@@ -141,34 +160,6 @@ def _driver_source(rdd: "RDD") -> Optional[DriverRDD]:
 
 
 @dataclass
-class SchedulerConfig:
-    """Knobs for the scheduler's robustness machinery.
-
-    ``speculation=None`` means *auto*: speculative execution turns on when
-    the engine context carries a fault injector (so fault-free runs keep
-    their exact seed behaviour) and stays off otherwise.
-    """
-
-    #: Attempts per task (first run + retries) before the job fails.
-    max_task_attempts: int = 4
-    #: First retry waits this many simulated seconds; doubles per retry.
-    retry_backoff_base_s: float = 0.05
-    #: Ceiling on the simulated backoff delay.
-    retry_backoff_cap_s: float = 2.0
-    #: True/False forces speculation on/off; None = auto (see above).
-    speculation: Optional[bool] = None
-    #: A task is a straggler when its runtime exceeds the
-    #: ``SPECULATION_QUANTILE`` of completed stage peers times this.
-    speculation_multiplier: float = 1.5
-    #: Minimum completed peers before the quantile is trusted.
-    speculation_min_peers: int = 3
-    #: Failures before a worker is blacklisted.
-    blacklist_threshold: int = 3
-    #: Probation length, in cluster-wide task completions.
-    blacklist_probation_tasks: int = 25
-
-
-@dataclass
 class _Attempt:
     """One finished task attempt the scheduler may keep or discard."""
 
@@ -212,11 +203,8 @@ class Stage:
 class DAGScheduler:
     """Builds stages from lineage and executes them with recovery."""
 
-    def __init__(
-        self, ctx: "EngineContext", config: Optional[SchedulerConfig] = None
-    ):
+    def __init__(self, ctx: "EngineContext"):
         self._ctx = ctx
-        self.config = config if config is not None else SchedulerConfig()
         self._next_stage_id = 0
         self._next_job_id = 0
         #: shuffle_id -> Stage, shared across jobs so PDE pre-shuffles and
@@ -690,11 +678,6 @@ class DAGScheduler:
     # ------------------------------------------------------------------
     # Resilient task execution: retry, speculation, blacklisting
     # ------------------------------------------------------------------
-    def _speculation_enabled(self) -> bool:
-        if self.config.speculation is not None:
-            return self.config.speculation
-        return self._ctx.fault_injector is not None
-
     def _run_resilient_task(
         self,
         stage: Stage,
@@ -710,13 +693,12 @@ class DAGScheduler:
         backoff, launches a speculative copy against stragglers, feeds the
         blacklist, and merges the winning attempt's accumulator buffer
         exactly once."""
-        config = self.config
         tracer = self._ctx.tracer
         excluded: set[int] = set()
         winner: Optional[_Attempt] = None
         attempts_used = 0
         last_failure: Optional[TransientTaskFailure] = None
-        for attempt in range(1, config.max_task_attempts + 1):
+        for attempt in range(1, MAX_TASK_ATTEMPTS + 1):
             attempts_used = attempt
             try:
                 winner = self._attempt_task(
@@ -734,7 +716,7 @@ class DAGScheduler:
                 last_failure = failure
                 excluded.add(failure.worker_id)
                 self._note_worker_failure(failure.worker_id, profile)
-                if attempt < config.max_task_attempts:
+                if attempt < MAX_TASK_ATTEMPTS:
                     self._retry_with_backoff(
                         stage, partition, failure, attempt, profile
                     )
@@ -832,15 +814,10 @@ class DAGScheduler:
         metrics.records_out = count_rows(records)
         vector = metrics.to_cost_vector()
         # Durations are only priced out when something consumes them: the
-        # trace, the fault injector's stragglers, speculation, or the
+        # trace, the fault injector's stragglers and speculation, or the
         # deadline of a lifecycle-managed query.
         seconds: Optional[float] = None
-        if (
-            tracer.enabled
-            or injector is not None
-            or self._speculation_enabled()
-            or query.token is not None
-        ):
+        if tracer.enabled or injector is not None or query.token is not None:
             seconds = tracer.estimate_seconds(vector)
             if injector is not None:
                 seconds *= injector.straggler_factor(
@@ -901,11 +878,9 @@ class DAGScheduler:
         profile: QueryProfile,
     ) -> None:
         """Record a retry and charge its backoff delay to simulated time."""
-        config = self.config
         tracer = self._ctx.tracer
         delay = min(
-            config.retry_backoff_base_s * (2 ** (attempt - 1)),
-            config.retry_backoff_cap_s,
+            RETRY_BACKOFF_BASE_S * (2 ** (attempt - 1)), RETRY_BACKOFF_CAP_S
         )
         profile.retried_tasks += 1
         tracer.instant(
@@ -943,10 +918,10 @@ class DAGScheduler:
         scoped = (self._ctx.query.tenant, worker_id)
         count = self._worker_failures.get(scoped, 0) + 1
         self._worker_failures[scoped] = count
-        if count >= self.config.blacklist_threshold:
+        if count >= BLACKLIST_THRESHOLD:
             self._worker_failures[scoped] = 0
             self._ctx.cluster.blacklist_worker(
-                worker_id, self.config.blacklist_probation_tasks
+                worker_id, BLACKLIST_PROBATION_TASKS
             )
             profile.blacklisted_workers += 1
 
@@ -962,8 +937,10 @@ class DAGScheduler:
         profile: QueryProfile,
     ) -> _Attempt:
         """Launch a backup copy when the primary looks like a straggler;
-        return whichever attempt finished faster (simulated time)."""
-        if not self._speculation_enabled() or primary.seconds is None:
+        return whichever attempt finished faster (simulated time).
+        Speculation runs only under a fault injector, which also prices
+        every attempt's seconds."""
+        if self._ctx.fault_injector is None:
             return primary
         threshold = self._speculation_threshold(stage)
         if threshold is None or primary.seconds <= threshold:
@@ -991,7 +968,7 @@ class DAGScheduler:
         except (TransientTaskFailure, FetchFailedError):
             # The backup died; the primary result stands.
             return primary
-        if copy.seconds is not None and copy.seconds < primary.seconds:
+        if copy.seconds < primary.seconds:
             # The copy wins; for map tasks it also wrote last, so the
             # shuffle locations already point at its worker.
             return copy
@@ -1006,14 +983,14 @@ class DAGScheduler:
     def _speculation_threshold(self, stage: Stage) -> Optional[float]:
         """Straggler cutoff from completed peers, or None if too few."""
         durations = self._stage_durations.get(stage.stage_id, ())
-        if len(durations) < self.config.speculation_min_peers:
+        if len(durations) < SPECULATION_MIN_PEERS:
             return None
         ordered = sorted(durations)
         index = min(
             int(len(ordered) * SPECULATION_QUANTILE),
             len(ordered) - 1,
         )
-        return ordered[index] * self.config.speculation_multiplier
+        return ordered[index] * SPECULATION_MULTIPLIER
 
     def _merge_accumulators(
         self, stage: Stage, partition: int, winner: _Attempt, kind: str

@@ -35,7 +35,7 @@ class TransientTaskFailure(EngineError):
 
     The scheduler catches this internally: the attempt is retried on
     another worker after a capped exponential (simulated-clock) backoff.
-    It only escapes to user code when ``max_task_attempts`` is exhausted,
+    It only escapes to user code when ``MAX_TASK_ATTEMPTS`` is exhausted,
     wrapped in :class:`TaskError`.
     """
 

@@ -20,7 +20,7 @@ Fault kinds
 ``flaky worker``
     Every attempt scheduled on a worker in ``flaky_workers`` fails.  The
     scheduler's blacklist machinery is what saves the query: after
-    ``blacklist_threshold`` failures the worker stops receiving tasks
+    ``BLACKLIST_THRESHOLD`` failures the worker stops receiving tasks
     for a probation period.
 
 ``worker kill``

@@ -70,14 +70,22 @@ QUERY_TEMPLATES: tuple[tuple[str, str], ...] = (
     ),
 )
 
-#: Default tenant fleet: one interactive, two batch, two best-effort.
-DEFAULT_TENANTS: tuple[tuple[str, str], ...] = (
+#: The tenant fleet, by Zipf rank: one interactive, two batch, two
+#: best-effort.
+TENANTS: tuple[tuple[str, str], ...] = (
     ("dashboards", INTERACTIVE),
     ("etl", BATCH),
     ("reports", BATCH),
     ("crawler", BEST_EFFORT),
     ("scratch", BEST_EFFORT),
 )
+#: Zipf exponent of the tenant and template picks.
+ZIPF_SKEW = 1.2
+#: A best-effort submission's deadline: meetable, or tight at
+#: ``TIGHT_DEADLINE_RATE``.
+BEST_EFFORT_DEADLINE_S = 40.0
+TIGHT_DEADLINE_S = 0.5
+TIGHT_DEADLINE_RATE = 0.25
 
 
 @dataclass(frozen=True)
@@ -94,33 +102,19 @@ class ZipfianWorkload:
     """Seeded generator of Zipf-skewed (tenant, query) traffic.
 
     Tenant and template picks follow a Zipf law (probability
-    proportional to ``1 / rank ** skew``), so one tenant dominates the
+    proportional to ``1 / rank ** ZIPF_SKEW``), so one tenant dominates the
     offered load — the exact overload shape the server's quotas and
     weighted fairness must absorb.  Only ``best_effort`` submissions
     carry deadlines (a seeded mix of meetable and tight), so every
     deadline shed lands in the lowest tier by construction.
     """
 
-    def __init__(
-        self,
-        seed: int = 29,
-        queries: int = 1000,
-        skew: float = 1.2,
-        tenants: tuple[tuple[str, str], ...] = DEFAULT_TENANTS,
-        best_effort_deadline_s: float = 40.0,
-        tight_deadline_s: float = 0.5,
-        tight_deadline_rate: float = 0.25,
-    ) -> None:
+    def __init__(self, seed: int = 29, queries: int = 1000) -> None:
         self.seed = seed
         self.queries = queries
-        self.skew = skew
-        self.tenants = tenants
-        self.best_effort_deadline_s = best_effort_deadline_s
-        self.tight_deadline_s = tight_deadline_s
-        self.tight_deadline_rate = tight_deadline_rate
 
     def _zipf_pick(self, rng: random.Random, count: int) -> int:
-        weights = [1.0 / (rank + 1) ** self.skew for rank in range(count)]
+        weights = [1.0 / (rank + 1) ** ZIPF_SKEW for rank in range(count)]
         total = sum(weights)
         roll = rng.random() * total
         for index, weight in enumerate(weights):
@@ -131,21 +125,19 @@ class ZipfianWorkload:
 
     def generate(self) -> list[Submission]:
         rng = random.Random(self.seed)
-        priorities = dict(self.tenants)
+        priorities = dict(TENANTS)
         out: list[Submission] = []
         for _ in range(self.queries):
-            tenant, __ = self.tenants[
-                self._zipf_pick(rng, len(self.tenants))
-            ]
+            tenant, __ = TENANTS[self._zipf_pick(rng, len(TENANTS))]
             template, text = QUERY_TEMPLATES[
                 self._zipf_pick(rng, len(QUERY_TEMPLATES))
             ]
             deadline = None
             if priorities[tenant] == BEST_EFFORT:
                 deadline = (
-                    self.tight_deadline_s
-                    if rng.random() < self.tight_deadline_rate
-                    else self.best_effort_deadline_s
+                    TIGHT_DEADLINE_S
+                    if rng.random() < TIGHT_DEADLINE_RATE
+                    else BEST_EFFORT_DEADLINE_S
                 )
             out.append(
                 Submission(

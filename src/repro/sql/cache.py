@@ -27,8 +27,11 @@ each of its columns once, with or without this module (DESIGN §14).
 
 Every cached byte is charged to the ``sql_cache`` owner in the
 :class:`~repro.engine.memory.MemoryAccountant` (storage pool, driver
-ledger).  Both layers default *off*; ``SqlSession.enable_sql_cache()``
-turns them on, and the session is the only code that consults them.
+ledger).  The caps are module constants: ``MAX_PLAN_ENTRIES`` plans,
+``MAX_RESULT_ENTRIES`` result sets and ``MAX_RESULT_BYTES`` of them,
+least recently used out first.  Both layers default *off*;
+``SqlSession.enable_sql_cache()`` turns them on together, and the
+session is the only code that consults them.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from repro.sql import ast
 from repro.sql.optimizer import canonical_commutative_swap
 
 __all__ = [
-    "SqlCacheConfig",
     "SqlCache",
     "NormalizedQuery",
     "normalize_select",
@@ -74,19 +76,11 @@ class NormalizedQuery:
 #: Plans the plan cache keeps (least recently used out first); the text
 #: memo keeps up to four times as many texts.
 MAX_PLAN_ENTRIES = 128
-
-
-@dataclass
-class SqlCacheConfig:
-    """Knobs for the cache layers (all sizes driver-side caps)."""
-
-    enable_result: bool = True
-    max_result_entries: int = 256
-    max_result_bytes: int = 16 * 1024 * 1024
-
-    def __post_init__(self) -> None:
-        if self.max_result_entries < 1:
-            raise ValueError("max_result_entries must be >= 1")
+#: Result sets the result cache keeps (least recently used out first).
+MAX_RESULT_ENTRIES = 256
+#: Driver-heap bytes the result cache keeps; a larger result set is
+#: never stored.
+MAX_RESULT_BYTES = 16 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +316,9 @@ class SqlCache:
     fragment_hits = 0
     fragment_misses = 0
 
-    def __init__(self, ctx, catalog, config: Optional[SqlCacheConfig] = None):
+    def __init__(self, ctx, catalog):
         self._ctx = ctx
         self.catalog = catalog
-        self.config = config if config is not None else SqlCacheConfig()
         #: Raw SQL text -> NormalizedQuery (None = known-uncacheable);
         #: a memo hit skips the parser entirely.
         self._text_memo: dict[str, Optional[NormalizedQuery]] = {}
@@ -435,8 +428,6 @@ class SqlCache:
     def result_lookup(self, normalized: NormalizedQuery):
         """The cached (rows, schema) for the current version vector, or
         None.  Rows are returned as a fresh list (callers own it)."""
-        if not self.config.enable_result:
-            return None
         vector = self.version_vector(normalized)
         if vector is None:
             return None
@@ -452,8 +443,6 @@ class SqlCache:
     def result_store(
         self, normalized: NormalizedQuery, rows: list, schema
     ) -> None:
-        if not self.config.enable_result:
-            return
         vector = self.version_vector(normalized)
         if vector is None:
             return
@@ -461,15 +450,15 @@ class SqlCache:
         if key in self._results:
             return
         nbytes = _rows_nbytes(rows)
-        if nbytes > self.config.max_result_bytes:
+        if nbytes > MAX_RESULT_BYTES:
             return
         self._ctx.memory.reserve(DRIVER_WORKER, STORAGE, CACHE_OWNER, nbytes)
         self._result_bytes += nbytes
         tables = frozenset(table for __, table in normalized.tables)
         self._results[key] = _ResultEntry(list(rows), schema, nbytes, tables)
         while (
-            len(self._results) > self.config.max_result_entries
-            or self._result_bytes > self.config.max_result_bytes
+            len(self._results) > MAX_RESULT_ENTRIES
+            or self._result_bytes > MAX_RESULT_BYTES
         ):
             stale_key, stale = self._results.popitem(last=False)
             self._drop_result(stale)

@@ -118,13 +118,13 @@ class SqlSession:
             "plan.q_error_max", lambda: self._q_error_max
         )
 
-    def enable_sql_cache(self, config=None):
+    def enable_sql_cache(self):
         """Turn on the plan/result caching stack for this session
         (idempotent; returns the active SqlCache)."""
         if self.sql_cache is None:
             from repro.sql.cache import SqlCache
 
-            self.sql_cache = SqlCache(self.ctx, self.catalog, config)
+            self.sql_cache = SqlCache(self.ctx, self.catalog)
         return self.sql_cache
 
     # ------------------------------------------------------------------

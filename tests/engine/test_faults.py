@@ -11,7 +11,13 @@ import pytest
 
 from repro.engine import Accumulator, EngineContext
 from repro.engine.rdd import DataRDD
-from repro.engine.scheduler import SchedulerConfig
+from repro.engine import scheduler
+from repro.engine.scheduler import (
+    BLACKLIST_PROBATION_TASKS,
+    BLACKLIST_THRESHOLD,
+    MAX_TASK_ATTEMPTS,
+    RETRY_BACKOFF_BASE_S,
+)
 from repro.engine.shuffle import _shuffle_block_id
 from repro.errors import TaskError
 from repro.faults import FaultInjector
@@ -104,63 +110,70 @@ class TestRetryWithBackoff:
         assert backoffs
         assert all(span.duration > 0 for span in backoffs)
 
-    def test_backoff_is_capped_exponential(self):
-        config = SchedulerConfig(
-            retry_backoff_base_s=0.1, retry_backoff_cap_s=0.3
-        )
-        ctx = EngineContext(
-            num_workers=4,
-            cores_per_worker=2,
-            fault_injector=FaultInjector(
-                seed=3, transient_failure_rate=0.9, fail_attempts_ceiling=3,
-                max_transient_failures=3,
-            ),
-            scheduler_config=config,
-        )
-        ctx.enable_tracing()
-        ctx.parallelize(range(40), 2).map(lambda i: (i % 3, 1)).count()
-        delays = [
-            span.duration
-            for span in ctx.trace.spans_in_category("recovery")
-            if span.name.startswith("retry backoff")
-        ]
-        assert delays
-        for attempt, delay in enumerate(sorted(delays), start=1):
-            assert delay <= config.retry_backoff_cap_s + 1e-9
+    def test_backoff_is_capped_exponential(self, monkeypatch):
+        def delays() -> dict:
+            # Every task fails its first three attempts: three retries.
+            ctx = EngineContext(
+                num_workers=4,
+                cores_per_worker=2,
+                fault_injector=FaultInjector(
+                    seed=3, transient_failure_rate=1.0,
+                    fail_attempts_ceiling=MAX_TASK_ATTEMPTS - 1,
+                ),
+            )
+            ctx.enable_tracing()
+            ctx.parallelize(range(40), 2).map(lambda i: (i % 3, 1)).count()
+            return {
+                span.args["attempt"]: span.duration
+                for span in ctx.trace.spans_in_category("recovery")
+                if span.name.startswith("retry backoff")
+            }
+
+        base = RETRY_BACKOFF_BASE_S
+        assert delays() == pytest.approx({1: base, 2: 2 * base, 3: 4 * base})
+        # MAX_TASK_ATTEMPTS stops the doubling below the real cap; a
+        # lower cap binds on the third retry.
+        monkeypatch.setattr(scheduler, "RETRY_BACKOFF_CAP_S", 2 * base)
+        assert delays() == pytest.approx({1: base, 2: 2 * base, 3: 2 * base})
 
     def test_attempts_exhausted_raises_task_error(self):
         ctx = EngineContext(
             num_workers=4,
             cores_per_worker=2,
             fault_injector=FaultInjector(seed=1, flaky_workers=(0, 1, 2, 3)),
-            scheduler_config=SchedulerConfig(max_task_attempts=2),
         )
-        with pytest.raises(TaskError):
+        with pytest.raises(TaskError) as failure:
             ctx.parallelize(range(10), 2).count()
+        assert failure.value.cause.attempt == MAX_TASK_ATTEMPTS
+        assert ctx.metrics.value("tasks.launched") == MAX_TASK_ATTEMPTS
         assert ctx.metrics.value("tasks.failed") > 0
 
 
 class TestBlacklisting:
     def test_flaky_worker_is_blacklisted_then_paroled(self):
         injector = FaultInjector(seed=7, flaky_workers=(1,))
-        config = SchedulerConfig(
-            blacklist_threshold=2, blacklist_probation_tasks=6
-        )
         ctx = EngineContext(
-            num_workers=4,
-            cores_per_worker=2,
-            fault_injector=injector,
-            scheduler_config=config,
+            num_workers=4, cores_per_worker=2, fault_injector=injector
         )
+        ctx.enable_tracing()
         baseline = _word_counts(EngineContext(4, 2))
         assert _word_counts(ctx) == baseline
         cluster = ctx.cluster
-        assert ctx.metrics.value("workers.blacklisted") > 0
+        # The third failure on worker 1 benches it for the probation.
+        assert injector.injected_flaky == BLACKLIST_THRESHOLD
+        assert ctx.metrics.value("workers.blacklisted") == 1
+        (benched,) = ctx.trace.events_named("worker.blacklisted")
+        assert benched.args == {
+            "worker_id": 1, "probation_tasks": BLACKLIST_PROBATION_TASKS,
+        }
+        assert cluster.is_blacklisted(1)
         # Probation: after enough cluster-wide completions the worker is
         # schedulable again (and, being flaky, gets blacklisted again).
-        blacklistings = ctx.metrics.value("workers.blacklisted")
+        while cluster.is_blacklisted(1):
+            assert _word_counts(ctx) == baseline
         assert _word_counts(ctx) == baseline
-        assert ctx.metrics.value("workers.blacklisted") >= blacklistings
+        assert ctx.metrics.value("workers.blacklisted") == 2
+        assert injector.injected_flaky == 2 * BLACKLIST_THRESHOLD
         assert cluster.live_workers(), "blacklisting must not kill workers"
 
     def test_blacklisted_worker_not_assigned(self):
@@ -187,9 +200,6 @@ class TestSpeculation:
             cores_per_worker=2,
             fault_injector=FaultInjector(
                 seed=7, stragglers_per_stage=1, straggler_slowdown=50.0
-            ),
-            scheduler_config=SchedulerConfig(
-                speculation_min_peers=2, speculation_multiplier=1.2
             ),
         )
 
@@ -223,17 +233,13 @@ class TestSpeculation:
     def test_primary_map_output_beats_its_copy(self):
         """A map task whose backup copy is no faster keeps its own
         output: the copy wrote last, so its location is pointed back and
-        reducers read the primary's worker."""
+        reducers read the primary's worker.  Speculation runs exactly
+        when the context carries a fault injector, even one that injects
+        nothing."""
 
-        def word_counts(speculation: bool):
+        def word_counts(injector):
             ctx = EngineContext(
-                num_workers=4,
-                cores_per_worker=2,
-                scheduler_config=SchedulerConfig(
-                    speculation=speculation,
-                    speculation_min_peers=2,
-                    speculation_multiplier=1.2,
-                ),
+                num_workers=4, cores_per_worker=2, fault_injector=injector
             )
             ctx.enable_tracing()
             # The last map partition is 3 000x its peers: slow on every
@@ -246,9 +252,13 @@ class TestSpeculation:
             )
             return ctx, counts, counts.collect()
 
-        ctx, counts, rows = word_counts(speculation=True)
-        assert repr(rows) == repr(word_counts(speculation=False)[2])
-        launch = ctx.trace.events_named("task.speculative")[0]
+        plain, __, plain_rows = word_counts(None)
+        assert plain.trace.events_named("task.speculative") == []
+        assert plain.metrics.value("tasks.speculative") == 0
+        ctx, counts, rows = word_counts(FaultInjector())
+        assert repr(rows) == repr(plain_rows)
+        (launch,) = ctx.trace.events_named("task.speculative")
+        assert ctx.metrics.value("tasks.speculative") == 1
         assert launch.args["partition"] == 7
         primary = launch.args["primary_worker"]
         shuffle_id = counts.shuffle_dep.shuffle_id

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.context import EngineContext
-from repro.engine.scheduler import SchedulerConfig
 from repro.errors import TaskError
 from repro.faults import FaultInjector
 from tests.sql.test_vectorized_parity import QUERIES, _build
@@ -93,10 +92,6 @@ def test_counters_equal_profile_sums_under_chaos():
         True,
         4,
         fault_injector=injector,
-        scheduler_config=SchedulerConfig(
-            speculation=True, speculation_min_peers=2,
-            speculation_multiplier=1.2,
-        ),
     )
     window = {name: 0.0 for name in _PROFILE_SUMS}
     for key, text in TEXTS.items():

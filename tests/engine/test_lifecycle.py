@@ -24,6 +24,7 @@ from repro.engine.lifecycle import (
     LifecycleConfig,
 )
 from repro.engine.metrics import QueryProfile
+from repro.engine.scheduler import BLACKLIST_THRESHOLD
 from repro.engine.task import TaskContext
 from repro.errors import (
     AdmissionRejected,
@@ -774,7 +775,7 @@ class TestTenantIsolation:
         ctx = EngineContext(num_workers=2)
         lifecycle = ctx.enable_lifecycle(LifecycleConfig(max_concurrent=1))
         scheduler = ctx.scheduler
-        threshold = scheduler.config.blacklist_threshold
+        threshold = BLACKLIST_THRESHOLD
 
         def fail_on_worker(times):
             def fn():

@@ -22,12 +22,9 @@ _REQUIRED_KEYS = {
 }
 
 
-def _traced_shark(fault_injector=None, scheduler_config=None) -> SharkContext:
+def _traced_shark(fault_injector=None) -> SharkContext:
     shark = SharkContext(
-        num_workers=4,
-        cores_per_worker=2,
-        fault_injector=fault_injector,
-        scheduler_config=scheduler_config,
+        num_workers=4, cores_per_worker=2, fault_injector=fault_injector
     )
     shark.create_table(
         "readings",
@@ -50,20 +47,15 @@ def _traced_shark(fault_injector=None, scheduler_config=None) -> SharkContext:
 @pytest.fixture(scope="module")
 def chaotic_document():
     """The export of a run with retries and speculation."""
-    from repro.engine.scheduler import SchedulerConfig
-
     injector = FaultInjector(
         seed=13,
         transient_failure_rate=0.15,
-        stragglers_per_stage=1,
+        # Three a stage, so one of the query's lands after
+        # SPECULATION_MIN_PEERS fast peers and is speculated.
+        stragglers_per_stage=3,
         straggler_slowdown=50.0,
     )
-    shark = _traced_shark(
-        fault_injector=injector,
-        scheduler_config=SchedulerConfig(
-            speculation_min_peers=2, speculation_multiplier=1.2
-        ),
-    )
+    shark = _traced_shark(fault_injector=injector)
     retried = sum(p.retried_tasks for p in shark.engine.profiles)
     speculative = sum(
         p.speculative_tasks for p in shark.engine.profiles

@@ -4,8 +4,8 @@ from collections import Counter
 
 from repro.serving.tenants import BEST_EFFORT
 from repro.serving.workload import (
-    DEFAULT_TENANTS,
     QUERY_TEMPLATES,
+    TENANTS,
     Submission,
     ZipfianWorkload,
     run_soak,
@@ -29,16 +29,16 @@ class TestGenerator:
     def test_traffic_is_zipf_skewed_toward_the_head_tenant(self):
         submissions = ZipfianWorkload(seed=29, queries=2000).generate()
         counts = Counter(item.tenant for item in submissions)
-        head = DEFAULT_TENANTS[0][0]
-        tail = DEFAULT_TENANTS[-1][0]
+        head = TENANTS[0][0]
+        tail = TENANTS[-1][0]
         # Rank-1 tenant dominates rank-5 by a wide margin.
         assert counts[head] > 2 * counts[tail]
         # ... but every tenant still shows up.
-        assert set(counts) == {name for name, _ in DEFAULT_TENANTS}
+        assert set(counts) == {name for name, _ in TENANTS}
 
     def test_only_best_effort_submissions_carry_deadlines(self):
         submissions = ZipfianWorkload(seed=29, queries=1000).generate()
-        tiers = dict(DEFAULT_TENANTS)
+        tiers = dict(TENANTS)
         for item in submissions:
             if tiers[item.tenant] == BEST_EFFORT:
                 assert item.deadline_s is not None

@@ -14,7 +14,7 @@ occurrence* (the PR's normalizer regression).
 import pytest
 
 from repro import SharkContext
-from repro.sql.cache import SqlCacheConfig, normalize_select
+from repro.sql.cache import normalize_select
 from repro.sql.journal import MasterJournal
 from repro.sql.parser import parse
 from repro.storage import DistributedFileStore
@@ -25,14 +25,14 @@ from tests.sql.test_vectorized_parity import assert_byte_identical
 QUERY = "SELECT k, SUM(v) AS total FROM src GROUP BY k ORDER BY k"
 
 
-def _build(cache: bool = True, config=None, **context_kwargs):
+def _build(cache: bool = True, **context_kwargs):
     shark = SharkContext(num_workers=2, **context_kwargs)
     shark.sql("CREATE TABLE src (k INT, v DOUBLE)")
     shark.sql("INSERT INTO src VALUES (1, 1.0), (2, 2.0), (3, 3.0)")
     shark.sql("CREATE TABLE other (x INT)")
     shark.sql("INSERT INTO other VALUES (10)")
     if cache:
-        shark.enable_sql_cache(config)
+        shark.enable_sql_cache()
     return shark
 
 
@@ -132,25 +132,24 @@ class TestResultInvalidation:
 
 class TestPlanInvalidation:
     """Plan layer: survives non-DDL mutations (physical planning reruns
-    anyway), becomes unreachable on any DDL via the ddl_version key."""
-
-    def _build_plan_only(self):
-        # Result cache off so every execution consults the plan cache.
-        return _build(config=SqlCacheConfig(enable_result=False))
+    anyway), becomes unreachable on any DDL via the ddl_version key.
+    Only a result miss consults it, such as the first run after a
+    mutation of a table the query reads."""
 
     def test_plan_survives_insert_and_load(self):
-        shark = self._build_plan_only()
+        shark = _build()
         cache = shark.sql_cache
         shark.sql(QUERY)
-        shark.sql(QUERY)
-        assert cache.plan_hits == 1
+        assert shark.sql(QUERY).cache_hit  # a result hit plans nothing
+        assert cache.plan_hits == 0
         shark.sql("INSERT INTO src VALUES (9, 9.0)")
         after = shark.sql(QUERY)
-        assert cache.plan_hits == 2  # non-DDL: the plan is still valid
+        assert not after.cache_hit
+        assert cache.plan_hits == 1  # non-DDL: the plan is still valid
         assert (9, 9.0) in after.rows
         shark.load_rows("src", [(12, 12.0)])
         assert (12, 12.0) in shark.sql(QUERY).rows
-        assert cache.plan_hits == 3
+        assert cache.plan_hits == 2
 
     @pytest.mark.parametrize(
         "ddl",
@@ -161,21 +160,24 @@ class TestPlanInvalidation:
         ],
     )
     def test_any_ddl_moves_plan_keys(self, ddl):
-        shark = self._build_plan_only()
+        shark = _build()
         cache = shark.sql_cache
         shark.sql(QUERY)
-        shark.sql(QUERY)
-        assert cache.plan_hits == 1
         misses_before = cache.plan_misses
         shark.sql(ddl)
+        # An insert after the DDL makes the next run a result miss; the
+        # plan it then looks up is keyed on the old ddl_version.
+        shark.sql("INSERT INTO src VALUES (9, 9.0)")
         shark.sql(QUERY)
         assert cache.plan_misses == misses_before + 1
-        # ...and the re-stored plan serves the next run.
+        assert cache.plan_hits == 0
+        # ...and the re-stored plan serves the next result miss.
+        shark.sql("INSERT INTO src VALUES (10, 10.0)")
         shark.sql(QUERY)
-        assert cache.plan_hits == 2
+        assert cache.plan_hits == 1
 
     def test_drop_evicts_plans_referencing_table(self):
-        shark = self._build_plan_only()
+        shark = _build()
         cache = shark.sql_cache
         shark.sql(QUERY)
         assert len(cache._plans) == 1

@@ -22,7 +22,7 @@ from repro.columnar.serde import read_column
 from repro.datatypes import BOOLEAN, DOUBLE, INT, STRING, Schema
 from repro.engine.lifecycle import LifecycleConfig
 from repro.faults.injector import FaultInjector
-from repro.sql.cache import SqlCacheConfig
+from repro.sql import cache as sql_cache_module
 from repro.workloads import pavlo, tpch
 
 from tests.sql.test_vectorized_parity import (
@@ -60,7 +60,7 @@ def _datasets():
     }
 
 
-def _build(sql_cache=False, cache_config=None, **context_kwargs):
+def _build(sql_cache=False, **context_kwargs):
     shark = SharkContext(num_workers=4, cores_per_worker=2, **context_kwargs)
     for name, data in _datasets().items():
         shark.create_table(name, data.schema, cached=True)
@@ -69,7 +69,7 @@ def _build(sql_cache=False, cache_config=None, **context_kwargs):
         "SOME_UDF", lambda addr: addr.endswith("7"), return_type=BOOLEAN
     )
     if sql_cache:
-        shark.enable_sql_cache(cache_config)
+        shark.enable_sql_cache()
     return shark
 
 
@@ -157,8 +157,7 @@ class TestSharedScans:
             num_partitions=8,
         )
         if sql_cache:
-            # Result cache off so every execution actually scans.
-            shark.enable_sql_cache(SqlCacheConfig(enable_result=False))
+            shark.enable_sql_cache()
         return shark
 
     def test_concurrent_queries_decode_each_block_once(self):
@@ -178,7 +177,10 @@ class TestSharedScans:
                     for i in range(3)
                 ]
                 shark.lifecycle.drain()
-            # Three interleaved scans, one decode per block column.
+            # Three interleaved scans (each looked its result up before
+            # any stored one), one decode per block column.
+            if sql_cache:
+                assert shark.sql_cache.result_hits == 0
             assert len(decodes) == len(solo_decodes)
             assert set(decodes.values()) == {1}
             for handle in handles:
@@ -233,12 +235,12 @@ class TestCappedEviction:
     """Tiny caps force constant eviction churn; the ledger must stay
     balanced (reserves exactly matched by releases, zero clamps)."""
 
-    def test_eviction_churn_balances_ledger(self, uncached_rows):
-        config = SqlCacheConfig(
-            max_result_entries=4,
-            max_result_bytes=8 * 1024,
-        )
-        shark = _build(sql_cache=True, cache_config=config)
+    def test_eviction_churn_balances_ledger(self, uncached_rows, monkeypatch):
+        # The real caps (256 entries, 16 MiB) take hundreds of distinct
+        # queries to reach; these make every pass churn.
+        monkeypatch.setattr(sql_cache_module, "MAX_RESULT_ENTRIES", 4)
+        monkeypatch.setattr(sql_cache_module, "MAX_RESULT_BYTES", 8 * 1024)
+        shark = _build(sql_cache=True)
         for _pass in range(2):
             for name in sorted(QUERIES):
                 got = shark.sql(QUERIES[name])

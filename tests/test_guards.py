@@ -278,6 +278,18 @@ GUARDS = {
             exclude="tests/test_guards.py",
         ),
     ],
+    # Every option has a caller: the scheduler's retry, speculation and
+    # blacklist bounds and the result cache's caps are module constants,
+    # and speculation runs exactly under a fault injector; no config
+    # object or parameter sets them.
+    "every-option-has-a-caller": [
+        Rule(
+            r"SchedulerConfig|scheduler_config|SqlCacheConfig|enable_result"
+            r"|max_result_entries|cache_config",
+            ("src", "tests", "examples", "benchmarks"),
+            exclude="tests/test_guards.py",
+        ),
+    ],
     # One driver merge: the driver fetches the map outputs of the one
     # exchange it replaces the reduce stage of, a global aggregate's as a
     # GROUP BY's; no result-task outputs handed to it, and no second
