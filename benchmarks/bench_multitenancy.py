@@ -123,7 +123,7 @@ class TestMultitenancy:
         admitted results byte-identical to an uncontended run, and show
         per-tier latency ordered interactive < batch < best_effort."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        from repro.obs.history import percentile
+        from repro.obs.metrics import percentiles_of
         from repro.serving import ZipfianWorkload
         from repro.serving.tenants import BEST_EFFORT, INTERACTIVE
         from repro.serving.workload import (
@@ -157,8 +157,6 @@ class TestMultitenancy:
             by_tier.setdefault(ticket.priority, []).append(
                 ticket.latency_s
             )
-        for values in by_tier.values():
-            values.sort()
 
         figure = Figure(
             "Multi-tenant serving: per-tier p50 latency under Zipfian "
@@ -169,10 +167,9 @@ class TestMultitenancy:
         for tier in ("interactive", "batch", "best_effort"):
             values = by_tier.get(tier, [])
             if values:
+                p50, p95 = percentiles_of(values, (0.5, 0.95))
                 figure.add(
-                    f"{tier} p50",
-                    percentile(values, 50.0),
-                    f"n={len(values)}, p95={percentile(values, 95.0):.2f}",
+                    f"{tier} p50", p50, f"n={len(values)}, p95={p95:.2f}"
                 )
         figure.add(
             "shed (all best_effort)", float(len(shed)),
@@ -182,8 +179,8 @@ class TestMultitenancy:
 
         assert shed, "overload should force shedding"
         assert all(t.priority == BEST_EFFORT for t in shed)
-        interactive_p50 = percentile(by_tier[INTERACTIVE], 50.0)
-        best_effort_p50 = percentile(by_tier[BEST_EFFORT], 50.0)
+        (interactive_p50,) = percentiles_of(by_tier[INTERACTIVE], (0.5,))
+        (best_effort_p50,) = percentiles_of(by_tier[BEST_EFFORT], (0.5,))
         assert interactive_p50 < best_effort_p50
 
     def test_zipfian_soak_with_result_cache(self, benchmark):

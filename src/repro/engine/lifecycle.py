@@ -822,7 +822,7 @@ class QueryLifecycleManager:
         """Write the query's record, captured off its scope like any
         statement's, to the open event log.  Its ``sim_seconds`` is the
         *charged* seconds deadlines and tenant budgets meter, not the
-        makespan its ``stage_sim`` rows add up to; it has no timeline,
+        makespan its priced stages add up to; it has no timeline,
         counters or memory rows, which are slices of context-global
         buffers that interleaved queries share."""
         log = self._ctx.event_log

@@ -23,7 +23,7 @@ straggler/failure discussion), bounded by the module constants below:
 
 * **retry with backoff** — a :class:`~repro.errors.TransientTaskFailure`
   (from the fault-injection harness or a flaky worker) retries the task on
-  a different worker after a capped exponential *simulated-clock* backoff,
+  a different worker after an exponential *simulated-clock* backoff,
   up to ``MAX_TASK_ATTEMPTS``; this is per-attempt and distinct from
   lineage-recovery rounds, which re-run tasks whose *output* was lost;
 * **speculative execution** — when a completed task's simulated runtime
@@ -82,8 +82,6 @@ MAX_RECOVERY_ROUNDS = 16
 MAX_TASK_ATTEMPTS = 4
 #: First retry waits this many simulated seconds; doubles per retry.
 RETRY_BACKOFF_BASE_S = 0.05
-#: Ceiling on the simulated backoff delay.
-RETRY_BACKOFF_CAP_S = 2.0
 
 #: The quantile of completed stage peers' runtimes a straggler is
 #: measured against (times ``SPECULATION_MULTIPLIER``).
@@ -879,9 +877,7 @@ class DAGScheduler:
     ) -> None:
         """Record a retry and charge its backoff delay to simulated time."""
         tracer = self._ctx.tracer
-        delay = min(
-            RETRY_BACKOFF_BASE_S * (2 ** (attempt - 1)), RETRY_BACKOFF_CAP_S
-        )
+        delay = RETRY_BACKOFF_BASE_S * (2 ** (attempt - 1))
         profile.retried_tasks += 1
         tracer.instant(
             "task.retry",

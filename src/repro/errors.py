@@ -34,7 +34,7 @@ class TransientTaskFailure(EngineError):
     flaky worker).
 
     The scheduler catches this internally: the attempt is retried on
-    another worker after a capped exponential (simulated-clock) backoff.
+    another worker after an exponential (simulated-clock) backoff.
     It only escapes to user code when ``MAX_TASK_ATTEMPTS`` is exhausted,
     wrapped in :class:`TaskError`.
     """

@@ -12,8 +12,8 @@ Fault kinds
 
 ``transient task failure``
     A task attempt raises :class:`~repro.errors.TransientTaskFailure`
-    before doing any work; the scheduler retries it (with capped
-    exponential simulated backoff) on another worker.  Only the first
+    before doing any work; the scheduler retries it (with exponential
+    simulated backoff) on another worker.  Only the first
     ``fail_attempts_ceiling`` attempts of a task can be failed, so a
     bounded retry policy always converges.
 

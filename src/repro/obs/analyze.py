@@ -42,22 +42,6 @@ class StageAnalysis:
     def kind(self) -> str:
         return "shuffle-map" if self.stage.is_shuffle_map else "result"
 
-    def row(self) -> dict:
-        """The stage's ``query_end.stage_sim`` row."""
-        stage = self.stage
-        return {
-            "job_id": self.job_id,
-            "stage_id": stage.stage_id,
-            "name": stage.name,
-            "kind": self.kind,
-            "num_tasks": stage.num_tasks,
-            "sim_seconds": self.sim_seconds,
-            "records_in": stage.records_in,
-            "records_out": stage.records_out,
-            "shuffle_read_bytes": stage.shuffle_read_bytes,
-            "shuffle_write_bytes": stage.shuffle_write_bytes,
-        }
-
     def render(self) -> str:
         stage = self.stage
         parts = [f"{stage.num_tasks} tasks"]
@@ -243,7 +227,7 @@ def render_query(
             label = "driver" if worker == -1 else f"worker {worker}"
             lines.append(
                 f"  {label} {row['pool']}: "
-                f"used {_bytes(row.get('used_bytes', 0))}, "
+                f"used {_bytes(row['used_bytes'])}, "
                 f"peak {_bytes(row['peak_bytes'])}"
             )
         if pressure_events:
@@ -264,11 +248,10 @@ def render_query(
                 )
     if record.result_rows is not None:
         lines.append(f"  result: {record.result_rows} row(s)")
-    if record.operator_modes:
-        lines.append("  == operator modes ==")
-        for operator, mode in record.operator_modes:
-            lines.append(f"  {operator}: {mode}")
     if record.operator_profiles:
+        lines.append("  == operator modes ==")
+        for profile in record.operator_profiles:
+            lines.append(f"  {profile['operator']}: {profile['mode']}")
         lines.append("  == plan quality (est vs actual) ==")
         for profile in record.operator_profiles:
             lines.append(

@@ -13,10 +13,10 @@ category             evidence consulted
                      in the current run only
 ``cache-miss``       ``cache_lookup`` records: a layer that hit in the
                      baseline missed in the current run
-``skew-growth``      ``shuffle_skew`` records (v6): row skew grew by
+``skew-growth``      ``shuffle_skew`` records: row skew grew by
                      >= :data:`SKEW_GROWTH_FACTOR`
 ``plan-change``      plan text / operator sequence differs between runs
-``estimate-drift``   ``operator_profile`` records (v6): worst q-error
+``estimate-drift``   ``operator_profile`` records: worst q-error
                      grew by >= :data:`ESTIMATE_DRIFT_FACTOR`
 ``stage-slowdown``   per-stage simulated seconds: the fallback when no
                      structural cause explains the regression
@@ -285,8 +285,8 @@ def _skew_growth(
 def _plan_change(
     baseline: QueryRecord, current: QueryRecord
 ) -> Optional[Finding]:
-    shape_before = [operator for operator, __ in baseline.operator_modes]
-    shape_after = [operator for operator, __ in current.operator_modes]
+    shape_before = [row["operator"] for row in baseline.operator_profiles]
+    shape_after = [row["operator"] for row in current.operator_profiles]
     plan_differs = (
         baseline.plan_text is not None
         and current.plan_text is not None
@@ -342,15 +342,15 @@ def _estimate_drift(
 
 
 def _stage_keys(record: QueryRecord) -> list[tuple[str, int]]:
-    """Each ``stage_sim`` row's key across runs: its name and how many
-    stages of that name came before it in the query.  Not its id: ids
-    count every stage the context ran before, so a stage one run does
-    not have (say a global aggregate's reduce, where the other merged on
-    the driver) would renumber every stage after it."""
+    """Each priced stage's key across runs: its name and how many stages
+    of that name came before it in the query.  Not its id: ids count
+    every stage the context ran before, so a stage one run does not have
+    (say a global aggregate's reduce, where the other merged on the
+    driver) would renumber every stage after it."""
     seen: dict[str, int] = {}
     keys = []
-    for row in record.stage_sim:
-        name = row["name"]
+    for priced in record.analyze().stages:
+        name = priced.stage.name
         keys.append((name, seen.get(name, 0)))
         seen[name] = seen.get(name, 0) + 1
     return keys
@@ -360,26 +360,26 @@ def _stage_slowdown(
     baseline: QueryRecord, current: QueryRecord
 ) -> Optional[Finding]:
     before = {
-        key: float(row["sim_seconds"])
-        for key, row in zip(_stage_keys(baseline), baseline.stage_sim)
+        key: priced.sim_seconds
+        for key, priced in zip(
+            _stage_keys(baseline), baseline.analyze().stages
+        )
     }
-    worst_row, worst_delta, before_seconds = None, 0.0, 0.0
-    for key, row in zip(_stage_keys(current), current.stage_sim):
-        delta = float(row["sim_seconds"]) - before.get(key, 0.0)
+    worst, worst_delta, before_seconds = None, 0.0, 0.0
+    for key, priced in zip(_stage_keys(current), current.analyze().stages):
+        delta = priced.sim_seconds - before.get(key, 0.0)
         if delta > worst_delta:
-            worst_row, worst_delta = row, delta
+            worst, worst_delta = priced, delta
             before_seconds = before.get(key, 0.0)
-    if worst_row is None:
+    if worst is None:
         return None
     return Finding(
         category="stage-slowdown",
         summary=(
-            f"stage {worst_row['stage_id']} ({worst_row['name']}) slowed "
+            f"stage {worst.stage.stage_id} ({worst.stage.name}) slowed "
             f"by {worst_delta:.3f} sim-s"
         ),
-        evidence=[
-            f"{before_seconds:.3f}s -> {float(worst_row['sim_seconds']):.3f}s"
-        ],
+        evidence=[f"{before_seconds:.3f}s -> {worst.sim_seconds:.3f}s"],
     )
 
 

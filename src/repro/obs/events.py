@@ -5,7 +5,7 @@ makes them durable.  Two pieces:
 
 * :class:`EventLogWriter` — streams one JSONL record per event to a
   (optionally gzipped) file: a ``header`` with the schema version and
-  cluster geometry, then for each query its begin/plan/operator-modes
+  cluster geometry, then for each query its begin/plan/operator-profile
   records, the span+instant timeline in simulated-clock order, the
   executed job/stage/task profile (every
   :class:`~repro.engine.metrics.TaskMetrics` field, so
@@ -24,11 +24,12 @@ makes them durable.  Two pieces:
   under :attr:`FlightRecorder.dump_dir`, else kept in memory — giving
   chaos-test post-mortems a partial timeline with no opt-in tracing.
 
-Schema versioning rules live in DESIGN.md §10: adding optional fields is
-backward-compatible within a version; removing or renaming a field, or
-changing a record type's meaning, bumps :data:`SCHEMA_VERSION` and the
-history store refuses unknown major versions rather than misreading
-them.  Timestamps are simulated seconds (never wall clock), so two runs
+The versioning rule lives in DESIGN.md §10: the history store reads
+exactly the :data:`SCHEMA_VERSION` this tree writes and refuses a log of
+any other version rather than misreading it.  A record stores no fact
+its other records determine (per-stage seconds are priced from the
+loaded profiles, operator modes read off the operator profiles).
+Timestamps are simulated seconds (never wall clock), so two runs
 of the same query produce byte-identical logs.
 """
 
@@ -44,25 +45,11 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.record import QueryRecord
 
-#: Event-log schema version written into every ``header`` record.
-#: v2 adds the ``memory_watermark`` record type and the job record's
-#: ``memory_reserved_bytes``/``memory_peak_bytes`` fields (DESIGN.md §11).
-#: v3 adds the ``memory_spill`` record type (per-owner spill totals for
-#: one query) plus *optional* job/task spill fields — optional so v2
-#: logs still load (DESIGN.md §12).
-#: v4 adds *optional* serving fields — ``tenant``/``priority`` on
-#: ``query_begin`` and ``shed_reason`` on ``query_end`` — plus the
-#: ``query.shed`` instant; all optional, so v3/v2 logs still load
-#: (DESIGN.md §13).
-#: v5 adds the ``cache_lookup`` record type (one per cache-layer probe
-#: the SQL caching stack made for a query); older logs simply have none
-#: (DESIGN.md §14).
-#: v6 adds the ``operator_profile`` record type (per-operator estimated
-#: vs. actual rows with q-error), the ``shuffle_skew`` record type
-#: (per-shuffle partition histograms and heavy keys), and an *optional*
-#: ``operator_rows`` field on ``task`` records — all additive, so
-#: v2–v5 logs still load (DESIGN.md §15).
-SCHEMA_VERSION = 6
+#: Event-log schema version written into every ``header`` record.  The
+#: reader reads exactly this version: removing or renaming a field or
+#: record type, or changing its meaning, bumps it, and the history
+#: store refuses a log of any other version (DESIGN.md §10).
+SCHEMA_VERSION = 7
 
 #: Flight-recorder ring capacity (events kept for post-mortems).
 FLIGHT_CAPACITY = 512
@@ -72,13 +59,12 @@ class EventLogSchemaError(ValueError):
     """A record failed schema validation at write time (or load time)."""
 
 
-#: Required fields per record type — the schema, version 1.  ``seq`` is
+#: Required fields per record type — the schema.  ``seq`` is
 #: stamped by the writer; everything else must be present at write time.
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "header": ("version", "workers", "cores_per_worker"),
     "query_begin": ("query_id", "name", "kind", "ts"),
     "plan": ("query_id", "text"),
-    "operator_modes": ("query_id", "modes"),
     "span": ("query_id", "name", "category", "lane", "start", "end"),
     "instant": ("query_id", "name", "category", "lane", "ts"),
     "job": ("query_id", "job_id", "num_stages"),
@@ -109,7 +95,15 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
         "batch_rows",
     ),
     "counters": ("query_id", "deltas"),
-    "memory_watermark": ("query_id", "worker", "pool", "peak_bytes", "ts"),
+    "memory_watermark": (
+        "query_id",
+        "worker",
+        "pool",
+        "used_bytes",
+        "peak_bytes",
+        "owners",
+        "ts",
+    ),
     "memory_spill": ("query_id", "owner", "events", "bytes", "runs", "ts"),
     "cache_lookup": ("query_id", "layer", "outcome", "ts"),
     "operator_profile": (
@@ -303,12 +297,11 @@ class EventLogWriter:
         """Write one query's complete record set; returns its id
         (stamped on ``record`` as ``qNNNN`` when it had none).
 
-        Optional parts — serving fields, plan, operator modes, every row
-        list — are written only when set, so a query without them logs
-        exactly what it did before they existed.  Each ``job`` / ``stage``
-        / ``task`` record is its dataclass's own fields
-        (:func:`profile_fields`), so the history store reproduces the
-        live profiles exactly.
+        Optional parts — serving fields, plan, every row list — are
+        written only when set, which keeps a plain query's records
+        small.  Each ``job`` / ``stage`` / ``task`` record is its
+        dataclass's own fields (:func:`profile_fields`), so the history
+        store reproduces the live profiles exactly.
         """
         if record.query_id is None:
             record.query_id = f"q{self.queries_logged:04d}"
@@ -329,11 +322,6 @@ class EventLogWriter:
         emit("query_begin", scalars("query_begin"))
         if record.plan_text:
             emit("plan", scalars("plan"))
-        if record.operator_modes:
-            emit(
-                "operator_modes",
-                {"modes": [list(pair) for pair in record.operator_modes]},
-            )
         for row in record.operator_profiles:
             emit("operator_profile", _jsonable(row))
         for entry in record.timeline:
@@ -391,14 +379,13 @@ SCALAR_RECORDS = {
         "error": "error",
         "ts": "ended",
         "sim_seconds": "sim_seconds",
-        "stage_sim": "stage_sim",
         "result_rows": "result_rows",
         "shed_reason": "shed_reason",
     },
 }
 
-#: The v4 serving fields: written only when set and never in
-#: ``_REQUIRED`` — both choices keep v3/v2 logs loadable.
+#: The serving fields: written only when set and never in
+#: ``_REQUIRED``, so a query outside a SqlServer logs none of them.
 _WHEN_SET = ("tenant", "priority", "shed_reason")
 
 #: (record type, QueryRecord attribute) of the row lists written after
@@ -424,11 +411,10 @@ def profile_fields(obj: Any) -> dict:
     QueryProfile / StageProfile / TaskMetrics: the dataclass's own.
 
     This *is* the schema rule for profile records: a field added to one
-    of those dataclasses is logged with no further code, and — read back
-    by :func:`profile_from_record` — a log that predates it takes the
-    field's default.  List fields are the children (written as their own
-    records); a dict field (``operator_rows``) is written only when
-    non-empty, keeping records of tasks without one unchanged.
+    of those dataclasses is logged with no further code.  List fields
+    are the children (written as their own records); a dict field
+    (``operator_rows``) is written only when non-empty, which keeps a
+    task record without one small.
     """
     fields = {}
     for spec in dataclasses.fields(obj):
@@ -440,7 +426,7 @@ def profile_fields(obj: Any) -> dict:
 
 def profile_from_record(cls: type, record: dict) -> Any:
     """Inverse of :func:`profile_fields`: ``cls`` built from the fields
-    the record has, defaults for those it predates."""
+    the record has, the default for an omitted empty dict."""
     names = {spec.name for spec in dataclasses.fields(cls)}
     return cls(
         **{key: value for key, value in record.items() if key in names}

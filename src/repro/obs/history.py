@@ -13,7 +13,11 @@ equals the one the writer was given — its ``profiles`` are
 :class:`~repro.engine.metrics.QueryProfile` objects rebuilt field for
 field — and the ``header``'s cluster geometry lets
 :meth:`QueryRecord.analyze` recompute the same simulated seconds the
-writer recorded.
+writer recorded, stage by stage.  The store reads exactly the
+:data:`~repro.obs.events.SCHEMA_VERSION` this tree writes: a log whose
+header names any other version is refused with
+:class:`~repro.obs.events.EventLogSchemaError`.  A flight-dump file has
+no header and loads as is.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.obs.events import (
     profile_from_record,
     read_event_log,
 )
-from repro.obs.metrics import cache_ratios
+from repro.obs.metrics import cache_ratios, percentiles_of
 from repro.obs.planquality import (
     DEFAULT_Q_ERROR_THRESHOLD,
     audit,
@@ -136,11 +140,11 @@ class HistoryStore:
             kind = record["type"]
             if kind == "header":
                 header = record
-                if record.get("version", 0) > SCHEMA_VERSION:
+                if record["version"] != SCHEMA_VERSION:
                     raise EventLogSchemaError(
                         f"{path}: event-log schema version "
-                        f"{record.get('version')} is newer than this "
-                        f"reader ({SCHEMA_VERSION})"
+                        f"{record['version']} is not the version this "
+                        f"reader reads ({SCHEMA_VERSION})"
                     )
                 continue
             if kind == "flight_dump":
@@ -179,11 +183,6 @@ class HistoryStore:
                 for key, attribute in SCALAR_RECORDS[kind].items():
                     if key in record:
                         setattr(target, attribute, record[key])
-            elif kind == "operator_modes":
-                target.operator_modes = [
-                    (operator, mode)
-                    for operator, mode in record["modes"]
-                ]
             elif kind == "job":
                 job = profile_from_record(QueryProfile, record)
                 parents[query_id, job.job_id] = job
@@ -266,18 +265,13 @@ class HistoryStore:
         return dict(sorted(totals.items()))
 
     # ------------------------------------------------------------------
-    # Memory watermarks (schema v2)
+    # Memory watermarks
     # ------------------------------------------------------------------
     def memory_timeline(self) -> list[dict]:
         """Chronological per-(worker, pool) pressure timeline rebuilt
         from persisted ``memory_watermark`` records."""
         rows = [
-            {
-                "query_id": record.query_id,
-                "ts": record.ended,
-                "used_bytes": 0,
-                **row,
-            }
+            {"query_id": record.query_id, **row}
             for record in self.queries
             for row in record.memory
         ]
@@ -309,7 +303,7 @@ class HistoryStore:
         merged: dict[tuple, int] = {}
         for record in self.queries:
             for row in record.memory:
-                for owner, peak in (row.get("owners") or {}).items():
+                for owner, peak in row["owners"].items():
                     key = (owner, row["pool"])
                     merged[key] = max(merged.get(key, 0), int(peak))
         ranked = sorted(
@@ -330,7 +324,7 @@ class HistoryStore:
 
     def memory_spills(self) -> list[dict]:
         """Per-owner spill totals merged over every logged query
-        (``memory_spill`` records, schema v3)."""
+        (``memory_spill`` records)."""
         merged: dict[str, dict[str, int]] = {}
         for record in self.queries:
             for row in record.spills:
@@ -355,8 +349,7 @@ class HistoryStore:
         )
         if not timeline:
             report.add(
-                "  (no memory_watermark records — log predates "
-                "schema v2 or no query reserved memory)"
+                "  (no memory_watermark records — no query reserved memory)"
             )
             return report.text()
         report.section("per-worker pressure timeline")
@@ -385,10 +378,10 @@ class HistoryStore:
         return report.text()
 
     # ------------------------------------------------------------------
-    # Serving (schema v4)
+    # Serving
     # ------------------------------------------------------------------
     def tenant_rows(self) -> list[dict]:
-        """Per-tenant utilization from v4 query records: query counts by
+        """Per-tenant utilization from query records: query counts by
         outcome (every query lands in exactly one of ``completed`` /
         ``shed`` / ``cancelled`` — by the user or by its deadline — /
         ``failed``), charged simulated seconds, end-to-end latency."""
@@ -450,8 +443,8 @@ class HistoryStore:
         )
         if not rows:
             report.add(
-                "  (no tenant-tagged queries — log predates schema v4 "
-                "or queries ran outside a SqlServer)"
+                "  (no tenant-tagged queries — queries ran outside a "
+                "SqlServer)"
             )
             return report.text()
         report.section("per-tenant utilization")
@@ -473,11 +466,10 @@ class HistoryStore:
         if tiers:
             report.section("per-tier latency (completed)")
             for tier, values in sorted(tiers.items()):
+                p50, p95, p99 = percentiles_of(values)
                 report.add(
                     f"  {tier:<12} n={len(values):4d}  "
-                    f"p50 {percentile(values, 50.0):.3f}s  "
-                    f"p95 {percentile(values, 95.0):.3f}s  "
-                    f"p99 {percentile(values, 99.0):.3f}s"
+                    f"p50 {p50:.3f}s  p95 {p95:.3f}s  p99 {p99:.3f}s"
                 )
         sheds: dict[str, int] = {}
         for record in self.queries:
@@ -492,7 +484,7 @@ class HistoryStore:
         return report.text()
 
     def cache_report(self, markdown: bool = False) -> str:
-        """Per-layer SQL cache hit/miss totals from v5 ``cache_lookup``
+        """Per-layer SQL cache hit/miss totals from ``cache_lookup``
         records, plus the ``sqlcache.*`` counter deltas."""
         layers: dict[str, dict[str, int]] = {}
         probed_queries = 0
@@ -512,14 +504,12 @@ class HistoryStore:
         )
         if not layers:
             report.add(
-                "  (no cache_lookup records — log predates schema v5 "
-                "or the caching stack was disabled)"
+                "  (no cache_lookup records — the caching stack was "
+                "disabled)"
             )
             return report.text()
         report.section("per-layer lookups")
-        # "fragment": rows of logs written while the SQL cache had a
-        # scan-side layer (before PR 24); nothing writes them now.
-        for layer in ("plan", "result", "fragment"):
+        for layer in ("plan", "result"):
             row = layers.get(layer)
             if row is None:
                 continue
@@ -541,7 +531,7 @@ class HistoryStore:
         return report.text()
 
     # ------------------------------------------------------------------
-    # Plan quality (schema v6)
+    # Plan quality
     # ------------------------------------------------------------------
     def operator_profiles(self) -> list[dict]:
         """Every ``operator_profile`` record across all logged queries,
@@ -597,7 +587,7 @@ class HistoryStore:
         markdown: bool = False,
     ) -> str:
         """Per-query misestimate audit + shuffle-skew records +
-        cross-run cardinality priors (schema v6)."""
+        cross-run cardinality priors."""
         profiled = [
             record for record in self.queries if record.operator_profiles
         ]
@@ -608,10 +598,7 @@ class HistoryStore:
             f"{len(self.queries)}",
         )
         if not profiled:
-            report.add(
-                "  (no operator_profile records — log predates "
-                "schema v6)"
-            )
+            report.add("  (no operator_profile records)")
             return report.text()
         report.section(f"misestimates (q-error > {threshold:g})")
         any_flagged = False
@@ -806,17 +793,6 @@ class HistoryStore:
         )
 
 
-def percentile(sorted_values: list[float], pct: float) -> float:
-    """Nearest-rank percentile over an ascending-sorted list (0 when
-    empty) — deterministic, no interpolation.
-
-    Thin wrapper over the canonical helper in ``repro.obs.metrics``
-    (this module keeps the 0–100 percentile scale its callers use)."""
-    from repro.obs.metrics import percentiles_of
-
-    return percentiles_of(list(sorted_values), (pct / 100.0,))[0]
-
-
 def _timeline_sorted(timeline: list[dict]) -> list[dict]:
     return sorted(
         timeline,
@@ -853,11 +829,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             "optional focused report: 'memory' renders the per-worker "
             "pressure timeline and top consumers from memory_watermark "
             "records; 'tenants' renders per-tenant utilization and "
-            "per-tier latency percentiles from v4 serving fields; "
-            "'cache' renders per-layer SQL cache hit ratios from v5 "
+            "per-tier latency percentiles from serving fields; "
+            "'cache' renders per-layer SQL cache hit ratios from "
             "cache_lookup records; 'quality' renders the plan-quality "
             "audit, shuffle-skew records, and cross-run cardinality "
-            "priors from v6 records"
+            "priors from operator_profile and shuffle_skew records"
         ),
     )
     parser.add_argument(

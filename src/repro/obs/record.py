@@ -1,15 +1,18 @@
 """The one record of what a query did.
 
 A :class:`QueryRecord` states one query once — identity and outcome, its
-job profiles, per-stage simulated seconds, timeline, counters, memory,
-spills, cache lookups, operator profiles, skew records, plan, operator
-modes, result rows — and three verbs act on it: :func:`capture` reads
+job profiles, timeline, counters, memory, spills, cache lookups,
+operator profiles, skew records, plan, result rows — and three verbs act
+on it: :func:`capture` reads
 it off a finished query's :class:`~repro.engine.query.QueryScope`;
 :meth:`EventLogWriter.write_query <repro.obs.events.EventLogWriter.
 write_query>` and :meth:`HistoryStore.load_file <repro.obs.history.
 HistoryStore.load_file>` write and load it, with ``load(write(record))
 == record``; :func:`repro.obs.analyze.render_query` renders it, for
-EXPLAIN ANALYZE and ``history --query`` alike (DESIGN.md §10).
+EXPLAIN ANALYZE and ``history --query`` alike (DESIGN.md §10).  It
+stores no fact the rest determine: :meth:`QueryRecord.analyze` prices
+each stage from the profiles, and each operator's mode is in its
+operator profile.
 """
 
 from __future__ import annotations
@@ -50,17 +53,16 @@ class QueryRecord:
     ended: float = 0.0
     #: The list-scheduled makespan of ``profiles`` for a statement; the
     #: *charged* seconds (sum over task attempts — what deadlines and
-    #: tenant budgets meter) for a lifecycle query, whose ``stage_sim``
-    #: rows still carry the makespan's per-stage shares.
+    #: tenant budgets meter) for a lifecycle query, whose ``analyze()``
+    #: stages still carry the makespan's per-stage shares.
     sim_seconds: float = 0.0
     result_rows: Optional[int] = None
-    #: Serving fields (None outside a SqlServer and on pre-v4 logs).
+    #: Serving fields (None outside a SqlServer).
     tenant: Optional[str] = None
     priority: Optional[str] = None
     shed_reason: Optional[str] = None
     plan_text: Optional[str] = None
-    operator_modes: list[tuple[str, str]] = field(default_factory=list)
-    #: Per-operator estimated vs. actual rows with q-error (schema v6).
+    #: Per-operator mode and estimated vs. actual rows with q-error.
     operator_profiles: list[dict] = field(default_factory=list)
     #: ``span`` and ``instant`` entries (also the events of any flight
     #: dump attributed to this query).
@@ -68,15 +70,14 @@ class QueryRecord:
     #: Every job the query ran, in order.
     profiles: list["QueryProfile"] = field(default_factory=list)
     counters: dict[str, float] = field(default_factory=dict)
-    #: Per-(worker, pool) watermark rows at query end (schema v2).
+    #: Per-(worker, pool) watermark rows at query end.
     memory: list[dict] = field(default_factory=list)
-    #: Per-owner spill deltas this query forced (schema v3).
+    #: Per-owner spill deltas this query forced.
     spills: list[dict] = field(default_factory=list)
-    #: Per-layer probes of the SQL caching stack (schema v5).
+    #: Per-layer probes of the SQL caching stack.
     cache_lookups: list[dict] = field(default_factory=list)
-    #: Per-shuffle partition histograms and heavy keys (schema v6).
+    #: Per-shuffle partition histograms and heavy keys.
     skew_records: list[dict] = field(default_factory=list)
-    stage_sim: list[dict] = field(default_factory=list)
     #: True when the only evidence is a flight-recorder dump.
     flight_only: bool = False
     #: Where the record was loaded from, and that log's header (cluster
@@ -256,11 +257,8 @@ def capture(
         }
         record.memory = at_end(ctx.memory.watermarks())
         record.spills = at_end(ctx.memory.spill_rows_since(marks.spills))
-    analysis = record.analyze()
-    record.sim_seconds = analysis.total_sim_seconds
-    record.stage_sim = [stage.row() for stage in analysis.stages]
+    record.sim_seconds = record.analyze().total_sim_seconds
     if report is not None:
-        record.operator_modes = list(report.operator_modes)
         record.operator_profiles = build_operator_profiles(
             report.operator_stamps,
             actual_rows_from_profiles(record.profiles),

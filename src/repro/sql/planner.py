@@ -100,15 +100,19 @@ class ExecutionReport:
     scanned_partitions: int = 0
     pruned_partitions: int = 0
     join_decisions: list[JoinDecision] = field(default_factory=list)
-    #: (operator label, execution mode) per lowered operator: "vectorized"
-    #: for array kernels, with an interpreted-subtree count when some
-    #: expressions fell back to the elementwise evaluator.  EXPLAIN
-    #: ANALYZE renders these.
-    operator_modes: list[tuple[str, str]] = field(default_factory=list)
     #: One :class:`OperatorStamp` per ``mode()`` call, carrying the
     #: planner's cardinality estimate and its statistics source; runtime
     #: row counts join back on ``stamp.key`` (repro.obs.planquality).
     operator_stamps: list[OperatorStamp] = field(default_factory=list)
+
+    @property
+    def operator_modes(self) -> list[tuple[str, str]]:
+        """(operator label, execution mode) per lowered operator:
+        "vectorized" for array kernels, with an interpreted-subtree count
+        when some expressions fell back to the elementwise evaluator."""
+        return [
+            (stamp.operator, stamp.mode) for stamp in self.operator_stamps
+        ]
 
     def note(self, message: str) -> None:
         self.notes.append(message)
@@ -121,7 +125,6 @@ class ExecutionReport:
         est_source: str = SOURCE_NONE,
         detail: str = "",
     ) -> OperatorStamp:
-        self.operator_modes.append((operator, mode))
         stamp = OperatorStamp(
             operator=operator,
             mode=mode,
@@ -137,7 +140,6 @@ class ExecutionReport:
         """Correct the mode of an operator stamped before the planner
         knew how it would run (a join is stamped before its inputs)."""
         stamp.mode = mode
-        self.operator_modes[stamp.op_id] = (stamp.operator, mode)
 
 
 @dataclass

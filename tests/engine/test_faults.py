@@ -11,7 +11,6 @@ import pytest
 
 from repro.engine import Accumulator, EngineContext
 from repro.engine.rdd import DataRDD
-from repro.engine import scheduler
 from repro.engine.scheduler import (
     BLACKLIST_PROBATION_TASKS,
     BLACKLIST_THRESHOLD,
@@ -110,31 +109,29 @@ class TestRetryWithBackoff:
         assert backoffs
         assert all(span.duration > 0 for span in backoffs)
 
-    def test_backoff_is_capped_exponential(self, monkeypatch):
-        def delays() -> dict:
-            # Every task fails its first three attempts: three retries.
-            ctx = EngineContext(
-                num_workers=4,
-                cores_per_worker=2,
-                fault_injector=FaultInjector(
-                    seed=3, transient_failure_rate=1.0,
-                    fail_attempts_ceiling=MAX_TASK_ATTEMPTS - 1,
-                ),
-            )
-            ctx.enable_tracing()
-            ctx.parallelize(range(40), 2).map(lambda i: (i % 3, 1)).count()
-            return {
-                span.args["attempt"]: span.duration
-                for span in ctx.trace.spans_in_category("recovery")
-                if span.name.startswith("retry backoff")
-            }
-
+    def test_backoff_is_capped_exponential(self):
+        # Every task fails its first three attempts: three retries, the
+        # most MAX_TASK_ATTEMPTS allows, so the doubling stops at 4·base.
+        ctx = EngineContext(
+            num_workers=4,
+            cores_per_worker=2,
+            fault_injector=FaultInjector(
+                seed=3, transient_failure_rate=1.0,
+                fail_attempts_ceiling=MAX_TASK_ATTEMPTS - 1,
+            ),
+        )
+        ctx.enable_tracing()
+        ctx.parallelize(range(40), 2).map(lambda i: (i % 3, 1)).count()
         base = RETRY_BACKOFF_BASE_S
-        assert delays() == pytest.approx({1: base, 2: 2 * base, 3: 4 * base})
-        # MAX_TASK_ATTEMPTS stops the doubling below the real cap; a
-        # lower cap binds on the third retry.
-        monkeypatch.setattr(scheduler, "RETRY_BACKOFF_CAP_S", 2 * base)
-        assert delays() == pytest.approx({1: base, 2: 2 * base, 3: 2 * base})
+        assert {
+            (event.args["attempt"], event.args["backoff_s"])
+            for event in ctx.trace.events_named("task.retry")
+        } == {(1, base), (2, 2 * base), (3, 4 * base)}
+        assert {
+            span.args["attempt"]: span.duration
+            for span in ctx.trace.spans_in_category("recovery")
+            if span.name.startswith("retry backoff")
+        } == pytest.approx({1: base, 2: 2 * base, 3: 4 * base})
 
     def test_attempts_exhausted_raises_task_error(self):
         ctx = EngineContext(

@@ -151,12 +151,12 @@ class TestAdmissionControl:
         assert store.query("victim").status == "cancelled"
         loaded = store.query("ran")
         assert loaded.profiles == live_profiles and loaded.num_tasks > 0
-        assert loaded.plan_text and loaded.operator_modes
+        assert loaded.plan_text and loaded.operator_profiles
         assert loaded.result_rows == len(ran.result.rows)
         # Charged seconds (what deadlines meter), not the makespan the
-        # stage_sim rows add up to; nothing sliced from shared buffers.
+        # priced stages add up to; nothing sliced from shared buffers.
         assert loaded.sim_seconds == ran.charged_seconds
-        assert loaded.stage_sim
+        assert loaded.analyze().stages
         assert not (loaded.timeline or loaded.counters or loaded.memory)
 
 

@@ -36,15 +36,36 @@ def _record(**kwargs) -> QueryRecord:
 _SPILL = {"owner": "sort", "events": 1, "bytes": 4096, "runs": 1}
 
 
+def _job(*stages: tuple[str, int]) -> list[QueryProfile]:
+    """One job of ``(name, records)`` result stages, each one task that
+    reads its records from memory: the doctor prices a stage from its
+    tasks, so more records make a slower stage."""
+    return [
+        QueryProfile(
+            job_id=0,
+            stages=[
+                StageProfile(
+                    stage_id,
+                    name,
+                    False,
+                    tasks=[
+                        TaskMetrics(
+                            records_in=records,
+                            bytes_in=records * 16,
+                            source="memory",
+                        )
+                    ],
+                )
+                for stage_id, (name, records) in enumerate(stages)
+            ],
+        )
+    ]
+
+
 class TestTaxonomy:
     def test_spill_appeared(self):
-        baseline = _record(
-            stage_sim=[{"stage_id": 0, "name": "sort", "sim_seconds": 0.1}]
-        )
-        current = _record(
-            spills=[_SPILL],
-            stage_sim=[{"stage_id": 0, "name": "sort", "sim_seconds": 0.4}],
-        )
+        baseline = _record(profiles=_job(("sort", 10_000)))
+        current = _record(spills=[_SPILL], profiles=_job(("sort", 40_000)))
         findings = diagnose_pair(baseline, current)
         assert findings[0].category == "spill-appeared"
         assert "4096" in findings[0].summary
@@ -89,15 +110,17 @@ class TestTaxonomy:
         assert diagnose_pair(baseline, baseline) == []
 
     def test_plan_shape_change(self):
-        baseline = _record(
-            operator_modes=[
-                ("scan(t)", "vectorized"), ("join.broadcast", "vectorized")
+        def operators(*names):
+            return [
+                {"operator": name, "op_id": op_id, "mode": "vectorized"}
+                for op_id, name in enumerate(names)
             ]
+
+        baseline = _record(
+            operator_profiles=operators("scan(t)", "join.broadcast")
         )
         current = _record(
-            operator_modes=[
-                ("scan(t)", "vectorized"), ("join.shuffle", "vectorized")
-            ]
+            operator_profiles=operators("scan(t)", "join.shuffle")
         )
         findings = diagnose_pair(baseline, current)
         assert findings[0].category == "plan-change"
@@ -121,18 +144,8 @@ class TestTaxonomy:
         assert "x40.0" in findings[0].summary
 
     def test_stage_slowdown_is_the_fallback(self):
-        baseline = _record(
-            stage_sim=[
-                {"stage_id": 0, "name": "scan", "sim_seconds": 0.1},
-                {"stage_id": 1, "name": "agg", "sim_seconds": 0.1},
-            ]
-        )
-        current = _record(
-            stage_sim=[
-                {"stage_id": 0, "name": "scan", "sim_seconds": 0.1},
-                {"stage_id": 1, "name": "agg", "sim_seconds": 0.9},
-            ]
-        )
+        baseline = _record(profiles=_job(("scan", 10_000), ("agg", 10_000)))
+        current = _record(profiles=_job(("scan", 10_000), ("agg", 90_000)))
         findings = diagnose_pair(baseline, current)
         assert [f.category for f in findings] == ["stage-slowdown"]
         assert "stage 1 (agg)" in findings[0].summary
@@ -164,13 +177,14 @@ class TestTaxonomy:
                 ],
                 header={"workers": 2, "cores_per_worker": 2},
             )
-            analysis = record.analyze()
-            record.sim_seconds = analysis.total_sim_seconds
-            record.stage_sim = [row.row() for row in analysis.stages]
+            record.sim_seconds = record.analyze().total_sim_seconds
             return record
 
         baseline, current = priced(scan_tasks=2), priced(scan_tasks=1)
-        assert baseline.stage_sim[1] == current.stage_sim[1]
+        assert (
+            baseline.analyze().stages[1].sim_seconds
+            == current.analyze().stages[1].sim_seconds
+        )
         assert not [
             finding
             for finding in diagnose_pair(baseline, current)

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro import SharkContext
+from repro.engine.lifecycle import LifecycleConfig
 from repro.faults import FaultInjector
 from repro.obs.analyze import render_query
 from repro.obs.events import (
@@ -157,6 +158,23 @@ class TestFlightRecorder:
         assert ends[-1]["error"]
 
 
+def _assert_same_priced_stages(loaded, written) -> None:
+    """Each loaded record prices its stages as its live capture did:
+    no record stores per-stage seconds, so this equality is what lets
+    the doctor read them off a log."""
+
+    def priced(record):
+        return [
+            (stage.job_id, stage.stage.stage_id, stage.sim_seconds)
+            for stage in record.analyze().stages
+        ]
+
+    assert [priced(record) for record in loaded] == [
+        priced(record) for record in written
+    ]
+    assert any(priced(record) for record in loaded)
+
+
 def _logged_records(shark, path, run) -> list:
     """Run ``run()`` with an event log at ``path``; returns the live
     QueryRecord objects the writer was handed, in order."""
@@ -191,6 +209,7 @@ class TestRoundTrip:
         (loaded,) = store.queries
         assert loaded == written
         assert loaded.profiles == live
+        _assert_same_priced_stages([loaded], [written])
         # Rendered from the log or from the live capture: the same text.
         assert render_query(loaded) == render_query(written)
 
@@ -284,6 +303,42 @@ class TestRoundTrip:
             shark, tpch.TPCH_QUERIES["Q1"], tmp_path / "log.jsonl"
         )
 
+    def test_worker_kill_round_trip(self, tmp_path):
+        """A worker dies mid-query: the lost map outputs re-run, and the
+        replayed record prices the recovered stages as the live one."""
+        loading = _tpch_shark().engine.cluster.total_tasks_completed
+        injector = FaultInjector(
+            seed=5, kill_worker_id=1, kill_after_tasks=loading + 9
+        )
+        shark = _tpch_shark(fault_injector=injector)
+        loaded = self._assert_round_trip(
+            shark, tpch.TPCH_QUERIES["Q3"], tmp_path / "log.jsonl"
+        )
+        assert sum(job.recovered_tasks for job in loaded.profiles) > 0
+
+    def test_served_queries_round_trip(self, tmp_path):
+        """A lifecycle query's record is captured off its scope with no
+        timeline and its charged seconds; its priced stages replay as
+        the live capture's."""
+        shark = _tpch_shark()
+        lifecycle = shark.enable_lifecycle(LifecycleConfig(max_concurrent=2))
+        written = _logged_records(
+            shark,
+            tmp_path / "log.jsonl",
+            lambda: (
+                [
+                    shark.submit_sql(tpch.TPCH_QUERIES[key], name=key)
+                    for key in ("Q1", "Q3", "Q6")
+                ],
+                lifecycle.drain(),
+            ),
+        )
+        loaded = HistoryStore.load(tmp_path / "log.jsonl").queries
+        assert [record.kind for record in loaded] == ["lifecycle"] * 3
+        assert loaded == written
+        assert all(record.num_tasks for record in loaded)
+        _assert_same_priced_stages(loaded, written)
+
     def test_capped_spill_round_trip(self, tmp_path):
         shark = _tpch_shark(memory_per_worker_bytes=512)
         loaded = self._assert_round_trip(
@@ -358,9 +413,9 @@ class TestRoundTrip:
 
 
 class TestServingFieldsV4:
-    """Schema v4: optional tenant/priority/shed_reason fields.  They are
-    written only when set and never appear in ``_REQUIRED``, so v2/v3
-    logs stay loadable and tenantless queries round-trip unchanged."""
+    """The optional tenant/priority/shed_reason fields.  They are
+    written only when set and never appear in ``_REQUIRED``, so a query
+    outside a SqlServer logs none of them."""
 
     def test_serving_fields_round_trip_exactly(self, tmp_path):
         path = tmp_path / "serving.jsonl"
@@ -400,109 +455,42 @@ class TestServingFieldsV4:
         assert '"priority"' not in raw
         assert '"shed_reason"' not in raw
 
-    def test_v3_log_loads_with_serving_fields_none(self, tmp_path):
-        path = tmp_path / "v3.jsonl"
-        records = [
-            {
-                "seq": 0,
-                "type": "header",
-                "version": 3,
-                "workers": 2,
-                "cores_per_worker": 2,
-            },
-            {
-                "seq": 1,
-                "type": "query_begin",
-                "query_id": "q0000",
-                "name": "legacy",
-                "kind": "sql",
-                "text": "SELECT 1",
-                "ts": 0.0,
-            },
-            {
-                "seq": 2,
-                "type": "query_end",
-                "query_id": "q0000",
-                "status": "ok",
-                "ts": 1.0,
-                "sim_seconds": 1.0,
-            },
-        ]
-        path.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        )
+    def test_plain_query_has_no_serving_fields(self, tmp_path):
+        """A query outside a SqlServer loads with its serving fields None
+        and adds nothing to the tenant aggregates."""
+        path = tmp_path / "plain.jsonl"
+        with EventLogWriter(path, 2, 2) as log:
+            log.write_query(
+                QueryRecord(
+                    name="plain",
+                    text="SELECT 1",
+                    status="ok",
+                    ended=1.0,
+                    sim_seconds=1.0,
+                )
+            )
         store = HistoryStore.load(path)
-        legacy = store.query("legacy")
-        assert legacy.status == "ok"
-        assert legacy.tenant is None
-        assert legacy.priority is None
-        assert legacy.shed_reason is None
-        # A v3 log contributes nothing to the serving aggregates.
+        plain = store.query("plain")
+        assert plain.status == "ok"
+        assert plain.tenant is None
+        assert plain.priority is None
+        assert plain.shed_reason is None
         assert store.tenant_rows() == []
         assert store.tier_latencies() == {}
 
-    def test_v2_style_log_still_loads(self, tmp_path):
-        path = tmp_path / "v2.jsonl"
-        records = [
-            {
-                "seq": 0,
-                "type": "header",
-                "version": 2,
-                "workers": 2,
-                "cores_per_worker": 2,
-            },
-            {
-                "seq": 1,
-                "type": "query_begin",
-                "query_id": "q0000",
-                "name": "old",
-                "kind": "sql",
-                "text": None,
-                "ts": 0.0,
-            },
-            {
-                "seq": 2,
-                "type": "memory_watermark",
-                "query_id": "q0000",
-                "worker": 0,
-                "pool": "execution",
-                "peak_bytes": 64,
-                "ts": 0.5,
-            },
-            {
-                "seq": 3,
-                "type": "query_end",
-                "query_id": "q0000",
-                "status": "ok",
-                "ts": 1.0,
-                "sim_seconds": 1.0,
-            },
-        ]
-        path.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        )
-        store = HistoryStore.load(path)
-        old = store.query("old")
-        assert old.status == "ok"
-        assert old.tenant is None
-        assert old.memory[0]["peak_bytes"] == 64
-
-    def test_current_schema_version_is_v6(self):
-        # v6 added operator_profile and shuffle_skew records (plan
-        # quality observability).
-        assert SCHEMA_VERSION == 6
+    def test_current_schema_version_is_v7(self):
+        # v7 stores no per-stage seconds and no operator modes: the
+        # job / stage / task and operator_profile records determine
+        # them.
+        assert SCHEMA_VERSION == 7
 
 
 class TestCacheLookupsV5:
     def test_cache_lookups_round_trip(self, tmp_path):
-        # The "fragment" row is the old-log case: the SQL cache wrote
-        # one (with hits / misses) while it had a scan-side layer; such
-        # logs must keep loading and rendering.
         path = tmp_path / "log.jsonl"
         lookups = [
             {"layer": "result", "outcome": "miss"},
             {"layer": "plan", "outcome": "hit"},
-            {"layer": "fragment", "outcome": "hit", "hits": 3, "misses": 1},
         ]
         with EventLogWriter(path, 2, 2) as log:
             log.write_query(
@@ -510,13 +498,12 @@ class TestCacheLookupsV5:
             )
         store = HistoryStore.load(path)
         record = store.query("probed")
-        assert [r["layer"] for r in record.cache_lookups] == [
-            "result", "plan", "fragment",
+        assert record.cache_lookups == [
+            {**lookup, "ts": 0.0} for lookup in lookups
         ]
-        assert record.cache_lookups[2]["hits"] == 3
         report = store.cache_report()
         assert "sql cache report" in report
-        assert "plan" in report and "fragment" in report
+        assert "plan" in report and "result" in report
 
     def test_cache_off_emits_no_lookup_records(self, tmp_path):
         # The byte-identity guarantee for cache-off logs: no
@@ -526,67 +513,9 @@ class TestCacheLookupsV5:
             log.write_query(QueryRecord(name="plain"))
             log.write_query(QueryRecord(name="empty", cache_lookups=[]))
         assert '"cache_lookup"' not in path.read_text()
-
-    def test_v4_log_loads_with_empty_cache_lookups(self, tmp_path):
-        path = tmp_path / "v4.jsonl"
-        records = [
-            {
-                "seq": 0,
-                "type": "header",
-                "version": 4,
-                "workers": 2,
-                "cores_per_worker": 2,
-            },
-            {
-                "seq": 1,
-                "type": "query_begin",
-                "query_id": "q0000",
-                "name": "legacy",
-                "kind": "sql",
-                "text": "SELECT 1",
-                "ts": 0.0,
-            },
-            {
-                "seq": 2,
-                "type": "query_end",
-                "query_id": "q0000",
-                "status": "ok",
-                "ts": 1.0,
-                "sim_seconds": 1.0,
-            },
-        ]
-        path.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        )
         store = HistoryStore.load(path)
-        assert store.query("legacy").cache_lookups == []
+        assert store.query("plain").cache_lookups == []
         assert "0 probed" in store.cache_report()
-
-    def test_legacy_fixture_logs_still_load(self):
-        """Satellite of PR 10: one committed fixture log per historical
-        schema version.  ``HistoryStore.load`` must keep parsing every
-        one of them as the schema moves forward."""
-        import pathlib
-
-        fixtures = pathlib.Path(__file__).parent / "fixtures"
-        for version in (2, 3, 4, 5):
-            store = HistoryStore.load(fixtures / f"log_v{version}.jsonl")
-            assert store.queries, f"v{version} fixture loaded no queries"
-            first = store.queries[0]
-            assert first.status in ("ok", "shed")
-            # Pre-v6 logs have no plan-quality records — the new
-            # accessors must degrade to empty, not raise.
-            assert store.operator_profiles() == []
-            assert first.skew_records == []
-            assert "predates schema v6" in store.plan_quality_report()
-        # Version-specific signatures survive the trip.
-        v3 = HistoryStore.load(fixtures / "log_v3.jsonl")
-        assert v3.queries[0].spills[0]["owner"] == "sort"
-        v4 = HistoryStore.load(fixtures / "log_v4.jsonl")
-        assert v4.query("v4 fixture").tenant == "analytics"
-        assert v4.query("v4 shed").shed_reason == "brownout"
-        v5 = HistoryStore.load(fixtures / "log_v5.jsonl")
-        assert v5.query("v5 warm").cache_lookups[0]["outcome"] == "hit"
 
     def test_live_query_streams_lookup_outcomes(self, tmp_path):
         path = tmp_path / "live.jsonl"
@@ -611,7 +540,7 @@ class TestCacheLookupsV5:
 
 
 class TestPlanQualityV6:
-    """Schema v6: operator_profile + shuffle_skew records."""
+    """The operator_profile and shuffle_skew records."""
 
     def test_synthetic_records_round_trip(self, tmp_path):
         path = tmp_path / "log.jsonl"

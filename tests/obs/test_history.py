@@ -10,7 +10,8 @@ import pytest
 from repro import SharkContext
 from repro.datatypes import DOUBLE, INT, STRING, Schema
 from repro.obs.history import HistoryStore, main as history_main
-from repro.obs.events import EventLogSchemaError
+from repro.obs.events import EventLogSchemaError, SCHEMA_VERSION
+from repro.obs.metrics import percentiles_of
 
 
 def _shark(num_workers: int = 4, num_partitions: int = 6) -> SharkContext:
@@ -28,14 +29,18 @@ def _shark(num_workers: int = 4, num_partitions: int = 6) -> SharkContext:
     return shark
 
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-FIXTURE_VERSIONS = (2, 3, 4, 5)
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "log.jsonl"
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "log.txt"
 
 
-def _all_reports(path) -> str:
-    """Every history report over one log as one text: the five report
-    kinds, then ``--query`` for each query, in text and in markdown."""
+#: The golden sections: the five report kinds, then ``--query``.
+REPORT_KINDS = ("report", "memory", "tenants", "cache", "quality", "query")
+
+
+def _report_chunks(path) -> list[tuple[str, str]]:
+    """Every history report over one log as ``(kind, text)`` chunks:
+    the five report kinds, then ``--query`` for each query, in text and
+    in markdown."""
     store = HistoryStore.load(path)
     kinds = (
         ("report", store.report),
@@ -48,14 +53,30 @@ def _all_reports(path) -> str:
     for markdown, mode in ((False, "text"), (True, "markdown")):
         for kind, render in kinds:
             chunks.append(
-                f"#### {kind} ({mode})\n{render(markdown=markdown)}"
+                (kind, f"#### {kind} ({mode})\n{render(markdown=markdown)}")
             )
         for record in store.queries:
-            chunks.append(
+            chunks.append((
+                "query",
                 f"#### --query {record.query_id} ({mode})\n"
-                + store.report(markdown=markdown, query=record.query_id)
-            )
-    return "\n\n".join(chunks) + "\n"
+                + store.report(markdown=markdown, query=record.query_id),
+            ))
+    return chunks
+
+
+def _all_reports(path) -> str:
+    """The golden text: every chunk of :func:`_report_chunks`."""
+    return "\n\n".join(chunk for _, chunk in _report_chunks(path)) + "\n"
+
+
+def _golden_chunks() -> list[str]:
+    """The golden text split back into the chunks it was joined from."""
+    text = GOLDEN.read_text()
+    assert text.endswith("\n")
+    return [
+        "#### " + chunk
+        for chunk in ("\n\n" + text[:-1]).split("\n\n#### ")[1:]
+    ]
 
 
 @pytest.fixture
@@ -92,22 +113,24 @@ class TestLoading:
         with pytest.raises(KeyError):
             store.query("nope")
 
-    def test_unknown_schema_version_rejected(self, tmp_path):
-        path = tmp_path / "future.jsonl"
+    @pytest.mark.parametrize(
+        "version", [2, 3, 4, 5, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1]
+    )
+    def test_other_schema_version_refused(self, tmp_path, version):
+        """The store reads exactly the version this tree writes: an
+        older log is refused as a newer one is, never misread."""
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["version"] = version
+        path = tmp_path / f"v{version}.jsonl"
         path.write_text(
-            json.dumps(
-                {
-                    "type": "header",
-                    "seq": 0,
-                    "version": 99,
-                    "workers": 1,
-                    "cores_per_worker": 1,
-                }
-            )
-            + "\n"
+            json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:])
         )
-        with pytest.raises(EventLogSchemaError, match="version"):
+        with pytest.raises(EventLogSchemaError) as refused:
             HistoryStore.load(path)
+        message = str(refused.value)
+        assert f"version {version} " in message
+        assert f"({SCHEMA_VERSION})" in message
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -221,30 +244,55 @@ class TestWorkerUtilization:
 
 
 class TestGoldenReports:
-    """Report text over the committed v2-v5 fixture logs is pinned byte
-    for byte (``tests/obs/golden``; regenerate deliberately with
-    ``PYTHONPATH=src python -m tests.obs.test_history``)."""
+    """Report text over the committed fixture log is pinned byte for
+    byte (``tests/obs/golden/log.txt``; regenerate deliberately with
+    ``PYTHONPATH=src python -m tests.obs.test_history``).  The log holds
+    every record kind a report reads: memory watermarks and spills,
+    serving fields and a shed query, cache lookups, operator profiles,
+    a shuffle-skew record and flight dumps."""
 
-    @pytest.mark.parametrize("version", FIXTURE_VERSIONS)
-    def test_fixture_reports_match_golden(self, version):
-        golden = GOLDEN / f"log_v{version}.txt"
-        assert (
-            _all_reports(FIXTURES / f"log_v{version}.jsonl")
-            == golden.read_text()
+    @pytest.mark.parametrize("kind", REPORT_KINDS)
+    def test_fixture_reports_match_golden(self, kind):
+        """One report kind's chunks, text and markdown; together the
+        kinds cover the golden file whole."""
+        rendered = _report_chunks(FIXTURE)
+        golden = _golden_chunks()
+        assert len(golden) == len(rendered)
+        assert [
+            text for text, (chunk_kind, _) in zip(golden, rendered)
+            if chunk_kind == kind
+        ] == [chunk for chunk_kind, chunk in rendered if chunk_kind == kind]
+
+    def test_fixture_holds_every_record_kind(self):
+        store = HistoryStore.load(FIXTURE)
+        assert store.query("sort fixture").spills[0]["owner"] == "sort"
+        assert store.query("count fixture").memory
+        assert store.query("tenant fixture").tenant == "analytics"
+        assert store.query("shed fixture").shed_reason == "brownout"
+        assert store.query("warm fixture").cache_lookups[0]["outcome"] == (
+            "hit"
         )
+        assert store.operator_profiles()
+        assert store.query("sort fixture").skew_records
+        assert store.query("killed fixture").flight_only
+        assert len(store.flight_dumps) == 1
 
 
 class TestFlightOnly:
     def test_flight_dump_file_becomes_partial_query(self, tmp_path):
         """A killed query's flight dump, alone, is enough for a partial
-        timeline in the history CLI (the acceptance criterion)."""
+        timeline in the history CLI (the acceptance criterion).  A dump
+        file has no header, so a directory of dumps only has no schema
+        version to refuse."""
         shark = _shark()
         assert not shark.tracer.enabled
         shark.tracer.flight.dump_dir = str(tmp_path)
         shark.sql("SELECT COUNT(*) FROM readings")  # fills the ring
         shark.tracer.flight_dump("cancelled", query="killed-query")
+        shark.tracer.flight_dump("error")  # attributed to no query
 
         store = HistoryStore.load(tmp_path)
+        assert len(store.files) == 2 and len(store.flight_dumps) == 1
         record = store.query("killed-query")
         assert record.flight_only
         assert record.status == "cancelled"
@@ -265,10 +313,10 @@ class TestFlightOnly:
 
 
 class TestTenantReport:
-    """Schema v4 serving aggregates: per-tenant utilization and per-tier
-    latency percentiles rebuilt from the event log."""
+    """Serving aggregates: per-tenant utilization and per-tier latency
+    percentiles rebuilt from the event log."""
 
-    def _v4_log(self, tmp_path):
+    def _serving_log(self, tmp_path):
         from repro.obs.events import EventLogWriter
         from repro.obs.history import QueryRecord
 
@@ -342,7 +390,7 @@ class TestTenantReport:
         return path
 
     def test_tenant_rows_aggregate_outcomes(self, tmp_path):
-        store = HistoryStore.load(self._v4_log(tmp_path))
+        store = HistoryStore.load(self._serving_log(tmp_path))
         rows = {row["tenant"]: row for row in store.tenant_rows()}
         assert set(rows) == {"dashboards", "crawler"}  # untagged skipped
         dash = rows["dashboards"]
@@ -368,7 +416,7 @@ class TestTenantReport:
         )
 
     def test_tier_latencies_only_count_completions(self, tmp_path):
-        store = HistoryStore.load(self._v4_log(tmp_path))
+        store = HistoryStore.load(self._serving_log(tmp_path))
         tiers = store.tier_latencies()
         assert sorted(tiers) == ["best_effort", "interactive"]
         assert tiers["interactive"] == pytest.approx([0.5] * 4)
@@ -376,7 +424,7 @@ class TestTenantReport:
         assert tiers["best_effort"] == pytest.approx([4.0])
 
     def test_tenant_report_sections(self, tmp_path):
-        store = HistoryStore.load(self._v4_log(tmp_path))
+        store = HistoryStore.load(self._serving_log(tmp_path))
         report = store.tenant_report()
         assert "per-tenant utilization" in report
         assert "per-tier latency" in report
@@ -387,44 +435,26 @@ class TestTenantReport:
         assert markdown.startswith("# ")
 
     def test_cli_tenants_section(self, tmp_path, capsys):
-        path = self._v4_log(tmp_path)
+        path = self._serving_log(tmp_path)
         assert history_main([str(path), "tenants"]) == 0
         out = capsys.readouterr().out
         assert "tenant report" in out
         assert "dashboards" in out
 
     def test_percentiles_nearest_rank(self):
-        from repro.obs.history import percentile
-
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 50.0) == 50.0
-        assert percentile(values, 95.0) == 95.0
-        assert percentile(values, 99.0) == 99.0
-        assert percentile(values, 100.0) == 100.0
-        assert percentile([], 50.0) == 0.0
-        assert percentile([7.0], 99.0) == 7.0
-
-    def test_percentile_delegates_to_the_shared_helper(self):
-        """PR 10 satellite: ``history.percentile`` and
-        ``metrics.percentiles_of`` must be the same nearest-rank math —
-        the former is a thin wrapper, not a reimplementation."""
-        from repro.obs.history import percentile
-        from repro.obs.metrics import percentiles_of
-
+        """The tenant report's p50 / p95 / p99: nearest rank, no
+        interpolation, over unsorted input."""
+        values = [float(v) for v in range(100, 0, -1)]
+        assert percentiles_of(values) == [50.0, 95.0, 99.0]
+        assert percentiles_of(values, (1.0,)) == [100.0]
+        assert percentiles_of([]) == [0.0, 0.0, 0.0]
+        assert percentiles_of([7.0], (0.99,)) == [7.0]
         samples = [0.5, 1.5, 1.5, 2.0, 9.0, 42.0, 0.25]
-        for pct in (1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0):
-            assert percentile(sorted(samples), pct) == (
-                percentiles_of(samples, (pct / 100.0,))[0]
-            )
-        # Odd sample counts and ties hit the same ranks in both.
-        assert percentiles_of(samples)[0] == percentile(
-            sorted(samples), 50.0
-        )
+        assert percentiles_of(samples, (0.01, 0.25, 0.5, 0.9)) == [
+            0.25, 0.5, 1.5, 42.0,
+        ]
 
 
-if __name__ == "__main__":  # regenerate the golden report texts
-    GOLDEN.mkdir(exist_ok=True)
-    for _version in FIXTURE_VERSIONS:
-        (GOLDEN / f"log_v{_version}.txt").write_text(
-            _all_reports(FIXTURES / f"log_v{_version}.jsonl")
-        )
+if __name__ == "__main__":  # regenerate the golden report text
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(_all_reports(FIXTURE))

@@ -392,8 +392,8 @@ def test_served_query_is_as_explainable_as_a_plain_one(tmp_path):
         record = store.query(ticket.name)
         assert record.profiles == profiles[ticket.name]
         assert record.num_tasks > 0
-        assert record.plan_text and record.operator_modes
-        assert record.operator_profiles and record.stage_sim
+        assert record.plan_text and record.operator_profiles
+        assert record.analyze().stages
         assert record.sim_seconds == ticket.handle.charged_seconds
         assert record.tenant == ticket.tenant
     assert store.query("agg").skew_records

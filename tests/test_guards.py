@@ -106,7 +106,7 @@ GUARDS = {
         Rule(r"rebuild_profiles"),
         Rule(r"write_query\(\s*[a-z_]+=", multiline=True),
         Rule(r'if markdown else "== "', at_most=1),
-        Rule(r'"shuffle_write_bytes": stage\.shuffle_write_bytes', at_most=1),
+        Rule(r'"shuffle_write_bytes": stage\.shuffle_write_bytes'),
         Rule(r"reset_profiles", ("src/repro/obs",)),
     ],
     # A cached table's storage is extended, never a union chain.
@@ -298,6 +298,16 @@ GUARDS = {
         Rule(
             r"\.collected\b|collected=|_result_bytes|\.partials\b",
             ("src/repro/engine", "src/repro/obs"),
+        ),
+    ],
+    # One event-log schema: the history store reads only the version
+    # this tree writes, and a query record stores no per-stage seconds
+    # or operator modes, which its profiles determine.
+    "one-event-log-schema": [
+        Rule(
+            r"stage_sim|[\"']operator_modes[\"']|log_v[2-6]|predates schema",
+            ("src", "tests"),
+            exclude="tests/test_guards.py",
         ),
     ],
     # A job's profile lives on the scope that ran it: the scheduler keeps
